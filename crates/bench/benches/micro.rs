@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the performance-critical kernels,
-//! including the ablations DESIGN.md calls out:
+//! including the kernel-level ablations:
 //!
 //! * sparse ΔS vs the naive dense rescan (paper §III-A optimization c);
 //! * proposal sampling;
@@ -8,8 +8,7 @@
 //! * sorted-balanced vs modulo ownership (load balance proxy);
 //! * simulated-cluster collective throughput;
 //! * blockmodel construction and incremental moves;
-//! * SIMD vs scalar kernel A/B, the lntab gather-vs-unrolled strategy
-//!   study, and the entropy chunk-size study (PR 10);
+//! * SIMD vs scalar kernel A/B and the entropy chunk-size study (PR 10);
 //! * synthetic graph generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -311,8 +310,7 @@ fn bench_blockmodel(c: &mut Criterion) {
 }
 
 /// SIMD vs scalar A/B on the dense-storage kernels PR 10 vectorized,
-/// plus the lntab batch-gather strategy study and the entropy
-/// chunk-size study. The `simd_*`-suffixed ids run the
+/// plus the entropy chunk-size study. The `simd_*`-suffixed ids run the
 /// runtime-dispatched path (which falls back to scalar on non-AVX2
 /// hosts, turning each pair into a self-comparison); the `scalar_*`
 /// ids force the scalar source of truth. Results are bit-identical by
@@ -351,54 +349,11 @@ fn bench_simd(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    group.bench_function("simd/hastings_dense_simd", |b| {
-        let mut scratch = DeltaScratch::new();
-        b.iter(|| {
-            let mut acc = 0.0;
-            for v in (0..n as u32).step_by(37) {
-                let to = (bm.block_of(v) + 1) % nb as u32;
-                scratch.vertex_move_delta(&graph, &bm, v, to);
-                acc += scratch.hastings_correction(&graph, &bm, v);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("simd/hastings_dense_scalar", |b| {
-        let mut scratch = DeltaScratch::new();
-        b.iter(|| {
-            let mut acc = 0.0;
-            for v in (0..n as u32).step_by(37) {
-                let to = (bm.block_of(v) + 1) % nb as u32;
-                scratch.vertex_move_delta(&graph, &bm, v, to);
-                acc += scratch.hastings_correction_scalar(&graph, &bm, v);
-            }
-            black_box(acc)
-        })
-    });
     group.bench_function("simd/entropy_dense_simd", |b| {
         b.iter(|| black_box(bm.entropy()))
     });
     group.bench_function("simd/entropy_dense_scalar", |b| {
         b.iter(|| black_box(bm.entropy_scalar()))
-    });
-    // lntab batch strategy A/B: one 8-lane gather per 4 cells vs four
-    // scalar table loads. Within noise on the recording machine (both
-    // standalone and swapped into the kernels); `simd::ln4` keeps the
-    // gather for its footprint. Both stay benchable so the choice can
-    // be re-audited per host.
-    let ws: Vec<i64> = (0..4096).map(|i| (i * 7 + 1) % 60_000).collect();
-    let mut out = vec![0.0f64; ws.len()];
-    group.bench_function("simd/lntab_gather_4k", |b| {
-        b.iter(|| {
-            sbp_core::simd::ln_batch_gather(black_box(&ws), &mut out);
-            black_box(out[ws.len() - 1])
-        })
-    });
-    group.bench_function("simd/lntab_unrolled_4k", |b| {
-        b.iter(|| {
-            sbp_core::simd::ln_batch_unrolled(black_box(&ws), &mut out);
-            black_box(out[ws.len() - 1])
-        })
     });
     // Entropy chunk-size study under SIMD (ROADMAP carry-over from
     // PR 5): the chunk width only changes the parallel split points,

@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md §6 calls out:
+//! Ablation studies for two design choices:
 //!
 //! 1. vertex-ownership scheme — sorted-degree balanced (§III-B) vs naive
 //!    `v mod n` (per-rank degree-mass imbalance and its effect on the BSP

@@ -1,6 +1,6 @@
 //! The experiment implementations, one per paper artifact.
 //!
-//! Graph sizes are laptop-scale by default (see DESIGN.md §3); every size
+//! Graph sizes are laptop-scale by default; every size
 //! is multiplied by `BenchConfig::scale`, so the paper-scale experiments
 //! are `EDIST_SCALE≈10–20` away on a capable machine. Runtimes come from
 //! the simulated cluster's virtual clocks (BSP makespan, see `sbp-mpi`);

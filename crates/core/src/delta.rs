@@ -39,7 +39,7 @@
 
 use crate::blockmodel::Blockmodel;
 use crate::lntab::ln_int;
-use crate::simd::{self, DmSource, HastingsInputs, LaneFix};
+use crate::simd::{self, DmSource, LaneFix};
 use sbp_graph::{Graph, Vertex, Weight};
 use std::cell::RefCell;
 
@@ -359,23 +359,6 @@ impl DeltaScratch {
     /// by the delta. Allocation-free: neighbor-block weights accumulate in
     /// the reusable `wt` buffer via sort-and-fold.
     pub fn hastings_correction(&mut self, graph: &Graph, bm: &Blockmodel, v: Vertex) -> f64 {
-        self.hastings_correction_with(graph, bm, v, simd::enabled())
-    }
-
-    /// [`hastings_correction`](Self::hastings_correction) forced onto the
-    /// scalar kernels — the property tests' bit-identity reference.
-    #[doc(hidden)]
-    pub fn hastings_correction_scalar(&mut self, graph: &Graph, bm: &Blockmodel, v: Vertex) -> f64 {
-        self.hastings_correction_with(graph, bm, v, false)
-    }
-
-    fn hastings_correction_with(
-        &mut self,
-        graph: &Graph,
-        bm: &Blockmodel,
-        v: Vertex,
-        use_simd: bool,
-    ) -> f64 {
         let DeltaScratch {
             delta,
             dense,
@@ -385,9 +368,7 @@ impl DeltaScratch {
             ..
         } = self;
         match repr {
-            DeltaRepr::DirectIndexed => {
-                hastings_direct(graph, bm, v, delta, dense, raw, wt, use_simd)
-            }
+            DeltaRepr::DirectIndexed => hastings_direct(graph, bm, v, delta, dense, raw, wt),
             DeltaRepr::Sorted => {
                 hastings_kernel(graph, bm, v, delta, raw, wt, |x, y| delta.cell_delta(x, y))
             }
@@ -678,9 +659,8 @@ fn gather_neighbor_weights(
 }
 
 /// Hastings correction for dense storage + direct-indexed delta: every
-/// matrix and delta read is a contiguous-slice index, so the weighted sums
-/// run through the SIMD-dispatched [`simd::hastings_pass`].
-#[allow(clippy::too_many_arguments)]
+/// matrix and delta read is a contiguous-slice index, with none of
+/// [`hastings_kernel`]'s per-cell storage dispatch.
 fn hastings_direct(
     graph: &Graph,
     bm: &Blockmodel,
@@ -689,7 +669,6 @@ fn hastings_direct(
     dense: &DenseDelta,
     raw: &mut Vec<(u64, Weight)>,
     wt: &mut Vec<(u32, Weight)>,
-    use_simd: bool,
 ) -> f64 {
     let (r, s) = (delta.from, delta.to);
     if r == s {
@@ -700,24 +679,44 @@ fn hastings_direct(
     }
     let c = bm.num_blocks();
     let expect = "direct repr implies dense storage";
-    let h = HastingsInputs {
-        row_s: bm.dense_row(s).expect(expect),
-        col_s: bm.dense_col(s).expect(expect),
-        row_r: bm.dense_row(r).expect(expect),
-        col_r: bm.dense_col(r).expect(expect),
-        d_out: bm.d_out_all(),
-        d_in: bm.d_in_all(),
-        drow_from: &dense.row_from[..c],
-        drow_to: &dense.row_to[..c],
-        dcol_from: &dense.col_from[..c],
-        r,
-        s,
-        shift: delta.dout_shift + delta.din_shift,
-        b: c as f64,
-    };
+    let (row_s, col_s) = (
+        bm.dense_row(s).expect(expect),
+        bm.dense_col(s).expect(expect),
+    );
+    let (row_r, col_r) = (
+        bm.dense_row(r).expect(expect),
+        bm.dense_col(r).expect(expect),
+    );
+    let (d_out, d_in) = (bm.d_out_all(), bm.d_in_all());
+    let (drow_from, drow_to) = (&dense.row_from[..c], &dense.row_to[..c]);
+    let dcol_from = &dense.col_from[..c];
+    let shift = delta.dout_shift + delta.din_shift;
+    let b = c as f64;
     let mut fwd = 0.0;
     let mut bwd = 0.0;
-    simd::hastings_pass(wt, &h, &mut fwd, &mut bwd, use_simd);
+    for &(t, w) in wt.iter() {
+        let wf = w as f64;
+        let tu = t as usize;
+        let base = d_out[tu] + d_in[tu];
+        fwd += wf * ((col_s[tu] + row_s[tu]) as f64 + 1.0) / (base as f64 + b);
+        let dtr = if t == r {
+            drow_from[r as usize]
+        } else if t == s {
+            drow_to[r as usize]
+        } else {
+            dcol_from[tu]
+        };
+        let nc_tr = (col_r[tu] + dtr) as f64;
+        let nc_rt = (row_r[tu] + drow_from[tu]) as f64;
+        let ndt = (if t == r {
+            base - shift
+        } else if t == s {
+            base + shift
+        } else {
+            base
+        }) as f64;
+        bwd += wf * (nc_tr + nc_rt + 1.0) / (ndt + b);
+    }
     debug_assert!(fwd > 0.0);
     bwd / fwd
 }

@@ -124,8 +124,6 @@ pub use run::{
     ProgressFn, ProgressSink, RunConfig, RunOutcome, Sequential, Solver, WarmStart,
 };
 pub use sbp::{checkpoint_state, solve_sbp, IterationStat, McmcStrategy, SbpConfig, SbpResult};
-#[allow(deprecated)]
-pub use sbp::{sbp, sbp_from};
 
 /// `h(x) = (1+x)·ln(1+x) − x·ln(x)`, the model-complexity kernel of the
 /// description length (paper Eq. 2).

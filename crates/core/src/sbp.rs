@@ -12,8 +12,7 @@
 //! Alg. 3 line 23, resumes from the combined partial results), reports
 //! [`ProgressEvent`]s, honours a [`crate::run::CancelToken`] at iteration
 //! boundaries and between MCMC sweeps, and returns the unified
-//! [`RunOutcome`]. The legacy [`sbp`]/[`sbp_from`] free functions remain
-//! as deprecated shims over it.
+//! [`RunOutcome`].
 
 use crate::blockmodel::Blockmodel;
 use crate::checkpoint::{strategy_tag, CheckpointState};
@@ -225,7 +224,7 @@ impl sbp_mpi::Wire for IterationStat {
     }
 }
 
-/// Final inference result of the legacy free functions.
+/// Result of the reference engine ([`crate::naive::naive_sbp`]).
 #[derive(Clone, Debug)]
 pub struct SbpResult {
     /// Inferred block assignment (dense labels).
@@ -504,45 +503,6 @@ fn maybe_checkpoint(
     }
     let state = checkpoint_state(graph, cfg, bracket, iterations, next_iter);
     let _ = state.write_to(&spec.path);
-}
-
-/// Runs full SBP inference from the identity partition (`C = V`).
-#[deprecated(note = "use `edist::Partitioner` or a `run::Solver` backend; \
-                     `solve_sbp` is the progress/cancellation-aware engine")]
-pub fn sbp(graph: &Graph, cfg: &SbpConfig) -> SbpResult {
-    let out = solve_sbp(
-        graph,
-        None,
-        &RunConfig::from_sbp(cfg.clone()),
-        &mut crate::run::NoProgress,
-    );
-    sbp_result_from(out)
-}
-
-/// Runs SBP from an arbitrary starting partition (DC-SBP fine-tuning).
-#[deprecated(note = "use `solve_sbp(graph, Some((assignment, num_blocks)), …)`")]
-pub fn sbp_from(
-    graph: &Graph,
-    assignment: Vec<u32>,
-    num_blocks: usize,
-    cfg: &SbpConfig,
-) -> SbpResult {
-    let out = solve_sbp(
-        graph,
-        Some((assignment, num_blocks)),
-        &RunConfig::from_sbp(cfg.clone()),
-        &mut crate::run::NoProgress,
-    );
-    sbp_result_from(out)
-}
-
-fn sbp_result_from(out: RunOutcome) -> SbpResult {
-    SbpResult {
-        assignment: out.assignment,
-        num_blocks: out.num_blocks,
-        description_length: out.description_length,
-        iterations: out.iterations,
-    }
 }
 
 /// One merge phase: propose for all blocks, apply the best
@@ -871,31 +831,5 @@ mod tests {
             plain.description_length.to_bits(),
             with_warm.description_length.to_bits()
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_match_solve_sbp() {
-        let (g, _) = planted_two_cliques(6);
-        let cfg = SbpConfig {
-            seed: 7,
-            ..Default::default()
-        };
-        let legacy = sbp(&g, &cfg);
-        let new = solve(&g, &cfg);
-        assert_eq!(legacy.assignment, new.assignment);
-        assert_eq!(
-            legacy.description_length.to_bits(),
-            new.description_length.to_bits()
-        );
-        let start: Vec<u32> = (0..12u32).map(|v| v % 3).collect();
-        let legacy_from = sbp_from(&g, start.clone(), 3, &cfg);
-        let new_from = solve_sbp(
-            &g,
-            Some((start, 3)),
-            &RunConfig::from_sbp(cfg),
-            &mut NoProgress,
-        );
-        assert_eq!(legacy_from.assignment, new_from.assignment);
     }
 }

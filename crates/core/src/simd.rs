@@ -33,9 +33,8 @@
 //!   (`a + b == -0.0` requires both operands to be `-0.0`), so
 //!   `acc + (+0.0) == acc` and `acc - (+0.0) == acc` bit-for-bit.
 //!
-//! Cells whose weights fall outside the ranges the vector ops convert
-//! exactly (`lntab` table bounds, 2⁵² for `i64 → f64`) are handled by
-//! running that 4-cell block through the scalar step — as are blocks
+//! Cells whose weights fall outside the `lntab` table bounds are handled
+//! by running that 4-cell block through the scalar step — as are blocks
 //! containing the moved pair's special columns/rows. Correctness never
 //! depends on the vector path being taken.
 //!
@@ -50,23 +49,14 @@
 //! in one process. On non-x86_64 targets every kernel compiles to the
 //! scalar body and [`enabled`] is `false`.
 //!
-//! `lntab` lookups inside the vector body use `vgatherdpd`; an unrolled
-//! scalar-load variant is kept behind [`ln_batch_unrolled`] for the
-//! bench A/B (`simd/lntab_*` ids in `sbp-bench`; see
-//! `benchmarks/summary.md`). On the recording machine the two are
-//! within run-to-run noise both standalone and in-kernel; the gather is
-//! kept for its smaller instruction footprint (one instruction vs four
-//! extracts + four loads + a pack, leaving scalar ports to the
-//! accumulator folds). Re-audit per host with the bench ids.
+//! Only kernels that pay are vectorized: ΔS (2.2×) and entropy (4.4×).
+//! The Hastings correction stays scalar (`crate::delta`) — its AVX2
+//! twin measured at parity (28.5 vs 28.0 µs) and was deleted.
 
 use crate::delta::term;
 use crate::lntab;
 use sbp_graph::Weight;
 use std::sync::OnceLock;
-
-/// Largest `i64` the packed `i64 → f64` conversion trick is exact for
-/// (all values below 2⁵² are exactly representable in a double).
-const MAX_EXACT: Weight = (1i64 << 52) - 1;
 
 /// Whether the vectorized kernels should run in this process: AVX2
 /// detected at runtime and not vetoed by `SBP_NO_SIMD=1`. Read once per
@@ -325,133 +315,6 @@ pub(crate) fn entropy_line(
     }
 }
 
-/// Everything the dense Hastings pass reads, gathered once per proposal:
-/// the four affected matrix lines, the degree vectors, the
-/// direct-indexed delta arrays, and the move parameters.
-pub(crate) struct HastingsInputs<'a> {
-    /// Matrix row `s` (`M[s][·]`).
-    pub row_s: &'a [Weight],
-    /// Matrix column `s` via the stored transpose (`M[·][s]`).
-    pub col_s: &'a [Weight],
-    /// Matrix row `r`.
-    pub row_r: &'a [Weight],
-    /// Matrix column `r`.
-    pub col_r: &'a [Weight],
-    /// Block out-degrees.
-    pub d_out: &'a [Weight],
-    /// Block in-degrees.
-    pub d_in: &'a [Weight],
-    /// Direct-indexed delta of row `r` (the move's source row).
-    pub drow_from: &'a [Weight],
-    /// Direct-indexed delta of row `s` (the destination row).
-    pub drow_to: &'a [Weight],
-    /// Direct-indexed delta of column `r` for rows outside `{r, s}`.
-    pub dcol_from: &'a [Weight],
-    /// Source block of the move.
-    pub r: u32,
-    /// Destination block of the move.
-    pub s: u32,
-    /// Total degree mass the move shifts from `r` to `s`.
-    pub shift: Weight,
-    /// Number of blocks as f64 (the `+ B` smoothing term).
-    pub b: f64,
-}
-
-/// One neighbor-block term of the Hastings correction — scalar source of
-/// truth, replicating the historical closure-based kernel op for op.
-#[inline(always)]
-fn hastings_step(t: u32, w: Weight, h: &HastingsInputs<'_>, fwd: &mut f64, bwd: &mut f64) {
-    let wf = w as f64;
-    let tu = t as usize;
-    *fwd +=
-        wf * ((h.col_s[tu] + h.row_s[tu]) as f64 + 1.0) / ((h.d_out[tu] + h.d_in[tu]) as f64 + h.b);
-    let dtr = if t == h.r {
-        h.drow_from[h.r as usize]
-    } else if t == h.s {
-        h.drow_to[h.r as usize]
-    } else {
-        h.dcol_from[tu]
-    };
-    let nc_tr = (h.col_r[tu] + dtr) as f64;
-    let nc_rt = (h.row_r[tu] + h.drow_from[tu]) as f64;
-    let base = h.d_out[tu] + h.d_in[tu];
-    let ndt = (if t == h.r {
-        base - h.shift
-    } else if t == h.s {
-        base + h.shift
-    } else {
-        base
-    }) as f64;
-    *bwd += wf * (nc_tr + nc_rt + 1.0) / (ndt + h.b);
-}
-
-/// Accumulates the forward/backward Hastings sums over the folded
-/// neighbor-block weights `wt` (dense storage, direct-indexed delta).
-pub(crate) fn hastings_pass(
-    wt: &[(u32, Weight)],
-    h: &HastingsInputs<'_>,
-    fwd: &mut f64,
-    bwd: &mut f64,
-    use_simd: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if use_simd && wt.len() >= 4 {
-        // SAFETY: `use_simd` is only true when `enabled()` detected AVX2.
-        unsafe {
-            avx2::hastings_pass(wt, h, fwd, bwd);
-        }
-        return;
-    }
-    let _ = use_simd;
-    for &(t, w) in wt {
-        hastings_step(t, w, h, fwd, bwd);
-    }
-}
-
-/// Batched `lntab` lookup via AVX2 gathers (scalar `ln_int` fallback off
-/// x86_64 / without AVX2) — bench probe for the gather-vs-unrolled A/B.
-#[doc(hidden)]
-pub fn ln_batch_gather(ws: &[Weight], out: &mut [f64]) {
-    assert_eq!(ws.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        // SAFETY: `enabled()` detected AVX2.
-        unsafe {
-            avx2::ln_batch_gather(ws, out);
-        }
-        return;
-    }
-    for (o, &w) in out.iter_mut().zip(ws) {
-        *o = lntab::ln_int(w);
-    }
-}
-
-/// Batched `lntab` lookup via 4-wide unrolled scalar table loads — the
-/// gather's A/B rival (see `benchmarks/summary.md`, PR 10 addendum).
-#[doc(hidden)]
-pub fn ln_batch_unrolled(ws: &[Weight], out: &mut [f64]) {
-    assert_eq!(ws.len(), out.len());
-    let tab = lntab::table();
-    let n = ws.len() / 4 * 4;
-    let in_range = |w: Weight| (0..lntab::TABLE_SIZE as Weight).contains(&w);
-    for i in (0..n).step_by(4) {
-        let w = [ws[i], ws[i + 1], ws[i + 2], ws[i + 3]];
-        if w.iter().all(|&x| in_range(x)) {
-            out[i] = tab[w[0] as usize];
-            out[i + 1] = tab[w[1] as usize];
-            out[i + 2] = tab[w[2] as usize];
-            out[i + 3] = tab[w[3] as usize];
-        } else {
-            for k in 0..4 {
-                out[i + k] = lntab::ln_int(w[k]);
-            }
-        }
-    }
-    for i in n..ws.len() {
-        out[i] = lntab::ln_int(ws[i]);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! The AVX2 bodies. Every `#[target_feature]` function is only
@@ -469,10 +332,6 @@ mod avx2 {
     }
 
     /// `ln` of four table indices (callers guarantee `[0, TABLE_SIZE)`).
-    /// The PR 10 bench A/B (`simd/lntab_*`, plus an in-kernel swap test)
-    /// put gather and unrolled loads within noise of each other on the
-    /// recording machine; the gather stays for its smaller footprint
-    /// (module docs).
     #[inline(always)]
     unsafe fn ln4(tab: *const f64, idx: __m128i) -> __m256d {
         _mm256_i32gather_pd::<8>(tab, idx)
@@ -716,119 +575,6 @@ mod avx2 {
             i += 1;
         }
     }
-
-    /// Exact `i64 → f64` for lanes in `[0, 2⁵²)`: or-in the 2⁵² exponent
-    /// bits, reinterpret, subtract 2⁵². The subtraction is exact, so the
-    /// result is bit-equal to a scalar `as f64` cast.
-    #[inline(always)]
-    unsafe fn u52_to_f64(v: __m256i) -> __m256d {
-        let magic_i = _mm256_set1_epi64x(0x4330_0000_0000_0000);
-        let magic_f = _mm256_set1_pd(4_503_599_627_370_496.0); // 2^52
-        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(v, magic_i)), magic_f)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn hastings_pass(
-        wt: &[(u32, Weight)],
-        h: &HastingsInputs<'_>,
-        fwd: &mut f64,
-        bwd: &mut f64,
-    ) {
-        let n = wt.len();
-        let ones = _mm256_set1_pd(1.0);
-        let v_b = _mm256_set1_pd(h.b);
-        let zero = _mm256_setzero_si256();
-        let max_exact = _mm256_set1_epi64x(MAX_EXACT);
-        let mut j = 0usize;
-        'blocks: while j + 4 <= n {
-            let mut ts = [0u32; 4];
-            let mut wf4 = [0.0f64; 4];
-            for k in 0..4 {
-                let (t, w) = wt[j + k];
-                if t == h.r || t == h.s || !(0..=MAX_EXACT).contains(&w) {
-                    // Special blocks (delta-dependent lanes) and huge
-                    // weights take the scalar step.
-                    for kk in 0..4 {
-                        let (t, w) = wt[j + kk];
-                        hastings_step(t, w, h, fwd, bwd);
-                    }
-                    j += 4;
-                    continue 'blocks;
-                }
-                ts[k] = t;
-                wf4[k] = w as f64;
-            }
-            let ti = _mm_set_epi32(ts[3] as i32, ts[2] as i32, ts[1] as i32, ts[0] as i32);
-            let col_s = _mm256_i32gather_epi64::<8>(h.col_s.as_ptr(), ti);
-            let row_s = _mm256_i32gather_epi64::<8>(h.row_s.as_ptr(), ti);
-            let col_r = _mm256_i32gather_epi64::<8>(h.col_r.as_ptr(), ti);
-            let row_r = _mm256_i32gather_epi64::<8>(h.row_r.as_ptr(), ti);
-            let d_out = _mm256_i32gather_epi64::<8>(h.d_out.as_ptr(), ti);
-            let d_in = _mm256_i32gather_epi64::<8>(h.d_in.as_ptr(), ti);
-            let dcol = _mm256_i32gather_epi64::<8>(h.dcol_from.as_ptr(), ti);
-            let drow = _mm256_i32gather_epi64::<8>(h.drow_from.as_ptr(), ti);
-            let cells = _mm256_add_epi64(col_s, row_s);
-            let den_i = _mm256_add_epi64(d_out, d_in);
-            let nc_tr = _mm256_add_epi64(col_r, dcol);
-            let nc_rt = _mm256_add_epi64(row_r, drow);
-            if any_outside(cells, max_exact, zero)
-                || any_outside(den_i, max_exact, zero)
-                || any_outside(nc_tr, max_exact, zero)
-                || any_outside(nc_rt, max_exact, zero)
-            {
-                for k in 0..4 {
-                    let (t, w) = wt[j + k];
-                    hastings_step(t, w, h, fwd, bwd);
-                }
-                j += 4;
-                continue;
-            }
-            let wf = _mm256_loadu_pd(wf4.as_ptr());
-            let den = _mm256_add_pd(u52_to_f64(den_i), v_b);
-            // fwd term: wf * ((cells as f64) + 1.0) / (den) — mul before
-            // div, left-associated like the scalar expression.
-            let fwd_q = _mm256_div_pd(
-                _mm256_mul_pd(wf, _mm256_add_pd(u52_to_f64(cells), ones)),
-                den,
-            );
-            // bwd term: wf * ((nc_tr + nc_rt) + 1.0) / den — the two new
-            // cells convert to f64 separately, as in the scalar closure.
-            let num2 = _mm256_add_pd(_mm256_add_pd(u52_to_f64(nc_tr), u52_to_f64(nc_rt)), ones);
-            let bwd_q = _mm256_div_pd(_mm256_mul_pd(wf, num2), den);
-            fold_add(fwd, fwd_q);
-            fold_add(bwd, bwd_q);
-            j += 4;
-        }
-        while j < n {
-            let (t, w) = wt[j];
-            hastings_step(t, w, h, fwd, bwd);
-            j += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ln_batch_gather(ws: &[Weight], out: &mut [f64]) {
-        let tab = lntab::table().as_ptr();
-        let zero = _mm256_setzero_si256();
-        let max_idx = _mm256_set1_epi64x(lntab::TABLE_SIZE as i64 - 1);
-        let n = ws.len() / 4 * 4;
-        let mut i = 0usize;
-        while i < n {
-            let w = _mm256_loadu_si256(ws.as_ptr().add(i).cast());
-            if any_outside(w, max_idx, zero) {
-                for k in 0..4 {
-                    out[i + k] = lntab::ln_int(ws[i + k]);
-                }
-            } else {
-                _mm256_storeu_pd(out.as_mut_ptr().add(i), ln4(tab, low32(w)));
-            }
-            i += 4;
-        }
-        while i < ws.len() {
-            out[i] = lntab::ln_int(ws[i]);
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -968,25 +714,6 @@ mod tests {
                 entropy_line(&line, &lnv, 0.75, &mut b, enabled());
                 assert_eq!(a.to_bits(), b.to_bits(), "n={n} seed={seed}");
             }
-        }
-    }
-
-    #[test]
-    fn ln_batches_match_ln_int() {
-        let ws: Vec<Weight> = (0..1000)
-            .map(|i| match i % 7 {
-                0 => 0,
-                1 => 70_000,
-                _ => (i * 37 % 65_536) as Weight,
-            })
-            .collect();
-        let mut a = vec![0.0; ws.len()];
-        let mut b = vec![0.0; ws.len()];
-        ln_batch_gather(&ws, &mut a);
-        ln_batch_unrolled(&ws, &mut b);
-        for (i, &w) in ws.iter().enumerate() {
-            assert_eq!(a[i].to_bits(), lntab::ln_int(w).to_bits(), "gather i={i}");
-            assert_eq!(b[i].to_bits(), lntab::ln_int(w).to_bits(), "unrolled i={i}");
         }
     }
 }

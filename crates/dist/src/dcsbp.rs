@@ -15,69 +15,25 @@
 //! fine-tuning pass; the root's observed flag is broadcast with the
 //! result so every rank reports the same outcome.
 
-use crate::solver::EventRelay;
-use crate::{mix_seed, ClusterReport};
-use sbp_core::run::{
-    CancelToken, NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome, Solver,
-};
-use sbp_core::{naive_sbp, solve_sbp, IterationStat, SbpConfig};
-use sbp_graph::{induced_subgraph, round_robin_parts, Graph};
-use sbp_mpi::{Communicator, CostModel};
-use std::sync::Arc;
+use crate::edist::{shared_dl, EdistData};
+use crate::error::{abort_empty, guard_collectives};
+use crate::mix_seed;
+use crate::run::EventRelay;
+use sbp_core::run::{CancelToken, NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome};
+use sbp_core::{solve_sbp, SbpConfig};
+use sbp_graph::induced_subgraph;
+use sbp_mpi::Communicator;
 
-/// Which single-node engine each rank runs on its subgraph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The optimized sparse engine (`sbp_core::solve_sbp`).
-    #[default]
-    Optimized,
-    /// The python-reference-equivalent dense engine (`sbp_core::naive_sbp`)
-    /// — Table VI's subject. Unlike the optimized engine it has no
-    /// internal cancellation points: the token is only observed between
-    /// phases, so a cancelled run still finishes any in-flight per-rank
-    /// naive solve.
-    Naive,
-}
-
-/// DC-SBP configuration.
-#[derive(Clone, Debug, Default)]
-pub struct DcsbpConfig {
+/// DC-SBP configuration — what [`crate::run`] lowers the shared
+/// [`RunConfig`] to.
+#[derive(Clone, Debug)]
+pub(crate) struct DcsbpConfig {
     /// Hyper-parameters shared with the per-rank and fine-tuning phases.
     pub sbp: SbpConfig,
-    /// Single-node engine used on the per-rank subgraphs.
-    pub engine: Engine,
     /// Skip the root-side fine-tuning pass (ablation switch). The combined
     /// partition is then only compacted, as in the paper's "no fine-tune"
     /// variant.
     pub skip_finetune: bool,
-}
-
-/// DC-SBP result (identical on every rank after the final broadcast).
-#[derive(Clone, Debug)]
-pub struct DcsbpResult {
-    /// Inferred block assignment over the full graph.
-    pub assignment: Vec<u32>,
-    /// Inferred number of blocks.
-    pub num_blocks: usize,
-    /// Description length of the returned partition.
-    pub description_length: f64,
-}
-
-/// Runs DC-SBP on this rank; collective calls must be matched by every rank
-/// of `comm`.
-pub fn dcsbp<C: Communicator>(comm: &C, graph: &Graph, cfg: &DcsbpConfig) -> DcsbpResult {
-    let out = dcsbp_run(
-        comm,
-        graph,
-        cfg,
-        &CancelToken::default(),
-        &EventRelay::disabled(),
-    );
-    DcsbpResult {
-        assignment: out.assignment,
-        num_blocks: out.num_blocks,
-        description_length: out.description_length,
-    }
 }
 
 /// Forwards the root fine-tuning pass's iteration-level events to the
@@ -99,115 +55,118 @@ impl ProgressSink for RelaySink<'_, '_> {
     }
 }
 
-/// The full DC-SBP driver with trajectory recording, rank-0 progress
-/// relay, and cancellation.
-pub(crate) fn dcsbp_run<C: Communicator>(
+/// The DC-SBP driver over any [`EdistData`] plane, with trajectory
+/// recording, rank-0 progress relay, and cancellation.
+///
+/// Each rank solves the induced subgraph of its share — which both planes
+/// hold completely — and the root combines the partial partitions. With
+/// the whole graph on the root (and fine-tuning not skipped) the root
+/// fine-tunes and broadcasts the result; otherwise the combined partition
+/// is compacted and its exact DL evaluated over the data plane, so the
+/// replicated and sharded "no fine-tune" runs are bit-identical
+/// (`compact_labels` reproduces exactly the relabeling
+/// `Blockmodel::compacted` would apply).
+///
+/// The whole collective region runs guarded (coordinated unwind, see
+/// [`crate::error`]): a dead peer, an injected kill, or a corrupted cell
+/// payload degrades the run instead of crashing the cluster.
+pub(crate) fn dcsbp_driver<C: Communicator, D: EdistData>(
     comm: &C,
-    graph: &Graph,
+    data: &D,
     cfg: &DcsbpConfig,
     cancel: &CancelToken,
     relay: &EventRelay,
 ) -> RunOutcome {
-    let n_ranks = comm.size();
-    let rank = comm.rank();
-    let parts = round_robin_parts(graph.num_vertices(), n_ranks);
-    let sub = induced_subgraph(graph, &parts[rank]);
-
-    relay.emit(ProgressEvent::PhaseStarted { phase: "local-sbp" });
-    let mut sub_cfg = cfg.sbp.clone();
-    sub_cfg.seed = mix_seed(cfg.sbp.seed, 0xDC00 + rank as u64);
-    let local_assignment: Vec<u32> = match cfg.engine {
-        Engine::Optimized => {
-            let run_cfg = RunConfig {
-                sbp: sub_cfg,
-                cancel: cancel.clone(),
-                ..RunConfig::default()
-            };
-            solve_sbp(&sub.graph, None, &run_cfg, &mut NoProgress).assignment
-        }
-        // The naive engine has no internal cancellation points; honour a
-        // pre-cancelled token by skipping the local solve outright (one
-        // block per rank — the root's combine still sees valid labels).
-        Engine::Naive if cancel.is_cancelled() => vec![0; sub.graph.num_vertices()],
-        Engine::Naive => naive_sbp(&sub.graph, &sub_cfg).assignment,
+    let n = data.num_vertices();
+    if n == 0 {
+        return RunOutcome::empty();
+    }
+    let run_cfg = |sbp: SbpConfig| RunConfig {
+        sbp,
+        cancel: cancel.clone(),
+        ..RunConfig::default()
     };
+    let result = guard_collectives(|| {
+        let sub = induced_subgraph(data.sweep_graph(), data.my_vertices());
 
-    // (global vertex, local label) pairs travel to the root.
-    let payload: Vec<(u32, u32)> = local_assignment
-        .iter()
-        .enumerate()
-        .map(|(v, &b)| (sub.to_global(v as u32), b))
-        .collect();
-    let gathered = comm.gatherv(0, payload);
+        relay.emit(ProgressEvent::PhaseStarted { phase: "local-sbp" });
+        let mut sub_cfg = cfg.sbp.clone();
+        sub_cfg.seed = mix_seed(cfg.sbp.seed, 0xDC00 + comm.rank() as u64);
+        let local = solve_sbp(&sub.graph, None, &run_cfg(sub_cfg), &mut NoProgress).assignment;
 
-    let root_result = gathered.map(|parts| {
-        relay.emit(ProgressEvent::PhaseStarted { phase: "combine" });
-        let (combined, num_blocks) = combine_parts(parts, graph.num_vertices());
-        if cfg.skip_finetune {
-            let bm =
-                sbp_core::Blockmodel::from_assignment(graph, combined, num_blocks).compacted(graph);
-            let dl = bm.description_length();
-            let nb = bm.num_blocks();
-            (
-                bm.into_assignment(),
-                nb,
-                dl,
-                Vec::new(),
-                cancel.is_cancelled(),
-            )
-        } else {
-            relay.emit(ProgressEvent::PhaseStarted { phase: "finetune" });
-            let run_cfg = RunConfig {
-                sbp: cfg.sbp.clone(),
-                cancel: cancel.clone(),
-                ..RunConfig::default()
-            };
-            let mut sink = RelaySink { relay };
-            let r = solve_sbp(graph, Some((combined, num_blocks)), &run_cfg, &mut sink);
-            (
-                r.assignment,
-                r.num_blocks,
-                r.description_length,
-                r.iterations,
-                r.cancelled,
-            )
-        }
-    });
+        // (global vertex, local label) pairs travel to the root.
+        let payload: Vec<(u32, u32)> = local
+            .iter()
+            .enumerate()
+            .map(|(v, &b)| (sub.to_global(v as u32), b))
+            .collect();
+        let gathered = comm.gatherv(0, payload);
 
-    let (assignment, num_blocks, description_length, iterations, cancelled): (
-        Vec<u32>,
-        usize,
-        f64,
-        Vec<IterationStat>,
-        bool,
-    ) = comm.broadcast(0, root_result);
-    if cancelled {
-        relay.emit(ProgressEvent::Cancelled {
-            iteration: iterations.len(),
+        let tune_on = data.whole_graph().filter(|_| !cfg.skip_finetune);
+        let root_result = gathered.map(|parts| {
+            relay.emit(ProgressEvent::PhaseStarted { phase: "combine" });
+            let (combined, width) = combine_parts(parts, n);
+            match tune_on {
+                Some(graph) => {
+                    relay.emit(ProgressEvent::PhaseStarted { phase: "finetune" });
+                    let r = solve_sbp(
+                        graph,
+                        Some((combined, width)),
+                        &run_cfg(cfg.sbp.clone()),
+                        &mut RelaySink { relay },
+                    );
+                    (
+                        r.assignment,
+                        r.num_blocks,
+                        r.description_length,
+                        r.iterations,
+                        r.cancelled,
+                    )
+                }
+                None => {
+                    let (compacted, num_blocks) = compact_labels(combined, width);
+                    // The DL slot is filled over the data plane below.
+                    let cancelled = cancel.is_cancelled();
+                    (compacted, num_blocks, f64::NAN, Vec::new(), cancelled)
+                }
+            }
         });
-    } else {
-        relay.emit(ProgressEvent::Finished {
+        let (assignment, num_blocks, tuned_dl, iterations, cancelled) =
+            comm.broadcast(0, root_result);
+        let (assignment, description_length) = if tune_on.is_some() {
+            (assignment, tuned_dl)
+        } else {
+            let bm = data.build_blockmodel(comm, assignment, num_blocks)?;
+            let dl = shared_dl(comm, &bm);
+            (bm.into_assignment(), dl)
+        };
+        if cancelled {
+            relay.emit(ProgressEvent::Cancelled {
+                iteration: iterations.len(),
+            });
+        } else {
+            relay.emit(ProgressEvent::Finished {
+                num_blocks,
+                description_length,
+            });
+        }
+        Ok(RunOutcome {
+            assignment,
             num_blocks,
             description_length,
-        });
-    }
-    RunOutcome {
-        assignment,
-        num_blocks,
-        description_length,
-        iterations,
-        cancelled,
-        virtual_seconds: comm.virtual_time(),
-        cluster: None,
-        sampled_vertices: None,
-        degraded: None,
-    }
+            iterations,
+            cancelled,
+            degraded: None,
+            virtual_seconds: comm.virtual_time(),
+            cluster: None,
+            sampled_vertices: None,
+        })
+    });
+    result.unwrap_or_else(|err| abort_empty(comm, &err))
 }
 
 /// The root-side combine (Alg. 3 lines 20–22): each rank's local label
-/// space is shifted past its predecessors'. Shared by the monolithic and
-/// sharded drivers — one copy, so label-width handling cannot drift
-/// between them. Returns the combined assignment and its label-space
+/// space is shifted past its predecessors'. Returns the combined assignment and its label-space
 /// width (`max(1)` on non-empty graphs so downstream blockmodels stay
 /// valid even if every part came back empty).
 pub(crate) fn combine_parts(parts: Vec<Vec<(u32, u32)>>, num_vertices: usize) -> (Vec<u32>, usize) {
@@ -225,7 +184,7 @@ pub(crate) fn combine_parts(parts: Vec<Vec<(u32, u32)>>, num_vertices: usize) ->
 }
 
 /// Dense relabeling of occupied labels, ascending — the assignment-only
-/// equivalent of `Blockmodel::compacted` for drivers that have no full
+/// equivalent of `Blockmodel::compacted` for planes that have no full
 /// graph to rebuild against. Returns the compacted assignment and block
 /// count.
 pub(crate) fn compact_labels(mut assignment: Vec<u32>, width: usize) -> (Vec<u32>, usize) {
@@ -247,77 +206,41 @@ pub(crate) fn compact_labels(mut assignment: Vec<u32>, width: usize) -> (Vec<u32
     (assignment, next as usize)
 }
 
-/// Runs DC-SBP on `n_ranks` simulated ranks; returns the (rank-identical)
-/// result and the cluster report.
-#[deprecated(
-    note = "use `edist::Partitioner` with `Backend::DcSbp { ranks }`, or the \
-                     `sbp_dist::DcSbp` solver"
-)]
-pub fn run_dcsbp_cluster(
-    graph: &Arc<Graph>,
-    n_ranks: usize,
-    cost: CostModel,
-    cfg: &DcsbpConfig,
-) -> (DcsbpResult, ClusterReport) {
-    let solver = crate::solver::DcSbp {
-        ranks: n_ranks.max(1),
-        cost,
-        engine: cfg.engine,
-        skip_finetune: cfg.skip_finetune,
-    };
-    let out = solver.solve(
-        graph,
-        &RunConfig::from_sbp(cfg.sbp.clone()),
-        &mut NoProgress,
-    );
-    let report = out.cluster.expect("distributed backend reports cluster");
-    (
-        DcsbpResult {
-            assignment: out.assignment,
-            num_blocks: out.num_blocks,
-            description_length: out.description_length,
-        },
-        report,
-    )
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::solver::DcSbp;
+    use sbp_core::run::Solver;
     use sbp_graph::fixtures::two_cliques;
-    use sbp_mpi::ThreadCluster;
+    use sbp_graph::Graph;
+    use sbp_mpi::CostModel;
 
-    #[test]
-    fn single_rank_recovers_two_cliques() {
-        let g = Arc::new(two_cliques(8));
-        let (res, rep) = run_dcsbp_cluster(&g, 1, CostModel::zero(), &DcsbpConfig::default());
-        assert_eq!(res.num_blocks, 2);
-        assert_eq!(res.assignment.len(), 16);
-        assert!(rep.makespan >= 0.0);
+    fn solve(graph: &Graph, solver: DcSbp) -> RunOutcome {
+        solver.solve(graph, &RunConfig::default(), &mut NoProgress)
     }
 
-    #[test]
-    fn all_ranks_agree_after_broadcast() {
-        let g = Arc::new(two_cliques(6));
-        let cfg = DcsbpConfig::default();
-        let g2 = Arc::clone(&g);
-        let out = ThreadCluster::run(3, CostModel::zero(), move |comm| dcsbp(comm, &g2, &cfg));
-        let first = &out.ranks[0].result;
-        for r in &out.ranks {
-            assert_eq!(r.result.assignment, first.assignment);
-            assert_eq!(r.result.num_blocks, first.num_blocks);
+    fn zero_cost(ranks: usize) -> DcSbp {
+        DcSbp {
+            cost: CostModel::zero(),
+            ..DcSbp::new(ranks)
         }
     }
 
     #[test]
+    fn single_rank_recovers_two_cliques() {
+        let res = solve(&two_cliques(8), zero_cost(1));
+        assert_eq!(res.num_blocks, 2);
+        assert_eq!(res.assignment.len(), 16);
+        assert!(res.cluster.expect("cluster report").makespan >= 0.0);
+    }
+
+    #[test]
     fn skip_finetune_still_returns_valid_partition() {
-        let g = Arc::new(two_cliques(6));
-        let cfg = DcsbpConfig {
+        let solver = DcSbp {
             skip_finetune: true,
-            ..DcsbpConfig::default()
+            ..zero_cost(2)
         };
-        let (res, _) = run_dcsbp_cluster(&g, 2, CostModel::zero(), &cfg);
+        let res = solve(&two_cliques(6), solver);
         assert_eq!(res.assignment.len(), 12);
         assert!(res.num_blocks >= 1);
         assert!(res
@@ -328,8 +251,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_handled() {
-        let g = Arc::new(Graph::from_edges(0, Vec::new()));
-        let (res, _) = run_dcsbp_cluster(&g, 2, CostModel::zero(), &DcsbpConfig::default());
+        let res = solve(&Graph::from_edges(0, Vec::new()), zero_cost(2));
         assert!(res.assignment.is_empty());
         assert_eq!(res.num_blocks, 0);
     }
@@ -357,8 +279,7 @@ mod tests {
 
     #[test]
     fn more_ranks_than_vertices() {
-        let g = Arc::new(two_cliques(2));
-        let (res, _) = run_dcsbp_cluster(&g, 6, CostModel::zero(), &DcsbpConfig::default());
+        let res = solve(&two_cliques(2), zero_cost(6));
         assert_eq!(res.assignment.len(), 4);
     }
 }

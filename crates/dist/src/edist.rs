@@ -37,32 +37,27 @@
 //! defense in depth for the DL.
 
 use crate::checkpoint::maybe_checkpoint;
-use crate::error::{abort_schedule, guard_collectives, DistError};
+use crate::error::{abort_empty, abort_schedule, guard_collectives, DistError};
 use crate::exchange::{decode_moves, encode_moves, ExchangeStats};
 use crate::ownership::{owned_blocks, OwnershipStrategy};
-use crate::solver::EventRelay;
+use crate::run::EventRelay;
 use sbp_core::checkpoint::CheckpointState;
 use sbp_core::golden::{BracketEntry, GoldenBracket, NextStep};
 use sbp_core::hybrid::{batch_sweep, hybrid_sweep};
 use sbp_core::mcmc::{keyed_mh_sweep, AcceptedMove, ConvergenceCheck, SweepOutcome};
 use sbp_core::merge::{apply_merges, propose_merges, MergeCandidate};
-use sbp_core::run::{
-    CancelToken, CheckpointSpec, DegradedReason, NoProgress, ProgressEvent, RunConfig, RunOutcome,
-    Solver,
-};
+use sbp_core::run::{CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, RunOutcome};
 use sbp_core::sbp::{mcmc_phase_seed, merge_phase_seed};
 use sbp_core::{Blockmodel, IterationStat, McmcStrategy, SbpConfig};
 use sbp_graph::{Graph, Vertex};
-use sbp_mpi::{ClusterReport, Communicator, CostModel};
-use std::sync::Arc;
+use sbp_mpi::Communicator;
 
-/// EDiSt configuration.
+/// EDiSt configuration — what [`crate::run`] lowers the shared
+/// [`sbp_core::RunConfig`] to.
 #[derive(Clone, Debug)]
-pub struct EdistConfig {
+pub(crate) struct EdistConfig {
     /// Hyper-parameters of the underlying SBP search.
     pub sbp: SbpConfig,
-    /// Vertex-ownership scheme for the MCMC phase.
-    pub ownership: OwnershipStrategy,
     /// Sweeps between move exchanges (1 = the paper's every-sweep
     /// allgather; larger values trade staleness for fewer collectives).
     pub sync_period: usize,
@@ -73,29 +68,6 @@ pub struct EdistConfig {
     /// partition. Must already be validated against this run's graph,
     /// seed, and strategy (the API layer does this).
     pub resume: Option<CheckpointState>,
-}
-
-impl Default for EdistConfig {
-    fn default() -> Self {
-        EdistConfig {
-            sbp: SbpConfig::default(),
-            ownership: OwnershipStrategy::SortedBalanced,
-            sync_period: 1,
-            checkpoint: None,
-            resume: None,
-        }
-    }
-}
-
-/// EDiSt result (identical on every rank).
-#[derive(Clone, Debug)]
-pub struct EdistResult {
-    /// Inferred block assignment.
-    pub assignment: Vec<u32>,
-    /// Inferred number of blocks.
-    pub num_blocks: usize,
-    /// Description length of the returned partition.
-    pub description_length: f64,
 }
 
 /// Broadcasts rank 0's description length so every replica records the
@@ -110,24 +82,7 @@ pub(crate) fn shared_cancelled<C: Communicator>(comm: &C, cancel: &CancelToken) 
     comm.broadcast(0, (comm.rank() == 0).then(|| cancel.is_cancelled()))
 }
 
-/// Runs EDiSt on this rank; collective calls must be matched by every rank
-/// of `comm`. Returns the same result on every rank.
-pub fn edist<C: Communicator>(comm: &C, graph: &Graph, cfg: &EdistConfig) -> EdistResult {
-    let (out, _) = edist_run(
-        comm,
-        graph,
-        cfg,
-        &CancelToken::default(),
-        &EventRelay::disabled(),
-    );
-    EdistResult {
-        assignment: out.assignment,
-        num_blocks: out.num_blocks,
-        description_length: out.description_length,
-    }
-}
-
-/// The data plane the shared EDiSt driver runs against.
+/// The data plane the distributed drivers run against.
 ///
 /// EDiSt's *control flow* — golden search, distributed merge phase, sweep
 /// and sync schedule, convergence rule, broadcast-coordinated
@@ -136,7 +91,8 @@ pub fn edist<C: Communicator>(comm: &C, graph: &Graph, cfg: &EdistConfig) -> Edi
 /// ([`crate::sharded`]); only how the replicated blockmodel is (re)built
 /// and how peers' moves reach the replica differ. Keeping the loop in one
 /// place means a change to the collective schedule cannot desynchronize
-/// one driver but not the other.
+/// one driver but not the other. [`crate::dcsbp`]'s driver runs over the
+/// same planes for the same reason.
 pub(crate) trait EdistData {
     /// Global vertex count.
     fn num_vertices(&self) -> usize;
@@ -149,6 +105,9 @@ pub(crate) trait EdistData {
     fn sweep_graph(&self) -> &Graph;
     /// Vertices this rank sweeps.
     fn my_vertices(&self) -> &[Vertex];
+    /// The whole graph, when this rank holds it (DC-SBP's root-side
+    /// fine-tuning needs it; the sharded plane has none to give).
+    fn whole_graph(&self) -> Option<&Graph>;
     /// The starting blockmodel (compacted identity partition); identical
     /// on every rank.
     fn start_blockmodel<C: Communicator>(&self, comm: &C) -> Result<Blockmodel, DistError>;
@@ -183,9 +142,23 @@ pub(crate) trait EdistData {
 
 /// The fully-replicated data plane: every rank holds the whole graph
 /// (the paper's EDiSt deployment).
-struct ReplicatedData<'a> {
+pub(crate) struct ReplicatedData<'a> {
     graph: &'a Graph,
     mine: Vec<Vertex>,
+}
+
+impl<'a> ReplicatedData<'a> {
+    /// This rank's plane over `graph`, sweeping its share under `ownership`.
+    pub(crate) fn new<C: Communicator>(
+        graph: &'a Graph,
+        ownership: OwnershipStrategy,
+        comm: &C,
+    ) -> Self {
+        let mine = ownership
+            .partition(graph, comm.size())
+            .swap_remove(comm.rank());
+        ReplicatedData { graph, mine }
+    }
 }
 
 impl EdistData for ReplicatedData<'_> {
@@ -203,6 +176,10 @@ impl EdistData for ReplicatedData<'_> {
 
     fn my_vertices(&self) -> &[Vertex] {
         &self.mine
+    }
+
+    fn whole_graph(&self) -> Option<&Graph> {
+        Some(self.graph)
     }
 
     fn start_blockmodel<C: Communicator>(&self, _comm: &C) -> Result<Blockmodel, DistError> {
@@ -253,25 +230,6 @@ impl EdistData for ReplicatedData<'_> {
         }
         Ok(moves)
     }
-}
-
-/// The full monolithic EDiSt driver: golden-ratio search with distributed
-/// merge and MCMC phases, per-iteration trajectory recording, rank-0
-/// progress relay, and broadcast-coordinated cancellation. Also returns
-/// this rank's move-exchange byte accounting (raw vs varint-encoded).
-pub(crate) fn edist_run<C: Communicator>(
-    comm: &C,
-    graph: &Graph,
-    cfg: &EdistConfig,
-    cancel: &CancelToken,
-    relay: &EventRelay,
-) -> (RunOutcome, ExchangeStats) {
-    let ownership = cfg.ownership.partition(graph, comm.size());
-    let data = ReplicatedData {
-        graph,
-        mine: ownership[comm.rank()].clone(),
-    };
-    edist_driver(comm, &data, cfg, cancel, relay)
 }
 
 /// What one guarded golden-loop iteration decided.
@@ -345,13 +303,7 @@ pub(crate) fn edist_driver<C: Communicator, D: EdistData>(
     });
     let (mut bracket, mut iterations, first_iter) = match init {
         Ok(t) => t,
-        Err(err) => {
-            let reason = abort_schedule(comm, &err);
-            let mut out = RunOutcome::empty();
-            out.degraded = Some(reason);
-            out.virtual_seconds = comm.virtual_time();
-            return (out, xstats);
-        }
+        Err(err) => return (abort_empty(comm, &err), xstats),
     };
     let mut cancelled = false;
     let mut degraded: Option<DegradedReason> = None;
@@ -660,111 +612,57 @@ fn mcmc_phase_distributed<C: Communicator, D: EdistData>(
     })
 }
 
-/// Runs EDiSt on `n_ranks` simulated ranks; returns the (rank-identical)
-/// result and the cluster report.
-#[deprecated(
-    note = "use `edist::Partitioner` with `Backend::Edist { ranks }`, or the \
-                     `sbp_dist::Edist` solver"
-)]
-pub fn run_edist_cluster(
-    graph: &Arc<Graph>,
-    n_ranks: usize,
-    cost: CostModel,
-    cfg: &EdistConfig,
-) -> (EdistResult, ClusterReport) {
-    let solver = crate::solver::Edist {
-        ranks: n_ranks.max(1),
-        cost,
-        ownership: cfg.ownership,
-        sync_period: cfg.sync_period,
-        fault: crate::fault::FaultPlan::none(),
-    };
-    let out = solver.solve(
-        graph,
-        &RunConfig::from_sbp(cfg.sbp.clone()),
-        &mut NoProgress,
-    );
-    let report = out.cluster.expect("distributed backend reports cluster");
-    (
-        EdistResult {
-            assignment: out.assignment,
-            num_blocks: out.num_blocks,
-            description_length: out.description_length,
-        },
-        report,
-    )
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
+    use crate::solver::Edist;
+    use sbp_core::run::{NoProgress, RunConfig, RunOutcome, Solver};
     use sbp_graph::fixtures::two_cliques;
-    use sbp_mpi::ThreadCluster;
+    use sbp_graph::{Graph, OwnershipStrategy};
+    use sbp_mpi::CostModel;
+
+    fn solve(graph: &Graph, solver: Edist) -> RunOutcome {
+        solver.solve(graph, &RunConfig::default(), &mut NoProgress)
+    }
+
+    fn zero_cost(ranks: usize) -> Edist {
+        Edist {
+            cost: CostModel::zero(),
+            ..Edist::new(ranks)
+        }
+    }
 
     #[test]
     fn single_rank_recovers_two_cliques() {
-        let g = Arc::new(two_cliques(8));
-        let (res, _) = run_edist_cluster(&g, 1, CostModel::zero(), &EdistConfig::default());
+        let res = solve(&two_cliques(8), zero_cost(1));
         assert_eq!(res.num_blocks, 2);
         assert_eq!(res.assignment[0], res.assignment[7]);
         assert_ne!(res.assignment[0], res.assignment[8]);
     }
 
     #[test]
-    fn four_ranks_recover_and_agree() {
-        let g = Arc::new(two_cliques(8));
-        let cfg = EdistConfig::default();
-        let g2 = Arc::clone(&g);
-        let out = ThreadCluster::run(4, CostModel::zero(), move |comm| edist(comm, &g2, &cfg));
-        let first = &out.ranks[0].result;
-        assert_eq!(first.num_blocks, 2);
-        for r in &out.ranks {
-            assert_eq!(r.result.assignment, first.assignment);
-            assert_eq!(
-                r.result.description_length.to_bits(),
-                first.description_length.to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn sync_period_two_still_converges() {
-        let g = Arc::new(two_cliques(8));
-        let cfg = EdistConfig {
+        let solver = Edist {
             sync_period: 2,
-            ..EdistConfig::default()
+            ..zero_cost(3)
         };
-        let (res, _) = run_edist_cluster(&g, 3, CostModel::zero(), &cfg);
-        assert_eq!(res.num_blocks, 2);
+        assert_eq!(solve(&two_cliques(8), solver).num_blocks, 2);
     }
 
     #[test]
     fn modulo_ownership_works_too() {
-        let g = Arc::new(two_cliques(8));
-        let cfg = EdistConfig {
+        let solver = Edist {
             ownership: OwnershipStrategy::Modulo,
-            ..EdistConfig::default()
+            ..zero_cost(2)
         };
-        let (res, _) = run_edist_cluster(&g, 2, CostModel::zero(), &cfg);
+        let res = solve(&two_cliques(8), solver);
         assert_eq!(res.assignment.len(), 16);
         assert_eq!(res.num_blocks, 2);
     }
 
     #[test]
     fn empty_graph_is_handled() {
-        let g = Arc::new(Graph::from_edges(0, Vec::new()));
-        let (res, _) = run_edist_cluster(&g, 3, CostModel::zero(), &EdistConfig::default());
+        let res = solve(&Graph::from_edges(0, Vec::new()), zero_cost(3));
         assert!(res.assignment.is_empty());
         assert_eq!(res.num_blocks, 0);
-    }
-
-    #[test]
-    fn report_counts_collectives() {
-        let g = Arc::new(two_cliques(6));
-        let (_, rep) = run_edist_cluster(&g, 2, CostModel::hdr100(), &EdistConfig::default());
-        assert!(rep.collectives > 0);
-        assert!(rep.makespan > 0.0);
-        assert_eq!(rep.ranks, 2);
     }
 }

@@ -4,7 +4,7 @@
 //! malformed collective payloads ([`DecodeError`]), shard-ingest
 //! failures, and peers abandoning the collective schedule (rank death,
 //! observed as a poison notice). Drivers convert a `DistError` into a
-//! degraded best-so-far [`RunOutcome`](sbp_core::RunOutcome) instead of
+//! degraded best-so-far [`RunOutcome`] instead of
 //! panicking the cluster — see the coordinated-unwind notes on
 //! `guard_collectives`.
 
@@ -15,7 +15,7 @@ use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use crate::fault::RankDeath;
-use sbp_core::DegradedReason;
+use sbp_core::{DegradedReason, RunOutcome};
 
 /// A malformed wire payload detected by one of the strict decoders in
 /// [`crate::exchange`]. Re-exported from [`sbp_graph::frame`], where it
@@ -59,7 +59,7 @@ pub enum DistError {
 
 impl DistError {
     /// The coarse reason recorded on a degraded
-    /// [`RunOutcome`](sbp_core::RunOutcome).
+    /// [`RunOutcome`].
     pub fn degraded_reason(&self) -> DegradedReason {
         match self {
             DistError::Decode(_) => DegradedReason::DecodeFailure,
@@ -152,6 +152,15 @@ pub(crate) fn abort_schedule<C: Communicator>(comm: &C, err: &DistError) -> Degr
         comm.poison();
     }
     err.degraded_reason()
+}
+
+/// [`abort_schedule`] for a rank with no partition to return yet: the
+/// degraded, explicitly empty outcome.
+pub(crate) fn abort_empty<C: Communicator>(comm: &C, err: &DistError) -> RunOutcome {
+    let mut out = RunOutcome::empty();
+    out.degraded = Some(abort_schedule(comm, err));
+    out.virtual_seconds = comm.virtual_time();
+    out
 }
 
 #[cfg(test)]

@@ -1,45 +1,68 @@
 //! # sbp-dist — the distributed stochastic block partitioning algorithms
 //!
-//! The two cluster-scale algorithms the paper evaluates, written against
-//! the [`sbp_mpi::Communicator`] trait so they run identically on the
-//! in-process thread cluster or (in principle) real MPI bindings:
+//! The paper's Algs. 3–5 are SPMD programs: one rank program over MPI
+//! collectives. This crate has exactly one of those, and every
+//! deployment — {thread simulator, real TCP processes} × {replicated
+//! graph, `.sbps` shards} × {EDiSt, DC-SBP} — is a caller of it:
 //!
-//! * [`mod@dcsbp`] — divide-and-conquer SBP (paper Alg. 3): round-robin vertex
-//!   distribution, independent per-rank inference on *induced* subgraphs
-//!   (the step that creates island vertices on sparse graphs), gather to
-//!   the root, label-offset combination, and root-side fine-tuning.
-//! * [`mod@edist`] — EDiSt (paper Algs. 4–5): the graph and blockmodel are
-//!   replicated on every rank while the *work* (merge proposals, MCMC
-//!   vertex sweeps) is partitioned by ownership; allgathered candidate
-//!   lists and move lists keep every rank's blockmodel bit-identical, so
-//!   the distributed algorithm is **exact** — it explores the same state
-//!   space as sequential SBP regardless of rank count.
+//! ```text
+//!  callers                       the run path (mod run)                    drivers
+//!  ───────                       ──────────────────────                    ───────
+//!  Edist::solve   ┐                                                      ┌ edist::edist_driver
+//!  DcSbp::solve   ├► run_thread_cluster ─┐                               │   (Algs. 4–5)
+//!  run_sharded    ┘   streams rank-0     ├► run_rank ─► data plane ──────┤
+//!                     events, folds      │   one fault    ReplicatedData │
+//!  run_tcp_rank ─────────────────────────┘   decoration,  ShardedData    └ dcsbp::dcsbp_driver
+//!    one OS process = one rank               guarded          (Alg. 3)
+//!                                            ingest, one RunConfig lowering
+//! ```
 //!
-//! The preferred entrypoints are the [`Solver`](sbp_core::Solver)
-//! backends [`DcSbp`] and [`Edist`] (usually reached through the `edist`
-//! facade's `Partitioner` builder): they stream rank 0's progress events
-//! to the caller, honour a broadcast-coordinated cancellation token, and
-//! return the unified [`sbp_core::RunOutcome`] with a [`ClusterReport`]
-//! attached. The legacy [`run_dcsbp_cluster`] / [`run_edist_cluster`]
-//! free functions remain as deprecated shims over them.
+//! * **Source** ([`run::Source`]): a replicated [`sbp_graph::Graph`], or a
+//!   shard directory each rank ingests its own file of
+//!   ([`load_dist_graph`]). Either becomes a *data plane* — how the
+//!   replicated blockmodel is (re)built and how peers' moves reach it —
+//!   and the drivers are generic over the plane, so sharded runs are
+//!   bit-identical to replicated ones (see [`sharded`]).
+//! * **Rank body** (`run::run_rank`): generic over
+//!   [`sbp_mpi::Communicator`], so the thread simulator and a TCP process
+//!   execute the identical collective schedule. It is the one place a
+//!   [`FaultPlan`] decorates the communicator and the one place the
+//!   shared [`sbp_core::RunConfig`] is lowered to the drivers' own
+//!   `EdistConfig` / `DcsbpConfig`.
+//! * **Drivers**: [`mod@edist`] — EDiSt, exact at any rank count: the
+//!   *work* (merge proposals, MCMC vertex sweeps) is partitioned by
+//!   ownership while allgathered candidate and move lists keep every
+//!   rank's blockmodel bit-identical. [`mod@dcsbp`] — divide-and-conquer:
+//!   independent per-rank inference on *induced* subgraphs (the step that
+//!   creates island vertices on sparse graphs), gather to the root,
+//!   label-offset combination, root-side fine-tuning.
+//! * **Fold**: the thread runner streams rank 0's progress events to the
+//!   caller live, honours a broadcast-coordinated cancellation token, and
+//!   folds the per-rank outcomes (makespan, degraded cascade, move-byte
+//!   sums) into one [`sbp_core::RunOutcome`] with a [`ClusterReport`]. A
+//!   TCP process can only see itself and attaches a one-rank view.
+//!
+//! The entrypoints are the [`Solver`](sbp_core::Solver) backends
+//! [`DcSbp`] and [`Edist`] and [`run_sharded`] (usually reached through
+//! the `edist` facade's `Partitioner` builder), and [`run_tcp_rank`] for
+//! one rank of a real cluster.
 //!
 //! ## Coordinated unwind
 //!
 //! Failures never panic the cluster or deadlock a collective. Every
-//! matched-collective region runs under `error::guard_collectives`; a
-//! rank that fails — shard ingest error, malformed peer payload, an
-//! injected [`fault::RankDeath`] — poisons its peers through
-//! `error::abort_schedule` (waking anyone blocked in a collective)
-//! and returns its best-so-far partition with
-//! [`sbp_core::RunOutcome::degraded`] set. Peers observe the poison as
-//! a typed [`DistError::PeerAborted`] and unwind the same way, so all
+//! matched-collective region of both drivers runs under
+//! `error::guard_collectives`; a rank that fails — shard ingest error,
+//! malformed peer payload, an injected [`fault::RankDeath`], a dead TCP
+//! peer — poisons its peers through `error::abort_schedule` (waking
+//! anyone blocked in a collective) and returns its best-so-far partition
+//! with [`sbp_core::RunOutcome::degraded`] set. Peers observe the poison
+//! as a typed [`DistError::PeerAborted`] and unwind the same way, so all
 //! ranks return. The detecting rank reports the specific
-//! [`sbp_core::DegradedReason`]; cascade observers report
-//! `RankFailure`. [`fault::FaultComm`] injects deterministic,
-//! seed-keyed faults (kill / mangle / delay, counted in collective
-//! sync points) to exercise the protocol in tests, and
-//! [`checkpoint`] gives rank 0 `.sbpc` snapshots for bit-identical
-//! resume after a crash.
+//! [`sbp_core::DegradedReason`]; cascade observers report `RankFailure`.
+//! [`fault::FaultComm`] injects deterministic, seed-keyed faults (kill /
+//! mangle / delay, counted in collective sync points) to exercise the
+//! protocol in tests, and [`checkpoint`] gives rank 0 `.sbpc` snapshots
+//! for bit-identical resume after a crash.
 
 pub mod checkpoint;
 pub mod dcsbp;
@@ -49,23 +72,18 @@ pub mod error;
 pub mod exchange;
 pub mod fault;
 pub mod ownership;
+pub mod run;
 pub mod sharded;
 pub mod solver;
 pub mod tcprun;
 
-#[allow(deprecated)]
-pub use dcsbp::run_dcsbp_cluster;
-pub use dcsbp::{dcsbp, DcsbpConfig, DcsbpResult, Engine};
 pub use distgraph::{load_dist_graph, DistGraph, ShardIngestReport};
-#[allow(deprecated)]
-pub use edist::run_edist_cluster;
-pub use edist::{edist, EdistConfig, EdistResult};
 pub use error::{DecodeError, DistError};
 pub use exchange::ExchangeStats;
 pub use fault::{Fault, FaultComm, FaultPlan, RankDeath};
 pub use ownership::{balanced_ownership, modulo_ownership, owned_blocks, OwnershipStrategy};
+pub use run::{run_sharded, ShardedBackend};
 pub use sbp_mpi::ClusterReport;
-pub use sharded::{dcsbp_sharded, edist_sharded, run_sharded, ShardedBackend};
 pub use solver::{register_solvers, DcSbp, Edist};
 pub use tcprun::{run_tcp_rank, TcpRun, TcpSource};
 

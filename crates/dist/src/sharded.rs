@@ -1,6 +1,8 @@
-//! Distributed SBP over **sharded** graph ingest: EDiSt and DC-SBP
-//! running against a [`DistGraph`] — each rank holding only its owned
-//! adjacency — instead of a replicated monolithic [`sbp_graph::Graph`].
+//! The **sharded** data plane: EDiSt and DC-SBP running against a
+//! [`DistGraph`] — each rank holding only its owned adjacency — instead
+//! of a replicated monolithic [`sbp_graph::Graph`]. The drivers are the
+//! same ones the replicated plane runs (`edist::edist_driver`,
+//! `dcsbp::dcsbp_driver`); this module only supplies `ShardedData`.
 //!
 //! ## How EDiSt stays exact without the whole graph
 //!
@@ -50,25 +52,18 @@
 //! "no fine-tune" ablation (combine + compact + exact distributed DL).
 //! Run EDiSt over the same shards to refine its output distributively.
 
-use crate::dcsbp::{combine_parts, compact_labels, DcsbpConfig, Engine};
-use crate::distgraph::{load_dist_graph, DistGraph, ShardIngestReport};
-use crate::edist::{edist_driver, shared_dl, EdistConfig, EdistData};
-use crate::error::{abort_schedule, guard_collectives, DistError};
+use crate::distgraph::DistGraph;
+use crate::edist::EdistData;
+use crate::error::DistError;
 use crate::exchange::{
     concat_sections, decode_cells, decode_moves, encode_cells, encode_moves, split_sections,
     ExchangeStats,
 };
-use crate::fault::{FaultComm, FaultPlan};
-use crate::mix_seed;
-use crate::solver::{run_cluster_streaming, EventRelay};
 use sbp_core::mcmc::AcceptedMove;
-use sbp_core::run::{CancelToken, NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome};
-use sbp_core::{naive_sbp, solve_sbp, Blockmodel};
-use sbp_graph::shard::ShardHeader;
-use sbp_graph::{induced_subgraph, Vertex, Weight};
-use sbp_mpi::{ClusterReport, Communicator, CostModel};
+use sbp_core::Blockmodel;
+use sbp_graph::{Vertex, Weight};
+use sbp_mpi::Communicator;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 // ------------------------------------------------------------ blockmodel
 
@@ -333,16 +328,15 @@ fn sharded_sync<C: Communicator>(
     Ok(moves)
 }
 
-// ---------------------------------------------------------- EDiSt driver
+// ------------------------------------------------------------ data plane
 
 /// The sharded [`EdistData`] plane: sweeps run on the local (owned-only)
 /// graph, blockmodel builds go through the summed-cell collective, and
-/// peer moves apply via the cell-delta sync. The control loop itself —
-/// golden search, merge phase, sweep/sync schedule, cancellation, events
-/// — is `edist::edist_driver`, shared verbatim with the monolithic
-/// driver, so the two can never drift apart.
-struct ShardedData<'a> {
-    dg: &'a DistGraph,
+/// peer moves apply via the cell-delta sync. The control loops themselves
+/// are shared verbatim with the replicated plane, so the two can never
+/// drift apart.
+pub(crate) struct ShardedData<'a> {
+    pub(crate) dg: &'a DistGraph,
 }
 
 impl EdistData for ShardedData<'_> {
@@ -360,6 +354,10 @@ impl EdistData for ShardedData<'_> {
 
     fn my_vertices(&self) -> &[Vertex] {
         self.dg.owned()
+    }
+
+    fn whole_graph(&self) -> Option<&sbp_graph::Graph> {
+        None
     }
 
     fn start_blockmodel<C: Communicator>(&self, comm: &C) -> Result<Blockmodel, DistError> {
@@ -391,296 +389,18 @@ impl EdistData for ShardedData<'_> {
     }
 }
 
-/// EDiSt over sharded ingest with default cancellation and no progress
-/// relay — the custom-[`Communicator`] entrypoint mirroring
-/// [`crate::edist::edist`]. Collective calls must be matched by every
-/// rank; the result is rank-identical.
-pub fn edist_sharded<C: Communicator>(
-    comm: &C,
-    dg: &DistGraph,
-    cfg: &EdistConfig,
-) -> (RunOutcome, ExchangeStats) {
-    edist_sharded_run(
-        comm,
-        dg,
-        cfg,
-        &CancelToken::default(),
-        &EventRelay::disabled(),
-    )
-}
-
-/// DC-SBP over sharded ingest with default cancellation and no progress
-/// relay — the custom-[`Communicator`] entrypoint mirroring
-/// [`crate::dcsbp::dcsbp`].
-pub fn dcsbp_sharded<C: Communicator>(comm: &C, dg: &DistGraph, cfg: &DcsbpConfig) -> RunOutcome {
-    dcsbp_sharded_run(
-        comm,
-        dg,
-        cfg,
-        &CancelToken::default(),
-        &EventRelay::disabled(),
-    )
-}
-
-/// EDiSt over sharded ingest (see module docs). The ownership comes from
-/// the shards themselves — `cfg.ownership` is ignored — so the sweep sets
-/// match what the shard planner promised. Collective calls must be
-/// matched by every rank.
-pub(crate) fn edist_sharded_run<C: Communicator>(
-    comm: &C,
-    dg: &DistGraph,
-    cfg: &EdistConfig,
-    cancel: &CancelToken,
-    relay: &EventRelay,
-) -> (RunOutcome, ExchangeStats) {
-    edist_driver(comm, &ShardedData { dg }, cfg, cancel, relay)
-}
-
-// --------------------------------------------------------- DC-SBP driver
-
-/// DC-SBP over sharded ingest: per-rank local solves on the induced
-/// subgraph of the owned set (fully present locally), root-side combine,
-/// and an exact distributed DL — always the "no fine-tune" variant, since
-/// fine-tuning would need the whole graph on the root (see module docs).
-pub(crate) fn dcsbp_sharded_run<C: Communicator>(
-    comm: &C,
-    dg: &DistGraph,
-    cfg: &DcsbpConfig,
-    cancel: &CancelToken,
-    relay: &EventRelay,
-) -> RunOutcome {
-    let rank = comm.rank();
-    let n = dg.num_vertices();
-    if n == 0 {
-        return RunOutcome::empty();
-    }
-    // The whole collective region runs guarded (coordinated unwind, see
-    // `crate::error`): a corrupted cell payload or a peer abort degrades
-    // the run instead of crashing the cluster.
-    let result = guard_collectives(|| {
-        let sub = induced_subgraph(dg.local(), dg.owned());
-
-        relay.emit(ProgressEvent::PhaseStarted { phase: "local-sbp" });
-        let mut sub_cfg = cfg.sbp.clone();
-        sub_cfg.seed = mix_seed(cfg.sbp.seed, 0xDC00 + rank as u64);
-        let local_assignment: Vec<u32> = match cfg.engine {
-            Engine::Optimized => {
-                let run_cfg = RunConfig {
-                    sbp: sub_cfg,
-                    cancel: cancel.clone(),
-                    ..RunConfig::default()
-                };
-                solve_sbp(&sub.graph, None, &run_cfg, &mut NoProgress).assignment
-            }
-            Engine::Naive if cancel.is_cancelled() => vec![0; sub.graph.num_vertices()],
-            Engine::Naive => naive_sbp(&sub.graph, &sub_cfg).assignment,
-        };
-
-        let payload: Vec<(u32, u32)> = local_assignment
-            .iter()
-            .enumerate()
-            .map(|(v, &b)| (sub.to_global(v as u32), b))
-            .collect();
-        let gathered = comm.gatherv(0, payload);
-
-        // Root: offset label spaces and compact — pure assignment
-        // arithmetic, shared with the monolithic driver so the combine
-        // semantics cannot drift (`compact_labels` reproduces exactly the
-        // relabeling `Blockmodel::compacted` would apply).
-        let root_result = gathered.map(|parts| {
-            relay.emit(ProgressEvent::PhaseStarted { phase: "combine" });
-            let (combined, width) = combine_parts(parts, n);
-            let (compacted, num_blocks) = compact_labels(combined, width);
-            (compacted, num_blocks, cancel.is_cancelled())
-        });
-        let (assignment, num_blocks, cancelled): (Vec<u32>, usize, bool) =
-            comm.broadcast(0, root_result);
-
-        // Exact DL of the combined partition, computed distributively.
-        let bm = dist_blockmodel(comm, dg, assignment, num_blocks)?;
-        let description_length = shared_dl(comm, &bm);
-        if cancelled {
-            relay.emit(ProgressEvent::Cancelled { iteration: 0 });
-        } else {
-            relay.emit(ProgressEvent::Finished {
-                num_blocks,
-                description_length,
-            });
-        }
-        Ok(RunOutcome {
-            assignment: bm.into_assignment(),
-            num_blocks,
-            description_length,
-            iterations: Vec::new(),
-            cancelled,
-            degraded: None,
-            virtual_seconds: comm.virtual_time(),
-            cluster: None,
-            sampled_vertices: None,
-        })
-    });
-    match result {
-        Ok(out) => out,
-        Err(err) => {
-            let reason = abort_schedule(comm, &err);
-            let mut out = RunOutcome::empty();
-            out.degraded = Some(reason);
-            out.virtual_seconds = comm.virtual_time();
-            out
-        }
-    }
-}
-
-// ------------------------------------------------------- public runners
-
-/// Which sharded driver [`run_sharded`] launches.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ShardedBackend {
-    /// EDiSt (exact; bit-identical to a monolithic run in the dense
-    /// regime — see module docs).
-    Edist {
-        /// Sweeps between move exchanges (1 = the paper's every-sweep
-        /// schedule).
-        sync_period: usize,
-    },
-    /// DC-SBP, always in the "no fine-tune" variant (see module docs).
-    DcSbp {
-        /// Single-node engine for the per-rank subgraph solves.
-        engine: Engine,
-    },
-}
-
-/// Runs a sharded-ingest cluster over the `.sbps` directory `dir`: one
-/// simulated rank per shard, each loading only its own shard (the ingest
-/// collectives are part of the run and show up in the returned
-/// [`ClusterReport`]). Rank 0's progress events stream to `progress`
-/// live; `cfg.cancel` is honoured at the same checkpoints as the
-/// monolithic drivers.
-///
-/// `header` must come from [`sbp_graph::shard::validate_shard_dir`] on
-/// the same `dir` —
-/// callers always need it anyway (to pick rank counts and reject backend
-/// mismatches before spawning anything), so the directory is scanned
-/// exactly once per run instead of once per layer. A shard file that
-/// disappears or mutates *between* validation and the per-rank load
-/// degrades the run ([`sbp_core::run::DegradedReason::ShardLoadFailure`]
-/// on the detecting rank) via the coordinated unwind in [`crate::error`]
-/// — it never panics the cluster.
-///
-/// `fault` injects a deterministic fault plan (see [`crate::fault`]) by
-/// decorating every rank's communicator with [`FaultComm`]; pass
-/// [`FaultPlan::none`] for a clean run.
-///
-/// Returns the rank-identical outcome plus the ingest report.
-pub fn run_sharded(
-    dir: &Path,
-    header: &ShardHeader,
-    backend: ShardedBackend,
-    cost: CostModel,
-    cfg: &RunConfig,
-    fault: &FaultPlan,
-    progress: &mut dyn ProgressSink,
-) -> (RunOutcome, ShardIngestReport) {
-    let ranks = header.shard_count;
-    progress.on_event(&ProgressEvent::Started {
-        num_vertices: header.num_vertices,
-        num_blocks: header.num_vertices,
-    });
-    progress.on_event(&ProgressEvent::ClusterStarted { ranks });
-    let cancel = cfg.cancel.clone();
-    let out = run_cluster_streaming(ranks, cost, progress, |comm, relay| {
-        if fault.is_empty() {
-            sharded_rank_body(comm, dir, backend, cfg, &cancel, relay)
-        } else {
-            let fc = FaultComm::new(comm, fault.clone());
-            sharded_rank_body(&fc, dir, backend, cfg, &cancel, relay)
-        }
-    });
-    let mut report = ClusterReport::from_outcome(&out);
-    for rank in &out.ranks {
-        report.move_bytes_raw += rank.result.1.move_bytes_raw;
-        report.move_bytes_encoded += rank.result.1.move_bytes_encoded;
-    }
-    // Decorated-communicator clock skew and degraded peers are
-    // cluster-wide facts (see `finish_outcome` in `crate::solver`).
-    let driver_makespan = out
-        .ranks
-        .iter()
-        .map(|r| r.result.0.virtual_seconds)
-        .fold(0.0, f64::max);
-    report.makespan = report.makespan.max(driver_makespan);
-    let cascade = out.ranks.iter().find_map(|r| r.result.0.degraded);
-    let rank0 = out.ranks.into_iter().next().expect("at least one rank");
-    let (mut outcome, _, ingest) = rank0.result;
-    outcome.degraded = outcome.degraded.or(cascade);
-    outcome.virtual_seconds = report.makespan;
-    outcome.cluster = Some(report);
-    (outcome, ingest)
-}
-
-/// One rank's whole sharded run: guarded ingest, then the backend driver.
-/// Generic over the communicator so [`run_sharded`] can interpose
-/// [`FaultComm`] without a second copy of the body, and `pub(crate)` so
-/// the real-cluster harness in [`crate::tcprun`] runs the *identical*
-/// body over a TCP communicator.
-pub(crate) fn sharded_rank_body<C: Communicator>(
-    comm: &C,
-    dir: &Path,
-    backend: ShardedBackend,
-    cfg: &RunConfig,
-    cancel: &CancelToken,
-    relay: &EventRelay,
-) -> (RunOutcome, ExchangeStats, ShardIngestReport) {
-    // The ingest itself runs guarded: a rank whose shard file fails to
-    // read (or that observes a peer's ingest failure) poisons the
-    // schedule and returns a degraded empty outcome instead of
-    // panicking the cluster.
-    let dg = match guard_collectives(|| load_dist_graph(comm, dir)) {
-        Ok(dg) => dg,
-        Err(err) => {
-            let reason = abort_schedule(comm, &err);
-            let mut out = RunOutcome::empty();
-            out.degraded = Some(reason);
-            out.virtual_seconds = comm.virtual_time();
-            return (out, ExchangeStats::default(), ShardIngestReport::default());
-        }
-    };
-    let report = *dg.report();
-    let (outcome, xstats) = match backend {
-        ShardedBackend::Edist { sync_period } => {
-            let ecfg = EdistConfig {
-                sbp: cfg.sbp.clone(),
-                ownership: dg.strategy(),
-                sync_period,
-                checkpoint: cfg.checkpoint.clone(),
-                resume: cfg.resume.clone(),
-            };
-            edist_sharded_run(comm, &dg, &ecfg, cancel, relay)
-        }
-        ShardedBackend::DcSbp { engine } => {
-            let dcfg = DcsbpConfig {
-                sbp: cfg.sbp.clone(),
-                engine,
-                skip_finetune: true,
-            };
-            (
-                dcsbp_sharded_run(comm, &dg, &dcfg, cancel, relay),
-                ExchangeStats::default(),
-            )
-        }
-    };
-    (outcome, xstats, report)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::distgraph::ShardIngestReport;
+    use crate::fault::FaultPlan;
+    use crate::run::{run_sharded, ShardedBackend};
     use crate::solver::Edist;
-    use sbp_core::run::Solver;
+    use sbp_core::run::{CancelToken, NoProgress, RunConfig, RunOutcome, Solver};
     use sbp_core::SbpConfig;
     use sbp_graph::fixtures::two_cliques;
     use sbp_graph::shard::{shard_graph, validate_shard_dir};
     use sbp_graph::OwnershipStrategy;
+    use sbp_mpi::CostModel;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -770,13 +490,7 @@ mod tests {
         let g = two_cliques(8);
         let dir = temp_dir("dcsbp");
         shard_graph(&g, &dir, 2, OwnershipStrategy::Modulo).unwrap();
-        let (out, ingest) = run(
-            &dir,
-            ShardedBackend::DcSbp {
-                engine: Engine::Optimized,
-            },
-            &RunConfig::seeded(1),
-        );
+        let (out, ingest) = run(&dir, ShardedBackend::DcSbp, &RunConfig::seeded(1));
         assert_eq!(out.assignment.len(), 16);
         assert!(out.num_blocks >= 1);
         assert!(out

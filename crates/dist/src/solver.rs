@@ -1,111 +1,14 @@
-//! [`Solver`] backends for the distributed algorithms, plus the event
-//! relay that streams rank 0's progress events out of the simulated
-//! cluster to the caller's [`ProgressSink`].
-//!
-//! The cluster runs on its own scoped thread while the calling thread
-//! drains the event channel, so progress callbacks fire live (not after
-//! the run). Cancellation flows the other way: the caller's
-//! [`sbp_core::CancelToken`] is read by rank 0 and *broadcast* at every
-//! checkpoint, so all ranks observe the same decision at the same
-//! collective and the schedule never desynchronizes.
+//! [`Solver`] backends for the distributed algorithms on the in-process
+//! thread cluster — thin callers of the one run path in [`crate::run`],
+//! which streams rank 0's progress events to the caller's
+//! [`ProgressSink`] and folds the per-rank outcomes.
 
-use crate::dcsbp::{dcsbp_run, DcsbpConfig, Engine};
-use crate::edist::{edist_run, EdistConfig};
-use crate::fault::{FaultComm, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::ownership::OwnershipStrategy;
-use sbp_core::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome, Solver};
+use crate::run::{run_thread_cluster, RankJob, ShardedBackend, Source};
+use sbp_core::run::{ProgressSink, RunConfig, RunOutcome, Solver};
 use sbp_graph::Graph;
-use sbp_mpi::{ClusterReport, Communicator, CostModel, ThreadCluster};
-use std::panic::resume_unwind;
-use std::sync::mpsc::Sender;
-use std::sync::Mutex;
-
-/// Hands rank 0's progress events to the channel draining on the caller
-/// thread. Ranks other than 0 hold an inactive relay, and the legacy
-/// shims run with a fully disabled one.
-pub(crate) struct EventRelay<'a> {
-    sender: Option<&'a Mutex<Sender<ProgressEvent>>>,
-    active: bool,
-}
-
-impl EventRelay<'_> {
-    /// A relay that drops every event (legacy shims, non-zero ranks).
-    pub(crate) fn disabled() -> Self {
-        EventRelay {
-            sender: None,
-            active: false,
-        }
-    }
-
-    /// Emits an event if this relay is rank 0's and a sink is attached.
-    pub(crate) fn emit(&self, event: ProgressEvent) {
-        if !self.active {
-            return;
-        }
-        if let Some(sender) = self.sender {
-            // A dropped receiver just means the caller stopped listening.
-            let _ = sender.lock().expect("event relay poisoned").send(event);
-        }
-    }
-}
-
-/// Runs `f` on `n` simulated ranks while draining rank 0's progress
-/// events to `progress` on the calling thread.
-pub(crate) fn run_cluster_streaming<R, F>(
-    n: usize,
-    cost: CostModel,
-    progress: &mut dyn ProgressSink,
-    f: F,
-) -> sbp_mpi::ClusterOutcome<R>
-where
-    R: Send,
-    F: Fn(&sbp_mpi::thread::ThreadComm, &EventRelay) -> R + Send + Sync,
-{
-    let (tx, rx) = std::sync::mpsc::channel::<ProgressEvent>();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handle = scope.spawn(move || {
-            let relay_tx = Mutex::new(tx);
-            ThreadCluster::run(n, cost, |comm| {
-                let relay = EventRelay {
-                    sender: Some(&relay_tx),
-                    active: comm.rank() == 0,
-                };
-                f(comm, &relay)
-            })
-        });
-        // Live-drain until every sender is gone (i.e. the cluster ended).
-        for event in rx.iter() {
-            progress.on_event(&event);
-        }
-        handle.join().unwrap_or_else(|e| resume_unwind(e))
-    })
-}
-
-fn finish_outcome<R>(
-    out: sbp_mpi::ClusterOutcome<R>,
-    extract: impl Fn(R) -> RunOutcome,
-) -> RunOutcome {
-    let mut report = ClusterReport::from_outcome(&out);
-    let mut outcomes: Vec<RunOutcome> = out.ranks.into_iter().map(|r| extract(r.result)).collect();
-    // The drivers read their clocks through the (possibly decorated)
-    // communicator, so injected skew shows up in the per-rank outcomes
-    // and not in the raw cluster records.
-    let driver_makespan = outcomes
-        .iter()
-        .map(|o| o.virtual_seconds)
-        .fold(0.0, f64::max);
-    report.makespan = report.makespan.max(driver_makespan);
-    // A degraded peer is a cluster-wide fact even when rank 0's own
-    // schedule happened to complete before the failure could reach it
-    // (the tail of a schedule can be all root-side broadcasts).
-    let cascade = outcomes.iter().find_map(|o| o.degraded);
-    let mut outcome = outcomes.swap_remove(0);
-    outcome.degraded = outcome.degraded.or(cascade);
-    outcome.virtual_seconds = report.makespan;
-    outcome.cluster = Some(report);
-    outcome
-}
+use sbp_mpi::CostModel;
 
 /// The EDiSt backend (paper Algs. 4–5): full replication, partitioned
 /// work, exact inference at any rank count.
@@ -121,9 +24,9 @@ pub struct Edist {
     /// allgather).
     pub sync_period: usize,
     /// Deterministic fault injection ([`crate::fault`]); empty = none.
-    /// Each rank's communicator is decorated with [`FaultComm`], so an
-    /// injected kill/mangle degrades the run coordinately (all survivors
-    /// return best-so-far with `degraded` set) instead of crashing it.
+    /// An injected kill/mangle degrades the run coordinately (all
+    /// survivors return best-so-far with `degraded` set) instead of
+    /// crashing it.
     pub fault: FaultPlan,
 }
 
@@ -153,67 +56,44 @@ impl Solver for Edist {
     }
 
     fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
-        let n = self.ranks.max(1);
-        progress.on_event(&ProgressEvent::Started {
-            num_vertices: graph.num_vertices(),
-            num_blocks: graph.num_vertices(),
-        });
-        progress.on_event(&ProgressEvent::ClusterStarted { ranks: n });
-        let ecfg = EdistConfig {
-            sbp: cfg.sbp.clone(),
+        let job = RankJob {
+            source: Source::Graph(graph),
+            backend: ShardedBackend::Edist {
+                sync_period: self.sync_period,
+            },
             ownership: self.ownership,
-            sync_period: self.sync_period,
-            checkpoint: cfg.checkpoint.clone(),
-            resume: cfg.resume.clone(),
+            skip_finetune: false,
+            cfg,
+            fault: &self.fault,
         };
-        let cancel = cfg.cancel.clone();
-        let fault = self.fault.clone();
-        let out = run_cluster_streaming(n, self.cost, progress, |comm, relay| {
-            if fault.is_empty() {
-                edist_run(comm, graph, &ecfg, &cancel, relay)
-            } else {
-                let fc = FaultComm::new(comm, fault.clone());
-                edist_run(&fc, graph, &ecfg, &cancel, relay)
-            }
-        });
-        // Move-exchange accounting is summed over every rank, like the
-        // byte counters the report already carries.
-        let (raw, encoded) = out.ranks.iter().fold((0u64, 0u64), |(raw, enc), rank| {
-            let x = rank.result.1;
-            (raw + x.move_bytes_raw, enc + x.move_bytes_encoded)
-        });
-        let mut outcome = finish_outcome(out, |(r, _)| r);
-        if let Some(report) = outcome.cluster.as_mut() {
-            report.move_bytes_raw = raw;
-            report.move_bytes_encoded = encoded;
-        }
-        outcome
+        let n = graph.num_vertices();
+        run_thread_cluster(self.ranks.max(1), n, self.cost, &job, progress).outcome
     }
 }
 
 /// The DC-SBP backend (paper Alg. 3): round-robin data distribution,
 /// independent per-rank inference, root-side combination + fine-tuning.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct DcSbp {
     /// Simulated MPI ranks.
     pub ranks: usize,
     /// Interconnect cost model for the virtual clocks.
     pub cost: CostModel,
-    /// Single-node engine used on the per-rank subgraphs.
-    pub engine: Engine,
     /// Skip the root-side fine-tuning pass (ablation switch).
     pub skip_finetune: bool,
+    /// Deterministic fault injection, as on [`Edist::fault`].
+    pub fault: FaultPlan,
 }
 
 impl DcSbp {
     /// DC-SBP on `ranks` simulated ranks with the default HDR-100
-    /// interconnect and the optimized per-rank engine.
+    /// interconnect.
     pub fn new(ranks: usize) -> Self {
         DcSbp {
             ranks,
             cost: CostModel::hdr100(),
-            engine: Engine::default(),
             skip_finetune: false,
+            fault: FaultPlan::none(),
         }
     }
 }
@@ -230,22 +110,16 @@ impl Solver for DcSbp {
     }
 
     fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
-        let n = self.ranks.max(1);
-        progress.on_event(&ProgressEvent::Started {
-            num_vertices: graph.num_vertices(),
-            num_blocks: graph.num_vertices(),
-        });
-        progress.on_event(&ProgressEvent::ClusterStarted { ranks: n });
-        let dcfg = DcsbpConfig {
-            sbp: cfg.sbp.clone(),
-            engine: self.engine,
+        let job = RankJob {
+            source: Source::Graph(graph),
+            backend: ShardedBackend::DcSbp,
+            ownership: OwnershipStrategy::default(),
             skip_finetune: self.skip_finetune,
+            cfg,
+            fault: &self.fault,
         };
-        let cancel = cfg.cancel.clone();
-        let out = run_cluster_streaming(n, self.cost, progress, |comm, relay| {
-            dcsbp_run(comm, graph, &dcfg, &cancel, relay)
-        });
-        finish_outcome(out, |r| r)
+        let n = graph.num_vertices();
+        run_thread_cluster(self.ranks.max(1), n, self.cost, &job, progress).outcome
     }
 }
 
@@ -277,7 +151,7 @@ pub fn register_solvers(reg: &mut sbp_core::registry::SolverRegistry) {
 mod tests {
     use super::*;
     use sbp_core::registry::{SolverRegistry, SolverSpec};
-    use sbp_core::run::{CancelToken, NoProgress, ProgressFn};
+    use sbp_core::run::{CancelToken, NoProgress, ProgressEvent, ProgressFn};
     use sbp_core::McmcStrategy;
     use sbp_graph::fixtures::two_cliques;
 
@@ -290,6 +164,7 @@ mod tests {
         let rep = out.cluster.expect("distributed backend reports cluster");
         assert_eq!(rep.ranks, 3);
         assert!(rep.collectives > 0);
+        assert!(rep.makespan > 0.0);
         assert!(rep.max_rank_bytes <= rep.total_bytes);
         assert!((out.virtual_seconds - rep.makespan).abs() < 1e-12);
         // The move exchange travelled compressed and was accounted for.

@@ -1,10 +1,9 @@
 //! One process = one rank: the real-cluster entrypoint over
 //! [`sbp_mpi::TcpComm`].
 //!
-//! The distributed drivers (`edist_run`, `dcsbp_run`, and the sharded
-//! rank body) are already generic over [`Communicator`]; this module is
-//! the thin harness a real OS process runs: connect this rank's
-//! [`TcpComm`], execute exactly the per-rank body the in-process
+//! `run::run_rank` is already generic over [`Communicator`];
+//! this module is the thin harness a real OS process runs: connect this
+//! rank's [`TcpComm`], execute exactly the per-rank body the in-process
 //! thread cluster executes, and attach a one-rank view of the
 //! [`ClusterReport`]. Because EDiSt is exact, the *result* (assignment,
 //! DL, trajectory) is bit-identical to a [`sbp_mpi::ThreadCluster`] run
@@ -18,28 +17,16 @@
 //! ([`sbp_core::DegradedReason::RankFailure`]), and the bounded socket
 //! read timeout guarantees the survivors return instead of hanging.
 
-use crate::dcsbp::{dcsbp_run, DcsbpConfig};
 use crate::distgraph::ShardIngestReport;
-use crate::edist::{edist_run, EdistConfig};
-use crate::exchange::ExchangeStats;
-use crate::fault::{FaultComm, FaultPlan};
-use crate::sharded::{sharded_rank_body, ShardedBackend};
-use crate::solver::EventRelay;
+use crate::fault::FaultPlan;
+use crate::run::{run_rank, EventRelay, RankJob, RankResult, ShardedBackend};
 use sbp_core::run::{RunConfig, RunOutcome};
-use sbp_graph::{Graph, OwnershipStrategy};
+use sbp_graph::OwnershipStrategy;
 use sbp_mpi::{ClusterReport, Communicator, TcpComm, TcpConfig, TcpError};
-use std::path::Path;
 use std::time::Instant;
 
 /// Where one TCP rank reads its share of the graph from.
-pub enum TcpSource<'a> {
-    /// Every process loads the same monolithic graph (the replicated
-    /// deployment of paper Algs. 4–5): work is partitioned, data is not.
-    Graph(&'a Graph),
-    /// A `.sbps` shard directory; this process ingests only its own
-    /// shard, memory-mapped via [`sbp_graph::mmap`].
-    Shards(&'a Path),
-}
+pub use crate::run::Source as TcpSource;
 
 /// What [`run_tcp_rank`] returns: the rank-identical outcome with the
 /// one-rank [`ClusterReport`] attached, plus the shard-ingest report
@@ -65,9 +52,9 @@ pub struct TcpRun {
 /// Tests therefore assert bit-identity of *results* across transports,
 /// never of report counters.
 ///
-/// `fault` composes [`FaultComm`] over the TCP transport exactly as the
-/// thread-backed solvers do, so deterministic kill/mangle/delay plans
-/// exercise the coordinated unwind over real sockets too.
+/// `fault` decorates the TCP transport exactly as it does the thread
+/// cluster's, so deterministic kill/mangle/delay plans exercise the
+/// coordinated unwind over real sockets too — for both backends.
 pub fn run_tcp_rank(
     tcp: &TcpConfig,
     source: TcpSource<'_>,
@@ -77,12 +64,22 @@ pub fn run_tcp_rank(
 ) -> Result<TcpRun, TcpError> {
     let started = Instant::now();
     let comm = TcpComm::connect(tcp)?;
-    let (mut outcome, xstats, ingest) = if fault.is_empty() {
-        tcp_rank_body(&comm, &source, backend, cfg)
-    } else {
-        let fc = FaultComm::new(&comm, fault.clone());
-        tcp_rank_body(&fc, &source, backend, cfg)
+    let job = RankJob {
+        source,
+        backend,
+        // The thread-backed `Edist` solver's default; keeping it fixed
+        // preserves bit-identity with `partition --backend edist` at the
+        // same rank count.
+        ownership: OwnershipStrategy::default(),
+        skip_finetune: false,
+        cfg,
+        fault,
     };
+    let RankResult {
+        mut outcome,
+        xstats,
+        ingest,
+    } = run_rank(&comm, &job, &EventRelay::disabled());
     let stats = comm.stats();
     let report = ClusterReport {
         makespan: outcome.virtual_seconds.max(comm.virtual_time()),
@@ -97,54 +94,4 @@ pub fn run_tcp_rank(
     outcome.virtual_seconds = report.makespan;
     outcome.cluster = Some(report);
     Ok(TcpRun { outcome, ingest })
-}
-
-/// The per-rank body, shared between the clean and fault-decorated
-/// communicators. Sharded sources reuse the exact thread-cluster body
-/// (guarded ingest included); monolithic sources mirror the `Edist` /
-/// `DcSbp` solver bodies, whose drivers already guard their collective
-/// schedules internally.
-fn tcp_rank_body<C: Communicator>(
-    comm: &C,
-    source: &TcpSource<'_>,
-    backend: ShardedBackend,
-    cfg: &RunConfig,
-) -> (RunOutcome, ExchangeStats, Option<ShardIngestReport>) {
-    let cancel = cfg.cancel.clone();
-    let relay = EventRelay::disabled();
-    match source {
-        TcpSource::Shards(dir) => {
-            let (outcome, xstats, ingest) =
-                sharded_rank_body(comm, dir, backend, cfg, &cancel, &relay);
-            (outcome, xstats, Some(ingest))
-        }
-        TcpSource::Graph(graph) => match backend {
-            ShardedBackend::Edist { sync_period } => {
-                let ecfg = EdistConfig {
-                    sbp: cfg.sbp.clone(),
-                    // The thread-backed `Edist` solver's default; keeping
-                    // it fixed preserves bit-identity with
-                    // `partition --backend edist` at the same rank count.
-                    ownership: OwnershipStrategy::default(),
-                    sync_period,
-                    checkpoint: cfg.checkpoint.clone(),
-                    resume: cfg.resume.clone(),
-                };
-                let (outcome, xstats) = edist_run(comm, graph, &ecfg, &cancel, &relay);
-                (outcome, xstats, None)
-            }
-            ShardedBackend::DcSbp { engine } => {
-                let dcfg = DcsbpConfig {
-                    sbp: cfg.sbp.clone(),
-                    engine,
-                    skip_finetune: false,
-                };
-                (
-                    dcsbp_run(comm, graph, &dcfg, &cancel, &relay),
-                    ExchangeStats::default(),
-                    None,
-                )
-            }
-        },
-    }
 }

@@ -225,7 +225,7 @@ pub fn scaling_graph(which: ScalingGraph, scale: f64, seed: u64) -> PlantedGraph
 /// The real files can be used instead via `sbp_graph::io::load_graph`; these
 /// stand-ins preserve each graph's size ratio, average degree, and degree-
 /// distribution regime so the Fig. 6 comparison exercises the same sparsity
-/// conditions (see DESIGN.md §3 for the substitution rationale).
+/// conditions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RealWorldStandIn {
     /// Amazon co-purchasing graph: 403 394 V, 3 387 388 E.

@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates EDiSt with MPI on a 64-node InfiniBand cluster. This
 //! crate substitutes that environment with an **in-process cluster
-//! simulator** (see DESIGN.md §3 for the substitution rationale):
+//! simulator**:
 //!
 //! * every MPI rank is a real OS thread executing the actual distributed
 //!   algorithm; ranks interact *only* through the [`Communicator`] trait,

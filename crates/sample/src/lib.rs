@@ -18,17 +18,12 @@
 //!
 //! The [`Sampled`] solver decorator glues the stages together and
 //! composes with any backend (sequential, hybrid, batch, DC-SBP,
-//! EDiSt); the legacy [`pipeline::sample_partition_extend`] free
-//! function remains as a deprecated shim over it.
+//! EDiSt).
 
 pub mod extend;
-pub mod pipeline;
 pub mod solver;
 pub mod strategies;
 
 pub use extend::extend_partition;
-#[allow(deprecated)]
-pub use pipeline::sample_partition_extend;
-pub use pipeline::{SamplePipelineConfig, SamplePipelineResult};
 pub use solver::Sampled;
 pub use strategies::{sample_vertices, SamplingStrategy};

@@ -186,6 +186,42 @@ mod tests {
     }
 
     #[test]
+    fn all_strategies_complete_the_pipeline() {
+        let (g, _) = planted();
+        for strategy in [
+            SamplingStrategy::UniformNode,
+            SamplingStrategy::DegreeWeightedNode,
+            SamplingStrategy::RandomEdge,
+            SamplingStrategy::ForestFire {
+                burn_probability_pct: 60,
+            },
+            SamplingStrategy::ExpansionSnowball,
+        ] {
+            let solver = Sampled {
+                strategy,
+                fraction: 0.4,
+                finetune_sweeps: 1,
+                ..Sampled::new(Sequential)
+            };
+            let out = solver.solve(&g, &RunConfig::seeded(5), &mut NoProgress);
+            assert_eq!(out.assignment.len(), 400, "{strategy:?}");
+            assert!(out.num_blocks >= 1);
+        }
+    }
+
+    #[test]
+    fn fraction_one_is_plain_sbp_quality() {
+        let (g, truth) = planted();
+        let solver = Sampled {
+            fraction: 1.0,
+            finetune_sweeps: 0,
+            ..Sampled::new(Sequential)
+        };
+        let out = solver.solve(&g, &RunConfig::seeded(7), &mut NoProgress);
+        assert!(nmi(&out.assignment, &truth) > 0.9);
+    }
+
+    #[test]
     fn sampled_name_mentions_inner_backend() {
         let solver = Sampled::new(Sequential);
         assert_eq!(solver.name(), "sampled(sequential, 50%)");

@@ -5,15 +5,20 @@ Usage:
     CRITERION_SUMMARY=target/criterion-summary.json \
         cargo bench -p sbp-bench --bench micro
     python3 scripts/check_bench_regression.py \
-        [summary.json] [pr1.json] [pr5.json] [pr8.json] [pr10.json]
+        [summary.json] [pr1.json] [pr5.json] [pr8.json]
 
-Three checks, from strongest to weakest signal:
+Four checks, from strongest to weakest signal:
 
-1. **Cross-machine ratio guard** (always meaningful): the adaptive ΔS
+1. **Cross-machine ratio guards** (always meaningful): the adaptive ΔS
    kernel must beat the naive dense rescan on the sparse-leaning regimes
    by a healthy margin. PR 1 recorded ~6x at manyC and ~6x at hugeC; a
    canonical-line regression that gave back the sparse-path wins would
    collapse this ratio long before it reaches the 2x floor asserted here.
+   And the runtime-dispatched AVX2 ΔS/entropy kernels must never be
+   materially slower than their forced-scalar twins (on non-AVX2 runners
+   both take the scalar path, so the ratio sits at ~1.0 and the check
+   degenerates to noise tolerance — which is the point: dispatch itself
+   must be free).
 
 2. **Absolute ΔS guard vs the PR 1 record**: each sparse-path kernel's
    mean must stay within BENCH_TOL (default 1.5x, i.e. +50%) of the mean
@@ -38,15 +43,6 @@ Three checks, from strongest to weakest signal:
    metrics-on cost of the hot paths — a record call leaking into a
    per-proposal loop shows up here first.
 
-5. **SIMD-kernel guard vs the PR 10 record** (BENCH_pr10.json): the
-   `simd/*` A/B ids and the entropy chunk-study ids, compared against
-   the record taken after the AVX2 ΔS/entropy/Hastings kernels landed,
-   plus a dispatch-sanity ratio: the runtime-dispatched path must never
-   be materially slower than its forced-scalar twin (on non-AVX2
-   runners both take the scalar path, so the ratio sits at ~1.0 and the
-   check degenerates to noise tolerance — which is the point: dispatch
-   itself must be free).
-
 The `sparse_*` benchmark ids were `hashmap_*` when BENCH_pr1.json was
 recorded (the forced-sparse representation was a hash map then; it is a
 canonical sorted line now) — the ID_MAP below bridges the rename.
@@ -60,7 +56,6 @@ SUMMARY = sys.argv[1] if len(sys.argv) > 1 else "target/criterion-summary.json"
 BASELINE_PR1 = sys.argv[2] if len(sys.argv) > 2 else "BENCH_pr1.json"
 BASELINE_PR5 = sys.argv[3] if len(sys.argv) > 3 else "BENCH_pr5.json"
 BASELINE_PR8 = sys.argv[4] if len(sys.argv) > 4 else "BENCH_pr8.json"
-BASELINE_PR10 = sys.argv[5] if len(sys.argv) > 5 else "BENCH_pr10.json"
 TOL = float(os.environ.get("BENCH_TOL", "1.5"))
 
 # Current id -> id in the BENCH_pr1.json "pr1" record.
@@ -94,23 +89,6 @@ PR8_GUARD = PR5_GUARD + [
     "edist/delta_entropy/sparse_manyC",
 ]
 
-# SIMD-era kernels guarded against the PR 10 record: the A/B pairs,
-# the lntab strategy study, and the entropy chunk study.
-PR10_GUARD = [
-    "edist/simd/delta_dense_simd",
-    "edist/simd/delta_dense_scalar",
-    "edist/simd/hastings_dense_simd",
-    "edist/simd/hastings_dense_scalar",
-    "edist/simd/entropy_dense_simd",
-    "edist/simd/entropy_dense_scalar",
-    "edist/simd/lntab_gather_4k",
-    "edist/simd/lntab_unrolled_4k",
-    "edist/blockmodel/entropy_chunk/32",
-    "edist/blockmodel/entropy_chunk/64",
-    "edist/blockmodel/entropy_chunk/128",
-    "edist/blockmodel/entropy_chunk/256",
-]
-
 # (numerator, denominator, max allowed ratio): adaptive sparse-path vs
 # the naive dense rescan, same machine, same run; and the dispatched
 # SIMD path vs its forced-scalar twin (the dispatched path must never
@@ -120,7 +98,6 @@ RATIO_GUARDS = [
     ("edist/delta_entropy/adaptive_manyC", "edist/delta_entropy/dense_naive_manyC", 0.5),
     ("edist/delta_entropy/adaptive_hugeC", "edist/delta_entropy/dense_naive_hugeC", 0.5),
     ("edist/simd/delta_dense_simd", "edist/simd/delta_dense_scalar", 1.25),
-    ("edist/simd/hastings_dense_simd", "edist/simd/hastings_dense_scalar", 1.25),
     ("edist/simd/entropy_dense_simd", "edist/simd/entropy_dense_scalar", 1.25),
 ]
 
@@ -160,8 +137,6 @@ def main() -> int:
         pr5 = json.load(f)["pr5"]
     with open(BASELINE_PR8) as f:
         pr8 = json.load(f)["pr8"]
-    with open(BASELINE_PR10) as f:
-        pr10 = json.load(f)["pr10"]
 
     failures = []
 
@@ -187,7 +162,6 @@ def main() -> int:
     check_absolute(measured, pr1, ID_MAP, "pr1", failures)
     check_absolute(measured, pr5, {i: i for i in PR5_GUARD}, "pr5", failures)
     check_absolute(measured, pr8, {i: i for i in PR8_GUARD}, "pr8", failures)
-    check_absolute(measured, pr10, {i: i for i in PR10_GUARD}, "pr10", failures)
 
     if failures:
         print("\nbench regression guard FAILED:")

@@ -22,12 +22,12 @@
 //! distributed backends — the [`ClusterReport`].
 
 use sbp_core::run::{
-    Batch, CancelToken, CheckpointSpec, DegradedReason, NoProgress, ProgressEvent, ProgressFn,
-    ProgressSink, RunConfig, RunOutcome, Sequential, Solver, WarmStart,
+    Batch, CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, ProgressFn, ProgressSink,
+    RunConfig, RunOutcome, Sequential, Solver, WarmStart,
 };
 use sbp_core::{CheckpointState, HybridConfig, IterationStat, McmcStrategy, SbpConfig};
 use sbp_core::{SolverRegistry, SolverSpec};
-use sbp_dist::{run_sharded, DcSbp, Edist, Engine, FaultPlan, OwnershipStrategy, ShardedBackend};
+use sbp_dist::{run_sharded, DcSbp, Edist, FaultPlan, OwnershipStrategy, ShardedBackend};
 use sbp_eval::normalized_dl;
 use sbp_graph::Graph;
 use sbp_mpi::{ClusterReport, CostModel};
@@ -121,8 +121,8 @@ pub enum PartitionError {
     /// (its parent directory is missing), detected before the run starts
     /// so hours of work are not silently unprotected.
     CheckpointPath(String),
-    /// A fault plan was configured for a backend with no simulated
-    /// cluster to inject into (single-node backends, in-memory DC-SBP).
+    /// A fault plan was configured for a single-node backend, which has
+    /// no cluster to inject into.
     FaultUnsupported(String),
     /// A [`Partitioner::warm_start`] was configured for a backend that
     /// cannot honour it ([`Solver::supports_warm_start`] is false) or
@@ -241,6 +241,29 @@ pub struct Run {
 }
 
 impl Run {
+    /// Wraps a solver's [`RunOutcome`] into the unified result.
+    pub fn from_outcome(
+        backend: String,
+        outcome: RunOutcome,
+        wall_seconds: f64,
+        ingest: Option<ShardIngestReport>,
+    ) -> Run {
+        Run {
+            backend,
+            assignment: outcome.assignment,
+            num_blocks: outcome.num_blocks,
+            description_length: outcome.description_length,
+            iterations: outcome.iterations,
+            cancelled: outcome.cancelled,
+            wall_seconds,
+            virtual_seconds: outcome.virtual_seconds,
+            cluster: outcome.cluster,
+            sampled_vertices: outcome.sampled_vertices,
+            ingest,
+            degraded: outcome.degraded,
+        }
+    }
+
     /// Normalized description length against the null single-community
     /// model (lower is better; `< 1` beats the null model).
     pub fn dl_norm(&self, graph: &Graph) -> f64 {
@@ -286,7 +309,6 @@ pub struct Partitioner<'a> {
     /// have to silently override.
     ownership: Option<OwnershipStrategy>,
     sync_period: usize,
-    engine: Engine,
     /// `None` until [`Partitioner::skip_finetune`] is called (same
     /// rationale as `ownership`).
     skip_finetune: Option<bool>,
@@ -333,7 +355,6 @@ impl<'a> Partitioner<'a> {
             cost: CostModel::hdr100(),
             ownership: None,
             sync_period: 1,
-            engine: Engine::default(),
             skip_finetune: None,
             sample: None,
             finetune_sweeps: 3,
@@ -360,8 +381,9 @@ impl<'a> Partitioner<'a> {
     /// Replaces the full SBP hyper-parameter set. When no explicit
     /// [`backend`](Partitioner::backend) is selected, `sbp.strategy`
     /// also picks the single-node backend, so
-    /// `Partitioner::on(&g).config(cfg).run()` reproduces the legacy
-    /// `sbp(&g, &cfg)` exactly for every strategy.
+    /// `Partitioner::on(&g).config(cfg).run()` reproduces
+    /// `solve_sbp(&g, None, &RunConfig::from_sbp(cfg), …)` exactly for
+    /// every strategy.
     pub fn config(mut self, sbp: SbpConfig) -> Self {
         self.sbp = sbp;
         self
@@ -392,13 +414,6 @@ impl<'a> Partitioner<'a> {
     /// Sets EDiSt's sweeps-per-move-exchange period (default 1).
     pub fn sync_period(mut self, period: usize) -> Self {
         self.sync_period = period;
-        self
-    }
-
-    /// Selects DC-SBP's per-rank engine (optimized vs python-equivalent
-    /// naive).
-    pub fn dcsbp_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -507,17 +522,16 @@ impl<'a> Partitioner<'a> {
     /// Injects a deterministic fault plan (see [`FaultPlan::parse`])
     /// into the simulated cluster: every rank's communicator is wrapped
     /// in `sbp_dist::FaultComm`, which kills ranks, mangles payloads, or
-    /// delays collectives at exact sync points. Supported by the `Edist`
-    /// backend and every sharded run; rejected elsewhere at
-    /// [`run`](Partitioner::run).
+    /// delays collectives at exact sync points. Supported by every
+    /// distributed run (`Edist`, `DcSbp`, sharded or not); rejected for
+    /// single-node backends at [`run`](Partitioner::run).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault = plan;
         self
     }
 
     /// The backend an in-memory run will actually use: an unspecified
-    /// backend follows the configured MCMC strategy, so `.config(cfg)`
-    /// alone reproduces the legacy `sbp(&g, &cfg)`.
+    /// backend follows the configured MCMC strategy.
     fn effective_backend(&self) -> Backend {
         match (self.backend, &self.sbp.strategy) {
             (Some(backend), _) => backend,
@@ -544,10 +558,11 @@ impl<'a> Partitioner<'a> {
     /// harnesses that drive the trait directly.
     pub fn solver(&self) -> Result<Box<dyn Solver>, PartitionError> {
         let backend = self.effective_backend();
-        if !self.fault.is_empty() && !matches!(backend, Backend::Edist { .. }) {
+        let distributed = matches!(backend, Backend::Edist { .. } | Backend::DcSbp { .. });
+        if !self.fault.is_empty() && !distributed {
             return Err(PartitionError::FaultUnsupported(format!(
-                "the {backend} backend cannot inject faults (only Edist and \
-                 sharded runs carry a fault-decorated communicator)"
+                "the {backend} backend cannot inject faults (it has no cluster; \
+                 only the Edist and DcSbp backends carry a communicator to decorate)"
             )));
         }
         let base: Box<dyn Solver> = match backend {
@@ -561,8 +576,8 @@ impl<'a> Partitioner<'a> {
                 Box::new(DcSbp {
                     ranks,
                     cost: self.cost,
-                    engine: self.engine,
                     skip_finetune: self.skip_finetune.unwrap_or(false),
+                    fault: self.fault.clone(),
                 })
             }
             Backend::Edist { ranks } => {
@@ -727,6 +742,16 @@ impl<'a> Partitioner<'a> {
         Ok(Some(warm))
     }
 
+    /// The registered progress callback as a sink (a no-op without one).
+    fn sink<'s>(&'s mut self) -> impl ProgressSink + use<'s, 'a> {
+        let mut callback = self.progress.as_mut();
+        ProgressFn(move |event: &ProgressEvent| {
+            if let Some(callback) = callback.as_mut() {
+                callback(event);
+            }
+        })
+    }
+
     /// Runs inference and returns the unified [`Run`] result.
     pub fn run(mut self) -> Result<Run, PartitionError> {
         match &self.source {
@@ -745,20 +770,7 @@ impl<'a> Partitioner<'a> {
                     resume,
                     warm,
                 };
-                let wall = Instant::now();
-                let outcome = match self.progress.as_mut() {
-                    Some(callback) => {
-                        let mut sink = ProgressFn(|event: &ProgressEvent| callback(event));
-                        solver.solve(graph, &cfg, &mut sink)
-                    }
-                    None => solver.solve(graph, &cfg, &mut NoProgress),
-                };
-                Ok(finish(
-                    solver.name(),
-                    outcome,
-                    wall.elapsed().as_secs_f64(),
-                    None,
-                ))
+                Ok(run_solver(solver.as_ref(), graph, &cfg, &mut self.sink()))
             }
             Source::Shards(dir) => {
                 let dir = dir.clone();
@@ -832,9 +844,7 @@ impl<'a> Partitioner<'a> {
                     ));
                 }
                 (
-                    ShardedBackend::DcSbp {
-                        engine: self.engine,
-                    },
+                    ShardedBackend::DcSbp,
                     format!("dcsbp-sharded(ranks={shards})"),
                 )
             }
@@ -853,44 +863,16 @@ impl<'a> Partitioner<'a> {
             resume,
             warm: None,
         };
-        let cost = self.cost;
-        let fault = self.fault.clone();
+        let (cost, fault) = (self.cost, self.fault.clone());
         let wall = Instant::now();
-        let (outcome, ingest) = match self.progress.as_mut() {
-            Some(callback) => {
-                let mut sink = ProgressFn(|event: &ProgressEvent| callback(event));
-                run_sharded(dir, &header, sharded, cost, &cfg, &fault, &mut sink)
-            }
-            None => run_sharded(dir, &header, sharded, cost, &cfg, &fault, &mut NoProgress),
-        };
-        Ok(finish(
+        let (outcome, ingest) =
+            run_sharded(dir, &header, sharded, cost, &cfg, &fault, &mut self.sink());
+        Ok(Run::from_outcome(
             name,
             outcome,
             wall.elapsed().as_secs_f64(),
             Some(ingest),
         ))
-    }
-}
-
-fn finish(
-    backend: String,
-    outcome: RunOutcome,
-    wall_seconds: f64,
-    ingest: Option<ShardIngestReport>,
-) -> Run {
-    Run {
-        backend,
-        assignment: outcome.assignment,
-        num_blocks: outcome.num_blocks,
-        description_length: outcome.description_length,
-        iterations: outcome.iterations,
-        cancelled: outcome.cancelled,
-        wall_seconds,
-        virtual_seconds: outcome.virtual_seconds,
-        cluster: outcome.cluster,
-        sampled_vertices: outcome.sampled_vertices,
-        ingest,
-        degraded: outcome.degraded,
     }
 }
 
@@ -905,7 +887,7 @@ pub fn run_solver<S: Solver + ?Sized>(
 ) -> Run {
     let wall = Instant::now();
     let outcome = solver.solve(graph, cfg, progress);
-    finish(solver.name(), outcome, wall.elapsed().as_secs_f64(), None)
+    Run::from_outcome(solver.name(), outcome, wall.elapsed().as_secs_f64(), None)
 }
 
 /// The full name-keyed solver registry this workspace ships: the four

@@ -23,9 +23,11 @@
 //! edist-cli stats     --graph g.mtx
 //! ```
 //!
-//! Every inference path runs through the unified [`Partitioner`] builder
-//! (`--algo sbp|edist|dcsbp` is accepted as a deprecated alias for
-//! `--backend`; `sample` is shorthand for `partition --sample F`).
+//! Every in-process inference path runs through the unified
+//! [`Partitioner`] builder (`sample` is shorthand for
+//! `partition --sample F`); `--cluster tcp` runs one rank of a real
+//! cluster through `edist::dist::run_tcp_rank`. All of them share one
+//! option assembly and one reporter.
 //!
 //! `shard` splits a graph into per-rank binary `.sbps` shards;
 //! `partition --sharded` then runs EDiSt (or DC-SBP) with one simulated
@@ -443,7 +445,7 @@ fn cmd_shard(args: &Args) -> Result<(), String> {
 
 fn parse_backend(name: &str, ranks: usize) -> Result<Backend, String> {
     Ok(match name {
-        // `sbp` is the deprecated --algo spelling of the sequential backend.
+        // `sbp` is the registry's second name for the sequential backend.
         "sequential" | "sbp" => Backend::Sequential,
         "hybrid" => Backend::Hybrid(HybridConfig::default()),
         "batch" => Backend::Batch,
@@ -474,6 +476,53 @@ enum GraphSource {
     Shards(String),
 }
 
+/// `--seed` and the `--mcmc mh|batch` sweep-strategy override (the
+/// transport-equivalence tests sweep both strategies through the same
+/// flag on every path).
+fn sbp_config(args: &Args) -> Result<SbpConfig, String> {
+    let mut sbp = SbpConfig {
+        seed: args.num("seed", 0u64)?,
+        ..SbpConfig::default()
+    };
+    match args.get("mcmc") {
+        None => {}
+        Some("mh") => sbp.strategy = McmcStrategy::MetropolisHastings,
+        Some("batch") => sbp.strategy = McmcStrategy::Batch,
+        Some(other) => return Err(format!("unknown --mcmc strategy '{other}' (mh, batch)")),
+    }
+    Ok(sbp)
+}
+
+/// `--graph FILE` xor `--sharded DIR`.
+fn graph_source(args: &Args) -> Result<GraphSource, String> {
+    match args.get("sharded") {
+        // Running over one of them while the other silently names a
+        // different (possibly stale) graph would partition the wrong
+        // input without warning.
+        Some(_) if args.get("graph").is_some() => {
+            Err("pass either --graph or --sharded, not both".into())
+        }
+        Some(dir) => Ok(GraphSource::Shards(dir.to_string())),
+        None => Ok(GraphSource::Mem(load(args)?)),
+    }
+}
+
+fn fault_plan(args: &Args) -> Result<FaultPlan, String> {
+    match args.get("fault-plan") {
+        Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}")),
+        None => Ok(FaultPlan::none()),
+    }
+}
+
+/// Fails on the first of `flags` that was passed: a path that cannot
+/// honour a flag says so instead of silently ignoring it.
+fn reject_flags(args: &Args, flags: &[&str], context: &str) -> Result<(), String> {
+    match flags.iter().find(|flag| args.get(flag).is_some()) {
+        Some(flag) => Err(format!("--{flag} is not supported {context}")),
+        None => Ok(()),
+    }
+}
+
 /// Shared by `partition` and `sample`: build the `Partitioner`, run it,
 /// report, write the assignment. Ctrl-C is wired to the run's
 /// `CancelToken` so a long search returns best-so-far instead of dying.
@@ -483,20 +532,14 @@ fn run_partitioner(
     backend: Option<Backend>,
     sample: Option<f64>,
 ) -> Result<u8, String> {
-    let seed: u64 = args.num("seed", 0u64)?;
+    let sbp = sbp_config(args)?;
+    let seed = sbp.seed;
     let mut partitioner = match source {
         GraphSource::Mem(graph) => Partitioner::on(graph),
         GraphSource::Shards(dir) => Partitioner::on_sharded(dir),
     }
-    .seed(seed);
-    if let Some(spec) = args.get("mcmc") {
-        // `config` replaces the whole SbpConfig, so re-apply the seed.
-        partitioner = partitioner.config(SbpConfig {
-            strategy: parse_mcmc(spec)?,
-            seed,
-            ..SbpConfig::default()
-        });
-    }
+    .config(sbp)
+    .fault_plan(fault_plan(args)?);
     if let Some(backend) = backend {
         partitioner = partitioner.backend(backend);
     }
@@ -510,10 +553,6 @@ fn run_partitioner(
     partitioner = partitioner.checkpoint_every(args.num("checkpoint-every", 1usize)?.max(1));
     if let Some(path) = args.get("resume") {
         partitioner = partitioner.resume_from(path);
-    }
-    if let Some(spec) = args.get("fault-plan") {
-        let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
-        partitioner = partitioner.fault_plan(plan);
     }
     let token = CancelToken::new();
     if sigint::install(token.clone()) {
@@ -531,13 +570,10 @@ fn run_partitioner(
         None => None,
     };
     if let Some(m) = &mlog {
-        let backend_name =
-            args.get("backend")
-                .or_else(|| args.get("algo"))
-                .unwrap_or(match source {
-                    GraphSource::Mem(_) => "sequential",
-                    GraphSource::Shards(_) => "edist",
-                });
+        let backend_name = args.get("backend").unwrap_or(match source {
+            GraphSource::Mem(_) => "sequential",
+            GraphSource::Shards(_) => "edist",
+        });
         let vertices = match source {
             GraphSource::Mem(graph) => graph.num_vertices(),
             GraphSource::Shards(_) => 0, // not known before ingest
@@ -622,11 +658,48 @@ fn run_partitioner(
         m.finish()?;
         eprintln!("metrics written to {}", m.path);
     }
+    report_run(args, source, &run, None)
+}
+
+/// The one reporter behind every `partition`/`sample` path: run notes
+/// and the summary line on stderr, `--trajectory-out`, the assignment.
+/// `tcp_rank` is `Some` for one rank of a real cluster, whose view of
+/// the [`ClusterReport`] is rank-local; results are bit-identical across
+/// the cluster's ranks, so every rank may write its own `--out` /
+/// `--trajectory-out`, but only rank 0 speaks for the run on stderr and
+/// prints the assignment when there is no `--out` (a `tcp-local` launch
+/// then emits it exactly once).
+fn report_run(
+    args: &Args,
+    source: &GraphSource,
+    run: &Run,
+    tcp_rank: Option<usize>,
+) -> Result<u8, String> {
+    let lead = tcp_rank.is_none_or(|rank| rank == 0);
+    if let Some(reason) = run.degraded {
+        let who = tcp_rank.map(|r| format!("rank {r}: ")).unwrap_or_default();
+        eprintln!("{who}degraded ({reason}): writing the best partition found before the failure");
+    }
+    if lead {
+        report_summary(source, run, tcp_rank.is_some());
+    }
+    if let Some(path) = args.get("trajectory-out") {
+        write_trajectory(
+            path,
+            &run.iterations,
+            run.num_blocks,
+            run.description_length,
+        )?;
+    }
+    if lead || args.get("out").is_some() {
+        write_assignment(args.get("out"), &run.assignment)?;
+    }
+    Ok(degraded_exit_code(args, run.degraded.is_some()))
+}
+
+fn report_summary(source: &GraphSource, run: &Run, tcp: bool) {
     if run.cancelled {
         eprintln!("cancelled: writing the best partition found so far");
-    }
-    if let Some(reason) = run.degraded {
-        eprintln!("degraded ({reason}): writing the best partition found before the failure");
     }
     if let Some(ingest) = &run.ingest {
         eprintln!(
@@ -642,10 +715,18 @@ fn run_partitioner(
         );
     }
     if let Some(report) = &run.cluster {
-        eprintln!(
-            "simulated runtime: {:.3}s over {} collectives ({} bytes, busiest rank {} bytes)",
-            report.makespan, report.collectives, report.total_bytes, report.max_rank_bytes
-        );
+        if tcp {
+            eprintln!(
+                "tcp cluster (rank-local view): {:.3}s wire time over {} collectives \
+                 ({} bytes through this rank)",
+                report.makespan, report.collectives, report.total_bytes
+            );
+        } else {
+            eprintln!(
+                "simulated runtime: {:.3}s over {} collectives ({} bytes, busiest rank {} bytes)",
+                report.makespan, report.collectives, report.total_bytes, report.max_rank_bytes
+            );
+        }
         if report.move_bytes_raw > 0 {
             eprintln!(
                 "move exchange: {} bytes varint-encoded vs {} raw ({:.1}% saved)",
@@ -666,16 +747,6 @@ fn run_partitioner(
         "backend: {}  blocks: {}  DL: {:.2}  DL_norm: {:.4}  wall: {:.2}s",
         run.backend, run.num_blocks, run.description_length, dl_norm, run.wall_seconds
     );
-    if let Some(path) = args.get("trajectory-out") {
-        write_trajectory(
-            path,
-            &run.iterations,
-            run.num_blocks,
-            run.description_length,
-        )?;
-    }
-    write_assignment(args.get("out"), &run.assignment)?;
-    Ok(degraded_exit_code(args, run.degraded.is_some()))
 }
 
 /// Exit code for a completed run: [`EXIT_DEGRADED`] only when the run
@@ -709,24 +780,8 @@ fn cmd_partition(args: &Args) -> Result<u8, String> {
         }
     }
     let ranks: usize = args.num("ranks", 4usize)?;
-    let name = match (args.get("backend"), args.get("algo")) {
-        (Some(b), _) => Some(b),
-        (None, Some(a)) => {
-            eprintln!("note: --algo is deprecated; use --backend");
-            Some(a)
-        }
-        (None, None) => None,
-    };
-    let source = match args.get("sharded") {
-        Some(_) if args.get("graph").is_some() => {
-            // Running over one of them while the other silently names a
-            // different (possibly stale) graph would partition the wrong
-            // input without warning.
-            return Err("pass either --graph or --sharded, not both".into());
-        }
-        Some(dir) => GraphSource::Shards(dir.to_string()),
-        None => GraphSource::Mem(load(args)?),
-    };
+    let name = args.get("backend");
+    let source = graph_source(args)?;
     let backend = match (&source, name, args.get("ranks")) {
         // A sharded source defaults to EDiSt on one rank per shard; a
         // file source keeps the historical sequential default.
@@ -750,7 +805,7 @@ fn cmd_partition(args: &Args) -> Result<u8, String> {
             // backend registered by a downstream crate is reachable from
             // the CLI without touching `parse_backend`.
             Err(_) if default_registry().contains(name) => {
-                return run_registry_backend(args, graph, name, ranks.max(1));
+                return run_registry_backend(args, &source, graph, name, ranks.max(1));
             }
             Err(_) => {
                 return Err(format!(
@@ -765,17 +820,6 @@ fn cmd_partition(args: &Args) -> Result<u8, String> {
         None => None,
     };
     run_partitioner(args, &source, backend, sample)
-}
-
-/// Parses the `--mcmc mh|batch` sweep-strategy override shared by the
-/// thread and TCP cluster paths (the transport-equivalence tests sweep
-/// both strategies through the same flag).
-fn parse_mcmc(spec: &str) -> Result<McmcStrategy, String> {
-    Ok(match spec {
-        "mh" => McmcStrategy::MetropolisHastings,
-        "batch" => McmcStrategy::Batch,
-        other => return Err(format!("unknown --mcmc strategy '{other}' (mh, batch)")),
-    })
 }
 
 /// Writes the run's iteration trajectory in an exact, diff-friendly
@@ -805,25 +849,27 @@ fn write_trajectory(
     std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
 }
 
+/// Flags the real-cluster paths cannot honour: the golden-loop snapshot,
+/// the metrics log and the progress stream are wired through the
+/// in-process `Partitioner`, and sampling wraps a whole-graph solver.
+fn reject_tcp_flags(args: &Args) -> Result<(), String> {
+    reject_flags(
+        args,
+        &["checkpoint", "resume", "metrics-out", "progress", "sample"],
+        "with --cluster tcp|tcp-local (use the in-process --cluster thread)",
+    )
+}
+
 /// One rank of a real TCP cluster: rendezvous at `--coordinator`, run
-/// the same per-rank body the thread simulator runs, report. Results
-/// are bit-identical across the cluster's ranks (and to the simulator
-/// at the same rank count/seed), so every rank may independently write
-/// `--out` / `--trajectory-out`; without `--out`, only rank 0 prints
-/// the assignment so a `tcp-local` launch emits it exactly once.
+/// the same per-rank body the thread simulator runs, report.
 fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
-    use edist::dist::tcprun::{run_tcp_rank, TcpSource};
-    use edist::dist::{Engine, ShardedBackend};
+    use edist::dist::{run_tcp_rank, ShardedBackend, TcpSource};
     use edist::mpi::TcpConfig;
     use std::time::Duration;
 
-    let parse_usize = |key: &str| -> Result<usize, String> {
-        args.require(key)?
-            .parse::<usize>()
-            .map_err(|_| format!("bad value for --{key}"))
-    };
-    let rank = parse_usize("rank")?;
-    let ranks = parse_usize("ranks")?;
+    reject_tcp_flags(args)?;
+    let required = |key: &str| args.require(key).and_then(|_| args.num(key, 0usize));
+    let (rank, ranks) = (required("rank")?, required("ranks")?);
     let coordinator = args.require("coordinator")?;
     let mut tcp = TcpConfig::new(args.num("session", 0u64)?, rank, ranks, coordinator);
     tcp.handshake_timeout = Duration::from_secs(args.num("handshake-timeout", 30u64)?.max(1));
@@ -831,140 +877,42 @@ fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
     // never hangs a survivor longer than this.
     tcp.read_timeout = Some(Duration::from_secs(args.num("tcp-timeout", 120u64)?.max(1)));
 
-    let sync_period = args.num("sync-period", 1usize)?.max(1);
-    let backend = match args.get("backend").unwrap_or("edist") {
-        "edist" => ShardedBackend::Edist { sync_period },
-        "dcsbp" => ShardedBackend::DcSbp {
-            engine: Engine::default(),
+    let name = args.get("backend").unwrap_or("edist");
+    let backend = match name {
+        "edist" => ShardedBackend::Edist {
+            sync_period: args.num("sync-period", 1usize)?.max(1),
         },
+        "dcsbp" => ShardedBackend::DcSbp,
         other => {
             return Err(format!(
                 "--cluster tcp supports --backend edist|dcsbp, got '{other}'"
             ));
         }
     };
-    let source = match args.get("sharded") {
-        Some(_) if args.get("graph").is_some() => {
-            return Err("pass either --graph or --sharded, not both".into());
+    let source = graph_source(args)?;
+    if let GraphSource::Shards(dir) = &source {
+        let header =
+            validate_shard_dir(Path::new(dir)).map_err(|e| format!("--sharded {dir}: {e}"))?;
+        if header.shard_count != ranks {
+            return Err(format!(
+                "--sharded {dir} holds {} shards but --ranks is {ranks}",
+                header.shard_count
+            ));
         }
-        Some(dir) => {
-            let header =
-                validate_shard_dir(Path::new(dir)).map_err(|e| format!("--sharded {dir}: {e}"))?;
-            if header.shard_count != ranks {
-                return Err(format!(
-                    "--sharded {dir} holds {} shards but --ranks is {ranks}",
-                    header.shard_count
-                ));
-            }
-            GraphSource::Shards(dir.to_string())
-        }
-        None => GraphSource::Mem(load(args)?),
-    };
-    let fault = match args.get("fault-plan") {
-        Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?,
-        None => FaultPlan::none(),
-    };
-
-    let seed: u64 = args.num("seed", 0u64)?;
-    let mut sbp = SbpConfig {
-        seed,
-        ..SbpConfig::default()
-    };
-    if let Some(spec) = args.get("mcmc") {
-        sbp.strategy = parse_mcmc(spec)?;
     }
-    let cfg = RunConfig::from_sbp(sbp);
+    let cfg = RunConfig::from_sbp(sbp_config(args)?);
     let _ = sigint::install(cfg.cancel.clone());
 
     let tcp_source = match &source {
         GraphSource::Mem(graph) => TcpSource::Graph(graph),
         GraphSource::Shards(dir) => TcpSource::Shards(Path::new(dir)),
     };
-    let run = run_tcp_rank(&tcp, tcp_source, backend, &cfg, &fault)
+    let tcp_run = run_tcp_rank(&tcp, tcp_source, backend, &cfg, &fault_plan(args)?)
         .map_err(|e| format!("tcp cluster (rank {rank}): {e}"))?;
-    let outcome = run.outcome;
-
-    if let Some(reason) = outcome.degraded {
-        eprintln!(
-            "rank {rank}: degraded ({reason}): writing the best partition found before the failure"
-        );
-    }
-    if rank == 0 {
-        if outcome.cancelled {
-            eprintln!("cancelled: writing the best partition found so far");
-        }
-        if let Some(ingest) = &run.ingest {
-            eprintln!(
-                "sharded ingest: V={} E={} over {} ranks (busiest rank read {} of {} arcs, \
-                 holds {}; {} cut arcs exchanged)",
-                ingest.num_vertices,
-                ingest.total_edge_weight,
-                ingest.ranks,
-                ingest.max_rank_shard_edges,
-                ingest.total_arcs,
-                ingest.max_rank_local_arcs,
-                ingest.total_cut_arcs
-            );
-        }
-        if let Some(report) = &outcome.cluster {
-            eprintln!(
-                "tcp cluster (rank-local view): {:.3}s wire time over {} collectives \
-                 ({} bytes through this rank)",
-                report.makespan, report.collectives, report.total_bytes
-            );
-            if report.move_bytes_raw > 0 {
-                eprintln!(
-                    "move exchange: {} bytes varint-encoded vs {} raw ({:.1}% saved)",
-                    report.move_bytes_encoded,
-                    report.move_bytes_raw,
-                    100.0 * (1.0 - report.move_bytes_encoded as f64 / report.move_bytes_raw as f64)
-                );
-            }
-        }
-        let dl_norm = match &source {
-            GraphSource::Mem(graph) => normalized_dl(
-                outcome.description_length,
-                graph.num_vertices(),
-                graph.total_edge_weight(),
-            ),
-            GraphSource::Shards(_) => run
-                .ingest
-                .map(|i| {
-                    normalized_dl(
-                        outcome.description_length,
-                        i.num_vertices,
-                        i.total_edge_weight,
-                    )
-                })
-                .unwrap_or(f64::NAN),
-        };
-        let wall = outcome.cluster.map(|r| r.wall_seconds).unwrap_or(0.0);
-        eprintln!(
-            "backend: {}  blocks: {}  DL: {:.2}  DL_norm: {:.4}  wall: {:.2}s",
-            match backend {
-                ShardedBackend::Edist { .. } => format!("edist(ranks={ranks})+tcp"),
-                ShardedBackend::DcSbp { .. } => format!("dcsbp(ranks={ranks})+tcp"),
-            },
-            outcome.num_blocks,
-            outcome.description_length,
-            dl_norm,
-            wall
-        );
-    }
-    if let Some(path) = args.get("trajectory-out") {
-        write_trajectory(
-            path,
-            &outcome.iterations,
-            outcome.num_blocks,
-            outcome.description_length,
-        )?;
-    }
-    match args.get("out") {
-        Some(p) => write_assignment(Some(p), &outcome.assignment)?,
-        None if rank == 0 => write_assignment(None, &outcome.assignment)?,
-        None => {}
-    }
-    Ok(degraded_exit_code(args, outcome.degraded.is_some()))
+    let wall = tcp_run.outcome.cluster.map_or(0.0, |r| r.wall_seconds);
+    let backend = format!("{name}(ranks={ranks})+tcp");
+    let run = Run::from_outcome(backend, tcp_run.outcome, wall, tcp_run.ingest);
+    report_run(args, &source, &run, Some(rank))
 }
 
 /// Launcher for a localhost TCP cluster: picks a free coordinator port
@@ -972,10 +920,11 @@ fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
 /// rank with the remaining flags passed through, and waits. Rank 0's
 /// stdio is inherited (it prints the summary and the assignment);
 /// other ranks' stdout is discarded, and per-rank output flags
-/// (`--out`, `--trajectory-out`, `--metrics-out`) stay with rank 0 so
-/// the children never race on one file. The exit code is rank 0's,
+/// (`--out`, `--trajectory-out`) stay with rank 0 so the children never
+/// race on one file. The exit code is rank 0's,
 /// unless a non-zero-rank child failed harder.
 fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
+    reject_tcp_flags(args)?;
     let ranks: usize = args.num("ranks", 4usize)?;
     if ranks == 0 {
         return Err("--ranks must be at least 1".into());
@@ -1004,7 +953,7 @@ fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
             if matches!(key.as_str(), "cluster" | "rank" | "coordinator" | "session") {
                 continue;
             }
-            if rank != 0 && matches!(key.as_str(), "out" | "trajectory-out" | "metrics-out") {
+            if rank != 0 && matches!(key.as_str(), "out" | "trajectory-out") {
                 continue;
             }
             cmd.arg(format!("--{key}")).arg(value);
@@ -1044,48 +993,29 @@ fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
 
 /// The registry path for `partition --backend NAME` when NAME is not
 /// one of the built-in [`Backend`] spellings: build the solver by name
-/// through [`default_registry`] and drive it with [`run_solver`].
-/// Supports `--seed`, `--ranks`, `--sync-period`, `--out`, and
-/// `--fail-on-degraded`; the checkpoint/resume/sample/fault decorations
-/// stay with the typed builder path.
+/// through [`default_registry`] and drive it with [`run_solver`]. The
+/// checkpoint/resume/sample/fault decorations stay with the typed
+/// builder path.
 fn run_registry_backend(
     args: &Args,
+    source: &GraphSource,
     graph: &Graph,
     name: &str,
     ranks: usize,
 ) -> Result<u8, String> {
-    for unsupported in ["checkpoint", "resume", "sample", "fault-plan"] {
-        if args.get(unsupported).is_some() {
-            return Err(format!(
-                "--{unsupported} is not supported with a registry-resolved backend \
-                 (use one of the built-in --backend names)"
-            ));
-        }
-    }
+    reject_flags(
+        args,
+        &["checkpoint", "resume", "sample", "fault-plan"],
+        "with a registry-resolved backend (use one of the built-in --backend names)",
+    )?;
     let spec = SolverSpec {
         ranks,
         sync_period: args.num("sync-period", 1usize)?,
     };
     let solver = solver_by_name(name, &spec).map_err(|e| e.to_string())?;
-    let seed: u64 = args.num("seed", 0u64)?;
-    let cfg = RunConfig::from_sbp(SbpConfig {
-        seed,
-        ..SbpConfig::default()
-    });
+    let cfg = RunConfig::from_sbp(sbp_config(args)?);
     let run = run_solver(solver.as_ref(), graph, &cfg, &mut NoProgress);
-    if let Some(reason) = run.degraded {
-        eprintln!("degraded ({reason}): writing the best partition found before the failure");
-    }
-    eprintln!(
-        "backend: {}  blocks: {}  DL: {:.2}  DL_norm: {:.4}  wall: {:.2}s",
-        run.backend,
-        run.num_blocks,
-        run.description_length,
-        run.dl_norm(graph),
-        run.wall_seconds
-    );
-    write_assignment(args.get("out"), &run.assignment)?;
-    Ok(degraded_exit_code(args, run.degraded.is_some()))
+    report_run(args, source, &run, None)
 }
 
 fn cmd_sample(args: &Args) -> Result<u8, String> {
@@ -1464,7 +1394,7 @@ mod tests {
     fn unknown_backend_is_an_error() {
         assert!(parse_backend("quantum", 2).is_err());
         assert!(parse_backend("edist", 2).is_ok());
-        assert!(parse_backend("sbp", 1).is_ok(), "deprecated alias accepted");
+        assert!(parse_backend("sbp", 1).is_ok(), "registry alias accepted");
         assert!(parse_strategy("telepathy").is_err());
     }
 
@@ -1498,17 +1428,6 @@ mod tests {
             "2",
             "--progress",
             "true",
-            "--out",
-            apath.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // The deprecated --algo alias keeps working.
-        run(&argv(&[
-            "partition",
-            "--graph",
-            gpath.to_str().unwrap(),
-            "--algo",
-            "sbp",
             "--out",
             apath.to_str().unwrap(),
         ]))
@@ -1635,6 +1554,41 @@ mod tests {
             let _ = std::fs::remove_file(p);
         }
         let _ = std::fs::remove_dir_all(&sdir);
+    }
+
+    /// Asserts `partition --cluster MODE` rejects each flag by name,
+    /// before touching the graph or the network.
+    fn assert_tcp_rejects(flags: &[(&str, &str)]) {
+        for mode in ["tcp", "tcp-local"] {
+            for &(flag, value) in flags {
+                let err = run(&argv(&[
+                    "partition",
+                    "--graph",
+                    "/no/such/graph.mtx",
+                    "--cluster",
+                    mode,
+                    &format!("--{flag}"),
+                    value,
+                ]))
+                .expect_err("an unsupported flag must not be silently ignored");
+                assert!(err.contains(&format!("--{flag}")), "{mode}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn tcp_rejects_checkpoint_and_resume() {
+        assert_tcp_rejects(&[("checkpoint", "s.sbpc"), ("resume", "s.sbpc")]);
+    }
+
+    #[test]
+    fn tcp_rejects_metrics_out_and_progress() {
+        assert_tcp_rejects(&[("metrics-out", "run.jsonl"), ("progress", "true")]);
+    }
+
+    #[test]
+    fn tcp_rejects_sample() {
+        assert_tcp_rejects(&[("sample", "0.5")]);
     }
 
     #[cfg(unix)]

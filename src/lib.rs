@@ -109,27 +109,6 @@
 //! the move exchange delta+varint-compressed ([`graph::varint`],
 //! accounted in [`ClusterReport`](mpi::ClusterReport)).
 //!
-//! ## Migrating from the 0.1 free functions
-//!
-//! The four historical entrypoints remain as deprecated shims for one
-//! release; they are thin wrappers over the same [`Solver`](core::Solver)
-//! backends the builder uses:
-//!
-//! | Deprecated call | Replacement |
-//! |---|---|
-//! | `sbp(&g, &cfg)` | `Partitioner::on(&g).config(cfg).run()?` |
-//! | `sbp_from(&g, a, c, &cfg)` | `sbp_core::solve_sbp(&g, Some((a, c)), &RunConfig::from_sbp(cfg), &mut NoProgress)` |
-//! | `run_dcsbp_cluster(&g, n, cost, &cfg)` | `Partitioner::on(&g).backend(Backend::DcSbp { ranks: n }).cost_model(cost).config(cfg.sbp).run()?` |
-//! | `run_edist_cluster(&g, n, cost, &cfg)` | `Partitioner::on(&g).backend(Backend::Edist { ranks: n }).cost_model(cost).config(cfg.sbp).run()?` |
-//! | `sample_partition_extend(&g, &cfg)` | `Partitioner::on(&g).sample(cfg.strategy, cfg.fraction).config(cfg.sbp).run()?` |
-//!
-//! The unified [`Run`] result replaces the four former result
-//! structs (`SbpResult`, `DcsbpResult`, `EdistResult`,
-//! `SamplePipelineResult`): `assignment`, `num_blocks`,
-//! `description_length`, and the trajectory are always present;
-//! `cluster` / `sampled_vertices` are `Some` when the backend provides
-//! them.
-//!
 //! ## Crate map
 //!
 //! | Re-export | Crate | Contents |
@@ -144,9 +123,9 @@
 //! | [`sample`] | `sbp-sample` | sampling strategies + the `Sampled` solver decorator |
 //! | [`serve`] | `sbp-serve` | resident partition daemon: binary wire protocol, edge-delta ingest, warm (incremental) re-partitioning |
 //!
-//! See `DESIGN.md` for the system inventory and the substitutions made to
-//! run the paper's cluster-scale evaluation on a single machine, and
-//! `EXPERIMENTS.md` for paper-vs-measured results of every table/figure.
+//! See `README.md` for the system inventory, the substitutions made to
+//! run the paper's cluster-scale evaluation on a single machine, and how
+//! to regenerate every table/figure.
 
 pub mod api;
 
@@ -167,40 +146,28 @@ pub mod prelude {
     pub use crate::api::{
         default_registry, run_solver, solver_by_name, Backend, PartitionError, Partitioner, Run,
     };
-    #[allow(deprecated)]
-    pub use sbp_core::{sbp, sbp_from};
     pub use sbp_core::{
         solve_sbp, Blockmodel, CancelToken, CheckpointError, CheckpointSpec, CheckpointState,
         DegradedReason, GoldenBracket, HybridConfig, IterationStat, McmcStrategy, NoProgress,
         ProgressEvent, ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, SbpResult,
         Solver, SolverRegistry, SolverSpec, WarmStart,
     };
-    pub use sbp_graph::shard::{shard_graph, ShardPlan, ShardReader, ShardWriter};
-    pub use sbp_serve::{Client, Listen, Request, Response, ServeError, Server, ServerOptions};
-    // The raw `dcsbp`/`edist` phase functions are available as
-    // `edist::dist::{dcsbp, edist}`; re-exporting them here would make the
-    // names collide with the crate itself under glob imports.
     pub use sbp_dist::{
-        load_dist_graph, run_sharded, DcSbp, DcsbpConfig, DcsbpResult, DistError, DistGraph, Edist,
-        EdistConfig, EdistResult, Engine, Fault, FaultComm, FaultPlan, OwnershipStrategy,
-        ShardIngestReport, ShardedBackend,
+        load_dist_graph, run_sharded, DcSbp, DistError, DistGraph, Edist, Fault, FaultComm,
+        FaultPlan, OwnershipStrategy, ShardIngestReport, ShardedBackend,
     };
-    #[allow(deprecated)]
-    pub use sbp_dist::{run_dcsbp_cluster, run_edist_cluster};
     pub use sbp_eval::{adjusted_rand_index, nmi, normalized_dl};
     pub use sbp_gen::{
         generate, graph_challenge, param_study, realworld, scaling_graph, Difficulty,
         ParamStudySpec, PlantedGraph, RealWorldStandIn, SbmParams, ScalingGraph,
     };
+    pub use sbp_graph::shard::{shard_graph, ShardPlan, ShardReader, ShardWriter};
     pub use sbp_graph::{
         induced_subgraph, island_fraction_round_robin, round_robin_parts, Graph, GraphBuilder,
     };
     pub use sbp_mpi::{ClusterReport, Communicator, CostModel, SelfComm, ThreadCluster};
-    #[allow(deprecated)]
-    pub use sbp_sample::sample_partition_extend;
-    pub use sbp_sample::{
-        extend_partition, sample_vertices, SamplePipelineConfig, Sampled, SamplingStrategy,
-    };
+    pub use sbp_sample::{extend_partition, sample_vertices, Sampled, SamplingStrategy};
+    pub use sbp_serve::{Client, Listen, Request, Response, ServeError, Server, ServerOptions};
 }
 
 #[cfg(test)]

@@ -286,10 +286,9 @@ fn sampling_composes_with_distributed_backends() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn unspecified_backend_follows_the_configured_strategy() {
-    // The migration table promises `.config(cfg).run()` ≡ `sbp(&g, &cfg)`
-    // for EVERY strategy, not just the MH default: without an explicit
+    // `.config(cfg).run()` ≡ the engine called directly with `cfg`, for
+    // EVERY strategy, not just the MH default: without an explicit
     // `.backend(…)`, the builder must pick the single-node backend
     // matching `cfg.strategy`.
     let g = two_cliques(8);
@@ -306,11 +305,11 @@ fn unspecified_backend_follows_the_configured_strategy() {
             seed: 6,
             ..SbpConfig::default()
         };
-        let legacy = sbp(&g, &cfg);
+        let direct = solve_sbp(&g, None, &RunConfig::from_sbp(cfg.clone()), &mut NoProgress);
         let new = Partitioner::on(&g).config(cfg).run().unwrap();
-        assert_eq!(legacy.assignment, new.assignment, "{strategy:?}");
+        assert_eq!(direct.assignment, new.assignment, "{strategy:?}");
         assert_eq!(
-            legacy.description_length.to_bits(),
+            direct.description_length.to_bits(),
             new.description_length.to_bits(),
             "{strategy:?}"
         );
@@ -345,59 +344,4 @@ fn sampled_run_emits_exactly_one_terminal_event_pair() {
     assert_eq!(events.iter().filter(|e| *e == "finished").count(), 1);
     assert_eq!(events.first().map(String::as_str), Some("started"));
     assert_eq!(events.last().map(String::as_str), Some("finished"));
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_entrypoints_match_the_builder() {
-    let g = two_cliques(8);
-    let cfg = SbpConfig {
-        seed: 4,
-        ..SbpConfig::default()
-    };
-
-    let legacy_seq = sbp(&g, &cfg);
-    let new_seq = Partitioner::on(&g).config(cfg.clone()).run().unwrap();
-    assert_eq!(legacy_seq.assignment, new_seq.assignment);
-    assert_eq!(
-        legacy_seq.description_length.to_bits(),
-        new_seq.description_length.to_bits()
-    );
-
-    let graph = std::sync::Arc::new(g.clone());
-    let (legacy_ed, report) = run_edist_cluster(
-        &graph,
-        2,
-        CostModel::hdr100(),
-        &EdistConfig {
-            sbp: cfg.clone(),
-            ..EdistConfig::default()
-        },
-    );
-    let new_ed = Partitioner::on(&g)
-        .backend(Backend::Edist { ranks: 2 })
-        .config(cfg.clone())
-        .run()
-        .unwrap();
-    assert_eq!(legacy_ed.assignment, new_ed.assignment);
-    assert_eq!(report.ranks, new_ed.cluster.unwrap().ranks);
-
-    let legacy_sampled = sample_partition_extend(
-        &g,
-        &SamplePipelineConfig {
-            fraction: 0.75,
-            sbp: cfg.clone(),
-            ..SamplePipelineConfig::default()
-        },
-    );
-    let new_sampled = Partitioner::on(&g)
-        .sample(SamplingStrategy::ExpansionSnowball, 0.75)
-        .config(cfg)
-        .run()
-        .unwrap();
-    assert_eq!(legacy_sampled.assignment, new_sampled.assignment);
-    assert_eq!(
-        Some(legacy_sampled.sampled_vertices),
-        new_sampled.sampled_vertices
-    );
 }

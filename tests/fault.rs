@@ -233,19 +233,38 @@ fn sharded_run_degrades_on_rank_death() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ------------------------------------------------------------- DC-SBP
+
+/// DC-SBP rides the same decorator and the same guarded driver: a rank
+/// killed at either of its sync points (the gather, the broadcast)
+/// degrades the run coordinately instead of panicking the cluster.
+#[test]
+fn dcsbp_run_degrades_on_rank_death() {
+    let g = two_cliques(6);
+    for at_sync in [0u64, 1] {
+        let run = Partitioner::on(&g)
+            .backend(Backend::DcSbp { ranks: 2 })
+            .config(cfg())
+            .fault_plan(kill(0, at_sync))
+            .run()
+            .expect("a fault-injected run degrades; it must not error out");
+        assert_eq!(
+            run.degraded,
+            Some(DegradedReason::RankFailure),
+            "kill 0@{at_sync}"
+        );
+    }
+}
+
 // ------------------------------------------------------- plan routing
 
-/// Fault plans only make sense where there is a simulated cluster to
-/// hurt: single-node backends and DC-SBP reject them up front instead
-/// of silently ignoring the plan.
+/// Fault plans only make sense where there is a cluster to hurt:
+/// single-node backends reject them up front instead of silently
+/// ignoring the plan.
 #[test]
 fn fault_plans_are_rejected_off_the_edist_backends() {
     let g = two_cliques(6);
-    for backend in [
-        Backend::Sequential,
-        Backend::Batch,
-        Backend::DcSbp { ranks: 2 },
-    ] {
+    for backend in [Backend::Sequential, Backend::Batch] {
         let err = Partitioner::on(&g)
             .backend(backend)
             .config(cfg())

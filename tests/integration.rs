@@ -3,9 +3,7 @@
 //! test-suite-friendly sizes — all driven through the unified
 //! `Partitioner` facade.
 
-use edist::dist::edist as edist_fn;
 use edist::prelude::*;
-use std::sync::Arc;
 
 fn dense_graph(seed: u64) -> PlantedGraph {
     param_study(
@@ -113,20 +111,6 @@ fn dcsbp_degrades_on_sparse_graph_while_edist_does_not() {
         ed_nmi > dc_nmi + 0.1 && ed_nmi > 0.2,
         "expected EDiSt ({ed_nmi}) to clearly beat DC-SBP ({dc_nmi}) on a sparse graph at 8 ranks"
     );
-}
-
-#[test]
-fn all_edist_ranks_return_identical_results() {
-    let planted = dense_graph(5);
-    let graph = Arc::new(planted.graph.clone());
-    let out = ThreadCluster::run(5, CostModel::hdr100(), |comm| {
-        edist_fn(comm, &graph, &EdistConfig::default())
-    });
-    let first = &out.ranks[0].result;
-    for r in &out.ranks {
-        assert_eq!(r.result.assignment, first.assignment);
-        assert_eq!(r.result.num_blocks, first.num_blocks);
-    }
 }
 
 #[test]

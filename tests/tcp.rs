@@ -8,7 +8,7 @@
 //!
 //! * **Transport equivalence matrix** — ranks {1, 2, 4} × MCMC
 //!   {Metropolis-Hastings, Batch} × {monolithic `--graph`, mmap'd
-//!   `--sharded`}: the assignment file AND the exact trajectory file
+//!   `--sharded`} (× DC-SBP at 2 ranks): the assignment file AND the exact trajectory file
 //!   (per-iteration block counts, DL as raw `f64` bits, sweeps, moves)
 //!   written by *every* TCP rank must equal the thread simulator's
 //!   byte for byte.
@@ -244,73 +244,85 @@ fn tcp_cluster_is_bit_identical_to_thread_simulator() {
     let graph = fixture(&dir, "120", "easy");
     for ranks in [1usize, 2, 4] {
         let shards = shard_fixture(&dir, &graph, ranks);
+        // DC-SBP runs the same rank body; one rank count covers its
+        // column (its per-rank solves are plain single-node SBP).
+        let backends: &[&str] = if ranks == 2 {
+            &["edist", "dcsbp"]
+        } else {
+            &["edist"]
+        };
         for mcmc in ["mh", "batch"] {
-            // Thread-simulator references, monolithic and sharded.
-            let ref_mono = dir.join(format!("thread_mono_{ranks}_{mcmc}.txt"));
-            let ref_mono_traj = dir.join(format!("thread_mono_{ranks}_{mcmc}.traj"));
-            cli_ok(&[
-                "partition",
-                "--graph",
-                graph.to_str().unwrap(),
-                "--backend",
-                "edist",
-                "--ranks",
-                &ranks.to_string(),
-                "--seed",
-                "5",
-                "--mcmc",
-                mcmc,
-                "--out",
-                ref_mono.to_str().unwrap(),
-                "--trajectory-out",
-                ref_mono_traj.to_str().unwrap(),
-            ]);
-            let ref_shard = dir.join(format!("thread_shard_{ranks}_{mcmc}.txt"));
-            let ref_shard_traj = dir.join(format!("thread_shard_{ranks}_{mcmc}.traj"));
-            cli_ok(&[
-                "partition",
-                "--sharded",
-                shards.to_str().unwrap(),
-                "--ranks",
-                &ranks.to_string(),
-                "--seed",
-                "5",
-                "--mcmc",
-                mcmc,
-                "--out",
-                ref_shard.to_str().unwrap(),
-                "--trajectory-out",
-                ref_shard_traj.to_str().unwrap(),
-            ]);
+            for &backend in backends {
+                let cell = format!("{backend}_{ranks}_{mcmc}");
+                // Thread-simulator references, monolithic and sharded.
+                let ref_mono = dir.join(format!("thread_mono_{cell}.txt"));
+                let ref_mono_traj = dir.join(format!("thread_mono_{cell}.traj"));
+                cli_ok(&[
+                    "partition",
+                    "--graph",
+                    graph.to_str().unwrap(),
+                    "--backend",
+                    backend,
+                    "--ranks",
+                    &ranks.to_string(),
+                    "--seed",
+                    "5",
+                    "--mcmc",
+                    mcmc,
+                    "--out",
+                    ref_mono.to_str().unwrap(),
+                    "--trajectory-out",
+                    ref_mono_traj.to_str().unwrap(),
+                ]);
+                let ref_shard = dir.join(format!("thread_shard_{cell}.txt"));
+                let ref_shard_traj = dir.join(format!("thread_shard_{cell}.traj"));
+                cli_ok(&[
+                    "partition",
+                    "--sharded",
+                    shards.to_str().unwrap(),
+                    "--backend",
+                    backend,
+                    "--ranks",
+                    &ranks.to_string(),
+                    "--seed",
+                    "5",
+                    "--mcmc",
+                    mcmc,
+                    "--out",
+                    ref_shard.to_str().unwrap(),
+                    "--trajectory-out",
+                    ref_shard_traj.to_str().unwrap(),
+                ]);
 
-            // Real processes, monolithic source.
-            let tag = format!("tcp_mono_{ranks}_{mcmc}");
-            let mono = run_tcp_cluster(
-                &dir,
-                &tag,
-                ranks,
-                mcmc,
-                &["--graph", graph.to_str().unwrap()],
-            );
-            for (rank, (assignment, trajectory)) in mono.iter().enumerate() {
-                let ctx = format!("{tag} rank {rank} vs thread");
-                assert_same_file(&ref_mono, assignment, &ctx);
-                assert_same_file(&ref_mono_traj, trajectory, &ctx);
-            }
+                // Real processes, monolithic source.
+                let tag = format!("tcp_mono_{cell}");
+                let mono = run_tcp_cluster(
+                    &dir,
+                    &tag,
+                    ranks,
+                    mcmc,
+                    &["--graph", graph.to_str().unwrap(), "--backend", backend],
+                );
+                for (rank, (assignment, trajectory)) in mono.iter().enumerate() {
+                    let ctx = format!("{tag} rank {rank} vs thread");
+                    assert_same_file(&ref_mono, assignment, &ctx);
+                    assert_same_file(&ref_mono_traj, trajectory, &ctx);
+                }
 
-            // Real processes, each ingesting only its own mmap'd shard.
-            let tag = format!("tcp_shard_{ranks}_{mcmc}");
-            let shard = run_tcp_cluster(
-                &dir,
-                &tag,
-                ranks,
-                mcmc,
-                &["--sharded", shards.to_str().unwrap()],
-            );
-            for (rank, (assignment, trajectory)) in shard.iter().enumerate() {
-                let ctx = format!("{tag} rank {rank} vs thread");
-                assert_same_file(&ref_shard, assignment, &ctx);
-                assert_same_file(&ref_shard_traj, trajectory, &ctx);
+                // Real processes, each ingesting only its own mmap'd shard.
+                let tag = format!("tcp_shard_{cell}");
+                let shard = run_tcp_cluster(
+                    &dir,
+                    &tag,
+                    ranks,
+                    mcmc,
+                    &["--sharded", shards.to_str().unwrap(), "--backend", backend],
+                );
+                for (rank, (assignment, trajectory)) in shard.iter().enumerate() {
+                    let ctx = format!("{tag} rank {rank} vs thread");
+                    assert_same_file(&ref_shard, assignment, &ctx);
+                    assert_same_file(&ref_shard_traj, trajectory, &ctx);
+                }
             }
         }
     }
@@ -615,6 +627,51 @@ fn killed_rank_degrades_survivors_within_bounded_time() {
         "no kill delay landed mid-run: survivors either always finished \
          cleanly or always failed the handshake"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The DC-SBP row of the kill drill. DC-SBP has two sync points (the
+/// gather, the broadcast) and nothing to SIGKILL into between them, so
+/// the death is injected deterministically: over a *replicated* graph a
+/// killed rank must degrade the whole `tcp-local` cluster — exit 3 under
+/// `--fail-on-degraded`, best-so-far partition written — not panic it.
+#[test]
+fn killed_rank_degrades_dcsbp_over_a_replicated_graph() {
+    let dir = temp("kill_dcsbp");
+    let graph = fixture(&dir, "120", "easy");
+    let out = dir.join("out.txt");
+    let result = Command::new(exe())
+        .args([
+            "partition",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--cluster",
+            "tcp-local",
+            "--backend",
+            "dcsbp",
+            "--ranks",
+            "2",
+            "--seed",
+            "5",
+            "--tcp-timeout",
+            "10",
+            "--fault-plan",
+            "seed:7,kill:1@0",
+            "--fail-on-degraded",
+            "true",
+            "--out",
+            out.to_str().unwrap(),
+        ])
+        .output()
+        .expect("failed to run edist-cli");
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(3), "expected exit 3:\n{stderr}");
+    assert!(
+        stderr.contains("degraded (rank failure)"),
+        "rank 0 should report the rank failure:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "a rank panicked:\n{stderr}");
+    assert!(out.exists(), "best-so-far partition was not written");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
