@@ -8,7 +8,7 @@
 //! * sorted-balanced vs modulo ownership (load balance proxy);
 //! * simulated-cluster collective throughput;
 //! * blockmodel construction and incremental moves;
-//! * SIMD vs scalar kernel A/B and the entropy chunk-size study (PR 10);
+//! * SIMD vs scalar entropy A/B and the entropy chunk-size study (PR 10);
 //! * synthetic graph generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -61,13 +61,16 @@ fn bench_delta(c: &mut Criterion) {
     // late-inference endgame, where the adaptive layer selects the flat
     // dense matrix), many (C = V/4), and huge (identity partition, C = V,
     // where Auto's occupancy rule keeps the sparse representation).
-    // `adaptive_*` is the production path (Auto storage + DeltaScratch),
-    // `sparse_*` forces the sparse representation — canonical sorted
-    // lines since PR 4; the same ids were `hashmap_*` in BENCH_pr1.json,
-    // which the bench-regression guard maps — through the same scratch
-    // kernel, and `dense_naive_*` is the python-reference O(C) rescan
-    // baseline. Table VI shows the same crossover at the whole-algorithm
-    // level.
+    // Every id times the whole per-proposal evaluation — gather the
+    // vertex's neighbour blocks, then ΔS and the Hastings correction in
+    // one pass; the `delta_entropy/` prefix of the forced-sparse ids is
+    // kept for continuity with the records since BENCH_pr1.json.
+    // `proposal_eval/adaptive_*` is the production path (Auto storage),
+    // `delta_entropy/sparse_*` forces the sparse representation —
+    // canonical sorted lines since PR 4; the same ids were `hashmap_*` in
+    // BENCH_pr1.json, which the bench-regression guard maps — and
+    // `dense_naive_*` is the python-reference O(C) ΔS rescan baseline.
+    // Table VI shows the same crossover at the whole-algorithm level.
     let (graph, truth_assignment, truth_nb) = bench_graph();
     let n = graph.num_vertices();
     let many_nb = (n / 4).max(4);
@@ -83,13 +86,14 @@ fn bench_delta(c: &mut Criterion) {
             let mut acc = 0.0;
             for v in (0..n as u32).step_by(37) {
                 let to = (bm.block_of(v) + 1) % nb as u32;
-                scratch.vertex_move_delta(&graph, bm, v, to);
-                acc += scratch.delta_entropy(bm);
+                scratch.gather_vertex(&graph, bm, v);
+                let (ds, hastings) = scratch.evaluate_move(&graph, bm, v, to);
+                acc += ds + hastings;
             }
             acc
         };
         let auto = Blockmodel::from_assignment(&graph, assignment.clone(), nb);
-        group.bench_function(format!("delta_entropy/adaptive_{label}"), |b| {
+        group.bench_function(format!("proposal_eval/adaptive_{label}"), |b| {
             let mut scratch = DeltaScratch::new();
             b.iter(|| black_box(eval_pairs(&auto, &mut scratch)))
         });
@@ -98,21 +102,6 @@ fn bench_delta(c: &mut Criterion) {
         group.bench_function(format!("delta_entropy/sparse_{label}"), |b| {
             let mut scratch = DeltaScratch::new();
             b.iter(|| black_box(eval_pairs(&sparse, &mut scratch)))
-        });
-        // Full proposal evaluation (delta + ΔS + Hastings correction) on
-        // the production path — the exact per-proposal MCMC kernel.
-        group.bench_function(format!("proposal_eval/adaptive_{label}"), |b| {
-            let mut scratch = DeltaScratch::new();
-            b.iter(|| {
-                let mut acc = 0.0;
-                for v in (0..n as u32).step_by(37) {
-                    let to = (auto.block_of(v) + 1) % nb as u32;
-                    scratch.vertex_move_delta(&graph, &auto, v, to);
-                    acc += scratch.delta_entropy(&auto);
-                    acc += scratch.hastings_correction(&graph, &auto, v);
-                }
-                black_box(acc)
-            })
         });
         let dense = DenseBlockmodel::from_assignment(&graph, assignment, nb);
         group.bench_function(format!("delta_entropy/dense_naive_{label}"), |b| {
@@ -174,12 +163,19 @@ fn bench_propose(c: &mut Criterion) {
     let (graph, assignment, nb) = bench_graph();
     let bm = Blockmodel::from_assignment(&graph, assignment, nb);
     let mut group = quick(c);
+    // Self-loop weights come from the sweep's gather in production;
+    // precomputed here so the id keeps timing the sampling alone.
+    let mut scratch = DeltaScratch::new();
+    let sampled: Vec<(u32, i64)> = (0..graph.num_vertices() as u32)
+        .step_by(11)
+        .map(|v| (v, scratch.gather_vertex(&graph, &bm, v)))
+        .collect();
     group.bench_function("propose/vertex", |b| {
         let mut rng = SmallRng::seed_from_u64(3);
         b.iter(|| {
             let mut acc = 0u32;
-            for v in (0..graph.num_vertices() as u32).step_by(11) {
-                acc ^= propose_for_vertex(&mut rng, &graph, &bm, v).unwrap_or(0);
+            for &(v, self_w) in &sampled {
+                acc ^= propose_for_vertex(&mut rng, &graph, &bm, v, self_w).unwrap_or(0);
             }
             black_box(acc)
         })
@@ -309,12 +305,12 @@ fn bench_blockmodel(c: &mut Criterion) {
     group.finish();
 }
 
-/// SIMD vs scalar A/B on the dense-storage kernels PR 10 vectorized,
-/// plus the entropy chunk-size study. The `simd_*`-suffixed ids run the
-/// runtime-dispatched path (which falls back to scalar on non-AVX2
-/// hosts, turning each pair into a self-comparison); the `scalar_*`
-/// ids force the scalar source of truth. Results are bit-identical by
-/// the determinism contract — only wall time may differ.
+/// SIMD vs scalar A/B on the dense entropy sum, plus the entropy
+/// chunk-size study. The `simd`-suffixed id runs the runtime-dispatched
+/// path (which falls back to scalar on non-AVX2 hosts, turning the pair
+/// into a self-comparison); the `scalar` id forces the scalar source of
+/// truth. Results are bit-identical by the determinism contract — only
+/// wall time may differ.
 fn bench_simd(c: &mut Criterion) {
     let (graph, _, _) = bench_graph();
     let n = graph.num_vertices();
@@ -325,30 +321,6 @@ fn bench_simd(c: &mut Criterion) {
     let assignment: Vec<u32> = (0..n as u32).map(|v| v % nb as u32).collect();
     let bm = Blockmodel::from_assignment_with(&graph, assignment, nb, StorageKind::Dense);
     let mut group = quick(c);
-    group.bench_function("simd/delta_dense_simd", |b| {
-        let mut scratch = DeltaScratch::new();
-        b.iter(|| {
-            let mut acc = 0.0;
-            for v in (0..n as u32).step_by(37) {
-                let to = (bm.block_of(v) + 1) % nb as u32;
-                scratch.vertex_move_delta(&graph, &bm, v, to);
-                acc += scratch.delta_entropy(&bm);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("simd/delta_dense_scalar", |b| {
-        let mut scratch = DeltaScratch::new();
-        b.iter(|| {
-            let mut acc = 0.0;
-            for v in (0..n as u32).step_by(37) {
-                let to = (bm.block_of(v) + 1) % nb as u32;
-                scratch.vertex_move_delta(&graph, &bm, v, to);
-                acc += scratch.delta_entropy_scalar(&bm);
-            }
-            black_box(acc)
-        })
-    });
     group.bench_function("simd/entropy_dense_simd", |b| {
         b.iter(|| black_box(bm.entropy()))
     });

@@ -433,6 +433,36 @@ impl Iterator for LineIter<'_> {
     }
 }
 
+/// Lock-step walk of four sorted sparse lines against the ascending
+/// `blocks`: `out[j][l]` becomes line `l`'s weight at `blocks[j]` (zero
+/// where the line has no such cell). The four cursors advance side by
+/// side so their cache misses overlap.
+fn join_lines(mut lines: [&[(u32, Weight)]; 4], blocks: &[u32], out: &mut [[Weight; 4]]) {
+    const STEP: usize = 8;
+    for (&t, cells) in blocks.iter().zip(out) {
+        for (line, cell) in lines.iter_mut().zip(cells) {
+            // The gap to the next neighbour block is usually a cell or
+            // two: step over those, gallop over the occasional long
+            // stretch of a long line.
+            let mut skip = line.iter().take(STEP).take_while(|e| e.0 < t).count();
+            if skip == STEP {
+                let rest = &line[STEP..];
+                let mut hi = 1;
+                while hi <= rest.len() && rest[hi - 1].0 < t {
+                    hi *= 2;
+                }
+                let lo = hi / 2;
+                skip += lo + rest[lo..hi.min(rest.len())].partition_point(|e| e.0 < t);
+            }
+            *line = &line[skip..];
+            *cell = match line.first() {
+                Some(&(key, w)) if key == t => w,
+                _ => 0,
+            };
+        }
+    }
+}
+
 #[inline]
 fn ln_or_zero(w: Weight) -> f64 {
     crate::lntab::ln_int(w)
@@ -580,6 +610,31 @@ impl Blockmodel {
         self.storage.col_iter(c)
     }
 
+    /// The cells a move between blocks `r` and `s` shares with the
+    /// ascending `blocks`: `out[j] = [M[r][t], M[s][t], M[t][r], M[t][s]]`
+    /// for `t = blocks[j]`. Dense storage indexes the four contiguous
+    /// lines; sparse storage walks each of the four sorted lines once, in
+    /// lock-step with `blocks`.
+    pub(crate) fn cross_cells(&self, r: u32, s: u32, blocks: &[u32], out: &mut Vec<[Weight; 4]>) {
+        out.clear();
+        let (r, s) = (r as usize, s as usize);
+        match &self.storage {
+            Storage::Dense { c, m, mt } => {
+                let (row_r, row_s) = (&m[r * c..(r + 1) * c], &m[s * c..(s + 1) * c]);
+                let (col_r, col_s) = (&mt[r * c..(r + 1) * c], &mt[s * c..(s + 1) * c]);
+                out.extend(blocks.iter().map(|&t| {
+                    let t = t as usize;
+                    [row_r[t], row_s[t], col_r[t], col_s[t]]
+                }));
+            }
+            Storage::Sparse { rows, cols } => {
+                out.resize(blocks.len(), [0; 4]);
+                let lines = [&rows[r], &rows[s], &cols[r], &cols[s]].map(|l| l.as_slice());
+                join_lines(lines, blocks, out);
+            }
+        }
+    }
+
     /// Row `r` as a contiguous slice (dense storage only) — the ΔS
     /// kernel's fast path.
     #[inline]
@@ -622,18 +677,6 @@ impl Blockmodel {
     #[inline]
     pub fn d_total(&self, b: u32) -> Weight {
         self.d_out[b as usize] + self.d_in[b as usize]
-    }
-
-    /// The full out-degree vector (SIMD kernels gather from it).
-    #[inline]
-    pub(crate) fn d_out_all(&self) -> &[Weight] {
-        &self.d_out
-    }
-
-    /// The full in-degree vector (SIMD kernels gather from it).
-    #[inline]
-    pub(crate) fn d_in_all(&self) -> &[Weight] {
-        &self.d_in
     }
 
     /// The full `ln(d_out)` cache (per-cell vector for the ΔS passes).
@@ -1042,6 +1085,56 @@ mod tests {
             let b: Vec<_> = sparse.col_iter(r).collect();
             assert_eq!(a, b, "col {r}");
             assert!(a.is_sorted(), "col {r} not canonical");
+        }
+    }
+
+    /// `cross_cells` against `get`, on lines long enough that the sparse
+    /// lock-step walk must gallop across long gaps as well as step over
+    /// short ones: blocks 0 and 1 are hubs whose rows and columns hold a
+    /// cell for most of the 300 blocks.
+    #[test]
+    fn cross_cells_matches_get_on_long_lines() {
+        let n = 300u32;
+        let mut edges = Vec::new();
+        for u in 2..n {
+            edges.push((0, u, 1 + i64::from(u % 3)));
+            edges.push((u, 0, 1));
+            if u % 2 == 0 {
+                edges.push((1, u, 2));
+            }
+            if u % 3 == 0 {
+                edges.push((u, 1, 1));
+            }
+        }
+        edges.push((0, 1, 4));
+        edges.push((1, 1, 2));
+        let g = Graph::from_edges(n as usize, edges);
+        let labels: Vec<u32> = (0..n).collect();
+        let dense = Blockmodel::from_assignment_with(&g, labels.clone(), 300, StorageKind::Dense);
+        let sparse = Blockmodel::from_assignment_with(&g, labels, 300, StorageKind::Sparse);
+        let block_lists: [Vec<u32>; 6] = [
+            vec![],
+            vec![0, 1],
+            vec![5],
+            vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 200, 299],
+            vec![150, 298],
+            (0..n).collect(),
+        ];
+        let (mut from_dense, mut from_sparse) = (Vec::new(), Vec::new());
+        for blocks in &block_lists {
+            dense.cross_cells(0, 1, blocks, &mut from_dense);
+            sparse.cross_cells(0, 1, blocks, &mut from_sparse);
+            assert_eq!(from_dense, from_sparse, "blocks {blocks:?}");
+            assert_eq!(from_dense.len(), blocks.len());
+            for (&t, cells) in blocks.iter().zip(&from_dense) {
+                let want = [
+                    dense.get(0, t),
+                    dense.get(1, t),
+                    dense.get(t, 0),
+                    dense.get(t, 1),
+                ];
+                assert_eq!(*cells, want, "block {t} of {blocks:?}");
+            }
         }
     }
 

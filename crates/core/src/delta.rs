@@ -1,45 +1,92 @@
-//! Sparse change-in-entropy computation (paper §III-A optimization c) with
-//! a **zero-allocation hot path**.
+//! Change-in-entropy and Metropolis–Hastings evaluation of proposals
+//! (paper §III-A optimization c) with a **zero-allocation hot path**.
 //!
-//! Moving a vertex (or merging a block) only changes matrix cells lying in
-//! rows `{from, to}` and columns `{from, to}` of the blockmodel, plus the
-//! four block degrees. `ΔS` is therefore computed by re-evaluating the
-//! entropy terms of exactly those lines under a *cell delta*, never
-//! touching the rest of the matrix. Equality with a full recompute is
-//! enforced by property tests.
+//! Two kernels live here, with different cost models on purpose.
 //!
-//! The MCMC inner loop evaluates one delta per proposal — millions per
-//! inference run — so this module is built around [`DeltaScratch`], a
-//! reusable per-thread buffer set. A proposal evaluation performs **no
-//! heap allocation**, and the delta is kept in the representation that
-//! matches the blockmodel's storage:
+//! ## Vertex moves: O(deg) — [`DeltaScratch::gather_vertex`] +
+//! [`DeltaScratch::evaluate_move`]
 //!
-//! * **dense storage** → four per-line delta arrays indexed directly by
-//!   block id (written O(deg(v)), reset O(deg(v)) via a touched list).
-//!   The ΔS kernel walks the four contiguous matrix lines and reads the
-//!   matching delta slot — no searches, no hashing;
-//! * **sparse storage** → a sorted small vector of `(cell, delta)`
-//!   entries; the kernel snapshots the nonzero cells of the four affected
-//!   lines into a reusable buffer and merges the delta by binary search.
-//!   Because line iteration is canonical (ascending block id — see
-//!   [`crate::line`]), the snapshot order, and therefore the f64
-//!   summation order of every ΔS, is a pure function of the logical
-//!   blockmodel state: two replicas holding the same integers produce
-//!   bit-identical ΔS values regardless of how their storage was built.
+//! The MCMC inner loop evaluates one proposal per vertex per sweep —
+//! millions per run. Moving `v` from block `r` to `s` changes at most
+//! `4k + 4` matrix cells, `k` being the number of distinct blocks among
+//! `v`'s neighbours: `(r,t) (s,t) (t,r) (t,s)` for every neighbour block
+//! `t`, and the four `{r,s}²` corners. Because row sums are block degrees,
+//! the entropy factors exactly:
 //!
-//! The free functions ([`vertex_move_delta`], [`delta_entropy`], …) remain
-//! as allocating wrappers for tests and benchmarks; they use the sorted
-//! representation regardless of storage and borrow the thread-local
-//! scratch for intermediate buffers.
+//! ```text
+//! S = −Σ M ln M + Σ_b d_out_b ln d_out_b + Σ_b d_in_b ln d_in_b
+//! ```
+//!
+//! so with `f(x) = x ln x`
+//!
+//! ```text
+//! ΔS = Σ_changed [f(M) − f(M+δ)]
+//!    + Σ_{b∈{r,s}} [f(d'_out) − f(d_out) + f(d'_in) − f(d_in)]
+//! ```
+//!
+//! and nothing outside the changed cells is read. One evaluation is:
+//!
+//! 1. **gather** — one pass over `v`'s adjacency accumulates
+//!    `w_out[t]`/`w_in[t]` per neighbour block in a block-indexed
+//!    accumulator with a touched list, which is then sorted so everything
+//!    downstream runs ascending in `t`; the self-loop weight falls out of
+//!    the same pass (the proposal draw reuses it): O(deg + k log k);
+//! 2. **one `t` loop** — fetches `M[r][t] M[s][t] M[t][r] M[t][s]` once
+//!    each (`Blockmodel::cross_cells`) and feeds both the ΔS terms and
+//!    the Hastings forward/backward sums from the same four values: O(k).
+//!    Dense storage indexes the four contiguous lines; sparse storage
+//!    walks the four sorted lines side by side in lock-step with the
+//!    sorted neighbour blocks, stepping over short gaps and galloping
+//!    over long ones.
+//!
+//! | regime | line walk (before PR 13, and still the merge kernel) | now |
+//! |---|---|---|
+//! | sparse storage | two adjacency sorts, six binary searches per neighbour block, and `ln` terms for every cell of all four lines: O(deg·log deg + nnz of four lines) | O(deg + k log k), plus at most a compare per line cell passed |
+//! | dense storage | O(deg) delta build, then four full line scans: O(deg + 4C) | O(deg + k log k) |
+//!
+//! **Exactness.** The factored form is an algebraic identity, not an
+//! approximation. It rounds differently from a line walk (last ulps of
+//! ΔS), and ΔS enters the chain only through
+//! `u < min(1, exp(−β·ΔS)·H)`, so a decision differs from the line-walk
+//! kernel's only when `u` lands inside an interval of relative width
+//! β·|rounding error| — 1e-12 to 1e-10, growing with the block degrees
+//! whose `f(d') − f(d)` cancels. The Hastings sums keep the expression and
+//! ascending-`t` order of [`hastings_for_delta`] op for op, so `H` is
+//! `to_bits`-equal to it.
+//!
+//! **Determinism.** ΔS accumulates in one fixed order — the four corners,
+//! then `t` ascending with a fixed per-`t` term order, then the four
+//! degree terms — and every operand is an integer of the logical state,
+//! so two replicas holding the same integers produce bit-identical ΔS and
+//! `H` whatever their storage representation or move history.
+//!
+//! ## Block merges: line walk — [`DeltaScratch::merge_delta`] +
+//! [`DeltaScratch::delta_entropy`]
+//!
+//! A merge folds a whole row and column, so its delta is O(nnz of block
+//! `from`'s lines) cells kept as a sorted `(cell, delta)` vector
+//! ([`LineDelta`]); ΔS re-evaluates the entropy terms of the four affected
+//! lines under that delta (dense storage: four contiguous scans through
+//! `simd::delta_line_pass`; sparse: a snapshot of the nonzero cells
+//! merged by binary search, in canonical order — see [`crate::line`]).
+//! The merge phase keeps this kernel deliberately: merge candidates are
+//! *ranked* by ΔS, the identity partition is full of mathematically tied
+//! candidates whose order is decided by the last ulps, and a factored
+//! merge ΔS would re-break those ties and change every trajectory.
+//!
+//! The free functions ([`vertex_move_delta`], [`delta_entropy`],
+//! [`hastings_for_delta`]) run vertex moves through the same line-walk
+//! kernel as allocating wrappers. Nothing on the hot path calls them;
+//! they are the independent reference the O(deg) kernel is tested
+//! against.
 //!
 //! Degree logarithms come from the blockmodel's incrementally maintained
 //! cache ([`Blockmodel::ln_d_out`]/[`ln_d_in`](Blockmodel::ln_d_in)) and
-//! integer `ln M_ij` values from [`crate::lntab`], so each affected cell
-//! costs a table lookup instead of three `ln` calls.
+//! integer `ln M_ij` values from [`crate::lntab`].
 
 use crate::blockmodel::Blockmodel;
 use crate::lntab::ln_int;
-use crate::simd::{self, DmSource, LaneFix};
+use crate::simd::{self, LaneFix};
 use sbp_graph::{Graph, Vertex, Weight};
 use std::cell::RefCell;
 
@@ -59,6 +106,13 @@ fn unpack(k: u64) -> (u32, u32) {
 #[inline]
 pub(crate) fn term(m: Weight, ln_deg_sum: f64) -> f64 {
     -(m as f64) * (ln_int(m) - ln_deg_sum)
+}
+
+/// `f(x) = x ln x` with `f(0) = 0` — the factored entropy's only term.
+#[inline]
+fn xlnx(m: Weight) -> f64 {
+    debug_assert!(m >= 0, "count went negative");
+    m as f64 * ln_int(m)
 }
 
 /// A sparse description of how a vertex move or block merge changes the
@@ -126,92 +180,34 @@ impl LineDelta {
     }
 }
 
-/// Which of the four dense delta arrays a touched index belongs to.
-const ROW_FROM: u8 = 0;
-const ROW_TO: u8 = 1;
-const COL_FROM: u8 = 2;
-const COL_TO: u8 = 3;
-
-/// Direct-indexed delta representation for dense-storage blockmodels:
-/// one array per affected line, plus a touched list for O(deg) reset.
-/// Cells in rows `{from, to}` live in the row arrays (indexed by column);
-/// cells in columns `{from, to}` with a row outside `{from, to}` live in
-/// the column arrays (indexed by row) — mirroring the ΔS kernel's pass
-/// structure so nothing is double-counted.
-#[derive(Debug, Default)]
-struct DenseDelta {
-    row_from: Vec<Weight>,
-    row_to: Vec<Weight>,
-    col_from: Vec<Weight>,
-    col_to: Vec<Weight>,
-    touched: Vec<(u8, u32)>,
-}
-
-impl DenseDelta {
-    /// Zeroes previously touched slots and grows the arrays to `c`.
-    fn reset(&mut self, c: usize) {
-        for &(which, idx) in &self.touched {
-            let arr = match which {
-                ROW_FROM => &mut self.row_from,
-                ROW_TO => &mut self.row_to,
-                COL_FROM => &mut self.col_from,
-                _ => &mut self.col_to,
-            };
-            arr[idx as usize] = 0;
-        }
-        self.touched.clear();
-        if self.row_from.len() < c {
-            self.row_from.resize(c, 0);
-            self.row_to.resize(c, 0);
-            self.col_from.resize(c, 0);
-            self.col_to.resize(c, 0);
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, which: u8, idx: u32, w: Weight) {
-        let arr = match which {
-            ROW_FROM => &mut self.row_from,
-            ROW_TO => &mut self.row_to,
-            COL_FROM => &mut self.col_from,
-            _ => &mut self.col_to,
-        };
-        arr[idx as usize] += w;
-        self.touched.push((which, idx));
-    }
-}
-
-/// Which representation the scratch's current delta uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum DeltaRepr {
-    /// Sorted cell vector in `delta.cells`.
-    #[default]
-    Sorted,
-    /// Direct-indexed arrays in `dense` (dense-storage vertex moves).
-    DirectIndexed,
-}
-
-/// Reusable per-proposal buffers: build a delta, evaluate its `ΔS` and its
-/// Metropolis–Hastings correction without heap allocation.
+/// Reusable per-proposal buffers: evaluate a vertex move's `(ΔS, H)` or a
+/// merge's `ΔS` without heap allocation.
 ///
 /// One scratch per thread; [`with_scratch`] hands out the thread-local
-/// instance, which is how the sweep loops and the parallel merge phase
-/// share it.
+/// instance, which is how the sweep loops (frozen-state sweeps evaluate on
+/// pool workers) and the parallel merge phase share it.
 #[derive(Debug, Default)]
 pub struct DeltaScratch {
+    /// Block-indexed `(w_out, w_in)` of the gathered vertex towards each
+    /// block (self-loop excluded); nonzero exactly at `touched`.
+    acc: Vec<(Weight, Weight)>,
+    /// The gathered vertex's neighbour blocks, ascending.
+    touched: Vec<u32>,
+    /// The gathered vertex's self-loop weight.
+    self_w: Weight,
+    /// `[M[r][t], M[s][t], M[t][r], M[t][s]]` per neighbour block `t` of
+    /// the move under evaluation.
+    cross: Vec<[Weight; 4]>,
+    /// The current merge delta.
     delta: LineDelta,
-    dense: DenseDelta,
-    repr: DeltaRepr,
-    /// Unsorted build/sort buffer (merge deltas, Hastings fold).
+    /// Unsorted build/sort buffer of the merge delta.
     raw: Vec<(u64, Weight)>,
     /// Snapshot of the currently-nonzero cells on the affected lines.
     affected: Vec<(u64, Weight)>,
     /// Marks delta cells consumed while walking `affected`.
     used: Vec<bool>,
-    /// Per-column delta entries for the dense-storage column passes.
+    /// Per-line delta entries for the dense-storage line passes.
     colbuf: Vec<(u32, Weight)>,
-    /// Neighbor-block weights for the Hastings correction.
-    wt: Vec<(u32, Weight)>,
 }
 
 thread_local! {
@@ -229,63 +225,148 @@ impl DeltaScratch {
         Self::default()
     }
 
-    /// Builds the delta for moving vertex `v` into block `to`. Self-loops
-    /// are handled once (both endpoints move together). Picks the delta
-    /// representation matching the blockmodel's storage.
-    pub fn vertex_move_delta(&mut self, graph: &Graph, bm: &Blockmodel, v: Vertex, to: u32) {
-        let from = bm.block_of(v);
-        self.delta.from = from;
-        self.delta.to = to;
-        self.delta.dout_shift = graph.out_degree(v);
-        self.delta.din_shift = graph.in_degree(v);
-        if bm.storage_kind() == crate::blockmodel::StorageKind::Dense {
-            self.repr = DeltaRepr::DirectIndexed;
-            self.dense.reset(bm.num_blocks());
-            if from == to {
-                return;
-            }
-            for &(u, w) in graph.out_edges(v) {
-                if u == v {
-                    self.dense.add(ROW_FROM, from, -w);
-                    self.dense.add(ROW_TO, to, w);
-                } else {
-                    let t = bm.block_of(u);
-                    self.dense.add(ROW_FROM, t, -w);
-                    self.dense.add(ROW_TO, t, w);
-                }
-            }
-            for &(u, w) in graph.in_edges(v) {
-                if u == v {
-                    continue;
-                }
-                // Cells (t, from) −w and (t, to) +w, routed to the array
-                // that owns them (rows from/to claim their corner cells).
-                let t = bm.block_of(u);
-                if t == from {
-                    self.dense.add(ROW_FROM, from, -w);
-                    self.dense.add(ROW_FROM, to, w);
-                } else if t == to {
-                    self.dense.add(ROW_TO, from, -w);
-                    self.dense.add(ROW_TO, to, w);
-                } else {
-                    self.dense.add(COL_FROM, t, -w);
-                    self.dense.add(COL_TO, t, w);
-                }
-            }
-        } else {
-            self.repr = DeltaRepr::Sorted;
-            build_vertex_move_cells(graph, bm, v, to, &mut self.delta, &mut self.raw);
+    /// Gathers vertex `v`'s neighbour-block weights for the
+    /// [`evaluate_move`](Self::evaluate_move) calls that follow (against
+    /// the same `bm`), in one pass over its adjacency. Returns `v`'s
+    /// self-loop weight (zero when it has none), which the proposal draw
+    /// needs as well.
+    pub fn gather_vertex(&mut self, graph: &Graph, bm: &Blockmodel, v: Vertex) -> Weight {
+        for &t in &self.touched {
+            self.acc[t as usize] = (0, 0);
         }
+        self.touched.clear();
+        if self.acc.len() < bm.num_blocks() {
+            self.acc.resize(bm.num_blocks(), (0, 0));
+        }
+        self.self_w = 0;
+        let (acc, touched) = (&mut self.acc, &mut self.touched);
+        // Weights are strictly positive, so a zero slot means "first touch".
+        let mut add = |u: Vertex, w_out: Weight, w_in: Weight| {
+            let t = bm.block_of(u);
+            let slot = &mut acc[t as usize];
+            if *slot == (0, 0) {
+                touched.push(t);
+            }
+            slot.0 += w_out;
+            slot.1 += w_in;
+        };
+        for &(u, w) in graph.out_edges(v) {
+            if u == v {
+                self.self_w = w;
+            } else {
+                add(u, w, 0);
+            }
+        }
+        for &(u, w) in graph.in_edges(v) {
+            if u != v {
+                add(u, 0, w);
+            }
+        }
+        self.touched.sort_unstable();
+        self.self_w
+    }
+
+    /// `(ΔS, H)` for moving the vertex `v` of the last
+    /// [`gather_vertex`](Self::gather_vertex) call into block `to`, in
+    /// O(distinct neighbour blocks) — see the module docs for the identity
+    /// and the accumulation order.
+    ///
+    /// `ΔS = S_after − S_before`; negative is an improvement (the
+    /// description length decreases by the same amount since the
+    /// model-complexity term is unaffected by moves at fixed block count).
+    /// `H = p(s→r) / p(r→s)` is the Metropolis–Hastings correction in the
+    /// Graph-Challenge reference formulation,
+    ///
+    /// `p(r→s) ∝ Σ_t w_t · (M[t][s] + M[s][t] + 1) / (d_t + B)`
+    ///
+    /// with `t` ranging over the blocks of `v`'s (non-self) neighbors,
+    /// `w_t` the edge weight between `v` and block `t`, forward evaluated
+    /// on the current matrix and backward on the post-move matrix. A
+    /// vertex without non-self neighbors is proposed uniformly in both
+    /// directions, so its correction is 1.
+    pub fn evaluate_move(
+        &mut self,
+        graph: &Graph,
+        bm: &Blockmodel,
+        v: Vertex,
+        to: u32,
+    ) -> (f64, f64) {
+        let (r, s) = (bm.block_of(v), to);
+        if r == s {
+            return (0.0, 1.0);
+        }
+        debug_assert!(
+            self.acc.len() >= bm.num_blocks(),
+            "gather_vertex against this blockmodel first"
+        );
+        let (wo_r, wi_r) = self.acc[r as usize];
+        let (wo_s, wi_s) = self.acc[s as usize];
+        // The {r,s}² corners: (r,r) (r,s) (s,r) (s,s) and their deltas.
+        let m = [bm.get(r, r), bm.get(r, s), bm.get(s, r), bm.get(s, s)];
+        let d = [
+            -(wo_r + wi_r + self.self_w),
+            wi_r - wo_s,
+            wo_r - wi_s,
+            wo_s + wi_s + self.self_w,
+        ];
+        let mut ds = 0.0f64;
+        for (&m, &d) in m.iter().zip(&d) {
+            ds += xlnx(m) - xlnx(m + d);
+        }
+        let (dout, din) = (graph.out_degree(v), graph.in_degree(v));
+        let shift = dout + din;
+        let b = bm.num_blocks() as f64;
+        bm.cross_cells(r, s, &self.touched, &mut self.cross);
+        let mut fwd = 0.0f64;
+        let mut bwd = 0.0f64;
+        for (&t, &[m_rt, m_st, m_tr, m_ts]) in self.touched.iter().zip(&self.cross) {
+            let (wo, wi) = self.acc[t as usize];
+            let base = bm.d_total(t);
+            // (M[t][s] + M[s][t], post-move M[t][r], post-move M[r][t],
+            // post-move d_t)
+            let (m_s, nc_tr, nc_rt, ndt) = if t == r {
+                (m[1] + m[2], m[0] + d[0], m[0] + d[0], base - shift)
+            } else if t == s {
+                (m[3] + m[3], m[2] + d[2], m[1] + d[1], base + shift)
+            } else {
+                if wo != 0 {
+                    ds += xlnx(m_rt) - xlnx(m_rt - wo);
+                    ds += xlnx(m_st) - xlnx(m_st + wo);
+                }
+                if wi != 0 {
+                    ds += xlnx(m_tr) - xlnx(m_tr - wi);
+                    ds += xlnx(m_ts) - xlnx(m_ts + wi);
+                }
+                (m_ts + m_st, m_tr - wi, m_rt - wo, base)
+            };
+            let wf = (wo + wi) as f64;
+            fwd += wf * (m_s as f64 + 1.0) / (base as f64 + b);
+            bwd += wf * (nc_tr as f64 + nc_rt as f64 + 1.0) / (ndt as f64 + b);
+        }
+        for (deg, ln_deg, shift) in [
+            (bm.d_out(r), bm.ln_d_out(r), -dout),
+            (bm.d_out(s), bm.ln_d_out(s), dout),
+            (bm.d_in(r), bm.ln_d_in(r), -din),
+            (bm.d_in(s), bm.ln_d_in(s), din),
+        ] {
+            ds += xlnx(deg + shift) - deg as f64 * ln_deg;
+        }
+        let hastings = if self.touched.is_empty() {
+            1.0
+        } else {
+            debug_assert!(fwd > 0.0);
+            bwd / fwd
+        };
+        (ds, hastings)
     }
 
     /// Builds the delta for merging block `from` into block `to`: row
     /// `from` folds into row `to`, column `from` into column `to`, and all
     /// of `from`'s degree mass moves. Merge deltas touch O(nnz of block
-    /// `from`'s lines) cells, so they always use the sorted representation
-    /// (built with one sort instead of per-cell insertion).
+    /// `from`'s lines) cells, kept sorted (built with one sort instead of
+    /// per-cell insertion).
     pub fn merge_delta(&mut self, bm: &Blockmodel, from: u32, to: u32) {
         assert_ne!(from, to, "cannot merge a block into itself");
-        self.repr = DeltaRepr::Sorted;
         self.raw.clear();
         for (c, m) in bm.row_iter(from) {
             self.raw.push((pack(from, c), -m));
@@ -311,10 +392,8 @@ impl DeltaScratch {
     }
 
     /// Computes `ΔS = S_after − S_before` for the delta built by the last
-    /// `*_delta` call, in O(nnz of the four affected lines) with no
-    /// allocation. Negative is an improvement (the description length
-    /// decreases by the same amount since the model-complexity term is
-    /// unaffected by moves at fixed block count).
+    /// [`merge_delta`](Self::merge_delta) call, in O(nnz of the four
+    /// affected lines) with no allocation. Negative is an improvement.
     pub fn delta_entropy(&mut self, bm: &Blockmodel) -> f64 {
         self.delta_entropy_with(bm, simd::enabled())
     }
@@ -327,52 +406,14 @@ impl DeltaScratch {
     }
 
     fn delta_entropy_with(&mut self, bm: &Blockmodel, use_simd: bool) -> f64 {
-        if self.delta.from == self.delta.to {
-            return 0.0;
-        }
-        match self.repr {
-            DeltaRepr::DirectIndexed => {
-                delta_entropy_direct(bm, &self.delta, &self.dense, use_simd)
-            }
-            DeltaRepr::Sorted => {
-                let DeltaScratch {
-                    delta,
-                    affected,
-                    used,
-                    colbuf,
-                    ..
-                } = self;
-                delta_entropy_cells(bm, delta, affected, used, colbuf, use_simd)
-            }
-        }
-    }
-
-    /// The Metropolis–Hastings correction `p(s→r) / p(r→s)` for moving
-    /// vertex `v` along the delta built by the last `vertex_move_delta`
-    /// call (Graph-Challenge reference formulation):
-    ///
-    /// `p(r→s) ∝ Σ_t w_t · (M[t][s] + M[s][t] + 1) / (d_t + B)`
-    ///
-    /// with `t` ranging over the blocks of `v`'s (non-self) neighbors,
-    /// `w_t` the edge weight between `v` and block `t`, forward evaluated
-    /// on the current matrix and backward on the post-move matrix implied
-    /// by the delta. Allocation-free: neighbor-block weights accumulate in
-    /// the reusable `wt` buffer via sort-and-fold.
-    pub fn hastings_correction(&mut self, graph: &Graph, bm: &Blockmodel, v: Vertex) -> f64 {
         let DeltaScratch {
             delta,
-            dense,
-            repr,
-            raw,
-            wt,
+            affected,
+            used,
+            colbuf,
             ..
         } = self;
-        match repr {
-            DeltaRepr::DirectIndexed => hastings_direct(graph, bm, v, delta, dense, raw, wt),
-            DeltaRepr::Sorted => {
-                hastings_kernel(graph, bm, v, delta, raw, wt, |x, y| delta.cell_delta(x, y))
-            }
-        }
+        delta_entropy_cells(bm, delta, affected, used, colbuf, use_simd)
     }
 }
 
@@ -422,70 +463,6 @@ impl NewDegreeLns {
     }
 }
 
-/// ΔS kernel for dense storage + direct-indexed delta: four contiguous
-/// line scans (SIMD-dispatched via [`simd::delta_line_pass`]) with the
-/// delta read by direct indexing.
-fn delta_entropy_direct(
-    bm: &Blockmodel,
-    delta: &LineDelta,
-    dense: &DenseDelta,
-    use_simd: bool,
-) -> f64 {
-    let (r, s) = (delta.from, delta.to);
-    let lns = NewDegreeLns::compute(bm, delta);
-    let c = bm.num_blocks();
-    let ln_d_in = bm.ln_d_in_all();
-    let ln_d_out = bm.ln_d_out_all();
-    let mut old_sum = 0.0f64;
-    let mut new_sum = 0.0f64;
-    // Row passes: rows r and s in full; the new-side term substitutes the
-    // post-move ln(d_in) at columns r/s.
-    let row_fix = LaneFix::Substitute {
-        r,
-        s,
-        ln_r: lns.ln_ndi_r,
-        ln_s: lns.ln_ndi_s,
-    };
-    for (x, dline, ln_do_new) in [
-        (r, &dense.row_from, lns.ln_ndo_r),
-        (s, &dense.row_to, lns.ln_ndo_s),
-    ] {
-        let line = bm.dense_row(x).expect("direct repr implies dense storage");
-        simd::delta_line_pass(
-            line,
-            DmSource::Slice(&dline[..c]),
-            ln_d_in,
-            bm.ln_d_out(x),
-            ln_do_new,
-            &row_fix,
-            &mut old_sum,
-            &mut new_sum,
-            use_simd,
-        );
-    }
-    // Column passes: columns r and s via the stored transpose, skipping
-    // rows r/s (already counted above).
-    let col_fix = LaneFix::Skip { r, s };
-    for (y, dline, ln_di_new) in [
-        (r, &dense.col_from, lns.ln_ndi_r),
-        (s, &dense.col_to, lns.ln_ndi_s),
-    ] {
-        let line = bm.dense_col(y).expect("direct repr implies dense storage");
-        simd::delta_line_pass(
-            line,
-            DmSource::Slice(&dline[..c]),
-            ln_d_out,
-            bm.ln_d_in(y),
-            ln_di_new,
-            &col_fix,
-            &mut old_sum,
-            &mut new_sum,
-            use_simd,
-        );
-    }
-    new_sum - old_sum
-}
-
 /// ΔS kernel for a sorted cell delta, on either storage representation.
 fn delta_entropy_cells(
     bm: &Blockmodel,
@@ -527,7 +504,7 @@ fn delta_entropy_cells(
             colbuf.extend(cells[lo..hi].iter().map(|&(k, d)| (k as u32, d)));
             simd::delta_line_pass(
                 line,
-                DmSource::Pairs(colbuf),
+                colbuf,
                 ln_d_in,
                 bm.ln_d_out(x),
                 ln_do_new,
@@ -553,7 +530,7 @@ fn delta_entropy_cells(
             }
             simd::delta_line_pass(
                 line,
-                DmSource::Pairs(colbuf),
+                colbuf,
                 ln_d_out,
                 bm.ln_d_in(y),
                 ln_di_new,
@@ -624,146 +601,6 @@ fn delta_entropy_cells(
         new_sum += term(dm, lns.ln_dout(bm, x) + lns.ln_din(bm, y));
     }
     new_sum - old_sum
-}
-
-/// Gathers vertex `v`'s neighbor-block weights into `wt` by sort-and-fold
-/// (no hashing, no allocation after warm-up). Returns `false` when `v`
-/// has no non-self neighbors — both directions then propose uniformly and
-/// the correction is 1.
-fn gather_neighbor_weights(
-    graph: &Graph,
-    bm: &Blockmodel,
-    v: Vertex,
-    raw: &mut Vec<(u64, Weight)>,
-    wt: &mut Vec<(u32, Weight)>,
-) -> bool {
-    raw.clear();
-    for &(u, w) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
-        if u == v {
-            continue;
-        }
-        raw.push((bm.block_of(u) as u64, w));
-    }
-    if raw.is_empty() {
-        return false;
-    }
-    raw.sort_unstable_by_key(|e| e.0);
-    wt.clear();
-    for &(t, w) in raw.iter() {
-        match wt.last_mut() {
-            Some(last) if last.0 == t as u32 => last.1 += w,
-            _ => wt.push((t as u32, w)),
-        }
-    }
-    true
-}
-
-/// Hastings correction for dense storage + direct-indexed delta: every
-/// matrix and delta read is a contiguous-slice index, with none of
-/// [`hastings_kernel`]'s per-cell storage dispatch.
-fn hastings_direct(
-    graph: &Graph,
-    bm: &Blockmodel,
-    v: Vertex,
-    delta: &LineDelta,
-    dense: &DenseDelta,
-    raw: &mut Vec<(u64, Weight)>,
-    wt: &mut Vec<(u32, Weight)>,
-) -> f64 {
-    let (r, s) = (delta.from, delta.to);
-    if r == s {
-        return 1.0;
-    }
-    if !gather_neighbor_weights(graph, bm, v, raw, wt) {
-        return 1.0; // both directions proposed uniformly
-    }
-    let c = bm.num_blocks();
-    let expect = "direct repr implies dense storage";
-    let (row_s, col_s) = (
-        bm.dense_row(s).expect(expect),
-        bm.dense_col(s).expect(expect),
-    );
-    let (row_r, col_r) = (
-        bm.dense_row(r).expect(expect),
-        bm.dense_col(r).expect(expect),
-    );
-    let (d_out, d_in) = (bm.d_out_all(), bm.d_in_all());
-    let (drow_from, drow_to) = (&dense.row_from[..c], &dense.row_to[..c]);
-    let dcol_from = &dense.col_from[..c];
-    let shift = delta.dout_shift + delta.din_shift;
-    let b = c as f64;
-    let mut fwd = 0.0;
-    let mut bwd = 0.0;
-    for &(t, w) in wt.iter() {
-        let wf = w as f64;
-        let tu = t as usize;
-        let base = d_out[tu] + d_in[tu];
-        fwd += wf * ((col_s[tu] + row_s[tu]) as f64 + 1.0) / (base as f64 + b);
-        let dtr = if t == r {
-            drow_from[r as usize]
-        } else if t == s {
-            drow_to[r as usize]
-        } else {
-            dcol_from[tu]
-        };
-        let nc_tr = (col_r[tu] + dtr) as f64;
-        let nc_rt = (row_r[tu] + drow_from[tu]) as f64;
-        let ndt = (if t == r {
-            base - shift
-        } else if t == s {
-            base + shift
-        } else {
-            base
-        }) as f64;
-        bwd += wf * (nc_tr + nc_rt + 1.0) / (ndt + b);
-    }
-    debug_assert!(fwd > 0.0);
-    bwd / fwd
-}
-
-/// Shared Hastings-correction kernel, parameterized over the delta's cell
-/// lookup so both representations stay allocation-free (sparse storage and
-/// the allocating test wrappers; the dense hot path is
-/// [`hastings_direct`]).
-fn hastings_kernel(
-    graph: &Graph,
-    bm: &Blockmodel,
-    v: Vertex,
-    delta: &LineDelta,
-    raw: &mut Vec<(u64, Weight)>,
-    wt: &mut Vec<(u32, Weight)>,
-    cell_delta: impl Fn(u32, u32) -> Weight,
-) -> f64 {
-    let (r, s) = (delta.from, delta.to);
-    if r == s {
-        return 1.0;
-    }
-    let b = bm.num_blocks() as f64;
-    if !gather_neighbor_weights(graph, bm, v, raw, wt) {
-        return 1.0; // both directions proposed uniformly
-    }
-
-    let new_cell = |x: u32, y: u32| (bm.get(x, y) + cell_delta(x, y)) as f64;
-    let shift = delta.dout_shift + delta.din_shift;
-    let new_d_total = |t: u32| -> f64 {
-        let base = bm.d_total(t);
-        (if t == r {
-            base - shift
-        } else if t == s {
-            base + shift
-        } else {
-            base
-        }) as f64
-    };
-    let mut fwd = 0.0;
-    let mut bwd = 0.0;
-    for &(t, w) in wt.iter() {
-        let wf = w as f64;
-        fwd += wf * ((bm.get(t, s) + bm.get(s, t)) as f64 + 1.0) / (bm.d_total(t) as f64 + b);
-        bwd += wf * (new_cell(t, r) + new_cell(r, t) + 1.0) / (new_d_total(t) + b);
-    }
-    debug_assert!(fwd > 0.0);
-    bwd / fwd
 }
 
 /// Fills `delta` with the sorted cell representation of moving `v` to
@@ -838,13 +675,48 @@ pub fn delta_entropy(bm: &Blockmodel, delta: &LineDelta) -> f64 {
     })
 }
 
-/// The Metropolis–Hastings correction for an externally held delta (see
-/// [`DeltaScratch::hastings_correction`]).
+/// The Metropolis–Hastings correction `p(s→r) / p(r→s)` for moving vertex
+/// `v` along an externally held delta (formula in
+/// [`DeltaScratch::evaluate_move`]): neighbor-block weights by
+/// sort-and-fold, one matrix lookup per cell. Allocating; the reference
+/// `evaluate_move`'s `H` is tested `to_bits`-equal against.
 pub fn hastings_for_delta(graph: &Graph, bm: &Blockmodel, v: Vertex, delta: &LineDelta) -> f64 {
-    with_scratch(|s| {
-        let DeltaScratch { raw, wt, .. } = s;
-        hastings_kernel(graph, bm, v, delta, raw, wt, |x, y| delta.cell_delta(x, y))
-    })
+    let (r, s) = (delta.from, delta.to);
+    if r == s {
+        return 1.0;
+    }
+    let neighbors = graph.out_edges(v).iter().chain(graph.in_edges(v));
+    let wt = crate::line::CanonicalLine::from_unsorted(
+        neighbors
+            .filter(|&&(u, _)| u != v)
+            .map(|&(u, w)| (bm.block_of(u), w))
+            .collect(),
+    );
+    if wt.is_empty() {
+        return 1.0; // both directions proposed uniformly
+    }
+    let b = bm.num_blocks() as f64;
+    let new_cell = |x: u32, y: u32| (bm.get(x, y) + delta.cell_delta(x, y)) as f64;
+    let shift = delta.dout_shift + delta.din_shift;
+    let new_d_total = |t: u32| -> f64 {
+        let base = bm.d_total(t);
+        (if t == r {
+            base - shift
+        } else if t == s {
+            base + shift
+        } else {
+            base
+        }) as f64
+    };
+    let mut fwd = 0.0;
+    let mut bwd = 0.0;
+    for &(t, w) in &wt {
+        let wf = w as f64;
+        fwd += wf * ((bm.get(t, s) + bm.get(s, t)) as f64 + 1.0) / (bm.d_total(t) as f64 + b);
+        bwd += wf * (new_cell(t, r) + new_cell(r, t) + 1.0) / (new_d_total(t) + b);
+    }
+    debug_assert!(fwd > 0.0);
+    bwd / fwd
 }
 
 #[cfg(test)]
@@ -919,33 +791,86 @@ mod tests {
         }
     }
 
-    /// The scratch's storage-matched representations agree with the free
-    /// functions for every (vertex, target) pair under both storages.
+    /// `(ΔS, H)` from the O(deg) kernel through a reused scratch.
+    fn evaluate(s: &mut DeltaScratch, g: &Graph, bm: &Blockmodel, v: u32, to: u32) -> (f64, f64) {
+        s.gather_vertex(g, bm, v);
+        s.evaluate_move(g, bm, v, to)
+    }
+
+    /// The O(deg) kernel agrees with the line-walk free functions for
+    /// every (vertex, target) pair under both storages — ΔS to rounding,
+    /// H to the bit — through one reused scratch.
     #[test]
-    fn scratch_reuse_matches_fresh_computation() {
+    fn factored_kernel_matches_line_walk_reference() {
         let g = two_triangles();
         for kind in [StorageKind::Dense, StorageKind::Sparse] {
             let bm = Blockmodel::from_assignment_with(&g, vec![0, 0, 1, 1, 2, 2], 3, kind);
             let mut scratch = DeltaScratch::new();
             for v in 0..6u32 {
                 for to in 0..3u32 {
-                    scratch.vertex_move_delta(&g, &bm, v, to);
-                    let ds_scratch = scratch.delta_entropy(&bm);
-                    let h_scratch = scratch.hastings_correction(&g, &bm, v);
+                    let (ds, h) = evaluate(&mut scratch, &g, &bm, v, to);
                     let d = vertex_move_delta(&g, &bm, v, to);
-                    let ds_fresh = delta_entropy(&bm, &d);
-                    let h_fresh = hastings_for_delta(&g, &bm, v, &d);
+                    let ds_ref = delta_entropy(&bm, &d);
                     assert!(
-                        (ds_scratch - ds_fresh).abs() < 1e-12,
-                        "v={v} to={to} kind={kind:?}: scratch {ds_scratch} vs fresh {ds_fresh}"
+                        (ds - ds_ref).abs() < 1e-12,
+                        "v={v} to={to} kind={kind:?}: factored {ds} vs line walk {ds_ref}"
                     );
-                    assert!(
-                        (h_scratch - h_fresh).abs() < 1e-12,
-                        "v={v} to={to} kind={kind:?}: scratch {h_scratch} vs fresh {h_fresh}"
+                    assert_eq!(
+                        h.to_bits(),
+                        hastings_for_delta(&g, &bm, v, &d).to_bits(),
+                        "v={v} to={to} kind={kind:?}"
                     );
                 }
             }
         }
+    }
+
+    /// Self-loop, reciprocal arcs, a parallel-weight arc, a target `v` is
+    /// not adjacent to, and a `from` block that empties — each against a
+    /// full entropy recompute, dense ≡ sparse to the bit.
+    #[test]
+    fn factored_kernel_handles_corner_cells_and_emptied_blocks() {
+        let g = Graph::from_edges(
+            5,
+            vec![
+                (0, 0, 2),
+                (0, 1, 3),
+                (1, 0, 1),
+                (0, 2, 1),
+                (2, 3, 4),
+                (3, 2, 4),
+                (4, 3, 1),
+            ],
+        );
+        let assignment = vec![0, 1, 1, 2, 3];
+        let dense = Blockmodel::from_assignment_with(&g, assignment.clone(), 4, StorageKind::Dense);
+        let sparse = Blockmodel::from_assignment_with(&g, assignment, 4, StorageKind::Sparse);
+        let mut scratch = DeltaScratch::new();
+        for v in 0..5u32 {
+            for to in 0..4u32 {
+                let (ds, h) = evaluate(&mut scratch, &g, &dense, v, to);
+                let (ds_sparse, h_sparse) = evaluate(&mut scratch, &g, &sparse, v, to);
+                assert_eq!(ds.to_bits(), ds_sparse.to_bits(), "v={v} to={to}");
+                assert_eq!(h.to_bits(), h_sparse.to_bits(), "v={v} to={to}");
+                let mut after = dense.clone();
+                after.move_vertex(&g, v, to);
+                let exact = after.entropy() - dense.entropy();
+                assert!((ds - exact).abs() < 1e-9, "v={v} to={to}: {ds} vs {exact}");
+                assert!(h.is_finite() && h > 0.0, "v={v} to={to}: h={h}");
+            }
+        }
+    }
+
+    /// A vertex whose only arc is a self-loop is proposed uniformly both
+    /// ways: correction exactly 1, and the gather reports the loop.
+    #[test]
+    fn self_loop_only_vertex_has_unit_correction() {
+        let g = Graph::from_edges(3, vec![(0, 0, 2), (1, 2, 1)]);
+        let bm = Blockmodel::from_assignment(&g, vec![0, 1, 1], 2);
+        let mut scratch = DeltaScratch::new();
+        assert_eq!(scratch.gather_vertex(&g, &bm, 0), 2);
+        assert_eq!(scratch.evaluate_move(&g, &bm, 0, 1).1, 1.0);
+        assert_eq!(scratch.gather_vertex(&g, &bm, 1), 0);
     }
 
     #[test]

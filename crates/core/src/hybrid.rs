@@ -64,28 +64,56 @@ pub(crate) fn vertex_rng(seed: u64, sweep: usize, v: Vertex) -> SmallRng {
     SmallRng::seed_from_u64(z ^ (z >> 31))
 }
 
-/// Evaluates one vertex against the current (frozen) blockmodel; returns
-/// the accepted move, if any. Allocation-free via the caller's scratch.
-pub(crate) fn evaluate_vertex(
+/// What evaluating one vertex's proposal came to.
+pub(crate) enum Evaluation {
+    /// Nothing to decide: an isolated vertex, a single block, or a
+    /// proposal of the vertex's own block.
+    Skipped,
+    /// A move was proposed and rejected.
+    Rejected,
+    /// A move was proposed and accepted.
+    Accepted(AcceptedMove),
+}
+
+impl Evaluation {
+    /// The accepted move, if any.
+    #[inline]
+    pub(crate) fn accepted(self) -> Option<AcceptedMove> {
+        match self {
+            Evaluation::Accepted(m) => Some(m),
+            _ => None,
+        }
+    }
+}
+
+/// The one proposal-evaluation body behind every sweep variant: gathers
+/// `v`'s neighbour blocks once, draws a proposal, evaluates `(ΔS, H)` in
+/// O(deg) and runs the Metropolis–Hastings acceptance test against the
+/// current (possibly frozen) blockmodel. Allocation-free via the caller's
+/// scratch.
+pub(crate) fn evaluate_vertex<R: Rng + ?Sized>(
     graph: &Graph,
     bm: &Blockmodel,
     v: Vertex,
     beta: f64,
-    rng: &mut SmallRng,
+    rng: &mut R,
     scratch: &mut DeltaScratch,
-) -> Option<AcceptedMove> {
+) -> Evaluation {
     if graph.degree(v) == 0 {
-        return None;
+        return Evaluation::Skipped;
     }
-    let to = propose_for_vertex(rng, graph, bm, v)?;
-    if to == bm.block_of(v) {
-        return None;
-    }
-    scratch.vertex_move_delta(graph, bm, v, to);
-    let ds = scratch.delta_entropy(bm);
-    let hastings = scratch.hastings_correction(graph, bm, v);
+    let self_w = scratch.gather_vertex(graph, bm, v);
+    let to = match propose_for_vertex(rng, graph, bm, v, self_w) {
+        Some(to) if to != bm.block_of(v) => to,
+        _ => return Evaluation::Skipped,
+    };
+    let (ds, hastings) = scratch.evaluate_move(graph, bm, v, to);
     let p_accept = ((-beta * ds).exp() * hastings).min(1.0);
-    (rng.random::<f64>() < p_accept).then_some(AcceptedMove { v, to })
+    if rng.random::<f64>() < p_accept {
+        Evaluation::Accepted(AcceptedMove { v, to })
+    } else {
+        Evaluation::Rejected
+    }
 }
 
 /// One hybrid sweep over `vertices` (which EDiSt passes as the rank's owned
@@ -113,38 +141,18 @@ pub fn hybrid_sweep(
         for &v in head {
             let mut rng = vertex_rng(seed, sweep_idx, v);
             out.proposals += 1;
-            if let Some(m) = evaluate_vertex(graph, bm, v, beta, &mut rng, scratch) {
+            if let Some(m) = evaluate_vertex(graph, bm, v, beta, &mut rng, scratch).accepted() {
                 bm.move_vertex(graph, v, m.to);
                 out.moves.push(m);
             }
         }
     });
 
-    // Chunked asynchronous Gibbs over the low-degree tail. Each worker
-    // thread evaluates through its own thread-local scratch.
+    // Chunked asynchronous Gibbs over the low-degree tail.
     let chunk_size = cfg.chunk_size.max(1);
     for chunk in tail.chunks(chunk_size) {
-        let accepted: Vec<AcceptedMove> = if cfg.parallel && chunk.len() >= 32 {
-            chunk
-                .par_iter()
-                .filter_map(|&v| {
-                    let mut rng = vertex_rng(seed, sweep_idx, v);
-                    with_scratch(|scratch| evaluate_vertex(graph, &*bm, v, beta, &mut rng, scratch))
-                })
-                .collect()
-        } else {
-            with_scratch(|scratch| {
-                chunk
-                    .iter()
-                    .filter_map(|&v| {
-                        let mut rng = vertex_rng(seed, sweep_idx, v);
-                        evaluate_vertex(graph, &*bm, v, beta, &mut rng, scratch)
-                    })
-                    .collect()
-            })
-        };
         out.proposals += chunk.len();
-        for m in accepted {
+        for m in evaluate_frozen(graph, bm, chunk, beta, seed, sweep_idx, cfg.parallel) {
             // Asynchronous Gibbs: apply even though the decision was made
             // against a (slightly) stale snapshot.
             bm.move_vertex(graph, m.v, m.to);
@@ -154,14 +162,46 @@ pub fn hybrid_sweep(
     out
 }
 
+/// Evaluates every vertex of `vertices` against the frozen `bm` and
+/// returns the accepted moves in input order. With `parallel` (and enough
+/// vertices to pay for it) evaluation fans out over the persistent pool,
+/// each worker through its own thread-local scratch; each decision is a
+/// pure function of the frozen state and the vertex's `(seed, sweep,
+/// vertex)` stream, so the result is identical at any thread count.
+fn evaluate_frozen(
+    graph: &Graph,
+    bm: &Blockmodel,
+    vertices: &[Vertex],
+    beta: f64,
+    seed: u64,
+    sweep_idx: usize,
+    parallel: bool,
+) -> Vec<AcceptedMove> {
+    let evaluate = |v: Vertex, scratch: &mut DeltaScratch| {
+        let mut rng = vertex_rng(seed, sweep_idx, v);
+        evaluate_vertex(graph, bm, v, beta, &mut rng, scratch).accepted()
+    };
+    if parallel && vertices.len() >= 32 {
+        vertices
+            .par_iter()
+            .filter_map(|&v| with_scratch(|scratch| evaluate(v, scratch)))
+            .collect()
+    } else {
+        with_scratch(|scratch| {
+            vertices
+                .iter()
+                .filter_map(|&v| evaluate(v, scratch))
+                .collect()
+        })
+    }
+}
+
 /// One batch sweep (python-reference style): evaluate *all* vertices
 /// against the frozen state, then apply every accepted move.
 ///
-/// Evaluation fans out over the persistent pool (each vertex's decision
-/// is a pure function of the frozen state and its `(seed, sweep, vertex)`
-/// stream, and the accepted list is collected in input order), so the
-/// sweep — and every trajectory built on it — is bit-identical to the
-/// serial evaluation at any thread count.
+/// Evaluation fans out over the persistent pool (see `evaluate_frozen`),
+/// so the sweep — and every trajectory built on it — is bit-identical to
+/// the serial evaluation at any thread count.
 pub fn batch_sweep(
     graph: &Graph,
     bm: &mut Blockmodel,
@@ -170,30 +210,11 @@ pub fn batch_sweep(
     seed: u64,
     sweep_idx: usize,
 ) -> SweepOutcome {
-    let accepted: Vec<AcceptedMove> = if vertices.len() >= 32 {
-        vertices
-            .par_iter()
-            .filter_map(|&v| {
-                let mut rng = vertex_rng(seed, sweep_idx, v);
-                with_scratch(|scratch| evaluate_vertex(graph, &*bm, v, beta, &mut rng, scratch))
-            })
-            .collect()
-    } else {
-        with_scratch(|scratch| {
-            vertices
-                .iter()
-                .filter_map(|&v| {
-                    let mut rng = vertex_rng(seed, sweep_idx, v);
-                    evaluate_vertex(graph, &*bm, v, beta, &mut rng, scratch)
-                })
-                .collect()
-        })
-    };
     let mut out = SweepOutcome {
         proposals: vertices.len(),
         ..Default::default()
     };
-    for m in accepted {
+    for m in evaluate_frozen(graph, bm, vertices, beta, seed, sweep_idx, true) {
         bm.move_vertex(graph, m.v, m.to);
         out.moves.push(m);
     }

@@ -15,10 +15,12 @@
 //!   unconditional bit-identity rests on. Incremental vertex moves,
 //!   cached `ln(degree)` vectors, and exact description-length (Eq. 2)
 //!   evaluation;
-//! * [`delta`] — sparse O(affected-lines) change-in-entropy computation for
-//!   vertex moves and block merges (optimization c), built around the
-//!   reusable per-thread [`DeltaScratch`] so the MCMC inner loop performs
-//!   zero heap allocation per proposal;
+//! * [`delta`] — change-in-entropy computation (optimization c): an
+//!   O(deg) kernel for vertex moves that gathers the vertex's neighbour
+//!   blocks once and reads only the changed cells for ΔS and the Hastings
+//!   correction together, and an O(affected-lines) walk for block merges —
+//!   both through the reusable per-thread [`DeltaScratch`], so the MCMC
+//!   inner loop performs zero heap allocation per proposal;
 //! * [`propose`] — the Graph-Challenge proposal distribution and
 //!   Metropolis–Hastings correction;
 //! * [`merge`] — the agglomerative block-merge phase (Alg. 1) with
@@ -78,9 +80,9 @@
 //! walk costs (clamped to `[1/8, 1/2]`); explicitly setting
 //! `SBP_DENSE_THRESHOLD` reverts to the fixed legacy bar `E ≥ C²/8` —
 //! see [`blockmodel::dense_threshold`] for the precedence. The dense
-//! side costs `2·C²·8` bytes per blockmodel but makes `get` O(1) and
-//! line scans contiguous — at `C ≤ 256` the ΔS kernel runs several
-//! times faster than the sparse path (see `benchmarks/summary.md`).
+//! side costs `2·C²·8` bytes per blockmodel but makes `get` O(1), line
+//! scans contiguous, and a move a handful of stores instead of sorted
+//! inserts (see `benchmarks/summary.md`).
 //! Raise the threshold on large-memory machines whose graphs converge
 //! to a few thousand communities; lower it when simulating many MPI
 //! ranks in one process (every rank keeps its own replica) or under

@@ -20,8 +20,7 @@
 
 use crate::blockmodel::Blockmodel;
 use crate::delta::with_scratch;
-use crate::hybrid::{evaluate_vertex, vertex_rng};
-use crate::propose::propose_for_vertex;
+use crate::hybrid::{evaluate_vertex, vertex_rng, Evaluation};
 use crate::run::CancelToken;
 use rand::Rng;
 use sbp_graph::{Graph, Vertex};
@@ -62,9 +61,12 @@ pub struct McmcStats {
 /// accepted moves to `bm` immediately (Alg. 2 lines 3–10).
 ///
 /// Zero-degree vertices are skipped: their block membership does not
-/// affect the likelihood, so proposals would be wasted work. Proposal
-/// evaluation runs through the thread-local [`crate::delta::DeltaScratch`],
-/// so the per-proposal hot path performs no heap allocation.
+/// affect the likelihood, so proposals would be wasted work. `proposals`
+/// counts the moves actually evaluated — a draw of the vertex's own block
+/// is not one. Evaluation is the same body as the keyed sweeps'
+/// ([`crate::hybrid`]), through the thread-local
+/// [`crate::delta::DeltaScratch`], so the per-proposal hot path performs
+/// no heap allocation.
 pub fn mh_sweep<R: Rng + ?Sized>(
     graph: &Graph,
     bm: &mut Blockmodel,
@@ -75,24 +77,14 @@ pub fn mh_sweep<R: Rng + ?Sized>(
     with_scratch(|scratch| {
         let mut out = SweepOutcome::default();
         for &v in vertices {
-            if graph.degree(v) == 0 {
-                continue;
-            }
-            let Some(to) = propose_for_vertex(rng, graph, bm, v) else {
-                continue;
-            };
-            let from = bm.block_of(v);
-            if to == from {
-                continue;
-            }
-            out.proposals += 1;
-            scratch.vertex_move_delta(graph, bm, v, to);
-            let ds = scratch.delta_entropy(bm);
-            let hastings = scratch.hastings_correction(graph, bm, v);
-            let p_accept = ((-beta * ds).exp() * hastings).min(1.0);
-            if rng.random::<f64>() < p_accept {
-                bm.move_vertex(graph, v, to);
-                out.moves.push(AcceptedMove { v, to });
+            match evaluate_vertex(graph, bm, v, beta, rng, scratch) {
+                Evaluation::Skipped => {}
+                Evaluation::Rejected => out.proposals += 1,
+                Evaluation::Accepted(m) => {
+                    out.proposals += 1;
+                    bm.move_vertex(graph, v, m.to);
+                    out.moves.push(m);
+                }
             }
         }
         out
@@ -121,7 +113,7 @@ pub fn keyed_mh_sweep(
             }
             out.proposals += 1;
             let mut rng = vertex_rng(seed, sweep_idx, v);
-            if let Some(m) = evaluate_vertex(graph, bm, v, beta, &mut rng, scratch) {
+            if let Some(m) = evaluate_vertex(graph, bm, v, beta, &mut rng, scratch).accepted() {
                 bm.move_vertex(graph, v, m.to);
                 out.moves.push(m);
             }
@@ -377,6 +369,102 @@ mod tests {
             (bm.assignment().to_vec(), all_moves)
         };
         assert_eq!(run(), run());
+    }
+
+    /// One vertex's decision from the retained line-walk free functions —
+    /// the pre-PR 13 evaluation, draw for draw.
+    fn reference_decision(
+        g: &Graph,
+        bm: &Blockmodel,
+        v: Vertex,
+        beta: f64,
+        rng: &mut SmallRng,
+    ) -> Option<AcceptedMove> {
+        use crate::delta::{delta_entropy, hastings_for_delta, vertex_move_delta};
+        if g.degree(v) == 0 {
+            return None;
+        }
+        let self_w = g.out_edges(v).iter().find(|e| e.0 == v).map_or(0, |e| e.1);
+        let to = crate::propose::propose_for_vertex(rng, g, bm, v, self_w)?;
+        if to == bm.block_of(v) {
+            return None;
+        }
+        let d = vertex_move_delta(g, bm, v, to);
+        let p_accept =
+            ((-beta * delta_entropy(bm, &d)).exp() * hastings_for_delta(g, bm, v, &d)).min(1.0);
+        (rng.random::<f64>() < p_accept).then_some(AcceptedMove { v, to })
+    }
+
+    /// Four planted communities of 30 with weighted, partly reciprocal
+    /// arcs, a few self-loops and an isolated vertex.
+    fn planted() -> (Graph, Vec<Vertex>) {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = 121u32;
+        let mut edges = Vec::new();
+        for v in 0..n - 1 {
+            for u in 0..n - 1 {
+                let p = if v / 30 == u / 30 { 5 } else { 60 };
+                if next() % p == 0 && (u != v || next() % 4 == 0) {
+                    edges.push((v, u, 1 + (next() % 3) as i64));
+                }
+            }
+        }
+        (Graph::from_edges(n as usize, edges), (0..n).collect())
+    }
+
+    /// Decision equivalence: sweeps through the O(deg) kernel accept
+    /// exactly the move list of a reference sweep built from the retained
+    /// line-walk free functions, on both storages, for the sequential
+    /// (state always fresh) and the batch (frozen state) schedules.
+    #[test]
+    fn sweeps_accept_the_reference_move_list() {
+        use crate::blockmodel::StorageKind;
+        use crate::hybrid::batch_sweep;
+        let (g, vertices) = planted();
+        let start: Vec<u32> = vertices.iter().map(|&v| (v * 7 + v / 30) % 12).collect();
+        for kind in [StorageKind::Dense, StorageKind::Sparse] {
+            let fresh = || Blockmodel::from_assignment_with(&g, start.clone(), 12, kind);
+            let (mut keyed, mut keyed_ref) = (fresh(), fresh());
+            let (mut batch, mut batch_ref) = (fresh(), fresh());
+            let mut moved = 0;
+            for sweep in 0..6 {
+                let got = keyed_mh_sweep(&g, &mut keyed, &vertices, 3.0, 41, sweep).moves;
+                let mut want = Vec::new();
+                for &v in &vertices {
+                    let mut rng = vertex_rng(41, sweep, v);
+                    if let Some(m) = reference_decision(&g, &keyed_ref, v, 3.0, &mut rng) {
+                        keyed_ref.move_vertex(&g, v, m.to);
+                        want.push(m);
+                    }
+                }
+                assert_eq!(got, want, "keyed sweep {sweep} {kind:?}");
+                moved += got.len();
+
+                let got = batch_sweep(&g, &mut batch, &vertices, 3.0, 43, sweep).moves;
+                let want: Vec<AcceptedMove> = vertices
+                    .iter()
+                    .filter_map(|&v| {
+                        let mut rng = vertex_rng(43, sweep, v);
+                        reference_decision(&g, &batch_ref, v, 3.0, &mut rng)
+                    })
+                    .collect();
+                for m in &want {
+                    batch_ref.move_vertex(&g, m.v, m.to);
+                }
+                assert_eq!(got, want, "batch sweep {sweep} {kind:?}");
+                moved += got.len();
+            }
+            assert!(
+                moved > 100,
+                "fixture too quiet to prove anything: {moved} moves"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@ use rand::Rng;
 use sbp_graph::{Graph, Vertex, Weight};
 
 /// Proposes a new block for vertex `v` (non-agglomerative: the current
-/// block may be proposed, yielding a no-op move).
+/// block may be proposed, yielding a no-op move). `self_w` is `v`'s
+/// self-loop weight (zero without one) as returned by
+/// [`crate::delta::DeltaScratch::gather_vertex`] — a self-loop tells us
+/// nothing about other blocks, so it is excluded from the neighbor draw.
 ///
 /// Returns `None` for graphs with a single block (nothing to propose).
 pub fn propose_for_vertex<R: Rng + ?Sized>(
@@ -29,19 +32,21 @@ pub fn propose_for_vertex<R: Rng + ?Sized>(
     graph: &Graph,
     bm: &Blockmodel,
     v: Vertex,
+    self_w: Weight,
 ) -> Option<u32> {
     let b = bm.num_blocks() as u32;
     if b <= 1 {
         return None;
     }
-    // Total neighbor weight excluding self-loops (a self-loop tells us
-    // nothing about other blocks).
-    let self_w: Weight = graph
-        .out_edges(v)
-        .iter()
-        .filter(|&&(u, _)| u == v)
-        .map(|&(_, w)| w)
-        .sum();
+    debug_assert_eq!(
+        self_w,
+        graph
+            .out_edges(v)
+            .iter()
+            .find(|e| e.0 == v)
+            .map_or(0, |e| e.1),
+        "self-loop weight of vertex {v}"
+    );
     let d_excl = graph.degree(v) - 2 * self_w;
     if d_excl <= 0 {
         // Isolated (or self-loop-only) vertex: uniform proposal.
@@ -181,8 +186,8 @@ fn uniform_excluding<R: Rng + ?Sized>(rng: &mut R, b: u32, excl: u32) -> u32 {
 /// the edge weight between `v` and block `t`, forward evaluated on the
 /// current matrix and backward on the post-move matrix implied by `delta`.
 ///
-/// Thin wrapper over the allocation-free kernel in [`crate::delta`]; sweep
-/// loops use [`crate::delta::DeltaScratch::hastings_correction`] directly.
+/// Thin wrapper over the reference kernel in [`crate::delta`]; sweep loops
+/// get the same value from [`crate::delta::DeltaScratch::evaluate_move`].
 pub fn hastings_correction(graph: &Graph, bm: &Blockmodel, v: Vertex, delta: &LineDelta) -> f64 {
     crate::delta::hastings_for_delta(graph, bm, v, delta)
 }
@@ -216,7 +221,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..500 {
             for v in 0..6u32 {
-                let s = propose_for_vertex(&mut rng, &g, &bm, v).unwrap();
+                let s = propose_for_vertex(&mut rng, &g, &bm, v, 0).unwrap();
                 assert!(s < 2);
             }
         }
@@ -241,7 +246,7 @@ mod tests {
         let g = two_triangles();
         let bm = Blockmodel::from_assignment(&g, vec![0; 6], 1);
         let mut rng = SmallRng::seed_from_u64(3);
-        assert!(propose_for_vertex(&mut rng, &g, &bm, 0).is_none());
+        assert!(propose_for_vertex(&mut rng, &g, &bm, 0, 0).is_none());
         assert!(propose_for_block(&mut rng, &bm, 0).is_none());
     }
 
@@ -252,7 +257,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let mut seen = [false; 4];
         for _ in 0..400 {
-            seen[propose_for_vertex(&mut rng, &g, &bm, 3).unwrap() as usize] = true;
+            seen[propose_for_vertex(&mut rng, &g, &bm, 3, 0).unwrap() as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "uniform proposal missed a block");
     }
@@ -278,7 +283,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut counts = [0usize; 3];
         for _ in 0..3000 {
-            counts[propose_for_vertex(&mut rng, &g, &bm, 2).unwrap() as usize] += 1;
+            counts[propose_for_vertex(&mut rng, &g, &bm, 2, 0).unwrap() as usize] += 1;
         }
         assert!(
             counts[1] > 3 * counts[2],

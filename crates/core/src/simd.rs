@@ -3,9 +3,9 @@
 //!
 //! ## Why explicit intrinsics
 //!
-//! The ΔS/entropy hot path walks contiguous `C`-cell lines (dense rows,
-//! the stored transpose's columns, and the direct-indexed delta arrays)
-//! doing the same four-step dance per cell: zero-skip, `lntab` lookup,
+//! The merge-ΔS and entropy line walks cross contiguous `C`-cell lines
+//! (dense rows and the stored transpose's columns) doing the same
+//! four-step dance per cell: zero-skip, `lntab` lookup,
 //! one multiply-subtract term, one accumulate. Auto-vectorization never
 //! fires on it — the zero-skip branch and the table gather defeat it —
 //! so this module hand-vectorizes the *term evaluation* with AVX2 while
@@ -49,9 +49,10 @@
 //! in one process. On non-x86_64 targets every kernel compiles to the
 //! scalar body and [`enabled`] is `false`.
 //!
-//! Only kernels that pay are vectorized: ΔS (2.2×) and entropy (4.4×).
-//! The Hastings correction stays scalar (`crate::delta`) — its AVX2
-//! twin measured at parity (28.5 vs 28.0 µs) and was deleted.
+//! Only line walks are vectorized: the merge phase's ΔS line pass and
+//! the entropy sum. Vertex-move proposals do not walk lines
+//! (`crate::delta`'s O(deg) kernel), so there is nothing there to
+//! vectorize.
 
 use crate::delta::term;
 use crate::lntab;
@@ -78,42 +79,28 @@ pub fn enabled() -> bool {
     })
 }
 
-/// Where a line pass reads its per-cell delta from.
-pub(crate) enum DmSource<'a> {
-    /// Direct-indexed delta line (dense vertex-move scratch): `dm[i]` is
-    /// the delta of cell `i`.
-    Slice(&'a [Weight]),
-    /// Sorted `(index, delta)` pairs (merge deltas / sorted cell lists),
-    /// ascending by index, every index below the line length.
-    Pairs(&'a [(u32, Weight)]),
-}
-
-/// Cursor over a [`DmSource`], advanced in ascending cell order by both
-/// the scalar loop and the 4-cell vector blocks.
+/// Cursor over a line's sorted `(index, delta)` pairs (ascending by
+/// index, every index below the line length), advanced in ascending cell
+/// order by both the scalar loop and the 4-cell vector blocks.
 struct DmCursor<'a> {
-    src: DmSource<'a>,
+    pairs: &'a [(u32, Weight)],
     p: usize,
 }
 
 impl<'a> DmCursor<'a> {
-    fn new(src: DmSource<'a>) -> Self {
-        DmCursor { src, p: 0 }
+    fn new(pairs: &'a [(u32, Weight)]) -> Self {
+        DmCursor { pairs, p: 0 }
     }
 
     /// Delta of cell `i`; must be called with strictly ascending `i`.
     #[inline(always)]
     fn at(&mut self, i: usize) -> Weight {
-        match self.src {
-            DmSource::Slice(dm) => dm[i],
-            DmSource::Pairs(pairs) => {
-                if self.p < pairs.len() && pairs[self.p].0 == i as u32 {
-                    let v = pairs[self.p].1;
-                    self.p += 1;
-                    v
-                } else {
-                    0
-                }
-            }
+        if self.p < self.pairs.len() && self.pairs[self.p].0 == i as u32 {
+            let v = self.pairs[self.p].1;
+            self.p += 1;
+            v
+        } else {
+            0
         }
     }
 
@@ -121,30 +108,23 @@ impl<'a> DmCursor<'a> {
     #[inline(always)]
     #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     fn block4(&mut self, i: usize) -> [Weight; 4] {
-        match self.src {
-            DmSource::Slice(dm) => [dm[i], dm[i + 1], dm[i + 2], dm[i + 3]],
-            DmSource::Pairs(pairs) => {
-                let mut out = [0; 4];
-                while self.p < pairs.len() {
-                    let (idx, v) = pairs[self.p];
-                    let idx = idx as usize;
-                    if idx >= i + 4 {
-                        break;
-                    }
-                    debug_assert!(idx >= i, "delta pairs out of order");
-                    out[idx - i] = v;
-                    self.p += 1;
-                }
-                out
+        let mut out = [0; 4];
+        while self.p < self.pairs.len() {
+            let (idx, v) = self.pairs[self.p];
+            let idx = idx as usize;
+            if idx >= i + 4 {
+                break;
             }
+            debug_assert!(idx >= i, "delta pairs out of order");
+            out[idx - i] = v;
+            self.p += 1;
         }
+        out
     }
 
     /// Debug check: every sorted pair was consumed by the walk.
     fn finish(&self) {
-        if let DmSource::Pairs(pairs) = self.src {
-            debug_assert_eq!(self.p, pairs.len(), "delta cells not consumed");
-        }
+        debug_assert_eq!(self.p, self.pairs.len(), "delta cells not consumed");
     }
 }
 
@@ -181,9 +161,7 @@ impl LaneFix {
     }
 }
 
-/// One cell of a ΔS line pass — the scalar source of truth. Replicates
-/// the historical loop bodies of `delta_entropy_direct` /
-/// `delta_entropy_cells` op for op.
+/// One cell of a ΔS line pass — the scalar source of truth.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn delta_step(
@@ -229,14 +207,15 @@ fn delta_step(
 }
 
 /// Accumulates the old/new entropy terms of one affected matrix line
-/// under a cell delta — the shared ΔS line pass behind both delta
-/// representations. `ln_vec` holds the per-cell cached `ln(degree)`
-/// (`ln_d_in` for row passes, `ln_d_out` for column passes); `ln_old` /
-/// `ln_new` are the line's own pre-/post-move `ln(degree)`.
+/// under a cell delta — the line pass behind the line-walk ΔS kernel.
+/// `dm` holds the line's sorted `(index, delta)` pairs; `ln_vec` the
+/// per-cell cached `ln(degree)` (`ln_d_in` for row passes, `ln_d_out` for
+/// column passes); `ln_old` / `ln_new` are the line's own pre-/post-move
+/// `ln(degree)`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn delta_line_pass(
     line: &[Weight],
-    dm: DmSource<'_>,
+    dm: &[(u32, Weight)],
     ln_vec: &[f64],
     ln_old: f64,
     ln_new: f64,
@@ -246,9 +225,6 @@ pub(crate) fn delta_line_pass(
     use_simd: bool,
 ) {
     debug_assert!(ln_vec.len() >= line.len());
-    if let DmSource::Slice(d) = &dm {
-        debug_assert_eq!(d.len(), line.len());
-    }
     #[cfg(target_arch = "x86_64")]
     if use_simd && line.len() >= 4 {
         // SAFETY: `use_simd` is only true when `enabled()` detected AVX2.
@@ -258,24 +234,12 @@ pub(crate) fn delta_line_pass(
         return;
     }
     let _ = use_simd;
-    // Specialize the direct-indexed source on zipped iterators — the
-    // zero-skip check dominates this loop, and per-cell bounds checks
-    // would double its cost (the shape of the pre-SIMD loops).
-    match dm {
-        DmSource::Slice(d) => {
-            for (i, ((&m, &dmv), &lv)) in line.iter().zip(d).zip(ln_vec).enumerate() {
-                delta_step(i, m, dmv, lv, ln_old, ln_new, fix, old_sum, new_sum);
-            }
-        }
-        DmSource::Pairs(_) => {
-            let mut cur = DmCursor::new(dm);
-            for (i, (&m, &lv)) in line.iter().zip(ln_vec).enumerate() {
-                let dmv = cur.at(i);
-                delta_step(i, m, dmv, lv, ln_old, ln_new, fix, old_sum, new_sum);
-            }
-            cur.finish();
-        }
+    let mut cur = DmCursor::new(dm);
+    for (i, (&m, &lv)) in line.iter().zip(ln_vec).enumerate() {
+        let dmv = cur.at(i);
+        delta_step(i, m, dmv, lv, ln_old, ln_new, fix, old_sum, new_sum);
     }
+    cur.finish();
 }
 
 /// One cell of the dense entropy row walk — scalar source of truth,
@@ -367,7 +331,7 @@ mod avx2 {
         *acc -= lanes[3];
     }
 
-    /// The per-block vector body shared by both delta sources: evaluates
+    /// The per-block vector body: evaluates
     /// cells `i..i+4` given their weights `m` and deltas `d` already in
     /// vector registers. Returns `false` when the block needs the scalar
     /// source of truth (special columns/rows, out-of-table weights).
@@ -435,7 +399,7 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn delta_line_pass(
         line: &[Weight],
-        dm: DmSource<'_>,
+        dm: &[(u32, Weight)],
         ln_vec: &[f64],
         ln_old: f64,
         ln_new: f64,
@@ -455,85 +419,45 @@ mod avx2 {
         let (r, s) = fix.special();
         let (rb, sb) = (r as usize / 4, s as usize / 4);
         let mut i = 0usize;
-        match dm {
-            // Direct-indexed deltas live in a contiguous C-slot array —
-            // load them straight into a lane block; no per-block staging
-            // through the stack (the skip-dominated case rides on this).
-            DmSource::Slice(dms) => {
-                while i + 4 <= c {
-                    let m = _mm256_loadu_si256(line.as_ptr().add(i).cast());
-                    let d = _mm256_loadu_si256(dms.as_ptr().add(i).cast());
-                    let nz = _mm256_or_si256(m, d);
-                    if _mm256_testz_si256(nz, nz) == 1 {
-                        // All four cells have zero weight and zero delta —
-                        // the scalar loop would `continue` through each.
-                        i += 4;
-                        continue;
-                    }
-                    if !delta_block(i, m, d, &k, rb, sb, ln_vec, old_sum, new_sum) {
-                        // Special columns/rows or out-of-table weights: run
-                        // the block through the scalar source of truth.
-                        for kk in 0..4 {
-                            delta_step(
-                                i + kk,
-                                line[i + kk],
-                                dms[i + kk],
-                                ln_vec[i + kk],
-                                ln_old,
-                                ln_new,
-                                fix,
-                                old_sum,
-                                new_sum,
-                            );
-                        }
-                    }
-                    i += 4;
-                }
-                while i < c {
+        let mut cur = DmCursor::new(dm);
+        while i + 4 <= c {
+            let dm4 = cur.block4(i);
+            let m = _mm256_loadu_si256(line.as_ptr().add(i).cast());
+            let d = _mm256_loadu_si256(dm4.as_ptr().cast());
+            let nz = _mm256_or_si256(m, d);
+            if _mm256_testz_si256(nz, nz) == 1 {
+                // All four cells have zero weight and zero delta — the
+                // scalar loop would `continue` through each.
+                i += 4;
+                continue;
+            }
+            if !delta_block(i, m, d, &k, rb, sb, ln_vec, old_sum, new_sum) {
+                // Special columns/rows or out-of-table weights: run the
+                // block through the scalar source of truth.
+                for kk in 0..4 {
                     delta_step(
-                        i, line[i], dms[i], ln_vec[i], ln_old, ln_new, fix, old_sum, new_sum,
+                        i + kk,
+                        line[i + kk],
+                        dm4[kk],
+                        ln_vec[i + kk],
+                        ln_old,
+                        ln_new,
+                        fix,
+                        old_sum,
+                        new_sum,
                     );
-                    i += 1;
                 }
             }
-            DmSource::Pairs(_) => {
-                let mut cur = DmCursor::new(dm);
-                while i + 4 <= c {
-                    let dm4 = cur.block4(i);
-                    let m = _mm256_loadu_si256(line.as_ptr().add(i).cast());
-                    let d = _mm256_loadu_si256(dm4.as_ptr().cast());
-                    let nz = _mm256_or_si256(m, d);
-                    if _mm256_testz_si256(nz, nz) == 1 {
-                        i += 4;
-                        continue;
-                    }
-                    if !delta_block(i, m, d, &k, rb, sb, ln_vec, old_sum, new_sum) {
-                        for kk in 0..4 {
-                            delta_step(
-                                i + kk,
-                                line[i + kk],
-                                dm4[kk],
-                                ln_vec[i + kk],
-                                ln_old,
-                                ln_new,
-                                fix,
-                                old_sum,
-                                new_sum,
-                            );
-                        }
-                    }
-                    i += 4;
-                }
-                while i < c {
-                    let dmv = cur.at(i);
-                    delta_step(
-                        i, line[i], dmv, ln_vec[i], ln_old, ln_new, fix, old_sum, new_sum,
-                    );
-                    i += 1;
-                }
-                cur.finish();
-            }
+            i += 4;
         }
+        while i < c {
+            let dmv = cur.at(i);
+            delta_step(
+                i, line[i], dmv, ln_vec[i], ln_old, ln_new, fix, old_sum, new_sum,
+            );
+            i += 1;
+        }
+        cur.finish();
     }
 
     #[target_feature(enable = "avx2")]
@@ -617,6 +541,12 @@ mod tests {
         for seed in 0..8u64 {
             for n in [1usize, 3, 4, 5, 64, 169, 513] {
                 let (line, dm, lnv) = line_fixture(n, seed);
+                let pairs: Vec<(u32, Weight)> = dm
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &d)| d != 0)
+                    .map(|(i, &d)| (i as u32, d))
+                    .collect();
                 let fixes = [
                     LaneFix::Substitute {
                         r: (seed as u32) % n as u32,
@@ -631,21 +561,11 @@ mod tests {
                 ];
                 for fix in &fixes {
                     let (mut so, mut sn) = (0.0f64, 0.0f64);
-                    delta_line_pass(
-                        &line,
-                        DmSource::Slice(&dm),
-                        &lnv,
-                        1.5,
-                        2.5,
-                        fix,
-                        &mut so,
-                        &mut sn,
-                        false,
-                    );
+                    delta_line_pass(&line, &pairs, &lnv, 1.5, 2.5, fix, &mut so, &mut sn, false);
                     let (mut vo, mut vn) = (0.0f64, 0.0f64);
                     delta_line_pass(
                         &line,
-                        DmSource::Slice(&dm),
+                        &pairs,
                         &lnv,
                         1.5,
                         2.5,
@@ -657,48 +577,6 @@ mod tests {
                     assert_eq!(so.to_bits(), vo.to_bits(), "old n={n} seed={seed}");
                     assert_eq!(sn.to_bits(), vn.to_bits(), "new n={n} seed={seed}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn pairs_source_equals_slice_source() {
-        for seed in 0..8u64 {
-            let (line, dm, lnv) = line_fixture(257, seed);
-            let pairs: Vec<(u32, Weight)> = dm
-                .iter()
-                .enumerate()
-                .filter(|&(_, &d)| d != 0)
-                .map(|(i, &d)| (i as u32, d))
-                .collect();
-            let fix = LaneFix::Skip { r: 2, s: 200 };
-            for use_simd in [false, enabled()] {
-                let (mut ao, mut an) = (0.0f64, 0.0f64);
-                delta_line_pass(
-                    &line,
-                    DmSource::Slice(&dm),
-                    &lnv,
-                    0.5,
-                    0.25,
-                    &fix,
-                    &mut ao,
-                    &mut an,
-                    use_simd,
-                );
-                let (mut bo, mut bn) = (0.0f64, 0.0f64);
-                delta_line_pass(
-                    &line,
-                    DmSource::Pairs(&pairs),
-                    &lnv,
-                    0.5,
-                    0.25,
-                    &fix,
-                    &mut bo,
-                    &mut bn,
-                    use_simd,
-                );
-                assert_eq!(ao.to_bits(), bo.to_bits(), "seed={seed} simd={use_simd}");
-                assert_eq!(an.to_bits(), bn.to_bits(), "seed={seed} simd={use_simd}");
             }
         }
     }

@@ -3,11 +3,20 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sbp_core::delta::{delta_entropy, merge_delta, vertex_move_delta, DeltaScratch};
+use sbp_core::delta::{
+    delta_entropy, hastings_for_delta, merge_delta, vertex_move_delta, DeltaScratch,
+};
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::{apply_merges, MergeCandidate};
 use sbp_core::{Blockmodel, StorageKind};
 use sbp_graph::Graph;
+
+/// `(ΔS, H)` from the O(deg) kernel, through the scratch the way a sweep
+/// drives it.
+fn evaluate(s: &mut DeltaScratch, g: &Graph, bm: &Blockmodel, v: u32, to: u32) -> (f64, f64) {
+    s.gather_vertex(g, bm, v);
+    s.evaluate_move(g, bm, v, to)
+}
 
 /// (num vertices, weighted edges, assignment, num blocks).
 type GraphAssignment = (usize, Vec<(u32, u32, i64)>, Vec<u32>, usize);
@@ -24,7 +33,9 @@ fn arb_graph_and_assignment() -> impl Strategy<Value = GraphAssignment> {
 }
 
 proptest! {
-    /// The sparse ΔS for ANY vertex move equals a full entropy recompute.
+    /// The ΔS for ANY vertex move — line-walk reference and O(deg) kernel
+    /// alike — equals a full entropy recompute, and the kernel's Hastings
+    /// correction is the reference's to the bit.
     #[test]
     fn sparse_move_delta_equals_recompute(
         (n, edges, assignment, c) in arb_graph_and_assignment(),
@@ -41,6 +52,9 @@ proptest! {
         after.move_vertex(&g, v, to);
         let exact = after.entropy() - bm.entropy();
         prop_assert!((ds - exact).abs() < 1e-8, "sparse {ds} vs exact {exact}");
+        let (fast, h) = evaluate(&mut DeltaScratch::new(), &g, &bm, v, to);
+        prop_assert!((fast - exact).abs() < 1e-9, "factored {fast} vs exact {exact}");
+        prop_assert_eq!(h.to_bits(), hastings_for_delta(&g, &bm, v, &d).to_bits());
     }
 
     /// The sparse ΔS for ANY block merge equals a full recompute.
@@ -304,18 +318,10 @@ proptest! {
         // canonical order they must agree to the bit, not within an
         // epsilon.
         let (v, to) = ((probe.0 % n) as u32, probe.1 % c as u32);
-        let mut s1 = DeltaScratch::new();
-        let mut s2 = DeltaScratch::new();
-        s1.vertex_move_delta(&g, &fresh, v, to);
-        s2.vertex_move_delta(&g, &detoured, v, to);
-        prop_assert_eq!(
-            s1.delta_entropy(&fresh).to_bits(),
-            s2.delta_entropy(&detoured).to_bits()
-        );
-        prop_assert_eq!(
-            s1.hastings_correction(&g, &fresh, v).to_bits(),
-            s2.hastings_correction(&g, &detoured, v).to_bits()
-        );
+        let (ds1, h1) = evaluate(&mut DeltaScratch::new(), &g, &fresh, v, to);
+        let (ds2, h2) = evaluate(&mut DeltaScratch::new(), &g, &detoured, v, to);
+        prop_assert_eq!(ds1.to_bits(), ds2.to_bits());
+        prop_assert_eq!(h1.to_bits(), h2.to_bits());
     }
 
     /// Canonical-line tentpole, part 2: sparse line iteration reproduces
@@ -350,14 +356,14 @@ proptest! {
     }
 
     /// SIMD ≡ scalar to the bit on the proptest-sized graphs: every
-    /// vertex-move ΔS and entropy sum produced by
+    /// merge ΔS and entropy sum produced by
     /// the production (runtime-dispatched) kernels equals the forced-
     /// scalar twin exactly. On non-AVX2 hardware both paths are scalar
     /// and the property holds trivially.
     #[test]
     fn simd_and_scalar_paths_are_bit_identical(
         (n, edges, assignment, c) in arb_graph_and_assignment(),
-        probes in proptest::collection::vec((0usize..24, 0u32..5), 1..12),
+        probes in proptest::collection::vec((0u32..5, 0u32..5), 1..12),
     ) {
         let g = Graph::from_edges(n, edges);
         for kind in [StorageKind::Dense, StorageKind::Sparse] {
@@ -365,9 +371,12 @@ proptest! {
                 &g, assignment.clone(), c, kind);
             prop_assert_eq!(bm.entropy().to_bits(), bm.entropy_scalar().to_bits());
             let mut s = DeltaScratch::new();
-            for &(vsel, tosel) in &probes {
-                let (v, to) = ((vsel % n) as u32, tosel % c as u32);
-                s.vertex_move_delta(&g, &bm, v, to);
+            for &(fsel, tosel) in &probes {
+                let (from, to) = (fsel % c as u32, tosel % c as u32);
+                if from == to {
+                    continue;
+                }
+                s.merge_delta(&bm, from, to);
                 prop_assert_eq!(
                     s.delta_entropy(&bm).to_bits(),
                     s.delta_entropy_scalar(&bm).to_bits()
@@ -391,15 +400,10 @@ proptest! {
             let mut reused = DeltaScratch::new();
             for &(vsel, tosel) in &probes {
                 let (v, to) = ((vsel % n) as u32, tosel % c as u32);
-                reused.vertex_move_delta(&g, &bm, v, to);
-                let ds_reused = reused.delta_entropy(&bm);
-                let h_reused = reused.hastings_correction(&g, &bm, v);
-                let mut fresh = DeltaScratch::new();
-                fresh.vertex_move_delta(&g, &bm, v, to);
-                let ds_fresh = fresh.delta_entropy(&bm);
-                let h_fresh = fresh.hastings_correction(&g, &bm, v);
-                prop_assert!((ds_reused - ds_fresh).abs() < 1e-12);
-                prop_assert!((h_reused - h_fresh).abs() < 1e-12);
+                let (ds_reused, h_reused) = evaluate(&mut reused, &g, &bm, v, to);
+                let (ds_fresh, h_fresh) = evaluate(&mut DeltaScratch::new(), &g, &bm, v, to);
+                prop_assert_eq!(ds_reused.to_bits(), ds_fresh.to_bits());
+                prop_assert_eq!(h_reused.to_bits(), h_fresh.to_bits());
             }
         }
     }
@@ -419,7 +423,8 @@ impl XorShift {
 }
 
 /// Random blocky graph with `2·C` vertices: community edges, cross noise,
-/// a few self-loops and multi-arcs, labels covering all of `0..C`.
+/// a few self-loops, reciprocal arcs and multi-arcs (merged into weights),
+/// labels covering all of `0..C`.
 fn synth_graph(c: usize, seed: u64) -> (Graph, Vec<u32>) {
     let n = 2 * c;
     let mut rng = XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
@@ -436,12 +441,80 @@ fn synth_graph(c: usize, seed: u64) -> (Graph, Vec<u32>) {
         if rng.next().is_multiple_of(17) {
             edges.push((v, v, 2));
         }
+        if rng.next().is_multiple_of(5) {
+            edges.push((peer, v, 1 + (rng.next() % 3) as i64));
+        }
+        if rng.next().is_multiple_of(7) {
+            edges.push((v, peer, 2));
+        }
     }
     (Graph::from_edges(n, edges), assignment)
 }
 
-/// Satellite coverage: SIMD ≡ scalar `to_bits` equality for
-/// delta_entropy (direct and cells paths) and entropy at
+/// The O(deg) move kernel against both of its references, at block counts
+/// on either side of the always-dense band (2, 64 | 65, 512): for every
+/// vertex and three targets each (a neighbour's block, a random — mostly
+/// non-adjacent — block, the next label), (a) ΔS within 1e-9 of the
+/// retained line-walk kernel and of a full entropy recompute, (b) ΔS and H
+/// `to_bits`-equal between dense and sparse storage, (c) H `to_bits`-equal
+/// to `hastings_for_delta`. Vertex 0 is alone in its block, so moving it
+/// covers a `from` block that empties.
+#[test]
+fn factored_move_kernel_matches_its_references() {
+    for &c in &[2usize, 64, 65, 512] {
+        for seed in 0..2u64 {
+            let (g, mut assignment) = synth_graph(c, seed);
+            let n = g.num_vertices();
+            assignment[c] = 1; // block 0's other member
+            let dense =
+                Blockmodel::from_assignment_with(&g, assignment.clone(), c, StorageKind::Dense);
+            let sparse =
+                Blockmodel::from_assignment_with(&g, assignment.clone(), c, StorageKind::Sparse);
+            let before = sparse.entropy();
+            let mut rng = XorShift(seed | 1);
+            let (mut sd, mut ss) = (DeltaScratch::new(), DeltaScratch::new());
+            for v in 0..n as u32 {
+                let from = assignment[v as usize];
+                let adjacent = g
+                    .out_edges(v)
+                    .iter()
+                    .chain(g.in_edges(v))
+                    .map(|&(u, _)| assignment[u as usize])
+                    .find(|&b| b != from);
+                let random = (rng.next() % c as u64) as u32;
+                for to in [adjacent.unwrap_or(from), random, (from + 1) % c as u32] {
+                    let at = format!("C={c} seed={seed} v={v} {from}->{to}");
+                    let (ds, h) = evaluate(&mut sd, &g, &dense, v, to);
+                    let (ds_sparse, h_sparse) = evaluate(&mut ss, &g, &sparse, v, to);
+                    assert_eq!(ds.to_bits(), ds_sparse.to_bits(), "ΔS dense/sparse {at}");
+                    assert_eq!(h.to_bits(), h_sparse.to_bits(), "H dense/sparse {at}");
+                    let d = vertex_move_delta(&g, &dense, v, to);
+                    let walked = delta_entropy(&dense, &d);
+                    assert!(
+                        (ds - walked).abs() < 1e-9,
+                        "{at}: {ds} vs line walk {walked}"
+                    );
+                    assert_eq!(
+                        h.to_bits(),
+                        hastings_for_delta(&g, &dense, v, &d).to_bits(),
+                        "H vs reference {at}"
+                    );
+                    // Full recomputes on a vertex sample (the sparse twin
+                    // is the cheap one to clone).
+                    if (v as usize).is_multiple_of((n / 64).max(1)) {
+                        let mut after = sparse.clone();
+                        after.move_vertex(&g, v, to);
+                        let exact = after.entropy() - before;
+                        assert!((ds - exact).abs() < 1e-9, "{at}: {ds} vs recompute {exact}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Satellite coverage: SIMD ≡ scalar `to_bits` equality for the merge
+/// delta_entropy and entropy at
 /// block counts spanning single-chunk dense (8, 64), multi-chunk dense
 /// (169), and the sparse regime's dense-forced twin (512) — under both
 /// storage representations.
@@ -450,7 +523,6 @@ fn simd_bit_identity_at_fixed_block_counts() {
     for &c in &[8usize, 64, 169, 512] {
         for seed in 0..2u64 {
             let (g, assignment) = synth_graph(c, seed);
-            let n = g.num_vertices();
             let mut rng = XorShift(seed | 1);
             for kind in [StorageKind::Dense, StorageKind::Sparse] {
                 let bm = Blockmodel::from_assignment_with(&g, assignment.clone(), c, kind);
@@ -460,16 +532,6 @@ fn simd_bit_identity_at_fixed_block_counts() {
                     "entropy C={c} seed={seed} kind={kind:?}"
                 );
                 let mut s = DeltaScratch::new();
-                for _ in 0..12 {
-                    let v = (rng.next() % n as u64) as u32;
-                    let to = (rng.next() % c as u64) as u32;
-                    s.vertex_move_delta(&g, &bm, v, to);
-                    assert_eq!(
-                        s.delta_entropy(&bm).to_bits(),
-                        s.delta_entropy_scalar(&bm).to_bits(),
-                        "move ΔS C={c} seed={seed} kind={kind:?} v={v} to={to}"
-                    );
-                }
                 for _ in 0..6 {
                     let from = (rng.next() % c as u64) as u32;
                     let to = (rng.next() % c as u64) as u32;

@@ -1,16 +1,23 @@
 //! Contingency tables between two labelings.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A sparse contingency table between two partitions of the same item set.
 ///
 /// Rows index distinct labels of partition `a`, columns distinct labels of
 /// partition `b`; `counts[(i, j)]` is the number of items with label pair
 /// `(a_i, b_j)`. Marginals are precomputed.
+///
+/// Label indices are assigned in order of first appearance and the joint
+/// counts iterate ascending by `(row, col)`, so every f64 sum over the
+/// table — mutual information, ARI, the pairwise scores — adds its terms
+/// in an order fixed by the two labelings alone: equal inputs give
+/// `to_bits`-equal scores, run after run.
 #[derive(Clone, Debug)]
 pub struct ContingencyTable {
-    /// Sparse joint counts keyed by (row index, col index).
-    pub counts: HashMap<(usize, usize), u64>,
+    /// Sparse joint counts keyed by (row index, col index), in ascending
+    /// key order.
+    pub counts: BTreeMap<(usize, usize), u64>,
     /// Row marginals (items per `a`-label).
     pub row_sums: Vec<u64>,
     /// Column marginals (items per `b`-label).
@@ -29,7 +36,7 @@ impl ContingencyTable {
         assert_eq!(a.len(), b.len(), "partitions must label the same items");
         let mut a_ids: HashMap<u32, usize> = HashMap::new();
         let mut b_ids: HashMap<u32, usize> = HashMap::new();
-        let mut counts: HashMap<(usize, usize), u64> = HashMap::new();
+        let mut counts: BTreeMap<(usize, usize), u64> = BTreeMap::new();
         for (&la, &lb) in a.iter().zip(b.iter()) {
             let next_a = a_ids.len();
             let ia = *a_ids.entry(la).or_insert(next_a);

@@ -64,3 +64,39 @@ proptest! {
         prop_assert!(adjusted_rand_index(&a, &b) <= 1.0 + 1e-12);
     }
 }
+
+/// Scores are a pure function of the two labelings, to the bit: the
+/// contingency table iterates its joint counts in key order, so every
+/// construction adds the same f64 terms in the same order. (With the joint
+/// counts in a `HashMap`, each instance summed in its own random order and
+/// `nmi` of byte-equal assignments wobbled in the 16th digit.)
+#[test]
+fn scores_repeat_bit_for_bit_across_constructions() {
+    // 9 × 8 labels over 1000 items, unevenly filled: up to 72 joint cells.
+    let mut state = 12345u32;
+    let mut next = move || {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        state >> 16
+    };
+    let a: Vec<u32> = (0..1000).map(|_| next() % 9).collect();
+    let b: Vec<u32> = a
+        .iter()
+        .map(|&x| (x + next() % 8 * (next() % 3)) % 8)
+        .collect();
+    assert!(sbp_eval::ContingencyTable::new(&a, &b).counts.len() >= 50);
+    let scores = || {
+        let p = sbp_eval::pairwise_scores(&a, &b);
+        [
+            nmi(&a, &b),
+            adjusted_rand_index(&a, &b),
+            p.precision,
+            p.recall,
+            p.f1,
+        ]
+        .map(f64::to_bits)
+    };
+    let first = scores();
+    for _ in 0..100 {
+        assert_eq!(scores(), first);
+    }
+}
