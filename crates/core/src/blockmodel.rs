@@ -485,6 +485,31 @@ pub struct Blockmodel {
     total_edge_weight: Weight,
 }
 
+/// Relabels the occupied labels of `assignment` (all `< width`) to the
+/// dense range `0..C`, ascending by old label. Returns the relabeled
+/// assignment and `C`. Needs no graph, so a plane that holds only part
+/// of one can compact before it builds.
+///
+/// # Panics
+/// Panics if a label is `>= width`.
+pub fn compact_labels(mut assignment: Vec<u32>, width: usize) -> (Vec<u32>, usize) {
+    let mut seen = vec![false; width];
+    for &b in &assignment {
+        assert!((b as usize) < width, "label out of range");
+        seen[b as usize] = true;
+    }
+    let mut map = vec![u32::MAX; width];
+    let mut next = 0u32;
+    for (old, _) in seen.iter().enumerate().filter(|(_, &occupied)| occupied) {
+        map[old] = next;
+        next += 1;
+    }
+    for b in &mut assignment {
+        *b = map[*b as usize];
+    }
+    (assignment, next as usize)
+}
+
 impl Blockmodel {
     /// Builds the blockmodel implied by `assignment` over `graph`, picking
     /// the storage representation automatically from the block count.
@@ -937,21 +962,12 @@ impl Blockmodel {
     }
 
     /// Returns a copy with blocks relabeled to the dense range
-    /// `0..num_nonempty_blocks` (ascending by old label) and the matrix
-    /// rebuilt — re-running the dense/sparse selection for the new block
-    /// count. Used after merge phases.
+    /// `0..num_nonempty_blocks` (ascending by old label, see
+    /// [`compact_labels`]) and the matrix rebuilt — re-running the
+    /// dense/sparse selection for the new block count.
     pub fn compacted(&self, graph: &Graph) -> Blockmodel {
-        let seen = self.occupied_blocks();
-        let mut map = vec![u32::MAX; self.num_blocks];
-        let mut next = 0u32;
-        for (old, &occupied) in seen.iter().enumerate() {
-            if occupied {
-                map[old] = next;
-                next += 1;
-            }
-        }
-        let assignment: Vec<u32> = self.assignment.iter().map(|&b| map[b as usize]).collect();
-        Blockmodel::from_assignment(graph, assignment, next as usize)
+        let (assignment, num_blocks) = compact_labels(self.assignment.clone(), self.num_blocks);
+        Blockmodel::from_assignment(graph, assignment, num_blocks)
     }
 
     /// All nonzero cells as `(row, col, weight)` in row-major iteration

@@ -44,6 +44,7 @@
 
 use crate::golden::{BracketEntry, GoldenBracket};
 use crate::sbp::{IterationStat, McmcStrategy};
+use sbp_graph::frame::checksum_bytes;
 use sbp_graph::varint::{read_u64, write_u64};
 use std::fmt;
 use std::io::Write as _;
@@ -404,19 +405,14 @@ fn read_le64(buf: &[u8], pos: &mut usize) -> Option<u64> {
     Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
-/// Order-sensitive checksum over the payload bytes (same mixing family
-/// as the `.sbps` edge checksum): detects truncation, bit flips, and
-/// reordering without a dependency on a hash crate.
+/// Seed of the `.sbpc` trailer checksum (the serve frames use the same
+/// routine under their own seed).
+const CHECKSUM_SEED: u64 = 0x5BC5_BC5B_C5BC_5BC5;
+
+/// The trailer checksum: detects truncation, bit flips, and reordering
+/// without a dependency on a hash crate.
 fn mix_bytes(bytes: &[u8]) -> u64 {
-    let mut acc = 0x5BC5_BC5B_C5BC_5BC5u64 ^ (bytes.len() as u64);
-    for &b in bytes {
-        acc = acc
-            .rotate_left(5)
-            .wrapping_add(u64::from(b))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    acc ^= acc >> 31;
-    acc
+    checksum_bytes(CHECKSUM_SEED, bytes)
 }
 
 #[cfg(test)]
@@ -456,6 +452,17 @@ mod tests {
             }),
             lo: None,
         }
+    }
+
+    /// `.sbpc` files are byte-unchanged by the shared checksum routine:
+    /// the trailer of a fixed snapshot is pinned to the value the
+    /// format's own routine produced before `checksum_bytes` existed.
+    #[test]
+    fn trailer_checksum_is_pinned() {
+        let bytes = sample_state().encode();
+        assert_eq!(bytes.len(), 81);
+        let sum = u64::from_le_bytes(bytes[73..].try_into().unwrap());
+        assert_eq!(sum, 0x7069_b52c_f870_a6e9);
     }
 
     #[test]

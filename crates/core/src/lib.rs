@@ -25,22 +25,26 @@
 //!   Metropolis–Hastings correction;
 //! * [`merge`] — the agglomerative block-merge phase (Alg. 1) with
 //!   union-find merge resolution (optimization d);
-//! * [`mcmc`] — the sequential Metropolis–Hastings phase (Alg. 2) plus
-//!   sweep-loop convergence control;
+//! * [`mcmc`] — the Metropolis–Hastings sweeps (Alg. 2) and the
+//!   sweep-loop convergence rule;
 //! * [`hybrid`] — the Hybrid-SBP shared-memory parallel MCMC (sequential
 //!   high-degree vertices + chunked asynchronous-Gibbs low-degree ones);
 //! * [`golden`] — the golden-ratio search over the number of communities;
 //! * [`run`] — the unified backend API: the object-safe [`Solver`] trait,
 //!   the shared [`RunConfig`]/[`RunOutcome`] types, progress events, and
 //!   cooperative cancellation via [`CancelToken`];
-//! * [`mod@sbp`] — the end-to-end driver ([`solve_sbp`]);
+//! * [`mod@sbp`] — the golden-ratio search ([`sbp::golden_search`]): the
+//!   one merge+MCMC loop, checkpoint writer and outcome assembly every
+//!   backend runs, written against a [`plane::Plane`];
+//! * [`plane`] — that trait and its single-node implementation
+//!   ([`solve_sbp`] is the search on it);
 //! * [`naive`] — a deliberately dense/batched baseline equivalent to the
 //!   original python reference implementation, used to regenerate Table VI.
 //!
-//! The phase functions accept explicit vertex/block subsets so the
-//! distributed algorithms in `sbp-dist` can reuse them unchanged: EDiSt's
-//! distributed phases are literally these functions run on the owned subset
-//! followed by an allgather.
+//! The sweep and proposal functions accept explicit vertex/block subsets,
+//! so a distributed plane restricts them to what it owns: EDiSt in
+//! `sbp-dist` is the same search with the owned subset swept and one
+//! allgather per sync point.
 //!
 //! ## Shared-memory parallelism and the determinism contract
 //!
@@ -101,6 +105,7 @@ pub mod lntab;
 pub mod mcmc;
 pub mod merge;
 pub mod naive;
+pub mod plane;
 pub mod propose;
 pub mod registry;
 pub mod run;
@@ -108,7 +113,8 @@ pub mod sbp;
 pub mod simd;
 
 pub use blockmodel::{
-    auto_picks_dense, dense_occupancy_crossover, dense_threshold, Blockmodel, LineIter, StorageKind,
+    auto_picks_dense, compact_labels, dense_occupancy_crossover, dense_threshold, Blockmodel,
+    LineIter, StorageKind,
 };
 pub use checkpoint::{CheckpointError, CheckpointState};
 pub use delta::{
@@ -116,7 +122,7 @@ pub use delta::{
 };
 pub use golden::{GoldenBracket, NextStep};
 pub use hybrid::HybridConfig;
-pub use mcmc::{keyed_mh_sweep, mcmc_phase, mh_sweep, AcceptedMove, McmcStats};
+pub use mcmc::{keyed_mh_sweep, mh_sweep, AcceptedMove};
 pub use merge::{apply_merges, propose_merges, MergeCandidate};
 pub use naive::{naive_sbp, naive_sbp_from, NaiveScratch};
 pub use propose::{hastings_correction, propose_for_block, propose_for_vertex};
@@ -125,7 +131,7 @@ pub use run::{
     Batch, CancelToken, CheckpointSpec, DegradedReason, Hybrid, NoProgress, ProgressEvent,
     ProgressFn, ProgressSink, RunConfig, RunOutcome, Sequential, Solver, WarmStart,
 };
-pub use sbp::{checkpoint_state, solve_sbp, IterationStat, McmcStrategy, SbpConfig, SbpResult};
+pub use sbp::{solve_sbp, IterationStat, McmcStrategy, SbpConfig, SbpResult};
 
 /// `h(x) = (1+x)·ln(1+x) − x·ln(x)`, the model-complexity kernel of the
 /// description length (paper Eq. 2).

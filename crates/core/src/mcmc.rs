@@ -6,22 +6,21 @@
 //! `(seed, sweep, vertex)`-keyed stream, so the same vertex draws the
 //! same randomness no matter which rank sweeps it; `mh_sweep` is the
 //! explicit-RNG variant for callers that manage their own stream.
-//! `mcmc_phase` wraps the sweep loop with the paper's convergence rule —
-//! stop when the moving average of the last three per-sweep ΔDL values
-//! falls below `threshold × initial DL`, or after `max_sweeps` — plus a
-//! cancellation check between sweeps.
+//! [`ConvergenceCheck`] is the paper's convergence rule — stop when the
+//! moving average of the last three per-sweep ΔDL values falls below
+//! `threshold × initial DL`; the phase loop that feeds it lives in
+//! [`crate::sbp`], once, for every backend.
 //!
 //! Proposal draws, acceptance tests, and the per-sweep DL the convergence
 //! rule consumes all flow through canonical-order line iteration
 //! ([`crate::line`]), so a sweep over a given blockmodel state is a pure
 //! function of `(state, seed, sweep, vertex set)` — never of the storage
-//! layout's history. The distributed drivers inherit sparse-regime
+//! layout's history. Distributed planes inherit sparse-regime
 //! bit-identity from exactly this property.
 
 use crate::blockmodel::Blockmodel;
 use crate::delta::with_scratch;
 use crate::hybrid::{evaluate_vertex, vertex_rng, Evaluation};
-use crate::run::CancelToken;
 use rand::Rng;
 use sbp_graph::{Graph, Vertex};
 
@@ -42,19 +41,6 @@ pub struct SweepOutcome {
     pub moves: Vec<AcceptedMove>,
     /// Number of proposals evaluated.
     pub proposals: usize,
-}
-
-/// Aggregate statistics for a full MCMC phase.
-#[derive(Clone, Debug, Default)]
-pub struct McmcStats {
-    /// Sweeps executed.
-    pub sweeps: usize,
-    /// Total accepted moves.
-    pub moves: usize,
-    /// Total proposals evaluated.
-    pub proposals: usize,
-    /// Description length when the phase ended.
-    pub final_dl: f64,
 }
 
 /// One sequential Metropolis–Hastings pass over `vertices`, applying
@@ -122,9 +108,8 @@ pub fn keyed_mh_sweep(
     })
 }
 
-/// The sweep-loop convergence controller used by both the single-node and
-/// the distributed drivers: feeds per-sweep ΔDL values and answers whether
-/// the phase should stop.
+/// The sweep-loop convergence controller: feeds per-sweep ΔDL values and
+/// answers whether the phase should stop.
 #[derive(Clone, Debug)]
 pub struct ConvergenceCheck {
     initial_dl: f64,
@@ -160,54 +145,6 @@ impl ConvergenceCheck {
         let avg = self.window.iter().sum::<f64>() / 3.0;
         avg.abs() < self.threshold * self.initial_dl.abs()
     }
-}
-
-/// Runs sweeps until convergence (paper Alg. 2). `sweep` is the sweep
-/// implementation — sequential MH, hybrid, or batch — so the same
-/// controller drives every MCMC variant. `cancel` is polled between
-/// sweeps: a cancelled phase stops early and reports the sweeps it
-/// completed (the distributed drivers coordinate the equivalent check
-/// through a broadcast instead, so ranks never disagree). `on_sweep` is
-/// invoked with `(sweep_idx, dl, &outcome)` after every sweep — the
-/// driver turns it into `ProgressEvent::Sweep` (the outcome carries the
-/// accepted/proposed counts); pass `|_, _, _| {}` to observe nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn mcmc_phase<F, S>(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    vertices: &[Vertex],
-    max_sweeps: usize,
-    threshold: f64,
-    cancel: &CancelToken,
-    mut sweep: F,
-    mut on_sweep: S,
-) -> McmcStats
-where
-    F: FnMut(&Graph, &mut Blockmodel, &[Vertex], usize) -> SweepOutcome,
-    S: FnMut(usize, f64, &SweepOutcome),
-{
-    let initial_dl = bm.description_length();
-    let mut check = ConvergenceCheck::new(initial_dl, threshold);
-    let mut stats = McmcStats {
-        final_dl: initial_dl,
-        ..Default::default()
-    };
-    for sweep_idx in 0..max_sweeps {
-        if cancel.is_cancelled() {
-            break;
-        }
-        let outcome = sweep(graph, bm, vertices, sweep_idx);
-        stats.sweeps += 1;
-        stats.moves += outcome.moves.len();
-        stats.proposals += outcome.proposals;
-        let dl = bm.description_length();
-        stats.final_dl = dl;
-        on_sweep(sweep_idx, dl, &outcome);
-        if check.record(dl) {
-            break;
-        }
-    }
-    stats
 }
 
 #[cfg(test)]
@@ -300,57 +237,6 @@ mod tests {
         let out = mh_sweep(&g, &mut bm, &[2], 3.0, &mut rng);
         assert_eq!(out.proposals, 0);
         assert!(out.moves.is_empty());
-    }
-
-    #[test]
-    fn mcmc_phase_reduces_dl_from_bad_start() {
-        let g = two_triangles();
-        let mut bm = Blockmodel::from_assignment(&g, vec![0, 1, 0, 1, 0, 1], 2);
-        let initial = bm.description_length();
-        let mut rng = SmallRng::seed_from_u64(15);
-        let vertices: Vec<u32> = (0..6).collect();
-        let mut observed = Vec::new();
-        let stats = mcmc_phase(
-            &g,
-            &mut bm,
-            &vertices,
-            60,
-            1e-6,
-            &CancelToken::default(),
-            |g, bm, vs, _| mh_sweep(g, bm, vs, 3.0, &mut rng),
-            |sweep, dl, outcome| observed.push((sweep, dl, outcome.moves.len())),
-        );
-        assert!(stats.final_dl <= initial);
-        assert!(stats.sweeps > 0);
-        // The hook fires once per sweep, in order, ending on the final DL,
-        // and its per-sweep move counts add up to the phase total.
-        assert_eq!(observed.len(), stats.sweeps);
-        assert_eq!(observed.last().unwrap().1, stats.final_dl);
-        assert!(observed.iter().enumerate().all(|(i, &(s, _, _))| s == i));
-        assert_eq!(
-            observed.iter().map(|&(_, _, m)| m).sum::<usize>(),
-            stats.moves
-        );
-    }
-
-    #[test]
-    fn mcmc_phase_stops_on_cancel() {
-        let g = two_triangles();
-        let mut bm = Blockmodel::from_assignment(&g, vec![0, 1, 0, 1, 0, 1], 2);
-        let cancel = CancelToken::default();
-        cancel.cancel();
-        let vertices: Vec<u32> = (0..6).collect();
-        let stats = mcmc_phase(
-            &g,
-            &mut bm,
-            &vertices,
-            60,
-            1e-6,
-            &cancel,
-            |g, bm, vs, s| keyed_mh_sweep(g, bm, vs, 3.0, 1, s),
-            |_, _, _| {},
-        );
-        assert_eq!(stats.sweeps, 0, "cancelled phase must not sweep");
     }
 
     #[test]

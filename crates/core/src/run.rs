@@ -31,8 +31,8 @@ use std::sync::Arc;
 /// keep the other; calling [`CancelToken::cancel`] from any thread — or
 /// from inside a progress callback — makes the solver stop at its next
 /// check point and return the best partition found so far, flagged with
-/// [`RunOutcome::cancelled`]. Distributed backends coordinate the check
-/// through a broadcast so every rank aborts at the same collective.
+/// [`RunOutcome::cancelled`]. The check points are documented on
+/// [`ProgressEvent::Cancelled`].
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -87,10 +87,10 @@ pub enum ProgressEvent {
         /// Block count after the merges.
         num_blocks: usize,
     },
-    /// One MCMC sweep finished (for distributed backends: one sync point —
-    /// rank 0 already holds the broadcast description length there, so
-    /// emitting it costs nothing extra). Fine-grained observability for
-    /// large-graph runs whose iterations take minutes.
+    /// One sync point of an MCMC phase finished (single-node backends:
+    /// one sweep — the root already holds the agreed description length
+    /// there, so emitting it costs nothing extra). Fine-grained
+    /// observability for large-graph runs whose iterations take minutes.
     Sweep {
         /// Golden-search iteration index.
         iteration: usize,
@@ -114,8 +114,19 @@ pub enum ProgressEvent {
         stat: IterationStat,
     },
     /// The run observed its [`CancelToken`] and is returning early.
+    ///
+    /// The one cancellation contract, for every backend: the token is
+    /// read at the top of each golden-search iteration and at every sync
+    /// point *after* the sweep(s) it closes — never between a sweep and
+    /// its sync. The value acted on is the root's, agreed by all
+    /// participants, so a distributed run stops at the same collective
+    /// everywhere. A sync-point cancel still records the interrupted
+    /// iteration (bracket entry, trajectory, checkpoint) before the run
+    /// returns its best entry so far.
     Cancelled {
-        /// Iteration at which the cancellation was observed.
+        /// The iteration that was interrupted: the one about to start
+        /// (iteration-top check) or the one whose MCMC phase was cut
+        /// short (sync-point check).
         iteration: usize,
     },
     /// The run completed normally.

@@ -1,25 +1,42 @@
-//! The end-to-end stochastic block partitioning driver.
+//! The golden-ratio search — the one driver behind every backend.
 //!
 //! Alternates the block-merge phase (Alg. 1) and the MCMC phase (Alg. 2)
-//! under golden-ratio control until the optimal block count is bracketed —
-//! Fig. 1 of the paper. Every description length recorded in the bracket
-//! and the iteration trajectory is an entropy sum over canonical matrix
-//! lines, so a trajectory is reproducible bit for bit from
-//! `(graph, seed, config)` in both storage regimes — the golden search's
-//! control flow (which bracket entry wins, when the search stops) cannot
-//! diverge between replicas that hold the same integers. [`solve_sbp`] is the engine: it accepts an
-//! optional starting partition (how DC-SBP's root-rank fine-tuning phase,
-//! Alg. 3 line 23, resumes from the combined partial results), reports
-//! [`ProgressEvent`]s, honours a [`crate::run::CancelToken`] at iteration
-//! boundaries and between MCMC sweeps, and returns the unified
-//! [`RunOutcome`].
+//! under golden-ratio control until the optimal block count is bracketed
+//! (Fig. 1 of the paper). The search, the MCMC-phase loop (sweep → sync →
+//! agreed DL + cancel decision → [`ConvergenceCheck`]), the checkpoint
+//! writer and the [`RunOutcome`] assembly exist once, in
+//! [`golden_search`], written against a [`Plane`]:
+//!
+//! ```text
+//!  golden_search ──► Plane ──┬─ LocalPlane            one participant, whole graph:
+//!   bracket · merge ·        │                        Sequential / Hybrid / Batch,
+//!   MCMC phase · cancel ·    │                        DC-SBP's local solves and
+//!   checkpoint · events      │                        fine-tune, the daemon's warm path
+//!                            └─ sbp-dist's plane ──┬─ replicated graph   (EDiSt,
+//!                               over a Communicator └─ `.sbps` shards     Algs. 4–5)
+//! ```
+//!
+//! EDiSt's exactness — a distributed run equals sequential SBP — is thus a
+//! property of the code path, not of a test matrix: the distributed plane
+//! only restricts the block and vertex loops to an owned set and turns
+//! [`Plane::sync`] / [`Plane::agree`] into collectives. Every description
+//! length recorded is an entropy sum over canonical matrix lines and
+//! every RNG stream is keyed by `(seed, iteration, sweep, vertex)` or
+//! block id — never by participant — so a trajectory is reproducible bit
+//! for bit from `(graph, seed, config)` in both storage regimes.
+//!
+//! Resume, an explicit starting partition (DC-SBP's fine-tune, Alg. 3
+//! line 23), warm start with dirty-set filtering and its refine pass are
+//! features of the loop, handled once for every plane. [`solve_sbp`] is
+//! the loop on the [`LocalPlane`].
 
-use crate::blockmodel::Blockmodel;
+use crate::blockmodel::{compact_labels, Blockmodel};
 use crate::checkpoint::{strategy_tag, CheckpointState};
 use crate::golden::{BracketEntry, GoldenBracket, NextStep};
 use crate::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
-use crate::mcmc::{keyed_mh_sweep, mcmc_phase, McmcStats};
-use crate::merge::{apply_merges, propose_merges};
+use crate::mcmc::{keyed_mh_sweep, AcceptedMove, ConvergenceCheck};
+use crate::merge::apply_merges;
+use crate::plane::{LocalPlane, Plane};
 use crate::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome};
 use sbp_graph::{Graph, Vertex};
 use std::sync::OnceLock;
@@ -65,17 +82,28 @@ fn solver_metrics() -> &'static SolverMetrics {
 }
 
 /// Wall + thread-CPU start pair for a phase timing, taken only when
-/// recording is on (`None` keeps the disabled path clock-free). Shared
-/// with the distributed drivers in `sbp-dist`, which time their own
-/// merge/MCMC phases into the same histograms.
-pub fn phase_clock() -> Option<(std::time::Instant, f64)> {
+/// recording is on (`None` keeps the disabled path clock-free).
+fn phase_clock() -> Option<(std::time::Instant, f64)> {
     sbp_metrics::enabled().then(|| (std::time::Instant::now(), sbp_mpi::thread_cpu_time()))
+}
+
+/// Records a finished phase's wall/CPU timings from a [`phase_clock`]
+/// start pair into the histograms `pick` selects (no-op on `None`).
+fn record_phase_timing(
+    clock: Option<(std::time::Instant, f64)>,
+    pick: impl FnOnce(&SolverMetrics) -> (&sbp_metrics::Histogram, &sbp_metrics::Histogram),
+) {
+    if let Some((wall, cpu)) = clock {
+        let (wall_hist, cpu_hist) = pick(solver_metrics());
+        wall_hist.observe(wall.elapsed().as_secs_f64());
+        cpu_hist.observe(sbp_mpi::thread_cpu_time() - cpu);
+    }
 }
 
 /// Records one iteration's block-size distribution (label frequencies
 /// of the current assignment) into `sbp_solver_block_size`. Observe-only;
 /// a no-op while recording is disabled.
-pub fn observe_block_sizes(bm: &Blockmodel) {
+fn observe_block_sizes(bm: &Blockmodel) {
     if !sbp_metrics::enabled() {
         return;
     }
@@ -91,37 +119,9 @@ pub fn observe_block_sizes(bm: &Blockmodel) {
     }
 }
 
-/// Records a finished merge phase's wall/CPU timings from a
-/// [`phase_clock`] start pair (no-op on `None`).
-pub fn record_merge_timing(clock: Option<(std::time::Instant, f64)>) {
-    if let Some((wall, cpu)) = clock {
-        let m = solver_metrics();
-        m.merge_wall.observe(wall.elapsed().as_secs_f64());
-        m.merge_cpu.observe(sbp_mpi::thread_cpu_time() - cpu);
-    }
-}
-
-/// Records a finished MCMC phase's wall/CPU timings from a
-/// [`phase_clock`] start pair (no-op on `None`).
-pub fn record_mcmc_timing(clock: Option<(std::time::Instant, f64)>) {
-    if let Some((wall, cpu)) = clock {
-        let m = solver_metrics();
-        m.mcmc_wall.observe(wall.elapsed().as_secs_f64());
-        m.mcmc_cpu.observe(sbp_mpi::thread_cpu_time() - cpu);
-    }
-}
-
-/// Counts one finished golden-loop iteration into
-/// `sbp_solver_iterations_total` (no-op while recording is disabled —
-/// the counter gates internally).
-pub fn record_iteration() {
-    solver_metrics().iterations.inc();
-}
-
-/// Counts one completed sweep (with its proposal/acceptance tallies)
-/// into the solver counters. The distributed drivers call this from
-/// their sync points, which are their sweep boundaries.
-pub fn record_sweep(proposals: usize, moves: usize) {
+/// Counts one sync point (with its proposal/acceptance tallies) into the
+/// solver counters.
+fn record_sweep(proposals: usize, moves: usize) {
     if !sbp_metrics::enabled() {
         return;
     }
@@ -253,259 +253,356 @@ pub fn mcmc_phase_seed(seed: u64, iter_idx: usize) -> u64 {
         .wrapping_add((iter_idx as u64) << 32)
 }
 
-/// Runs SBP inference: the golden-ratio search over merge+MCMC
-/// iterations, from `start` (an `(assignment, num_blocks)` pair) or the
-/// identity partition (`C = V`) when `start` is `None`.
-///
-/// Progress events are reported inline through `progress`;
-/// `cfg.cancel` is polled at iteration boundaries and between MCMC
-/// sweeps, and a cancelled run returns the best-so-far bracket entry
-/// with [`RunOutcome::cancelled`] set.
-///
-/// When `cfg.checkpoint` is set, a `.sbpc` snapshot is written at the
-/// configured sync boundaries (writes are atomic and best-effort: an
-/// unwritable path never kills a multi-hour run — validate the path up
-/// front, as the `Partitioner` facade does). When `cfg.resume` is set,
-/// the golden loop restores the snapshot's bracket, trajectory, and
-/// iteration index and ignores `start`; because every RNG stream is
-/// keyed by `(seed, iteration, sweep, vertex)`, the resumed run is
-/// bit-identical to the uninterrupted one.
-///
-/// When `cfg.warm` is set (and neither `start` nor `cfg.resume` is —
-/// both take precedence), the bracket is seeded from the warm partition
-/// and, if a dirty set is given, MCMC phases sweep only those vertices.
-/// See [`crate::run::WarmStart`] for the exactness argument.
+/// [`golden_search`] on the single-node plane; `start` is an
+/// `(assignment, num_blocks)` pair.
 pub fn solve_sbp(
     graph: &Graph,
     start: Option<(Vec<u32>, usize)>,
     cfg: &RunConfig,
     progress: &mut dyn ProgressSink,
 ) -> RunOutcome {
-    let t0 = sbp_mpi::thread_cpu_time();
-    let n = graph.num_vertices();
-    if n == 0 {
-        return RunOutcome::empty();
-    }
-    let scfg = &cfg.sbp;
-    // Warm starts yield to an explicit `start` (DC-SBP fine-tuning) and
-    // to resume snapshots; mixing them is rejected upstream.
-    let warm = if start.is_none() && cfg.resume.is_none() {
-        cfg.warm.as_ref()
-    } else {
-        None
-    };
-    // Dirty-set filtering: a warm start may restrict MCMC sweeps to the
-    // vertices near changed edges. The subset is sanitized here (sorted,
-    // deduped, clamped to range) so sweep order is canonical; the
-    // per-vertex RNG keying makes the restricted sweep propose exactly
-    // what a full sweep would for the same vertices.
-    let vertices: Vec<Vertex> = match warm.and_then(|w| w.dirty.as_ref()) {
-        Some(dirty) => {
-            let mut vs: Vec<Vertex> = dirty
-                .iter()
-                .copied()
-                .filter(|&v| (v as usize) < n)
-                .collect();
-            vs.sort_unstable();
-            vs.dedup();
-            vs
-        }
-        None => (0..n as u32).collect(),
-    };
-    let (mut bracket, mut iterations, first_iter);
-    if let Some(state) = &cfg.resume {
-        bracket = state.bracket(scfg.block_reduction_rate);
-        iterations = state.iterations.clone();
-        first_iter = state.next_iter as usize;
-        progress.on_event(&ProgressEvent::Started {
-            num_vertices: n,
-            num_blocks: bracket.best().map_or(n, |e| e.num_blocks),
-        });
-    } else {
-        let (assignment, num_blocks) = start
-            .or_else(|| warm.map(|w| (w.assignment.clone(), w.num_blocks)))
-            .unwrap_or_else(|| ((0..n as u32).collect(), n));
-        let mut start_bm =
-            Blockmodel::from_assignment(graph, assignment, num_blocks).compacted(graph);
-        progress.on_event(&ProgressEvent::Started {
-            num_vertices: n,
-            num_blocks: start_bm.num_blocks(),
-        });
-        iterations = Vec::new();
-        if warm.is_some() {
-            // Polish the warm partition at its own block count before
-            // seeding the bracket. The golden loop only sweeps after a
-            // merge, so without this pass the seed entry — which may
-            // remain `mid` to the very end when the warm C is already
-            // optimal — would never be repaired after edge deltas. The
-            // refine phase uses the iteration index the loop itself never
-            // reaches, so its RNG streams collide with no loop phase.
-            let refine_idx = scfg.max_iterations;
-            let stats = run_mcmc(
-                graph,
-                &mut start_bm,
-                &vertices,
-                cfg,
-                scfg.threshold_pre,
-                refine_idx,
-                progress,
-            );
-            iterations.push(IterationStat {
-                num_blocks: start_bm.num_blocks(),
-                dl: start_bm.description_length(),
-                sweeps: stats.sweeps,
-                moves: stats.moves,
-            });
-        }
-        bracket = GoldenBracket::new(scfg.block_reduction_rate);
-        bracket.seed(BracketEntry {
-            assignment: start_bm.assignment().to_vec(),
-            num_blocks: start_bm.num_blocks(),
-            dl: start_bm.description_length(),
-        });
-        first_iter = 0;
-    }
-    let mut cancelled = false;
-
-    for iter_idx in first_iter..scfg.max_iterations {
-        if cfg.cancel.is_cancelled() {
-            cancelled = true;
-            progress.on_event(&ProgressEvent::Cancelled {
-                iteration: iter_idx,
-            });
-            break;
-        }
-        match bracket.next() {
-            NextStep::Done(best) => {
-                progress.on_event(&ProgressEvent::Finished {
-                    num_blocks: best.num_blocks,
-                    description_length: best.dl,
-                });
-                return outcome_from(best, iterations, false, t0);
-            }
-            NextStep::Continue {
-                start,
-                blocks_to_merge,
-            } => {
-                let from_blocks = start.num_blocks;
-                let bm = Blockmodel::from_assignment(graph, start.assignment, start.num_blocks);
-                let merge_clock = phase_clock();
-                let mut bm = merge_phase(graph, &bm, blocks_to_merge, scfg, iter_idx);
-                record_merge_timing(merge_clock);
-                progress.on_event(&ProgressEvent::Merged {
-                    iteration: iter_idx,
-                    from_blocks,
-                    num_blocks: bm.num_blocks(),
-                });
-                let threshold = if bracket.established() {
-                    scfg.threshold_post
-                } else {
-                    scfg.threshold_pre
-                };
-                let mcmc_clock = phase_clock();
-                let stats = run_mcmc(
-                    graph, &mut bm, &vertices, cfg, threshold, iter_idx, progress,
-                );
-                record_mcmc_timing(mcmc_clock);
-                record_iteration();
-                observe_block_sizes(&bm);
-                let entry = BracketEntry {
-                    assignment: bm.assignment().to_vec(),
-                    num_blocks: bm.num_blocks(),
-                    dl: bm.description_length(),
-                };
-                let stat = IterationStat {
-                    num_blocks: entry.num_blocks,
-                    dl: entry.dl,
-                    sweeps: stats.sweeps,
-                    moves: stats.moves,
-                };
-                progress.on_event(&ProgressEvent::Iteration {
-                    iteration: iter_idx,
-                    stat: stat.clone(),
-                });
-                iterations.push(stat);
-                bracket.record(entry);
-                maybe_checkpoint(graph, cfg, &bracket, &iterations, iter_idx + 1);
-            }
-        }
-    }
-    // Cancelled, or the safety-net iteration cap was hit: return the best
-    // snapshot recorded so far.
-    let best = bracket.best().expect("bracket was seeded").clone();
-    if !cancelled {
-        progress.on_event(&ProgressEvent::Finished {
-            num_blocks: best.num_blocks,
-            description_length: best.dl,
-        });
-    }
-    outcome_from(best, iterations, cancelled, t0)
+    golden_search(&LocalPlane::new(graph), start, cfg, 1, progress).0
 }
 
-fn outcome_from(
-    best: BracketEntry,
+/// The golden-ratio search over merge+MCMC iterations on `plane`.
+///
+/// **Start.** `cfg.resume` restores a snapshot's bracket, trajectory and
+/// iteration index — bit-identical to the uninterrupted run, since every
+/// RNG stream is keyed by `(seed, iteration, sweep, vertex)`. Otherwise
+/// the bracket is seeded from `start`, else `cfg.warm` (polished at its
+/// own block count first; a dirty set restricts every sweep to it, see
+/// [`crate::run::WarmStart`]), else the identity partition.
+///
+/// **Sync points.** Moves are exchanged every `sync_period` sweeps and
+/// after a phase's last one; 1 is the paper's schedule.
+///
+/// **Cancellation** follows the contract on [`ProgressEvent::Cancelled`]
+/// and returns the best bracket entry so far.
+///
+/// **Checkpoints.** With `cfg.checkpoint` set the root writes a `.sbpc`
+/// snapshot at the configured iteration boundaries — atomically and
+/// best-effort: an unwritable path never kills a multi-hour run
+/// (validate it up front, as the `Partitioner` facade does).
+///
+/// **Errors.** The first failed plane call ends the search; the best
+/// entry so far (the empty outcome, if none) comes back with the error.
+pub fn golden_search<P: Plane>(
+    plane: &P,
+    start: Option<(Vec<u32>, usize)>,
+    cfg: &RunConfig,
+    sync_period: usize,
+    progress: &mut dyn ProgressSink,
+) -> (RunOutcome, Option<P::Error>) {
+    if plane.num_vertices() == 0 {
+        return (RunOutcome::empty(), None);
+    }
+    let mut search = Search {
+        plane,
+        cfg,
+        sync_period: sync_period.max(1),
+        progress,
+        vertices: plane.owned_vertices(),
+        prev: Vec::new(),
+        bracket: GoldenBracket::new(cfg.sbp.block_reduction_rate),
+        iterations: Vec::new(),
+        cancelled: false,
+    };
+    let error = search.run(start).err();
+    let mut outcome = RunOutcome::empty();
+    if let Some(best) = search.bracket.best() {
+        if error.is_none() && !search.cancelled {
+            search.progress.on_event(&ProgressEvent::Finished {
+                num_blocks: best.num_blocks,
+                description_length: best.dl,
+            });
+        }
+        outcome.assignment = best.assignment.clone();
+        outcome.num_blocks = best.num_blocks;
+        outcome.description_length = best.dl;
+    }
+    outcome.iterations = search.iterations;
+    outcome.cancelled = search.cancelled;
+    outcome.virtual_seconds = plane.clock();
+    (outcome, error)
+}
+
+/// The state of one [`golden_search`]; what survives an error is what
+/// the caller gets back.
+struct Search<'a, P: Plane> {
+    plane: &'a P,
+    cfg: &'a RunConfig,
+    sync_period: usize,
+    progress: &'a mut dyn ProgressSink,
+    /// The vertices this plane sweeps: its owned set, dirty-filtered.
+    vertices: Vec<Vertex>,
+    /// Scratch for [`Plane::begin_phase`] / [`Plane::sync`].
+    prev: Vec<u32>,
+    bracket: GoldenBracket,
     iterations: Vec<IterationStat>,
     cancelled: bool,
-    t0: f64,
-) -> RunOutcome {
-    RunOutcome {
-        assignment: best.assignment,
-        num_blocks: best.num_blocks,
-        description_length: best.dl,
-        iterations,
-        cancelled,
-        virtual_seconds: sbp_mpi::thread_cpu_time() - t0,
-        cluster: None,
-        sampled_vertices: None,
-        degraded: None,
+}
+
+impl<P: Plane> Search<'_, P> {
+    fn run(&mut self, start: Option<(Vec<u32>, usize)>) -> Result<(), P::Error> {
+        let (plane, cfg) = (self.plane, self.cfg);
+        let scfg = &cfg.sbp;
+        let n = plane.num_vertices();
+        let root = plane.is_root();
+        // Warm starts yield to an explicit `start` (DC-SBP fine-tuning)
+        // and to resume snapshots; mixing them is rejected upstream.
+        let warm = cfg
+            .warm
+            .as_ref()
+            .filter(|_| start.is_none() && cfg.resume.is_none());
+        // Dirty-set filtering keeps the plane's sweep order, so it is
+        // canonical whatever the order, duplicates or out-of-range ids of
+        // the dirty list; the per-vertex RNG keying makes the restricted
+        // sweep propose exactly what a full sweep would for those vertices.
+        if let Some(dirty) = warm.and_then(|w| w.dirty.as_ref()) {
+            let mut is_dirty = vec![false; n];
+            for &v in dirty {
+                if let Some(slot) = is_dirty.get_mut(v as usize) {
+                    *slot = true;
+                }
+            }
+            self.vertices.retain(|&v| is_dirty[v as usize]);
+        }
+
+        let first_iter = if let Some(state) = &cfg.resume {
+            // Validated by the caller and identical on every participant.
+            self.bracket = state.bracket(scfg.block_reduction_rate);
+            self.iterations = state.iterations.clone();
+            self.progress.on_event(&ProgressEvent::Started {
+                num_vertices: n,
+                num_blocks: self.bracket.best().map_or(n, |e| e.num_blocks),
+            });
+            state.next_iter as usize
+        } else {
+            let (assignment, width) = start
+                .or_else(|| warm.map(|w| (w.assignment.clone(), w.num_blocks)))
+                .unwrap_or_else(|| ((0..n as u32).collect(), n));
+            let (assignment, num_blocks) = compact_labels(assignment, width);
+            let mut bm = plane.build(assignment, num_blocks)?;
+            self.progress.on_event(&ProgressEvent::Started {
+                num_vertices: n,
+                num_blocks,
+            });
+            let dl = if warm.is_some() {
+                // Polish the warm partition at its own block count before
+                // seeding the bracket. The golden loop only sweeps after a
+                // merge, so without this pass the seed entry — which may
+                // remain `mid` to the very end when the warm C is already
+                // optimal — would never be repaired after edge deltas. The
+                // refine phase uses the iteration index the loop itself
+                // never reaches, so its RNG streams collide with no loop
+                // phase. A cancel it observes fires at the first iteration
+                // top below.
+                let (stat, _) =
+                    self.mcmc_phase(&mut bm, scfg.threshold_pre, scfg.max_iterations)?;
+                let dl = stat.dl;
+                self.iterations.push(stat);
+                dl
+            } else {
+                plane.agree(|| bm.description_length())?
+            };
+            self.bracket.seed(BracketEntry {
+                assignment: bm.into_assignment(),
+                num_blocks,
+                dl,
+            });
+            0
+        };
+
+        for iter_idx in first_iter..scfg.max_iterations {
+            if plane.agree(|| cfg.cancel.is_cancelled())? {
+                self.cancel(iter_idx);
+                break;
+            }
+            let NextStep::Continue {
+                start,
+                blocks_to_merge,
+            } = self.bracket.next()
+            else {
+                break;
+            };
+            let from_blocks = start.num_blocks;
+            let bm = plane.build(start.assignment, start.num_blocks)?;
+
+            // Solver-layer metrics are the root's alone: every participant
+            // walks the same loop, so an ungated count would be multiplied
+            // by the participant count.
+            let merge_clock = root.then(phase_clock).flatten();
+            let mut bm = merge_step(plane, &bm, blocks_to_merge, scfg, iter_idx)?;
+            record_phase_timing(merge_clock, |m| (&m.merge_wall, &m.merge_cpu));
+            self.progress.on_event(&ProgressEvent::Merged {
+                iteration: iter_idx,
+                from_blocks,
+                num_blocks: bm.num_blocks(),
+            });
+
+            let threshold = if self.bracket.established() {
+                scfg.threshold_post
+            } else {
+                scfg.threshold_pre
+            };
+            let mcmc_clock = root.then(phase_clock).flatten();
+            let (stat, phase_cancelled) = self.mcmc_phase(&mut bm, threshold, iter_idx)?;
+            record_phase_timing(mcmc_clock, |m| (&m.mcmc_wall, &m.mcmc_cpu));
+            if root {
+                solver_metrics().iterations.inc();
+                observe_block_sizes(&bm);
+            }
+
+            self.progress.on_event(&ProgressEvent::Iteration {
+                iteration: iter_idx,
+                stat: stat.clone(),
+            });
+            self.bracket.record(BracketEntry {
+                assignment: bm.into_assignment(),
+                num_blocks: stat.num_blocks,
+                dl: stat.dl,
+            });
+            self.iterations.push(stat);
+            if root {
+                self.maybe_checkpoint(iter_idx + 1);
+            }
+            if phase_cancelled {
+                self.cancel(iter_idx);
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn cancel(&mut self, iteration: usize) {
+        self.cancelled = true;
+        self.progress
+            .on_event(&ProgressEvent::Cancelled { iteration });
+    }
+
+    /// One MCMC phase (paper Alg. 2 / Alg. 5): sweep this plane's
+    /// vertices, sync every `sync_period` sweeps, and stop on the
+    /// convergence rule — the moving average of the last three per-sync
+    /// ΔDL values falling below `threshold × initial DL` — after
+    /// `max_sweeps`, or on a cancel decision. One agreed value carries
+    /// both the DL and that decision, so participants never disagree on
+    /// either. Returns the phase's trajectory entry (its DL the last
+    /// agreed one) and whether a sync point agreed on cancelling.
+    fn mcmc_phase(
+        &mut self,
+        bm: &mut Blockmodel,
+        threshold: f64,
+        iter_idx: usize,
+    ) -> Result<(IterationStat, bool), P::Error> {
+        let (plane, cfg) = (self.plane, self.cfg);
+        let scfg = &cfg.sbp;
+        let graph = plane.sweep_graph();
+        let root = plane.is_root();
+        let sweep_seed = mcmc_phase_seed(scfg.seed, iter_idx);
+        let initial_dl = plane.agree(|| bm.description_length())?;
+        let mut check = ConvergenceCheck::new(initial_dl, threshold);
+        plane.begin_phase(bm, &mut self.prev);
+        let mut pending: Vec<AcceptedMove> = Vec::new();
+        let mut proposed = 0usize;
+        let mut stat = IterationStat {
+            num_blocks: bm.num_blocks(),
+            dl: initial_dl,
+            sweeps: 0,
+            moves: 0,
+        };
+        while stat.sweeps < scfg.max_sweeps {
+            let vs = &self.vertices;
+            let outcome = match &scfg.strategy {
+                McmcStrategy::MetropolisHastings => {
+                    keyed_mh_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
+                }
+                McmcStrategy::Hybrid(hcfg) => {
+                    hybrid_sweep(graph, bm, vs, scfg.beta, hcfg, sweep_seed, stat.sweeps)
+                }
+                McmcStrategy::Batch => {
+                    batch_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
+                }
+            };
+            pending.extend(outcome.moves);
+            proposed += outcome.proposals;
+            stat.sweeps += 1;
+            if !stat.sweeps.is_multiple_of(self.sync_period) && stat.sweeps < scfg.max_sweeps {
+                continue;
+            }
+
+            let accepted = plane.sync(bm, &mut self.prev, &pending)?;
+            pending.clear();
+            stat.moves += accepted;
+            let (dl, cancel_now) =
+                plane.agree(|| (bm.description_length(), cfg.cancel.is_cancelled()))?;
+            stat.dl = dl;
+            if root {
+                // `accepted` is the global total; `proposed` is the
+                // root's own share (summing it would cost a collective
+                // on an observe-only path).
+                record_sweep(proposed, accepted);
+            }
+            self.progress.on_event(&ProgressEvent::Sweep {
+                iteration: iter_idx,
+                sweep: stat.sweeps - 1,
+                dl,
+                proposed,
+                accepted,
+            });
+            proposed = 0;
+            if cancel_now {
+                return Ok((stat, true));
+            }
+            if check.record(dl) {
+                break;
+            }
+        }
+        Ok((stat, false))
+    }
+
+    /// Writes the `.sbpc` snapshot of the search if `cfg.checkpoint` asks
+    /// for one at this boundary; a failed write must not abort the run it
+    /// is meant to protect.
+    fn maybe_checkpoint(&self, next_iter: usize) {
+        let Some(spec) = &self.cfg.checkpoint else {
+            return;
+        };
+        if !next_iter.is_multiple_of(spec.every.max(1)) {
+            return;
+        }
+        let (hi, mid, lo) = self.bracket.parts();
+        let state = CheckpointState {
+            seed: self.cfg.sbp.seed,
+            strategy_tag: strategy_tag(&self.cfg.sbp.strategy),
+            num_vertices: self.plane.num_vertices() as u64,
+            total_edge_weight: self.plane.total_edge_weight().max(0) as u64,
+            next_iter: next_iter as u64,
+            iterations: self.iterations.clone(),
+            hi: hi.cloned(),
+            mid: mid.cloned(),
+            lo: lo.cloned(),
+        };
+        let _ = state.write_to(&spec.path);
     }
 }
 
-/// Packs the golden-loop state at a sync boundary into a
-/// [`CheckpointState`]. Shared with the distributed drivers so the
-/// single-node and distributed planes write identical snapshots.
-pub fn checkpoint_state(
-    graph: &Graph,
-    cfg: &RunConfig,
-    bracket: &GoldenBracket,
-    iterations: &[IterationStat],
-    next_iter: usize,
-) -> CheckpointState {
-    let (hi, mid, lo) = bracket.parts();
-    CheckpointState {
-        seed: cfg.sbp.seed,
-        strategy_tag: strategy_tag(&cfg.sbp.strategy),
-        num_vertices: graph.num_vertices() as u64,
-        total_edge_weight: graph.total_edge_weight().max(0) as u64,
-        next_iter: next_iter as u64,
-        iterations: iterations.to_vec(),
-        hi: hi.cloned(),
-        mid: mid.cloned(),
-        lo: lo.cloned(),
-    }
+/// One merge phase on `plane` (paper Alg. 1 / Alg. 4): gather every
+/// participant's proposals, apply the best `blocks_to_merge` merges,
+/// rebuild compactly.
+fn merge_step<P: Plane>(
+    plane: &P,
+    bm: &Blockmodel,
+    blocks_to_merge: usize,
+    cfg: &SbpConfig,
+    iter_idx: usize,
+) -> Result<Blockmodel, P::Error> {
+    let seed = merge_phase_seed(cfg.seed, iter_idx);
+    let cands = plane.merge_candidates(bm, cfg.merge_proposals_per_block, seed)?;
+    let (assignment, num_blocks) = apply_merges(bm, cands, blocks_to_merge);
+    plane.build(assignment, num_blocks)
 }
 
-/// Writes a checkpoint if `cfg.checkpoint` asks for one at this
-/// boundary. Best-effort by contract (see [`solve_sbp`] docs): a failed
-/// write must not abort the run it is meant to protect.
-fn maybe_checkpoint(
-    graph: &Graph,
-    cfg: &RunConfig,
-    bracket: &GoldenBracket,
-    iterations: &[IterationStat],
-    next_iter: usize,
-) {
-    let Some(spec) = &cfg.checkpoint else {
-        return;
-    };
-    if !next_iter.is_multiple_of(spec.every.max(1)) {
-        return;
-    }
-    let state = checkpoint_state(graph, cfg, bracket, iterations, next_iter);
-    let _ = state.write_to(&spec.path);
-}
-
-/// One merge phase: propose for all blocks, apply the best
+/// One single-node merge phase: propose for all blocks, apply the best
 /// `blocks_to_merge` merges, rebuild compactly.
 pub fn merge_phase(
     graph: &Graph,
@@ -514,73 +611,8 @@ pub fn merge_phase(
     cfg: &SbpConfig,
     iter_idx: usize,
 ) -> Blockmodel {
-    let blocks: Vec<u32> = (0..bm.num_blocks() as u32).collect();
-    let seed = merge_phase_seed(cfg.seed, iter_idx);
-    let cands = propose_merges(bm, &blocks, cfg.merge_proposals_per_block, seed);
-    let (assignment, num_blocks) = apply_merges(bm, cands, blocks_to_merge);
-    Blockmodel::from_assignment(graph, assignment, num_blocks)
-}
-
-fn run_mcmc(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    vertices: &[Vertex],
-    cfg: &RunConfig,
-    threshold: f64,
-    iter_idx: usize,
-    progress: &mut dyn ProgressSink,
-) -> McmcStats {
-    let beta = cfg.sbp.beta;
-    let sweep_seed = mcmc_phase_seed(cfg.sbp.seed, iter_idx);
-    let max_sweeps = cfg.sbp.max_sweeps;
-    let cancel = &cfg.cancel;
-    // Every single-node sweep boundary is a "sync point" in the
-    // distributed drivers' sense, so sweep-level events come for free.
-    let mut on_sweep = |sweep: usize, dl: f64, outcome: &crate::mcmc::SweepOutcome| {
-        record_sweep(outcome.proposals, outcome.moves.len());
-        progress.on_event(&ProgressEvent::Sweep {
-            iteration: iter_idx,
-            sweep,
-            dl,
-            proposed: outcome.proposals,
-            accepted: outcome.moves.len(),
-        });
-    };
-    match &cfg.sbp.strategy {
-        McmcStrategy::MetropolisHastings => mcmc_phase(
-            graph,
-            bm,
-            vertices,
-            max_sweeps,
-            threshold,
-            cancel,
-            move |g, bm, vs, sweep| keyed_mh_sweep(g, bm, vs, beta, sweep_seed, sweep),
-            &mut on_sweep,
-        ),
-        McmcStrategy::Hybrid(hcfg) => {
-            let hcfg = *hcfg;
-            mcmc_phase(
-                graph,
-                bm,
-                vertices,
-                max_sweeps,
-                threshold,
-                cancel,
-                move |g, bm, vs, sweep| hybrid_sweep(g, bm, vs, beta, &hcfg, sweep_seed, sweep),
-                &mut on_sweep,
-            )
-        }
-        McmcStrategy::Batch => mcmc_phase(
-            graph,
-            bm,
-            vertices,
-            max_sweeps,
-            threshold,
-            cancel,
-            move |g, bm, vs, sweep| batch_sweep(g, bm, vs, beta, sweep_seed, sweep),
-            &mut on_sweep,
-        ),
-    }
+    let Ok(merged) = merge_step(&LocalPlane::new(graph), bm, blocks_to_merge, cfg, iter_idx);
+    merged
 }
 
 #[cfg(test)]
@@ -745,6 +777,46 @@ mod tests {
         assert_eq!(res.assignment.len(), 20);
         let bm = Blockmodel::from_assignment(&g, res.assignment.clone(), res.num_blocks);
         assert!((bm.description_length() - res.description_length).abs() < 1e-9);
+    }
+
+    /// Migrated from `mcmc::tests::mcmc_phase_reduces_dl_from_bad_start`:
+    /// every phase of the loop reports one `Sweep` per sync point, in
+    /// order, ending on the DL the iteration records, with move counts
+    /// that add up to the iteration's — and fine-tuning a bad start never
+    /// returns a worse DL than it was given.
+    #[test]
+    fn phase_events_account_for_every_sweep() {
+        let (g, _) = planted_two_cliques(6);
+        let start: Vec<u32> = (0..12u32).map(|v| v % 2).collect();
+        let initial = Blockmodel::from_assignment(&g, start.clone(), 2).description_length();
+        let mut sweeps: Vec<(usize, usize, f64, usize)> = Vec::new();
+        let mut checked = 0usize;
+        let mut sink = crate::run::ProgressFn(|e: &ProgressEvent| match e {
+            ProgressEvent::Sweep {
+                iteration,
+                sweep,
+                dl,
+                accepted,
+                ..
+            } => sweeps.push((*iteration, *sweep, *dl, *accepted)),
+            ProgressEvent::Iteration { iteration, stat } => {
+                assert_eq!(sweeps.len(), stat.sweeps, "one event per sweep");
+                assert!(sweeps
+                    .iter()
+                    .enumerate()
+                    .all(|(i, s)| s.0 == *iteration && s.1 == i));
+                assert_eq!(sweeps.last().unwrap().2.to_bits(), stat.dl.to_bits());
+                assert_eq!(sweeps.iter().map(|s| s.3).sum::<usize>(), stat.moves);
+                sweeps.clear();
+                checked += 1;
+            }
+            _ => {}
+        });
+        let res = solve_sbp(&g, Some((start, 2)), &RunConfig::seeded(15), &mut sink);
+        let _ = sink;
+        assert_eq!(checked, res.iterations.len());
+        assert!(checked > 0 && res.iterations.iter().all(|s| s.sweeps > 0));
+        assert!(res.description_length <= initial);
     }
 
     #[test]

@@ -227,7 +227,11 @@ pub(crate) fn delta_line_pass(
     debug_assert!(ln_vec.len() >= line.len());
     #[cfg(target_arch = "x86_64")]
     if use_simd && line.len() >= 4 {
-        // SAFETY: `use_simd` is only true when `enabled()` detected AVX2.
+        // The vector body loads `ln_vec[i..i + 4]` unchecked for every
+        // full block of `line`.
+        assert!(ln_vec.len() >= line.len(), "ln cache shorter than line");
+        // SAFETY: `use_simd` is only true when `enabled()` detected AVX2,
+        // and `ln_vec` covers `line` (asserted above).
         unsafe {
             avx2::delta_line_pass(line, dm, ln_vec, ln_old, ln_new, fix, old_sum, new_sum);
         }
@@ -267,7 +271,11 @@ pub(crate) fn entropy_line(
     debug_assert!(ln_vec.len() >= line.len());
     #[cfg(target_arch = "x86_64")]
     if use_simd && line.len() >= 4 {
-        // SAFETY: `use_simd` is only true when `enabled()` detected AVX2.
+        // The vector body loads `ln_vec[i..i + 4]` unchecked for every
+        // full block of `line`.
+        assert!(ln_vec.len() >= line.len(), "ln cache shorter than line");
+        // SAFETY: `use_simd` is only true when `enabled()` detected AVX2,
+        // and `ln_vec` covers `line` (asserted above).
         unsafe {
             avx2::entropy_line(line, ln_vec, ldr, acc);
         }
@@ -283,25 +291,48 @@ pub(crate) fn entropy_line(
 mod avx2 {
     //! The AVX2 bodies. Every `#[target_feature]` function is only
     //! reachable through a `use_simd` flag derived from [`super::enabled`],
-    //! which performed the runtime detection.
+    //! which performed the runtime detection; the `#[inline(always)]`
+    //! helpers exist only inside those two functions. Every function
+    //! here is `unsafe fn` with the conditions under `# Safety`; the
+    //! intrinsics in their bodies rely on exactly those.
     use super::*;
     use std::arch::x86_64::*;
 
     /// Packs the low 32 bits of each 64-bit lane into a 4×i32 vector.
     /// Exact for values in `[0, 2³¹)` — callers range-check first.
+    ///
+    /// # Safety
+    /// AVX2 must be available (register-only otherwise: no memory access).
     #[inline(always)]
     unsafe fn low32(v: __m256i) -> __m128i {
         let shuf = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
         _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(v, shuf))
     }
 
-    /// `ln` of four table indices (callers guarantee `[0, TABLE_SIZE)`).
+    /// `ln` of four table indices.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `tab` must point at the first of
+    /// [`lntab::TABLE_SIZE`] readable `f64`s, and every lane of `idx`
+    /// must be in `[0, TABLE_SIZE)` — the gather reads `tab[idx[k]]`
+    /// unchecked. Callers establish the range with [`any_outside`] first.
     #[inline(always)]
     unsafe fn ln4(tab: *const f64, idx: __m128i) -> __m256d {
+        #[cfg(debug_assertions)]
+        {
+            let mut lanes = [0i32; 4];
+            _mm_storeu_si128(lanes.as_mut_ptr().cast(), idx);
+            debug_assert!(lanes
+                .iter()
+                .all(|&k| (0..lntab::TABLE_SIZE as i64).contains(&i64::from(k))));
+        }
         _mm256_i32gather_pd::<8>(tab, idx)
     }
 
     /// True when any 64-bit lane of `v` falls outside `[0, hi]`.
+    ///
+    /// # Safety
+    /// AVX2 must be available (register-only otherwise: no memory access).
     #[inline(always)]
     unsafe fn any_outside(v: __m256i, hi: __m256i, zero: __m256i) -> bool {
         let bad = _mm256_or_si256(_mm256_cmpgt_epi64(v, hi), _mm256_cmpgt_epi64(zero, v));
@@ -310,6 +341,10 @@ mod avx2 {
 
     /// Folds four lane results into the scalar accumulator in ascending
     /// lane order — the association order of the scalar loop.
+    ///
+    /// # Safety
+    /// AVX2 must be available; the one store targets a local 4×`f64`
+    /// array, exactly the 32 bytes `_mm256_storeu_pd` writes.
     #[inline(always)]
     unsafe fn fold_add(acc: &mut f64, v: __m256d) {
         let mut lanes = [0.0f64; 4];
@@ -321,6 +356,9 @@ mod avx2 {
     }
 
     /// As [`fold_add`] but subtracting (the entropy accumulator's shape).
+    ///
+    /// # Safety
+    /// As [`fold_add`].
     #[inline(always)]
     unsafe fn fold_sub(acc: &mut f64, v: __m256d) {
         let mut lanes = [0.0f64; 4];
@@ -335,6 +373,13 @@ mod avx2 {
     /// cells `i..i+4` given their weights `m` and deltas `d` already in
     /// vector registers. Returns `false` when the block needs the scalar
     /// source of truth (special columns/rows, out-of-table weights).
+    ///
+    /// # Safety
+    /// AVX2 must be available, `i + 4 <= ln_vec.len()` (four `f64`s are
+    /// loaded from `ln_vec[i..]` unchecked), and `k.tab` must satisfy
+    /// [`ln4`]'s table condition; the index-range half of that condition
+    /// is established here, by the `any_outside` checks, before any
+    /// gather.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     unsafe fn delta_block(
@@ -348,6 +393,7 @@ mod avx2 {
         old_sum: &mut f64,
         new_sum: &mut f64,
     ) -> bool {
+        debug_assert!(i + 4 <= ln_vec.len());
         let m2 = _mm256_add_epi64(m, d);
         let blk = i / 4;
         if blk == rb
@@ -395,6 +441,13 @@ mod avx2 {
         max_idx: __m256i,
     }
 
+    /// The AVX2 body of [`super::delta_line_pass`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and `ln_vec.len() >= line.len()`: every
+    /// full 4-cell block `i..i + 4 <= line.len()` is loaded unchecked
+    /// from both `line` and `ln_vec` (the delta block comes from a local
+    /// `[Weight; 4]`, the `ln` table pointer from [`lntab::table`]).
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn delta_line_pass(
@@ -408,6 +461,7 @@ mod avx2 {
         new_sum: &mut f64,
     ) {
         let c = line.len();
+        debug_assert!(ln_vec.len() >= c);
         let k = DeltaConsts {
             tab: lntab::table().as_ptr(),
             v_ln_old: _mm256_set1_pd(ln_old),
@@ -460,9 +514,17 @@ mod avx2 {
         cur.finish();
     }
 
+    /// The AVX2 body of [`super::entropy_line`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and `ln_vec.len() >= line.len()`: every
+    /// full 4-cell block `i..i + 4 <= line.len()` is loaded unchecked
+    /// from both slices, and the `ln` table is gathered only for lanes
+    /// `any_outside` proved to be in `[0, TABLE_SIZE)`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn entropy_line(line: &[Weight], ln_vec: &[f64], ldr: f64, acc: &mut f64) {
         let c = line.len();
+        debug_assert!(ln_vec.len() >= c);
         let tab = lntab::table().as_ptr();
         let v_ldr = _mm256_set1_pd(ldr);
         let zero = _mm256_setzero_si256();

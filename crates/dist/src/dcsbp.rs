@@ -6,8 +6,9 @@
 //! what islands low-degree vertices on sparse graphs — the failure mode of
 //! Tables VII and Fig. 2), runs full single-node SBP on its piece, and
 //! sends the partial partition to the root. The root offsets the label
-//! spaces, fine-tunes the combined partition with the shared engine
-//! ([`sbp_core::solve_sbp`], Alg. 3 line 23), and broadcasts the result.
+//! spaces, fine-tunes the combined partition (Alg. 3 line 23), and
+//! broadcasts the result. The per-rank solves and the fine-tune are the
+//! one golden search on the single-node plane ([`sbp_core::solve_sbp`]).
 //!
 //! Cancellation is rank-local during the per-rank solves (no collectives
 //! run inside them, so ranks may stop their local searches at different
@@ -15,34 +16,21 @@
 //! fine-tuning pass; the root's observed flag is broadcast with the
 //! result so every rank reports the same outcome.
 
-use crate::edist::{shared_dl, EdistData};
+use crate::edist::EdistData;
 use crate::error::{abort_empty, guard_collectives};
 use crate::mix_seed;
-use crate::run::EventRelay;
-use sbp_core::run::{CancelToken, NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome};
-use sbp_core::{solve_sbp, SbpConfig};
+use sbp_core::run::{NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome};
+use sbp_core::{compact_labels, solve_sbp, SbpConfig};
 use sbp_graph::induced_subgraph;
 use sbp_mpi::Communicator;
 
-/// DC-SBP configuration — what [`crate::run`] lowers the shared
-/// [`RunConfig`] to.
-#[derive(Clone, Debug)]
-pub(crate) struct DcsbpConfig {
-    /// Hyper-parameters shared with the per-rank and fine-tuning phases.
-    pub sbp: SbpConfig,
-    /// Skip the root-side fine-tuning pass (ablation switch). The combined
-    /// partition is then only compacted, as in the paper's "no fine-tune"
-    /// variant.
-    pub skip_finetune: bool,
-}
-
 /// Forwards the root fine-tuning pass's iteration-level events to the
-/// cluster event relay.
-struct RelaySink<'a, 'b> {
-    relay: &'a EventRelay<'b>,
+/// run's sink.
+struct FinetuneSink<'a> {
+    sink: &'a mut dyn ProgressSink,
 }
 
-impl ProgressSink for RelaySink<'_, '_> {
+impl ProgressSink for FinetuneSink<'_> {
     fn on_event(&mut self, event: &ProgressEvent) {
         // The driver emits its own terminal events; forward only the
         // per-iteration trajectory of the nested solve.
@@ -50,7 +38,7 @@ impl ProgressSink for RelaySink<'_, '_> {
             event,
             ProgressEvent::Merged { .. } | ProgressEvent::Iteration { .. }
         ) {
-            self.relay.emit(event.clone());
+            self.sink.on_event(event);
         }
     }
 }
@@ -64,32 +52,40 @@ impl ProgressSink for RelaySink<'_, '_> {
 /// fine-tunes and broadcasts the result; otherwise the combined partition
 /// is compacted and its exact DL evaluated over the data plane, so the
 /// replicated and sharded "no fine-tune" runs are bit-identical
-/// (`compact_labels` reproduces exactly the relabeling
-/// `Blockmodel::compacted` would apply).
+/// ([`compact_labels`] is the relabeling `Blockmodel::compacted` applies).
 ///
 /// The whole collective region runs guarded (coordinated unwind, see
 /// [`crate::error`]): a dead peer, an injected kill, or a corrupted cell
 /// payload degrades the run instead of crashing the cluster.
+///
+/// `skip_finetune` is the ablation switch: the combined partition is then
+/// only compacted, as in the paper's "no fine-tune" variant. Only rank
+/// 0's `progress` is a live sink.
 pub(crate) fn dcsbp_driver<C: Communicator, D: EdistData>(
     comm: &C,
     data: &D,
-    cfg: &DcsbpConfig,
-    cancel: &CancelToken,
-    relay: &EventRelay,
+    cfg: &RunConfig,
+    skip_finetune: bool,
+    progress: &mut dyn ProgressSink,
 ) -> RunOutcome {
     let n = data.num_vertices();
     if n == 0 {
         return RunOutcome::empty();
     }
+    let cancel = &cfg.cancel;
     let run_cfg = |sbp: SbpConfig| RunConfig {
         sbp,
         cancel: cancel.clone(),
         ..RunConfig::default()
     };
+    progress.on_event(&ProgressEvent::Started {
+        num_vertices: n,
+        num_blocks: n,
+    });
     let result = guard_collectives(|| {
         let sub = induced_subgraph(data.sweep_graph(), data.my_vertices());
 
-        relay.emit(ProgressEvent::PhaseStarted { phase: "local-sbp" });
+        progress.on_event(&ProgressEvent::PhaseStarted { phase: "local-sbp" });
         let mut sub_cfg = cfg.sbp.clone();
         sub_cfg.seed = mix_seed(cfg.sbp.seed, 0xDC00 + comm.rank() as u64);
         let local = solve_sbp(&sub.graph, None, &run_cfg(sub_cfg), &mut NoProgress).assignment;
@@ -102,18 +98,18 @@ pub(crate) fn dcsbp_driver<C: Communicator, D: EdistData>(
             .collect();
         let gathered = comm.gatherv(0, payload);
 
-        let tune_on = data.whole_graph().filter(|_| !cfg.skip_finetune);
+        let tune_on = data.whole_graph().filter(|_| !skip_finetune);
         let root_result = gathered.map(|parts| {
-            relay.emit(ProgressEvent::PhaseStarted { phase: "combine" });
+            progress.on_event(&ProgressEvent::PhaseStarted { phase: "combine" });
             let (combined, width) = combine_parts(parts, n);
             match tune_on {
                 Some(graph) => {
-                    relay.emit(ProgressEvent::PhaseStarted { phase: "finetune" });
+                    progress.on_event(&ProgressEvent::PhaseStarted { phase: "finetune" });
                     let r = solve_sbp(
                         graph,
                         Some((combined, width)),
                         &run_cfg(cfg.sbp.clone()),
-                        &mut RelaySink { relay },
+                        &mut FinetuneSink { sink: progress },
                     );
                     (
                         r.assignment,
@@ -137,15 +133,16 @@ pub(crate) fn dcsbp_driver<C: Communicator, D: EdistData>(
             (assignment, tuned_dl)
         } else {
             let bm = data.build_blockmodel(comm, assignment, num_blocks)?;
-            let dl = shared_dl(comm, &bm);
+            // Rank 0's value, so every replica records the identical bits.
+            let dl = comm.broadcast(0, (comm.rank() == 0).then(|| bm.description_length()));
             (bm.into_assignment(), dl)
         };
         if cancelled {
-            relay.emit(ProgressEvent::Cancelled {
+            progress.on_event(&ProgressEvent::Cancelled {
                 iteration: iterations.len(),
             });
         } else {
-            relay.emit(ProgressEvent::Finished {
+            progress.on_event(&ProgressEvent::Finished {
                 num_blocks,
                 description_length,
             });
@@ -181,29 +178,6 @@ pub(crate) fn combine_parts(parts: Vec<Vec<(u32, u32)>>, num_vertices: usize) ->
     }
     let num_blocks = (offset as usize).max(usize::from(!combined.is_empty()));
     (combined, num_blocks)
-}
-
-/// Dense relabeling of occupied labels, ascending — the assignment-only
-/// equivalent of `Blockmodel::compacted` for planes that have no full
-/// graph to rebuild against. Returns the compacted assignment and block
-/// count.
-pub(crate) fn compact_labels(mut assignment: Vec<u32>, width: usize) -> (Vec<u32>, usize) {
-    let mut seen = vec![false; width];
-    for &b in &assignment {
-        seen[b as usize] = true;
-    }
-    let mut map = vec![u32::MAX; width];
-    let mut next = 0u32;
-    for (old, &occupied) in seen.iter().enumerate() {
-        if occupied {
-            map[old] = next;
-            next += 1;
-        }
-    }
-    for b in &mut assignment {
-        *b = map[*b as usize];
-    }
-    (assignment, next as usize)
 }
 
 #[cfg(test)]
@@ -265,16 +239,6 @@ mod tests {
         assert_eq!(width, 3);
         assert_eq!(combine_parts(vec![], 0), (vec![], 0));
         assert_eq!(combine_parts(vec![vec![]], 1), (vec![0], 1));
-    }
-
-    #[test]
-    fn compact_labels_matches_blockmodel_compacted() {
-        let g = sbp_graph::fixtures::two_cliques(3);
-        let sparse_labels: Vec<u32> = vec![5, 5, 5, 2, 2, 7];
-        let bm = sbp_core::Blockmodel::from_assignment(&g, sparse_labels.clone(), 8).compacted(&g);
-        let (compact, nb) = compact_labels(sparse_labels, 8);
-        assert_eq!(compact, bm.assignment());
-        assert_eq!(nb, bm.num_blocks());
     }
 
     #[test]

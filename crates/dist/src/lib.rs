@@ -3,39 +3,46 @@
 //! The paper's Algs. 3–5 are SPMD programs: one rank program over MPI
 //! collectives. This crate has exactly one of those, and every
 //! deployment — {thread simulator, real TCP processes} × {replicated
-//! graph, `.sbps` shards} × {EDiSt, DC-SBP} — is a caller of it:
+//! graph, `.sbps` shards} × {EDiSt, DC-SBP} — is a caller of it. EDiSt
+//! has no loop of its own: it is `sbp-core`'s golden search on this
+//! crate's plane.
 //!
 //! ```text
-//!  callers                       the run path (mod run)                    drivers
-//!  ───────                       ──────────────────────                    ───────
-//!  Edist::solve   ┐                                                      ┌ edist::edist_driver
-//!  DcSbp::solve   ├► run_thread_cluster ─┐                               │   (Algs. 4–5)
-//!  run_sharded    ┘   streams rank-0     ├► run_rank ─► data plane ──────┤
-//!                     events, folds      │   one fault    ReplicatedData │
-//!  run_tcp_rank ─────────────────────────┘   decoration,  ShardedData    └ dcsbp::dcsbp_driver
-//!    one OS process = one rank               guarded          (Alg. 3)
-//!                                            ingest, one RunConfig lowering
+//!  callers                   the run path (mod run)              sbp-core
+//!  ───────                   ──────────────────────              ────────
+//!  Edist::solve  ┐                                      EDiSt    golden_search ─► Plane
+//!  DcSbp::solve  ├► run_thread_cluster ─┐              ┌──────►   (the one loop)    │
+//!  run_sharded   ┘   streams rank-0     ├► run_rank ───┤                            ├─ LocalPlane
+//!                    events, folds      │  one fault   │ DC-SBP                     │   (single node)
+//!  run_tcp_rank ────────────────────────┘  decoration, └──────► dcsbp::dcsbp_driver └─ edist::DistPlane
+//!    one OS process = one rank             guarded               (Alg. 3; its local     over Communicator ×
+//!                                          ingest                solves and fine-tune   {ReplicatedData,
+//!                                                                are solve_sbp)          ShardedData}
 //! ```
 //!
 //! * **Source** ([`run::Source`]): a replicated [`sbp_graph::Graph`], or a
 //!   shard directory each rank ingests its own file of
 //!   ([`load_dist_graph`]). Either becomes a *data plane* — how the
 //!   replicated blockmodel is (re)built and how peers' moves reach it —
-//!   and the drivers are generic over the plane, so sharded runs are
-//!   bit-identical to replicated ones (see [`sharded`]).
+//!   and everything above it is generic over the data plane, so sharded
+//!   runs are bit-identical to replicated ones (see [`sharded`]).
 //! * **Rank body** (`run::run_rank`): generic over
 //!   [`sbp_mpi::Communicator`], so the thread simulator and a TCP process
 //!   execute the identical collective schedule. It is the one place a
-//!   [`FaultPlan`] decorates the communicator and the one place the
-//!   shared [`sbp_core::RunConfig`] is lowered to the drivers' own
-//!   `EdistConfig` / `DcsbpConfig`.
-//! * **Drivers**: [`mod@edist`] — EDiSt, exact at any rank count: the
-//!   *work* (merge proposals, MCMC vertex sweeps) is partitioned by
-//!   ownership while allgathered candidate and move lists keep every
-//!   rank's blockmodel bit-identical. [`mod@dcsbp`] — divide-and-conquer:
-//!   independent per-rank inference on *induced* subgraphs (the step that
-//!   creates island vertices on sparse graphs), gather to the root,
-//!   label-offset combination, root-side fine-tuning.
+//!   [`FaultPlan`] decorates the communicator.
+//! * **EDiSt** ([`mod@edist`]): `edist::DistPlane` implements
+//!   [`sbp_core::plane::Plane`] once for any `(Communicator, data plane)`
+//!   pair — the *work* (merge proposals, MCMC vertex sweeps) is
+//!   partitioned by ownership while allgathered candidate and move lists
+//!   keep every rank's blockmodel bit-identical — and
+//!   [`sbp_core::sbp::golden_search`] runs on it. The search, the MCMC
+//!   phase loop, cancellation, the checkpoint writer and the outcome
+//!   assembly are therefore the single-node ones: exactness at any rank
+//!   count holds by construction.
+//! * **DC-SBP** ([`mod@dcsbp`]): divide-and-conquer — independent
+//!   per-rank inference on *induced* subgraphs (the step that creates
+//!   island vertices on sparse graphs), gather to the root, label-offset
+//!   combination, root-side fine-tuning.
 //! * **Fold**: the thread runner streams rank 0's progress events to the
 //!   caller live, honours a broadcast-coordinated cancellation token, and
 //!   folds the per-rank outcomes (makespan, degraded cascade, move-byte
@@ -50,7 +57,7 @@
 //! ## Coordinated unwind
 //!
 //! Failures never panic the cluster or deadlock a collective. Every
-//! matched-collective region of both drivers runs under
+//! collective of the plane and of the DC-SBP driver runs under
 //! `error::guard_collectives`; a rank that fails — shard ingest error,
 //! malformed peer payload, an injected [`fault::RankDeath`], a dead TCP
 //! peer — poisons its peers through `error::abort_schedule` (waking
@@ -61,10 +68,11 @@
 //! [`sbp_core::DegradedReason`]; cascade observers report `RankFailure`.
 //! [`fault::FaultComm`] injects deterministic, seed-keyed faults (kill /
 //! mangle / delay, counted in collective sync points) to exercise the
-//! protocol in tests, and [`checkpoint`] gives rank 0 `.sbpc` snapshots
-//! for bit-identical resume after a crash.
+//! protocol in tests, and the search's rank-0 `.sbpc` snapshots
+//! ([`sbp_core::checkpoint`]) give bit-identical resume after a crash —
+//! at any rank count, monolithic or sharded, since every rank holds the
+//! identical bracket and trajectory.
 
-pub mod checkpoint;
 pub mod dcsbp;
 pub mod distgraph;
 pub mod edist;

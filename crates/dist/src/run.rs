@@ -1,6 +1,7 @@
 //! The one distributed run path: every {thread, TCP} × {replicated,
 //! sharded} × {EDiSt, DC-SBP} run is assembled here and nowhere else
-//! (source → rank body → driver → fold; diagram in the crate docs).
+//! (source → rank body → search / driver → fold; diagram in the crate
+//! docs).
 //!
 //! `run_rank` is the SPMD program of one rank, generic over the
 //! [`Communicator`]: the thread simulator (`run_thread_cluster`, behind
@@ -9,14 +10,15 @@
 //! so their collective schedules cannot drift apart — which is what
 //! EDiSt's exactness claim rests on.
 
-use crate::dcsbp::{dcsbp_driver, DcsbpConfig};
+use crate::dcsbp::dcsbp_driver;
 use crate::distgraph::{load_dist_graph, ShardIngestReport};
-use crate::edist::{edist_driver, EdistConfig, EdistData, ReplicatedData};
-use crate::error::{abort_empty, guard_collectives};
+use crate::edist::{DistPlane, EdistData, ReplicatedData};
+use crate::error::{abort_empty, abort_schedule, guard_collectives};
 use crate::exchange::ExchangeStats;
 use crate::fault::{FaultComm, FaultPlan};
 use crate::sharded::ShardedData;
-use sbp_core::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome};
+use sbp_core::run::{NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome};
+use sbp_core::sbp::golden_search;
 use sbp_graph::shard::ShardHeader;
 use sbp_graph::{Graph, OwnershipStrategy};
 use sbp_mpi::thread::ThreadComm;
@@ -73,23 +75,23 @@ pub(crate) struct RankResult {
     pub ingest: Option<ShardIngestReport>,
 }
 
-/// Hands rank 0's progress events to the channel draining on the caller
-/// thread. Every other rank — and every TCP rank, which has no caller
-/// thread to stream to — holds a disabled relay.
-pub(crate) struct EventRelay<'a> {
-    sender: Option<&'a Mutex<Sender<ProgressEvent>>>,
+/// Rank 0's sink on the thread cluster: hands its progress events to the
+/// channel draining on the caller thread, and announces the cluster right
+/// after the run's `Started` event. Every other rank — and every TCP
+/// rank, which has no caller thread to stream to — reports to
+/// [`NoProgress`].
+struct EventRelay<'a> {
+    sender: &'a Mutex<Sender<ProgressEvent>>,
+    ranks: usize,
 }
 
-impl EventRelay<'_> {
-    /// A relay that drops every event.
-    pub(crate) fn disabled() -> Self {
-        EventRelay { sender: None }
-    }
-
-    pub(crate) fn emit(&self, event: ProgressEvent) {
-        if let Some(sender) = self.sender {
-            // A dropped receiver just means the caller stopped listening.
-            let _ = sender.lock().expect("event relay poisoned").send(event);
+impl ProgressSink for EventRelay<'_> {
+    fn on_event(&mut self, event: &ProgressEvent) {
+        let sender = self.sender.lock().expect("event relay poisoned");
+        // A dropped receiver just means the caller stopped listening.
+        let _ = sender.send(event.clone());
+        if matches!(event, ProgressEvent::Started { .. }) {
+            let _ = sender.send(ProgressEvent::ClusterStarted { ranks: self.ranks });
         }
     }
 }
@@ -101,16 +103,20 @@ impl EventRelay<'_> {
 pub(crate) fn run_rank<C: Communicator>(
     comm: &C,
     job: &RankJob<'_>,
-    relay: &EventRelay,
+    progress: &mut dyn ProgressSink,
 ) -> RankResult {
     if job.fault.is_empty() {
-        rank_body(comm, job, relay)
+        rank_body(comm, job, progress)
     } else {
-        rank_body(&FaultComm::new(comm, job.fault.clone()), job, relay)
+        rank_body(&FaultComm::new(comm, job.fault.clone()), job, progress)
     }
 }
 
-fn rank_body<C: Communicator>(comm: &C, job: &RankJob<'_>, relay: &EventRelay) -> RankResult {
+fn rank_body<C: Communicator>(
+    comm: &C,
+    job: &RankJob<'_>,
+    progress: &mut dyn ProgressSink,
+) -> RankResult {
     match job.source {
         Source::Graph(graph) => {
             let ownership = match job.backend {
@@ -118,7 +124,7 @@ fn rank_body<C: Communicator>(comm: &C, job: &RankJob<'_>, relay: &EventRelay) -
                 ShardedBackend::DcSbp => OwnershipStrategy::Modulo,
             };
             let data = ReplicatedData::new(graph, ownership, comm);
-            drive(comm, &data, job, relay, None)
+            drive(comm, &data, job, progress, None)
         }
         Source::Shards(dir) => {
             // The ingest itself runs guarded: a rank whose shard file
@@ -136,37 +142,33 @@ fn rank_body<C: Communicator>(comm: &C, job: &RankJob<'_>, relay: &EventRelay) -
                 }
             };
             let data = ShardedData { dg: &dg };
-            drive(comm, &data, job, relay, Some(*dg.report()))
+            drive(comm, &data, job, progress, Some(*dg.report()))
         }
     }
 }
 
-/// Lowers the [`RunConfig`] to the backend's own configuration and runs
-/// its driver over `data`.
+/// Runs the job's backend over `data`: EDiSt is the golden search on
+/// this rank's [`DistPlane`], DC-SBP its own driver. A failed collective
+/// ends the search with best-so-far; this is where the rank then poisons
+/// its peers and marks the outcome degraded (coordinated unwind).
 fn drive<C: Communicator, D: EdistData>(
     comm: &C,
     data: &D,
     job: &RankJob<'_>,
-    relay: &EventRelay,
+    progress: &mut dyn ProgressSink,
     ingest: Option<ShardIngestReport>,
 ) -> RankResult {
-    let cfg = job.cfg;
     let (outcome, xstats) = match job.backend {
         ShardedBackend::Edist { sync_period } => {
-            let ecfg = EdistConfig {
-                sbp: cfg.sbp.clone(),
-                sync_period,
-                checkpoint: cfg.checkpoint.clone(),
-                resume: cfg.resume.clone(),
-            };
-            edist_driver(comm, data, &ecfg, &cfg.cancel, relay)
+            let plane = DistPlane::new(comm, data);
+            let (mut outcome, error) = golden_search(&plane, None, job.cfg, sync_period, progress);
+            if let Some(err) = error {
+                outcome.degraded = Some(abort_schedule(comm, &err));
+            }
+            (outcome, plane.xstats())
         }
         ShardedBackend::DcSbp => {
-            let dcfg = DcsbpConfig {
-                sbp: cfg.sbp.clone(),
-                skip_finetune: job.skip_finetune,
-            };
-            let outcome = dcsbp_driver(comm, data, &dcfg, &cfg.cancel, relay);
+            let outcome = dcsbp_driver(comm, data, job.cfg, job.skip_finetune, progress);
             (outcome, ExchangeStats::default())
         }
     };
@@ -181,29 +183,25 @@ fn drive<C: Communicator, D: EdistData>(
 /// scoped thread while the calling thread drains rank 0's events into
 /// `progress`, so callbacks fire live (not after the run). Cancellation
 /// flows the other way: rank 0 reads `job.cfg.cancel` and *broadcasts* it
-/// at every checkpoint, so all ranks observe the same decision at the
+/// at every check point, so all ranks observe the same decision at the
 /// same collective and the schedule never desynchronizes.
 pub(crate) fn run_thread_cluster(
     ranks: usize,
-    num_vertices: usize,
     cost: CostModel,
     job: &RankJob<'_>,
     progress: &mut dyn ProgressSink,
 ) -> RankResult {
-    progress.on_event(&ProgressEvent::Started {
-        num_vertices,
-        num_blocks: num_vertices,
-    });
-    progress.on_event(&ProgressEvent::ClusterStarted { ranks });
     let (tx, rx) = std::sync::mpsc::channel::<ProgressEvent>();
     let out = std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             let relay_tx = Mutex::new(tx);
             ThreadCluster::run(ranks, cost, |comm: &ThreadComm| {
-                let relay = EventRelay {
-                    sender: (comm.rank() == 0).then_some(&relay_tx),
-                };
-                run_rank(comm, job, &relay)
+                if comm.rank() == 0 {
+                    let sender = &relay_tx;
+                    run_rank(comm, job, &mut EventRelay { sender, ranks })
+                } else {
+                    run_rank(comm, job, &mut NoProgress)
+                }
             })
         });
         // Live-drain until every sender is gone (i.e. the cluster ended).
@@ -285,13 +283,7 @@ pub fn run_sharded(
         cfg,
         fault,
     };
-    let result = run_thread_cluster(
-        header.shard_count,
-        header.num_vertices,
-        cost,
-        &job,
-        progress,
-    );
+    let result = run_thread_cluster(header.shard_count, cost, &job, progress);
     let ingest = result.ingest.expect("sharded ranks report their ingest");
     (result.outcome, ingest)
 }
@@ -320,7 +312,7 @@ mod tests {
                 fault: &FaultPlan::none(),
             };
             let out = ThreadCluster::run(4, CostModel::zero(), |comm: &ThreadComm| {
-                run_rank(comm, &job, &EventRelay::disabled()).outcome
+                run_rank(comm, &job, &mut NoProgress).outcome
             });
             let first = &out.ranks[0].result;
             assert_eq!(first.assignment.len(), 16, "{backend:?}");

@@ -1,7 +1,8 @@
 //! The **sharded** data plane: EDiSt and DC-SBP running against a
 //! [`DistGraph`] — each rank holding only its owned adjacency — instead
-//! of a replicated monolithic [`sbp_graph::Graph`]. The drivers are the
-//! same ones the replicated plane runs (`edist::edist_driver`,
+//! of a replicated monolithic [`sbp_graph::Graph`]. The golden search and
+//! the DC-SBP driver are the ones the replicated plane runs
+//! (`sbp_core::sbp::golden_search` over `edist::DistPlane`,
 //! `dcsbp::dcsbp_driver`); this module only supplies `ShardedData`.
 //!
 //! ## How EDiSt stays exact without the whole graph
@@ -331,10 +332,10 @@ fn sharded_sync<C: Communicator>(
 // ------------------------------------------------------------ data plane
 
 /// The sharded [`EdistData`] plane: sweeps run on the local (owned-only)
-/// graph, blockmodel builds go through the summed-cell collective, and
-/// peer moves apply via the cell-delta sync. The control loops themselves
-/// are shared verbatim with the replicated plane, so the two can never
-/// drift apart.
+/// graph, blockmodel builds go through the summed-cell collective (the
+/// identity start is already compact, so it is built like any other
+/// assignment), and peer moves apply via the cell-delta sync. The control
+/// loop is the replicated plane's, so the two can never drift apart.
 pub(crate) struct ShardedData<'a> {
     pub(crate) dg: &'a DistGraph,
 }
@@ -358,14 +359,6 @@ impl EdistData for ShardedData<'_> {
 
     fn whole_graph(&self) -> Option<&sbp_graph::Graph> {
         None
-    }
-
-    fn start_blockmodel<C: Communicator>(&self, comm: &C) -> Result<Blockmodel, DistError> {
-        // Identity start, like the monolithic driver (identity is already
-        // compact: every vertex occupies its own block, so the monolithic
-        // plane's compaction pass is the identity relabeling here).
-        let n = self.dg.num_vertices();
-        dist_blockmodel(comm, self.dg, (0..n as u32).collect(), n)
     }
 
     fn build_blockmodel<C: Communicator>(

@@ -66,8 +66,7 @@ impl Solver for Edist {
             cfg,
             fault: &self.fault,
         };
-        let n = graph.num_vertices();
-        run_thread_cluster(self.ranks.max(1), n, self.cost, &job, progress).outcome
+        run_thread_cluster(self.ranks.max(1), self.cost, &job, progress).outcome
     }
 }
 
@@ -118,8 +117,7 @@ impl Solver for DcSbp {
             cfg,
             fault: &self.fault,
         };
-        let n = graph.num_vertices();
-        run_thread_cluster(self.ranks.max(1), n, self.cost, &job, progress).outcome
+        run_thread_cluster(self.ranks.max(1), self.cost, &job, progress).outcome
     }
 }
 

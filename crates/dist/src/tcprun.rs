@@ -19,8 +19,8 @@
 
 use crate::distgraph::ShardIngestReport;
 use crate::fault::FaultPlan;
-use crate::run::{run_rank, EventRelay, RankJob, RankResult, ShardedBackend};
-use sbp_core::run::{RunConfig, RunOutcome};
+use crate::run::{run_rank, RankJob, RankResult, ShardedBackend};
+use sbp_core::run::{NoProgress, RunConfig, RunOutcome};
 use sbp_graph::OwnershipStrategy;
 use sbp_mpi::{ClusterReport, Communicator, TcpComm, TcpConfig, TcpError};
 use std::time::Instant;
@@ -79,7 +79,7 @@ pub fn run_tcp_rank(
         mut outcome,
         xstats,
         ingest,
-    } = run_rank(&comm, &job, &EventRelay::disabled());
+    } = run_rank(&comm, &job, &mut NoProgress);
     let stats = comm.stats();
     let report = ClusterReport {
         makespan: outcome.virtual_seconds.max(comm.virtual_time()),

@@ -1,6 +1,7 @@
 //! Strict wire-payload primitives shared by every binary decoder in the
-//! workspace: the typed [`DecodeError`], and the section framing that
-//! packs several independently-encoded payloads into one buffer.
+//! workspace: the typed [`DecodeError`], the section framing that packs
+//! several independently-encoded payloads into one buffer, and the byte
+//! checksum of the `.sbpc` and serve-frame trailers.
 //!
 //! These started life inside `sbp-dist`'s collective codecs; they moved
 //! here so the TCP transport in `sbp-mpi` (which `sbp-dist` depends on,
@@ -79,6 +80,25 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// The order-sensitive byte checksum shared by the `.sbpc` checkpoint
+/// trailer and the `sbp-serve` frame trailer: rotate, add the byte,
+/// multiply — seeded with `seed ^ len`, so truncation, bit flips and
+/// reordering all change it. Each format passes its own `seed`, which
+/// keeps a frame of one format from validating as the other. (The TCP
+/// cluster frames' 8-byte-chunk `mix64` and the per-edge `.sbps` mix are
+/// different functions.)
+pub fn checksum_bytes(seed: u64, bytes: &[u8]) -> u64 {
+    let mut acc = seed ^ (bytes.len() as u64);
+    for &b in bytes {
+        acc = acc
+            .rotate_left(5)
+            .wrapping_add(u64::from(b))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    acc ^= acc >> 31;
+    acc
+}
 
 /// Hard ceiling on the section count [`split_sections`] accepts. The
 /// callers frame at most a handful of sections; the ceiling exists so a

@@ -21,8 +21,13 @@ use std::path::Path;
 pub enum ParseError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Structural or syntactic problem, with a line number (1-based) where known.
-    Malformed { line: usize, reason: String },
+    /// Structural or syntactic problem.
+    Malformed {
+        /// 1-based line number, where known.
+        line: usize,
+        /// What is wrong with the input.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for ParseError {

@@ -59,8 +59,12 @@ struct Mapping {
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 impl Mapping {
     fn as_slice(&self) -> &[u8] {
+        debug_assert!(self.addr != sys::MAP_FAILED && !self.addr.is_null() && self.len > 0);
         // SAFETY: `addr` is a live PROT_READ mapping of exactly `len`
-        // bytes (established in `map_file`, released only in Drop).
+        // bytes (established in `map_file`, released only in Drop), and
+        // `map_file` — the only constructor — refused the mapping if the
+        // file's size changed while it was being set up. The borrow ties
+        // the slice to `self`, so it cannot outlive the mapping.
         unsafe { std::slice::from_raw_parts(self.addr as *const u8, self.len) }
     }
 }
@@ -68,16 +72,22 @@ impl Mapping {
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 impl Drop for Mapping {
     fn drop(&mut self) {
-        // SAFETY: exact (addr, len) pair returned by a successful mmap.
+        // SAFETY: exact (addr, len) pair returned by a successful mmap,
+        // unmapped exactly once (here); `as_slice` borrows end before drop.
         unsafe {
             sys::munmap(self.addr, self.len);
         }
     }
 }
 
-// SAFETY: the mapping is read-only; the raw pointer is owned uniquely.
+// SAFETY: `addr` is uniquely owned by this value (nothing else unmaps
+// or aliases it mutably) and `len` is plain data, so moving the value to
+// another thread moves the whole mapping.
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 unsafe impl Send for Mapping {}
+// SAFETY: the mapping is PROT_READ + MAP_PRIVATE and the only access
+// through `&Mapping` is `as_slice`'s shared read, so concurrent `&`
+// access from several threads is data-race free.
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 unsafe impl Sync for Mapping {}
 
@@ -134,8 +144,10 @@ fn map_file(path: &Path) -> Option<Mapping> {
         return None;
     }
     let len = len as usize;
-    // SAFETY: fresh read-only fd, PROT_READ + MAP_PRIVATE, offset 0;
-    // the result is checked against MAP_FAILED before use.
+    // SAFETY: `file` is an open read-only fd that outlives the call, the
+    // kernel picks the address (null hint), PROT_READ + MAP_PRIVATE at
+    // offset 0 over a nonzero `len` that fits `usize`; the result is
+    // checked against MAP_FAILED before use.
     let addr = unsafe {
         sys::mmap(
             std::ptr::null_mut(),

@@ -6,7 +6,7 @@
 //! for hostile-input probes — the daemon must answer a malformed frame
 //! with a typed error frame, never die.
 
-use crate::protocol::{encode_frame, Request, Response, WireError, MAX_PAYLOAD};
+use crate::protocol::{encode_frame, read_frame, FrameReadError, Request, Response, WireError};
 use crate::server::Listen;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -106,37 +106,15 @@ impl Client {
     }
 
     fn read_response(&mut self) -> Result<Response, ClientError> {
-        let stream = self.stream.as_read();
-        let mut header = [0u8; 6];
-        let mut got = 0usize;
-        while got < header.len() {
-            match stream.read(&mut header[got..]) {
-                Ok(0) => return Err(ClientError::ConnectionClosed),
-                Ok(k) => got += k,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(ClientError::Io(e)),
+        match read_frame(self.stream.as_read()) {
+            Ok(Some(payload)) => Response::decode(&payload).map_err(ClientError::Wire),
+            // The daemon replies exactly once per request: a stream that
+            // ends before or inside the reply is a closed connection.
+            Ok(None) | Err(FrameReadError::Wire(WireError::Truncated)) => {
+                Err(ClientError::ConnectionClosed)
             }
+            Err(FrameReadError::Wire(e)) => Err(ClientError::Wire(e)),
+            Err(FrameReadError::Io(e)) => Err(ClientError::Io(e)),
         }
-        if header[..2] != crate::protocol::FRAME_MAGIC {
-            return Err(ClientError::Wire(WireError::BadMagic));
-        }
-        let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-        if len > MAX_PAYLOAD {
-            return Err(ClientError::Wire(WireError::PayloadTooLarge {
-                declared: len as u64,
-            }));
-        }
-        let mut rest = vec![0u8; len + 8];
-        stream.read_exact(&mut rest).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                ClientError::ConnectionClosed
-            } else {
-                ClientError::Io(e)
-            }
-        })?;
-        let mut frame = header.to_vec();
-        frame.extend_from_slice(&rest);
-        let (payload, _) = crate::protocol::decode_frame(&frame).map_err(ClientError::Wire)?;
-        Response::decode(payload).map_err(ClientError::Wire)
     }
 }

@@ -37,4 +37,6 @@ pub mod server;
 
 pub use client::{Client, ClientError};
 pub use protocol::{Request, Response, WireError};
-pub use server::{dirty_set, serve, Listen, ServeError, Server, ServerOptions};
+pub use server::{
+    dirty_set, serve, Listen, ServeError, Server, ServerOptions, CONNECTION_IO_TIMEOUT,
+};

@@ -20,6 +20,7 @@
 //! [`WireError`] — decoders never panic, which the root `tests/fuzz.rs`
 //! hostile-input wall enforces over both request and response decoders.
 
+use sbp_graph::frame::checksum_bytes;
 use sbp_graph::varint::{
     read_ascending_ids, read_i64, read_u64, write_ascending_ids, write_i64, write_u64,
 };
@@ -104,18 +105,14 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The per-frame checksum: the same rotate/add/multiply mixer family as
-/// the `.sbpc` checkpoint trailer, over the payload bytes.
+/// Seed of the per-frame checksum (the `.sbpc` trailer uses the same
+/// routine under its own seed).
+const FRAME_CHECKSUM_SEED: u64 = 0x5EF5_EF5E_F5EF_5EF5;
+
+/// The per-frame checksum over the payload bytes:
+/// [`sbp_graph::frame::checksum_bytes`] under the serve-frame seed.
 pub fn frame_checksum(bytes: &[u8]) -> u64 {
-    let mut acc = 0x5EF5_EF5E_F5EF_5EF5u64 ^ (bytes.len() as u64);
-    for &b in bytes {
-        acc = acc
-            .rotate_left(5)
-            .wrapping_add(u64::from(b))
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    acc ^= acc >> 31;
-    acc
+    checksum_bytes(FRAME_CHECKSUM_SEED, bytes)
 }
 
 /// Wraps a payload in a frame: magic, length, payload, checksum.
@@ -163,6 +160,57 @@ pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
         return Err(WireError::ChecksumMismatch);
     }
     Ok((payload, total))
+}
+
+/// Why [`read_frame`] produced no payload.
+#[derive(Debug)]
+pub enum FrameReadError {
+    /// The bytes read are not a well-formed frame; a stream that ends
+    /// inside a frame is [`WireError::Truncated`].
+    Wire(WireError),
+    /// Socket-level failure — including an expired read timeout.
+    Io(std::io::Error),
+}
+
+/// Reads one frame off `stream` and returns its payload — the one read
+/// loop of the daemon and the client. `Ok(None)` is a clean end of
+/// stream at a frame boundary. The declared length is checked against
+/// [`MAX_PAYLOAD`] before the body buffer is sized.
+pub fn read_frame<R: std::io::Read + ?Sized>(
+    stream: &mut R,
+) -> Result<Option<Vec<u8>>, FrameReadError> {
+    use std::io::ErrorKind;
+    let mut header = [0u8; 6];
+    let mut got = 0usize;
+    while got < header.len() {
+        match stream.read(&mut header[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(FrameReadError::Wire(WireError::Truncated)),
+            Ok(k) => got += k,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(FrameReadError::Io(e)),
+        }
+    }
+    if header[..2] != FRAME_MAGIC {
+        return Err(FrameReadError::Wire(WireError::BadMagic));
+    }
+    let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
+    if len > MAX_PAYLOAD {
+        return Err(FrameReadError::Wire(WireError::PayloadTooLarge {
+            declared: len as u64,
+        }));
+    }
+    let mut body = vec![0u8; len + 8];
+    stream.read_exact(&mut body).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => FrameReadError::Wire(WireError::Truncated),
+        _ => FrameReadError::Io(e),
+    })?;
+    let sum = u64::from_le_bytes(body[len..].try_into().expect("8 bytes"));
+    body.truncate(len);
+    if sum != frame_checksum(&body) {
+        return Err(FrameReadError::Wire(WireError::ChecksumMismatch));
+    }
+    Ok(Some(body))
 }
 
 // ------------------------------------------------------------- helpers
@@ -673,6 +721,53 @@ mod tests {
         let (payload, consumed) = decode_frame(&framed).unwrap();
         assert_eq!(consumed, framed.len());
         assert_eq!(Response::decode(payload).unwrap(), resp);
+    }
+
+    /// Serve frames are byte-unchanged by the shared checksum routine:
+    /// pinned to what the format's own routine produced before
+    /// `checksum_bytes` existed.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        assert_eq!(
+            encode_frame(&Request::Membership(vec![1, 2, 3]).encode()),
+            [
+                0x53, 0x46, 0x05, 0x00, 0x00, 0x00, 0x03, 0x03, 0x01, 0x00, 0x00, 0x3c, 0x03, 0xb3,
+                0xb6, 0x10, 0x2c, 0x09, 0xb0
+            ]
+        );
+        assert_eq!(frame_checksum(b"edist serve frame"), 0x8112_522a_d77d_de04);
+    }
+
+    /// `read_frame` is `decode_frame` over a stream: same payloads, same
+    /// typed errors, clean EOF only at a frame boundary.
+    #[test]
+    fn read_frame_matches_decode_frame() {
+        let payload = Request::Membership(vec![4, 9]).encode();
+        let mut two = encode_frame(&payload);
+        two.extend_from_slice(&encode_frame(b""));
+        let mut stream = &two[..];
+        assert_eq!(read_frame(&mut stream).unwrap(), Some(payload));
+        assert_eq!(read_frame(&mut stream).unwrap(), Some(Vec::new()));
+        assert_eq!(read_frame(&mut stream).unwrap(), None);
+
+        let wire_error = |bytes: &[u8]| match read_frame(&mut &bytes[..]) {
+            Err(FrameReadError::Wire(e)) => e,
+            other => panic!("expected a wire error, got {other:?}"),
+        };
+        let good = encode_frame(b"abc");
+        for cut in 1..good.len() {
+            assert_eq!(wire_error(&good[..cut]), WireError::Truncated, "cut {cut}");
+        }
+        let mut flipped = good.clone();
+        flipped[7] ^= 1;
+        assert_eq!(wire_error(&flipped), WireError::ChecksumMismatch);
+        assert_eq!(wire_error(b"XX\x00\x00\x00\x00"), WireError::BadMagic);
+        assert_eq!(
+            wire_error(b"SF\xFF\xFF\xFF\xFF"),
+            WireError::PayloadTooLarge {
+                declared: u32::MAX as u64
+            }
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! connection; the daemon itself survives and keeps accepting.
 
 use crate::protocol::{
-    decode_frame, encode_frame, error_code, RepartitionMode, Request, Response, StatsReply,
-    TrajectoryPoint, WireError, MAX_PAYLOAD, MAX_TRAJECTORY,
+    encode_frame, error_code, read_frame, FrameReadError, RepartitionMode, Request, Response,
+    StatsReply, TrajectoryPoint, MAX_TRAJECTORY,
 };
 use sbp_core::checkpoint::CheckpointState;
 use sbp_core::golden::BracketEntry;
@@ -513,48 +513,6 @@ impl Server {
 
 // -------------------------------------------------------- socket plumbing
 
-/// Reads one frame from a stream. Returns `Ok(None)` on clean EOF at a
-/// frame boundary, `Err(Ok(wire_error))` on a malformed frame, and
-/// `Err(Err(io_error))` on socket failure.
-fn read_frame<R: Read>(
-    stream: &mut R,
-) -> Result<Option<Vec<u8>>, Result<WireError, std::io::Error>> {
-    let mut header = [0u8; 6];
-    let mut got = 0usize;
-    while got < header.len() {
-        match stream.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(Ok(WireError::Truncated)),
-            Ok(k) => got += k,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(Err(e)),
-        }
-    }
-    if header[..2] != crate::protocol::FRAME_MAGIC {
-        return Err(Ok(WireError::BadMagic));
-    }
-    let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(Ok(WireError::PayloadTooLarge {
-            declared: len as u64,
-        }));
-    }
-    let mut rest = vec![0u8; len + 8];
-    if let Err(e) = stream.read_exact(&mut rest) {
-        return if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            Err(Ok(WireError::Truncated))
-        } else {
-            Err(Err(e))
-        };
-    }
-    let mut frame = header.to_vec();
-    frame.extend_from_slice(&rest);
-    match decode_frame(&frame) {
-        Ok((payload, _)) => Ok(Some(payload.to_vec())),
-        Err(e) => Err(Ok(e)),
-    }
-}
-
 fn write_response<W: Write>(stream: &mut W, resp: &Response) -> std::io::Result<()> {
     stream.write_all(&encode_frame(&resp.encode()))?;
     stream.flush()
@@ -568,7 +526,7 @@ fn serve_connection<S: Read + Write>(server: &mut Server, stream: &mut S) -> boo
         let payload = match read_frame(stream) {
             Ok(Some(p)) => p,
             Ok(None) => return false,
-            Err(Ok(wire)) => {
+            Err(FrameReadError::Wire(wire)) => {
                 let _ = write_response(
                     stream,
                     &Response::Error {
@@ -578,7 +536,9 @@ fn serve_connection<S: Read + Write>(server: &mut Server, stream: &mut S) -> boo
                 );
                 return false;
             }
-            Err(Err(_)) => return false,
+            // Socket failure or an expired read timeout: drop the
+            // connection without a reply.
+            Err(FrameReadError::Io(_)) => return false,
         };
         let (resp, shutdown) = match Request::decode(&payload) {
             Ok(req) => server.handle(req),
@@ -599,6 +559,33 @@ fn serve_connection<S: Read + Write>(server: &mut Server, stream: &mut S) -> boo
     }
 }
 
+/// Read and write timeout of every accepted connection. The daemon
+/// serves one connection at a time, so a peer that connects and sends
+/// nothing, stalls inside a frame, or never drains its replies would
+/// otherwise block every other client forever; after this long without
+/// progress on a single read or write the connection is dropped. It
+/// bounds each *gap*, not a request: a slow solve is the daemon's own
+/// time, and a client idle between requests for longer simply
+/// reconnects. A constant, not an option — no deployment needs a stalled
+/// peer to be waited on.
+pub const CONNECTION_IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+
+/// Serves accepted connections one after the other until a `Shutdown`
+/// request is honoured. `bound` sets a connection's read and write
+/// timeouts; one that cannot be bounded is not served.
+fn accept_loop<S: Read + Write>(
+    server: &mut Server,
+    incoming: impl Iterator<Item = std::io::Result<S>>,
+    bound: impl Fn(&S, Option<std::time::Duration>) -> std::io::Result<()>,
+) {
+    let timeout = Some(CONNECTION_IO_TIMEOUT);
+    for mut stream in incoming.flatten() {
+        if bound(&stream, timeout).is_ok() && serve_connection(server, &mut stream) {
+            break;
+        }
+    }
+}
+
 /// Binds the listener and serves connections sequentially until a
 /// `Shutdown` request arrives. `on_ready` runs once the socket is bound
 /// and accepting — the binary prints its "listening" line there.
@@ -614,33 +601,20 @@ pub fn serve(
             }
             let listener = std::os::unix::net::UnixListener::bind(path)?;
             on_ready(listen);
-            for stream in listener.incoming() {
-                let mut stream = match stream {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                };
-                if serve_connection(server, &mut stream) {
-                    break;
-                }
-            }
+            accept_loop(server, listener.incoming(), |s, t| {
+                s.set_read_timeout(t).and(s.set_write_timeout(t))
+            });
             let _ = std::fs::remove_file(path);
-            Ok(())
         }
         Listen::Tcp(addr) => {
             let listener = std::net::TcpListener::bind(addr.as_str())?;
             on_ready(listen);
-            for stream in listener.incoming() {
-                let mut stream = match stream {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                };
-                if serve_connection(server, &mut stream) {
-                    break;
-                }
-            }
-            Ok(())
+            accept_loop(server, listener.incoming(), |s, t| {
+                s.set_read_timeout(t).and(s.set_write_timeout(t))
+            });
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

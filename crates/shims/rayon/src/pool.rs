@@ -143,7 +143,11 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// The caller must not let any borrow captured by `task` end before the
 /// task has finished running (see [`Task`]).
 unsafe fn erase<'a>(task: Box<dyn FnOnce() + Send + 'a>) -> Task {
-    std::mem::transmute(task)
+    // SAFETY: source and target differ only in the trait object's
+    // lifetime bound, which has no runtime representation — same layout,
+    // same vtable. That no captured borrow ends before the task has run
+    // is the caller's obligation (this function's contract).
+    unsafe { std::mem::transmute(task) }
 }
 
 /// Poison-tolerant lock: a panic inside a task never poisons pool state
@@ -452,7 +456,10 @@ where
     let batch: Batch<RB> = Batch::new(1);
     let batch_ref = &batch;
     let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || batch_ref.run_slot(0, b));
-    // SAFETY: both arms of the barrier below run before this frame ends.
+    // SAFETY: `batch.wait()` below runs on every path out of this frame —
+    // `a`'s panic is caught first — and does not return until the task
+    // has run, so the borrows of `batch` and the captures of `b` outlive
+    // the task.
     pool().submit(vec![unsafe { erase(task) }], current_num_threads());
     let ra = catch_unwind(AssertUnwindSafe(a));
     batch.wait();

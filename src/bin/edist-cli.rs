@@ -93,6 +93,10 @@ mod sigint {
     /// handler.
     extern "C" fn on_sigint(_signum: i32) {
         INTERRUPTED.store(true, Ordering::SeqCst);
+        // SAFETY: `signal` is on POSIX's async-signal-safe list, SIGINT
+        // is a valid signal number and `SIG_DFL` (the null handler) a
+        // valid disposition; the returned previous handler is discarded,
+        // never called.
         unsafe {
             signal(SIGINT, SIG_DFL);
         }

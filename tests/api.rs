@@ -270,6 +270,76 @@ fn progress_event_stream_is_ordered_and_complete() {
     assert!(sweeps >= iterations);
 }
 
+/// EDiSt on one rank runs the single-node search itself — one golden
+/// loop on two planes — so it emits the same event stream (the cluster
+/// announcement aside) and returns the same outcome, for every sweep
+/// strategy, cold and resumed from a snapshot.
+#[test]
+fn single_rank_edist_is_the_single_node_run_event_for_event() {
+    let g = two_cliques(16);
+    let dir = std::env::temp_dir().join(format!("api_one_loop_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (tag, strategy) in [
+        ("mh", McmcStrategy::MetropolisHastings),
+        (
+            "hybrid",
+            McmcStrategy::Hybrid(HybridConfig {
+                parallel: false,
+                ..HybridConfig::default()
+            }),
+        ),
+        ("batch", McmcStrategy::Batch),
+    ] {
+        let cfg = SbpConfig {
+            strategy,
+            seed: 21,
+            ..SbpConfig::default()
+        };
+        let snapshot = dir.join(format!("{tag}.sbpc"));
+        Partitioner::on(&g)
+            .config(SbpConfig {
+                max_iterations: 2,
+                ..cfg.clone()
+            })
+            .checkpoint_to(&snapshot)
+            .run()
+            .expect("snapshot at iteration 2");
+        for resumed in [false, true] {
+            let run = |backend: Option<Backend>| {
+                let mut events = Vec::new();
+                let mut p = Partitioner::on(&g).config(cfg.clone());
+                if let Some(backend) = backend {
+                    p = p.backend(backend);
+                }
+                if resumed {
+                    p = p.resume_from(&snapshot);
+                }
+                let run = p
+                    .progress(|event| {
+                        if !matches!(event, ProgressEvent::ClusterStarted { .. }) {
+                            events.push(format!("{event:?}"));
+                        }
+                    })
+                    .run()
+                    .expect("run");
+                (run, events)
+            };
+            let ctx = format!("{tag}, resumed: {resumed}");
+            let (single, single_events) = run(None);
+            let (edist, edist_events) = run(Some(Backend::Edist { ranks: 1 }));
+            assert!(
+                single.iterations.len() > 2,
+                "{ctx}: resume would be vacuous"
+            );
+            assert!(single_events.len() > single.iterations.len());
+            assert_eq!(single_events, edist_events, "{ctx}");
+            assert_bit_identical(&edist, &single, &ctx);
+            assert_eq!((edist.cancelled, edist.degraded), (false, None), "{ctx}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sampling_composes_with_distributed_backends() {
     let g = two_cliques(10);

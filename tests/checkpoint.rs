@@ -77,12 +77,23 @@ fn assert_resume_matches_everywhere(backend: Backend, tag: &str) {
         );
         let state = CheckpointState::read_from(&path).expect("snapshot readable");
         assert_eq!(state.next_iter, k as u64, "{tag}: snapshot boundary");
+        let mut started = None;
         let resumed = Partitioner::on(&g)
             .backend(backend)
             .config(cfg())
             .resume_from(&path)
+            .progress(|event| {
+                if let ProgressEvent::Started { num_blocks, .. } = event {
+                    started = Some(*num_blocks);
+                }
+            })
             .run()
             .expect("resumed run");
+        assert_eq!(
+            started,
+            state.mid.as_ref().map(|best| best.num_blocks),
+            "{tag}: a resumed run starts at the snapshot's block count"
+        );
         assert_eq!(resumed.degraded, None, "{tag}: resume must not degrade");
         assert_bit_identical(&resumed, &baseline, &format!("{tag} boundary {k}"));
     }

@@ -411,6 +411,72 @@ fn unix_socket_end_to_end_with_malformed_frame_probe() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A peer that stalls — `sent` is everything it ever writes — holds the
+/// serial daemon for at most `CONNECTION_IO_TIMEOUT`: the next client in
+/// line is answered instead of waiting forever behind it.
+#[cfg(unix)]
+fn assert_stalled_peer_is_dropped(tag: &str, sent: &[u8]) {
+    use edist::serve::CONNECTION_IO_TIMEOUT;
+    use std::io::Write;
+    use std::sync::mpsc;
+
+    let dir = std::env::temp_dir().join(format!("edist_serve_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let listen = Listen::Unix(dir.join("daemon.sock"));
+    let listen_thread = listen.clone();
+    let daemon = std::thread::spawn(move || {
+        let mut server = Server::new(two_cliques(8), ServerOptions::default(), default_registry())
+            .expect("startup");
+        edist::serve::serve(&mut server, &listen_thread, |_| {}).expect("serve loop");
+    });
+    let Listen::Unix(sock) = &listen else {
+        unreachable!()
+    };
+    let mut stalled = loop {
+        match std::os::unix::net::UnixStream::connect(sock) {
+            Ok(s) => break s,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
+        }
+    };
+    stalled.write_all(sent).unwrap();
+
+    // The well-behaved client queues behind the stalled one. It runs on
+    // its own thread so that a daemon that never drops the stalled peer
+    // fails this test instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    let listen_client = listen.clone();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(&listen_client).unwrap();
+        let _ = tx.send(client.request(&Request::Stats).is_ok());
+        let _ = client.request(&Request::Shutdown);
+    });
+    let answered = rx.recv_timeout(3 * CONNECTION_IO_TIMEOUT);
+    assert_eq!(
+        answered,
+        Ok(true),
+        "{tag}: the client behind a stalled peer was never served"
+    );
+    daemon.join().expect("daemon thread exits cleanly");
+    drop(stalled);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Slow loris: connects and never sends a byte.
+#[test]
+#[cfg(unix)]
+fn silent_peer_is_dropped_after_the_io_timeout() {
+    assert_stalled_peer_is_dropped("silent", b"");
+}
+
+/// Half a frame, then nothing: a valid header and the first payload
+/// bytes of a frame that never completes.
+#[test]
+#[cfg(unix)]
+fn half_frame_then_hang_is_dropped_after_the_io_timeout() {
+    let frame = edist::serve::protocol::encode_frame(&Request::Stats.encode());
+    assert_stalled_peer_is_dropped("halfframe", &frame[..frame.len() - 5]);
+}
+
 #[test]
 fn facade_rejects_invalid_warm_starts_with_typed_errors() {
     let graph = two_cliques(6);
