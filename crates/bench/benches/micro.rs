@@ -3,7 +3,8 @@
 //!
 //! * sparse ΔS vs the naive dense rescan (paper §III-A optimization c);
 //! * proposal sampling;
-//! * merge-phase proposal throughput;
+//! * merge-phase proposal throughput, and the merge ΔS kernel alone
+//!   against the line-delta reference it replaced (PR 15);
 //! * MH vs hybrid vs batch sweeps;
 //! * sorted-balanced vs modulo ownership (load balance proxy);
 //! * simulated-cluster collective throughput;
@@ -14,14 +15,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use sbp_core::delta::{delta_entropy, merge_delta};
 use sbp_core::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::propose_merges;
 use sbp_core::naive::DenseBlockmodel;
-use sbp_core::propose::propose_for_vertex;
+use sbp_core::propose::{propose_for_block, propose_for_vertex};
+use sbp_core::sbp::{merge_phase, SbpConfig};
 use sbp_core::{Blockmodel, DeltaScratch, StorageKind};
 use sbp_dist::{balanced_ownership, modulo_ownership};
-use sbp_gen::{param_study, ParamStudySpec};
+use sbp_gen::{graph_challenge, param_study, Difficulty, ParamStudySpec};
 use sbp_graph::Graph;
 use sbp_mpi::{Communicator, CostModel, ThreadCluster};
 use std::hint::black_box;
@@ -191,6 +194,80 @@ fn bench_merge_phase(c: &mut Criterion) {
     group.bench_function("merge/propose_all_blocks_x10", |b| {
         b.iter(|| black_box(propose_merges(&bm, &blocks, 10, 99)))
     });
+    group.finish();
+}
+
+/// The merge ΔS kernel alone, on blockmodels taken along the halving
+/// trajectory of the `single_challenge` workload's graph
+/// (`graph_challenge(3000, Hard)`): the identity partition, then a merge
+/// phase that halves the block count followed by MH sweeps, twice and
+/// three times over. Each id evaluates the ten drawn targets of 256
+/// blocks spread over the label range — one gather per block, as
+/// `propose_merges` does; the `_reference` twin evaluates the same pairs
+/// through `merge_delta` + `delta_entropy`, the kernel the walk replaced.
+/// `scripts/check_bench_regression.py` guards the same-run ratio, which
+/// means the same thing on any machine.
+fn bench_merge_eval(c: &mut Criterion) {
+    let graph = graph_challenge(3000, Difficulty::Hard, 42).graph;
+    let vertices: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    let cfg = SbpConfig::default();
+    let mut bm = Blockmodel::identity(&graph);
+    let mut group = quick(c);
+    for (iter_idx, label, kind) in [
+        (0, "sparse_C3000", StorageKind::Sparse),
+        (2, "sparse_C750", StorageKind::Sparse),
+        (3, "dense_C375", StorageKind::Dense),
+    ] {
+        while bm.num_blocks() > 3000 >> iter_idx {
+            let phase = 3000 / bm.num_blocks();
+            bm = merge_phase(&graph, &bm, bm.num_blocks() / 2, &cfg, phase);
+            let mut rng = SmallRng::seed_from_u64(phase as u64);
+            for _ in 0..5 {
+                mh_sweep(&graph, &mut bm, &vertices, cfg.beta, &mut rng);
+            }
+        }
+        assert_eq!(
+            bm.storage_kind(),
+            kind,
+            "{label}: storage at C = {}",
+            bm.num_blocks()
+        );
+        let mut rng = SmallRng::seed_from_u64(15);
+        let step = bm.num_blocks().div_ceil(256);
+        let pairs: Vec<(u32, Vec<u32>)> = (0..bm.num_blocks() as u32)
+            .step_by(step)
+            .map(|r| {
+                let draws = (0..cfg.merge_proposals_per_block)
+                    .map(|_| propose_for_block(&mut rng, &bm, r, bm.get(r, r)).expect("C > 1"))
+                    .collect();
+                (r, draws)
+            })
+            .collect();
+        group.bench_function(format!("merge_eval/{label}"), |b| {
+            let mut scratch = DeltaScratch::new();
+            b.iter(|| {
+                let mut acc = 0.0;
+                for (r, targets) in &pairs {
+                    scratch.gather_block(&bm, *r);
+                    for &s in targets {
+                        acc += scratch.evaluate_merge(&bm, s);
+                    }
+                }
+                black_box(acc)
+            })
+        });
+        group.bench_function(format!("merge_eval/{label}_reference"), |b| {
+            b.iter(|| {
+                let mut acc = 0.0;
+                for (r, targets) in &pairs {
+                    for &s in targets {
+                        acc += delta_entropy(&bm, &merge_delta(&bm, *r, s));
+                    }
+                }
+                black_box(acc)
+            })
+        });
+    }
     group.finish();
 }
 
@@ -366,6 +443,7 @@ criterion_group!(
     bench_pool_dispatch,
     bench_propose,
     bench_merge_phase,
+    bench_merge_eval,
     bench_sweeps,
     bench_ownership,
     bench_collectives,

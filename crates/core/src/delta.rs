@@ -39,7 +39,7 @@
 //!    sorted neighbour blocks, stepping over short gaps and galloping
 //!    over long ones.
 //!
-//! | regime | line walk (before PR 13, and still the merge kernel) | now |
+//! | regime | line-delta kernel (before PR 13) | now |
 //! |---|---|---|
 //! | sparse storage | two adjacency sorts, six binary searches per neighbour block, and `ln` terms for every cell of all four lines: O(deg·log deg + nnz of four lines) | O(deg + k log k), plus at most a compare per line cell passed |
 //! | dense storage | O(deg) delta build, then four full line scans: O(deg + 4C) | O(deg + k log k) |
@@ -60,31 +60,68 @@
 //! so two replicas holding the same integers produce bit-identical ΔS and
 //! `H` whatever their storage representation or move history.
 //!
-//! ## Block merges: line walk — [`DeltaScratch::merge_delta`] +
-//! [`DeltaScratch::delta_entropy`]
+//! ## Block merges: one walk of the canonical lines —
+//! [`DeltaScratch::gather_block`] + [`DeltaScratch::evaluate_merge`]
 //!
-//! A merge folds a whole row and column, so its delta is O(nnz of block
-//! `from`'s lines) cells kept as a sorted `(cell, delta)` vector
-//! ([`LineDelta`]); ΔS re-evaluates the entropy terms of the four affected
-//! lines under that delta (dense storage: four contiguous scans through
-//! `simd::delta_line_pass`; sparse: a snapshot of the nonzero cells
-//! merged by binary search, in canonical order — see [`crate::line`]).
-//! The merge phase keeps this kernel deliberately: merge candidates are
-//! *ranked* by ΔS, the identity partition is full of mathematically tied
-//! candidates whose order is decided by the last ulps, and a factored
-//! merge ΔS would re-break those ties and change every trajectory.
+//! Merging block `r` into `s` empties every cell of row and column `r`,
+//! adds `M[r][c]` to `(s,c)` and `M[x][r]` to `(x,s)`, and folds
+//! `M[r][r] + M[r][s] + M[s][r]` into `(s,s)`. So the per-cell delta of
+//! the `s` lines *is* the `r` lines, and because every line iterates
+//! ascending (see [`crate::line`]) ΔS is a two-pointer join of row `r`
+//! against row `s` and of column `r` against column `s`: no delta vector
+//! is built, nothing is sorted, and no cell is searched for (the one
+//! exception: `M[r][s]` and `M[s][r]`, two point lookups per proposal for
+//! the folded diagonal). The merge phase draws `x = 10` targets per block,
+//! so everything that depends on `r` alone is gathered once per block by
+//! `gather_block` — the nonzero cells of its two lines, the old entropy
+//! terms of row `r` as a running sum and of column `r` as a term list —
+//! and `evaluate_merge` walks only the `s` lines.
 //!
-//! The free functions ([`vertex_move_delta`], [`delta_entropy`],
-//! [`hastings_for_delta`]) run vertex moves through the same line-walk
-//! kernel as allocating wrappers. Nothing on the hot path calls them;
-//! they are the independent reference the O(deg) kernel is tested
-//! against.
+//! **The accumulation-order contract.** Merge candidates are *ranked* by
+//! ΔS, and the identity partition is full of mathematically tied
+//! candidates whose order is decided by the last ulps, so the walk is
+//! pinned op for op: `ΔS = new − old`, two separate accumulators, every
+//! term `−m·(ln m − (ln d_out + ln d_in))` over integers of the logical
+//! state.
+//!
+//! * `old` sums the current terms of row `r`, row `s`, column `r` without
+//!   rows `{r, s}`, column `s` without rows `{r, s}` — each line ascending,
+//!   the lines in that order. Row `r` comes first, which is what lets its
+//!   sum be hoisted; column `r` comes after row `s`, so its *terms* are
+//!   hoisted and re-added per target.
+//! * `new` sums the post-merge terms of the surviving cells. On **sparse**
+//!   storage: the existing cells of row `s`, then of column `s`, then the
+//!   *created* cells (the `r` line has a cell where the `s` line has none)
+//!   in ascending `(row, col)` order — `(x,s)` for `x < s`, `(s,c)`
+//!   ascending (with `(s,s)` in its place when only the folded diagonal
+//!   fills it), `(x,s)` for `x > s`. Created cells come last because a
+//!   sparse line cannot be asked for a cell it does not hold: the join
+//!   meets them out of band and parks their terms until both walks are
+//!   done. On **dense** storage a line scan visits every slot, so created
+//!   cells are summed inline, at their slot: row `s`, then column `s`,
+//!   through `simd::delta_line_pass`, fed the `r` line as the delta
+//!   pairs. The two storages therefore round a merge ΔS differently, as
+//!   they always have; replicas agree because they pick the same storage
+//!   for the same integers.
+//!
+//! [`merge_delta`] + [`delta_entropy`] are the kernel this walk replaced:
+//! the delta as a sorted `(cell, delta)` vector ([`LineDelta`]), ΔS by
+//! re-evaluating the four affected lines under it (sparse: a snapshot of
+//! their cells, one binary search each). The walk is `to_bits`-equal to
+//! them on every merge — that is its test — so candidate ranking,
+//! tie-breaks and trajectories did not move when it replaced them.
+//!
+//! The free functions ([`vertex_move_delta`], [`merge_delta`],
+//! [`delta_entropy`], [`hastings_for_delta`]) run moves and merges
+//! through that line-delta kernel and allocate what they need. Nothing on
+//! the hot path calls them; they are the independent reference the two
+//! kernels above are tested against.
 //!
 //! Degree logarithms come from the blockmodel's incrementally maintained
 //! cache ([`Blockmodel::ln_d_out`]/[`ln_d_in`](Blockmodel::ln_d_in)) and
 //! integer `ln M_ij` values from [`crate::lntab`].
 
-use crate::blockmodel::Blockmodel;
+use crate::blockmodel::{Blockmodel, LineIter};
 use crate::lntab::ln_int;
 use crate::simd::{self, LaneFix};
 use sbp_graph::{Graph, Vertex, Weight};
@@ -198,16 +235,28 @@ pub struct DeltaScratch {
     /// `[M[r][t], M[s][t], M[t][r], M[t][s]]` per neighbour block `t` of
     /// the move under evaluation.
     cross: Vec<[Weight; 4]>,
-    /// The current merge delta.
-    delta: LineDelta,
-    /// Unsorted build/sort buffer of the merge delta.
-    raw: Vec<(u64, Weight)>,
-    /// Snapshot of the currently-nonzero cells on the affected lines.
-    affected: Vec<(u64, Weight)>,
-    /// Marks delta cells consumed while walking `affected`.
-    used: Vec<bool>,
-    /// Per-line delta entries for the dense-storage line passes.
-    colbuf: Vec<(u32, Weight)>,
+    /// The gathered block `r` (the one being merged away).
+    from: u32,
+    /// Nonzero cells of row `r` as `(col, M[r][col])`, ascending.
+    row_r: Vec<(u32, Weight)>,
+    /// Nonzero cells of column `r` as `(row, M[row][r])`, ascending.
+    col_r: Vec<(u32, Weight)>,
+    /// `M[r][r]`.
+    m_rr: Weight,
+    /// Sum of row `r`'s current entropy terms, ascending — the head of
+    /// every merge's `old` accumulator.
+    row_r_old: f64,
+    /// Current entropy term of each `col_r` cell.
+    col_r_old: Vec<f64>,
+    /// Dense storage: row `s`'s delta pairs — `row_r` with the two corner
+    /// columns patched.
+    pairs: Vec<(u32, Weight)>,
+    /// Sparse storage: parked terms of the created cells `(s, c)`,
+    /// ascending in `c`, `(s, s)` excluded.
+    created_row: Vec<f64>,
+    /// Sparse storage: parked terms of the created cells `(x, s)`,
+    /// ascending in `x`.
+    created_col: Vec<f64>,
 }
 
 thread_local! {
@@ -360,60 +409,274 @@ impl DeltaScratch {
         (ds, hastings)
     }
 
-    /// Builds the delta for merging block `from` into block `to`: row
-    /// `from` folds into row `to`, column `from` into column `to`, and all
-    /// of `from`'s degree mass moves. Merge deltas touch O(nnz of block
-    /// `from`'s lines) cells, kept sorted (built with one sort instead of
-    /// per-cell insertion).
-    pub fn merge_delta(&mut self, bm: &Blockmodel, from: u32, to: u32) {
-        assert_ne!(from, to, "cannot merge a block into itself");
-        self.raw.clear();
-        for (c, m) in bm.row_iter(from) {
-            self.raw.push((pack(from, c), -m));
-            let c2 = if c == from { to } else { c };
-            self.raw.push((pack(to, c2), m));
+    /// Gathers what every merge of block `r` shares, for the
+    /// [`evaluate_merge`](Self::evaluate_merge) calls that follow (against
+    /// the same `bm`): the nonzero cells of row and column `r`, and their
+    /// current entropy terms. Returns `M[r][r]`, which the target draw
+    /// needs as well.
+    pub fn gather_block(&mut self, bm: &Blockmodel, r: u32) -> Weight {
+        self.from = r;
+        self.row_r.clear();
+        self.row_r.extend(bm.row_iter(r));
+        self.col_r.clear();
+        self.col_r.extend(bm.col_iter(r));
+        self.m_rr = line_get(&self.row_r, r);
+        let (ln_do_r, ln_di_r) = (bm.ln_d_out(r), bm.ln_d_in(r));
+        self.row_r_old = 0.0;
+        for &(c, m) in &self.row_r {
+            self.row_r_old += term(m, ln_do_r + bm.ln_d_in(c));
         }
-        for (r, m) in bm.col_iter(from) {
-            if r == from {
-                continue; // diagonal already handled via the row pass
-            }
-            self.raw.push((pack(r, from), -m));
-            if r == to {
-                self.raw.push((pack(to, to), m));
-            } else {
-                self.raw.push((pack(r, to), m));
-            }
-        }
-        self.delta.fold_from(&mut self.raw);
-        self.delta.from = from;
-        self.delta.to = to;
-        self.delta.dout_shift = bm.d_out(from);
-        self.delta.din_shift = bm.d_in(from);
+        self.col_r_old.clear();
+        self.col_r_old.extend(
+            self.col_r
+                .iter()
+                .map(|&(x, m)| term(m, bm.ln_d_out(x) + ln_di_r)),
+        );
+        self.m_rr
     }
 
-    /// Computes `ΔS = S_after − S_before` for the delta built by the last
-    /// [`merge_delta`](Self::merge_delta) call, in O(nnz of the four
-    /// affected lines) with no allocation. Negative is an improvement.
-    pub fn delta_entropy(&mut self, bm: &Blockmodel) -> f64 {
-        self.delta_entropy_with(bm, simd::enabled())
+    /// `ΔS = S_after − S_before` for merging the block `r` of the last
+    /// [`gather_block`](Self::gather_block) call into block `to`, in one
+    /// walk of row and column `to` against the gathered lines — see the
+    /// module docs for what is walked and the accumulation order. Negative
+    /// is an improvement.
+    ///
+    /// # Panics
+    /// Panics if `to` is the gathered block.
+    pub fn evaluate_merge(&mut self, bm: &Blockmodel, to: u32) -> f64 {
+        self.evaluate_merge_with(bm, to, simd::enabled())
     }
 
-    /// [`delta_entropy`](Self::delta_entropy) forced onto the scalar
+    /// [`evaluate_merge`](Self::evaluate_merge) forced onto the scalar
     /// kernels — the property tests' bit-identity reference.
     #[doc(hidden)]
-    pub fn delta_entropy_scalar(&mut self, bm: &Blockmodel) -> f64 {
-        self.delta_entropy_with(bm, false)
+    pub fn evaluate_merge_scalar(&mut self, bm: &Blockmodel, to: u32) -> f64 {
+        self.evaluate_merge_with(bm, to, false)
     }
 
-    fn delta_entropy_with(&mut self, bm: &Blockmodel, use_simd: bool) -> f64 {
-        let DeltaScratch {
-            delta,
-            affected,
-            used,
-            colbuf,
-            ..
-        } = self;
-        delta_entropy_cells(bm, delta, affected, used, colbuf, use_simd)
+    fn evaluate_merge_with(&mut self, bm: &Blockmodel, s: u32, use_simd: bool) -> f64 {
+        let r = self.from;
+        assert_ne!(r, s, "cannot merge a block into itself");
+        debug_assert!(
+            self.row_r.iter().copied().eq(bm.row_iter(r))
+                && self.col_r.iter().copied().eq(bm.col_iter(r)),
+            "gather_block against this blockmodel first"
+        );
+        let m_sr = line_get(&self.col_r, s);
+        let target = MergeTarget {
+            s,
+            m_sr,
+            diag: self.m_rr + line_get(&self.row_r, s) + m_sr,
+            ln_ndo_s: ln_int(bm.d_out(s) + bm.d_out(r)),
+            ln_ndi_s: ln_int(bm.d_in(s) + bm.d_in(r)),
+        };
+        match (bm.row_iter(s), bm.col_iter(s)) {
+            (LineIter::Sparse(row_s), LineIter::Sparse(col_s)) => {
+                self.walk_sparse(bm, &target, row_s.as_slice(), col_s.as_slice())
+            }
+            (LineIter::Dense { line: row_s, .. }, LineIter::Dense { line: col_s, .. }) => {
+                self.walk_dense(bm, &target, row_s, col_s, use_simd)
+            }
+            _ => unreachable!("a blockmodel has one storage kind"),
+        }
+    }
+
+    /// `old` plus column `r`'s current terms, ascending, without rows `r`
+    /// and `s` (the row walks count those cells).
+    fn add_col_r_old(&self, s: u32, mut old: f64) -> f64 {
+        for (&(x, _), &old_term) in self.col_r.iter().zip(&self.col_r_old) {
+            if x != self.from && x != s {
+                old += old_term;
+            }
+        }
+        old
+    }
+
+    /// The sparse-storage merge walk: joins row `r` against row `s` and
+    /// column `r` against column `s`, parking the created cells' terms
+    /// until both are done (module docs: the accumulation-order contract).
+    fn walk_sparse(
+        &mut self,
+        bm: &Blockmodel,
+        t: &MergeTarget,
+        row_s: &[(u32, Weight)],
+        col_s: &[(u32, Weight)],
+    ) -> f64 {
+        let (r, s) = (self.from, t.s);
+        let (ln_do_s, ln_di_s) = (bm.ln_d_out(s), bm.ln_d_in(s));
+        let mut old = self.row_r_old;
+        let mut new = 0.0f64;
+
+        // Row s. The corner cells of row r never pair up: (r,r) and (r,s)
+        // are part of the folded diagonal.
+        let created = &mut self.created_row;
+        created.clear();
+        let (mut before_diag, mut has_ss) = (0usize, false);
+        join_merge_lines(
+            &self.row_r,
+            row_s,
+            |c, m_rc| {
+                if c != r && c != s {
+                    before_diag += usize::from(c < s);
+                    created.push(term(m_rc, t.ln_ndo_s + bm.ln_d_in(c)));
+                }
+            },
+            |c, m, m_rc| {
+                old += term(m, ln_do_s + bm.ln_d_in(c));
+                if c == s {
+                    has_ss = true;
+                    new += term(m + t.diag, t.ln_ndo_s + t.ln_ndi_s);
+                } else if c != r {
+                    new += term(m + m_rc, t.ln_ndo_s + bm.ln_d_in(c));
+                }
+            },
+        );
+
+        // Column r, then column s: rows r and s were counted above.
+        old = self.add_col_r_old(s, old);
+        let created = &mut self.created_col;
+        created.clear();
+        let mut above_s = 0usize;
+        join_merge_lines(
+            &self.col_r,
+            col_s,
+            |x, m_xr| {
+                if x != r && x != s {
+                    above_s += usize::from(x < s);
+                    created.push(term(m_xr, bm.ln_d_out(x) + t.ln_ndi_s));
+                }
+            },
+            |x, m, m_xr| {
+                if x != r && x != s {
+                    old += term(m, bm.ln_d_out(x) + ln_di_s);
+                    new += term(m + m_xr, bm.ln_d_out(x) + t.ln_ndi_s);
+                }
+            },
+        );
+
+        // Created cells, ascending by (row, col).
+        let (col_above, col_below) = self.created_col.split_at(above_s);
+        let (row_left, row_right) = self.created_row.split_at(before_diag);
+        let diag_term = (t.diag > 0 && !has_ss).then(|| term(t.diag, t.ln_ndo_s + t.ln_ndi_s));
+        for &created_term in col_above
+            .iter()
+            .chain(row_left)
+            .chain(&diag_term)
+            .chain(row_right)
+            .chain(col_below)
+        {
+            new += created_term;
+        }
+        new - old
+    }
+
+    /// The dense-storage merge walk: two slot-by-slot line passes, created
+    /// cells inline, the `r` lines as the delta pairs.
+    fn walk_dense(
+        &mut self,
+        bm: &Blockmodel,
+        t: &MergeTarget,
+        row_s: &[Weight],
+        col_s: &[Weight],
+        use_simd: bool,
+    ) -> f64 {
+        let (r, s) = (self.from, t.s);
+        // Row s gains row r cell for cell, except at the two corner
+        // columns: (s,r) empties and (s,s) takes the folded diagonal.
+        self.pairs.clear();
+        self.pairs
+            .extend(self.row_r.iter().filter(|e| e.0 != r && e.0 != s));
+        for corner in [(r, -t.m_sr), (s, t.diag)] {
+            let at = self.pairs.partition_point(|e| e.0 < corner.0);
+            self.pairs.insert(at, corner);
+        }
+        let mut old = self.row_r_old;
+        let mut new = 0.0f64;
+        simd::delta_line_pass(
+            row_s,
+            &self.pairs,
+            bm.ln_d_in_all(),
+            bm.ln_d_out(s),
+            t.ln_ndo_s,
+            // Column r of the merged row is empty: `ln_r` is never read.
+            &LaneFix::Substitute {
+                r,
+                s,
+                ln_r: 0.0,
+                ln_s: t.ln_ndi_s,
+            },
+            &mut old,
+            &mut new,
+            use_simd,
+        );
+        old = self.add_col_r_old(s, old);
+        // Column s gains column r as is: the pass skips rows r and s.
+        simd::delta_line_pass(
+            col_s,
+            &self.col_r,
+            bm.ln_d_out_all(),
+            bm.ln_d_in(s),
+            t.ln_ndi_s,
+            &LaneFix::Skip { r, s },
+            &mut old,
+            &mut new,
+            use_simd,
+        );
+        new - old
+    }
+}
+
+/// What one merge target `s` contributes to the walk besides its lines.
+struct MergeTarget {
+    s: u32,
+    /// `M[s][r]`.
+    m_sr: Weight,
+    /// `M[r][r] + M[r][s] + M[s][r]`, the mass folded into `(s, s)`.
+    diag: Weight,
+    /// Post-merge `ln(d_out(s))`.
+    ln_ndo_s: f64,
+    /// Post-merge `ln(d_in(s))`.
+    ln_ndi_s: f64,
+}
+
+/// Weight at `key` of a sorted line (zero when absent).
+#[inline]
+fn line_get(line: &[(u32, Weight)], key: u32) -> Weight {
+    match line.binary_search_by_key(&key, |e| e.0) {
+        Ok(i) => line[i].1,
+        Err(_) => 0,
+    }
+}
+
+/// Two-pointer join of a merge's `r` line against its `s` line, both
+/// ascending: `on_s(k, m_s, m_r)` for every cell of the `s` line (`m_r`
+/// zero where the `r` line has none there), `only_r(k, m_r)` for every
+/// cell the `r` line alone holds — all in ascending `k`.
+#[inline]
+fn join_merge_lines(
+    r_line: &[(u32, Weight)],
+    s_line: &[(u32, Weight)],
+    mut only_r: impl FnMut(u32, Weight),
+    mut on_s: impl FnMut(u32, Weight, Weight),
+) {
+    let mut rest = r_line;
+    for &(k, m_s) in s_line {
+        let lead = rest.iter().take_while(|e| e.0 < k).count();
+        for &(k_r, m_r) in &rest[..lead] {
+            only_r(k_r, m_r);
+        }
+        rest = &rest[lead..];
+        let m_r = match rest.first() {
+            Some(&(k_r, m_r)) if k_r == k => {
+                rest = &rest[1..];
+                m_r
+            }
+            _ => 0,
+        };
+        on_s(k, m_s, m_r);
+    }
+    for &(k_r, m_r) in rest {
+        only_r(k_r, m_r);
     }
 }
 
@@ -463,15 +726,10 @@ impl NewDegreeLns {
     }
 }
 
-/// ΔS kernel for a sorted cell delta, on either storage representation.
-fn delta_entropy_cells(
-    bm: &Blockmodel,
-    delta: &LineDelta,
-    affected: &mut Vec<(u64, Weight)>,
-    used: &mut Vec<bool>,
-    colbuf: &mut Vec<(u32, Weight)>,
-    use_simd: bool,
-) -> f64 {
+/// The line-delta ΔS kernel: re-evaluates the four affected lines under a
+/// sorted cell delta, on either storage representation. Reference only —
+/// it allocates its snapshot and per-line pair buffers.
+fn delta_entropy_cells(bm: &Blockmodel, delta: &LineDelta, use_simd: bool) -> f64 {
     let (r, s) = (delta.from, delta.to);
     if r == s {
         return 0.0;
@@ -480,11 +738,12 @@ fn delta_entropy_cells(
 
     // Dense storage: the four affected lines are contiguous slices, so
     // walk every slot with a merge against the line's sorted delta pairs
-    // (gathered into the reusable `colbuf`) — no snapshot, no binary
-    // searches; newly created cells are covered by the full-line scan
-    // itself. The walk itself is the shared [`simd::delta_line_pass`].
+    // (gathered into `colbuf`) — no snapshot, no binary searches; newly
+    // created cells are covered by the full-line scan itself. The walk
+    // itself is the shared [`simd::delta_line_pass`].
     if bm.storage_kind() == crate::blockmodel::StorageKind::Dense {
         let cells = &delta.cells;
+        let mut colbuf: Vec<(u32, Weight)> = Vec::new();
         let ln_d_in = bm.ln_d_in_all();
         let ln_d_out = bm.ln_d_out_all();
         let mut old_sum = 0.0f64;
@@ -504,7 +763,7 @@ fn delta_entropy_cells(
             colbuf.extend(cells[lo..hi].iter().map(|&(k, d)| (k as u32, d)));
             simd::delta_line_pass(
                 line,
-                colbuf,
+                &colbuf,
                 ln_d_in,
                 bm.ln_d_out(x),
                 ln_do_new,
@@ -516,8 +775,7 @@ fn delta_entropy_cells(
         }
         // The columns' delta entries are scattered across the row-sorted
         // cell list; gather each column's entries (already in ascending
-        // row order) into the same reusable buffer, then merge-walk the
-        // transpose.
+        // row order) into the same buffer, then merge-walk the transpose.
         let col_fix = LaneFix::Skip { r, s };
         for (y, ln_di_new) in [(r, lns.ln_ndi_r), (s, lns.ln_ndi_s)] {
             let line = bm.dense_col(y).expect("dense storage");
@@ -530,7 +788,7 @@ fn delta_entropy_cells(
             }
             simd::delta_line_pass(
                 line,
-                colbuf,
+                &colbuf,
                 ln_d_out,
                 bm.ln_d_in(y),
                 ln_di_new,
@@ -548,7 +806,7 @@ fn delta_entropy_cells(
     // excluding rows r/s; disjoint by construction, so no dedup pass.
     // Canonical line iteration makes this snapshot (and hence the ΔS
     // summation order) deterministic given the logical state.
-    affected.clear();
+    let mut affected: Vec<(u64, Weight)> = Vec::new();
     for (c, m) in bm.row_iter(r) {
         affected.push((pack(r, c), m));
     }
@@ -566,8 +824,7 @@ fn delta_entropy_cells(
         }
     }
 
-    used.clear();
-    used.resize(delta.cells.len(), false);
+    let mut used = vec![false; delta.cells.len()];
     let mut old_sum = 0.0f64;
     let mut new_sum = 0.0f64;
     for &(k, m) in affected.iter() {
@@ -651,28 +908,50 @@ pub fn vertex_move_delta(graph: &Graph, bm: &Blockmodel, v: Vertex, to: u32) -> 
     delta
 }
 
-/// Builds the [`LineDelta`] for merging block `from` into block `to`
-/// (allocating wrapper around [`DeltaScratch::merge_delta`]).
+/// Builds the [`LineDelta`] for merging block `from` into block `to`: row
+/// `from` folds into row `to`, column `from` into column `to`, and all of
+/// `from`'s degree mass moves. Allocating; with [`delta_entropy`], the
+/// reference [`DeltaScratch::evaluate_merge`] is tested `to_bits`-equal
+/// against.
+///
+/// # Panics
+/// Panics if `from == to`.
 pub fn merge_delta(bm: &Blockmodel, from: u32, to: u32) -> LineDelta {
-    with_scratch(|s| {
-        s.merge_delta(bm, from, to);
-        s.delta.clone()
-    })
+    assert_ne!(from, to, "cannot merge a block into itself");
+    let mut raw = Vec::new();
+    for (c, m) in bm.row_iter(from) {
+        raw.push((pack(from, c), -m));
+        let c2 = if c == from { to } else { c };
+        raw.push((pack(to, c2), m));
+    }
+    for (r, m) in bm.col_iter(from) {
+        if r == from {
+            continue; // diagonal already handled via the row pass
+        }
+        raw.push((pack(r, from), -m));
+        if r == to {
+            raw.push((pack(to, to), m));
+        } else {
+            raw.push((pack(r, to), m));
+        }
+    }
+    let mut delta = LineDelta {
+        from,
+        to,
+        dout_shift: bm.d_out(from),
+        din_shift: bm.d_in(from),
+        ..LineDelta::default()
+    };
+    delta.fold_from(&mut raw);
+    delta
 }
 
-/// Computes `ΔS` for an externally held delta. Uses the thread-local
-/// scratch for the affected-line snapshot, so repeated calls do not
-/// allocate after warm-up.
+/// Computes `ΔS = S_after − S_before` for an externally held delta through
+/// the line-delta kernel, in O(nnz of the four affected lines). Negative
+/// is an improvement. Allocating — the reference for both hot-path
+/// kernels.
 pub fn delta_entropy(bm: &Blockmodel, delta: &LineDelta) -> f64 {
-    with_scratch(|s| {
-        let DeltaScratch {
-            affected,
-            used,
-            colbuf,
-            ..
-        } = s;
-        delta_entropy_cells(bm, delta, affected, used, colbuf, simd::enabled())
-    })
+    delta_entropy_cells(bm, delta, simd::enabled())
 }
 
 /// The Metropolis–Hastings correction `p(s→r) / p(r→s)` for moving vertex

@@ -13,6 +13,19 @@
 //! scans and delta kernels over canonical matrix lines, so candidate
 //! ranking — and therefore the applied merge set — is identical on every
 //! replica in the sparse regime too, not just on dense storage.
+//!
+//! The phase is `C · x` evaluations of one kernel, so its cost is that
+//! kernel's: each block gathers its own two matrix lines once
+//! ([`DeltaScratch::gather_block`](crate::delta::DeltaScratch::gather_block)),
+//! then each of its `x` draws picks a target (the draw's total mass is
+//! `d_r − 2·M[r][r]`, not a scan) and walks the target's two lines
+//! against the gathered ones
+//! ([`evaluate_merge`](crate::delta::DeltaScratch::evaluate_merge)) — no
+//! delta vector, no sort, no per-cell search. The walk keeps the f64
+//! accumulation order of the line-delta kernel it replaced
+//! ([`crate::delta::merge_delta`] + [`crate::delta::delta_entropy`], now
+//! the test reference), so ΔS, the ranking below and every trajectory are
+//! bit-for-bit what they were.
 
 use crate::blockmodel::Blockmodel;
 use crate::delta::with_scratch;
@@ -65,15 +78,15 @@ pub fn propose_merges(
     seed: u64,
 ) -> Vec<MergeCandidate> {
     let run = |&r: &u32| -> Option<MergeCandidate> {
-        let mut rng =
-            SmallRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1)));
+        let mut rng = block_rng(seed, r);
         with_scratch(|scratch| {
+            // Everything a merge of `r` needs that does not depend on the
+            // target is gathered once, not once per draw.
+            let self_w = scratch.gather_block(bm, r);
             let mut best: Option<MergeCandidate> = None;
             for _ in 0..proposals_per_block {
-                let s = propose_for_block(&mut rng, bm, r)?;
-                debug_assert_ne!(s, r);
-                scratch.merge_delta(bm, r, s);
-                let ds = scratch.delta_entropy(bm);
+                let s = propose_for_block(&mut rng, bm, r, self_w)?;
+                let ds = scratch.evaluate_merge(bm, s);
                 if best.is_none_or(|b| ds < b.delta_s) {
                     best = Some(MergeCandidate {
                         block: r,
@@ -91,6 +104,11 @@ pub fn propose_merges(
     } else {
         blocks.iter().filter_map(run).collect()
     }
+}
+
+/// Block `r`'s private proposal stream for the phase seeded `seed`.
+fn block_rng(seed: u64, r: u32) -> SmallRng {
+    SmallRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1)))
 }
 
 /// Applies the best `target_merges` merges from `candidates` (paper Alg. 1
@@ -211,6 +229,69 @@ mod tests {
         split.extend(propose_merges(&bm, &[1, 3, 5], 10, 99));
         split.sort_by_key(|c| c.block);
         assert_eq!(full, split);
+    }
+
+    /// The whole candidate list — block, target and ΔS bits — equals the
+    /// one the line-delta kernel produces from the same streams, on both
+    /// storages and on both sides of the 64-block parallel cut-over.
+    #[test]
+    fn propose_merges_equals_reference_candidate_list() {
+        use crate::blockmodel::StorageKind;
+        use crate::delta::{delta_entropy, merge_delta};
+        // A weighted ring with chords, self-loops and reciprocal arcs.
+        let n = 240u32;
+        let mut edges = Vec::new();
+        for v in 0..n {
+            edges.push((v, (v + 1) % n, 1 + i64::from(v % 3)));
+            edges.push((v, (v * 7 + 3) % n, 1));
+            if v % 5 == 0 {
+                edges.push(((v + 1) % n, v, 2));
+            }
+            if v % 11 == 0 {
+                edges.push((v, v, 1));
+            }
+        }
+        let g = Graph::from_edges(n as usize, edges);
+        for c in [40u32, 63, 64, 120] {
+            let assignment: Vec<u32> = (0..n).map(|v| v % c).collect();
+            for kind in [StorageKind::Dense, StorageKind::Sparse] {
+                let bm = Blockmodel::from_assignment_with(&g, assignment.clone(), c as usize, kind);
+                let blocks: Vec<u32> = (0..c).collect();
+                let reference: Vec<MergeCandidate> = blocks
+                    .iter()
+                    .map(|&r| {
+                        let mut rng = block_rng(17, r);
+                        (0..10)
+                            .map(|_| {
+                                let s = propose_for_block(&mut rng, &bm, r, bm.get(r, r))
+                                    .expect("more than one block");
+                                MergeCandidate {
+                                    block: r,
+                                    target: s,
+                                    delta_s: delta_entropy(&bm, &merge_delta(&bm, r, s)),
+                                }
+                            })
+                            .reduce(|best, cand| {
+                                if cand.delta_s < best.delta_s {
+                                    cand
+                                } else {
+                                    best
+                                }
+                            })
+                            .expect("ten proposals")
+                    })
+                    .collect();
+                let got = propose_merges(&bm, &blocks, 10, 17);
+                assert_eq!(got.len(), reference.len());
+                for (a, b) in got.iter().zip(&reference) {
+                    assert_eq!(
+                        (a.block, a.target, a.delta_s.to_bits()),
+                        (b.block, b.target, b.delta_s.to_bits()),
+                        "C={c} {kind:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

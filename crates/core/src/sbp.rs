@@ -41,7 +41,8 @@ use crate::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome};
 use sbp_graph::{Graph, Vertex};
 use std::sync::OnceLock;
 
-/// Cached handles for the solver-layer metrics (`sbp_solver_*`).
+/// Cached handles for the solver-layer metrics (`sbp_solver_*`, and
+/// `sbp_merge_proposals_total`, the divisor of the merge wall time).
 /// Strictly observe-only — see the `sbp-metrics` crate docs: nothing in
 /// this module ever reads a recorded value back, so the solver's output
 /// is bit-identical with metrics on or off.
@@ -50,6 +51,7 @@ struct SolverMetrics {
     sweeps: std::sync::Arc<sbp_metrics::Counter>,
     proposals: std::sync::Arc<sbp_metrics::Counter>,
     moves: std::sync::Arc<sbp_metrics::Counter>,
+    merge_proposals: std::sync::Arc<sbp_metrics::Counter>,
     merge_wall: std::sync::Arc<sbp_metrics::Histogram>,
     merge_cpu: std::sync::Arc<sbp_metrics::Histogram>,
     mcmc_wall: std::sync::Arc<sbp_metrics::Histogram>,
@@ -64,6 +66,7 @@ fn solver_metrics() -> &'static SolverMetrics {
         sweeps: sbp_metrics::counter("sbp_solver_sweeps_total"),
         proposals: sbp_metrics::counter("sbp_solver_proposals_total"),
         moves: sbp_metrics::counter("sbp_solver_moves_total"),
+        merge_proposals: sbp_metrics::counter("sbp_merge_proposals_total"),
         merge_wall: sbp_metrics::histogram(
             "sbp_solver_merge_wall_seconds",
             &sbp_metrics::TIME_BUCKETS,
@@ -598,6 +601,13 @@ fn merge_step<P: Plane>(
 ) -> Result<Blockmodel, P::Error> {
     let seed = merge_phase_seed(cfg.seed, iter_idx);
     let cands = plane.merge_candidates(bm, cfg.merge_proposals_per_block, seed)?;
+    // One candidate is the best of a block's `x` evaluated proposals, and
+    // the list is the whole plane's — so, like the other solver counters,
+    // the root alone counts it, once per phase.
+    if plane.is_root() && sbp_metrics::enabled() {
+        let evaluated = cands.len() * cfg.merge_proposals_per_block;
+        solver_metrics().merge_proposals.add(evaluated as u64);
+    }
     let (assignment, num_blocks) = apply_merges(bm, cands, blocks_to_merge);
     plane.build(assignment, num_blocks)
 }

@@ -49,8 +49,9 @@
 //! in one process. On non-x86_64 targets every kernel compiles to the
 //! scalar body and [`enabled`] is `false`.
 //!
-//! Only line walks are vectorized: the merge phase's ΔS line pass and
-//! the entropy sum. Vertex-move proposals do not walk lines
+//! Only line walks are vectorized: the merge phase's ΔS line pass (two
+//! per evaluated merge on dense storage, over the target's row and
+//! column) and the entropy sum. Vertex-move proposals do not walk lines
 //! (`crate::delta`'s O(deg) kernel), so there is nothing there to
 //! vectorize.
 
@@ -207,11 +208,16 @@ fn delta_step(
 }
 
 /// Accumulates the old/new entropy terms of one affected matrix line
-/// under a cell delta — the line pass behind the line-walk ΔS kernel.
-/// `dm` holds the line's sorted `(index, delta)` pairs; `ln_vec` the
-/// per-cell cached `ln(degree)` (`ln_d_in` for row passes, `ln_d_out` for
-/// column passes); `ln_old` / `ln_new` are the line's own pre-/post-move
-/// `ln(degree)`.
+/// under a cell delta — the line pass behind the dense merge walk and the
+/// line-delta reference kernel. `dm` holds the line's sorted
+/// `(index, delta)` pairs; `ln_vec` the per-cell cached `ln(degree)`
+/// (`ln_d_in` for row passes, `ln_d_out` for column passes); `ln_old` /
+/// `ln_new` are the line's own pre-/post-move `ln(degree)`.
+///
+/// A pair may carry a zero delta, and a [`LaneFix::Skip`] pass may be
+/// handed pairs at its two skipped indices: both are consumed and change
+/// nothing. The merge walk relies on it to pass block `r`'s own lines as
+/// the pairs, unfiltered.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn delta_line_pass(
     line: &[Weight],

@@ -241,6 +241,16 @@ proptest! {
             prop_assert!(
                 (delta_entropy(&dense, &dd) - delta_entropy(&sparse, &ds)).abs() < 1e-9
             );
+            // The hot-path merge walk is the line-delta reference to the
+            // bit, on each storage.
+            let mut scratch = DeltaScratch::new();
+            for (bm, d) in [(&dense, &dd), (&sparse, &ds)] {
+                scratch.gather_block(bm, mf);
+                prop_assert_eq!(
+                    scratch.evaluate_merge(bm, mt).to_bits(),
+                    delta_entropy(bm, d).to_bits()
+                );
+            }
         }
     }
 
@@ -376,10 +386,10 @@ proptest! {
                 if from == to {
                     continue;
                 }
-                s.merge_delta(&bm, from, to);
+                s.gather_block(&bm, from);
                 prop_assert_eq!(
-                    s.delta_entropy(&bm).to_bits(),
-                    s.delta_entropy_scalar(&bm).to_bits()
+                    s.evaluate_merge(&bm, to).to_bits(),
+                    s.evaluate_merge_scalar(&bm, to).to_bits()
                 );
             }
         }
@@ -513,6 +523,134 @@ fn factored_move_kernel_matches_its_references() {
     }
 }
 
+/// Every merge probed by [`merge_walk_matches_line_delta_reference`]:
+/// gathers `from` once into the (reused) scratch, then checks the walk's
+/// ΔS for each target against the retained `merge_delta` +
+/// `delta_entropy` reference, `to_bits`.
+fn assert_walk_is_reference(
+    scratch: &mut DeltaScratch,
+    bm: &Blockmodel,
+    from: u32,
+    targets: impl Iterator<Item = u32>,
+) {
+    scratch.gather_block(bm, from);
+    for to in targets.filter(|&to| to != from) {
+        let walked = scratch.evaluate_merge(bm, to);
+        let reference = delta_entropy(bm, &merge_delta(bm, from, to));
+        assert_eq!(
+            walked.to_bits(),
+            reference.to_bits(),
+            "C={} {:?} {from}->{to}: walk {walked:e} vs reference {reference:e}",
+            bm.num_blocks(),
+            bm.storage_kind(),
+        );
+    }
+}
+
+/// The sort-free merge walk against the kernel it replaced, `to_bits`, on
+/// both storages.
+///
+/// (a) A hand-built blockmodel, every ordered pair, whose cells pin the
+/// corner cases by name — asserted present, so a fixture edit cannot
+/// silently drop one. (b) Random blocky graphs at block counts on either
+/// side of the always-dense band and of the SIMD block width (2, 3, 64 |
+/// 65, 512): every ordered pair up to C = 64, sampled pairs in both
+/// orders above, one gather per `from` shared by all its targets.
+#[test]
+fn merge_walk_matches_line_delta_reference() {
+    let mut scratch = DeltaScratch::new();
+    // One vertex per block; arcs are matrix cells.
+    let corner_arcs: Vec<(u32, u32, i64)> = vec![
+        (0, 0, 2), // self-loop on 0
+        (1, 1, 3), // self-loop on 1
+        (0, 1, 1), // reciprocal 0 <-> 1
+        (1, 0, 4),
+        (3, 0, 2), // M[3][0] > 0 while M[0][3] = 0
+        (0, 2, 1), // 2 has no self-loop: merging 0 -> 2 creates (2,2)
+        (2, 5, 1),
+        (4, 6, 2), // 4 and 5 share no neighbour and no arc
+        (6, 4, 1),
+        (5, 7, 3),
+        (7, 5, 1),
+        (7, 3, 2),
+        // 8 is empty: no arcs at all
+    ];
+    let c = 9usize;
+    let g = Graph::from_edges(c, corner_arcs);
+    for kind in [StorageKind::Dense, StorageKind::Sparse] {
+        let bm = Blockmodel::from_assignment_with(&g, (0..c as u32).collect(), c, kind);
+        // The named cases, as (from, to) pairs of the all-pairs loop below.
+        assert!(
+            bm.get(0, 0) > 0 && bm.get(1, 1) > 0,
+            "self-loops on r and on s"
+        );
+        assert!(bm.get(0, 1) > 0 && bm.get(1, 0) > 0, "reciprocal arcs");
+        assert!(
+            bm.get(2, 2) == 0 && bm.get(0, 0) + bm.get(0, 2) > 0,
+            "created (s,s)"
+        );
+        assert!(
+            bm.get(3, 0) > 0 && bm.get(0, 3) == 0,
+            "M[s][r] > 0 = M[r][s]"
+        );
+        let neighbours =
+            |b: u32| -> Vec<u32> { bm.row_iter(b).chain(bm.col_iter(b)).map(|e| e.0).collect() };
+        assert!(
+            neighbours(4)
+                .iter()
+                .all(|t| !neighbours(5).contains(t) && *t != 5),
+            "disjoint neighbourhoods: every cell created"
+        );
+        assert!(neighbours(8).is_empty(), "an empty r and an empty s");
+        for from in 0..c as u32 {
+            assert_walk_is_reference(&mut scratch, &bm, from, 0..c as u32);
+        }
+    }
+
+    for &c in &[2usize, 3, 64, 65, 512] {
+        for seed in 0..2u64 {
+            let (g, mut assignment) = synth_graph(c, seed);
+            if c > 3 {
+                // Empty the last block: merges from and into an empty
+                // block at every size.
+                for b in &mut assignment {
+                    if *b == c as u32 - 1 {
+                        *b = 0;
+                    }
+                }
+            }
+            let mut rng = XorShift(seed + 11);
+            for kind in [StorageKind::Dense, StorageKind::Sparse] {
+                let bm = Blockmodel::from_assignment_with(&g, assignment.clone(), c, kind);
+                if c <= 64 {
+                    for from in 0..c as u32 {
+                        assert_walk_is_reference(&mut scratch, &bm, from, 0..c as u32);
+                    }
+                    continue;
+                }
+                let last = c as u32 - 1;
+                assert_walk_is_reference(&mut scratch, &bm, last, [0, 1, last - 1].into_iter());
+                for _ in 0..40 {
+                    let from = (rng.next() % c as u64) as u32;
+                    let targets: Vec<u32> =
+                        (0..6).map(|_| (rng.next() % c as u64) as u32).collect();
+                    assert_walk_is_reference(
+                        &mut scratch,
+                        &bm,
+                        from,
+                        targets.iter().copied().chain([last]),
+                    );
+                    // The same pairs the other way round (r > s as well as
+                    // r < s).
+                    for &to in &targets {
+                        assert_walk_is_reference(&mut scratch, &bm, to, [from].into_iter());
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Satellite coverage: SIMD ≡ scalar `to_bits` equality for the merge
 /// delta_entropy and entropy at
 /// block counts spanning single-chunk dense (8, 64), multi-chunk dense
@@ -538,10 +676,10 @@ fn simd_bit_identity_at_fixed_block_counts() {
                     if from == to {
                         continue;
                     }
-                    s.merge_delta(&bm, from, to);
+                    s.gather_block(&bm, from);
                     assert_eq!(
-                        s.delta_entropy(&bm).to_bits(),
-                        s.delta_entropy_scalar(&bm).to_bits(),
+                        s.evaluate_merge(&bm, to).to_bits(),
+                        s.evaluate_merge_scalar(&bm, to).to_bits(),
                         "merge ΔS C={c} seed={seed} kind={kind:?} {from}->{to}"
                     );
                 }

@@ -279,6 +279,13 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
         "snapshot must cover the solver layer"
     );
     assert!(
+        matches!(
+            snap.metrics.get("sbp_merge_proposals_total"),
+            Some(MetricValue::Counter(n)) if *n > 0
+        ),
+        "merge_wall / merge_proposals must be readable from any run"
+    );
+    assert!(
         snap.metrics
             .keys()
             .any(|k| k.starts_with("sbp_wire_syncs_total")),
