@@ -238,7 +238,7 @@ fn bench_merge_eval(c: &mut Criterion) {
             .step_by(step)
             .map(|r| {
                 let draws = (0..cfg.merge_proposals_per_block)
-                    .map(|_| propose_for_block(&mut rng, &bm, r, bm.get(r, r)).expect("C > 1"))
+                    .map(|_| propose_for_block(&mut rng, &bm, r).expect("C > 1"))
                     .collect();
                 (r, draws)
             })
@@ -248,9 +248,9 @@ fn bench_merge_eval(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0;
                 for (r, targets) in &pairs {
-                    scratch.gather_block(&bm, *r);
+                    let mut gathered = scratch.gather_block(&bm, *r);
                     for &s in targets {
-                        acc += scratch.evaluate_merge(&bm, s);
+                        acc += gathered.evaluate_merge(s);
                     }
                 }
                 black_box(acc)

@@ -61,7 +61,7 @@
 //! `H` whatever their storage representation or move history.
 //!
 //! ## Block merges: one walk of the canonical lines —
-//! [`DeltaScratch::gather_block`] + [`DeltaScratch::evaluate_merge`]
+//! [`DeltaScratch::gather_block`] + [`GatheredBlock::evaluate_merge`]
 //!
 //! Merging block `r` into `s` empties every cell of row and column `r`,
 //! adds `M[r][c]` to `(s,c)` and `M[x][r]` to `(x,s)`, and folds
@@ -409,12 +409,11 @@ impl DeltaScratch {
         (ds, hastings)
     }
 
-    /// Gathers what every merge of block `r` shares, for the
-    /// [`evaluate_merge`](Self::evaluate_merge) calls that follow (against
-    /// the same `bm`): the nonzero cells of row and column `r`, and their
-    /// current entropy terms. Returns `M[r][r]`, which the target draw
-    /// needs as well.
-    pub fn gather_block(&mut self, bm: &Blockmodel, r: u32) -> Weight {
+    /// Gathers what every merge of block `r` shares — the nonzero cells of
+    /// row and column `r`, and their current entropy terms — and returns
+    /// the handle that evaluates merges of `r` against them. The handle
+    /// borrows `bm`, so the gathered lines cannot go stale under it.
+    pub fn gather_block<'a>(&'a mut self, bm: &'a Blockmodel, r: u32) -> GatheredBlock<'a> {
         self.from = r;
         self.row_r.clear();
         self.row_r.extend(bm.row_iter(r));
@@ -432,36 +431,12 @@ impl DeltaScratch {
                 .iter()
                 .map(|&(x, m)| term(m, bm.ln_d_out(x) + ln_di_r)),
         );
-        self.m_rr
-    }
-
-    /// `ΔS = S_after − S_before` for merging the block `r` of the last
-    /// [`gather_block`](Self::gather_block) call into block `to`, in one
-    /// walk of row and column `to` against the gathered lines — see the
-    /// module docs for what is walked and the accumulation order. Negative
-    /// is an improvement.
-    ///
-    /// # Panics
-    /// Panics if `to` is the gathered block.
-    pub fn evaluate_merge(&mut self, bm: &Blockmodel, to: u32) -> f64 {
-        self.evaluate_merge_with(bm, to, simd::enabled())
-    }
-
-    /// [`evaluate_merge`](Self::evaluate_merge) forced onto the scalar
-    /// kernels — the property tests' bit-identity reference.
-    #[doc(hidden)]
-    pub fn evaluate_merge_scalar(&mut self, bm: &Blockmodel, to: u32) -> f64 {
-        self.evaluate_merge_with(bm, to, false)
+        GatheredBlock { scratch: self, bm }
     }
 
     fn evaluate_merge_with(&mut self, bm: &Blockmodel, s: u32, use_simd: bool) -> f64 {
         let r = self.from;
         assert_ne!(r, s, "cannot merge a block into itself");
-        debug_assert!(
-            self.row_r.iter().copied().eq(bm.row_iter(r))
-                && self.col_r.iter().copied().eq(bm.col_iter(r)),
-            "gather_block against this blockmodel first"
-        );
         let m_sr = line_get(&self.col_r, s);
         let target = MergeTarget {
             s,
@@ -623,6 +598,36 @@ impl DeltaScratch {
             use_simd,
         );
         new - old
+    }
+}
+
+/// Block `r` of a blockmodel, gathered by [`DeltaScratch::gather_block`]
+/// for merging: every [`evaluate_merge`](Self::evaluate_merge) walks one
+/// target's lines against the same gathered `r` lines.
+#[derive(Debug)]
+pub struct GatheredBlock<'a> {
+    scratch: &'a mut DeltaScratch,
+    bm: &'a Blockmodel,
+}
+
+impl GatheredBlock<'_> {
+    /// `ΔS = S_after − S_before` for merging the gathered block into block
+    /// `to`, in one walk of row and column `to` against the gathered lines
+    /// — see the module docs for what is walked and the accumulation
+    /// order. Negative is an improvement.
+    ///
+    /// # Panics
+    /// Panics if `to` is the gathered block.
+    pub fn evaluate_merge(&mut self, to: u32) -> f64 {
+        self.scratch
+            .evaluate_merge_with(self.bm, to, simd::enabled())
+    }
+
+    /// [`evaluate_merge`](Self::evaluate_merge) forced onto the scalar
+    /// kernels — the property tests' bit-identity reference.
+    #[doc(hidden)]
+    pub fn evaluate_merge_scalar(&mut self, to: u32) -> f64 {
+        self.scratch.evaluate_merge_with(self.bm, to, false)
     }
 }
 
@@ -911,7 +916,7 @@ pub fn vertex_move_delta(graph: &Graph, bm: &Blockmodel, v: Vertex, to: u32) -> 
 /// Builds the [`LineDelta`] for merging block `from` into block `to`: row
 /// `from` folds into row `to`, column `from` into column `to`, and all of
 /// `from`'s degree mass moves. Allocating; with [`delta_entropy`], the
-/// reference [`DeltaScratch::evaluate_merge`] is tested `to_bits`-equal
+/// reference [`GatheredBlock::evaluate_merge`] is tested `to_bits`-equal
 /// against.
 ///
 /// # Panics

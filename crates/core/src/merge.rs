@@ -20,7 +20,7 @@
 //! then each of its `x` draws picks a target (the draw's total mass is
 //! `d_r − 2·M[r][r]`, not a scan) and walks the target's two lines
 //! against the gathered ones
-//! ([`evaluate_merge`](crate::delta::DeltaScratch::evaluate_merge)) — no
+//! ([`evaluate_merge`](crate::delta::GatheredBlock::evaluate_merge)) — no
 //! delta vector, no sort, no per-cell search. The walk keeps the f64
 //! accumulation order of the line-delta kernel it replaced
 //! ([`crate::delta::merge_delta`] + [`crate::delta::delta_entropy`], now
@@ -82,11 +82,11 @@ pub fn propose_merges(
         with_scratch(|scratch| {
             // Everything a merge of `r` needs that does not depend on the
             // target is gathered once, not once per draw.
-            let self_w = scratch.gather_block(bm, r);
+            let mut gathered = scratch.gather_block(bm, r);
             let mut best: Option<MergeCandidate> = None;
             for _ in 0..proposals_per_block {
-                let s = propose_for_block(&mut rng, bm, r, self_w)?;
-                let ds = scratch.evaluate_merge(bm, s);
+                let s = propose_for_block(&mut rng, bm, r)?;
+                let ds = gathered.evaluate_merge(s);
                 if best.is_none_or(|b| ds < b.delta_s) {
                     best = Some(MergeCandidate {
                         block: r,
@@ -263,7 +263,7 @@ mod tests {
                         let mut rng = block_rng(17, r);
                         (0..10)
                             .map(|_| {
-                                let s = propose_for_block(&mut rng, &bm, r, bm.get(r, r))
+                                let s = propose_for_block(&mut rng, &bm, r)
                                     .expect("more than one block");
                                 MergeCandidate {
                                     block: r,

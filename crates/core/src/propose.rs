@@ -70,24 +70,15 @@ pub fn propose_for_vertex<R: Rng + ?Sized>(
 }
 
 /// Proposes a merge target for block `r` (agglomerative: `r` itself is
-/// excluded). `self_w` is `M[r][r]` as returned by
-/// [`crate::delta::DeltaScratch::gather_block`] — the block's internal
-/// edges say nothing about other blocks, so they are excluded from the
-/// neighbor draw. Returns `None` when no distinct block exists.
-pub fn propose_for_block<R: Rng + ?Sized>(
-    rng: &mut R,
-    bm: &Blockmodel,
-    r: u32,
-    self_w: Weight,
-) -> Option<u32> {
+/// excluded). Returns `None` when no distinct block exists.
+pub fn propose_for_block<R: Rng + ?Sized>(rng: &mut R, bm: &Blockmodel, r: u32) -> Option<u32> {
     let b = bm.num_blocks() as u32;
     if b <= 1 {
         return None;
     }
     // Neighbor blocks of r with weights M[r][t] + M[t][r], diagonal
     // excluded: row r and column r sum to the block's degrees.
-    debug_assert_eq!(self_w, bm.get(r, r), "internal weight of block {r}");
-    let total = bm.d_total(r) - 2 * self_w;
+    let total = bm.d_total(r) - 2 * bm.get(r, r);
     debug_assert_eq!(
         total,
         bm.row_iter(r)
@@ -243,7 +234,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         for _ in 0..500 {
             for r in 0..6u32 {
-                let s = propose_for_block(&mut rng, &bm, r, 0).unwrap();
+                let s = propose_for_block(&mut rng, &bm, r).unwrap();
                 assert_ne!(s, r);
                 assert!(s < 6);
             }
@@ -256,7 +247,7 @@ mod tests {
         let bm = Blockmodel::from_assignment(&g, vec![0; 6], 1);
         let mut rng = SmallRng::seed_from_u64(3);
         assert!(propose_for_vertex(&mut rng, &g, &bm, 0, 0).is_none());
-        assert!(propose_for_block(&mut rng, &bm, 0, 7).is_none());
+        assert!(propose_for_block(&mut rng, &bm, 0).is_none());
     }
 
     #[test]

@@ -245,9 +245,8 @@ proptest! {
             // bit, on each storage.
             let mut scratch = DeltaScratch::new();
             for (bm, d) in [(&dense, &dd), (&sparse, &ds)] {
-                scratch.gather_block(bm, mf);
                 prop_assert_eq!(
-                    scratch.evaluate_merge(bm, mt).to_bits(),
+                    scratch.gather_block(bm, mf).evaluate_merge(mt).to_bits(),
                     delta_entropy(bm, d).to_bits()
                 );
             }
@@ -386,10 +385,10 @@ proptest! {
                 if from == to {
                     continue;
                 }
-                s.gather_block(&bm, from);
+                let mut gathered = s.gather_block(&bm, from);
                 prop_assert_eq!(
-                    s.evaluate_merge(&bm, to).to_bits(),
-                    s.evaluate_merge_scalar(&bm, to).to_bits()
+                    gathered.evaluate_merge(to).to_bits(),
+                    gathered.evaluate_merge_scalar(to).to_bits()
                 );
             }
         }
@@ -533,9 +532,9 @@ fn assert_walk_is_reference(
     from: u32,
     targets: impl Iterator<Item = u32>,
 ) {
-    scratch.gather_block(bm, from);
+    let mut gathered = scratch.gather_block(bm, from);
     for to in targets.filter(|&to| to != from) {
-        let walked = scratch.evaluate_merge(bm, to);
+        let walked = gathered.evaluate_merge(to);
         let reference = delta_entropy(bm, &merge_delta(bm, from, to));
         assert_eq!(
             walked.to_bits(),
@@ -676,10 +675,10 @@ fn simd_bit_identity_at_fixed_block_counts() {
                     if from == to {
                         continue;
                     }
-                    s.gather_block(&bm, from);
+                    let mut gathered = s.gather_block(&bm, from);
                     assert_eq!(
-                        s.evaluate_merge(&bm, to).to_bits(),
-                        s.evaluate_merge_scalar(&bm, to).to_bits(),
+                        gathered.evaluate_merge(to).to_bits(),
+                        gathered.evaluate_merge_scalar(to).to_bits(),
                         "merge ΔS C={c} seed={seed} kind={kind:?} {from}->{to}"
                     );
                 }
