@@ -5,6 +5,8 @@
 //! * proposal sampling;
 //! * merge-phase proposal throughput, and the merge ΔS kernel alone
 //!   against the line-delta reference it replaced (PR 15);
+//! * the three line walks of a sweep proposal — cross-cell fetch,
+//!   neighbour-block order, dense anchor pick — each alone (PR 16);
 //! * MH vs hybrid vs batch sweeps;
 //! * sorted-balanced vs modulo ownership (load balance proxy);
 //! * simulated-cluster collective throughput;
@@ -14,13 +16,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sbp_core::delta::{delta_entropy, merge_delta};
 use sbp_core::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::propose_merges;
 use sbp_core::naive::DenseBlockmodel;
-use sbp_core::propose::{propose_for_block, propose_for_vertex};
+use sbp_core::propose::{pick_by_cells, pick_weighted, propose_for_block, propose_for_vertex};
 use sbp_core::sbp::{merge_phase, SbpConfig};
 use sbp_core::{Blockmodel, DeltaScratch, StorageKind};
 use sbp_dist::{balanced_ownership, modulo_ownership};
@@ -28,6 +30,7 @@ use sbp_gen::{graph_challenge, param_study, Difficulty, ParamStudySpec};
 use sbp_graph::Graph;
 use sbp_mpi::{Communicator, CostModel, ThreadCluster};
 use std::hint::black_box;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 fn bench_graph() -> (Graph, Vec<u32>, usize) {
@@ -197,27 +200,27 @@ fn bench_merge_phase(c: &mut Criterion) {
     group.finish();
 }
 
-/// The merge ΔS kernel alone, on blockmodels taken along the halving
-/// trajectory of the `single_challenge` workload's graph
-/// (`graph_challenge(3000, Hard)`): the identity partition, then a merge
-/// phase that halves the block count followed by MH sweeps, twice and
-/// three times over. Each id evaluates the ten drawn targets of 256
-/// blocks spread over the label range — one gather per block, as
-/// `propose_merges` does; the `_reference` twin evaluates the same pairs
-/// through `merge_delta` + `delta_entropy`, the kernel the walk replaced.
-/// `scripts/check_bench_regression.py` guards the same-run ratio, which
-/// means the same thing on any machine.
-fn bench_merge_eval(c: &mut Criterion) {
+/// Blockmodels along the halving trajectory of the `single_challenge`
+/// workload's graph (`graph_challenge(3000, Hard)`): the identity
+/// partition, then a merge phase that halves the block count followed by
+/// MH sweeps, twice and three times over — the states the per-kernel ids
+/// below are timed on, storage kind asserted.
+fn challenge_trajectory() -> &'static (Graph, [(&'static str, Blockmodel); 3]) {
+    static TRAJECTORY: OnceLock<(Graph, [(&str, Blockmodel); 3])> = OnceLock::new();
+    TRAJECTORY.get_or_init(build_challenge_trajectory)
+}
+
+fn build_challenge_trajectory() -> (Graph, [(&'static str, Blockmodel); 3]) {
     let graph = graph_challenge(3000, Difficulty::Hard, 42).graph;
     let vertices: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     let cfg = SbpConfig::default();
     let mut bm = Blockmodel::identity(&graph);
-    let mut group = quick(c);
-    for (iter_idx, label, kind) in [
+    let fixtures = [
         (0, "sparse_C3000", StorageKind::Sparse),
         (2, "sparse_C750", StorageKind::Sparse),
         (3, "dense_C375", StorageKind::Dense),
-    ] {
+    ]
+    .map(|(iter_idx, label, kind)| {
         while bm.num_blocks() > 3000 >> iter_idx {
             let phase = 3000 / bm.num_blocks();
             bm = merge_phase(&graph, &bm, bm.num_blocks() / 2, &cfg, phase);
@@ -232,13 +235,30 @@ fn bench_merge_eval(c: &mut Criterion) {
             "{label}: storage at C = {}",
             bm.num_blocks()
         );
+        (label, bm.clone())
+    });
+    (graph, fixtures)
+}
+
+/// The merge ΔS kernel alone, on the [`challenge_trajectory`] blockmodels.
+/// Each id evaluates the ten drawn targets of 256 blocks spread over the
+/// label range — one gather per block, as `propose_merges` does; the
+/// `_reference` twin evaluates the same pairs through `merge_delta` +
+/// `delta_entropy`, the kernel the walk replaced.
+/// `scripts/check_bench_regression.py` guards the same-run ratio, which
+/// means the same thing on any machine.
+fn bench_merge_eval(c: &mut Criterion) {
+    let (_, fixtures) = challenge_trajectory();
+    let cfg = SbpConfig::default();
+    let mut group = quick(c);
+    for (label, bm) in fixtures {
         let mut rng = SmallRng::seed_from_u64(15);
         let step = bm.num_blocks().div_ceil(256);
         let pairs: Vec<(u32, Vec<u32>)> = (0..bm.num_blocks() as u32)
             .step_by(step)
             .map(|r| {
                 let draws = (0..cfg.merge_proposals_per_block)
-                    .map(|_| propose_for_block(&mut rng, &bm, r).expect("C > 1"))
+                    .map(|_| propose_for_block(&mut rng, bm, r).expect("C > 1"))
                     .collect();
                 (r, draws)
             })
@@ -248,7 +268,7 @@ fn bench_merge_eval(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0.0;
                 for (r, targets) in &pairs {
-                    let mut gathered = scratch.gather_block(&bm, *r);
+                    let mut gathered = scratch.gather_block(bm, *r);
                     for &s in targets {
                         acc += gathered.evaluate_merge(s);
                     }
@@ -261,13 +281,129 @@ fn bench_merge_eval(c: &mut Criterion) {
                 let mut acc = 0.0;
                 for (r, targets) in &pairs {
                     for &s in targets {
-                        acc += delta_entropy(&bm, &merge_delta(&bm, *r, s));
+                        acc += delta_entropy(bm, &merge_delta(bm, *r, s));
                     }
                 }
                 black_box(acc)
             })
         });
     }
+    group.finish();
+}
+
+/// One `cross_cells` fetch: the move `r → s` and the ascending blocks it
+/// reads the four lines at.
+type Fetch = (u32, u32, Vec<u32>);
+
+/// The three walks every sweep proposal pays (PR 16), each alone, on the
+/// [`challenge_trajectory`] blockmodels, with a `_reference` twin where the
+/// walk has one:
+///
+/// * `cross_cells/sparse_C750` — the four-line fetch of every vertex's
+///   drawn move at C = 750 (k ≈ 37 neighbour blocks against ≈ 300 line
+///   cells): the positional fetch vs four `get()` lookups per block;
+/// * `cross_cells/sparse_hubline_k2` — the shape a streaming fetch loses
+///   on, two blocks asked of four 640-cell hub lines, where `cross_cells`
+///   must choose lookups itself;
+/// * `gather/order_C750` — the whole gather at C = 750, of which putting
+///   the neighbour blocks in ascending order was a third;
+/// * `propose/anchor_dense_C375` — the weighted pick along row ++ column
+///   of a dense anchor block at C = 375: chunked vs slot by slot.
+fn bench_sweep_walks(c: &mut Criterion) {
+    let (graph, [_, (_, sparse), (_, dense)]) = challenge_trajectory();
+    let mut group = quick(c);
+    let mut scratch = DeltaScratch::new();
+    let mut rng = SmallRng::seed_from_u64(16);
+
+    let drawn: Vec<Fetch> = (0..graph.num_vertices() as u32)
+        .filter_map(|v| {
+            let self_w = scratch.gather_vertex(graph, sparse, v);
+            let to = propose_for_vertex(&mut rng, graph, sparse, v, self_w)?;
+            Some((sparse.block_of(v), to, scratch.neighbour_blocks().to_vec()))
+        })
+        .collect();
+    // Blocks 0 and 1 exchange arcs with 640 of 1280 singleton blocks each.
+    let hub_arcs = (2..1282u32).flat_map(|u| {
+        let hub = u % 2;
+        [(hub, u, 1), (u, hub, 2)]
+    });
+    let hub_graph = Graph::from_edges(1282, hub_arcs);
+    let hubs = Blockmodel::from_assignment_with(
+        &hub_graph,
+        (0..1282).collect(),
+        1282,
+        StorageKind::Sparse,
+    );
+    let hubline: Vec<Fetch> = (2..1280u32)
+        .step_by(5)
+        .map(|t| (0, 1, vec![t, t + 1]))
+        .collect();
+    for (label, bm, fetches) in [
+        ("sparse_C750", sparse, &drawn),
+        ("sparse_hubline_k2", &hubs, &hubline),
+    ] {
+        group.bench_function(format!("cross_cells/{label}"), |b| {
+            b.iter(|| {
+                let mut acc = 0;
+                for (r, s, blocks) in fetches {
+                    acc += scratch.cross_cells(bm, *r, *s, blocks).len();
+                }
+                black_box(acc)
+            })
+        });
+        group.bench_function(format!("cross_cells/{label}_reference"), |b| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                let mut acc = 0;
+                for &(r, s, ref blocks) in fetches {
+                    out.clear();
+                    out.extend(
+                        blocks
+                            .iter()
+                            .map(|&t| [bm.get(r, t), bm.get(s, t), bm.get(t, r), bm.get(t, s)]),
+                    );
+                    acc += black_box(&out).len();
+                }
+                black_box(acc)
+            })
+        });
+    }
+
+    group.bench_function("gather/order_C750", |b| {
+        b.iter(|| {
+            let mut acc = 0;
+            for v in 0..graph.num_vertices() as u32 {
+                scratch.gather_vertex(graph, sparse, v);
+                acc += scratch.neighbour_blocks().len();
+            }
+            black_box(acc)
+        })
+    });
+
+    let picks: Vec<(u32, i64)> = (0..4096)
+        .map(|_| {
+            let t = rng.random_range(0..dense.num_blocks() as u32);
+            (t, rng.random_range(0..dense.d_total(t)))
+        })
+        .collect();
+    group.bench_function("propose/anchor_dense_C375", |b| {
+        b.iter(|| {
+            let mut acc = 0u32;
+            for &(t, x) in &picks {
+                acc ^= pick_weighted(dense, t, x, None);
+            }
+            black_box(acc)
+        })
+    });
+    group.bench_function("propose/anchor_dense_C375_reference", |b| {
+        b.iter(|| {
+            let mut acc = 0u32;
+            for &(t, x) in &picks {
+                acc ^= pick_by_cells(dense, t, x, None).expect("x < d_total");
+            }
+            black_box(acc)
+        })
+    });
     group.finish();
 }
 
@@ -444,6 +580,7 @@ criterion_group!(
     bench_propose,
     bench_merge_phase,
     bench_merge_eval,
+    bench_sweep_walks,
     bench_sweeps,
     bench_ownership,
     bench_collectives,

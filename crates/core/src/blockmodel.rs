@@ -87,10 +87,21 @@ const ENTROPY_CHUNK_ROWS: usize = 64;
 ///    *raise* the bar above the legacy default — e.g. on hardware where
 ///    the vectorized dense scan underperforms — never lower it).
 ///
-/// Storage selection is a performance decision only: results are
-/// bit-identical under either representation (the canonical-iteration
-/// guarantee), so ranks probing different values on heterogeneous
-/// hardware still agree on every f64.
+/// **Reproducibility hazard (known, open).** Storage selection is *not*
+/// invisible in results. Line iteration, proposal draws, vertex-move ΔS
+/// and `H`, and the entropy sum are bit-identical under either
+/// representation (the canonical-iteration guarantee), but a **merge** ΔS
+/// is rounded differently by the dense and the sparse walk (`crate::delta`,
+/// "the accumulation-order contract"), and merge candidates are ranked by
+/// it. Rule 4's crossover is a per-process *timing* probe — eight launches
+/// on one 2-vCPU box returned 0.184 … 0.233, six on another day
+/// 0.224 … 0.247 — so for a `(C, E)` whose occupancy `E/C²` falls inside
+/// that band, two processes holding the same integers (two runs at one
+/// seed, or two ranks of a TCP cluster) can pick different storage, and
+/// their trajectories may part at the next merge phase. Setting `SBP_DENSE_THRESHOLD` (rule 3) makes the rule
+/// machine-independent. Replacing the probe by a fixed bar moves
+/// trajectories, so it is left to a change that is allowed to
+/// (`ROADMAP.md`, direction 1c).
 pub fn dense_threshold() -> usize {
     static THRESHOLD: OnceLock<usize> = OnceLock::new();
     *THRESHOLD.get_or_init(|| {
@@ -433,34 +444,50 @@ impl Iterator for LineIter<'_> {
     }
 }
 
-/// Lock-step walk of four sorted sparse lines against the ascending
-/// `blocks`: `out[j][l]` becomes line `l`'s weight at `blocks[j]` (zero
-/// where the line has no such cell). The four cursors advance side by
-/// side so their cache misses overlap.
-fn join_lines(mut lines: [&[(u32, Weight)]; 4], blocks: &[u32], out: &mut [[Weight; 4]]) {
-    const STEP: usize = 8;
-    for (&t, cells) in blocks.iter().zip(out) {
-        for (line, cell) in lines.iter_mut().zip(cells) {
-            // The gap to the next neighbour block is usually a cell or
-            // two: step over those, gallop over the occasional long
-            // stretch of a long line.
-            let mut skip = line.iter().take(STEP).take_while(|e| e.0 < t).count();
-            if skip == STEP {
-                let rest = &line[STEP..];
-                let mut hi = 1;
-                while hi <= rest.len() && rest[hi - 1].0 < t {
-                    hi *= 2;
-                }
-                let lo = hi / 2;
-                skip += lo + rest[lo..hi.min(rest.len())].partition_point(|e| e.0 < t);
-            }
-            *line = &line[skip..];
-            *cell = match line.first() {
-                Some(&(key, w)) if key == t => w,
-                _ => 0,
-            };
+/// Sparse [`Blockmodel::cross_cells`] fetches by position when its four
+/// lines hold at most this many cells per asked-for block, and by point
+/// lookup above that. Streaming costs ≈ 1.25 ns per line cell whatever the
+/// number of blocks; a lookup costs four binary searches per block. On
+/// synthetic lines (`k` ∈ 1..64 blocks × 4..512 cells per line) the two
+/// cross between 25 and 56 cells per block; inside the solver, where the
+/// searches' branches arrive cold, the crossover sits higher — the 2-rank
+/// sparse benchmark input spends 1 108 cycles per fetch at 32, 846 at 64,
+/// 1 004 at 128 and 1 339 when it always streams. A typical proposal is
+/// far below it (≈ 8 at C = 750: 37 neighbour blocks against 300 cells);
+/// a leaf vertex attached to a hub block is far above (2 blocks against
+/// 2 560 cells stream 23× slower than they look up). Both sides read the
+/// same integers, so the choice never shows in a result.
+const STREAM_CELLS_PER_BLOCK: usize = 64;
+
+/// The positional fetch behind sparse [`Blockmodel::cross_cells`]: `out[j][l]`
+/// becomes line `l`'s weight at `blocks[j]` (zero where the line has no such
+/// cell) without comparing a single key. `slot` is a block-indexed map, all
+/// `u32::MAX` on entry and on return; in between it holds `j` at
+/// `blocks[j]`, so every line streams through once with one unconditional
+/// store per cell — cells of blocks nobody asked for land in a dummy row
+/// `k`. No data-dependent branch, hence nothing to mispredict: the
+/// sorted-line join this replaced paid one mispredicted loop exit per
+/// (block, line), ≈ 16 cycles per cell on lines that were already in cache.
+fn fetch_positional(
+    lines: [&[(u32, Weight)]; 4],
+    blocks: &[u32],
+    slot: &mut [u32],
+    out: &mut Vec<[Weight; 4]>,
+) {
+    let k = blocks.len();
+    out.resize(k + 1, [0; 4]);
+    for (j, &t) in blocks.iter().enumerate() {
+        slot[t as usize] = j as u32;
+    }
+    for (l, line) in lines.iter().enumerate() {
+        for &(key, w) in *line {
+            out[slot[key as usize].min(k as u32) as usize][l] = w;
         }
     }
+    for &t in blocks {
+        slot[t as usize] = u32::MAX;
+    }
+    out.truncate(k);
 }
 
 #[inline]
@@ -636,11 +663,22 @@ impl Blockmodel {
     }
 
     /// The cells a move between blocks `r` and `s` shares with the
-    /// ascending `blocks`: `out[j] = [M[r][t], M[s][t], M[t][r], M[t][s]]`
-    /// for `t = blocks[j]`. Dense storage indexes the four contiguous
-    /// lines; sparse storage walks each of the four sorted lines once, in
-    /// lock-step with `blocks`.
-    pub(crate) fn cross_cells(&self, r: u32, s: u32, blocks: &[u32], out: &mut Vec<[Weight; 4]>) {
+    /// strictly ascending `blocks`: `out[j] = [M[r][t], M[s][t], M[t][r],
+    /// M[t][s]]` for `t = blocks[j]`. Dense storage indexes the four
+    /// contiguous lines; sparse storage streams each of the four sorted
+    /// lines once through the block-indexed `slot` map
+    /// ([`fetch_positional`]; the caller keeps `slot` between calls and
+    /// never writes it), or looks the few blocks up when the lines are
+    /// long for them ([`STREAM_CELLS_PER_BLOCK`]).
+    pub(crate) fn cross_cells(
+        &self,
+        r: u32,
+        s: u32,
+        blocks: &[u32],
+        slot: &mut Vec<u32>,
+        out: &mut Vec<[Weight; 4]>,
+    ) {
+        debug_assert!(blocks.windows(2).all(|w| w[0] < w[1]), "blocks ascending");
         out.clear();
         let (r, s) = (r as usize, s as usize);
         match &self.storage {
@@ -653,9 +691,16 @@ impl Blockmodel {
                 }));
             }
             Storage::Sparse { rows, cols } => {
-                out.resize(blocks.len(), [0; 4]);
-                let lines = [&rows[r], &rows[s], &cols[r], &cols[s]].map(|l| l.as_slice());
-                join_lines(lines, blocks, out);
+                let lines = [&rows[r], &rows[s], &cols[r], &cols[s]];
+                let cells: usize = lines.iter().map(|l| l.len()).sum();
+                if cells <= STREAM_CELLS_PER_BLOCK * blocks.len() {
+                    if slot.len() < self.num_blocks {
+                        slot.resize(self.num_blocks, u32::MAX);
+                    }
+                    fetch_positional(lines.map(|l| l.as_slice()), blocks, slot, out);
+                } else {
+                    out.extend(blocks.iter().map(|&t| lines.map(|l| l.get(t))));
+                }
             }
         }
     }
@@ -1104,10 +1149,11 @@ mod tests {
         }
     }
 
-    /// `cross_cells` against `get`, on lines long enough that the sparse
-    /// lock-step walk must gallop across long gaps as well as step over
-    /// short ones: blocks 0 and 1 are hubs whose rows and columns hold a
-    /// cell for most of the 300 blocks.
+    /// `cross_cells` against `get`, on both sides of the sparse fetch's
+    /// stream-or-look-up choice: blocks 0 and 1 are hubs whose four lines
+    /// hold ≈ 850 cells between them, so the short block lists are looked
+    /// up and the long ones streamed. One slot map serves every call and
+    /// must come back clean from each.
     #[test]
     fn cross_cells_matches_get_on_long_lines() {
         let n = 300u32;
@@ -1128,20 +1174,23 @@ mod tests {
         let labels: Vec<u32> = (0..n).collect();
         let dense = Blockmodel::from_assignment_with(&g, labels.clone(), 300, StorageKind::Dense);
         let sparse = Blockmodel::from_assignment_with(&g, labels, 300, StorageKind::Sparse);
-        let block_lists: [Vec<u32>; 6] = [
+        let block_lists: [Vec<u32>; 8] = [
             vec![],
             vec![0, 1],
             vec![5],
             vec![2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 200, 299],
             vec![150, 298],
+            (0..n).step_by(7).collect(),
+            (1..n).step_by(7).collect(),
             (0..n).collect(),
         ];
-        let (mut from_dense, mut from_sparse) = (Vec::new(), Vec::new());
+        let (mut from_dense, mut from_sparse, mut slot) = (Vec::new(), Vec::new(), Vec::new());
         for blocks in &block_lists {
-            dense.cross_cells(0, 1, blocks, &mut from_dense);
-            sparse.cross_cells(0, 1, blocks, &mut from_sparse);
+            dense.cross_cells(0, 1, blocks, &mut slot, &mut from_dense);
+            sparse.cross_cells(0, 1, blocks, &mut slot, &mut from_sparse);
             assert_eq!(from_dense, from_sparse, "blocks {blocks:?}");
             assert_eq!(from_dense.len(), blocks.len());
+            assert!(slot.iter().all(|&j| j == u32::MAX), "stamps left behind");
             for (&t, cells) in blocks.iter().zip(&from_dense) {
                 let want = [
                     dense.get(0, t),
@@ -1152,6 +1201,7 @@ mod tests {
                 assert_eq!(*cells, want, "block {t} of {blocks:?}");
             }
         }
+        assert_eq!(slot.len(), 300, "the long lists streamed");
     }
 
     /// The tentpole guarantee at unit scale: after an arbitrary move

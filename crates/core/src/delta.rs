@@ -28,21 +28,40 @@
 //!
 //! 1. **gather** — one pass over `v`'s adjacency accumulates
 //!    `w_out[t]`/`w_in[t]` per neighbour block in a block-indexed
-//!    accumulator with a touched list, which is then sorted so everything
-//!    downstream runs ascending in `t`; the self-loop weight falls out of
-//!    the same pass (the proposal draw reuses it): O(deg + k log k);
+//!    accumulator and marks each first-touched block in a 64-ary
+//!    hierarchical bitset (`blockset.rs`), whose drain hands the
+//!    blocks back ascending — everything downstream runs ascending in `t`
+//!    — without a comparison sort; the self-loop weight falls out of the
+//!    same pass (the proposal draw reuses it): O(deg + k·levels),
+//!    `levels = ⌈log₆₄ C⌉`;
 //! 2. **one `t` loop** — fetches `M[r][t] M[s][t] M[t][r] M[t][s]` once
 //!    each (`Blockmodel::cross_cells`) and feeds both the ΔS terms and
 //!    the Hastings forward/backward sums from the same four values: O(k).
-//!    Dense storage indexes the four contiguous lines; sparse storage
-//!    walks the four sorted lines side by side in lock-step with the
-//!    sorted neighbour blocks, stepping over short gaps and galloping
-//!    over long ones.
+//!    Dense storage indexes the four contiguous lines. Sparse storage
+//!    fetches **by position**: it stamps `slot[t] = j` for the `k` blocks
+//!    into a block-indexed map kept in the scratch, streams each of the
+//!    four sorted lines once with one unconditional store per cell
+//!    (`out[min(slot[key], k)][line] = w`, row `k` a dummy), and un-stamps
+//!    — no key is compared, so there is no branch to mispredict. When the
+//!    lines are long for the few blocks asked of them (a leaf vertex on a
+//!    hub block: more than 64 line cells per block) it looks the blocks
+//!    up instead, four binary searches each.
 //!
 //! | regime | line-delta kernel (before PR 13) | now |
 //! |---|---|---|
-//! | sparse storage | two adjacency sorts, six binary searches per neighbour block, and `ln` terms for every cell of all four lines: O(deg·log deg + nnz of four lines) | O(deg + k log k), plus at most a compare per line cell passed |
-//! | dense storage | O(deg) delta build, then four full line scans: O(deg + 4C) | O(deg + k log k) |
+//! | sparse storage | two adjacency sorts, six binary searches per neighbour block, and `ln` terms for every cell of all four lines: O(deg·log deg + nnz of four lines) | O(deg + k·levels), plus one store per cell of the four lines — or 4k binary searches, whichever the line lengths make cheaper |
+//! | dense storage | O(deg) delta build, then four full line scans: O(deg + 4C) | O(deg + k·levels) |
+//!
+//! The fetch is **branch-bound, not cache-bound**. Until PR 16 it was a
+//! lock-step join of the four sorted lines against the sorted neighbour
+//! blocks (step over short gaps, gallop over long ones) and was taken to
+//! be waiting on memory. Timed in place on the `single_challenge` input
+//! (k ≈ 37 blocks against ≈ 300 line cells at the sparse block counts) it
+//! cost ≈ 5 400 cycles per evaluation, of which pulling all four lines
+//! into cache accounts for ≈ 700: the rest was one mispredicted loop exit
+//! per (block, line), ≈ 16 cycles per cell on lines that were already hot.
+//! The positional fetch reads the same cells for ≈ 1 200. The per-stage
+//! table is in `benchmarks/summary.md` (PR 16 addendum).
 //!
 //! **Exactness.** The factored form is an algebraic identity, not an
 //! approximation. It rounds differently from a line walk (last ulps of
@@ -122,6 +141,7 @@
 //! integer `ln M_ij` values from [`crate::lntab`].
 
 use crate::blockmodel::{Blockmodel, LineIter};
+use crate::blockset::BlockSet;
 use crate::lntab::ln_int;
 use crate::simd::{self, LaneFix};
 use sbp_graph::{Graph, Vertex, Weight};
@@ -230,6 +250,12 @@ pub struct DeltaScratch {
     acc: Vec<(Weight, Weight)>,
     /// The gathered vertex's neighbour blocks, ascending.
     touched: Vec<u32>,
+    /// Orders `touched` without a sort: first touches go in, the drain
+    /// comes out ascending. Empty between gathers.
+    order: BlockSet,
+    /// Block-indexed scratch of sparse `Blockmodel::cross_cells`; all
+    /// `u32::MAX` between calls.
+    slot: Vec<u32>,
     /// The gathered vertex's self-loop weight.
     self_w: Weight,
     /// `[M[r][t], M[s][t], M[t][r], M[t][s]]` per neighbour block `t` of
@@ -287,14 +313,17 @@ impl DeltaScratch {
         if self.acc.len() < bm.num_blocks() {
             self.acc.resize(bm.num_blocks(), (0, 0));
         }
+        self.order.ensure(bm.num_blocks());
         self.self_w = 0;
-        let (acc, touched) = (&mut self.acc, &mut self.touched);
+        let (acc, order) = (&mut self.acc, &mut self.order);
+        let mut first_touches = 0usize;
         // Weights are strictly positive, so a zero slot means "first touch".
         let mut add = |u: Vertex, w_out: Weight, w_in: Weight| {
             let t = bm.block_of(u);
             let slot = &mut acc[t as usize];
             if *slot == (0, 0) {
-                touched.push(t);
+                order.insert(t);
+                first_touches += 1;
             }
             slot.0 += w_out;
             slot.1 += w_in;
@@ -311,8 +340,33 @@ impl DeltaScratch {
                 add(u, 0, w);
             }
         }
-        self.touched.sort_unstable();
+        self.order.drain_into(&mut self.touched);
+        // Strictly ascending, one entry per first touch, each with weight:
+        // exactly the sorted list of first-touched blocks.
+        debug_assert!(self.touched.windows(2).all(|w| w[0] < w[1]));
+        debug_assert_eq!(self.touched.len(), first_touches);
+        debug_assert!(self.touched.iter().all(|&t| self.acc[t as usize] != (0, 0)));
         self.self_w
+    }
+
+    /// The neighbour blocks of the last gathered vertex, ascending.
+    #[doc(hidden)]
+    pub fn neighbour_blocks(&self) -> &[u32] {
+        &self.touched
+    }
+
+    /// `Blockmodel::cross_cells` through this scratch's buffers, for the
+    /// tests and micro-benchmarks outside the crate.
+    #[doc(hidden)]
+    pub fn cross_cells(
+        &mut self,
+        bm: &Blockmodel,
+        r: u32,
+        s: u32,
+        blocks: &[u32],
+    ) -> &[[Weight; 4]] {
+        bm.cross_cells(r, s, blocks, &mut self.slot, &mut self.cross);
+        &self.cross
     }
 
     /// `(ΔS, H)` for moving the vertex `v` of the last
@@ -365,7 +419,7 @@ impl DeltaScratch {
         let (dout, din) = (graph.out_degree(v), graph.in_degree(v));
         let shift = dout + din;
         let b = bm.num_blocks() as f64;
-        bm.cross_cells(r, s, &self.touched, &mut self.cross);
+        bm.cross_cells(r, s, &self.touched, &mut self.slot, &mut self.cross);
         let mut fwd = 0.0f64;
         let mut bwd = 0.0f64;
         for (&t, &[m_rt, m_st, m_tr, m_ts]) in self.touched.iter().zip(&self.cross) {

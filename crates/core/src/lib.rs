@@ -95,6 +95,7 @@
 //! runs.
 
 pub mod blockmodel;
+mod blockset;
 pub mod checkpoint;
 pub mod delta;
 pub mod fxhash;

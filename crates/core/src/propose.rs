@@ -92,31 +92,7 @@ pub fn propose_for_block<R: Rng + ?Sized>(rng: &mut R, bm: &Blockmodel, r: u32) 
         // Isolated block: uniform among the others.
         return Some(uniform_excluding(rng, b, r));
     }
-    let mut x = rng.random_range(0..total);
-    let mut t = None;
-    'outer: {
-        for (c, m) in bm.row_iter(r) {
-            if c == r {
-                continue;
-            }
-            if x < m {
-                t = Some(c);
-                break 'outer;
-            }
-            x -= m;
-        }
-        for (y, m) in bm.col_iter(r) {
-            if y == r {
-                continue;
-            }
-            if x < m {
-                t = Some(y);
-                break 'outer;
-            }
-            x -= m;
-        }
-    }
-    let t = t.expect("weighted scan must terminate within total weight");
+    let t = pick_weighted(bm, r, rng.random_range(0..total), Some(r));
     Some(propose_from_anchor(rng, bm, t, Some(r)))
 }
 
@@ -141,29 +117,83 @@ fn propose_from_anchor<R: Rng + ?Sized>(
         };
     }
     // Multinomial over row t ++ col t (total mass d_total(t)).
-    let mut x = rng.random_range(0..dt);
-    let mut s = None;
-    'outer: {
-        for (c, m) in bm.row_iter(t) {
-            if x < m {
-                s = Some(c);
-                break 'outer;
-            }
-            x -= m;
-        }
-        for (y, m) in bm.col_iter(t) {
-            if x < m {
-                s = Some(y);
-                break 'outer;
-            }
-            x -= m;
-        }
-    }
-    let s = s.expect("weighted scan must terminate within d_total(t)");
+    let s = pick_weighted(bm, t, rng.random_range(0..dt), None);
     match exclude {
         Some(r) if s == r => uniform_excluding(rng, b, r),
         _ => s,
     }
+}
+
+/// Slots summed at a time by [`pick_dense`].
+const PICK_CHUNK: usize = 16;
+
+/// The block a weighted draw lands on along the canonical walk of row `t`
+/// then column `t`, `skip`'s cells left out: the first cell whose running
+/// weight total exceeds `x`. `x` must be below the total walked weight.
+/// Dense lines are scanned a chunk at a time ([`pick_dense`]); sparse lines
+/// are short and keep their cell walk. Either way the same `x` picks the
+/// same block — this is one of the walks bit-identity rests on.
+#[doc(hidden)]
+pub fn pick_weighted(bm: &Blockmodel, t: u32, x: Weight, skip: Option<u32>) -> u32 {
+    let picked = match (bm.dense_row(t), bm.dense_col(t)) {
+        (Some(row), Some(col)) => pick_dense(row, x, skip).or_else(|x| pick_dense(col, x, skip)),
+        _ => pick_by_cells(bm, t, x, skip),
+    };
+    picked.expect("weighted scan must terminate within total weight")
+}
+
+/// [`pick_weighted`] cell by cell on either storage — the sparse path, and
+/// on dense storage the slot-by-slot scan the chunked one is tested and
+/// benchmarked against. `Err` carries what is left of `x`.
+#[doc(hidden)]
+pub fn pick_by_cells(
+    bm: &Blockmodel,
+    t: u32,
+    mut x: Weight,
+    skip: Option<u32>,
+) -> Result<u32, Weight> {
+    for (c, m) in bm.row_iter(t).chain(bm.col_iter(t)) {
+        if Some(c) == skip {
+            continue;
+        }
+        if x < m {
+            return Ok(c);
+        }
+        x -= m;
+    }
+    Err(x)
+}
+
+/// One dense line of a weighted pick: `Ok(slot)` where the running total
+/// of the line (without slot `skip`) first exceeds `x`, or `Err(x − line
+/// total)` when it never does. Whole chunks of [`PICK_CHUNK`] slots are
+/// summed and stepped over — the sums are exact integer adds, so the
+/// prefix `x` falls in is the one a slot-by-slot scan finds — and only the
+/// chunk holding the answer is scanned slot by slot.
+fn pick_dense(line: &[Weight], mut x: Weight, skip: Option<u32>) -> Result<u32, Weight> {
+    let skip = skip.map_or(usize::MAX, |r| r as usize);
+    for (chunk_idx, chunk) in line.chunks(PICK_CHUNK).enumerate() {
+        let base = chunk_idx * PICK_CHUNK;
+        let mut sum: Weight = chunk.iter().sum();
+        if let Some(&skipped) = chunk.get(skip.wrapping_sub(base)) {
+            sum -= skipped;
+        }
+        if x >= sum {
+            x -= sum;
+            continue;
+        }
+        for (i, &m) in chunk.iter().enumerate() {
+            if base + i == skip {
+                continue;
+            }
+            if x < m {
+                return Ok((base + i) as u32);
+            }
+            x -= m;
+        }
+        unreachable!("x is below this chunk's sum");
+    }
+    Err(x)
 }
 
 fn uniform_excluding<R: Rng + ?Sized>(rng: &mut R, b: u32, excl: u32) -> u32 {
@@ -323,6 +353,74 @@ mod tests {
                 assert!(h.is_finite() && h > 0.0, "v={v} to={to}: h={h}");
             }
         }
+    }
+
+    /// The chunked dense pick against the slot-by-slot scan it stands in
+    /// for, for every draw on every line: lengths around one and two
+    /// chunks, zero runs at either end and across a chunk boundary, the
+    /// skipped slot in the first, a middle and the last chunk — and as the
+    /// only weight in its chunk, so the chunk sums to zero once it is
+    /// taken out. `x` = the total walks off the end, in both.
+    #[test]
+    fn chunked_pick_is_the_slot_by_slot_pick() {
+        let slot_by_slot = |line: &[Weight], mut x: Weight, skip: Option<u32>| {
+            for (i, &m) in line.iter().enumerate() {
+                if Some(i as u32) == skip {
+                    continue;
+                }
+                if x < m {
+                    return Ok(i as u32);
+                }
+                x -= m;
+            }
+            Err(x)
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [1usize, 15, 16, 17, 31, 32, 33, 50, 100] {
+            for shape in 0..4 {
+                let mut line: Vec<Weight> = (0..len)
+                    .map(|_| {
+                        if next() % 3 == 0 {
+                            0
+                        } else {
+                            1 + (next() % 4) as Weight
+                        }
+                    })
+                    .collect();
+                match shape {
+                    1 => line[..len / 3].fill(0),
+                    2 => line[len - len / 3..].fill(0),
+                    3 => line[len / 2..(len / 2 + 20).min(len)].fill(0),
+                    _ => {}
+                }
+                let skips = [0, len / 2, len - 1].map(|i| Some(i as u32));
+                for skip in [None].into_iter().chain(skips) {
+                    let kept = |i: usize| Some(i as u32) != skip;
+                    let total: Weight = (0..len).filter(|&i| kept(i)).map(|i| line[i]).sum();
+                    for x in 0..=total {
+                        assert_eq!(
+                            pick_dense(&line, x, skip),
+                            slot_by_slot(&line, x, skip),
+                            "len {len} shape {shape} skip {skip:?} x {x}"
+                        );
+                    }
+                }
+            }
+        }
+        // The skipped slot is all its chunk holds.
+        let mut line = vec![0; 48];
+        (line[3], line[20], line[40]) = (2, 7, 1);
+        for x in 0..3 {
+            let want = if x < 2 { 3 } else { 40 };
+            assert_eq!(pick_dense(&line, x, Some(20)), Ok(want), "x {x}");
+        }
+        assert_eq!(pick_dense(&line, 3, Some(20)), Err(0));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use sbp_core::delta::{
 };
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::{apply_merges, MergeCandidate};
+use sbp_core::propose::{pick_by_cells, pick_weighted};
 use sbp_core::{Blockmodel, StorageKind};
 use sbp_graph::Graph;
 
@@ -416,6 +417,31 @@ proptest! {
             }
         }
     }
+
+    /// `cross_cells` reads the same four cells per asked-for block from
+    /// either storage as `get()` does, for any subset of the blocks
+    /// (chosen by bitmask: empty, all, with and without `r` and `s`),
+    /// through one scratch per storage.
+    #[test]
+    fn cross_cells_agree_with_get_on_any_block_subset(
+        (n, edges, assignment, c) in arb_graph_and_assignment(),
+        moves in proptest::collection::vec((0u32..5, 0u32..5, 0u32..32), 1..12),
+    ) {
+        let g = Graph::from_edges(n, edges);
+        for kind in [StorageKind::Dense, StorageKind::Sparse] {
+            let bm = Blockmodel::from_assignment_with(&g, assignment.clone(), c, kind);
+            let mut scratch = DeltaScratch::new();
+            for &(rsel, ssel, mask) in &moves {
+                let (r, s) = (rsel % c as u32, ssel % c as u32);
+                let blocks: Vec<u32> = (0..c as u32).filter(|t| mask >> t & 1 == 1).collect();
+                let want: Vec<[i64; 4]> = blocks
+                    .iter()
+                    .map(|&t| [bm.get(r, t), bm.get(s, t), bm.get(t, r), bm.get(t, s)])
+                    .collect();
+                prop_assert_eq!(scratch.cross_cells(&bm, r, s, &blocks), &want[..]);
+            }
+        }
+    }
 }
 
 /// Deterministic xorshift stream for the fixed-C SIMD identity fixtures
@@ -682,6 +708,183 @@ fn simd_bit_identity_at_fixed_block_counts() {
                         "merge ΔS C={c} seed={seed} kind={kind:?} {from}->{to}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Sparse `cross_cells` against dense `cross_cells` and `get()`, through
+/// ONE scratch for every sparse call, so a stamp left in its slot map by
+/// one fetch would corrupt the next. Blocks 0 and 1 are hubs whose rows
+/// and columns hold ≥ 512 cells with runs of absent keys longer than 8;
+/// the rest of the 1 100 blocks have short random lines. Block lists: ∅,
+/// every block, `{r}`, `{s}`, `{r, s}`, random subsets from 2 to 400 blocks
+/// with and without `r`/`s` (both sides of the stream-or-look-up choice),
+/// and the evens followed by the odds — two disjoint lists back to back.
+#[test]
+fn sparse_cross_cells_is_dense_cross_cells_is_get() {
+    let c = 1100u32;
+    let mut rng = XorShift(0x5EED_CE11);
+    let mut edges = Vec::new();
+    for u in 2..c {
+        // Gaps of 11 absent keys every 40.
+        if u % 40 >= 11 {
+            edges.push((0, u, 1 + i64::from(u % 4)));
+            edges.push((u, 1, 2));
+        }
+        if u % 40 < 29 {
+            edges.push((u, 0, 1 + i64::from(u % 3)));
+            edges.push((1, u, 1));
+        }
+        for _ in 0..3 {
+            edges.push((u, (rng.next() % u64::from(c)) as u32, 1));
+        }
+    }
+    edges.extend([(0, 0, 3), (0, 1, 2), (1, 0, 5), (7, 7, 1)]);
+    let g = Graph::from_edges(c as usize, edges);
+    let labels: Vec<u32> = (0..c).collect();
+    let dense =
+        Blockmodel::from_assignment_with(&g, labels.clone(), c as usize, StorageKind::Dense);
+    let sparse = Blockmodel::from_assignment_with(&g, labels, c as usize, StorageKind::Sparse);
+    for hub in 0..2 {
+        assert!(sparse.row_iter(hub).count() >= 512 && sparse.col_iter(hub).count() >= 512);
+    }
+
+    let (mut on_sparse, mut on_dense) = (DeltaScratch::new(), DeltaScratch::new());
+    let mut check = |r: u32, s: u32, blocks: &[u32]| {
+        let got = on_sparse.cross_cells(&sparse, r, s, blocks).to_vec();
+        assert_eq!(got.len(), blocks.len());
+        assert_eq!(got, on_dense.cross_cells(&dense, r, s, blocks), "{r}->{s}");
+        for (&t, cells) in blocks.iter().zip(&got) {
+            let want = [
+                sparse.get(r, t),
+                sparse.get(s, t),
+                sparse.get(t, r),
+                sparse.get(t, s),
+            ];
+            assert_eq!(*cells, want, "{r}->{s} at block {t} of {}", blocks.len());
+        }
+    };
+    let all: Vec<u32> = (0..c).collect();
+    let (evens, odds): (Vec<u32>, Vec<u32>) = all.iter().partition(|&&t| t % 2 == 0);
+    for (r, s) in [
+        (0, 1),
+        (1, 0),
+        (0, 700),
+        (640, 1),
+        (5, 9),
+        (7, 7),
+        (1099, 0),
+    ] {
+        check(r, s, &[]);
+        check(r, s, &all);
+        check(r, s, &[r]);
+        check(r, s, &[s]);
+        let mut both = vec![r, s];
+        both.sort_unstable();
+        both.dedup();
+        check(r, s, &both);
+        for size in [2usize, 8, 40, 100, 400] {
+            let mut subset: Vec<u32> = (0..size)
+                .map(|_| (rng.next() % u64::from(c)) as u32)
+                .collect();
+            subset.sort_unstable();
+            subset.dedup();
+            check(r, s, &subset);
+            subset.extend(&both);
+            subset.sort_unstable();
+            subset.dedup();
+            check(r, s, &subset);
+        }
+        check(r, s, &evens);
+        check(r, s, &odds);
+        check(r, s, &evens);
+    }
+}
+
+/// `gather_vertex` hands back the neighbour blocks ascending, without
+/// sorting them: equal to the sorted, deduplicated blocks of the vertex's
+/// non-self neighbours at block counts on both sides of every level
+/// boundary of the ordering bitset (one word | two levels | three | four),
+/// through one scratch that first shrinks and then grows again.
+#[test]
+fn gathered_neighbour_blocks_are_sorted_and_deduplicated() {
+    let n = 400usize;
+    let mut rng = XorShift(0xB10C_5E70);
+    let mut edges = Vec::new();
+    for v in 0..n as u32 {
+        let degree = if v % 50 == 0 {
+            120
+        } else {
+            1 + rng.next() % 12
+        };
+        for _ in 0..degree {
+            edges.push((
+                v,
+                (rng.next() % n as u64) as u32,
+                1 + (rng.next() % 3) as i64,
+            ));
+        }
+        if v % 9 == 0 {
+            edges.push((v, v, 2));
+        }
+    }
+    let g = Graph::from_edges(n, edges);
+    let mut scratch = DeltaScratch::new();
+    for c in [4097usize, 65, 1, 63, 64, 4096, 300_000, 2] {
+        let mut assignment: Vec<u32> = (0..n).map(|_| (rng.next() % c as u64) as u32).collect();
+        assignment[0] = 0;
+        assignment[1] = c as u32 - 1;
+        let bm = Blockmodel::from_assignment_with(&g, assignment.clone(), c, StorageKind::Sparse);
+        for v in 0..n as u32 {
+            scratch.gather_vertex(&g, &bm, v);
+            let mut want: Vec<u32> = g
+                .out_edges(v)
+                .iter()
+                .chain(g.in_edges(v))
+                .filter(|e| e.0 != v)
+                .map(|e| assignment[e.0 as usize])
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(scratch.neighbour_blocks(), want, "C={c} v={v}");
+        }
+    }
+}
+
+/// The weighted pick along row ++ column of a block lands on the same
+/// block for **every** draw `x` whether the dense lines are scanned a chunk
+/// at a time (`pick_weighted` on dense storage), slot by slot
+/// (`pick_by_cells` on dense storage) or cell by cell (sparse storage) —
+/// with nothing left out, as a vertex proposal draws, and with the block's
+/// own cells left out, as a merge proposal does. Line lengths on both
+/// sides of one and of several chunks.
+#[test]
+fn chunked_pick_lands_where_the_cell_walk_lands() {
+    for &c in &[2usize, 15, 16, 17, 40, 130] {
+        let (g, assignment) = synth_graph(c, 3);
+        let dense = Blockmodel::from_assignment_with(&g, assignment.clone(), c, StorageKind::Dense);
+        let sparse = Blockmodel::from_assignment_with(&g, assignment, c, StorageKind::Sparse);
+        for t in 0..c as u32 {
+            for (skip, total) in [
+                (None, dense.d_total(t)),
+                (Some(t), dense.d_total(t) - 2 * dense.get(t, t)),
+            ] {
+                for x in 0..total {
+                    let picked = pick_weighted(&dense, t, x, skip);
+                    assert_eq!(
+                        Ok(picked),
+                        pick_by_cells(&dense, t, x, skip),
+                        "C={c} t={t} x={x}"
+                    );
+                    assert_eq!(
+                        picked,
+                        pick_weighted(&sparse, t, x, skip),
+                        "C={c} t={t} x={x}"
+                    );
+                }
+                // One past the end walks off both lines.
+                assert_eq!(pick_by_cells(&dense, t, total, skip), Err(0), "C={c} t={t}");
             }
         }
     }

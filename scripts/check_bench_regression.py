@@ -36,7 +36,17 @@ Five checks, from strongest to weakest signal:
    lost a third of its gain. (e) A pooled region must cost at most 0.5x
    the scoped-spawn region it replaced (`pool/region_16x4_*`; 0.08-0.15
    on every record from BENCH_pr5.json on) - a reintroduced per-call
-   spawn tax puts the ratio at ~1 on any machine.
+   spawn tax puts the ratio at ~1 on any machine. (f) The line walks of a
+   sweep proposal (PR 16), each against the walk it replaced, same run:
+   the positional cross-cell fetch at most 0.5x four `get()` lookups per
+   neighbour block on the C = 750 sparse fixture (0.14 when recorded), and
+   the chunked dense anchor pick at most 0.6x the slot-by-slot scan at
+   C = 375 (0.09). The hub-line fixture (2 blocks asked of four 640-cell
+   lines) is the shape the streaming fetch loses on - 23x slower than
+   lookups when forced - so `cross_cells` must choose lookups there by
+   itself: at most 5x the `get()` twin (2.4 when recorded; the twin looks
+   two of its four cells up in one-cell lines, the production path
+   searches four 640-cell lines).
 
 2. **Absolute guard vs the PR 1 record**: each proposal-kernel id's mean
    must stay within BENCH_TOL (default 1.5x, i.e. +50%) of the mean
@@ -129,8 +139,9 @@ PR8_GUARD = PR5_GUARD + [
 # entropy vs its forced-scalar twin (the dispatched path must never lose
 # — 1.25 leaves room for shared-runner noise on non-AVX2 hosts where both
 # sides run the identical scalar code); the pooled region vs the
-# scoped-spawn region; and the merge walk vs the (allocating) line-delta
-# reference on the same pairs of the same blockmodel.
+# scoped-spawn region; the merge walk vs the (allocating) line-delta
+# reference on the same pairs of the same blockmodel; and the sweep
+# proposal's line walks vs their reference twins.
 RATIO_GUARDS = [
     ("edist/proposal_eval/adaptive_manyC", "edist/delta_entropy/dense_naive_manyC", 0.5),
     ("edist/proposal_eval/adaptive_hugeC", "edist/delta_entropy/dense_naive_hugeC", 0.5),
@@ -140,6 +151,13 @@ RATIO_GUARDS = [
 ] + [
     (f"edist/merge_eval/{fixture}", f"edist/merge_eval/{fixture}_reference", 0.4)
     for fixture in ("sparse_C3000", "sparse_C750", "dense_C375")
+] + [
+    (f"edist/{walk}", f"edist/{walk}_reference", max_ratio)
+    for walk, max_ratio in (
+        ("cross_cells/sparse_C750", 0.5),
+        ("cross_cells/sparse_hubline_k2", 5.0),
+        ("propose/anchor_dense_C375", 0.6),
+    )
 ]
 
 
