@@ -13,10 +13,8 @@
 //! §III-A optimizations (a) and (b).
 //!
 //! [`Blockmodel::from_assignment`] picks the representation from the block
-//! count and occupancy: dense for `C ≤ 64`, sparse above
-//! `dense_threshold()` (default 1024, `SBP_DENSE_THRESHOLD`), and in
-//! between by comparing the mean occupancy `E/C²` against a startup-probed
-//! crossover — see [`dense_threshold`] for the exact precedence.
+//! count `C` and total edge weight `E` alone — dense iff `C ≤ 64`, or
+//! `C ≤ 1024` and `4·E ≥ C²` (see [`auto_picks_dense`]).
 //! Since the representation is fixed at construction, the switch happens
 //! exactly at [`Blockmodel::compacted`] / rebuild boundaries between
 //! iterations — never mid-sweep. Both representations expose the same
@@ -51,7 +49,6 @@ use crate::line::CanonicalLine;
 use crate::model_description_length;
 use rayon::prelude::*;
 use sbp_graph::{Graph, Vertex, Weight};
-use std::sync::OnceLock;
 
 /// Rows per chunk of the fixed-shape entropy reduction (see
 /// [`Blockmodel::entropy`]). The chunk layout is a function of the block
@@ -62,136 +59,30 @@ use std::sync::OnceLock;
 /// chunks to parallelize.
 const ENTROPY_CHUNK_ROWS: usize = 64;
 
-/// Block counts at or below this use the flat dense matrix; above it, the
-/// sparse canonical-line rows + transpose. Read once from `SBP_DENSE_THRESHOLD`
-/// (default 1024). See the crate docs for tuning guidance: raise it if your
-/// graphs converge to a few thousand communities and memory allows
-/// (`2·C²·8` bytes per blockmodel), lower it under tight memory or when
-/// simulating many ranks in one process.
-///
-/// ## Dense/sparse selection precedence
-///
-/// [`StorageKind::Auto`] resolves in this order:
-///
-/// 1. `C <= 64` → always dense (the endgame regime; unconditional).
-/// 2. `C > dense_threshold()` → always sparse (memory cap: a dense
-///    blockmodel is `2·C²·8` bytes).
-/// 3. `SBP_DENSE_THRESHOLD` set to a parseable value → the legacy fixed
-///    occupancy bar `E ≥ C²/8`. Setting the env var is an explicit
-///    operator override, so the whole rule stays the documented,
-///    machine-independent one.
-/// 4. Otherwise → the **measured** occupancy bar
-///    `E ≥ C² · dense_occupancy_crossover()`, where the crossover is a
-///    one-time startup micro-probe of this machine's dense-vs-sparse
-///    line-walk costs (clamped to `[1/8, 1/2]`, so the probe can only
-///    *raise* the bar above the legacy default — e.g. on hardware where
-///    the vectorized dense scan underperforms — never lower it).
-///
-/// **Reproducibility hazard (known, open).** Storage selection is *not*
-/// invisible in results. Line iteration, proposal draws, vertex-move ΔS
-/// and `H`, and the entropy sum are bit-identical under either
-/// representation (the canonical-iteration guarantee), but a **merge** ΔS
-/// is rounded differently by the dense and the sparse walk (`crate::delta`,
-/// "the accumulation-order contract"), and merge candidates are ranked by
-/// it. Rule 4's crossover is a per-process *timing* probe — eight launches
-/// on one 2-vCPU box returned 0.184 … 0.233, six on another day
-/// 0.224 … 0.247 — so for a `(C, E)` whose occupancy `E/C²` falls inside
-/// that band, two processes holding the same integers (two runs at one
-/// seed, or two ranks of a TCP cluster) can pick different storage, and
-/// their trajectories may part at the next merge phase. Setting `SBP_DENSE_THRESHOLD` (rule 3) makes the rule
-/// machine-independent. Replacing the probe by a fixed bar moves
-/// trajectories, so it is left to a change that is allowed to
-/// (`ROADMAP.md`, direction 1c).
-pub fn dense_threshold() -> usize {
-    static THRESHOLD: OnceLock<usize> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("SBP_DENSE_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1024)
-    })
-}
+/// At or below this block count [`StorageKind::Auto`] is always dense: the
+/// endgame regime, where matrix and transpose are 64 KiB at most.
+const DENSE_ALWAYS_BLOCKS: usize = 64;
 
-/// Whether `SBP_DENSE_THRESHOLD` was explicitly set (and parseable) —
-/// selects the legacy fixed occupancy bar over the probed one (see
-/// [`dense_threshold`] for the full precedence).
-fn dense_threshold_overridden() -> bool {
-    static OVERRIDDEN: OnceLock<bool> = OnceLock::new();
-    *OVERRIDDEN.get_or_init(|| {
-        std::env::var("SBP_DENSE_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .is_some()
-    })
-}
-
-/// The measured mean-occupancy (`E/C²`) crossover above which a dense
-/// line walk beats sparse-line iteration on this machine, from a one-time
-/// startup micro-probe (see [`dense_threshold`] for how it enters the
-/// [`StorageKind::Auto`] rule). Clamped to `[1/8, 1/2]`: the floor is the
-/// legacy bar (never pick dense *more* aggressively than the tuned
-/// default), the ceiling keeps a pathological timing sample from pinning
-/// every mid-size blockmodel sparse.
-pub fn dense_occupancy_crossover() -> f64 {
-    static RHO: OnceLock<f64> = OnceLock::new();
-    *RHO.get_or_init(|| calibrate_dense_crossover().clamp(0.125, 0.5))
-}
-
-/// Times a dense slot walk and a sparse entry walk over a synthetic
-/// 1/8-occupancy line (the entropy inner loop, dispatched through the
-/// production SIMD gate so an AVX2 machine probes its real dense cost)
-/// and returns the implied per-slot / per-entry cost ratio — the
-/// occupancy above which dense wins. Best-of-3 trials; ~1 ms once per
-/// process.
-fn calibrate_dense_crossover() -> f64 {
-    use std::hint::black_box;
-    const PROBE_C: usize = 4096;
-    const STRIDE: usize = 8;
-    const REPS: u32 = 64;
-    let mut line = vec![0 as Weight; PROBE_C];
-    let mut entries = Vec::with_capacity(PROBE_C / STRIDE);
-    for i in (0..PROBE_C).step_by(STRIDE) {
-        line[i] = 3;
-        entries.push((i as u32, 3 as Weight));
-    }
-    let sparse = CanonicalLine::from_unsorted(entries);
-    let ln_vec = vec![0.5f64; PROBE_C];
-    let use_simd = crate::simd::enabled();
-    let mut best_dense = f64::INFINITY;
-    let mut best_sparse = f64::INFINITY;
-    for _ in 0..3 {
-        let t = std::time::Instant::now();
-        for _ in 0..REPS {
-            let mut acc = 0.0f64;
-            crate::simd::entropy_line(black_box(&line), &ln_vec, 0.25, &mut acc, use_simd);
-            black_box(acc);
-        }
-        best_dense = best_dense.min(t.elapsed().as_secs_f64());
-        let t = std::time::Instant::now();
-        for _ in 0..REPS {
-            let mut acc = 0.0f64;
-            for &(c, m) in black_box(sparse.as_slice()) {
-                acc -= (m as f64) * (crate::lntab::ln_int(m) - 0.25 - ln_vec[c as usize]);
-            }
-            black_box(acc);
-        }
-        best_sparse = best_sparse.min(t.elapsed().as_secs_f64());
-    }
-    let per_slot = best_dense / PROBE_C as f64;
-    let per_entry = best_sparse / (PROBE_C / STRIDE) as f64;
-    if per_entry > 0.0 && per_slot.is_finite() {
-        per_slot / per_entry
-    } else {
-        0.125
-    }
-}
+/// Above this block count [`StorageKind::Auto`] is always sparse: a dense
+/// blockmodel is `2·C²·8` bytes (16 MiB here).
+const DENSE_MAX_BLOCKS: usize = 1024;
 
 /// What [`StorageKind::Auto`] selects for a blockmodel of `num_blocks`
-/// blocks over `total_edge_weight` — the single source of truth for the
-/// dense/sparse rule, exposed so the sparse-regime test suites can assert
-/// "this trajectory ran on sparse storage" against the real predicate
-/// instead of a hand-copied formula that would silently rot if the rule
-/// is ever retuned.
+/// blocks over `total_edge_weight`: dense iff `C ≤ 64`, or `C ≤ 1024` and
+/// `4·E ≥ C²` (mean cell occupancy `E/C²` of at least ¼ — a dense line scan
+/// only beats sparse-line iteration when the lines are populated; the
+/// identity partition at `C = V` must stay sparse).
+///
+/// The rule reads nothing but its two integer arguments, and that is
+/// load-bearing: a merge ΔS rounds differently on the two storages
+/// (`crate::delta`, "the accumulation-order contract") and merge candidates
+/// are ranked by it, so replicas of one blockmodel — ranks of a cluster, a
+/// same-seed rerun, a `--resume` in a fresh process — stay bit-identical
+/// only because the same `(C, E)` picks the same storage in every process.
+///
+/// The single source of truth for the rule, exposed so the sparse-regime
+/// test suites can assert "this trajectory ran on sparse storage" against
+/// the real predicate instead of a hand-copied formula.
 pub fn auto_picks_dense(num_blocks: usize, total_edge_weight: Weight) -> bool {
     Storage::pick_dense(StorageKind::Auto, num_blocks, total_edge_weight)
 }
@@ -199,15 +90,8 @@ pub fn auto_picks_dense(num_blocks: usize, total_edge_weight: Weight) -> bool {
 /// Which matrix representation a [`Blockmodel`] should use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageKind {
-    /// Pick the representation from block count and expected occupancy:
-    /// dense when `C <= 64`, or when `C <= dense_threshold()` **and** the
-    /// mean cell occupancy `E/C²` clears the occupancy bar (a dense line
-    /// scan only beats sparse-line iteration when the lines are actually
-    /// populated — the identity partition at `C = V` has ~`avg_degree`
-    /// entries per 10k-slot line and must stay sparse). The bar is the
-    /// startup-probed [`dense_occupancy_crossover`] by default and the
-    /// legacy fixed 1/8 when `SBP_DENSE_THRESHOLD` is explicitly set —
-    /// see [`dense_threshold`] for the full precedence.
+    /// Pick the representation from the block count and total edge weight
+    /// by the [`auto_picks_dense`] rule.
     #[default]
     Auto,
     /// Flat row-major `C×C` array plus its transpose.
@@ -238,21 +122,12 @@ impl Storage {
     /// construction paths.
     fn pick_dense(kind: StorageKind, num_blocks: usize, total_edge_weight: Weight) -> bool {
         match kind {
+            // `4·E ≥ C²` as `E ≥ ⌈C²/4⌉`: `C² ≤ 2²⁰` on this arm, and `E`
+            // is never multiplied, so no weight can overflow the test.
             StorageKind::Auto => {
-                if num_blocks <= 64 {
-                    return true;
-                }
-                if num_blocks > dense_threshold() {
-                    return false;
-                }
-                if dense_threshold_overridden() {
-                    // Explicit operator override: keep the documented
-                    // fixed bar so behavior is machine-independent.
-                    total_edge_weight >= (num_blocks * num_blocks / 8) as Weight
-                } else {
-                    total_edge_weight as f64
-                        >= (num_blocks * num_blocks) as f64 * dense_occupancy_crossover()
-                }
+                num_blocks <= DENSE_ALWAYS_BLOCKS
+                    || (num_blocks <= DENSE_MAX_BLOCKS
+                        && total_edge_weight >= (num_blocks * num_blocks).div_ceil(4) as Weight)
             }
             StorageKind::Dense => true,
             StorageKind::Sparse => false,
@@ -1117,11 +992,36 @@ mod tests {
     }
 
     #[test]
-    fn auto_selects_by_threshold() {
+    fn auto_storage_rule_is_exact_at_every_boundary() {
+        // (C, E, dense?) on both sides of each edge of the rule:
+        // dense iff C ≤ 64, or C ≤ 1024 and 4·E ≥ C².
+        let quarter = |c: usize| (c * c).div_ceil(4) as Weight;
+        let mut table = vec![
+            (0, 0, true),
+            (64, 0, true),
+            (65, 0, false),
+            (1024, 0, false),
+            (1024, Weight::MAX, true),
+            (1025, Weight::MAX, false),
+            (usize::MAX, Weight::MAX, false),
+            (65, Weight::MAX - 1, true),
+            // Occupancy 0.2 — short of ¼.
+            (100, 2000, false),
+        ];
+        for c in [65, 100, 533, 1024] {
+            table.push((c, quarter(c) - 1, false));
+            table.push((c, quarter(c), true));
+        }
+        for (c, e, dense) in table {
+            assert_eq!(auto_picks_dense(c, e), dense, "(C, E) = ({c}, {e})");
+        }
+        // `quarter` is the integer form of 4·E ≥ C², odd C² included.
+        assert_eq!((quarter(65), quarter(533)), (1057, 71_023));
+
+        // Auto goes through the same rule; an explicit kind bypasses it.
         let g = two_triangles();
         let bm = Blockmodel::from_assignment(&g, two_block_assignment(), 2);
         assert_eq!(bm.storage_kind(), StorageKind::Dense);
-        // Forcing sparse is always allowed.
         let bm =
             Blockmodel::from_assignment_with(&g, two_block_assignment(), 2, StorageKind::Sparse);
         assert_eq!(bm.storage_kind(), StorageKind::Sparse);

@@ -121,7 +121,8 @@
 //!   through `simd::delta_line_pass`, fed the `r` line as the delta
 //!   pairs. The two storages therefore round a merge ΔS differently, as
 //!   they always have; replicas agree because they pick the same storage
-//!   for the same integers.
+//!   for the same integers — [`crate::auto_picks_dense`] reads `(C, E)` and
+//!   nothing else.
 //!
 //! [`merge_delta`] + [`delta_entropy`] are the kernel this walk replaced:
 //! the delta as a sorted `(cell, delta)` vector ([`LineDelta`]), ΔS by

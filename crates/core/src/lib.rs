@@ -6,10 +6,10 @@
 //! EDiSt:
 //!
 //! * [`Blockmodel`] — the inter-block edge-count matrix with **adaptive
-//!   storage**: a flat dense `C×C` array (plus transpose) when the block
-//!   count is at most [`blockmodel::dense_threshold`], and sparse
-//!   [`line::CanonicalLine`] rows (sorted vectors) plus a stored
-//!   transpose above it (the paper's §III-A optimizations a and b).
+//!   storage**: a flat dense `C×C` array (plus transpose) when
+//!   [`auto_picks_dense`] says so — small or well-occupied matrices — and
+//!   sparse [`line::CanonicalLine`] rows (sorted vectors) plus a stored
+//!   transpose otherwise (the paper's §III-A optimizations a and b).
 //!   Every line iterates in canonical ascending order regardless of
 //!   storage or move history — the property the distributed drivers'
 //!   unconditional bit-identity rests on. Incremental vertex moves,
@@ -70,35 +70,11 @@
 //! scalar paths are therefore bit-identical, proven by `to_bits`
 //! property tests; `SBP_NO_SIMD=1` forces the scalar path and must
 //! change nothing.
-//!
-//! ## Tuning the dense/sparse threshold
-//!
-//! The storage representation switches at `compacted()`/rebuild boundaries
-//! based on block count and occupancy: dense when `C <= 64`, or when
-//! `C <= SBP_DENSE_THRESHOLD` (environment variable, default 1024, read
-//! once per process) *and* the mean cell occupancy `E/C²` clears the
-//! occupancy bar — a dense line scan only wins when the lines are
-//! populated, so the sparse early phase (`C ≈ V`, near-empty lines)
-//! stays sparse even below the threshold. By default the bar is measured
-//! once at startup by a micro-probe of this machine's dense-vs-sparse
-//! walk costs (clamped to `[1/8, 1/2]`); explicitly setting
-//! `SBP_DENSE_THRESHOLD` reverts to the fixed legacy bar `E ≥ C²/8` —
-//! see [`blockmodel::dense_threshold`] for the precedence. The dense
-//! side costs `2·C²·8` bytes per blockmodel but makes `get` O(1), line
-//! scans contiguous, and a move a handful of stores instead of sorted
-//! inserts (see `benchmarks/summary.md`).
-//! Raise the threshold on large-memory machines whose graphs converge
-//! to a few thousand communities; lower it when simulating many MPI
-//! ranks in one process (every rank keeps its own replica) or under
-//! tight memory. Storage selection never changes results — only speed
-//! and memory — so machine-dependent probing is safe in distributed
-//! runs.
 
 pub mod blockmodel;
 mod blockset;
 pub mod checkpoint;
 pub mod delta;
-pub mod fxhash;
 pub mod golden;
 pub mod hybrid;
 pub mod line;
@@ -113,10 +89,7 @@ pub mod run;
 pub mod sbp;
 pub mod simd;
 
-pub use blockmodel::{
-    auto_picks_dense, compact_labels, dense_occupancy_crossover, dense_threshold, Blockmodel,
-    LineIter, StorageKind,
-};
+pub use blockmodel::{auto_picks_dense, compact_labels, Blockmodel, LineIter, StorageKind};
 pub use checkpoint::{CheckpointError, CheckpointState};
 pub use delta::{
     delta_entropy, merge_delta, vertex_move_delta, with_scratch, DeltaScratch, LineDelta,

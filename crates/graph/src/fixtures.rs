@@ -101,7 +101,7 @@ mod tests {
         // which would fail loudly if the rule ever drifted from this.
         let e = g.total_edge_weight();
         for c in 90..=360i64 {
-            assert!(c > 64 && e < c * c / 8, "C={c} would go dense");
+            assert!(c > 64 && 4 * e < c * c, "C={c} would go dense");
         }
     }
 

@@ -8,9 +8,8 @@
 //! vertex at all fall back to the globally most common block — they carry
 //! no structural information either way.
 
-use sbp_core::fxhash::FxHashMap;
 use sbp_graph::{Graph, Vertex};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Extends a partial labeling to all vertices of `graph`.
 ///
@@ -54,7 +53,7 @@ pub fn extend_partition(graph: &Graph, sampled: &[Vertex], sample_labels: &[u32]
     }
 
     // Fallback for label-free components: the most common block.
-    let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
+    let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
     for l in label.iter().flatten() {
         *counts.entry(*l).or_insert(0) += 1;
     }
@@ -70,7 +69,7 @@ pub fn extend_partition(graph: &Graph, sampled: &[Vertex], sample_labels: &[u32]
 /// toward the smaller label for determinism); `None` if no neighbor is
 /// labeled yet.
 fn majority_neighbor_label(graph: &Graph, label: &[Option<u32>], u: Vertex) -> Option<u32> {
-    let mut votes: FxHashMap<u32, i64> = FxHashMap::default();
+    let mut votes: BTreeMap<u32, i64> = BTreeMap::new();
     for &(w, wt) in graph.out_edges(u).iter().chain(graph.in_edges(u)) {
         if let Some(l) = label[w as usize] {
             *votes.entry(l).or_insert(0) += wt;

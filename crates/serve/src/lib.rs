@@ -6,7 +6,7 @@
 //! crate keeps the solved state resident:
 //!
 //! - [`server::Server`] loads a graph once (monolithic edge list or a
-//!   `.sbps` shard directory, via the binary), solves it cold — or
+//!   `.sbps` shard directory, via `edist-cli serve`), solves it cold — or
 //!   restores a PR 6 `.sbpc` checkpoint — and then holds the best
 //!   partition warm in memory.
 //! - [`protocol`] defines the length-prefixed, checksummed frame format

@@ -588,7 +588,7 @@ fn accept_loop<S: Read + Write>(
 
 /// Binds the listener and serves connections sequentially until a
 /// `Shutdown` request arrives. `on_ready` runs once the socket is bound
-/// and accepting — the binary prints its "listening" line there.
+/// and accepting — `edist-cli serve` prints its "listening" line there.
 pub fn serve(
     server: &mut Server,
     listen: &Listen,

@@ -892,10 +892,10 @@ pub fn run_solver<S: Solver + ?Sized>(
 
 /// The full name-keyed solver registry this workspace ships: the four
 /// single-node core backends (`sequential`/`sbp`, `hybrid`, `batch`)
-/// plus the distributed ones (`edist`, `dcsbp`). The CLI's `--backend`
-/// fallback and the `sbp-serve` daemon both resolve through this one
-/// registry; downstream crates extend a copy via
-/// [`SolverRegistry::register`].
+/// plus the distributed ones (`edist`, `dcsbp`). The daemon
+/// (`edist-cli serve`) resolves `--backend` through this registry, and the
+/// CLI's typed `--backend` spellings are tested equal to its names;
+/// downstream crates extend a copy via [`SolverRegistry::register`].
 pub fn default_registry() -> SolverRegistry {
     let mut registry = SolverRegistry::with_core_backends();
     sbp_dist::register_solvers(&mut registry);

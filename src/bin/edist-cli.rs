@@ -230,10 +230,7 @@ subcommands:
   help       this message
 
 partition/sample exit codes: 0 ok; 1 error; 3 when the run degraded and
---fail-on-degraded true was passed (default keeps the historical 0).
-Unknown --backend names fall back to the name-keyed solver registry
-(edist::api::default_registry), so downstream-registered backends work
-from the CLI without a code change here.";
+--fail-on-degraded true was passed (default keeps the historical 0).";
 
 /// Minimal `--key value` argument map (flags must all take values).
 struct Args {
@@ -455,7 +452,12 @@ fn parse_backend(name: &str, ranks: usize) -> Result<Backend, String> {
         "batch" => Backend::Batch,
         "dcsbp" => Backend::DcSbp { ranks },
         "edist" => Backend::Edist { ranks },
-        other => return Err(format!("unknown backend '{other}'")),
+        other => {
+            return Err(format!(
+                "unknown backend '{other}' (known: {})",
+                default_registry().names().join(", ")
+            ))
+        }
     })
 }
 
@@ -803,21 +805,7 @@ fn cmd_partition(args: &Args) -> Result<u8, String> {
             Some(parse_backend(name, header.shard_count)?)
         }
         (GraphSource::Mem(_), None, _) => Some(Backend::Sequential),
-        (GraphSource::Mem(graph), Some(name), _) => match parse_backend(name, ranks.max(1)) {
-            Ok(backend) => Some(backend),
-            // Unknown names fall back to the name-keyed registry, so a
-            // backend registered by a downstream crate is reachable from
-            // the CLI without touching `parse_backend`.
-            Err(_) if default_registry().contains(name) => {
-                return run_registry_backend(args, &source, graph, name, ranks.max(1));
-            }
-            Err(_) => {
-                return Err(format!(
-                    "unknown backend '{name}' (known: {})",
-                    default_registry().names().join(", ")
-                ));
-            }
-        },
+        (GraphSource::Mem(_), Some(name), _) => Some(parse_backend(name, ranks.max(1))?),
     };
     let sample = match args.get("sample") {
         Some(_) => Some(args.num("sample", 0.5f64)?),
@@ -993,33 +981,6 @@ fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
         }
     }
     Ok(code)
-}
-
-/// The registry path for `partition --backend NAME` when NAME is not
-/// one of the built-in [`Backend`] spellings: build the solver by name
-/// through [`default_registry`] and drive it with [`run_solver`]. The
-/// checkpoint/resume/sample/fault decorations stay with the typed
-/// builder path.
-fn run_registry_backend(
-    args: &Args,
-    source: &GraphSource,
-    graph: &Graph,
-    name: &str,
-    ranks: usize,
-) -> Result<u8, String> {
-    reject_flags(
-        args,
-        &["checkpoint", "resume", "sample", "fault-plan"],
-        "with a registry-resolved backend (use one of the built-in --backend names)",
-    )?;
-    let spec = SolverSpec {
-        ranks,
-        sync_period: args.num("sync-period", 1usize)?,
-    };
-    let solver = solver_by_name(name, &spec).map_err(|e| e.to_string())?;
-    let cfg = RunConfig::from_sbp(sbp_config(args)?);
-    let run = run_solver(solver.as_ref(), graph, &cfg, &mut NoProgress);
-    report_run(args, source, &run, None)
 }
 
 fn cmd_sample(args: &Args) -> Result<u8, String> {
@@ -1398,7 +1359,10 @@ mod tests {
     fn unknown_backend_is_an_error() {
         assert!(parse_backend("quantum", 2).is_err());
         assert!(parse_backend("edist", 2).is_ok());
-        assert!(parse_backend("sbp", 1).is_ok(), "registry alias accepted");
+        // The typed spellings and the registry's names are one list.
+        for name in default_registry().names() {
+            assert!(parse_backend(&name, 2).is_ok(), "registry name '{name}'");
+        }
         assert!(parse_strategy("telepathy").is_err());
     }
 

@@ -183,6 +183,81 @@ fn sharded_run_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `edist-cli` to completion, asserting success.
+fn cli(args: &[&str]) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"))
+        .args(args)
+        .output()
+        .expect("failed to run edist-cli");
+    assert!(
+        out.status.success(),
+        "edist-cli {args:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Crash in one process, resume in another. A fault plan kills rank 1 of
+/// a 2-rank `edist-cli` run during its second iteration, leaving the
+/// boundary-1 snapshot (`C = 300`, sparse storage) on disk; a second
+/// `edist-cli` process resumes it and walks `C = 300 → 150 → 75 → …`,
+/// crossing the auto storage rule on its own. Its assignment and
+/// trajectory files must equal the uninterrupted process's byte for byte —
+/// which holds only if both processes pick the same storage at each `C`.
+#[test]
+fn snapshot_written_by_one_process_resumes_bit_identically_in_another() {
+    let dir = temp_dir("cross_process");
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (graph, snapshot) = (at("g.mtx"), at("crash.sbpc"));
+    cli(&[
+        "generate",
+        "--family",
+        "challenge",
+        "--vertices",
+        "600",
+        "--difficulty",
+        "hard",
+        "--seed",
+        "9",
+        "--out",
+        &graph,
+    ]);
+    let partition = |extra: &[&str], tag: &str| {
+        let (out, traj) = (at(&format!("{tag}.txt")), at(&format!("{tag}.traj")));
+        let mut args = vec!["partition", "--graph", &graph, "--backend", "edist"];
+        args.extend(["--ranks", "2", "--seed", "5"]);
+        args.extend(["--out", &out, "--trajectory-out", &traj]);
+        args.extend(extra);
+        cli(&args);
+        (
+            std::fs::read(out).expect("assignment written"),
+            std::fs::read(traj).expect("trajectory written"),
+        )
+    };
+    let baseline = partition(&[], "baseline");
+    let crashed = partition(
+        &["--checkpoint", &snapshot, "--fault-plan", "kill:1@45"],
+        "crashed",
+    );
+    assert_ne!(
+        crashed, baseline,
+        "the fault plan did not interrupt the run"
+    );
+
+    let state = CheckpointState::read_from(std::path::Path::new(&snapshot)).expect("snapshot");
+    let e = state.total_edge_weight as i64;
+    let last = state.iterations.last().expect("one boundary reached");
+    assert!(
+        !edist::core::auto_picks_dense(last.num_blocks, e),
+        "snapshot taken at C = {}, already on dense storage — suite is vacuous",
+        last.num_blocks
+    );
+
+    let resumed = partition(&["--resume", &snapshot], "resumed");
+    assert_eq!(resumed.0, baseline.0, "assignment files differ");
+    assert_eq!(resumed.1, baseline.1, "trajectory files differ");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ----------------------------------------------------- snapshot cadence
 
 #[test]

@@ -330,52 +330,58 @@ fn tcp_cluster_is_bit_identical_to_thread_simulator() {
 }
 
 /// The `tcp-local` launcher end to end: one command spawns the whole
-/// localhost cluster and its (rank-0) outputs equal the simulator's.
+/// localhost cluster and its (rank-0) outputs equal the simulator's — on
+/// a graph solved on dense storage throughout, and on one whose search
+/// crosses the auto storage rule (`C` = 600, 300 sparse; 150, 75 dense),
+/// where every rank process must make the same pick from `(C, E)`.
 #[test]
 fn tcp_local_launcher_matches_thread_simulator() {
-    let dir = temp("launcher");
-    let graph = fixture(&dir, "120", "easy");
-    let reference = dir.join("thread.txt");
-    let ref_traj = dir.join("thread.traj");
-    cli_ok(&[
-        "partition",
-        "--graph",
-        graph.to_str().unwrap(),
-        "--backend",
-        "edist",
-        "--ranks",
-        "3",
-        "--seed",
-        "5",
-        "--out",
-        reference.to_str().unwrap(),
-        "--trajectory-out",
-        ref_traj.to_str().unwrap(),
-    ]);
-    let local = dir.join("local.txt");
-    let local_traj = dir.join("local.traj");
-    let stderr = cli_ok(&[
-        "partition",
-        "--graph",
-        graph.to_str().unwrap(),
-        "--cluster",
-        "tcp-local",
-        "--ranks",
-        "3",
-        "--seed",
-        "5",
-        "--out",
-        local.to_str().unwrap(),
-        "--trajectory-out",
-        local_traj.to_str().unwrap(),
-    ]);
-    assert_same_file(&reference, &local, "tcp-local vs thread");
-    assert_same_file(&ref_traj, &local_traj, "tcp-local vs thread trajectory");
-    assert!(
-        stderr.contains("edist(ranks=3)+tcp"),
-        "launcher summary should name the tcp backend:\n{stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    for (vertices, difficulty) in [("120", "easy"), ("600", "hard")] {
+        let dir = temp(&format!("launcher{vertices}"));
+        let graph = fixture(&dir, vertices, difficulty);
+        let reference = dir.join("thread.txt");
+        let ref_traj = dir.join("thread.traj");
+        cli_ok(&[
+            "partition",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--backend",
+            "edist",
+            "--ranks",
+            "3",
+            "--seed",
+            "5",
+            "--out",
+            reference.to_str().unwrap(),
+            "--trajectory-out",
+            ref_traj.to_str().unwrap(),
+        ]);
+        let local = dir.join("local.txt");
+        let local_traj = dir.join("local.traj");
+        let stderr = cli_ok(&[
+            "partition",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--cluster",
+            "tcp-local",
+            "--ranks",
+            "3",
+            "--seed",
+            "5",
+            "--out",
+            local.to_str().unwrap(),
+            "--trajectory-out",
+            local_traj.to_str().unwrap(),
+        ]);
+        let ctx = format!("V={vertices} tcp-local vs thread");
+        assert_same_file(&reference, &local, &ctx);
+        assert_same_file(&ref_traj, &local_traj, &format!("{ctx} trajectory"));
+        assert!(
+            stderr.contains("edist(ranks=3)+tcp"),
+            "launcher summary should name the tcp backend:\n{stderr}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ------------------------------------------------------ handshake failures

@@ -189,56 +189,62 @@ fn sbp_threads_env_is_bit_invariant_for_every_backend() {
     let dir = std::env::temp_dir().join(format!("sbp_threads_inv_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let graph = dir.join("g.mtx");
-    cli(
-        &[
-            "generate",
-            "--family",
-            "challenge",
-            "--vertices",
-            "120",
-            "--difficulty",
-            "easy",
-            "--seed",
-            "9",
-            "--out",
-            graph.to_str().unwrap(),
-        ],
-        None,
-    );
-    // `edist` runs 2 simulated ranks — the case the in-process override
-    // cannot reach, since rank threads read the process-wide default.
-    for backend in ["sequential", "hybrid", "batch", "edist"] {
-        let mut results: Vec<(Vec<u8>, String)> = Vec::new();
-        for threads in ["1", "4"] {
-            let out_file = dir.join(format!("a_{backend}_{threads}.txt"));
-            let stdout = cli(
-                &[
-                    "partition",
-                    "--graph",
-                    graph.to_str().unwrap(),
-                    "--backend",
-                    backend,
-                    "--ranks",
-                    "2",
-                    "--seed",
-                    "5",
-                    "--out",
-                    out_file.to_str().unwrap(),
-                ],
-                Some(threads),
+    // Two inputs: a graph solved on dense storage throughout, and one
+    // whose search crosses the auto rule (C = 600, 300 sparse; 150, 75
+    // dense) — every run below is its own process, so they agree only if
+    // each process picks the same storage for the same (C, E).
+    for (vertices, difficulty) in [("120", "easy"), ("600", "hard")] {
+        let graph = dir.join(format!("g{vertices}.mtx"));
+        cli(
+            &[
+                "generate",
+                "--family",
+                "challenge",
+                "--vertices",
+                vertices,
+                "--difficulty",
+                difficulty,
+                "--seed",
+                "9",
+                "--out",
+                graph.to_str().unwrap(),
+            ],
+            None,
+        );
+        // `edist` runs 2 simulated ranks — the case the in-process override
+        // cannot reach, since rank threads read the process-wide default.
+        for backend in ["sequential", "hybrid", "batch", "edist"] {
+            let mut results: Vec<(Vec<u8>, String)> = Vec::new();
+            for threads in ["1", "4"] {
+                let out_file = dir.join(format!("a{vertices}_{backend}_{threads}.txt"));
+                let stdout = cli(
+                    &[
+                        "partition",
+                        "--graph",
+                        graph.to_str().unwrap(),
+                        "--backend",
+                        backend,
+                        "--ranks",
+                        "2",
+                        "--seed",
+                        "5",
+                        "--out",
+                        out_file.to_str().unwrap(),
+                    ],
+                    Some(threads),
+                );
+                let assignment = std::fs::read(&out_file).expect("assignment written");
+                results.push((assignment, dl_token(&stdout)));
+            }
+            assert_eq!(
+                results[0].0, results[1].0,
+                "V={vertices} {backend}: assignments differ between SBP_THREADS=1 and 4"
             );
-            let assignment = std::fs::read(&out_file).expect("assignment written");
-            results.push((assignment, dl_token(&stdout)));
+            assert_eq!(
+                results[0].1, results[1].1,
+                "V={vertices} {backend}: DL differs between SBP_THREADS=1 and 4"
+            );
         }
-        assert_eq!(
-            results[0].0, results[1].0,
-            "{backend}: assignments differ between SBP_THREADS=1 and 4"
-        );
-        assert_eq!(
-            results[0].1, results[1].1,
-            "{backend}: DL differs between SBP_THREADS=1 and 4"
-        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
