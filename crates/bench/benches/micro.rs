@@ -10,6 +10,7 @@
 //! * MH vs hybrid vs batch sweeps;
 //! * sorted-balanced vs modulo ownership (load balance proxy);
 //! * simulated-cluster collective throughput;
+//! * the sharded sync's cell fold against the `BTreeMap` it replaced (PR 18);
 //! * blockmodel construction and incremental moves;
 //! * SIMD vs scalar entropy A/B and the entropy chunk-size study (PR 10);
 //! * synthetic graph generation.
@@ -25,10 +26,12 @@ use sbp_core::naive::DenseBlockmodel;
 use sbp_core::propose::{pick_by_cells, pick_weighted, propose_for_block, propose_for_vertex};
 use sbp_core::sbp::{merge_phase, SbpConfig};
 use sbp_core::{Blockmodel, DeltaScratch, StorageKind};
+use sbp_dist::exchange::CellFold;
 use sbp_dist::{balanced_ownership, modulo_ownership};
 use sbp_gen::{graph_challenge, param_study, Difficulty, ParamStudySpec};
 use sbp_graph::Graph;
 use sbp_mpi::{Communicator, CostModel, ThreadCluster};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -482,6 +485,53 @@ fn bench_collectives(c: &mut Criterion) {
     group.finish();
 }
 
+/// The aggregation of one sharded sync's delta share: 2 500 arcs, each
+/// charged `−w` to its old cell and `+w` to its new one, over the cells of
+/// a C = 300 blockmodel — many repeats, and every charge of an arc that
+/// did not change cell cancels. `_reference` is the `BTreeMap` fed one
+/// charge at a time that `sharded.rs` held until PR 18.
+fn bench_cell_fold(c: &mut Criterion) {
+    let mut rng = SmallRng::seed_from_u64(18);
+    let mut charges: Vec<(u32, u32, i64)> = Vec::with_capacity(5000);
+    for _ in 0..2500 {
+        let (r, col, w) = (
+            rng.random_range(0..300u32),
+            rng.random_range(0..300u32),
+            rng.random_range(1..=3i64),
+        );
+        let to = if rng.random_bool(0.8) {
+            rng.random_range(0..300u32)
+        } else {
+            r
+        };
+        charges.push((r, col, -w));
+        charges.push((to, col, w));
+    }
+    let mut group = quick(c);
+    group.bench_function("dist/cell_fold_5k", |b| {
+        b.iter(|| {
+            let mut fold = CellFold::default();
+            fold.extend(charges.iter().copied());
+            black_box(fold.finish().len())
+        })
+    });
+    group.bench_function("dist/cell_fold_5k_reference", |b| {
+        b.iter(|| {
+            let mut tree: BTreeMap<(u32, u32), i64> = BTreeMap::new();
+            for &(r, col, w) in &charges {
+                *tree.entry((r, col)).or_insert(0) += w;
+            }
+            let cells: Vec<(u32, u32, i64)> = tree
+                .into_iter()
+                .filter(|&(_, w)| w != 0)
+                .map(|((r, col), w)| (r, col, w))
+                .collect();
+            black_box(cells.len())
+        })
+    });
+    group.finish();
+}
+
 fn bench_blockmodel(c: &mut Criterion) {
     let (graph, assignment, nb) = bench_graph();
     let mut group = quick(c);
@@ -584,6 +634,7 @@ criterion_group!(
     bench_sweeps,
     bench_ownership,
     bench_collectives,
+    bench_cell_fold,
     bench_blockmodel,
     bench_simd,
     bench_generator

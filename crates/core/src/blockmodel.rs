@@ -1281,49 +1281,95 @@ mod tests {
         parts.validate(&g).unwrap();
     }
 
+    /// Applies `moves` (distinct vertices) once through `move_vertex` and
+    /// once as one batch of externally-computed deltas; states must agree.
+    fn assert_sync_equals_moves(
+        g: &Graph,
+        prev: &[u32],
+        moves: &[(Vertex, u32)],
+        blocks: usize,
+        kind: StorageKind,
+    ) {
+        use std::collections::BTreeMap;
+        let mut via_move = Blockmodel::from_assignment_with(g, prev.to_vec(), blocks, kind);
+        let mut via_sync = via_move.clone();
+        let mut next = prev.to_vec();
+        let mut degrees: BTreeMap<u32, (Weight, Weight)> = BTreeMap::new();
+        for &(v, to) in moves {
+            via_move.move_vertex(g, v, to);
+            next[v as usize] = to;
+            let (dout, din) = (g.out_degree(v), g.in_degree(v));
+            let from = degrees.entry(prev[v as usize]).or_insert((0, 0));
+            *from = (from.0 - dout, from.1 - din);
+            let to = degrees.entry(to).or_insert((0, 0));
+            *to = (to.0 + dout, to.1 + din);
+        }
+        let mut deltas: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
+        for (s, d, w) in g.arcs() {
+            *deltas
+                .entry((prev[s as usize], prev[d as usize]))
+                .or_insert(0) -= w;
+            *deltas
+                .entry((next[s as usize], next[d as usize]))
+                .or_insert(0) += w;
+        }
+        via_sync.apply_dist_sync(
+            moves,
+            deltas.into_iter().map(|((r, c), dw)| (r, c, dw)),
+            degrees.into_iter().map(|(b, (o, i))| (b, o, i)),
+        );
+        assert_eq!(via_move.assignment(), via_sync.assignment());
+        assert_eq!(via_move.cells_canonical(), via_sync.cells_canonical());
+        for b in 0..blocks as u32 {
+            assert_eq!(via_move.d_out(b), via_sync.d_out(b), "{kind:?}");
+            assert_eq!(via_move.d_in(b), via_sync.d_in(b), "{kind:?}");
+            assert_eq!(
+                via_move.ln_d_out(b).to_bits(),
+                via_sync.ln_d_out(b).to_bits()
+            );
+            assert_eq!(via_move.ln_d_in(b).to_bits(), via_sync.ln_d_in(b).to_bits());
+        }
+        via_sync.validate(g).unwrap();
+    }
+
     #[test]
     fn apply_dist_sync_equals_move_vertex() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
         for_both_kinds(|kind| {
-            // Apply vertex 2's move 0→1 once through move_vertex and once
-            // through externally-computed deltas; states must agree.
-            let g = two_triangles();
-            let mut via_move =
-                Blockmodel::from_assignment_with(&g, two_block_assignment(), 2, kind);
-            let mut via_sync = via_move.clone();
-            via_move.move_vertex(&g, 2, 1);
-
-            let prev = two_block_assignment();
-            let mut next = prev.clone();
-            next[2] = 1;
-            let mut deltas: std::collections::BTreeMap<(u32, u32), i64> =
-                std::collections::BTreeMap::new();
-            for (s, d, w) in g.arcs() {
-                if s == 2 || d == 2 {
-                    *deltas
-                        .entry((prev[s as usize], prev[d as usize]))
-                        .or_insert(0) -= w;
-                    *deltas
-                        .entry((next[s as usize], next[d as usize]))
-                        .or_insert(0) += w;
-                }
-            }
-            via_sync.apply_dist_sync(
+            // Vertex 2 crossing between the two triangles.
+            assert_sync_equals_moves(
+                &two_triangles(),
+                &two_block_assignment(),
                 &[(2, 1)],
-                deltas.into_iter().map(|((r, c), dw)| (r, c, dw)),
-                [
-                    (0u32, -g.out_degree(2), -g.in_degree(2)),
-                    (1u32, g.out_degree(2), g.in_degree(2)),
-                ],
+                2,
+                kind,
             );
-            assert_eq!(via_move.assignment(), via_sync.assignment());
-            for r in 0..2u32 {
-                for c in 0..2u32 {
-                    assert_eq!(via_move.get(r, c), via_sync.get(r, c), "{kind:?}");
+            // Random graphs (self-loops and heavy arcs included), random
+            // batches: every third vertex or so moves, some onto its own
+            // block, some emptying or refilling a block.
+            let mut rng = SmallRng::seed_from_u64(18);
+            for _ in 0..25 {
+                let (n, blocks) = (40u32, 6u32);
+                let edges: Vec<_> = (0..150)
+                    .map(|_| {
+                        (
+                            rng.random_range(0..n),
+                            rng.random_range(0..n),
+                            rng.random_range(1..=3i64),
+                        )
+                    })
+                    .collect();
+                let g = Graph::from_edges(n as usize, edges);
+                let prev: Vec<u32> = (0..n).map(|_| rng.random_range(0..blocks)).collect();
+                let mut moves: Vec<(Vertex, u32)> = Vec::new();
+                for v in 0..n {
+                    if rng.random_bool(0.35) {
+                        moves.push((v, rng.random_range(0..blocks)));
+                    }
                 }
-                assert_eq!(via_move.d_out(r), via_sync.d_out(r));
-                assert_eq!(via_move.ln_d_in(r).to_bits(), via_sync.ln_d_in(r).to_bits());
+                assert_sync_equals_moves(&g, &prev, &moves, blocks as usize, kind);
             }
-            via_sync.validate(&g).unwrap();
         });
     }
 }

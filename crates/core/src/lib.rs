@@ -107,6 +107,13 @@ pub use run::{
 };
 pub use sbp::{solve_sbp, IterationStat, McmcStrategy, SbpConfig, SbpResult};
 
+/// The pool-width controls of the `rayon` shim behind every parallel
+/// region of this crate, for callers that run several solves side by side
+/// and must share the width among them (`sbp-dist`'s co-resident thread
+/// ranks). Results never depend on the width — see the determinism
+/// contract above.
+pub use rayon::{current_num_threads, with_threads};
+
 /// `h(x) = (1+x)·ln(1+x) − x·ln(x)`, the model-complexity kernel of the
 /// description length (paper Eq. 2).
 pub fn h(x: f64) -> f64 {

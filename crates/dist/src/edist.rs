@@ -51,6 +51,7 @@ use sbp_core::Blockmodel;
 use sbp_graph::{Graph, Vertex};
 use sbp_mpi::{Communicator, Wire};
 use std::cell::RefCell;
+use std::time::Instant;
 
 /// The data a rank runs against: how the replicated blockmodel is
 /// (re)built and how peers' moves reach the replica. Everything else —
@@ -165,8 +166,8 @@ impl EdistData for ReplicatedData<'_> {
     ) -> Result<usize, DistError> {
         let payload = encode_moves(pending);
         xstats.record(pending.len(), payload.len());
-        let gathered = comm
-            .allgatherv(payload)
+        let gathered = xstats
+            .allgather(comm, payload)
             .into_iter()
             .map(|bytes| decode_moves(&bytes))
             .collect::<Result<Vec<Vec<AcceptedMove>>, _>>()?;
@@ -193,6 +194,8 @@ struct WireMetrics {
     moves: std::sync::Arc<sbp_metrics::Counter>,
     bytes_raw: std::sync::Arc<sbp_metrics::Counter>,
     bytes_encoded: std::sync::Arc<sbp_metrics::Counter>,
+    sync_ns: std::sync::Arc<sbp_metrics::Counter>,
+    sync_wait_ns: std::sync::Arc<sbp_metrics::Counter>,
 }
 
 impl WireMetrics {
@@ -203,18 +206,31 @@ impl WireMetrics {
             moves: sbp_metrics::counter(&name("sbp_wire_moves_total")),
             bytes_raw: sbp_metrics::counter(&name("sbp_wire_move_bytes_raw_total")),
             bytes_encoded: sbp_metrics::counter(&name("sbp_wire_move_bytes_encoded_total")),
+            sync_ns: sbp_metrics::counter(&name("sbp_wire_sync_ns_total")),
+            sync_wait_ns: sbp_metrics::counter(&name("sbp_wire_sync_wait_ns_total")),
         }
     }
 
-    /// Records one sync point: the moves this rank shipped and the byte
-    /// delta `exchange_moves` added to the run's accounting.
-    fn record_sync(&self, shipped: usize, before: ExchangeStats, after: ExchangeStats) {
+    /// Records one sync point: the moves this rank shipped, what
+    /// `exchange_moves` added to the run's accounting (bytes, and time
+    /// inside its allgather), and how long the whole sync took from
+    /// `started` — the difference is this rank's own bookkeeping.
+    fn record_sync(
+        &self,
+        shipped: usize,
+        before: ExchangeStats,
+        after: ExchangeStats,
+        started: Instant,
+    ) {
         self.syncs.inc();
         self.moves.add(shipped as u64);
         self.bytes_raw
             .add(after.move_bytes_raw - before.move_bytes_raw);
         self.bytes_encoded
             .add(after.move_bytes_encoded - before.move_bytes_encoded);
+        self.sync_ns.add(started.elapsed().as_nanos() as u64);
+        self.sync_wait_ns
+            .add(after.sync_wait_ns - before.sync_wait_ns);
     }
 }
 
@@ -309,13 +325,14 @@ impl<C: Communicator, D: EdistData> Plane for DistPlane<'_, C, D> {
         pending: &[AcceptedMove],
     ) -> Result<usize, DistError> {
         guard_collectives(|| {
+            let started = self.wire.as_ref().map(|wire| (wire, Instant::now()));
             let mut xstats = self.xstats.borrow_mut();
             let before = *xstats;
             let moves = self
                 .data
                 .exchange_moves(self.comm, bm, prev, pending, &mut xstats)?;
-            if let Some(wire) = &self.wire {
-                wire.record_sync(pending.len(), before, *xstats);
+            if let Some((wire, started)) = started {
+                wire.record_sync(pending.len(), before, *xstats, started);
             }
             Ok(moves)
         })

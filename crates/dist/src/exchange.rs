@@ -13,7 +13,7 @@
 //!   blockmodel synchronization. Sorted by `(row, col)` before encoding,
 //!   so the same delta scheme applies; weights are signed (zigzag).
 //! * **Cut arcs** `(src, dst, weight)` of moved vertices — the sharded
-//!   sync's cross-rank correction inputs (see `sharded.rs`), reusing the
+//!   sync's cross-term inputs (see `sharded.rs`), reusing the
 //!   cell codec (sorted unique pairs, positive weights).
 //!
 //! All decoders are **strict and fallible**: malformed input returns a
@@ -31,6 +31,8 @@ use crate::error::DecodeError;
 use sbp_core::mcmc::AcceptedMove;
 use sbp_graph::varint::{read_i64, read_u64, write_i64, write_u64};
 use sbp_graph::Weight;
+use sbp_mpi::Communicator;
+use std::time::Instant;
 
 /// Section framing, re-exported from [`sbp_graph::frame`] (shared with
 /// the TCP transport's handshake frames): [`concat_sections`] packs a
@@ -104,8 +106,52 @@ pub fn decode_moves(buf: &[u8]) -> Result<Vec<AcceptedMove>, DecodeError> {
     Ok(moves)
 }
 
+/// Sums `(row, col, ±weight)` charges per cell — the one aggregation
+/// behind every cell list this crate ships or applies. Charges are pushed
+/// as `(row << 32 | col, w)` and folded once by sort
+/// (`sbp_core::line::CanonicalLine::from_unsorted` does the same per
+/// matrix line), so a charge costs a `Vec` push instead of a tree descent.
+/// Integer sums are order-independent: the result depends on the multiset
+/// of charges only.
+#[derive(Debug, Default)]
+pub struct CellFold {
+    raw: Vec<(u64, Weight)>,
+}
+
+impl CellFold {
+    /// Charges `w` to cell `(row, col)`.
+    #[inline]
+    pub fn add(&mut self, row: u32, col: u32, w: Weight) {
+        self.raw.push((u64::from(row) << 32 | u64::from(col), w));
+    }
+
+    /// The summed cells, strictly ascending by `(row, col)` — what
+    /// [`encode_cells`] requires — with cells that sum to zero dropped.
+    pub fn finish(mut self) -> Vec<(u32, u32, Weight)> {
+        self.raw.sort_unstable_by_key(|&(key, _)| key);
+        let mut cells: Vec<(u32, u32, Weight)> = Vec::with_capacity(self.raw.len());
+        for (key, w) in self.raw {
+            let (row, col) = ((key >> 32) as u32, key as u32);
+            match cells.last_mut() {
+                Some(last) if (last.0, last.1) == (row, col) => last.2 += w,
+                _ => cells.push((row, col, w)),
+            }
+        }
+        cells.retain(|&(_, _, w)| w != 0);
+        cells
+    }
+}
+
+impl Extend<(u32, u32, Weight)> for CellFold {
+    fn extend<I: IntoIterator<Item = (u32, u32, Weight)>>(&mut self, cells: I) {
+        for (row, col, w) in cells {
+            self.add(row, col, w);
+        }
+    }
+}
+
 /// Encodes `(row, col, delta)` cells. Cells must be sorted by
-/// `(row, col)` with unique keys (the aggregation maps guarantee both).
+/// `(row, col)` with unique keys ([`CellFold::finish`] guarantees both).
 pub fn encode_cells(cells: &[(u32, u32, Weight)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(cells.len() * 4 + 4);
     write_u64(&mut buf, cells.len() as u64);
@@ -182,14 +228,18 @@ pub fn decode_cells(buf: &[u8]) -> Result<Vec<(u32, u32, Weight)>, DecodeError> 
     Ok(cells)
 }
 
-/// Per-rank accounting of the compressed move exchange, summed into
-/// [`sbp_mpi::ClusterReport`] by the solver wrappers.
+/// Per-rank accounting of the move exchange; the byte counts are summed
+/// into [`sbp_mpi::ClusterReport`] by the solver wrappers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExchangeStats {
     /// Bytes the exchange would have sent as raw fixed-width pairs.
     pub move_bytes_raw: u64,
     /// Bytes actually sent after delta + varint encoding.
     pub move_bytes_encoded: u64,
+    /// Nanoseconds spent inside the sync points' allgathers — the wire
+    /// plus waiting for the slowest peer. Observe-only, and zero while
+    /// [`sbp_metrics::enabled`] is off.
+    pub sync_wait_ns: u64,
 }
 
 impl ExchangeStats {
@@ -197,11 +247,29 @@ impl ExchangeStats {
         self.move_bytes_raw += raw_move_bytes(moves);
         self.move_bytes_encoded += encoded as u64;
     }
+
+    /// A sync point's one collective, its duration charged to
+    /// [`sync_wait_ns`](Self::sync_wait_ns).
+    pub(crate) fn allgather<C: Communicator>(
+        &mut self,
+        comm: &C,
+        payload: Vec<u8>,
+    ) -> Vec<Vec<u8>> {
+        let started = sbp_metrics::enabled().then(Instant::now);
+        let payloads = comm.allgatherv(payload);
+        if let Some(started) = started {
+            self.sync_wait_ns += started.elapsed().as_nanos() as u64;
+        }
+        payloads
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     #[test]
     fn moves_roundtrip_bit_exact() {
@@ -243,6 +311,74 @@ mod tests {
         ];
         assert_eq!(decode_cells(&encode_cells(&cells)).expect("ok"), cells);
         assert_eq!(decode_cells(&encode_cells(&[])).expect("ok"), vec![]);
+    }
+
+    /// The fold against the tree it replaced, zeros dropped.
+    fn assert_folds_like_a_btreemap(charges: &[(u32, u32, Weight)]) {
+        let mut tree: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
+        let mut fold = CellFold::default();
+        for &(r, c, w) in charges {
+            *tree.entry((r, c)).or_insert(0) += w;
+            fold.add(r, c, w);
+        }
+        let want: Vec<(u32, u32, Weight)> = tree
+            .into_iter()
+            .filter(|&(_, w)| w != 0)
+            .map(|((r, c), w)| (r, c, w))
+            .collect();
+        let got = fold.finish();
+        assert_eq!(got, want);
+        assert!(got.windows(2).all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)));
+        // What the fold emits is what the cell codec requires.
+        assert_eq!(decode_cells(&encode_cells(&got)).expect("ok"), got);
+    }
+
+    #[test]
+    fn cell_fold_matches_btreemap_reference() {
+        assert_folds_like_a_btreemap(&[]);
+        // Already sorted, nothing to merge.
+        assert_folds_like_a_btreemap(&[(0, 1, 2), (0, 2, -3), (4, 0, 1)]);
+        // Runs that cancel to zero at the front, in the middle and at the
+        // end, and a zero charge on its own.
+        assert_folds_like_a_btreemap(&[
+            (9, 9, -2),
+            (0, 0, 1),
+            (5, 5, 4),
+            (9, 9, 2),
+            (0, 0, -1),
+            (3, 1, 0),
+            (5, 5, -4),
+            (5, 6, 7),
+        ]);
+        // Keys at the edge of the packing: row and col must not bleed
+        // into each other.
+        let m = u32::MAX;
+        assert_folds_like_a_btreemap(&[
+            (m, m, 1),
+            (0, m, 2),
+            (m, 0, 3),
+            (m, m, 4),
+            (m - 1, m, 5),
+            (0, m, -2),
+            (1, 0, 6),
+        ]);
+        // Random charges over a small key space: many duplicates, many
+        // cancellations.
+        let mut rng = SmallRng::seed_from_u64(18);
+        for round in 0..50u32 {
+            let n = rng.random_range(0..400usize);
+            let span = 1 + round % 7;
+            let charges: Vec<(u32, u32, Weight)> = (0..n)
+                .map(|_| {
+                    (
+                        rng.random_range(0..span),
+                        rng.random_range(0..span),
+                        rng.random_range(-3..=3i64),
+                    )
+                })
+                .collect();
+            assert_folds_like_a_btreemap(&charges);
+        }
     }
 
     #[test]

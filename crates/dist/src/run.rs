@@ -179,7 +179,8 @@ fn drive<C: Communicator, D: EdistData>(
     }
 }
 
-/// Runs `job` on `ranks` simulated ranks. The cluster runs on its own
+/// Runs `job` on `ranks` simulated ranks, each with `1 / ranks` of the
+/// calling thread's pool width. The cluster runs on its own
 /// scoped thread while the calling thread drains rank 0's events into
 /// `progress`, so callbacks fire live (not after the run). Cancellation
 /// flows the other way: rank 0 reads `job.cfg.cancel` and *broadcasts* it
@@ -192,16 +193,21 @@ pub(crate) fn run_thread_cluster(
     progress: &mut dyn ProgressSink,
 ) -> RankResult {
     let (tx, rx) = std::sync::mpsc::channel::<ProgressEvent>();
+    // Co-resident ranks share the caller's pool width instead of each
+    // fanning out at full width (results are thread-count invariant).
+    let width = (sbp_core::current_num_threads() / ranks).max(1);
     let out = std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             let relay_tx = Mutex::new(tx);
             ThreadCluster::run(ranks, cost, |comm: &ThreadComm| {
-                if comm.rank() == 0 {
-                    let sender = &relay_tx;
-                    run_rank(comm, job, &mut EventRelay { sender, ranks })
-                } else {
-                    run_rank(comm, job, &mut NoProgress)
-                }
+                sbp_core::with_threads(width, || {
+                    if comm.rank() == 0 {
+                        let sender = &relay_tx;
+                        run_rank(comm, job, &mut EventRelay { sender, ranks })
+                    } else {
+                        run_rank(comm, job, &mut NoProgress)
+                    }
+                })
             })
         });
         // Live-drain until every sender is gone (i.e. the cluster ended).

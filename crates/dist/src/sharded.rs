@@ -22,19 +22,20 @@
 //!   order-independent.
 //! * **Peer move application** (`move_vertex` needs the mover's
 //!   adjacency): ranks exchange pre-aggregated matrix **cell deltas**
-//!   instead. With `A_prev` the assignment at the last sync, `own` this
-//!   rank's moves and `A_next` the post-sync assignment, the ranks
-//!   together reconstruct `M(A_next) − M(A_prev)` exactly, subtract the
-//!   locally-known `M(A_prev + own) − M(A_prev)` correction (each
-//!   replica already applied its own moves incrementally mid-sweep), and
-//!   land every replica on exactly `M(A_next)` — the same integers the
-//!   monolithic driver reaches by replaying peer moves. Block-degree
-//!   updates need only the ghost-degree table. Since the single-payload
-//!   sync, each rank's delta share is phrased so it depends on **its own
-//!   moves only** (see `sharded_sync`'s per-arc decomposition), so the
-//!   moves, the delta share, and the cut arcs needed for the cross-rank
-//!   correction all ship in *one* allgather buffer per sync — half the
-//!   collective latency of the original moves-then-deltas pair.
+//!   instead. With `A_prev` the assignment at the last sync and `A_next`
+//!   the post-sync one, `M(A_next) − M(A_prev)` splits into one *share*
+//!   per rank — a function of that rank's **own moves only** (see
+//!   `sharded_sync`'s per-arc decomposition) — plus cross terms on the cut
+//!   arcs whose two endpoints both moved. A rank's own share is exactly
+//!   `M(A_prev + own) − M(A_prev)`, which its replica already holds (own
+//!   moves are applied incrementally mid-sweep), so the share ships for
+//!   the peers' benefit and is never applied at home: each replica adds
+//!   the **sum of its peers' shares** and the cross terms, and lands on
+//!   exactly `M(A_next)` — the same integers the monolithic driver reaches
+//!   by replaying peer moves. Block-degree updates need only the
+//!   ghost-degree table. Because a share depends on nothing a peer does,
+//!   the moves, the share, and the cut arcs the cross terms are rebuilt
+//!   from all travel in *one* allgather buffer per sync.
 //!
 //! Consequently a sharded EDiSt run is **bit-identical** — assignments,
 //! DL, trajectories — to a monolithic EDiSt run with the same seed, rank
@@ -58,27 +59,30 @@ use crate::edist::EdistData;
 use crate::error::DistError;
 use crate::exchange::{
     concat_sections, decode_cells, decode_moves, encode_cells, encode_moves, split_sections,
-    ExchangeStats,
+    CellFold, ExchangeStats,
 };
 use sbp_core::mcmc::AcceptedMove;
 use sbp_core::Blockmodel;
 use sbp_graph::{Vertex, Weight};
 use sbp_mpi::Communicator;
-use std::collections::BTreeMap;
 
 // ------------------------------------------------------------ blockmodel
 
+/// A folded `(row, col, weight)` list, ascending — what [`encode_cells`]
+/// ships.
+type Cells = Vec<(u32, u32, Weight)>;
+
 /// This rank's matrix cells under `labels`: one entry per distinct
-/// `(row, col)` over the owned out-arcs, sorted (BTreeMap order).
-fn local_cells(dg: &DistGraph, labels: &[u32]) -> Vec<(u32, u32, Weight)> {
-    let mut cells: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
+/// `(row, col)` over the owned out-arcs.
+fn local_cells(dg: &DistGraph, labels: &[u32]) -> Cells {
+    let mut cells = CellFold::default();
     for &v in dg.owned() {
         let r = labels[v as usize];
         for &(d, w) in dg.local().out_edges(v) {
-            *cells.entry((r, labels[d as usize])).or_insert(0) += w;
+            cells.add(r, labels[d as usize], w);
         }
     }
-    cells.into_iter().map(|((r, c), w)| (r, c, w)).collect()
+    cells.finish()
 }
 
 /// Builds the replicated blockmodel from per-rank cell contributions —
@@ -91,50 +95,88 @@ fn dist_blockmodel<C: Communicator>(
     num_blocks: usize,
 ) -> Result<Blockmodel, DistError> {
     let mine = encode_cells(&local_cells(dg, &assignment));
-    let payloads = comm.allgatherv(mine);
-    let mut total: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
-    for payload in payloads {
-        for (r, c, w) in decode_cells(&payload)? {
-            *total.entry((r, c)).or_insert(0) += w;
-        }
+    // A cell two ranks both charge arrives twice; `from_parts` sums
+    // repeated cells, so the per-rank lists chain as they are.
+    let mut cells = Vec::new();
+    for payload in comm.allgatherv(mine) {
+        cells.extend(decode_cells(&payload)?);
     }
     Ok(Blockmodel::from_parts(
         dg.num_vertices(),
         dg.total_edge_weight(),
         assignment,
         num_blocks,
-        total.into_iter().map(|((r, c), w)| (r, c, w)),
+        cells,
     ))
 }
 
 // ------------------------------------------------------------- move sync
 
-/// Accumulates `±w` cell contributions for one arc under two labelings.
-fn arc_delta(
-    delta: &mut BTreeMap<(u32, u32), Weight>,
-    s: Vertex,
-    d: Vertex,
-    w: Weight,
-    before: &[u32],
-    after: &[u32],
-) {
-    *delta
-        .entry((before[s as usize], before[d as usize]))
-        .or_insert(0) -= w;
-    *delta
-        .entry((after[s as usize], after[d as usize]))
-        .or_insert(0) += w;
+/// Moves one arc's charge from its cell under `before` to its cell under
+/// `after`.
+fn arc_delta(delta: &mut CellFold, s: Vertex, d: Vertex, w: Weight, before: &[u32], after: &[u32]) {
+    delta.add(before[s as usize], before[d as usize], -w);
+    delta.add(after[s as usize], after[d as usize], w);
+}
+
+/// What `rank` ships besides its moves: its share of
+/// `M(A_next) − M(A_prev)` and the cut out-arcs of its net-moved
+/// vertices, both ascending. `cur` is the replica's assignment — `prev`
+/// plus this rank's `pending` moves, peers' vertices still at their
+/// `prev` labels (a replica relabels a peer's vertex only inside a sync,
+/// where `prev` advances with it).
+///
+/// The share is the delta of every arc incident to a net-moved owned
+/// vertex, `prev` → `cur`. For an arc with both endpoints owned that is
+/// its exact delta; for a cut arc the peer endpoint reads the same label
+/// on both sides, which makes it the source (out-arc) or dest (in-arc)
+/// term of `sharded_sync`'s decomposition. Summed, it is
+/// `M(A_prev + own) − M(A_prev)` — what the in-sweep `move_vertex` calls
+/// already did to this replica.
+fn own_share(
+    dg: &DistGraph,
+    rank: usize,
+    prev: &[u32],
+    cur: &[u32],
+    pending: &[AcceptedMove],
+) -> (Cells, Cells) {
+    let is_own_moved = |v: Vertex| dg.owner_of(v) == rank && cur[v as usize] != prev[v as usize];
+    let mut own_moved: Vec<Vertex> = pending.iter().map(|m| m.v).collect();
+    own_moved.sort_unstable();
+    own_moved.dedup();
+    own_moved.retain(|&v| is_own_moved(v));
+
+    let mut share = CellFold::default();
+    let mut cuts = CellFold::default();
+    for &v in &own_moved {
+        for &(d, w) in dg.local().out_edges(v) {
+            arc_delta(&mut share, v, d, w, prev, cur);
+            if dg.owner_of(d) != rank {
+                // Cut arc: the cross term needs it after the gather.
+                debug_assert_eq!(cur[d as usize], prev[d as usize]);
+                cuts.add(v, d, w);
+            }
+        }
+        for &(s, w) in dg.local().in_edges(v) {
+            // A self-loop, or an arc from another net-moved owned vertex,
+            // was charged by its source's out-arc pass.
+            if s != v && !is_own_moved(s) {
+                arc_delta(&mut share, s, v, w, prev, cur);
+            }
+        }
+    }
+    (share.finish(), cuts.finish())
 }
 
 /// One sync point on the sharded plane, in a **single allgather**.
 ///
 /// The shipped buffer has three sections (framed by
 /// `concat_sections` with a tiny varint length header): this rank's
-/// chronological moves, its locally-computable share of the matrix
-/// delta, and the cut out-arcs of its net-moved vertices. The matrix
-/// delta `M(A_next) − M(A_prev)` decomposes per arc `s → d` of weight
-/// `w` — writing `p·`/`n·` for the pre-/post-sync labels and `e(r, c)`
-/// for a `+w` charge to cell `(r, c)` — as
+/// chronological moves, its share of the matrix delta, and the cut
+/// out-arcs of its net-moved vertices. The matrix delta
+/// `M(A_next) − M(A_prev)` decomposes per arc `s → d` of weight `w` —
+/// writing `p·`/`n·` for the pre-/post-sync labels and `e(r, c)` for a
+/// `+w` charge to cell `(r, c)` — as
 ///
 /// ```text
 /// e(ns,nd) − e(ps,pd) = [e(ns,pd) − e(ps,pd)]            source term
@@ -143,21 +185,26 @@ fn arc_delta(
 ///                        − e(ps,nd) + e(ps,pd)]          cross term
 /// ```
 ///
-/// An arc with both endpoints on one rank ships its exact delta from
-/// that rank. A cut arc's source term ships from the source owner and
-/// its dest term from the dest owner — each is a pure function of that
-/// rank's **own** moves plus the replicated `A_prev`, which is what lets
-/// the delta share a buffer with the moves instead of being computed
-/// after them. The cross term is nonzero only when *both* endpoints
-/// net-moved (necessarily on different ranks, since a vertex moves only
-/// on its owner); no single rank can precompute it, so the source owner
-/// ships the cut arcs of its moved vertices and *every* rank
-/// reconstructs the identical correction after the gather, when all
-/// endpoint labels are known. Integer cell sums are order-independent,
-/// so the per-cell deltas — and therefore the whole trajectory — are
-/// exactly the original two-allgather scheme's, at half the collective
-/// latency per sync. Relabels of peer-moved vertices and block-degree
-/// fixes come from the move lists and the ghost-degree table as before.
+/// An arc with both endpoints on one rank is in that rank's share with
+/// its exact delta. A cut arc's source term is in the source owner's
+/// share and its dest term in the dest owner's — each is a pure function
+/// of that rank's **own** moves plus the replicated `A_prev`, which is
+/// what lets the share travel in the same buffer as the moves instead of
+/// being computed after them. The cross term is nonzero only when *both*
+/// endpoints net-moved (necessarily on different ranks, since a vertex
+/// moves only on its owner); no single rank can precompute it, so the
+/// source owner ships the cut arcs of its moved vertices and *every*
+/// rank rebuilds the identical cross terms after the gather, when all
+/// endpoint labels are known.
+///
+/// The replica enters the sync at `M(A_prev + own)` and a rank's share is
+/// exactly `M(A_prev + own) − M(A_prev)` (`own_share`), so what is
+/// applied is the **sum of the peers' shares** plus the cross terms: the
+/// rank's own section of the gather is skipped, never subtracted back
+/// out. Integer cell sums are order-independent, so the per-cell deltas —
+/// and therefore the whole trajectory — are those of replaying the peer
+/// moves one by one. Relabels of peer-moved vertices and block-degree
+/// fixes come from the move lists and the ghost-degree table.
 ///
 /// `prev` is the globally-agreed assignment at the previous sync and is
 /// advanced to the new agreement. Returns the total move count.
@@ -165,168 +212,86 @@ fn sharded_sync<C: Communicator>(
     comm: &C,
     dg: &DistGraph,
     bm: &mut Blockmodel,
-    prev: &mut Vec<u32>,
+    prev: &mut [u32],
     pending: &[AcceptedMove],
     xstats: &mut ExchangeStats,
 ) -> Result<usize, DistError> {
     let rank = comm.rank();
-    // The replica currently sits at M(A_prev + own): own moves were
-    // applied incrementally mid-sweep, peer moves arrive below.
-    let cur = bm.assignment().to_vec();
-    let mut own_moved: Vec<Vertex> = pending.iter().map(|m| m.v).collect();
-    own_moved.sort_unstable();
-    own_moved.dedup();
-    own_moved.retain(|&v| cur[v as usize] != prev[v as usize]);
-    let is_own_moved = |v: Vertex| dg.owner_of(v) == rank && cur[v as usize] != prev[v as usize];
-
-    // This rank's delta share plus the cut arcs peers will need for the
-    // cross terms — all derived from own moves only (see above).
-    let mut contrib: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
-    let mut cuts: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
-    for &v in &own_moved {
-        for &(d, w) in dg.local().out_edges(v) {
-            if dg.owner_of(d) == rank {
-                // Both endpoints' final labels are known locally (a
-                // vertex is only moved by its owner): exact arc delta.
-                arc_delta(&mut contrib, v, d, w, prev, &cur);
-            } else {
-                // Cut arc: source term now, cross term post-gather.
-                *contrib
-                    .entry((cur[v as usize], prev[d as usize]))
-                    .or_insert(0) += w;
-                *contrib
-                    .entry((prev[v as usize], prev[d as usize]))
-                    .or_insert(0) -= w;
-                *cuts.entry((v, d)).or_insert(0) += w;
-            }
-        }
-        for &(s, w) in dg.local().in_edges(v) {
-            if s == v {
-                continue; // self-loop charged once via the out-arc loop
-            }
-            if dg.owner_of(s) == rank {
-                if !is_own_moved(s) {
-                    // Unmoved owned source: the dest term is the exact
-                    // delta (moved sources were charged by their own
-                    // out-arc pass).
-                    arc_delta(&mut contrib, s, v, w, prev, &cur);
-                }
-            } else {
-                // Cut arc owned elsewhere: this side ships the dest term.
-                *contrib
-                    .entry((prev[s as usize], cur[v as usize]))
-                    .or_insert(0) += w;
-                *contrib
-                    .entry((prev[s as usize], prev[v as usize]))
-                    .or_insert(0) -= w;
-            }
-        }
-    }
-    let contrib: Vec<(u32, u32, Weight)> = contrib
-        .into_iter()
-        .filter(|&(_, w)| w != 0)
-        .map(|((r, c), w)| (r, c, w))
-        .collect();
-    let cuts: Vec<(u32, u32, Weight)> = cuts.into_iter().map(|((s, d), w)| (s, d, w)).collect();
-
+    let (share, cuts) = own_share(dg, rank, prev, bm.assignment(), pending);
     let moves_buf = encode_moves(pending);
     xstats.record(pending.len(), moves_buf.len());
-    let payload = concat_sections([&moves_buf, &encode_cells(&contrib), &encode_cells(&cuts)]);
+    let payload = concat_sections([&moves_buf, &encode_cells(&share), &encode_cells(&cuts)]);
 
     // The sync point's one collective.
-    let payloads = comm.allgatherv(payload);
+    let payloads = xstats.allgather(comm, payload);
 
-    let mut gathered: Vec<Vec<AcceptedMove>> = Vec::with_capacity(payloads.len());
-    let mut delta: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
-    let mut all_cuts: Vec<(u32, u32, Weight)> = Vec::new();
-    for p in &payloads {
+    let mut moves: Vec<AcceptedMove> = Vec::new();
+    let mut delta = CellFold::default();
+    let mut all_cuts: Cells = Vec::new();
+    for (from, p) in payloads.iter().enumerate() {
         let [moves_sec, cells_sec, cuts_sec] = split_sections::<3>(p)?;
-        gathered.push(decode_moves(moves_sec)?);
-        for (r, c, w) in decode_cells(cells_sec)? {
-            *delta.entry((r, c)).or_insert(0) += w;
+        moves.extend(decode_moves(moves_sec)?);
+        if from != rank {
+            delta.extend(decode_cells(cells_sec)?);
         }
         all_cuts.extend(decode_cells(cuts_sec)?);
     }
 
-    // A vertex is only ever moved by its owner, so applying the per-rank
-    // lists in rank order (chronological within a rank) reproduces the
-    // final label of every vertex.
-    let mut next = prev.clone();
-    let mut moves = 0usize;
-    for peer_moves in &gathered {
-        moves += peer_moves.len();
-        for m in peer_moves {
-            next[m.v as usize] = m.to;
-        }
-    }
+    // The net-moved vertices with their post-sync labels, ascending. A
+    // vertex is only ever moved by its owner, so its moves sit in one
+    // rank's chronological list: walking the lists backwards, the first
+    // entry of a vertex (kept by the stable sort + dedup) is its last move.
+    let mut moved: Vec<(Vertex, u32)> = moves.iter().rev().map(|m| (m.v, m.to)).collect();
+    moved.sort_by_key(|&(v, _)| v);
+    moved.dedup_by_key(|&mut (v, _)| v);
+    moved.retain(|&(v, to)| prev[v as usize] != to);
+    let next = |v: Vertex| match moved.binary_search_by_key(&v, |&(u, _)| u) {
+        Ok(i) => moved[i].1,
+        Err(_) => prev[v as usize],
+    };
 
-    // Cross terms: every rank reconstructs them identically from the
-    // shipped cut arcs plus the now-known global move set.
+    // Cross terms: every rank rebuilds them identically from the shipped
+    // cut arcs plus the now-known global move set.
     for &(s, d, w) in &all_cuts {
-        let (ps, ns) = (prev[s as usize], next[s as usize]);
-        let (pd, nd) = (prev[d as usize], next[d as usize]);
+        let (pd, nd) = (prev[d as usize], next(d));
         if pd == nd {
             continue; // dest did not net-move: cross term vanishes
         }
+        let (ps, ns) = (prev[s as usize], next(s));
         debug_assert_ne!(ps, ns, "cut arcs ship for net-moved sources only");
-        *delta.entry((ns, nd)).or_insert(0) += w;
-        *delta.entry((ns, pd)).or_insert(0) -= w;
-        *delta.entry((ps, nd)).or_insert(0) -= w;
-        *delta.entry((ps, pd)).or_insert(0) += w;
-    }
-
-    // Own-move correction: subtract M(A_prev + own) − M(A_prev) —
-    // computable locally since every arc incident to an owned vertex is
-    // present — so the summed delta lands the matrix exactly on
-    // M(A_next).
-    let mut corr: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
-    for &v in &own_moved {
-        for &(d, w) in dg.local().out_edges(v) {
-            arc_delta(&mut corr, v, d, w, prev, &cur);
-        }
-        for &(s, w) in dg.local().in_edges(v) {
-            if s != v && !is_own_moved(s) {
-                arc_delta(&mut corr, s, v, w, prev, &cur);
-            }
-        }
-    }
-    for ((r, c), w) in corr {
-        *delta.entry((r, c)).or_insert(0) -= w;
+        delta.add(ns, nd, w);
+        delta.add(ns, pd, -w);
+        delta.add(ps, nd, -w);
+        delta.add(ps, pd, w);
     }
 
     // Peer relabels + degree fixes (own moves already applied in-sweep).
-    let mut moved: Vec<Vertex> = gathered
-        .iter()
-        .flatten()
-        .map(|m| m.v)
-        .filter(|&v| prev[v as usize] != next[v as usize])
-        .collect();
-    moved.sort_unstable();
-    moved.dedup();
+    // The degree deltas fold as a two-column matrix: col 0 out, col 1 in.
     let relabels: Vec<(Vertex, u32)> = moved
         .iter()
         .copied()
-        .filter(|&v| dg.owner_of(v) != rank)
-        .map(|v| (v, next[v as usize]))
+        .filter(|&(v, _)| dg.owner_of(v) != rank)
         .collect();
-    let mut degree_deltas: BTreeMap<u32, (Weight, Weight)> = BTreeMap::new();
+    let mut degrees = CellFold::default();
     for &(v, to) in &relabels {
-        let (dout, din) = (dg.out_degree(v), dg.in_degree(v));
         let from = prev[v as usize];
-        let e = degree_deltas.entry(from).or_insert((0, 0));
-        e.0 -= dout;
-        e.1 -= din;
-        let e = degree_deltas.entry(to).or_insert((0, 0));
-        e.0 += dout;
-        e.1 += din;
+        for (col, deg) in [(0, dg.out_degree(v)), (1, dg.in_degree(v))] {
+            degrees.add(from, col, -deg);
+            degrees.add(to, col, deg);
+        }
     }
     bm.apply_dist_sync(
         &relabels,
-        delta.into_iter().map(|((r, c), w)| (r, c, w)),
-        degree_deltas.into_iter().map(|(b, (o, i))| (b, o, i)),
+        delta.finish(),
+        degrees
+            .finish()
+            .into_iter()
+            .map(|(b, col, deg)| if col == 0 { (b, deg, 0) } else { (b, 0, deg) }),
     );
-    *prev = next;
-    Ok(moves)
+    for &(v, to) in &moved {
+        prev[v as usize] = to;
+    }
+    Ok(moves.len())
 }
 
 // ------------------------------------------------------------ data plane
@@ -384,22 +349,193 @@ impl EdistData for ShardedData<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::distgraph::ShardIngestReport;
+    use super::{dist_blockmodel, own_share, sharded_sync};
+    use crate::distgraph::{load_dist_graph, DistGraph, ShardIngestReport};
+    use crate::exchange::{CellFold, ExchangeStats};
     use crate::fault::FaultPlan;
     use crate::run::{run_sharded, ShardedBackend};
     use crate::solver::Edist;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use sbp_core::mcmc::AcceptedMove;
     use sbp_core::run::{CancelToken, NoProgress, RunConfig, RunOutcome, Solver};
-    use sbp_core::SbpConfig;
+    use sbp_core::{Blockmodel, SbpConfig, StorageKind};
     use sbp_graph::fixtures::two_cliques;
     use sbp_graph::shard::{shard_graph, validate_shard_dir};
-    use sbp_graph::OwnershipStrategy;
-    use sbp_mpi::CostModel;
+    use sbp_graph::{Graph, OwnershipStrategy, Vertex, Weight};
+    use sbp_mpi::thread::ThreadComm;
+    use sbp_mpi::{Communicator, CostModel, ThreadCluster};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sharded_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Shards `g` over `ranks` modulo-owned ranks and runs `body` on each
+    /// rank's loaded view, inside the cluster.
+    fn on_each_rank<T: Send>(
+        tag: &str,
+        g: &Graph,
+        ranks: usize,
+        body: impl Fn(&ThreadComm, &DistGraph) -> T + Sync,
+    ) -> Vec<T> {
+        let dir = temp_dir(tag);
+        shard_graph(g, &dir, ranks, OwnershipStrategy::Modulo).unwrap();
+        let out = ThreadCluster::run(ranks, CostModel::zero(), |comm: &ThreadComm| {
+            body(comm, &load_dist_graph(comm, &dir).expect("load"))
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        out.ranks.into_iter().map(|r| r.result).collect()
+    }
+
+    /// `arcs` random arcs over `n` vertices — self-loops and repeated
+    /// pairs (which `Graph::from_edges` merges into heavier arcs) included.
+    fn random_graph(n: u32, arcs: usize, rng: &mut SmallRng) -> Graph {
+        let edges: Vec<_> = (0..arcs)
+            .map(|_| {
+                (
+                    rng.random_range(0..n),
+                    rng.random_range(0..n),
+                    rng.random_range(1..=3i64),
+                )
+            })
+            .collect();
+        Graph::from_edges(n as usize, edges)
+    }
+
+    /// One rank's moves between two syncs under `sync_period = 3`: three
+    /// sweeps over its owned vertices, the first of which is made to move
+    /// twice and the second to leave and come back home. Applies them to
+    /// `cur` and returns them in order.
+    fn three_sweeps_of_own_moves(
+        owned: &[Vertex],
+        cur: &mut [u32],
+        blocks: u32,
+        rng: &mut SmallRng,
+    ) -> Vec<AcceptedMove> {
+        let mut pending = Vec::new();
+        for sweep in 0..3u32 {
+            for (i, &v) in owned.iter().enumerate() {
+                let at = cur[v as usize];
+                let to = match (i, sweep) {
+                    (0, 0) | (0, 1) | (1, 0) => (at + 1) % blocks,
+                    (1, 2) => (at + blocks - 1) % blocks,
+                    (0, _) | (1, _) => at,
+                    _ => rng.random_range(0..blocks),
+                };
+                if to != at {
+                    cur[v as usize] = to;
+                    pending.push(AcceptedMove { v, to });
+                }
+            }
+        }
+        pending
+    }
+
+    /// The identity that lets a rank skip its own section of the gather:
+    /// the share it ships is the difference of its local arcs' matrix
+    /// under `cur` and under `prev` — what its in-sweep `move_vertex`
+    /// calls already applied. Then the whole sync, cross terms included,
+    /// must land every replica on `M(A_next)`.
+    #[test]
+    fn own_share_is_the_own_move_difference() {
+        const BLOCKS: u32 = 4;
+        let mut rng = SmallRng::seed_from_u64(18);
+        for round in 0..20 {
+            // Vertices 0 and 1 (ranks 0 and 1) both net-move: the arcs
+            // between them are cut arcs with a cross term. Self-loops and
+            // a repeated pair are planted, not left to chance.
+            let mut edges: Vec<(Vertex, Vertex, Weight)> =
+                random_graph(12, 40, &mut rng).arcs().collect();
+            edges.extend([
+                (0, 1, 2),
+                (1, 0, 1),
+                (0, 0, 1),
+                (4, 4, 2),
+                (3, 7, 1),
+                (3, 7, 1),
+            ]);
+            let g = Graph::from_edges(12, edges);
+            let prev: Vec<u32> = (0..12).map(|_| rng.random_range(0..BLOCKS)).collect();
+            let seed = rng.random::<u64>();
+
+            let replicas = on_each_rank(&format!("share{round}"), &g, 3, |comm, dg| {
+                let rank = comm.rank();
+                let mut rng = SmallRng::seed_from_u64(seed ^ rank as u64);
+                let mut cur = prev.clone();
+                let pending = three_sweeps_of_own_moves(dg.owned(), &mut cur, BLOCKS, &mut rng);
+                assert_eq!(cur[dg.owned()[1] as usize], prev[dg.owned()[1] as usize]);
+
+                let (share, cuts) = own_share(dg, rank, &prev, &cur, &pending);
+                let mut want = CellFold::default();
+                for (s, d, w) in dg.local().arcs() {
+                    want.add(prev[s as usize], prev[d as usize], -w);
+                    want.add(cur[s as usize], cur[d as usize], w);
+                }
+                assert_eq!(share, want.finish(), "rank {rank} round {round}");
+                let mut want_cuts = CellFold::default();
+                for (s, d, w) in dg.local().arcs() {
+                    let moved = cur[s as usize] != prev[s as usize];
+                    if moved && dg.owner_of(s) == rank && dg.owner_of(d) != rank {
+                        want_cuts.add(s, d, w);
+                    }
+                }
+                assert_eq!(cuts, want_cuts.finish(), "rank {rank} round {round}");
+
+                // The replica as the sweeps leave it, then the sync.
+                let mut bm = Blockmodel::from_assignment(&g, prev.clone(), BLOCKS as usize);
+                for m in &pending {
+                    bm.move_vertex(dg.local(), m.v, m.to);
+                }
+                let mut agreed = prev.clone();
+                let mut xstats = ExchangeStats::default();
+                let moves = sharded_sync(comm, dg, &mut bm, &mut agreed, &pending, &mut xstats)
+                    .expect("clean sync");
+                bm.validate(&g).expect("replica sits on M(A_next)");
+                assert_eq!(bm.assignment(), &agreed[..]);
+                (moves, agreed)
+            });
+            assert!(replicas.windows(2).all(|p| p[0] == p[1]), "round {round}");
+            assert_ne!(replicas[0].1[0], prev[0], "vertex 0 net-moved");
+            assert_ne!(replicas[0].1[1], prev[1], "vertex 1 net-moved");
+        }
+    }
+
+    /// A cell that two ranks both charge arrives twice in the gather; the
+    /// build must still equal the monolithic one, on either storage.
+    #[test]
+    fn dist_blockmodel_sums_a_cell_charged_by_two_ranks() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let g = random_graph(200, 400, &mut rng);
+        for (blocks, kind) in [(8u32, StorageKind::Dense), (100, StorageKind::Sparse)] {
+            // Vertices 2k and 2k + 1 share a block and, under modulo
+            // ownership, sit on different ranks: both ranks charge the
+            // block's cells.
+            let labels: Vec<u32> = (0..200u32).map(|v| v / 2 % blocks).collect();
+            let whole = Blockmodel::from_assignment(&g, labels.clone(), blocks as usize);
+            assert_eq!(whole.storage_kind(), kind);
+            let built = on_each_rank(&format!("build{blocks}"), &g, 2, |comm, dg| {
+                let keys: Vec<(u32, u32)> = super::local_cells(dg, &labels)
+                    .iter()
+                    .map(|&(r, c, _)| (r, c))
+                    .collect();
+                let bm = dist_blockmodel(comm, dg, labels.clone(), blocks as usize).expect("ok");
+                (keys, bm)
+            });
+            let (keys0, keys1) = (&built[0].0, &built[1].0);
+            assert!(keys0.iter().any(|k| keys1.contains(k)), "no shared cell");
+            for (_, bm) in &built {
+                assert_eq!(bm.storage_kind(), kind);
+                bm.validate(&g)
+                    .expect("equals the rebuild from the whole graph");
+                assert_eq!(
+                    bm.description_length().to_bits(),
+                    whole.description_length().to_bits()
+                );
+            }
+        }
     }
 
     /// Validate-then-run, as every real caller does.

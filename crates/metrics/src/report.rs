@@ -67,6 +67,7 @@ pub fn render(lines: &[Value]) -> Result<String, String> {
     if let Some(snap) = &snapshot {
         body.push_str(&block_size_section(snap));
         body.push_str(&per_rank_bytes_section(snap));
+        body.push_str(&per_rank_sync_section(snap));
         body.push_str(&pool_section(snap));
         body.push_str(&snapshot_table(snap));
     }
@@ -373,6 +374,34 @@ fn per_rank_bytes_section(snap: &Snapshot) -> String {
     )
 }
 
+/// Where each rank's sync points spent their time: inside the one
+/// allgather (the wire plus waiting for the slowest peer), or in the
+/// rank's own bookkeeping around it.
+fn per_rank_sync_section(snap: &Snapshot) -> String {
+    let (ranks, sync_ns) = labeled_series(snap, "sbp_wire_sync_ns_total", "rank");
+    let (_, wait_ns) = labeled_series(snap, "sbp_wire_sync_wait_ns_total", "rank");
+    if ranks.is_empty() || ranks.len() != wait_ns.len() {
+        return String::new();
+    }
+    let mut rows = String::new();
+    for ((rank, sync), wait) in ranks.iter().zip(&sync_ns).zip(&wait_ns) {
+        let ms = |ns: f64| format!("{:.1}", ns / 1e6);
+        let _ = write!(
+            rows,
+            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
+            esc(rank),
+            ms(*sync),
+            ms(sync - wait),
+            ms(*wait)
+        );
+    }
+    format!(
+        "<h2>Sync points: compute vs wait (ms, per rank)</h2><table class=\"kv\">\
+<tr><th>rank</th><th>in sync points</th><th>compute (own bookkeeping)</th>\
+<th>wait (allgather: wire + peers)</th></tr>{rows}</table>"
+    )
+}
+
 fn pool_section(snap: &Snapshot) -> String {
     let (labels, values) = labeled_series(snap, "sbp_pool_tasks_total", "worker");
     format!(
@@ -444,6 +473,8 @@ mod tests {
             0,
         ))
         .add(10);
+        crate::counter(&crate::labeled("sbp_wire_sync_ns_total", "rank", 0)).add(5_000_000);
+        crate::counter(&crate::labeled("sbp_wire_sync_wait_ns_total", "rank", 0)).add(1_500_000);
         crate::counter(&crate::labeled("sbp_pool_tasks_total", "worker", 1)).add(4);
         crate::histogram("sbp_solver_block_size", &crate::SIZE_BUCKETS).observe(3.0);
         let snap_json = crate::snapshot().to_json().to_string();
@@ -467,6 +498,7 @@ mod tests {
         assert!(html.contains("Acceptance rate"));
         assert!(html.contains("polyline"));
         assert!(html.contains("sbp_pool_tasks_total"));
+        assert!(html.contains("<td>0</td><td>5.0</td><td>3.5</td><td>1.5</td>"));
         // Self-contained: no external fetches.
         assert!(!html.contains("http-equiv"));
         assert!(!html.contains("src=\"http"));

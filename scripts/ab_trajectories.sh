@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Byte-identity A/B of two edist-cli builds: the same inputs and seeds
 # through every backend, assignment and --trajectory-out files compared
-# with cmp. A change that keeps "the same bits" must report 48/48.
+# with cmp. A change that keeps "the same bits" must report 60/60.
 #
 #   scripts/ab_trajectories.sh <parent-bin> <change-bin> [workdir]
 #
-# Cells: {sequential, hybrid, batch, edist thread x {graph, shards},
+# Cells: {sequential, hybrid, batch, edist thread x {graph, shards,
+# shards under --mcmc batch (what the two EDiSt benchmark workloads time),
+# 3 shards (the smallest rank count with more than one peer)},
 # edist tcp-local x {graph, shards}, dcsbp} x seeds 1-3 x
 # {graph_challenge(3000, hard), scaling_graph(1M, 0.004)} — the graphs of
-# the BENCHMARK.json workloads, 2 ranks wherever ranks apply. Inputs are
-# written once, by the parent binary; both builds read the same files.
+# the BENCHMARK.json workloads, 2 ranks wherever ranks apply and nothing
+# else is said. Inputs are written once, by the parent binary; both
+# builds read the same files.
 # Exit status: 0 when every cell is identical, 1 otherwise.
 set -euo pipefail
 
@@ -29,6 +32,7 @@ cd "$work"
     --seed 42 --out scaling.mtx --truth scaling.truth >/dev/null 2>&1
 for g in challenge scaling; do
     "$parent" shard --graph $g.mtx --ranks 2 --out $g.shards >/dev/null 2>&1
+    "$parent" shard --graph $g.mtx --ranks 3 --out $g.shards3 >/dev/null 2>&1
 done
 
 # name | arguments after `partition` ({g} = graph stem)
@@ -38,6 +42,8 @@ cells=(
     "batch|--graph {g}.mtx --backend batch"
     "edist-thread-graph|--graph {g}.mtx --backend edist --ranks 2"
     "edist-thread-shards|--sharded {g}.shards --backend edist --ranks 2"
+    "edist-thread-shards-batch|--sharded {g}.shards --backend edist --ranks 2 --mcmc batch"
+    "edist-thread-shards-r3|--sharded {g}.shards3 --backend edist --ranks 3"
     "edist-tcp-graph|--graph {g}.mtx --cluster tcp-local --ranks 2"
     "edist-tcp-shards|--sharded {g}.shards --cluster tcp-local --ranks 2"
     "dcsbp|--graph {g}.mtx --backend dcsbp --ranks 2"

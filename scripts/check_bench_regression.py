@@ -46,7 +46,9 @@ Five checks, from strongest to weakest signal:
    lookups when forced - so `cross_cells` must choose lookups there by
    itself: at most 5x the `get()` twin (2.4 when recorded; the twin looks
    two of its four cells up in one-cell lines, the production path
-   searches four 640-cell lines).
+   searches four 640-cell lines). (g) The sharded sync's cell fold (PR 18,
+   sort-and-fold of packed keys) at most 0.5x the `BTreeMap` it replaced
+   on 5 000 charges (`dist/cell_fold_5k`; 0.15 when recorded, BENCH_pr18.json).
 
 2. **Absolute guard vs the PR 1 record**: each proposal-kernel id's mean
    must stay within BENCH_TOL (default 1.5x, i.e. +50%) of the mean
@@ -140,8 +142,9 @@ PR8_GUARD = PR5_GUARD + [
 # — 1.25 leaves room for shared-runner noise on non-AVX2 hosts where both
 # sides run the identical scalar code); the pooled region vs the
 # scoped-spawn region; the merge walk vs the (allocating) line-delta
-# reference on the same pairs of the same blockmodel; and the sweep
-# proposal's line walks vs their reference twins.
+# reference on the same pairs of the same blockmodel; the sweep
+# proposal's line walks vs their reference twins; and the sharded sync's
+# cell fold vs the BTreeMap it replaced.
 RATIO_GUARDS = [
     ("edist/proposal_eval/adaptive_manyC", "edist/delta_entropy/dense_naive_manyC", 0.5),
     ("edist/proposal_eval/adaptive_hugeC", "edist/delta_entropy/dense_naive_hugeC", 0.5),
@@ -157,6 +160,7 @@ RATIO_GUARDS = [
         ("cross_cells/sparse_C750", 0.5),
         ("cross_cells/sparse_hubline_k2", 5.0),
         ("propose/anchor_dense_C375", 0.6),
+        ("dist/cell_fold_5k", 0.5),
     )
 ]
 

@@ -21,6 +21,10 @@ of the stream, so it deliberately shares no code with the Rust writer):
   `value`; histograms have `bounds`/`counts` arrays with
   `len(counts) == len(bounds) + 1` and a cumulative `count` equal to
   the sum of `counts`;
+* every rank that reports `sbp_wire_syncs_total` also reports the
+  counters `sbp_wire_sync_ns_total` (whole sync points) and
+  `sbp_wire_sync_wait_ns_total` (the allgather inside them), and the
+  second never exceeds the first;
 * unknown line types are allowed (forward compatibility) but counted
   and reported.
 
@@ -75,6 +79,28 @@ def check_snapshot(metrics, lineno, errors):
                 )
         else:
             fail(errors, lineno, f"metric {name!r} has unknown type {kind!r}")
+    check_wire_sync_times(metrics, lineno, errors)
+
+
+def check_wire_sync_times(metrics, lineno, errors):
+    syncs = "sbp_wire_syncs_total"
+    for name in metrics:
+        if not name.startswith(syncs + "{"):
+            continue
+        rank = name[len(syncs):]
+        times = []
+        for base in ("sbp_wire_sync_ns_total", "sbp_wire_sync_wait_ns_total"):
+            m = metrics.get(base + rank)
+            if not isinstance(m, dict) or m.get("type") != "counter" or num(m, "value") is None:
+                fail(errors, lineno, f"{name!r} has no counter {base + rank!r} beside it")
+            else:
+                times.append(m["value"])
+        if len(times) == 2 and times[1] > times[0]:
+            fail(
+                errors,
+                lineno,
+                f"{name!r}: {times[1]} ns waiting exceeds the {times[0]} ns of its syncs",
+            )
 
 
 def main() -> int:

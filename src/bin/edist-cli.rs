@@ -936,6 +936,12 @@ fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
         .unwrap_or(0);
     let session = nanos ^ ((std::process::id() as u64) << 32);
     let exe = std::env::current_exe().map_err(|e| format!("resolving own binary: {e}"))?;
+    // The children share this machine: unless the user chose a width,
+    // each gets `1 / ranks` of it instead of a full-width pool apiece.
+    let child_width = std::env::var_os("SBP_THREADS").is_none().then(|| {
+        let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (width / ranks).max(1)
+    });
 
     let mut children = Vec::with_capacity(ranks);
     for rank in 0..ranks {
@@ -960,6 +966,9 @@ fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
             .arg(&coordinator)
             .arg("--session")
             .arg(session.to_string());
+        if let Some(width) = child_width {
+            cmd.env("SBP_THREADS", width.to_string());
+        }
         if rank != 0 {
             cmd.stdout(std::process::Stdio::null());
         }

@@ -291,6 +291,22 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
             .any(|k| k.starts_with("sbp_wire_syncs_total")),
         "snapshot must cover the wire layer for a distributed run"
     );
+    // Where a sync point's time went, per rank: the allgather (wire +
+    // waiting) is a part of the whole sync.
+    for rank in 0..2 {
+        let ns = |base: &str| match snap
+            .metrics
+            .get(&edist::metrics::labeled(base, "rank", rank))
+        {
+            Some(MetricValue::Counter(n)) => *n,
+            other => panic!("{base} of rank {rank}: {other:?}"),
+        };
+        let (sync, wait) = (
+            ns("sbp_wire_sync_ns_total"),
+            ns("sbp_wire_sync_wait_ns_total"),
+        );
+        assert!(0 < wait && wait <= sync, "rank {rank}: {wait} of {sync} ns");
+    }
 
     // The same stream must render to a self-contained report, both via
     // the library and via `edist-cli report`.

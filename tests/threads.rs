@@ -99,6 +99,21 @@ fn serial_and_pooled_runs_are_bit_identical_sparse_regime() {
 }
 
 #[test]
+fn thread_ranks_split_the_callers_width_without_changing_results() {
+    // Co-resident thread ranks each get `width / ranks` of the caller's
+    // pool (1, 2 and 3 workers per rank here) — and the split, like every
+    // other width, must not show in the result.
+    let g = clique_ring(SPARSE_RING);
+    let cfg = sparse_regime_cfg(McmcStrategy::Batch, 3);
+    let backend = Backend::Edist { ranks: 2 };
+    let serial = run_with_threads(&g, cfg.clone(), backend, 1);
+    for width in [4, 6] {
+        let pooled = run_with_threads(&g, cfg.clone(), backend, width);
+        assert_bit_identical(&serial, &pooled, &format!("edist×2: 1 vs {width} threads"));
+    }
+}
+
+#[test]
 fn pooled_naive_engine_matches_serial() {
     // The naive baseline's batch sweeps fan out over the pool too; its
     // keyed streams must keep trajectories identical at any width.
