@@ -7,6 +7,8 @@
 //!   against the line-delta reference it replaced (PR 15);
 //! * the three line walks of a sweep proposal — cross-cell fetch,
 //!   neighbour-block order, dense anchor pick — each alone (PR 16);
+//! * one whole proposal evaluation against the four-lookup, branchy one it
+//!   replaced, and a low-C MH sweep against a gather-first one (PR 23);
 //! * MH vs hybrid vs batch sweeps;
 //! * sorted-balanced vs modulo ownership (load balance proxy);
 //! * simulated-cluster collective throughput;
@@ -20,6 +22,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sbp_core::delta::{delta_entropy, merge_delta};
 use sbp_core::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
+use sbp_core::lntab::ln_int;
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::propose_merges;
 use sbp_core::naive::DenseBlockmodel;
@@ -172,19 +175,13 @@ fn bench_propose(c: &mut Criterion) {
     let (graph, assignment, nb) = bench_graph();
     let bm = Blockmodel::from_assignment(&graph, assignment, nb);
     let mut group = quick(c);
-    // Self-loop weights come from the sweep's gather in production;
-    // precomputed here so the id keeps timing the sampling alone.
-    let mut scratch = DeltaScratch::new();
-    let sampled: Vec<(u32, i64)> = (0..graph.num_vertices() as u32)
-        .step_by(11)
-        .map(|v| (v, scratch.gather_vertex(&graph, &bm, v)))
-        .collect();
+    let sampled: Vec<u32> = (0..graph.num_vertices() as u32).step_by(11).collect();
     group.bench_function("propose/vertex", |b| {
         let mut rng = SmallRng::seed_from_u64(3);
         b.iter(|| {
             let mut acc = 0u32;
-            for &(v, self_w) in &sampled {
-                acc ^= propose_for_vertex(&mut rng, &graph, &bm, v, self_w).unwrap_or(0);
+            for &v in &sampled {
+                acc ^= propose_for_vertex(&mut rng, &graph, &bm, v).unwrap_or(0);
             }
             black_box(acc)
         })
@@ -320,8 +317,8 @@ fn bench_sweep_walks(c: &mut Criterion) {
 
     let drawn: Vec<Fetch> = (0..graph.num_vertices() as u32)
         .filter_map(|v| {
-            let self_w = scratch.gather_vertex(graph, sparse, v);
-            let to = propose_for_vertex(&mut rng, graph, sparse, v, self_w)?;
+            let to = propose_for_vertex(&mut rng, graph, sparse, v)?;
+            scratch.gather_vertex(graph, sparse, v);
             Some((sparse.block_of(v), to, scratch.neighbour_blocks().to_vec()))
         })
         .collect();
@@ -349,7 +346,7 @@ fn bench_sweep_walks(c: &mut Criterion) {
             b.iter(|| {
                 let mut acc = 0;
                 for (r, s, blocks) in fetches {
-                    acc += scratch.cross_cells(bm, *r, *s, blocks).len();
+                    acc += scratch.cross_cells(bm, *r, *s, blocks).1.len();
                 }
                 black_box(acc)
             })
@@ -406,6 +403,197 @@ fn bench_sweep_walks(c: &mut Criterion) {
             }
             black_box(acc)
         })
+    });
+    group.finish();
+}
+
+/// `DeltaScratch::evaluate_move` as it stood before PR 23, from the same
+/// gather (`gathered`): the four `{r, s}²` corners by `get()` — four
+/// binary searches on sparse storage — ahead of the fetch, and a ΔS pair
+/// only where the vertex has weight in that direction, which is a coin
+/// flip per neighbour block. `to_bits`-equal to `evaluate_move` (asserted
+/// where the fixture is built); kept here, and only here, as its twin.
+fn evaluate_move_reference(
+    graph: &Graph,
+    bm: &Blockmodel,
+    v: u32,
+    to: u32,
+    gathered: &DeltaScratch,
+    fetcher: &mut DeltaScratch,
+) -> (f64, f64) {
+    let xlnx = |m: i64| m as f64 * ln_int(m);
+    let (r, s) = (bm.block_of(v), to);
+    let touched = gathered.neighbour_blocks();
+    let (acc, self_w) = gathered.neighbour_weights();
+    let (wo_r, wi_r) = acc[r as usize];
+    let (wo_s, wi_s) = acc[s as usize];
+    let m = [bm.get(r, r), bm.get(r, s), bm.get(s, r), bm.get(s, s)];
+    let d = [
+        -(wo_r + wi_r + self_w),
+        wi_r - wo_s,
+        wo_r - wi_s,
+        wo_s + wi_s + self_w,
+    ];
+    let mut ds = 0.0f64;
+    for (&m, &d) in m.iter().zip(&d) {
+        ds += xlnx(m) - xlnx(m + d);
+    }
+    let (dout, din) = (graph.out_degree(v), graph.in_degree(v));
+    let shift = dout + din;
+    let b = bm.num_blocks() as f64;
+    let (_, cross) = fetcher.cross_cells(bm, r, s, touched);
+    let (mut fwd, mut bwd) = (0.0f64, 0.0f64);
+    for (&t, &[m_rt, m_st, m_tr, m_ts]) in touched.iter().zip(cross) {
+        let (wo, wi) = acc[t as usize];
+        let base = bm.d_total(t);
+        let (m_s, nc_tr, nc_rt, ndt) = if t == r {
+            (m[1] + m[2], m[0] + d[0], m[0] + d[0], base - shift)
+        } else if t == s {
+            (m[3] + m[3], m[2] + d[2], m[1] + d[1], base + shift)
+        } else {
+            if wo != 0 {
+                ds += xlnx(m_rt) - xlnx(m_rt - wo);
+                ds += xlnx(m_st) - xlnx(m_st + wo);
+            }
+            if wi != 0 {
+                ds += xlnx(m_tr) - xlnx(m_tr - wi);
+                ds += xlnx(m_ts) - xlnx(m_ts + wi);
+            }
+            (m_ts + m_st, m_tr - wi, m_rt - wo, base)
+        };
+        let wf = (wo + wi) as f64;
+        fwd += wf * (m_s as f64 + 1.0) / (base as f64 + b);
+        bwd += wf * (nc_tr as f64 + nc_rt as f64 + 1.0) / (ndt as f64 + b);
+    }
+    for (deg, ln_deg, shift) in [
+        (bm.d_out(r), bm.ln_d_out(r), -dout),
+        (bm.d_out(s), bm.ln_d_out(s), dout),
+        (bm.d_in(r), bm.ln_d_in(r), -din),
+        (bm.d_in(s), bm.ln_d_in(s), din),
+    ] {
+        ds += xlnx(deg + shift) - deg as f64 * ln_deg;
+    }
+    (ds, if touched.is_empty() { 1.0 } else { bwd / fwd })
+}
+
+/// One MH sweep that gathers every vertex before it draws for it — the
+/// order `evaluate_vertex` had before PR 23, when a draw of the vertex's
+/// own block was skipped only after its O(deg) gather had been paid. Same
+/// draws, same moves as `mh_sweep`; returns the number of moves.
+fn gather_first_sweep(
+    graph: &Graph,
+    bm: &mut Blockmodel,
+    vertices: &[u32],
+    beta: f64,
+    rng: &mut SmallRng,
+    scratch: &mut DeltaScratch,
+) -> usize {
+    let mut moves = 0;
+    for &v in vertices {
+        if graph.degree(v) == 0 {
+            continue;
+        }
+        scratch.gather_vertex(graph, bm, v);
+        let to = match propose_for_vertex(rng, graph, bm, v) {
+            Some(to) if to != bm.block_of(v) => to,
+            _ => continue,
+        };
+        let (ds, hastings) = scratch.evaluate_move(graph, bm, v, to);
+        if rng.random::<f64>() < ((-beta * ds).exp() * hastings).min(1.0) {
+            bm.move_vertex(graph, v, to);
+            moves += 1;
+        }
+    }
+    moves
+}
+
+/// What PR 23 took out of a sweep proposal, each against the twin above
+/// that still pays it, same run:
+///
+/// * `evaluate/sparse_C750` — gather + `evaluate_move` of every vertex's
+///   drawn move (own-block draws left out) on the C = 750 sparse
+///   [`challenge_trajectory`] blockmodel: the corners out of the one fetch
+///   and four unconditional ΔS pairs per neighbour block, against four
+///   `get()`s and two tested pairs;
+/// * `sweep/mh_lowC` — an MH sweep of the [`bench_graph`] from its planted
+///   partition folded onto 20 blocks, where about half the draws name the
+///   vertex's own block: drawn before anything is gathered, against
+///   gathered first.
+fn bench_proposal_paths(c: &mut Criterion) {
+    let (graph, [_, (_, sparse), _]) = challenge_trajectory();
+    let mut group = quick(c);
+    let (mut scratch, mut fetcher) = (DeltaScratch::new(), DeltaScratch::new());
+    let mut rng = SmallRng::seed_from_u64(23);
+    let drawn: Vec<(u32, u32)> = (0..graph.num_vertices() as u32)
+        .filter_map(|v| {
+            let to = propose_for_vertex(&mut rng, graph, sparse, v)?;
+            (to != sparse.block_of(v)).then_some((v, to))
+        })
+        .collect();
+    for &(v, to) in &drawn {
+        scratch.gather_vertex(graph, sparse, v);
+        let want = evaluate_move_reference(graph, sparse, v, to, &scratch, &mut fetcher);
+        let got = scratch.evaluate_move(graph, sparse, v, to);
+        assert_eq!(
+            (got.0.to_bits(), got.1.to_bits()),
+            (want.0.to_bits(), want.1.to_bits()),
+            "evaluate_move vs its reference twin at v={v} to={to}"
+        );
+    }
+    group.bench_function("evaluate/sparse_C750", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for &(v, to) in &drawn {
+                scratch.gather_vertex(graph, sparse, v);
+                let (ds, hastings) = scratch.evaluate_move(graph, sparse, v, to);
+                acc += ds + hastings;
+            }
+            black_box(acc)
+        })
+    });
+    group.bench_function("evaluate/sparse_C750_reference", |b| {
+        b.iter(|| {
+            let mut acc = 0.0;
+            for &(v, to) in &drawn {
+                scratch.gather_vertex(graph, sparse, v);
+                let (ds, hastings) =
+                    evaluate_move_reference(graph, sparse, v, to, &scratch, &mut fetcher);
+                acc += ds + hastings;
+            }
+            black_box(acc)
+        })
+    });
+
+    let (graph, truth, _) = bench_graph();
+    let vertices: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    let low_c: Vec<u32> = truth.iter().map(|&b| b % 20).collect();
+    let fresh = || Blockmodel::from_assignment(&graph, low_c.clone(), 20);
+    group.bench_function("sweep/mh_lowC", |b| {
+        b.iter_batched(
+            fresh,
+            |mut bm| {
+                let mut rng = SmallRng::seed_from_u64(5);
+                black_box(mh_sweep(&graph, &mut bm, &vertices, 3.0, &mut rng))
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
+    group.bench_function("sweep/mh_lowC_reference", |b| {
+        b.iter_batched(
+            fresh,
+            |mut bm| {
+                let mut rng = SmallRng::seed_from_u64(5);
+                black_box(gather_first_sweep(
+                    &graph,
+                    &mut bm,
+                    &vertices,
+                    3.0,
+                    &mut rng,
+                    &mut scratch,
+                ))
+            },
+            criterion::BatchSize::LargeInput,
+        )
     });
     group.finish();
 }
@@ -631,6 +819,7 @@ criterion_group!(
     bench_merge_phase,
     bench_merge_eval,
     bench_sweep_walks,
+    bench_proposal_paths,
     bench_sweeps,
     bench_ownership,
     bench_collectives,

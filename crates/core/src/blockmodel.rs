@@ -339,30 +339,44 @@ const STREAM_CELLS_PER_BLOCK: usize = 64;
 /// cell) without comparing a single key. `slot` is a block-indexed map, all
 /// `u32::MAX` on entry and on return; in between it holds `j` at
 /// `blocks[j]`, so every line streams through once with one unconditional
-/// store per cell — cells of blocks nobody asked for land in a dummy row
-/// `k`. No data-dependent branch, hence nothing to mispredict: the
+/// store per cell — cells of blocks nobody asked for land in a dummy row.
+/// No data-dependent branch, hence nothing to mispredict: the
 /// sorted-line join this replaced paid one mispredicted loop exit per
 /// (block, line), ≈ 16 cycles per cell on lines that were already in cache.
+///
+/// The `{r, s}²` corners are cells of rows `r` and `s` (`lines[0]`,
+/// `lines[1]`), so they come out of the same pass: `r` and `s` take rows
+/// `k` and `k + 1` of `out` when they are not among `blocks` (the dummy is
+/// row `k + 2`), and the corners are read off wherever the two ended up.
 fn fetch_positional(
     lines: [&[(u32, Weight)]; 4],
+    (r, s): (usize, usize),
     blocks: &[u32],
     slot: &mut [u32],
     out: &mut Vec<[Weight; 4]>,
-) {
-    let k = blocks.len();
-    out.resize(k + 1, [0; 4]);
+) -> [Weight; 4] {
+    let k = blocks.len() as u32;
+    out.resize(blocks.len() + 3, [0; 4]);
     for (j, &t) in blocks.iter().enumerate() {
         slot[t as usize] = j as u32;
     }
+    // A block nobody asked for still reads `u32::MAX` here. When `r == s`,
+    // `slot[s]` already holds `r`'s row and keeps it.
+    slot[r] = slot[r].min(k);
+    slot[s] = slot[s].min(k + 1);
     for (l, line) in lines.iter().enumerate() {
         for &(key, w) in *line {
-            out[slot[key as usize].min(k as u32) as usize][l] = w;
+            out[slot[key as usize].min(k + 2) as usize][l] = w;
         }
     }
+    let (at_r, at_s) = (out[slot[r] as usize], out[slot[s] as usize]);
     for &t in blocks {
         slot[t as usize] = u32::MAX;
     }
-    out.truncate(k);
+    slot[r] = u32::MAX;
+    slot[s] = u32::MAX;
+    out.truncate(blocks.len());
+    [at_r[0], at_s[0], at_r[1], at_s[1]]
 }
 
 #[inline]
@@ -539,12 +553,14 @@ impl Blockmodel {
 
     /// The cells a move between blocks `r` and `s` shares with the
     /// strictly ascending `blocks`: `out[j] = [M[r][t], M[s][t], M[t][r],
-    /// M[t][s]]` for `t = blocks[j]`. Dense storage indexes the four
-    /// contiguous lines; sparse storage streams each of the four sorted
-    /// lines once through the block-indexed `slot` map
-    /// ([`fetch_positional`]; the caller keeps `slot` between calls and
-    /// never writes it), or looks the few blocks up when the lines are
-    /// long for them ([`STREAM_CELLS_PER_BLOCK`]).
+    /// M[t][s]]` for `t = blocks[j]`, and, returned, the `{r, s}²` corners
+    /// `[M[r][r], M[r][s], M[s][r], M[s][s]]` — cells of the two rows the
+    /// fetch reads anyway. Dense storage indexes the four contiguous
+    /// lines; sparse storage streams each of the four sorted lines once
+    /// through the block-indexed `slot` map ([`fetch_positional`]; the
+    /// caller keeps `slot` between calls and never writes it), or looks
+    /// the few blocks up when the lines are long for them
+    /// ([`STREAM_CELLS_PER_BLOCK`]).
     pub(crate) fn cross_cells(
         &self,
         r: u32,
@@ -552,7 +568,7 @@ impl Blockmodel {
         blocks: &[u32],
         slot: &mut Vec<u32>,
         out: &mut Vec<[Weight; 4]>,
-    ) {
+    ) -> [Weight; 4] {
         debug_assert!(blocks.windows(2).all(|w| w[0] < w[1]), "blocks ascending");
         out.clear();
         let (r, s) = (r as usize, s as usize);
@@ -564,6 +580,7 @@ impl Blockmodel {
                     let t = t as usize;
                     [row_r[t], row_s[t], col_r[t], col_s[t]]
                 }));
+                [row_r[r], row_r[s], row_s[r], row_s[s]]
             }
             Storage::Sparse { rows, cols } => {
                 let lines = [&rows[r], &rows[s], &cols[r], &cols[s]];
@@ -572,9 +589,11 @@ impl Blockmodel {
                     if slot.len() < self.num_blocks {
                         slot.resize(self.num_blocks, u32::MAX);
                     }
-                    fetch_positional(lines.map(|l| l.as_slice()), blocks, slot, out);
+                    fetch_positional(lines.map(|l| l.as_slice()), (r, s), blocks, slot, out)
                 } else {
                     out.extend(blocks.iter().map(|&t| lines.map(|l| l.get(t))));
+                    let ([row_r, row_s, ..], r, s) = (lines, r as u32, s as u32);
+                    [row_r.get(r), row_r.get(s), row_s.get(r), row_s.get(s)]
                 }
             }
         }
@@ -1052,8 +1071,9 @@ mod tests {
     /// `cross_cells` against `get`, on both sides of the sparse fetch's
     /// stream-or-look-up choice: blocks 0 and 1 are hubs whose four lines
     /// hold ≈ 850 cells between them, so the short block lists are looked
-    /// up and the long ones streamed. One slot map serves every call and
-    /// must come back clean from each.
+    /// up and the long ones streamed — with the move's own two blocks
+    /// among the asked-for ones and not. One slot map serves every call
+    /// and must come back clean from each.
     #[test]
     fn cross_cells_matches_get_on_long_lines() {
         let n = 300u32;
@@ -1085,9 +1105,17 @@ mod tests {
             (0..n).collect(),
         ];
         let (mut from_dense, mut from_sparse, mut slot) = (Vec::new(), Vec::new(), Vec::new());
+        let corners = [
+            dense.get(0, 0),
+            dense.get(0, 1),
+            dense.get(1, 0),
+            dense.get(1, 1),
+        ];
         for blocks in &block_lists {
-            dense.cross_cells(0, 1, blocks, &mut slot, &mut from_dense);
-            sparse.cross_cells(0, 1, blocks, &mut slot, &mut from_sparse);
+            let on_dense = dense.cross_cells(0, 1, blocks, &mut slot, &mut from_dense);
+            let on_sparse = sparse.cross_cells(0, 1, blocks, &mut slot, &mut from_sparse);
+            assert_eq!(on_dense, corners, "blocks {blocks:?}");
+            assert_eq!(on_sparse, corners, "blocks {blocks:?}");
             assert_eq!(from_dense, from_sparse, "blocks {blocks:?}");
             assert_eq!(from_dense.len(), blocks.len());
             assert!(slot.iter().all(|&j| j == u32::MAX), "stamps left behind");

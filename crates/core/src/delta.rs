@@ -24,33 +24,49 @@
 //!    + Σ_{b∈{r,s}} [f(d'_out) − f(d_out) + f(d'_in) − f(d_in)]
 //! ```
 //!
-//! and nothing outside the changed cells is read. One evaluation is:
+//! and nothing outside the changed cells is read. A sweep draws the
+//! proposal *first* ([`crate::hybrid`]'s `evaluate_vertex`, with the
+//! self-loop weight asked of the graph, [`Graph::self_loop_weight`]) and
+//! evaluates only a draw that names another block — a draw of the vertex's
+//! own block, 40–50 % of them at `C ≤ 23`, costs the draw and nothing
+//! below. One evaluation is:
 //!
 //! 1. **gather** — one pass over `v`'s adjacency accumulates
 //!    `w_out[t]`/`w_in[t]` per neighbour block in a block-indexed
-//!    accumulator and marks each first-touched block in a 64-ary
-//!    hierarchical bitset (`blockset.rs`), whose drain hands the
-//!    blocks back ascending — everything downstream runs ascending in `t`
-//!    — without a comparison sort; the self-loop weight falls out of the
-//!    same pass (the proposal draw reuses it): O(deg + k·levels),
-//!    `levels = ⌈log₆₄ C⌉`;
-//! 2. **one `t` loop** — fetches `M[r][t] M[s][t] M[t][r] M[t][s]` once
-//!    each (`Blockmodel::cross_cells`) and feeds both the ΔS terms and
-//!    the Hastings forward/backward sums from the same four values: O(k).
+//!    accumulator and inserts every edge's block into a 64-ary
+//!    hierarchical bitset (`blockset.rs`; the insert is idempotent, so no
+//!    "seen this block yet?" test — a coin flip at large `C` — guards
+//!    it), whose drain hands the blocks back ascending — everything
+//!    downstream runs ascending in `t` — without a comparison sort; the
+//!    self-loop weight falls out of the same pass (debug builds check it
+//!    against the graph's answer the proposal was drawn with):
+//!    O(deg·levels), `levels = ⌈log₆₄ C⌉`;
+//! 2. **one fetch, one `t` loop** — `Blockmodel::cross_cells` returns
+//!    `M[r][t] M[s][t] M[t][r] M[t][s]` for every neighbour block and,
+//!    out of the same read of rows `r` and `s`, the four `{r,s}²`
+//!    corners; the loop feeds both the ΔS terms and the Hastings
+//!    forward/backward sums from those four values: O(k). It adds all
+//!    four ΔS pairs of a block whichever of `w_out[t]`, `w_in[t]` is zero
+//!    (most neighbour blocks hold one arc, so a test would mispredict
+//!    half the time): a pair with nothing to move is `x − x = +0.0`, and
+//!    `+0.0` added to a sum that is never `−0.0` changes no bit.
 //!    Dense storage indexes the four contiguous lines. Sparse storage
 //!    fetches **by position**: it stamps `slot[t] = j` for the `k` blocks
-//!    into a block-indexed map kept in the scratch, streams each of the
-//!    four sorted lines once with one unconditional store per cell
-//!    (`out[min(slot[key], k)][line] = w`, row `k` a dummy), and un-stamps
-//!    — no key is compared, so there is no branch to mispredict. When the
-//!    lines are long for the few blocks asked of them (a leaf vertex on a
-//!    hub block: more than 64 line cells per block) it looks the blocks
-//!    up instead, four binary searches each.
+//!    — and for `r` and `s`, as two extra positions, when they are not
+//!    among them — into a block-indexed map kept in the scratch, streams
+//!    each of the four sorted lines once with one unconditional store per
+//!    cell (`out[min(slot[key], k + 2)][line] = w`, the last row a
+//!    dummy), and un-stamps — no key is compared, so there is no branch
+//!    to mispredict. When the lines are long for the few blocks asked of
+//!    them (a leaf vertex on a hub block: more than 64 line cells per
+//!    block) it looks the blocks — and the corners — up instead, four
+//!    binary searches each.
 //!
 //! | regime | line-delta kernel (before PR 13) | now |
 //! |---|---|---|
-//! | sparse storage | two adjacency sorts, six binary searches per neighbour block, and `ln` terms for every cell of all four lines: O(deg·log deg + nnz of four lines) | O(deg + k·levels), plus one store per cell of the four lines — or 4k binary searches, whichever the line lengths make cheaper |
-//! | dense storage | O(deg) delta build, then four full line scans: O(deg + 4C) | O(deg + k·levels) |
+//! | sparse storage | two adjacency sorts, six binary searches per neighbour block, and `ln` terms for every cell of all four lines: O(deg·log deg + nnz of four lines) | O(deg·levels + k), plus one store per cell of the four lines — or 4k + 4 binary searches, whichever the line lengths make cheaper |
+//! | dense storage | O(deg) delta build, then four full line scans: O(deg + 4C) | O(deg·levels + k) |
+//! | a draw of the vertex's own block | the same as any other | nothing: it is skipped before the gather |
 //!
 //! The fetch is **branch-bound, not cache-bound**. Until PR 16 it was a
 //! lock-step join of the four sorted lines against the sorted neighbour
@@ -61,7 +77,7 @@
 //! into cache accounts for ≈ 700: the rest was one mispredicted loop exit
 //! per (block, line), ≈ 16 cycles per cell on lines that were already hot.
 //! The positional fetch reads the same cells for ≈ 1 200. The per-stage
-//! table is in `benchmarks/summary.md` (PR 16 addendum).
+//! tables are in `benchmarks/summary.md` (PR 16 and PR 23 addenda).
 //!
 //! **Exactness.** The factored form is an algebraic identity, not an
 //! approximation. It rounds differently from a line walk (last ulps of
@@ -301,12 +317,10 @@ impl DeltaScratch {
         Self::default()
     }
 
-    /// Gathers vertex `v`'s neighbour-block weights for the
-    /// [`evaluate_move`](Self::evaluate_move) calls that follow (against
-    /// the same `bm`), in one pass over its adjacency. Returns `v`'s
-    /// self-loop weight (zero when it has none), which the proposal draw
-    /// needs as well.
-    pub fn gather_vertex(&mut self, graph: &Graph, bm: &Blockmodel, v: Vertex) -> Weight {
+    /// Gathers vertex `v`'s neighbour-block weights and its self-loop
+    /// weight for the [`evaluate_move`](Self::evaluate_move) calls that
+    /// follow (against the same `bm`), in one pass over its adjacency.
+    pub fn gather_vertex(&mut self, graph: &Graph, bm: &Blockmodel, v: Vertex) {
         for &t in &self.touched {
             self.acc[t as usize] = (0, 0);
         }
@@ -318,14 +332,16 @@ impl DeltaScratch {
         self.self_w = 0;
         let (acc, order) = (&mut self.acc, &mut self.order);
         let mut first_touches = 0usize;
-        // Weights are strictly positive, so a zero slot means "first touch".
+        // Every edge inserts its block: the insert is idempotent, and a
+        // "first touch?" test is a coin flip where a sweep is dearest (most
+        // edges of a vertex reach a block of their own at large C). Weights
+        // are strictly positive, so a zero slot is a first touch — counted
+        // for the debug check below only.
         let mut add = |u: Vertex, w_out: Weight, w_in: Weight| {
             let t = bm.block_of(u);
             let slot = &mut acc[t as usize];
-            if *slot == (0, 0) {
-                order.insert(t);
-                first_touches += 1;
-            }
+            first_touches += usize::from(*slot == (0, 0));
+            order.insert(t);
             slot.0 += w_out;
             slot.1 += w_in;
         };
@@ -347,7 +363,8 @@ impl DeltaScratch {
         debug_assert!(self.touched.windows(2).all(|w| w[0] < w[1]));
         debug_assert_eq!(self.touched.len(), first_touches);
         debug_assert!(self.touched.iter().all(|&t| self.acc[t as usize] != (0, 0)));
-        self.self_w
+        // The proposal was drawn with the graph's own answer.
+        debug_assert_eq!(self.self_w, graph.self_loop_weight(v));
     }
 
     /// The neighbour blocks of the last gathered vertex, ascending.
@@ -356,8 +373,18 @@ impl DeltaScratch {
         &self.touched
     }
 
+    /// The rest of what the last gather found: the block-indexed
+    /// `(w_out, w_in)` towards each block (nonzero exactly at the
+    /// neighbour blocks) and the self-loop weight — for the
+    /// micro-benchmark's reference evaluation.
+    #[doc(hidden)]
+    pub fn neighbour_weights(&self) -> (&[(Weight, Weight)], Weight) {
+        (&self.acc, self.self_w)
+    }
+
     /// `Blockmodel::cross_cells` through this scratch's buffers, for the
-    /// tests and micro-benchmarks outside the crate.
+    /// tests and micro-benchmarks outside the crate: the `{r, s}²` corners
+    /// and the per-block cells.
     #[doc(hidden)]
     pub fn cross_cells(
         &mut self,
@@ -365,9 +392,9 @@ impl DeltaScratch {
         r: u32,
         s: u32,
         blocks: &[u32],
-    ) -> &[[Weight; 4]] {
-        bm.cross_cells(r, s, blocks, &mut self.slot, &mut self.cross);
-        &self.cross
+    ) -> ([Weight; 4], &[[Weight; 4]]) {
+        let corners = bm.cross_cells(r, s, blocks, &mut self.slot, &mut self.cross);
+        (corners, &self.cross)
     }
 
     /// `(ΔS, H)` for moving the vertex `v` of the last
@@ -405,8 +432,14 @@ impl DeltaScratch {
         );
         let (wo_r, wi_r) = self.acc[r as usize];
         let (wo_s, wi_s) = self.acc[s as usize];
-        // The {r,s}² corners: (r,r) (r,s) (s,r) (s,s) and their deltas.
-        let m = [bm.get(r, r), bm.get(r, s), bm.get(s, r), bm.get(s, s)];
+        // One fetch serves the whole evaluation: the {r,s}² corners
+        // (r,r) (r,s) (s,r) (s,s) and the four cells per neighbour block.
+        let m = bm.cross_cells(r, s, &self.touched, &mut self.slot, &mut self.cross);
+        debug_assert_eq!(
+            m,
+            [bm.get(r, r), bm.get(r, s), bm.get(s, r), bm.get(s, s)],
+            "corners of the move {r} -> {s}"
+        );
         let d = [
             -(wo_r + wi_r + self.self_w),
             wi_r - wo_s,
@@ -420,7 +453,6 @@ impl DeltaScratch {
         let (dout, din) = (graph.out_degree(v), graph.in_degree(v));
         let shift = dout + din;
         let b = bm.num_blocks() as f64;
-        bm.cross_cells(r, s, &self.touched, &mut self.slot, &mut self.cross);
         let mut fwd = 0.0f64;
         let mut bwd = 0.0f64;
         for (&t, &[m_rt, m_st, m_tr, m_ts]) in self.touched.iter().zip(&self.cross) {
@@ -433,14 +465,15 @@ impl DeltaScratch {
             } else if t == s {
                 (m[3] + m[3], m[2] + d[2], m[1] + d[1], base + shift)
             } else {
-                if wo != 0 {
-                    ds += xlnx(m_rt) - xlnx(m_rt - wo);
-                    ds += xlnx(m_st) - xlnx(m_st + wo);
-                }
-                if wi != 0 {
-                    ds += xlnx(m_tr) - xlnx(m_tr - wi);
-                    ds += xlnx(m_ts) - xlnx(m_ts + wi);
-                }
+                // All four pairs, whichever of `wo`, `wi` is zero: most
+                // neighbour blocks hold one arc, so testing for it is a
+                // coin flip, and a pair with nothing to move is
+                // `x − x = +0.0`, which leaves `ds` — never `−0.0`, no
+                // term being — the bits it had.
+                ds += xlnx(m_rt) - xlnx(m_rt - wo);
+                ds += xlnx(m_st) - xlnx(m_st + wo);
+                ds += xlnx(m_tr) - xlnx(m_tr - wi);
+                ds += xlnx(m_ts) - xlnx(m_ts + wi);
                 (m_ts + m_st, m_tr - wi, m_rt - wo, base)
             };
             let wf = (wo + wi) as f64;
@@ -1201,15 +1234,17 @@ mod tests {
     }
 
     /// A vertex whose only arc is a self-loop is proposed uniformly both
-    /// ways: correction exactly 1, and the gather reports the loop.
+    /// ways: correction exactly 1, and the gather finds the loop.
     #[test]
     fn self_loop_only_vertex_has_unit_correction() {
         let g = Graph::from_edges(3, vec![(0, 0, 2), (1, 2, 1)]);
         let bm = Blockmodel::from_assignment(&g, vec![0, 1, 1], 2);
         let mut scratch = DeltaScratch::new();
-        assert_eq!(scratch.gather_vertex(&g, &bm, 0), 2);
+        scratch.gather_vertex(&g, &bm, 0);
+        assert_eq!(scratch.self_w, 2);
         assert_eq!(scratch.evaluate_move(&g, &bm, 0, 1).1, 1.0);
-        assert_eq!(scratch.gather_vertex(&g, &bm, 1), 0);
+        scratch.gather_vertex(&g, &bm, 1);
+        assert_eq!(scratch.self_w, 0);
     }
 
     #[test]

@@ -86,11 +86,13 @@ impl Evaluation {
     }
 }
 
-/// The one proposal-evaluation body behind every sweep variant: gathers
-/// `v`'s neighbour blocks once, draws a proposal, evaluates `(ΔS, H)` in
-/// O(deg) and runs the Metropolis–Hastings acceptance test against the
-/// current (possibly frozen) blockmodel. Allocation-free via the caller's
-/// scratch.
+/// The one proposal-evaluation body behind every sweep variant: draws a
+/// proposal, and only when it names another block — at small block counts
+/// about half do not — gathers `v`'s neighbour blocks, evaluates `(ΔS, H)`
+/// in O(deg) and runs the Metropolis–Hastings acceptance test against the
+/// current (possibly frozen) blockmodel. The gather draws nothing, so the
+/// RNG stream is the one a gather-first evaluation consumes.
+/// Allocation-free via the caller's scratch.
 pub(crate) fn evaluate_vertex<R: Rng + ?Sized>(
     graph: &Graph,
     bm: &Blockmodel,
@@ -102,11 +104,11 @@ pub(crate) fn evaluate_vertex<R: Rng + ?Sized>(
     if graph.degree(v) == 0 {
         return Evaluation::Skipped;
     }
-    let self_w = scratch.gather_vertex(graph, bm, v);
-    let to = match propose_for_vertex(rng, graph, bm, v, self_w) {
+    let to = match propose_for_vertex(rng, graph, bm, v) {
         Some(to) if to != bm.block_of(v) => to,
         _ => return Evaluation::Skipped,
     };
+    scratch.gather_vertex(graph, bm, v);
     let (ds, hastings) = scratch.evaluate_move(graph, bm, v, to);
     let p_accept = ((-beta * ds).exp() * hastings).min(1.0);
     if rng.random::<f64>() < p_accept {

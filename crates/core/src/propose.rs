@@ -8,6 +8,12 @@
 //! same machinery proposes merge targets for blocks (`agg = true`), where
 //! the current block is excluded.
 //!
+//! A vertex proposal reads the graph (the vertex's self-loop weight, its
+//! adjacency up to the drawn edge) and at most two lines of the
+//! blockmodel, and nothing a sweep has gathered about the vertex: the
+//! sweep draws first and gathers only when the draw names another block
+//! ([`crate::hybrid`], [`crate::delta`]).
+//!
 //! The weighted scans walk matrix lines in canonical (ascending) order —
 //! see [`crate::line`] — so a given random draw selects the same block on
 //! every replica holding the same logical blockmodel, whatever storage
@@ -21,10 +27,11 @@ use rand::Rng;
 use sbp_graph::{Graph, Vertex, Weight};
 
 /// Proposes a new block for vertex `v` (non-agglomerative: the current
-/// block may be proposed, yielding a no-op move). `self_w` is `v`'s
-/// self-loop weight (zero without one) as returned by
-/// [`crate::delta::DeltaScratch::gather_vertex`] — a self-loop tells us
-/// nothing about other blocks, so it is excluded from the neighbor draw.
+/// block may be proposed, yielding a no-op move). `v`'s self-loop — asked
+/// of the graph, [`Graph::self_loop_weight`] — tells us nothing about other
+/// blocks, so it is excluded from the neighbor draw. Reads `v`'s adjacency
+/// only as far as the drawn edge and two lines of the blockmodel at most:
+/// a sweep calls it before it gathers anything about `v`.
 ///
 /// Returns `None` for graphs with a single block (nothing to propose).
 pub fn propose_for_vertex<R: Rng + ?Sized>(
@@ -32,21 +39,12 @@ pub fn propose_for_vertex<R: Rng + ?Sized>(
     graph: &Graph,
     bm: &Blockmodel,
     v: Vertex,
-    self_w: Weight,
 ) -> Option<u32> {
     let b = bm.num_blocks() as u32;
     if b <= 1 {
         return None;
     }
-    debug_assert_eq!(
-        self_w,
-        graph
-            .out_edges(v)
-            .iter()
-            .find(|e| e.0 == v)
-            .map_or(0, |e| e.1),
-        "self-loop weight of vertex {v}"
-    );
+    let self_w = graph.self_loop_weight(v);
     let d_excl = graph.degree(v) - 2 * self_w;
     if d_excl <= 0 {
         // Isolated (or self-loop-only) vertex: uniform proposal.
@@ -251,7 +249,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..500 {
             for v in 0..6u32 {
-                let s = propose_for_vertex(&mut rng, &g, &bm, v, 0).unwrap();
+                let s = propose_for_vertex(&mut rng, &g, &bm, v).unwrap();
                 assert!(s < 2);
             }
         }
@@ -276,7 +274,7 @@ mod tests {
         let g = two_triangles();
         let bm = Blockmodel::from_assignment(&g, vec![0; 6], 1);
         let mut rng = SmallRng::seed_from_u64(3);
-        assert!(propose_for_vertex(&mut rng, &g, &bm, 0, 0).is_none());
+        assert!(propose_for_vertex(&mut rng, &g, &bm, 0).is_none());
         assert!(propose_for_block(&mut rng, &bm, 0).is_none());
     }
 
@@ -287,7 +285,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         let mut seen = [false; 4];
         for _ in 0..400 {
-            seen[propose_for_vertex(&mut rng, &g, &bm, 3, 0).unwrap() as usize] = true;
+            seen[propose_for_vertex(&mut rng, &g, &bm, 3).unwrap() as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "uniform proposal missed a block");
     }
@@ -313,7 +311,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut counts = [0usize; 3];
         for _ in 0..3000 {
-            counts[propose_for_vertex(&mut rng, &g, &bm, 2, 0).unwrap() as usize] += 1;
+            counts[propose_for_vertex(&mut rng, &g, &bm, 2).unwrap() as usize] += 1;
         }
         assert!(
             counts[1] > 3 * counts[2],

@@ -418,10 +418,10 @@ proptest! {
         }
     }
 
-    /// `cross_cells` reads the same four cells per asked-for block from
-    /// either storage as `get()` does, for any subset of the blocks
-    /// (chosen by bitmask: empty, all, with and without `r` and `s`),
-    /// through one scratch per storage.
+    /// `cross_cells` reads the same four cells per asked-for block, and
+    /// the same four `{r, s}²` corners, from either storage as `get()`
+    /// does, for any subset of the blocks (chosen by bitmask: empty, all,
+    /// with and without `r` and `s`), through one scratch per storage.
     #[test]
     fn cross_cells_agree_with_get_on_any_block_subset(
         (n, edges, assignment, c) in arb_graph_and_assignment(),
@@ -438,7 +438,8 @@ proptest! {
                     .iter()
                     .map(|&t| [bm.get(r, t), bm.get(s, t), bm.get(t, r), bm.get(t, s)])
                     .collect();
-                prop_assert_eq!(scratch.cross_cells(&bm, r, s, &blocks), &want[..]);
+                let corners = [bm.get(r, r), bm.get(r, s), bm.get(s, r), bm.get(s, s)];
+                prop_assert_eq!(scratch.cross_cells(&bm, r, s, &blocks), (corners, &want[..]));
             }
         }
     }
@@ -713,9 +714,10 @@ fn simd_bit_identity_at_fixed_block_counts() {
     }
 }
 
-/// Sparse `cross_cells` against dense `cross_cells` and `get()`, through
-/// ONE scratch for every sparse call, so a stamp left in its slot map by
-/// one fetch would corrupt the next. Blocks 0 and 1 are hubs whose rows
+/// Sparse `cross_cells` against dense `cross_cells` and `get()` — the
+/// per-block cells and the `{r, s}²` corners that ride the same fetch —
+/// through ONE scratch for every sparse call, so a stamp left in its slot
+/// map by one fetch would corrupt the next. Blocks 0 and 1 are hubs whose rows
 /// and columns hold ≥ 512 cells with runs of absent keys longer than 8;
 /// the rest of the 1 100 blocks have short random lines. Block lists: ∅,
 /// every block, `{r}`, `{s}`, `{r, s}`, random subsets from 2 to 400 blocks
@@ -752,9 +754,18 @@ fn sparse_cross_cells_is_dense_cross_cells_is_get() {
 
     let (mut on_sparse, mut on_dense) = (DeltaScratch::new(), DeltaScratch::new());
     let mut check = |r: u32, s: u32, blocks: &[u32]| {
-        let got = on_sparse.cross_cells(&sparse, r, s, blocks).to_vec();
+        let (corners, got) = on_sparse.cross_cells(&sparse, r, s, blocks);
+        let got = got.to_vec();
         assert_eq!(got.len(), blocks.len());
-        assert_eq!(got, on_dense.cross_cells(&dense, r, s, blocks), "{r}->{s}");
+        let on_dense = on_dense.cross_cells(&dense, r, s, blocks);
+        assert_eq!((corners, &got[..]), on_dense, "{r}->{s}");
+        let want = [
+            sparse.get(r, r),
+            sparse.get(r, s),
+            sparse.get(s, r),
+            sparse.get(s, s),
+        ];
+        assert_eq!(corners, want, "{r}->{s} corners, {} blocks", blocks.len());
         for (&t, cells) in blocks.iter().zip(&got) {
             let want = [
                 sparse.get(r, t),
@@ -799,6 +810,47 @@ fn sparse_cross_cells_is_dense_cross_cells_is_get() {
         check(r, s, &evens);
         check(r, s, &odds);
         check(r, s, &evens);
+    }
+}
+
+/// `Graph::self_loop_weight` — what a proposal is drawn with, before
+/// anything is gathered — against a scan of the out-edges, on random
+/// multigraphs (parallel arcs fold into weights) with self-loops planted
+/// at the first, the last and every seventh vertex, among vertices with
+/// none and vertices with no edge at all.
+#[test]
+fn self_loop_weight_is_a_scan_of_the_out_edges() {
+    let mut rng = XorShift(0x5E1F_100B);
+    for n in [1u32, 2, 9, 60, 300] {
+        let mut edges = Vec::new();
+        for _ in 0..4 * n {
+            let (u, v) = (rng.next() % u64::from(n), rng.next() % u64::from(n));
+            // Every third vertex keeps no edge but a planted loop.
+            if u % 3 != 1 && v % 3 != 1 {
+                edges.push((u as u32, v as u32, 1 + (rng.next() % 3) as i64));
+            }
+        }
+        for v in (0..n).filter(|v| v % 7 == 0 || v + 1 == n) {
+            for _ in 0..1 + rng.next() % 3 {
+                edges.push((v, v, 1 + (rng.next() % 4) as i64));
+            }
+        }
+        let g = Graph::from_edges(n as usize, edges);
+        let mut loops = 0;
+        for v in 0..n {
+            let scanned: i64 = g
+                .out_edges(v)
+                .iter()
+                .filter(|e| e.0 == v)
+                .map(|e| e.1)
+                .sum();
+            assert_eq!(g.self_loop_weight(v), scanned, "n={n} v={v}");
+            loops += usize::from(scanned > 0);
+        }
+        assert!(
+            loops > 0 && (n < 9 || loops < n as usize),
+            "n={n}: {loops} loops"
+        );
     }
 }
 

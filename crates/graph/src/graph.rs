@@ -244,6 +244,13 @@ impl Graph {
         self.out_degree[v as usize] + self.in_degree[v as usize]
     }
 
+    /// Weight of the arc `(v, v)`, zero without one: one binary search of
+    /// `v`'s out-edges, which are sorted by target.
+    #[inline]
+    pub fn self_loop_weight(&self, v: Vertex) -> Weight {
+        arc_slot(&self.out_offsets, &self.out_adj, v, v).map_or(0, |i| self.out_adj[i].1)
+    }
+
     /// Iterator over all arcs as `(src, dst, weight)`.
     pub fn arcs(&self) -> impl Iterator<Item = (Vertex, Vertex, Weight)> + '_ {
         (0..self.num_vertices as Vertex)
@@ -259,9 +266,12 @@ impl Graph {
         vs
     }
 
-    /// Applies a batch of signed arc-weight deltas in place, rebuilding the
-    /// CSR arrays and degree vectors. Deltas on the same arc accumulate;
-    /// an arc whose merged weight reaches exactly zero is removed.
+    /// Applies a batch of signed arc-weight deltas. Deltas on the same arc
+    /// accumulate; an arc whose merged weight reaches exactly zero is
+    /// removed. A batch that only re-weights existing arcs (every net delta
+    /// lands on an arc and leaves it at weight ≥ 1 — a resident daemon's
+    /// steady state) is written into the CSR arrays and degree vectors where
+    /// they are; one that inserts or removes an arc rebuilds them.
     ///
     /// Validation is all-or-nothing: the batch is checked against the merged
     /// result first, and on any error the graph is left exactly as it was.
@@ -297,6 +307,32 @@ impl Graph {
         });
         net.retain(|&(_, _, w)| w != 0);
         if net.is_empty() {
+            return Ok(());
+        }
+        // No arc appears or disappears: the offsets stand, only weights and
+        // degrees move. Every slot is found before any is written.
+        let slots: Option<Vec<usize>> = net
+            .iter()
+            .map(|&(s, d, dw)| {
+                arc_slot(&self.out_offsets, &self.out_adj, s, d).filter(|&i| {
+                    self.out_adj[i]
+                        .1
+                        .checked_add(dw)
+                        .is_some_and(|weight| weight >= 1)
+                })
+            })
+            .collect();
+        if let Some(slots) = slots {
+            for (&(s, d, dw), &i) in net.iter().zip(&slots) {
+                let j = arc_slot(&self.in_offsets, &self.in_adj, d, s)
+                    .expect("the reverse adjacency is the transpose of the forward one");
+                self.out_adj[i].1 += dw;
+                self.in_adj[j].1 += dw;
+                self.out_degree[s as usize] += dw;
+                self.in_degree[d as usize] += dw;
+                self.total_edge_weight += dw;
+            }
+            debug_assert!(self.validate().is_ok());
             return Ok(());
         }
         // Merge with the existing sorted arc stream, checking signs before
@@ -406,6 +442,22 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// Index into `adj` of `v`'s edge to (or from) `other`, if it has one: a
+/// binary search of `v`'s slice, which is sorted by the other endpoint.
+#[inline]
+fn arc_slot(
+    offsets: &[usize],
+    adj: &[(Vertex, Weight)],
+    v: Vertex,
+    other: Vertex,
+) -> Option<usize> {
+    let lo = offsets[v as usize];
+    adj[lo..offsets[v as usize + 1]]
+        .binary_search_by_key(&other, |e| e.0)
+        .ok()
+        .map(|i| lo + i)
 }
 
 #[cfg(test)]
@@ -574,6 +626,97 @@ mod tests {
             })
         );
         assert_eq!(g, before);
+    }
+
+    /// A batch that only re-weights existing arcs is written in place; the
+    /// same batch with an arc insertion riding along (taken out again by a
+    /// second batch) goes through the merge-and-rebuild path twice. Both
+    /// must land on the graph `from_edges` builds from the expected arcs.
+    #[test]
+    fn reweighting_in_place_equals_the_rebuild() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for round in 0..40 {
+            let n = 12u32;
+            let mut edges: Vec<(Vertex, Vertex, Weight)> = (0..50)
+                .map(|_| {
+                    (
+                        next(n as u64) as Vertex,
+                        next(n as u64) as Vertex,
+                        1 + next(4) as Weight,
+                    )
+                })
+                .collect();
+            edges.retain(|&(s, d, _)| (s, d) != (0, 1));
+            let start = Graph::from_edges(n as usize, edges);
+            let arcs: Vec<_> = start.arcs().collect();
+            // Up to three deltas per picked arc, never below weight 1 in
+            // total; self-loops and repeated arcs included.
+            let mut left: Vec<Weight> = arcs.iter().map(|a| a.2).collect();
+            let mut batch = Vec::new();
+            for _ in 0..1 + next(12) {
+                let i = next(arcs.len() as u64) as usize;
+                let dw = if left[i] > 1 && next(2) == 0 {
+                    -(1 + next(left[i] as u64 - 1) as Weight)
+                } else {
+                    1 + next(3) as Weight
+                };
+                left[i] += dw;
+                batch.push(delta(arcs[i].0, arcs[i].1, dw));
+            }
+            let want = Graph::from_edges(
+                n as usize,
+                arcs.iter().zip(&left).map(|(a, &w)| (a.0, a.1, w)),
+            );
+
+            let mut in_place = start.clone();
+            in_place.apply_edge_deltas(&batch).unwrap();
+            in_place.validate().unwrap();
+            assert_eq!(in_place, want, "round {round}, in place");
+
+            let mut rebuilt = start.clone();
+            batch.push(delta(0, 1, 1));
+            rebuilt.apply_edge_deltas(&batch).unwrap();
+            rebuilt.apply_edge_deltas(&[delta(0, 1, -1)]).unwrap();
+            rebuilt.validate().unwrap();
+            assert_eq!(rebuilt, want, "round {round}, rebuilt");
+        }
+    }
+
+    /// A batch whose first arcs could be re-weighted in place and whose
+    /// last one cannot be applied at all changes nothing.
+    #[test]
+    fn rejected_reweighting_leaves_graph_untouched() {
+        let mut g = triangle();
+        let before = g.clone();
+        assert_eq!(
+            g.apply_edge_deltas(&[delta(0, 1, 2), delta(1, 2, 1), delta(2, 0, -4)]),
+            Err(GraphDeltaError::NegativeWeight {
+                src: 2,
+                dst: 0,
+                resulting: -1
+            })
+        );
+        assert_eq!(
+            g.apply_edge_deltas(&[delta(0, 1, 2), delta(2, 0, -1), delta(1, 3, 1)]),
+            Err(GraphDeltaError::VertexOutOfRange {
+                vertex: 3,
+                num_vertices: 3
+            })
+        );
+        assert_eq!(g, before);
+        // The same arcs, within what they hold: applied, and in place.
+        g.apply_edge_deltas(&[delta(0, 1, 2), delta(1, 2, 1), delta(2, 0, -2)])
+            .unwrap();
+        assert_eq!(
+            g,
+            Graph::from_edges(3, vec![(0, 1, 3), (1, 2, 3), (2, 0, 1)])
+        );
     }
 
     #[test]

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Byte-identity A/B of two edist-cli builds: the same inputs and seeds
 # through every backend, assignment and --trajectory-out files compared
-# with cmp. A change that keeps "the same bits" must report 60/60.
+# with cmp, and a resident daemon's warm rounds, snapshot and stats
+# compared. A change that keeps "the same bits" must report 66/66.
 #
 #   scripts/ab_trajectories.sh <parent-bin> <change-bin> [workdir]
+#
+# Given one build on both sides it checks that a rerun in a fresh process
+# repeats itself, cell for cell (what CI runs).
 #
 # Cells: {sequential, hybrid, batch, edist thread x {graph, shards,
 # shards under --mcmc batch (what the two EDiSt benchmark workloads time),
@@ -13,6 +17,14 @@
 # the BENCHMARK.json workloads, 2 ranks wherever ranks apply and nothing
 # else is said. Inputs are written once, by the parent binary; both
 # builds read the same files.
+# Daemon cells (the serve_warm workload's path): `serve --seed S` on each
+# graph, then three rounds of one fixed `--ingest` batch (a self-loop in
+# it; the first round inserts its arcs, the later ones re-weight them) and
+# `--repartition warm` — dirty-set-filtered sweeps, where most proposals
+# are skipped — then `--checkpoint`, `--stats true --json true`,
+# `--shutdown`. Compared: the replies of the three rounds, the .sbpc bytes
+# (a snapshot carries nothing run-dependent) and the stats without
+# `uptime_seconds` (DL and trajectory tail to the last digit).
 # Exit status: 0 when every cell is identical, 1 otherwise.
 set -euo pipefail
 
@@ -75,5 +87,54 @@ for g in challenge scaling; do
         done
     done
 done
-echo "$same/$total cells byte-identical (assignment + trajectory)"
+
+batch="0,1,2;5,9,1;17,3,1;100,200,1;300,1500,2;2999,0,3;1200,7,1;42,42,1"
+# daemon_rounds <bin> <side> <address>: the client's half of a session;
+# leaves <side>.rounds, <side>.sbpc and <side>.stats.
+daemon_rounds() {
+    local bin=$1 side=$2 to=$3
+    for _ in 1 2 3; do
+        "$bin" connect --to "$to" --ingest "$batch" || return 1
+        "$bin" connect --to "$to" --repartition warm || return 1
+    done >"$side.rounds"
+    "$bin" connect --to "$to" --checkpoint "$work/$side.sbpc" >/dev/null || return 1
+    "$bin" connect --to "$to" --stats true --json true |
+        sed 's/"uptime_seconds":[^,}]*,\{0,1\}//' >"$side.stats"
+}
+# daemon_session <bin> <side> <graph stem> <seed>: boots the daemon, runs
+# the rounds against it and takes it down again, whatever they came to.
+daemon_session() {
+    local bin=$1 side=$2 g=$3 seed=$4 to="unix:$work/$2.sock" daemon ok=0
+    rm -f "$side.sock" "$side.sbpc"
+    "$bin" serve --graph "$g.mtx" --listen "$to" --seed "$seed" >"$side.log" 2>&1 &
+    daemon=$!
+    for _ in $(seq 600); do
+        grep -q "listening on" "$side.log" && break
+        kill -0 $daemon 2>/dev/null || return 1
+        sleep 0.1
+    done
+    daemon_rounds "$bin" "$side" "$to" 2>>"$side.log" || ok=1
+    "$bin" connect --to "$to" --shutdown true >/dev/null 2>&1 || kill $daemon 2>/dev/null
+    wait $daemon 2>/dev/null || ok=1
+    return $ok
+}
+for g in challenge scaling; do
+    for seed in 1 2 3; do
+        total=$((total + 1))
+        for side in parent change; do
+            if ! daemon_session "${!side}" $side $g $seed; then
+                echo "FAILED    $g serve-warm seed $seed ($side build, see $work/$side.log)"
+                continue 2
+            fi
+        done
+        if cmp -s parent.sbpc change.sbpc && cmp -s parent.stats change.stats &&
+            cmp -s parent.rounds change.rounds; then
+            same=$((same + 1))
+            echo "identical $g serve-warm seed $seed"
+        else
+            echo "DIFFERENT $g serve-warm seed $seed"
+        fi
+    done
+done
+echo "$same/$total cells byte-identical (assignment + trajectory; snapshot + stats)"
 [ "$same" -eq "$total" ]

@@ -49,6 +49,16 @@ Five checks, from strongest to weakest signal:
    searches four 640-cell lines). (g) The sharded sync's cell fold (PR 18,
    sort-and-fold of packed keys) at most 0.5x the `BTreeMap` it replaced
    on 5 000 charges (`dist/cell_fold_5k`; 0.15 when recorded, BENCH_pr18.json).
+   (h) What PR 23 took out of a sweep proposal, each against a twin kept
+   in the bench that still pays it: gather + `evaluate_move` of every
+   drawn move on the C = 750 sparse fixture at most 0.9x the same gather +
+   an evaluation that looks its four corner cells up with `get()` and
+   tests `w_out` / `w_in` per neighbour block (`evaluate/sparse_C750`;
+   0.62 when recorded, 0.55-0.82 over seven runs - the shared gather is
+   about a third of both sides), and an MH sweep at C = 20, where about
+   half the draws name the vertex's own block, at most 0.9x a sweep that
+   gathers before it draws (`sweep/mh_lowC`; 0.68 when recorded, 0.58-0.86
+   over seven runs, BENCH_pr23.json).
 
 2. **Absolute guard vs the PR 1 record**: each proposal-kernel id's mean
    must stay within BENCH_TOL (default 1.5x, i.e. +50%) of the mean
@@ -143,8 +153,10 @@ PR8_GUARD = PR5_GUARD + [
 # sides run the identical scalar code); the pooled region vs the
 # scoped-spawn region; the merge walk vs the (allocating) line-delta
 # reference on the same pairs of the same blockmodel; the sweep
-# proposal's line walks vs their reference twins; and the sharded sync's
-# cell fold vs the BTreeMap it replaced.
+# proposal's line walks vs their reference twins; the sharded sync's
+# cell fold vs the BTreeMap it replaced; and one proposal evaluation and
+# one low-C sweep vs the twins that still look the corners up, test the
+# weights and gather before drawing.
 RATIO_GUARDS = [
     ("edist/proposal_eval/adaptive_manyC", "edist/delta_entropy/dense_naive_manyC", 0.5),
     ("edist/proposal_eval/adaptive_hugeC", "edist/delta_entropy/dense_naive_hugeC", 0.5),
@@ -161,6 +173,8 @@ RATIO_GUARDS = [
         ("cross_cells/sparse_hubline_k2", 5.0),
         ("propose/anchor_dense_C375", 0.6),
         ("dist/cell_fold_5k", 0.5),
+        ("evaluate/sparse_C750", 0.9),
+        ("sweep/mh_lowC", 0.9),
     )
 ]
 
