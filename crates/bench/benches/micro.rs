@@ -13,7 +13,8 @@
 //! * sorted-balanced vs modulo ownership (load balance proxy);
 //! * simulated-cluster collective throughput;
 //! * the sharded sync's cell fold against the `BTreeMap` it replaced (PR 18);
-//! * blockmodel construction and incremental moves;
+//! * blockmodel construction and incremental moves, and a merge's fold of
+//!   the held model against the rebuild it replaced (PR 24);
 //! * SIMD vs scalar entropy A/B and the entropy chunk-size study (PR 10);
 //! * synthetic graph generation.
 
@@ -24,7 +25,7 @@ use sbp_core::delta::{delta_entropy, merge_delta};
 use sbp_core::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
 use sbp_core::lntab::ln_int;
 use sbp_core::mcmc::mh_sweep;
-use sbp_core::merge::propose_merges;
+use sbp_core::merge::{apply_merges, merge_labels, propose_merges};
 use sbp_core::naive::DenseBlockmodel;
 use sbp_core::propose::{pick_by_cells, pick_weighted, propose_for_block, propose_for_vertex};
 use sbp_core::sbp::{merge_phase, SbpConfig};
@@ -756,6 +757,49 @@ fn bench_blockmodel(c: &mut Criterion) {
     group.finish();
 }
 
+/// A merge phase's fold of the model it holds ([`Blockmodel::merged`],
+/// PR 24) against the rebuild from the graph it replaced, on the same
+/// target model: the identity partition of the `single_challenge` graph
+/// halved, and a 40-block state of it halved. At C ≈ V the fold reads as
+/// many cells as the graph has arcs, so the first pair is a "no worse"
+/// guard; at C = 40 the model has a few hundred cells against 71 k arcs —
+/// where a warm daemon round lives — and the fold must win outright
+/// (`scripts/check_bench_regression.py`).
+fn bench_merged(c: &mut Criterion) {
+    let (graph, fixtures) = challenge_trajectory();
+    let cfg = SbpConfig::default();
+    let vertices: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    let mut low = merge_phase(
+        graph,
+        &fixtures[2].1,
+        fixtures[2].1.num_blocks() - 40,
+        &cfg,
+        9,
+    );
+    let mut rng = SmallRng::seed_from_u64(9);
+    for _ in 0..5 {
+        mh_sweep(graph, &mut low, &vertices, cfg.beta, &mut rng);
+    }
+    let mut group = quick(c);
+    for (bm, from, to) in [(&fixtures[0].1, 3000, 1500), (&low, 40, 20)] {
+        assert_eq!(bm.num_blocks(), from);
+        let blocks: Vec<u32> = (0..from as u32).collect();
+        let cands = propose_merges(bm, &blocks, 10, 99);
+        let (label, halved) = merge_labels(from, cands.clone(), from - to);
+        let (assignment, _) = apply_merges(bm, cands, from - to);
+        assert_eq!(halved, to);
+        let rebuilt = Blockmodel::from_assignment(graph, assignment.clone(), to);
+        assert!(bm.merged(&label, to).same_state(&rebuilt));
+        group.bench_function(format!("blockmodel/merged_C{from}_to_{to}"), |b| {
+            b.iter(|| black_box(bm.merged(&label, to)))
+        });
+        group.bench_function(format!("blockmodel/from_assignment_C{to}"), |b| {
+            b.iter(|| black_box(Blockmodel::from_assignment(graph, assignment.clone(), to)))
+        });
+    }
+    group.finish();
+}
+
 /// SIMD vs scalar A/B on the dense entropy sum, plus the entropy
 /// chunk-size study. The `simd`-suffixed id runs the runtime-dispatched
 /// path (which falls back to scalar on non-AVX2 hosts, turning the pair
@@ -825,6 +869,7 @@ criterion_group!(
     bench_collectives,
     bench_cell_fold,
     bench_blockmodel,
+    bench_merged,
     bench_simd,
     bench_generator
 );

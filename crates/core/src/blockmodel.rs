@@ -14,12 +14,14 @@
 //!
 //! [`Blockmodel::from_assignment`] picks the representation from the block
 //! count `C` and total edge weight `E` alone — dense iff `C ≤ 64`, or
-//! `C ≤ 1024` and `4·E ≥ C²` (see [`auto_picks_dense`]).
+//! `C ≤ 1024` and `4·E ≥ C²` (see [`auto_picks_dense`]) — and
+//! [`Blockmodel::merged`], which folds a model into the one a merge phase
+//! leaves behind, picks by the same rule on the new `C`.
 //! Since the representation is fixed at construction, the switch happens
-//! exactly at [`Blockmodel::compacted`] / rebuild boundaries between
-//! iterations — never mid-sweep. Both representations expose the same
-//! iteration API ([`Blockmodel::row_iter`] / [`Blockmodel::col_iter`]) and
-//! are checked against each other by property tests.
+//! exactly at those boundaries between iterations — never mid-sweep. Both
+//! representations expose the same iteration API
+//! ([`Blockmodel::row_iter`] / [`Blockmodel::col_iter`]) and are checked
+//! against each other by property tests.
 //!
 //! ## Canonical line iteration
 //!
@@ -101,7 +103,7 @@ pub enum StorageKind {
     Sparse,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum Storage {
     Dense {
         c: usize,
@@ -198,6 +200,87 @@ impl Storage {
         match self {
             Storage::Dense { .. } => StorageKind::Dense,
             Storage::Sparse { .. } => StorageKind::Sparse,
+        }
+    }
+
+    /// This matrix folded through a block relabelling: every cell `(r, c)`
+    /// lands on `(label[r], label[c])` of a `num_blocks`-wide matrix, cells
+    /// that meet are summed. The caller has checked `label` at every block
+    /// that has a cell ([`Blockmodel::merged`]).
+    ///
+    /// A dense target accumulates in place. A sparse target is one flat
+    /// `(row << 32 | col, w)` list, one sort, and a fold of the runs — the
+    /// shape of `sbp-dist`'s `CellFold`; the folded list is ascending by
+    /// `(row, col)`, so one walk of it fills the rows, and the columns
+    /// (ascending by row, because the walk is), each line allocated once.
+    fn relabelled(&self, label: &[u32], num_blocks: usize, dense: bool) -> Storage {
+        let cells = (0..label.len() as u32).flat_map(|r| {
+            let to = label[r as usize];
+            self.row_iter(r)
+                .map(move |(col, w)| (to, label[col as usize], w))
+        });
+        if dense {
+            let mut folded = Storage::Dense {
+                c: num_blocks,
+                m: vec![0; num_blocks * num_blocks],
+                mt: vec![0; num_blocks * num_blocks],
+            };
+            for (r, col, w) in cells {
+                folded.add(r, col, w);
+            }
+            return folded;
+        }
+        // Sized up front: grown by doubling, the list would pass through
+        // twice its final footprint on the way.
+        let nnz = match self {
+            Storage::Dense { m, .. } => m.iter().filter(|&&w| w != 0).count(),
+            Storage::Sparse { rows, .. } => rows.iter().map(CanonicalLine::len).sum(),
+        };
+        let mut flat: Vec<(u64, Weight)> = Vec::with_capacity(nnz);
+        flat.extend(cells.map(|(r, col, w)| (u64::from(r) << 32 | u64::from(col), w)));
+        // A line gets the room its cells took before they were folded —
+        // what a rebuild's line has (`CanonicalLine::from_unsorted`), and
+        // what the sweeps that follow a merge insert into: a line cut to
+        // its exact length reallocates on its first new cell.
+        let split = |key: u64| ((key >> 32) as usize, key as u32 as usize);
+        let (mut row_room, mut col_room) = (vec![0usize; num_blocks], vec![0usize; num_blocks]);
+        for &(key, _) in &flat {
+            let (r, col) = split(key);
+            row_room[r] += 1;
+            col_room[col] += 1;
+        }
+        flat.sort_unstable_by_key(|&(key, _)| key);
+        flat.dedup_by(|cell, run| {
+            let same = cell.0 == run.0;
+            if same {
+                run.1 += cell.1;
+            }
+            same
+        });
+        let roomy = |room: Vec<usize>| -> Vec<Vec<(u32, Weight)>> {
+            room.into_iter().map(Vec::with_capacity).collect()
+        };
+        let (mut rows, mut cols) = (roomy(row_room), roomy(col_room));
+        for &(key, w) in &flat {
+            let (r, col) = split(key);
+            rows[r].push((col as u32, w));
+            cols[col].push((r as u32, w));
+        }
+        let lines = |cells: Vec<Vec<(u32, Weight)>>| -> Vec<CanonicalLine> {
+            cells.into_iter().map(CanonicalLine::from_sorted).collect()
+        };
+        Storage::Sparse {
+            rows: lines(rows),
+            cols: lines(cols),
+        }
+    }
+
+    /// Gives back the capacity sparse lines grew beyond their length.
+    fn shrink_to_fit(&mut self) {
+        if let Storage::Sparse { rows, cols } = self {
+            rows.iter_mut()
+                .chain(cols)
+                .for_each(CanonicalLine::shrink_to_fit);
         }
     }
 
@@ -401,6 +484,27 @@ pub struct Blockmodel {
     total_edge_weight: Weight,
 }
 
+/// The relabelling that packs the occupied labels of `assignment` (all
+/// `< width`) into the dense range `0..C`, ascending by old label: `map[old]`
+/// is the new label, `u32::MAX` where no vertex carries `old`. Returns the
+/// map and `C`.
+///
+/// # Panics
+/// Panics if a label is `>= width`.
+fn compact_map(assignment: &[u32], width: usize) -> (Vec<u32>, usize) {
+    let mut map = vec![u32::MAX; width];
+    for &b in assignment {
+        assert!((b as usize) < width, "label out of range");
+        map[b as usize] = 0;
+    }
+    let mut next = 0u32;
+    for slot in map.iter_mut().filter(|slot| **slot == 0) {
+        *slot = next;
+        next += 1;
+    }
+    (map, next as usize)
+}
+
 /// Relabels the occupied labels of `assignment` (all `< width`) to the
 /// dense range `0..C`, ascending by old label. Returns the relabeled
 /// assignment and `C`. Needs no graph, so a plane that holds only part
@@ -409,21 +513,11 @@ pub struct Blockmodel {
 /// # Panics
 /// Panics if a label is `>= width`.
 pub fn compact_labels(mut assignment: Vec<u32>, width: usize) -> (Vec<u32>, usize) {
-    let mut seen = vec![false; width];
-    for &b in &assignment {
-        assert!((b as usize) < width, "label out of range");
-        seen[b as usize] = true;
-    }
-    let mut map = vec![u32::MAX; width];
-    let mut next = 0u32;
-    for (old, _) in seen.iter().enumerate().filter(|(_, &occupied)| occupied) {
-        map[old] = next;
-        next += 1;
-    }
+    let (map, num_blocks) = compact_map(&assignment, width);
     for b in &mut assignment {
         *b = map[*b as usize];
     }
-    (assignment, next as usize)
+    (assignment, num_blocks)
 }
 
 impl Blockmodel {
@@ -463,19 +557,35 @@ impl Blockmodel {
             d_out[r as usize] += w;
             d_in[c as usize] += w;
         }
-        let storage = builder.finish();
-        let ln_d_out = d_out.iter().map(|&w| ln_or_zero(w)).collect();
-        let ln_d_in = d_in.iter().map(|&w| ln_or_zero(w)).collect();
+        Self::assemble(
+            assignment,
+            builder.finish(),
+            (d_out, d_in),
+            graph.num_vertices(),
+            graph.total_edge_weight(),
+        )
+    }
+
+    /// The one place a model is put together from its integers: the `ln`
+    /// caches are a function of the degree vectors and nothing else, so
+    /// every constructor lands on the same cache bits.
+    fn assemble(
+        assignment: Vec<u32>,
+        storage: Storage,
+        (d_out, d_in): (Vec<Weight>, Vec<Weight>),
+        num_vertices: usize,
+        total_edge_weight: Weight,
+    ) -> Self {
         Blockmodel {
             assignment,
-            num_blocks,
+            num_blocks: d_out.len(),
             storage,
+            ln_d_out: d_out.iter().map(|&w| ln_or_zero(w)).collect(),
+            ln_d_in: d_in.iter().map(|&w| ln_or_zero(w)).collect(),
             d_out,
             d_in,
-            ln_d_out,
-            ln_d_in,
-            num_vertices: graph.num_vertices(),
-            total_edge_weight: graph.total_edge_weight(),
+            num_vertices,
+            total_edge_weight,
         }
     }
 
@@ -751,20 +861,13 @@ impl Blockmodel {
             d_out[r as usize] += w;
             d_in[c as usize] += w;
         }
-        let storage = builder.finish();
-        let ln_d_out = d_out.iter().map(|&w| ln_or_zero(w)).collect();
-        let ln_d_in = d_in.iter().map(|&w| ln_or_zero(w)).collect();
-        Blockmodel {
+        Self::assemble(
             assignment,
-            num_blocks,
-            storage,
-            d_out,
-            d_in,
-            ln_d_out,
-            ln_d_in,
+            builder.finish(),
+            (d_out, d_in),
             num_vertices,
             total_edge_weight,
-        }
+        )
     }
 
     /// Applies one synchronized batch of externally-computed updates: peer
@@ -900,13 +1003,84 @@ impl Blockmodel {
         self.occupied_blocks().iter().filter(|&&x| x).count()
     }
 
+    /// This model with its blocks relabelled through `label` (`label[b]` is
+    /// block `b`'s new id, `< num_blocks`; several blocks may share one —
+    /// that is a merge): the model of the assignment `label ∘ assignment`,
+    /// folded from this model's own lines without reading the graph.
+    ///
+    /// The result **equals** `from_assignment(graph, label ∘ assignment,
+    /// num_blocks)` in every integer, in line order, in storage kind (the
+    /// same [`auto_picks_dense`] rule on the same `(C′, E)`) and in every
+    /// `ln`-cache bit — the crate invariant, reached from the other side:
+    /// a cell of the new matrix is the sum of the old cells its blocks were
+    /// made of, and integer sums do not care how the arcs were grouped on
+    /// the way. Cost is O(nnz log nnz) in this model's nonzero cells, not
+    /// O(E) in the graph's arcs, and a replica that has no whole graph
+    /// (`sbp-dist`'s sharded plane) folds just the same.
+    ///
+    /// `label` is read only where a block has weight or members, so an
+    /// empty block may map anywhere (the `u32::MAX` a compaction map leaves
+    /// there included).
+    ///
+    /// # Panics
+    /// Panics if `label` is not one entry per block, or sends an occupied
+    /// or weighted block to `>= num_blocks`.
+    pub fn merged(&self, label: &[u32], num_blocks: usize) -> Blockmodel {
+        assert_eq!(label.len(), self.num_blocks, "one new label per block");
+        let assignment: Vec<u32> = self.assignment.iter().map(|&b| label[b as usize]).collect();
+        assert!(
+            assignment.iter().all(|&b| (b as usize) < num_blocks),
+            "assignment label out of range"
+        );
+        let mut d_out = vec![0 as Weight; num_blocks];
+        let mut d_in = vec![0 as Weight; num_blocks];
+        for (b, &to) in label.iter().enumerate() {
+            if self.d_out[b] != 0 || self.d_in[b] != 0 {
+                d_out[to as usize] += self.d_out[b];
+                d_in[to as usize] += self.d_in[b];
+            }
+        }
+        let dense = Storage::pick_dense(StorageKind::Auto, num_blocks, self.total_edge_weight);
+        Self::assemble(
+            assignment,
+            self.storage.relabelled(label, num_blocks, dense),
+            (d_out, d_in),
+            self.num_vertices,
+            self.total_edge_weight,
+        )
+    }
+
     /// Returns a copy with blocks relabeled to the dense range
     /// `0..num_nonempty_blocks` (ascending by old label, see
-    /// [`compact_labels`]) and the matrix rebuilt — re-running the
-    /// dense/sparse selection for the new block count.
-    pub fn compacted(&self, graph: &Graph) -> Blockmodel {
-        let (assignment, num_blocks) = compact_labels(self.assignment.clone(), self.num_blocks);
-        Blockmodel::from_assignment(graph, assignment, num_blocks)
+    /// [`compact_labels`]) — a [`merged`](Self::merged) that merges
+    /// nothing, re-running the dense/sparse selection for the new block
+    /// count.
+    pub fn compacted(&self) -> Blockmodel {
+        let (map, num_blocks) = compact_map(&self.assignment, self.num_blocks);
+        self.merged(&map, num_blocks)
+    }
+
+    /// Gives back the capacity sparse lines grew during sweeps (a line
+    /// that gains a cell doubles its allocation). For a model that is kept
+    /// rather than swept — the golden search's resident bracket models.
+    pub fn shrink_to_fit(&mut self) {
+        self.storage.shrink_to_fit();
+    }
+
+    /// Whether `other` holds the very same state: assignment, every cell
+    /// in line order through rows and columns, storage kind, degrees, and
+    /// the `ln` caches bit for bit. Two models that agree here are
+    /// interchangeable for every computation in the crate — what "a carried
+    /// model equals a rebuild" means in the tests and debug assertions.
+    pub fn same_state(&self, other: &Blockmodel) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        self.storage == other.storage
+            && self.assignment == other.assignment
+            && (&self.d_out, &self.d_in) == (&other.d_out, &other.d_in)
+            && bits(&self.ln_d_out) == bits(&other.ln_d_out)
+            && bits(&self.ln_d_in) == bits(&other.ln_d_in)
+            && self.num_vertices == other.num_vertices
+            && self.total_edge_weight == other.total_edge_weight
     }
 
     /// All nonzero cells as `(row, col, weight)` in row-major iteration
@@ -1254,7 +1428,7 @@ mod tests {
         let g = two_triangles();
         let bm = Blockmodel::from_assignment(&g, vec![5, 5, 5, 2, 2, 2], 8);
         assert_eq!(bm.num_nonempty_blocks(), 2);
-        let c = bm.compacted(&g);
+        let c = bm.compacted();
         assert_eq!(c.num_blocks(), 2);
         // Ascending by old label: old 2 -> 0, old 5 -> 1.
         assert_eq!(c.assignment(), &[1, 1, 1, 0, 0, 0]);

@@ -14,8 +14,11 @@
 //! states produce equal bits in both the dense and sparse regimes.
 
 /// A stored search point: partition + its block count and description
-/// length. The partition is the dense assignment vector, from which a
-/// `Blockmodel` can be rebuilt in O(E).
+/// length. The partition is the dense assignment vector — all a snapshot
+/// needs, since a `Blockmodel` can be rebuilt from it in O(E). The search
+/// keeps the models of the entries [`GoldenBracket::next`] can hand out
+/// *beside* the bracket (`crate::sbp`, "resident models") and rebuilds
+/// only when it holds none.
 #[derive(Clone, Debug)]
 pub struct BracketEntry {
     /// Dense block assignment (labels `0..num_blocks`).

@@ -82,6 +82,19 @@ impl CanonicalLine {
         CanonicalLine { cells }
     }
 
+    /// Wraps cells that are already canonical — strictly ascending keys,
+    /// positive weights — keeping the vector's allocation as it is.
+    pub fn from_sorted(cells: Vec<(u32, Weight)>) -> Self {
+        debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "keys ascending");
+        debug_assert!(cells.iter().all(|&(_, w)| w > 0), "weights positive");
+        CanonicalLine { cells }
+    }
+
+    /// Drops the capacity inserts left beyond the line's length.
+    pub fn shrink_to_fit(&mut self) {
+        self.cells.shrink_to_fit();
+    }
+
     /// Weight at `key` (zero when absent). O(log n).
     #[inline]
     pub fn get(&self, key: u32) -> Weight {

@@ -7,8 +7,10 @@
 //!
 //! `propose_merges` accepts an explicit block subset so EDiSt can compute
 //! proposals for only its owned blocks (Alg. 4 line 4) and allgather the
-//! results; `apply_merges` is deterministic given the combined candidate
-//! list, which is what keeps every rank's blockmodel bit-identical. The
+//! results; `merge_labels` is deterministic given the combined candidate
+//! list, and every rank folds its own replica through the relabelling it
+//! returns ([`Blockmodel::merged`]) — which is what keeps every rank's
+//! blockmodel bit-identical without a collective after the merge. The
 //! per-candidate ΔS values feeding the total order come from weighted
 //! scans and delta kernels over canonical matrix lines, so candidate
 //! ranking — and therefore the applied merge set — is identical on every
@@ -111,14 +113,16 @@ fn block_rng(seed: u64, r: u32) -> SmallRng {
     SmallRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1)))
 }
 
-/// Applies the best `target_merges` merges from `candidates` (paper Alg. 1
-/// lines 11–15), resolving chains with union-find. Returns the new dense
-/// assignment and block count.
+/// Chooses the best `target_merges` merges from `candidates` (paper Alg. 1
+/// lines 11–15) over `num_blocks` blocks, resolving chains with union-find.
+/// Returns the block relabelling — `label[b]` is the dense id of the merged
+/// block that absorbs `b`, roots numbered ascending by id — and the new
+/// block count: what [`Blockmodel::merged`] folds a model through.
 ///
 /// Deterministic: candidates are sorted by `(ΔS, block, target)` with a
-/// total order, so every EDiSt rank applies the identical merge set.
-pub fn apply_merges(
-    bm: &Blockmodel,
+/// total order, so every EDiSt rank chooses the identical merge set.
+pub fn merge_labels(
+    num_blocks: usize,
     mut candidates: Vec<MergeCandidate>,
     target_merges: usize,
 ) -> (Vec<u32>, usize) {
@@ -128,8 +132,7 @@ pub fn apply_merges(
             .then(a.block.cmp(&b.block))
             .then(a.target.cmp(&b.target))
     });
-    let n_blocks = bm.num_blocks();
-    let mut parent: Vec<u32> = (0..n_blocks as u32).collect();
+    let mut parent: Vec<u32> = (0..num_blocks as u32).collect();
 
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
@@ -153,25 +156,36 @@ pub fn apply_merges(
         }
     }
 
-    // Relabel roots densely, ascending by root id (deterministic).
-    let mut label = vec![u32::MAX; n_blocks];
+    // Number the roots densely, ascending by root id (deterministic),
+    // then hand every block its root's number.
+    let mut root_label = vec![u32::MAX; num_blocks];
     let mut next = 0u32;
-    for blk in 0..n_blocks as u32 {
+    for blk in 0..num_blocks as u32 {
         let root = find(&mut parent, blk);
-        if label[root as usize] == u32::MAX {
-            label[root as usize] = next;
+        if root_label[root as usize] == u32::MAX {
+            root_label[root as usize] = next;
             next += 1;
         }
     }
-    let assignment: Vec<u32> = bm
-        .assignment()
-        .iter()
-        .map(|&b| {
-            let root = find(&mut parent, b);
-            label[root as usize]
-        })
+    let label = (0..num_blocks as u32)
+        .map(|blk| root_label[find(&mut parent, blk) as usize])
         .collect();
-    (assignment, next as usize)
+    (label, next as usize)
+}
+
+/// [`merge_labels`] carried through to the vertices: the new dense
+/// assignment and block count. The search itself folds the model
+/// ([`Blockmodel::merged`]) and never comes through here; this is the
+/// assignment-level view the tests and the micro-bench's rebuild reference
+/// start from.
+pub fn apply_merges(
+    bm: &Blockmodel,
+    candidates: Vec<MergeCandidate>,
+    target_merges: usize,
+) -> (Vec<u32>, usize) {
+    let (label, num_blocks) = merge_labels(bm.num_blocks(), candidates, target_merges);
+    let assignment = bm.assignment().iter().map(|&b| label[b as usize]).collect();
+    (assignment, num_blocks)
 }
 
 #[cfg(test)]

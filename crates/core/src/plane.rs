@@ -5,9 +5,9 @@
 //! (Algs. 1–2) with the block and vertex loops restricted to an owned set
 //! plus one allgather per sync. [`Plane`] is that restriction and nothing
 //! else: which vertices and blocks this participant works on, how the
-//! replicated blockmodel is (re)built, how accepted moves and merge
-//! candidates reach the other participants, and how a control-flow value
-//! is agreed on. The search itself — bracket, phases, convergence rule,
+//! replicated blockmodel is built from the graph, how accepted moves and
+//! merge candidates reach the other participants, and how a control-flow
+//! value is agreed on. The search itself — bracket, phases, convergence rule,
 //! cancellation, checkpoints, events — is written once against it.
 //!
 //! [`LocalPlane`] is the `n = 1` plane: one participant owning every
@@ -48,7 +48,18 @@ pub trait Plane {
     /// Vertices this participant sweeps, in sweep order.
     fn owned_vertices(&self) -> Vec<Vertex>;
 
-    /// The blockmodel of `assignment`; identical on every participant.
+    /// The whole graph, where this participant holds it. Only debug
+    /// assertions read it (a carried model against its rebuild); a plane
+    /// over part of a graph answers `None` and is checked by its tests.
+    fn whole_graph(&self) -> Option<&Graph>;
+
+    /// The blockmodel of `assignment`, built from the graph; identical on
+    /// every participant. The start-up, resume and cache-miss constructor:
+    /// a search calls it for its seed, for the first iteration after a
+    /// resume, and for a bracket entry whose model it did not keep — every
+    /// other model of a solve is folded from one the participant already
+    /// holds ([`Blockmodel::merged`]), which costs no graph walk and, on a
+    /// plane where this is a collective, no collective.
     fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, Self::Error>;
 
     /// Every participant's merge proposals for the blocks it owns,
@@ -126,6 +137,10 @@ impl Plane for LocalPlane<'_> {
 
     fn owned_vertices(&self) -> Vec<Vertex> {
         (0..self.graph.num_vertices() as Vertex).collect()
+    }
+
+    fn whole_graph(&self) -> Option<&Graph> {
+        Some(self.graph)
     }
 
     fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, Infallible> {

@@ -25,6 +25,24 @@
 //! block id — never by participant — so a trajectory is reproducible bit
 //! for bit from `(graph, seed, config)` in both storage regimes.
 //!
+//! ## Resident models
+//!
+//! A solve builds its blockmodel from the graph once — [`Plane::build`] of
+//! the seed. After that the search carries models instead of rebuilding
+//! them: a merge phase folds the start model's own lines through the
+//! agreed block relabelling ([`Blockmodel::merged`], Alg. 4's "apply the
+//! merges to the blockmodel"), and the models of the bracket entries
+//! [`GoldenBracket::next`] can hand out — `mid`'s always, `hi`'s once the
+//! bracket is established — stay resident beside the bracket, so an
+//! iteration top takes its start model from there after one O(V) check
+//! that it is the entry's. `Plane::build` is left with the seed, the
+//! first iteration of a resumed search (a snapshot carries assignments,
+//! not models) and the one entry the search lets go while it can still be
+//! asked for: the `hi` of a bracket that has just been established. That
+//! a carried model *is* the rebuild is the crate invariant
+//! (`Blockmodel::validate`); debug builds and the tests re-prove it on
+//! every iteration, from a whole graph, never through a collective.
+//!
 //! Resume, an explicit starting partition (DC-SBP's fine-tune, Alg. 3
 //! line 23), warm start with dirty-set filtering and its refine pass are
 //! features of the loop, handled once for every plane. [`solve_sbp`] is
@@ -35,7 +53,7 @@ use crate::checkpoint::{strategy_tag, CheckpointState};
 use crate::golden::{BracketEntry, GoldenBracket, NextStep};
 use crate::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
 use crate::mcmc::{keyed_mh_sweep, AcceptedMove, ConvergenceCheck};
-use crate::merge::apply_merges;
+use crate::merge::merge_labels;
 use crate::plane::{LocalPlane, Plane};
 use crate::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome};
 use sbp_graph::{Graph, Vertex};
@@ -52,6 +70,8 @@ struct SolverMetrics {
     proposals: std::sync::Arc<sbp_metrics::Counter>,
     moves: std::sync::Arc<sbp_metrics::Counter>,
     merge_proposals: std::sync::Arc<sbp_metrics::Counter>,
+    graph_builds: std::sync::Arc<sbp_metrics::Counter>,
+    folds: std::sync::Arc<sbp_metrics::Counter>,
     merge_wall: std::sync::Arc<sbp_metrics::Histogram>,
     merge_cpu: std::sync::Arc<sbp_metrics::Histogram>,
     mcmc_wall: std::sync::Arc<sbp_metrics::Histogram>,
@@ -67,6 +87,8 @@ fn solver_metrics() -> &'static SolverMetrics {
         proposals: sbp_metrics::counter("sbp_solver_proposals_total"),
         moves: sbp_metrics::counter("sbp_solver_moves_total"),
         merge_proposals: sbp_metrics::counter("sbp_merge_proposals_total"),
+        graph_builds: sbp_metrics::counter("sbp_solver_graph_builds_total"),
+        folds: sbp_metrics::counter("sbp_solver_folds_total"),
         merge_wall: sbp_metrics::histogram(
             "sbp_solver_merge_wall_seconds",
             &sbp_metrics::TIME_BUCKETS,
@@ -307,6 +329,7 @@ pub fn golden_search<P: Plane>(
         vertices: plane.owned_vertices(),
         prev: Vec::new(),
         bracket: GoldenBracket::new(cfg.sbp.block_reduction_rate),
+        resident: Vec::new(),
         iterations: Vec::new(),
         cancelled: false,
     };
@@ -341,8 +364,35 @@ struct Search<'a, P: Plane> {
     /// Scratch for [`Plane::begin_phase`] / [`Plane::sync`].
     prev: Vec<u32>,
     bracket: GoldenBracket,
+    /// The models of the bracket entries [`GoldenBracket::next`] can hand
+    /// out as an iteration's start — `mid`'s always, `hi`'s once the
+    /// bracket is established — so an iteration top finds its start model
+    /// here instead of rebuilding it from the graph. A cache beside the
+    /// bracket, never part of it: entries keep their assignment vectors,
+    /// a snapshot carries none of this, and a resumed search starts empty.
+    resident: Vec<Blockmodel>,
     iterations: Vec<IterationStat>,
     cancelled: bool,
+}
+
+/// Whether `bm` is the model of bracket entry `entry` — the check behind
+/// every resident hit, O(V).
+fn is_model_of(bm: &Blockmodel, entry: &BracketEntry) -> bool {
+    bm.num_blocks() == entry.num_blocks && bm.assignment() == &entry.assignment[..]
+}
+
+/// Debug builds hold a model the search carried or folded against the one
+/// a rebuild gives, wherever the plane has a whole graph to rebuild from —
+/// never through a collective, so a debug and a release run issue the same
+/// collective schedule. Planes without one are held to it by their tests.
+fn debug_assert_equals_rebuild<P: Plane>(plane: &P, bm: &Blockmodel, what: &str) {
+    if let Some(graph) = plane.whole_graph().filter(|_| cfg!(debug_assertions)) {
+        let rebuilt = Blockmodel::from_assignment(graph, bm.assignment().to_vec(), bm.num_blocks());
+        assert!(
+            bm.same_state(&rebuilt),
+            "{what} model differs from its rebuild"
+        );
+    }
 }
 
 impl<P: Plane> Search<'_, P> {
@@ -385,7 +435,7 @@ impl<P: Plane> Search<'_, P> {
                 .or_else(|| warm.map(|w| (w.assignment.clone(), w.num_blocks)))
                 .unwrap_or_else(|| ((0..n as u32).collect(), n));
             let (assignment, num_blocks) = compact_labels(assignment, width);
-            let mut bm = plane.build(assignment, num_blocks)?;
+            let mut bm = self.build(assignment, num_blocks)?;
             self.progress.on_event(&ProgressEvent::Started {
                 num_vertices: n,
                 num_blocks,
@@ -409,10 +459,11 @@ impl<P: Plane> Search<'_, P> {
                 plane.agree(|| bm.description_length())?
             };
             self.bracket.seed(BracketEntry {
-                assignment: bm.into_assignment(),
+                assignment: bm.assignment().to_vec(),
                 num_blocks,
                 dl,
             });
+            self.settle_resident(bm);
             0
         };
 
@@ -429,13 +480,13 @@ impl<P: Plane> Search<'_, P> {
                 break;
             };
             let from_blocks = start.num_blocks;
-            let bm = plane.build(start.assignment, start.num_blocks)?;
+            let start = self.start_model(start)?;
 
             // Solver-layer metrics are the root's alone: every participant
             // walks the same loop, so an ungated count would be multiplied
             // by the participant count.
             let merge_clock = root.then(phase_clock).flatten();
-            let mut bm = merge_step(plane, &bm, blocks_to_merge, scfg, iter_idx)?;
+            let mut bm = merge_step(plane, start, blocks_to_merge, scfg, iter_idx)?;
             record_phase_timing(merge_clock, |m| (&m.merge_wall, &m.merge_cpu));
             self.progress.on_event(&ProgressEvent::Merged {
                 iteration: iter_idx,
@@ -461,10 +512,11 @@ impl<P: Plane> Search<'_, P> {
                 stat: stat.clone(),
             });
             self.bracket.record(BracketEntry {
-                assignment: bm.into_assignment(),
+                assignment: bm.assignment().to_vec(),
                 num_blocks: stat.num_blocks,
                 dl: stat.dl,
             });
+            self.settle_resident(bm);
             self.iterations.push(stat);
             if root {
                 self.maybe_checkpoint(iter_idx + 1);
@@ -475,6 +527,47 @@ impl<P: Plane> Search<'_, P> {
             }
         }
         Ok(())
+    }
+
+    /// [`Plane::build`], counted: the root's answer to "how many times did
+    /// this run walk the graph?".
+    fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, P::Error> {
+        if self.plane.is_root() && sbp_metrics::enabled() {
+            solver_metrics().graph_builds.inc();
+        }
+        self.plane.build(assignment, num_blocks)
+    }
+
+    /// The model an iteration starts from: the resident one when the
+    /// search holds the model of `start` — a verified hit, never a guess —
+    /// else built from the graph and kept (the first iteration of a
+    /// resumed search; the first upper-interval probe after the bracket
+    /// is established, whose `hi` was not worth holding until then).
+    fn start_model(&mut self, start: BracketEntry) -> Result<&Blockmodel, P::Error> {
+        let at = match self.resident.iter().position(|bm| is_model_of(bm, &start)) {
+            Some(at) => at,
+            None => {
+                let built = self.build(start.assignment, start.num_blocks)?;
+                self.resident.push(built);
+                self.resident.len() - 1
+            }
+        };
+        debug_assert_equals_rebuild(self.plane, &self.resident[at], "resident");
+        Ok(&self.resident[at])
+    }
+
+    /// Takes in the model of the entry the bracket has just been given and
+    /// lets go of every model [`GoldenBracket::next`] can no longer hand
+    /// out. What stays gives its sparse lines' growth slack back: the
+    /// search holds up to two models besides the one it sweeps, and lines
+    /// that doubled on their last insert are a quarter of a high-`C` one.
+    fn settle_resident(&mut self, bm: Blockmodel) {
+        self.resident.push(bm);
+        let (hi, mid, _) = self.bracket.parts();
+        let hi = hi.filter(|_| self.bracket.established());
+        self.resident
+            .retain(|bm| [mid, hi].into_iter().flatten().any(|e| is_model_of(bm, e)));
+        self.resident.iter_mut().for_each(Blockmodel::shrink_to_fit);
     }
 
     fn cancel(&mut self, iteration: usize) {
@@ -590,8 +683,11 @@ impl<P: Plane> Search<'_, P> {
 }
 
 /// One merge phase on `plane` (paper Alg. 1 / Alg. 4): gather every
-/// participant's proposals, apply the best `blocks_to_merge` merges,
-/// rebuild compactly.
+/// participant's proposals, choose the best `blocks_to_merge` merges, and
+/// fold `bm`'s own lines through them. Every participant holds the same
+/// integers and folds them through the same relabelling, so the merged
+/// replicas agree without exchanging a cell — "apply the agreed merges to
+/// the blockmodel", as Alg. 4 has it.
 fn merge_step<P: Plane>(
     plane: &P,
     bm: &Blockmodel,
@@ -607,13 +703,17 @@ fn merge_step<P: Plane>(
     if plane.is_root() && sbp_metrics::enabled() {
         let evaluated = cands.len() * cfg.merge_proposals_per_block;
         solver_metrics().merge_proposals.add(evaluated as u64);
+        solver_metrics().folds.inc();
     }
-    let (assignment, num_blocks) = apply_merges(bm, cands, blocks_to_merge);
-    plane.build(assignment, num_blocks)
+    let (label, num_blocks) = merge_labels(bm.num_blocks(), cands, blocks_to_merge);
+    let merged = bm.merged(&label, num_blocks);
+    debug_assert_equals_rebuild(plane, &merged, "merged");
+    Ok(merged)
 }
 
 /// One single-node merge phase: propose for all blocks, apply the best
-/// `blocks_to_merge` merges, rebuild compactly.
+/// `blocks_to_merge` merges to `bm`'s own lines (`graph` is `bm`'s; the
+/// fold does not read it).
 pub fn merge_phase(
     graph: &Graph,
     bm: &Blockmodel,
@@ -827,6 +927,243 @@ mod tests {
         assert_eq!(checked, res.iterations.len());
         assert!(checked > 0 && res.iterations.iter().all(|s| s.sweeps > 0));
         assert!(res.description_length <= initial);
+    }
+
+    /// What a search did to its plane, in call order.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Call {
+        /// `build` of a model with this many blocks.
+        Build(usize),
+        /// `merge_candidates`: an iteration top handed over its start model.
+        Iteration,
+    }
+
+    /// The [`LocalPlane`], logging its [`Call`]s and holding every model
+    /// the search shows it — the start model of each iteration (built or
+    /// resident) and the model each MCMC phase opens on (folded, or the
+    /// warm seed) — to a rebuild from the graph. A release run checks the
+    /// same as a debug one.
+    struct WatchedPlane<'a> {
+        graph: &'a Graph,
+        inner: LocalPlane<'a>,
+        calls: std::cell::RefCell<Vec<Call>>,
+    }
+
+    impl<'a> WatchedPlane<'a> {
+        fn new(graph: &'a Graph) -> Self {
+            WatchedPlane {
+                graph,
+                inner: LocalPlane::new(graph),
+                calls: Default::default(),
+            }
+        }
+
+        fn assert_is_rebuild(&self, bm: &Blockmodel) {
+            let rebuilt =
+                Blockmodel::from_assignment(self.graph, bm.assignment().to_vec(), bm.num_blocks());
+            assert!(
+                bm.same_state(&rebuilt),
+                "carried model at C = {}",
+                bm.num_blocks()
+            );
+        }
+    }
+
+    impl Plane for WatchedPlane<'_> {
+        type Error = std::convert::Infallible;
+
+        fn is_root(&self) -> bool {
+            true
+        }
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+        fn total_edge_weight(&self) -> i64 {
+            self.inner.total_edge_weight()
+        }
+        fn sweep_graph(&self) -> &Graph {
+            self.graph
+        }
+        fn owned_vertices(&self) -> Vec<Vertex> {
+            self.inner.owned_vertices()
+        }
+        fn whole_graph(&self) -> Option<&Graph> {
+            Some(self.graph)
+        }
+        fn build(
+            &self,
+            assignment: Vec<u32>,
+            num_blocks: usize,
+        ) -> Result<Blockmodel, Self::Error> {
+            self.calls.borrow_mut().push(Call::Build(num_blocks));
+            self.inner.build(assignment, num_blocks)
+        }
+        fn merge_candidates(
+            &self,
+            bm: &Blockmodel,
+            proposals_per_block: usize,
+            seed: u64,
+        ) -> Result<Vec<crate::merge::MergeCandidate>, Self::Error> {
+            self.calls.borrow_mut().push(Call::Iteration);
+            self.assert_is_rebuild(bm);
+            self.inner.merge_candidates(bm, proposals_per_block, seed)
+        }
+        fn begin_phase(&self, bm: &Blockmodel, _prev: &mut Vec<u32>) {
+            self.assert_is_rebuild(bm);
+        }
+        fn sync(
+            &self,
+            bm: &mut Blockmodel,
+            prev: &mut Vec<u32>,
+            pending: &[AcceptedMove],
+        ) -> Result<usize, Self::Error> {
+            self.inner.sync(bm, prev, pending)
+        }
+        fn agree<T: Clone + Send + sbp_mpi::Wire + 'static>(
+            &self,
+            on_root: impl FnOnce() -> T,
+        ) -> Result<T, Self::Error> {
+            self.inner.agree(on_root)
+        }
+        fn clock(&self) -> f64 {
+            self.inner.clock()
+        }
+    }
+
+    /// `count` k-cliques in a chain, neighbours joined by one edge.
+    fn clique_chain(count: u32, k: u32) -> Graph {
+        let mut edges = Vec::new();
+        for c in 0..count {
+            for i in 0..k {
+                for j in (0..k).filter(|&j| j != i) {
+                    edges.push((c * k + i, c * k + j, 1));
+                }
+            }
+            if c > 0 {
+                edges.push(((c - 1) * k, c * k, 1));
+            }
+        }
+        Graph::from_edges((count * k) as usize, edges)
+    }
+
+    /// The search's calls on a watched plane over `graph`, with its outcome.
+    fn watched(graph: &Graph, cfg: &RunConfig) -> (Vec<Call>, RunOutcome) {
+        let plane = WatchedPlane::new(graph);
+        let (out, _) = golden_search(&plane, None, cfg, 1, &mut NoProgress);
+        (plane.calls.into_inner(), out)
+    }
+
+    /// A solve builds its blockmodel from the graph once. Cold: the seed,
+    /// then at most one more — the `hi` of the freshly established bracket,
+    /// whose model was let go while the search was still agglomerating —
+    /// and never the same entry twice. Warm: the same, and the seed alone
+    /// when the search stays at the warm block count. Resumed: nothing is
+    /// resident, so the first iteration builds its start, and the same
+    /// one-miss allowance holds after it. Every other iteration
+    /// starts from a resident model, which `WatchedPlane` holds to a
+    /// rebuild — as it does every folded one.
+    #[test]
+    fn a_solve_builds_from_the_graph_once() {
+        use crate::run::{CheckpointSpec, WarmStart};
+        let g = clique_chain(6, 6);
+        let n = g.num_vertices();
+        let builds = |calls: &[Call]| -> Vec<usize> {
+            calls
+                .iter()
+                .filter_map(|c| match c {
+                    Call::Build(blocks) => Some(*blocks),
+                    Call::Iteration => None,
+                })
+                .collect()
+        };
+        let mut missed_hi = false;
+        for seed in 1..=3u64 {
+            let path = std::env::temp_dir()
+                .join(format!("sbp_resident_{}_{seed}.sbpc", std::process::id()));
+            let mut cfg = RunConfig::seeded(seed);
+            cfg.checkpoint = Some(CheckpointSpec {
+                path: path.clone(),
+                every: 1,
+            });
+            let (calls, cold) = watched(&g, &cfg);
+            let iterations = calls.iter().filter(|c| **c == Call::Iteration).count();
+            assert_eq!(iterations, cold.iterations.len());
+            assert!(iterations >= 4, "seed {seed}: fixture too small");
+            let built = builds(&calls);
+            assert_eq!(
+                calls[0],
+                Call::Build(n),
+                "seed {seed}: the seed is built first"
+            );
+            assert!(built.len() <= 2, "seed {seed}: built {built:?}");
+            if let Some(&hi) = built.get(1) {
+                missed_hi = true;
+                assert!(cold.num_blocks < hi && hi < n, "seed {seed}: {hi} is no hi");
+            }
+
+            // The last snapshot is the finished search; one written earlier
+            // needs a truncated run. Cancel after three iterations.
+            let mut cut = RunConfig::seeded(seed);
+            cut.checkpoint = cfg.checkpoint.clone();
+            let token = cut.cancel.clone();
+            let mut seen = 0usize;
+            let mut sink = crate::run::ProgressFn(|e: &ProgressEvent| {
+                if matches!(e, ProgressEvent::Iteration { .. }) {
+                    seen += 1;
+                    if seen == 3 {
+                        token.cancel();
+                    }
+                }
+            });
+            golden_search(&LocalPlane::new(&g), None, &cut, 1, &mut sink);
+            let state = CheckpointState::read_from(&path).expect("snapshot written");
+            std::fs::remove_file(&path).expect("snapshot removed");
+            assert_eq!(state.next_iter, 3);
+            let mut resumed_cfg = RunConfig::seeded(seed);
+            resumed_cfg.resume = Some(state);
+            let (calls, resumed) = watched(&g, &resumed_cfg);
+            assert!(
+                matches!(calls[..2], [Call::Build(_), Call::Iteration]),
+                "seed {seed}: a resumed search holds no model: {calls:?}"
+            );
+            let built = builds(&calls);
+            assert!(
+                built.len() <= 2 && built.first() != built.get(1),
+                "seed {seed}: resumed built {built:?}"
+            );
+            assert_eq!(resumed.assignment, cold.assignment, "seed {seed}");
+            assert_eq!(
+                resumed.description_length.to_bits(),
+                cold.description_length.to_bits()
+            );
+
+            // Warm, from where the cold search ended (the daemon's steady
+            // state): the polish pass and every iteration run on the one
+            // model built for the seed. From that result split in two, the
+            // seed can become the dropped `hi` — the cold allowance, no more.
+            let warm_cfg = RunConfig::seeded(seed)
+                .warm_start(WarmStart::new(cold.assignment.clone(), cold.num_blocks));
+            let (calls, warm) = watched(&g, &warm_cfg);
+            assert!(
+                warm.iterations.len() > 1,
+                "seed {seed}: warm run did not iterate"
+            );
+            assert_eq!(builds(&calls).len(), 1, "seed {seed}: warm built {calls:?}");
+            let split: Vec<u32> = (0..n as u32)
+                .map(|v| cold.assignment[v as usize] * 2 + v % 2)
+                .collect();
+            let warm_cfg =
+                RunConfig::seeded(seed).warm_start(WarmStart::new(split, cold.num_blocks * 2));
+            let (calls, _) = watched(&g, &warm_cfg);
+            assert!(
+                builds(&calls).len() <= 2,
+                "seed {seed}: warm built {calls:?}"
+            );
+        }
+        assert!(
+            missed_hi,
+            "no seed probed an upper interval from a dropped hi"
+        );
     }
 
     #[test]

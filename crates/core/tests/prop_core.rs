@@ -181,7 +181,7 @@ proptest! {
     ) {
         let g = Graph::from_edges(n, edges);
         let bm = Blockmodel::from_assignment(&g, assignment, c);
-        let compact = bm.compacted(&g);
+        let compact = bm.compacted();
         prop_assert!(compact.num_blocks() <= c);
         prop_assert!((bm.entropy() - compact.entropy()).abs() < 1e-9);
     }
@@ -938,6 +938,123 @@ fn chunked_pick_lands_where_the_cell_walk_lands() {
                 // One past the end walks off both lines.
                 assert_eq!(pick_by_cells(&dense, t, total, skip), Err(0), "C={c} t={t}");
             }
+        }
+    }
+}
+
+/// Holds `got` to `want` on everything a computation can read: assignment,
+/// every cell through the rows and through the columns in line order,
+/// degrees, storage kind, the `ln` caches and the DL `to_bits` — and
+/// [`Blockmodel::same_state`], the one-call form of the same claim the
+/// search's debug assertions use, must agree with the long form.
+fn assert_same_model(got: &Blockmodel, want: &Blockmodel, case: &str) {
+    assert_eq!(got.num_blocks(), want.num_blocks(), "{case}: block count");
+    assert_eq!(got.storage_kind(), want.storage_kind(), "{case}: storage");
+    assert_eq!(got.assignment(), want.assignment(), "{case}: assignment");
+    for b in 0..want.num_blocks() as u32 {
+        let (row, col): (Vec<_>, Vec<_>) = (got.row_iter(b).collect(), got.col_iter(b).collect());
+        assert_eq!(row, want.row_iter(b).collect::<Vec<_>>(), "{case}: row {b}");
+        assert_eq!(col, want.col_iter(b).collect::<Vec<_>>(), "{case}: col {b}");
+        assert_eq!(
+            (got.d_out(b), got.d_in(b)),
+            (want.d_out(b), want.d_in(b)),
+            "{case}: degrees of {b}"
+        );
+        assert_eq!(
+            (got.ln_d_out(b).to_bits(), got.ln_d_in(b).to_bits()),
+            (want.ln_d_out(b).to_bits(), want.ln_d_in(b).to_bits()),
+            "{case}: ln caches of {b}"
+        );
+    }
+    assert_eq!(
+        got.description_length().to_bits(),
+        want.description_length().to_bits(),
+        "{case}: DL"
+    );
+    assert!(got.same_state(want), "{case}: same_state disagrees");
+}
+
+/// `Blockmodel::merged` ≡ `from_assignment` of the relabelled assignment:
+/// the fold of a model's own lines lands on the model a walk of the graph
+/// builds, on random multigraphs (repeated pairs fold into heavier arcs)
+/// with planted self-loops, from both storages of the source, through
+/// relabellings that merge nothing, merge everything, leave target blocks
+/// empty, and put the target on either side of each edge of the storage
+/// rule — C′ = 64 | 65, the largest dense C′ under `4·E ≥ C′²` and the one
+/// above it, C′ = 1024 | 1025 (the heavy graph, whose E keeps 1024 dense).
+#[test]
+fn merged_equals_from_assignment() {
+    use rand::Rng;
+    use sbp_core::auto_picks_dense;
+    let mut rng = SmallRng::seed_from_u64(24);
+    // (vertices, arcs, heaviest arc): E ≈ 6 k, and E ≈ 400 k ≥ 1024²/4.
+    for (n, arcs, heaviest) in [(1100u32, 3000usize, 3i64), (1100, 4000, 200)] {
+        let mut edges: Vec<(u32, u32, i64)> = (0..arcs)
+            .map(|_| {
+                (
+                    rng.random_range(0..n),
+                    rng.random_range(0..n),
+                    rng.random_range(1..=heaviest),
+                )
+            })
+            .collect();
+        edges.extend((0..n).step_by(37).map(|v| (v, v, 2)));
+        let g = Graph::from_edges(n as usize, edges);
+        let e = g.total_edge_weight();
+        // The two block counts astride the occupancy edge of the rule.
+        let brim = (65..=1024usize)
+            .rev()
+            .find(|&c| auto_picks_dense(c, e))
+            .expect("E keeps some C > 64 dense");
+        assert!(
+            heaviest == 3 || brim == 1024,
+            "the heavy graph reaches 1024"
+        );
+
+        // Sources: the identity partition (sparse by rule, C = V), and
+        // partitions into 300 and 40 blocks, a few of them left empty.
+        let sources: [(Vec<u32>, usize); 3] = [
+            ((0..n).collect(), n as usize),
+            ((0..n).map(|v| v * 7 % 290).collect(), 300),
+            ((0..n).map(|_| rng.random_range(0..38)).collect(), 40),
+        ];
+        for (assignment, c) in sources {
+            let mut targets = vec![c, 1, 64, 65, brim, brim + 1, 1024, 1025];
+            targets.retain(|&t| t <= c);
+            for kind in [StorageKind::Dense, StorageKind::Sparse] {
+                let bm = Blockmodel::from_assignment_with(&g, assignment.clone(), c, kind);
+                for &to in &targets {
+                    // Identity at `to == c`; otherwise a random map that
+                    // uses about three quarters of the target ids, so some
+                    // stay empty — plus one map onto all of them.
+                    let maps: Vec<Vec<u32>> = if to == c {
+                        vec![(0..c as u32).collect()]
+                    } else {
+                        let used = (to * 3).div_ceil(4) as u32;
+                        vec![
+                            (0..c).map(|_| rng.random_range(0..used)).collect(),
+                            (0..c as u32).map(|b| b % to as u32).collect(),
+                        ]
+                    };
+                    for label in maps {
+                        let relabelled: Vec<u32> =
+                            assignment.iter().map(|&b| label[b as usize]).collect();
+                        let want = Blockmodel::from_assignment(&g, relabelled, to);
+                        let case = format!("E={e} {kind:?} C={c} → C′={to}");
+                        assert_eq!(
+                            want.storage_kind() == StorageKind::Dense,
+                            auto_picks_dense(to, e),
+                            "{case}"
+                        );
+                        assert_same_model(&bm.merged(&label, to), &want, &case);
+                    }
+                }
+            }
+            // Compaction is the fold that merges nothing.
+            let bm = Blockmodel::from_assignment(&g, assignment.clone(), c);
+            let (compact, width) = sbp_core::compact_labels(assignment, c);
+            let want = Blockmodel::from_assignment(&g, compact, width);
+            assert_same_model(&bm.compacted(), &want, &format!("E={e} C={c} compacted"));
         }
     }
 }

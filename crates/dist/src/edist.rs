@@ -10,9 +10,12 @@
 //!
 //! 1. **Merge phase** (Alg. 4): rank `r` evaluates merge proposals for
 //!    the blocks it owns (`b mod n == r`), the candidate lists are
-//!    allgathered, and every rank applies the identical best merge set
-//!    (the candidate order is normalized by `apply_merges`' total-order
-//!    sort, so replicas stay bit-identical).
+//!    allgathered — the phase's one collective — and every rank applies
+//!    the identical best merge set to the replica it holds: the candidate
+//!    order is normalized by `merge_labels`' total-order sort, and
+//!    `Blockmodel::merged` folds the replica's own lines through the
+//!    resulting relabelling, so replicas stay bit-identical without
+//!    exchanging a cell.
 //! 2. **MCMC phase** (Alg. 5): rank `r` sweeps the vertices it owns
 //!    against its replica, accepted moves are allgathered every
 //!    `sync_period` sweeps, and each rank applies its peers' moves. Since
@@ -36,8 +39,9 @@
 //! disagree on control flow (that would mismatch the collective
 //! schedule), and as defense in depth for the DL.
 //!
-//! How the replica is (re)built and how peers' moves reach it is the one
-//! thing that differs between a replicated graph and `.sbps` shards; that
+//! How the replica is built from the graph (a search's seed, a resume, a
+//! bracket entry whose model was let go) and how peers' moves reach it is
+//! the one thing that differs between a replicated graph and `.sbps` shards; that
 //! is `EdistData`, with `ReplicatedData` here and
 //! [`crate::sharded`]'s plane over shards.
 
@@ -53,8 +57,8 @@ use sbp_mpi::{Communicator, Wire};
 use std::cell::RefCell;
 use std::time::Instant;
 
-/// The data a rank runs against: how the replicated blockmodel is
-/// (re)built and how peers' moves reach the replica. Everything else —
+/// The data a rank runs against: how the replicated blockmodel is built
+/// from the graph and how peers' moves reach the replica. Everything else —
 /// control flow, collective schedule, events — is shared, so a change to
 /// the schedule cannot desynchronize one deployment but not the other.
 /// [`crate::dcsbp`]'s driver runs over the same data for the same reason.
@@ -293,6 +297,10 @@ impl<C: Communicator, D: EdistData> Plane for DistPlane<'_, C, D> {
 
     fn owned_vertices(&self) -> Vec<Vertex> {
         self.data.my_vertices().to_vec()
+    }
+
+    fn whole_graph(&self) -> Option<&Graph> {
+        self.data.whole_graph()
     }
 
     fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, DistError> {

@@ -14,12 +14,17 @@
 //! for owned vertices. The two places the monolithic driver walks the
 //! whole graph are replaced by integer-exact collectives:
 //!
-//! * **Blockmodel (re)builds** (`Blockmodel::from_assignment` at
-//!   iteration start and after merges): each rank derives the matrix
-//!   cells of its owned out-arcs and one allgather sums them —
-//!   [`Blockmodel::from_parts`] then yields the *identical integer
-//!   matrix* on every rank, because integer addition is
-//!   order-independent.
+//! * **The blockmodel build** (`Blockmodel::from_assignment`): each rank
+//!   derives the matrix cells of its owned out-arcs and one allgather
+//!   sums them — [`Blockmodel::from_parts`] then yields the *identical
+//!   integer matrix* on every rank, because integer addition is
+//!   order-independent. A search pays this for its seed, for the first
+//!   iteration after a resume, and at most once more for a bracket entry
+//!   whose model it let go (`Plane::build`). It does **not** pay it per
+//!   merge: as in the paper's Alg. 4, every rank applies the agreed merges
+//!   to the replica it already holds — `Blockmodel::merged` folds the
+//!   replica's own lines through the block relabelling, the same integers
+//!   on every rank, no graph and no collective involved.
 //! * **Peer move application** (`move_vertex` needs the mover's
 //!   adjacency): ranks exchange pre-aggregated matrix **cell deltas**
 //!   instead. With `A_prev` the assignment at the last sync and `A_next`
@@ -297,9 +302,9 @@ fn sharded_sync<C: Communicator>(
 // ------------------------------------------------------------ data plane
 
 /// The sharded [`EdistData`] plane: sweeps run on the local (owned-only)
-/// graph, blockmodel builds go through the summed-cell collective (the
-/// identity start is already compact, so it is built like any other
-/// assignment), and peer moves apply via the cell-delta sync. The control
+/// graph, a blockmodel build from the graph goes through the summed-cell
+/// collective (the identity start is already compact, so it is built like
+/// any other assignment), and peer moves apply via the cell-delta sync. The control
 /// loop is the replicated plane's, so the two can never drift apart.
 pub(crate) struct ShardedData<'a> {
     pub(crate) dg: &'a DistGraph,
@@ -349,8 +354,10 @@ impl EdistData for ShardedData<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{dist_blockmodel, own_share, sharded_sync};
+    use super::{dist_blockmodel, own_share, sharded_sync, ShardedData};
     use crate::distgraph::{load_dist_graph, DistGraph, ShardIngestReport};
+    use crate::edist::DistPlane;
+    use crate::error::DistError;
     use crate::exchange::{CellFold, ExchangeStats};
     use crate::fault::FaultPlan;
     use crate::run::{run_sharded, ShardedBackend};
@@ -358,13 +365,17 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use sbp_core::mcmc::AcceptedMove;
+    use sbp_core::merge::MergeCandidate;
+    use sbp_core::plane::Plane;
     use sbp_core::run::{CancelToken, NoProgress, RunConfig, RunOutcome, Solver};
-    use sbp_core::{Blockmodel, SbpConfig, StorageKind};
+    use sbp_core::sbp::golden_search;
+    use sbp_core::{Blockmodel, McmcStrategy, SbpConfig, StorageKind};
     use sbp_graph::fixtures::two_cliques;
     use sbp_graph::shard::{shard_graph, validate_shard_dir};
     use sbp_graph::{Graph, OwnershipStrategy, Vertex, Weight};
     use sbp_mpi::thread::ThreadComm;
-    use sbp_mpi::{Communicator, CostModel, ThreadCluster};
+    use sbp_mpi::{Communicator, CostModel, ThreadCluster, Wire};
+    use std::cell::RefCell;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -535,6 +546,155 @@ mod tests {
                     whole.description_length().to_bits()
                 );
             }
+        }
+    }
+
+    /// A rank's [`DistPlane`] over shards as the golden search drives it,
+    /// logging the rank's collective count at every `build` and at every
+    /// iteration's merge-candidate gather, and holding each replica the
+    /// search hands it — an iteration's start model, the folded model its
+    /// MCMC phase opens on — to a monolithic build from the whole graph,
+    /// which the test has and the rank does not.
+    struct WatchedPlane<'a, C: Communicator> {
+        inner: DistPlane<'a, C, ShardedData<'a>>,
+        comm: &'a C,
+        whole: &'a Graph,
+        /// `(is a build, collectives issued before the call)`.
+        log: RefCell<Vec<(bool, u64)>>,
+    }
+
+    impl<C: Communicator> WatchedPlane<'_, C> {
+        fn note(&self, build: bool) {
+            let at = self.comm.stats().collectives;
+            self.log.borrow_mut().push((build, at));
+        }
+
+        fn assert_is_monolithic(&self, bm: &Blockmodel) {
+            bm.validate(self.whole).expect("replica equals a rebuild");
+            let labels = bm.assignment().to_vec();
+            let mono = Blockmodel::from_assignment(self.whole, labels, bm.num_blocks());
+            assert!(bm.same_state(&mono), "replica at C = {}", bm.num_blocks());
+        }
+    }
+
+    impl<C: Communicator> Plane for WatchedPlane<'_, C> {
+        type Error = DistError;
+
+        fn is_root(&self) -> bool {
+            self.inner.is_root()
+        }
+        fn num_vertices(&self) -> usize {
+            self.inner.num_vertices()
+        }
+        fn total_edge_weight(&self) -> i64 {
+            self.inner.total_edge_weight()
+        }
+        fn sweep_graph(&self) -> &Graph {
+            self.inner.sweep_graph()
+        }
+        fn owned_vertices(&self) -> Vec<Vertex> {
+            self.inner.owned_vertices()
+        }
+        fn whole_graph(&self) -> Option<&Graph> {
+            self.inner.whole_graph()
+        }
+        fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, DistError> {
+            self.note(true);
+            self.inner.build(assignment, num_blocks)
+        }
+        fn merge_candidates(
+            &self,
+            bm: &Blockmodel,
+            proposals_per_block: usize,
+            seed: u64,
+        ) -> Result<Vec<MergeCandidate>, DistError> {
+            self.assert_is_monolithic(bm);
+            self.note(false);
+            self.inner.merge_candidates(bm, proposals_per_block, seed)
+        }
+        fn begin_phase(&self, bm: &Blockmodel, prev: &mut Vec<u32>) {
+            self.assert_is_monolithic(bm);
+            self.inner.begin_phase(bm, prev);
+        }
+        fn sync(
+            &self,
+            bm: &mut Blockmodel,
+            prev: &mut Vec<u32>,
+            pending: &[AcceptedMove],
+        ) -> Result<usize, DistError> {
+            self.inner.sync(bm, prev, pending)
+        }
+        fn agree<T: Clone + Send + Wire + 'static>(
+            &self,
+            on_root: impl FnOnce() -> T,
+        ) -> Result<T, DistError> {
+            self.inner.agree(on_root)
+        }
+        fn clock(&self) -> f64 {
+            self.inner.clock()
+        }
+    }
+
+    /// The collective schedule of a sharded search, pinned per iteration:
+    /// from one iteration's merge-candidate allgather up to the next one's,
+    /// a rank issues that allgather, the phase's opening DL agreement, one
+    /// allgather and one agreement per sync point, the next iteration top's
+    /// cancel agreement — and nothing else: no cell allgather after the
+    /// seed's, bar the one build of a dropped `hi`. Every replica the search
+    /// starts from or folds equals the monolithic build (`WatchedPlane`),
+    /// on a trajectory that crosses from sparse into dense storage.
+    #[test]
+    fn merges_fold_the_replica_without_a_collective() {
+        let g = sbp_graph::fixtures::clique_ring(60);
+        for ranks in [2usize, 3] {
+            let cfg = RunConfig::from_sbp(SbpConfig {
+                seed: 5,
+                strategy: McmcStrategy::Batch,
+                ..SbpConfig::default()
+            });
+            let per_rank = on_each_rank(&format!("fold{ranks}"), &g, ranks, |comm, dg| {
+                let data = ShardedData { dg };
+                let plane = WatchedPlane {
+                    inner: DistPlane::new(comm, &data),
+                    comm,
+                    whole: &g,
+                    log: RefCell::default(),
+                };
+                let (out, error) = golden_search(&plane, None, &cfg, 1, &mut NoProgress);
+                assert!(error.is_none());
+                (plane.log.into_inner(), out)
+            });
+            let (log, out) = &per_rank[0];
+            assert!(
+                per_rank.iter().all(|(l, _)| l == log),
+                "ranks share a schedule"
+            );
+            assert!(out.iterations.len() >= 6, "fixture too small");
+            assert!(log[0].0, "the seed is built first");
+            let later_builds = log[1..].iter().filter(|(build, _)| *build).count();
+            assert!(later_builds <= 1, "{later_builds} builds after the seed");
+
+            let tops: Vec<usize> = (0..log.len()).filter(|&i| !log[i].0).collect();
+            assert_eq!(tops.len(), out.iterations.len());
+            for (i, pair) in tops.windows(2).enumerate() {
+                let issued = log[pair[1]].1 - log[pair[0]].1;
+                let built = (pair[0]..pair[1]).filter(|&j| log[j].0).count() as u64;
+                let syncs = out.iterations[i].sweeps as u64;
+                assert_eq!(
+                    issued,
+                    1 + 1 + 2 * syncs + 1 + built,
+                    "{ranks} ranks, iteration {i}"
+                );
+            }
+            let kinds: Vec<bool> = out
+                .iterations
+                .iter()
+                .map(|it| sbp_core::auto_picks_dense(it.num_blocks, g.total_edge_weight()))
+                .collect();
+            assert!(
+                kinds.contains(&false) && kinds.contains(&true),
+                "one regime only"
+            );
         }
     }
 

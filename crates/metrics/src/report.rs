@@ -65,6 +65,7 @@ pub fn render(lines: &[Value]) -> Result<String, String> {
     body.push_str(&dl_section(&sweeps, &iterations));
     body.push_str(&acceptance_section(&sweeps));
     if let Some(snap) = &snapshot {
+        body.push_str(&solver_section(snap));
         body.push_str(&block_size_section(snap));
         body.push_str(&per_rank_bytes_section(snap));
         body.push_str(&per_rank_sync_section(snap));
@@ -326,6 +327,39 @@ fn acceptance_section(sweeps: &[SweepPoint]) -> String {
     format!("<h2>Acceptance rate</h2>{chart}")
 }
 
+/// The solver's work as counts (root's view): how far the search went,
+/// and how often it walked the graph to build a blockmodel against how
+/// often it folded one it already held.
+fn solver_section(snap: &Snapshot) -> String {
+    let mut rows = String::new();
+    for (label, name) in [
+        ("golden-search iterations", "sbp_solver_iterations_total"),
+        ("sync points (sweeps)", "sbp_solver_sweeps_total"),
+        (
+            "move proposals (root's share)",
+            "sbp_solver_proposals_total",
+        ),
+        ("moves accepted", "sbp_solver_moves_total"),
+        ("merge proposals evaluated", "sbp_merge_proposals_total"),
+        (
+            "blockmodels built from the graph",
+            "sbp_solver_graph_builds_total",
+        ),
+        (
+            "blockmodels folded from a held one",
+            "sbp_solver_folds_total",
+        ),
+    ] {
+        if let Some(MetricValue::Counter(n)) = snap.metrics.get(name) {
+            let _ = write!(rows, "<tr><th>{}</th><td>{n}</td></tr>", esc(label));
+        }
+    }
+    if rows.is_empty() {
+        return String::new();
+    }
+    format!("<h2>Solver</h2><table class=\"kv\">{rows}</table>")
+}
+
 fn block_size_section(snap: &Snapshot) -> String {
     let Some(MetricValue::Histogram { bounds, counts, .. }) =
         snap.metrics.get("sbp_solver_block_size")
@@ -477,6 +511,8 @@ mod tests {
         crate::counter(&crate::labeled("sbp_wire_sync_wait_ns_total", "rank", 0)).add(1_500_000);
         crate::counter(&crate::labeled("sbp_pool_tasks_total", "worker", 1)).add(4);
         crate::histogram("sbp_solver_block_size", &crate::SIZE_BUCKETS).observe(3.0);
+        crate::counter("sbp_solver_graph_builds_total").add(2);
+        crate::counter("sbp_solver_folds_total").add(16);
         let snap_json = crate::snapshot().to_json().to_string();
         let lines = vec![
             line(r#"{"type":"meta","schema":1,"backend":"batch","seed":7,"vertices":16}"#),
@@ -499,6 +535,8 @@ mod tests {
         assert!(html.contains("polyline"));
         assert!(html.contains("sbp_pool_tasks_total"));
         assert!(html.contains("<td>0</td><td>5.0</td><td>3.5</td><td>1.5</td>"));
+        assert!(html.contains("<th>blockmodels built from the graph</th><td>2</td>"));
+        assert!(html.contains("<th>blockmodels folded from a held one</th><td>16</td>"));
         // Self-contained: no external fetches.
         assert!(!html.contains("http-equiv"));
         assert!(!html.contains("src=\"http"));

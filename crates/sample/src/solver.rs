@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome, Solver};
-use sbp_core::Blockmodel;
+use sbp_core::{compact_labels, Blockmodel};
 use sbp_graph::{induced_subgraph, Graph, Vertex};
 
 /// Decorates an inner solver with sampling-based data reduction
@@ -115,9 +115,10 @@ impl<S: Solver> Solver for Sampled<S> {
         progress.on_event(&ProgressEvent::PhaseStarted { phase: "extend" });
         let assignment = extend_partition(graph, &sampled, &inner_out.assignment);
 
-        // Rebuild the blockmodel on the full graph and optionally fine-tune.
-        let num_blocks = inner_out.num_blocks.max(1);
-        let mut bm = Blockmodel::from_assignment(graph, assignment, num_blocks).compacted(graph);
+        // Build the blockmodel on the full graph — once, from labels that
+        // are already compact — and optionally fine-tune.
+        let (assignment, num_blocks) = compact_labels(assignment, inner_out.num_blocks.max(1));
+        let mut bm = Blockmodel::from_assignment(graph, assignment, num_blocks);
         if self.finetune_sweeps > 0 && !cfg.cancel.is_cancelled() {
             progress.on_event(&ProgressEvent::PhaseStarted { phase: "finetune" });
             let vertices: Vec<Vertex> = (0..n as Vertex).collect();

@@ -2,7 +2,7 @@
 # Byte-identity A/B of two edist-cli builds: the same inputs and seeds
 # through every backend, assignment and --trajectory-out files compared
 # with cmp, and a resident daemon's warm rounds, snapshot and stats
-# compared. A change that keeps "the same bits" must report 66/66.
+# compared. A change that keeps "the same bits" must report 78/78.
 #
 #   scripts/ab_trajectories.sh <parent-bin> <change-bin> [workdir]
 #
@@ -17,6 +17,14 @@
 # the BENCHMARK.json workloads, 2 ranks wherever ranks apply and nothing
 # else is said. Inputs are written once, by the parent binary; both
 # builds read the same files.
+# Resume cells, after the `sequential` and `edist-thread-shards-batch`
+# cells (a single-node and a sharded search): the same run again with
+# `--checkpoint`, thinned by `--checkpoint-every` to the one snapshot just
+# past the middle of the uninterrupted trajectory, then `--resume` from
+# it in a fresh process. The resumed assignment and trajectory must equal
+# the uninterrupted cell's on each side, and the two sides' .sbpc bytes
+# each other's — a resumed search is the one start that holds no
+# blockmodel from an earlier iteration.
 # Daemon cells (the serve_warm workload's path): `serve --seed S` on each
 # graph, then three rounds of one fixed `--ingest` batch (a self-loop in
 # it; the first round inserts its arcs, the later ones re-weight them) and
@@ -61,6 +69,23 @@ cells=(
     "dcsbp|--graph {g}.mtx --backend dcsbp --ranks 2"
 )
 
+# resume_cell <partition arguments> <seed>: leaves <side>.sbpc and the
+# resumed <side>.res.out / <side>.res.traj next to the uninterrupted
+# cell's <side>.out / <side>.traj; fails when a run does.
+resume_cell() {
+    local args=$1 seed=$2 side every
+    every=$((($(wc -l <parent.traj) - 1) / 2 + 1))
+    for side in parent change; do
+        rm -f $side.sbpc
+        # shellcheck disable=SC2086
+        "${!side}" partition $args --seed $seed --checkpoint $side.sbpc \
+            --checkpoint-every $every --out $side.ck.out >$side.log 2>&1 &&
+            "${!side}" partition $args --seed $seed --resume $side.sbpc \
+                --out $side.res.out --trajectory-out $side.res.traj >$side.log 2>&1 ||
+            return 1
+    done
+}
+
 total=0
 same=0
 for g in challenge scaling; do
@@ -83,6 +108,18 @@ for g in challenge scaling; do
                 echo "identical $g $name seed $seed"
             else
                 echo "DIFFERENT $g $name seed $seed"
+            fi
+            case $name in sequential | edist-thread-shards-batch) ;; *) continue ;; esac
+            total=$((total + 1))
+            if ! resume_cell "$args" $seed; then
+                echo "FAILED    $g $name-resume seed $seed (see $work/parent.log, $work/change.log)"
+            elif cmp -s parent.sbpc change.sbpc &&
+                cmp -s parent.out parent.res.out && cmp -s parent.traj parent.res.traj &&
+                cmp -s change.out change.res.out && cmp -s change.traj change.res.traj; then
+                same=$((same + 1))
+                echo "identical $g $name-resume seed $seed"
+            else
+                echo "DIFFERENT $g $name-resume seed $seed"
             fi
         done
     done
@@ -136,5 +173,5 @@ for g in challenge scaling; do
         fi
     done
 done
-echo "$same/$total cells byte-identical (assignment + trajectory; snapshot + stats)"
+echo "$same/$total cells byte-identical (assignment + trajectory; resume; snapshot + stats)"
 [ "$same" -eq "$total" ]

@@ -58,7 +58,14 @@ Five checks, from strongest to weakest signal:
    about a third of both sides), and an MH sweep at C = 20, where about
    half the draws name the vertex's own block, at most 0.9x a sweep that
    gathers before it draws (`sweep/mh_lowC`; 0.68 when recorded, 0.58-0.86
-   over seven runs, BENCH_pr23.json).
+   over seven runs, BENCH_pr23.json). (i) A merge's fold of the model it
+   holds (PR 24, `Blockmodel::merged`) against the rebuild from the graph
+   it replaced, same target model: at most 1.1x at C = 3000 -> 1500, where
+   the model has about as many cells as the graph has arcs and the fold
+   has no right to win (0.50 when recorded - one sort against a sort per
+   line), and at most 0.5x at C = 40 -> 20, where it reads a few hundred
+   cells against 71 k arcs and is what a warm daemon round saves (0.025
+   when recorded, BENCH_pr24.json).
 
 2. **Absolute guard vs the PR 1 record**: each proposal-kernel id's mean
    must stay within BENCH_TOL (default 1.5x, i.e. +50%) of the mean
@@ -156,7 +163,8 @@ PR8_GUARD = PR5_GUARD + [
 # proposal's line walks vs their reference twins; the sharded sync's
 # cell fold vs the BTreeMap it replaced; and one proposal evaluation and
 # one low-C sweep vs the twins that still look the corners up, test the
-# weights and gather before drawing.
+# weights and gather before drawing; and a merge's fold of the held model
+# vs the rebuild from the graph.
 RATIO_GUARDS = [
     ("edist/proposal_eval/adaptive_manyC", "edist/delta_entropy/dense_naive_manyC", 0.5),
     ("edist/proposal_eval/adaptive_hugeC", "edist/delta_entropy/dense_naive_hugeC", 0.5),
@@ -176,6 +184,9 @@ RATIO_GUARDS = [
         ("evaluate/sparse_C750", 0.9),
         ("sweep/mh_lowC", 0.9),
     )
+] + [
+    ("edist/blockmodel/merged_C3000_to_1500", "edist/blockmodel/from_assignment_C1500", 1.1),
+    ("edist/blockmodel/merged_C40_to_20", "edist/blockmodel/from_assignment_C20", 0.5),
 ]
 
 

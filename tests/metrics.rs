@@ -285,6 +285,18 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
         ),
         "merge_wall / merge_proposals must be readable from any run"
     );
+    // "How many times did this run walk the graph?" is a number the run
+    // answers: every iteration folds the model it starts from, and only
+    // the seed — and at most one dropped bracket `hi` — is built.
+    let count = |name: &str| match snap.metrics.get(name) {
+        Some(MetricValue::Counter(n)) => *n,
+        other => panic!("{name}: {other:?}"),
+    };
+    let iterations = count("sbp_solver_iterations_total");
+    assert!(iterations > 1, "fixture too small: {iterations} iterations");
+    assert_eq!(count("sbp_solver_folds_total"), iterations);
+    let builds = count("sbp_solver_graph_builds_total");
+    assert!((1..=2).contains(&builds), "{builds} graph builds");
     assert!(
         snap.metrics
             .keys()
