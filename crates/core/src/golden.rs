@@ -12,6 +12,13 @@
 //! because those DLs are themselves bit-stable: entropy sums accumulate
 //! over canonical matrix lines (see `crate::line`), making equal logical
 //! states produce equal bits in both the dense and sparse regimes.
+//!
+//! Which step comes next is a function of the three entries' block counts
+//! alone (the DLs only decide which entry lands where), so the search can
+//! ask ahead of time what [`GoldenBracket::next`] will say should the probe
+//! now running come out worse than `mid` —
+//! [`GoldenBracket::next_if_worse`], however much worse — and run that
+//! probe beside it (`crate::sbp`, "Overlapped probes").
 
 /// A stored search point: partition + its block count and description
 /// length. The partition is the dense assignment vector — all a snapshot
@@ -202,6 +209,30 @@ impl GoldenBracket {
             }
         }
     }
+
+    /// The step [`GoldenBracket::next`] takes after [`GoldenBracket::record`]
+    /// of an entry with `num_blocks` blocks and a description length worse
+    /// than `mid`'s: the entry it starts from and the merges it applies —
+    /// `next` itself, on a copy given a `dl = +∞` entry. `None` when that
+    /// step is `Done`, or starts from the recorded entry (which no caller
+    /// holds yet), or nothing is seeded.
+    pub fn next_if_worse(&self, num_blocks: usize) -> Option<(BracketEntry, usize)> {
+        self.mid.as_ref()?;
+        let mut after = self.clone();
+        after.record(BracketEntry {
+            assignment: Vec::new(),
+            num_blocks,
+            dl: f64::INFINITY,
+        });
+        match after.next() {
+            // Every other entry's DL is finite.
+            NextStep::Continue {
+                start,
+                blocks_to_merge,
+            } if start.dl.is_finite() => Some((start, blocks_to_merge)),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -355,5 +386,79 @@ mod tests {
             }
         }
         panic!("golden search failed to terminate");
+    }
+
+    /// Every bracket shape the tests above build, in order.
+    fn shapes() -> Vec<GoldenBracket> {
+        let seeded = |b, dl| {
+            let mut g = GoldenBracket::new(0.5);
+            g.seed(entry(b, dl));
+            g
+        };
+        let then = |g: &GoldenBracket, b, dl| {
+            let mut g = g.clone();
+            g.record(entry(b, dl));
+            g
+        };
+        let s100 = seeded(100, 1000.0);
+        let s50 = then(&s100, 50, 900.0);
+        let s25 = then(&s50, 25, 850.0);
+        let est = then(&s50, 25, 950.0);
+        let tight = then(&est, 40, 980.0);
+        let s10 = seeded(10, 100.0);
+        let s5 = then(&s10, 5, 200.0);
+        let s4 = then(&seeded(5, 100.0), 4, 90.0);
+        let narrow = then(&s4, 3, 95.0);
+        vec![
+            s100.clone(),
+            s50,
+            s25,
+            est,
+            then(&tight, 10, 990.0),
+            tight,
+            s10,
+            s5,
+            s4,
+            narrow,
+            seeded(1, 10.0),
+        ]
+    }
+
+    /// What the overlap relies on: the predicted step is the one `next`
+    /// asks for after the search records the probe's real, finite DL —
+    /// barely worse than `mid` or far worse alike.
+    #[test]
+    fn worse_branch_step_is_next_after_any_worse_record() {
+        let start = |e: &BracketEntry| (e.num_blocks, e.dl.to_bits());
+        for (i, g) in shapes().into_iter().enumerate() {
+            let mid_dl = g.best().unwrap().dl;
+            let top = g.parts().0.map_or(1, |hi| hi.num_blocks) + 1;
+            for blocks in 1..=top {
+                let predicted = g.next_if_worse(blocks).map(|(e, m)| (start(&e), m));
+                for dl in [
+                    mid_dl + 1e-9 * mid_dl.abs().max(1.0),
+                    mid_dl + 1.0,
+                    f64::MAX,
+                ] {
+                    let mut after = g.clone();
+                    // Marked, so a step from the recorded entry is told apart.
+                    after.record(BracketEntry {
+                        assignment: vec![1; 4],
+                        ..entry(blocks, dl)
+                    });
+                    let asked = match after.next() {
+                        NextStep::Continue {
+                            start: from,
+                            blocks_to_merge,
+                        } if from.assignment != [1; 4] => Some((start(&from), blocks_to_merge)),
+                        _ => None,
+                    };
+                    assert_eq!(
+                        predicted, asked,
+                        "shape {i}, a {blocks}-block entry at {dl}"
+                    );
+                }
+            }
+        }
     }
 }

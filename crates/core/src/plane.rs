@@ -53,6 +53,17 @@ pub trait Plane {
     /// over part of a graph answers `None` and is checked by its tests.
     fn whole_graph(&self) -> Option<&Graph>;
 
+    /// The graph, when this plane is a [`LocalPlane`] over it in all but
+    /// type: every call local, nothing to exchange, no state besides its
+    /// clock. The search may then run a probe ahead of the bracket on a
+    /// pool worker, over a `LocalPlane` of this graph (`crate::sbp`,
+    /// "Overlapped probes"). `None`, the default, keeps every call of a
+    /// search on the thread that started it and in call order — what a
+    /// plane matched by call order with its peers needs.
+    fn local_graph(&self) -> Option<&Graph> {
+        None
+    }
+
     /// The blockmodel of `assignment`, built from the graph; identical on
     /// every participant. The start-up, resume and cache-miss constructor:
     /// a search calls it for its seed, for the first iteration after a
@@ -94,8 +105,11 @@ pub trait Plane {
         on_root: impl FnOnce() -> T,
     ) -> Result<T, Self::Error>;
 
-    /// Seconds on this participant's run clock
-    /// ([`crate::RunOutcome::virtual_seconds`]).
+    /// Seconds on this participant's run clock — what the work done on
+    /// this thread cost. [`crate::RunOutcome::virtual_seconds`] is this
+    /// plus the worker-thread CPU of every overlapped probe the search
+    /// committed (a dropped one adds nothing), so it keeps meaning "the
+    /// CPU of the committed trajectory" when a probe ran ahead on the pool.
     fn clock(&self) -> f64;
 }
 
@@ -140,6 +154,10 @@ impl Plane for LocalPlane<'_> {
     }
 
     fn whole_graph(&self) -> Option<&Graph> {
+        Some(self.graph)
+    }
+
+    fn local_graph(&self) -> Option<&Graph> {
         Some(self.graph)
     }
 

@@ -43,6 +43,51 @@
 //! (`Blockmodel::validate`); debug builds and the tests re-prove it on
 //! every iteration, from a whole graph, never through a collective.
 //!
+//! ## Overlapped probes
+//!
+//! The search is a chain of dependent probes, but not every link waits on
+//! the one before it. Once the bracket is established, the step
+//! [`GoldenBracket::next`] will ask for should the probe now sweeping come
+//! out *worse* than `mid` follows from block counts alone
+//! ([`GoldenBracket::next_if_worse`]) — and worse is what most probes of a
+//! narrowing bracket come out. So when that step starts from a model the
+//! search holds resident, the pool has a second worker that the MCMC phase
+//! leaves idle (Metropolis–Hastings sweeps; hybrid and batch sweeps fan
+//! out over the pool themselves) and every call of the plane is local
+//! ([`Plane::local_graph`]), the search runs it — merge
+//! phase and MCMC phase, iteration `i + 1`, its own threshold — on a pool
+//! worker over a [`LocalPlane`] of the graph while probe `i`'s MCMC phase
+//! runs on the caller (`rayon::join`). It runs at width 1, to fill the idle
+//! core rather than contend for the caller's. Its events are kept, not
+//! delivered.
+//!
+//! The next loop turn *commits* it only if the step the bracket actually
+//! asks for is the same — start entry (block count and assignment), merge
+//! count, iteration index and threshold, everything a probe's result is a
+//! function of — and none of its sync points agreed on cancelling. Its
+//! events are then delivered and its solver metrics recorded where and in
+//! the order a sequential run reports them; anything else drops it unseen.
+//! Every RNG stream is keyed by `(seed, iteration, sweep, vertex)` or by
+//! block and every parallel reduction has a fixed shape, so a committed
+//! probe *is* the iteration a sequential run computes, bit for bit: the
+//! `RunOutcome`, the event sequence, the checkpoints and the
+//! `sbp_solver_*` counts are those of a one-worker run. Both sides run the
+//! same merge-phase and MCMC-phase functions; only the sink their events
+//! go to differs.
+//!
+//! Not preserved: *when* events arrive — a committed probe's come in one
+//! burst after the probe it overlapped, so `--progress` cadence and the
+//! bench tracer's spans of that iteration collapse — and *which thread*
+//! spent a probe's CPU ([`Plane::clock`] says how `virtual_seconds`
+//! accounts for it). A cancel the sink raises while a committed probe's
+//! events are being delivered takes effect at the next iteration top, as
+//! one raised from another thread after that probe's sync points would.
+//! No probe runs ahead before the bracket is established (a cold seed has
+//! `hi = mid`, so iteration 0's worse branch is a `C ≈ V` probe that is
+//! always thrown away), on a plane with peers (`sbp-dist`'s collective
+//! schedule never moves), with hybrid or batch sweeps (no idle worker to
+//! fill), or at pool width 1.
+//!
 //! Resume, an explicit starting partition (DC-SBP's fine-tune, Alg. 3
 //! line 23), warm start with dirty-set filtering and its refine pass are
 //! features of the loop, handled once for every plane. [`solve_sbp`] is
@@ -55,9 +100,10 @@ use crate::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
 use crate::mcmc::{keyed_mh_sweep, AcceptedMove, ConvergenceCheck};
 use crate::merge::merge_labels;
 use crate::plane::{LocalPlane, Plane};
-use crate::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome};
+use crate::run::{ProgressEvent, ProgressFn, ProgressSink, RunConfig, RunOutcome, WarmStart};
 use sbp_graph::{Graph, Vertex};
 use std::sync::OnceLock;
+use std::thread::ThreadId;
 
 /// Cached handles for the solver-layer metrics (`sbp_solver_*`, and
 /// `sbp_merge_proposals_total`, the divisor of the merge wall time).
@@ -77,6 +123,9 @@ struct SolverMetrics {
     mcmc_wall: std::sync::Arc<sbp_metrics::Histogram>,
     mcmc_cpu: std::sync::Arc<sbp_metrics::Histogram>,
     block_size: std::sync::Arc<sbp_metrics::Histogram>,
+    /// Probes run ahead, by what became of them (see "Overlapped probes").
+    committed: std::sync::Arc<sbp_metrics::Counter>,
+    dropped: std::sync::Arc<sbp_metrics::Counter>,
 }
 
 fn solver_metrics() -> &'static SolverMetrics {
@@ -103,25 +152,69 @@ fn solver_metrics() -> &'static SolverMetrics {
         ),
         mcmc_cpu: sbp_metrics::histogram("sbp_solver_mcmc_cpu_seconds", &sbp_metrics::TIME_BUCKETS),
         block_size: sbp_metrics::histogram("sbp_solver_block_size", &sbp_metrics::SIZE_BUCKETS),
+        committed: sbp_metrics::counter(&sbp_metrics::labeled(
+            "sbp_solver_overlapped_iterations_total",
+            "outcome",
+            "committed",
+        )),
+        dropped: sbp_metrics::counter(&sbp_metrics::labeled(
+            "sbp_solver_overlapped_iterations_total",
+            "outcome",
+            "dropped",
+        )),
     })
 }
 
-/// Wall + thread-CPU start pair for a phase timing, taken only when
-/// recording is on (`None` keeps the disabled path clock-free).
-fn phase_clock() -> Option<(std::time::Instant, f64)> {
-    sbp_metrics::enabled().then(|| (std::time::Instant::now(), sbp_mpi::thread_cpu_time()))
+/// Runs `f` and, when `root` and recording is on, measures its wall and
+/// thread-CPU seconds on the thread that ran it (`None` keeps the
+/// disabled path clock-free).
+fn timed<T>(root: bool, f: impl FnOnce() -> T) -> (T, Option<(f64, f64)>) {
+    let clock = (root && sbp_metrics::enabled())
+        .then(|| (std::time::Instant::now(), sbp_mpi::thread_cpu_time()));
+    let out = f();
+    let seconds = clock.map(|(wall, cpu)| {
+        (
+            wall.elapsed().as_secs_f64(),
+            sbp_mpi::thread_cpu_time() - cpu,
+        )
+    });
+    (out, seconds)
 }
 
-/// Records a finished phase's wall/CPU timings from a [`phase_clock`]
-/// start pair into the histograms `pick` selects (no-op on `None`).
-fn record_phase_timing(
-    clock: Option<(std::time::Instant, f64)>,
-    pick: impl FnOnce(&SolverMetrics) -> (&sbp_metrics::Histogram, &sbp_metrics::Histogram),
-) {
-    if let Some((wall, cpu)) = clock {
-        let (wall_hist, cpu_hist) = pick(solver_metrics());
-        wall_hist.observe(wall.elapsed().as_secs_f64());
-        cpu_hist.observe(sbp_mpi::thread_cpu_time() - cpu);
+/// The root's solver metrics of one probe besides its sync points (those
+/// ride on its `Sweep` events, see [`Reported`]): measured on the thread
+/// that ran the probe, recorded when the search records the probe — so a
+/// probe run ahead and dropped is never counted.
+struct Tally {
+    /// Merge proposals the merge phase evaluated.
+    merge_proposals: usize,
+    /// Wall and CPU seconds of the merge phase and of the MCMC phase.
+    merge: Option<(f64, f64)>,
+    mcmc: Option<(f64, f64)>,
+}
+
+impl Tally {
+    /// Records the probe that swept `bm` (no-op while recording is off).
+    fn record(&self, bm: &Blockmodel) {
+        if !sbp_metrics::enabled() {
+            return;
+        }
+        let m = solver_metrics();
+        // One candidate is the best of a block's `x` evaluated proposals;
+        // the merge phase counted them for the whole plane.
+        m.merge_proposals.add(self.merge_proposals as u64);
+        m.folds.inc();
+        m.iterations.inc();
+        for (seconds, wall, cpu) in [
+            (self.merge, &m.merge_wall, &m.merge_cpu),
+            (self.mcmc, &m.mcmc_wall, &m.mcmc_cpu),
+        ] {
+            if let Some((w, c)) = seconds {
+                wall.observe(w);
+                cpu.observe(c);
+            }
+        }
+        observe_block_sizes(bm);
     }
 }
 
@@ -154,6 +247,32 @@ fn record_sweep(proposals: usize, moves: usize) {
     m.sweeps.inc();
     m.proposals.add(proposals as u64);
     m.moves.add(moves as u64);
+}
+
+/// The caller's progress sink, counting the root's sync points off the
+/// `Sweep` events on their way to it — delivered live or from a committed
+/// probe run ahead, so both count alike.
+struct Reported<'a> {
+    sink: &'a mut dyn ProgressSink,
+    root: bool,
+}
+
+impl ProgressSink for Reported<'_> {
+    fn on_event(&mut self, event: &ProgressEvent) {
+        if let (
+            true,
+            ProgressEvent::Sweep {
+                proposed, accepted, ..
+            },
+        ) = (self.root, event)
+        {
+            // `accepted` is the global total; `proposed` is the root's own
+            // share (summing it would cost a collective on an observe-only
+            // path).
+            record_sweep(*proposed, *accepted);
+        }
+        self.sink.on_event(event);
+    }
 }
 
 /// Which MCMC sweep implementation to use inside each phase.
@@ -311,6 +430,10 @@ pub fn solve_sbp(
 ///
 /// **Errors.** The first failed plane call ends the search; the best
 /// entry so far (the empty outcome, if none) comes back with the error.
+///
+/// **Overlap.** On a plane whose calls are all local, a probe the bracket
+/// may ask for next can run ahead on the pool; what comes back is the
+/// same, bit for bit (module docs, "Overlapped probes").
 pub fn golden_search<P: Plane>(
     plane: &P,
     start: Option<(Vec<u32>, usize)>,
@@ -321,19 +444,34 @@ pub fn golden_search<P: Plane>(
     if plane.num_vertices() == 0 {
         return (RunOutcome::empty(), None);
     }
+    // Warm starts yield to an explicit `start` (DC-SBP fine-tuning) and to
+    // resume snapshots; mixing them is rejected upstream.
+    let warm = cfg
+        .warm
+        .as_ref()
+        .filter(|_| start.is_none() && cfg.resume.is_none());
+    let vertices = swept_vertices(plane, warm);
     let mut search = Search {
-        plane,
-        cfg,
-        sync_period: sync_period.max(1),
-        progress,
-        vertices: plane.owned_vertices(),
+        phase: Phase {
+            plane,
+            cfg,
+            vertices: &vertices,
+            sync_period: sync_period.max(1),
+        },
+        progress: Reported {
+            sink: progress,
+            root: plane.is_root(),
+        },
         prev: Vec::new(),
         bracket: GoldenBracket::new(cfg.sbp.block_reduction_rate),
         resident: Vec::new(),
         iterations: Vec::new(),
         cancelled: false,
+        ahead: None,
+        credit: 0.0,
     };
-    let error = search.run(start).err();
+    let error = search.run(start, warm).err();
+    search.settle_ahead(None);
     let mut outcome = RunOutcome::empty();
     if let Some(best) = search.bracket.best() {
         if error.is_none() && !search.cancelled {
@@ -348,19 +486,34 @@ pub fn golden_search<P: Plane>(
     }
     outcome.iterations = search.iterations;
     outcome.cancelled = search.cancelled;
-    outcome.virtual_seconds = plane.clock();
+    outcome.virtual_seconds = plane.clock() + search.credit;
     (outcome, error)
+}
+
+/// The vertices `plane` sweeps: its owned set, restricted to a warm
+/// start's dirty set. Filtering keeps the plane's sweep order, so it is
+/// canonical whatever the order, duplicates or out-of-range ids of the
+/// dirty list; the per-vertex RNG keying makes the restricted sweep
+/// propose exactly what a full sweep would for those vertices.
+fn swept_vertices<P: Plane>(plane: &P, warm: Option<&WarmStart>) -> Vec<Vertex> {
+    let mut vertices = plane.owned_vertices();
+    if let Some(dirty) = warm.and_then(|w| w.dirty.as_ref()) {
+        let mut is_dirty = vec![false; plane.num_vertices()];
+        for &v in dirty {
+            if let Some(slot) = is_dirty.get_mut(v as usize) {
+                *slot = true;
+            }
+        }
+        vertices.retain(|&v| is_dirty[v as usize]);
+    }
+    vertices
 }
 
 /// The state of one [`golden_search`]; what survives an error is what
 /// the caller gets back.
 struct Search<'a, P: Plane> {
-    plane: &'a P,
-    cfg: &'a RunConfig,
-    sync_period: usize,
-    progress: &'a mut dyn ProgressSink,
-    /// The vertices this plane sweeps: its owned set, dirty-filtered.
-    vertices: Vec<Vertex>,
+    phase: Phase<'a, P>,
+    progress: Reported<'a>,
     /// Scratch for [`Plane::begin_phase`] / [`Plane::sync`].
     prev: Vec<u32>,
     bracket: GoldenBracket,
@@ -373,6 +526,57 @@ struct Search<'a, P: Plane> {
     resident: Vec<Blockmodel>,
     iterations: Vec<IterationStat>,
     cancelled: bool,
+    /// The probe run ahead beside the last one, until the next loop turn
+    /// commits or drops it.
+    ahead: Option<Ahead>,
+    /// What [`Plane::clock`] cannot see of the committed trajectory: the
+    /// worker CPU of committed probes, less a dropped one's that ran on
+    /// this thread.
+    credit: f64,
+}
+
+/// What a probe runs against: the plane, the run's config, the vertices
+/// it sweeps and the sync period. The search's own probes run against its
+/// plane; one run ahead, against a [`LocalPlane`] of the same graph.
+struct Phase<'a, P> {
+    plane: &'a P,
+    cfg: &'a RunConfig,
+    vertices: &'a [Vertex],
+    sync_period: usize,
+}
+
+/// The part of a probe besides its start model that its result is a
+/// function of.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Step {
+    blocks_to_merge: usize,
+    iteration: usize,
+    /// The MCMC phase's convergence threshold.
+    threshold: f64,
+}
+
+/// A finished probe: the model it swept, its trajectory entry, whether a
+/// sync point agreed on cancelling, and its metrics.
+struct Probe {
+    bm: Blockmodel,
+    stat: IterationStat,
+    cancelled: bool,
+    tally: Tally,
+}
+
+/// A probe run ahead on a pool worker, held until the loop asks for a
+/// step: the step it ran, what it came to, and what it reported.
+struct Ahead {
+    /// Block count and assignment of the entry it started from.
+    from: (usize, Vec<u32>),
+    step: Step,
+    probe: Probe,
+    /// Its `Merged` and `Sweep` events, in order.
+    events: Vec<ProgressEvent>,
+    /// Thread CPU it spent, and whether on the caller's thread (the join
+    /// runs a task no worker claimed on the thread waiting for it).
+    cpu: f64,
+    on_caller: bool,
 }
 
 /// Whether `bm` is the model of bracket entry `entry` — the check behind
@@ -395,31 +599,16 @@ fn debug_assert_equals_rebuild<P: Plane>(plane: &P, bm: &Blockmodel, what: &str)
     }
 }
 
-impl<P: Plane> Search<'_, P> {
-    fn run(&mut self, start: Option<(Vec<u32>, usize)>) -> Result<(), P::Error> {
-        let (plane, cfg) = (self.plane, self.cfg);
+impl<'a, P: Plane> Search<'a, P> {
+    fn run(
+        &mut self,
+        start: Option<(Vec<u32>, usize)>,
+        warm: Option<&WarmStart>,
+    ) -> Result<(), P::Error> {
+        let (plane, cfg) = (self.phase.plane, self.phase.cfg);
         let scfg = &cfg.sbp;
         let n = plane.num_vertices();
         let root = plane.is_root();
-        // Warm starts yield to an explicit `start` (DC-SBP fine-tuning)
-        // and to resume snapshots; mixing them is rejected upstream.
-        let warm = cfg
-            .warm
-            .as_ref()
-            .filter(|_| start.is_none() && cfg.resume.is_none());
-        // Dirty-set filtering keeps the plane's sweep order, so it is
-        // canonical whatever the order, duplicates or out-of-range ids of
-        // the dirty list; the per-vertex RNG keying makes the restricted
-        // sweep propose exactly what a full sweep would for those vertices.
-        if let Some(dirty) = warm.and_then(|w| w.dirty.as_ref()) {
-            let mut is_dirty = vec![false; n];
-            for &v in dirty {
-                if let Some(slot) = is_dirty.get_mut(v as usize) {
-                    *slot = true;
-                }
-            }
-            self.vertices.retain(|&v| is_dirty[v as usize]);
-        }
 
         let first_iter = if let Some(state) = &cfg.resume {
             // Validated by the caller and identical on every participant.
@@ -450,8 +639,13 @@ impl<P: Plane> Search<'_, P> {
                 // never reaches, so its RNG streams collide with no loop
                 // phase. A cancel it observes fires at the first iteration
                 // top below.
-                let (stat, _) =
-                    self.mcmc_phase(&mut bm, scfg.threshold_pre, scfg.max_iterations)?;
+                let (stat, _) = self.phase.mcmc(
+                    &mut bm,
+                    scfg.threshold_pre,
+                    scfg.max_iterations,
+                    &mut self.prev,
+                    &mut self.progress,
+                )?;
                 let dl = stat.dl;
                 self.iterations.push(stat);
                 dl
@@ -479,32 +673,29 @@ impl<P: Plane> Search<'_, P> {
             else {
                 break;
             };
-            let from_blocks = start.num_blocks;
-            let start = self.start_model(start)?;
-
+            let step = Step {
+                blocks_to_merge,
+                iteration: iter_idx,
+                threshold: if self.bracket.established() {
+                    scfg.threshold_post
+                } else {
+                    scfg.threshold_pre
+                },
+            };
+            let Probe {
+                bm,
+                stat,
+                cancelled: phase_cancelled,
+                tally,
+            } = match self.settle_ahead(Some((&start, step))) {
+                Some(probe) => probe,
+                None => self.probe(start, step)?,
+            };
             // Solver-layer metrics are the root's alone: every participant
             // walks the same loop, so an ungated count would be multiplied
             // by the participant count.
-            let merge_clock = root.then(phase_clock).flatten();
-            let mut bm = merge_step(plane, start, blocks_to_merge, scfg, iter_idx)?;
-            record_phase_timing(merge_clock, |m| (&m.merge_wall, &m.merge_cpu));
-            self.progress.on_event(&ProgressEvent::Merged {
-                iteration: iter_idx,
-                from_blocks,
-                num_blocks: bm.num_blocks(),
-            });
-
-            let threshold = if self.bracket.established() {
-                scfg.threshold_post
-            } else {
-                scfg.threshold_pre
-            };
-            let mcmc_clock = root.then(phase_clock).flatten();
-            let (stat, phase_cancelled) = self.mcmc_phase(&mut bm, threshold, iter_idx)?;
-            record_phase_timing(mcmc_clock, |m| (&m.mcmc_wall, &m.mcmc_cpu));
             if root {
-                solver_metrics().iterations.inc();
-                observe_block_sizes(&bm);
+                tally.record(&bm);
             }
 
             self.progress.on_event(&ProgressEvent::Iteration {
@@ -532,18 +723,20 @@ impl<P: Plane> Search<'_, P> {
     /// [`Plane::build`], counted: the root's answer to "how many times did
     /// this run walk the graph?".
     fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, P::Error> {
-        if self.plane.is_root() && sbp_metrics::enabled() {
+        let plane = self.phase.plane;
+        if plane.is_root() && sbp_metrics::enabled() {
             solver_metrics().graph_builds.inc();
         }
-        self.plane.build(assignment, num_blocks)
+        plane.build(assignment, num_blocks)
     }
 
-    /// The model an iteration starts from: the resident one when the
-    /// search holds the model of `start` — a verified hit, never a guess —
-    /// else built from the graph and kept (the first iteration of a
-    /// resumed search; the first upper-interval probe after the bracket
-    /// is established, whose `hi` was not worth holding until then).
-    fn start_model(&mut self, start: BracketEntry) -> Result<&Blockmodel, P::Error> {
+    /// Where in `resident` the model an iteration starts from is: the
+    /// resident one when the search holds the model of `start` — a
+    /// verified hit, never a guess — else built from the graph and kept
+    /// (the first iteration of a resumed search; the first upper-interval
+    /// probe after the bracket is established, whose `hi` was not worth
+    /// holding until then).
+    fn start_model(&mut self, start: BracketEntry) -> Result<usize, P::Error> {
         let at = match self.resident.iter().position(|bm| is_model_of(bm, &start)) {
             Some(at) => at,
             None => {
@@ -552,8 +745,116 @@ impl<P: Plane> Search<'_, P> {
                 self.resident.len() - 1
             }
         };
-        debug_assert_equals_rebuild(self.plane, &self.resident[at], "resident");
-        Ok(&self.resident[at])
+        debug_assert_equals_rebuild(self.phase.plane, &self.resident[at], "resident");
+        Ok(at)
+    }
+
+    /// Runs the probe the bracket asks for on this thread — and, when the
+    /// bracket already knows the step it takes should this probe come out
+    /// worse ([`Search::step_ahead`]), that one on the pool beside its
+    /// MCMC phase, kept for the next loop turn.
+    fn probe(&mut self, start: BracketEntry, step: Step) -> Result<Probe, P::Error> {
+        let at = self.start_model(start)?;
+        let phase = &self.phase;
+        let (bm, tally) = phase.merge(&self.resident[at], step, &mut self.progress)?;
+        let ahead = self.step_ahead(bm.num_blocks(), step.iteration);
+        let (prev, progress) = (&mut self.prev, &mut self.progress);
+        let sweep = || phase.sweep(bm, step, tally, prev, progress);
+        match ahead {
+            None => sweep(),
+            Some((graph, from, next)) => {
+                let local = LocalPlane::new(graph);
+                let beside = Phase {
+                    plane: &local,
+                    cfg: phase.cfg,
+                    vertices: phase.vertices,
+                    sync_period: phase.sync_period,
+                };
+                let start = &self.resident[from];
+                let caller = std::thread::current().id();
+                // One worker's worth: the probe ahead is there to fill the
+                // idle core, not to contend with this phase for both.
+                let (probe, ahead) = rayon::join(sweep, || {
+                    rayon::with_threads(1, || beside.ahead(start, next, caller))
+                });
+                let Ok(ahead) = ahead;
+                self.ahead = Some(ahead);
+                probe
+            }
+        }
+    }
+
+    /// The probe to run ahead while the one at `iteration` sweeps the
+    /// `num_blocks` blocks its merge left: the step
+    /// [`GoldenBracket::next_if_worse`] names, if the bracket is
+    /// established, that step starts from a resident model (its index is
+    /// returned) and falls inside the iteration budget, the pool has a
+    /// second worker, the MCMC phase is Metropolis–Hastings (the one that
+    /// leaves that worker idle: hybrid and batch sweeps fan out over the
+    /// pool themselves) and every call of the plane is local (the graph it
+    /// answers with is returned).
+    fn step_ahead(&self, num_blocks: usize, iteration: usize) -> Option<(&'a Graph, usize, Step)> {
+        let scfg = &self.phase.cfg.sbp;
+        if !self.bracket.established()
+            || iteration + 1 >= scfg.max_iterations
+            || rayon::current_num_threads() < 2
+            || !matches!(scfg.strategy, McmcStrategy::MetropolisHastings)
+        {
+            return None;
+        }
+        let plane: &'a P = self.phase.plane;
+        let graph = plane.local_graph()?;
+        let (from, blocks_to_merge) = self.bracket.next_if_worse(num_blocks)?;
+        let at = self.resident.iter().position(|bm| is_model_of(bm, &from))?;
+        let step = Step {
+            blocks_to_merge,
+            iteration: iteration + 1,
+            threshold: scfg.threshold_post,
+        };
+        Some((graph, at, step))
+    }
+
+    /// Takes the probe run ahead, if there is one, and commits it when it
+    /// ran the step the loop is about to take — `asked`, from its start
+    /// entry — and no sync point of it agreed on cancelling: its events go
+    /// out through the caller's sink as a sequential run would send them,
+    /// and it comes back to be recorded. Anything else drops it unseen.
+    fn settle_ahead(&mut self, asked: Option<(&BracketEntry, Step)>) -> Option<Probe> {
+        let ahead = self.ahead.take()?;
+        let commit = !ahead.probe.cancelled
+            && asked.is_some_and(|(start, step)| {
+                ahead.step == step
+                    && ahead.from.0 == start.num_blocks
+                    && ahead.from.1 == start.assignment
+            });
+        let root = self.phase.plane.is_root();
+        // The run clock reads this thread's CPU: it lacks a committed
+        // probe's worker CPU and holds a dropped one's that ran here.
+        if commit != ahead.on_caller {
+            self.credit += if commit { ahead.cpu } else { -ahead.cpu };
+        }
+        #[cfg(test)]
+        tests::OVERLAPS.with_borrow_mut(|o| {
+            let outcome = if commit {
+                &mut o.committed
+            } else {
+                &mut o.dropped
+            };
+            outcome.push(ahead.step.iteration);
+        });
+        if !commit {
+            if root {
+                solver_metrics().dropped.inc();
+            }
+            return None;
+        }
+        if root {
+            solver_metrics().committed.inc();
+        }
+        for event in &ahead.events {
+            self.progress.on_event(event);
+        }
+        Some(ahead.probe)
     }
 
     /// Takes in the model of the entry the bracket has just been given and
@@ -576,28 +877,133 @@ impl<P: Plane> Search<'_, P> {
             .on_event(&ProgressEvent::Cancelled { iteration });
     }
 
+    /// Writes the `.sbpc` snapshot of the search if `cfg.checkpoint` asks
+    /// for one at this boundary; a failed write must not abort the run it
+    /// is meant to protect.
+    fn maybe_checkpoint(&self, next_iter: usize) {
+        let Phase { plane, cfg, .. } = self.phase;
+        let Some(spec) = &cfg.checkpoint else {
+            return;
+        };
+        if !next_iter.is_multiple_of(spec.every.max(1)) {
+            return;
+        }
+        let (hi, mid, lo) = self.bracket.parts();
+        let state = CheckpointState {
+            seed: cfg.sbp.seed,
+            strategy_tag: strategy_tag(&cfg.sbp.strategy),
+            num_vertices: plane.num_vertices() as u64,
+            total_edge_weight: plane.total_edge_weight().max(0) as u64,
+            next_iter: next_iter as u64,
+            iterations: self.iterations.clone(),
+            hi: hi.cloned(),
+            mid: mid.cloned(),
+            lo: lo.cloned(),
+        };
+        let _ = state.write_to(&spec.path);
+    }
+}
+
+impl<P: Plane> Phase<'_, P> {
+    /// A probe's merge phase ([`merge_step`]) from `start`, reported to
+    /// `sink`: the merged model and the probe's metrics so far.
+    fn merge(
+        &self,
+        start: &Blockmodel,
+        step: Step,
+        sink: &mut dyn ProgressSink,
+    ) -> Result<(Blockmodel, Tally), P::Error> {
+        let (merged, seconds) = timed(self.plane.is_root(), || {
+            merge_step(
+                self.plane,
+                start,
+                step.blocks_to_merge,
+                &self.cfg.sbp,
+                step.iteration,
+            )
+        });
+        let (bm, merge_proposals) = merged?;
+        sink.on_event(&ProgressEvent::Merged {
+            iteration: step.iteration,
+            from_blocks: start.num_blocks(),
+            num_blocks: bm.num_blocks(),
+        });
+        let tally = Tally {
+            merge_proposals,
+            merge: seconds,
+            mcmc: None,
+        };
+        Ok((bm, tally))
+    }
+
+    /// A probe's MCMC phase on the model its merge phase left, timed into
+    /// its `tally`.
+    fn sweep(
+        &self,
+        mut bm: Blockmodel,
+        step: Step,
+        mut tally: Tally,
+        prev: &mut Vec<u32>,
+        sink: &mut dyn ProgressSink,
+    ) -> Result<Probe, P::Error> {
+        let (swept, seconds) = timed(self.plane.is_root(), || {
+            self.mcmc(&mut bm, step.threshold, step.iteration, prev, sink)
+        });
+        let (stat, cancelled) = swept?;
+        tally.mcmc = seconds;
+        Ok(Probe {
+            bm,
+            stat,
+            cancelled,
+            tally,
+        })
+    }
+
+    /// Runs the probe `step` from `start` on this thread the way the loop
+    /// runs one on the caller — the same merge phase, the same MCMC-phase
+    /// function — keeping its events for the commit and the CPU this
+    /// thread spent on it for the run clock.
+    fn ahead(&self, start: &Blockmodel, step: Step, caller: ThreadId) -> Result<Ahead, P::Error> {
+        let cpu = sbp_mpi::thread_cpu_time();
+        debug_assert_equals_rebuild(self.plane, start, "resident");
+        let mut events = Vec::new();
+        let mut sink = ProgressFn(|event: &ProgressEvent| events.push(event.clone()));
+        let (bm, tally) = self.merge(start, step, &mut sink)?;
+        let probe = self.sweep(bm, step, tally, &mut Vec::new(), &mut sink)?;
+        Ok(Ahead {
+            from: (start.num_blocks(), start.assignment().to_vec()),
+            step,
+            probe,
+            events,
+            cpu: sbp_mpi::thread_cpu_time() - cpu,
+            on_caller: std::thread::current().id() == caller,
+        })
+    }
+
     /// One MCMC phase (paper Alg. 2 / Alg. 5): sweep this plane's
     /// vertices, sync every `sync_period` sweeps, and stop on the
     /// convergence rule — the moving average of the last three per-sync
     /// ΔDL values falling below `threshold × initial DL` — after
     /// `max_sweeps`, or on a cancel decision. One agreed value carries
     /// both the DL and that decision, so participants never disagree on
-    /// either. Returns the phase's trajectory entry (its DL the last
-    /// agreed one) and whether a sync point agreed on cancelling.
-    fn mcmc_phase(
-        &mut self,
+    /// either. Reports one `Sweep` per sync point to `sink`; returns the
+    /// phase's trajectory entry (its DL the last agreed one) and whether a
+    /// sync point agreed on cancelling.
+    fn mcmc(
+        &self,
         bm: &mut Blockmodel,
         threshold: f64,
         iter_idx: usize,
+        prev: &mut Vec<u32>,
+        sink: &mut dyn ProgressSink,
     ) -> Result<(IterationStat, bool), P::Error> {
         let (plane, cfg) = (self.plane, self.cfg);
         let scfg = &cfg.sbp;
         let graph = plane.sweep_graph();
-        let root = plane.is_root();
         let sweep_seed = mcmc_phase_seed(scfg.seed, iter_idx);
         let initial_dl = plane.agree(|| bm.description_length())?;
         let mut check = ConvergenceCheck::new(initial_dl, threshold);
-        plane.begin_phase(bm, &mut self.prev);
+        plane.begin_phase(bm, prev);
         let mut pending: Vec<AcceptedMove> = Vec::new();
         let mut proposed = 0usize;
         let mut stat = IterationStat {
@@ -607,7 +1013,7 @@ impl<P: Plane> Search<'_, P> {
             moves: 0,
         };
         while stat.sweeps < scfg.max_sweeps {
-            let vs = &self.vertices;
+            let vs = self.vertices;
             let outcome = match &scfg.strategy {
                 McmcStrategy::MetropolisHastings => {
                     keyed_mh_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
@@ -626,19 +1032,13 @@ impl<P: Plane> Search<'_, P> {
                 continue;
             }
 
-            let accepted = plane.sync(bm, &mut self.prev, &pending)?;
+            let accepted = plane.sync(bm, prev, &pending)?;
             pending.clear();
             stat.moves += accepted;
             let (dl, cancel_now) =
                 plane.agree(|| (bm.description_length(), cfg.cancel.is_cancelled()))?;
             stat.dl = dl;
-            if root {
-                // `accepted` is the global total; `proposed` is the
-                // root's own share (summing it would cost a collective
-                // on an observe-only path).
-                record_sweep(proposed, accepted);
-            }
-            self.progress.on_event(&ProgressEvent::Sweep {
+            sink.on_event(&ProgressEvent::Sweep {
                 iteration: iter_idx,
                 sweep: stat.sweeps - 1,
                 dl,
@@ -655,31 +1055,6 @@ impl<P: Plane> Search<'_, P> {
         }
         Ok((stat, false))
     }
-
-    /// Writes the `.sbpc` snapshot of the search if `cfg.checkpoint` asks
-    /// for one at this boundary; a failed write must not abort the run it
-    /// is meant to protect.
-    fn maybe_checkpoint(&self, next_iter: usize) {
-        let Some(spec) = &self.cfg.checkpoint else {
-            return;
-        };
-        if !next_iter.is_multiple_of(spec.every.max(1)) {
-            return;
-        }
-        let (hi, mid, lo) = self.bracket.parts();
-        let state = CheckpointState {
-            seed: self.cfg.sbp.seed,
-            strategy_tag: strategy_tag(&self.cfg.sbp.strategy),
-            num_vertices: self.plane.num_vertices() as u64,
-            total_edge_weight: self.plane.total_edge_weight().max(0) as u64,
-            next_iter: next_iter as u64,
-            iterations: self.iterations.clone(),
-            hi: hi.cloned(),
-            mid: mid.cloned(),
-            lo: lo.cloned(),
-        };
-        let _ = state.write_to(&spec.path);
-    }
 }
 
 /// One merge phase on `plane` (paper Alg. 1 / Alg. 4): gather every
@@ -687,28 +1062,22 @@ impl<P: Plane> Search<'_, P> {
 /// fold `bm`'s own lines through them. Every participant holds the same
 /// integers and folds them through the same relabelling, so the merged
 /// replicas agree without exchanging a cell — "apply the agreed merges to
-/// the blockmodel", as Alg. 4 has it.
+/// the blockmodel", as Alg. 4 has it. Also returns how many proposals the
+/// whole plane evaluated.
 fn merge_step<P: Plane>(
     plane: &P,
     bm: &Blockmodel,
     blocks_to_merge: usize,
     cfg: &SbpConfig,
     iter_idx: usize,
-) -> Result<Blockmodel, P::Error> {
+) -> Result<(Blockmodel, usize), P::Error> {
     let seed = merge_phase_seed(cfg.seed, iter_idx);
     let cands = plane.merge_candidates(bm, cfg.merge_proposals_per_block, seed)?;
-    // One candidate is the best of a block's `x` evaluated proposals, and
-    // the list is the whole plane's — so, like the other solver counters,
-    // the root alone counts it, once per phase.
-    if plane.is_root() && sbp_metrics::enabled() {
-        let evaluated = cands.len() * cfg.merge_proposals_per_block;
-        solver_metrics().merge_proposals.add(evaluated as u64);
-        solver_metrics().folds.inc();
-    }
+    let evaluated = cands.len() * cfg.merge_proposals_per_block;
     let (label, num_blocks) = merge_labels(bm.num_blocks(), cands, blocks_to_merge);
     let merged = bm.merged(&label, num_blocks);
     debug_assert_equals_rebuild(plane, &merged, "merged");
-    Ok(merged)
+    Ok((merged, evaluated))
 }
 
 /// One single-node merge phase: propose for all blocks, apply the best
@@ -721,7 +1090,7 @@ pub fn merge_phase(
     cfg: &SbpConfig,
     iter_idx: usize,
 ) -> Blockmodel {
-    let Ok(merged) = merge_step(&LocalPlane::new(graph), bm, blocks_to_merge, cfg, iter_idx);
+    let Ok((merged, _)) = merge_step(&LocalPlane::new(graph), bm, blocks_to_merge, cfg, iter_idx);
     merged
 }
 
@@ -1250,5 +1619,173 @@ mod tests {
             plain.description_length.to_bits(),
             with_warm.description_length.to_bits()
         );
+    }
+
+    /// The iterations the searches on this thread ran ahead, by what
+    /// became of them (`Search::settle_ahead` fills it; the root's
+    /// `sbp_solver_overlapped_iterations_total` counts the same, but
+    /// process-wide).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub(super) struct Overlaps {
+        pub(super) committed: Vec<usize>,
+        pub(super) dropped: Vec<usize>,
+    }
+
+    thread_local! {
+        pub(super) static OVERLAPS: std::cell::RefCell<Overlaps> = Default::default();
+    }
+
+    /// A search on the local plane over `graph` at pool width `threads`:
+    /// its outcome, every event it reported (kind, payload and order, as
+    /// `Debug` prints them — floats to the last bit), and what it ran
+    /// ahead. `hook` sees each event after it is logged.
+    fn at_width(
+        graph: &Graph,
+        cfg: &RunConfig,
+        threads: usize,
+        mut hook: impl FnMut(&ProgressEvent),
+    ) -> (RunOutcome, Vec<String>, Overlaps) {
+        let mut events = Vec::new();
+        let mut sink = crate::run::ProgressFn(|e: &ProgressEvent| {
+            events.push(format!("{e:?}"));
+            hook(e);
+        });
+        OVERLAPS.take();
+        let (out, _) = rayon::with_threads(threads, || {
+            golden_search(&LocalPlane::new(graph), None, cfg, 1, &mut sink)
+        });
+        (out, events, OVERLAPS.take())
+    }
+
+    /// Runs `cfg()` at one and at two workers, asserts the two runs equal
+    /// — outcome, DL bits, trajectory and event sequence — and that the
+    /// one-worker run ran nothing ahead; returns the two-worker run.
+    fn one_worker_equals_two(
+        graph: &Graph,
+        cfg: impl Fn() -> RunConfig,
+        mut hook: impl FnMut(&RunConfig, &ProgressEvent),
+    ) -> (RunOutcome, Vec<String>, Overlaps) {
+        let runs: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                let cfg = cfg();
+                at_width(graph, &cfg, threads, |e| hook(&cfg, e))
+            })
+            .collect();
+        let [(serial, serial_events, none), (pooled, pooled_events, overlaps)] = &runs[..] else {
+            unreachable!()
+        };
+        assert_eq!(*none, Overlaps::default(), "width 1 ran a probe ahead");
+        assert_eq!(serial.assignment, pooled.assignment);
+        assert_eq!(serial.num_blocks, pooled.num_blocks);
+        assert_eq!(
+            serial.description_length.to_bits(),
+            pooled.description_length.to_bits()
+        );
+        assert_eq!(serial.cancelled, pooled.cancelled);
+        let trajectory = |o: &RunOutcome| -> Vec<(usize, u64, usize, usize)> {
+            o.iterations
+                .iter()
+                .map(|s| (s.num_blocks, s.dl.to_bits(), s.sweeps, s.moves))
+                .collect()
+        };
+        assert_eq!(trajectory(serial), trajectory(pooled));
+        assert_eq!(serial_events, pooled_events);
+        (pooled.clone(), pooled_events.clone(), overlaps.clone())
+    }
+
+    /// The daemon's steady state, shrunk: a warm start the search narrows
+    /// down from, where the probe the bracket asks for after a worse one
+    /// was already run beside it — and is committed, so the equivalence
+    /// below is not vacuous.
+    #[test]
+    fn a_warm_search_that_commits_a_probe_run_ahead_equals_its_one_worker_run() {
+        let g = clique_chain(10, 5);
+        let n = g.num_vertices() as u32;
+        let cold = solve_sbp(&g, None, &RunConfig::seeded(1), &mut NoProgress);
+        let split: Vec<u32> = (0..n)
+            .map(|v| cold.assignment[v as usize] * 2 + v % 2)
+            .collect();
+        let warm = || {
+            RunConfig::seeded(1).warm_start(crate::run::WarmStart::new(
+                split.clone(),
+                cold.num_blocks * 2,
+            ))
+        };
+        let (_, _, overlaps) = one_worker_equals_two(&g, warm, |_, _| {});
+        assert!(!overlaps.committed.is_empty(), "{overlaps:?}");
+    }
+
+    /// A cold search in which a probe run ahead is dropped (the probe
+    /// beside it came out better than `mid`, so the bracket asked for a
+    /// different step) and a later one is committed.
+    #[test]
+    fn a_cold_search_that_drops_a_probe_run_ahead_equals_its_one_worker_run() {
+        let g = clique_chain(10, 5);
+        let (_, _, overlaps) = one_worker_equals_two(&g, || RunConfig::seeded(1), |_, _| {});
+        assert!(!overlaps.dropped.is_empty(), "{overlaps:?}");
+        assert!(!overlaps.committed.is_empty(), "{overlaps:?}");
+    }
+
+    /// Hybrid and batch sweeps fan out over the pool themselves, so the
+    /// search that runs a Metropolis–Hastings probe ahead above runs none
+    /// with them: there is no idle worker to fill.
+    #[test]
+    fn pooled_sweep_strategies_run_no_probe_ahead() {
+        let g = clique_chain(10, 5);
+        for strategy in [
+            McmcStrategy::Hybrid(HybridConfig::default()),
+            McmcStrategy::Batch,
+        ] {
+            let cfg = || {
+                let mut cfg = RunConfig::seeded(1);
+                cfg.sbp.strategy = strategy.clone();
+                cfg
+            };
+            let (_, _, overlaps) = one_worker_equals_two(&g, cfg, |_, _| {});
+            assert_eq!(overlaps, Overlaps::default(), "{strategy:?}");
+        }
+    }
+
+    /// A cancel the sink raises while a probe runs ahead beside the one it
+    /// reports on: the live probe stops at its next sync point and is
+    /// recorded, `Cancelled` comes once, the best entry comes back, and
+    /// the probe run ahead is dropped without a single event of its own.
+    #[test]
+    fn a_cancel_during_an_overlapped_pair_drops_the_probe_run_ahead_unseen() {
+        let g = clique_chain(10, 5);
+        let (_, _, clean) = one_worker_equals_two(&g, || RunConfig::seeded(1), |_, _| {});
+        let ahead = clean.committed[0];
+        let (out, events, overlaps) = one_worker_equals_two(
+            &g,
+            || RunConfig::seeded(1),
+            |cfg, e| {
+                if matches!(e, ProgressEvent::Sweep { iteration, sweep: 0, .. } if *iteration == ahead - 1)
+                {
+                    cfg.cancel.cancel();
+                }
+            },
+        );
+        assert!(overlaps.committed.is_empty(), "{overlaps:?}");
+        assert_eq!(overlaps.dropped.last(), Some(&ahead), "{overlaps:?}");
+        let cancelled: Vec<&String> = events
+            .iter()
+            .filter(|e| e.starts_with("Cancelled"))
+            .collect();
+        assert_eq!(
+            cancelled,
+            [&format!("Cancelled {{ iteration: {} }}", ahead - 1)]
+        );
+        assert!(
+            !events
+                .iter()
+                .any(|e| e.contains(&format!("iteration: {ahead},"))),
+            "the dropped probe reported: {events:?}"
+        );
+        assert!(!events.iter().any(|e| e.starts_with("Finished")));
+        assert!(out.cancelled);
+        assert_eq!(out.iterations.len(), ahead);
+        let bm = Blockmodel::from_assignment(&g, out.assignment.clone(), out.num_blocks);
+        assert!((bm.description_length() - out.description_length).abs() < 1e-9);
     }
 }

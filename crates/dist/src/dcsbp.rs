@@ -19,9 +19,11 @@
 use crate::edist::EdistData;
 use crate::error::{abort_empty, guard_collectives};
 use crate::mix_seed;
+use sbp_core::plane::{LocalPlane, Plane};
 use sbp_core::run::{NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome};
-use sbp_core::{compact_labels, solve_sbp, SbpConfig};
-use sbp_graph::induced_subgraph;
+use sbp_core::sbp::golden_search;
+use sbp_core::{compact_labels, SbpConfig};
+use sbp_graph::{induced_subgraph, Graph};
 use sbp_mpi::Communicator;
 
 /// Forwards the root fine-tuning pass's iteration-level events to the
@@ -41,6 +43,26 @@ impl ProgressSink for FinetuneSink<'_> {
             self.sink.on_event(event);
         }
     }
+}
+
+/// [`sbp_core::solve_sbp`] on this rank's thread, charging `comm` with
+/// the part of the solve's `virtual_seconds` its thread-CPU clock cannot
+/// see: the pool-worker CPU of the probes the search ran ahead and
+/// committed. The rank's makespan then stays the CPU of the committed
+/// trajectory, however wide its pool.
+fn solve_on_rank<C: Communicator>(
+    comm: &C,
+    graph: &Graph,
+    start: Option<(Vec<u32>, usize)>,
+    cfg: &RunConfig,
+    progress: &mut dyn ProgressSink,
+) -> RunOutcome {
+    let plane = LocalPlane::new(graph);
+    let (outcome, _) = golden_search(&plane, start, cfg, 1, progress);
+    // Negative when the search dropped a probe that ran on this thread:
+    // its CPU leaves the rank's clock too.
+    comm.charge(outcome.virtual_seconds - plane.clock());
+    outcome
 }
 
 /// The DC-SBP driver over any [`EdistData`] plane, with trajectory
@@ -88,7 +110,8 @@ pub(crate) fn dcsbp_driver<C: Communicator, D: EdistData>(
         progress.on_event(&ProgressEvent::PhaseStarted { phase: "local-sbp" });
         let mut sub_cfg = cfg.sbp.clone();
         sub_cfg.seed = mix_seed(cfg.sbp.seed, 0xDC00 + comm.rank() as u64);
-        let local = solve_sbp(&sub.graph, None, &run_cfg(sub_cfg), &mut NoProgress).assignment;
+        let local =
+            solve_on_rank(comm, &sub.graph, None, &run_cfg(sub_cfg), &mut NoProgress).assignment;
 
         // (global vertex, local label) pairs travel to the root.
         let payload: Vec<(u32, u32)> = local
@@ -105,7 +128,8 @@ pub(crate) fn dcsbp_driver<C: Communicator, D: EdistData>(
             match tune_on {
                 Some(graph) => {
                     progress.on_event(&ProgressEvent::PhaseStarted { phase: "finetune" });
-                    let r = solve_sbp(
+                    let r = solve_on_rank(
+                        comm,
                         graph,
                         Some((combined, width)),
                         &run_cfg(cfg.sbp.clone()),

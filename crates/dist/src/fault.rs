@@ -333,6 +333,10 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
         self.inner.virtual_time() + self.extra_delay.get()
     }
 
+    fn charge(&self, seconds: f64) {
+        self.inner.charge(seconds);
+    }
+
     fn stats(&self) -> CommStats {
         self.inner.stats()
     }
@@ -399,6 +403,10 @@ mod tests {
         assert_eq!(fc.broadcast(0, Some(9u32)), 9);
         fc.barrier();
         assert_eq!(fc.stats().collectives, 3);
+        // A charge reaches the wrapped clock.
+        let t0 = fc.virtual_time();
+        fc.charge(5.0);
+        assert!((5.0..5.1).contains(&(inner.virtual_time() - t0)));
     }
 
     #[test]

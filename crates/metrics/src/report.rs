@@ -328,8 +328,9 @@ fn acceptance_section(sweeps: &[SweepPoint]) -> String {
 }
 
 /// The solver's work as counts (root's view): how far the search went,
-/// and how often it walked the graph to build a blockmodel against how
-/// often it folded one it already held.
+/// how often it walked the graph to build a blockmodel against how often
+/// it folded one it already held, and how many probes it ran ahead on the
+/// pool and then committed or dropped.
 fn solver_section(snap: &Snapshot) -> String {
     let mut rows = String::new();
     for (label, name) in [
@@ -348,6 +349,14 @@ fn solver_section(snap: &Snapshot) -> String {
         (
             "blockmodels folded from a held one",
             "sbp_solver_folds_total",
+        ),
+        (
+            "iterations run ahead, committed",
+            "sbp_solver_overlapped_iterations_total{outcome=\"committed\"}",
+        ),
+        (
+            "iterations run ahead, dropped",
+            "sbp_solver_overlapped_iterations_total{outcome=\"dropped\"}",
         ),
     ] {
         if let Some(MetricValue::Counter(n)) = snap.metrics.get(name) {
@@ -513,6 +522,12 @@ mod tests {
         crate::histogram("sbp_solver_block_size", &crate::SIZE_BUCKETS).observe(3.0);
         crate::counter("sbp_solver_graph_builds_total").add(2);
         crate::counter("sbp_solver_folds_total").add(16);
+        crate::counter(&crate::labeled(
+            "sbp_solver_overlapped_iterations_total",
+            "outcome",
+            "committed",
+        ))
+        .add(3);
         let snap_json = crate::snapshot().to_json().to_string();
         let lines = vec![
             line(r#"{"type":"meta","schema":1,"backend":"batch","seed":7,"vertices":16}"#),
@@ -537,6 +552,7 @@ mod tests {
         assert!(html.contains("<td>0</td><td>5.0</td><td>3.5</td><td>1.5</td>"));
         assert!(html.contains("<th>blockmodels built from the graph</th><td>2</td>"));
         assert!(html.contains("<th>blockmodels folded from a held one</th><td>16</td>"));
+        assert!(html.contains("<th>iterations run ahead, committed</th><td>3</td>"));
         // Self-contained: no external fetches.
         assert!(!html.contains("http-equiv"));
         assert!(!html.contains("src=\"http"));

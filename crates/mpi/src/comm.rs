@@ -61,6 +61,15 @@ pub trait Communicator {
     /// time plus modeled communication costs (see crate docs).
     fn virtual_time(&self) -> f64;
 
+    /// Adds `seconds` of compute done for this rank on another thread —
+    /// the pool-worker CPU of the probes a golden search ran ahead and
+    /// committed (`sbp_core::sbp`, "Overlapped probes") — to a virtual
+    /// clock that reads this thread's CPU only; a negative amount takes
+    /// off CPU this thread spent on a probe the search dropped. A wall
+    /// clock already contains the one and cannot shed the other, hence
+    /// the no-op default.
+    fn charge(&self, _seconds: f64) {}
+
     /// Communication statistics so far.
     fn stats(&self) -> CommStats;
 
@@ -79,7 +88,8 @@ pub trait Communicator {
 /// virtual clock is plain thread CPU time. This is the "shared memory
 /// baseline" configuration of the paper's figures.
 pub struct SelfComm {
-    start_cpu: f64,
+    /// Thread CPU at creation, less what [`Communicator::charge`] added.
+    start_cpu: Cell<f64>,
     stats: Cell<CommStats>,
 }
 
@@ -88,7 +98,7 @@ impl SelfComm {
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
         SelfComm {
-            start_cpu: crate::cputime::thread_cpu_time(),
+            start_cpu: Cell::new(crate::cputime::thread_cpu_time()),
             stats: Cell::new(CommStats::default()),
         }
     }
@@ -141,7 +151,11 @@ impl Communicator for SelfComm {
     }
 
     fn virtual_time(&self) -> f64 {
-        crate::cputime::thread_cpu_time() - self.start_cpu
+        crate::cputime::thread_cpu_time() - self.start_cpu.get()
+    }
+
+    fn charge(&self, seconds: f64) {
+        self.start_cpu.set(self.start_cpu.get() - seconds);
     }
 
     fn stats(&self) -> CommStats {
@@ -176,6 +190,27 @@ mod tests {
         }
         std::hint::black_box(x);
         assert!(c.virtual_time() > t0);
+    }
+
+    #[test]
+    fn selfcomm_charge_moves_the_clock_by_its_amount() {
+        let c = SelfComm::new();
+        let t0 = c.virtual_time();
+        c.charge(5.0);
+        let t1 = c.virtual_time();
+        c.charge(-2.0);
+        let t2 = c.virtual_time();
+        // Plus the few microseconds of CPU between the reads.
+        assert!(
+            (5.0..5.1).contains(&(t1 - t0)),
+            "charge(5.0) moved {}",
+            t1 - t0
+        );
+        assert!(
+            (-2.0..-1.9).contains(&(t2 - t1)),
+            "charge(-2.0) moved {}",
+            t2 - t1
+        );
     }
 
     #[test]

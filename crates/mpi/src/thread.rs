@@ -364,6 +364,10 @@ impl Communicator for ThreadComm {
         self.vclock.get() + (thread_cpu_time() - self.last_cpu.get()).max(0.0)
     }
 
+    fn charge(&self, seconds: f64) {
+        self.vclock.set(self.vclock.get() + seconds);
+    }
+
     fn stats(&self) -> CommStats {
         self.stats.get()
     }
@@ -650,6 +654,21 @@ mod tests {
             (t0 - t1).abs() < 0.05 * t0.max(t1).max(1e-3),
             "clocks diverged: {t0} vs {t1}"
         );
+    }
+
+    #[test]
+    fn charge_moves_the_virtual_clock_by_its_amount() {
+        let out = ThreadCluster::run(1, CostModel::zero(), |comm| {
+            let t0 = comm.virtual_time();
+            comm.charge(5.0);
+            let t1 = comm.virtual_time();
+            comm.charge(-2.0);
+            (t1 - t0, comm.virtual_time() - t1)
+        });
+        let (up, down) = out.ranks[0].result;
+        // Plus the few microseconds of CPU between the reads.
+        assert!((5.0..5.1).contains(&up), "charge(5.0) moved the clock {up}");
+        assert!((-2.0..-1.9).contains(&down), "charge(-2.0) moved it {down}");
     }
 
     #[test]

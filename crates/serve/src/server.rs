@@ -156,16 +156,16 @@ pub struct Server {
     repartitions: u64,
 }
 
-/// Counts one daemon request by kind (observe-only: the handler's
-/// behaviour never depends on the counters).
-fn count_request(kind: &'static str) {
-    if sbp_metrics::enabled() {
-        sbp_metrics::counter(&sbp_metrics::labeled(
-            "sbp_daemon_requests_total",
-            "kind",
-            kind,
-        ))
-        .inc();
+/// The `kind` label of a request in the daemon's metrics.
+fn request_kind(req: &Request) -> &'static str {
+    match req {
+        Request::Ingest(_) => "ingest",
+        Request::Repartition { .. } => "repartition",
+        Request::Membership(_) => "membership",
+        Request::Stats => "stats",
+        Request::Metrics => "metrics",
+        Request::Checkpoint(_) => "checkpoint",
+        Request::Shutdown => "shutdown",
     }
 }
 
@@ -330,10 +330,35 @@ impl Server {
     /// Handles one request against the in-memory state. Returns the
     /// reply and whether the server should shut down afterwards. Pure
     /// state machine — the socket loop and tests share it.
+    ///
+    /// Counts the request by kind (`sbp_daemon_requests_total{kind}`) and
+    /// times it (`sbp_daemon_request_seconds{kind}`: from the decoded
+    /// request to the reply, the frame codec and socket excluded) —
+    /// observe-only, the handler never reads either back.
     pub fn handle(&mut self, req: Request) -> (Response, bool) {
+        let kind = request_kind(&req);
+        if !sbp_metrics::enabled() {
+            return self.serve_request(req);
+        }
+        sbp_metrics::counter(&sbp_metrics::labeled(
+            "sbp_daemon_requests_total",
+            "kind",
+            kind,
+        ))
+        .inc();
+        let started = std::time::Instant::now();
+        let reply = self.serve_request(req);
+        sbp_metrics::histogram(
+            &sbp_metrics::labeled("sbp_daemon_request_seconds", "kind", kind),
+            &sbp_metrics::TIME_BUCKETS,
+        )
+        .observe(started.elapsed().as_secs_f64());
+        reply
+    }
+
+    fn serve_request(&mut self, req: Request) -> (Response, bool) {
         match req {
             Request::Ingest(deltas) => {
-                count_request("ingest");
                 let n = self.graph.num_vertices();
                 for d in &deltas {
                     if (d.src as usize) >= n || (d.dst as usize) >= n {
@@ -361,12 +386,8 @@ impl Server {
                     false,
                 )
             }
-            Request::Repartition { mode, backend } => {
-                count_request("repartition");
-                (self.repartition(mode, &backend), false)
-            }
+            Request::Repartition { mode, backend } => (self.repartition(mode, &backend), false),
             Request::Membership(ids) => {
-                count_request("membership");
                 let n = self.graph.num_vertices();
                 if let Some(&bad) = ids.iter().find(|&&v| (v as usize) >= n) {
                     return (
@@ -381,7 +402,6 @@ impl Server {
                 (Response::Membership(labels), false)
             }
             Request::Stats => {
-                count_request("stats");
                 let tail_start = self.trajectory.len().saturating_sub(MAX_TRAJECTORY);
                 let trajectory_tail = self.trajectory[tail_start..]
                     .iter()
@@ -407,7 +427,6 @@ impl Server {
                 )
             }
             Request::Metrics => {
-                count_request("metrics");
                 if sbp_metrics::enabled() {
                     sbp_metrics::gauge("sbp_daemon_uptime_seconds")
                         .set(self.started.elapsed().as_secs_f64());
@@ -422,7 +441,6 @@ impl Server {
                 )
             }
             Request::Checkpoint(path) => {
-                count_request("checkpoint");
                 let state = self.checkpoint_state();
                 match state.write_to(Path::new(&path)) {
                     Ok(()) => (
@@ -441,7 +459,6 @@ impl Server {
                 }
             }
             Request::Shutdown => {
-                count_request("shutdown");
                 if let Some(path) = self.options.checkpoint_on_shutdown.clone() {
                     let _ = self.checkpoint_state().write_to(&path);
                 }
@@ -868,6 +885,7 @@ mod tests {
     #[test]
     fn metrics_request_returns_json_and_exposition() {
         let mut s = test_server(4);
+        let _ = s.handle(Request::Stats);
         let (resp, shutdown) = s.handle(Request::Metrics);
         assert!(!shutdown);
         match resp {
@@ -878,12 +896,17 @@ mod tests {
                 let value =
                     sbp_metrics::json::Value::parse(&snapshot_json).expect("valid JSON text");
                 sbp_metrics::Snapshot::from_json(&value).expect("valid snapshot JSON");
-                // The handler's own request counter must appear once
-                // metrics are enabled (the default).
+                // The handler's own request counter, and the latency of
+                // the request before it, must appear once metrics are
+                // enabled (the default).
                 if sbp_metrics::enabled() {
                     assert!(
                         prometheus.contains("sbp_daemon_requests_total"),
                         "missing daemon counter in: {prometheus}"
+                    );
+                    assert!(
+                        prometheus.contains("sbp_daemon_request_seconds_count{kind=\"stats\"}"),
+                        "missing daemon request latency in: {prometheus}"
                     );
                 }
             }

@@ -11,7 +11,10 @@
 //!   always flattening per-item outputs **in input order** — the same
 //!   ordering guarantee rayon's indexed parallel iterators provide, and
 //!   the root of this workspace's thread-count-invariance contract;
-//! * [`join`] — two-way fork-join;
+//! * [`join`] — two-way fork-join. **Extends rayon:** its caller-side
+//!   closure need not be `Send` (this pool never moves it off the calling
+//!   thread); the golden search's overlapped probe relies on that, so the
+//!   workspace no longer builds against upstream rayon unchanged;
 //! * [`current_num_threads`] / [`with_threads`] — parallelism
 //!   introspection and a scoped per-thread override (`SBP_THREADS` sets
 //!   the process default; see [`pool`] for the full contract).

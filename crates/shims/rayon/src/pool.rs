@@ -443,11 +443,16 @@ where
 /// calling thread; with parallelism 1 both run inline. If either side
 /// panics, the panic is rethrown here after **both** sides have finished
 /// (`a`'s panic wins when both do).
+///
+/// Unlike upstream rayon, `a` need not be `Send`: this pool never moves
+/// it off the calling thread (upstream guarantees that only for calls
+/// made from inside its pool; its `in_place_scope` + `spawn` is the
+/// equivalent there). The golden search's overlapped probe relies on it:
+/// its live progress sink and plane stay with the caller.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
-    A: FnOnce() -> RA + Send,
+    A: FnOnce() -> RA,
     B: FnOnce() -> RB + Send,
-    RA: Send,
     RB: Send,
 {
     if current_num_threads() <= 1 {

@@ -2,7 +2,7 @@
 # Byte-identity A/B of two edist-cli builds: the same inputs and seeds
 # through every backend, assignment and --trajectory-out files compared
 # with cmp, and a resident daemon's warm rounds, snapshot and stats
-# compared. A change that keeps "the same bits" must report 78/78.
+# compared. A change that keeps "the same bits" must report 90/90.
 #
 #   scripts/ab_trajectories.sh <parent-bin> <change-bin> [workdir]
 #
@@ -25,6 +25,10 @@
 # the uninterrupted cell's on each side, and the two sides' .sbpc bytes
 # each other's — a resumed search is the one start that holds no
 # blockmodel from an earlier iteration.
+# Width-1 cells, after each `sequential` and `serve-warm` cell: the change
+# binary again under SBP_THREADS=1, where the golden search runs no probe
+# ahead on the pool, must write exactly what its default-width run wrote —
+# overlap off == on (sbp_core::sbp, "Overlapped probes").
 # Daemon cells (the serve_warm workload's path): `serve --seed S` on each
 # graph, then three rounds of one fixed `--ingest` batch (a self-loop in
 # it; the first round inserts its arcs, the later ones re-weight them) and
@@ -109,6 +113,19 @@ for g in challenge scaling; do
             else
                 echo "DIFFERENT $g $name seed $seed"
             fi
+            if [ "$name" = sequential ]; then
+                total=$((total + 1))
+                # shellcheck disable=SC2086
+                if ! SBP_THREADS=1 "$change" partition $args --seed $seed \
+                    --out width1.out --trajectory-out width1.traj >width1.log 2>&1; then
+                    echo "FAILED    $g $name-width1 seed $seed (see $work/width1.log)"
+                elif cmp -s change.out width1.out && cmp -s change.traj width1.traj; then
+                    same=$((same + 1))
+                    echo "identical $g $name-width1 seed $seed"
+                else
+                    echo "DIFFERENT $g $name-width1 seed $seed"
+                fi
+            fi
             case $name in sequential | edist-thread-shards-batch) ;; *) continue ;; esac
             total=$((total + 1))
             if ! resume_cell "$args" $seed; then
@@ -171,7 +188,17 @@ for g in challenge scaling; do
         else
             echo "DIFFERENT $g serve-warm seed $seed"
         fi
+        total=$((total + 1))
+        if ! SBP_THREADS=1 daemon_session "$change" width1 $g $seed; then
+            echo "FAILED    $g serve-warm-width1 seed $seed (see $work/width1.log)"
+        elif cmp -s change.sbpc width1.sbpc && cmp -s change.stats width1.stats &&
+            cmp -s change.rounds width1.rounds; then
+            same=$((same + 1))
+            echo "identical $g serve-warm-width1 seed $seed"
+        else
+            echo "DIFFERENT $g serve-warm-width1 seed $seed"
+        fi
     done
 done
-echo "$same/$total cells byte-identical (assignment + trajectory; resume; snapshot + stats)"
+echo "$same/$total cells byte-identical (assignment + trajectory; resume; snapshot + stats; width 1)"
 [ "$same" -eq "$total" ]

@@ -7,8 +7,10 @@
 //!   (`sbp_metrics::set_enabled`) around full [`Run`]s — assignments,
 //!   DL bits, and per-iteration trajectories compared for the
 //!   `Sequential`, `Hybrid`, and `Batch` backends under 1 and 4 pooled
-//!   workers, and for `Edist` at 1, 2, and 4 simulated ranks (whose
-//!   rank threads read the same global flag).
+//!   workers, for `Edist` at 1, 2, and 4 simulated ranks (whose
+//!   rank threads read the same global flag), for a search whose
+//!   golden-search probes run ahead on the pool, and for a daemon's warm
+//!   round, whose every request is timed.
 //! * **Cross-process**, via the CLI: the same graph partitioned with
 //!   `SBP_METRICS=0` and with `--metrics-out` streaming the full JSONL
 //!   feed, under `SBP_THREADS` 1 and 4 — all four assignments must
@@ -25,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use edist::graph::fixtures::two_cliques;
+use edist::graph::fixtures::{clique_ring, two_cliques};
 use edist::metrics::json::Value;
 use edist::metrics::{MetricValue, Snapshot};
 use edist::prelude::*;
@@ -113,6 +115,80 @@ fn metrics_on_and_off_runs_are_bit_identical_edist_ranks() {
             &off,
             &format!("edist/{ranks} ranks: metrics on vs off"),
         );
+    }
+}
+
+/// The overlap and the daemon's request timings are observe-only too. A
+/// search that runs probes ahead on the pool — and commits one — and a
+/// daemon's warm round are bit-identical with recording on and off; with
+/// it on, the run counts the committed probe and the daemon times every
+/// request kind it served.
+#[test]
+fn metrics_on_and_off_agree_where_probes_run_ahead_and_requests_are_timed() {
+    use edist::metrics::{counter, histogram, labeled, TIME_BUCKETS};
+    use edist::serve::protocol::RepartitionMode;
+    let _serial = serial();
+    let g = clique_ring(24);
+    let cfg = SbpConfig {
+        seed: 1,
+        ..SbpConfig::default()
+    };
+    let committed = || {
+        counter(&labeled(
+            "sbp_solver_overlapped_iterations_total",
+            "outcome",
+            "committed",
+        ))
+        .get()
+    };
+    let before = committed();
+    let on = run_with_metrics(&g, cfg.clone(), Backend::Sequential, 4, true);
+    let ran_ahead = committed() - before;
+    let off = run_with_metrics(&g, cfg, Backend::Sequential, 4, false);
+    assert_bit_identical(&on, &off, "probes run ahead: metrics on vs off");
+    assert!(ran_ahead > 0, "the fixture committed no probe run ahead");
+
+    let timed = |kind: &str| {
+        histogram(
+            &labeled("sbp_daemon_request_seconds", "kind", kind),
+            &TIME_BUCKETS,
+        )
+        .count()
+    };
+    let round = |metrics_on: bool| -> Vec<Response> {
+        edist::metrics::set_enabled(metrics_on);
+        let replies = rayon::with_threads(4, || {
+            let options = ServerOptions {
+                seed: 1,
+                ..ServerOptions::default()
+            };
+            let mut server = Server::new(g.clone(), options, default_registry()).expect("startup");
+            [
+                Request::Ingest(vec![edist::graph::EdgeDelta {
+                    src: 0,
+                    dst: 1,
+                    delta: 1,
+                }]),
+                Request::Repartition {
+                    mode: RepartitionMode::Warm,
+                    backend: String::new(),
+                },
+                Request::Membership((0..g.num_vertices() as u32).collect()),
+            ]
+            .into_iter()
+            .map(|req| server.handle(req).0)
+            .collect()
+        });
+        edist::metrics::set_enabled(true);
+        replies
+    };
+    let kinds = ["ingest", "repartition", "membership"];
+    let before: Vec<u64> = kinds.iter().map(|k| timed(k)).collect();
+    let on = round(true);
+    let after: Vec<u64> = kinds.iter().map(|k| timed(k)).collect();
+    assert_eq!(on, round(false), "daemon replies: metrics on vs off");
+    for ((kind, b), a) in kinds.iter().zip(before).zip(after) {
+        assert_eq!(a, b + 1, "{kind} requests timed");
     }
 }
 

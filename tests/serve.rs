@@ -239,6 +239,54 @@ fn server_replies_match_in_process_run_exactly() {
     }
 }
 
+/// The daemon's replies do not depend on its pool width. At two workers
+/// the golden search may run a probe ahead beside the one it sweeps (the
+/// startup solve on this graph does, and commits it); one warm round —
+/// ingest, warm repartition, membership of every vertex, stats — must
+/// still reply exactly as at one worker, down to the DL bits.
+#[test]
+fn a_warm_round_replies_identically_at_one_and_two_workers() {
+    let graph = clique_ring(24);
+    let deltas = weight_deltas(&graph, 8, 5);
+    let n = graph.num_vertices() as u32;
+    let session = |threads: usize| -> Vec<String> {
+        rayon::with_threads(threads, || {
+            let options = ServerOptions {
+                seed: 1,
+                ..ServerOptions::default()
+            };
+            let mut server =
+                Server::new(graph.clone(), options, default_registry()).expect("startup solve");
+            [
+                Request::Ingest(deltas.clone()),
+                Request::Repartition {
+                    mode: RepartitionMode::Warm,
+                    backend: String::new(),
+                },
+                Request::Membership((0..n).collect()),
+                Request::Stats,
+            ]
+            .into_iter()
+            .map(|req| match server.handle(req).0 {
+                // The only reply field that is a clock reading.
+                Response::Stats(stats) => format!(
+                    "{:?}",
+                    edist::serve::protocol::StatsReply {
+                        uptime_seconds: 0.0,
+                        ..stats
+                    }
+                ),
+                // `Debug` prints every float to its last bit.
+                reply => format!("{reply:?}"),
+            })
+            .collect()
+        })
+    };
+    let serial = session(1);
+    assert!(serial[1].starts_with("RepartitionDone"), "{}", serial[1]);
+    assert_eq!(serial, session(2));
+}
+
 /// Spawns a daemon over a real unix socket and drives the full loop:
 /// stats → ingest → membership-from-warm-partition → warm repartition →
 /// membership → checkpoint → malformed-frame probe → shutdown.

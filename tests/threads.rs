@@ -18,7 +18,9 @@
 //!   `SBP_THREADS=1` and `SBP_THREADS=4` for every backend including
 //!   `Edist { ranks: 2 }` (whose simulated rank threads cannot see a
 //!   test-local override), and the written assignments must match byte
-//!   for byte.
+//!   for byte. The `sequential` cell at width 4 runs golden-search probes
+//!   ahead on the pool (read back from its `--metrics-out` snapshot), so
+//!   it also proves that overlap off ≡ on.
 //!
 //! Plus a pool stress test: many OS threads (standing in for simulated
 //! MPI ranks) submitting to the shared pool concurrently.
@@ -199,6 +201,28 @@ fn dl_token(stderr: &str) -> String {
         .unwrap_or_else(|| panic!("no DL in CLI output:\n{stderr}"))
 }
 
+/// `sbp_solver_overlapped_iterations_total` by outcome, `[committed,
+/// dropped]`, from the final snapshot of a `--metrics-out` file.
+fn overlapped(jsonl: &std::path::Path) -> [u64; 2] {
+    use edist::metrics::json::Value;
+    use edist::metrics::{MetricValue, Snapshot};
+    let text = std::fs::read_to_string(jsonl).expect("metrics file written");
+    let snapshot = text
+        .lines()
+        .filter_map(|l| Value::parse(l).ok())
+        .find(|v| v.get("type").and_then(Value::as_str) == Some("snapshot"))
+        .expect("a snapshot line");
+    let snap = Snapshot::from_json(snapshot.get("metrics").expect("metrics")).expect("decodes");
+    ["committed", "dropped"].map(|outcome| {
+        let name =
+            edist::metrics::labeled("sbp_solver_overlapped_iterations_total", "outcome", outcome);
+        match snap.metrics.get(&name) {
+            Some(MetricValue::Counter(n)) => *n,
+            other => panic!("{name}: {other:?}"),
+        }
+    })
+}
+
 #[test]
 fn sbp_threads_env_is_bit_invariant_for_every_backend() {
     let dir = std::env::temp_dir().join(format!("sbp_threads_inv_{}", std::process::id()));
@@ -232,24 +256,37 @@ fn sbp_threads_env_is_bit_invariant_for_every_backend() {
             let mut results: Vec<(Vec<u8>, String)> = Vec::new();
             for threads in ["1", "4"] {
                 let out_file = dir.join(format!("a{vertices}_{backend}_{threads}.txt"));
-                let stdout = cli(
-                    &[
-                        "partition",
-                        "--graph",
-                        graph.to_str().unwrap(),
-                        "--backend",
-                        backend,
-                        "--ranks",
-                        "2",
-                        "--seed",
-                        "5",
-                        "--out",
-                        out_file.to_str().unwrap(),
-                    ],
-                    Some(threads),
-                );
+                let metrics = dir.join(format!("m{vertices}_{backend}_{threads}.jsonl"));
+                let mut args = vec![
+                    "partition",
+                    "--graph",
+                    graph.to_str().unwrap(),
+                    "--backend",
+                    backend,
+                    "--ranks",
+                    "2",
+                    "--seed",
+                    "5",
+                    "--out",
+                    out_file.to_str().unwrap(),
+                ];
+                let watch_overlap = backend == "sequential" && threads == "4";
+                if watch_overlap {
+                    args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+                }
+                let stdout = cli(&args, Some(threads));
                 let assignment = std::fs::read(&out_file).expect("assignment written");
                 results.push((assignment, dl_token(&stdout)));
+                if watch_overlap {
+                    // Not vacuous: at width 4 the search ran probes ahead —
+                    // the hard graph commits some (the easy one drops its
+                    // two) — and still matches the width-1 run below.
+                    let [committed, dropped] = overlapped(&metrics);
+                    assert!(committed + dropped > 0, "V={vertices}: nothing ran ahead");
+                    if difficulty == "hard" {
+                        assert!(committed > 0, "V={vertices}: no probe run ahead committed");
+                    }
+                }
             }
             assert_eq!(
                 results[0].0, results[1].0,
