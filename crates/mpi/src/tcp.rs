@@ -11,20 +11,46 @@
 //! ## Rendezvous
 //!
 //! Rank 0 is the coordinator: it binds `coordinator` and waits for one
-//! `HELLO{session, rank, ranks, listen_addr}` from every other rank.
-//! Peers bind their own mesh listener *first*, then dial the coordinator
-//! (with bounded retry so start order does not matter) and send HELLO.
-//! Once all ranks are present the coordinator answers every peer with
-//! `WELCOME{session, peer_listen_addrs}`; invalid HELLOs (wrong session,
-//! duplicate rank, rank out of range, ranks mismatch) are answered with
-//! a typed `ERROR` frame and fail the whole rendezvous — a misconfigured
-//! launch dies loudly on both ends instead of hanging.
+//! `HELLO{session, rank, ranks, listen_addr, version}` from every other
+//! rank. Peers bind their own mesh listener *first*, then dial the
+//! coordinator (with bounded retry so start order does not matter) and
+//! send HELLO. Once all ranks are present the coordinator answers every
+//! peer with `WELCOME{session, peer_listen_addrs}`; invalid HELLOs (wire
+//! version, wrong session, duplicate rank, rank out of range, ranks
+//! mismatch) are answered with a typed `ERROR` frame and fail the whole
+//! rendezvous — a misconfigured launch dies loudly on both ends instead
+//! of hanging.
 //!
 //! After WELCOME, peers complete the mesh: rank `i` dials every rank
-//! `j ∈ 1..i` (sending `MESH{session, from}`) and accepts connections
-//! from every rank `> i`. Listeners exist before any dial happens, so
-//! the kernel's listen backlog absorbs all ordering races. Nobody dials
-//! rank 0 — the coordinator reuses the HELLO connections as its links.
+//! `j ∈ 1..i` (sending `MESH{session, from, version}`) and accepts
+//! connections from every rank `> i`. Listeners exist before any dial
+//! happens, so the kernel's listen backlog absorbs all ordering races.
+//! Nobody dials rank 0 — the coordinator reuses the HELLO connections as
+//! its links. A refused dial retries after 1 ms and an idle accept polls
+//! again after 100 µs, each wait doubling up to 50 ms / 5 ms, so a launch
+//! pays for the order its processes happened to start in, not a fixed
+//! sleep.
+//!
+//! [`WIRE_VERSION`] names the payload encoding ([`crate::wire`]). HELLO
+//! and MESH carry it, and a rank that speaks another version is answered
+//! with a typed `ERROR` frame, so a hand-launched cluster that mixes
+//! binaries fails at the handshake instead of mis-decoding its first
+//! collective. The frame layer and the `ERROR` payload are the same in
+//! every version, so an older build still reads why it was turned away.
+//!
+//! ## Collectives
+//!
+//! Every collective moves each payload over one link, from the rank that
+//! owns it to the rank that needs it; nothing is relayed through a third
+//! rank. `allgatherv` encodes and frames its contribution once and sends
+//! that frame to every peer; `alltoallv` sends each peer its own frame.
+//! Both then receive one frame from every peer in rank order, through one
+//! exchange routine: each outgoing frame is first written without
+//! blocking, and only what a kernel send buffer refused goes to a scoped
+//! writer thread while this thread receives. Every rank therefore keeps
+//! reading while its large frames drain, so no payload size deadlocks,
+//! and the common small frame spawns nothing. `gatherv` and `broadcast`
+//! are one-directional per link and write plainly.
 //!
 //! ## Frames
 //!
@@ -95,6 +121,14 @@ const CODE_DUPLICATE_RANK: u32 = 2;
 const CODE_RANK_OUT_OF_RANGE: u32 = 3;
 /// `ERROR` frame code: world-size disagreement.
 const CODE_RANKS_MISMATCH: u32 = 4;
+/// `ERROR` frame code: the peer speaks another [`WIRE_VERSION`].
+const CODE_VERSION_MISMATCH: u32 = 5;
+
+/// Version of the payload encoding this build speaks, carried by HELLO
+/// and MESH. Version 2 sends byte sequences raw ([`crate::wire`]);
+/// version 1 (varint per byte) predates the field, so a handshake without
+/// it reads as 1.
+pub const WIRE_VERSION: u32 = 2;
 
 /// Anything that can go wrong establishing or using a TCP cluster.
 #[derive(Clone, Debug, PartialEq)]
@@ -169,6 +203,14 @@ pub enum TcpError {
     },
     /// The [`TcpConfig`] itself is unusable (bad rank/ranks/address).
     BadConfig(String),
+    /// HELLO/MESH carried another [`WIRE_VERSION`]: the two processes
+    /// run builds that encode payloads differently.
+    VersionMismatch {
+        /// This process's wire version.
+        expected: u32,
+        /// The wire version on the wire.
+        got: u32,
+    },
 }
 
 impl std::fmt::Display for TcpError {
@@ -206,6 +248,9 @@ impl std::fmt::Display for TcpError {
                 write!(f, "coordinator rejected handshake (code {code}): {message}")
             }
             TcpError::BadConfig(msg) => write!(f, "bad cluster config: {msg}"),
+            TcpError::VersionMismatch { expected, got } => {
+                write!(f, "wire version mismatch: ours {expected}, peer sent {got}")
+            }
         }
     }
 }
@@ -377,18 +422,38 @@ pub struct Hello {
     pub ranks: usize,
     /// Address the peer's mesh listener is bound to.
     pub listen: String,
+    /// The [`WIRE_VERSION`] the peer speaks.
+    pub version: u32,
 }
 
 /// Encodes a HELLO payload (session framing via [`concat_sections`]).
 pub fn encode_hello(h: &Hello) -> Vec<u8> {
-    let head = wire::encode(&(h.session, h.rank as u64, h.ranks as u64));
+    let head = wire::encode(&(h.session, h.rank as u64, h.ranks as u64, h.version));
     concat_sections([&head, h.listen.as_bytes()])
+}
+
+/// Reads the version that ends a HELLO head or a MESH payload at `pos`.
+/// A payload that ends before it comes from a build older than the
+/// field, which spoke version 1.
+fn read_version(buf: &[u8], mut pos: usize) -> Result<u32, TcpError> {
+    if pos == buf.len() {
+        return Ok(1);
+    }
+    let version = u32::wire_read(buf, &mut pos)?;
+    if pos != buf.len() {
+        return Err(TcpError::BadFrame(DecodeError::TrailingBytes {
+            what: "handshake version",
+        }));
+    }
+    Ok(version)
 }
 
 /// Strictly decodes a HELLO payload.
 pub fn decode_hello(buf: &[u8]) -> Result<Hello, TcpError> {
     let [head, listen] = split_sections::<2>(buf)?;
-    let (session, rank, ranks): (u64, u64, u64) = wire::decode(head)?;
+    let mut pos = 0;
+    let (session, rank, ranks) = <(u64, u64, u64)>::wire_read(head, &mut pos)?;
+    let version = read_version(head, pos)?;
     let listen = std::str::from_utf8(listen)
         .map_err(|_| TcpError::BadFrame(DecodeError::ValueOutOfRange { what: "hello addr" }))?
         .to_string();
@@ -401,6 +466,7 @@ pub fn decode_hello(buf: &[u8]) -> Result<Hello, TcpError> {
         rank: to_usize(rank)?,
         ranks: to_usize(ranks)?,
         listen,
+        version,
     })
 }
 
@@ -428,9 +494,16 @@ pub fn decode_welcome(buf: &[u8]) -> Result<Welcome, TcpError> {
     })
 }
 
-/// Strictly decodes a MESH payload into `(session, from_rank)`.
-pub fn decode_mesh(buf: &[u8]) -> Result<(u64, u64), TcpError> {
-    Ok(wire::decode(buf)?)
+/// Encodes a MESH payload: `(session, from_rank, version)`.
+fn encode_mesh(session: u64, from: u64, version: u32) -> Vec<u8> {
+    wire::encode(&(session, from, version))
+}
+
+/// Strictly decodes a MESH payload into `(session, from_rank, version)`.
+pub fn decode_mesh(buf: &[u8]) -> Result<(u64, u64, u32), TcpError> {
+    let mut pos = 0;
+    let (session, from) = <(u64, u64)>::wire_read(buf, &mut pos)?;
+    Ok((session, from, read_version(buf, pos)?))
 }
 
 /// Strictly decodes an ERROR payload into `(code, message)`.
@@ -513,6 +586,7 @@ pub struct TcpComm {
 fn dial_retry(addr: &str, budget: Duration) -> Result<TcpStream, TcpError> {
     let deadline = Instant::now() + budget;
     let mut last = String::from("no address resolved");
+    let mut backoff = Duration::from_millis(1);
     loop {
         match addr.to_socket_addrs() {
             Ok(mut addrs) => {
@@ -536,7 +610,8 @@ fn dial_retry(addr: &str, budget: Duration) -> Result<TcpStream, TcpError> {
                 detail: last,
             });
         }
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(Duration::from_millis(50));
     }
 }
 
@@ -547,6 +622,7 @@ fn accept_deadline(
     deadline: Instant,
     what: &'static str,
 ) -> Result<(TcpStream, SocketAddr), TcpError> {
+    let mut backoff = Duration::from_micros(100);
     loop {
         match listener.accept() {
             Ok((stream, addr)) => {
@@ -559,7 +635,8 @@ fn accept_deadline(
                 if Instant::now() >= deadline {
                     return Err(TcpError::Timeout { what });
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(Duration::from_millis(5));
             }
             Err(e) => return Err(e.into()),
         }
@@ -596,6 +673,14 @@ fn coordinator_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError>
             });
         }
         let hello = decode_hello(&payload)?;
+        if hello.version != WIRE_VERSION {
+            let err = TcpError::VersionMismatch {
+                expected: WIRE_VERSION,
+                got: hello.version,
+            };
+            send_error_frame(&mut stream, CODE_VERSION_MISMATCH, &err.to_string());
+            return Err(err);
+        }
         if hello.session != cfg.session {
             let err = TcpError::WrongSession {
                 expected: cfg.session,
@@ -669,6 +754,7 @@ fn peer_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError> {
         rank: cfg.rank,
         ranks: cfg.ranks,
         listen,
+        version: WIRE_VERSION,
     };
     coord.write_all(&encode_frame(
         cfg.session,
@@ -706,7 +792,7 @@ fn peer_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError> {
     links.resize_with(cfg.ranks, || None);
     // Dial every lower rank (but never rank 0 — that link already
     // exists: the HELLO connection).
-    let mesh_payload = wire::encode(&(cfg.session, cfg.rank as u64));
+    let mesh_payload = encode_mesh(cfg.session, cfg.rank as u64, WIRE_VERSION);
     for (j, slot) in links.iter_mut().enumerate().take(cfg.rank).skip(1) {
         let mut stream = dial_retry(&welcome.peers[j], cfg.connect_timeout)?;
         stream.set_nodelay(true)?;
@@ -716,7 +802,7 @@ fn peer_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError> {
     // Accept every higher rank, in whatever order they arrive.
     let mut expected = cfg.ranks - 1 - cfg.rank;
     while expected > 0 {
-        let (stream, _) = accept_deadline(&listener, deadline, "mesh accept")?;
+        let (mut stream, _) = accept_deadline(&listener, deadline, "mesh accept")?;
         stream.set_read_timeout(Some(cfg.handshake_timeout))?;
         stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
@@ -727,7 +813,15 @@ fn peer_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError> {
                 got: kind,
             });
         }
-        let (session, from) = decode_mesh(&payload)?;
+        let (session, from, version) = decode_mesh(&payload)?;
+        if version != WIRE_VERSION {
+            let err = TcpError::VersionMismatch {
+                expected: WIRE_VERSION,
+                got: version,
+            };
+            send_error_frame(&mut stream, CODE_VERSION_MISMATCH, &err.to_string());
+            return Err(err);
+        }
         if session != cfg.session {
             return Err(TcpError::WrongSession {
                 expected: cfg.session,
@@ -873,6 +967,87 @@ impl TcpComm {
             Err(_) => self.fail_link(src),
         }
     }
+
+    /// The exchange behind `allgatherv` and `alltoallv`: writes each
+    /// `(dest, frame)` of `outgoing` to its peer and receives one payload
+    /// from every peer in rank order, returning them by rank with `own`
+    /// in this rank's slot.
+    ///
+    /// Every frame is first written without blocking. What a kernel send
+    /// buffer refused goes to one scoped writer thread while this thread
+    /// receives, so every rank keeps reading while its large frames drain
+    /// and two ranks writing to each other cannot deadlock, whatever the
+    /// sizes. Frames the kernel took whole, the usual case, spawn nothing.
+    fn exchange<'a, T: Wire>(
+        &self,
+        own: Vec<T>,
+        outgoing: impl IntoIterator<Item = (usize, &'a [u8])>,
+    ) -> Vec<Vec<T>> {
+        let mut rest: Vec<(&TcpStream, &[u8])> = Vec::new();
+        for (dest, frame) in outgoing {
+            let stream = &self.link(dest).writer;
+            match write_nonblocking(stream, frame) {
+                Ok(sent) if sent < frame.len() => rest.push((stream, &frame[sent..])),
+                Ok(_) => {}
+                Err(_) => self.fail_link(dest),
+            }
+        }
+        if rest.is_empty() {
+            return self.receive_all(own);
+        }
+        std::thread::scope(|scope| {
+            let writer = scope.spawn(move || {
+                rest.into_iter()
+                    .all(|(mut stream, bytes)| stream.write_all(bytes).is_ok())
+            });
+            let received = self.receive_all(own);
+            if !writer.join().unwrap_or(false) {
+                // A write failed: some peer is gone. The reads above
+                // happened to succeed, but the schedule is broken.
+                self.poison_peers(None);
+                resume_unwind(Box::new(PeerAborted { from: self.rank }));
+            }
+            received
+        })
+    }
+
+    /// Receives and decodes one payload from every peer in rank order,
+    /// with `own` in this rank's slot.
+    fn receive_all<T: Wire>(&self, own: Vec<T>) -> Vec<Vec<T>> {
+        let mut own = Some(own);
+        (0..self.size)
+            .map(|src| {
+                if src == self.rank {
+                    own.take().expect("own slot visited once")
+                } else {
+                    let payload = self.recv_bytes(src);
+                    self.decode_or_fail(src, &payload)
+                }
+            })
+            .collect()
+    }
+}
+
+/// Writes as much of `bytes` as `stream` takes without blocking and
+/// returns how much that was. The stream is in blocking mode again on
+/// return (the flag is shared with the link's reader half).
+fn write_nonblocking(stream: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    stream.set_nonblocking(true)?;
+    let mut sent = 0;
+    let result = loop {
+        if sent == bytes.len() {
+            break Ok(sent);
+        }
+        match (&*stream).write(&bytes[sent..]) {
+            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(sent),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    stream.set_nonblocking(false)?;
+    result
 }
 
 impl Communicator for TcpComm {
@@ -889,25 +1064,12 @@ impl Communicator for TcpComm {
         if self.size == 1 {
             return vec![local];
         }
-        // Star topology mirroring the thread cluster: gather to rank 0,
-        // broadcast the assembled result.
-        if self.rank == 0 {
-            let mut all = Vec::with_capacity(self.size);
-            all.push(local);
-            for src in 1..self.size {
-                let payload = self.recv_bytes(src);
-                all.push(self.decode_or_fail::<Vec<T>>(src, &payload));
-            }
-            let encoded = wire::encode(&all);
-            for dest in 1..self.size {
-                self.send_bytes(dest, &encoded);
-            }
-            all
-        } else {
-            self.send_bytes(0, &wire::encode(&local));
-            let payload = self.recv_bytes(0);
-            self.decode_or_fail::<Vec<Vec<T>>>(0, &payload)
-        }
+        let payload = wire::encode(&local);
+        self.bump((self.size as u64 - 1) * payload.len() as u64, 0);
+        let frame = encode_frame(self.session, KIND_DATA, &payload);
+        drop(payload);
+        let peers = (0..self.size).filter(|&dest| dest != self.rank);
+        self.exchange(local, peers.map(|dest| (dest, &frame[..])))
     }
 
     fn alltoallv<T: Clone + Send + Wire + 'static>(&self, per_dest: Vec<Vec<T>>) -> Vec<Vec<T>> {
@@ -916,53 +1078,18 @@ impl Communicator for TcpComm {
         if self.size == 1 {
             return per_dest;
         }
-        let mut own: Option<Vec<T>> = None;
-        let mut outgoing: Vec<(usize, Vec<u8>)> = Vec::with_capacity(self.size - 1);
+        let mut own = Vec::new();
+        let mut frames: Vec<(usize, Vec<u8>)> = Vec::with_capacity(self.size - 1);
         for (dest, chunk) in per_dest.into_iter().enumerate() {
             if dest == self.rank {
-                own = Some(chunk);
+                own = chunk;
             } else {
                 let payload = wire::encode(&chunk);
                 self.bump(payload.len() as u64, 0);
-                outgoing.push((dest, encode_frame(self.session, KIND_DATA, &payload)));
+                frames.push((dest, encode_frame(self.session, KIND_DATA, &payload)));
             }
         }
-        // One writer thread drains all sends while this thread receives
-        // in rank order; independent progress on both halves breaks the
-        // send/receive cycle a naive sequential exchange would deadlock
-        // on once payloads exceed the kernel socket buffers.
-        let streams: Vec<(&TcpStream, Vec<u8>)> = outgoing
-            .into_iter()
-            .map(|(dest, frame)| (&self.link(dest).writer, frame))
-            .collect();
-        let received = std::thread::scope(|scope| {
-            let writer = scope.spawn(move || {
-                for (stream, frame) in &streams {
-                    let mut w: &TcpStream = stream;
-                    if w.write_all(frame).is_err() {
-                        return false;
-                    }
-                }
-                true
-            });
-            let mut received: Vec<Vec<T>> = Vec::with_capacity(self.size);
-            for src in 0..self.size {
-                if src == self.rank {
-                    received.push(own.take().expect("own chunk present"));
-                } else {
-                    let payload = self.recv_bytes(src);
-                    received.push(self.decode_or_fail::<Vec<T>>(src, &payload));
-                }
-            }
-            if !writer.join().unwrap_or(false) {
-                // A write failed: some peer is gone. The reads above
-                // happened to succeed, but the schedule is broken.
-                self.poison_peers(None);
-                resume_unwind(Box::new(PeerAborted { from: self.rank }));
-            }
-            received
-        });
-        received
+        self.exchange(own, frames.iter().map(|(dest, frame)| (*dest, &frame[..])))
     }
 
     fn gatherv<T: Clone + Send + Wire + 'static>(
@@ -1119,6 +1246,7 @@ mod tests {
             rank: 3,
             ranks: 8,
             listen: "127.0.0.1:5555".to_string(),
+            version: WIRE_VERSION,
         };
         assert_eq!(decode_hello(&encode_hello(&h)).expect("hello"), h);
         let w = Welcome {
@@ -1126,6 +1254,125 @@ mod tests {
             peers: vec![String::new(), "127.0.0.1:1".into(), "127.0.0.1:2".into()],
         };
         assert_eq!(decode_welcome(&encode_welcome(&w)).expect("welcome"), w);
+        assert_eq!(
+            decode_mesh(&encode_mesh(42, 3, WIRE_VERSION)).expect("mesh"),
+            (42, 3, WIRE_VERSION)
+        );
+        // A build from before the version field sent neither; it reads as
+        // version 1, so it is turned away by name, not mis-decoded.
+        let (old_hello, old_mesh) = unversioned_handshake(&h);
+        assert_eq!(decode_hello(&old_hello).expect("old hello").version, 1);
+        assert_eq!(decode_mesh(&old_mesh).expect("old mesh"), (42, 3, 1));
+        // Anything after the version is still trailing garbage.
+        let mut long = encode_mesh(42, 3, WIRE_VERSION);
+        long.push(0);
+        assert!(matches!(
+            decode_mesh(&long),
+            Err(TcpError::BadFrame(DecodeError::TrailingBytes { .. }))
+        ));
+    }
+
+    /// The HELLO and MESH payloads of a build that predates
+    /// [`WIRE_VERSION`].
+    fn unversioned_handshake(h: &Hello) -> (Vec<u8>, Vec<u8>) {
+        let head = wire::encode(&(h.session, h.rank as u64, h.ranks as u64));
+        (
+            concat_sections([&head, h.listen.as_bytes()]),
+            wire::encode(&(h.session, h.rank as u64)),
+        )
+    }
+
+    /// Reads the `ERROR` frame a rejected handshake was answered with.
+    fn read_rejection(stream: &TcpStream) -> (u32, String) {
+        let (kind, payload) = read_frame(&mut BufReader::new(stream), 0).expect("an ERROR frame");
+        assert_eq!(kind, KIND_ERROR);
+        decode_error_frame(&payload).expect("ERROR payload")
+    }
+
+    #[test]
+    fn version_mismatch_is_rejected_on_both_ends() {
+        let hello = Hello {
+            session: 11,
+            rank: 1,
+            ranks: 2,
+            listen: "127.0.0.1:9".to_string(),
+            version: WIRE_VERSION + 1,
+        };
+        let (unversioned, _) = unversioned_handshake(&hello);
+        for (payload, got) in [(encode_hello(&hello), WIRE_VERSION + 1), (unversioned, 1)] {
+            let coordinator = free_addr();
+            let (coord_res, rejection) = std::thread::scope(|scope| {
+                let c = coordinator.clone();
+                let coord = scope.spawn(move || TcpComm::connect(&test_cfg(11, 0, 2, &c)));
+                let mut peer =
+                    dial_retry(&coordinator, Duration::from_secs(5)).expect("dial coordinator");
+                peer.write_all(&encode_frame(11, KIND_HELLO, &payload))
+                    .expect("send HELLO");
+                (coord.join().expect("coord"), read_rejection(&peer))
+            });
+            assert_eq!(
+                coord_res.err(),
+                Some(TcpError::VersionMismatch {
+                    expected: WIRE_VERSION,
+                    got
+                })
+            );
+            assert_eq!(rejection.0, CODE_VERSION_MISMATCH);
+            assert!(rejection.1.contains("wire version"), "{}", rejection.1);
+        }
+    }
+
+    #[test]
+    fn mesh_version_mismatch_is_rejected_on_both_ends() {
+        // Rank 2 is played by hand: a current HELLO gets it the WELCOME,
+        // then it introduces itself to rank 1 with another version.
+        let coordinator = free_addr();
+        let session = 12;
+        let (coord_res, rank1_res, rejection) = std::thread::scope(|scope| {
+            let c = coordinator.clone();
+            let coord = scope.spawn(move || TcpComm::connect(&test_cfg(session, 0, 3, &c)));
+            let c = coordinator.clone();
+            let rank1 = scope.spawn(move || TcpComm::connect(&test_cfg(session, 1, 3, &c)));
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let hello = Hello {
+                session,
+                rank: 2,
+                ranks: 3,
+                listen: listener.local_addr().expect("addr").to_string(),
+                version: WIRE_VERSION,
+            };
+            let mut coord_link =
+                dial_retry(&coordinator, Duration::from_secs(5)).expect("dial coordinator");
+            coord_link
+                .write_all(&encode_frame(session, KIND_HELLO, &encode_hello(&hello)))
+                .expect("send HELLO");
+            let (kind, payload) =
+                read_frame(&mut BufReader::new(&coord_link), session).expect("WELCOME");
+            assert_eq!(kind, KIND_WELCOME);
+            let welcome = decode_welcome(&payload).expect("welcome");
+            let mut mesh =
+                dial_retry(&welcome.peers[1], Duration::from_secs(5)).expect("dial rank 1");
+            mesh.write_all(&encode_frame(
+                session,
+                KIND_MESH,
+                &encode_mesh(session, 2, WIRE_VERSION + 1),
+            ))
+            .expect("send MESH");
+            (
+                coord.join().expect("coord").map(|_| ()),
+                rank1.join().expect("rank 1").map(|_| ()),
+                read_rejection(&mesh),
+            )
+        });
+        assert_eq!(coord_res, Ok(()));
+        assert_eq!(
+            rank1_res,
+            Err(TcpError::VersionMismatch {
+                expected: WIRE_VERSION,
+                got: WIRE_VERSION + 1
+            })
+        );
+        assert_eq!(rejection.0, CODE_VERSION_MISMATCH);
     }
 
     #[test]
@@ -1169,6 +1416,70 @@ mod tests {
             assert_eq!(*bcast, 77);
             assert_eq!(stats.collectives, 5, "rank {rank}");
             assert!(stats.bytes_sent > 0, "rank {rank} sent nothing");
+        }
+    }
+
+    /// splitmix64 bytes, about half of them ≥ 0x80 — the bytes a varint
+    /// per byte would double.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64).map(|i| mix64(seed ^ i) as u8).collect()
+    }
+
+    #[test]
+    fn allgatherv_bytes_cross_the_wire_once_and_raw() {
+        for ranks in [2usize, 3] {
+            let results = tcp_cluster(ranks, |comm| {
+                let local = noise(3000 + 7 * comm.rank(), comm.rank() as u64);
+                let before = comm.stats();
+                let gathered = comm.allgatherv(local.clone());
+                let after = comm.stats();
+                (
+                    local,
+                    gathered,
+                    after.bytes_sent - before.bytes_sent,
+                    after.bytes_received - before.bytes_received,
+                )
+            });
+            let encoded: Vec<u64> = results
+                .iter()
+                .map(|(local, ..)| wire::encode(local).len() as u64)
+                .collect();
+            let total: u64 = encoded.iter().sum();
+            for (rank, (local, gathered, sent, received)) in results.iter().enumerate() {
+                assert!(encoded[rank] <= local.len() as u64 + 10, "rank {rank}");
+                assert_eq!(
+                    *sent,
+                    (ranks as u64 - 1) * encoded[rank],
+                    "rank {rank} sent"
+                );
+                assert_eq!(*received, total - encoded[rank], "rank {rank} received");
+                let expect: Vec<Vec<u8>> = results.iter().map(|r| r.0.clone()).collect();
+                assert_eq!(*gathered, expect, "rank {rank} ({ranks} ranks)");
+            }
+        }
+    }
+
+    #[test]
+    fn payloads_beyond_the_socket_buffers_do_not_deadlock() {
+        // Every rank writes 8 MiB at once in each collective, far past
+        // what loopback buffers while nobody reads: the exchange must hand
+        // the remainder to its writer thread and keep receiving.
+        const MIB8: usize = 8 << 20;
+        for ranks in [2usize, 4] {
+            let ok = tcp_cluster(ranks, |comm| {
+                let r = comm.rank();
+                let gathered = comm.allgatherv(noise(MIB8, r as u64));
+                let chunk = MIB8 / (ranks - 1);
+                let per_dest: Vec<Vec<u8>> = (0..ranks)
+                    .map(|d| noise(chunk, (r * ranks + d) as u64))
+                    .collect();
+                let exchanged = comm.alltoallv(per_dest);
+                (0..ranks).all(|src| {
+                    gathered[src] == noise(MIB8, src as u64)
+                        && exchanged[src] == noise(chunk, (src * ranks + r) as u64)
+                })
+            });
+            assert_eq!(ok, vec![true; ranks], "{ranks} ranks");
         }
     }
 

@@ -7,11 +7,19 @@
 //! [`Wire`]: a strict, canonical, self-delimiting encoding built on the
 //! workspace varint codec ([`sbp_graph::varint`]).
 //!
-//! The encoding is **canonical** (one byte string per value — integers
-//! are varints, floats are fixed-width `to_bits`), which is load-bearing
+//! The encoding is **canonical** (one byte string per value — wider
+//! integers are varints, a `u8` is its byte, floats are fixed-width
+//! `to_bits`), which is load-bearing
 //! for the exactness story: a TCP cluster and the thread simulator must
 //! produce bit-identical results, so nothing about the representation
 //! may depend on the transport.
+//!
+//! Byte sequences travel raw: a `Vec<u8>` is its varint count followed by
+//! the bytes themselves, one copy each way, through the sequence hooks
+//! [`Wire::wire_write_seq`] / [`Wire::wire_read_seq`] that `u8` overrides.
+//! The payloads that matter most are already packed bytes (the sync
+//! sections, `encode_cells`, move lists), and a varint per byte would
+//! spend two bytes on every byte ≥ 0x80.
 //!
 //! Decoders follow the same discipline as every other decoder in the
 //! workspace (see [`sbp_graph::frame`]): typed [`DecodeError`]s, never
@@ -31,6 +39,27 @@ pub trait Wire: Sized {
     /// Decodes one value starting at `*pos`, advancing `*pos` past it.
     /// Strict: truncation and out-of-domain values return a typed error.
     fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError>;
+
+    /// Appends the encodings of `items`, without a count: the body of a
+    /// `Vec<Self>`. The default writes one element after another.
+    fn wire_write_seq(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.wire_write(buf);
+        }
+    }
+
+    /// Decodes the body of a `Vec<Self>` of `count` elements starting at
+    /// `*pos`. The caller has checked `count` against the bytes remaining
+    /// (every element encodes to at least one byte), so allocating for it
+    /// is bounded by the input. The default reads one element after
+    /// another.
+    fn wire_read_seq(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<Self>, DecodeError> {
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(Self::wire_read(buf, pos)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encodes one value into a fresh buffer.
@@ -88,7 +117,34 @@ macro_rules! wire_unsigned {
     )*};
 }
 
-wire_unsigned!(u8 => "wire u8", u16 => "wire u16", u32 => "wire u32", usize => "wire usize");
+wire_unsigned!(u16 => "wire u16", u32 => "wire u32", usize => "wire usize");
+
+/// A byte is itself on the wire, alone and in a sequence.
+impl Wire for u8 {
+    fn wire_write(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+
+    fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        let byte = *buf.get(*pos).ok_or(TRUNCATED)?;
+        *pos += 1;
+        Ok(byte)
+    }
+
+    fn wire_write_seq(items: &[u8], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+
+    fn wire_read_seq(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<u8>, DecodeError> {
+        let end = pos
+            .checked_add(count)
+            .filter(|&e| e <= buf.len())
+            .ok_or(TRUNCATED)?;
+        let bytes = buf[*pos..end].to_vec();
+        *pos = end;
+        Ok(bytes)
+    }
+}
 
 impl Wire for i32 {
     fn wire_write(&self, buf: &mut Vec<u8>) {
@@ -165,9 +221,7 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn wire_write(&self, buf: &mut Vec<u8>) {
         write_u64(buf, self.len() as u64);
-        for item in self {
-            item.wire_write(buf);
-        }
+        T::wire_write_seq(self, buf);
     }
 
     fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
@@ -182,11 +236,7 @@ impl<T: Wire> Wire for Vec<T> {
                 max: remaining,
             });
         }
-        let mut out = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            out.push(T::wire_read(buf, pos)?);
-        }
-        Ok(out)
+        T::wire_read_seq(buf, pos, count as usize)
     }
 }
 
@@ -292,6 +342,60 @@ mod tests {
         sbp_graph::varint::write_u64(&mut buf, 1 << 50);
         assert!(matches!(
             decode::<String>(&buf),
+            Err(DecodeError::CountExceedsPayload { .. })
+        ));
+    }
+
+    #[test]
+    fn byte_vectors_travel_raw() {
+        let bytes: Vec<u8> = (0..=255u8).chain([0x80, 0xff, 0]).collect();
+        let buf = encode(&bytes);
+        // A two-byte varint count, then the bytes themselves.
+        assert_eq!(buf.len(), 2 + bytes.len());
+        assert_eq!(&buf[2..], &bytes[..]);
+        roundtrip(bytes.clone());
+        roundtrip(Vec::<u8>::new());
+        roundtrip(vec![bytes.clone(), vec![], vec![0xfe]]);
+        for cut in 0..buf.len() {
+            assert!(
+                matches!(
+                    decode::<Vec<u8>>(&buf[..cut]),
+                    Err(DecodeError::Truncated { .. } | DecodeError::CountExceedsPayload { .. })
+                ),
+                "truncation at {cut} accepted"
+            );
+        }
+        let nested = encode(&vec![bytes, vec![1, 2, 3]]);
+        for cut in 0..nested.len() {
+            assert!(decode::<Vec<Vec<u8>>>(&nested[..cut]).is_err(), "cut {cut}");
+        }
+        // The hook checks its own bounds when called directly.
+        let mut pos = 1;
+        assert_eq!(u8::wire_read_seq(&[1, 2, 3], &mut pos, 3), Err(TRUNCATED));
+        assert_eq!(
+            u8::wire_read_seq(&[1, 2, 3], &mut pos, usize::MAX),
+            Err(TRUNCATED)
+        );
+        assert_eq!(pos, 1);
+    }
+
+    #[test]
+    fn hostile_byte_counts_are_rejected_before_allocation() {
+        // Four bytes of payload behind a count of 2^40: the count check
+        // answers before any buffer is sized from it.
+        let mut buf = Vec::new();
+        sbp_graph::varint::write_u64(&mut buf, 1 << 40);
+        buf.extend_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(
+            decode::<Vec<u8>>(&buf),
+            Err(DecodeError::CountExceedsPayload {
+                what: "wire vec",
+                declared: 1 << 40,
+                max: 4,
+            })
+        );
+        assert!(matches!(
+            decode::<Vec<Vec<u8>>>(&buf),
             Err(DecodeError::CountExceedsPayload { .. })
         ));
     }

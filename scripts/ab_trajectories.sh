@@ -2,7 +2,7 @@
 # Byte-identity A/B of two edist-cli builds: the same inputs and seeds
 # through every backend, assignment and --trajectory-out files compared
 # with cmp, and a resident daemon's warm rounds, snapshot and stats
-# compared. A change that keeps "the same bits" must report 90/90.
+# compared. A change that keeps "the same bits" must report 102/102.
 #
 #   scripts/ab_trajectories.sh <parent-bin> <change-bin> [workdir]
 #
@@ -12,7 +12,9 @@
 # Cells: {sequential, hybrid, batch, edist thread x {graph, shards,
 # shards under --mcmc batch (what the two EDiSt benchmark workloads time),
 # 3 shards (the smallest rank count with more than one peer)},
-# edist tcp-local x {graph, shards}, dcsbp} x seeds 1-3 x
+# edist tcp-local x {graph, shards, shards under --mcmc batch (what
+# edist_tcp_sparse times), 3 shards (a mesh exchange with two peers)},
+# dcsbp} x seeds 1-3 x
 # {graph_challenge(3000, hard), scaling_graph(1M, 0.004)} — the graphs of
 # the BENCHMARK.json workloads, 2 ranks wherever ranks apply and nothing
 # else is said. Inputs are written once, by the parent binary; both
@@ -70,6 +72,8 @@ cells=(
     "edist-thread-shards-r3|--sharded {g}.shards3 --backend edist --ranks 3"
     "edist-tcp-graph|--graph {g}.mtx --cluster tcp-local --ranks 2"
     "edist-tcp-shards|--sharded {g}.shards --cluster tcp-local --ranks 2"
+    "edist-tcp-shards-batch|--sharded {g}.shards --cluster tcp-local --ranks 2 --mcmc batch"
+    "edist-tcp-shards-r3|--sharded {g}.shards3 --cluster tcp-local --ranks 3"
     "dcsbp|--graph {g}.mtx --backend dcsbp --ranks 2"
 )
 

@@ -29,6 +29,7 @@ use edist::graph::shard::{shard_file_name, shard_graph, ShardReader};
 use edist::graph::varint::{read_ascending_ids, read_u64, write_u64};
 use edist::graph::EdgeDelta;
 use edist::mpi::tcp as tcpwire;
+use edist::mpi::wire;
 use edist::prelude::OwnershipStrategy;
 use edist::serve::protocol::{
     decode_frame, encode_frame, RepartitionMode, StatsReply, TrajectoryPoint,
@@ -242,7 +243,21 @@ fn wire_metrics_corpus() -> Vec<u8> {
 
 /// A sealed data-phase TCP frame around a typical collective payload.
 fn tcp_data_frame_corpus() -> Vec<u8> {
-    let payload = edist::mpi::wire::encode(&vec![1u64, 2, 3, 1 << 40]);
+    let payload = wire::encode(&vec![1u64, 2, 3, 1 << 40]);
+    tcpwire::encode_frame(TCP_SESSION, tcpwire::KIND_DATA, &payload)
+}
+
+/// A sealed DATA frame around raw bytes — the shape of every sync
+/// payload (`Vec<u8>`: a count, then the bytes as they are).
+fn tcp_bytes_frame_corpus() -> Vec<u8> {
+    let payload = wire::encode(&section_corpus());
+    tcpwire::encode_frame(TCP_SESSION, tcpwire::KIND_DATA, &payload)
+}
+
+/// A sealed DATA frame around nested byte runs (`Vec<Vec<u8>>`), one
+/// empty, so the mangler meets counts inside counts.
+fn tcp_nested_bytes_frame_corpus() -> Vec<u8> {
+    let payload = wire::encode(&vec![move_corpus(), Vec::new(), cell_corpus()]);
     tcpwire::encode_frame(TCP_SESSION, tcpwire::KIND_DATA, &payload)
 }
 
@@ -254,6 +269,7 @@ fn tcp_hello_frame_corpus() -> Vec<u8> {
         rank: 3,
         ranks: 8,
         listen: "127.0.0.1:54321".into(),
+        version: tcpwire::WIRE_VERSION,
     };
     tcpwire::encode_frame(
         TCP_SESSION,
@@ -309,11 +325,15 @@ fn exercise_decoders(bytes: &[u8]) {
     let _ = tcpwire::decode_welcome(bytes);
     let _ = tcpwire::decode_mesh(bytes);
     let _ = tcpwire::decode_error_frame(bytes);
+    let _ = wire::decode::<Vec<u8>>(bytes);
+    let _ = wire::decode::<Vec<Vec<u8>>>(bytes);
     if let Ok((_, payload)) = tcpwire::decode_frame(TCP_SESSION, bytes) {
         let _ = tcpwire::decode_hello(&payload);
         let _ = tcpwire::decode_welcome(&payload);
         let _ = tcpwire::decode_mesh(&payload);
         let _ = tcpwire::decode_error_frame(&payload);
+        let _ = wire::decode::<Vec<u8>>(&payload);
+        let _ = wire::decode::<Vec<Vec<u8>>>(&payload);
     }
     // The metrics-plane JSON parser sees bytes from `--metrics-out`
     // files the `report` subcommand reads back — same contract.
@@ -341,6 +361,8 @@ fn mutated_valid_encodings_never_panic_any_decoder() {
         tcp_data_frame_corpus(),
         tcp_hello_frame_corpus(),
         tcp_welcome_frame_corpus(),
+        tcp_bytes_frame_corpus(),
+        tcp_nested_bytes_frame_corpus(),
     ];
     // Mutating valid bytes must start from decodable corpora, or the
     // wall silently tests nothing but the error paths.
@@ -366,6 +388,13 @@ fn mutated_valid_encodings_never_panic_any_decoder() {
         tcpwire::decode_frame(TCP_SESSION, &corpora[11]).expect("tcp welcome frame");
     assert_eq!(kind, tcpwire::KIND_WELCOME);
     assert!(tcpwire::decode_welcome(&welcome).is_ok());
+    let (_, bytes) = tcpwire::decode_frame(TCP_SESSION, &corpora[12]).expect("tcp bytes frame");
+    assert_eq!(wire::decode::<Vec<u8>>(&bytes), Ok(section_corpus()));
+    let (_, nested) = tcpwire::decode_frame(TCP_SESSION, &corpora[13]).expect("tcp nested frame");
+    assert_eq!(
+        wire::decode::<Vec<Vec<u8>>>(&nested).map(|v| v.len()),
+        Ok(3)
+    );
 
     let mut rng = 0x5EED_F00D_u64;
     for i in 0..fuzz_iters() {
