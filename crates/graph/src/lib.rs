@@ -22,8 +22,9 @@
 //! * [`varint`] — the zigzag + LEB128 + delta-run codec shared by the
 //!   shard format and EDiSt's compressed move exchange.
 //! * [`frame`] — the strict-decoding primitives every binary decoder
-//!   shares: the typed [`DecodeError`] and the varint section framing
-//!   used by collective payloads and TCP frames.
+//!   shares: the one stream frame codec both wire protocols (the TCP
+//!   cluster's and the daemon's) speak, the typed [`DecodeError`], and
+//!   the varint section framing used by collective payloads.
 //! * [`mmap`] — zero-copy file ingest (`mmap(2)` with a `read()`
 //!   fallback and the `SBP_NO_MMAP` knob) feeding the shard reader.
 //! * [`shard`] — the `.sbps` binary edge-shard format: a graph is split

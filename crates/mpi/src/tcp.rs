@@ -54,15 +54,15 @@
 //!
 //! ## Frames
 //!
-//! Every message is one frame: `[kind u8][varint payload length]
-//! [payload][checksum u64 LE]`. The checksum is seeded: handshake frames
-//! (HELLO/WELCOME/MESH/ERROR) use a fixed public seed so a coordinator
-//! can decode a HELLO from a *different session* and reject it with a
-//! typed error, while DATA/POISON frames are sealed with the session id
-//! — frames from a stale or foreign run are rejected as corrupt rather
-//! than silently decoded. Frame and handshake decoders are strict and
-//! pure (exported for the fuzz harness): typed [`TcpError`]s, never
-//! panics, and no allocation sized by hostile input before it is
+//! Every message is one frame of [`sbp_graph::frame`] (the daemon's too),
+//! its kind as the tag; this module binds each kind to a seed and a cap.
+//! Handshake frames (HELLO/WELCOME/MESH/ERROR) use a fixed public seed so
+//! a coordinator can decode a HELLO from a *different session* and reject
+//! it with a typed error, while DATA/POISON frames are sealed with the
+//! session id — frames from a stale or foreign run are rejected as
+//! corrupt rather than silently decoded. Frame and handshake decoders are
+//! strict and pure (exported for the fuzz harness): typed [`TcpError`]s,
+//! never panics, and no allocation sized by hostile input before it is
 //! bounds-checked.
 //!
 //! ## Failure semantics
@@ -79,8 +79,7 @@
 use crate::comm::{CommStats, Communicator};
 use crate::thread::PeerAborted;
 use crate::wire::{self, Wire};
-use sbp_graph::frame::{concat_sections, split_sections, DecodeError};
-use sbp_graph::varint::write_u64;
+use sbp_graph::frame::{self, concat_sections, split_sections, DecodeError, FrameError, TagRule};
 use std::cell::{Cell, RefCell};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -150,23 +149,9 @@ pub enum TcpError {
     },
     /// A frame payload failed strict decoding.
     BadFrame(DecodeError),
-    /// A frame arrived with a checksum that does not match its bytes
-    /// under the expected seed (corruption, or a frame from a foreign
-    /// session).
-    ChecksumMismatch,
-    /// A frame declared a payload larger than the applicable cap.
-    FrameTooLarge {
-        /// The declared payload length.
-        declared: u64,
-    },
-    /// A structurally valid frame of the wrong kind for this protocol
-    /// point.
-    UnexpectedFrame {
-        /// What the protocol expected here.
-        expected: &'static str,
-        /// The frame kind actually received.
-        got: u8,
-    },
+    /// A frame failed the frame layer: truncated, a kind not expected
+    /// here, over its cap, or sealed for another session.
+    Frame(FrameError),
     /// HELLO/MESH carried a different session id.
     WrongSession {
         /// This process's session id.
@@ -222,13 +207,7 @@ impl std::fmt::Display for TcpError {
             }
             TcpError::Timeout { what } => write!(f, "{what} timed out"),
             TcpError::BadFrame(e) => write!(f, "malformed frame: {e}"),
-            TcpError::ChecksumMismatch => write!(f, "frame checksum mismatch"),
-            TcpError::FrameTooLarge { declared } => {
-                write!(f, "frame declares {declared} payload bytes, over the cap")
-            }
-            TcpError::UnexpectedFrame { expected, got } => {
-                write!(f, "expected {expected}, got frame kind {got}")
-            }
+            TcpError::Frame(e) => write!(f, "{e}"),
             TcpError::WrongSession { expected, got } => {
                 write!(
                     f,
@@ -269,146 +248,43 @@ impl From<DecodeError> for TcpError {
     }
 }
 
-/// splitmix64 finalizer — the workspace's standard bit mixer.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
+/// The seed and cap of a frame of `kind`: DATA/POISON are sealed with the
+/// session id under [`MAX_FRAME_BYTES`], handshake frames with the public
+/// seed under [`MAX_HANDSHAKE_BYTES`]; other kinds are refused.
+fn frame_rule(session: u64, kind: u8) -> Option<TagRule> {
+    let (seed, cap) = match kind {
+        KIND_DATA | KIND_POISON => (session, MAX_FRAME_BYTES),
+        KIND_HELLO..=KIND_ERROR => (HANDSHAKE_SEED, MAX_HANDSHAKE_BYTES),
+        _ => return None,
+    };
+    Some(TagRule { seed, cap })
 }
 
-/// Seeded frame checksum: mixes the seed, kind, and length, then every
-/// (zero-padded) 8-byte chunk of the payload. Not cryptographic — it
-/// detects corruption and cross-session frames, not adversaries.
-fn frame_checksum(seed: u64, kind: u8, payload: &[u8]) -> u64 {
-    let mut h = mix64(seed ^ u64::from(kind) ^ ((payload.len() as u64) << 8));
-    for chunk in payload.chunks(8) {
-        let mut block = [0u8; 8];
-        block[..chunk.len()].copy_from_slice(chunk);
-        h = mix64(h ^ u64::from_le_bytes(block));
-    }
-    h
-}
-
-/// The checksum seed a frame of `kind` is sealed with: handshake frames
-/// use the fixed public seed, data-phase frames the session id.
-#[inline]
-fn frame_seed(session: u64, kind: u8) -> u64 {
-    match kind {
-        KIND_DATA | KIND_POISON => session,
-        _ => HANDSHAKE_SEED,
-    }
-}
-
-/// Encodes one complete frame: `[kind][varint len][payload][checksum]`.
+/// Encodes one frame of `kind` for `session`.
 pub fn encode_frame(session: u64, kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(payload.len() + 20);
-    buf.push(kind);
-    write_u64(&mut buf, payload.len() as u64);
-    buf.extend_from_slice(payload);
-    let sum = frame_checksum(frame_seed(session, kind), kind, payload);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
+    let seed = frame_rule(session, kind).map_or(HANDSHAKE_SEED, |rule| rule.seed);
+    frame::encode_frame(seed, kind, payload)
 }
 
-/// Decodes exactly one frame from a byte slice, rejecting trailing
-/// bytes. This is the pure twin of the streaming reader, exported so the
-/// fuzz harness can hammer the decoder without sockets.
+/// Decodes exactly one frame from a byte slice, rejecting trailing bytes
+/// (exported for the fuzz harness).
 pub fn decode_frame(session: u64, buf: &[u8]) -> Result<(u8, Vec<u8>), TcpError> {
-    let truncated = || TcpError::BadFrame(DecodeError::Truncated { what: "tcp frame" });
-    let kind = *buf.first().ok_or_else(truncated)?;
-    if !(KIND_DATA..=KIND_ERROR).contains(&kind) {
-        return Err(TcpError::UnexpectedFrame {
-            expected: "known frame kind",
-            got: kind,
-        });
-    }
-    let mut pos = 1usize;
-    let len = sbp_graph::varint::read_u64(buf, &mut pos).ok_or_else(truncated)?;
-    let cap = frame_cap(kind);
-    if len > cap {
-        return Err(TcpError::FrameTooLarge { declared: len });
-    }
-    let need = (len as usize).checked_add(8).ok_or_else(truncated)?;
-    if buf.len() - pos < need {
-        return Err(truncated());
-    }
-    let payload = &buf[pos..pos + len as usize];
-    pos += len as usize;
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&buf[pos..pos + 8]);
-    pos += 8;
-    if pos != buf.len() {
-        return Err(TcpError::BadFrame(DecodeError::TrailingBytes {
+    match frame::decode_frame(buf, |kind| frame_rule(session, kind)).map_err(TcpError::Frame)? {
+        (kind, payload, used) if used == buf.len() => Ok((kind, payload)),
+        _ => Err(TcpError::BadFrame(DecodeError::TrailingBytes {
             what: "tcp frame",
-        }));
-    }
-    let expect = frame_checksum(frame_seed(session, kind), kind, payload);
-    if u64::from_le_bytes(sum) != expect {
-        return Err(TcpError::ChecksumMismatch);
-    }
-    Ok((kind, payload.to_vec()))
-}
-
-/// The payload cap applicable to a frame kind.
-#[inline]
-fn frame_cap(kind: u8) -> u64 {
-    match kind {
-        KIND_DATA | KIND_POISON => MAX_FRAME_BYTES,
-        _ => MAX_HANDSHAKE_BYTES,
+        })),
     }
 }
 
-/// Reads one frame off a stream. The declared length is checked against
-/// the per-kind cap *before* the payload buffer is allocated.
-fn read_frame<R: Read>(r: &mut R, session: u64) -> Result<(u8, Vec<u8>), TcpError> {
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    let kind = kind[0];
-    if !(KIND_DATA..=KIND_ERROR).contains(&kind) {
-        return Err(TcpError::UnexpectedFrame {
-            expected: "known frame kind",
-            got: kind,
-        });
-    }
-    // LEB128 off the stream, one byte at a time (at most ten).
-    let mut len = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
-        let byte = b[0];
-        if shift == 63 && byte > 1 {
-            return Err(TcpError::BadFrame(DecodeError::ValueOutOfRange {
-                what: "frame length varint",
-            }));
-        }
-        len |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(TcpError::BadFrame(DecodeError::ValueOutOfRange {
-                what: "frame length varint",
-            }));
-        }
-    }
-    if len > frame_cap(kind) {
-        return Err(TcpError::FrameTooLarge { declared: len });
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut sum = [0u8; 8];
-    r.read_exact(&mut sum)?;
-    let expect = frame_checksum(frame_seed(session, kind), kind, &payload);
-    if u64::from_le_bytes(sum) != expect {
-        return Err(TcpError::ChecksumMismatch);
-    }
-    Ok((kind, payload))
+/// Reads one frame of one of `kinds` off a stream: any other kind is
+/// refused before its payload is read, and a stream that ends first is
+/// truncation.
+fn read_frame<R: Read>(r: &mut R, session: u64, kinds: &[u8]) -> Result<(u8, Vec<u8>), TcpError> {
+    let rule = |kind| frame_rule(session, kind).filter(|_| kinds.contains(&kind));
+    frame::read_frame(r, rule)
+        .and_then(|frame| frame.ok_or(FrameError::Truncated))
+        .map_err(TcpError::Frame)
 }
 
 /// A peer's rendezvous request.
@@ -551,8 +427,8 @@ impl TcpConfig {
 }
 
 /// One established peer connection. The writer half is the stream
-/// itself; the reader half wraps a kernel-level clone in a `BufReader`
-/// so varint headers do not cost one syscall per byte.
+/// itself; the reader half wraps a kernel-level clone in a `BufReader`,
+/// because the frame parser reads the varint header a byte at a time.
 struct Link {
     writer: TcpStream,
     reader: RefCell<BufReader<TcpStream>>,
@@ -665,13 +541,7 @@ fn coordinator_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError>
         stream.set_read_timeout(Some(cfg.handshake_timeout))?;
         stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
-        let (kind, payload) = read_frame(&mut reader, cfg.session)?;
-        if kind != KIND_HELLO {
-            return Err(TcpError::UnexpectedFrame {
-                expected: "HELLO",
-                got: kind,
-            });
-        }
+        let (_, payload) = read_frame(&mut reader, cfg.session, &[KIND_HELLO])?;
         let hello = decode_hello(&payload)?;
         if hello.version != WIRE_VERSION {
             let err = TcpError::VersionMismatch {
@@ -762,17 +632,11 @@ fn peer_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError> {
         &encode_hello(&hello),
     ))?;
     let mut coord_reader = BufReader::new(coord.try_clone()?);
-    let welcome = match read_frame(&mut coord_reader, cfg.session)? {
+    let welcome = match read_frame(&mut coord_reader, cfg.session, &[KIND_WELCOME, KIND_ERROR])? {
         (KIND_WELCOME, payload) => decode_welcome(&payload)?,
-        (KIND_ERROR, payload) => {
+        (_, payload) => {
             let (code, message) = decode_error_frame(&payload)?;
             return Err(TcpError::Rejected { code, message });
-        }
-        (kind, _) => {
-            return Err(TcpError::UnexpectedFrame {
-                expected: "WELCOME",
-                got: kind,
-            });
         }
     };
     if welcome.session != cfg.session {
@@ -806,13 +670,7 @@ fn peer_handshake(cfg: &TcpConfig) -> Result<Vec<Option<Link>>, TcpError> {
         stream.set_read_timeout(Some(cfg.handshake_timeout))?;
         stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
-        let (kind, payload) = read_frame(&mut reader, cfg.session)?;
-        if kind != KIND_MESH {
-            return Err(TcpError::UnexpectedFrame {
-                expected: "MESH",
-                got: kind,
-            });
-        }
+        let (_, payload) = read_frame(&mut reader, cfg.session, &[KIND_MESH])?;
         let (session, from, version) = decode_mesh(&payload)?;
         if version != WIRE_VERSION {
             let err = TcpError::VersionMismatch {
@@ -942,7 +800,7 @@ impl TcpComm {
     fn recv_bytes(&self, src: usize) -> Vec<u8> {
         let link = self.link(src);
         let mut reader = link.reader.borrow_mut();
-        match read_frame(&mut *reader, self.session) {
+        match read_frame(&mut *reader, self.session, &[KIND_DATA, KIND_POISON]) {
             Ok((KIND_DATA, payload)) => {
                 drop(reader);
                 self.bump(0, payload.len() as u64);
@@ -1202,41 +1060,74 @@ mod tests {
         })
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The cluster wire did not move when its frame moved to
+    /// `sbp_graph::frame`: these are the bytes the codec that used to
+    /// live in this module wrote, a DATA frame and a HELLO frame.
     #[test]
-    fn frame_roundtrip_and_corruption() {
+    fn frame_bytes_are_pinned() {
+        let session = 0x0123_4567_89ab_cdef;
+        let data = encode_frame(session, KIND_DATA, &wire::encode(&vec![1u64, 2, 300]));
+        assert_eq!(hex(&data), "0105030102ac02ba3a19abbc6d6551");
+        let hello = Hello {
+            session,
+            rank: 1,
+            ranks: 2,
+            listen: "127.0.0.1:7000".to_string(),
+            version: WIRE_VERSION,
+        };
+        assert_eq!(
+            hex(&encode_frame(session, KIND_HELLO, &encode_hello(&hello))),
+            "031b0cef9bafcdf8acd191010102023132372e302e302e313a3730303077d5eec74efc84f4"
+        );
+    }
+
+    /// The frame layer itself is `sbp_graph::frame`'s (truncation, bit
+    /// flips, clean EOF are tested there); this module binds each kind to
+    /// its seed and cap and forbids trailing bytes.
+    #[test]
+    fn frames_bind_each_kind_to_its_seed_and_cap() {
         let frame = encode_frame(7, KIND_DATA, b"hello frames");
-        let (kind, payload) = decode_frame(7, &frame).expect("roundtrip");
-        assert_eq!(kind, KIND_DATA);
-        assert_eq!(payload, b"hello frames");
-        // Wrong session seed → checksum mismatch, not garbage.
-        assert_eq!(decode_frame(8, &frame), Err(TcpError::ChecksumMismatch));
-        // Flip a payload bit → checksum mismatch.
-        let mut bad = frame.clone();
-        bad[3] ^= 1;
-        assert_eq!(decode_frame(7, &bad), Err(TcpError::ChecksumMismatch));
-        // Truncations are typed.
-        for cut in 0..frame.len() {
-            assert!(decode_frame(7, &frame[..cut]).is_err(), "cut {cut}");
-        }
-        // Trailing bytes rejected.
+        assert_eq!(
+            decode_frame(7, &frame),
+            Ok((KIND_DATA, b"hello frames".to_vec()))
+        );
+        // Data frames are sealed with the session, handshake frames not.
+        assert_eq!(
+            decode_frame(8, &frame),
+            Err(TcpError::Frame(FrameError::ChecksumMismatch))
+        );
+        assert!(decode_frame(8, &encode_frame(7, KIND_HELLO, b"hi")).is_ok());
         let mut long = frame.clone();
         long.push(0);
         assert!(matches!(
             decode_frame(7, &long),
             Err(TcpError::BadFrame(DecodeError::TrailingBytes { .. }))
         ));
-        // Unknown kind rejected.
-        assert!(matches!(
+        assert_eq!(
             decode_frame(7, &[99, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
-            Err(TcpError::UnexpectedFrame { .. })
-        ));
-        // Hostile declared length rejected before allocation.
-        let mut hostile = vec![KIND_HELLO];
-        write_u64(&mut hostile, u64::MAX / 2);
-        assert!(matches!(
-            decode_frame(7, &hostile),
-            Err(TcpError::FrameTooLarge { .. })
-        ));
+            Err(TcpError::Frame(FrameError::UnexpectedTag(99)))
+        );
+        // A known kind the protocol point does not expect is refused the
+        // same way, before its payload is read.
+        assert_eq!(
+            read_frame(&mut &frame[..], 7, &[KIND_HELLO]),
+            Err(TcpError::Frame(FrameError::UnexpectedTag(KIND_DATA)))
+        );
+        // A length past the handshake cap is refused on a HELLO header
+        // alone; on a DATA header it is merely short of bytes.
+        let over = MAX_HANDSHAKE_BYTES + 1;
+        for (kind, want) in [
+            (KIND_HELLO, FrameError::TooLarge(over)),
+            (KIND_DATA, FrameError::Truncated),
+        ] {
+            let mut header = vec![kind];
+            sbp_graph::varint::write_u64(&mut header, over);
+            assert_eq!(decode_frame(7, &header), Err(TcpError::Frame(want)));
+        }
     }
 
     #[test]
@@ -1284,7 +1175,8 @@ mod tests {
 
     /// Reads the `ERROR` frame a rejected handshake was answered with.
     fn read_rejection(stream: &TcpStream) -> (u32, String) {
-        let (kind, payload) = read_frame(&mut BufReader::new(stream), 0).expect("an ERROR frame");
+        let (kind, payload) =
+            read_frame(&mut BufReader::new(stream), 0, &[KIND_ERROR]).expect("an ERROR frame");
         assert_eq!(kind, KIND_ERROR);
         decode_error_frame(&payload).expect("ERROR payload")
     }
@@ -1347,7 +1239,8 @@ mod tests {
                 .write_all(&encode_frame(session, KIND_HELLO, &encode_hello(&hello)))
                 .expect("send HELLO");
             let (kind, payload) =
-                read_frame(&mut BufReader::new(&coord_link), session).expect("WELCOME");
+                read_frame(&mut BufReader::new(&coord_link), session, &[KIND_WELCOME])
+                    .expect("WELCOME");
             assert_eq!(kind, KIND_WELCOME);
             let welcome = decode_welcome(&payload).expect("welcome");
             let mut mesh =
@@ -1419,10 +1312,12 @@ mod tests {
         }
     }
 
-    /// splitmix64 bytes, about half of them ≥ 0x80 — the bytes a varint
-    /// per byte would double.
+    /// Pseudo-random bytes, about half of them ≥ 0x80 — the bytes a
+    /// varint per byte would double.
     fn noise(len: usize, seed: u64) -> Vec<u8> {
-        (0..len as u64).map(|i| mix64(seed ^ i) as u8).collect()
+        (0..len as u64)
+            .map(|i| ((seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
     }
 
     #[test]

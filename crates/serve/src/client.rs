@@ -6,9 +6,9 @@
 //! for hostile-input probes — the daemon must answer a malformed frame
 //! with a typed error frame, never die.
 
-use crate::protocol::{encode_frame, read_frame, FrameReadError, Request, Response, WireError};
+use crate::protocol::{encode_frame, read_frame, FrameError, Request, Response, WireError};
 use crate::server::Listen;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
 /// What a client call can fail with.
@@ -40,45 +40,31 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-enum Stream {
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(std::net::TcpStream),
-}
+/// A connected unix or TCP socket.
+trait Socket: Read + Write + Send + Sync {}
+impl<S: Read + Write + Send + Sync> Socket for S {}
 
-impl Stream {
-    fn as_read(&mut self) -> &mut dyn Read {
-        match self {
-            Stream::Unix(s) => s,
-            Stream::Tcp(s) => s,
-        }
-    }
-
-    fn as_write(&mut self) -> &mut dyn Write {
-        match self {
-            Stream::Unix(s) => s,
-            Stream::Tcp(s) => s,
-        }
-    }
-}
-
-/// A blocking connection to a running `sbp-serve` daemon.
+/// A blocking connection to a running `sbp-serve` daemon. Replies are
+/// read through a buffer; requests go straight to the socket.
 pub struct Client {
-    stream: Stream,
+    stream: BufReader<Box<dyn Socket>>,
 }
 
 impl Client {
+    fn over(socket: impl Socket + 'static) -> Self {
+        Client {
+            stream: BufReader::new(Box::new(socket)),
+        }
+    }
+
     /// Connects to a unix-domain socket.
     pub fn connect_unix(path: &Path) -> Result<Self, ClientError> {
-        Ok(Client {
-            stream: Stream::Unix(std::os::unix::net::UnixStream::connect(path)?),
-        })
+        Ok(Self::over(std::os::unix::net::UnixStream::connect(path)?))
     }
 
     /// Connects to a TCP address like `127.0.0.1:7171`.
     pub fn connect_tcp(addr: &str) -> Result<Self, ClientError> {
-        Ok(Client {
-            stream: Stream::Tcp(std::net::TcpStream::connect(addr)?),
-        })
+        Ok(Self::over(std::net::TcpStream::connect(addr)?))
     }
 
     /// Connects to wherever `listen` points.
@@ -91,30 +77,22 @@ impl Client {
 
     /// Sends one request and reads the daemon's framed reply.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let frame = encode_frame(&req.encode());
-        self.stream.as_write().write_all(&frame)?;
-        self.stream.as_write().flush()?;
-        self.read_response()
+        self.send_raw(&encode_frame(&req.encode()))
     }
 
     /// Ships raw bytes down the socket verbatim (no framing added) and
     /// reads whatever framed reply comes back. For protocol probes.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<Response, ClientError> {
-        self.stream.as_write().write_all(bytes)?;
-        self.stream.as_write().flush()?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> Result<Response, ClientError> {
-        match read_frame(self.stream.as_read()) {
+        let socket = self.stream.get_mut();
+        socket.write_all(bytes)?;
+        socket.flush()?;
+        match read_frame(&mut self.stream) {
             Ok(Some(payload)) => Response::decode(&payload).map_err(ClientError::Wire),
             // The daemon replies exactly once per request: a stream that
             // ends before or inside the reply is a closed connection.
-            Ok(None) | Err(FrameReadError::Wire(WireError::Truncated)) => {
-                Err(ClientError::ConnectionClosed)
-            }
-            Err(FrameReadError::Wire(e)) => Err(ClientError::Wire(e)),
-            Err(FrameReadError::Io(e)) => Err(ClientError::Io(e)),
+            Ok(None) | Err(FrameError::Truncated) => Err(ClientError::ConnectionClosed),
+            Err(FrameError::Io(kind)) => Err(ClientError::Io(kind.into())),
+            Err(e) => Err(ClientError::Wire(WireError::Frame(e))),
         }
     }
 }

@@ -9,9 +9,11 @@
 //!   `.sbps` shard directory, via `edist-cli serve`), solves it cold — or
 //!   restores a PR 6 `.sbpc` checkpoint — and then holds the best
 //!   partition warm in memory.
-//! - [`protocol`] defines the length-prefixed, checksummed frame format
-//!   and the six request types (`Ingest`, `Repartition`, `Membership`,
-//!   `Stats`, `Checkpoint`, `Shutdown`). Every decoder is strict:
+//! - [`protocol`] binds the workspace's checksummed frame codec
+//!   ([`sbp_graph::frame`], the TCP cluster's frame) to the daemon's tag
+//!   and seed, and defines the request types (`Ingest`, `Repartition`,
+//!   `Membership`, `Stats`, `Checkpoint`, `Shutdown`, `Metrics`). Every
+//!   decoder is strict:
 //!   explicit size limits, canonical encodings, typed [`protocol::WireError`]s,
 //!   and no panics on arbitrary bytes — the same hostile-input contract
 //!   the rest of the workspace holds itself to.

@@ -1,40 +1,45 @@
 //! The `sbp-serve` wire protocol: strict length-prefixed binary frames.
 //!
-//! Every message — request or response — travels as one frame:
+//! Every message — request or response — travels as one frame of the
+//! workspace's frame codec ([`sbp_graph::frame`]), the one the TCP
+//! cluster speaks, under the daemon's own tag and seed:
 //!
 //! ```text
-//! +------+------------------+---------------+------------------+
-//! | "SF" | payload len u32le| payload bytes | checksum u64le   |
-//! +------+------------------+---------------+------------------+
-//!   2 B          4 B            ≤ 16 MiB           8 B
+//! +-----------+--------------------+---------------+----------------+
+//! | FRAME_TAG | payload len varint | payload bytes | checksum u64le |
+//! +-----------+--------------------+---------------+----------------+
+//!      1 B           1–4 B              ≤ 16 MiB           8 B
 //! ```
 //!
-//! The checksum covers the payload bytes only ([`frame_checksum`], the
-//! same mixer family as the `.sbpc` checkpoint trailer). The payload is
-//! a tag byte followed by tag-specific fields encoded with the
-//! [`sbp_graph::varint`] codec. Decoding is strict and allocation-
-//! bounded: every count is validated against the remaining payload
-//! before a vector is sized, strings have hard length limits, vertex-id
-//! lists use the canonical ascending delta encoding, and trailing bytes
-//! after a message are rejected. Every malformed input maps to a typed
+//! The checksum seals the tag, the length and the payload under the
+//! serve seed. The payload is a message tag byte followed by
+//! tag-specific fields encoded with the [`sbp_graph::varint`] codec.
+//! Decoding is strict and allocation-bounded: every count is validated
+//! against the remaining payload before a vector is sized, strings have
+//! hard length limits, vertex-id lists use the canonical ascending delta
+//! encoding, and trailing bytes after a message are rejected. Every malformed input maps to a typed
 //! [`WireError`] — decoders never panic, which the root `tests/fuzz.rs`
 //! hostile-input wall enforces over both request and response decoders.
 
-use sbp_graph::frame::checksum_bytes;
+use sbp_graph::frame::{self, TagRule};
 use sbp_graph::varint::{
     read_ascending_ids, read_i64, read_u64, write_ascending_ids, write_i64, write_u64,
 };
 use sbp_graph::{EdgeDelta, Vertex};
 
-/// Protocol revision. Bumped to 2 when [`StatsReply`] grew the uptime
-/// and cumulative ingest/repartition fields and the `Metrics`
-/// request/reply pair was added. The frames themselves carry no version
-/// byte — client and server ship from one tree — but the constant
-/// records where the encoding changed.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub use sbp_graph::frame::FrameError;
 
-/// Frame magic: `b"SF"` ("serve frame").
-pub const FRAME_MAGIC: [u8; 2] = *b"SF";
+/// Protocol revision: 2 added the `Metrics` pair and the [`StatsReply`]
+/// uptime and cumulative counters; 3 moved frames from `"SF"[u32 len]`
+/// to the cluster's layout under [`FRAME_TAG`], payloads unchanged.
+/// Frames carry no version byte — client and server ship from one tree.
+pub const PROTOCOL_VERSION: u32 = 3;
+
+/// The tag byte of every frame: none of the cluster's kinds (1–6) and not
+/// the `b'S'` of a protocol-2 frame, so both are refused at byte one.
+pub const FRAME_TAG: u8 = 0x44;
+/// Seed of the frame checksum.
+const FRAME_SEED: u64 = 0x5EF5_EF5E_F5EF_5EF5;
 /// Hard cap on a frame's payload size (16 MiB).
 pub const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 /// Hard cap on edge deltas in one `Ingest` request.
@@ -58,17 +63,11 @@ pub const MAX_TRAJECTORY: usize = 8;
 /// here; decoders never panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// The first two bytes are not [`FRAME_MAGIC`].
-    BadMagic,
-    /// The buffer ended before the declared structure did.
+    /// The frame layer refused the bytes: another tag, over
+    /// [`MAX_PAYLOAD`], truncated, or a checksum mismatch.
+    Frame(FrameError),
+    /// The payload ended before the declared structure did.
     Truncated,
-    /// The frame header declares a payload larger than [`MAX_PAYLOAD`].
-    PayloadTooLarge {
-        /// The declared payload length.
-        declared: u64,
-    },
-    /// The frame checksum does not match its payload.
-    ChecksumMismatch,
     /// Unknown message tag.
     BadTag(u8),
     /// A varint field failed to decode.
@@ -87,12 +86,8 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::BadMagic => write!(f, "bad frame magic"),
-            WireError::Truncated => write!(f, "truncated frame"),
-            WireError::PayloadTooLarge { declared } => {
-                write!(f, "declared payload {declared} exceeds {MAX_PAYLOAD} bytes")
-            }
-            WireError::ChecksumMismatch => write!(f, "frame checksum mismatch"),
+            WireError::Frame(e) => write!(f, "{e}"),
+            WireError::Truncated => write!(f, "truncated payload"),
             WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
             WireError::BadVarint => write!(f, "malformed varint field"),
             WireError::BadString => write!(f, "string field is not valid UTF-8"),
@@ -105,17 +100,15 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Seed of the per-frame checksum (the `.sbpc` trailer uses the same
-/// routine under its own seed).
-const FRAME_CHECKSUM_SEED: u64 = 0x5EF5_EF5E_F5EF_5EF5;
-
-/// The per-frame checksum over the payload bytes:
-/// [`sbp_graph::frame::checksum_bytes`] under the serve-frame seed.
-pub fn frame_checksum(bytes: &[u8]) -> u64 {
-    checksum_bytes(FRAME_CHECKSUM_SEED, bytes)
+/// The daemon's one tag, under its seed and [`MAX_PAYLOAD`].
+fn frame_rule(tag: u8) -> Option<TagRule> {
+    (tag == FRAME_TAG).then_some(TagRule {
+        seed: FRAME_SEED,
+        cap: MAX_PAYLOAD as u64,
+    })
 }
 
-/// Wraps a payload in a frame: magic, length, payload, checksum.
+/// Wraps a payload in a frame: tag, length, payload, checksum.
 ///
 /// # Panics
 /// Panics if `payload` exceeds [`MAX_PAYLOAD`] — encoders bound their
@@ -123,94 +116,22 @@ pub fn frame_checksum(bytes: &[u8]) -> u64 {
 /// for any message this module builds.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_PAYLOAD, "payload exceeds MAX_PAYLOAD");
-    let mut out = Vec::with_capacity(payload.len() + 14);
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
-    out
+    frame::encode_frame(FRAME_SEED, FRAME_TAG, payload)
 }
 
-/// Splits one frame off the front of `buf`: returns the payload slice
-/// and the total bytes consumed. Fails on bad magic, oversized or
-/// truncated payloads, and checksum mismatch.
-pub fn decode_frame(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
-    if buf.len() < 2 {
-        return Err(WireError::Truncated);
-    }
-    if buf[..2] != FRAME_MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    if buf.len() < 6 {
-        return Err(WireError::Truncated);
-    }
-    let len = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::PayloadTooLarge {
-            declared: len as u64,
-        });
-    }
-    let total = 6 + len + 8;
-    if buf.len() < total {
-        return Err(WireError::Truncated);
-    }
-    let payload = &buf[6..6 + len];
-    let sum = u64::from_le_bytes(buf[6 + len..total].try_into().expect("8 bytes"));
-    if sum != frame_checksum(payload) {
-        return Err(WireError::ChecksumMismatch);
-    }
-    Ok((payload, total))
+/// Splits one frame off the front of `buf`: returns the payload and the
+/// total bytes consumed.
+pub fn decode_frame(buf: &[u8]) -> Result<(Vec<u8>, usize), WireError> {
+    let (_, payload, used) = frame::decode_frame(buf, frame_rule).map_err(WireError::Frame)?;
+    Ok((payload, used))
 }
 
-/// Why [`read_frame`] produced no payload.
-#[derive(Debug)]
-pub enum FrameReadError {
-    /// The bytes read are not a well-formed frame; a stream that ends
-    /// inside a frame is [`WireError::Truncated`].
-    Wire(WireError),
-    /// Socket-level failure — including an expired read timeout.
-    Io(std::io::Error),
-}
-
-/// Reads one frame off `stream` and returns its payload — the one read
-/// loop of the daemon and the client. `Ok(None)` is a clean end of
-/// stream at a frame boundary. The declared length is checked against
-/// [`MAX_PAYLOAD`] before the body buffer is sized.
+/// Reads one frame's payload off `stream` (behind a buffer) — the read
+/// loop of the daemon and the client; `Ok(None)` is a clean end of stream.
 pub fn read_frame<R: std::io::Read + ?Sized>(
     stream: &mut R,
-) -> Result<Option<Vec<u8>>, FrameReadError> {
-    use std::io::ErrorKind;
-    let mut header = [0u8; 6];
-    let mut got = 0usize;
-    while got < header.len() {
-        match stream.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(FrameReadError::Wire(WireError::Truncated)),
-            Ok(k) => got += k,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameReadError::Io(e)),
-        }
-    }
-    if header[..2] != FRAME_MAGIC {
-        return Err(FrameReadError::Wire(WireError::BadMagic));
-    }
-    let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(FrameReadError::Wire(WireError::PayloadTooLarge {
-            declared: len as u64,
-        }));
-    }
-    let mut body = vec![0u8; len + 8];
-    stream.read_exact(&mut body).map_err(|e| match e.kind() {
-        ErrorKind::UnexpectedEof => FrameReadError::Wire(WireError::Truncated),
-        _ => FrameReadError::Io(e),
-    })?;
-    let sum = u64::from_le_bytes(body[len..].try_into().expect("8 bytes"));
-    body.truncate(len);
-    if sum != frame_checksum(&body) {
-        return Err(FrameReadError::Wire(WireError::ChecksumMismatch));
-    }
-    Ok(Some(body))
+) -> Result<Option<Vec<u8>>, FrameError> {
+    Ok(frame::read_frame(stream, frame_rule)?.map(|(_, payload)| payload))
 }
 
 // ------------------------------------------------------------- helpers
@@ -713,60 +634,26 @@ mod tests {
         let framed = encode_frame(&req.encode());
         let (payload, consumed) = decode_frame(&framed).unwrap();
         assert_eq!(consumed, framed.len());
-        assert_eq!(Request::decode(payload).unwrap(), req);
+        assert_eq!(Request::decode(&payload).unwrap(), req);
     }
 
     fn roundtrip_response(resp: Response) {
         let framed = encode_frame(&resp.encode());
         let (payload, consumed) = decode_frame(&framed).unwrap();
         assert_eq!(consumed, framed.len());
-        assert_eq!(Response::decode(payload).unwrap(), resp);
+        assert_eq!(Response::decode(&payload).unwrap(), resp);
     }
 
-    /// Serve frames are byte-unchanged by the shared checksum routine:
-    /// pinned to what the format's own routine produced before
-    /// `checksum_bytes` existed.
+    /// The protocol-3 layout: [`FRAME_TAG`], the varint length, the
+    /// payload, and the cluster's checksum under the serve seed.
     #[test]
     fn frame_bytes_are_pinned() {
         assert_eq!(
             encode_frame(&Request::Membership(vec![1, 2, 3]).encode()),
             [
-                0x53, 0x46, 0x05, 0x00, 0x00, 0x00, 0x03, 0x03, 0x01, 0x00, 0x00, 0x3c, 0x03, 0xb3,
-                0xb6, 0x10, 0x2c, 0x09, 0xb0
+                0x44, 0x05, 0x03, 0x03, 0x01, 0x00, 0x00, 0xe9, 0xc4, 0xf3, 0xe7, 0xf6, 0xb0, 0xdb,
+                0x58
             ]
-        );
-        assert_eq!(frame_checksum(b"edist serve frame"), 0x8112_522a_d77d_de04);
-    }
-
-    /// `read_frame` is `decode_frame` over a stream: same payloads, same
-    /// typed errors, clean EOF only at a frame boundary.
-    #[test]
-    fn read_frame_matches_decode_frame() {
-        let payload = Request::Membership(vec![4, 9]).encode();
-        let mut two = encode_frame(&payload);
-        two.extend_from_slice(&encode_frame(b""));
-        let mut stream = &two[..];
-        assert_eq!(read_frame(&mut stream).unwrap(), Some(payload));
-        assert_eq!(read_frame(&mut stream).unwrap(), Some(Vec::new()));
-        assert_eq!(read_frame(&mut stream).unwrap(), None);
-
-        let wire_error = |bytes: &[u8]| match read_frame(&mut &bytes[..]) {
-            Err(FrameReadError::Wire(e)) => e,
-            other => panic!("expected a wire error, got {other:?}"),
-        };
-        let good = encode_frame(b"abc");
-        for cut in 1..good.len() {
-            assert_eq!(wire_error(&good[..cut]), WireError::Truncated, "cut {cut}");
-        }
-        let mut flipped = good.clone();
-        flipped[7] ^= 1;
-        assert_eq!(wire_error(&flipped), WireError::ChecksumMismatch);
-        assert_eq!(wire_error(b"XX\x00\x00\x00\x00"), WireError::BadMagic);
-        assert_eq!(
-            wire_error(b"SF\xFF\xFF\xFF\xFF"),
-            WireError::PayloadTooLarge {
-                declared: u32::MAX as u64
-            }
         );
     }
 
@@ -866,27 +753,40 @@ mod tests {
     }
 
     #[test]
-    fn frame_rejects_bad_magic_length_and_checksum() {
+    fn frame_rejects_foreign_tag_length_and_checksum() {
         let framed = encode_frame(&Request::Stats.encode());
+        // A protocol-2 frame is refused at its first byte.
+        assert_eq!(
+            decode_frame(b"SF\x01\x00\x00\x00\x04"),
+            Err(WireError::Frame(FrameError::UnexpectedTag(b'S')))
+        );
         let mut bad = framed.clone();
-        bad[0] = b'X';
-        assert_eq!(decode_frame(&bad), Err(WireError::BadMagic));
-        let mut bad = framed.clone();
+        bad[1] = 0xFF;
         bad[2] = 0xFF;
-        bad[5] = 0xFF;
+        bad[3] = 0xFF;
+        bad[4] = 0x7F;
         assert!(matches!(
             decode_frame(&bad),
-            Err(WireError::PayloadTooLarge { .. })
+            Err(WireError::Frame(FrameError::TooLarge { .. }))
         ));
         let mut bad = framed.clone();
         let last = bad.len() - 1;
         bad[last] ^= 1;
-        assert_eq!(decode_frame(&bad), Err(WireError::ChecksumMismatch));
-        assert_eq!(decode_frame(&framed[..5]), Err(WireError::Truncated));
-        // Flipping any payload byte trips the checksum.
+        assert_eq!(
+            decode_frame(&bad),
+            Err(WireError::Frame(FrameError::ChecksumMismatch))
+        );
+        assert_eq!(
+            decode_frame(&framed[..5]),
+            Err(WireError::Frame(FrameError::Truncated))
+        );
+        // Flipping the payload byte trips the checksum.
         let mut bad = framed.clone();
-        bad[6] ^= 0x40;
-        assert_eq!(decode_frame(&bad), Err(WireError::ChecksumMismatch));
+        bad[2] ^= 0x40;
+        assert_eq!(
+            decode_frame(&bad),
+            Err(WireError::Frame(FrameError::ChecksumMismatch))
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! connection; the daemon itself survives and keeps accepting.
 
 use crate::protocol::{
-    encode_frame, error_code, read_frame, FrameReadError, RepartitionMode, Request, Response,
+    encode_frame, error_code, read_frame, FrameError, RepartitionMode, Request, Response,
     StatsReply, TrajectoryPoint, MAX_TRAJECTORY,
 };
 use sbp_core::checkpoint::CheckpointState;
@@ -22,7 +22,7 @@ use sbp_core::registry::{SolverRegistry, SolverSpec};
 use sbp_core::run::{NoProgress, RunConfig, Solver, WarmStart};
 use sbp_core::{IterationStat, SbpConfig};
 use sbp_graph::{EdgeDelta, Graph, Vertex};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Where the daemon listens.
@@ -537,25 +537,27 @@ fn write_response<W: Write>(stream: &mut W, resp: &Response) -> std::io::Result<
 
 /// Serves one connection: a loop of frame → request → reply. Returns
 /// true if a `Shutdown` request was honoured. A malformed frame gets an
-/// error reply and closes this connection only.
+/// error reply and closes this connection only. Requests are read
+/// through a buffer, replies written straight to the socket.
 fn serve_connection<S: Read + Write>(server: &mut Server, stream: &mut S) -> bool {
+    let mut stream = BufReader::new(stream);
     loop {
-        let payload = match read_frame(stream) {
+        let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
             Ok(None) => return false,
-            Err(FrameReadError::Wire(wire)) => {
+            // Socket failure or an expired read timeout: drop the
+            // connection without a reply.
+            Err(FrameError::Io(_)) => return false,
+            Err(e) => {
                 let _ = write_response(
-                    stream,
+                    stream.get_mut(),
                     &Response::Error {
                         code: error_code::MALFORMED,
-                        message: format!("malformed frame: {wire}"),
+                        message: format!("malformed frame: {e}"),
                     },
                 );
                 return false;
             }
-            // Socket failure or an expired read timeout: drop the
-            // connection without a reply.
-            Err(FrameReadError::Io(_)) => return false,
         };
         let (resp, shutdown) = match Request::decode(&payload) {
             Ok(req) => server.handle(req),
@@ -567,7 +569,7 @@ fn serve_connection<S: Read + Write>(server: &mut Server, stream: &mut S) -> boo
                 false,
             ),
         };
-        if write_response(stream, &resp).is_err() {
+        if write_response(stream.get_mut(), &resp).is_err() {
             return false;
         }
         if shutdown {

@@ -1182,11 +1182,13 @@ fn cmd_connect(args: &Args) -> Result<u8, String> {
     let listen = edist::serve::Listen::parse(args.require("to")?).map_err(|e| e.to_string())?;
     let mut client = Client::connect(&listen).map_err(|e| format!("connecting: {e}"))?;
     if args.get("badframe").is_some_and(|v| v != "false") {
-        // Deliberately hostile bytes: correct magic + tiny declared
-        // length, then garbage. The daemon must answer with a typed
-        // error frame and keep running — never die.
+        // Deliberately hostile bytes: the frame tag and a tiny length,
+        // then garbage where the checksum belongs. The daemon must answer
+        // with a typed error frame and keep running — never die.
+        let mut probe = vec![edist::serve::protocol::FRAME_TAG, 4];
+        probe.extend_from_slice(b"garbage-bytes");
         let reply = client
-            .send_raw(b"SF\x04\x00\x00\x00garbage-bytes")
+            .send_raw(&probe)
             .map_err(|e| format!("badframe probe: {e}"))?;
         return match reply {
             Response::Error { code, message } => {

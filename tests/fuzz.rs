@@ -1,9 +1,10 @@
 //! Hostile-input wall: every decoder that ever touches bytes from disk
 //! or from a peer — the `.sbps` shard reader, the shared varint codec,
-//! the collective payload codecs, and the `.sbpc` checkpoint format —
-//! is fed pure noise, mutated valid encodings, and crafted length
-//! prefixes. The contract under fire: **a typed error or a valid value,
-//! never a panic, never an allocation sized by attacker bytes.**
+//! the collective payload codecs, the `.sbpc` checkpoint format, and the
+//! one frame parser under both of its wire protocols — is fed pure
+//! noise, mutated valid encodings, and crafted length prefixes. The
+//! contract under fire: **a typed error or a valid value, never a panic,
+//! never an allocation sized by attacker bytes.**
 //!
 //! Two generators drive the wall:
 //!
@@ -25,6 +26,7 @@ use edist::dist::exchange::{
     concat_sections, decode_cells, decode_moves, encode_cells, encode_moves, split_sections,
 };
 use edist::graph::fixtures::two_cliques;
+use edist::graph::frame::FrameError;
 use edist::graph::shard::{shard_file_name, shard_graph, ShardReader};
 use edist::graph::varint::{read_ascending_ids, read_u64, write_u64};
 use edist::graph::EdgeDelta;
@@ -32,9 +34,10 @@ use edist::mpi::tcp as tcpwire;
 use edist::mpi::wire;
 use edist::prelude::OwnershipStrategy;
 use edist::serve::protocol::{
-    decode_frame, encode_frame, RepartitionMode, StatsReply, TrajectoryPoint,
+    decode_frame, encode_frame, RepartitionMode, StatsReply, TrajectoryPoint, FRAME_TAG,
+    MAX_PAYLOAD,
 };
-use edist::serve::{Request, Response};
+use edist::serve::{Request, Response, WireError};
 use proptest::prelude::*;
 
 /// Session id the TCP-frame corpora are sealed with (data-phase frames
@@ -312,8 +315,8 @@ fn exercise_decoders(bytes: &[u8]) {
     // frame yields (a mutant can have a correct checksum over mutated
     // payload bytes).
     if let Ok((payload, _)) = decode_frame(bytes) {
-        let _ = Request::decode(payload);
-        let _ = Response::decode(payload);
+        let _ = Request::decode(&payload);
+        let _ = Response::decode(&payload);
     }
     let _ = Request::decode(bytes);
     let _ = Response::decode(bytes);
@@ -372,13 +375,13 @@ fn mutated_valid_encodings_never_panic_any_decoder() {
     assert!(ShardReader::decode(&corpora[3]).is_ok());
     assert!(CheckpointState::decode(&corpora[4]).is_ok());
     let (req_payload, _) = decode_frame(&corpora[5]).expect("request corpus frames");
-    assert!(Request::decode(req_payload).is_ok());
+    assert!(Request::decode(&req_payload).is_ok());
     let (resp_payload, _) = decode_frame(&corpora[6]).expect("response corpus frames");
-    assert!(Response::decode(resp_payload).is_ok());
+    assert!(Response::decode(&resp_payload).is_ok());
     let (misc_payload, _) = decode_frame(&corpora[7]).expect("misc corpus frames");
-    assert!(Request::decode(misc_payload).is_ok());
+    assert!(Request::decode(&misc_payload).is_ok());
     let (metrics_payload, _) = decode_frame(&corpora[8]).expect("metrics corpus frames");
-    assert!(Response::decode(metrics_payload).is_ok());
+    assert!(Response::decode(&metrics_payload).is_ok());
     let (kind, _) = tcpwire::decode_frame(TCP_SESSION, &corpora[9]).expect("tcp data frame");
     assert_eq!(kind, tcpwire::KIND_DATA);
     let (kind, hello) = tcpwire::decode_frame(TCP_SESSION, &corpora[10]).expect("tcp hello frame");
@@ -416,11 +419,19 @@ fn random_byte_soup_never_panics_any_decoder() {
 
 /// Crafted length prefixes: a tiny buffer declaring an enormous element
 /// count must be rejected by the count-vs-remaining-payload check, not
-/// trusted into `Vec::with_capacity`.
+/// trusted into `Vec::with_capacity`; a frame header declaring more than
+/// its cap — 2 GiB for cluster DATA, 1 MiB for the handshake, 16 MiB for
+/// the daemon — must be refused by the one frame parser before it sizes
+/// a buffer.
 #[test]
 fn crafted_length_prefixes_are_rejected_without_allocating() {
+    let caps = [
+        (tcpwire::KIND_DATA, tcpwire::MAX_FRAME_BYTES),
+        (tcpwire::KIND_HELLO, tcpwire::MAX_HANDSHAKE_BYTES),
+        (FRAME_TAG, MAX_PAYLOAD as u64),
+    ];
     let mut rng = 0xC0FF_EE00_u64;
-    for _ in 0..fuzz_iters() {
+    for i in 0..fuzz_iters() {
         let declared = splitmix(&mut rng) | (1 << 40); // always huge
         let mut buf = Vec::new();
         write_u64(&mut buf, declared);
@@ -432,7 +443,70 @@ fn crafted_length_prefixes_are_rejected_without_allocating() {
             read_ascending_ids(&buf, &mut pos).is_none(),
             "count {declared} accepted"
         );
+
+        // At the cap a header passes and the short tail is truncation;
+        // just past it, or anywhere above, it is refused outright.
+        let (tag, cap) = caps[i % caps.len()];
+        let over = if i % 2 == 0 {
+            0
+        } else {
+            splitmix(&mut rng) % (u64::MAX - cap)
+        };
+        let tail = random_bytes(&mut rng, 16);
+        let refusal = |declared: u64| {
+            let mut frame = vec![tag];
+            write_u64(&mut frame, declared);
+            frame.extend_from_slice(&tail);
+            match tag {
+                FRAME_TAG => match decode_frame(&frame) {
+                    Err(WireError::Frame(e)) => Some(e),
+                    _ => None,
+                },
+                _ => match tcpwire::decode_frame(TCP_SESSION, &frame) {
+                    Err(tcpwire::TcpError::Frame(e)) => Some(e),
+                    _ => None,
+                },
+            }
+        };
+        assert_eq!(refusal(cap), Some(FrameError::Truncated));
+        let declared = cap + 1 + over;
+        assert_eq!(refusal(declared), Some(FrameError::TooLarge(declared)));
     }
+}
+
+/// The two wire protocols share a parser, not a tag or a seed: a cluster
+/// frame offered to the daemon, and a daemon frame offered to a cluster
+/// rank, each get a typed error, never a payload.
+#[test]
+fn cluster_and_daemon_frames_are_refused_by_each_other() {
+    let payload = Request::Stats.encode();
+    for kind in tcpwire::KIND_DATA..=tcpwire::KIND_ERROR {
+        let cluster = tcpwire::encode_frame(TCP_SESSION, kind, &payload);
+        assert_eq!(
+            decode_frame(&cluster),
+            Err(WireError::Frame(FrameError::UnexpectedTag(kind)))
+        );
+        // Even under the daemon's tag, the cluster seal does not verify.
+        let mut retagged = cluster;
+        retagged[0] = FRAME_TAG;
+        assert_eq!(
+            decode_frame(&retagged),
+            Err(WireError::Frame(FrameError::ChecksumMismatch))
+        );
+    }
+    let daemon = encode_frame(&payload);
+    assert_eq!(
+        tcpwire::decode_frame(TCP_SESSION, &daemon),
+        Err(tcpwire::TcpError::Frame(FrameError::UnexpectedTag(
+            FRAME_TAG
+        )))
+    );
+    let mut retagged = daemon;
+    retagged[0] = tcpwire::KIND_HELLO;
+    assert_eq!(
+        tcpwire::decode_frame(TCP_SESSION, &retagged),
+        Err(tcpwire::TcpError::Frame(FrameError::ChecksumMismatch))
+    );
 }
 
 // --------------------------------------- proptest-driven random soup
@@ -484,7 +558,7 @@ proptest! {
         let frame = encode_frame(&req.encode());
         let (payload, consumed) = decode_frame(&frame).expect("honest frame");
         prop_assert_eq!(consumed, frame.len());
-        let decoded = Request::decode(payload).expect("honest payload");
+        let decoded = Request::decode(&payload).expect("honest payload");
         prop_assert_eq!(decoded, req);
     }
 }
