@@ -15,7 +15,7 @@
 //! * the sharded sync's cell fold against the `BTreeMap` it replaced (PR 18);
 //! * blockmodel construction and incremental moves, and a merge's fold of
 //!   the held model against the rebuild it replaced (PR 24);
-//! * SIMD vs scalar entropy A/B and the entropy chunk-size study (PR 10);
+//! * the entropy chunk-size study on a dense C = V/4 blockmodel (PR 10);
 //! * synthetic graph generation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -800,33 +800,20 @@ fn bench_merged(c: &mut Criterion) {
     group.finish();
 }
 
-/// SIMD vs scalar A/B on the dense entropy sum, plus the entropy
-/// chunk-size study. The `simd`-suffixed id runs the runtime-dispatched
-/// path (which falls back to scalar on non-AVX2 hosts, turning the pair
-/// into a self-comparison); the `scalar` id forces the scalar source of
-/// truth. Results are bit-identical by the determinism contract — only
-/// wall time may differ.
-fn bench_simd(c: &mut Criterion) {
+/// The entropy chunk-size study on a dense blockmodel.
+fn bench_entropy_chunk(c: &mut Criterion) {
     let (graph, _, _) = bench_graph();
     let n = graph.num_vertices();
     // Force dense storage at C = V/4 (~169): well above the C ≤ 64
-    // always-dense band, so the 4-lane kernels cross many blocks per
-    // line and the vector path dominates the scalar block fallbacks.
+    // always-dense band, so every row walk crosses many zero slots.
     let nb = (n / 4).max(4);
     let assignment: Vec<u32> = (0..n as u32).map(|v| v % nb as u32).collect();
     let bm = Blockmodel::from_assignment_with(&graph, assignment, nb, StorageKind::Dense);
     let mut group = quick(c);
-    group.bench_function("simd/entropy_dense_simd", |b| {
-        b.iter(|| black_box(bm.entropy()))
-    });
-    group.bench_function("simd/entropy_dense_scalar", |b| {
-        b.iter(|| black_box(bm.entropy_scalar()))
-    });
-    // Entropy chunk-size study under SIMD (ROADMAP carry-over from
-    // PR 5): the chunk width only changes the parallel split points,
-    // never the in-chunk lane order, so these four are free to differ
-    // in wall time while the default stays pinned at 64 for fixture
-    // stability.
+    // Entropy chunk-size study (ROADMAP carry-over from PR 5): the chunk
+    // width re-associates the chunk partials, so these four are free to
+    // differ in bits and wall time while the default stays pinned at 64
+    // for fixture stability.
     for chunk in [32usize, 64, 128, 256] {
         group.bench_with_input(
             BenchmarkId::new("blockmodel/entropy_chunk", chunk),
@@ -870,7 +857,7 @@ criterion_group!(
     bench_cell_fold,
     bench_blockmodel,
     bench_merged,
-    bench_simd,
+    bench_entropy_chunk,
     bench_generator
 );
 criterion_main!(benches);

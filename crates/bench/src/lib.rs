@@ -15,6 +15,8 @@
 //! * `EDIST_MAX_RANKS` — cap on the simulated rank counts (default 64).
 //! * `EDIST_SEED` — master seed (default 42).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 

@@ -926,14 +926,7 @@ impl Blockmodel {
     /// blockmodels holding the same integer state — across storage
     /// representations, move histories, and `SBP_THREADS` settings alike.
     pub fn entropy(&self) -> f64 {
-        self.entropy_impl(ENTROPY_CHUNK_ROWS, crate::simd::enabled())
-    }
-
-    /// [`entropy`](Self::entropy) forced onto the scalar row walk — the
-    /// property tests' bit-identity reference.
-    #[doc(hidden)]
-    pub fn entropy_scalar(&self) -> f64 {
-        self.entropy_impl(ENTROPY_CHUNK_ROWS, false)
+        self.entropy_impl(ENTROPY_CHUNK_ROWS)
     }
 
     /// [`entropy`](Self::entropy) with an explicit chunk size — the
@@ -942,41 +935,38 @@ impl Blockmodel {
     /// sizes legitimately produce different bits.
     #[doc(hidden)]
     pub fn entropy_with_chunk(&self, chunk_rows: usize) -> f64 {
-        self.entropy_impl(chunk_rows, crate::simd::enabled())
+        self.entropy_impl(chunk_rows)
     }
 
-    fn entropy_impl(&self, chunk_rows: usize, use_simd: bool) -> f64 {
+    fn entropy_impl(&self, chunk_rows: usize) -> f64 {
         let c = self.num_blocks;
         if c <= chunk_rows {
-            return self.entropy_rows(0, c as u32, use_simd);
+            return self.entropy_rows(0, c as u32);
         }
         let bounds: Vec<u32> = (0..c).step_by(chunk_rows).map(|r| r as u32).collect();
         let partials: Vec<f64> = bounds
             .par_iter()
-            .map(|&lo| self.entropy_rows(lo, ((lo as usize + chunk_rows).min(c)) as u32, use_simd))
+            .map(|&lo| self.entropy_rows(lo, ((lo as usize + chunk_rows).min(c)) as u32))
             .collect();
         partials.into_iter().sum()
     }
 
     /// Entropy terms of rows `lo..hi`, accumulated row-major in canonical
-    /// order — one chunk of the fixed-shape reduction. Dense rows go
-    /// through the SIMD-dispatched [`crate::simd::entropy_line`]; sparse
-    /// rows walk their canonical cells directly.
-    fn entropy_rows(&self, lo: u32, hi: u32, use_simd: bool) -> f64 {
+    /// order — one chunk of the fixed-shape reduction. Both storages walk
+    /// [`row_iter`](Self::row_iter), which yields a row's nonzero cells in
+    /// ascending column order either way, so the same integer state sums
+    /// the same terms in the same order.
+    fn entropy_rows(&self, lo: u32, hi: u32) -> f64 {
         let mut s = 0.0f64;
         for r in lo..hi {
             if self.d_out[r as usize] == 0 {
                 continue;
             }
             let ldr = self.ln_d_out[r as usize];
-            if let Some(line) = self.dense_row(r) {
-                crate::simd::entropy_line(line, &self.ln_d_in, ldr, &mut s, use_simd);
-            } else {
-                for (c, m) in self.row_iter(r) {
-                    debug_assert!(m > 0 && self.d_in[c as usize] > 0);
-                    let mf = m as f64;
-                    s -= mf * (crate::lntab::ln_int(m) - ldr - self.ln_d_in[c as usize]);
-                }
+            for (c, m) in self.row_iter(r) {
+                debug_assert!(m > 0 && self.d_in[c as usize] > 0);
+                let mf = m as f64;
+                s -= mf * (crate::lntab::ln_int(m) - ldr - self.ln_d_in[c as usize]);
             }
         }
         s

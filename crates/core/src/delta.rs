@@ -134,8 +134,8 @@
 //!   meets them out of band and parks their terms until both walks are
 //!   done. On **dense** storage a line scan visits every slot, so created
 //!   cells are summed inline, at their slot: row `s`, then column `s`,
-//!   through `simd::delta_line_pass`, fed the `r` line as the delta
-//!   pairs. The two storages therefore round a merge ΔS differently, as
+//!   through the local `delta_line_pass`, fed the dense `r` line as the
+//!   delta line. The two storages therefore round a merge ΔS differently, as
 //!   they always have; replicas agree because they pick the same storage
 //!   for the same integers — [`crate::auto_picks_dense`] reads `(C, E)` and
 //!   nothing else.
@@ -160,7 +160,6 @@
 use crate::blockmodel::{Blockmodel, LineIter};
 use crate::blockset::BlockSet;
 use crate::lntab::ln_int;
-use crate::simd::{self, LaneFix};
 use sbp_graph::{Graph, Vertex, Weight};
 use std::cell::RefCell;
 
@@ -174,9 +173,7 @@ fn unpack(k: u64) -> (u32, u32) {
     ((k >> 32) as u32, k as u32)
 }
 
-/// −m·(ln m − ln_deg_sum); callers guarantee `m > 0`. Shared with the
-/// SIMD kernels ([`crate::simd`]), whose vector bodies replicate this op
-/// sequence lane-wise.
+/// −m·(ln m − ln_deg_sum); callers guarantee `m > 0`.
 #[inline]
 pub(crate) fn term(m: Weight, ln_deg_sum: f64) -> f64 {
     -(m as f64) * (ln_int(m) - ln_deg_sum)
@@ -291,9 +288,6 @@ pub struct DeltaScratch {
     row_r_old: f64,
     /// Current entropy term of each `col_r` cell.
     col_r_old: Vec<f64>,
-    /// Dense storage: row `s`'s delta pairs — `row_r` with the two corner
-    /// columns patched.
-    pairs: Vec<(u32, Weight)>,
     /// Sparse storage: parked terms of the created cells `(s, c)`,
     /// ascending in `c`, `(s, s)` excluded.
     created_row: Vec<f64>,
@@ -522,7 +516,7 @@ impl DeltaScratch {
         GatheredBlock { scratch: self, bm }
     }
 
-    fn evaluate_merge_with(&mut self, bm: &Blockmodel, s: u32, use_simd: bool) -> f64 {
+    fn evaluate_merge(&mut self, bm: &Blockmodel, s: u32) -> f64 {
         let r = self.from;
         assert_ne!(r, s, "cannot merge a block into itself");
         let m_sr = line_get(&self.col_r, s);
@@ -538,7 +532,7 @@ impl DeltaScratch {
                 self.walk_sparse(bm, &target, row_s.as_slice(), col_s.as_slice())
             }
             (LineIter::Dense { line: row_s, .. }, LineIter::Dense { line: col_s, .. }) => {
-                self.walk_dense(bm, &target, row_s, col_s, use_simd)
+                self.walk_dense(bm, &target, row_s, col_s)
             }
             _ => unreachable!("a blockmodel has one storage kind"),
         }
@@ -634,56 +628,50 @@ impl DeltaScratch {
     }
 
     /// The dense-storage merge walk: two slot-by-slot line passes, created
-    /// cells inline, the `r` lines as the delta pairs.
+    /// cells inline, the `r` lines as the delta lines.
     fn walk_dense(
-        &mut self,
+        &self,
         bm: &Blockmodel,
         t: &MergeTarget,
         row_s: &[Weight],
         col_s: &[Weight],
-        use_simd: bool,
     ) -> f64 {
         let (r, s) = (self.from, t.s);
-        // Row s gains row r cell for cell, except at the two corner
-        // columns: (s,r) empties and (s,s) takes the folded diagonal.
-        self.pairs.clear();
-        self.pairs
-            .extend(self.row_r.iter().filter(|e| e.0 != r && e.0 != s));
-        for corner in [(r, -t.m_sr), (s, t.diag)] {
-            let at = self.pairs.partition_point(|e| e.0 < corner.0);
-            self.pairs.insert(at, corner);
-        }
+        let row_r = bm.dense_row(r).expect("dense storage");
+        let col_r = bm.dense_col(r).expect("dense storage");
         let mut old = self.row_r_old;
         let mut new = 0.0f64;
-        simd::delta_line_pass(
+        // Row s gains row r cell for cell, except at the two corner
+        // columns: (s,r) empties and (s,s) takes the folded diagonal.
+        delta_line_pass(
             row_s,
-            &self.pairs,
+            row_r,
             bm.ln_d_in_all(),
             bm.ln_d_out(s),
             t.ln_ndo_s,
             // Column r of the merged row is empty: `ln_r` is never read.
-            &LaneFix::Substitute {
+            &LineFix::Substitute {
                 r,
                 s,
+                dm_r: -t.m_sr,
+                dm_s: t.diag,
                 ln_r: 0.0,
                 ln_s: t.ln_ndi_s,
             },
             &mut old,
             &mut new,
-            use_simd,
         );
         old = self.add_col_r_old(s, old);
         // Column s gains column r as is: the pass skips rows r and s.
-        simd::delta_line_pass(
+        delta_line_pass(
             col_s,
-            &self.col_r,
+            col_r,
             bm.ln_d_out_all(),
             bm.ln_d_in(s),
             t.ln_ndi_s,
-            &LaneFix::Skip { r, s },
+            &LineFix::Skip { r, s },
             &mut old,
             &mut new,
-            use_simd,
         );
         new - old
     }
@@ -707,15 +695,7 @@ impl GatheredBlock<'_> {
     /// # Panics
     /// Panics if `to` is the gathered block.
     pub fn evaluate_merge(&mut self, to: u32) -> f64 {
-        self.scratch
-            .evaluate_merge_with(self.bm, to, simd::enabled())
-    }
-
-    /// [`evaluate_merge`](Self::evaluate_merge) forced onto the scalar
-    /// kernels — the property tests' bit-identity reference.
-    #[doc(hidden)]
-    pub fn evaluate_merge_scalar(&mut self, to: u32) -> f64 {
-        self.scratch.evaluate_merge_with(self.bm, to, false)
+        self.scratch.evaluate_merge(self.bm, to)
     }
 }
 
@@ -773,6 +753,114 @@ fn join_merge_lines(
     }
 }
 
+/// How a line pass treats the moved pair's two special indices `r`/`s`.
+enum LineFix {
+    /// Row pass: at columns `r`/`s` the delta is the one given here, not
+    /// the delta line's, and the *new* term uses the post-move `ln(d_in)`
+    /// instead of the cached per-column value.
+    Substitute {
+        /// Source block of the move.
+        r: u32,
+        /// Destination block of the move.
+        s: u32,
+        /// Delta of cell `r`.
+        dm_r: Weight,
+        /// Delta of cell `s`.
+        dm_s: Weight,
+        /// Post-move `ln(d_in(r))`.
+        ln_r: f64,
+        /// Post-move `ln(d_in(s))`.
+        ln_s: f64,
+    },
+    /// Column pass: rows `r`/`s` are skipped entirely (already counted
+    /// by the row passes).
+    Skip {
+        /// Source block of the move.
+        r: u32,
+        /// Destination block of the move.
+        s: u32,
+    },
+}
+
+/// Cells per chunk of a [`delta_line_pass`] run.
+const RUN_CHUNK: usize = 64;
+
+/// Accumulates the old/new entropy terms of one affected dense matrix
+/// line under a cell delta, slot by slot in ascending order — the line
+/// pass behind the dense merge walk and the line-delta reference kernel.
+/// `delta` holds the line's per-cell delta (read everywhere but at the two
+/// special indices of `fix`); `ln_vec` the per-cell cached `ln(degree)`
+/// (`ln_d_in` for row passes, `ln_d_out` for column passes); `ln_old` /
+/// `ln_new` are the line's own pre-/post-move `ln(degree)`.
+///
+/// The special indices cut the line into three runs. A run lists, chunk
+/// by chunk and without a branch, the cells each sum takes — `m > 0` for
+/// `old`, `m + δ > 0` for `new` — and then adds exactly those: which
+/// cells are empty is data, not a pattern a branch predictor could learn.
+/// Each sum still takes its terms in ascending cell order.
+#[allow(clippy::too_many_arguments)]
+fn delta_line_pass(
+    line: &[Weight],
+    delta: &[Weight],
+    ln_vec: &[f64],
+    ln_old: f64,
+    ln_new: f64,
+    fix: &LineFix,
+    old_sum: &mut f64,
+    new_sum: &mut f64,
+) {
+    let (delta, ln_vec) = (&delta[..line.len()], &ln_vec[..line.len()]);
+    let run = |lo: usize, hi: usize, old_sum: &mut f64, new_sum: &mut f64| {
+        let (mut olds, mut news) = ([0usize; RUN_CHUNK], [0usize; RUN_CHUNK]);
+        for start in (lo..hi).step_by(RUN_CHUNK) {
+            let (mut n_old, mut n_new) = (0, 0);
+            for i in start..hi.min(start + RUN_CHUNK) {
+                let (m, m2) = (line[i], line[i] + delta[i]);
+                debug_assert!(m2 >= 0, "cell {i} went negative in delta");
+                olds[n_old] = i;
+                n_old += usize::from(m > 0);
+                news[n_new] = i;
+                n_new += usize::from(m2 > 0);
+            }
+            for &i in &olds[..n_old] {
+                *old_sum += term(line[i], ln_old + ln_vec[i]);
+            }
+            for &i in &news[..n_new] {
+                *new_sum += term(line[i] + delta[i], ln_new + ln_vec[i]);
+            }
+        }
+    };
+    let (LineFix::Substitute { r, s, .. } | LineFix::Skip { r, s }) = *fix;
+    let (lo, hi) = (r.min(s) as usize, r.max(s) as usize);
+    run(0, lo, old_sum, new_sum);
+    for (i, next) in [(lo, hi), (hi, line.len())] {
+        if let LineFix::Substitute {
+            dm_r,
+            dm_s,
+            ln_r,
+            ln_s,
+            ..
+        } = *fix
+        {
+            let (dm, ln_cell) = if i == r as usize {
+                (dm_r, ln_r)
+            } else {
+                (dm_s, ln_s)
+            };
+            let m = line[i];
+            if m > 0 {
+                *old_sum += term(m, ln_old + ln_vec[i]);
+            }
+            let m2 = m + dm;
+            debug_assert!(m2 >= 0, "cell {i} went negative in delta");
+            if m2 > 0 {
+                *new_sum += term(m2, ln_new + ln_cell);
+            }
+        }
+        run(i + 1, next, old_sum, new_sum);
+    }
+}
+
 /// Post-move `ln(degree)` helpers shared by the ΔS kernels.
 struct NewDegreeLns {
     r: u32,
@@ -821,8 +909,8 @@ impl NewDegreeLns {
 
 /// The line-delta ΔS kernel: re-evaluates the four affected lines under a
 /// sorted cell delta, on either storage representation. Reference only —
-/// it allocates its snapshot and per-line pair buffers.
-fn delta_entropy_cells(bm: &Blockmodel, delta: &LineDelta, use_simd: bool) -> f64 {
+/// it allocates its snapshot and per-line delta buffers.
+fn delta_entropy_cells(bm: &Blockmodel, delta: &LineDelta) -> f64 {
     let (r, s) = (delta.from, delta.to);
     if r == s {
         return 0.0;
@@ -830,65 +918,57 @@ fn delta_entropy_cells(bm: &Blockmodel, delta: &LineDelta, use_simd: bool) -> f6
     let lns = NewDegreeLns::compute(bm, delta);
 
     // Dense storage: the four affected lines are contiguous slices, so
-    // walk every slot with a merge against the line's sorted delta pairs
-    // (gathered into `colbuf`) — no snapshot, no binary searches; newly
-    // created cells are covered by the full-line scan itself. The walk
-    // itself is the shared [`simd::delta_line_pass`].
+    // scatter each line's deltas into a dense delta line and walk every
+    // slot with the shared [`delta_line_pass`] — no snapshot, no binary
+    // searches; newly created cells are covered by the full-line scan.
     if bm.storage_kind() == crate::blockmodel::StorageKind::Dense {
-        let cells = &delta.cells;
-        let mut colbuf: Vec<(u32, Weight)> = Vec::new();
-        let ln_d_in = bm.ln_d_in_all();
-        let ln_d_out = bm.ln_d_out_all();
+        let mut dline = vec![0 as Weight; bm.num_blocks()];
         let mut old_sum = 0.0f64;
         let mut new_sum = 0.0f64;
-        let row_fix = LaneFix::Substitute {
-            r,
-            s,
-            ln_r: lns.ln_ndi_r,
-            ln_s: lns.ln_ndi_s,
-        };
         for (x, ln_do_new) in [(r, lns.ln_ndo_r), (s, lns.ln_ndo_s)] {
-            let line = bm.dense_row(x).expect("dense storage");
-            let base = (x as u64) << 32;
-            let lo = cells.partition_point(|e| e.0 < base);
-            let hi = cells.partition_point(|e| e.0 < base + (1u64 << 32));
-            colbuf.clear();
-            colbuf.extend(cells[lo..hi].iter().map(|&(k, d)| (k as u32, d)));
-            simd::delta_line_pass(
-                line,
-                &colbuf,
-                ln_d_in,
-                bm.ln_d_out(x),
-                ln_do_new,
-                &row_fix,
-                &mut old_sum,
-                &mut new_sum,
-                use_simd,
-            );
-        }
-        // The columns' delta entries are scattered across the row-sorted
-        // cell list; gather each column's entries (already in ascending
-        // row order) into the same buffer, then merge-walk the transpose.
-        let col_fix = LaneFix::Skip { r, s };
-        for (y, ln_di_new) in [(r, lns.ln_ndi_r), (s, lns.ln_ndi_s)] {
-            let line = bm.dense_col(y).expect("dense storage");
-            colbuf.clear();
-            for &(k, d) in cells.iter() {
-                let (x, col) = unpack(k);
-                if col == y && x != r && x != s {
-                    colbuf.push((x, d));
+            dline.fill(0);
+            for &(k, d) in &delta.cells {
+                let (row, col) = unpack(k);
+                if row == x {
+                    dline[col as usize] = d;
                 }
             }
-            simd::delta_line_pass(
-                line,
-                &colbuf,
-                ln_d_out,
-                bm.ln_d_in(y),
-                ln_di_new,
-                &col_fix,
+            let fix = LineFix::Substitute {
+                r,
+                s,
+                dm_r: dline[r as usize],
+                dm_s: dline[s as usize],
+                ln_r: lns.ln_ndi_r,
+                ln_s: lns.ln_ndi_s,
+            };
+            delta_line_pass(
+                bm.dense_row(x).expect("dense storage"),
+                &dline,
+                bm.ln_d_in_all(),
+                bm.ln_d_out(x),
+                ln_do_new,
+                &fix,
                 &mut old_sum,
                 &mut new_sum,
-                use_simd,
+            );
+        }
+        for (y, ln_di_new) in [(r, lns.ln_ndi_r), (s, lns.ln_ndi_s)] {
+            dline.fill(0);
+            for &(k, d) in &delta.cells {
+                let (row, col) = unpack(k);
+                if col == y {
+                    dline[row as usize] = d;
+                }
+            }
+            delta_line_pass(
+                bm.dense_col(y).expect("dense storage"),
+                &dline,
+                bm.ln_d_out_all(),
+                bm.ln_d_in(y),
+                ln_di_new,
+                &LineFix::Skip { r, s },
+                &mut old_sum,
+                &mut new_sum,
             );
         }
         return new_sum - old_sum;
@@ -1044,7 +1124,7 @@ pub fn merge_delta(bm: &Blockmodel, from: u32, to: u32) -> LineDelta {
 /// is an improvement. Allocating — the reference for both hot-path
 /// kernels.
 pub fn delta_entropy(bm: &Blockmodel, delta: &LineDelta) -> f64 {
-    delta_entropy_cells(bm, delta, simd::enabled())
+    delta_entropy_cells(bm, delta)
 }
 
 /// The Metropolis–Hastings correction `p(s→r) / p(r→s)` for moving vertex
@@ -1095,6 +1175,101 @@ pub fn hastings_for_delta(graph: &Graph, bm: &Blockmodel, v: Vertex, delta: &Lin
 mod tests {
     use super::*;
     use crate::blockmodel::StorageKind;
+
+    /// The per-cell loop [`delta_line_pass`] must equal to the bit: every
+    /// slot in ascending order, each sum adding only its nonzero cells.
+    #[allow(clippy::too_many_arguments)]
+    fn line_pass_per_cell(
+        line: &[Weight],
+        delta: &[Weight],
+        ln_vec: &[f64],
+        ln_old: f64,
+        ln_new: f64,
+        fix: &LineFix,
+    ) -> (f64, f64) {
+        let (mut old, mut new) = (0.0f64, 0.0f64);
+        for (i, &m) in line.iter().enumerate() {
+            let (dm, ln_cell) = match *fix {
+                LineFix::Skip { r, s } if i == r as usize || i == s as usize => continue,
+                LineFix::Substitute { r, dm_r, ln_r, .. } if i == r as usize => (dm_r, ln_r),
+                LineFix::Substitute { s, dm_s, ln_s, .. } if i == s as usize => (dm_s, ln_s),
+                _ => (delta[i], ln_vec[i]),
+            };
+            if m > 0 {
+                old += term(m, ln_old + ln_vec[i]);
+            }
+            if m + dm > 0 {
+                new += term(m + dm, ln_new + ln_cell);
+            }
+        }
+        (old, new)
+    }
+
+    #[test]
+    fn delta_line_pass_is_the_per_cell_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [2usize, 3, 63, 64, 65, 129, 513] {
+            // Mostly empty cells, a few past the `ln` table, deltas that
+            // keep every cell non-negative.
+            let line: Vec<Weight> = (0..n)
+                .map(|_| match next() % 10 {
+                    0..=5 => 0,
+                    6..=8 => (next() % 1_000) as Weight,
+                    _ => (next() % 70_000) as Weight,
+                })
+                .collect();
+            let delta: Vec<Weight> = line
+                .iter()
+                .map(|&m| match next() % 4 {
+                    0 => -m.min(3),
+                    1 => (next() % 5) as Weight,
+                    _ => 0,
+                })
+                .collect();
+            let ln_vec: Vec<f64> = (0..n).map(|_| (next() % 1000) as f64 / 171.0).collect();
+            let last = n as u32 - 1;
+            for (r, s) in [
+                (0, last),
+                (last, 0),
+                (0, 1),
+                (last - 1, last),
+                (n as u32 / 2, 1),
+            ]
+            .into_iter()
+            .filter(|(r, s)| r != s)
+            {
+                // A merge empties cell r; a vertex move leaves both special
+                // cells holding weight.
+                let (m_r, m_s) = (line[r as usize], line[s as usize]);
+                let substitute = |dm_r, dm_s| LineFix::Substitute {
+                    r,
+                    s,
+                    dm_r,
+                    dm_s,
+                    ln_r: 0.123,
+                    ln_s: 4.56,
+                };
+                for fix in [
+                    substitute(-m_r, m_r + 2),
+                    substitute(3, 1 - m_s.min(1)),
+                    LineFix::Skip { r, s },
+                ] {
+                    let (mut old, mut new) = (0.0f64, 0.0f64);
+                    delta_line_pass(&line, &delta, &ln_vec, 1.5, 2.5, &fix, &mut old, &mut new);
+                    let (want_old, want_new) =
+                        line_pass_per_cell(&line, &delta, &ln_vec, 1.5, 2.5, &fix);
+                    assert_eq!(old.to_bits(), want_old.to_bits(), "old n={n} r={r} s={s}");
+                    assert_eq!(new.to_bits(), want_new.to_bits(), "new n={n} r={r} s={s}");
+                }
+            }
+        }
+    }
 
     fn two_triangles() -> Graph {
         Graph::from_edges(

@@ -60,16 +60,8 @@
 //! thread or rank), and [`Blockmodel::entropy`] is a fixed-shape chunked
 //! reduction whose f64 summation layout depends only on the block count
 //! — enforced end to end by the root `tests/threads.rs` suite.
-//!
-//! The contract extends **into the SIMD lanes** ([`mod@simd`]): the AVX2
-//! kernels compute each cell's term with the same elementwise IEEE op
-//! sequence as the scalar code (never fused) and fold the fixed-width
-//! lane blocks into the accumulator left to right — the scalar loop's
-//! association order — with skipped cells masked to `+0.0` (a bitwise
-//! no-op on any accumulator this crate can produce). Vectorized and
-//! scalar paths are therefore bit-identical, proven by `to_bits`
-//! property tests; `SBP_NO_SIMD=1` forces the scalar path and must
-//! change nothing.
+
+#![forbid(unsafe_code)]
 
 pub mod blockmodel;
 mod blockset;
@@ -87,7 +79,6 @@ pub mod propose;
 pub mod registry;
 pub mod run;
 pub mod sbp;
-pub mod simd;
 
 pub use blockmodel::{auto_picks_dense, compact_labels, Blockmodel, LineIter, StorageKind};
 pub use checkpoint::{CheckpointError, CheckpointState};

@@ -13,13 +13,11 @@ use sbp_graph::Weight;
 use std::sync::OnceLock;
 
 /// Number of precomputed entries; weights in `[0, TABLE_SIZE)` are
-/// table-resident (the SIMD kernels use this bound to range-check their
-/// gathered indices).
-pub(crate) const TABLE_SIZE: usize = 1 << 16;
+/// table-resident.
+const TABLE_SIZE: usize = 1 << 16;
 
-/// The shared log table — exposed crate-wide so the SIMD kernels can
-/// gather from it directly.
-pub(crate) fn table() -> &'static [f64; TABLE_SIZE] {
+/// The shared log table.
+fn table() -> &'static [f64; TABLE_SIZE] {
     static TABLE: OnceLock<Box<[f64; TABLE_SIZE]>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut t = vec![0.0f64; TABLE_SIZE];

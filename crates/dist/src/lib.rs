@@ -73,6 +73,8 @@
 //! at any rank count, monolithic or sharded, since every rank holds the
 //! identical bracket and trajectory.
 
+#![forbid(unsafe_code)]
+
 pub mod dcsbp;
 pub mod distgraph;
 pub mod edist;

@@ -15,6 +15,8 @@
 //! All metrics accept partitions as `&[u32]` label vectors; labels need not
 //! be contiguous.
 
+#![forbid(unsafe_code)]
+
 pub mod ari;
 pub mod contingency;
 pub mod dlnorm;

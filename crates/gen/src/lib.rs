@@ -21,6 +21,8 @@
 //!
 //! All generation is deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod alias;
 pub mod dcsbm;
 pub mod dist;

@@ -56,6 +56,8 @@
 //! `i64`, because blockmodel matrix entries — sums of many edge weights —
 //! must not overflow during delta computations.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod builder;
 pub mod fixtures;
 pub mod frame;

@@ -28,6 +28,8 @@
 //! The four instrumented layers are `solver` (sbp-core), `pool`
 //! (the rayon shim), `wire` (sbp-dist), and `daemon` (sbp-serve).
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod report;
 

@@ -20,6 +20,8 @@
 //! baseline); [`ThreadCluster`] spawns `n` rank threads and returns their
 //! results plus the makespan and communication statistics.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod comm;
 pub mod cost;
 pub mod cputime;

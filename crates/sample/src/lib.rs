@@ -20,6 +20,8 @@
 //! composes with any backend (sequential, hybrid, batch, DC-SBP,
 //! EDiSt).
 
+#![forbid(unsafe_code)]
+
 pub mod extend;
 pub mod solver;
 pub mod strategies;

@@ -33,6 +33,8 @@
 //! crates can serve their own solvers; warm mode is refused with a
 //! typed error for backends that do not support it.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod protocol;
 pub mod server;

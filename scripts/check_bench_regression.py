@@ -22,21 +22,17 @@ Five checks, from strongest to weakest signal:
    manyC <= 3x fewC, is recorded in benchmarks/summary.md but not
    guarded: fewC is the planted partition, where a vertex sees ~8
    distinct neighbour blocks against ~58 at manyC, so that ratio (5.1)
-   measures the kernel's O(k) term, not C. (c) The runtime-dispatched AVX2 entropy kernel must never be
-   materially slower than its forced-scalar twin (on non-AVX2 runners
-   both take the scalar path, so the ratio sits at ~1.0 and the check
-   degenerates to noise tolerance — which is the point: dispatch itself
-   must be free). (d) The sort-free merge walk must cost at most 0.4x
+   measures the kernel's O(k) term, not C. (c) The sort-free merge walk must cost at most 0.4x
    the line-delta reference it replaced, on each of the three
    `merge_eval/*` fixtures along the halving trajectory (PR 15; 0.24-0.27
    when recorded). The denominator is the allocating reference
    (`merge_delta` + `delta_entropy` build their buffers on every call);
    against the reused-buffer kernel the walk replaced, the same runs read
    0.29-0.35, so 0.4 is the bound that still fires before the walk has
-   lost a third of its gain. (e) A pooled region must cost at most 0.5x
+   lost a third of its gain. (d) A pooled region must cost at most 0.5x
    the scoped-spawn region it replaced (`pool/region_16x4_*`; 0.08-0.15
    on every record from BENCH_pr5.json on) - a reintroduced per-call
-   spawn tax puts the ratio at ~1 on any machine. (f) The line walks of a
+   spawn tax puts the ratio at ~1 on any machine. (e) The line walks of a
    sweep proposal (PR 16), each against the walk it replaced, same run:
    the positional cross-cell fetch at most 0.5x four `get()` lookups per
    neighbour block on the C = 750 sparse fixture (0.14 when recorded), and
@@ -46,10 +42,10 @@ Five checks, from strongest to weakest signal:
    lookups when forced - so `cross_cells` must choose lookups there by
    itself: at most 5x the `get()` twin (2.4 when recorded; the twin looks
    two of its four cells up in one-cell lines, the production path
-   searches four 640-cell lines). (g) The sharded sync's cell fold (PR 18,
+   searches four 640-cell lines). (f) The sharded sync's cell fold (PR 18,
    sort-and-fold of packed keys) at most 0.5x the `BTreeMap` it replaced
    on 5 000 charges (`dist/cell_fold_5k`; 0.15 when recorded, BENCH_pr18.json).
-   (h) What PR 23 took out of a sweep proposal, each against a twin kept
+   (g) What PR 23 took out of a sweep proposal, each against a twin kept
    in the bench that still pays it: gather + `evaluate_move` of every
    drawn move on the C = 750 sparse fixture at most 0.9x the same gather +
    an evaluation that looks its four corner cells up with `get()` and
@@ -58,7 +54,7 @@ Five checks, from strongest to weakest signal:
    about a third of both sides), and an MH sweep at C = 20, where about
    half the draws name the vertex's own block, at most 0.9x a sweep that
    gathers before it draws (`sweep/mh_lowC`; 0.68 when recorded, 0.58-0.86
-   over seven runs, BENCH_pr23.json). (i) A merge's fold of the model it
+   over seven runs, BENCH_pr23.json). (h) A merge's fold of the model it
    holds (PR 24, `Blockmodel::merged`) against the rebuild from the graph
    it replaced, same target model: at most 1.1x at C = 3000 -> 1500, where
    the model has about as many cells as the graph has arcs and the fold
@@ -154,10 +150,7 @@ PR8_GUARD = PR5_GUARD + [
 
 # (numerator, denominator, max allowed ratio), same machine, same run:
 # the proposal kernel vs the naive dense rescan; the proposal kernel at
-# C = V vs C = V/4 (cost must not scale with C); and the dispatched SIMD
-# entropy vs its forced-scalar twin (the dispatched path must never lose
-# — 1.25 leaves room for shared-runner noise on non-AVX2 hosts where both
-# sides run the identical scalar code); the pooled region vs the
+# C = V vs C = V/4 (cost must not scale with C); the pooled region vs the
 # scoped-spawn region; the merge walk vs the (allocating) line-delta
 # reference on the same pairs of the same blockmodel; the sweep
 # proposal's line walks vs their reference twins; the sharded sync's
@@ -169,7 +162,6 @@ RATIO_GUARDS = [
     ("edist/proposal_eval/adaptive_manyC", "edist/delta_entropy/dense_naive_manyC", 0.5),
     ("edist/proposal_eval/adaptive_hugeC", "edist/delta_entropy/dense_naive_hugeC", 0.5),
     ("edist/proposal_eval/adaptive_hugeC", "edist/proposal_eval/adaptive_manyC", 3.0),
-    ("edist/simd/entropy_dense_simd", "edist/simd/entropy_dense_scalar", 1.25),
     ("edist/pool/region_16x4_pooled", "edist/pool/region_16x4_scoped_spawn", 0.5),
 ] + [
     (f"edist/merge_eval/{fixture}", f"edist/merge_eval/{fixture}_reference", 0.4)

@@ -46,6 +46,8 @@
 //! Graphs load by extension: `.mtx` = Matrix Market, anything else =
 //! `src dst [weight]` edge list. Assignments are one label per line.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use edist::graph::io::load_graph;
 use edist::graph::shard::{shard_graph, validate_shard_dir};
 use edist::prelude::*;

@@ -127,6 +127,8 @@
 //! run the paper's cluster-scale evaluation on a single machine, and how
 //! to regenerate every table/figure.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 
 pub use sbp_core as core;

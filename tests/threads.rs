@@ -163,17 +163,13 @@ fn concurrent_submitters_share_the_pool() {
 
 // ---------------------------------------------------------------- CLI / env
 
-/// Runs `edist-cli` with the given args, `SBP_THREADS`, and extra
-/// environment variables, returning its stderr (where the run summary is
-/// printed).
-fn cli_env(args: &[&str], threads: Option<&str>, envs: &[(&str, &str)]) -> String {
+/// Runs `edist-cli` with the given args and `SBP_THREADS`, returning its
+/// stderr (where the run summary is printed).
+fn cli(args: &[&str], threads: Option<&str>) -> String {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"));
     cmd.args(args);
     if let Some(t) = threads {
         cmd.env("SBP_THREADS", t);
-    }
-    for &(k, v) in envs {
-        cmd.env(k, v);
     }
     let out = cmd.output().expect("failed to run edist-cli");
     assert!(
@@ -182,11 +178,6 @@ fn cli_env(args: &[&str], threads: Option<&str>, envs: &[(&str, &str)]) -> Strin
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stderr).into_owned()
-}
-
-/// Runs `edist-cli` with the given args and `SBP_THREADS`.
-fn cli(args: &[&str], threads: Option<&str>) -> String {
-    cli_env(args, threads, &[])
 }
 
 /// The `DL:`-prefixed token of the CLI summary line (wall time varies
@@ -297,71 +288,6 @@ fn sbp_threads_env_is_bit_invariant_for_every_backend() {
                 "V={vertices} {backend}: DL differs between SBP_THREADS=1 and 4"
             );
         }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sbp_no_simd_env_is_bit_invariant_for_every_backend() {
-    // The cross-process half of the SIMD ≡ scalar proof: partition the
-    // same graph with the vectorized kernels auto-detected and with
-    // `SBP_NO_SIMD=1` forcing the scalar path, for every backend
-    // including the 2-rank simulated `edist`. Assignments must match
-    // byte for byte and the DL bits must agree — on non-AVX2 hosts both
-    // runs take the scalar path and the test degenerates to a
-    // self-comparison, which is exactly the graceful-fallback guarantee.
-    let dir = std::env::temp_dir().join(format!("sbp_nosimd_inv_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let graph = dir.join("g.mtx");
-    cli(
-        &[
-            "generate",
-            "--family",
-            "challenge",
-            "--vertices",
-            "120",
-            "--difficulty",
-            "easy",
-            "--seed",
-            "9",
-            "--out",
-            graph.to_str().unwrap(),
-        ],
-        None,
-    );
-    for backend in ["sequential", "hybrid", "batch", "edist"] {
-        let mut results: Vec<(Vec<u8>, String)> = Vec::new();
-        for (tag, envs) in [("auto", [].as_slice()), ("scalar", &[("SBP_NO_SIMD", "1")])] {
-            let out_file = dir.join(format!("a_{backend}_{tag}.txt"));
-            let stderr = cli_env(
-                &[
-                    "partition",
-                    "--graph",
-                    graph.to_str().unwrap(),
-                    "--backend",
-                    backend,
-                    "--ranks",
-                    "2",
-                    "--seed",
-                    "5",
-                    "--out",
-                    out_file.to_str().unwrap(),
-                ],
-                Some("4"),
-                envs,
-            );
-            let assignment = std::fs::read(&out_file).expect("assignment written");
-            results.push((assignment, dl_token(&stderr)));
-        }
-        assert_eq!(
-            results[0].0, results[1].0,
-            "{backend}: assignments differ between SIMD auto and SBP_NO_SIMD=1"
-        );
-        assert_eq!(
-            results[0].1, results[1].1,
-            "{backend}: DL differs between SIMD auto and SBP_NO_SIMD=1"
-        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
