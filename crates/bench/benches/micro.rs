@@ -800,6 +800,47 @@ fn bench_merged(c: &mut Criterion) {
     group.finish();
 }
 
+/// Sparse point updates alone: the moves one MH sweep accepts on the
+/// `single_challenge` graph at C = 1500 (the state the
+/// [`challenge_trajectory`] passes through between its C = 3000 and C = 750
+/// fixtures), applied with `move_vertex` and then undone in reverse, per
+/// iteration. Recorded, not guarded — the kernel a sparse cell's width
+/// shows up in.
+fn bench_sparse_apply(c: &mut Criterion) {
+    let (graph, fixtures) = challenge_trajectory();
+    let cfg = SbpConfig::default();
+    let vertices: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    let mut bm = merge_phase(graph, &fixtures[0].1, 1500, &cfg, 1);
+    let mut rng = SmallRng::seed_from_u64(1);
+    for _ in 0..5 {
+        mh_sweep(graph, &mut bm, &vertices, cfg.beta, &mut rng);
+    }
+    assert_eq!(
+        (bm.num_blocks(), bm.storage_kind()),
+        (1500, StorageKind::Sparse)
+    );
+    let mut swept = bm.clone();
+    mh_sweep(graph, &mut swept, &vertices, cfg.beta, &mut rng);
+    let moves: Vec<(u32, u32, u32)> = vertices
+        .iter()
+        .map(|&v| (v, bm.block_of(v), swept.block_of(v)))
+        .filter(|&(_, from, to)| from != to)
+        .collect();
+    assert!(!moves.is_empty(), "the sweep accepted moves");
+    let mut group = quick(c);
+    group.bench_function("blockmodel/move_vertex_sparse_C1500", |b| {
+        b.iter(|| {
+            for &(v, _, to) in &moves {
+                bm.move_vertex(graph, v, to);
+            }
+            for &(v, from, _) in moves.iter().rev() {
+                bm.move_vertex(graph, v, from);
+            }
+        })
+    });
+    group.finish();
+}
+
 /// The entropy chunk-size study on a dense blockmodel.
 fn bench_entropy_chunk(c: &mut Criterion) {
     let (graph, _, _) = bench_graph();
@@ -857,6 +898,7 @@ criterion_group!(
     bench_cell_fold,
     bench_blockmodel,
     bench_merged,
+    bench_sparse_apply,
     bench_entropy_chunk,
     bench_generator
 );

@@ -9,8 +9,9 @@
 //! contiguous line scans for the ΔS kernel, and zero per-cell allocation.
 //! At large `C` (early iterations start at `C = V`) the dense array would
 //! be quadratic in memory, so rows are [`crate::line::CanonicalLine`]s —
-//! sorted `(block, weight)` vectors — with a stored transpose: the paper's
-//! §III-A optimizations (a) and (b).
+//! sorted vectors of 8-byte `(block, weight)` cells, the weight a `u32`
+//! (the module docs of [`crate::line`] say why it cannot overflow) — with
+//! a stored transpose: the paper's §III-A optimizations (a) and (b).
 //!
 //! [`Blockmodel::from_assignment`] picks the representation from the block
 //! count `C` and total edge weight `E` alone — dense iff `C ≤ 64`, or
@@ -47,7 +48,7 @@
 //! `ln` caches always equal what [`Blockmodel::from_assignment`] would
 //! rebuild from the current assignment. `validate` checks this in tests.
 
-use crate::line::CanonicalLine;
+use crate::line::{narrow, CanonicalLine, Cell};
 use crate::model_description_length;
 use rayon::prelude::*;
 use sbp_graph::{Graph, Vertex, Weight};
@@ -181,7 +182,7 @@ impl Storage {
                 line: &m[r as usize * c..(r as usize + 1) * c],
                 next: 0,
             },
-            Storage::Sparse { rows, .. } => LineIter::Sparse(rows[r as usize].iter()),
+            Storage::Sparse { rows, .. } => LineIter::Sparse(rows[r as usize].as_slice().iter()),
         }
     }
 
@@ -192,7 +193,7 @@ impl Storage {
                 line: &mt[col as usize * c..(col as usize + 1) * c],
                 next: 0,
             },
-            Storage::Sparse { cols, .. } => LineIter::Sparse(cols[col as usize].iter()),
+            Storage::Sparse { cols, .. } => LineIter::Sparse(cols[col as usize].as_slice().iter()),
         }
     }
 
@@ -208,71 +209,52 @@ impl Storage {
     /// that meet are summed. The caller has checked `label` at every block
     /// that has a cell ([`Blockmodel::merged`]).
     ///
-    /// A dense target accumulates in place. A sparse target is one flat
-    /// `(row << 32 | col, w)` list, one sort, and a fold of the runs — the
-    /// shape of `sbp-dist`'s `CellFold`; the folded list is ascending by
-    /// `(row, col)`, so one walk of it fills the rows, and the columns
-    /// (ascending by row, because the walk is), each line allocated once.
+    /// A dense target accumulates in place. A sparse target is built the
+    /// way a rebuild builds one ([`accumulate`]): the rows gather their
+    /// cells and fold in place, and the columns are one walk of the folded
+    /// rows (ascending by row, because the walk is), so no cell list wider
+    /// than the lines themselves is ever held.
     fn relabelled(&self, label: &[u32], num_blocks: usize, dense: bool) -> Storage {
-        let cells = (0..label.len() as u32).flat_map(|r| {
-            let to = label[r as usize];
-            self.row_iter(r)
-                .map(move |(col, w)| (to, label[col as usize], w))
-        });
+        let cells = || {
+            (0..label.len() as u32).flat_map(|r| {
+                let to = label[r as usize];
+                self.row_iter(r)
+                    .map(move |(col, w)| (to, label[col as usize], w))
+            })
+        };
         if dense {
-            let mut folded = Storage::Dense {
-                c: num_blocks,
-                m: vec![0; num_blocks * num_blocks],
-                mt: vec![0; num_blocks * num_blocks],
-            };
-            for (r, col, w) in cells {
-                folded.add(r, col, w);
-            }
-            return folded;
+            return Storage::dense_from(num_blocks, cells());
         }
-        // Sized up front: grown by doubling, the list would pass through
-        // twice its final footprint on the way.
-        let nnz = match self {
-            Storage::Dense { m, .. } => m.iter().filter(|&&w| w != 0).count(),
-            Storage::Sparse { rows, .. } => rows.iter().map(CanonicalLine::len).sum(),
-        };
-        let mut flat: Vec<(u64, Weight)> = Vec::with_capacity(nnz);
-        flat.extend(cells.map(|(r, col, w)| (u64::from(r) << 32 | u64::from(col), w)));
-        // A line gets the room its cells took before they were folded —
-        // what a rebuild's line has (`CanonicalLine::from_unsorted`), and
-        // what the sweeps that follow a merge insert into: a line cut to
-        // its exact length reallocates on its first new cell.
-        let split = |key: u64| ((key >> 32) as usize, key as u32 as usize);
         let (mut row_room, mut col_room) = (vec![0usize; num_blocks], vec![0usize; num_blocks]);
-        for &(key, _) in &flat {
-            let (r, col) = split(key);
-            row_room[r] += 1;
-            col_room[col] += 1;
+        for (r, col, _) in cells() {
+            row_room[r as usize] += 1;
+            col_room[col as usize] += 1;
         }
-        flat.sort_unstable_by_key(|&(key, _)| key);
-        flat.dedup_by(|cell, run| {
-            let same = cell.0 == run.0;
-            if same {
-                run.1 += cell.1;
+        let mut rows = roomy(row_room);
+        for (r, col, w) in cells() {
+            rows[r as usize].push((col, narrow(w)));
+        }
+        let rows = fold_lines(rows);
+        let mut cols = roomy(col_room);
+        for (r, row) in rows.iter().enumerate() {
+            for &(col, w) in row.as_slice() {
+                cols[col as usize].push((r as u32, w));
             }
-            same
-        });
-        let roomy = |room: Vec<usize>| -> Vec<Vec<(u32, Weight)>> {
-            room.into_iter().map(Vec::with_capacity).collect()
-        };
-        let (mut rows, mut cols) = (roomy(row_room), roomy(col_room));
-        for &(key, w) in &flat {
-            let (r, col) = split(key);
-            rows[r].push((col as u32, w));
-            cols[col].push((r as u32, w));
         }
-        let lines = |cells: Vec<Vec<(u32, Weight)>>| -> Vec<CanonicalLine> {
-            cells.into_iter().map(CanonicalLine::from_sorted).collect()
-        };
-        Storage::Sparse {
-            rows: lines(rows),
-            cols: lines(cols),
+        let cols = cols.into_iter().map(CanonicalLine::from_sorted).collect();
+        Storage::Sparse { rows, cols }
+    }
+
+    /// The dense `num_blocks × num_blocks` matrix of a cell stream, cells
+    /// that meet summed in place (O(1) per cell).
+    fn dense_from(num_blocks: usize, cells: impl Iterator<Item = (u32, u32, Weight)>) -> Storage {
+        let c = num_blocks;
+        let (mut m, mut mt) = (vec![0; c * c], vec![0; c * c]);
+        for (r, col, w) in cells {
+            m[r as usize * c + col as usize] += w;
+            mt[col as usize * c + r as usize] += w;
         }
+        Storage::Dense { c, m, mt }
     }
 
     /// Gives back the capacity sparse lines grew beyond their length.
@@ -301,67 +283,70 @@ impl Storage {
     }
 }
 
-/// Accumulates a full matrix from a cell stream at rebuild boundaries.
-///
-/// Dense targets accumulate in place (O(1) per cell). Sparse targets
-/// gather each line's raw contributions and sort once per line in
-/// [`StorageBuilder::finish`] — repeated sorted inserts would be
-/// quadratic in line occupancy, which matters for hub rows at `C = V`
-/// where a line is a vertex's whole adjacency.
-enum StorageBuilder {
-    Dense(Storage),
-    Sparse {
-        rows: Vec<Vec<(u32, Weight)>>,
-        cols: Vec<Vec<(u32, Weight)>>,
-    },
+/// Empty sparse lines, each with room for the given number of cells: a
+/// line gets the room its cells take before they are folded — what the
+/// sweeps after a rebuild or a merge insert into (a line cut to its exact
+/// length reallocates on its first new cell).
+fn roomy(room: Vec<usize>) -> Vec<Vec<Cell>> {
+    room.into_iter().map(Vec::with_capacity).collect()
 }
 
-impl StorageBuilder {
-    fn new(kind: StorageKind, num_blocks: usize, total_edge_weight: Weight) -> StorageBuilder {
-        if Storage::pick_dense(kind, num_blocks, total_edge_weight) {
-            StorageBuilder::Dense(Storage::Dense {
-                c: num_blocks,
-                m: vec![0; num_blocks * num_blocks],
-                mt: vec![0; num_blocks * num_blocks],
-            })
-        } else {
-            StorageBuilder::Sparse {
-                rows: vec![Vec::new(); num_blocks],
-                cols: vec![Vec::new(); num_blocks],
-            }
-        }
-    }
+/// Sorts and folds every line's raw cells in place. Each line is
+/// independent integer work, so the lines fan out over the pool; ordered
+/// collection keeps the result identical to a serial fold at any thread
+/// count.
+fn fold_lines(lines: Vec<Vec<Cell>>) -> Vec<CanonicalLine> {
+    lines
+        .into_par_iter()
+        .map(CanonicalLine::from_unsorted)
+        .collect()
+}
 
-    #[inline]
-    fn add(&mut self, r: u32, c: u32, w: Weight) {
-        match self {
-            StorageBuilder::Dense(storage) => storage.add(r, c, w),
-            StorageBuilder::Sparse { rows, cols } => {
-                rows[r as usize].push((c, w));
-                cols[c as usize].push((r, w));
-            }
-        }
+/// The matrix and the block degrees `(d_out, d_in)` of the cell stream
+/// `cells()`, at a rebuild boundary.
+///
+/// A dense target accumulates in place (O(1) per cell). A sparse target
+/// walks the stream twice — once to size every line ([`roomy`]), once to
+/// fill it with 8-byte cells — and then sorts and folds each line in place
+/// ([`fold_lines`]): repeated sorted inserts would be quadratic in line
+/// occupancy, which matters for hub rows at `C = V` where a line is a
+/// vertex's whole adjacency.
+fn accumulate<I>(
+    kind: StorageKind,
+    num_blocks: usize,
+    total_edge_weight: Weight,
+    cells: impl Fn() -> I,
+) -> (Storage, (Vec<Weight>, Vec<Weight>))
+where
+    I: Iterator<Item = (u32, u32, Weight)>,
+{
+    let mut d_out = vec![0 as Weight; num_blocks];
+    let mut d_in = vec![0 as Weight; num_blocks];
+    if Storage::pick_dense(kind, num_blocks, total_edge_weight) {
+        let dense = Storage::dense_from(
+            num_blocks,
+            cells().inspect(|&(r, c, w)| {
+                d_out[r as usize] += w;
+                d_in[c as usize] += w;
+            }),
+        );
+        return (dense, (d_out, d_in));
     }
-
-    fn finish(self) -> Storage {
-        match self {
-            StorageBuilder::Dense(storage) => storage,
-            StorageBuilder::Sparse { rows, cols } => {
-                // Each line's sort-and-fold is independent integer work,
-                // so rebuild boundaries fan the lines out over the pool;
-                // ordered collection keeps the result identical to the
-                // serial build at any thread count.
-                let fold = |lines: Vec<Vec<(u32, Weight)>>| -> Vec<CanonicalLine> {
-                    lines
-                        .into_par_iter()
-                        .map(CanonicalLine::from_unsorted)
-                        .collect()
-                };
-                let (rows, cols) = rayon::join(|| fold(rows), || fold(cols));
-                Storage::Sparse { rows, cols }
-            }
-        }
+    let (mut row_room, mut col_room) = (vec![0usize; num_blocks], vec![0usize; num_blocks]);
+    for (r, c, w) in cells() {
+        row_room[r as usize] += 1;
+        col_room[c as usize] += 1;
+        d_out[r as usize] += w;
+        d_in[c as usize] += w;
     }
+    let (mut rows, mut cols) = (roomy(row_room), roomy(col_room));
+    for (r, c, w) in cells() {
+        let w = narrow(w);
+        rows[r as usize].push((c, w));
+        cols[c as usize].push((r, w));
+    }
+    let (rows, cols) = rayon::join(|| fold_lines(rows), || fold_lines(cols));
+    (Storage::Sparse { rows, cols }, (d_out, d_in))
 }
 
 /// Iterator over the nonzero `(other_block, weight)` entries of one matrix
@@ -376,8 +361,9 @@ pub enum LineIter<'a> {
         /// Next index to inspect.
         next: usize,
     },
-    /// Sparse iteration over a sorted [`CanonicalLine`].
-    Sparse(std::slice::Iter<'a, (u32, Weight)>),
+    /// Sparse iteration over a sorted [`CanonicalLine`]'s stored cells,
+    /// widened to [`Weight`] as they are read.
+    Sparse(std::slice::Iter<'a, Cell>),
 }
 
 impl Iterator for LineIter<'_> {
@@ -397,7 +383,7 @@ impl Iterator for LineIter<'_> {
                 }
                 None
             }
-            LineIter::Sparse(it) => it.next().copied(),
+            LineIter::Sparse(it) => it.next().map(|&(k, w)| (k, Weight::from(w))),
         }
     }
 }
@@ -432,7 +418,7 @@ const STREAM_CELLS_PER_BLOCK: usize = 64;
 /// `k` and `k + 1` of `out` when they are not among `blocks` (the dummy is
 /// row `k + 2`), and the corners are read off wherever the two ended up.
 fn fetch_positional(
-    lines: [&[(u32, Weight)]; 4],
+    lines: [&[Cell]; 4],
     (r, s): (usize, usize),
     blocks: &[u32],
     slot: &mut [u32],
@@ -449,7 +435,7 @@ fn fetch_positional(
     slot[s] = slot[s].min(k + 1);
     for (l, line) in lines.iter().enumerate() {
         for &(key, w) in *line {
-            out[slot[key as usize].min(k + 2) as usize][l] = w;
+            out[slot[key as usize].min(k + 2) as usize][l] = Weight::from(w);
         }
     }
     let (at_r, at_s) = (out[slot[r] as usize], out[slot[s] as usize]);
@@ -548,19 +534,15 @@ impl Blockmodel {
             assignment.iter().all(|&b| (b as usize) < num_blocks),
             "assignment label out of range"
         );
-        let mut builder = StorageBuilder::new(kind, num_blocks, graph.total_edge_weight());
-        let mut d_out = vec![0 as Weight; num_blocks];
-        let mut d_in = vec![0 as Weight; num_blocks];
-        for (src, dst, w) in graph.arcs() {
-            let (r, c) = (assignment[src as usize], assignment[dst as usize]);
-            builder.add(r, c, w);
-            d_out[r as usize] += w;
-            d_in[c as usize] += w;
-        }
+        let (storage, degrees) = accumulate(kind, num_blocks, graph.total_edge_weight(), || {
+            graph
+                .arcs()
+                .map(|(src, dst, w)| (assignment[src as usize], assignment[dst as usize], w))
+        });
         Self::assemble(
             assignment,
-            builder.finish(),
-            (d_out, d_in),
+            storage,
+            degrees,
             graph.num_vertices(),
             graph.total_edge_weight(),
         )
@@ -831,13 +813,15 @@ impl Blockmodel {
     /// a monolithic [`Blockmodel::from_assignment`] build exactly.
     ///
     /// # Panics
-    /// Panics if a label or cell index is out of range.
+    /// Panics if a label or cell index is out of range, a weight is not
+    /// positive, or the cells weigh more than
+    /// [`sbp_graph::MAX_TOTAL_EDGE_WEIGHT`] together.
     pub fn from_parts(
         num_vertices: usize,
         total_edge_weight: Weight,
         assignment: Vec<u32>,
         num_blocks: usize,
-        cells: impl IntoIterator<Item = (u32, u32, Weight)>,
+        cells: &[(u32, u32, Weight)],
     ) -> Self {
         assert_eq!(
             assignment.len(),
@@ -848,23 +832,24 @@ impl Blockmodel {
             assignment.iter().all(|&b| (b as usize) < num_blocks),
             "assignment label out of range"
         );
-        let mut builder = StorageBuilder::new(StorageKind::Auto, num_blocks, total_edge_weight);
-        let mut d_out = vec![0 as Weight; num_blocks];
-        let mut d_in = vec![0 as Weight; num_blocks];
-        for (r, c, w) in cells {
+        let mut total: Weight = 0;
+        for &(r, c, w) in cells {
             assert!(
                 (r as usize) < num_blocks && (c as usize) < num_blocks,
                 "cell ({r}, {c}) out of range for {num_blocks} blocks"
             );
             assert!(w > 0, "cell ({r}, {c}) has non-positive weight {w}");
-            builder.add(r, c, w);
-            d_out[r as usize] += w;
-            d_in[c as usize] += w;
+            total = sbp_graph::add_edge_weight(total, w)
+                .expect("cells weigh more than MAX_TOTAL_EDGE_WEIGHT");
         }
+        let (storage, degrees) =
+            accumulate(StorageKind::Auto, num_blocks, total_edge_weight, || {
+                cells.iter().copied()
+            });
         Self::assemble(
             assignment,
-            builder.finish(),
-            (d_out, d_in),
+            storage,
+            degrees,
             num_vertices,
             total_edge_weight,
         )
@@ -1456,7 +1441,7 @@ mod tests {
             g.total_edge_weight(),
             assignment,
             2,
-            cells,
+            &cells,
         );
         for r in 0..2u32 {
             for c in 0..2u32 {
@@ -1471,6 +1456,13 @@ mod tests {
             parts.description_length().to_bits()
         );
         parts.validate(&g).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_TOTAL_EDGE_WEIGHT")]
+    fn from_parts_asserts_the_total_weight_limit() {
+        let max = sbp_graph::MAX_TOTAL_EDGE_WEIGHT;
+        Blockmodel::from_parts(2, max, vec![0, 1], 2, &[(0, 1, max), (1, 0, 1)]);
     }
 
     /// Applies `moves` (distinct vertices) once through `move_vertex` and

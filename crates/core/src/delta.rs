@@ -159,6 +159,7 @@
 
 use crate::blockmodel::{Blockmodel, LineIter};
 use crate::blockset::BlockSet;
+use crate::line::{narrow, CanonicalLine, Cell};
 use crate::lntab::ln_int;
 use sbp_graph::{Graph, Vertex, Weight};
 use std::cell::RefCell;
@@ -556,8 +557,8 @@ impl DeltaScratch {
         &mut self,
         bm: &Blockmodel,
         t: &MergeTarget,
-        row_s: &[(u32, Weight)],
-        col_s: &[(u32, Weight)],
+        row_s: &[Cell],
+        col_s: &[Cell],
     ) -> f64 {
         let (r, s) = (self.from, t.s);
         let (ln_do_s, ln_di_s) = (bm.ln_d_out(s), bm.ln_d_in(s));
@@ -721,19 +722,20 @@ fn line_get(line: &[(u32, Weight)], key: u32) -> Weight {
     }
 }
 
-/// Two-pointer join of a merge's `r` line against its `s` line, both
-/// ascending: `on_s(k, m_s, m_r)` for every cell of the `s` line (`m_r`
-/// zero where the `r` line has none there), `only_r(k, m_r)` for every
-/// cell the `r` line alone holds — all in ascending `k`.
+/// Two-pointer join of a merge's gathered `r` line against the stored `s`
+/// line, both ascending: `on_s(k, m_s, m_r)` for every cell of the `s`
+/// line (`m_r` zero where the `r` line has none there), `only_r(k, m_r)`
+/// for every cell the `r` line alone holds — all in ascending `k`.
 #[inline]
 fn join_merge_lines(
     r_line: &[(u32, Weight)],
-    s_line: &[(u32, Weight)],
+    s_line: &[Cell],
     mut only_r: impl FnMut(u32, Weight),
     mut on_s: impl FnMut(u32, Weight, Weight),
 ) {
     let mut rest = r_line;
     for &(k, m_s) in s_line {
+        let m_s = Weight::from(m_s);
         let lead = rest.iter().take_while(|e| e.0 < k).count();
         for &(k_r, m_r) in &rest[..lead] {
             only_r(k_r, m_r);
@@ -1138,10 +1140,10 @@ pub fn hastings_for_delta(graph: &Graph, bm: &Blockmodel, v: Vertex, delta: &Lin
         return 1.0;
     }
     let neighbors = graph.out_edges(v).iter().chain(graph.in_edges(v));
-    let wt = crate::line::CanonicalLine::from_unsorted(
+    let wt = CanonicalLine::from_unsorted(
         neighbors
             .filter(|&&(u, _)| u != v)
-            .map(|&(u, w)| (bm.block_of(u), w))
+            .map(|&(u, w)| (bm.block_of(u), narrow(w)))
             .collect(),
     );
     if wt.is_empty() {
@@ -1162,7 +1164,7 @@ pub fn hastings_for_delta(graph: &Graph, bm: &Blockmodel, v: Vertex, delta: &Lin
     };
     let mut fwd = 0.0;
     let mut bwd = 0.0;
-    for &(t, w) in &wt {
+    for (t, w) in wt.iter() {
         let wf = w as f64;
         fwd += wf * ((bm.get(t, s) + bm.get(s, t)) as f64 + 1.0) / (bm.d_total(t) as f64 + b);
         bwd += wf * (new_cell(t, r) + new_cell(r, t) + 1.0) / (new_d_total(t) + b);

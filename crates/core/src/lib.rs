@@ -8,8 +8,9 @@
 //! * [`Blockmodel`] — the inter-block edge-count matrix with **adaptive
 //!   storage**: a flat dense `C×C` array (plus transpose) when
 //!   [`auto_picks_dense`] says so — small or well-occupied matrices — and
-//!   sparse [`line::CanonicalLine`] rows (sorted vectors) plus a stored
-//!   transpose otherwise (the paper's §III-A optimizations a and b).
+//!   sparse [`line::CanonicalLine`] rows (sorted vectors of 8-byte cells)
+//!   plus a stored transpose otherwise (the paper's §III-A optimizations a
+//!   and b).
 //!   Every line iterates in canonical ascending order regardless of
 //!   storage or move history — the property the distributed drivers'
 //!   unconditional bit-identity rests on. Incremental vertex moves,

@@ -40,8 +40,36 @@
 //! is a linear slice walk with no hashing. The bulk constructor
 //! ([`CanonicalLine::from_unsorted`]) amortizes the sort at
 //! `compacted()`/rebuild boundaries, where every line is rebuilt anyway.
+//!
+//! ## Why a cell is 8 bytes
+//!
+//! A stored [`Cell`] is a `u32` key and a `u32` weight. A cell of the
+//! block matrix counts a subset of the graph's arcs, so it never exceeds
+//! the total edge weight `E`, and every graph is held to
+//! `E ≤` [`sbp_graph::MAX_TOTAL_EDGE_WEIGHT`] `= 2³² − 1` where its input
+//! arrives (the loaders and the delta ingest reject a heavier graph with a
+//! typed error; `Graph::from_edges` and `Blockmodel::from_parts` assert
+//! it). The line still speaks [`Weight`] (`i64`) at its boundary: reads
+//! widen, writes narrow through a checked conversion and checked
+//! arithmetic, which panic rather than wrap. So the kernels see the same
+//! integers in the same order as with a 16-byte `(u32, i64)` cell, in half
+//! the bytes — and every rank of a distributed run holds a full replica of
+//! these lines, twice (rows and the transpose).
 
 use sbp_graph::Weight;
+
+/// One stored cell: `(key, weight)`, the weight in `1..=u32::MAX`.
+pub type Cell = (u32, u32);
+
+/// `w` as a stored cell weight.
+///
+/// # Panics
+/// Panics if `w` is outside `0..=u32::MAX`, which no cell of a graph
+/// within [`sbp_graph::MAX_TOTAL_EDGE_WEIGHT`] can be.
+#[inline]
+pub(crate) fn narrow(w: Weight) -> u32 {
+    u32::try_from(w).unwrap_or_else(|_| panic!("weight {w} does not fit a 32-bit cell"))
+}
 
 /// A sparse matrix line (row or column) holding `(key, weight)` cells
 /// sorted ascending by key. All weights are kept strictly positive —
@@ -49,7 +77,7 @@ use sbp_graph::Weight;
 /// and `len` counts exactly the nonzero cells.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CanonicalLine {
-    cells: Vec<(u32, Weight)>,
+    cells: Vec<Cell>,
 }
 
 impl CanonicalLine {
@@ -58,33 +86,37 @@ impl CanonicalLine {
         Self::default()
     }
 
-    /// Builds a line from unsorted, possibly-duplicated contributions by
-    /// sort-and-fold — O(n log n) once, instead of O(n²) repeated sorted
-    /// inserts. Entries with the same key accumulate; keys that fold to
-    /// zero (or arrive as zero) are dropped.
+    /// Builds a line from unsorted, possibly-duplicated positive
+    /// contributions by sort-and-fold, in place — O(n log n) once, instead
+    /// of O(n²) repeated sorted inserts, and no second buffer: the line
+    /// keeps `raw`'s allocation, so it has the room its cells took before
+    /// they were folded. Entries with the same key accumulate.
     ///
     /// This is the rebuild-boundary constructor: `from_assignment` /
     /// `from_parts` gather each line's raw contributions and sort here,
     /// so full-matrix construction costs one sort per line.
-    pub fn from_unsorted(mut raw: Vec<(u32, Weight)>) -> Self {
+    ///
+    /// # Panics
+    /// Panics if a key's contributions sum past `u32::MAX`.
+    pub fn from_unsorted(mut raw: Vec<Cell>) -> Self {
         raw.sort_unstable_by_key(|e| e.0);
-        let mut cells: Vec<(u32, Weight)> = Vec::with_capacity(raw.len());
-        for (k, w) in raw {
-            match cells.last_mut() {
-                Some(last) if last.0 == k => last.1 += w,
-                _ => cells.push((k, w)),
+        raw.dedup_by(|cell, run| {
+            let same = cell.0 == run.0;
+            if same {
+                run.1 = run
+                    .1
+                    .checked_add(cell.1)
+                    .expect("cell weight past u32::MAX");
             }
-        }
-        cells.retain(|&(k, w)| {
-            debug_assert!(w >= 0, "cell {k} folded to negative weight {w}");
-            w != 0
+            same
         });
-        CanonicalLine { cells }
+        debug_assert!(raw.iter().all(|&(_, w)| w > 0), "weights positive");
+        CanonicalLine { cells: raw }
     }
 
     /// Wraps cells that are already canonical — strictly ascending keys,
     /// positive weights — keeping the vector's allocation as it is.
-    pub fn from_sorted(cells: Vec<(u32, Weight)>) -> Self {
+    pub fn from_sorted(cells: Vec<Cell>) -> Self {
         debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "keys ascending");
         debug_assert!(cells.iter().all(|&(_, w)| w > 0), "weights positive");
         CanonicalLine { cells }
@@ -99,18 +131,25 @@ impl CanonicalLine {
     #[inline]
     pub fn get(&self, key: u32) -> Weight {
         match self.cells.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => self.cells[i].1,
+            Ok(i) => Weight::from(self.cells[i].1),
             Err(_) => 0,
         }
     }
 
     /// Adds `w > 0` to the cell at `key`, inserting it when absent.
     /// O(log n) search plus an O(n) shift on insert.
+    ///
+    /// # Panics
+    /// Panics if the cell would pass `u32::MAX`.
     #[inline]
     pub fn add(&mut self, key: u32, w: Weight) {
         debug_assert!(w > 0, "add must receive positive weight, got {w}");
+        let w = narrow(w);
         match self.cells.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => self.cells[i].1 += w,
+            Ok(i) => {
+                let e = &mut self.cells[i].1;
+                *e = e.checked_add(w).expect("cell weight past u32::MAX");
+            }
             Err(i) => self.cells.insert(i, (key, w)),
         }
     }
@@ -119,8 +158,8 @@ impl CanonicalLine {
     /// reaches zero.
     ///
     /// # Panics
-    /// Panics if the cell is absent; debug-panics if it would go negative
-    /// — both mean the caller's bookkeeping is broken.
+    /// Panics if the cell is absent or would go negative — both mean the
+    /// caller's bookkeeping is broken.
     #[inline]
     pub fn sub(&mut self, key: u32, w: Weight) {
         debug_assert!(w > 0, "sub must receive positive weight, got {w}");
@@ -129,23 +168,25 @@ impl CanonicalLine {
             .binary_search_by_key(&key, |e| e.0)
             .unwrap_or_else(|_| panic!("subtracting from empty cell {key}"));
         let e = &mut self.cells[i].1;
-        *e -= w;
-        debug_assert!(*e >= 0, "cell {key} went negative");
+        *e = e
+            .checked_sub(narrow(w))
+            .unwrap_or_else(|| panic!("cell {key} went negative"));
         if *e == 0 {
             self.cells.remove(i);
         }
     }
 
-    /// The cells as a sorted slice — the canonical iteration order.
+    /// The stored cells as a sorted slice — the canonical iteration order,
+    /// for walks that widen the weights themselves.
     #[inline]
-    pub fn as_slice(&self) -> &[(u32, Weight)] {
+    pub fn as_slice(&self) -> &[Cell] {
         &self.cells
     }
 
     /// Iterates `(key, weight)` ascending by key.
     #[inline]
-    pub fn iter(&self) -> std::slice::Iter<'_, (u32, Weight)> {
-        self.cells.iter()
+    pub fn iter(&self) -> impl Iterator<Item = (u32, Weight)> + '_ {
+        self.cells.iter().map(|&(k, w)| (k, Weight::from(w)))
     }
 
     /// Number of nonzero cells.
@@ -161,25 +202,19 @@ impl CanonicalLine {
     }
 }
 
-impl<'a> IntoIterator for &'a CanonicalLine {
-    type Item = &'a (u32, Weight);
-    type IntoIter = std::slice::Iter<'a, (u32, Weight)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.cells.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const MAX: Weight = u32::MAX as Weight;
+
     #[test]
     fn from_unsorted_folds_and_sorts() {
-        let line = CanonicalLine::from_unsorted(vec![(5, 2), (1, 1), (5, 3), (9, 4), (1, -1)]);
-        assert_eq!(line.as_slice(), &[(5, 5), (9, 4)]);
+        let line = CanonicalLine::from_unsorted(vec![(5, 2), (1, 1), (5, 3), (9, 4), (1, 6)]);
+        assert_eq!(line.as_slice(), &[(1, 7), (5, 5), (9, 4)]);
         assert_eq!(line.get(5), 5);
-        assert_eq!(line.get(1), 0);
-        assert_eq!(line.len(), 2);
+        assert_eq!(line.get(2), 0);
+        assert_eq!(line.len(), 3);
     }
 
     #[test]
@@ -210,6 +245,13 @@ mod tests {
         line.sub(4, 1);
     }
 
+    #[test]
+    #[should_panic(expected = "went negative")]
+    fn sub_past_zero_panics() {
+        let mut line = CanonicalLine::from_unsorted(vec![(4, 2)]);
+        line.sub(4, 3);
+    }
+
     /// The canonical guarantee itself: any insertion history with the
     /// same net contents iterates identically.
     #[test]
@@ -228,15 +270,63 @@ mod tests {
             c.add(k, i64::from(k) + 3);
             c.sub(k, 2);
         }
-        let canon: Vec<_> = a.iter().copied().collect();
-        assert_eq!(canon, b.iter().copied().collect::<Vec<_>>());
-        assert_eq!(canon, c.iter().copied().collect::<Vec<_>>());
+        let canon: Vec<_> = a.iter().collect();
+        assert_eq!(canon, b.iter().collect::<Vec<_>>());
+        assert_eq!(canon, c.iter().collect::<Vec<_>>());
         assert_eq!(
             canon,
             CanonicalLine::from_unsorted(vec![(1, 2), (3, 4), (5, 6), (7, 8), (9, 10)])
                 .iter()
-                .copied()
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_stored_cell_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 8);
+        let line = CanonicalLine::from_unsorted(vec![(3, 1), (1, 1), (2, 1)]);
+        assert_eq!(std::mem::size_of_val(line.as_slice()), 3 * 8);
+    }
+
+    /// A cell folding to exactly `u32::MAX` — the heaviest a graph within
+    /// the edge-weight limit can make — round-trips through every entry
+    /// point and reads back exactly.
+    #[test]
+    fn a_cell_at_u32_max_round_trips() {
+        let half = u32::MAX / 2;
+        let line = CanonicalLine::from_unsorted(vec![(7, half), (2, 1), (7, half + 1)]);
+        assert_eq!(line.get(7), MAX);
+        assert_eq!(line.iter().collect::<Vec<_>>(), vec![(2, 1), (7, MAX)]);
+
+        let mut line = CanonicalLine::new();
+        line.add(7, MAX - 1);
+        line.add(7, 1);
+        assert_eq!(line.get(7), MAX);
+        line.sub(7, MAX);
+        assert!(line.is_empty());
+        line.add(7, MAX);
+        assert_eq!(line.as_slice(), &[(7, u32::MAX)]);
+        line.sub(7, 1);
+        assert_eq!(line.get(7), MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past u32::MAX")]
+    fn add_past_u32_max_panics_instead_of_wrapping() {
+        let mut line = CanonicalLine::new();
+        line.add(7, MAX);
+        line.add(7, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 32-bit cell")]
+    fn a_weight_past_u32_max_does_not_narrow() {
+        CanonicalLine::new().add(0, MAX + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past u32::MAX")]
+    fn a_fold_past_u32_max_panics() {
+        CanonicalLine::from_unsorted(vec![(1, u32::MAX), (1, 1)]);
     }
 }

@@ -413,6 +413,52 @@ proptest! {
             }
         }
     }
+
+    /// An 8-byte-cell line is a `BTreeMap<u32, i64>` of positive weights,
+    /// with weights drawn across the whole cell range: after every add or
+    /// sub — clamped so no cell passes `u32::MAX` — it reads back the
+    /// reference's cells in key order, point by point, and a line rebuilt
+    /// from the reference split into two unsorted halves per cell equals it.
+    #[test]
+    fn line_ops_match_a_btreemap_up_to_u32_max(
+        ops in proptest::collection::vec((0u32..12, 0u8..2, 1i64..(1i64 << 32)), 1..60),
+    ) {
+        use sbp_core::line::CanonicalLine;
+        use std::collections::BTreeMap;
+        let max = i64::from(u32::MAX);
+        let mut line = CanonicalLine::new();
+        let mut reference: BTreeMap<u32, i64> = BTreeMap::new();
+        for &(key, op, w) in &ops {
+            let held = reference.get(&key).copied().unwrap_or(0);
+            if op == 0 && held < max {
+                let w = w.min(max - held);
+                line.add(key, w);
+                *reference.entry(key).or_insert(0) += w;
+            } else if held > 0 {
+                let w = 1 + (w - 1) % held;
+                line.sub(key, w);
+                if held == w {
+                    reference.remove(&key);
+                } else {
+                    reference.insert(key, held - w);
+                }
+            }
+            let want: Vec<(u32, i64)> = reference.iter().map(|(&k, &w)| (k, w)).collect();
+            prop_assert_eq!(line.iter().collect::<Vec<_>>(), want);
+            for k in 0..12 {
+                prop_assert_eq!(line.get(k), reference.get(&k).copied().unwrap_or(0));
+            }
+        }
+        let mut halves: Vec<(u32, u32)> = Vec::new();
+        for (&k, &w) in reference.iter().rev() {
+            let w = u32::try_from(w).expect("the reference stays within a cell");
+            halves.push((k, w - w / 2));
+            if w > 1 {
+                halves.insert(0, (k, w / 2));
+            }
+        }
+        prop_assert_eq!(CanonicalLine::from_unsorted(halves), line);
+    }
 }
 
 /// Deterministic xorshift stream for the fixed-C fixtures (independent of

@@ -28,7 +28,7 @@
 //! ingest shows up in [`sbp_mpi::ClusterReport`] like any other phase.
 
 use crate::error::DistError;
-use sbp_graph::shard::{shard_paths, ShardError, ShardReader};
+use sbp_graph::shard::{shard_paths, total_weight, ShardError, ShardReader};
 use sbp_graph::{Graph, OwnershipStrategy, Vertex, Weight};
 use sbp_mpi::Communicator;
 use std::path::Path;
@@ -159,7 +159,11 @@ impl DistGraph {
 /// — validate with [`sbp_graph::shard::validate_shard_dir`] *before*
 /// spawning the cluster for a friendlier failure path. A failing rank
 /// must abandon the collective schedule afterwards (the sharded runner
-/// poisons its peers — see `crate::error`).
+/// poisons its peers — see `crate::error`). A shard set heavier than
+/// [`sbp_graph::MAX_TOTAL_EDGE_WEIGHT`] is a [`DistError::Shard`] too: on
+/// a rank whose own arcs already pass the limit, before its local graph is
+/// built, and on every rank once the degree table shows the global total
+/// does.
 pub fn load_dist_graph<C: Communicator>(comm: &C, dir: &Path) -> Result<DistGraph, DistError> {
     let (rank, size) = (comm.rank(), comm.size());
     let paths = shard_paths(dir).map_err(DistError::from)?;
@@ -225,6 +229,7 @@ pub fn load_dist_graph<C: Communicator>(comm: &C, dir: &Path) -> Result<DistGrap
     for bucket in received {
         local_edges.extend(bucket);
     }
+    total_weight(local_edges.iter().map(|e| e.2))?;
     let local_arcs = local_edges.len();
     let local = Graph::from_edges(n, local_edges);
 
@@ -241,7 +246,7 @@ pub fn load_dist_graph<C: Communicator>(comm: &C, dir: &Path) -> Result<DistGrap
         out_degree[v as usize] = dout;
         in_degree[v as usize] = din;
     }
-    let total_edge_weight: Weight = out_degree.iter().sum();
+    let total_edge_weight = total_weight(out_degree.iter().copied())?;
 
     // Aggregate the ingest report (integer maxima/sums — identical on
     // every rank without a broadcast).

@@ -111,7 +111,7 @@ fn dist_blockmodel<C: Communicator>(
         dg.total_edge_weight(),
         assignment,
         num_blocks,
-        cells,
+        &cells,
     ))
 }
 

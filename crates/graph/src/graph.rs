@@ -2,6 +2,23 @@
 
 use crate::{Vertex, Weight};
 
+/// The largest total edge weight `E` a [`Graph`] may carry: `2³² − 1`.
+///
+/// A cell of a blockmodel counts a subset of the arcs, so it never weighs
+/// more than `E`; under this bound every cell fits the 32 bits a sparse
+/// blockmodel line stores per weight. Each door a graph arrives through
+/// rejects a heavier one with a typed error — the file readers in
+/// [`crate::io`], the sharded loader, [`Graph::apply_edge_deltas`] — and
+/// [`Graph::from_edges`] asserts it.
+pub const MAX_TOTAL_EDGE_WEIGHT: Weight = u32::MAX as Weight;
+
+/// `total + w` while the sum stays within [`MAX_TOTAL_EDGE_WEIGHT`]:
+/// `None` once a running edge-weight total would pass it.
+#[inline]
+pub fn add_edge_weight(total: Weight, w: Weight) -> Option<Weight> {
+    total.checked_add(w).filter(|&t| t <= MAX_TOTAL_EDGE_WEIGHT)
+}
+
 /// A signed change to one arc's weight: `delta > 0` adds weight (creating
 /// the arc if absent), `delta < 0` removes weight (deleting the arc when
 /// the result reaches zero). Used by [`Graph::apply_edge_deltas`] and the
@@ -45,6 +62,14 @@ pub enum GraphDeltaError {
         /// The (negative) weight the arc would end up with.
         resulting: Weight,
     },
+    /// Applying the batch would take the total edge weight past
+    /// [`MAX_TOTAL_EDGE_WEIGHT`]. A batch holding a single delta beyond
+    /// that bound in magnitude is refused the same way, whatever its sum:
+    /// no arc can absorb it.
+    TotalWeightOverflow {
+        /// `E` plus every delta of the batch.
+        total: i128,
+    },
 }
 
 impl std::fmt::Display for GraphDeltaError {
@@ -67,6 +92,11 @@ impl std::fmt::Display for GraphDeltaError {
             } => write!(
                 f,
                 "arc ({src}, {dst}) would end up with negative weight {resulting}"
+            ),
+            GraphDeltaError::TotalWeightOverflow { total } => write!(
+                f,
+                "batch would take the total edge weight to {total}, past the limit \
+                 {MAX_TOTAL_EDGE_WEIGHT} (no delta may exceed it in magnitude either)"
             ),
         }
     }
@@ -106,18 +136,23 @@ impl Graph {
     /// toward both the out- and in-degree of their vertex.
     ///
     /// # Panics
-    /// Panics if any endpoint is `>= num_vertices` or any weight is `<= 0`.
+    /// Panics if any endpoint is `>= num_vertices`, any weight is `<= 0`,
+    /// or the weights sum past [`MAX_TOTAL_EDGE_WEIGHT`].
     pub fn from_edges<I>(num_vertices: usize, edges: I) -> Self
     where
         I: IntoIterator<Item = (Vertex, Vertex, Weight)>,
     {
         let mut list: Vec<(Vertex, Vertex, Weight)> = edges.into_iter().collect();
+        let mut total: Weight = 0;
         for &(s, d, w) in &list {
             assert!(
                 (s as usize) < num_vertices && (d as usize) < num_vertices,
                 "edge ({s}, {d}) out of range for {num_vertices} vertices"
             );
             assert!(w > 0, "edge ({s}, {d}) has non-positive weight {w}");
+            total = add_edge_weight(total, w).unwrap_or_else(|| {
+                panic!("edge ({s}, {d}) takes the total weight past {MAX_TOTAL_EDGE_WEIGHT}")
+            });
         }
         list.sort_unstable_by_key(|&(s, d, _)| (s, d));
         // Merge parallel arcs.
@@ -275,6 +310,8 @@ impl Graph {
     ///
     /// Validation is all-or-nothing: the batch is checked against the merged
     /// result first, and on any error the graph is left exactly as it was.
+    /// A valid batch leaves `E + Σ delta` as the total edge weight, so that
+    /// sum is held to [`MAX_TOTAL_EDGE_WEIGHT`] before anything else.
     pub fn apply_edge_deltas(&mut self, deltas: &[EdgeDelta]) -> Result<(), GraphDeltaError> {
         let n = self.num_vertices;
         for d in deltas {
@@ -292,6 +329,12 @@ impl Graph {
                     dst: d.dst,
                 });
             }
+        }
+        let total = deltas.iter().map(|d| i128::from(d.delta)).sum::<i128>()
+            + i128::from(self.total_edge_weight);
+        let oversized = |d: &EdgeDelta| d.delta.unsigned_abs() > MAX_TOTAL_EDGE_WEIGHT as u64;
+        if total > i128::from(MAX_TOTAL_EDGE_WEIGHT) || deltas.iter().any(oversized) {
+            return Err(GraphDeltaError::TotalWeightOverflow { total });
         }
         // Collapse the batch to one net delta per arc.
         let mut net: Vec<(Vertex, Vertex, Weight)> =
@@ -626,6 +669,46 @@ mod tests {
             })
         );
         assert_eq!(g, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "takes the total weight past")]
+    fn from_edges_asserts_the_total_weight_limit() {
+        Graph::from_edges(2, vec![(0, 1, MAX_TOTAL_EDGE_WEIGHT), (1, 0, 1)]);
+    }
+
+    /// A batch that would take `E` past the limit is refused whole — by
+    /// its sum, or by one delta too large for any arc — and the graph is
+    /// left as it was; a batch landing exactly on the limit applies.
+    #[test]
+    fn deltas_past_the_total_weight_limit_leave_graph_untouched() {
+        let mut g = triangle();
+        let before = g.clone();
+        let room = MAX_TOTAL_EDGE_WEIGHT - g.total_edge_weight();
+        let overflow = |total: Weight| GraphDeltaError::TotalWeightOverflow {
+            total: i128::from(total),
+        };
+        assert_eq!(
+            g.apply_edge_deltas(&[delta(0, 1, room), delta(1, 2, 1)]),
+            Err(overflow(MAX_TOTAL_EDGE_WEIGHT + 1))
+        );
+        assert_eq!(
+            g.apply_edge_deltas(&[
+                delta(0, 1, MAX_TOTAL_EDGE_WEIGHT + 1),
+                delta(0, 1, -MAX_TOTAL_EDGE_WEIGHT)
+            ]),
+            Err(overflow(7))
+        );
+        assert_eq!(
+            g.apply_edge_deltas(&[delta(0, 1, i64::MAX), delta(0, 1, i64::MAX)]),
+            Err(GraphDeltaError::TotalWeightOverflow {
+                total: 2 * i128::from(i64::MAX) + 6
+            })
+        );
+        assert_eq!(g, before);
+        g.apply_edge_deltas(&[delta(0, 1, room)]).unwrap();
+        assert_eq!(g.total_edge_weight(), MAX_TOTAL_EDGE_WEIGHT);
+        assert_eq!(g.out_edges(0), &[(1, 1 + room)]);
     }
 
     /// A batch that only re-weights existing arcs is written in place; the

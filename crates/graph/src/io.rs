@@ -11,7 +11,7 @@
 //!
 //! Both readers are strict about structure but tolerant of blank lines.
 
-use crate::{Graph, Vertex, Weight};
+use crate::{add_edge_weight, Graph, Vertex, Weight, MAX_TOTAL_EDGE_WEIGHT};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -56,11 +56,24 @@ fn malformed(line: usize, reason: impl Into<String>) -> ParseError {
     }
 }
 
+/// The running total edge weight after line `line_no` adds `w`, or the
+/// error naming that line once the total passes [`MAX_TOTAL_EDGE_WEIGHT`].
+fn add_line_weight(total: Weight, w: Weight, line_no: usize) -> Result<Weight, ParseError> {
+    add_edge_weight(total, w).ok_or_else(|| {
+        malformed(
+            line_no,
+            format!("total edge weight passes the limit {MAX_TOTAL_EDGE_WEIGHT}"),
+        )
+    })
+}
+
 /// Parses a 0-indexed edge list (`src dst [weight]` per line). The vertex
-/// count is `1 + max endpoint` unless `min_vertices` demands more.
+/// count is `1 + max endpoint` unless `min_vertices` demands more. The
+/// weights may sum to at most [`MAX_TOTAL_EDGE_WEIGHT`].
 pub fn parse_edge_list(text: &str, min_vertices: usize) -> Result<Graph, ParseError> {
     let mut edges: Vec<(Vertex, Vertex, Weight)> = Vec::new();
     let mut max_v = 0usize;
+    let mut total: Weight = 0;
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -90,6 +103,7 @@ pub fn parse_edge_list(text: &str, min_vertices: usize) -> Result<Graph, ParseEr
         if w <= 0 {
             return Err(malformed(line_no, "non-positive weight"));
         }
+        total = add_line_weight(total, w, line_no)?;
         max_v = max_v.max(src as usize + 1).max(dst as usize + 1);
         edges.push((src, dst, w));
     }
@@ -116,6 +130,8 @@ pub fn write_edge_list(graph: &Graph) -> String {
 ///   the nearest positive integer (entries rounding to `<= 0` are rejected).
 /// * `symmetric` / `skew-symmetric` inputs mirror each off-diagonal entry.
 /// * Indices are converted from 1-based to 0-based.
+/// * The weights, mirrored entries included, may sum to at most
+///   [`MAX_TOTAL_EDGE_WEIGHT`]; the error names the line that crosses it.
 pub fn parse_matrix_market(text: &str) -> Result<Graph, ParseError> {
     let mut lines = text.lines().enumerate();
 
@@ -172,6 +188,7 @@ pub fn parse_matrix_market(text: &str) -> Result<Graph, ParseError> {
     let mut edges: Vec<(Vertex, Vertex, Weight)> =
         Vec::with_capacity(nnz * if mirror { 2 } else { 1 });
     let mut seen = 0usize;
+    let mut total: Weight = 0;
     for (idx, raw) in lines {
         let line_no = idx + 1;
         let line = raw.trim();
@@ -209,8 +226,10 @@ pub fn parse_matrix_market(text: &str) -> Result<Graph, ParseError> {
             }
         };
         let (src, dst) = ((r - 1) as Vertex, (c - 1) as Vertex);
+        total = add_line_weight(total, w, line_no)?;
         edges.push((src, dst, w));
         if mirror && src != dst {
+            total = add_line_weight(total, w, line_no)?;
             edges.push((dst, src, w));
         }
         seen += 1;
@@ -348,6 +367,35 @@ mod tests {
     fn matrix_market_rejects_zero_index() {
         let text = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n0 1\n";
         assert!(parse_matrix_market(text).is_err());
+    }
+
+    #[test]
+    fn edge_list_rejects_a_total_weight_past_the_limit() {
+        let text = format!("0 1 {}\n1 0 1\n", u32::MAX);
+        match parse_edge_list(&text, 0) {
+            Err(ParseError::Malformed { line: 2, reason }) => {
+                assert!(reason.contains("total edge weight"), "{reason}")
+            }
+            other => panic!("expected a malformed line 2, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn matrix_market_counts_mirrored_weight_toward_the_limit() {
+        let half = MAX_TOTAL_EDGE_WEIGHT / 2 + 1;
+        let text =
+            format!("%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 1 {half}\n");
+        assert!(matches!(
+            parse_matrix_market(&text),
+            Err(ParseError::Malformed { line: 3, .. })
+        ));
+        // A diagonal entry does not mirror: `E = half` is fine.
+        let text =
+            format!("%%MatrixMarket matrix coordinate integer symmetric\n2 2 1\n2 2 {half}\n");
+        assert_eq!(
+            parse_matrix_market(&text).unwrap().total_edge_weight(),
+            half
+        );
     }
 
     #[test]

@@ -52,9 +52,10 @@
 //! # Ok(()) }
 //! ```
 //!
-//! Vertex ids are `u32` (graphs up to ~4.2 B vertices) and edge weights are
-//! `i64`, because blockmodel matrix entries — sums of many edge weights —
-//! must not overflow during delta computations.
+//! Vertex ids are `u32` (graphs up to ~4.2 B vertices). Edge weights are
+//! `i64`, so sums and signed deltas of them never overflow, but a graph's
+//! total edge weight is held to [`MAX_TOTAL_EDGE_WEIGHT`] (`2³² − 1`), so
+//! every blockmodel cell — a sum of some of its arcs — fits in 32 bits.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -72,7 +73,7 @@ pub mod varint;
 
 pub use builder::GraphBuilder;
 pub use frame::DecodeError;
-pub use graph::{EdgeDelta, Graph, GraphDeltaError};
+pub use graph::{add_edge_weight, EdgeDelta, Graph, GraphDeltaError, MAX_TOTAL_EDGE_WEIGHT};
 pub use islands::{island_count, island_fraction_round_robin, IslandReport};
 pub use ownership::{balanced_ownership, modulo_ownership, OwnershipStrategy};
 pub use shard::{shard_graph, ShardPlan, ShardReader, ShardWriter};

@@ -38,7 +38,7 @@
 
 use crate::ownership::OwnershipStrategy;
 use crate::varint::{read_ascending_ids, read_u64, write_ascending_ids, write_u64};
-use crate::{Graph, Vertex, Weight};
+use crate::{add_edge_weight, Graph, Vertex, Weight, MAX_TOTAL_EDGE_WEIGHT};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -88,6 +88,21 @@ impl From<std::io::Error> for ShardError {
 
 fn malformed(reason: impl Into<String>) -> ShardError {
     ShardError::Malformed(reason.into())
+}
+
+/// `Σ weights` of (part of) a sharded graph, or the error for one heavier
+/// than [`MAX_TOTAL_EDGE_WEIGHT`]: a shard set is an input door like a
+/// file reader, so its weight limit is a typed error, not the panic
+/// [`Graph::from_edges`] would raise.
+pub fn total_weight(weights: impl IntoIterator<Item = Weight>) -> Result<Weight, ShardError> {
+    weights
+        .into_iter()
+        .try_fold(0, add_edge_weight)
+        .ok_or_else(|| {
+            malformed(format!(
+                "total edge weight passes the limit {MAX_TOTAL_EDGE_WEIGHT}"
+            ))
+        })
 }
 
 /// Order-sensitive checksum over the edge stream (FxHash-style mixing);
@@ -728,6 +743,7 @@ pub fn unshard_graph(dir: &Path) -> Result<Graph, ShardError> {
         }
         all_edges.extend_from_slice(shard.edges());
     }
+    total_weight(all_edges.iter().map(|e| e.2))?;
     Ok(Graph::from_edges(num_vertices.unwrap_or(0), all_edges))
 }
 

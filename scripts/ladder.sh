@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Scale ladder: wall time and peak RSS of a 2-rank sharded EDiSt run at
+# three graph sizes, for one binary or two alternated.
+#
+#   scripts/ladder.sh [--scales "0.004 0.016 0.064"] [--runs N] BIN [BIN2]
+#
+# BIN (and BIN2) are `edist-cli` binaries. Each rung generates
+# `scaling --id 1M` at one scale with seed 42 (0.004 / 0.016 / 0.064 give
+# V = 4 205 / 16 819 / 67 278), shards it 2-way with `--strategy balanced`,
+# and runs `partition --sharded … --backend edist --ranks 2 --mcmc batch
+# --seed 43` under SBP_THREADS=1, N times per binary (default 3). With two
+# binaries the runs alternate BIN, BIN2, BIN, … and every assignment must
+# equal BIN's first one at that rung (`cmp`); the script exits 1 at the
+# first difference. One line per run: rung, binary, wall seconds, peak RSS.
+#
+# Peak RSS is the child's own `VmHWM`, polled from /proc/PID/status while
+# it runs: `getrusage` of a child forked from a large parent reports the
+# parent's pages instead (a `/bin/true` reads 13 MiB that way).
+set -euo pipefail
+
+scales="0.004 0.016 0.064"
+runs=3
+while [[ $# -gt 0 && $1 == --* ]]; do
+    case $1 in
+        --scales) scales=$2; shift 2 ;;
+        --runs) runs=$2; shift 2 ;;
+        *) echo "unknown option $1" >&2; exit 2 ;;
+    esac
+done
+if [[ $# -lt 1 || $# -gt 2 ]]; then
+    echo "usage: $0 [--scales \"S ...\"] [--runs N] BIN [BIN2]" >&2
+    exit 2
+fi
+bins=("$@")
+export SBP_THREADS=1
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+# Runs "$@" in the background; prints "<wall s> <peak RSS MiB>" once it
+# exits, or prints its stderr and fails with its exit status.
+measure() {
+    local start end pid hwm=0 kib status
+    start=$(date +%s.%N)
+    "$@" 2>"$work/stderr.log" &
+    pid=$!
+    while kill -0 "$pid" 2>/dev/null; do
+        kib=$(awk '/^VmHWM:/ {print $2}' "/proc/$pid/status" 2>/dev/null || true)
+        if [[ -n $kib && $kib -gt $hwm ]]; then
+            hwm=$kib
+        fi
+        sleep 0.02
+    done
+    status=0
+    wait "$pid" || status=$?
+    end=$(date +%s.%N)
+    if [[ $status -ne 0 ]]; then
+        cat "$work/stderr.log" >&2
+        echo "command failed with status $status: $*" >&2
+        return "$status"
+    fi
+    awk -v s="$start" -v e="$end" -v k="$hwm" 'BEGIN { printf "%.3f %.1f\n", e - s, k / 1024 }'
+}
+
+printf '%-6s %-8s %-4s %-5s %9s %10s\n' scale V bin run wall_s peak_mib
+for scale in $scales; do
+    rung="$work/$scale"
+    mkdir -p "$rung"
+    "${bins[0]}" generate --family scaling --id 1M --scale "$scale" --seed 42 \
+        --out "$rung/g.mtx" 2>"$rung/gen.log"
+    vertices=$(sed -n 's/.*V=\([0-9]*\).*/\1/p' "$rung/gen.log")
+    "${bins[0]}" shard --graph "$rung/g.mtx" --ranks 2 --strategy balanced \
+        --out "$rung/shards" 2>/dev/null
+    for run in $(seq 1 "$runs"); do
+        for i in "${!bins[@]}"; do
+            out="$rung/pred_${i}_${run}.txt"
+            reading=$(measure "${bins[$i]}" partition --sharded "$rung/shards" \
+                --backend edist --ranks 2 --mcmc batch --seed 43 --out "$out")
+            printf '%-6s %-8s %-4s %-5s %9s %10s\n' "$scale" "$vertices" "$i" "$run" $reading
+            if ! cmp -s "$out" "$rung/pred_0_1.txt"; then
+                echo "DIFFERENT: scale $scale, binary $i, run $run" >&2
+                exit 1
+            fi
+        done
+    done
+done

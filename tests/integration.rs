@@ -196,3 +196,56 @@ fn island_heavy_graph_does_not_crash_either_algorithm() {
     assert_eq!(dc.assignment.len(), 40);
     assert_eq!(ed.assignment.len(), 40);
 }
+
+/// The input limit `E ≤ 2³² − 1` at the `.mtx` door: entries summing to
+/// `2³²` are a typed error naming the line that crosses it, and a graph of
+/// exactly `E = 2³² − 1` — one arc — loads, solves, and its blockmodel
+/// cell holds the weight exactly on both storages.
+#[test]
+fn total_edge_weight_limit_at_the_mtx_door() {
+    use edist::core::StorageKind;
+    use edist::graph::io::{load_graph, ParseError};
+    use edist::graph::MAX_TOTAL_EDGE_WEIGHT;
+    let max = MAX_TOTAL_EDGE_WEIGHT;
+    assert_eq!(max, (1i64 << 32) - 1);
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("weight_limit_over_{}.mtx", std::process::id()));
+    let half = 1i64 << 31;
+    std::fs::write(
+        &path,
+        format!("%%MatrixMarket matrix coordinate integer general\n% two halves of 2^32\n3 3 3\n1 2 1\n2 3 {}\n3 1 {half}\n", half - 1),
+    )
+    .unwrap();
+    match load_graph(&path) {
+        Err(ParseError::Malformed { line: 6, reason }) => {
+            assert!(reason.contains("total edge weight"), "{reason}")
+        }
+        other => panic!("expected the crossing line 6 named, got {other:?}"),
+    }
+
+    let path_max = dir.join(format!("weight_limit_at_{}.mtx", std::process::id()));
+    std::fs::write(
+        &path_max,
+        format!("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 {max}\n"),
+    )
+    .unwrap();
+    let g = load_graph(&path_max).expect("E = 2^32 - 1 is inside the limit");
+    assert_eq!(g.total_edge_weight(), max);
+    let run = Partitioner::on(&g).seed(1).run().expect("solves");
+    assert_eq!(run.assignment.len(), 2);
+    assert!(run.description_length.is_finite());
+    let dense = Blockmodel::from_assignment_with(&g, vec![0, 1], 2, StorageKind::Dense);
+    let mut sparse = Blockmodel::from_assignment_with(&g, vec![0, 1], 2, StorageKind::Sparse);
+    assert_eq!(sparse.get(0, 1), max);
+    assert_eq!(sparse.row_iter(0).collect::<Vec<_>>(), vec![(1, max)]);
+    assert_eq!(sparse.entropy().to_bits(), dense.entropy().to_bits());
+    // One block: the whole weight lands on the diagonal cell and back.
+    sparse.move_vertex(&g, 1, 0);
+    assert_eq!(sparse.get(0, 0), max);
+    sparse.move_vertex(&g, 1, 1);
+    assert_eq!(sparse.col_iter(1).collect::<Vec<_>>(), vec![(0, max)]);
+    sparse.validate(&g).unwrap();
+    for p in [path, path_max] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -287,6 +287,75 @@ fn a_warm_round_replies_identically_at_one_and_two_workers() {
     assert_eq!(serial, session(2));
 }
 
+/// A pending batch that would take the total edge weight past
+/// `2³² − 1` is answered `BAD_DELTA` when the repartition applies it; the
+/// daemon keeps serving, and its next warm round — membership and DL —
+/// equals a daemon that never saw that batch.
+#[test]
+fn a_batch_past_the_weight_limit_is_a_bad_delta_and_changes_nothing() {
+    use edist::graph::MAX_TOTAL_EDGE_WEIGHT;
+    use edist::serve::protocol::error_code;
+    let graph = clique_ring(24);
+    let (src, dst, _) = graph.arcs().next().expect("an arc");
+    let room = MAX_TOTAL_EDGE_WEIGHT - graph.total_edge_weight();
+    let heavy = vec![
+        EdgeDelta {
+            src,
+            dst,
+            delta: room,
+        },
+        EdgeDelta {
+            src: dst,
+            dst: src,
+            delta: 1,
+        },
+    ];
+    let deltas = weight_deltas(&graph, 8, 5);
+    let n = graph.num_vertices() as u32;
+    let warm = || Request::Repartition {
+        mode: RepartitionMode::Warm,
+        backend: String::new(),
+    };
+    let warm_round = |server: &mut Server| -> Vec<String> {
+        [
+            Request::Ingest(deltas.clone()),
+            warm(),
+            Request::Membership((0..n).collect()),
+        ]
+        .into_iter()
+        .map(|req| format!("{:?}", server.handle(req).0))
+        .collect()
+    };
+    let options = || ServerOptions {
+        seed: 1,
+        ..ServerOptions::default()
+    };
+
+    let mut server = Server::new(graph.clone(), options(), default_registry()).expect("startup");
+    assert!(matches!(
+        server.handle(Request::Ingest(heavy)).0,
+        Response::IngestAck { pending_deltas: 2 }
+    ));
+    match server.handle(warm()).0 {
+        Response::Error { code, message } => {
+            assert_eq!(code, error_code::BAD_DELTA);
+            assert!(message.contains("total edge weight"), "{message}");
+        }
+        other => panic!("expected BAD_DELTA, got {other:?}"),
+    }
+    let after_refusal = warm_round(&mut server);
+    let dl = server.description_length();
+
+    let mut fresh = Server::new(graph, options(), default_registry()).expect("startup");
+    assert_eq!(after_refusal, warm_round(&mut fresh));
+    assert!(
+        after_refusal[1].starts_with("RepartitionDone"),
+        "{}",
+        after_refusal[1]
+    );
+    assert_eq!(dl.to_bits(), fresh.description_length().to_bits());
+}
+
 /// Spawns a daemon over a real unix socket and drives the full loop:
 /// stats → ingest → membership-from-warm-partition → warm repartition →
 /// membership → checkpoint → malformed-frame probe → shutdown.

@@ -409,3 +409,39 @@ fn shard_dir_headers_drive_rank_selection() {
     assert_eq!(run.cluster.unwrap().ranks, 3);
     std::fs::remove_dir_all(&sdir).unwrap();
 }
+
+/// A shard set heavier than `E ≤ 2³² − 1` is a typed ingest error, never
+/// a panic. Two 2³¹ arcs that stay on their owners' ranks: each rank's
+/// share is inside the limit, so every rank reaches the degree table and
+/// refuses the global total there, all with the same error. Two 2³¹ arcs
+/// across a three-rank cut: the two ranks that hold both exceed the limit
+/// before building their local graph, the third unwinds with them, and
+/// the run comes back degraded.
+#[test]
+fn shard_sets_past_the_weight_limit_fail_typed_on_every_rank() {
+    use edist::dist::DistError;
+    use edist::graph::shard::{shard_edge_stream, ShardError};
+    let half = 1i64 << 31;
+
+    let dir = temp_dir("weight_global");
+    shard_edge_stream(4, vec![(0, 2, half), (1, 3, half)], &dir, 2).unwrap();
+    let out = ThreadCluster::run(2, CostModel::zero(), |comm| {
+        match load_dist_graph(comm, &dir) {
+            Err(DistError::Shard(ShardError::Malformed(reason))) => reason,
+            other => panic!("expected a malformed shard set, got {other:?}"),
+        }
+    });
+    for rank in &out.ranks {
+        assert!(rank.result.contains("total edge weight"), "{}", rank.result);
+    }
+    assert!(unshard_graph(&dir).is_err());
+    let run = Partitioner::on_sharded(&dir).seed(1).run().unwrap();
+    assert_eq!(run.degraded, Some(DegradedReason::ShardLoadFailure));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = temp_dir("weight_local");
+    shard_edge_stream(3, vec![(0, 1, half), (1, 0, half), (2, 2, 1)], &dir, 3).unwrap();
+    let run = Partitioner::on_sharded(&dir).seed(1).run().unwrap();
+    assert_eq!(run.degraded, Some(DegradedReason::ShardLoadFailure));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
