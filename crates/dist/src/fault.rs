@@ -3,7 +3,7 @@
 //! [`FaultComm`] decorates any [`Communicator`] and executes a
 //! [`FaultPlan`] keyed to the communicator's **sync points**: every
 //! collective the wrapped rank issues (allgather, alltoall, gather,
-//! broadcast, barrier) increments a per-rank counter, and faults fire
+//! broadcast) increments a per-rank counter, and faults fire
 //! when the counter reaches their `at_sync` value. Because the drivers
 //! issue identical collective schedules on every run (the bit-identity
 //! contract), a `(plan, seed)` pair reproduces the exact same failure in
@@ -324,11 +324,6 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
         self.inner.broadcast(root, data)
     }
 
-    fn barrier(&self) {
-        self.tick();
-        self.inner.barrier();
-    }
-
     fn virtual_time(&self) -> f64 {
         self.inner.virtual_time() + self.extra_delay.get()
     }
@@ -401,8 +396,7 @@ mod tests {
         let fc = FaultComm::new(&inner, FaultPlan::none());
         assert_eq!(fc.allgatherv(vec![1u8, 2]), vec![vec![1u8, 2]]);
         assert_eq!(fc.broadcast(0, Some(9u32)), 9);
-        fc.barrier();
-        assert_eq!(fc.stats().collectives, 3);
+        assert_eq!(fc.stats().collectives, 2);
         // A charge reaches the wrapped clock.
         let t0 = fc.virtual_time();
         fc.charge(5.0);
@@ -414,9 +408,10 @@ mod tests {
         let inner = SelfComm::new();
         let plan = FaultPlan::parse("kill:0@2").expect("parses");
         let fc = FaultComm::new(&inner, plan);
-        fc.barrier(); // sync 0
-        fc.barrier(); // sync 1
-        let err = catch_unwind(AssertUnwindSafe(|| fc.barrier())).expect_err("killed");
+        fc.allgatherv::<u8>(vec![]); // sync 0
+        fc.allgatherv::<u8>(vec![]); // sync 1
+        let err =
+            catch_unwind(AssertUnwindSafe(|| fc.allgatherv::<u8>(vec![]))).expect_err("killed");
         let death = err.downcast_ref::<RankDeath>().expect("typed payload");
         assert_eq!(death.rank, 0);
         assert_eq!(death.sync_point, 2);
@@ -427,9 +422,9 @@ mod tests {
         let inner = SelfComm::new();
         let plan = FaultPlan::parse("delay:0@1:2.5").expect("parses");
         let fc = FaultComm::new(&inner, plan);
-        fc.barrier(); // sync 0: before the fault
+        fc.allgatherv::<u8>(vec![]); // sync 0: before the fault
         assert!(fc.virtual_time() < 1.0);
-        fc.barrier(); // sync 1: fault fires
+        fc.allgatherv::<u8>(vec![]); // sync 1: fault fires
         let skewed = fc.virtual_time();
         assert!(skewed >= 2.5, "clock not skewed: {skewed}");
         assert!(inner.virtual_time() < 1.0, "inner clock must be untouched");

@@ -33,8 +33,8 @@ pub enum Source<'a> {
     /// Every rank holds the same monolithic graph (the replicated
     /// deployment of paper Algs. 4–5): work is partitioned, data is not.
     Graph(&'a Graph),
-    /// A `.sbps` shard directory; each rank ingests only its own shard,
-    /// memory-mapped via [`sbp_graph::mmap`].
+    /// A `.sbps` shard directory; each rank reads and decodes only its
+    /// own shard ([`sbp_graph::ShardReader::open`]).
     Shards(&'a Path),
 }
 

@@ -25,12 +25,11 @@
 //!   shares: the one stream frame codec both wire protocols (the TCP
 //!   cluster's and the daemon's) speak, the typed [`DecodeError`], and
 //!   the varint section framing used by collective payloads.
-//! * [`mmap`] — zero-copy file ingest (`mmap(2)` with a `read()`
-//!   fallback and the `SBP_NO_MMAP` knob) feeding the shard reader.
 //! * [`shard`] — the `.sbps` binary edge-shard format: a graph is split
 //!   into per-rank shards (each holding the out-edges of one rank's owned
 //!   vertices, delta+varint-encoded) so a distributed load never
-//!   materializes the whole graph on one node.
+//!   materializes the whole graph on one node; a rank reads its shard
+//!   file with one `std::fs::read` and decodes it eagerly.
 //!
 //! ## Sharded graph workflow
 //!
@@ -57,7 +56,7 @@
 //! total edge weight is held to [`MAX_TOTAL_EDGE_WEIGHT`] (`2³² − 1`), so
 //! every blockmodel cell — a sum of some of its arcs — fits in 32 bits.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod fixtures;
@@ -65,7 +64,6 @@ pub mod frame;
 pub mod graph;
 pub mod io;
 pub mod islands;
-pub mod mmap;
 pub mod ownership;
 pub mod shard;
 pub mod subgraph;

@@ -258,13 +258,11 @@ pub struct ShardReader {
 }
 
 impl ShardReader {
-    /// Reads and verifies the shard at `path`, memory-mapping the file
-    /// when possible (see [`crate::mmap`]) so a rank's ingest never
-    /// stages the encoded bytes through a heap buffer. Decoding is
-    /// eager-copy, so the mapping is released before this returns and a
-    /// later change to the file cannot corrupt the constructed reader.
+    /// Reads the shard at `path` whole and verifies it. Decoding is
+    /// eager-copy, so the file's bytes are dropped before this returns
+    /// and a later change to the file cannot touch the constructed reader.
     pub fn open(path: &Path) -> Result<Self, ShardError> {
-        Self::decode(&crate::mmap::read_file_bytes(path)?)
+        Self::decode(&std::fs::read(path)?)
     }
 
     /// Decodes the fixed-size prefix (everything before the owned vertex
@@ -1001,38 +999,19 @@ mod tests {
     }
 
     #[test]
-    fn mmap_open_matches_buffered_decode_on_every_fixture() {
-        // `open` (mmap path on Linux) and `decode(std::fs::read(..))`
-        // must construct identical readers for every shard the planner
-        // can produce — the byte-identity half of the zero-copy story.
-        let g = two_cliques(10);
-        for strategy in [OwnershipStrategy::Modulo, OwnershipStrategy::SortedBalanced] {
-            for n in [1usize, 2, 3] {
-                let dir = temp_dir(&format!("mmap_{n}_{}", strategy.code()));
-                let paths = shard_graph(&g, &dir, n, strategy).unwrap();
-                for path in &paths {
-                    let mapped = ShardReader::open(path).unwrap();
-                    let buffered = ShardReader::decode(&std::fs::read(path).unwrap()).unwrap();
-                    assert_eq!(mapped.header(), buffered.header());
-                    assert_eq!(mapped.owned(), buffered.owned());
-                    assert_eq!(mapped.edges(), buffered.edges());
-                }
-                std::fs::remove_dir_all(&dir).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn mmap_open_rejects_truncated_and_shrunk_files() {
+    fn open_rejects_truncated_shrunk_and_missing_files() {
         let g = two_cliques(8);
-        let dir = temp_dir("mmap_trunc");
+        let dir = temp_dir("open_trunc");
         let paths = shard_graph(&g, &dir, 1, OwnershipStrategy::Modulo).unwrap();
         let good = std::fs::read(&paths[0]).unwrap();
         // Every truncation of the on-disk file must come back as a typed
-        // error through the mmap path, never a crash or silent garbage.
+        // error, never a crash or silent garbage.
         for cut in [0, 1, 5, good.len() / 2, good.len() - 1] {
             std::fs::write(&paths[0], &good[..cut]).unwrap();
-            assert!(ShardReader::open(&paths[0]).is_err(), "cut {cut}");
+            assert!(
+                matches!(ShardReader::open(&paths[0]), Err(ShardError::Malformed(_))),
+                "cut {cut}"
+            );
         }
         // A file that shrinks after a reader constructed is harmless:
         // decode is eager-copy, so the reader owns its data outright.
@@ -1042,6 +1021,10 @@ mod tests {
         assert_eq!(reader.header().num_vertices, g.num_vertices());
         assert!(!reader.edges().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(
+            ShardReader::open(&paths[0]),
+            Err(ShardError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound
+        ));
     }
 
     #[test]

@@ -54,9 +54,6 @@ pub trait Communicator {
     /// root's value. Non-root ranks pass `None`.
     fn broadcast<T: Clone + Send + Wire + 'static>(&self, root: usize, data: Option<T>) -> T;
 
-    /// Synchronization barrier (also synchronizes virtual clocks).
-    fn barrier(&self);
-
     /// Current virtual-clock reading in seconds: accumulated thread CPU
     /// time plus modeled communication costs (see crate docs).
     fn virtual_time(&self) -> f64;
@@ -146,10 +143,6 @@ impl Communicator for SelfComm {
         data.expect("broadcast root must supply data")
     }
 
-    fn barrier(&self) {
-        self.bump();
-    }
-
     fn virtual_time(&self) -> f64 {
         crate::cputime::thread_cpu_time() - self.start_cpu.get()
     }
@@ -176,8 +169,7 @@ mod tests {
         assert_eq!(c.alltoallv(vec![vec![7u8]]), vec![vec![7u8]]);
         assert_eq!(c.gatherv(0, vec![9]), Some(vec![vec![9]]));
         assert_eq!(c.broadcast(0, Some(42)), 42);
-        c.barrier();
-        assert_eq!(c.stats().collectives, 5);
+        assert_eq!(c.stats().collectives, 4);
     }
 
     #[test]

@@ -997,12 +997,6 @@ impl Communicator for TcpComm {
         }
     }
 
-    fn barrier(&self) {
-        // An empty allgather is a correct (if chatty) barrier; the
-        // collective count is bumped inside allgatherv.
-        let _ = self.allgatherv::<u8>(Vec::new());
-    }
-
     fn virtual_time(&self) -> f64 {
         // On a real transport the "virtual" clock *is* wall time.
         self.started.elapsed().as_secs_f64()
@@ -1286,7 +1280,7 @@ mod tests {
                 comm.alltoallv(vec![vec![r * 100], vec![r * 100 + 1], vec![r * 100 + 2]]);
             let rooted = comm.gatherv(1, vec![r]);
             let bcast = comm.broadcast(2, if comm.rank() == 2 { Some(77u64) } else { None });
-            comm.barrier();
+            comm.allgatherv::<u8>(vec![]);
             (gathered, exchanged, rooted, bcast, comm.stats())
         });
         for (rank, (gathered, exchanged, rooted, bcast, stats)) in results.iter().enumerate() {

@@ -354,12 +354,6 @@ impl Communicator for ThreadComm {
         }
     }
 
-    fn barrier(&self) {
-        // A zero-payload allgather has exactly barrier semantics and
-        // synchronizes the virtual clocks.
-        let _ = self.allgatherv::<u8>(Vec::new());
-    }
-
     fn virtual_time(&self) -> f64 {
         self.vclock.get() + (thread_cpu_time() - self.last_cpu.get()).max(0.0)
     }
@@ -600,7 +594,7 @@ mod tests {
     fn multiple_collectives_in_sequence() {
         let out = ThreadCluster::run(4, CostModel::zero(), |comm| {
             let a = comm.allgatherv(vec![comm.rank()]);
-            comm.barrier();
+            comm.broadcast(0, (comm.rank() == 0).then_some(7u8));
             comm.allgatherv(vec![a.len() * 100 + comm.rank()])
         });
         for r in &out.ranks {
@@ -626,10 +620,11 @@ mod tests {
             per_byte: 0.0,
         };
         let out = ThreadCluster::run(2, big, |comm| {
-            comm.barrier();
-            comm.barrier();
+            comm.allgatherv::<u8>(vec![]);
+            comm.allgatherv::<u8>(vec![]);
         });
-        // Two barriers × ceil(log2 2)=1 stage × 10s = 20s of virtual time.
+        // Two empty allgathers × ceil(log2 2)=1 stage × 10s = 20s of
+        // virtual time.
         assert!(out.makespan() >= 20.0, "makespan {}", out.makespan());
         assert!(out.makespan() < 25.0, "makespan {}", out.makespan());
     }
@@ -645,10 +640,11 @@ mod tests {
                 }
                 std::hint::black_box(x);
             }
-            comm.barrier();
+            // An empty allgather synchronizes the virtual clocks.
+            comm.allgatherv::<u8>(vec![]);
             comm.virtual_time()
         });
-        // After the barrier both clocks equal the slow rank's time.
+        // After it both clocks equal the slow rank's time.
         let (t0, t1) = (out.ranks[0].result, out.ranks[1].result);
         assert!(
             (t0 - t1).abs() < 0.05 * t0.max(t1).max(1e-3),
@@ -691,7 +687,7 @@ mod tests {
                 if comm.rank() == 1 {
                     panic!("rank 1 exploded");
                 }
-                comm.barrier();
+                comm.allgatherv::<u8>(vec![]);
             })
         });
         assert!(result.is_err());

@@ -28,6 +28,7 @@
 
 use sbp_graph::frame::DecodeError;
 use sbp_graph::varint::{read_i64, read_u64, write_i64, write_u64};
+use sbp_graph::EdgeDelta;
 
 /// A value with a canonical wire encoding, usable as a collective
 /// payload element on any [`Communicator`](crate::Communicator)
@@ -77,6 +78,34 @@ pub fn decode<T: Wire>(buf: &[u8]) -> Result<T, DecodeError> {
         return Err(DecodeError::TrailingBytes { what: "wire value" });
     }
     Ok(value)
+}
+
+/// Decodes a `Vec<T>` (its count, then the elements) of at most `max`
+/// elements: a count over `max` is `ValueOutOfRange { what }`, and one over
+/// the bytes left `CountExceedsPayload`, both before anything is sized.
+/// `Vec<T>` itself is the `usize::MAX` case; a protocol that caps a list
+/// below what its payload could hold passes its cap.
+pub fn read_vec<T: Wire>(
+    buf: &[u8],
+    pos: &mut usize,
+    max: usize,
+    what: &'static str,
+) -> Result<Vec<T>, DecodeError> {
+    let count = read_u64(buf, pos).ok_or(TRUNCATED)?;
+    if count > max as u64 {
+        return Err(DecodeError::ValueOutOfRange { what });
+    }
+    // Every element encodes to at least one byte, so a count beyond
+    // the remaining bytes is hostile — reject before allocating.
+    let remaining = (buf.len() - *pos) as u64;
+    if count > remaining {
+        return Err(DecodeError::CountExceedsPayload {
+            what,
+            declared: count,
+            max: remaining,
+        });
+    }
+    T::wire_read_seq(buf, pos, count as usize)
 }
 
 const TRUNCATED: DecodeError = DecodeError::Truncated { what: "wire value" };
@@ -225,18 +254,21 @@ impl<T: Wire> Wire for Vec<T> {
     }
 
     fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
-        let count = read_u64(buf, pos).ok_or(TRUNCATED)?;
-        // Every element encodes to at least one byte, so a count beyond
-        // the remaining bytes is hostile — reject before allocating.
-        let remaining = (buf.len() - *pos) as u64;
-        if count > remaining {
-            return Err(DecodeError::CountExceedsPayload {
-                what: "wire vec",
-                declared: count,
-                max: remaining,
-            });
-        }
-        T::wire_read_seq(buf, pos, count as usize)
+        read_vec(buf, pos, usize::MAX, "wire vec")
+    }
+}
+
+/// An edge delta is its `(src, dst, delta)` triple — the element of the
+/// daemon's `Ingest` list (here because the orphan rule keeps the impl out
+/// of `sbp-serve`).
+impl Wire for EdgeDelta {
+    fn wire_write(&self, buf: &mut Vec<u8>) {
+        (self.src, self.dst, self.delta).wire_write(buf);
+    }
+
+    fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        let (src, dst, delta) = Wire::wire_read(buf, pos)?;
+        Ok(EdgeDelta { src, dst, delta })
     }
 }
 
@@ -397,6 +429,52 @@ mod tests {
         assert!(matches!(
             decode::<Vec<Vec<u8>>>(&buf),
             Err(DecodeError::CountExceedsPayload { .. })
+        ));
+    }
+
+    #[test]
+    fn capped_vectors_refuse_their_cap_before_the_payload() {
+        let buf = encode(&vec![1u32, 2, 3]);
+        let read = |max| read_vec::<u32>(&buf, &mut 0, max, "three ids");
+        assert_eq!(read(3), Ok(vec![1, 2, 3]));
+        assert_eq!(
+            read(2),
+            Err(DecodeError::ValueOutOfRange { what: "three ids" })
+        );
+        // A count under the cap but over the payload names the list too.
+        let mut short = buf.clone();
+        short.truncate(2);
+        assert_eq!(
+            read_vec::<u32>(&short, &mut 0, 3, "three ids"),
+            Err(DecodeError::CountExceedsPayload {
+                what: "three ids",
+                declared: 3,
+                max: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn edge_deltas_travel_as_their_triple() {
+        let d = EdgeDelta {
+            src: 300,
+            dst: 2,
+            delta: -2,
+        };
+        assert_eq!(encode(&d), encode(&(300u32, 2u32, -2i64)));
+        roundtrip(vec![
+            d,
+            EdgeDelta {
+                src: 0,
+                dst: 7,
+                delta: 3,
+            },
+        ]);
+        // Vertex ids past u32 are refused.
+        let wide = encode(&(u64::from(u32::MAX) + 1, 0u32, 1i64));
+        assert!(matches!(
+            decode::<EdgeDelta>(&wide),
+            Err(DecodeError::ValueOutOfRange { .. })
         ));
     }
 

@@ -6,7 +6,7 @@
 //! for hostile-input probes — the daemon must answer a malformed frame
 //! with a typed error frame, never die.
 
-use crate::protocol::{encode_frame, read_frame, FrameError, Request, Response, WireError};
+use crate::protocol::{encode_frame, read_frame, DecodeError, FrameError, Request, Response};
 use crate::server::Listen;
 use std::io::{BufReader, Read, Write};
 use std::path::Path;
@@ -17,7 +17,9 @@ pub enum ClientError {
     /// Socket-level failure (connect, read, write).
     Io(std::io::Error),
     /// The daemon's reply was not a well-formed frame.
-    Wire(WireError),
+    Frame(FrameError),
+    /// The reply frame's payload was not a well-formed [`Response`].
+    Decode(DecodeError),
     /// The daemon closed the connection without replying.
     ConnectionClosed,
 }
@@ -26,7 +28,8 @@ impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "i/o error: {e}"),
-            ClientError::Wire(e) => write!(f, "bad reply frame: {e}"),
+            ClientError::Frame(e) => write!(f, "bad reply frame: {e}"),
+            ClientError::Decode(e) => write!(f, "bad reply: {e}"),
             ClientError::ConnectionClosed => write!(f, "connection closed before reply"),
         }
     }
@@ -87,12 +90,12 @@ impl Client {
         socket.write_all(bytes)?;
         socket.flush()?;
         match read_frame(&mut self.stream) {
-            Ok(Some(payload)) => Response::decode(&payload).map_err(ClientError::Wire),
+            Ok(Some(payload)) => Response::decode(&payload).map_err(ClientError::Decode),
             // The daemon replies exactly once per request: a stream that
             // ends before or inside the reply is a closed connection.
             Ok(None) | Err(FrameError::Truncated) => Err(ClientError::ConnectionClosed),
             Err(FrameError::Io(kind)) => Err(ClientError::Io(kind.into())),
-            Err(e) => Err(ClientError::Wire(WireError::Frame(e))),
+            Err(e) => Err(ClientError::Frame(e)),
         }
     }
 }

@@ -12,11 +12,12 @@
 //! - [`protocol`] binds the workspace's checksummed frame codec
 //!   ([`sbp_graph::frame`], the TCP cluster's frame) to the daemon's tag
 //!   and seed, and defines the request types (`Ingest`, `Repartition`,
-//!   `Membership`, `Stats`, `Checkpoint`, `Shutdown`, `Metrics`). Every
-//!   decoder is strict:
-//!   explicit size limits, canonical encodings, typed [`protocol::WireError`]s,
-//!   and no panics on arbitrary bytes — the same hostile-input contract
-//!   the rest of the workspace holds itself to.
+//!   `Membership`, `Stats`, `Checkpoint`, `Shutdown`, `Metrics`) as
+//!   [`sbp_mpi::Wire`] values, the codec of every cluster payload. Every
+//!   decoder is strict: explicit size limits, canonical encodings, typed
+//!   [`protocol::FrameError`]s and [`protocol::DecodeError`]s, and no
+//!   panics on arbitrary bytes — the same hostile-input contract the rest
+//!   of the workspace holds itself to.
 //! - [`client::Client`] is the blocking counterpart used by
 //!   `edist-cli connect` and the test suites, including a raw-bytes
 //!   escape hatch for malformed-frame probes.
@@ -40,7 +41,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use protocol::{Request, Response, WireError};
+pub use protocol::{Request, Response};
 pub use server::{
     dirty_set, serve, Listen, ServeError, Server, ServerOptions, CONNECTION_IO_TIMEOUT,
 };

@@ -12,22 +12,27 @@
 //! ```
 //!
 //! The checksum seals the tag, the length and the payload under the
-//! serve seed. The payload is a message tag byte followed by
-//! tag-specific fields encoded with the [`sbp_graph::varint`] codec.
-//! Decoding is strict and allocation-bounded: every count is validated
-//! against the remaining payload before a vector is sized, strings have
-//! hard length limits, vertex-id lists use the canonical ascending delta
-//! encoding, and trailing bytes after a message are rejected. Every malformed input maps to a typed
-//! [`WireError`] — decoders never panic, which the root `tests/fuzz.rs`
-//! hostile-input wall enforces over both request and response decoders.
+//! serve seed. The payload is a [`Request`] or [`Response`] as an
+//! [`sbp_mpi::Wire`] value — the codec of every collective and TCP
+//! handshake payload: a message tag byte, then the fields as varint
+//! integers, zigzag `i64`s, LE `f64` bits, raw bytes and count-prefixed
+//! strings and lists. The one field of its own is the `Membership`
+//! request's id list, in the canonical ascending delta encoding.
+//!
+//! Decoding is strict and allocation-bounded: every count is checked
+//! against its protocol limit and the remaining payload before a vector
+//! is sized, strings have hard length limits, and trailing bytes after a
+//! message are rejected. A malformed frame is a typed [`FrameError`], a
+//! malformed message a typed [`DecodeError`] naming the field — decoders
+//! never panic, which the root `tests/fuzz.rs` hostile-input wall
+//! enforces over both request and response decoders.
 
 use sbp_graph::frame::{self, TagRule};
-use sbp_graph::varint::{
-    read_ascending_ids, read_i64, read_u64, write_ascending_ids, write_i64, write_u64,
-};
+use sbp_graph::varint::{read_ascending_ids, write_ascending_ids};
 use sbp_graph::{EdgeDelta, Vertex};
+use sbp_mpi::wire::{self, read_vec, Wire};
 
-pub use sbp_graph::frame::FrameError;
+pub use sbp_graph::frame::{DecodeError, FrameError};
 
 /// Protocol revision: 2 added the `Metrics` pair and the [`StatsReply`]
 /// uptime and cumulative counters; 3 moved frames from `"SF"[u32 len]`
@@ -59,47 +64,6 @@ pub const MAX_METRICS_TEXT: usize = 1 << 20;
 /// Trajectory entries carried in a `Stats` reply (the tail).
 pub const MAX_TRAJECTORY: usize = 8;
 
-/// Why a frame or message failed to decode. Every hostile input maps
-/// here; decoders never panic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The frame layer refused the bytes: another tag, over
-    /// [`MAX_PAYLOAD`], truncated, or a checksum mismatch.
-    Frame(FrameError),
-    /// The payload ended before the declared structure did.
-    Truncated,
-    /// Unknown message tag.
-    BadTag(u8),
-    /// A varint field failed to decode.
-    BadVarint,
-    /// A string field is not valid UTF-8.
-    BadString,
-    /// A count or length field exceeds its protocol limit.
-    LimitExceeded(&'static str),
-    /// A field violates canonical encoding (e.g. a non-ascending vertex
-    /// id list, a zero edge delta, or an out-of-range enum byte).
-    NonCanonical(&'static str),
-    /// Bytes remain after the end of a complete message.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Frame(e) => write!(f, "{e}"),
-            WireError::Truncated => write!(f, "truncated payload"),
-            WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
-            WireError::BadVarint => write!(f, "malformed varint field"),
-            WireError::BadString => write!(f, "string field is not valid UTF-8"),
-            WireError::LimitExceeded(what) => write!(f, "{what} exceeds its protocol limit"),
-            WireError::NonCanonical(what) => write!(f, "non-canonical encoding: {what}"),
-            WireError::TrailingBytes => write!(f, "trailing bytes after message"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
 /// The daemon's one tag, under its seed and [`MAX_PAYLOAD`].
 fn frame_rule(tag: u8) -> Option<TagRule> {
     (tag == FRAME_TAG).then_some(TagRule {
@@ -121,8 +85,8 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 
 /// Splits one frame off the front of `buf`: returns the payload and the
 /// total bytes consumed.
-pub fn decode_frame(buf: &[u8]) -> Result<(Vec<u8>, usize), WireError> {
-    let (_, payload, used) = frame::decode_frame(buf, frame_rule).map_err(WireError::Frame)?;
+pub fn decode_frame(buf: &[u8]) -> Result<(Vec<u8>, usize), FrameError> {
+    let (_, payload, used) = frame::decode_frame(buf, frame_rule)?;
     Ok((payload, used))
 }
 
@@ -134,64 +98,36 @@ pub fn read_frame<R: std::io::Read + ?Sized>(
     Ok(frame::read_frame(stream, frame_rule)?.map(|(_, payload)| payload))
 }
 
-// ------------------------------------------------------------- helpers
+/// The typed refusal of a field outside the protocol's domain: an
+/// unknown tag or enum byte, a zero delta, a count or length over its
+/// limit.
+fn out_of_range(what: &'static str) -> DecodeError {
+    DecodeError::ValueOutOfRange { what }
+}
 
-fn read_string(
+/// Reads a string of at most `max` bytes (its bytes are checked against
+/// the payload before they are copied).
+fn read_capped(
     buf: &[u8],
     pos: &mut usize,
     max: usize,
     what: &'static str,
-) -> Result<String, WireError> {
-    let len = read_u64(buf, pos).ok_or(WireError::BadVarint)? as usize;
-    if len > max {
-        return Err(WireError::LimitExceeded(what));
+) -> Result<String, DecodeError> {
+    let s = String::wire_read(buf, pos)?;
+    if s.len() > max {
+        return Err(out_of_range(what));
     }
-    if buf.len().saturating_sub(*pos) < len {
-        return Err(WireError::Truncated);
-    }
-    let s = std::str::from_utf8(&buf[*pos..*pos + len]).map_err(|_| WireError::BadString)?;
-    *pos += len;
-    Ok(s.to_string())
+    Ok(s)
 }
 
-fn write_string(buf: &mut Vec<u8>, s: &str) {
-    write_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Writes `s` truncated to at most `max` bytes at a char boundary —
-/// used by the reply encoders that must never fail (errors, metrics).
-fn write_capped_string(buf: &mut Vec<u8>, s: &str, max: usize) {
-    let mut s = s;
-    while s.len() > max {
-        let mut cut = max;
-        while !s.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        s = &s[..cut];
+/// `s` cut to at most `max` bytes at a char boundary — what the replies
+/// that must never fail to encode (errors, metrics) send.
+fn capped(s: &str, max: usize) -> String {
+    let mut cut = s.len().min(max);
+    while !s.is_char_boundary(cut) {
+        cut -= 1;
     }
-    write_string(buf, s);
-}
-
-fn read_f64_bits(buf: &[u8], pos: &mut usize) -> Result<f64, WireError> {
-    if buf.len().saturating_sub(*pos) < 8 {
-        return Err(WireError::Truncated);
-    }
-    let bits = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("8 bytes"));
-    *pos += 8;
-    Ok(f64::from_bits(bits))
-}
-
-fn write_f64_bits(buf: &mut Vec<u8>, x: f64) {
-    buf.extend_from_slice(&x.to_bits().to_le_bytes());
-}
-
-fn finish(buf: &[u8], pos: usize) -> Result<(), WireError> {
-    if pos == buf.len() {
-        Ok(())
-    } else {
-        Err(WireError::TrailingBytes)
-    }
+    s[..cut].to_string()
 }
 
 // ------------------------------------------------------------ requests
@@ -204,6 +140,24 @@ pub enum RepartitionMode {
     Warm,
     /// Full cold run from the identity partition (`C = V`).
     Cold,
+}
+
+/// One byte: 0 warm, 1 cold.
+impl Wire for RepartitionMode {
+    fn wire_write(&self, buf: &mut Vec<u8>) {
+        buf.push(match self {
+            RepartitionMode::Warm => 0,
+            RepartitionMode::Cold => 1,
+        });
+    }
+
+    fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        match u8::wire_read(buf, pos)? {
+            0 => Ok(RepartitionMode::Warm),
+            1 => Ok(RepartitionMode::Cold),
+            _ => Err(out_of_range("repartition mode byte")),
+        }
+    }
 }
 
 /// A client → server message.
@@ -243,106 +197,73 @@ const TAG_CHECKPOINT: u8 = 0x05;
 const TAG_SHUTDOWN: u8 = 0x06;
 const TAG_METRICS: u8 = 0x07;
 
-impl Request {
-    /// Encodes the request payload (no frame).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+impl Wire for Request {
+    fn wire_write(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Ingest(deltas) => {
                 buf.push(TAG_INGEST);
-                write_u64(&mut buf, deltas.len() as u64);
-                for d in deltas {
-                    write_u64(&mut buf, u64::from(d.src));
-                    write_u64(&mut buf, u64::from(d.dst));
-                    write_i64(&mut buf, d.delta);
-                }
+                deltas.wire_write(buf);
             }
             Request::Repartition { mode, backend } => {
                 buf.push(TAG_REPARTITION);
-                buf.push(match mode {
-                    RepartitionMode::Warm => 0,
-                    RepartitionMode::Cold => 1,
-                });
-                write_string(&mut buf, backend);
+                mode.wire_write(buf);
+                backend.wire_write(buf);
             }
             Request::Membership(ids) => {
                 buf.push(TAG_MEMBERSHIP);
-                write_ascending_ids(&mut buf, ids);
+                write_ascending_ids(buf, ids);
             }
             Request::Stats => buf.push(TAG_STATS),
             Request::Checkpoint(path) => {
                 buf.push(TAG_CHECKPOINT);
-                write_string(&mut buf, path);
+                path.wire_write(buf);
             }
             Request::Shutdown => buf.push(TAG_SHUTDOWN),
             Request::Metrics => buf.push(TAG_METRICS),
         }
-        buf
     }
 
-    /// Decodes a request payload. Strict: typed errors on any malformed,
-    /// over-limit, non-canonical, or trailing input.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-        let mut pos = 0usize;
-        let req = match tag {
+    fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        Ok(match u8::wire_read(buf, pos)? {
             TAG_INGEST => {
-                let count = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)? as usize;
-                if count > MAX_DELTAS {
-                    return Err(WireError::LimitExceeded("ingest delta count"));
-                }
-                // ≥ 3 bytes per delta; reject crafted counts before sizing.
-                if count > rest.len().saturating_sub(pos) / 3 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let mut deltas = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let src = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                    let dst = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                    let delta = read_i64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                    if src > u64::from(u32::MAX) || dst > u64::from(u32::MAX) {
-                        return Err(WireError::NonCanonical("vertex id exceeds u32"));
-                    }
-                    if delta == 0 {
-                        return Err(WireError::NonCanonical("zero edge delta"));
-                    }
-                    deltas.push(EdgeDelta {
-                        src: src as u32,
-                        dst: dst as u32,
-                        delta,
-                    });
+                let deltas: Vec<EdgeDelta> = read_vec(buf, pos, MAX_DELTAS, "ingest delta count")?;
+                if deltas.iter().any(|d| d.delta == 0) {
+                    return Err(out_of_range("zero edge delta"));
                 }
                 Request::Ingest(deltas)
             }
-            TAG_REPARTITION => {
-                let (&mode, rest2) = rest.split_first().ok_or(WireError::Truncated)?;
-                let mode = match mode {
-                    0 => RepartitionMode::Warm,
-                    1 => RepartitionMode::Cold,
-                    _ => return Err(WireError::NonCanonical("repartition mode byte")),
-                };
-                let backend = read_string(rest2, &mut pos, MAX_NAME, "backend name")?;
-                finish(rest2, pos)?;
-                return Ok(Request::Repartition { mode, backend });
-            }
+            TAG_REPARTITION => Request::Repartition {
+                mode: RepartitionMode::wire_read(buf, pos)?,
+                backend: read_capped(buf, pos, MAX_NAME, "backend name")?,
+            },
             TAG_MEMBERSHIP => {
-                let ids = read_ascending_ids(rest, &mut pos).ok_or(WireError::BadVarint)?;
+                let ids = read_ascending_ids(buf, pos).ok_or(out_of_range("membership id list"))?;
                 if ids.len() > MAX_IDS {
-                    return Err(WireError::LimitExceeded("membership id count"));
+                    return Err(out_of_range("membership id count"));
                 }
                 Request::Membership(ids)
             }
             TAG_STATS => Request::Stats,
             TAG_CHECKPOINT => {
-                let path = read_string(rest, &mut pos, MAX_PATH, "checkpoint path")?;
-                Request::Checkpoint(path)
+                Request::Checkpoint(read_capped(buf, pos, MAX_PATH, "checkpoint path")?)
             }
             TAG_SHUTDOWN => Request::Shutdown,
             TAG_METRICS => Request::Metrics,
-            other => return Err(WireError::BadTag(other)),
-        };
-        finish(rest, pos)?;
-        Ok(req)
+            _ => return Err(out_of_range("request tag")),
+        })
+    }
+}
+
+impl Request {
+    /// Encodes the request payload (no frame).
+    pub fn encode(&self) -> Vec<u8> {
+        wire::encode(self)
+    }
+
+    /// Decodes a request payload. Strict: typed errors on any malformed,
+    /// over-limit, non-canonical, or trailing input.
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        wire::decode(buf)
     }
 }
 
@@ -355,6 +276,17 @@ pub struct TrajectoryPoint {
     pub num_blocks: u64,
     /// Description length after the iteration.
     pub dl: f64,
+}
+
+impl Wire for TrajectoryPoint {
+    fn wire_write(&self, buf: &mut Vec<u8>) {
+        (self.num_blocks, self.dl).wire_write(buf);
+    }
+
+    fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        let (num_blocks, dl) = Wire::wire_read(buf, pos)?;
+        Ok(TrajectoryPoint { num_blocks, dl })
+    }
 }
 
 /// The payload of a [`Response::Stats`] reply.
@@ -384,6 +316,45 @@ pub struct StatsReply {
     /// Cumulative successful `Repartition` runs since startup
     /// (protocol v2).
     pub repartitions: u64,
+}
+
+impl Wire for StatsReply {
+    fn wire_write(&self, buf: &mut Vec<u8>) {
+        (
+            self.num_vertices,
+            self.num_blocks,
+            self.dl,
+            self.pending_deltas,
+        )
+            .wire_write(buf);
+        self.degraded.wire_write(buf);
+        self.trajectory_tail.wire_write(buf);
+        self.backend.wire_write(buf);
+        (self.uptime_seconds, self.ingests, self.repartitions).wire_write(buf);
+    }
+
+    fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        let (num_vertices, num_blocks, dl, pending_deltas) = Wire::wire_read(buf, pos)?;
+        let degraded = u8::wire_read(buf, pos)?;
+        if degraded > 3 {
+            return Err(out_of_range("degraded byte"));
+        }
+        let trajectory_tail = read_vec(buf, pos, MAX_TRAJECTORY, "trajectory tail length")?;
+        let backend = read_capped(buf, pos, MAX_NAME, "backend name")?;
+        let (uptime_seconds, ingests, repartitions) = Wire::wire_read(buf, pos)?;
+        Ok(StatsReply {
+            num_vertices,
+            num_blocks,
+            dl,
+            pending_deltas,
+            degraded,
+            trajectory_tail,
+            backend,
+            uptime_seconds,
+            ingests,
+            repartitions,
+        })
+    }
 }
 
 /// A server → client message.
@@ -462,21 +433,18 @@ pub mod error_code {
     pub const BAD_VERTEX: u8 = 6;
 }
 
-impl Response {
-    /// Encodes the response payload (no frame). Strings longer than
-    /// their limit are truncated at a char boundary rather than
-    /// rejected — the server must always be able to reply.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+/// Strings longer than their limit are truncated at a char boundary
+/// rather than rejected — the server must always be able to reply.
+impl Wire for Response {
+    fn wire_write(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Error { code, message } => {
                 buf.push(TAG_ERROR);
-                buf.push(*code);
-                write_capped_string(&mut buf, message, MAX_MESSAGE);
+                (*code, capped(message, MAX_MESSAGE)).wire_write(buf);
             }
             Response::IngestAck { pending_deltas } => {
                 buf.push(TAG_INGEST_ACK);
-                write_u64(&mut buf, *pending_deltas);
+                pending_deltas.wire_write(buf);
             }
             Response::RepartitionDone {
                 num_blocks,
@@ -485,38 +453,19 @@ impl Response {
                 swept_vertices,
             } => {
                 buf.push(TAG_REPARTITION_DONE);
-                write_u64(&mut buf, *num_blocks);
-                write_f64_bits(&mut buf, *dl);
-                write_u64(&mut buf, *iterations);
-                write_u64(&mut buf, *swept_vertices);
+                (*num_blocks, *dl, *iterations, *swept_vertices).wire_write(buf);
             }
             Response::Membership(labels) => {
                 buf.push(TAG_MEMBERSHIP_REPLY);
-                write_u64(&mut buf, labels.len() as u64);
-                for &l in labels {
-                    write_u64(&mut buf, u64::from(l));
-                }
+                labels.wire_write(buf);
             }
             Response::Stats(s) => {
                 buf.push(TAG_STATS_REPLY);
-                write_u64(&mut buf, s.num_vertices);
-                write_u64(&mut buf, s.num_blocks);
-                write_f64_bits(&mut buf, s.dl);
-                write_u64(&mut buf, s.pending_deltas);
-                buf.push(s.degraded);
-                write_u64(&mut buf, s.trajectory_tail.len() as u64);
-                for p in &s.trajectory_tail {
-                    write_u64(&mut buf, p.num_blocks);
-                    write_f64_bits(&mut buf, p.dl);
-                }
-                write_string(&mut buf, &s.backend);
-                write_f64_bits(&mut buf, s.uptime_seconds);
-                write_u64(&mut buf, s.ingests);
-                write_u64(&mut buf, s.repartitions);
+                s.wire_write(buf);
             }
             Response::CheckpointDone { bytes } => {
                 buf.push(TAG_CHECKPOINT_DONE);
-                write_u64(&mut buf, *bytes);
+                bytes.wire_write(buf);
             }
             Response::ShutdownAck => buf.push(TAG_SHUTDOWN_ACK),
             Response::Metrics {
@@ -524,105 +473,58 @@ impl Response {
                 prometheus,
             } => {
                 buf.push(TAG_METRICS_REPLY);
-                write_capped_string(&mut buf, snapshot_json, MAX_METRICS_TEXT);
-                write_capped_string(&mut buf, prometheus, MAX_METRICS_TEXT);
+                capped(snapshot_json, MAX_METRICS_TEXT).wire_write(buf);
+                capped(prometheus, MAX_METRICS_TEXT).wire_write(buf);
             }
         }
-        buf
+    }
+
+    fn wire_read(buf: &[u8], pos: &mut usize) -> Result<Self, DecodeError> {
+        Ok(match u8::wire_read(buf, pos)? {
+            TAG_ERROR => Response::Error {
+                code: u8::wire_read(buf, pos)?,
+                message: read_capped(buf, pos, MAX_MESSAGE, "error message")?,
+            },
+            TAG_INGEST_ACK => Response::IngestAck {
+                pending_deltas: u64::wire_read(buf, pos)?,
+            },
+            TAG_REPARTITION_DONE => {
+                let (num_blocks, dl, iterations, swept_vertices) = Wire::wire_read(buf, pos)?;
+                Response::RepartitionDone {
+                    num_blocks,
+                    dl,
+                    iterations,
+                    swept_vertices,
+                }
+            }
+            TAG_MEMBERSHIP_REPLY => {
+                Response::Membership(read_vec(buf, pos, MAX_IDS, "membership label count")?)
+            }
+            TAG_STATS_REPLY => Response::Stats(StatsReply::wire_read(buf, pos)?),
+            TAG_CHECKPOINT_DONE => Response::CheckpointDone {
+                bytes: u64::wire_read(buf, pos)?,
+            },
+            TAG_SHUTDOWN_ACK => Response::ShutdownAck,
+            TAG_METRICS_REPLY => Response::Metrics {
+                snapshot_json: read_capped(buf, pos, MAX_METRICS_TEXT, "metrics json")?,
+                prometheus: read_capped(buf, pos, MAX_METRICS_TEXT, "metrics exposition")?,
+            },
+            _ => return Err(out_of_range("response tag")),
+        })
+    }
+}
+
+impl Response {
+    /// Encodes the response payload (no frame).
+    pub fn encode(&self) -> Vec<u8> {
+        wire::encode(self)
     }
 
     /// Decodes a response payload. As strict as [`Request::decode`] —
     /// the client trusts the server no more than the server trusts the
     /// client.
-    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated)?;
-        let mut pos = 0usize;
-        let resp = match tag {
-            TAG_ERROR => {
-                let (&code, rest2) = rest.split_first().ok_or(WireError::Truncated)?;
-                let message = read_string(rest2, &mut pos, MAX_MESSAGE, "error message")?;
-                finish(rest2, pos)?;
-                return Ok(Response::Error { code, message });
-            }
-            TAG_INGEST_ACK => Response::IngestAck {
-                pending_deltas: read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?,
-            },
-            TAG_REPARTITION_DONE => Response::RepartitionDone {
-                num_blocks: read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?,
-                dl: read_f64_bits(rest, &mut pos)?,
-                iterations: read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?,
-                swept_vertices: read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?,
-            },
-            TAG_MEMBERSHIP_REPLY => {
-                let count = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)? as usize;
-                if count > MAX_IDS {
-                    return Err(WireError::LimitExceeded("membership label count"));
-                }
-                if count > rest.len().saturating_sub(pos) {
-                    return Err(WireError::Truncated);
-                }
-                let mut labels = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let l = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                    if l > u64::from(u32::MAX) {
-                        return Err(WireError::NonCanonical("label exceeds u32"));
-                    }
-                    labels.push(l as u32);
-                }
-                Response::Membership(labels)
-            }
-            TAG_STATS_REPLY => {
-                let num_vertices = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                let num_blocks = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                let dl = read_f64_bits(rest, &mut pos)?;
-                let pending_deltas = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                if pos >= rest.len() {
-                    return Err(WireError::Truncated);
-                }
-                let degraded = rest[pos];
-                pos += 1;
-                if degraded > 3 {
-                    return Err(WireError::NonCanonical("degraded byte"));
-                }
-                let count = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)? as usize;
-                if count > MAX_TRAJECTORY {
-                    return Err(WireError::LimitExceeded("trajectory tail length"));
-                }
-                let mut trajectory_tail = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let num_blocks = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                    let dl = read_f64_bits(rest, &mut pos)?;
-                    trajectory_tail.push(TrajectoryPoint { num_blocks, dl });
-                }
-                let backend = read_string(rest, &mut pos, MAX_NAME, "backend name")?;
-                let uptime_seconds = read_f64_bits(rest, &mut pos)?;
-                let ingests = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                let repartitions = read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?;
-                Response::Stats(StatsReply {
-                    num_vertices,
-                    num_blocks,
-                    dl,
-                    pending_deltas,
-                    degraded,
-                    trajectory_tail,
-                    backend,
-                    uptime_seconds,
-                    ingests,
-                    repartitions,
-                })
-            }
-            TAG_CHECKPOINT_DONE => Response::CheckpointDone {
-                bytes: read_u64(rest, &mut pos).ok_or(WireError::BadVarint)?,
-            },
-            TAG_SHUTDOWN_ACK => Response::ShutdownAck,
-            TAG_METRICS_REPLY => Response::Metrics {
-                snapshot_json: read_string(rest, &mut pos, MAX_METRICS_TEXT, "metrics json")?,
-                prometheus: read_string(rest, &mut pos, MAX_METRICS_TEXT, "metrics exposition")?,
-            },
-            other => return Err(WireError::BadTag(other)),
-        };
-        finish(rest, pos)?;
-        Ok(resp)
+    pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
+        wire::decode(buf)
     }
 }
 
@@ -655,6 +557,115 @@ mod tests {
                 0x58
             ]
         );
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One frame per request kind, byte for byte: the payload layout
+    /// (tag byte, varint / zigzag integers, LE `f64` bits, raw bytes,
+    /// length-prefixed strings) is part of protocol v3, whichever codec
+    /// writes it.
+    #[test]
+    fn request_frames_are_pinned_per_kind() {
+        let cases = [
+            (
+                Request::Ingest(vec![
+                    EdgeDelta {
+                        src: 0,
+                        dst: 7,
+                        delta: 3,
+                    },
+                    EdgeDelta {
+                        src: 300,
+                        dst: 2,
+                        delta: -2,
+                    },
+                ]),
+                "44090102000706ac020203ce24839afefcb757",
+            ),
+            (
+                Request::Repartition {
+                    mode: RepartitionMode::Cold,
+                    backend: "hybrid".into(),
+                },
+                "44090201066879627269645a1586840f16762d",
+            ),
+            (
+                Request::Membership(vec![0, 3, 200]),
+                "440603030002c401b30e60e41fa3929e",
+            ),
+            (Request::Stats, "44010452501c0ba70bd6f2"),
+            (
+                Request::Checkpoint("/tmp/x.sbpc".into()),
+                "440d050b2f746d702f782e7362706322fbfa4f074f6c35",
+            ),
+            (Request::Shutdown, "4401061ddd68d1289b0476"),
+            (Request::Metrics, "4401072f3f16c14521f0b8"),
+        ];
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(req, _)| hex(&encode_frame(&req.encode())))
+            .collect();
+        assert_eq!(got, cases.map(|(_, want)| want));
+    }
+
+    /// One frame per response kind, as [`request_frames_are_pinned_per_kind`].
+    #[test]
+    fn response_frames_are_pinned_per_kind() {
+        let cases = [
+            (
+                Response::Error {
+                    code: error_code::BAD_DELTA,
+                    message: "bad".into(),
+                },
+                "4406800203626164bbd39fa1bacc3758",
+            ),
+            (Response::IngestAck { pending_deltas: 300 }, "440381ac025192fa128246176c"),
+            (
+                Response::RepartitionDone {
+                    num_blocks: 8,
+                    dl: 123.5,
+                    iterations: 11,
+                    swept_vertices: 600,
+                },
+                "440d82080000000000e05e400bd804300c38eca4858cb8",
+            ),
+            (Response::Membership(vec![1, 0, 200]), "440683030100c80113a948185a1851ad"),
+            (
+                Response::Stats(StatsReply {
+                    num_vertices: 1000,
+                    num_blocks: 8,
+                    dl: -0.0,
+                    pending_deltas: 3,
+                    degraded: 2,
+                    trajectory_tail: vec![TrajectoryPoint {
+                        num_blocks: 16,
+                        dl: 9.0,
+                    }],
+                    backend: "edist".into(),
+                    uptime_seconds: 12.75,
+                    ingests: 5,
+                    repartitions: 2,
+                }),
+                "442884e8070800000000000000800302011000000000000022400565646973740000000000802940050221decdb4308e0987",
+            ),
+            (Response::CheckpointDone { bytes: 512 }, "4403858004201065453650e328"),
+            (Response::ShutdownAck, "4401865dcf137e37e3712a"),
+            (
+                Response::Metrics {
+                    snapshot_json: "{}".into(),
+                    prometheus: "# x\n".into(),
+                },
+                "440987027b7d042320780aeb9c5b8627f524e7",
+            ),
+        ];
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(resp, _)| hex(&encode_frame(&resp.encode())))
+            .collect();
+        assert_eq!(got, cases.map(|(_, want)| want));
     }
 
     #[test]
@@ -758,65 +769,63 @@ mod tests {
         // A protocol-2 frame is refused at its first byte.
         assert_eq!(
             decode_frame(b"SF\x01\x00\x00\x00\x04"),
-            Err(WireError::Frame(FrameError::UnexpectedTag(b'S')))
+            Err(FrameError::UnexpectedTag(b'S'))
         );
         let mut bad = framed.clone();
         bad[1] = 0xFF;
         bad[2] = 0xFF;
         bad[3] = 0xFF;
         bad[4] = 0x7F;
-        assert!(matches!(
-            decode_frame(&bad),
-            Err(WireError::Frame(FrameError::TooLarge { .. }))
-        ));
+        assert!(matches!(decode_frame(&bad), Err(FrameError::TooLarge(_))));
         let mut bad = framed.clone();
         let last = bad.len() - 1;
         bad[last] ^= 1;
-        assert_eq!(
-            decode_frame(&bad),
-            Err(WireError::Frame(FrameError::ChecksumMismatch))
-        );
-        assert_eq!(
-            decode_frame(&framed[..5]),
-            Err(WireError::Frame(FrameError::Truncated))
-        );
+        assert_eq!(decode_frame(&bad), Err(FrameError::ChecksumMismatch));
+        assert_eq!(decode_frame(&framed[..5]), Err(FrameError::Truncated));
         // Flipping the payload byte trips the checksum.
         let mut bad = framed.clone();
         bad[2] ^= 0x40;
-        assert_eq!(
-            decode_frame(&bad),
-            Err(WireError::Frame(FrameError::ChecksumMismatch))
-        );
+        assert_eq!(decode_frame(&bad), Err(FrameError::ChecksumMismatch));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
+        let trailing = DecodeError::TrailingBytes { what: "wire value" };
         let mut payload = Request::Stats.encode();
         payload.push(0);
-        assert_eq!(Request::decode(&payload), Err(WireError::TrailingBytes));
+        assert_eq!(Request::decode(&payload), Err(trailing.clone()));
         let mut payload = Response::ShutdownAck.encode();
         payload.push(0);
-        assert_eq!(Response::decode(&payload), Err(WireError::TrailingBytes));
+        assert_eq!(Response::decode(&payload), Err(trailing));
     }
 
     #[test]
     fn hostile_counts_and_strings_are_rejected() {
-        // Ingest with a crafted huge count.
-        let mut payload = vec![0x01];
-        sbp_graph::varint::write_u64(&mut payload, u64::MAX);
-        assert!(matches!(
-            Request::decode(&payload),
-            Err(WireError::LimitExceeded(_) | WireError::Truncated)
-        ));
-        // Zero delta is non-canonical.
-        let mut payload = vec![0x01];
-        sbp_graph::varint::write_u64(&mut payload, 1);
-        sbp_graph::varint::write_u64(&mut payload, 0);
-        sbp_graph::varint::write_u64(&mut payload, 1);
-        sbp_graph::varint::write_i64(&mut payload, 0);
+        use sbp_graph::varint::{write_i64, write_u64};
+        // Ingest with a crafted huge count: refused by the limit before
+        // any vector is sized.
+        let mut payload = vec![TAG_INGEST];
+        write_u64(&mut payload, u64::MAX);
         assert_eq!(
             Request::decode(&payload),
-            Err(WireError::NonCanonical("zero edge delta"))
+            Err(out_of_range("ingest delta count"))
+        );
+        // Under the limit but over the payload.
+        let mut payload = vec![TAG_INGEST];
+        write_u64(&mut payload, 5);
+        assert!(matches!(
+            Request::decode(&payload),
+            Err(DecodeError::CountExceedsPayload { declared: 5, .. })
+        ));
+        // Zero delta is non-canonical.
+        let mut payload = vec![TAG_INGEST];
+        write_u64(&mut payload, 1);
+        write_u64(&mut payload, 0);
+        write_u64(&mut payload, 1);
+        write_i64(&mut payload, 0);
+        assert_eq!(
+            Request::decode(&payload),
+            Err(out_of_range("zero edge delta"))
         );
         // Over-long backend name.
         let req = Request::Repartition {
@@ -825,19 +834,112 @@ mod tests {
         };
         assert_eq!(
             Request::decode(&req.encode()),
-            Err(WireError::LimitExceeded("backend name"))
+            Err(out_of_range("backend name"))
         );
         // Invalid UTF-8 in a checkpoint path.
-        let mut payload = vec![0x05];
-        sbp_graph::varint::write_u64(&mut payload, 2);
+        let mut payload = vec![TAG_CHECKPOINT];
+        write_u64(&mut payload, 2);
         payload.extend_from_slice(&[0xFF, 0xFE]);
-        assert_eq!(Request::decode(&payload), Err(WireError::BadString));
+        assert_eq!(Request::decode(&payload), Err(out_of_range("wire utf8")));
         // Unknown tags, both directions.
-        assert_eq!(Request::decode(&[0x77]), Err(WireError::BadTag(0x77)));
-        assert_eq!(Response::decode(&[0x10]), Err(WireError::BadTag(0x10)));
+        assert_eq!(Request::decode(&[0x77]), Err(out_of_range("request tag")));
+        assert_eq!(Response::decode(&[0x10]), Err(out_of_range("response tag")));
         // Empty payloads.
-        assert_eq!(Request::decode(&[]), Err(WireError::Truncated));
-        assert_eq!(Response::decode(&[]), Err(WireError::Truncated));
+        let empty = DecodeError::Truncated { what: "wire value" };
+        assert_eq!(Request::decode(&[]), Err(empty.clone()));
+        assert_eq!(Response::decode(&[]), Err(empty));
+    }
+
+    /// Every limit and canonical check the encoder cannot trip itself,
+    /// crafted by hand: each is a typed error naming its field.
+    #[test]
+    fn every_protocol_limit_is_a_typed_error() {
+        let request = |tag: u8, body: &dyn Fn(&mut Vec<u8>)| {
+            let mut payload = vec![tag];
+            body(&mut payload);
+            Request::decode(&payload)
+        };
+        let response = |tag: u8, body: &dyn Fn(&mut Vec<u8>)| {
+            let mut payload = vec![tag];
+            body(&mut payload);
+            Response::decode(&payload)
+        };
+        let text = |len: usize| "x".repeat(len);
+        assert_eq!(
+            request(TAG_REPARTITION, &|b| {
+                b.push(2);
+                String::new().wire_write(b);
+            }),
+            Err(out_of_range("repartition mode byte"))
+        );
+        assert_eq!(
+            request(TAG_CHECKPOINT, &|b| text(MAX_PATH + 1).wire_write(b)),
+            Err(out_of_range("checkpoint path"))
+        );
+        let ids: Vec<u32> = (0..=MAX_IDS as u32).collect();
+        assert_eq!(
+            request(TAG_MEMBERSHIP, &|b| write_ascending_ids(b, &ids)),
+            Err(out_of_range("membership id count"))
+        );
+        assert_eq!(
+            request(TAG_MEMBERSHIP, &|b| b.extend_from_slice(&[2, 0])),
+            Err(out_of_range("membership id list"))
+        );
+        assert_eq!(
+            response(TAG_ERROR, &|b| (1u8, text(MAX_MESSAGE + 1)).wire_write(b)),
+            Err(out_of_range("error message"))
+        );
+        assert_eq!(
+            response(TAG_MEMBERSHIP_REPLY, &|b| (MAX_IDS as u64 + 1)
+                .wire_write(b)),
+            Err(out_of_range("membership label count"))
+        );
+        assert_eq!(
+            response(TAG_METRICS_REPLY, &|b| {
+                (String::new(), text(MAX_METRICS_TEXT + 1)).wire_write(b)
+            }),
+            Err(out_of_range("metrics exposition"))
+        );
+        let stats = StatsReply {
+            num_vertices: 1,
+            num_blocks: 1,
+            dl: 1.0,
+            pending_deltas: 0,
+            degraded: 0,
+            trajectory_tail: vec![
+                TrajectoryPoint {
+                    num_blocks: 1,
+                    dl: 1.0
+                };
+                MAX_TRAJECTORY + 1
+            ],
+            backend: text(MAX_NAME),
+            uptime_seconds: 0.0,
+            ingests: 0,
+            repartitions: 0,
+        };
+        assert_eq!(
+            response(TAG_STATS_REPLY, &|b| stats.wire_write(b)),
+            Err(out_of_range("trajectory tail length"))
+        );
+        let stats = StatsReply {
+            degraded: 4,
+            trajectory_tail: Vec::new(),
+            ..stats
+        };
+        assert_eq!(
+            response(TAG_STATS_REPLY, &|b| stats.wire_write(b)),
+            Err(out_of_range("degraded byte"))
+        );
+        let stats = StatsReply {
+            degraded: 3,
+            backend: text(MAX_NAME + 1),
+            ..stats
+        };
+        assert_eq!(
+            response(TAG_STATS_REPLY, &|b| stats.wire_write(b)),
+            Err(out_of_range("backend name"))
+        );
     }
 
     #[test]

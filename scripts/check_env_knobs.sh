@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-allowed="SBP_METRICS SBP_NO_MMAP SBP_THREADS"
+allowed="SBP_METRICS SBP_THREADS"
 
 want=$(tr ' ' '\n' <<<"$allowed" | sort -u)
 found=$(grep -rhoE 'SBP_[A-Z_]+' src crates/*/src crates/shims/*/src | sort -u)

@@ -11,7 +11,7 @@
 //!                     [--strategy uniform|degree|edge|fire|snowball]
 //!                     [--checkpoint s.sbpc] [--checkpoint-every N]
 //!                     [--resume s.sbpc] [--fault-plan SPEC]
-//!                     [--mcmc mh|batch] [--trajectory-out t.txt]
+//!                     [--mcmc mh|batch] [--sync-period N] [--trajectory-out t.txt]
 //!                     [--cluster thread|tcp|tcp-local]
 //!                     [--rank I] [--coordinator HOST:PORT] [--session S]
 //!                     [--tcp-timeout SECS] [--handshake-timeout SECS]
@@ -208,6 +208,7 @@ subcommands:
              --fault-plan injects deterministic faults for testing;
              --metrics-out run.jsonl streams the run's metrics as JSONL;
              --mcmc mh|batch overrides the sweep strategy;
+             --sync-period N exchanges EDiSt moves every N sweeps (default 1);
              --trajectory-out FILE writes the exact iteration trajectory;
              --cluster tcp-local --ranks N runs a REAL multi-process
              cluster on localhost, and --cluster tcp --rank I --ranks N
@@ -223,7 +224,8 @@ subcommands:
   stats      basic graph statistics
   serve      run the resident partition daemon in-process
              (--graph FILE | --sharded DIR, --listen unix:PATH|tcp:ADDR,
-              [--backend NAME] [--seed N] [--resume s.sbpc] [--checkpoint s.sbpc])
+              [--backend NAME] [--ranks N] [--sync-period N] [--seed N]
+              [--resume s.sbpc] [--checkpoint s.sbpc])
   connect    one request against a running daemon (--to unix:PATH|tcp:ADDR, then
              one of --ingest \"s,d,w;s,d,w\" | --repartition warm|cold
              | --membership \"v,v,...\" | --stats true | --metrics true
@@ -501,6 +503,16 @@ fn sbp_config(args: &Args) -> Result<SbpConfig, String> {
     Ok(sbp)
 }
 
+/// `--sync-period N` (default 1), EDiSt's sweeps between move exchanges:
+/// read here once for the in-process, TCP-rank and daemon paths alike,
+/// so each honours it and each refuses 0 with the facade's own error.
+fn sync_period(args: &Args) -> Result<usize, String> {
+    match args.num("sync-period", 1usize)? {
+        0 => Err(PartitionError::ZeroSyncPeriod.to_string()),
+        period => Ok(period),
+    }
+}
+
 /// `--graph FILE` xor `--sharded DIR`.
 fn graph_source(args: &Args) -> Result<GraphSource, String> {
     match args.get("sharded") {
@@ -547,6 +559,7 @@ fn run_partitioner(
         GraphSource::Shards(dir) => Partitioner::on_sharded(dir),
     }
     .config(sbp)
+    .sync_period(sync_period(args)?)
     .fault_plan(fault_plan(args)?);
     if let Some(backend) = backend {
         partitioner = partitioner.backend(backend);
@@ -872,9 +885,10 @@ fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
     tcp.read_timeout = Some(Duration::from_secs(args.num("tcp-timeout", 120u64)?.max(1)));
 
     let name = args.get("backend").unwrap_or("edist");
+    let period = sync_period(args)?;
     let backend = match name {
         "edist" => ShardedBackend::Edist {
-            sync_period: args.num("sync-period", 1usize)?.max(1),
+            sync_period: period,
         },
         "dcsbp" => ShardedBackend::DcSbp,
         other => {
@@ -919,6 +933,7 @@ fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
 /// unless a non-zero-rank child failed harder.
 fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
     reject_tcp_flags(args)?;
+    sync_period(args)?; // refused once here, not by every child
     let ranks: usize = args.num("ranks", 4usize)?;
     if ranks == 0 {
         return Err("--ranks must be at least 1".into());
@@ -1131,7 +1146,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         backend: args.get("backend").unwrap_or("sequential").to_string(),
         spec: SolverSpec {
             ranks: args.num("ranks", 1usize)?,
-            sync_period: args.num("sync-period", 1usize)?,
+            sync_period: sync_period(args)?,
         },
         seed: args.num("seed", 0u64)?,
         resume: args.get("resume").map(std::path::PathBuf::from),
@@ -1570,6 +1585,43 @@ mod tests {
     #[test]
     fn tcp_rejects_sample() {
         assert_tcp_rejects(&[("sample", "0.5")]);
+    }
+
+    /// `--sync-period 0` is refused with the facade's error on every
+    /// path, never clamped to 1 on one of them.
+    #[test]
+    fn zero_sync_period_is_one_error_on_every_path() {
+        let gpath = std::env::temp_dir().join("edist_cli_sync0.txt");
+        std::fs::write(&gpath, "0 1\n1 2\n2 0\n").unwrap();
+        let g = gpath.to_str().unwrap();
+        let want = PartitionError::ZeroSyncPeriod.to_string();
+        let partition = ["partition", "--graph", g, "--backend", "edist"];
+        let tcp = [
+            "--cluster",
+            "tcp",
+            "--rank",
+            "0",
+            "--ranks",
+            "1",
+            "--coordinator",
+            "127.0.0.1:1",
+        ];
+        for extra in [&[][..], &tcp, &["--cluster", "tcp-local"]] {
+            let args = [&partition[..], extra, &["--sync-period", "0"]].concat();
+            assert_eq!(run(&argv(&args)), Err(want.clone()), "{extra:?}");
+        }
+        let serve = [
+            "serve",
+            "--graph",
+            g,
+            "--listen",
+            "unix:/no/such/dir/d.sock",
+        ];
+        assert_eq!(
+            run(&argv(&[&serve[..], &["--sync-period", "0"]].concat())),
+            Err(want)
+        );
+        let _ = std::fs::remove_file(&gpath);
     }
 
     #[cfg(unix)]

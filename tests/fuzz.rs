@@ -37,7 +37,7 @@ use edist::serve::protocol::{
     decode_frame, encode_frame, RepartitionMode, StatsReply, TrajectoryPoint, FRAME_TAG,
     MAX_PAYLOAD,
 };
-use edist::serve::{Request, Response, WireError};
+use edist::serve::{Request, Response};
 use proptest::prelude::*;
 
 /// Session id the TCP-frame corpora are sealed with (data-phase frames
@@ -458,10 +458,7 @@ fn crafted_length_prefixes_are_rejected_without_allocating() {
             write_u64(&mut frame, declared);
             frame.extend_from_slice(&tail);
             match tag {
-                FRAME_TAG => match decode_frame(&frame) {
-                    Err(WireError::Frame(e)) => Some(e),
-                    _ => None,
-                },
+                FRAME_TAG => decode_frame(&frame).err(),
                 _ => match tcpwire::decode_frame(TCP_SESSION, &frame) {
                     Err(tcpwire::TcpError::Frame(e)) => Some(e),
                     _ => None,
@@ -482,17 +479,11 @@ fn cluster_and_daemon_frames_are_refused_by_each_other() {
     let payload = Request::Stats.encode();
     for kind in tcpwire::KIND_DATA..=tcpwire::KIND_ERROR {
         let cluster = tcpwire::encode_frame(TCP_SESSION, kind, &payload);
-        assert_eq!(
-            decode_frame(&cluster),
-            Err(WireError::Frame(FrameError::UnexpectedTag(kind)))
-        );
+        assert_eq!(decode_frame(&cluster), Err(FrameError::UnexpectedTag(kind)));
         // Even under the daemon's tag, the cluster seal does not verify.
         let mut retagged = cluster;
         retagged[0] = FRAME_TAG;
-        assert_eq!(
-            decode_frame(&retagged),
-            Err(WireError::Frame(FrameError::ChecksumMismatch))
-        );
+        assert_eq!(decode_frame(&retagged), Err(FrameError::ChecksumMismatch));
     }
     let daemon = encode_frame(&payload);
     assert_eq!(

@@ -7,11 +7,12 @@
 //! when the ranks stop sharing an address space:
 //!
 //! * **Transport equivalence matrix** — ranks {1, 2, 4} × MCMC
-//!   {Metropolis-Hastings, Batch} × {monolithic `--graph`, mmap'd
-//!   `--sharded`} (× DC-SBP at 2 ranks): the assignment file AND the exact trajectory file
-//!   (per-iteration block counts, DL as raw `f64` bits, sweeps, moves)
-//!   written by *every* TCP rank must equal the thread simulator's
-//!   byte for byte.
+//!   {Metropolis-Hastings, Batch} × {monolithic `--graph`, `--sharded`}
+//!   (× DC-SBP at 2 ranks), plus the `tcp-local` launcher at
+//!   `--sync-period` 1 and 3: the assignment file AND the exact
+//!   trajectory file (per-iteration block counts, DL as raw `f64` bits,
+//!   sweeps, moves) written by *every* TCP rank must equal the thread
+//!   simulator's byte for byte.
 //! * **Handshake hostility** — a wrong session id, a duplicated rank
 //!   claim, and a dead coordinator each produce a typed error and a
 //!   prompt nonzero exit on every involved process. No hangs.
@@ -20,8 +21,6 @@
 //!   poison, and exit with the degraded code (3 under
 //!   `--fail-on-degraded`) and their best-so-far partition, within a
 //!   bounded timeout.
-//! * **mmap knob** — a sharded cluster run with `SBP_NO_MMAP=1`
-//!   (plain `read()` ingest) is byte-identical to the mmap'd default.
 //!
 //! The per-rank *results* are compared, never the `ClusterReport`
 //! counters: a real process can only see its own rank's byte/collective
@@ -236,7 +235,7 @@ fn run_tcp_cluster(
 
 /// The tentpole claim: a real multi-process TCP cluster is bit-identical
 /// to the in-process thread simulator at the same rank count, seed, and
-/// strategy — for monolithic and mmap-sharded sources alike, on every
+/// strategy — for monolithic and sharded sources alike, on every
 /// rank's independently written output.
 #[test]
 fn tcp_cluster_is_bit_identical_to_thread_simulator() {
@@ -309,7 +308,7 @@ fn tcp_cluster_is_bit_identical_to_thread_simulator() {
                     assert_same_file(&ref_mono_traj, trajectory, &ctx);
                 }
 
-                // Real processes, each ingesting only its own mmap'd shard.
+                // Real processes, each ingesting only its own shard.
                 let tag = format!("tcp_shard_{cell}");
                 let shard = run_tcp_cluster(
                     &dir,
@@ -333,53 +332,71 @@ fn tcp_cluster_is_bit_identical_to_thread_simulator() {
 /// localhost cluster and its (rank-0) outputs equal the simulator's — on
 /// a graph solved on dense storage throughout, and on one whose search
 /// crosses the auto storage rule (`C` = 600, 300 sparse; 150, 75 dense),
-/// where every rank process must make the same pick from `(C, E)`.
+/// where every rank process must make the same pick from `(C, E)`. On the
+/// first graph `--sync-period 3` must reach both transports too: their
+/// outputs agree with each other and differ from the every-sweep run's.
 #[test]
 fn tcp_local_launcher_matches_thread_simulator() {
-    for (vertices, difficulty) in [("120", "easy"), ("600", "hard")] {
+    for (vertices, difficulty, periods) in
+        [("120", "easy", &["1", "3"][..]), ("600", "hard", &["1"])]
+    {
         let dir = temp(&format!("launcher{vertices}"));
         let graph = fixture(&dir, vertices, difficulty);
-        let reference = dir.join("thread.txt");
-        let ref_traj = dir.join("thread.traj");
-        cli_ok(&[
-            "partition",
-            "--graph",
-            graph.to_str().unwrap(),
-            "--backend",
-            "edist",
-            "--ranks",
-            "3",
-            "--seed",
-            "5",
-            "--out",
-            reference.to_str().unwrap(),
-            "--trajectory-out",
-            ref_traj.to_str().unwrap(),
-        ]);
-        let local = dir.join("local.txt");
-        let local_traj = dir.join("local.traj");
-        let stderr = cli_ok(&[
-            "partition",
-            "--graph",
-            graph.to_str().unwrap(),
-            "--cluster",
-            "tcp-local",
-            "--ranks",
-            "3",
-            "--seed",
-            "5",
-            "--out",
-            local.to_str().unwrap(),
-            "--trajectory-out",
-            local_traj.to_str().unwrap(),
-        ]);
-        let ctx = format!("V={vertices} tcp-local vs thread");
-        assert_same_file(&reference, &local, &ctx);
-        assert_same_file(&ref_traj, &local_traj, &format!("{ctx} trajectory"));
-        assert!(
-            stderr.contains("edist(ranks=3)+tcp"),
-            "launcher summary should name the tcp backend:\n{stderr}"
-        );
+        let mut trajectories = Vec::new();
+        for &period in periods {
+            let reference = dir.join(format!("thread{period}.txt"));
+            let ref_traj = dir.join(format!("thread{period}.traj"));
+            cli_ok(&[
+                "partition",
+                "--graph",
+                graph.to_str().unwrap(),
+                "--backend",
+                "edist",
+                "--ranks",
+                "3",
+                "--seed",
+                "5",
+                "--sync-period",
+                period,
+                "--out",
+                reference.to_str().unwrap(),
+                "--trajectory-out",
+                ref_traj.to_str().unwrap(),
+            ]);
+            let local = dir.join(format!("local{period}.txt"));
+            let local_traj = dir.join(format!("local{period}.traj"));
+            let stderr = cli_ok(&[
+                "partition",
+                "--graph",
+                graph.to_str().unwrap(),
+                "--cluster",
+                "tcp-local",
+                "--ranks",
+                "3",
+                "--seed",
+                "5",
+                "--sync-period",
+                period,
+                "--out",
+                local.to_str().unwrap(),
+                "--trajectory-out",
+                local_traj.to_str().unwrap(),
+            ]);
+            let ctx = format!("V={vertices} sync period {period}: tcp-local vs thread");
+            assert_same_file(&reference, &local, &ctx);
+            assert_same_file(&ref_traj, &local_traj, &format!("{ctx} trajectory"));
+            assert!(
+                stderr.contains("edist(ranks=3)+tcp"),
+                "launcher summary should name the tcp backend:\n{stderr}"
+            );
+            trajectories.push(read_bytes(&ref_traj));
+        }
+        if let [every_sweep, every_third] = &trajectories[..] {
+            assert_ne!(
+                every_sweep, every_third,
+                "V={vertices}: --sync-period 3 wrote the --sync-period 1 trajectory"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -678,54 +695,5 @@ fn killed_rank_degrades_dcsbp_over_a_replicated_graph() {
     );
     assert!(!stderr.contains("panicked"), "a rank panicked:\n{stderr}");
     assert!(out.exists(), "best-so-far partition was not written");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ------------------------------------------------------------- mmap knob
-
-/// `SBP_NO_MMAP=1` forces the plain `read()` ingest path on every rank
-/// of a sharded TCP cluster; the result must be byte-identical to the
-/// mmap'd default.
-#[test]
-fn no_mmap_fallback_is_byte_identical_over_tcp() {
-    let dir = temp("no_mmap");
-    let graph = fixture(&dir, "120", "easy");
-    let shards = shard_fixture(&dir, &graph, 2);
-    let run = |tag: &str, no_mmap: bool| -> (PathBuf, PathBuf) {
-        let out = dir.join(format!("{tag}.txt"));
-        let traj = dir.join(format!("{tag}.traj"));
-        let mut cmd = Command::new(exe());
-        cmd.args([
-            "partition",
-            "--sharded",
-            shards.to_str().unwrap(),
-            "--cluster",
-            "tcp-local",
-            "--ranks",
-            "2",
-            "--seed",
-            "5",
-            "--out",
-            out.to_str().unwrap(),
-            "--trajectory-out",
-            traj.to_str().unwrap(),
-        ]);
-        if no_mmap {
-            // Children inherit the environment, so the knob reaches
-            // every spawned rank.
-            cmd.env("SBP_NO_MMAP", "1");
-        }
-        let result = cmd.output().expect("failed to run edist-cli");
-        assert!(
-            result.status.success(),
-            "{tag} run failed:\n{}",
-            String::from_utf8_lossy(&result.stderr)
-        );
-        (out, traj)
-    };
-    let (mmap_out, mmap_traj) = run("mmap", false);
-    let (plain_out, plain_traj) = run("plain", true);
-    assert_same_file(&mmap_out, &plain_out, "SBP_NO_MMAP=1 vs mmap");
-    assert_same_file(&mmap_traj, &plain_traj, "SBP_NO_MMAP=1 vs mmap trajectory");
     let _ = std::fs::remove_dir_all(&dir);
 }
