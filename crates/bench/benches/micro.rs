@@ -15,6 +15,7 @@
 //! * the sharded sync's cell fold against the `BTreeMap` it replaced (PR 18);
 //! * blockmodel construction and incremental moves, and a merge's fold of
 //!   the held model against the rebuild it replaced (PR 24);
+//! * the graph's build and one adjacency read per vertex (`graph/*`);
 //! * the entropy chunk-size study on a dense C = V/4 blockmodel (PR 10);
 //! * synthetic graph generation.
 
@@ -841,6 +842,38 @@ fn bench_sparse_apply(c: &mut Criterion) {
     group.finish();
 }
 
+/// The graph's own layer on the `single_challenge` graph (66 k arcs, each
+/// stored once per direction): building it from its arc list, and one
+/// `gather_vertex` per vertex against the C = 375 [`challenge_trajectory`]
+/// blockmodel — a sweep's whole adjacency read, with the blockmodel side
+/// held small. Recorded, not guarded — the kernels an arc's width shows
+/// up in.
+fn bench_graph_layer(c: &mut Criterion) {
+    let (graph, [_, _, (_, dense)]) = challenge_trajectory();
+    let arcs: Vec<_> = graph.arcs().collect();
+    let mut group = quick(c);
+    group.bench_function("graph/from_edges_challenge3000", |b| {
+        b.iter(|| {
+            black_box(Graph::from_edges(
+                graph.num_vertices(),
+                arcs.iter().copied(),
+            ))
+        })
+    });
+    group.bench_function("graph/gather_all_challenge3000", |b| {
+        let mut scratch = DeltaScratch::new();
+        b.iter(|| {
+            let mut acc = 0;
+            for v in 0..graph.num_vertices() as u32 {
+                scratch.gather_vertex(graph, dense, v);
+                acc += scratch.neighbour_blocks().len();
+            }
+            black_box(acc)
+        })
+    });
+    group.finish();
+}
+
 /// The entropy chunk-size study on a dense blockmodel.
 fn bench_entropy_chunk(c: &mut Criterion) {
     let (graph, _, _) = bench_graph();
@@ -899,6 +932,7 @@ criterion_group!(
     bench_blockmodel,
     bench_merged,
     bench_sparse_apply,
+    bench_graph_layer,
     bench_entropy_chunk,
     bench_generator
 );

@@ -756,7 +756,7 @@ impl Blockmodel {
             return;
         }
         debug_assert!((to as usize) < self.num_blocks);
-        for &(u, w) in graph.out_edges(v) {
+        for (u, w) in graph.out_edges(v) {
             if u == v {
                 // Self-loop: both endpoints move together. Handled once
                 // here; skipped in the in-edge loop below.
@@ -768,7 +768,7 @@ impl Blockmodel {
                 self.storage.add(to, t, w);
             }
         }
-        for &(u, w) in graph.in_edges(v) {
+        for (u, w) in graph.in_edges(v) {
             if u == v {
                 continue;
             }

@@ -340,14 +340,14 @@ impl DeltaScratch {
             slot.0 += w_out;
             slot.1 += w_in;
         };
-        for &(u, w) in graph.out_edges(v) {
+        for (u, w) in graph.out_edges(v) {
             if u == v {
                 self.self_w = w;
             } else {
                 add(u, w, 0);
             }
         }
-        for &(u, w) in graph.in_edges(v) {
+        for (u, w) in graph.in_edges(v) {
             if u != v {
                 add(u, 0, w);
             }
@@ -1048,7 +1048,7 @@ fn build_vertex_move_cells(
     let from = bm.block_of(v);
     raw.clear();
     if from != to {
-        for &(u, w) in graph.out_edges(v) {
+        for (u, w) in graph.out_edges(v) {
             if u == v {
                 raw.push((pack(from, from), -w));
                 raw.push((pack(to, to), w));
@@ -1058,7 +1058,7 @@ fn build_vertex_move_cells(
                 raw.push((pack(to, t), w));
             }
         }
-        for &(u, w) in graph.in_edges(v) {
+        for (u, w) in graph.in_edges(v) {
             if u == v {
                 continue;
             }
@@ -1139,11 +1139,11 @@ pub fn hastings_for_delta(graph: &Graph, bm: &Blockmodel, v: Vertex, delta: &Lin
     if r == s {
         return 1.0;
     }
-    let neighbors = graph.out_edges(v).iter().chain(graph.in_edges(v));
+    let neighbors = graph.out_edges(v).chain(graph.in_edges(v));
     let wt = CanonicalLine::from_unsorted(
         neighbors
-            .filter(|&&(u, _)| u != v)
-            .map(|&(u, w)| (bm.block_of(u), narrow(w)))
+            .filter(|&(u, _)| u != v)
+            .map(|(u, w)| (bm.block_of(u), narrow(w)))
             .collect(),
     );
     if wt.is_empty() {

@@ -179,7 +179,7 @@ impl DenseBlockmodel {
             d_col_s,
             ..
         } = scratch;
-        for &(u, w) in graph.out_edges(v) {
+        for (u, w) in graph.out_edges(v) {
             if u == v {
                 d_row_r[r] -= w;
                 d_row_s[s] += w;
@@ -189,7 +189,7 @@ impl DenseBlockmodel {
                 d_row_s[t] += w;
             }
         }
-        for &(u, w) in graph.in_edges(v) {
+        for (u, w) in graph.in_edges(v) {
             if u == v {
                 continue;
             }
@@ -309,9 +309,8 @@ impl DenseBlockmodel {
         }
         let self_w: Weight = graph
             .out_edges(v)
-            .iter()
-            .filter(|&&(u, _)| u == v)
-            .map(|&(_, w)| w)
+            .filter(|&(u, _)| u == v)
+            .map(|(_, w)| w)
             .sum();
         let d_excl = graph.degree(v) - 2 * self_w;
         if d_excl <= 0 {
@@ -319,7 +318,7 @@ impl DenseBlockmodel {
         }
         let mut x = rng.random_range(0..d_excl);
         let mut t = 0usize;
-        for &(u, w) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+        for (u, w) in graph.out_edges(v).chain(graph.in_edges(v)) {
             if u == v {
                 continue;
             }
@@ -367,7 +366,7 @@ impl DenseBlockmodel {
             d_col_r: d_col,
             ..
         } = scratch;
-        for &(u, w) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+        for (u, w) in graph.out_edges(v).chain(graph.in_edges(v)) {
             if u == v {
                 continue;
             }
@@ -383,12 +382,12 @@ impl DenseBlockmodel {
         let (ov, iv) = (graph.out_degree(v), graph.in_degree(v));
         let shift = ov + iv;
         // Post-move cell values for the backward direction.
-        for &(u, w) in graph.out_edges(v) {
+        for (u, w) in graph.out_edges(v) {
             if u != v {
                 d_row[self.assignment[u as usize] as usize] += w;
             }
         }
-        for &(u, w) in graph.in_edges(v) {
+        for (u, w) in graph.in_edges(v) {
             if u != v {
                 d_col[self.assignment[u as usize] as usize] += w;
             }

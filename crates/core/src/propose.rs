@@ -53,7 +53,7 @@ pub fn propose_for_vertex<R: Rng + ?Sized>(
     // Pick the neighbor edge weight-proportionally via a two-pass scan.
     let mut x = rng.random_range(0..d_excl);
     let mut t = None;
-    for &(u, w) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+    for (u, w) in graph.out_edges(v).chain(graph.in_edges(v)) {
         if u == v {
             continue;
         }

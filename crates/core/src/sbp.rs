@@ -1569,8 +1569,8 @@ mod tests {
             .filter(|&v| {
                 v == 3
                     || v == 12
-                    || g.out_edges(3).iter().any(|&(d, _)| d == v)
-                    || g.out_edges(12).iter().any(|&(d, _)| d == v)
+                    || g.out_edges(3).any(|(d, _)| d == v)
+                    || g.out_edges(12).any(|(d, _)| d == v)
             })
             .collect();
         let cfg = RunConfig::seeded(7).warm_start(WarmStart::new(start, 2).with_dirty(dirty));

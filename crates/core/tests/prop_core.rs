@@ -529,9 +529,8 @@ fn factored_move_kernel_matches_its_references() {
                 let from = assignment[v as usize];
                 let adjacent = g
                     .out_edges(v)
-                    .iter()
                     .chain(g.in_edges(v))
-                    .map(|&(u, _)| assignment[u as usize])
+                    .map(|(u, _)| assignment[u as usize])
                     .find(|&b| b != from);
                 let random = (rng.next() % c as u64) as u32;
                 for to in [adjacent.unwrap_or(from), random, (from + 1) % c as u32] {
@@ -863,12 +862,7 @@ fn self_loop_weight_is_a_scan_of_the_out_edges() {
         let g = Graph::from_edges(n as usize, edges);
         let mut loops = 0;
         for v in 0..n {
-            let scanned: i64 = g
-                .out_edges(v)
-                .iter()
-                .filter(|e| e.0 == v)
-                .map(|e| e.1)
-                .sum();
+            let scanned: i64 = g.out_edges(v).filter(|e| e.0 == v).map(|e| e.1).sum();
             assert_eq!(g.self_loop_weight(v), scanned, "n={n} v={v}");
             loops += usize::from(scanned > 0);
         }
@@ -917,7 +911,6 @@ fn gathered_neighbour_blocks_are_sorted_and_deduplicated() {
             scratch.gather_vertex(&g, &bm, v);
             let mut want: Vec<u32> = g
                 .out_edges(v)
-                .iter()
                 .chain(g.in_edges(v))
                 .filter(|e| e.0 != v)
                 .map(|e| assignment[e.0 as usize])

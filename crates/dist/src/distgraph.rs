@@ -315,8 +315,8 @@ mod tests {
                     assert_eq!(dg.num_vertices(), g.num_vertices());
                     assert_eq!(dg.total_edge_weight(), g.total_edge_weight());
                     for &v in dg.owned() {
-                        assert_eq!(dg.local().out_edges(v), g.out_edges(v), "out of {v}");
-                        assert_eq!(dg.local().in_edges(v), g.in_edges(v), "in of {v}");
+                        assert!(dg.local().out_edges(v).eq(g.out_edges(v)), "out of {v}");
+                        assert!(dg.local().in_edges(v).eq(g.in_edges(v)), "in of {v}");
                     }
                     // Ghost-degree table is global-exact for EVERY vertex.
                     for v in 0..g.num_vertices() as Vertex {

@@ -83,7 +83,7 @@ fn local_cells(dg: &DistGraph, labels: &[u32]) -> Cells {
     let mut cells = CellFold::default();
     for &v in dg.owned() {
         let r = labels[v as usize];
-        for &(d, w) in dg.local().out_edges(v) {
+        for (d, w) in dg.local().out_edges(v) {
             cells.add(r, labels[d as usize], w);
         }
     }
@@ -154,7 +154,7 @@ fn own_share(
     let mut share = CellFold::default();
     let mut cuts = CellFold::default();
     for &v in &own_moved {
-        for &(d, w) in dg.local().out_edges(v) {
+        for (d, w) in dg.local().out_edges(v) {
             arc_delta(&mut share, v, d, w, prev, cur);
             if dg.owner_of(d) != rank {
                 // Cut arc: the cross term needs it after the gather.
@@ -162,7 +162,7 @@ fn own_share(
                 cuts.add(v, d, w);
             }
         }
-        for &(s, w) in dg.local().in_edges(v) {
+        for (s, w) in dg.local().in_edges(v) {
             // A self-loop, or an arc from another net-moved owned vertex,
             // was charged by its source's out-arc pass.
             if s != v && !is_own_moved(s) {

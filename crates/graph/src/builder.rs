@@ -103,7 +103,7 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1, 2).add_edge(0, 1, 3);
         let g = b.build();
-        assert_eq!(g.out_edges(0), &[(1, 5)]);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 5)]);
     }
 
     #[test]

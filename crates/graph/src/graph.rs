@@ -4,12 +4,12 @@ use crate::{Vertex, Weight};
 
 /// The largest total edge weight `E` a [`Graph`] may carry: `2³² − 1`.
 ///
-/// A cell of a blockmodel counts a subset of the arcs, so it never weighs
-/// more than `E`; under this bound every cell fits the 32 bits a sparse
-/// blockmodel line stores per weight. Each door a graph arrives through
-/// rejects a heavier one with a typed error — the file readers in
-/// [`crate::io`], the sharded loader, [`Graph::apply_edge_deltas`] — and
-/// [`Graph::from_edges`] asserts it.
+/// An arc, and a cell of a blockmodel, which counts a subset of the arcs,
+/// never weigh more than `E`; under this bound each fits the 32 bits a
+/// [`Graph`] arc and a sparse blockmodel line store per weight. Each door
+/// a graph arrives through rejects a heavier one with a typed error — the
+/// file readers in [`crate::io`], the sharded loader,
+/// [`Graph::apply_edge_deltas`] — and [`Graph::from_edges`] asserts it.
 pub const MAX_TOTAL_EDGE_WEIGHT: Weight = u32::MAX as Weight;
 
 /// `total + w` while the sum stays within [`MAX_TOTAL_EDGE_WEIGHT`]:
@@ -104,6 +104,18 @@ impl std::fmt::Display for GraphDeltaError {
 
 impl std::error::Error for GraphDeltaError {}
 
+/// One stored arc: the other endpoint and the weight in 32 bits (see
+/// [`Graph`] for why the weight fits).
+type Arc = (Vertex, u32);
+
+const _: () = assert!(std::mem::size_of::<Arc>() == 8);
+
+/// Widens a stored arc to the `(neighbor, Weight)` pair the API hands out.
+#[inline]
+fn widen(&(u, w): &Arc) -> (Vertex, Weight) {
+    (u, Weight::from(w))
+}
+
 /// A directed, integer-weighted graph in compressed sparse row form.
 ///
 /// Both the forward (out-edge) and the reverse (in-edge) adjacency are
@@ -111,20 +123,26 @@ impl std::error::Error for GraphDeltaError {}
 /// out-neighborhood for every proposal (paper §II-C: "the algorithm needs
 /// access to at least two rows and two columns of the SBM matrix").
 ///
+/// An arc is stored as `(neighbor: u32, weight: u32)`, 8 bytes, once in
+/// each direction. The weight is narrowed when an arc is written and
+/// widened to [`Weight`] when it is read, so every caller sees `i64`s. The
+/// narrowing is sound because an arc weighs at most the total edge weight,
+/// which every graph holds to [`MAX_TOTAL_EDGE_WEIGHT`] `= u32::MAX`.
+///
 /// Invariants (checked in debug builds and by `validate`):
 /// * adjacency lists are sorted by neighbor id and contain no duplicates
 ///   (parallel edges are merged into weights at construction);
 /// * all weights are strictly positive;
 /// * the reverse adjacency is exactly the transpose of the forward one;
-/// * `total_edge_weight == Σ out_degree == Σ in_degree`.
+/// * `total_edge_weight == Σ out_degree == Σ in_degree ≤ MAX_TOTAL_EDGE_WEIGHT`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     num_vertices: usize,
     /// `out_adj[out_offsets[v]..out_offsets[v+1]]` = out-edges of `v`.
     out_offsets: Vec<usize>,
-    out_adj: Vec<(Vertex, Weight)>,
+    out_adj: Vec<Arc>,
     in_offsets: Vec<usize>,
-    in_adj: Vec<(Vertex, Weight)>,
+    in_adj: Vec<Arc>,
     out_degree: Vec<Weight>,
     in_degree: Vec<Weight>,
     total_edge_weight: Weight,
@@ -204,13 +222,14 @@ impl Graph {
             in_offsets.push(acc);
         }
         // Forward adjacency: `merged` is already sorted by (src, dst).
-        let out_adj: Vec<(Vertex, Weight)> = merged.iter().map(|&(_, d, w)| (d, w)).collect();
+        let narrow = |w| u32::try_from(w).expect("an arc weighs at most E ≤ MAX_TOTAL_EDGE_WEIGHT");
+        let out_adj: Vec<Arc> = merged.iter().map(|&(_, d, w)| (d, narrow(w))).collect();
         // Reverse adjacency by counting sort on dst; sources arrive in
         // ascending order because `merged` is sorted by (src, dst), so each
         // in-list ends up sorted by source id.
-        let mut in_adj = vec![(0 as Vertex, 0 as Weight); merged.len()];
+        let mut in_adj: Vec<Arc> = vec![(0, 0); merged.len()];
         let mut cursor = in_offsets.clone();
-        for &(s, d, w) in &merged {
+        for (&(s, d, _), &(_, w)) in merged.iter().zip(&out_adj) {
             let slot = cursor[d as usize];
             in_adj[slot] = (s, w);
             cursor[d as usize] += 1;
@@ -250,14 +269,22 @@ impl Graph {
 
     /// Out-edges of `v` as `(target, weight)` pairs, sorted by target.
     #[inline]
-    pub fn out_edges(&self, v: Vertex) -> &[(Vertex, Weight)] {
-        &self.out_adj[self.out_offsets[v as usize]..self.out_offsets[v as usize + 1]]
+    pub fn out_edges(
+        &self,
+        v: Vertex,
+    ) -> impl ExactSizeIterator<Item = (Vertex, Weight)> + Clone + '_ {
+        arcs_of(&self.out_offsets, &self.out_adj, v)
+            .iter()
+            .map(widen)
     }
 
     /// In-edges of `v` as `(source, weight)` pairs, sorted by source.
     #[inline]
-    pub fn in_edges(&self, v: Vertex) -> &[(Vertex, Weight)] {
-        &self.in_adj[self.in_offsets[v as usize]..self.in_offsets[v as usize + 1]]
+    pub fn in_edges(
+        &self,
+        v: Vertex,
+    ) -> impl ExactSizeIterator<Item = (Vertex, Weight)> + Clone + '_ {
+        arcs_of(&self.in_offsets, &self.in_adj, v).iter().map(widen)
     }
 
     /// Weighted out-degree of `v`.
@@ -283,13 +310,13 @@ impl Graph {
     /// `v`'s out-edges, which are sorted by target.
     #[inline]
     pub fn self_loop_weight(&self, v: Vertex) -> Weight {
-        arc_slot(&self.out_offsets, &self.out_adj, v, v).map_or(0, |i| self.out_adj[i].1)
+        arc_slot(&self.out_offsets, &self.out_adj, v, v).map_or(0, |i| self.out_adj[i].1.into())
     }
 
     /// Iterator over all arcs as `(src, dst, weight)`.
     pub fn arcs(&self) -> impl Iterator<Item = (Vertex, Vertex, Weight)> + '_ {
         (0..self.num_vertices as Vertex)
-            .flat_map(move |v| self.out_edges(v).iter().map(move |&(d, w)| (v, d, w)))
+            .flat_map(move |v| self.out_edges(v).map(move |(d, w)| (v, d, w)))
     }
 
     /// Vertices sorted by descending total degree (ties by ascending id).
@@ -353,24 +380,26 @@ impl Graph {
             return Ok(());
         }
         // No arc appears or disappears: the offsets stand, only weights and
-        // degrees move. Every slot is found before any is written.
-        let slots: Option<Vec<usize>> = net
+        // degrees move. Every slot is found before any is written. A weight
+        // outside `1..=u32::MAX` goes to the rebuild below. One past
+        // `u32::MAX` cannot stand there either: if every other arc stayed
+        // positive, it would outweigh the total the check above held to
+        // the limit, so some arc goes negative and the batch is refused.
+        let slots: Option<Vec<(usize, u32)>> = net
             .iter()
             .map(|&(s, d, dw)| {
-                arc_slot(&self.out_offsets, &self.out_adj, s, d).filter(|&i| {
-                    self.out_adj[i]
-                        .1
-                        .checked_add(dw)
-                        .is_some_and(|weight| weight >= 1)
-                })
+                let i = arc_slot(&self.out_offsets, &self.out_adj, s, d)?;
+                let weight = Weight::from(self.out_adj[i].1).checked_add(dw)?;
+                let weight = u32::try_from(weight).ok()?;
+                (weight >= 1).then_some((i, weight))
             })
             .collect();
         if let Some(slots) = slots {
-            for (&(s, d, dw), &i) in net.iter().zip(&slots) {
+            for (&(s, d, dw), &(i, weight)) in net.iter().zip(&slots) {
                 let j = arc_slot(&self.in_offsets, &self.in_adj, d, s)
                     .expect("the reverse adjacency is the transpose of the forward one");
-                self.out_adj[i].1 += dw;
-                self.in_adj[j].1 += dw;
+                self.out_adj[i].1 = weight;
+                self.in_adj[j].1 = weight;
                 self.out_degree[s as usize] += dw;
                 self.in_degree[d as usize] += dw;
                 self.total_edge_weight += dw;
@@ -437,47 +466,46 @@ impl Graph {
     /// violation. Intended for tests and debug assertions.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices;
-        if self.out_offsets.len() != n + 1 || self.in_offsets.len() != n + 1 {
-            return Err("offset array length mismatch".into());
-        }
-        let mut total = 0 as Weight;
-        for v in 0..n as Vertex {
-            let oe = self.out_edges(v);
-            for win in oe.windows(2) {
-                if win[0].0 >= win[1].0 {
-                    return Err(format!("out-adjacency of {v} not sorted/deduped"));
+        let sides = [
+            ("out", &self.out_offsets, &self.out_adj, &self.out_degree),
+            ("in", &self.in_offsets, &self.in_adj, &self.in_degree),
+        ];
+        for (side, offsets, adj, degree) in sides {
+            if offsets.len() != n + 1
+                || offsets[0] != 0
+                || offsets[n] != adj.len()
+                || offsets.windows(2).any(|o| o[0] > o[1])
+                || degree.len() != n
+            {
+                return Err(format!("{side}-offsets/degrees do not fit {n} vertices"));
+            }
+            for v in 0..n as Vertex {
+                let arcs = arcs_of(offsets, adj, v);
+                let weight: Weight = arcs.iter().map(|&(_, w)| Weight::from(w)).sum();
+                if arcs.windows(2).any(|a| a[0].0 >= a[1].0)
+                    || arcs.iter().any(|&(u, w)| u as usize >= n || w == 0)
+                    || weight != degree[v as usize]
+                {
+                    return Err(format!("bad {side}-adjacency or {side}-degree at {v}"));
                 }
             }
-            let deg: Weight = oe.iter().map(|&(_, w)| w).sum();
-            if deg != self.out_degree[v as usize] {
-                return Err(format!("out-degree mismatch at {v}"));
-            }
-            if oe.iter().any(|&(_, w)| w <= 0) {
-                return Err(format!("non-positive weight out of {v}"));
-            }
-            total += deg;
-            let ie = self.in_edges(v);
-            for win in ie.windows(2) {
-                if win[0].0 >= win[1].0 {
-                    return Err(format!("in-adjacency of {v} not sorted/deduped"));
-                }
-            }
-            let ideg: Weight = ie.iter().map(|&(_, w)| w).sum();
-            if ideg != self.in_degree[v as usize] {
-                return Err(format!("in-degree mismatch at {v}"));
+            if degree.iter().sum::<Weight>() != self.total_edge_weight {
+                return Err(format!("Σ {side}-degree ≠ total edge weight"));
             }
         }
-        if total != self.total_edge_weight {
-            return Err("total edge weight mismatch".into());
+        if self.total_edge_weight > MAX_TOTAL_EDGE_WEIGHT {
+            return Err("total edge weight past the limit".into());
         }
-        // Transpose consistency.
+        if self.in_adj.len() != self.out_adj.len() {
+            return Err("in- and out-adjacency hold different numbers of arcs".into());
+        }
+        // Every out-arc is among the in-arcs with its weight. The lists are
+        // sorted and de-duplicated, so that match is one-to-one, and there
+        // are as many in-arcs as out-arcs: the in-lists hold nothing else.
         for v in 0..n as Vertex {
-            for &(d, w) in self.out_edges(v) {
-                let found = self
-                    .in_edges(d)
-                    .binary_search_by_key(&v, |&(s, _)| s)
-                    .ok()
-                    .map(|i| self.in_edges(d)[i].1);
+            for &(d, w) in arcs_of(&self.out_offsets, &self.out_adj, v) {
+                let found =
+                    arc_slot(&self.in_offsets, &self.in_adj, d, v).map(|i| self.in_adj[i].1);
                 if found != Some(w) {
                     return Err(format!("arc ({v},{d}) missing/mismatched in transpose"));
                 }
@@ -487,20 +515,20 @@ impl Graph {
     }
 }
 
+/// `v`'s arcs: its slice of `adj` under `offsets`.
+#[inline]
+fn arcs_of<'a>(offsets: &[usize], adj: &'a [Arc], v: Vertex) -> &'a [Arc] {
+    &adj[offsets[v as usize]..offsets[v as usize + 1]]
+}
+
 /// Index into `adj` of `v`'s edge to (or from) `other`, if it has one: a
 /// binary search of `v`'s slice, which is sorted by the other endpoint.
 #[inline]
-fn arc_slot(
-    offsets: &[usize],
-    adj: &[(Vertex, Weight)],
-    v: Vertex,
-    other: Vertex,
-) -> Option<usize> {
-    let lo = offsets[v as usize];
-    adj[lo..offsets[v as usize + 1]]
+fn arc_slot(offsets: &[usize], adj: &[Arc], v: Vertex, other: Vertex) -> Option<usize> {
+    arcs_of(offsets, adj, v)
         .binary_search_by_key(&other, |e| e.0)
         .ok()
-        .map(|i| lo + i)
+        .map(|i| offsets[v as usize] + i)
 }
 
 #[cfg(test)]
@@ -517,8 +545,8 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_arcs(), 3);
         assert_eq!(g.total_edge_weight(), 6);
-        assert_eq!(g.out_edges(0), &[(1, 1)]);
-        assert_eq!(g.in_edges(0), &[(2, 3)]);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 1)]);
+        assert_eq!(g.in_edges(0).collect::<Vec<_>>(), [(2, 3)]);
         assert_eq!(g.out_degree(1), 2);
         assert_eq!(g.in_degree(1), 1);
         assert_eq!(g.degree(1), 3);
@@ -529,7 +557,7 @@ mod tests {
     fn parallel_edges_merge() {
         let g = Graph::from_edges(2, vec![(0, 1, 1), (0, 1, 4), (1, 0, 2)]);
         assert_eq!(g.num_arcs(), 2);
-        assert_eq!(g.out_edges(0), &[(1, 5)]);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 5)]);
         assert_eq!(g.total_edge_weight(), 7);
         g.validate().unwrap();
     }
@@ -537,7 +565,7 @@ mod tests {
     #[test]
     fn unweighted_edges_accumulate() {
         let g = Graph::from_unweighted_edges(2, vec![(0, 1), (0, 1), (0, 1)]);
-        assert_eq!(g.out_edges(0), &[(1, 3)]);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 3)]);
     }
 
     #[test]
@@ -555,7 +583,7 @@ mod tests {
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_arcs(), 0);
         assert_eq!(g.total_edge_weight(), 0);
-        assert!(g.out_edges(3).is_empty());
+        assert_eq!(g.out_edges(3).len(), 0);
         g.validate().unwrap();
     }
 
@@ -596,7 +624,7 @@ mod tests {
     #[test]
     fn in_adjacency_sorted_by_source() {
         let g = Graph::from_edges(4, vec![(3, 0, 1), (1, 0, 1), (2, 0, 1)]);
-        assert_eq!(g.in_edges(0), &[(1, 1), (2, 1), (3, 1)]);
+        assert_eq!(g.in_edges(0).collect::<Vec<_>>(), [(1, 1), (2, 1), (3, 1)]);
         g.validate().unwrap();
     }
 
@@ -613,9 +641,9 @@ mod tests {
             delta(2, 0, -1), // adjust arc (weight 3 → 2)
         ])
         .unwrap();
-        assert_eq!(g.out_edges(0), &[(1, 1), (2, 4)]);
-        assert!(g.out_edges(1).is_empty());
-        assert_eq!(g.out_edges(2), &[(0, 2)]);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 1), (2, 4)]);
+        assert_eq!(g.out_edges(1).len(), 0);
+        assert_eq!(g.out_edges(2).collect::<Vec<_>>(), [(0, 2)]);
         assert_eq!(g.total_edge_weight(), 7);
         assert_eq!(g.out_degree(0), 5);
         assert_eq!(g.in_degree(2), 4);
@@ -632,8 +660,8 @@ mod tests {
             delta(1, 0, -1),
         ])
         .unwrap();
-        assert_eq!(g.out_edges(0), &[(1, 2)]);
-        assert!(g.out_edges(1).is_empty());
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 2)]);
+        assert_eq!(g.out_edges(1).len(), 0);
         g.validate().unwrap();
     }
 
@@ -708,7 +736,87 @@ mod tests {
         assert_eq!(g, before);
         g.apply_edge_deltas(&[delta(0, 1, room)]).unwrap();
         assert_eq!(g.total_edge_weight(), MAX_TOTAL_EDGE_WEIGHT);
-        assert_eq!(g.out_edges(0), &[(1, 1 + room)]);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 1 + room)]);
+    }
+
+    /// An arc, and separately a self-loop, weighing exactly the limit —
+    /// the widest weight an 8-byte arc stores — reads back whole through
+    /// every accessor.
+    #[test]
+    fn arcs_at_the_weight_limit_round_trip() {
+        let max = MAX_TOTAL_EDGE_WEIGHT;
+        let g = Graph::from_edges(3, vec![(0, 1, max)]);
+        g.validate().unwrap();
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, max)]);
+        assert_eq!(g.in_edges(1).collect::<Vec<_>>(), [(0, max)]);
+        assert_eq!((g.self_loop_weight(0), g.self_loop_weight(1)), (0, 0));
+        assert_eq!((g.degree(0), g.degree(1), g.degree(2)), (max, max, 0));
+        assert_eq!(g.arcs().collect::<Vec<_>>(), [(0, 1, max)]);
+
+        let g = Graph::from_edges(2, vec![(1, 1, max)]);
+        g.validate().unwrap();
+        assert_eq!(g.out_edges(1).collect::<Vec<_>>(), [(1, max)]);
+        assert_eq!(g.in_edges(1).collect::<Vec<_>>(), [(1, max)]);
+        assert_eq!(g.self_loop_weight(1), max);
+        assert_eq!(g.degree(1), 2 * max);
+        assert_eq!(g.arcs().collect::<Vec<_>>(), [(1, 1, max)]);
+    }
+
+    /// In-place re-weighting takes an arc and a self-loop up to the limit
+    /// and back down, landing on what `from_edges` builds each time. Net
+    /// deltas that would take one arc past 32 bits while another goes
+    /// negative are refused, with the graph untouched.
+    #[test]
+    fn reweighting_in_place_reaches_the_weight_limit_and_back() {
+        let max = MAX_TOTAL_EDGE_WEIGHT;
+        for (s, d) in [(0, 1), (1, 1)] {
+            let start = Graph::from_edges(2, vec![(s, d, 1)]);
+            let mut g = start.clone();
+            g.apply_edge_deltas(&[delta(s, d, max - 1)]).unwrap();
+            assert_eq!(g, Graph::from_edges(2, vec![(s, d, max)]));
+            assert_eq!(g.out_edges(s).collect::<Vec<_>>(), [(d, max)]);
+            g.apply_edge_deltas(&[delta(s, d, 1 - max)]).unwrap();
+            assert_eq!(g, start);
+        }
+
+        let mut g = Graph::from_edges(3, vec![(0, 1, 1), (1, 2, max - 1)]);
+        let before = g.clone();
+        assert_eq!(
+            g.apply_edge_deltas(&[
+                delta(0, 1, max),
+                delta(0, 1, max),
+                delta(1, 2, -max),
+                delta(1, 2, -max),
+            ]),
+            Err(GraphDeltaError::NegativeWeight {
+                src: 1,
+                dst: 2,
+                resulting: -max - 1
+            })
+        );
+        assert_eq!(g, before);
+    }
+
+    /// `validate` holds the in-lists to exactly the transpose: a stray
+    /// in-arc, with the in-degree bumped to match it or with zero weight,
+    /// is caught although every out-arc is still found among the in-arcs.
+    #[test]
+    fn validate_rejects_a_stray_in_arc() {
+        let g = triangle();
+        // In-lists of the triangle: 0 ← 2 (3), 1 ← 0 (1), 2 ← 1 (2).
+        let stray = Graph {
+            in_offsets: vec![0, 2, 3, 4],
+            in_adj: vec![(1, 4), (2, 3), (0, 1), (1, 2)],
+            in_degree: vec![7, 1, 2],
+            ..g.clone()
+        };
+        assert!(stray.validate().is_err());
+        let zero = Graph {
+            in_offsets: vec![0, 2, 3, 4],
+            in_adj: vec![(1, 0), (2, 3), (0, 1), (1, 2)],
+            ..g
+        };
+        assert!(zero.validate().is_err());
     }
 
     /// A batch that only re-weights existing arcs is written in place; the

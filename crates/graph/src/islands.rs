@@ -51,9 +51,8 @@ pub fn island_fraction_round_robin(graph: &Graph, n_parts: usize) -> IslandRepor
         let part = v as usize % n_parts;
         let has_internal = graph
             .out_edges(v)
-            .iter()
             .chain(graph.in_edges(v))
-            .any(|&(u, _)| u as usize % n_parts == part);
+            .any(|(u, _)| u as usize % n_parts == part);
         if !has_internal {
             islands += 1;
         }

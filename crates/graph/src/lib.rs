@@ -7,7 +7,9 @@
 //!   both the forward (out-edge) and reverse (in-edge) adjacency, with
 //!   weighted degrees precomputed. Parallel edges are merged into integer
 //!   weights at construction, matching the micro-canonical edge-count
-//!   semantics of the degree-corrected stochastic blockmodel.
+//!   semantics of the degree-corrected stochastic blockmodel. Each arc is
+//!   stored in 8 bytes, a `u32` neighbor and a `u32` weight, and read back
+//!   as a `(Vertex, Weight)` pair.
 //! * [`GraphBuilder`] — incremental construction from arbitrary edge streams.
 //! * [`io`] — plain edge-list and Matrix Market (SuiteSparse) readers and
 //!   writers, so the real SNAP/SuiteSparse graphs evaluated in the paper can
@@ -52,9 +54,10 @@
 //! ```
 //!
 //! Vertex ids are `u32` (graphs up to ~4.2 B vertices). Edge weights are
-//! `i64`, so sums and signed deltas of them never overflow, but a graph's
-//! total edge weight is held to [`MAX_TOTAL_EDGE_WEIGHT`] (`2³² − 1`), so
-//! every blockmodel cell — a sum of some of its arcs — fits in 32 bits.
+//! `i64` in every API, so sums and signed deltas of them never overflow,
+//! but a graph's total edge weight is held to [`MAX_TOTAL_EDGE_WEIGHT`]
+//! (`2³² − 1`). So every stored arc and every blockmodel cell — a sum of
+//! some of the arcs — fits in 32 bits.
 
 #![forbid(unsafe_code)]
 

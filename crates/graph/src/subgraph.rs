@@ -46,7 +46,7 @@ pub fn induced_subgraph(graph: &Graph, vertices: &[Vertex]) -> InducedSubgraph {
     let mut edges: Vec<(Vertex, Vertex, Weight)> = Vec::new();
     for &old in &local_to_global {
         let src = global_to_local[old as usize];
-        for &(dst_old, w) in graph.out_edges(old) {
+        for (dst_old, w) in graph.out_edges(old) {
             let dst = global_to_local[dst_old as usize];
             if dst != u32::MAX {
                 edges.push((src, dst, w));

@@ -42,7 +42,7 @@ pub fn extend_partition(graph: &Graph, sampled: &[Vertex], sample_labels: &[u32]
     let mut queue: VecDeque<Vertex> = sampled.iter().copied().collect();
     while let Some(v) = queue.pop_front() {
         let Some(_) = label[v as usize] else { continue };
-        for &(u, _) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+        for (u, _) in graph.out_edges(v).chain(graph.in_edges(v)) {
             if label[u as usize].is_none() {
                 if let Some(l) = majority_neighbor_label(graph, &label, u) {
                     label[u as usize] = Some(l);
@@ -70,7 +70,7 @@ pub fn extend_partition(graph: &Graph, sampled: &[Vertex], sample_labels: &[u32]
 /// labeled yet.
 fn majority_neighbor_label(graph: &Graph, label: &[Option<u32>], u: Vertex) -> Option<u32> {
     let mut votes: BTreeMap<u32, i64> = BTreeMap::new();
-    for &(w, wt) in graph.out_edges(u).iter().chain(graph.in_edges(u)) {
+    for (w, wt) in graph.out_edges(u).chain(graph.in_edges(u)) {
         if let Some(l) = label[w as usize] {
             *votes.entry(l).or_insert(0) += wt;
         }

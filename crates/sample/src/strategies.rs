@@ -158,7 +158,7 @@ fn forest_fire(graph: &Graph, target: usize, p: f64, rng: &mut SmallRng) -> Vec<
             continue;
         }
         let v = queue.remove(0);
-        for &(u, _) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+        for (u, _) in graph.out_edges(v).chain(graph.in_edges(v)) {
             if picked.len() >= target {
                 break;
             }
@@ -188,7 +188,7 @@ fn expansion_snowball(graph: &Graph, target: usize, rng: &mut SmallRng) -> Vec<V
         in_sample[v as usize] = true;
         in_frontier[v as usize] = false;
         picked.push(v);
-        for &(u, _) in graph.out_edges(v).iter().chain(graph.in_edges(v)) {
+        for (u, _) in graph.out_edges(v).chain(graph.in_edges(v)) {
             if !in_sample[u as usize] && !in_frontier[u as usize] {
                 in_frontier[u as usize] = true;
                 frontier.push(u);
@@ -227,9 +227,8 @@ fn expansion_snowball(graph: &Graph, target: usize, rng: &mut SmallRng) -> Vec<V
             .max_by_key(|&u| {
                 let novel = graph
                     .out_edges(u)
-                    .iter()
                     .chain(graph.in_edges(u))
-                    .filter(|&&(w, _)| !in_sample[w as usize] && !in_frontier[w as usize])
+                    .filter(|&(w, _)| !in_sample[w as usize] && !in_frontier[w as usize])
                     .count();
                 (novel, std::cmp::Reverse(u)) // deterministic tie-break
             })
@@ -374,9 +373,8 @@ mod tests {
             .iter()
             .filter(|&&v| {
                 g.out_edges(v)
-                    .iter()
                     .chain(g.in_edges(v))
-                    .any(|&(u, _)| set.contains(&u))
+                    .any(|(u, _)| set.contains(&u))
             })
             .count();
         assert!(

@@ -130,8 +130,8 @@ pub fn dirty_set(graph: &Graph, deltas: &[EdgeDelta]) -> Vec<Vertex> {
                 continue;
             }
             dirty.push(v);
-            dirty.extend(graph.out_edges(v).iter().map(|&(u, _)| u));
-            dirty.extend(graph.in_edges(v).iter().map(|&(u, _)| u));
+            dirty.extend(graph.out_edges(v).map(|(u, _)| u));
+            dirty.extend(graph.in_edges(v).map(|(u, _)| u));
         }
     }
     dirty.sort_unstable();

@@ -1,34 +1,54 @@
 #!/usr/bin/env bash
 # Scale ladder: wall time and peak RSS of a 2-rank sharded EDiSt run at
-# three graph sizes, for one binary or two alternated.
+# several graph sizes, for one binary or two alternated.
 #
-#   scripts/ladder.sh [--scales "0.004 0.016 0.064"] [--runs N] BIN [BIN2]
+#   scripts/ladder.sh [--family scaling|challenge] [--scales "S ..."]
+#                     [--vertices "N ..."] [--runs N] BIN [BIN2]
 #
-# BIN (and BIN2) are `edist-cli` binaries. Each rung generates
-# `scaling --id 1M` at one scale with seed 42 (0.004 / 0.016 / 0.064 give
-# V = 4 205 / 16 819 / 67 278), shards it 2-way with `--strategy balanced`,
-# and runs `partition --sharded … --backend edist --ranks 2 --mcmc batch
+# BIN (and BIN2) are `edist-cli` binaries. One rung per graph size:
+#
+# * `--family scaling` (the default): `generate --family scaling --id 1M`
+#   at each of `--scales` (default 0.004 / 0.016 / 0.064, which give
+#   V = 4 205 / 16 819 / 67 278), partitioned with `--mcmc batch`.
+# * `--family challenge`: `generate --family challenge --difficulty hard`
+#   at each of `--vertices` (default 12000), partitioned with the CLI's
+#   default `--mcmc mh`: `batch` stalls on this family. Its mean degree
+#   (2E/V ≈ 47) is more than twice the scaling family's (≈ 20), so the
+#   graph's adjacency is a larger share of the peak.
+#
+# Every rung generates with seed 42, shards 2-way with `--strategy
+# balanced`, and runs `partition --sharded … --backend edist --ranks 2
 # --seed 43` under SBP_THREADS=1, N times per binary (default 3). With two
 # binaries the runs alternate BIN, BIN2, BIN, … and every assignment must
 # equal BIN's first one at that rung (`cmp`); the script exits 1 at the
-# first difference. One line per run: rung, binary, wall seconds, peak RSS.
+# first difference. One line per run: rung, V, E, binary, run, wall
+# seconds, peak RSS.
 #
 # Peak RSS is the child's own `VmHWM`, polled from /proc/PID/status while
 # it runs: `getrusage` of a child forked from a large parent reports the
 # parent's pages instead (a `/bin/true` reads 13 MiB that way).
 set -euo pipefail
 
+family=scaling
 scales="0.004 0.016 0.064"
+vertices_list="12000"
 runs=3
 while [[ $# -gt 0 && $1 == --* ]]; do
     case $1 in
+        --family) family=$2; shift 2 ;;
         --scales) scales=$2; shift 2 ;;
+        --vertices) vertices_list=$2; shift 2 ;;
         --runs) runs=$2; shift 2 ;;
         *) echo "unknown option $1" >&2; exit 2 ;;
     esac
 done
+case $family in
+    scaling) rungs=$scales; mcmc=(--mcmc batch) ;;
+    challenge) rungs=$vertices_list; mcmc=() ;;
+    *) echo "unknown family $family (scaling or challenge)" >&2; exit 2 ;;
+esac
 if [[ $# -lt 1 || $# -gt 2 ]]; then
-    echo "usage: $0 [--scales \"S ...\"] [--runs N] BIN [BIN2]" >&2
+    echo "usage: $0 [--family scaling|challenge] [--scales \"S ...\"] [--vertices \"N ...\"] [--runs N] BIN [BIN2]" >&2
     exit 2
 fi
 bins=("$@")
@@ -62,23 +82,30 @@ measure() {
     awk -v s="$start" -v e="$end" -v k="$hwm" 'BEGIN { printf "%.3f %.1f\n", e - s, k / 1024 }'
 }
 
-printf '%-6s %-8s %-4s %-5s %9s %10s\n' scale V bin run wall_s peak_mib
-for scale in $scales; do
-    rung="$work/$scale"
+printf '%-6s %-8s %-9s %-4s %-5s %9s %10s\n' rung V E bin run wall_s peak_mib
+for rung_arg in $rungs; do
+    rung="$work/$rung_arg"
     mkdir -p "$rung"
-    "${bins[0]}" generate --family scaling --id 1M --scale "$scale" --seed 42 \
-        --out "$rung/g.mtx" 2>"$rung/gen.log"
-    vertices=$(sed -n 's/.*V=\([0-9]*\).*/\1/p' "$rung/gen.log")
+    if [[ $family == scaling ]]; then
+        "${bins[0]}" generate --family scaling --id 1M --scale "$rung_arg" --seed 42 \
+            --out "$rung/g.mtx" 2>"$rung/gen.log"
+    else
+        "${bins[0]}" generate --family challenge --vertices "$rung_arg" --difficulty hard \
+            --seed 42 --out "$rung/g.mtx" 2>"$rung/gen.log"
+    fi
+    vertices=$(sed -n 's/.* V=\([0-9]*\).*/\1/p' "$rung/gen.log")
+    edges=$(sed -n 's/.* E=\([0-9]*\).*/\1/p' "$rung/gen.log")
     "${bins[0]}" shard --graph "$rung/g.mtx" --ranks 2 --strategy balanced \
         --out "$rung/shards" 2>/dev/null
     for run in $(seq 1 "$runs"); do
         for i in "${!bins[@]}"; do
             out="$rung/pred_${i}_${run}.txt"
             reading=$(measure "${bins[$i]}" partition --sharded "$rung/shards" \
-                --backend edist --ranks 2 --mcmc batch --seed 43 --out "$out")
-            printf '%-6s %-8s %-4s %-5s %9s %10s\n' "$scale" "$vertices" "$i" "$run" $reading
+                --backend edist --ranks 2 "${mcmc[@]}" --seed 43 --out "$out")
+            printf '%-6s %-8s %-9s %-4s %-5s %9s %10s\n' \
+                "$rung_arg" "$vertices" "$edges" "$i" "$run" $reading
             if ! cmp -s "$out" "$rung/pred_0_1.txt"; then
-                echo "DIFFERENT: scale $scale, binary $i, run $run" >&2
+                echo "DIFFERENT: rung $rung_arg, binary $i, run $run" >&2
                 exit 1
             fi
         done

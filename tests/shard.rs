@@ -75,7 +75,7 @@ fn dist_loader_roundtrip_at_multiple_rank_counts() {
                 // union must be exactly the original arc set.
                 let mut arcs = Vec::new();
                 for &v in dg.owned() {
-                    for &(d, w) in dg.local().out_edges(v) {
+                    for (d, w) in dg.local().out_edges(v) {
                         arcs.push((v, d, w));
                     }
                 }
@@ -111,6 +111,48 @@ fn dist_loader_roundtrip_at_multiple_rank_counts() {
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+}
+
+/// An arc weighing exactly `E ≤ 2³² − 1`'s limit, and separately a
+/// self-loop at it, survive the `.mtx` round trip and the shard round trip
+/// at 2 ranks: the arc crosses the cut (vertex 0 and vertex 1 have
+/// different owners), the self-loop stays on its owner.
+#[test]
+fn arcs_at_the_weight_limit_survive_mtx_and_shards() {
+    use edist::graph::io::{load_graph, save_graph};
+    use edist::graph::MAX_TOTAL_EDGE_WEIGHT;
+    let max = MAX_TOTAL_EDGE_WEIGHT;
+    for (tag, g) in [
+        ("arc", Graph::from_edges(4, vec![(0, 1, max)])),
+        ("loop", Graph::from_edges(4, vec![(1, 1, max)])),
+    ] {
+        let path = std::env::temp_dir().join(format!("limit_{tag}_{}.mtx", std::process::id()));
+        save_graph(&g, &path).unwrap();
+        assert_eq!(load_graph(&path).unwrap(), g, "{tag}: .mtx");
+        std::fs::remove_file(&path).unwrap();
+
+        let dir = temp_dir(&format!("limit_{tag}"));
+        shard_graph(&g, &dir, 2, OwnershipStrategy::Modulo).unwrap();
+        assert_eq!(unshard_graph(&dir).unwrap(), g, "{tag}: unshard");
+        let out = ThreadCluster::run(2, CostModel::zero(), |comm| {
+            let dg = load_dist_graph(comm, &dir).expect("load");
+            assert_eq!(dg.total_edge_weight(), max);
+            let mut seen = Vec::new();
+            for &v in dg.owned() {
+                let local = dg.local();
+                assert!(local.out_edges(v).eq(g.out_edges(v)), "{tag}: out of {v}");
+                assert!(local.in_edges(v).eq(g.in_edges(v)), "{tag}: in of {v}");
+                assert_eq!(local.self_loop_weight(v), g.self_loop_weight(v));
+                assert_eq!(local.degree(v), g.degree(v));
+                seen.extend(local.out_edges(v).map(|(d, w)| (v, d, w)));
+            }
+            seen
+        });
+        let mut arcs: Vec<_> = out.ranks.into_iter().flat_map(|r| r.result).collect();
+        arcs.sort_unstable();
+        assert_eq!(arcs, g.arcs().collect::<Vec<_>>(), "{tag}: arcs");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
