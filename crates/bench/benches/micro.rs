@@ -761,10 +761,12 @@ fn bench_blockmodel(c: &mut Criterion) {
 /// A merge phase's fold of the model it holds ([`Blockmodel::merged`],
 /// PR 24) against the rebuild from the graph it replaced, on the same
 /// target model: the identity partition of the `single_challenge` graph
-/// halved, and a 40-block state of it halved. At C ≈ V the fold reads as
-/// many cells as the graph has arcs, so the first pair is a "no worse"
-/// guard; at C = 40 the model has a few hundred cells against 71 k arcs —
-/// where a warm daemon round lives — and the fold must win outright
+/// halved, its C = 750 fixture halved (the sparse → dense fold after which
+/// `single_challenge` reaches its peak memory; recorded, not guarded), and a
+/// 40-block state of it halved. At C ≈ V the fold reads as many cells as
+/// the graph has arcs, so the first pair is a "no worse" guard; at C = 40
+/// the model has a few hundred cells against 71 k arcs — where a warm
+/// daemon round lives — and the fold must win outright
 /// (`scripts/check_bench_regression.py`).
 fn bench_merged(c: &mut Criterion) {
     let (graph, fixtures) = challenge_trajectory();
@@ -782,7 +784,11 @@ fn bench_merged(c: &mut Criterion) {
         mh_sweep(graph, &mut low, &vertices, cfg.beta, &mut rng);
     }
     let mut group = quick(c);
-    for (bm, from, to) in [(&fixtures[0].1, 3000, 1500), (&low, 40, 20)] {
+    for (bm, from, to) in [
+        (&fixtures[0].1, 3000, 1500),
+        (&fixtures[1].1, 750, 375),
+        (&low, 40, 20),
+    ] {
         assert_eq!(bm.num_blocks(), from);
         let blocks: Vec<u32> = (0..from as u32).collect();
         let cands = propose_merges(bm, &blocks, 10, 99);
@@ -801,44 +807,46 @@ fn bench_merged(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sparse point updates alone: the moves one MH sweep accepts on the
-/// `single_challenge` graph at C = 1500 (the state the
+/// Point updates alone: the moves one MH sweep accepts on the
+/// `single_challenge` graph, applied with `move_vertex` and then undone in
+/// reverse, per iteration — at C = 1500 on sparse storage (the state the
 /// [`challenge_trajectory`] passes through between its C = 3000 and C = 750
-/// fixtures), applied with `move_vertex` and then undone in reverse, per
-/// iteration. Recorded, not guarded — the kernel a sparse cell's width
-/// shows up in.
-fn bench_sparse_apply(c: &mut Criterion) {
+/// fixtures) and at C = 375 on dense storage (its last fixture). Recorded,
+/// not guarded — the kernels a cell's width shows up in.
+fn bench_apply_moves(c: &mut Criterion) {
     let (graph, fixtures) = challenge_trajectory();
     let cfg = SbpConfig::default();
     let vertices: Vec<u32> = (0..graph.num_vertices() as u32).collect();
-    let mut bm = merge_phase(graph, &fixtures[0].1, 1500, &cfg, 1);
+    let mut sparse = merge_phase(graph, &fixtures[0].1, 1500, &cfg, 1);
     let mut rng = SmallRng::seed_from_u64(1);
     for _ in 0..5 {
-        mh_sweep(graph, &mut bm, &vertices, cfg.beta, &mut rng);
+        mh_sweep(graph, &mut sparse, &vertices, cfg.beta, &mut rng);
     }
-    assert_eq!(
-        (bm.num_blocks(), bm.storage_kind()),
-        (1500, StorageKind::Sparse)
-    );
-    let mut swept = bm.clone();
-    mh_sweep(graph, &mut swept, &vertices, cfg.beta, &mut rng);
-    let moves: Vec<(u32, u32, u32)> = vertices
-        .iter()
-        .map(|&v| (v, bm.block_of(v), swept.block_of(v)))
-        .filter(|&(_, from, to)| from != to)
-        .collect();
-    assert!(!moves.is_empty(), "the sweep accepted moves");
     let mut group = quick(c);
-    group.bench_function("blockmodel/move_vertex_sparse_C1500", |b| {
-        b.iter(|| {
-            for &(v, _, to) in &moves {
-                bm.move_vertex(graph, v, to);
-            }
-            for &(v, from, _) in moves.iter().rev() {
-                bm.move_vertex(graph, v, from);
-            }
-        })
-    });
+    for (label, mut bm, kind) in [
+        ("sparse_C1500", sparse, StorageKind::Sparse),
+        ("dense_C375", fixtures[2].1.clone(), StorageKind::Dense),
+    ] {
+        assert_eq!(bm.storage_kind(), kind, "{label}");
+        let mut swept = bm.clone();
+        mh_sweep(graph, &mut swept, &vertices, cfg.beta, &mut rng);
+        let moves: Vec<(u32, u32, u32)> = vertices
+            .iter()
+            .map(|&v| (v, bm.block_of(v), swept.block_of(v)))
+            .filter(|&(_, from, to)| from != to)
+            .collect();
+        assert!(!moves.is_empty(), "{label}: the sweep accepted moves");
+        group.bench_function(format!("blockmodel/move_vertex_{label}"), |b| {
+            b.iter(|| {
+                for &(v, _, to) in &moves {
+                    bm.move_vertex(graph, v, to);
+                }
+                for &(v, from, _) in moves.iter().rev() {
+                    bm.move_vertex(graph, v, from);
+                }
+            })
+        });
+    }
     group.finish();
 }
 
@@ -931,7 +939,7 @@ criterion_group!(
     bench_cell_fold,
     bench_blockmodel,
     bench_merged,
-    bench_sparse_apply,
+    bench_apply_moves,
     bench_graph_layer,
     bench_entropy_chunk,
     bench_generator

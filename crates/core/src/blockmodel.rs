@@ -9,9 +9,16 @@
 //! contiguous line scans for the ΔS kernel, and zero per-cell allocation.
 //! At large `C` (early iterations start at `C = V`) the dense array would
 //! be quadratic in memory, so rows are [`crate::line::CanonicalLine`]s —
-//! sorted vectors of 8-byte `(block, weight)` cells, the weight a `u32`
-//! (the module docs of [`crate::line`] say why it cannot overflow) — with
-//! a stored transpose: the paper's §III-A optimizations (a) and (b).
+//! sorted vectors of 8-byte `(block, weight)` cells — with a stored
+//! transpose: the paper's §III-A optimizations (a) and (b).
+//!
+//! Either way a stored weight is a `u32` (the module docs of
+//! [`crate::line`] say why it cannot overflow): a dense cell is 4 bytes, so
+//! the matrix and its transpose take `2·C²·4` bytes (1.07 MiB at
+//! `C = 375`), and every rank of a distributed run holds a replica. Every
+//! accessor speaks [`Weight`]: reads widen, writes narrow through checked
+//! arithmetic, which panics rather than wraps — and a cell driven below
+//! zero panics in every build, naming the cell, on either storage.
 //!
 //! [`Blockmodel::from_assignment`] picks the representation from the block
 //! count `C` and total edge weight `E` alone — dense iff `C ≤ 64`, or
@@ -48,7 +55,7 @@
 //! `ln` caches always equal what [`Blockmodel::from_assignment`] would
 //! rebuild from the current assignment. `validate` checks this in tests.
 
-use crate::line::{narrow, CanonicalLine, Cell};
+use crate::line::{add_to_cell, narrow, CanonicalLine, Cell};
 use crate::model_description_length;
 use rayon::prelude::*;
 use sbp_graph::{Graph, Vertex, Weight};
@@ -63,11 +70,11 @@ use sbp_graph::{Graph, Vertex, Weight};
 const ENTROPY_CHUNK_ROWS: usize = 64;
 
 /// At or below this block count [`StorageKind::Auto`] is always dense: the
-/// endgame regime, where matrix and transpose are 64 KiB at most.
+/// endgame regime, where matrix and transpose are 32 KiB at most.
 const DENSE_ALWAYS_BLOCKS: usize = 64;
 
 /// Above this block count [`StorageKind::Auto`] is always sparse: a dense
-/// blockmodel is `2·C²·8` bytes (16 MiB here).
+/// blockmodel is `2·C²·4` bytes (8 MiB here).
 const DENSE_MAX_BLOCKS: usize = 1024;
 
 /// What [`StorageKind::Auto`] selects for a blockmodel of `num_blocks`
@@ -109,10 +116,10 @@ enum Storage {
     Dense {
         c: usize,
         /// Row-major `C×C` edge counts.
-        m: Vec<Weight>,
+        m: Vec<u32>,
         /// Column-major copy (`mt[c*C + r] == m[r*C + c]`) so column scans
         /// are contiguous.
-        mt: Vec<Weight>,
+        mt: Vec<u32>,
     },
     Sparse {
         rows: Vec<CanonicalLine>,
@@ -140,7 +147,7 @@ impl Storage {
     #[inline]
     fn get(&self, r: u32, col: u32) -> Weight {
         match self {
-            Storage::Dense { c, m, .. } => m[r as usize * c + col as usize],
+            Storage::Dense { c, m, .. } => Weight::from(m[r as usize * c + col as usize]),
             Storage::Sparse { rows, .. } => rows[r as usize].get(col),
         }
     }
@@ -149,8 +156,9 @@ impl Storage {
     fn add(&mut self, r: u32, col: u32, w: Weight) {
         match self {
             Storage::Dense { c, m, mt } => {
-                m[r as usize * *c + col as usize] += w;
-                mt[col as usize * *c + r as usize] += w;
+                let cell = &mut m[r as usize * *c + col as usize];
+                add_to_cell(cell, narrow(w));
+                mt[col as usize * *c + r as usize] = *cell;
             }
             Storage::Sparse { rows, cols } => {
                 rows[r as usize].add(col, w);
@@ -163,10 +171,11 @@ impl Storage {
     fn sub(&mut self, r: u32, col: u32, w: Weight) {
         match self {
             Storage::Dense { c, m, mt } => {
-                let e = &mut m[r as usize * *c + col as usize];
-                *e -= w;
-                debug_assert!(*e >= 0, "cell ({r}, {col}) went negative");
-                mt[col as usize * *c + r as usize] -= w;
+                let cell = &mut m[r as usize * *c + col as usize];
+                *cell = cell
+                    .checked_sub(narrow(w))
+                    .unwrap_or_else(|| panic!("cell ({r}, {col}) went negative"));
+                mt[col as usize * *c + r as usize] = *cell;
             }
             Storage::Sparse { rows, cols } => {
                 rows[r as usize].sub(col, w);
@@ -250,9 +259,11 @@ impl Storage {
     fn dense_from(num_blocks: usize, cells: impl Iterator<Item = (u32, u32, Weight)>) -> Storage {
         let c = num_blocks;
         let (mut m, mut mt) = (vec![0; c * c], vec![0; c * c]);
+        // The transpose copies each updated cell: one checked add per cell.
         for (r, col, w) in cells {
-            m[r as usize * c + col as usize] += w;
-            mt[col as usize * c + r as usize] += w;
+            let cell = &mut m[r as usize * c + col as usize];
+            add_to_cell(cell, narrow(w));
+            mt[col as usize * c + r as usize] = *cell;
         }
         Storage::Dense { c, m, mt }
     }
@@ -267,7 +278,7 @@ impl Storage {
     }
 
     #[inline]
-    fn dense_row(&self, r: u32) -> Option<&[Weight]> {
+    fn dense_row(&self, r: u32) -> Option<&[u32]> {
         match self {
             Storage::Dense { c, m, .. } => Some(&m[r as usize * c..(r as usize + 1) * c]),
             Storage::Sparse { .. } => None,
@@ -275,13 +286,22 @@ impl Storage {
     }
 
     #[inline]
-    fn dense_col(&self, col: u32) -> Option<&[Weight]> {
+    fn dense_col(&self, col: u32) -> Option<&[u32]> {
         match self {
             Storage::Dense { c, mt, .. } => Some(&mt[col as usize * c..(col as usize + 1) * c]),
             Storage::Sparse { .. } => None,
         }
     }
 }
+
+// A stored dense cell is 4 bytes. The width is read off the element type
+// `Storage::dense_row` hands out, so widening the storage fails the build.
+const _: () = {
+    const fn cell_bytes<T>(_: fn(&Storage, u32) -> Option<&[T]>) -> usize {
+        std::mem::size_of::<T>()
+    }
+    assert!(cell_bytes(Storage::dense_row) == 4);
+};
 
 /// Empty sparse lines, each with room for the given number of cells: a
 /// line gets the room its cells take before they are folded — what the
@@ -354,10 +374,11 @@ where
 /// block id** under either storage representation — the canonical order
 /// every observable line walk shares (see the module docs).
 pub enum LineIter<'a> {
-    /// Dense scan of a contiguous line, skipping zeros.
+    /// Dense scan of a contiguous line, skipping zeros, each weight widened
+    /// to [`Weight`] as it is read.
     Dense {
         /// The line's cells, indexed by the other block id.
-        line: &'a [Weight],
+        line: &'a [u32],
         /// Next index to inspect.
         next: usize,
     },
@@ -378,7 +399,7 @@ impl Iterator for LineIter<'_> {
                     *next += 1;
                     let w = line[i];
                     if w != 0 {
-                        return Some((i as u32, w));
+                        return Some((i as u32, Weight::from(w)));
                     }
                 }
                 None
@@ -670,9 +691,9 @@ impl Blockmodel {
                 let (col_r, col_s) = (&mt[r * c..(r + 1) * c], &mt[s * c..(s + 1) * c]);
                 out.extend(blocks.iter().map(|&t| {
                     let t = t as usize;
-                    [row_r[t], row_s[t], col_r[t], col_s[t]]
+                    [row_r[t], row_s[t], col_r[t], col_s[t]].map(Weight::from)
                 }));
-                [row_r[r], row_r[s], row_s[r], row_s[s]]
+                [row_r[r], row_r[s], row_s[r], row_s[s]].map(Weight::from)
             }
             Storage::Sparse { rows, cols } => {
                 let lines = [&rows[r], &rows[s], &cols[r], &cols[s]];
@@ -694,14 +715,14 @@ impl Blockmodel {
     /// Row `r` as a contiguous slice (dense storage only) — the ΔS
     /// kernel's fast path.
     #[inline]
-    pub(crate) fn dense_row(&self, r: u32) -> Option<&[Weight]> {
+    pub(crate) fn dense_row(&self, r: u32) -> Option<&[u32]> {
         self.storage.dense_row(r)
     }
 
     /// Column `c` of the stored transpose as a contiguous slice (dense
     /// storage only).
     #[inline]
-    pub(crate) fn dense_col(&self, c: u32) -> Option<&[Weight]> {
+    pub(crate) fn dense_col(&self, c: u32) -> Option<&[u32]> {
         self.storage.dense_col(c)
     }
 
@@ -866,8 +887,9 @@ impl Blockmodel {
     /// deltas could transiently drive a cell negative.
     ///
     /// # Panics
-    /// Panics (debug) if a delta drives a cell or degree negative — the
-    /// caller's bookkeeping is broken, not the input graph.
+    /// Panics if a delta drives a cell negative (naming the cell), and
+    /// (debug) if one drives a degree negative — the caller's bookkeeping
+    /// is broken, not the input graph.
     pub fn apply_dist_sync(
         &mut self,
         relabels: &[(Vertex, u32)],
@@ -1463,6 +1485,92 @@ mod tests {
     fn from_parts_asserts_the_total_weight_limit() {
         let max = sbp_graph::MAX_TOTAL_EDGE_WEIGHT;
         Blockmodel::from_parts(2, max, vec![0, 1], 2, &[(0, 1, max), (1, 0, 1)]);
+    }
+
+    /// Every read a kernel makes of a two-block model, dense against its
+    /// sparse twin: cells, both line walks, the cross-cell fetch, weighted
+    /// picks across the whole mass, and the entropy bits.
+    fn assert_reads_as_sparse(dense: &Blockmodel, sparse: &Blockmodel) {
+        assert_eq!(dense.storage_kind(), StorageKind::Dense);
+        assert_eq!(sparse.storage_kind(), StorageKind::Sparse);
+        for r in 0..2u32 {
+            for c in 0..2u32 {
+                assert_eq!(dense.get(r, c), sparse.get(r, c), "cell ({r}, {c})");
+            }
+            let rows = [dense, sparse].map(|bm| bm.row_iter(r).collect::<Vec<_>>());
+            let cols = [dense, sparse].map(|bm| bm.col_iter(r).collect::<Vec<_>>());
+            assert_eq!(rows[0], rows[1], "row {r}");
+            assert_eq!(cols[0], cols[1], "col {r}");
+            let total = dense.d_total(r);
+            let max = sbp_graph::MAX_TOTAL_EDGE_WEIGHT;
+            let drawn = [0, max - 1, max, total - 1];
+            for x in drawn.into_iter().filter(|x| (0..total).contains(x)) {
+                assert_eq!(
+                    crate::propose::pick_weighted(dense, r, x, None),
+                    crate::propose::pick_weighted(sparse, r, x, None),
+                    "pick from {r} at {x}"
+                );
+            }
+        }
+        let (mut slot, mut on_dense, mut on_sparse) = (Vec::new(), Vec::new(), Vec::new());
+        for blocks in [&[][..], &[0], &[1], &[0, 1]] {
+            assert_eq!(
+                dense.cross_cells(0, 1, blocks, &mut slot, &mut on_dense),
+                sparse.cross_cells(0, 1, blocks, &mut slot, &mut on_sparse),
+                "corners, blocks {blocks:?}"
+            );
+            assert_eq!(on_dense, on_sparse, "blocks {blocks:?}");
+        }
+        assert_eq!(dense.entropy().to_bits(), sparse.entropy().to_bits());
+    }
+
+    /// A dense cell holding exactly `MAX_TOTAL_EDGE_WEIGHT` — one arc of
+    /// that weight, or a self-loop of it — reads as its sparse twin built
+    /// through `from_assignment`, `from_parts` and a sparse → dense
+    /// `merged`, and again after the vertex moves away and back.
+    #[test]
+    fn dense_cells_at_the_weight_limit_read_as_sparse_ones() {
+        let max = sbp_graph::MAX_TOTAL_EDGE_WEIGHT;
+        for arc in [(0, 1, max), (0, 0, max)] {
+            let g = Graph::from_edges(2, vec![arc]);
+            let cells: Vec<_> = g.arcs().collect();
+            let sparse =
+                |a: Vec<u32>| Blockmodel::from_assignment_with(&g, a, 2, StorageKind::Sparse);
+            let three_blocks =
+                Blockmodel::from_assignment_with(&g, vec![0, 2], 3, StorageKind::Sparse);
+            for mut dense in [
+                Blockmodel::from_assignment_with(&g, vec![0, 1], 2, StorageKind::Dense),
+                Blockmodel::from_parts(2, max, vec![0, 1], 2, &cells),
+                three_blocks.merged(&[0, u32::MAX, 1], 2),
+            ] {
+                assert_eq!(dense.get(arc.0, arc.1), max);
+                assert_reads_as_sparse(&dense, &sparse(vec![0, 1]));
+                dense.move_vertex(&g, 0, 1);
+                assert_eq!(dense.get(1, 1), max);
+                assert_reads_as_sparse(&dense, &sparse(vec![1, 1]));
+                dense.move_vertex(&g, 0, 0);
+                assert_reads_as_sparse(&dense, &sparse(vec![0, 1]));
+                dense.validate(&g).unwrap();
+            }
+        }
+    }
+
+    /// A sync delta larger than its cell is broken bookkeeping. Both
+    /// storages panic, naming the cell, in release builds as well: the
+    /// dense one used to check it with a `debug_assert!` only.
+    #[test]
+    fn a_sync_delta_past_its_cell_panics_on_both_storages() {
+        for_both_kinds(|kind| {
+            let mut bm =
+                Blockmodel::from_assignment_with(&two_triangles(), two_block_assignment(), 2, kind);
+            assert_eq!(bm.get(0, 1), 1);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                bm.apply_dist_sync(&[], [(0, 1, -2)], [])
+            }))
+            .expect_err("a delta of -2 on a cell of 1");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains("went negative"), "{kind:?}: {message}");
+        });
     }
 
     /// Applies `moves` (distinct vertices) once through `move_vertex` and

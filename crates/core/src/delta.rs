@@ -630,13 +630,7 @@ impl DeltaScratch {
 
     /// The dense-storage merge walk: two slot-by-slot line passes, created
     /// cells inline, the `r` lines as the delta lines.
-    fn walk_dense(
-        &self,
-        bm: &Blockmodel,
-        t: &MergeTarget,
-        row_s: &[Weight],
-        col_s: &[Weight],
-    ) -> f64 {
+    fn walk_dense(&self, bm: &Blockmodel, t: &MergeTarget, row_s: &[u32], col_s: &[u32]) -> f64 {
         let (r, s) = (self.from, t.s);
         let row_r = bm.dense_row(r).expect("dense storage");
         let col_r = bm.dense_col(r).expect("dense storage");
@@ -790,8 +784,11 @@ const RUN_CHUNK: usize = 64;
 /// Accumulates the old/new entropy terms of one affected dense matrix
 /// line under a cell delta, slot by slot in ascending order — the line
 /// pass behind the dense merge walk and the line-delta reference kernel.
-/// `delta` holds the line's per-cell delta (read everywhere but at the two
-/// special indices of `fix`); `ln_vec` the per-cell cached `ln(degree)`
+/// `line` is the stored dense line; `delta` holds its per-cell delta (read
+/// everywhere but at the two special indices of `fix`) — the model's own
+/// `r` line in a merge walk, a signed line in the line-delta reference —
+/// and both widen to [`Weight`] as they are read; `ln_vec` the per-cell
+/// cached `ln(degree)`
 /// (`ln_d_in` for row passes, `ln_d_out` for column passes); `ln_old` /
 /// `ln_new` are the line's own pre-/post-move `ln(degree)`.
 ///
@@ -801,9 +798,9 @@ const RUN_CHUNK: usize = 64;
 /// cells are empty is data, not a pattern a branch predictor could learn.
 /// Each sum still takes its terms in ascending cell order.
 #[allow(clippy::too_many_arguments)]
-fn delta_line_pass(
-    line: &[Weight],
-    delta: &[Weight],
+fn delta_line_pass<D: Copy + Into<Weight>>(
+    line: &[u32],
+    delta: &[D],
     ln_vec: &[f64],
     ln_old: f64,
     ln_new: f64,
@@ -812,12 +809,14 @@ fn delta_line_pass(
     new_sum: &mut f64,
 ) {
     let (delta, ln_vec) = (&delta[..line.len()], &ln_vec[..line.len()]);
+    let old_at = |i: usize| Weight::from(line[i]);
+    let new_at = |i: usize| old_at(i) + delta[i].into();
     let run = |lo: usize, hi: usize, old_sum: &mut f64, new_sum: &mut f64| {
         let (mut olds, mut news) = ([0usize; RUN_CHUNK], [0usize; RUN_CHUNK]);
         for start in (lo..hi).step_by(RUN_CHUNK) {
             let (mut n_old, mut n_new) = (0, 0);
             for i in start..hi.min(start + RUN_CHUNK) {
-                let (m, m2) = (line[i], line[i] + delta[i]);
+                let (m, m2) = (old_at(i), new_at(i));
                 debug_assert!(m2 >= 0, "cell {i} went negative in delta");
                 olds[n_old] = i;
                 n_old += usize::from(m > 0);
@@ -825,10 +824,10 @@ fn delta_line_pass(
                 n_new += usize::from(m2 > 0);
             }
             for &i in &olds[..n_old] {
-                *old_sum += term(line[i], ln_old + ln_vec[i]);
+                *old_sum += term(old_at(i), ln_old + ln_vec[i]);
             }
             for &i in &news[..n_new] {
-                *new_sum += term(line[i] + delta[i], ln_new + ln_vec[i]);
+                *new_sum += term(new_at(i), ln_new + ln_vec[i]);
             }
         }
     };
@@ -849,7 +848,7 @@ fn delta_line_pass(
             } else {
                 (dm_s, ln_s)
             };
-            let m = line[i];
+            let m = old_at(i);
             if m > 0 {
                 *old_sum += term(m, ln_old + ln_vec[i]);
             }
@@ -1180,9 +1179,8 @@ mod tests {
 
     /// The per-cell loop [`delta_line_pass`] must equal to the bit: every
     /// slot in ascending order, each sum adding only its nonzero cells.
-    #[allow(clippy::too_many_arguments)]
     fn line_pass_per_cell(
-        line: &[Weight],
+        line: &[u32],
         delta: &[Weight],
         ln_vec: &[f64],
         ln_old: f64,
@@ -1190,7 +1188,7 @@ mod tests {
         fix: &LineFix,
     ) -> (f64, f64) {
         let (mut old, mut new) = (0.0f64, 0.0f64);
-        for (i, &m) in line.iter().enumerate() {
+        for (i, m) in line.iter().map(|&m| Weight::from(m)).enumerate() {
             let (dm, ln_cell) = match *fix {
                 LineFix::Skip { r, s } if i == r as usize || i == s as usize => continue,
                 LineFix::Substitute { r, dm_r, ln_r, .. } if i == r as usize => (dm_r, ln_r),
@@ -1216,20 +1214,36 @@ mod tests {
             state ^= state << 17;
             state
         };
+        // Both delta lines a pass is fed: a signed one (the line-delta
+        // reference) and a stored `u32` one (a merge walk's `r` line).
+        fn assert_is_per_cell<D: Copy + Into<Weight>>(
+            line: &[u32],
+            delta: &[D],
+            ln_vec: &[f64],
+            fix: &LineFix,
+            at: &str,
+        ) {
+            let (mut old, mut new) = (0.0f64, 0.0f64);
+            delta_line_pass(line, delta, ln_vec, 1.5, 2.5, fix, &mut old, &mut new);
+            let wide: Vec<Weight> = delta.iter().map(|&d| d.into()).collect();
+            let (want_old, want_new) = line_pass_per_cell(line, &wide, ln_vec, 1.5, 2.5, fix);
+            assert_eq!(old.to_bits(), want_old.to_bits(), "old {at}");
+            assert_eq!(new.to_bits(), want_new.to_bits(), "new {at}");
+        }
         for n in [2usize, 3, 63, 64, 65, 129, 513] {
             // Mostly empty cells, a few past the `ln` table, deltas that
             // keep every cell non-negative.
-            let line: Vec<Weight> = (0..n)
-                .map(|_| match next() % 10 {
-                    0..=5 => 0,
-                    6..=8 => (next() % 1_000) as Weight,
-                    _ => (next() % 70_000) as Weight,
-                })
-                .collect();
+            let mut cell = || match next() % 10 {
+                0..=5 => 0,
+                6..=8 => (next() % 1_000) as u32,
+                _ => (next() % 70_000) as u32,
+            };
+            let line: Vec<u32> = (0..n).map(|_| cell()).collect();
+            let grow: Vec<u32> = (0..n).map(|_| cell()).collect();
             let delta: Vec<Weight> = line
                 .iter()
                 .map(|&m| match next() % 4 {
-                    0 => -m.min(3),
+                    0 => -Weight::from(m.min(3)),
                     1 => (next() % 5) as Weight,
                     _ => 0,
                 })
@@ -1248,7 +1262,10 @@ mod tests {
             {
                 // A merge empties cell r; a vertex move leaves both special
                 // cells holding weight.
-                let (m_r, m_s) = (line[r as usize], line[s as usize]);
+                let (m_r, m_s) = (
+                    Weight::from(line[r as usize]),
+                    Weight::from(line[s as usize]),
+                );
                 let substitute = |dm_r, dm_s| LineFix::Substitute {
                     r,
                     s,
@@ -1262,12 +1279,9 @@ mod tests {
                     substitute(3, 1 - m_s.min(1)),
                     LineFix::Skip { r, s },
                 ] {
-                    let (mut old, mut new) = (0.0f64, 0.0f64);
-                    delta_line_pass(&line, &delta, &ln_vec, 1.5, 2.5, &fix, &mut old, &mut new);
-                    let (want_old, want_new) =
-                        line_pass_per_cell(&line, &delta, &ln_vec, 1.5, 2.5, &fix);
-                    assert_eq!(old.to_bits(), want_old.to_bits(), "old n={n} r={r} s={s}");
-                    assert_eq!(new.to_bits(), want_new.to_bits(), "new n={n} r={r} s={s}");
+                    let at = format!("n={n} r={r} s={s}");
+                    assert_is_per_cell(&line, &delta, &ln_vec, &fix, &at);
+                    assert_is_per_cell(&line, &grow, &ln_vec, &fix, &at);
                 }
             }
         }

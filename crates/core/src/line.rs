@@ -55,6 +55,11 @@
 //! integers in the same order as with a 16-byte `(u32, i64)` cell, in half
 //! the bytes — and every rank of a distributed run holds a full replica of
 //! these lines, twice (rows and the transpose).
+//!
+//! The same invariant covers the dense storage of [`crate::Blockmodel`]:
+//! a dense cell is the `u32` weight alone (its key is its slot), read and
+//! written the same way, so the `C×C` matrix and its transpose take
+//! `2·C²·4` bytes where `i64` cells took twice that.
 
 use sbp_graph::Weight;
 
@@ -69,6 +74,15 @@ pub type Cell = (u32, u32);
 #[inline]
 pub(crate) fn narrow(w: Weight) -> u32 {
     u32::try_from(w).unwrap_or_else(|_| panic!("weight {w} does not fit a 32-bit cell"))
+}
+
+/// Adds `w` to a stored cell weight.
+///
+/// # Panics
+/// Panics if the cell would pass `u32::MAX`.
+#[inline]
+pub(crate) fn add_to_cell(cell: &mut u32, w: u32) {
+    *cell = cell.checked_add(w).expect("cell weight past u32::MAX");
 }
 
 /// A sparse matrix line (row or column) holding `(key, weight)` cells
@@ -103,10 +117,7 @@ impl CanonicalLine {
         raw.dedup_by(|cell, run| {
             let same = cell.0 == run.0;
             if same {
-                run.1 = run
-                    .1
-                    .checked_add(cell.1)
-                    .expect("cell weight past u32::MAX");
+                add_to_cell(&mut run.1, cell.1);
             }
             same
         });
@@ -146,10 +157,7 @@ impl CanonicalLine {
         debug_assert!(w > 0, "add must receive positive weight, got {w}");
         let w = narrow(w);
         match self.cells.binary_search_by_key(&key, |e| e.0) {
-            Ok(i) => {
-                let e = &mut self.cells[i].1;
-                *e = e.checked_add(w).expect("cell weight past u32::MAX");
-            }
+            Ok(i) => add_to_cell(&mut self.cells[i].1, w),
             Err(i) => self.cells.insert(i, (key, w)),
         }
     }

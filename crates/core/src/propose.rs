@@ -167,20 +167,21 @@ pub fn pick_by_cells(
 /// total)` when it never does. Whole chunks of [`PICK_CHUNK`] slots are
 /// summed and stepped over — the sums are exact integer adds, so the
 /// prefix `x` falls in is the one a slot-by-slot scan finds — and only the
-/// chunk holding the answer is scanned slot by slot.
-fn pick_dense(line: &[Weight], mut x: Weight, skip: Option<u32>) -> Result<u32, Weight> {
+/// chunk holding the answer is scanned slot by slot. Every slot is widened
+/// before it is added: a chunk of 32-bit cells can sum past 32 bits.
+fn pick_dense(line: &[u32], mut x: Weight, skip: Option<u32>) -> Result<u32, Weight> {
     let skip = skip.map_or(usize::MAX, |r| r as usize);
     for (chunk_idx, chunk) in line.chunks(PICK_CHUNK).enumerate() {
         let base = chunk_idx * PICK_CHUNK;
-        let mut sum: Weight = chunk.iter().sum();
+        let mut sum: Weight = chunk.iter().map(|&m| Weight::from(m)).sum();
         if let Some(&skipped) = chunk.get(skip.wrapping_sub(base)) {
-            sum -= skipped;
+            sum -= Weight::from(skipped);
         }
         if x >= sum {
             x -= sum;
             continue;
         }
-        for (i, &m) in chunk.iter().enumerate() {
+        for (i, m) in chunk.iter().map(|&m| Weight::from(m)).enumerate() {
             if base + i == skip {
                 continue;
             }
@@ -361,8 +362,8 @@ mod tests {
     /// taken out. `x` = the total walks off the end, in both.
     #[test]
     fn chunked_pick_is_the_slot_by_slot_pick() {
-        let slot_by_slot = |line: &[Weight], mut x: Weight, skip: Option<u32>| {
-            for (i, &m) in line.iter().enumerate() {
+        let slot_by_slot = |line: &[u32], mut x: Weight, skip: Option<u32>| {
+            for (i, m) in line.iter().map(|&m| Weight::from(m)).enumerate() {
                 if Some(i as u32) == skip {
                     continue;
                 }
@@ -382,12 +383,12 @@ mod tests {
         };
         for len in [1usize, 15, 16, 17, 31, 32, 33, 50, 100] {
             for shape in 0..4 {
-                let mut line: Vec<Weight> = (0..len)
+                let mut line: Vec<u32> = (0..len)
                     .map(|_| {
                         if next() % 3 == 0 {
                             0
                         } else {
-                            1 + (next() % 4) as Weight
+                            1 + (next() % 4) as u32
                         }
                     })
                     .collect();
@@ -400,7 +401,10 @@ mod tests {
                 let skips = [0, len / 2, len - 1].map(|i| Some(i as u32));
                 for skip in [None].into_iter().chain(skips) {
                     let kept = |i: usize| Some(i as u32) != skip;
-                    let total: Weight = (0..len).filter(|&i| kept(i)).map(|i| line[i]).sum();
+                    let total: Weight = (0..len)
+                        .filter(|&i| kept(i))
+                        .map(|i| Weight::from(line[i]))
+                        .sum();
                     for x in 0..=total {
                         assert_eq!(
                             pick_dense(&line, x, skip),
@@ -419,6 +423,28 @@ mod tests {
             assert_eq!(pick_dense(&line, x, Some(20)), Ok(want), "x {x}");
         }
         assert_eq!(pick_dense(&line, 3, Some(20)), Err(0));
+        // Cells far past the `ln` table, close to `u32::MAX`: a chunk of
+        // them sums past 32 bits. Every prefix boundary of the walk, and
+        // one either side of it.
+        let heavy: Vec<u32> = (0..40u32)
+            .map(|i| if i % 3 == 0 { 0 } else { u32::MAX - i * 65_537 })
+            .collect();
+        for skip in [None, Some(4)] {
+            let mut prefix: Weight = 0;
+            for (i, &m) in heavy.iter().enumerate() {
+                if Some(i as u32) == skip {
+                    continue;
+                }
+                prefix += Weight::from(m);
+                for x in [prefix - 1, prefix, prefix + 1] {
+                    assert_eq!(
+                        pick_dense(&heavy, x, skip),
+                        slot_by_slot(&heavy, x, skip),
+                        "heavy skip {skip:?} x {x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

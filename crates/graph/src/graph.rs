@@ -6,7 +6,7 @@ use crate::{Vertex, Weight};
 ///
 /// An arc, and a cell of a blockmodel, which counts a subset of the arcs,
 /// never weigh more than `E`; under this bound each fits the 32 bits a
-/// [`Graph`] arc and a sparse blockmodel line store per weight. Each door
+/// [`Graph`] arc and a blockmodel cell, dense or sparse, store per weight. Each door
 /// a graph arrives through rejects a heavier one with a typed error — the
 /// file readers in [`crate::io`], the sharded loader,
 /// [`Graph::apply_edge_deltas`] — and [`Graph::from_edges`] asserts it.

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Scale ladder: wall time and peak RSS of a 2-rank sharded EDiSt run at
-# several graph sizes, for one binary or two alternated.
+# Scale ladder: wall time and peak RSS of a sharded EDiSt run at several
+# graph sizes and rank counts, for one binary or two alternated.
 #
 #   scripts/ladder.sh [--family scaling|challenge] [--scales "S ..."]
-#                     [--vertices "N ..."] [--runs N] BIN [BIN2]
+#                     [--vertices "N ..."] [--ranks "R ..."] [--runs N]
+#                     BIN [BIN2]
 #
 # BIN (and BIN2) are `edist-cli` binaries. One rung per graph size:
 #
@@ -16,12 +17,15 @@
 #   (2E/V ≈ 47) is more than twice the scaling family's (≈ 20), so the
 #   graph's adjacency is a larger share of the peak.
 #
-# Every rung generates with seed 42, shards 2-way with `--strategy
-# balanced`, and runs `partition --sharded … --backend edist --ranks 2
-# --seed 43` under SBP_THREADS=1, N times per binary (default 3). With two
-# binaries the runs alternate BIN, BIN2, BIN, … and every assignment must
-# equal BIN's first one at that rung (`cmp`); the script exits 1 at the
-# first difference. One line per run: rung, V, E, binary, run, wall
+# Every rung generates with seed 42 and, for each of `--ranks` (default
+# 2), shards R-way with `--strategy balanced` and runs `partition
+# --sharded … --backend edist --ranks R --seed 43` under SBP_THREADS=1,
+# N times per binary (default 3). With two binaries the runs alternate
+# BIN, BIN2, BIN, … Every assignment must equal BIN's first one at that
+# rung and rank count (`cmp`) — and on the scaling family, whose `--mcmc
+# batch` trajectory does not depend on the rank count, BIN's first one at
+# the first rank count. The script prints DIFFERENT and exits 1 at the
+# first difference. One line per run: rung, V, E, ranks, binary, run, wall
 # seconds, peak RSS.
 #
 # Peak RSS is the child's own `VmHWM`, polled from /proc/PID/status while
@@ -32,12 +36,14 @@ set -euo pipefail
 family=scaling
 scales="0.004 0.016 0.064"
 vertices_list="12000"
+ranks_list=2
 runs=3
 while [[ $# -gt 0 && $1 == --* ]]; do
     case $1 in
         --family) family=$2; shift 2 ;;
         --scales) scales=$2; shift 2 ;;
         --vertices) vertices_list=$2; shift 2 ;;
+        --ranks) ranks_list=$2; shift 2 ;;
         --runs) runs=$2; shift 2 ;;
         *) echo "unknown option $1" >&2; exit 2 ;;
     esac
@@ -48,7 +54,7 @@ case $family in
     *) echo "unknown family $family (scaling or challenge)" >&2; exit 2 ;;
 esac
 if [[ $# -lt 1 || $# -gt 2 ]]; then
-    echo "usage: $0 [--family scaling|challenge] [--scales \"S ...\"] [--vertices \"N ...\"] [--runs N] BIN [BIN2]" >&2
+    echo "usage: $0 [--family scaling|challenge] [--scales \"S ...\"] [--vertices \"N ...\"] [--ranks \"R ...\"] [--runs N] BIN [BIN2]" >&2
     exit 2
 fi
 bins=("$@")
@@ -82,7 +88,8 @@ measure() {
     awk -v s="$start" -v e="$end" -v k="$hwm" 'BEGIN { printf "%.3f %.1f\n", e - s, k / 1024 }'
 }
 
-printf '%-6s %-8s %-9s %-4s %-5s %9s %10s\n' rung V E bin run wall_s peak_mib
+read -r first_ranks _ <<<"$ranks_list"
+printf '%-6s %-8s %-9s %-5s %-4s %-5s %9s %10s\n' rung V E ranks bin run wall_s peak_mib
 for rung_arg in $rungs; do
     rung="$work/$rung_arg"
     mkdir -p "$rung"
@@ -95,19 +102,25 @@ for rung_arg in $rungs; do
     fi
     vertices=$(sed -n 's/.* V=\([0-9]*\).*/\1/p' "$rung/gen.log")
     edges=$(sed -n 's/.* E=\([0-9]*\).*/\1/p' "$rung/gen.log")
-    "${bins[0]}" shard --graph "$rung/g.mtx" --ranks 2 --strategy balanced \
-        --out "$rung/shards" 2>/dev/null
-    for run in $(seq 1 "$runs"); do
-        for i in "${!bins[@]}"; do
-            out="$rung/pred_${i}_${run}.txt"
-            reading=$(measure "${bins[$i]}" partition --sharded "$rung/shards" \
-                --backend edist --ranks 2 "${mcmc[@]}" --seed 43 --out "$out")
-            printf '%-6s %-8s %-9s %-4s %-5s %9s %10s\n' \
-                "$rung_arg" "$vertices" "$edges" "$i" "$run" $reading
-            if ! cmp -s "$out" "$rung/pred_0_1.txt"; then
-                echo "DIFFERENT: rung $rung_arg, binary $i, run $run" >&2
-                exit 1
-            fi
+    for ranks in $ranks_list; do
+        "${bins[0]}" shard --graph "$rung/g.mtx" --ranks "$ranks" --strategy balanced \
+            --out "$rung/shards_$ranks" 2>/dev/null
+        reference="$rung/pred_${ranks}_0_1.txt"
+        if [[ $family == scaling ]]; then
+            reference="$rung/pred_${first_ranks}_0_1.txt"
+        fi
+        for run in $(seq 1 "$runs"); do
+            for i in "${!bins[@]}"; do
+                out="$rung/pred_${ranks}_${i}_${run}.txt"
+                reading=$(measure "${bins[$i]}" partition --sharded "$rung/shards_$ranks" \
+                    --backend edist --ranks "$ranks" "${mcmc[@]}" --seed 43 --out "$out")
+                printf '%-6s %-8s %-9s %-5s %-4s %-5s %9s %10s\n' \
+                    "$rung_arg" "$vertices" "$edges" "$ranks" "$i" "$run" $reading
+                if ! cmp -s "$out" "$reference"; then
+                    echo "DIFFERENT: rung $rung_arg, ranks $ranks, binary $i, run $run" >&2
+                    exit 1
+                fi
+            done
         done
     done
 done
