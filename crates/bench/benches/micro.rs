@@ -15,15 +15,18 @@
 //! * the sharded sync's cell fold against the `BTreeMap` it replaced (PR 18);
 //! * blockmodel construction and incremental moves, and a merge's fold of
 //!   the held model against the rebuild it replaced (PR 24);
+//! * random add/sub churn over sparse lines, what their room policy costs
+//!   (PR 33);
 //! * the graph's build and one adjacency read per vertex (`graph/*`);
 //! * the entropy chunk-size study on a dense C = V/4 blockmodel (PR 10);
 //! * synthetic graph generation.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sbp_core::delta::{delta_entropy, merge_delta};
 use sbp_core::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
+use sbp_core::line::{CanonicalLine, Cell};
 use sbp_core::lntab::ln_int;
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::{apply_merges, merge_labels, propose_merges};
@@ -850,6 +853,67 @@ fn bench_apply_moves(c: &mut Criterion) {
     group.finish();
 }
 
+/// Random add/sub churn over the rows of the C = 750 [`challenge_trajectory`]
+/// model, each row folded from its cells split in two (the state a merge
+/// leaves a line in): 20 000 charges of 1..=3 to random cells of random
+/// rows, each taken back 2 000 charges later, then the last 2 000 taken
+/// back — so lines grow by inserts and shrink by removals, and every
+/// reallocation the room policy asks for is timed. Recorded, not guarded.
+fn bench_line_churn(c: &mut Criterion) {
+    const CHARGES: usize = 20_000;
+    const LAG: usize = 2_000;
+    let (_, [_, (_, model), _]) = challenge_trajectory();
+    let blocks = model.num_blocks() as u32;
+    let halves: Vec<Vec<Cell>> = (0..blocks)
+        .map(|r| {
+            model
+                .row_iter(r)
+                .flat_map(|(k, w)| {
+                    let w = u32::try_from(w).expect("a cell fits u32");
+                    [(k, w - w / 2), (k, w / 2)]
+                })
+                .filter(|&(_, w)| w > 0)
+                .collect()
+        })
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(33);
+    let charges: Vec<(usize, u32, i64)> = (0..CHARGES)
+        .map(|_| {
+            (
+                rng.random_range(0..blocks) as usize,
+                rng.random_range(0..blocks),
+                rng.random_range(1..=3i64),
+            )
+        })
+        .collect();
+    let mut group = quick(c);
+    group.bench_function("line/churn_sparse_C750", |b| {
+        b.iter_batched(
+            || {
+                halves
+                    .iter()
+                    .cloned()
+                    .map(CanonicalLine::from_unsorted)
+                    .collect::<Vec<_>>()
+            },
+            |mut lines| {
+                for (i, &(l, k, w)) in charges.iter().enumerate() {
+                    lines[l].add(k, w);
+                    if let Some(&(l, k, w)) = i.checked_sub(LAG).map(|j| &charges[j]) {
+                        lines[l].sub(k, w);
+                    }
+                }
+                for &(l, k, w) in &charges[CHARGES - LAG..] {
+                    lines[l].sub(k, w);
+                }
+                lines
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
 /// The graph's own layer on the `single_challenge` graph (66 k arcs, each
 /// stored once per direction): building it from its arc list, and one
 /// `gather_vertex` per vertex against the C = 375 [`challenge_trajectory`]
@@ -940,6 +1004,7 @@ criterion_group!(
     bench_blockmodel,
     bench_merged,
     bench_apply_moves,
+    bench_line_churn,
     bench_graph_layer,
     bench_entropy_chunk,
     bench_generator

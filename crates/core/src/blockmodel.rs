@@ -55,7 +55,7 @@
 //! `ln` caches always equal what [`Blockmodel::from_assignment`] would
 //! rebuild from the current assignment. `validate` checks this in tests.
 
-use crate::line::{add_to_cell, narrow, CanonicalLine, Cell};
+use crate::line::{add_to_cell, narrow, room, within_room, CanonicalLine, Cell};
 use crate::model_description_length;
 use rayon::prelude::*;
 use sbp_graph::{Graph, Vertex, Weight};
@@ -221,8 +221,9 @@ impl Storage {
     /// A dense target accumulates in place. A sparse target is built the
     /// way a rebuild builds one ([`accumulate`]): the rows gather their
     /// cells and fold in place, and the columns are one walk of the folded
-    /// rows (ascending by row, because the walk is), so no cell list wider
-    /// than the lines themselves is ever held.
+    /// rows (ascending by row, because the walk is), each allocated once
+    /// with the [`room`] of its folded length, so no cell list wider than
+    /// the lines themselves is ever held.
     fn relabelled(&self, label: &[u32], num_blocks: usize, dense: bool) -> Storage {
         let cells = || {
             (0..label.len() as u32).flat_map(|r| {
@@ -234,17 +235,22 @@ impl Storage {
         if dense {
             return Storage::dense_from(num_blocks, cells());
         }
-        let (mut row_room, mut col_room) = (vec![0usize; num_blocks], vec![0usize; num_blocks]);
-        for (r, col, _) in cells() {
+        let mut row_room = vec![0usize; num_blocks];
+        for (r, _, _) in cells() {
             row_room[r as usize] += 1;
-            col_room[col as usize] += 1;
         }
         let mut rows = roomy(row_room);
         for (r, col, w) in cells() {
             rows[r as usize].push((col, narrow(w)));
         }
         let rows = fold_lines(rows);
-        let mut cols = roomy(col_room);
+        let mut col_len = vec![0usize; num_blocks];
+        for row in &rows {
+            for &(col, _) in row.as_slice() {
+                col_len[col as usize] += 1;
+            }
+        }
+        let mut cols = roomy(col_len.into_iter().map(room).collect());
         for (r, row) in rows.iter().enumerate() {
             for &(col, w) in row.as_slice() {
                 cols[col as usize].push((r as u32, w));
@@ -268,7 +274,7 @@ impl Storage {
         Storage::Dense { c, m, mt }
     }
 
-    /// Gives back the capacity sparse lines grew beyond their length.
+    /// Cuts every sparse line to its exact length.
     fn shrink_to_fit(&mut self) {
         if let Storage::Sparse { rows, cols } = self {
             rows.iter_mut()
@@ -303,10 +309,10 @@ const _: () = {
     assert!(cell_bytes(Storage::dense_row) == 4);
 };
 
-/// Empty sparse lines, each with room for the given number of cells: a
-/// line gets the room its cells take before they are folded — what the
-/// sweeps after a rebuild or a merge insert into (a line cut to its exact
-/// length reallocates on its first new cell).
+/// Empty sparse lines, each with room for the given number of cells: the
+/// raw cells a line gathers before it folds. The fold keeps that buffer
+/// for the sweeps to insert into unless it holds more than `2·len + 8`
+/// cells (see the `line` module docs).
 fn roomy(room: Vec<usize>) -> Vec<Vec<Cell>> {
     room.into_iter().map(Vec::with_capacity).collect()
 }
@@ -887,9 +893,9 @@ impl Blockmodel {
     /// deltas could transiently drive a cell negative.
     ///
     /// # Panics
-    /// Panics if a delta drives a cell negative (naming the cell), and
-    /// (debug) if one drives a degree negative — the caller's bookkeeping
-    /// is broken, not the input graph.
+    /// Panics if a delta drives a cell or a block degree negative (naming
+    /// the cell or the block) — the caller's bookkeeping is broken, not
+    /// the input graph.
     pub fn apply_dist_sync(
         &mut self,
         relabels: &[(Vertex, u32)],
@@ -911,7 +917,7 @@ impl Blockmodel {
             let b = b as usize;
             self.d_out[b] += d_out;
             self.d_in[b] += d_in;
-            debug_assert!(
+            assert!(
                 self.d_out[b] >= 0 && self.d_in[b] >= 0,
                 "block {b} degree went negative"
             );
@@ -1057,9 +1063,10 @@ impl Blockmodel {
         self.merged(&map, num_blocks)
     }
 
-    /// Gives back the capacity sparse lines grew during sweeps (a line
-    /// that gains a cell doubles its allocation). For a model that is kept
-    /// rather than swept — the golden search's resident bracket models.
+    /// Cuts every sparse line to its exact length, giving back the
+    /// headroom a line keeps for inserts (see the `line` module docs).
+    /// For a model that is kept rather than swept — the golden search's
+    /// resident bracket models.
     pub fn shrink_to_fit(&mut self) {
         self.storage.shrink_to_fit();
     }
@@ -1081,10 +1088,8 @@ impl Blockmodel {
     }
 
     /// All nonzero cells as `(row, col, weight)` in row-major iteration
-    /// order. Canonical line iteration makes this ascending by `(r, c)`
-    /// with no explicit sort — `validate` compares these sequences
-    /// directly, so a representation that broke canonical order would be
-    /// caught even if it held the right integers.
+    /// order — ascending by `(r, c)` when every row is canonical, which
+    /// `validate` checks before it compares these sequences.
     fn cells_canonical(&self) -> Vec<(u32, u32, Weight)> {
         let mut cells = Vec::new();
         for r in 0..self.num_blocks as u32 {
@@ -1092,11 +1097,46 @@ impl Blockmodel {
                 cells.push((r, c, m));
             }
         }
-        debug_assert!(cells.is_sorted(), "line iteration lost canonical order");
         cells
     }
 
-    /// Same, but gathered through the column side (transpose consistency).
+    /// Checks every line, row and column, for what each walk of it relies
+    /// on: keys strictly ascending (the order `pick_weighted` and the
+    /// kernels consume), weights positive, and a sparse line's capacity
+    /// within its room (`line::within_room`).
+    fn lines_canonical(&self) -> Result<(), String> {
+        for b in 0..self.num_blocks as u32 {
+            for (side, line) in [("row", self.row_iter(b)), ("column", self.col_iter(b))] {
+                let mut last = None;
+                for (k, w) in line {
+                    if w <= 0 || last >= Some(k) {
+                        return Err(format!("{side} {b} out of canonical order at ({k}, {w})"));
+                    }
+                    last = Some(k);
+                }
+            }
+        }
+        if let Storage::Sparse { rows, cols } = &self.storage {
+            for (side, lines) in [("row", rows), ("column", cols)] {
+                if let Some((b, line)) = lines
+                    .iter()
+                    .enumerate()
+                    .find(|(_, l)| !within_room(l.len(), l.capacity()))
+                {
+                    return Err(format!(
+                        "{side} {b} holds capacity {} for {} cells",
+                        line.capacity(),
+                        line.len()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Same as [`cells_canonical`](Self::cells_canonical), but gathered
+    /// through the column side and sorted row-major (transpose
+    /// consistency).
     fn cells_sorted_via_cols(&self) -> Vec<(u32, u32, Weight)> {
         let mut cells = Vec::new();
         for c in 0..self.num_blocks as u32 {
@@ -1108,8 +1148,10 @@ impl Blockmodel {
         cells
     }
 
-    /// Verifies every incremental invariant against a from-scratch rebuild.
+    /// Verifies every incremental invariant against a from-scratch rebuild,
+    /// after checking that every line is canonical.
     pub fn validate(&self, graph: &Graph) -> Result<(), String> {
+        self.lines_canonical()?;
         let rebuilt = Blockmodel::from_assignment_with(
             graph,
             self.assignment.clone(),
@@ -1571,6 +1613,68 @@ mod tests {
             let message = panic.downcast_ref::<String>().expect("a formatted message");
             assert!(message.contains("went negative"), "{kind:?}: {message}");
         });
+    }
+
+    /// A peer degree delta larger than the block's degree is broken
+    /// bookkeeping: it panics, naming the block, in release builds as well
+    /// (a negative degree would read as `ln 0 = 0` and skew every later DL
+    /// without a sign).
+    #[test]
+    fn a_sync_degree_delta_past_its_block_panics() {
+        for_both_kinds(|kind| {
+            for deltas in [[(1, -8, 0)], [(1, 0, -8)]] {
+                let mut bm = Blockmodel::from_assignment_with(
+                    &two_triangles(),
+                    two_block_assignment(),
+                    2,
+                    kind,
+                );
+                assert_eq!((bm.d_out(1), bm.d_in(1)), (3, 4));
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    bm.apply_dist_sync(&[], [], deltas)
+                }))
+                .expect_err("a degree delta of -8 on a block of degree 3 or 4");
+                let message = panic.downcast_ref::<String>().expect("a formatted message");
+                assert!(
+                    message.contains("block 1 degree went negative"),
+                    "{kind:?}: {message}"
+                );
+            }
+        });
+    }
+
+    /// `validate` checks that every line walks in canonical order: a column
+    /// holding the right cells in the wrong order — which every walk of it
+    /// (`pick_weighted` reads row `t` then column `t`) would observe — is
+    /// rejected, although the column side still sums to the rows.
+    #[test]
+    fn validate_rejects_a_column_out_of_canonical_order() {
+        fn column(bm: &mut Blockmodel, b: usize) -> &mut CanonicalLine {
+            let Storage::Sparse { cols, .. } = &mut bm.storage else {
+                unreachable!("sparse storage was asked for")
+            };
+            &mut cols[b]
+        }
+        let g = two_triangles();
+        let mut bm = Blockmodel::from_assignment_with(&g, (0..6).collect(), 6, StorageKind::Sparse);
+        bm.validate(&g).expect("a fresh build is canonical");
+        let b = (0..6)
+            .find(|&b| column(&mut bm, b).len() >= 2)
+            .expect("a column with two cells");
+        let canonical = column(&mut bm, b).as_slice().to_vec();
+        *column(&mut bm, b) = CanonicalLine::unchecked(canonical.iter().rev().copied().collect());
+        let err = bm.validate(&g).expect_err("a column out of order");
+        assert!(
+            err.contains(&format!("column {b} out of canonical order")),
+            "{err}"
+        );
+        // The right cells in the right order, in more capacity than a
+        // line may keep, are rejected too.
+        let mut roomy = Vec::with_capacity(2 * canonical.len() + 9);
+        roomy.extend_from_slice(&canonical);
+        *column(&mut bm, b) = CanonicalLine::unchecked(roomy);
+        let err = bm.validate(&g).expect_err("a column past its room");
+        assert!(err.contains(&format!("column {b} holds capacity")), "{err}");
     }
 
     /// Applies `moves` (distinct vertices) once through `move_vertex` and

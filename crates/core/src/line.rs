@@ -60,6 +60,41 @@
 //! a dense cell is the `u32` weight alone (its key is its slot), read and
 //! written the same way, so the `C×C` matrix and its transpose take
 //! `2·C²·4` bytes where `i64` cells took twice that.
+//!
+//! ## How much room a line keeps
+//!
+//! A line never holds more than `2·len + 8` cells of capacity. Three
+//! constants set how, not a setting:
+//!
+//! * an insert into a full line reserves `max(len / 4, 4)` more cells — a
+//!   quarter, where `Vec` would double;
+//! * a fold ([`CanonicalLine::from_unsorted`], behind every rebuild and
+//!   every merge) keeps its raw buffer, and a removal the line's, unless
+//!   that leaves more than `2·len + 8` cells of capacity: then the line
+//!   shrinks in place to `room(len) = len + max(len / 4, 4)`.
+//!
+//! So `capacity ≤ 2·len + 8` holds for every line at all times, asserted
+//! after every change in debug builds and checked by
+//! [`crate::Blockmodel::validate`]. Every rank of a distributed run holds a
+//! full replica of these lines, so capacity is what the sparse phases pay
+//! in memory. While inserts doubled and lines never shrank, the swept
+//! `C = 750` model of a 3 000-vertex challenge graph held 0.71 MiB of
+//! cells in 2.11 MiB of lines; it holds them in CAP750 MiB now.
+//!
+//! Doubling was dropped because a doubled line idles at up to half its
+//! capacity, while a quarter more is still a geometric step, so inserts
+//! stay amortised O(1). A fold shrinks only past the bound, not to
+//! `room(len)` every time: shrinking every folded line cost a `realloc`
+//! per line (a `C = 1 500` rebuild ran 14 % slower) and left merged lines
+//! little headroom for the sweeps that follow, for no measurable change in
+//! any benchmark workload's peak.
+//!
+//! A shrink leaves `room(len)`, never the exact length: a line cut to its
+//! length reallocates on its first insert, and when the golden search once
+//! carried such lines into its `C = 1 500` phase, the phase ran 10–35 %
+//! slower. Only [`CanonicalLine::shrink_to_fit`] cuts a line exact, for a
+//! model that is kept rather than swept (the search's resident bracket
+//! models); the first insert into such a line then grows it by a quarter.
 
 use sbp_graph::Weight;
 
@@ -85,6 +120,30 @@ pub(crate) fn add_to_cell(cell: &mut u32, w: u32) {
     *cell = cell.checked_add(w).expect("cell weight past u32::MAX");
 }
 
+/// Headroom, in quarters of the line's length, a line keeps.
+const HEADROOM_DIVISOR: usize = 4;
+/// The least headroom a line keeps, in cells.
+const MIN_HEADROOM: usize = 4;
+/// A fold or a removal that leaves more than `2·len + SHRINK_SLACK` cells of
+/// capacity shrinks the line.
+const SHRINK_SLACK: usize = 8;
+
+/// Cells of headroom a line of `len` cells keeps.
+fn headroom(len: usize) -> usize {
+    (len / HEADROOM_DIVISOR).max(MIN_HEADROOM)
+}
+
+/// The capacity a line of `len` cells keeps: `len + max(len / 4, 4)`.
+pub(crate) fn room(len: usize) -> usize {
+    len + headroom(len)
+}
+
+/// Whether a line of `len` cells may hold `capacity`: the invariant
+/// `capacity ≤ 2·len + 8` every [`CanonicalLine`] keeps.
+pub(crate) fn within_room(len: usize, capacity: usize) -> bool {
+    capacity <= 2 * len + SHRINK_SLACK
+}
+
 /// A sparse matrix line (row or column) holding `(key, weight)` cells
 /// sorted ascending by key. All weights are kept strictly positive —
 /// a cell that reaches zero is removed, so iteration never yields zeros
@@ -103,8 +162,9 @@ impl CanonicalLine {
     /// Builds a line from unsorted, possibly-duplicated positive
     /// contributions by sort-and-fold, in place — O(n log n) once, instead
     /// of O(n²) repeated sorted inserts, and no second buffer: the line
-    /// keeps `raw`'s allocation, so it has the room its cells took before
-    /// they were folded. Entries with the same key accumulate.
+    /// keeps `raw`'s allocation, shrunk in place to `room(len)` when it
+    /// holds more than `2·len + 8` cells. Entries with the same key
+    /// accumulate.
     ///
     /// This is the rebuild-boundary constructor: `from_assignment` /
     /// `from_parts` gather each line's raw contributions and sort here,
@@ -121,21 +181,56 @@ impl CanonicalLine {
             }
             same
         });
-        debug_assert!(raw.iter().all(|&(_, w)| w > 0), "weights positive");
-        CanonicalLine { cells: raw }
+        Self::from_sorted(raw)
     }
 
     /// Wraps cells that are already canonical — strictly ascending keys,
-    /// positive weights — keeping the vector's allocation as it is.
+    /// positive weights — keeping the vector's allocation, shrunk in place
+    /// to `room(len)` when it holds more than `2·len + 8` cells.
     pub fn from_sorted(cells: Vec<Cell>) -> Self {
         debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0), "keys ascending");
         debug_assert!(cells.iter().all(|&(_, w)| w > 0), "weights positive");
+        let mut line = CanonicalLine { cells };
+        line.trim();
+        line
+    }
+
+    /// Shrinks the line in place to `room(len)` if it holds more than
+    /// `2·len + 8` cells of capacity.
+    fn trim(&mut self) {
+        let len = self.cells.len();
+        if !within_room(len, self.cells.capacity()) {
+            self.cells.shrink_to(room(len));
+        }
+        self.debug_assert_room();
+    }
+
+    /// Wraps `cells` as they are, in any order — a line no public
+    /// constructor can make, for tests of the checks that must reject it.
+    #[cfg(test)]
+    pub(crate) fn unchecked(cells: Vec<Cell>) -> Self {
         CanonicalLine { cells }
     }
 
     /// Drops the capacity inserts left beyond the line's length.
     pub fn shrink_to_fit(&mut self) {
         self.cells.shrink_to_fit();
+    }
+
+    /// Cells the line has room for without reallocating.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.cells.capacity()
+    }
+
+    #[inline]
+    fn debug_assert_room(&self) {
+        debug_assert!(
+            within_room(self.cells.len(), self.cells.capacity()),
+            "a line of {} cells holds capacity {}",
+            self.cells.len(),
+            self.cells.capacity()
+        );
     }
 
     /// Weight at `key` (zero when absent). O(log n).
@@ -158,12 +253,20 @@ impl CanonicalLine {
         let w = narrow(w);
         match self.cells.binary_search_by_key(&key, |e| e.0) {
             Ok(i) => add_to_cell(&mut self.cells[i].1, w),
-            Err(i) => self.cells.insert(i, (key, w)),
+            Err(i) => {
+                let len = self.cells.len();
+                if len == self.cells.capacity() {
+                    self.cells.reserve_exact(headroom(len));
+                }
+                self.cells.insert(i, (key, w));
+                self.debug_assert_room();
+            }
         }
     }
 
     /// Subtracts `w > 0` from the cell at `key`, removing it when it
-    /// reaches zero.
+    /// reaches zero — and shrinking the line back to `room(len)` when
+    /// the removal leaves it holding more than `2·len + 8` cells.
     ///
     /// # Panics
     /// Panics if the cell is absent or would go negative — both mean the
@@ -181,6 +284,7 @@ impl CanonicalLine {
             .unwrap_or_else(|| panic!("cell {key} went negative"));
         if *e == 0 {
             self.cells.remove(i);
+            self.trim();
         }
     }
 
@@ -336,5 +440,123 @@ mod tests {
     #[should_panic(expected = "past u32::MAX")]
     fn a_fold_past_u32_max_panics() {
         CanonicalLine::from_unsorted(vec![(1, u32::MAX), (1, 1)]);
+    }
+
+    #[test]
+    fn room_is_a_quarter_more_and_at_least_four() {
+        for (len, want) in [(0, 4), (1, 5), (16, 20), (19, 23), (20, 25), (100, 125)] {
+            assert_eq!(room(len), want, "len {len}");
+        }
+        assert!((0..10_000).all(|len| within_room(len, room(len))));
+        assert!(within_room(10, 28) && !within_room(10, 29));
+    }
+
+    /// A fold keeps its raw buffer in place while that holds at most
+    /// `2·len + 8` cells, and shrinks it to `room(len)` past that — however
+    /// much the raw cells outnumber the folded ones.
+    #[test]
+    fn a_fold_shrinks_to_room_only_past_the_bound() {
+        for (len, copies, shrinks) in [
+            (0usize, 3usize, false),
+            (1, 1, false),
+            (1, 40, true),
+            (7, 2, false),
+            (64, 2, false),
+            (64, 3, true),
+            (300, 4, true),
+        ] {
+            let mut raw = Vec::with_capacity(len * copies + 3);
+            for copy in 0..copies {
+                raw.extend((0..len as u32).rev().map(|k| (k * 3, 1 + copy as u32)));
+            }
+            let held = raw.capacity();
+            let line = CanonicalLine::from_unsorted(raw);
+            assert_eq!(line.len(), len, "len {len} x {copies}");
+            let want = if shrinks { room(len) } else { held };
+            assert_eq!(line.capacity(), want, "len {len} x {copies}");
+            assert!(within_room(len, line.capacity()));
+        }
+        let mut wide = Vec::with_capacity(100);
+        wide.extend([(1, 1), (4, 2)]);
+        assert_eq!(CanonicalLine::from_sorted(wide).capacity(), room(2));
+    }
+
+    /// Random add/sub sequences against a `BTreeMap`, cell for cell, with
+    /// the room invariant after every operation — over lines that grow to
+    /// hundreds of cells and drain back to none.
+    #[test]
+    fn random_churn_matches_a_btreemap_and_keeps_its_room() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = SmallRng::seed_from_u64(33);
+        for round in 0..40u32 {
+            let keys = 1 + rng.random_range(0..600u32);
+            // Early rounds lean to adds (lines grow), later ones to subs.
+            let add_share = if round % 2 == 0 { 0.7 } else { 0.35 };
+            let mut line = if round % 3 == 0 {
+                CanonicalLine::new()
+            } else {
+                let raw: Vec<Cell> = (0..rng.random_range(0..200usize))
+                    .map(|_| (rng.random_range(0..keys), rng.random_range(1..4u32)))
+                    .collect();
+                CanonicalLine::from_unsorted(raw)
+            };
+            let mut reference: BTreeMap<u32, Weight> = line.iter().collect();
+            for _ in 0..3_000 {
+                let key = rng.random_range(0..keys);
+                let held = reference.get(&key).copied().unwrap_or(0);
+                if held == 0 || rng.random_bool(add_share) {
+                    let w = rng.random_range(1..4i64);
+                    line.add(key, w);
+                    *reference.entry(key).or_insert(0) += w;
+                } else {
+                    let w = rng.random_range(1..=held);
+                    line.sub(key, w);
+                    if w == held {
+                        reference.remove(&key);
+                    } else {
+                        reference.insert(key, held - w);
+                    }
+                }
+                assert!(
+                    within_room(line.len(), line.capacity()),
+                    "round {round}: {} cells in capacity {}",
+                    line.len(),
+                    line.capacity()
+                );
+                assert_eq!(line.len(), reference.len());
+            }
+            let want: Vec<(u32, Weight)> = reference.iter().map(|(&k, &w)| (k, w)).collect();
+            assert_eq!(line.iter().collect::<Vec<_>>(), want, "round {round}");
+            // Drain the line to nothing: every removal keeps the room.
+            for (k, w) in want {
+                line.sub(k, w);
+                assert!(within_room(line.len(), line.capacity()));
+            }
+            assert!(line.is_empty());
+        }
+    }
+
+    /// An insert into a full line reserves a quarter more (at least four
+    /// cells), not double.
+    #[test]
+    fn a_full_line_grows_by_a_quarter() {
+        let mut line = CanonicalLine::new();
+        let mut capacities = vec![line.capacity()];
+        for k in 0..200u32 {
+            line.add(k, 1);
+            if line.capacity() != *capacities.last().expect("seeded") {
+                capacities.push(line.capacity());
+            }
+        }
+        assert_eq!(
+            capacities,
+            [0, 4, 8, 12, 16, 20, 25, 31, 38, 47, 58, 72, 90, 112, 140, 175, 218]
+        );
+        line.shrink_to_fit();
+        assert_eq!(line.capacity(), 200);
+        line.add(500, 1);
+        assert_eq!(line.capacity(), 250);
     }
 }

@@ -859,9 +859,9 @@ impl<'a, P: Plane> Search<'a, P> {
 
     /// Takes in the model of the entry the bracket has just been given and
     /// lets go of every model [`GoldenBracket::next`] can no longer hand
-    /// out. What stays gives its sparse lines' growth slack back: the
-    /// search holds up to two models besides the one it sweeps, and lines
-    /// that doubled on their last insert are a quarter of a high-`C` one.
+    /// out. What stays is cut to its exact length: the search holds up to
+    /// two models besides the one it sweeps, and a swept line may hold up
+    /// to twice its cells.
     fn settle_resident(&mut self, bm: Blockmodel) {
         self.resident.push(bm);
         let (hi, mid, _) = self.bracket.parts();

@@ -10,6 +10,7 @@ use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::{apply_merges, MergeCandidate};
 use sbp_core::propose::{pick_by_cells, pick_weighted};
 use sbp_core::{Blockmodel, StorageKind};
+use sbp_gen::{graph_challenge, Difficulty};
 use sbp_graph::Graph;
 
 /// `(ΔS, H)` from the O(deg) kernel, through the scratch the way a sweep
@@ -1074,5 +1075,29 @@ fn merged_equals_from_assignment() {
             let want = Blockmodel::from_assignment(&g, compact, width);
             assert_same_model(&bm.compacted(), &want, &format!("E={e} C={c} compacted"));
         }
+    }
+}
+
+/// MH sweeps at a sparse block count on a generated challenge graph leave
+/// every line of the swept model within its room (`capacity ≤ 2·len + 8`,
+/// which `validate` checks line by line), and the swept model still equals
+/// its rebuild from the graph.
+#[test]
+fn swept_sparse_lines_keep_their_room() {
+    let g = graph_challenge(1000, Difficulty::Hard, 42).graph;
+    let n = g.num_vertices();
+    let vertices: Vec<u32> = (0..n as u32).collect();
+    for (c, seed) in [(500usize, 1u64), (400, 2)] {
+        let assignment: Vec<u32> = (0..n).map(|v| (v % c) as u32).collect();
+        let mut bm = Blockmodel::from_assignment(&g, assignment, c);
+        assert_eq!(bm.storage_kind(), StorageKind::Sparse, "C = {c}");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for sweep in 0..4 {
+            mh_sweep(&g, &mut bm, &vertices, 3.0, &mut rng);
+            bm.validate(&g)
+                .unwrap_or_else(|e| panic!("C = {c}, sweep {sweep}: {e}"));
+        }
+        let rebuilt = Blockmodel::from_assignment(&g, bm.assignment().to_vec(), c);
+        assert!(bm.same_state(&rebuilt), "C = {c}");
     }
 }

@@ -127,20 +127,36 @@ impl CellFold {
 
     /// The summed cells, strictly ascending by `(row, col)` — what
     /// [`encode_cells`] requires — with cells that sum to zero dropped.
-    pub fn finish(mut self) -> Vec<(u32, u32, Weight)> {
-        self.raw.sort_unstable_by_key(|&(key, _)| key);
-        let mut cells: Vec<(u32, u32, Weight)> = Vec::with_capacity(self.raw.len());
-        for (key, w) in self.raw {
-            let (row, col) = ((key >> 32) as u32, key as u32);
-            match cells.last_mut() {
-                Some(last) if (last.0, last.1) == (row, col) => last.2 += w,
-                _ => cells.push((row, col, w)),
+    ///
+    /// Folds inside the charge buffer: sort, sum each run, drop zeros,
+    /// shrink to the cells left, then unpack the keys in place (a packed
+    /// charge and an unpacked cell are both 16 bytes, so the collect reuses
+    /// the allocation). No second buffer is allocated.
+    pub fn finish(self) -> Vec<(u32, u32, Weight)> {
+        let mut raw = self.raw;
+        raw.sort_unstable_by_key(|&(key, _)| key);
+        raw.dedup_by(|charge, run| {
+            let same = charge.0 == run.0;
+            if same {
+                run.1 += charge.1;
             }
-        }
-        cells.retain(|&(_, _, w)| w != 0);
-        cells
+            same
+        });
+        raw.retain(|&(_, w)| w != 0);
+        raw.shrink_to_fit();
+        raw.into_iter()
+            .map(|(key, w)| ((key >> 32) as u32, key as u32, w))
+            .collect()
     }
 }
+
+// `finish` unpacks the folded charges in place only while a charge and a
+// cell have the same size and alignment.
+const _: () = {
+    use std::mem::{align_of, size_of};
+    assert!(size_of::<(u64, Weight)>() == size_of::<(u32, u32, Weight)>());
+    assert!(align_of::<(u64, Weight)>() == align_of::<(u32, u32, Weight)>());
+};
 
 impl Extend<(u32, u32, Weight)> for CellFold {
     fn extend<I: IntoIterator<Item = (u32, u32, Weight)>>(&mut self, cells: I) {
@@ -329,6 +345,8 @@ mod tests {
         let got = fold.finish();
         assert_eq!(got, want);
         assert!(got.windows(2).all(|p| (p[0].0, p[0].1) < (p[1].0, p[1].1)));
+        // Folded and unpacked in its own buffer, shrunk to the cells left.
+        assert_eq!(got.capacity(), got.len());
         // What the fold emits is what the cell codec requires.
         assert_eq!(decode_cells(&encode_cells(&got)).expect("ok"), got);
     }
@@ -377,6 +395,29 @@ mod tests {
                     )
                 })
                 .collect();
+            assert_folds_like_a_btreemap(&charges);
+        }
+        // Random charges over keys that reach `u32::MAX` in either half of
+        // the packing, with a share of them (every one, each fourth round)
+        // charged back to zero in shuffled order.
+        for round in 0..60u32 {
+            let key = |rng: &mut SmallRng| match rng.random_range(0..3u32) {
+                0 => rng.random_range(0..4u32),
+                1 => m - rng.random_range(0..4u32),
+                _ => rng.random_range(0..=m),
+            };
+            let mut charges: Vec<(u32, u32, Weight)> = (0..rng.random_range(0..300usize))
+                .map(|_| (key(&mut rng), key(&mut rng), rng.random_range(-5..=5i64)))
+                .collect();
+            let cancelling: Vec<(u32, u32, Weight)> = charges
+                .iter()
+                .filter(|_| round % 4 == 0 || rng.random_bool(0.3))
+                .map(|&(r, c, w)| (r, c, -w))
+                .collect();
+            for charge in cancelling {
+                let at = rng.random_range(0..=charges.len());
+                charges.insert(at, charge);
+            }
             assert_folds_like_a_btreemap(&charges);
         }
     }

@@ -222,10 +222,14 @@ fn sharded_sync<C: Communicator>(
     xstats: &mut ExchangeStats,
 ) -> Result<usize, DistError> {
     let rank = comm.rank();
-    let (share, cuts) = own_share(dg, rank, prev, bm.assignment(), pending);
-    let moves_buf = encode_moves(pending);
-    xstats.record(pending.len(), moves_buf.len());
-    let payload = concat_sections([&moves_buf, &encode_cells(&share), &encode_cells(&cuts)]);
+    // The share, the cut arcs and the move buffer are dropped once they
+    // are framed, before the gather brings in every peer's.
+    let payload = {
+        let (share, cuts) = own_share(dg, rank, prev, bm.assignment(), pending);
+        let moves_buf = encode_moves(pending);
+        xstats.record(pending.len(), moves_buf.len());
+        concat_sections([&moves_buf, &encode_cells(&share), &encode_cells(&cuts)])
+    };
 
     // The sync point's one collective.
     let payloads = xstats.allgather(comm, payload);
@@ -233,8 +237,9 @@ fn sharded_sync<C: Communicator>(
     let mut moves: Vec<AcceptedMove> = Vec::new();
     let mut delta = CellFold::default();
     let mut all_cuts: Cells = Vec::new();
-    for (from, p) in payloads.iter().enumerate() {
-        let [moves_sec, cells_sec, cuts_sec] = split_sections::<3>(p)?;
+    // Each frame is dropped once it is decoded.
+    for (from, p) in payloads.into_iter().enumerate() {
+        let [moves_sec, cells_sec, cuts_sec] = split_sections::<3>(&p)?;
         moves.extend(decode_moves(moves_sec)?);
         if from != rank {
             delta.extend(decode_cells(cells_sec)?);
@@ -257,7 +262,7 @@ fn sharded_sync<C: Communicator>(
 
     // Cross terms: every rank rebuilds them identically from the shipped
     // cut arcs plus the now-known global move set.
-    for &(s, d, w) in &all_cuts {
+    for (s, d, w) in all_cuts {
         let (pd, nd) = (prev[d as usize], next(d));
         if pd == nd {
             continue; // dest did not net-move: cross term vanishes

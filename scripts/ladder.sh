@@ -20,13 +20,16 @@
 # Every rung generates with seed 42 and, for each of `--ranks` (default
 # 2), shards R-way with `--strategy balanced` and runs `partition
 # --sharded … --backend edist --ranks R --seed 43` under SBP_THREADS=1,
-# N times per binary (default 3). With two binaries the runs alternate
-# BIN, BIN2, BIN, … Every assignment must equal BIN's first one at that
-# rung and rank count (`cmp`) — and on the scaling family, whose `--mcmc
-# batch` trajectory does not depend on the rank count, BIN's first one at
-# the first rank count. The script prints DIFFERENT and exits 1 at the
-# first difference. One line per run: rung, V, E, ranks, binary, run, wall
-# seconds, peak RSS.
+# N times per binary (default 3). With two binaries BIN runs first on odd
+# runs and BIN2 first on even ones, so neither always takes the warmer
+# box. Every assignment must equal BIN's first one at that rung and rank
+# count (`cmp`) — and on the scaling family, whose `--mcmc batch`
+# trajectory does not depend on the rank count, BIN's first one at the
+# first rank count. The script prints DIFFERENT and exits 1 at the first
+# difference. One line per run: rung, V, E, ranks, binary, run, wall
+# seconds, peak RSS. After each rung and rank count, one `median` line per
+# binary: median wall and median peak over its runs and, on BIN2's line,
+# each median over BIN's (change / parent).
 #
 # Peak RSS is the child's own `VmHWM`, polled from /proc/PID/status while
 # it runs: `getrusage` of a child forked from a large parent reports the
@@ -88,6 +91,13 @@ measure() {
     awk -v s="$start" -v e="$end" -v k="$hwm" 'BEGIN { printf "%.3f %.1f\n", e - s, k / 1024 }'
 }
 
+# Median of column $1 of the "<wall s> <peak MiB>" lines in file $2,
+# printed with printf format $3.
+median() {
+    cut -d' ' -f"$1" "$2" | sort -g | awk -v f="$3" \
+        '{ v[NR] = $1 } END { printf f "\n", NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
 read -r first_ranks _ <<<"$ranks_list"
 printf '%-6s %-8s %-9s %-5s %-4s %-5s %9s %10s\n' rung V E ranks bin run wall_s peak_mib
 for rung_arg in $rungs; do
@@ -110,10 +120,15 @@ for rung_arg in $rungs; do
             reference="$rung/pred_${first_ranks}_0_1.txt"
         fi
         for run in $(seq 1 "$runs"); do
-            for i in "${!bins[@]}"; do
+            order=("${!bins[@]}")
+            if [[ ${#bins[@]} -eq 2 && $((run % 2)) -eq 0 ]]; then
+                order=(1 0)
+            fi
+            for i in "${order[@]}"; do
                 out="$rung/pred_${ranks}_${i}_${run}.txt"
                 reading=$(measure "${bins[$i]}" partition --sharded "$rung/shards_$ranks" \
                     --backend edist --ranks "$ranks" "${mcmc[@]}" --seed 43 --out "$out")
+                echo "$reading" >>"$rung/readings_${ranks}_$i"
                 printf '%-6s %-8s %-9s %-5s %-4s %-5s %9s %10s\n' \
                     "$rung_arg" "$vertices" "$edges" "$ranks" "$i" "$run" $reading
                 if ! cmp -s "$out" "$reference"; then
@@ -121,6 +136,19 @@ for rung_arg in $rungs; do
                     exit 1
                 fi
             done
+        done
+        for i in "${!bins[@]}"; do
+            wall=$(median 1 "$rung/readings_${ranks}_$i" %.3f)
+            peak=$(median 2 "$rung/readings_${ranks}_$i" %.2f)
+            ratio=""
+            if [[ $i -eq 0 ]]; then
+                wall0=$wall peak0=$peak
+            else
+                ratio=$(awk -v w="$wall" -v p="$peak" -v w0="$wall0" -v p0="$peak0" \
+                    'BEGIN { printf "change/parent wall %.3f peak %.3f", w / w0, p / p0 }')
+            fi
+            printf '%-6s %-8s %-9s %-5s %-4s %-5s %9s %10s  %s\n' \
+                "$rung_arg" "$vertices" "$edges" "$ranks" "$i" median "$wall" "$peak" "$ratio"
         done
     done
 done
