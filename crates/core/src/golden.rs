@@ -18,7 +18,10 @@
 //! ask ahead of time what [`GoldenBracket::next`] will say should the probe
 //! now running come out worse than `mid` —
 //! [`GoldenBracket::next_if_worse`], however much worse — and run that
-//! probe beside it (`crate::sbp`, "Overlapped probes").
+//! probe beside it (`crate::sbp`, "Overlapped probes"). Likewise the first
+//! step after [`GoldenBracket::seed`] follows from the seed's block count
+//! whatever its DL (`GoldenBracket::next_if_seeded`), so it can run
+//! while a warm start's refine pass is still computing that DL.
 
 /// A stored search point: partition + its block count and description
 /// length. The partition is the dense assignment vector — all a snapshot
@@ -231,6 +234,25 @@ impl GoldenBracket {
                 blocks_to_merge,
             } if start.dl.is_finite() => Some((start, blocks_to_merge)),
             _ => None,
+        }
+    }
+
+    /// The merges [`GoldenBracket::next`] applies after
+    /// [`GoldenBracket::seed`] of an entry with `num_blocks` blocks,
+    /// whatever its description length — `next` itself, on a copy seeded
+    /// with a `dl = 0` entry. `None` when that step is `Done`.
+    pub(crate) fn next_if_seeded(&self, num_blocks: usize) -> Option<usize> {
+        let mut after = self.clone();
+        after.seed(BracketEntry {
+            assignment: Vec::new(),
+            num_blocks,
+            dl: 0.0,
+        });
+        match after.next() {
+            NextStep::Continue {
+                blocks_to_merge, ..
+            } => Some(blocks_to_merge),
+            NextStep::Done(_) => None,
         }
     }
 }
@@ -459,6 +481,33 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// What the warm run-ahead relies on: the merges a freshly seeded
+    /// bracket asks for follow from the seed's block count alone, whatever
+    /// description length the refine pass gives it.
+    #[test]
+    fn seeded_step_is_next_after_seed_at_any_dl() {
+        for blocks in [1, 2, 3, 18, 3_000] {
+            let fresh = GoldenBracket::new(0.5);
+            let predicted = fresh.next_if_seeded(blocks);
+            for dl in [-1.0, 0.0, 1e-300, 123.456, 1e12, f64::MAX] {
+                let mut seeded = fresh.clone();
+                seeded.seed(entry(blocks, dl));
+                let asked = match seeded.next() {
+                    NextStep::Continue {
+                        start,
+                        blocks_to_merge,
+                    } => {
+                        assert_eq!(start.num_blocks, blocks);
+                        Some(blocks_to_merge)
+                    }
+                    NextStep::Done(_) => None,
+                };
+                assert_eq!(predicted, asked, "C = {blocks} at {dl}");
+            }
+            assert_eq!(predicted.is_some(), blocks > 1, "C = {blocks}");
         }
     }
 }

@@ -84,9 +84,20 @@
 //! one raised from another thread after that probe's sync points would.
 //! No probe runs ahead before the bracket is established (a cold seed has
 //! `hi = mid`, so iteration 0's worse branch is a `C ≈ V` probe that is
-//! always thrown away), on a plane with peers (`sbp-dist`'s collective
-//! schedule never moves), with hybrid or batch sweeps (no idle worker to
-//! fill), or at pool width 1.
+//! always thrown away) — except beside a warm start's refine pass. The
+//! bracket that pass seeds asks first for a merge count fixed by the warm
+//! block count alone (`GoldenBracket::next_if_seeded`), so iteration 0
+//! runs on the pool from the unpolished model while the refine sweeps it
+//! on the caller. The first loop turn's start-entry check commits it only
+//! when the refine left the assignment as it found it — the model is then
+//! the one the loop starts from, and every stream is keyed by `(seed,
+//! iteration, sweep, vertex)` — and drops it otherwise. Once a refine
+//! sweep has moved a vertex (or the run is cancelled) it is stopped at its
+//! next sync point, which drops it too, rather than finish a probe no
+//! turn can commit.
+//! None runs on a plane with peers (`sbp-dist`'s collective schedule
+//! never moves), with hybrid or batch sweeps (no idle worker to fill), or
+//! at pool width 1.
 //!
 //! Resume, an explicit starting partition (DC-SBP's fine-tune, Alg. 3
 //! line 23), warm start with dirty-set filtering and its refine pass are
@@ -100,7 +111,9 @@ use crate::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
 use crate::mcmc::{keyed_mh_sweep, AcceptedMove, ConvergenceCheck};
 use crate::merge::merge_labels;
 use crate::plane::{LocalPlane, Plane};
-use crate::run::{ProgressEvent, ProgressFn, ProgressSink, RunConfig, RunOutcome, WarmStart};
+use crate::run::{
+    CancelToken, ProgressEvent, ProgressFn, ProgressSink, RunConfig, RunOutcome, WarmStart,
+};
 use sbp_graph::{Graph, Vertex};
 use std::sync::OnceLock;
 use std::thread::ThreadId;
@@ -455,6 +468,7 @@ pub fn golden_search<P: Plane>(
         phase: Phase {
             plane,
             cfg,
+            cancel: &cfg.cancel,
             vertices: &vertices,
             sync_period: sync_period.max(1),
         },
@@ -535,12 +549,14 @@ struct Search<'a, P: Plane> {
     credit: f64,
 }
 
-/// What a probe runs against: the plane, the run's config, the vertices
-/// it sweeps and the sync period. The search's own probes run against its
-/// plane; one run ahead, against a [`LocalPlane`] of the same graph.
+/// What a probe runs against: the plane, the run's config, the token its
+/// sync points read, the vertices it sweeps and the sync period. The
+/// search's own probes run against its plane and the run's token; one run
+/// ahead, against a [`LocalPlane`] of the same graph.
 struct Phase<'a, P> {
     plane: &'a P,
     cfg: &'a RunConfig,
+    cancel: &'a CancelToken,
     vertices: &'a [Vertex],
     sync_period: usize,
 }
@@ -638,14 +654,34 @@ impl<'a, P: Plane> Search<'a, P> {
                 // refine phase uses the iteration index the loop itself
                 // never reaches, so its RNG streams collide with no loop
                 // phase. A cancel it observes fires at the first iteration
-                // top below.
-                let (stat, _) = self.phase.mcmc(
-                    &mut bm,
-                    scfg.threshold_pre,
-                    scfg.max_iterations,
-                    &mut self.prev,
-                    &mut self.progress,
-                )?;
+                // top below. The first loop step may run beside it from
+                // the unpolished model ([`Search::seed_ahead`]).
+                let ahead = self.seed_ahead(num_blocks);
+                let (phase, prev, progress) = (&self.phase, &mut self.prev, &mut self.progress);
+                let (threshold, refine_iter) = (scfg.threshold_pre, scfg.max_iterations);
+                let (stat, _) = match ahead {
+                    None => phase.mcmc(&mut bm, threshold, refine_iter, prev, progress),
+                    Some((graph, step)) => {
+                        let start = bm.clone();
+                        // Once the refine has moved a vertex (or the run
+                        // is cancelled) the probe beside it can no longer
+                        // be committed: it stops at its next sync point.
+                        let stale = CancelToken::new();
+                        let mut sink = ProgressFn(|e: &ProgressEvent| {
+                            progress.on_event(e);
+                            if matches!(e, ProgressEvent::Sweep { accepted, .. } if *accepted > 0)
+                                || cfg.cancel.is_cancelled()
+                            {
+                                stale.cancel();
+                            }
+                        });
+                        let refine =
+                            || phase.mcmc(&mut bm, threshold, refine_iter, prev, &mut sink);
+                        let (refined, ahead) = phase.beside(graph, &stale, &start, step, refine);
+                        self.ahead = Some(ahead);
+                        refined
+                    }
+                }?;
                 let dl = stat.dl;
                 self.iterations.push(stat);
                 dl
@@ -763,55 +799,66 @@ impl<'a, P: Plane> Search<'a, P> {
         match ahead {
             None => sweep(),
             Some((graph, from, next)) => {
-                let local = LocalPlane::new(graph);
-                let beside = Phase {
-                    plane: &local,
-                    cfg: phase.cfg,
-                    vertices: phase.vertices,
-                    sync_period: phase.sync_period,
-                };
                 let start = &self.resident[from];
-                let caller = std::thread::current().id();
-                // One worker's worth: the probe ahead is there to fill the
-                // idle core, not to contend with this phase for both.
-                let (probe, ahead) = rayon::join(sweep, || {
-                    rayon::with_threads(1, || beside.ahead(start, next, caller))
-                });
-                let Ok(ahead) = ahead;
+                let (probe, ahead) = phase.beside(graph, phase.cancel, start, next, sweep);
                 self.ahead = Some(ahead);
                 probe
             }
         }
     }
 
-    /// The probe to run ahead while the one at `iteration` sweeps the
-    /// `num_blocks` blocks its merge left: the step
-    /// [`GoldenBracket::next_if_worse`] names, if the bracket is
-    /// established, that step starts from a resident model (its index is
-    /// returned) and falls inside the iteration budget, the pool has a
-    /// second worker, the MCMC phase is Metropolis–Hastings (the one that
-    /// leaves that worker idle: hybrid and batch sweeps fan out over the
-    /// pool themselves) and every call of the plane is local (the graph it
-    /// answers with is returned).
-    fn step_ahead(&self, num_blocks: usize, iteration: usize) -> Option<(&'a Graph, usize, Step)> {
+    /// The graph a probe at `iteration` can run ahead on: the plane's, if
+    /// every call of it is local, the iteration falls inside the budget,
+    /// the pool has a second worker and the MCMC phase is
+    /// Metropolis–Hastings (the one that leaves that worker idle: hybrid
+    /// and batch sweeps fan out over the pool themselves).
+    fn ahead_graph(&self, iteration: usize) -> Option<&'a Graph> {
         let scfg = &self.phase.cfg.sbp;
-        if !self.bracket.established()
-            || iteration + 1 >= scfg.max_iterations
+        if iteration >= scfg.max_iterations
             || rayon::current_num_threads() < 2
             || !matches!(scfg.strategy, McmcStrategy::MetropolisHastings)
         {
             return None;
         }
         let plane: &'a P = self.phase.plane;
-        let graph = plane.local_graph()?;
+        plane.local_graph()
+    }
+
+    /// The probe to run ahead while the one at `iteration` sweeps the
+    /// `num_blocks` blocks its merge left: the step
+    /// [`GoldenBracket::next_if_worse`] names, if the bracket is
+    /// established, that step starts from a resident model (its index is
+    /// returned) and [`Search::ahead_graph`] has a graph for it.
+    fn step_ahead(&self, num_blocks: usize, iteration: usize) -> Option<(&'a Graph, usize, Step)> {
+        if !self.bracket.established() {
+            return None;
+        }
+        let graph = self.ahead_graph(iteration + 1)?;
         let (from, blocks_to_merge) = self.bracket.next_if_worse(num_blocks)?;
         let at = self.resident.iter().position(|bm| is_model_of(bm, &from))?;
         let step = Step {
             blocks_to_merge,
             iteration: iteration + 1,
-            threshold: scfg.threshold_post,
+            threshold: self.phase.cfg.sbp.threshold_post,
         };
         Some((graph, at, step))
+    }
+
+    /// The probe to run ahead while the refine pass polishes a warm seed
+    /// of `num_blocks` blocks: iteration 0, whose merge count the bracket
+    /// seeded with it fixes whatever DL the refine comes to
+    /// ([`GoldenBracket::next_if_seeded`]), if [`Search::ahead_graph`] has
+    /// a graph for it. It starts from the unpolished model, so it is the
+    /// step the loop takes exactly when the refine moves no vertex.
+    fn seed_ahead(&self, num_blocks: usize) -> Option<(&'a Graph, Step)> {
+        let graph = self.ahead_graph(0)?;
+        let blocks_to_merge = self.bracket.next_if_seeded(num_blocks)?;
+        let step = Step {
+            blocks_to_merge,
+            iteration: 0,
+            threshold: self.phase.cfg.sbp.threshold_pre,
+        };
+        Some((graph, step))
     }
 
     /// Takes the probe run ahead, if there is one, and commits it when it
@@ -959,6 +1006,34 @@ impl<P: Plane> Phase<'_, P> {
         })
     }
 
+    /// Runs `here` on this thread and, beside it on a pool worker, the
+    /// probe `step` from `start` over a [`LocalPlane`] of `graph`, its sync
+    /// points reading `cancel` — at width 1: the probe ahead is there to
+    /// fill the idle core, not to contend with `here` for both.
+    fn beside<T>(
+        &self,
+        graph: &Graph,
+        cancel: &CancelToken,
+        start: &Blockmodel,
+        step: Step,
+        here: impl FnOnce() -> T,
+    ) -> (T, Ahead) {
+        let local = LocalPlane::new(graph);
+        let beside = Phase {
+            plane: &local,
+            cfg: self.cfg,
+            cancel,
+            vertices: self.vertices,
+            sync_period: self.sync_period,
+        };
+        let caller = std::thread::current().id();
+        let (here, ahead) = rayon::join(here, || {
+            rayon::with_threads(1, || beside.ahead(start, step, caller))
+        });
+        let Ok(ahead) = ahead;
+        (here, ahead)
+    }
+
     /// Runs the probe `step` from `start` on this thread the way the loop
     /// runs one on the caller — the same merge phase, the same MCMC-phase
     /// function — keeping its events for the commit and the CPU this
@@ -1036,7 +1111,7 @@ impl<P: Plane> Phase<'_, P> {
             pending.clear();
             stat.moves += accepted;
             let (dl, cancel_now) =
-                plane.agree(|| (bm.description_length(), cfg.cancel.is_cancelled()))?;
+                plane.agree(|| (bm.description_length(), self.cancel.is_cancelled()))?;
             stat.dl = dl;
             sink.on_event(&ProgressEvent::Sweep {
                 iteration: iter_idx,
@@ -1714,6 +1789,103 @@ mod tests {
         };
         let (_, _, overlaps) = one_worker_equals_two(&g, warm, |_, _| {});
         assert!(!overlaps.committed.is_empty(), "{overlaps:?}");
+    }
+
+    /// A warm start on `clique_chain(10, 5)`: the cold partition at its
+    /// own block count, `moved` of its vertices put in the next block.
+    fn warm_from_cold(moved: &[Vertex]) -> (Graph, impl Fn() -> RunConfig) {
+        let g = clique_chain(10, 5);
+        let cold = solve_sbp(&g, None, &RunConfig::seeded(1), &mut NoProgress);
+        let c = cold.num_blocks as u32;
+        let mut start = cold.assignment;
+        for &v in moved {
+            start[v as usize] = (start[v as usize] + 1) % c;
+        }
+        let cfg = move || {
+            RunConfig::seeded(1).warm_start(crate::run::WarmStart::new(start.clone(), c as usize))
+        };
+        (g, cfg)
+    }
+
+    /// The daemon's steady round: the refine pass moves nothing, so the
+    /// first loop step, run beside it from the unpolished model, is
+    /// committed.
+    #[test]
+    fn a_warm_search_whose_refine_moves_nothing_commits_iteration_0_run_ahead() {
+        let (g, cfg) = warm_from_cold(&[]);
+        let (out, _, overlaps) = one_worker_equals_two(&g, cfg, |_, _| {});
+        assert_eq!(out.iterations[0].moves, 0, "the refine moved a vertex");
+        assert_eq!(overlaps.committed.first(), Some(&0), "{overlaps:?}");
+    }
+
+    /// A refine pass that moves vertices leaves a seed the probe run
+    /// beside it did not start from: that probe is dropped, iteration 0
+    /// runs on the caller from the polished seed.
+    #[test]
+    fn a_warm_search_whose_refine_moves_vertices_drops_the_probe_run_ahead() {
+        let (g, cfg) = warm_from_cold(&[0, 17, 33]);
+        let (out, _, overlaps) = one_worker_equals_two(&g, cfg, |_, _| {});
+        assert!(out.iterations[0].moves > 0, "the refine moved nothing");
+        assert_eq!(overlaps.dropped.first(), Some(&0), "{overlaps:?}");
+        assert!(!overlaps.committed.contains(&0), "{overlaps:?}");
+    }
+
+    /// A cancel the sink raises during the refine pass: `Cancelled` comes
+    /// once, at iteration 0's top, and the probe run beside the refine is
+    /// dropped without a single event of its own.
+    #[test]
+    fn a_cancel_during_the_refine_drops_the_probe_run_beside_it_unseen() {
+        let (g, cfg) = warm_from_cold(&[]);
+        let (out, events, overlaps) = one_worker_equals_two(&g, cfg, |cfg, e| {
+            if matches!(e, ProgressEvent::Sweep { iteration, sweep: 0, .. } if *iteration == cfg.sbp.max_iterations)
+            {
+                cfg.cancel.cancel();
+            }
+        });
+        assert_eq!(overlaps.dropped, [0], "{overlaps:?}");
+        assert!(overlaps.committed.is_empty(), "{overlaps:?}");
+        let cancelled: Vec<&String> = events
+            .iter()
+            .filter(|e| e.starts_with("Cancelled"))
+            .collect();
+        assert_eq!(cancelled, ["Cancelled { iteration: 0 }"]);
+        assert!(
+            !events.iter().any(|e| e.contains("iteration: 0,")),
+            "the dropped probe reported: {events:?}"
+        );
+        assert!(out.cancelled);
+        assert_eq!(out.iterations.len(), 1, "the refine's entry alone");
+    }
+
+    /// No run-ahead beside a refine whose bracket asks for no step: a
+    /// one-block warm start, or no loop iteration at all; at a budget of
+    /// one, iteration 0 alone runs ahead.
+    #[test]
+    fn a_warm_search_runs_no_probe_ahead_past_its_steps() {
+        let (g, _) = warm_from_cold(&[]);
+        let n = g.num_vertices();
+        let one_block =
+            || RunConfig::seeded(1).warm_start(crate::run::WarmStart::new(vec![0; n], 1));
+        let (_, _, overlaps) = one_worker_equals_two(&g, one_block, |_, _| {});
+        assert_eq!(overlaps, Overlaps::default());
+        for (budget, ran_ahead) in [(0, vec![]), (1, vec![0])] {
+            let (_, warm) = warm_from_cold(&[]);
+            let cfg = || {
+                let mut cfg = warm();
+                cfg.sbp.max_iterations = budget;
+                cfg
+            };
+            let (out, _, overlaps) = one_worker_equals_two(&g, cfg, |_, _| {});
+            assert_eq!(out.iterations.len(), budget + 1, "budget {budget}");
+            assert_eq!(
+                overlaps,
+                Overlaps {
+                    committed: ran_ahead,
+                    dropped: vec![]
+                },
+                "budget {budget}"
+            );
+        }
     }
 
     /// A cold search in which a probe run ahead is dropped (the probe

@@ -431,6 +431,10 @@ pub mod error_code {
     pub const CHECKPOINT: u8 = 5;
     /// A membership query referenced an out-of-range vertex.
     pub const BAD_VERTEX: u8 = 6;
+    /// An ingest would take the pending-delta queue past
+    /// [`super::MAX_DELTAS`]; it was refused whole, and a repartition
+    /// drains the queue.
+    pub const BUSY: u8 = 7;
 }
 
 /// Strings longer than their limit are truncated at a char boundary

@@ -14,7 +14,7 @@
 
 use crate::protocol::{
     encode_frame, error_code, read_frame, FrameError, RepartitionMode, Request, Response,
-    StatsReply, TrajectoryPoint, MAX_TRAJECTORY,
+    StatsReply, TrajectoryPoint, MAX_DELTAS, MAX_TRAJECTORY,
 };
 use sbp_core::checkpoint::CheckpointState;
 use sbp_core::golden::BracketEntry;
@@ -373,6 +373,23 @@ impl Server {
                             false,
                         );
                     }
+                }
+                // The queue holds what one request may carry, no more: a
+                // client that only ingests cannot grow the daemon without
+                // bound.
+                if self.pending.len() + deltas.len() > MAX_DELTAS {
+                    return (
+                        Response::Error {
+                            code: error_code::BUSY,
+                            message: format!(
+                                "{} pending deltas plus {} would pass the limit {MAX_DELTAS}; \
+                                 repartition first",
+                                self.pending.len(),
+                                deltas.len()
+                            ),
+                        },
+                        false,
+                    );
                 }
                 self.pending.extend(deltas);
                 self.ingests += 1;
@@ -766,6 +783,59 @@ mod tests {
         // Still serving.
         let (resp, _) = s.handle(Request::Stats);
         assert!(matches!(resp, Response::Stats(_)));
+    }
+
+    #[test]
+    fn an_ingest_past_the_queue_limit_is_busy_and_changes_nothing() {
+        let mut s = test_server(2);
+        let half = vec![
+            EdgeDelta {
+                src: 0,
+                dst: 1,
+                delta: 1,
+            };
+            MAX_DELTAS / 2 + 1
+        ];
+        let (resp, _) = s.handle(Request::Ingest(half.clone()));
+        assert_eq!(
+            resp,
+            Response::IngestAck {
+                pending_deltas: half.len() as u64
+            }
+        );
+        let stats = |s: &mut Server| match s.handle(Request::Stats).0 {
+            Response::Stats(stats) => (stats.pending_deltas, stats.ingests, stats.repartitions),
+            other => panic!("expected Stats, got {other:?}"),
+        };
+        let before = (s.graph().clone(), stats(&mut s));
+        let (resp, shutdown) = s.handle(Request::Ingest(half.clone()));
+        assert!(!shutdown);
+        assert!(
+            matches!(
+                resp,
+                Response::Error {
+                    code: error_code::BUSY,
+                    ..
+                }
+            ),
+            "{resp:?}"
+        );
+        assert_eq!(s.pending_deltas(), half.len());
+        assert_eq!((s.graph().clone(), stats(&mut s)), before);
+        // A repartition drains the queue; the daemon keeps serving.
+        let (resp, _) = s.handle(Request::Repartition {
+            mode: RepartitionMode::Warm,
+            backend: String::new(),
+        });
+        assert!(matches!(resp, Response::RepartitionDone { .. }), "{resp:?}");
+        assert_eq!(s.pending_deltas(), 0);
+        let (resp, _) = s.handle(Request::Ingest(half.clone()));
+        assert_eq!(
+            resp,
+            Response::IngestAck {
+                pending_deltas: half.len() as u64
+            }
+        );
     }
 
     #[test]

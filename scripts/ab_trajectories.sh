@@ -32,13 +32,19 @@
 # ahead on the pool, must write exactly what its default-width run wrote —
 # overlap off == on (sbp_core::sbp, "Overlapped probes").
 # Daemon cells (the serve_warm workload's path): `serve --seed S` on each
-# graph, then three rounds of one fixed `--ingest` batch (a self-loop in
-# it; the first round inserts its arcs, the later ones re-weight them) and
-# `--repartition warm` — dirty-set-filtered sweeps, where most proposals
-# are skipped — then `--checkpoint`, `--stats true --json true`,
-# `--shutdown`. Compared: the replies of the three rounds, the .sbpc bytes
-# (a snapshot carries nothing run-dependent) and the stats without
-# `uptime_seconds` (DL and trajectory tail to the last digit).
+# graph, then four rounds of `--ingest` + `--repartition warm` —
+# dirty-set-filtered sweeps, where most proposals are skipped — then
+# `--checkpoint`, `--stats true --json true`, `--shutdown`. Rounds 1, 2
+# and 4 ingest one fixed batch (a self-loop in it; round 1 inserts its
+# arcs, the later ones re-weight them), round 3 twenty heavy new arcs
+# (weight 30). A warm round runs its first probe beside its refine pass
+# and keeps it only if the refine moved no vertex: on the challenge graph
+# rounds 1, 2 and 4 take that commit path and round 3, whose refine moves
+# vertices, the drop path; on the scaling graph every round's refine
+# moves vertices, so every round drops it. Compared: the replies of the
+# four rounds, the .sbpc bytes (a snapshot carries nothing run-dependent)
+# and the stats without `uptime_seconds` (DL and trajectory tail to the
+# last digit).
 # Exit status: 0 when every cell is identical, 1 otherwise.
 set -euo pipefail
 
@@ -147,12 +153,15 @@ for g in challenge scaling; do
 done
 
 batch="0,1,2;5,9,1;17,3,1;100,200,1;300,1500,2;2999,0,3;1200,7,1;42,42,1"
+heavy="2166,1462,30;2399,113,30;939,122,30;1593,1493,30;264,1737,30;1254,1397,30;\
+387,2392,30;2095,634,30;395,1123,30;1421,2500,30;6,634,30;2145,353,30;250,1512,30;\
+1045,2260,30;2887,244,30;1584,683,30;2411,2607,30;1269,1195,30;1563,1285,30;871,843,30"
 # daemon_rounds <bin> <side> <address>: the client's half of a session;
 # leaves <side>.rounds, <side>.sbpc and <side>.stats.
 daemon_rounds() {
     local bin=$1 side=$2 to=$3
-    for _ in 1 2 3; do
-        "$bin" connect --to "$to" --ingest "$batch" || return 1
+    for round in "$batch" "$batch" "$heavy" "$batch"; do
+        "$bin" connect --to "$to" --ingest "$round" || return 1
         "$bin" connect --to "$to" --repartition warm || return 1
     done >"$side.rounds"
     "$bin" connect --to "$to" --checkpoint "$work/$side.sbpc" >/dev/null || return 1
@@ -181,7 +190,9 @@ for g in challenge scaling; do
         total=$((total + 1))
         for side in parent change; do
             if ! daemon_session "${!side}" $side $g $seed; then
-                echo "FAILED    $g serve-warm seed $seed ($side build, see $work/$side.log)"
+                # Kept under its own name: the next cell overwrites $side.log.
+                cp "$side.log" "failed.$g.$seed.$side.log"
+                echo "FAILED    $g serve-warm seed $seed ($side build, see $work/failed.$g.$seed.$side.log)"
                 continue 2
             fi
         done
@@ -194,7 +205,8 @@ for g in challenge scaling; do
         fi
         total=$((total + 1))
         if ! SBP_THREADS=1 daemon_session "$change" width1 $g $seed; then
-            echo "FAILED    $g serve-warm-width1 seed $seed (see $work/width1.log)"
+            cp width1.log "failed.$g.$seed.width1.log"
+            echo "FAILED    $g serve-warm-width1 seed $seed (see $work/failed.$g.$seed.width1.log)"
         elif cmp -s change.sbpc width1.sbpc && cmp -s change.stats width1.stats &&
             cmp -s change.rounds width1.rounds; then
             same=$((same + 1))

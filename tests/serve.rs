@@ -239,16 +239,40 @@ fn server_replies_match_in_process_run_exactly() {
     }
 }
 
+/// `count` fresh arcs between random vertex pairs, each of weight `weight`:
+/// a batch heavy enough to pull vertices across blocks.
+fn heavy_arcs(graph: &Graph, count: usize, weight: i64, seed: u64) -> Vec<EdgeDelta> {
+    let n = graph.num_vertices() as u64;
+    let mut rng = seed;
+    (0..count)
+        .map(|_| EdgeDelta {
+            src: (splitmix(&mut rng) % n) as u32,
+            dst: (splitmix(&mut rng) % n) as u32,
+            delta: weight,
+        })
+        .collect()
+}
+
 /// The daemon's replies do not depend on its pool width. At two workers
 /// the golden search may run a probe ahead beside the one it sweeps (the
-/// startup solve on this graph does, and commits it); one warm round —
-/// ingest, warm repartition, membership of every vertex, stats — must
-/// still reply exactly as at one worker, down to the DL bits.
+/// startup solve on this graph does, and commits it), and a warm round
+/// runs its first probe beside the refine pass. Rounds of both kinds —
+/// ±1 re-weights, where the refine moves nothing and that probe is
+/// committed, and heavy new arcs, where it moves vertices and the probe
+/// is dropped — each followed by membership of every vertex and stats,
+/// must reply exactly as at one worker, down to the DL bits.
 #[test]
 fn a_warm_round_replies_identically_at_one_and_two_workers() {
     let graph = clique_ring(24);
-    let deltas = weight_deltas(&graph, 8, 5);
     let n = graph.num_vertices() as u32;
+    // (batch, whether its refine pass moves a vertex)
+    let rounds = [
+        (weight_deltas(&graph, 8, 5), false),
+        (heavy_arcs(&graph, 20, 30, 11), true),
+        (weight_deltas(&graph, 8, 6), false),
+        (heavy_arcs(&graph, 20, 30, 12), true),
+        (weight_deltas(&graph, 8, 7), false),
+    ];
     let session = |threads: usize| -> Vec<String> {
         rayon::with_threads(threads, || {
             let options = ServerOptions {
@@ -257,29 +281,36 @@ fn a_warm_round_replies_identically_at_one_and_two_workers() {
             };
             let mut server =
                 Server::new(graph.clone(), options, default_registry()).expect("startup solve");
-            [
-                Request::Ingest(deltas.clone()),
-                Request::Repartition {
-                    mode: RepartitionMode::Warm,
-                    backend: String::new(),
-                },
-                Request::Membership((0..n).collect()),
-                Request::Stats,
-            ]
-            .into_iter()
-            .map(|req| match server.handle(req).0 {
-                // The only reply field that is a clock reading.
-                Response::Stats(stats) => format!(
-                    "{:?}",
-                    edist::serve::protocol::StatsReply {
-                        uptime_seconds: 0.0,
-                        ..stats
-                    }
-                ),
-                // `Debug` prints every float to its last bit.
-                reply => format!("{reply:?}"),
-            })
-            .collect()
+            let mut replies = Vec::new();
+            for (i, (deltas, refine_moves)) in rounds.iter().enumerate() {
+                // The refine pass's entry opens the round's trajectory.
+                let refine_at = server.checkpoint_state().iterations.len();
+                for req in [
+                    Request::Ingest(deltas.clone()),
+                    Request::Repartition {
+                        mode: RepartitionMode::Warm,
+                        backend: String::new(),
+                    },
+                    Request::Membership((0..n).collect()),
+                    Request::Stats,
+                ] {
+                    replies.push(match server.handle(req).0 {
+                        // The only reply field that is a clock reading.
+                        Response::Stats(stats) => format!(
+                            "{:?}",
+                            edist::serve::protocol::StatsReply {
+                                uptime_seconds: 0.0,
+                                ..stats
+                            }
+                        ),
+                        // `Debug` prints every float to its last bit.
+                        reply => format!("{reply:?}"),
+                    });
+                }
+                let refine = &server.checkpoint_state().iterations[refine_at];
+                assert_eq!(refine.moves > 0, *refine_moves, "round {i}: {refine:?}");
+            }
+            replies
         })
     };
     let serial = session(1);
