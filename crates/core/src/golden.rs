@@ -28,7 +28,9 @@
 /// needs, since a `Blockmodel` can be rebuilt from it in O(E). The search
 /// keeps the models of the entries [`GoldenBracket::next`] can hand out
 /// *beside* the bracket (`crate::sbp`, "resident models") and rebuilds
-/// only when it holds none.
+/// only when it holds none: a cold search lets `mid`'s go while it is
+/// still halving, since only the worse record that establishes the
+/// bracket hands `mid` out again, and rebuilds it at that record.
 #[derive(Clone, Debug)]
 pub struct BracketEntry {
     /// Dense block assignment (labels `0..num_blocks`).

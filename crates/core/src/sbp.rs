@@ -32,16 +32,30 @@
 //! them: a merge phase folds the start model's own lines through the
 //! agreed block relabelling ([`Blockmodel::merged`], Alg. 4's "apply the
 //! merges to the blockmodel"), and the models of the bracket entries
-//! [`GoldenBracket::next`] can hand out — `mid`'s always, `hi`'s once the
+//! [`GoldenBracket::next`] can hand out — `mid`'s, and `hi`'s once the
 //! bracket is established — stay resident beside the bracket, so an
 //! iteration top takes its start model from there after one O(V) check
-//! that it is the entry's. `Plane::build` is left with the seed, the
-//! first iteration of a resumed search (a snapshot carries assignments,
-//! not models) and the one entry the search lets go while it can still be
-//! asked for: the `hi` of a bracket that has just been established. That
-//! a carried model *is* the rebuild is the crate invariant
-//! (`Blockmodel::validate`); debug builds and the tests re-prove it on
-//! every iteration, from a whole graph, never through a collective.
+//! that it is the entry's.
+//!
+//! What a rank holds at once bounds how far a graph can be spread, so a
+//! cold search holds one model less while it is still halving: a probe
+//! lets its start model (`mid`'s) go once its merge phase has folded it,
+//! since the bracket hands that model out again only if the probe comes
+//! out worse — which is what establishes the bracket, once per search.
+//! That record rebuilds it, unless the search ends there; from then on
+//! the search holds exactly what it held before it let go, so every probe
+//! run ahead starts where it would have. A warm search keeps its seed's:
+//! its first probe is usually the one that establishes the bracket, and
+//! the probe run beside its refine pass starts from it.
+//!
+//! `Plane::build` is thus left with the seed, the first iteration of a
+//! resumed search (a snapshot carries assignments, not models), the
+//! `mid` of a cold bracket that has just been established, and the one
+//! entry the search lets go while it can still be asked for: that
+//! bracket's `hi`. That a carried or rebuilt model *is* the rebuild is
+//! the crate invariant (`Blockmodel::validate`, equal in every integer
+//! and every `ln` bit); debug builds and the tests re-prove it on every
+//! iteration, from a whole graph, never through a collective.
 //!
 //! ## Overlapped probes
 //!
@@ -479,6 +493,7 @@ pub fn golden_search<P: Plane>(
         prev: Vec::new(),
         bracket: GoldenBracket::new(cfg.sbp.block_reduction_rate),
         resident: Vec::new(),
+        warm: warm.is_some(),
         iterations: Vec::new(),
         cancelled: false,
         ahead: None,
@@ -532,12 +547,19 @@ struct Search<'a, P: Plane> {
     prev: Vec<u32>,
     bracket: GoldenBracket,
     /// The models of the bracket entries [`GoldenBracket::next`] can hand
-    /// out as an iteration's start — `mid`'s always, `hi`'s once the
-    /// bracket is established — so an iteration top finds its start model
-    /// here instead of rebuilding it from the graph. A cache beside the
-    /// bracket, never part of it: entries keep their assignment vectors,
-    /// a snapshot carries none of this, and a resumed search starts empty.
+    /// out as an iteration's start — `mid`'s and, once the bracket is
+    /// established, `hi`'s — so an iteration top finds its start model
+    /// here instead of rebuilding it from the graph — except while a cold
+    /// search is still halving, which holds `mid`'s only between probes
+    /// (module docs, "Resident models"). A cache beside the bracket, never
+    /// part of it: entries keep their assignment vectors, a snapshot
+    /// carries none of this, and a resumed search starts empty.
     resident: Vec<Blockmodel>,
+    /// Whether the search started from a warm start. It then keeps its
+    /// start models through every probe: its first probe usually is the
+    /// one that establishes the bracket, and the probe run beside its
+    /// refine pass starts from the seed's.
+    warm: bool,
     iterations: Vec<IterationStat>,
     cancelled: bool,
     /// The probe run ahead beside the last one, until the next loop turn
@@ -693,7 +715,7 @@ impl<'a, P: Plane> Search<'a, P> {
                 num_blocks,
                 dl,
             });
-            self.settle_resident(bm);
+            self.settle_resident(bm, false)?;
             0
         };
 
@@ -738,13 +760,15 @@ impl<'a, P: Plane> Search<'a, P> {
                 iteration: iter_idx,
                 stat: stat.clone(),
             });
+            let was_established = self.bracket.established();
             self.bracket.record(BracketEntry {
                 assignment: bm.assignment().to_vec(),
                 num_blocks: stat.num_blocks,
                 dl: stat.dl,
             });
-            self.settle_resident(bm);
             self.iterations.push(stat);
+            let goes_on = !phase_cancelled && iter_idx + 1 < scfg.max_iterations;
+            self.settle_resident(bm, goes_on && !was_established)?;
             if root {
                 self.maybe_checkpoint(iter_idx + 1);
             }
@@ -789,10 +813,20 @@ impl<'a, P: Plane> Search<'a, P> {
     /// bracket already knows the step it takes should this probe come out
     /// worse ([`Search::step_ahead`]), that one on the pool beside its
     /// MCMC phase, kept for the next loop turn.
+    /// A cold search still halving lets the start model go once the merge
+    /// phase has folded it ([`Search::lets_start_go`]).
     fn probe(&mut self, start: BracketEntry, step: Step) -> Result<Probe, P::Error> {
         let at = self.start_model(start)?;
         let phase = &self.phase;
         let (bm, tally) = phase.merge(&self.resident[at], step, &mut self.progress)?;
+        if self.lets_start_go() {
+            self.resident.swap_remove(at);
+        }
+        #[cfg(test)]
+        tests::RESIDENT.with_borrow_mut(|r| {
+            let held = self.resident.iter().map(Blockmodel::num_blocks).collect();
+            r.push((step.iteration, self.bracket.established(), held));
+        });
         let ahead = self.step_ahead(bm.num_blocks(), step.iteration);
         let (prev, progress) = (&mut self.prev, &mut self.progress);
         let sweep = || phase.sweep(bm, step, tally, prev, progress);
@@ -805,6 +839,19 @@ impl<'a, P: Plane> Search<'a, P> {
                 probe
             }
         }
+    }
+
+    /// Whether a probe lets its start model go once it is folded: in a
+    /// cold search, until the bracket is established. That model is
+    /// `mid`'s, which the bracket hands out again only if the probe comes
+    /// out worse — the record that establishes the bracket, where
+    /// [`Search::settle_resident`] rebuilds it.
+    fn lets_start_go(&self) -> bool {
+        #[cfg(test)]
+        if tests::HOLD_START.get() {
+            return false;
+        }
+        !self.warm && !self.bracket.established()
     }
 
     /// The graph a probe at `iteration` can run ahead on: the plane's, if
@@ -906,16 +953,32 @@ impl<'a, P: Plane> Search<'a, P> {
 
     /// Takes in the model of the entry the bracket has just been given and
     /// lets go of every model [`GoldenBracket::next`] can no longer hand
-    /// out. What stays is cut to its exact length: the search holds up to
-    /// two models besides the one it sweeps, and a swept line may hold up
-    /// to twice its cells.
-    fn settle_resident(&mut self, bm: Blockmodel) {
+    /// out. When that record has just established the bracket
+    /// (`establishing`, and the loop goes on past it) and the search let
+    /// `mid`'s model go during the probe ([`Search::probe`]), it rebuilds
+    /// that model through [`Search::build`] — unless the bracket is already
+    /// done — so from here on the search holds what it would had it kept
+    /// the model. What stays is cut to its exact length: the search holds
+    /// up to two models besides the one it sweeps, and a swept line may
+    /// hold up to twice its cells.
+    fn settle_resident(&mut self, bm: Blockmodel, establishing: bool) -> Result<(), P::Error> {
         self.resident.push(bm);
         let (hi, mid, _) = self.bracket.parts();
         let hi = hi.filter(|_| self.bracket.established());
         self.resident
             .retain(|bm| [mid, hi].into_iter().flatten().any(|e| is_model_of(bm, e)));
+        let rebuild = mid.filter(|mid| {
+            establishing
+                && self.bracket.established()
+                && !self.resident.iter().any(|bm| is_model_of(bm, mid))
+                && matches!(self.bracket.next(), NextStep::Continue { .. })
+        });
+        if let Some(mid) = rebuild {
+            let built = self.build(mid.assignment.clone(), mid.num_blocks)?;
+            self.resident.push(built);
+        }
         self.resident.iter_mut().for_each(Blockmodel::shrink_to_fit);
+        Ok(())
     }
 
     fn cancel(&mut self, iteration: usize) {
@@ -1497,20 +1560,40 @@ mod tests {
         (plane.calls.into_inner(), out)
     }
 
-    /// A solve builds its blockmodel from the graph once. Cold: the seed,
-    /// then at most one more — the `hi` of the freshly established bracket,
-    /// whose model was let go while the search was still agglomerating —
-    /// and never the same entry twice. Warm: the same, and the seed alone
-    /// when the search stays at the warm block count. Resumed: nothing is
-    /// resident, so the first iteration builds its start, and the same
-    /// one-miss allowance holds after it. Every other iteration
-    /// starts from a resident model, which `WatchedPlane` holds to a
-    /// rebuild — as it does every folded one.
+    /// The first probe of `iterations` that came out worse than `mid` —
+    /// the one that established the bracket of a search seeded with
+    /// `seed`'s `(block count, DL)` — and the block count of that `mid`.
+    fn establishing_probe(
+        seed: (usize, f64),
+        iterations: &[IterationStat],
+    ) -> Option<(usize, usize)> {
+        let mut mid = seed;
+        for (k, it) in iterations.iter().enumerate() {
+            if it.dl > mid.1 {
+                return Some((k, mid.0));
+            }
+            mid = (it.num_blocks, it.dl);
+        }
+        None
+    }
+
+    /// A solve builds its blockmodel from the graph a named few times.
+    /// Cold: the seed (C = V); the establishing probe's `mid`, right after
+    /// that probe — the search let it go while it was halving — unless the
+    /// search ends there; and at most one `hi` the search let go before the
+    /// bracket was established. Resumed: nothing is resident, so the first
+    /// iteration builds its start; then the same two. Warm: the seed
+    /// alone when the search stays at the warm block count, plus at most
+    /// the dropped `hi` from a split start — a warm search keeps its `mid`.
+    /// Every other iteration starts from a resident model, which
+    /// `WatchedPlane` holds to a rebuild — as it does every folded one.
     #[test]
     fn a_solve_builds_from_the_graph_once() {
         use crate::run::{CheckpointSpec, WarmStart};
         let g = clique_chain(6, 6);
         let n = g.num_vertices();
+        let seed_dl =
+            Blockmodel::from_assignment(&g, (0..n as u32).collect(), n).description_length();
         let builds = |calls: &[Call]| -> Vec<usize> {
             calls
                 .iter()
@@ -1518,6 +1601,11 @@ mod tests {
                     Call::Build(blocks) => Some(*blocks),
                     Call::Iteration => None,
                 })
+                .collect()
+        };
+        let tops = |calls: &[Call]| -> Vec<usize> {
+            (0..calls.len())
+                .filter(|&i| calls[i] == Call::Iteration)
                 .collect()
         };
         let mut missed_hi = false;
@@ -1530,17 +1618,28 @@ mod tests {
                 every: 1,
             });
             let (calls, cold) = watched(&g, &cfg);
-            let iterations = calls.iter().filter(|c| **c == Call::Iteration).count();
-            assert_eq!(iterations, cold.iterations.len());
-            assert!(iterations >= 4, "seed {seed}: fixture too small");
-            let built = builds(&calls);
+            let iterations = tops(&calls);
+            assert_eq!(iterations.len(), cold.iterations.len());
+            assert!(iterations.len() >= 4, "seed {seed}: fixture too small");
             assert_eq!(
                 calls[0],
                 Call::Build(n),
                 "seed {seed}: the seed is built first"
             );
-            assert!(built.len() <= 2, "seed {seed}: built {built:?}");
-            if let Some(&hi) = built.get(1) {
+            let (k, mid) = establishing_probe((n, seed_dl), &cold.iterations)
+                .expect("the bracket is established");
+            let mid_rebuilt = k + 1 < cold.iterations.len();
+            if mid_rebuilt {
+                assert_eq!(
+                    calls[iterations[k] + 1],
+                    Call::Build(mid),
+                    "seed {seed}: the establishing probe's mid"
+                );
+            }
+            let built = builds(&calls);
+            let hi = &built[1 + usize::from(mid_rebuilt)..];
+            assert!(hi.len() <= 1, "seed {seed}: built {built:?}");
+            if let Some(&hi) = hi.first() {
                 missed_hi = true;
                 assert!(cold.num_blocks < hi && hi < n, "seed {seed}: {hi} is no hi");
             }
@@ -1570,9 +1669,18 @@ mod tests {
                 matches!(calls[..2], [Call::Build(_), Call::Iteration]),
                 "seed {seed}: a resumed search holds no model: {calls:?}"
             );
+            let mid_rebuilt = k >= 3 && mid_rebuilt;
+            if mid_rebuilt {
+                assert_eq!(
+                    calls[tops(&calls)[k - 3] + 1],
+                    Call::Build(mid),
+                    "seed {seed}: resumed, the establishing probe's mid"
+                );
+            }
             let built = builds(&calls);
+            let hi = &built[1 + usize::from(mid_rebuilt)..];
             assert!(
-                built.len() <= 2 && built.first() != built.get(1),
+                hi.len() <= 1 && hi.first() != built.first(),
                 "seed {seed}: resumed built {built:?}"
             );
             assert_eq!(resumed.assignment, cold.assignment, "seed {seed}");
@@ -1584,7 +1692,7 @@ mod tests {
             // Warm, from where the cold search ended (the daemon's steady
             // state): the polish pass and every iteration run on the one
             // model built for the seed. From that result split in two, the
-            // seed can become the dropped `hi` — the cold allowance, no more.
+            // seed can become the dropped `hi` — no more.
             let warm_cfg = RunConfig::seeded(seed)
                 .warm_start(WarmStart::new(cold.assignment.clone(), cold.num_blocks));
             let (calls, warm) = watched(&g, &warm_cfg);
@@ -1706,8 +1814,18 @@ mod tests {
         pub(super) dropped: Vec<usize>,
     }
 
+    /// `(iteration, bracket established, block counts of the models held)`.
+    pub(super) type Held = (usize, bool, Vec<usize>);
+
     thread_local! {
         pub(super) static OVERLAPS: std::cell::RefCell<Overlaps> = Default::default();
+        /// The models the searches on this thread held resident during each
+        /// MCMC phase `Search::probe` ran.
+        pub(super) static RESIDENT: std::cell::RefCell<Vec<Held>> = Default::default();
+        /// Makes the searches on this thread keep every start model, as
+        /// they did before a cold search let `mid`'s go while halving — the
+        /// reference the residency test holds the change to.
+        pub(super) static HOLD_START: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
     /// A search on the local plane over `graph` at pool width `threads`:
@@ -1886,6 +2004,59 @@ mod tests {
                 "budget {budget}"
             );
         }
+    }
+
+    /// A search on the local plane over `graph` at pool width `threads`,
+    /// keeping every start model (`hold`) or not: what `at_width` gives,
+    /// and the models it held during each MCMC phase it ran on the caller.
+    fn residency(
+        graph: &Graph,
+        cfg: &RunConfig,
+        threads: usize,
+        hold: bool,
+    ) -> (Vec<Held>, RunOutcome, Vec<String>, Overlaps) {
+        HOLD_START.set(hold);
+        RESIDENT.take();
+        let (out, events, overlaps) = at_width(graph, cfg, threads, |_| {});
+        HOLD_START.set(false);
+        (RESIDENT.take(), out, events, overlaps)
+    }
+
+    /// A cold search holds no model during a probe before its bracket is
+    /// established — where it held that probe's start, `mid`'s — and
+    /// afterwards exactly what it held when it kept every start model; the
+    /// outcome, every event, and which probes run ahead are committed or
+    /// dropped are the same. A warm search still holds its seed.
+    #[test]
+    fn a_cold_search_holds_no_start_model_until_its_bracket_is_established() {
+        let g = clique_chain(10, 5);
+        for seed in 1..=3u64 {
+            let cfg = RunConfig::seeded(seed);
+            let (held, out, events, overlaps) = residency(&g, &cfg, 2, false);
+            let (kept, kept_out, kept_events, kept_overlaps) = residency(&g, &cfg, 2, true);
+            assert_eq!(out.assignment, kept_out.assignment, "seed {seed}");
+            assert_eq!(events, kept_events, "seed {seed}");
+            assert_eq!(overlaps, kept_overlaps, "seed {seed}");
+            assert_eq!(held.len(), kept.len(), "seed {seed}");
+            for ((iteration, established, now), (_, _, before)) in held.iter().zip(&kept) {
+                if *established {
+                    assert_eq!(now, before, "seed {seed} iteration {iteration}");
+                } else {
+                    assert!(now.is_empty(), "seed {seed} iteration {iteration}: {now:?}");
+                    assert_eq!(before.len(), 1, "seed {seed} iteration {iteration}");
+                }
+            }
+            let phases = |established: bool| held.iter().filter(|h| h.1 == established).count();
+            assert!(
+                phases(false) >= 2 && phases(true) >= 2,
+                "seed {seed}: {held:?}"
+            );
+        }
+        // Warm, at width 1 so that iteration 0 runs on the caller.
+        let (g, warm) = warm_from_cold(&[]);
+        let c = warm().warm.expect("warm").num_blocks;
+        let (held, ..) = residency(&g, &warm(), 1, false);
+        assert_eq!(held.first(), Some(&(0, false, vec![c])), "{held:?}");
     }
 
     /// A cold search in which a probe run ahead is dropped (the probe

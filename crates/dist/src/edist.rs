@@ -45,8 +45,8 @@
 //! is `EdistData`, with `ReplicatedData` here and
 //! [`crate::sharded`]'s plane over shards.
 
-use crate::error::{guard_collectives, DistError};
-use crate::exchange::{decode_moves, encode_moves, ExchangeStats};
+use crate::error::{guard_collectives, DecodeError, DistError};
+use crate::exchange::{check_moves, decode_moves, encode_moves, ExchangeStats};
 use crate::ownership::{owned_blocks, OwnershipStrategy};
 use sbp_core::mcmc::AcceptedMove;
 use sbp_core::merge::{propose_merges, MergeCandidate};
@@ -170,11 +170,17 @@ impl EdistData for ReplicatedData<'_> {
     ) -> Result<usize, DistError> {
         let payload = encode_moves(pending);
         xstats.record(pending.len(), payload.len());
+        // Every list is decoded and range-checked before one is applied.
+        let (vertices, blocks) = (self.graph.num_vertices(), bm.num_blocks());
         let gathered = xstats
             .allgather(comm, payload)
             .into_iter()
-            .map(|bytes| decode_moves(&bytes))
-            .collect::<Result<Vec<Vec<AcceptedMove>>, _>>()?;
+            .map(|bytes| {
+                let moves = decode_moves(&bytes)?;
+                check_moves(&moves, vertices, blocks)?;
+                Ok(moves)
+            })
+            .collect::<Result<Vec<Vec<AcceptedMove>>, DecodeError>>()?;
         let mut moves = 0usize;
         for (from_rank, peer_moves) in gathered.into_iter().enumerate() {
             moves += peer_moves.len();

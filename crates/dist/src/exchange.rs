@@ -32,6 +32,9 @@ use sbp_core::mcmc::AcceptedMove;
 use sbp_graph::varint::{read_i64, read_u64, write_i64, write_u64};
 use sbp_graph::Weight;
 use sbp_mpi::Communicator;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Section framing, re-exported from [`sbp_graph::frame`] (shared with
@@ -106,9 +109,35 @@ pub fn decode_moves(buf: &[u8]) -> Result<Vec<AcceptedMove>, DecodeError> {
     Ok(moves)
 }
 
-/// Sums `(row, col, ±weight)` charges per cell — the one aggregation
-/// behind every cell list this crate ships or applies. Charges are pushed
-/// as `(row << 32 | col, w)` and folded once by sort
+/// Rejects a decoded move list unless every vertex is one of
+/// `num_vertices` and every target one of `num_blocks` blocks — what a
+/// replica can apply. The codec accepts any `u32`, so a well-formed frame
+/// can carry either out of range.
+pub(crate) fn check_moves(
+    moves: &[AcceptedMove],
+    num_vertices: usize,
+    num_blocks: usize,
+) -> Result<(), DecodeError> {
+    for m in moves {
+        if m.v as usize >= num_vertices {
+            return Err(DecodeError::ValueOutOfRange {
+                what: "move vertex",
+            });
+        }
+        if m.to as usize >= num_blocks {
+            return Err(DecodeError::ValueOutOfRange {
+                what: "move target",
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Sums `(row, col, ±weight)` charges per cell — the aggregation behind
+/// every cell list this crate ships, and behind the cross terms a sync
+/// point derives itself (cell lists that arrive already folded are summed
+/// by [`merge_cells`] instead). Charges are pushed as
+/// `(row << 32 | col, w)` and folded once by sort
 /// (`sbp_core::line::CanonicalLine::from_unsorted` does the same per
 /// matrix line), so a charge costs a `Vec` push instead of a tree descent.
 /// Integer sums are order-independent: the result depends on the multiset
@@ -119,6 +148,19 @@ pub struct CellFold {
 }
 
 impl CellFold {
+    /// A fold with room for `charges` charges, for a caller that can bound
+    /// them up front: pushing no more than that never reallocates.
+    pub fn with_capacity(charges: usize) -> Self {
+        CellFold {
+            raw: Vec::with_capacity(charges),
+        }
+    }
+
+    /// Charges pushed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.raw.len()
+    }
+
     /// Charges `w` to cell `(row, col)`.
     #[inline]
     pub fn add(&mut self, row: u32, col: u32, w: Weight) {
@@ -164,6 +206,47 @@ impl Extend<(u32, u32, Weight)> for CellFold {
             self.add(row, col, w);
         }
     }
+}
+
+/// Sums cell lists that are each ascending by `(row, col)` — what
+/// [`CellFold::finish`] emits and [`decode_cells`] accepts — into one
+/// strictly ascending list, summing the cells the lists share and dropping
+/// those that sum to zero: [`CellFold`]'s result on their concatenation,
+/// with no buffer or sort of its own. A heap of list cursors keeps the
+/// cost per cell logarithmic in the number of lists.
+pub fn merge_cells(
+    lists: Vec<Vec<(u32, u32, Weight)>>,
+) -> impl Iterator<Item = (u32, u32, Weight)> {
+    let mut lists: Vec<_> = lists.into_iter().map(Vec::into_iter).collect();
+    let mut heads = BinaryHeap::with_capacity(lists.len());
+    for (at, list) in lists.iter_mut().enumerate() {
+        if let Some((r, c, w)) = list.next() {
+            heads.push(Reverse((r, c, at, w)));
+        }
+    }
+    std::iter::from_fn(move || loop {
+        let &Reverse((r, c, ..)) = heads.peek()?;
+        let mut sum: Weight = 0;
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((hr, hc, at, w)) = *head;
+            if (hr, hc) != (r, c) {
+                break;
+            }
+            sum += w;
+            match lists[at].next() {
+                Some((nr, nc, nw)) => {
+                    debug_assert!((nr, nc) >= (hr, hc), "cell list {at} not ascending");
+                    head.0 = (nr, nc, at, nw);
+                }
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        if sum != 0 {
+            return Some((r, c, sum));
+        }
+    })
 }
 
 /// Encodes `(row, col, delta)` cells. Cells must be sorted by
@@ -419,6 +502,86 @@ mod tests {
                 charges.insert(at, charge);
             }
             assert_folds_like_a_btreemap(&charges);
+        }
+    }
+
+    /// The k-way merge against a tree fold of the lists' concatenation.
+    fn assert_merges_like_a_btreemap(lists: &[Vec<(u32, u32, Weight)>]) {
+        let mut tree: BTreeMap<(u32, u32), Weight> = BTreeMap::new();
+        for &(r, c, w) in lists.iter().flatten() {
+            *tree.entry((r, c)).or_insert(0) += w;
+        }
+        let want: Vec<(u32, u32, Weight)> = tree
+            .into_iter()
+            .filter(|&(_, w)| w != 0)
+            .map(|((r, c), w)| (r, c, w))
+            .collect();
+        assert_eq!(
+            merge_cells(lists.to_vec()).collect::<Vec<_>>(),
+            want,
+            "{lists:?}"
+        );
+    }
+
+    /// A list as a peer's share section arrives: folded, so strictly
+    /// ascending and zero-free.
+    fn folded(charges: impl IntoIterator<Item = (u32, u32, Weight)>) -> Vec<(u32, u32, Weight)> {
+        let mut fold = CellFold::default();
+        fold.extend(charges);
+        fold.finish()
+    }
+
+    #[test]
+    fn merge_cells_matches_a_btreemap_fold_of_the_concatenation() {
+        let m = u32::MAX;
+        assert_merges_like_a_btreemap(&[]);
+        assert_merges_like_a_btreemap(&[vec![], vec![]]);
+        assert_merges_like_a_btreemap(&[vec![(0, 1, 2), (3, 0, -1)]]);
+        // Runs that cancel to zero across lists, at the front, in the
+        // middle and at the end, beside empty lists.
+        assert_merges_like_a_btreemap(&[
+            vec![(0, 0, 1), (2, 2, 5), (m, m, -3)],
+            vec![],
+            vec![(0, 0, -1), (2, 2, -2), (2, 3, 1)],
+            vec![(2, 2, -3), (m, m, 3)],
+        ]);
+        // Keys at the edge of the packing in every list.
+        assert_merges_like_a_btreemap(&[
+            vec![(0, m, 2), (m - 1, m, 5), (m, 0, 3), (m, m, 1)],
+            vec![(0, m, -2), (1, 0, 6), (m, m, 4)],
+        ]);
+        let mut rng = SmallRng::seed_from_u64(35);
+        for round in 0..200u32 {
+            let lists = 1 + round as usize % 4;
+            let key = |rng: &mut SmallRng| match rng.random_range(0..3u32) {
+                0 => rng.random_range(0..4u32),
+                1 => m - rng.random_range(0..4u32),
+                _ => rng.random_range(0..=m),
+            };
+            let span = 1 + round % 9;
+            let mut lists: Vec<_> = (0..lists)
+                .map(|_| {
+                    let n = rng.random_range(0..60usize);
+                    folded((0..n).map(|_| {
+                        let (r, c) = if round % 2 == 0 {
+                            (rng.random_range(0..span), rng.random_range(0..span))
+                        } else {
+                            (key(&mut rng), key(&mut rng))
+                        };
+                        (r, c, rng.random_range(-3..=3i64))
+                    }))
+                })
+                .collect();
+            // Every fourth round, the last list cancels the others.
+            if round % 4 == 3 {
+                let all: Vec<_> = lists
+                    .iter()
+                    .flatten()
+                    .map(|&(r, c, w)| (r, c, -w))
+                    .collect();
+                lists.push(folded(all));
+            }
+            assert_merges_like_a_btreemap(&lists);
         }
     }
 

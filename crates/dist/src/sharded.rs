@@ -19,8 +19,10 @@
 //!   sums them — [`Blockmodel::from_parts`] then yields the *identical
 //!   integer matrix* on every rank, because integer addition is
 //!   order-independent. A search pays this for its seed, for the first
-//!   iteration after a resume, and at most once more for a bracket entry
-//!   whose model it let go (`Plane::build`). It does **not** pay it per
+//!   iteration after a resume, for the `mid` of a cold bracket it has just
+//!   established (a cold search lets that model go while it is still
+//!   halving), and at most once more for a `hi` whose model it let go
+//!   (`Plane::build`). It does **not** pay it per
 //!   merge: as in the paper's Alg. 4, every rank applies the agreed merges
 //!   to the replica it already holds — `Blockmodel::merged` folds the
 //!   replica's own lines through the block relabelling, the same integers
@@ -40,7 +42,14 @@
 //!   by replaying peer moves. Block-degree updates need only the
 //!   ghost-degree table. Because a share depends on nothing a peer does,
 //!   the moves, the share, and the cut arcs the cross terms are rebuilt
-//!   from all travel in *one* allgather buffer per sync.
+//!   from all travel in *one* allgather buffer per sync. A share arrives
+//!   as an ascending cell list, so the receiver sums the peers' lists and
+//!   its cross terms by a k-way merge as it applies them — no second
+//!   buffer, no sort — and only after every section has been checked
+//!   against its replica's vertex count, block count and owner map: a
+//!   hostile or corrupted peer gets a typed error, never a panic or a
+//!   silent divergence. [`sync_payload`] and [`apply_sync`] are the two
+//!   halves around the gather.
 //!
 //! Consequently a sharded EDiSt run is **bit-identical** — assignments,
 //! DL, trajectories — to a monolithic EDiSt run with the same seed, rank
@@ -61,10 +70,10 @@
 
 use crate::distgraph::DistGraph;
 use crate::edist::EdistData;
-use crate::error::DistError;
+use crate::error::{DecodeError, DistError};
 use crate::exchange::{
-    concat_sections, decode_cells, decode_moves, encode_cells, encode_moves, split_sections,
-    CellFold, ExchangeStats,
+    check_moves, concat_sections, decode_cells, decode_moves, encode_cells, encode_moves,
+    merge_cells, split_sections, CellFold, ExchangeStats,
 };
 use sbp_core::mcmc::AcceptedMove;
 use sbp_core::Blockmodel;
@@ -151,10 +160,16 @@ fn own_share(
     own_moved.dedup();
     own_moved.retain(|&v| is_own_moved(v));
 
-    let mut share = CellFold::default();
-    let mut cuts = CellFold::default();
+    // Sized from the moved vertices' arcs: an out-arc charges the share
+    // twice and may ship as a cut arc, an in-arc charges it at most twice.
+    let local = dg.local();
+    let out: usize = own_moved.iter().map(|&v| local.out_edges(v).len()).sum();
+    let arcs_in: usize = own_moved.iter().map(|&v| local.in_edges(v).len()).sum();
+    let share_room = 2 * (out + arcs_in);
+    let mut share = CellFold::with_capacity(share_room);
+    let mut cuts = CellFold::with_capacity(out);
     for &v in &own_moved {
-        for (d, w) in dg.local().out_edges(v) {
+        for (d, w) in local.out_edges(v) {
             arc_delta(&mut share, v, d, w, prev, cur);
             if dg.owner_of(d) != rank {
                 // Cut arc: the cross term needs it after the gather.
@@ -162,7 +177,7 @@ fn own_share(
                 cuts.add(v, d, w);
             }
         }
-        for (s, w) in dg.local().in_edges(v) {
+        for (s, w) in local.in_edges(v) {
             // A self-loop, or an arc from another net-moved owned vertex,
             // was charged by its source's out-arc pass.
             if s != v && !is_own_moved(s) {
@@ -170,6 +185,10 @@ fn own_share(
             }
         }
     }
+    debug_assert!(
+        share.len() <= share_room && cuts.len() <= out,
+        "own_share pushed past its sized capacity"
+    );
     (share.finish(), cuts.finish())
 }
 
@@ -211,8 +230,14 @@ fn own_share(
 /// moves one by one. Relabels of peer-moved vertices and block-degree
 /// fixes come from the move lists and the ghost-degree table.
 ///
+/// A peer's share arrives as a strictly ascending cell list (the delta
+/// coding can carry nothing else), so [`apply_sync`] sums the peers'
+/// shares and the folded cross terms by a k-way merge ([`merge_cells`])
+/// as it applies them, once every section has passed [`check_section`].
+///
 /// `prev` is the globally-agreed assignment at the previous sync and is
-/// advanced to the new agreement. Returns the total move count.
+/// advanced to the new agreement. Returns the total move count. The two
+/// halves around the gather are [`sync_payload`] and [`apply_sync`].
 fn sharded_sync<C: Communicator>(
     comm: &C,
     dg: &DistGraph,
@@ -222,29 +247,64 @@ fn sharded_sync<C: Communicator>(
     xstats: &mut ExchangeStats,
 ) -> Result<usize, DistError> {
     let rank = comm.rank();
-    // The share, the cut arcs and the move buffer are dropped once they
-    // are framed, before the gather brings in every peer's.
-    let payload = {
-        let (share, cuts) = own_share(dg, rank, prev, bm.assignment(), pending);
-        let moves_buf = encode_moves(pending);
-        xstats.record(pending.len(), moves_buf.len());
-        concat_sections([&moves_buf, &encode_cells(&share), &encode_cells(&cuts)])
-    };
-
+    let payload = sync_payload(dg, rank, prev, bm.assignment(), pending, xstats);
     // The sync point's one collective.
     let payloads = xstats.allgather(comm, payload);
+    apply_sync(dg, rank, bm, prev, payloads)
+}
 
+/// What `rank` ships at a sharded sync point: its chronological
+/// `pending` moves, its share of the matrix delta and the cut out-arcs of
+/// its net-moved vertices, framed as one buffer. `cur` is the replica's
+/// assignment, `prev` the one agreed at the last sync. The share, the cut
+/// arcs and the move buffer are dropped once they are framed, before the
+/// gather brings in every peer's.
+pub fn sync_payload(
+    dg: &DistGraph,
+    rank: usize,
+    prev: &[u32],
+    cur: &[u32],
+    pending: &[AcceptedMove],
+    xstats: &mut ExchangeStats,
+) -> Vec<u8> {
+    let (share, cuts) = own_share(dg, rank, prev, cur, pending);
+    let moves_buf = encode_moves(pending);
+    xstats.record(pending.len(), moves_buf.len());
+    concat_sections([&moves_buf, &encode_cells(&share), &encode_cells(&cuts)])
+}
+
+/// Applies a sync point's gathered payloads — one per rank, in rank order,
+/// each a [`sync_payload`] — to `rank`'s replica `bm`, and advances `prev`
+/// to the new agreement. Every section is decoded and
+/// checked against the replica before anything is applied, so on an error
+/// `bm` and `prev` are as they were. Returns the total move count.
+pub fn apply_sync(
+    dg: &DistGraph,
+    rank: usize,
+    bm: &mut Blockmodel,
+    prev: &mut [u32],
+    payloads: Vec<Vec<u8>>,
+) -> Result<usize, DistError> {
+    let blocks = bm.num_blocks();
     let mut moves: Vec<AcceptedMove> = Vec::new();
-    let mut delta = CellFold::default();
+    let mut shares: Vec<Cells> = Vec::with_capacity(payloads.len() + 1);
     let mut all_cuts: Cells = Vec::new();
     // Each frame is dropped once it is decoded.
     for (from, p) in payloads.into_iter().enumerate() {
         let [moves_sec, cells_sec, cuts_sec] = split_sections::<3>(&p)?;
-        moves.extend(decode_moves(moves_sec)?);
-        if from != rank {
-            delta.extend(decode_cells(cells_sec)?);
-        }
-        all_cuts.extend(decode_cells(cuts_sec)?);
+        let section = Section {
+            moves: decode_moves(moves_sec)?,
+            share: if from == rank {
+                Vec::new()
+            } else {
+                decode_cells(cells_sec)?
+            },
+            cuts: decode_cells(cuts_sec)?,
+        };
+        check_section(dg, from, blocks, &section)?;
+        moves.extend(section.moves);
+        shares.push(section.share);
+        all_cuts.extend(section.cuts);
     }
 
     // The net-moved vertices with their post-sync labels, ascending. A
@@ -262,6 +322,7 @@ fn sharded_sync<C: Communicator>(
 
     // Cross terms: every rank rebuilds them identically from the shipped
     // cut arcs plus the now-known global move set.
+    let mut cross = CellFold::default();
     for (s, d, w) in all_cuts {
         let (pd, nd) = (prev[d as usize], next(d));
         if pd == nd {
@@ -269,11 +330,12 @@ fn sharded_sync<C: Communicator>(
         }
         let (ps, ns) = (prev[s as usize], next(s));
         debug_assert_ne!(ps, ns, "cut arcs ship for net-moved sources only");
-        delta.add(ns, nd, w);
-        delta.add(ns, pd, -w);
-        delta.add(ps, nd, -w);
-        delta.add(ps, pd, w);
+        cross.add(ns, nd, w);
+        cross.add(ns, pd, -w);
+        cross.add(ps, nd, -w);
+        cross.add(ps, pd, w);
     }
+    shares.push(cross.finish());
 
     // Peer relabels + degree fixes (own moves already applied in-sweep).
     // The degree deltas fold as a two-column matrix: col 0 out, col 1 in.
@@ -292,7 +354,7 @@ fn sharded_sync<C: Communicator>(
     }
     bm.apply_dist_sync(
         &relabels,
-        delta.finish(),
+        merge_cells(shares),
         degrees
             .finish()
             .into_iter()
@@ -302,6 +364,50 @@ fn sharded_sync<C: Communicator>(
         prev[v as usize] = to;
     }
     Ok(moves.len())
+}
+
+/// One rank's decoded sync payload.
+struct Section {
+    moves: Vec<AcceptedMove>,
+    /// Empty for the receiving rank's own section, which is never applied.
+    share: Cells,
+    cuts: Cells,
+}
+
+/// Rejects rank `from`'s decoded section unless a replica of `blocks`
+/// blocks can apply it: every vertex below `V` and every block below
+/// `blocks`, and every move's vertex and cut arc's source owned by `from`
+/// — a vertex moves only on its owner, and a replica that owned a vertex
+/// a peer claims to move would advance `prev` without relabelling it.
+fn check_section(
+    dg: &DistGraph,
+    from: usize,
+    blocks: usize,
+    section: &Section,
+) -> Result<(), DecodeError> {
+    let vertices = dg.num_vertices();
+    let out_of_range = |what| Err(DecodeError::ValueOutOfRange { what });
+    check_moves(&section.moves, vertices, blocks)?;
+    if section.moves.iter().any(|m| dg.owner_of(m.v) != from) {
+        return out_of_range("move vertex owner");
+    }
+    for &(r, c, _) in &section.share {
+        if r as usize >= blocks {
+            return out_of_range("cell row");
+        }
+        if c as usize >= blocks {
+            return out_of_range("cell col");
+        }
+    }
+    for &(s, d, _) in &section.cuts {
+        if s as usize >= vertices || d as usize >= vertices {
+            return out_of_range("cut arc endpoint");
+        }
+        if dg.owner_of(s) != from {
+            return out_of_range("cut arc source owner");
+        }
+    }
+    Ok(())
 }
 
 // ------------------------------------------------------------ data plane
@@ -359,7 +465,7 @@ impl EdistData for ShardedData<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{dist_blockmodel, own_share, sharded_sync, ShardedData};
+    use super::{dist_blockmodel, own_share, sharded_sync, Cells, ShardedData};
     use crate::distgraph::{load_dist_graph, DistGraph, ShardIngestReport};
     use crate::edist::DistPlane;
     use crate::error::DistError;
@@ -454,12 +560,13 @@ mod tests {
     /// the share it ships is the difference of its local arcs' matrix
     /// under `cur` and under `prev` — what its in-sweep `move_vertex`
     /// calls already applied. Then the whole sync, cross terms included,
-    /// must land every replica on `M(A_next)`.
+    /// must land every replica on `M(A_next)` — at 3 ranks and at 4, where
+    /// the sync merges three peer shares and the cross terms.
     #[test]
     fn own_share_is_the_own_move_difference() {
         const BLOCKS: u32 = 4;
         let mut rng = SmallRng::seed_from_u64(18);
-        for round in 0..20 {
+        for (round, ranks) in (0..40).map(|round| (round, 3 + round % 2)) {
             // Vertices 0 and 1 (ranks 0 and 1) both net-move: the arcs
             // between them are cut arcs with a cross term. Self-loops and
             // a repeated pair are planted, not left to chance.
@@ -477,7 +584,7 @@ mod tests {
             let prev: Vec<u32> = (0..12).map(|_| rng.random_range(0..BLOCKS)).collect();
             let seed = rng.random::<u64>();
 
-            let replicas = on_each_rank(&format!("share{round}"), &g, 3, |comm, dg| {
+            let replicas = on_each_rank(&format!("share{round}"), &g, ranks, |comm, dg| {
                 let rank = comm.rank();
                 let mut rng = SmallRng::seed_from_u64(seed ^ rank as u64);
                 let mut cur = prev.clone();
@@ -517,6 +624,104 @@ mod tests {
             assert_ne!(replicas[0].1[0], prev[0], "vertex 0 net-moved");
             assert_ne!(replicas[0].1[1], prev[1], "vertex 1 net-moved");
         }
+    }
+
+    /// Rank 1 ships `crafted` — moves, share and cut arcs in well-formed
+    /// sections, so every decoder accepts them — while rank 0 syncs a
+    /// replica of `two_cliques(6)` at four blocks (dense storage; vertex
+    /// `v` on rank `v % 2`, in block `v % 4`). Rank 0 must come back with a
+    /// typed `ValueOutOfRange` naming `what`, its replica and `prev` as they
+    /// were.
+    fn assert_rejected(tag: &str, crafted: (Vec<AcceptedMove>, Cells, Cells), what: &str) {
+        use crate::exchange::{concat_sections, encode_cells, encode_moves};
+        use sbp_graph::frame::DecodeError;
+        let g = two_cliques(6);
+        let labels: Vec<u32> = (0..12).map(|v| v % 4).collect();
+        let (moves, share, cuts) = &crafted;
+        let payload = concat_sections([
+            &encode_moves(moves),
+            &encode_cells(share),
+            &encode_cells(cuts),
+        ]);
+        let out = on_each_rank(tag, &g, 2, |comm, dg| {
+            if comm.rank() == 1 {
+                comm.allgatherv(payload.clone());
+                return None;
+            }
+            let mut bm = Blockmodel::from_assignment(&g, labels.clone(), 4);
+            assert_eq!(bm.storage_kind(), StorageKind::Dense);
+            let before = bm.clone();
+            let mut prev = labels.clone();
+            let synced = sharded_sync(
+                comm,
+                dg,
+                &mut bm,
+                &mut prev,
+                &[],
+                &mut ExchangeStats::default(),
+            );
+            Some((synced, bm.same_state(&before), prev == labels))
+        });
+        let (synced, replica_kept, prev_kept) = out.into_iter().flatten().next().expect("rank 0");
+        match synced {
+            Err(DistError::Decode(DecodeError::ValueOutOfRange { what: got })) => {
+                assert_eq!(got, what, "{tag}")
+            }
+            other => panic!("{tag}: expected a typed {what:?} error, got {other:?}"),
+        }
+        assert!(replica_kept, "{tag}: the replica was touched");
+        assert!(prev_kept, "{tag}: prev was advanced");
+    }
+
+    /// A move to block C would index past the block-degree table.
+    #[test]
+    fn a_peer_move_to_a_block_past_the_replica_is_a_typed_error() {
+        let moves = vec![AcceptedMove { v: 1, to: 4 }];
+        assert_rejected("hostile_target", (moves, vec![], vec![]), "move target");
+    }
+
+    /// A share cell in column C of a dense C × C matrix would land on the
+    /// next row's first cell, then index past the transpose.
+    #[test]
+    fn a_peer_share_cell_past_the_replica_is_a_typed_error() {
+        assert_rejected("hostile_col", (vec![], vec![(0, 4, 1)], vec![]), "cell col");
+        assert_rejected("hostile_row", (vec![], vec![(4, 0, 1)], vec![]), "cell row");
+    }
+
+    /// A move of vertex V, or a cut arc reaching it, would index past the
+    /// assignment.
+    #[test]
+    fn a_peer_vertex_past_the_graph_is_a_typed_error() {
+        let moves = vec![AcceptedMove { v: 13, to: 0 }];
+        assert_rejected("hostile_vertex", (moves, vec![], vec![]), "move vertex");
+        let cuts = vec![(1, 12, 1)];
+        assert_rejected(
+            "hostile_cut_dest",
+            (vec![], vec![], cuts),
+            "cut arc endpoint",
+        );
+        let cuts = vec![(13, 0, 1)];
+        assert_rejected(
+            "hostile_cut_source",
+            (vec![], vec![], cuts),
+            "cut arc endpoint",
+        );
+    }
+
+    /// A move of a vertex rank 0 owns: rank 0 would advance `prev` but
+    /// never relabel its replica (it owns the vertex, so the move counts as
+    /// applied in-sweep), and the replicas would part silently. A cut arc
+    /// from a vertex the sender does not own is refused the same way.
+    #[test]
+    fn a_peer_move_of_a_vertex_it_does_not_own_is_a_typed_error() {
+        let moves = vec![AcceptedMove { v: 0, to: 1 }];
+        assert_rejected("foreign_move", (moves, vec![], vec![]), "move vertex owner");
+        let cuts = vec![(2, 1, 1)];
+        assert_rejected(
+            "foreign_cut",
+            (vec![], vec![], cuts),
+            "cut arc source owner",
+        );
     }
 
     /// A cell that two ranks both charge arrives twice in the gather; the
@@ -564,12 +769,13 @@ mod tests {
         inner: DistPlane<'a, C, ShardedData<'a>>,
         comm: &'a C,
         whole: &'a Graph,
-        /// `(is a build, collectives issued before the call)`.
-        log: RefCell<Vec<(bool, u64)>>,
+        /// `(the block count of a build, or None at a merge-candidate
+        /// gather; collectives issued before the call)`.
+        log: RefCell<Vec<(Option<usize>, u64)>>,
     }
 
     impl<C: Communicator> WatchedPlane<'_, C> {
-        fn note(&self, build: bool) {
+        fn note(&self, build: Option<usize>) {
             let at = self.comm.stats().collectives;
             self.log.borrow_mut().push((build, at));
         }
@@ -604,7 +810,7 @@ mod tests {
             self.inner.whole_graph()
         }
         fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, DistError> {
-            self.note(true);
+            self.note(Some(num_blocks));
             self.inner.build(assignment, num_blocks)
         }
         fn merge_candidates(
@@ -614,7 +820,7 @@ mod tests {
             seed: u64,
         ) -> Result<Vec<MergeCandidate>, DistError> {
             self.assert_is_monolithic(bm);
-            self.note(false);
+            self.note(None);
             self.inner.merge_candidates(bm, proposals_per_block, seed)
         }
         fn begin_phase(&self, bm: &Blockmodel, prev: &mut Vec<u32>) {
@@ -644,13 +850,19 @@ mod tests {
     /// from one iteration's merge-candidate allgather up to the next one's,
     /// a rank issues that allgather, the phase's opening DL agreement, one
     /// allgather and one agreement per sync point, the next iteration top's
-    /// cancel agreement — and nothing else: no cell allgather after the
-    /// seed's, bar the one build of a dropped `hi`. Every replica the search
-    /// starts from or folds equals the monolithic build (`WatchedPlane`),
-    /// on a trajectory that crosses from sparse into dense storage.
+    /// cancel agreement — and nothing else but the cell allgather of each
+    /// build, every one of them named: the seed's (C = V), the `mid` of the
+    /// probe that establishes the bracket, right after that probe (the
+    /// search let it go while halving), and at most one dropped `hi`. Every
+    /// replica the search starts from or folds equals the monolithic build
+    /// (`WatchedPlane`), on a trajectory that crosses from sparse into
+    /// dense storage.
     #[test]
     fn merges_fold_the_replica_without_a_collective() {
         let g = sbp_graph::fixtures::clique_ring(60);
+        let n = g.num_vertices();
+        let seed_dl =
+            Blockmodel::from_assignment(&g, (0..n as u32).collect(), n).description_length();
         for ranks in [2usize, 3] {
             let cfg = RunConfig::from_sbp(SbpConfig {
                 seed: 5,
@@ -675,15 +887,39 @@ mod tests {
                 "ranks share a schedule"
             );
             assert!(out.iterations.len() >= 6, "fixture too small");
-            assert!(log[0].0, "the seed is built first");
-            let later_builds = log[1..].iter().filter(|(build, _)| *build).count();
-            assert!(later_builds <= 1, "{later_builds} builds after the seed");
+            assert_eq!(log[0].0, Some(n), "the seed is built first");
 
-            let tops: Vec<usize> = (0..log.len()).filter(|&i| !log[i].0).collect();
+            let tops: Vec<usize> = (0..log.len()).filter(|&i| log[i].0.is_none()).collect();
             assert_eq!(tops.len(), out.iterations.len());
+            // Every probe before the bracket is established starts from
+            // the one before it (or the seed); the first that comes out
+            // worse establishes it.
+            let before = |k: usize| match k {
+                0 => (n, seed_dl),
+                _ => (out.iterations[k - 1].num_blocks, out.iterations[k - 1].dl),
+            };
+            let k = (0..out.iterations.len())
+                .find(|&k| out.iterations[k].dl > before(k).1)
+                .expect("the bracket is established");
+            let mid = before(k).0;
+            assert!(
+                k + 1 < out.iterations.len(),
+                "the search ends at establishment"
+            );
+            assert_eq!(
+                log[tops[k] + 1].0,
+                Some(mid),
+                "the establishing probe's mid"
+            );
+            let builds: Vec<usize> = log.iter().filter_map(|&(build, _)| build).collect();
+            assert!(builds.len() <= 3, "{ranks} ranks built {builds:?}");
+            if let Some(&hi) = builds.get(2) {
+                assert!(out.num_blocks < hi && hi < n, "{hi} is no hi");
+            }
+
             for (i, pair) in tops.windows(2).enumerate() {
                 let issued = log[pair[1]].1 - log[pair[0]].1;
-                let built = (pair[0]..pair[1]).filter(|&j| log[j].0).count() as u64;
+                let built = (pair[0]..pair[1]).filter(|&j| log[j].0.is_some()).count() as u64;
                 let syncs = out.iterations[i].sweeps as u64;
                 assert_eq!(
                     issued,

@@ -14,7 +14,9 @@ of the stream, so it deliberately shares no code with the Rust writer):
   `accepted` (no cross-field check: on distributed backends `proposed`
   is rank 0's local share while `accepted` is the global move total,
   so `accepted > proposed` is legitimate);
-* `iteration` lines carry numeric `iteration`, `blocks`, `dl`;
+* `iteration` lines carry numeric `iteration`, `blocks`, `dl`, and
+  may carry `peak_rss_kib` (the process's `VmHWM` at the event, absent
+  where there is no procfs): numeric and non-decreasing within the run;
 * exactly one `summary` (numeric `dl`, `blocks`, `wall_seconds`,
   `virtual_seconds`) and exactly one `snapshot`;
 * the snapshot's metrics decode: counters/gauges have a numeric
@@ -112,6 +114,7 @@ def main() -> int:
     errors = []
     counts = {t: 0 for t in KNOWN_TYPES}
     unknown = 0
+    last_peak = 0
     with open(path, encoding="utf-8") as f:
         lines = [l for l in f.read().splitlines() if l.strip()]
     if not lines:
@@ -151,6 +154,18 @@ def main() -> int:
             for field in ("iteration", "blocks", "dl"):
                 if num(obj, field) is None:
                     fail(errors, lineno, f"iteration lacks numeric {field!r}")
+            if "peak_rss_kib" in obj:
+                peak = num(obj, "peak_rss_kib")
+                if peak is None:
+                    fail(errors, lineno, "iteration 'peak_rss_kib' is not numeric")
+                elif peak < last_peak:
+                    fail(
+                        errors,
+                        lineno,
+                        f"peak_rss_kib fell from {last_peak} to {peak}",
+                    )
+                else:
+                    last_peak = peak
         elif kind == "summary":
             for field in ("dl", "blocks", "wall_seconds", "virtual_seconds"):
                 if num(obj, field) is None:

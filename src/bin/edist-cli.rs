@@ -285,6 +285,20 @@ fn jobj(entries: Vec<(&str, sbp_metrics::json::Value)>) -> sbp_metrics::json::Va
     )
 }
 
+/// This process's peak resident set so far in KiB — `VmHWM` from
+/// `/proc/self/status` — or `None` where there is no procfs.
+fn peak_rss_kib() -> Option<u64> {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()?
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()
+}
+
 fn jnum(x: f64) -> sbp_metrics::json::Value {
     sbp_metrics::json::Value::Num(x)
 }
@@ -650,12 +664,16 @@ fn run_partitioner(
                         ("accepted", jnum(*accepted as f64)),
                     ])),
                     ProgressEvent::Iteration { iteration, stat } => {
-                        m.borrow_mut().line(jobj(vec![
+                        let mut line = vec![
                             ("type", jstr("iteration")),
                             ("iteration", jnum(*iteration as f64)),
                             ("blocks", jnum(stat.num_blocks as f64)),
                             ("dl", jnum(stat.dl)),
-                        ]))
+                        ];
+                        if let Some(kib) = peak_rss_kib() {
+                            line.push(("peak_rss_kib", jnum(kib as f64)));
+                        }
+                        m.borrow_mut().line(jobj(line))
                     }
                     _ => {}
                 }

@@ -21,17 +21,22 @@
 
 use edist::core::golden::BracketEntry;
 use edist::core::mcmc::AcceptedMove;
+use edist::core::Blockmodel;
 use edist::core::{CheckpointState, IterationStat};
 use edist::dist::exchange::{
     concat_sections, decode_cells, decode_moves, encode_cells, encode_moves, split_sections,
 };
+use edist::dist::sharded::{apply_sync, sync_payload};
+use edist::dist::{load_dist_graph, DecodeError, DistError, DistGraph, ExchangeStats};
 use edist::graph::fixtures::two_cliques;
 use edist::graph::frame::FrameError;
 use edist::graph::shard::{shard_file_name, shard_graph, ShardReader};
 use edist::graph::varint::{read_ascending_ids, read_u64, write_u64};
 use edist::graph::EdgeDelta;
 use edist::mpi::tcp as tcpwire;
+use edist::mpi::thread::ThreadComm;
 use edist::mpi::wire;
+use edist::mpi::{CostModel, ThreadCluster};
 use edist::prelude::OwnershipStrategy;
 use edist::serve::protocol::{
     decode_frame, encode_frame, RepartitionMode, StatsReply, TrajectoryPoint, FRAME_TAG,
@@ -498,6 +503,110 @@ fn cluster_and_daemon_frames_are_refused_by_each_other() {
         tcpwire::decode_frame(TCP_SESSION, &retagged),
         Err(tcpwire::TcpError::Frame(FrameError::ChecksumMismatch))
     );
+}
+
+// ------------------------------------------------ the semantic wall
+
+/// A value at or past `limit` that still fits a `u32`.
+fn beyond(limit: u32, rng: &mut u64) -> u32 {
+    let span = u64::from(u32::MAX - limit) + 1;
+    limit + (splitmix(rng) % span) as u32
+}
+
+/// Well-formed but hostile sync payloads, next to the byte mangler: a real
+/// sharded sync payload from rank 1, re-encoded with one value pushed out
+/// of rank 0's reach — a vertex at or past V, a block at or past C, a
+/// move or a cut arc from a vertex rank 1 does not own. The varints stay
+/// valid, so every `decode_*` accepts the sections; the receiver must
+/// refuse the payload with a typed `ValueOutOfRange`, its replica and
+/// `prev` untouched — never panic, never apply.
+#[test]
+fn semantically_hostile_sync_payloads_are_typed_failures_on_the_receiver() {
+    const BLOCKS: u32 = 6;
+    let g = two_cliques(20);
+    let n = g.num_vertices() as u32;
+    let dir = std::env::temp_dir().join(format!("fuzz_it_sync_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    shard_graph(&g, &dir, 2, OwnershipStrategy::Modulo).expect("shard fixture");
+    let dgs: Vec<DistGraph> = ThreadCluster::run(2, CostModel::zero(), |comm: &ThreadComm| {
+        load_dist_graph(comm, &dir).expect("load")
+    })
+    .ranks
+    .into_iter()
+    .map(|r| r.result)
+    .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mine, peer) = (dgs[0].owned().to_vec(), dgs[1].owned().to_vec());
+
+    let mut rng = 0x5EAA_1715_u64;
+    let pick = |rng: &mut u64, from: &[u32]| from[splitmix(rng) as usize % from.len()];
+    for i in 0..fuzz_iters() {
+        // A real sync point: rank 1 has moved a few of its vertices, rank
+        // 0 none, so rank 0's replica sits on the agreed `prev`.
+        let prev: Vec<u32> = (0..n).map(|_| (splitmix(&mut rng) % 6) as u32).collect();
+        let mut cur = prev.clone();
+        let mut pending = Vec::new();
+        for _ in 0..1 + splitmix(&mut rng) % 4 {
+            let v = pick(&mut rng, &peer);
+            let to = (cur[v as usize] + 1 + (splitmix(&mut rng) % 5) as u32) % BLOCKS;
+            cur[v as usize] = to;
+            pending.push(AcceptedMove { v, to });
+        }
+        let mut xstats = ExchangeStats::default();
+        let ours = sync_payload(&dgs[0], 0, &prev, &prev, &[], &mut xstats);
+        let theirs = sync_payload(&dgs[1], 1, &prev, &cur, &pending, &mut xstats);
+        let replica = Blockmodel::from_assignment(&g, prev.clone(), BLOCKS as usize);
+        if i % 64 == 0 {
+            // The honest payload applies and lands on the peer's moves.
+            let (mut bm, mut agreed) = (replica.clone(), prev.clone());
+            apply_sync(
+                &dgs[0],
+                0,
+                &mut bm,
+                &mut agreed,
+                vec![ours.clone(), theirs.clone()],
+            )
+            .expect("honest sync");
+            assert_eq!(agreed, cur);
+            bm.validate(&g).expect("replica on M(A_next)");
+        }
+
+        let [m, ce, cu] = split_sections::<3>(&theirs).expect("honest sections");
+        let mut moves = decode_moves(m).expect("honest moves");
+        let mut share = decode_cells(ce).expect("honest share");
+        let mut cuts = decode_cells(cu).expect("honest cut arcs");
+        let j = splitmix(&mut rng) as usize;
+        let at = j % moves.len();
+        match splitmix(&mut rng) % 7 {
+            0 => moves[at].v = beyond(n, &mut rng),
+            1 => moves[at].to = beyond(BLOCKS, &mut rng),
+            2 => moves[at].v = pick(&mut rng, &mine),
+            // A key with a part out of range collides with no honest one,
+            // so a re-sort keeps every list strictly ascending.
+            3 => share.push((beyond(BLOCKS, &mut rng), (j % 6) as u32, 1)),
+            4 => share.push(((j % 6) as u32, beyond(BLOCKS, &mut rng), -1)),
+            5 => cuts.push((pick(&mut rng, &peer), beyond(n, &mut rng), 1)),
+            _ => cuts.push((pick(&mut rng, &mine), (j % n as usize) as u32, 1)),
+        }
+        share.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        cuts.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        let hostile = concat_sections([
+            &encode_moves(&moves),
+            &encode_cells(&share),
+            &encode_cells(&cuts),
+        ]);
+
+        let (mut bm, mut agreed) = (replica.clone(), prev.clone());
+        match apply_sync(&dgs[0], 0, &mut bm, &mut agreed, vec![ours, hostile]) {
+            Err(DistError::Decode(DecodeError::ValueOutOfRange { .. })) => {}
+            other => panic!("iteration {i}: expected a typed out-of-range error, got {other:?}"),
+        }
+        assert!(
+            bm.same_state(&replica),
+            "iteration {i}: the replica was touched"
+        );
+        assert_eq!(agreed, prev, "iteration {i}: prev was advanced");
+    }
 }
 
 // --------------------------------------- proptest-driven random soup

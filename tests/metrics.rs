@@ -338,6 +338,26 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
             assert!(it.get(field).and_then(Value::as_f64).is_some());
         }
     }
+    // Where procfs exists, each iteration line carries the process's peak
+    // resident set so far, which can only grow.
+    if std::path::Path::new("/proc/self/status").exists() {
+        let peaks: Vec<f64> = iterations
+            .iter()
+            .map(|it| {
+                it.get("peak_rss_kib")
+                    .and_then(Value::as_f64)
+                    .expect("peak_rss_kib")
+            })
+            .collect();
+        assert!(
+            peaks[0] > 0.0 && peaks.windows(2).all(|p| p[0] <= p[1]),
+            "{peaks:?}"
+        );
+    }
+    let dls: Vec<f64> = iterations
+        .iter()
+        .map(|it| it.get("dl").and_then(Value::as_f64).expect("dl"))
+        .collect();
     let summaries = of_type("summary");
     assert_eq!(summaries.len(), 1, "exactly one summary line expected");
     for field in ["dl", "blocks", "wall_seconds", "virtual_seconds"] {
@@ -363,7 +383,9 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
     );
     // "How many times did this run walk the graph?" is a number the run
     // answers: every iteration folds the model it starts from, and only
-    // the seed — and at most one dropped bracket `hi` — is built.
+    // these are built — the seed; the `mid` of the probe that establishes
+    // the bracket (the first to come out worse than the one before it),
+    // unless the search ends there; and at most one dropped bracket `hi`.
     let count = |name: &str| match snap.metrics.get(name) {
         Some(MetricValue::Counter(n)) => *n,
         other => panic!("{name}: {other:?}"),
@@ -372,7 +394,14 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
     assert!(iterations > 1, "fixture too small: {iterations} iterations");
     assert_eq!(count("sbp_solver_folds_total"), iterations);
     let builds = count("sbp_solver_graph_builds_total");
-    assert!((1..=2).contains(&builds), "{builds} graph builds");
+    let established = (1..dls.len())
+        .find(|&k| dls[k] > dls[k - 1])
+        .expect("bracket established");
+    let named = 1 + u64::from(established + 1 < dls.len());
+    assert!(
+        (named..=named + 1).contains(&builds),
+        "{builds} graph builds"
+    );
     assert!(
         snap.metrics
             .keys()
