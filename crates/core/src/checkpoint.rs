@@ -19,7 +19,8 @@
 //! ```text
 //! magic      "SBPC" (4 bytes)
 //! version    u8 = 1
-//! strategy   u8 tag (0 = MetropolisHastings, 1 = Hybrid, 2 = Batch)
+//! strategy   u8 tag (0 = MetropolisHastings, 1 = Hybrid, 3 = Batch;
+//!            2, unchunked Batch, decodes and is refused at resume)
 //! payload:
 //!   seed                 le64
 //!   num_vertices         varint   (graph fingerprint)
@@ -95,7 +96,9 @@ impl From<std::io::Error> for CheckpointError {
 pub struct CheckpointState {
     /// Master seed of the run (fingerprint; RNG streams derive from it).
     pub seed: u64,
-    /// Strategy tag (fingerprint): 0 = MH, 1 = Hybrid, 2 = Batch.
+    /// Strategy tag (fingerprint): 0 = MH, 1 = Hybrid, 3 = Batch. 2 was
+    /// Batch as one whole-sweep chunk; such a snapshot still decodes and
+    /// is refused as a mismatch, never resumed onto another schedule.
     pub strategy_tag: u8,
     /// Vertex count of the graph (fingerprint).
     pub num_vertices: u64,
@@ -115,12 +118,14 @@ pub struct CheckpointState {
 }
 
 /// The wire tag for a strategy (Hybrid sub-configuration is not part of
-/// the fingerprint; resume with the same `RunConfig`).
+/// the fingerprint; resume with the same `RunConfig`). Batch is 3 since
+/// its sweeps run in [`crate::hybrid::BATCH_CHUNKS`] synced chunks; tag 2
+/// named the unchunked schedule.
 pub fn strategy_tag(strategy: &McmcStrategy) -> u8 {
     match strategy {
         McmcStrategy::MetropolisHastings => 0,
         McmcStrategy::Hybrid(_) => 1,
-        McmcStrategy::Batch => 2,
+        McmcStrategy::Batch => 3,
     }
 }
 
@@ -227,7 +232,7 @@ impl CheckpointState {
             )));
         }
         let strategy_tag = buf[5];
-        if strategy_tag > 2 {
+        if strategy_tag > 3 {
             return Err(CheckpointError::Malformed(format!(
                 "unknown strategy tag {strategy_tag}"
             )));

@@ -1,5 +1,5 @@
 //! Hybrid shared-memory parallel MCMC (paper §II-B, citing Wanye et al.
-//! ICPP'22), plus the python-style batch variant.
+//! ICPP'22), plus the batch schedule.
 //!
 //! The hybrid scheme processes the informative, high-degree vertices
 //! sequentially (exact Metropolis–Hastings) and the low-degree majority in
@@ -9,10 +9,17 @@
 //! each vertex's RNG stream from `(seed, sweep, vertex)`, independent of
 //! thread scheduling.
 //!
-//! The batch variant evaluates *every* vertex against the frozen state and
-//! then applies all accepted moves — the parallelization used by the
-//! original python DC-SBP reference, kept for the Table VI comparison and
-//! as an ablation.
+//! The batch schedule evaluates a chunk of vertices against the frozen
+//! state and then applies all accepted moves ([`batch_sweep`]). A Batch
+//! sweep runs as [`BATCH_CHUNKS`] such chunks, split by vertex id
+//! ([`batch_chunks`]), each against the state synced after the one before.
+//! Chunk membership and every decision depend on the vertex id and the
+//! synced state alone — never on which participant evaluates the vertex —
+//! so Batch is the schedule whose trajectory is the same bit for bit at
+//! every rank count: the exact one EDiSt's claim rests on. A whole sweep
+//! against one frozen state (the python reference's parallelism, kept in
+//! [`crate::naive`]) flips vertices back and forth and can stall far above
+//! the planted block count; the chunk syncs are the price of converging.
 
 use crate::blockmodel::Blockmodel;
 use crate::delta::{with_scratch, DeltaScratch};
@@ -198,11 +205,35 @@ fn evaluate_frozen(
     }
 }
 
-/// One batch sweep (python-reference style): evaluate *all* vertices
-/// against the frozen state, then apply every accepted move.
+/// How many chunks a Batch sweep runs as. Chunk `c` holds the swept
+/// vertices with `v % BATCH_CHUNKS == c`, and each chunk is evaluated
+/// against the state synced after the previous one, so a sweep costs
+/// `BATCH_CHUNKS` sync points where a whole-sweep batch costs one. Fewer
+/// chunks leave each decision staler — one chunk stalls at thousands of
+/// blocks on hard challenge graphs — and more pay more sync rounds for
+/// less; two, three and four all converge there, and three finished
+/// first most often. A constant, not a knob: the trajectory a seed names,
+/// and a checkpoint's strategy tag, depend on it.
+pub const BATCH_CHUNKS: usize = 3;
+
+/// Splits `vertices` into the [`BATCH_CHUNKS`] residue lists of a Batch
+/// sweep, each in input order. Always `BATCH_CHUNKS` lists, empty ones
+/// included: every participant of a distributed run syncs after each
+/// chunk, whether it owns a vertex of it or not.
+pub fn batch_chunks(vertices: &[Vertex]) -> Vec<Vec<Vertex>> {
+    let mut chunks = vec![Vec::new(); BATCH_CHUNKS];
+    for &v in vertices {
+        chunks[v as usize % BATCH_CHUNKS].push(v);
+    }
+    chunks
+}
+
+/// One batch pass over `vertices`: evaluate *all* of them against the
+/// frozen state, then apply every accepted move. A Batch sweep is
+/// [`BATCH_CHUNKS`] of these, one per [`batch_chunks`] list.
 ///
 /// Evaluation fans out over the persistent pool (see `evaluate_frozen`),
-/// so the sweep — and every trajectory built on it — is bit-identical to
+/// so the pass — and every trajectory built on it — is bit-identical to
 /// the serial evaluation at any thread count.
 pub fn batch_sweep(
     graph: &Graph,
@@ -310,6 +341,38 @@ mod tests {
             bm.validate(&g).unwrap();
         }
         assert!(bm.description_length() < before);
+    }
+
+    /// Chunk membership is a function of the vertex id alone: splitting
+    /// each rank's owned set and gathering chunk `c` across ranks gives
+    /// the chunk `c` of the whole set, at any rank count — which is why a
+    /// chunked Batch sweep is the same at every rank count. At 3 modulo
+    /// ranks each rank owns exactly one chunk.
+    #[test]
+    fn chunks_of_owned_sets_gather_to_the_chunks_of_the_whole() {
+        let all: Vec<Vertex> = (0..20).collect();
+        let whole = batch_chunks(&all);
+        for ranks in 1..=4u32 {
+            let owned: Vec<Vec<Vertex>> = (0..ranks)
+                .map(|r| all.iter().copied().filter(|v| v % ranks == r).collect())
+                .collect();
+            for (c, want) in whole.iter().enumerate() {
+                let mut got: Vec<Vertex> = owned
+                    .iter()
+                    .flat_map(|o| batch_chunks(o)[c].clone())
+                    .collect();
+                got.sort_unstable();
+                assert_eq!(&got, want, "{ranks} ranks, chunk {c}");
+            }
+        }
+        for r in 0..3u32 {
+            let owned: Vec<Vertex> = all.iter().copied().filter(|v| v % 3 == r).collect();
+            let held = batch_chunks(&owned)
+                .iter()
+                .filter(|c| !c.is_empty())
+                .count();
+            assert_eq!(held, 1, "rank {r}");
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@
 use crate::blockmodel::{compact_labels, Blockmodel};
 use crate::checkpoint::{strategy_tag, CheckpointState};
 use crate::golden::{BracketEntry, GoldenBracket, NextStep};
-use crate::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
+use crate::hybrid::{batch_chunks, batch_sweep, hybrid_sweep, HybridConfig};
 use crate::mcmc::{keyed_mh_sweep, AcceptedMove, ConvergenceCheck};
 use crate::merge::merge_labels;
 use crate::plane::{LocalPlane, Plane};
@@ -314,7 +314,11 @@ pub enum McmcStrategy {
     /// Hybrid SBP: sequential high-degree head + chunked asynchronous
     /// Gibbs tail (the paper's intra-rank parallelization).
     Hybrid(HybridConfig),
-    /// Whole-sweep batch evaluation (python-reference parallelism).
+    /// Batch evaluation in [`crate::hybrid::BATCH_CHUNKS`] synced chunks
+    /// per sweep: each chunk of vertices is decided against the state
+    /// synced after the previous one ([`crate::hybrid::batch_chunks`]).
+    /// The schedule whose trajectory is bit-identical at every rank
+    /// count — the one the single-node `Batch` backend and EDiSt share.
     Batch,
 }
 
@@ -445,7 +449,8 @@ pub fn solve_sbp(
 /// [`crate::run::WarmStart`]), else the identity partition.
 ///
 /// **Sync points.** Moves are exchanged every `sync_period` sweeps and
-/// after a phase's last one; 1 is the paper's schedule.
+/// after a phase's last one; 1 is the paper's schedule. A Batch sweep
+/// that ends in a sync point also syncs after each of its chunks.
 ///
 /// **Cancellation** follows the contract on [`ProgressEvent::Cancelled`]
 /// and returns the best bracket entry so far.
@@ -477,13 +482,16 @@ pub fn golden_search<P: Plane>(
         .warm
         .as_ref()
         .filter(|_| start.is_none() && cfg.resume.is_none());
-    let vertices = swept_vertices(plane, warm);
+    let chunks = match (&cfg.sbp.strategy, swept_vertices(plane, warm)) {
+        (McmcStrategy::Batch, vertices) => batch_chunks(&vertices),
+        (_, vertices) => vec![vertices],
+    };
     let mut search = Search {
         phase: Phase {
             plane,
             cfg,
             cancel: &cfg.cancel,
-            vertices: &vertices,
+            chunks: &chunks,
             sync_period: sync_period.max(1),
         },
         progress: Reported {
@@ -572,14 +580,15 @@ struct Search<'a, P: Plane> {
 }
 
 /// What a probe runs against: the plane, the run's config, the token its
-/// sync points read, the vertices it sweeps and the sync period. The
+/// sync points read, the vertices it sweeps — in the chunks a sweep syncs
+/// between, one unless the strategy is Batch — and the sync period. The
 /// search's own probes run against its plane and the run's token; one run
 /// ahead, against a [`LocalPlane`] of the same graph.
 struct Phase<'a, P> {
     plane: &'a P,
     cfg: &'a RunConfig,
     cancel: &'a CancelToken,
-    vertices: &'a [Vertex],
+    chunks: &'a [Vec<Vertex>],
     sync_period: usize,
 }
 
@@ -1086,7 +1095,7 @@ impl<P: Plane> Phase<'_, P> {
             plane: &local,
             cfg: self.cfg,
             cancel,
-            vertices: self.vertices,
+            chunks: self.chunks,
             sync_period: self.sync_period,
         };
         let caller = std::thread::current().id();
@@ -1119,12 +1128,14 @@ impl<P: Plane> Phase<'_, P> {
     }
 
     /// One MCMC phase (paper Alg. 2 / Alg. 5): sweep this plane's
-    /// vertices, sync every `sync_period` sweeps, and stop on the
-    /// convergence rule — the moving average of the last three per-sync
-    /// ΔDL values falling below `threshold × initial DL` — after
+    /// vertices chunk by chunk, sync every `sync_period` sweeps (after
+    /// each of the sweep's chunks), and stop on the convergence rule —
+    /// the moving average of the last three per-sync ΔDL values falling
+    /// below `threshold × initial DL` — after
     /// `max_sweeps`, or on a cancel decision. One agreed value carries
     /// both the DL and that decision, so participants never disagree on
-    /// either. Reports one `Sweep` per sync point to `sink`; returns the
+    /// either. Reports one `Sweep` per synced sweep to `sink`, its
+    /// `accepted` summed over the sweep's sync points; returns the
     /// phase's trajectory entry (its DL the last agreed one) and whether a
     /// sync point agreed on cancelling.
     fn mcmc(
@@ -1151,27 +1162,35 @@ impl<P: Plane> Phase<'_, P> {
             moves: 0,
         };
         while stat.sweeps < scfg.max_sweeps {
-            let vs = self.vertices;
-            let outcome = match &scfg.strategy {
-                McmcStrategy::MetropolisHastings => {
-                    keyed_mh_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
+            // A sweep syncs at every chunk boundary or at none: between
+            // the sync points of a longer period each participant sees
+            // only its own moves, chunk after chunk.
+            let syncs = (stat.sweeps + 1).is_multiple_of(self.sync_period)
+                || stat.sweeps + 1 == scfg.max_sweeps;
+            let mut accepted = 0usize;
+            for vs in self.chunks {
+                let outcome = match &scfg.strategy {
+                    McmcStrategy::MetropolisHastings => {
+                        keyed_mh_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
+                    }
+                    McmcStrategy::Hybrid(hcfg) => {
+                        hybrid_sweep(graph, bm, vs, scfg.beta, hcfg, sweep_seed, stat.sweeps)
+                    }
+                    McmcStrategy::Batch => {
+                        batch_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
+                    }
+                };
+                pending.extend(outcome.moves);
+                proposed += outcome.proposals;
+                if syncs {
+                    accepted += plane.sync(bm, prev, &pending)?;
+                    pending.clear();
                 }
-                McmcStrategy::Hybrid(hcfg) => {
-                    hybrid_sweep(graph, bm, vs, scfg.beta, hcfg, sweep_seed, stat.sweeps)
-                }
-                McmcStrategy::Batch => {
-                    batch_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
-                }
-            };
-            pending.extend(outcome.moves);
-            proposed += outcome.proposals;
+            }
             stat.sweeps += 1;
-            if !stat.sweeps.is_multiple_of(self.sync_period) && stat.sweeps < scfg.max_sweeps {
+            if !syncs {
                 continue;
             }
-
-            let accepted = plane.sync(bm, prev, &pending)?;
-            pending.clear();
             stat.moves += accepted;
             let (dl, cancel_now) =
                 plane.agree(|| (bm.description_length(), self.cancel.is_cancelled()))?;
@@ -1764,6 +1783,31 @@ mod tests {
         for v in 0..16usize {
             let expect = if truth[v] == truth[0] { flip } else { 1 - flip };
             assert_eq!(res.assignment[v], expect, "vertex {v}");
+        }
+    }
+
+    /// The chunks a Batch search sweeps partition what it sweeps — the
+    /// whole vertex set, or a warm start's dirty subset — by residue,
+    /// each in sweep order, and there are always `BATCH_CHUNKS` of them.
+    #[test]
+    fn batch_chunks_partition_the_swept_set() {
+        use crate::hybrid::BATCH_CHUNKS;
+        use crate::run::WarmStart;
+        let (g, truth) = planted_two_cliques(8);
+        let plane = LocalPlane::new(&g);
+        let warm = WarmStart::new(truth, 2).with_dirty(vec![13, 2, 7, 2, 99, 4]);
+        for (warm, want) in [(None, (0..16).collect()), (Some(&warm), vec![2, 4, 7, 13])] {
+            let swept = swept_vertices(&plane, warm);
+            assert_eq!(swept, want);
+            let chunks = batch_chunks(&swept);
+            assert_eq!(chunks.len(), BATCH_CHUNKS);
+            for (c, chunk) in chunks.iter().enumerate() {
+                assert!(chunk.iter().all(|&v| v as usize % BATCH_CHUNKS == c));
+                assert!(chunk.windows(2).all(|p| p[0] < p[1]), "sweep order");
+            }
+            let mut all = chunks.concat();
+            all.sort_unstable();
+            assert_eq!(all, swept);
         }
     }
 

@@ -18,18 +18,19 @@
 //!    exchanging a cell.
 //! 2. **MCMC phase** (Alg. 5): rank `r` sweeps the vertices it owns
 //!    against its replica, accepted moves are allgathered every
-//!    `sync_period` sweeps, and each rank applies its peers' moves. Since
-//!    a vertex is moved only by its owner, the post-sync assignment — and
-//!    therefore the blockmodel, a pure function of the assignment — is
-//!    identical on every rank.
+//!    `sync_period` sweeps (after each chunk of a `Batch` sweep), and
+//!    each rank applies its peers' moves. Since a vertex is moved only by
+//!    its owner, the post-sync assignment — and therefore the blockmodel,
+//!    a pure function of the assignment — is identical on every rank.
 //!
 //! **Rank-count-invariant randomness.** Every RNG stream is derived from
 //! the master seed and a *vertex or block key* — never from the rank id.
 //! A proposal therefore draws the same randomness no matter which rank
 //! evaluates it, so a single-rank EDiSt run is sequential SBP by
-//! construction, and under the frozen-state `Batch` strategy the whole
-//! trajectory is bit-identical across rank counts (see the
-//! backend-equivalence tests in the facade crate).
+//! construction, and under the `Batch` strategy — each chunk of a sweep
+//! decided against the state synced after the previous one, chunks split
+//! by vertex id — the whole trajectory is bit-identical across rank
+//! counts (see the backend-equivalence tests in the facade crate).
 //!
 //! Convergence and cancellation decisions use values broadcast from rank
 //! 0 ([`Plane::agree`]). Replicas holding the same integer state compute
@@ -112,6 +113,9 @@ pub(crate) trait EdistData {
 pub(crate) struct ReplicatedData<'a> {
     graph: &'a Graph,
     mine: Vec<Vertex>,
+    /// Every vertex's rank, from the partition `mine` comes from: a
+    /// peer's move is checked against it before anything is applied.
+    owner: Vec<u32>,
 }
 
 impl<'a> ReplicatedData<'a> {
@@ -121,10 +125,15 @@ impl<'a> ReplicatedData<'a> {
         ownership: OwnershipStrategy,
         comm: &C,
     ) -> Self {
-        let mine = ownership
-            .partition(graph, comm.size())
-            .swap_remove(comm.rank());
-        ReplicatedData { graph, mine }
+        let mut parts = ownership.partition(graph, comm.size());
+        let mut owner = vec![0u32; graph.num_vertices()];
+        for (rank, part) in parts.iter().enumerate() {
+            for &v in part {
+                owner[v as usize] = rank as u32;
+            }
+        }
+        let mine = parts.swap_remove(comm.rank());
+        ReplicatedData { graph, mine, owner }
     }
 }
 
@@ -170,29 +179,46 @@ impl EdistData for ReplicatedData<'_> {
     ) -> Result<usize, DistError> {
         let payload = encode_moves(pending);
         xstats.record(pending.len(), payload.len());
-        // Every list is decoded and range-checked before one is applied.
-        let (vertices, blocks) = (self.graph.num_vertices(), bm.num_blocks());
-        let gathered = xstats
-            .allgather(comm, payload)
-            .into_iter()
-            .map(|bytes| {
-                let moves = decode_moves(&bytes)?;
-                check_moves(&moves, vertices, blocks)?;
-                Ok(moves)
-            })
-            .collect::<Result<Vec<Vec<AcceptedMove>>, DecodeError>>()?;
-        let mut moves = 0usize;
-        for (from_rank, peer_moves) in gathered.into_iter().enumerate() {
-            moves += peer_moves.len();
-            if from_rank == comm.rank() {
-                continue; // already applied during the sweep
-            }
-            for m in peer_moves {
-                bm.move_vertex(self.graph, m.v, m.to);
-            }
-        }
-        Ok(moves)
+        let payloads = xstats.allgather(comm, payload);
+        apply_moves(self.graph, &self.owner, comm.rank(), bm, payloads)
     }
+}
+
+/// Applies a replicated sync point's gathered move lists — one per rank,
+/// in rank order — to `rank`'s replica `bm` of `graph`. Every list is
+/// decoded and checked against the replica's vertex and block counts and
+/// against `owner` (each vertex's rank) before one is applied, so on an
+/// error `bm` is as it was. Returns the total move count.
+pub fn apply_moves(
+    graph: &Graph,
+    owner: &[u32],
+    rank: usize,
+    bm: &mut Blockmodel,
+    payloads: Vec<Vec<u8>>,
+) -> Result<usize, DistError> {
+    let (vertices, blocks) = (graph.num_vertices(), bm.num_blocks());
+    let gathered = payloads
+        .into_iter()
+        .enumerate()
+        .map(|(from, bytes)| {
+            let moves = decode_moves(&bytes)?;
+            check_moves(&moves, vertices, blocks, from, |v| {
+                owner[v as usize] as usize
+            })?;
+            Ok(moves)
+        })
+        .collect::<Result<Vec<Vec<AcceptedMove>>, DecodeError>>()?;
+    let mut moves = 0usize;
+    for (from_rank, peer_moves) in gathered.into_iter().enumerate() {
+        moves += peer_moves.len();
+        if from_rank == rank {
+            continue; // already applied during the sweep
+        }
+        for m in peer_moves {
+            bm.move_vertex(graph, m.v, m.to);
+        }
+    }
+    Ok(moves)
 }
 
 /// Per-rank wire counters, recorded at the sync points (observe-only: no
@@ -431,6 +457,52 @@ mod tests {
                 assert_eq!(run(false), run(true), "{strategy:?} k={k}");
             }
         }
+    }
+
+    /// Rank 1 of a replicated 2-rank plane over `two_cliques(6)` (modulo
+    /// ownership: vertex `v` on rank `v % 2`) ships a well-formed move of
+    /// vertex 0, which rank 0 owns. Rank 0 would count the move as applied
+    /// in-sweep and never relabel its replica while rank 1 did, and the
+    /// replicas would part silently; it must come back with a typed
+    /// `ValueOutOfRange`, its replica and `prev` as they were.
+    #[test]
+    fn a_peer_move_of_a_vertex_it_does_not_own_is_a_typed_error() {
+        use crate::edist::EdistData;
+        use crate::error::{DecodeError, DistError};
+        use crate::exchange::{encode_moves, ExchangeStats};
+        use sbp_core::mcmc::AcceptedMove;
+        use sbp_core::Blockmodel;
+        use sbp_mpi::thread::ThreadComm;
+        use sbp_mpi::{Communicator, ThreadCluster};
+        let g = two_cliques(6);
+        let labels: Vec<u32> = (0..12).map(|v| v % 4).collect();
+        let foreign = encode_moves(&[AcceptedMove { v: 0, to: 1 }]);
+        let out = ThreadCluster::run(2, CostModel::zero(), |comm: &ThreadComm| {
+            let data = ReplicatedData::new(&g, OwnershipStrategy::Modulo, comm);
+            if comm.rank() == 1 {
+                comm.allgatherv(foreign.clone());
+                return None;
+            }
+            let mut bm = Blockmodel::from_assignment(&g, labels.clone(), 4);
+            let before = bm.clone();
+            let mut prev = labels.clone();
+            let synced =
+                data.exchange_moves(comm, &mut bm, &mut prev, &[], &mut ExchangeStats::default());
+            Some((synced, bm.same_state(&before), prev == labels))
+        });
+        let (synced, replica_kept, prev_kept) = out
+            .ranks
+            .into_iter()
+            .find_map(|r| r.result)
+            .expect("rank 0");
+        match synced {
+            Err(DistError::Decode(DecodeError::ValueOutOfRange { what })) => {
+                assert_eq!(what, "move vertex owner")
+            }
+            other => panic!("expected a typed owner error, got {other:?}"),
+        }
+        assert!(replica_kept, "the replica was touched");
+        assert!(prev_kept, "prev was advanced");
     }
 
     fn solve(graph: &Graph, solver: Edist) -> RunOutcome {

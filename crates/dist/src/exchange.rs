@@ -30,7 +30,7 @@
 use crate::error::DecodeError;
 use sbp_core::mcmc::AcceptedMove;
 use sbp_graph::varint::{read_i64, read_u64, write_i64, write_u64};
-use sbp_graph::Weight;
+use sbp_graph::{Vertex, Weight};
 use sbp_mpi::Communicator;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
@@ -109,25 +109,30 @@ pub fn decode_moves(buf: &[u8]) -> Result<Vec<AcceptedMove>, DecodeError> {
     Ok(moves)
 }
 
-/// Rejects a decoded move list unless every vertex is one of
-/// `num_vertices` and every target one of `num_blocks` blocks — what a
-/// replica can apply. The codec accepts any `u32`, so a well-formed frame
-/// can carry either out of range.
+/// Rejects rank `from`'s decoded move list unless every vertex is one of
+/// `num_vertices` and owned by `from` (`owner_of`), and every target one
+/// of `num_blocks` blocks — what a replica can apply. The codec accepts
+/// any `u32`, so a well-formed frame can carry either out of range; and a
+/// vertex moves only on its owner, so a replica that owns a vertex a peer
+/// claims to move would count the move as applied in-sweep and part from
+/// the others silently.
 pub(crate) fn check_moves(
     moves: &[AcceptedMove],
     num_vertices: usize,
     num_blocks: usize,
+    from: usize,
+    owner_of: impl Fn(Vertex) -> usize,
 ) -> Result<(), DecodeError> {
+    let out_of_range = |what| Err(DecodeError::ValueOutOfRange { what });
     for m in moves {
         if m.v as usize >= num_vertices {
-            return Err(DecodeError::ValueOutOfRange {
-                what: "move vertex",
-            });
+            return out_of_range("move vertex");
         }
         if m.to as usize >= num_blocks {
-            return Err(DecodeError::ValueOutOfRange {
-                what: "move target",
-            });
+            return out_of_range("move target");
+        }
+        if owner_of(m.v) != from {
+            return out_of_range("move vertex owner");
         }
     }
     Ok(())

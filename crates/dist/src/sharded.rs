@@ -376,9 +376,12 @@ struct Section {
 
 /// Rejects rank `from`'s decoded section unless a replica of `blocks`
 /// blocks can apply it: every vertex below `V` and every block below
-/// `blocks`, and every move's vertex and cut arc's source owned by `from`
+/// `blocks`, every move's vertex and cut arc's source owned by `from`
 /// — a vertex moves only on its owner, and a replica that owned a vertex
-/// a peer claims to move would advance `prev` without relabelling it.
+/// a peer claims to move would advance `prev` without relabelling it —
+/// and no share cell or cut arc heavier than the graph's total edge weight
+/// `E`, which no honest delta of a cell in `[0, E]` can be and which
+/// would drive a `u32` cell out of range.
 fn check_section(
     dg: &DistGraph,
     from: usize,
@@ -386,25 +389,30 @@ fn check_section(
     section: &Section,
 ) -> Result<(), DecodeError> {
     let vertices = dg.num_vertices();
+    let total = dg.total_edge_weight().unsigned_abs();
+    let heavy = |w: Weight| w.unsigned_abs() > total;
     let out_of_range = |what| Err(DecodeError::ValueOutOfRange { what });
-    check_moves(&section.moves, vertices, blocks)?;
-    if section.moves.iter().any(|m| dg.owner_of(m.v) != from) {
-        return out_of_range("move vertex owner");
-    }
-    for &(r, c, _) in &section.share {
+    check_moves(&section.moves, vertices, blocks, from, |v| dg.owner_of(v))?;
+    for &(r, c, w) in &section.share {
         if r as usize >= blocks {
             return out_of_range("cell row");
         }
         if c as usize >= blocks {
             return out_of_range("cell col");
         }
+        if heavy(w) {
+            return out_of_range("cell weight");
+        }
     }
-    for &(s, d, _) in &section.cuts {
+    for &(s, d, w) in &section.cuts {
         if s as usize >= vertices || d as usize >= vertices {
             return out_of_range("cut arc endpoint");
         }
         if dg.owner_of(s) != from {
             return out_of_range("cut arc source owner");
+        }
+        if heavy(w) {
+            return out_of_range("cut arc weight");
         }
     }
     Ok(())
@@ -475,6 +483,7 @@ mod tests {
     use crate::solver::Edist;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use sbp_core::hybrid::BATCH_CHUNKS;
     use sbp_core::mcmc::AcceptedMove;
     use sbp_core::merge::MergeCandidate;
     use sbp_core::plane::Plane;
@@ -486,7 +495,7 @@ mod tests {
     use sbp_graph::{Graph, OwnershipStrategy, Vertex, Weight};
     use sbp_mpi::thread::ThreadComm;
     use sbp_mpi::{Communicator, CostModel, ThreadCluster, Wire};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -724,6 +733,20 @@ mod tests {
         );
     }
 
+    /// A share cell or cut arc heavier than the graph's total edge weight
+    /// `E` is no honest delta of a cell in `[0, E]`; applied, it would drive
+    /// a `u32` cell past its range, or below zero, and panic.
+    #[test]
+    fn a_peer_weight_past_the_graph_total_is_a_typed_error() {
+        let e = two_cliques(6).total_edge_weight();
+        let share = vec![(0, 1, e + 1)];
+        assert_rejected("heavy_cell", (vec![], share, vec![]), "cell weight");
+        let share = vec![(1, 1, -(e + 1))];
+        assert_rejected("light_cell", (vec![], share, vec![]), "cell weight");
+        let cuts = vec![(1, 0, i64::from(u32::MAX) + 1)];
+        assert_rejected("heavy_cut", (vec![], vec![], cuts), "cut arc weight");
+    }
+
     /// A cell that two ranks both charge arrives twice in the gather; the
     /// build must still equal the monolithic one, on either storage.
     #[test]
@@ -772,6 +795,8 @@ mod tests {
         /// `(the block count of a build, or None at a merge-candidate
         /// gather; collectives issued before the call)`.
         log: RefCell<Vec<(Option<usize>, u64)>>,
+        /// Sync points so far.
+        syncs: Cell<usize>,
     }
 
     impl<C: Communicator> WatchedPlane<'_, C> {
@@ -833,6 +858,7 @@ mod tests {
             prev: &mut Vec<u32>,
             pending: &[AcceptedMove],
         ) -> Result<usize, DistError> {
+            self.syncs.set(self.syncs.get() + 1);
             self.inner.sync(bm, prev, pending)
         }
         fn agree<T: Clone + Send + Wire + 'static>(
@@ -848,9 +874,10 @@ mod tests {
 
     /// The collective schedule of a sharded search, pinned per iteration:
     /// from one iteration's merge-candidate allgather up to the next one's,
-    /// a rank issues that allgather, the phase's opening DL agreement, one
-    /// allgather and one agreement per sync point, the next iteration top's
-    /// cancel agreement — and nothing else but the cell allgather of each
+    /// a rank issues that allgather, the phase's opening DL agreement, per
+    /// Batch sweep one allgather per chunk (`BATCH_CHUNKS`) and one
+    /// agreement, the next iteration top's cancel agreement — and
+    /// nothing else but the cell allgather of each
     /// build, every one of them named: the seed's (C = V), the `mid` of the
     /// probe that establishes the bracket, right after that probe (the
     /// search let it go while halving), and at most one dropped `hi`. Every
@@ -876,6 +903,7 @@ mod tests {
                     comm,
                     whole: &g,
                     log: RefCell::default(),
+                    syncs: Cell::default(),
                 };
                 let (out, error) = golden_search(&plane, None, &cfg, 1, &mut NoProgress);
                 assert!(error.is_none());
@@ -920,10 +948,11 @@ mod tests {
             for (i, pair) in tops.windows(2).enumerate() {
                 let issued = log[pair[1]].1 - log[pair[0]].1;
                 let built = (pair[0]..pair[1]).filter(|&j| log[j].0.is_some()).count() as u64;
-                let syncs = out.iterations[i].sweeps as u64;
+                let sweeps = out.iterations[i].sweeps as u64;
+                let per_sweep = BATCH_CHUNKS as u64 + 1;
                 assert_eq!(
                     issued,
-                    1 + 1 + 2 * syncs + 1 + built,
+                    1 + 1 + per_sweep * sweeps + 1 + built,
                     "{ranks} ranks, iteration {i}"
                 );
             }
@@ -937,6 +966,73 @@ mod tests {
                 "one regime only"
             );
         }
+    }
+
+    /// The chunk-boundary rule at `sync_period` 2: a Batch sweep syncs
+    /// after each of its `BATCH_CHUNKS` chunks exactly when the sweep ends
+    /// in a sync point — every second sweep, and a phase's last — and the
+    /// sweeps in between run their chunks on each rank's own moves alone.
+    /// The sharded plane still walks the replicated plane's trajectory bit
+    /// for bit, at 3 modulo ranks, where each rank owns one chunk and has
+    /// nothing to ship at the other two chunks' syncs.
+    #[test]
+    fn batch_chunks_sync_with_their_sweep_at_sync_period_two() {
+        use crate::edist::ReplicatedData;
+        use sbp_core::run::{ProgressEvent, ProgressFn};
+        let g = sbp_graph::fixtures::clique_ring(60);
+        let cfg = RunConfig::from_sbp(SbpConfig {
+            seed: 5,
+            strategy: McmcStrategy::Batch,
+            ..SbpConfig::default()
+        });
+        let max_sweeps = cfg.sbp.max_sweeps;
+        let per_rank = on_each_rank("period2", &g, 3, |comm, dg| {
+            let data = ShardedData { dg };
+            let plane = WatchedPlane {
+                inner: DistPlane::new(comm, &data),
+                comm,
+                whole: &g,
+                log: RefCell::default(),
+                syncs: Cell::default(),
+            };
+            let mut synced = Vec::new();
+            let mut sink = ProgressFn(|e: &ProgressEvent| {
+                if let ProgressEvent::Sweep { sweep, .. } = e {
+                    synced.push(*sweep);
+                }
+            });
+            let (sharded, error) = golden_search(&plane, None, &cfg, 2, &mut sink);
+            assert!(error.is_none());
+            let replicated = ReplicatedData::new(&g, OwnershipStrategy::Modulo, comm);
+            let (mono, error) = golden_search(
+                &DistPlane::new(comm, &replicated),
+                None,
+                &cfg,
+                2,
+                &mut NoProgress,
+            );
+            assert!(error.is_none());
+            (plane.syncs.get(), synced, sharded, mono)
+        });
+        let (syncs, synced, sharded, mono) = &per_rank[0];
+        assert_eq!(*syncs, BATCH_CHUNKS * synced.len(), "a sync per chunk");
+        assert!(synced
+            .iter()
+            .all(|&s| (s + 1) % 2 == 0 || s + 1 == max_sweeps));
+        let sweeps: usize = sharded.iterations.iter().map(|it| it.sweeps).sum();
+        assert!(sweeps > synced.len(), "no sweep ran without a sync");
+        assert_eq!(sharded.assignment, mono.assignment);
+        assert_eq!(
+            sharded.description_length.to_bits(),
+            mono.description_length.to_bits()
+        );
+        let trajectory = |out: &RunOutcome| -> Vec<(usize, u64, usize, usize)> {
+            out.iterations
+                .iter()
+                .map(|it| (it.num_blocks, it.dl.to_bits(), it.sweeps, it.moves))
+                .collect()
+        };
+        assert_eq!(trajectory(sharded), trajectory(mono));
     }
 
     /// Validate-then-run, as every real caller does.

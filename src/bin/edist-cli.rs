@@ -207,7 +207,9 @@ subcommands:
              --checkpoint/--resume snapshot and restore the golden loop;
              --fault-plan injects deterministic faults for testing;
              --metrics-out run.jsonl streams the run's metrics as JSONL;
-             --mcmc mh|batch overrides the sweep strategy;
+             --mcmc mh|batch overrides the sweep strategy (batch: every
+             sweep in 3 chunks, each decided against the state synced
+             after the last — the same result at every rank count);
              --sync-period N exchanges EDiSt moves every N sweeps (default 1);
              --trajectory-out FILE writes the exact iteration trajectory;
              --cluster tcp-local --ranks N runs a REAL multi-process
@@ -502,7 +504,8 @@ enum GraphSource {
 
 /// `--seed` and the `--mcmc mh|batch` sweep-strategy override (the
 /// transport-equivalence tests sweep both strategies through the same
-/// flag on every path).
+/// flag on every path). `batch` is the chunked, rank-count-invariant
+/// schedule (`sbp_core::hybrid::BATCH_CHUNKS`).
 fn sbp_config(args: &Args) -> Result<SbpConfig, String> {
     let mut sbp = SbpConfig {
         seed: args.num("seed", 0u64)?,

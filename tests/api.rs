@@ -7,10 +7,12 @@
 //!   (merge seeds, `(sweep, vertex)`-keyed proposal streams) and every
 //!   control-flow decision, so their runs are **bit-identical**.
 //! * Under the frozen-state `Batch` strategy, a vertex's decision
-//!   depends only on the post-sync replica state and its own keyed RNG
-//!   stream — never on which rank evaluates it or on intra-sweep
-//!   ordering — so EDiSt trajectories are bit-identical across rank
-//!   counts (n = 1, 2, 4) *and* to the single-node `Batch` backend.
+//!   depends only on the state synced after the previous chunk of its
+//!   sweep (chunks split by vertex id) and its own keyed RNG stream —
+//!   never on which rank evaluates it or on intra-chunk ordering — so
+//!   EDiSt trajectories are bit-identical across rank counts
+//!   (n = 1, 2, 3, 4) *and* to the single-node `Batch` backend. At 3
+//!   modulo ranks each rank owns exactly one chunk of every sweep.
 //! * Under Metropolis–Hastings, multi-rank EDiSt explores the same
 //!   state space but interleaves in-sweep move visibility differently
 //!   (a vertex's decision sees same-rank moves immediately and peer
@@ -77,7 +79,7 @@ fn batch_edist_is_rank_count_invariant() {
         .config(batch_cfg())
         .run()
         .unwrap();
-    for ranks in [1usize, 2, 4] {
+    for ranks in [1usize, 2, 3, 4] {
         let ed = Partitioner::on(&g)
             .backend(Backend::Edist { ranks })
             .config(batch_cfg())
@@ -133,13 +135,17 @@ fn batch_edist_is_rank_count_invariant_in_sparse_regime() {
         .run()
         .unwrap();
     assert_sparse_trajectory(&base, &g);
-    for ranks in [1usize, 2, 4] {
-        let ed = Partitioner::on(&g)
-            .backend(Backend::Edist { ranks })
-            .config(cfg.clone())
-            .run()
-            .unwrap();
-        assert_bit_identical(&base, &ed, &format!("sparse batch × {ranks} ranks"));
+    for ranks in [1usize, 2, 3, 4] {
+        for ownership in [OwnershipStrategy::SortedBalanced, OwnershipStrategy::Modulo] {
+            let ed = Partitioner::on(&g)
+                .backend(Backend::Edist { ranks })
+                .ownership(ownership)
+                .config(cfg.clone())
+                .run()
+                .unwrap();
+            let ctx = format!("sparse batch × {ranks} ranks × {ownership:?}");
+            assert_bit_identical(&base, &ed, &ctx);
+        }
     }
 }
 

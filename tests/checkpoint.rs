@@ -395,6 +395,41 @@ fn resume_under_a_different_strategy_is_a_mismatch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A Batch snapshot written before Batch sweeps ran in synced chunks
+/// carries strategy tag 2. It still decodes, but resuming it would put
+/// the old schedule's bracket on the new schedule's trajectory, so it is
+/// refused as a mismatch.
+#[test]
+fn a_batch_snapshot_of_the_unchunked_schedule_is_a_mismatch() {
+    let dir = temp_dir("batch_tag2");
+    let path = dir.join("batch.sbpc");
+    Partitioner::on(&fixture())
+        .backend(Backend::Batch)
+        .config(SbpConfig {
+            max_iterations: 1,
+            ..cfg()
+        })
+        .checkpoint_to(&path)
+        .run()
+        .expect("checkpointing run");
+    let mut snapshot =
+        CheckpointState::decode(&std::fs::read(&path).expect("read")).expect("decode");
+    assert_eq!(snapshot.strategy_tag, 3, "Batch's tag");
+    snapshot.strategy_tag = 2;
+    std::fs::write(&path, snapshot.encode()).expect("rewrite");
+    let err = Partitioner::on(&fixture())
+        .backend(Backend::Batch)
+        .config(cfg())
+        .resume_from(&path)
+        .run()
+        .expect_err("a tag-2 snapshot must be refused");
+    assert!(
+        matches!(err, PartitionError::CheckpointMismatch(_)),
+        "{err:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unwritable_checkpoint_path_is_rejected_up_front() {
     let dir = temp_dir("path");

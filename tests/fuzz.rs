@@ -23,6 +23,7 @@ use edist::core::golden::BracketEntry;
 use edist::core::mcmc::AcceptedMove;
 use edist::core::Blockmodel;
 use edist::core::{CheckpointState, IterationStat};
+use edist::dist::edist::apply_moves;
 use edist::dist::exchange::{
     concat_sections, decode_cells, decode_moves, encode_cells, encode_moves, split_sections,
 };
@@ -516,7 +517,8 @@ fn beyond(limit: u32, rng: &mut u64) -> u32 {
 /// Well-formed but hostile sync payloads, next to the byte mangler: a real
 /// sharded sync payload from rank 1, re-encoded with one value pushed out
 /// of rank 0's reach — a vertex at or past V, a block at or past C, a
-/// move or a cut arc from a vertex rank 1 does not own. The varints stay
+/// move or a cut arc from a vertex rank 1 does not own, a share cell or a
+/// cut arc heavier than the graph's total edge weight E. The varints stay
 /// valid, so every `decode_*` accepts the sections; the receiver must
 /// refuse the payload with a typed `ValueOutOfRange`, its replica and
 /// `prev` untouched — never panic, never apply.
@@ -537,6 +539,7 @@ fn semantically_hostile_sync_payloads_are_typed_failures_on_the_receiver() {
     .collect();
     let _ = std::fs::remove_dir_all(&dir);
     let (mine, peer) = (dgs[0].owned().to_vec(), dgs[1].owned().to_vec());
+    let e = g.total_edge_weight();
 
     let mut rng = 0x5EAA_1715_u64;
     let pick = |rng: &mut u64, from: &[u32]| from[splitmix(rng) as usize % from.len()];
@@ -577,7 +580,9 @@ fn semantically_hostile_sync_payloads_are_typed_failures_on_the_receiver() {
         let mut cuts = decode_cells(cu).expect("honest cut arcs");
         let j = splitmix(&mut rng) as usize;
         let at = j % moves.len();
-        match splitmix(&mut rng) % 7 {
+        // Past E by at least one, up to past a `u32` cell, either sign.
+        let heavy = e + 1 + (splitmix(&mut rng) % (1 << 33)) as i64;
+        match splitmix(&mut rng) % 9 {
             0 => moves[at].v = beyond(n, &mut rng),
             1 => moves[at].to = beyond(BLOCKS, &mut rng),
             2 => moves[at].v = pick(&mut rng, &mine),
@@ -586,7 +591,18 @@ fn semantically_hostile_sync_payloads_are_typed_failures_on_the_receiver() {
             3 => share.push((beyond(BLOCKS, &mut rng), (j % 6) as u32, 1)),
             4 => share.push(((j % 6) as u32, beyond(BLOCKS, &mut rng), -1)),
             5 => cuts.push((pick(&mut rng, &peer), beyond(n, &mut rng), 1)),
-            _ => cuts.push((pick(&mut rng, &mine), (j % n as usize) as u32, 1)),
+            6 => cuts.push((pick(&mut rng, &mine), (j % n as usize) as u32, 1)),
+            // Rank 1's moves may all have come home: no share, no cut arc.
+            7 if share.is_empty() => share.push((0, 0, heavy)),
+            7 => {
+                let at = j % share.len();
+                share[at].2 = if j.is_multiple_of(2) { heavy } else { -heavy };
+            }
+            _ if cuts.is_empty() => cuts.push((pick(&mut rng, &peer), 0, heavy)),
+            _ => {
+                let at = j % cuts.len();
+                cuts[at].2 = heavy;
+            }
         }
         share.sort_unstable_by_key(|&(r, c, _)| (r, c));
         cuts.sort_unstable_by_key(|&(s, d, _)| (s, d));
@@ -606,6 +622,59 @@ fn semantically_hostile_sync_payloads_are_typed_failures_on_the_receiver() {
             "iteration {i}: the replica was touched"
         );
         assert_eq!(agreed, prev, "iteration {i}: prev was advanced");
+    }
+}
+
+/// The semantic wall on the replicated plane, where a sync point ships
+/// move lists alone: rank 1's real move list with one value pushed out of
+/// rank 0's reach — a vertex at or past V, a block at or past C, a vertex
+/// rank 1 does not own. Rank 0 must refuse it with a typed
+/// `ValueOutOfRange`, its replica untouched.
+#[test]
+fn semantically_hostile_replicated_move_lists_are_typed_failures() {
+    const BLOCKS: u32 = 6;
+    let g = two_cliques(20);
+    let n = g.num_vertices() as u32;
+    // Modulo ownership over two ranks.
+    let owner: Vec<u32> = (0..n).map(|v| v % 2).collect();
+    let (mine, peer): (Vec<u32>, Vec<u32>) = (0..n).partition(|v| v % 2 == 0);
+    let mut rng = 0x0EF1_1CA5_u64;
+    let pick = |rng: &mut u64, from: &[u32]| from[splitmix(rng) as usize % from.len()];
+    for i in 0..fuzz_iters() {
+        let prev: Vec<u32> = (0..n).map(|_| (splitmix(&mut rng) % 6) as u32).collect();
+        let mut cur = prev.clone();
+        let mut moves = Vec::new();
+        for _ in 0..1 + splitmix(&mut rng) % 4 {
+            let v = pick(&mut rng, &peer);
+            let to = (cur[v as usize] + 1 + (splitmix(&mut rng) % 5) as u32) % BLOCKS;
+            cur[v as usize] = to;
+            moves.push(AcceptedMove { v, to });
+        }
+        let ours = encode_moves(&[]);
+        let replica = Blockmodel::from_assignment(&g, prev.clone(), BLOCKS as usize);
+        if i % 64 == 0 {
+            let mut bm = replica.clone();
+            let payloads = vec![ours.clone(), encode_moves(&moves)];
+            apply_moves(&g, &owner, 0, &mut bm, payloads).expect("honest sync");
+            assert_eq!(bm.assignment(), &cur[..]);
+            bm.validate(&g).expect("replica on M(A_next)");
+        }
+
+        let at = splitmix(&mut rng) as usize % moves.len();
+        match splitmix(&mut rng) % 3 {
+            0 => moves[at].v = beyond(n, &mut rng),
+            1 => moves[at].to = beyond(BLOCKS, &mut rng),
+            _ => moves[at].v = pick(&mut rng, &mine),
+        }
+        let mut bm = replica.clone();
+        match apply_moves(&g, &owner, 0, &mut bm, vec![ours, encode_moves(&moves)]) {
+            Err(DistError::Decode(DecodeError::ValueOutOfRange { .. })) => {}
+            other => panic!("iteration {i}: expected a typed out-of-range error, got {other:?}"),
+        }
+        assert!(
+            bm.same_state(&replica),
+            "iteration {i}: the replica was touched"
+        );
     }
 }
 

@@ -309,6 +309,33 @@ fn sharded_edist_bit_identical_in_sparse_regime_matrix() {
     }
 }
 
+/// Batch is rank-count invariant through shards as well: at 3 ranks under
+/// modulo ownership each rank owns exactly one chunk of every sweep and
+/// ships nothing at the other two chunks' syncs, and the sharded run
+/// equals the single-node `Batch` backend bit for bit — under balanced
+/// ownership too.
+#[test]
+fn sharded_batch_at_three_ranks_equals_single_node_batch() {
+    let g = clique_ring(SPARSE_RING);
+    let cfg = sparse_regime_cfg(McmcStrategy::Batch, 42);
+    let base = Partitioner::on(&g)
+        .backend(Backend::Batch)
+        .config(cfg.clone())
+        .run()
+        .unwrap();
+    for strategy in strategies() {
+        let sdir = temp_dir(&format!("batch3_{}", strategy.code()));
+        shard_graph(&g, &sdir, 3, strategy).unwrap();
+        let sharded = Partitioner::on_sharded(&sdir)
+            .backend(Backend::Edist { ranks: 3 })
+            .config(cfg.clone())
+            .run()
+            .unwrap();
+        assert_bit_identical(&base, &sharded, &format!("{strategy:?} × 3 shards"));
+        std::fs::remove_dir_all(&sdir).unwrap();
+    }
+}
+
 /// Uncapped run on the sparse fixture: the search descends through the
 /// sparse→dense storage switch into its dense endgame, so sharded and
 /// monolithic replicas must stay bit-identical *across* representation

@@ -328,6 +328,73 @@ fn tcp_cluster_is_bit_identical_to_thread_simulator() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Batch across rank counts and transports at once: single-node
+/// `--backend batch`, the 3-rank thread simulator and a real 3-process
+/// TCP cluster over the same modulo shards write the same assignment. At 3
+/// modulo ranks each rank owns exactly one chunk of every Batch sweep and
+/// ships nothing at the other two chunks' sync points.
+#[test]
+fn batch_at_three_tcp_ranks_equals_single_node_batch() {
+    let dir = temp("batch3");
+    let graph = fixture(&dir, "120", "easy");
+    let shards = dir.join("modulo3");
+    cli_ok(&[
+        "shard",
+        "--graph",
+        graph.to_str().unwrap(),
+        "--ranks",
+        "3",
+        "--strategy",
+        "modulo",
+        "--out",
+        shards.to_str().unwrap(),
+    ]);
+    let single = dir.join("single.txt");
+    cli_ok(&[
+        "partition",
+        "--graph",
+        graph.to_str().unwrap(),
+        "--backend",
+        "batch",
+        "--seed",
+        "5",
+        "--out",
+        single.to_str().unwrap(),
+    ]);
+    let (thread, thread_traj) = (dir.join("thread.txt"), dir.join("thread.traj"));
+    cli_ok(&[
+        "partition",
+        "--sharded",
+        shards.to_str().unwrap(),
+        "--backend",
+        "edist",
+        "--ranks",
+        "3",
+        "--seed",
+        "5",
+        "--mcmc",
+        "batch",
+        "--out",
+        thread.to_str().unwrap(),
+        "--trajectory-out",
+        thread_traj.to_str().unwrap(),
+    ]);
+    assert_same_file(&single, &thread, "3 thread ranks vs single-node batch");
+    let tcp = run_tcp_cluster(
+        &dir,
+        "tcp_batch3",
+        3,
+        "batch",
+        &["--sharded", shards.to_str().unwrap(), "--backend", "edist"],
+    );
+    for (rank, (assignment, trajectory)) in tcp.iter().enumerate() {
+        let ctx = format!("tcp rank {rank} vs 3 thread ranks");
+        assert_same_file(&thread, assignment, &ctx);
+        assert_same_file(&thread_traj, trajectory, &ctx);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `tcp-local` launcher end to end: one command spawns the whole
 /// localhost cluster and its (rank-0) outputs equal the simulator's — on
 /// a graph solved on dense storage throughout, and on one whose search
