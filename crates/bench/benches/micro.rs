@@ -25,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sbp_core::delta::{delta_entropy, merge_delta};
-use sbp_core::hybrid::{batch_sweep, hybrid_sweep, HybridConfig};
+use sbp_core::hybrid::{batch_sweep, sweep_plan};
 use sbp_core::line::{CanonicalLine, Cell};
 use sbp_core::lntab::ln_int;
 use sbp_core::mcmc::mh_sweep;
@@ -33,7 +33,7 @@ use sbp_core::merge::{apply_merges, merge_labels, propose_merges};
 use sbp_core::naive::DenseBlockmodel;
 use sbp_core::propose::{pick_by_cells, pick_weighted, propose_for_block, propose_for_vertex};
 use sbp_core::sbp::{merge_phase, SbpConfig};
-use sbp_core::{Blockmodel, DeltaScratch, StorageKind};
+use sbp_core::{Blockmodel, DeltaScratch, McmcStrategy, StorageKind};
 use sbp_dist::exchange::CellFold;
 use sbp_dist::{balanced_ownership, modulo_ownership};
 use sbp_gen::{graph_challenge, param_study, Difficulty, ParamStudySpec};
@@ -617,26 +617,29 @@ fn bench_sweeps(c: &mut Criterion) {
             criterion::BatchSize::LargeInput,
         )
     });
+    // One Hybrid plan sweep, every chunk one after another, as a sweep
+    // with nobody to sync with runs it: at width 1 here, and at the pool's
+    // width in sweep/hybrid_parallel, where the frozen chunks' evaluation
+    // fans out over the persistent workers (results are bit-identical by
+    // the determinism contract; only wall time differs). On a single-core
+    // box the pair measures pure pool overhead vs the serial schedule.
+    let plan = sweep_plan(McmcStrategy::Hybrid, &graph, &vertices);
+    let plan_sweep = |bm: &mut Blockmodel| {
+        plan.iter()
+            .map(|chunk| chunk.sweep(&graph, bm, 3.0, 5, 0).moves.len())
+            .sum::<usize>()
+    };
     group.bench_function("sweep/hybrid", |b| {
-        let cfg = HybridConfig {
-            parallel: false,
-            ..HybridConfig::default()
-        };
         b.iter_batched(
             || Blockmodel::from_assignment(&graph, assignment.clone(), nb),
-            |mut bm| black_box(hybrid_sweep(&graph, &mut bm, &vertices, 3.0, &cfg, 5, 0)),
+            |mut bm| black_box(rayon::with_threads(1, || plan_sweep(&mut bm))),
             criterion::BatchSize::LargeInput,
         )
     });
-    // The pooled path: chunk evaluation fans out over the persistent
-    // workers (results are bit-identical to sweep/hybrid by the
-    // determinism contract; only wall time differs). On a single-core
-    // box this measures pure pool overhead vs the serial schedule.
     group.bench_function("sweep/hybrid_parallel", |b| {
-        let cfg = HybridConfig::default();
         b.iter_batched(
             || Blockmodel::from_assignment(&graph, assignment.clone(), nb),
-            |mut bm| black_box(hybrid_sweep(&graph, &mut bm, &vertices, 3.0, &cfg, 5, 0)),
+            |mut bm| black_box(plan_sweep(&mut bm)),
             criterion::BatchSize::LargeInput,
         )
     });

@@ -14,12 +14,17 @@
 
 use edist::{Backend, Partitioner};
 use sbp_bench::{demo_graph, experiment_sbp_config, f2, secs, BenchConfig, Table};
-use sbp_core::hybrid::HybridConfig;
 use sbp_core::McmcStrategy;
 use sbp_dist::OwnershipStrategy;
 use sbp_eval::nmi;
 
 fn main() {
+    // Pool width 1, as the figure harness runs: each rank's thread-CPU
+    // clock (`virtual_seconds`) then holds its whole sweep.
+    sbp_core::with_threads(1, ablate)
+}
+
+fn ablate() {
     let cfg = BenchConfig::from_env();
     let planted = demo_graph(&cfg);
     let g = &planted.graph;
@@ -92,13 +97,7 @@ fn main() {
     );
     for (name, strategy) in [
         ("metropolis-hastings", McmcStrategy::MetropolisHastings),
-        (
-            "hybrid",
-            McmcStrategy::Hybrid(HybridConfig {
-                parallel: false,
-                ..HybridConfig::default()
-            }),
-        ),
+        ("hybrid", McmcStrategy::Hybrid),
         ("batch", McmcStrategy::Batch),
     ] {
         let mut sbp = experiment_sbp_config(cfg.seed);

@@ -8,7 +8,6 @@
 
 use crate::harness::BenchConfig;
 use edist::{Backend, Partitioner, Run};
-use sbp_core::hybrid::HybridConfig;
 use sbp_core::{McmcStrategy, SbpConfig};
 use sbp_eval::nmi;
 use sbp_gen::{
@@ -19,14 +18,13 @@ use sbp_graph::{island_fraction_round_robin, Graph};
 use sbp_mpi::CostModel;
 
 /// The SBP hyper-parameters used throughout the evaluation: the Hybrid-SBP
-/// MCMC (the paper's intra-rank algorithm), with rayon disabled because the
-/// simulated ranks already saturate the host.
+/// MCMC (the paper's intra-rank algorithm). The experiments run it at pool
+/// width 1 (`sbp_core::with_threads`): the simulated ranks already
+/// saturate the host, and each rank's thread-CPU clock then holds its
+/// whole sweep.
 pub fn experiment_sbp_config(seed: u64) -> SbpConfig {
     SbpConfig {
-        strategy: McmcStrategy::Hybrid(HybridConfig {
-            parallel: false,
-            ..HybridConfig::default()
-        }),
+        strategy: McmcStrategy::Hybrid,
         seed,
         ..SbpConfig::default()
     }
@@ -37,14 +35,17 @@ fn interconnect() -> CostModel {
 }
 
 /// Every experiment drives inference through the unified `Partitioner`
-/// facade: the backend is the only thing that varies between cells.
+/// facade: the backend is the only thing that varies between cells. At
+/// pool width 1, so `virtual_seconds` is one-thread CPU time.
 fn run_backend(graph: &Graph, backend: Backend, seed: u64) -> Run {
-    Partitioner::on(graph)
-        .backend(backend)
-        .config(experiment_sbp_config(seed))
-        .cost_model(interconnect())
-        .run()
-        .expect("experiment configurations are valid")
+    sbp_core::with_threads(1, || {
+        Partitioner::on(graph)
+            .backend(backend)
+            .config(experiment_sbp_config(seed))
+            .cost_model(interconnect())
+            .run()
+            .expect("experiment configurations are valid")
+    })
 }
 
 fn edist_backend(ranks: usize) -> Backend {
@@ -114,14 +115,7 @@ pub fn table6(cfg: &BenchConfig) -> Vec<Table6Row> {
             // The optimized engine runs through the unified facade; its
             // `virtual_seconds` is exactly the thread-CPU measurement the
             // naive side uses.
-            let opt_res = run_backend(
-                &pg.graph,
-                Backend::Hybrid(HybridConfig {
-                    parallel: false,
-                    ..HybridConfig::default()
-                }),
-                cfg.seed,
-            );
+            let opt_res = run_backend(&pg.graph, Backend::Hybrid, cfg.seed);
             let opt_time = opt_res.virtual_seconds;
 
             rows.push(Table6Row {

@@ -117,14 +117,13 @@ pub struct CheckpointState {
     pub lo: Option<BracketEntry>,
 }
 
-/// The wire tag for a strategy (Hybrid sub-configuration is not part of
-/// the fingerprint; resume with the same `RunConfig`). Batch is 3 since
-/// its sweeps run in [`crate::hybrid::BATCH_CHUNKS`] synced chunks; tag 2
-/// named the unchunked schedule.
+/// The wire tag for a strategy. Batch is 3 since its sweeps run in
+/// [`crate::hybrid::BATCH_CHUNKS`] synced chunks; tag 2 named the
+/// unchunked schedule.
 pub fn strategy_tag(strategy: &McmcStrategy) -> u8 {
     match strategy {
         McmcStrategy::MetropolisHastings => 0,
-        McmcStrategy::Hybrid(_) => 1,
+        McmcStrategy::Hybrid => 1,
         McmcStrategy::Batch => 3,
     }
 }

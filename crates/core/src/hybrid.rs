@@ -1,66 +1,51 @@
-//! Hybrid shared-memory parallel MCMC (paper §II-B, citing Wanye et al.
-//! ICPP'22), plus the batch schedule.
+//! The sweep schedules: one plan of chunks per search, two sweep bodies.
 //!
-//! The hybrid scheme processes the informative, high-degree vertices
-//! sequentially (exact Metropolis–Hastings) and the low-degree majority in
-//! parallel chunks of asynchronous Gibbs: proposals within a chunk are
-//! evaluated concurrently against a frozen blockmodel snapshot, accepted
-//! moves are applied between chunks. Determinism is preserved by deriving
-//! each vertex's RNG stream from `(seed, sweep, vertex)`, independent of
-//! thread scheduling.
+//! A sweep runs its [`sweep_plan`] chunk after chunk. A chunk is swept one
+//! of two ways: one vertex after another, each decided against the state
+//! its predecessors left ([`keyed_mh_sweep`], exact Metropolis–Hastings),
+//! or all of it against the state frozen at the chunk's start, applying
+//! every accepted move afterwards ([`batch_sweep`]). Each chunk also says
+//! whether a sweep that syncs ([`crate::sbp::golden_search`]'s sync
+//! points) syncs after it. Every decision draws from the vertex's `(seed,
+//! sweep, vertex)` stream, so a sweep is deterministic under thread
+//! scheduling. The three [`McmcStrategy`] schedules are three plans:
 //!
-//! The batch schedule evaluates a chunk of vertices against the frozen
-//! state and then applies all accepted moves ([`batch_sweep`]). A Batch
-//! sweep runs as [`BATCH_CHUNKS`] such chunks, split by vertex id
-//! ([`batch_chunks`]), each against the state synced after the one before.
-//! Chunk membership and every decision depend on the vertex id and the
-//! synced state alone — never on which participant evaluates the vertex —
-//! so Batch is the schedule whose trajectory is the same bit for bit at
-//! every rank count: the exact one EDiSt's claim rests on. A whole sweep
-//! against one frozen state (the python reference's parallelism, kept in
-//! [`crate::naive`]) flips vertices back and forth and can stall far above
-//! the planted block count; the chunk syncs are the price of converging.
+//! * **Metropolis–Hastings** — one MH chunk, the whole swept set, which
+//!   syncs: one sync round per sweep (paper Alg. 2).
+//! * **Hybrid** (paper §II-B, citing Wanye et al. ICPP'22) — the swept
+//!   set sorted by degree, highest first; the first [`HYBRID_HEAD_FRACTION`]
+//!   of it, too informative for stale evaluation, is one MH chunk, and the
+//!   low-degree rest is asynchronous Gibbs in frozen chunks of
+//!   [`HYBRID_CHUNK`], whose evaluation fans out over the pool. Only the
+//!   last chunk syncs: one sync round per sweep. A distributed rank plans
+//!   its own owned set, so its head is its own top 10 %.
+//! * **Batch** — the [`BATCH_CHUNKS`] residue lists of the swept set by
+//!   vertex id ([`batch_chunks`]), each frozen and each synced: three sync
+//!   rounds per sweep. Chunk membership and every decision depend on the
+//!   vertex id and the synced state alone — never on which participant
+//!   evaluates the vertex — so Batch is the schedule whose trajectory is
+//!   the same bit for bit at every rank count: the exact one EDiSt's claim
+//!   rests on. A whole sweep against one frozen state (the python
+//!   reference's parallelism, kept in [`crate::naive`]) flips vertices
+//!   back and forth and can stall far above the planted block count; the
+//!   chunk syncs are the price of converging.
 
 use crate::blockmodel::Blockmodel;
 use crate::delta::{with_scratch, DeltaScratch};
-use crate::mcmc::{AcceptedMove, SweepOutcome};
+use crate::mcmc::{keyed_mh_sweep, AcceptedMove, SweepOutcome};
 use crate::propose::propose_for_vertex;
+use crate::sbp::McmcStrategy;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use sbp_graph::{Graph, Vertex};
-
-/// Configuration of the hybrid MCMC sweep.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HybridConfig {
-    /// Fraction of the (degree-sorted) vertex set processed sequentially,
-    /// from the top. The ICPP'22 hybrid treats high-degree vertices as too
-    /// informative for stale evaluation.
-    pub sequential_fraction: f64,
-    /// Chunk size for the asynchronous-Gibbs portion; state is refreshed
-    /// between chunks.
-    pub chunk_size: usize,
-    /// Evaluate chunk proposals with rayon. With `false` the schedule is
-    /// identical but single-threaded (useful when many simulated MPI ranks
-    /// already saturate the machine).
-    pub parallel: bool,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            sequential_fraction: 0.1,
-            chunk_size: 256,
-            parallel: true,
-        }
-    }
-}
+use std::cmp::Reverse;
 
 /// Derives the `(seed, sweep, vertex)`-keyed RNG stream shared by every
-/// keyed sweep implementation (hybrid, batch, and keyed MH). Keying by
-/// vertex — never by rank or thread — is what makes sweep schedules
-/// deterministic under thread scheduling and invariant to how the
-/// distributed drivers partition the vertex set.
+/// keyed sweep body (batch and keyed MH). Keying by vertex — never by
+/// rank or thread — is what makes sweep schedules deterministic under
+/// thread scheduling and invariant to how the distributed drivers
+/// partition the vertex set.
 pub(crate) fn vertex_rng(seed: u64, sweep: usize, v: Vertex) -> SmallRng {
     // SplitMix-style mixing of the three stream coordinates.
     let mut z = seed
@@ -125,58 +110,13 @@ pub(crate) fn evaluate_vertex<R: Rng + ?Sized>(
     }
 }
 
-/// One hybrid sweep over `vertices` (which EDiSt passes as the rank's owned
-/// set). High-degree head: sequential exact MH. Low-degree tail: chunked
-/// asynchronous Gibbs.
-pub fn hybrid_sweep(
-    graph: &Graph,
-    bm: &mut Blockmodel,
-    vertices: &[Vertex],
-    beta: f64,
-    cfg: &HybridConfig,
-    seed: u64,
-    sweep_idx: usize,
-) -> SweepOutcome {
-    let mut order: Vec<Vertex> = vertices.to_vec();
-    order.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-    let n_seq = ((order.len() as f64) * cfg.sequential_fraction).ceil() as usize;
-    let n_seq = n_seq.min(order.len());
-    let (head, tail) = order.split_at(n_seq);
-
-    let mut out = SweepOutcome::default();
-
-    // Sequential high-degree portion.
-    with_scratch(|scratch| {
-        for &v in head {
-            let mut rng = vertex_rng(seed, sweep_idx, v);
-            out.proposals += 1;
-            if let Some(m) = evaluate_vertex(graph, bm, v, beta, &mut rng, scratch).accepted() {
-                bm.move_vertex(graph, v, m.to);
-                out.moves.push(m);
-            }
-        }
-    });
-
-    // Chunked asynchronous Gibbs over the low-degree tail.
-    let chunk_size = cfg.chunk_size.max(1);
-    for chunk in tail.chunks(chunk_size) {
-        out.proposals += chunk.len();
-        for m in evaluate_frozen(graph, bm, chunk, beta, seed, sweep_idx, cfg.parallel) {
-            // Asynchronous Gibbs: apply even though the decision was made
-            // against a (slightly) stale snapshot.
-            bm.move_vertex(graph, m.v, m.to);
-            out.moves.push(m);
-        }
-    }
-    out
-}
-
 /// Evaluates every vertex of `vertices` against the frozen `bm` and
-/// returns the accepted moves in input order. With `parallel` (and enough
-/// vertices to pay for it) evaluation fans out over the persistent pool,
-/// each worker through its own thread-local scratch; each decision is a
-/// pure function of the frozen state and the vertex's `(seed, sweep,
-/// vertex)` stream, so the result is identical at any thread count.
+/// returns the accepted moves in input order. With enough vertices to pay
+/// for it, evaluation fans out over the persistent pool, each worker
+/// through its own thread-local scratch (a caller that wants one thread
+/// sets the width, `crate::with_threads(1, ..)`); each decision is a pure
+/// function of the frozen state and the vertex's `(seed, sweep, vertex)`
+/// stream, so the result is identical at any thread count.
 fn evaluate_frozen(
     graph: &Graph,
     bm: &Blockmodel,
@@ -184,13 +124,12 @@ fn evaluate_frozen(
     beta: f64,
     seed: u64,
     sweep_idx: usize,
-    parallel: bool,
 ) -> Vec<AcceptedMove> {
     let evaluate = |v: Vertex, scratch: &mut DeltaScratch| {
         let mut rng = vertex_rng(seed, sweep_idx, v);
         evaluate_vertex(graph, bm, v, beta, &mut rng, scratch).accepted()
     };
-    if parallel && vertices.len() >= 32 {
+    if vertices.len() >= 32 {
         vertices
             .par_iter()
             .filter_map(|&v| with_scratch(|scratch| evaluate(v, scratch)))
@@ -216,6 +155,15 @@ fn evaluate_frozen(
 /// and a checkpoint's strategy tag, depend on it.
 pub const BATCH_CHUNKS: usize = 3;
 
+/// The share of a Hybrid sweep's vertices, highest degree first, swept as
+/// exact Metropolis–Hastings: the head is `⌈len · 0.1⌉` vertices, computed
+/// in `f64`. A constant, not a knob, for the same reason as
+/// [`BATCH_CHUNKS`].
+pub const HYBRID_HEAD_FRACTION: f64 = 0.1;
+
+/// The most vertices one frozen chunk of a Hybrid sweep's tail holds.
+pub const HYBRID_CHUNK: usize = 256;
+
 /// Splits `vertices` into the [`BATCH_CHUNKS`] residue lists of a Batch
 /// sweep, each in input order. Always `BATCH_CHUNKS` lists, empty ones
 /// included: every participant of a distributed run syncs after each
@@ -228,9 +176,76 @@ pub fn batch_chunks(vertices: &[Vertex]) -> Vec<Vec<Vertex>> {
     chunks
 }
 
+/// One step of a sweep's plan: its vertices in sweep order, how they are
+/// decided, and whether a sweep that syncs syncs after it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Chunk {
+    /// The vertices, in sweep order.
+    pub vertices: Vec<Vertex>,
+    /// Decided all against the state at the chunk's start
+    /// ([`batch_sweep`]) rather than one after another
+    /// ([`keyed_mh_sweep`]).
+    pub frozen: bool,
+    /// Whether a sweep that ends in a sync point syncs after this chunk.
+    pub syncs: bool,
+}
+
+impl Chunk {
+    /// Sweeps this chunk's vertices in `bm`, applying every accepted move.
+    pub fn sweep(
+        &self,
+        graph: &Graph,
+        bm: &mut Blockmodel,
+        beta: f64,
+        seed: u64,
+        sweep_idx: usize,
+    ) -> SweepOutcome {
+        if self.frozen {
+            batch_sweep(graph, bm, &self.vertices, beta, seed, sweep_idx)
+        } else {
+            keyed_mh_sweep(graph, bm, &self.vertices, beta, seed, sweep_idx)
+        }
+    }
+}
+
+/// The chunks every sweep of a search over `vertices` runs, in order (the
+/// module docs give each strategy's). `graph` supplies the degrees the
+/// Hybrid head is chosen by. At least one chunk syncs, even over an empty
+/// set: every participant of a distributed run takes part in every sync.
+pub fn sweep_plan(strategy: McmcStrategy, graph: &Graph, vertices: &[Vertex]) -> Vec<Chunk> {
+    let chunk = |vertices: Vec<Vertex>, frozen, syncs| Chunk {
+        vertices,
+        frozen,
+        syncs,
+    };
+    match strategy {
+        McmcStrategy::MetropolisHastings => vec![chunk(vertices.to_vec(), false, true)],
+        McmcStrategy::Batch => batch_chunks(vertices)
+            .into_iter()
+            .map(|vs| chunk(vs, true, true))
+            .collect(),
+        McmcStrategy::Hybrid => {
+            let mut head = vertices.to_vec();
+            head.sort_by_key(|&v| (Reverse(graph.degree(v)), v));
+            let n_head = ((head.len() as f64) * HYBRID_HEAD_FRACTION).ceil() as usize;
+            let tail = head.split_off(n_head);
+            let mut plan = vec![chunk(head, false, false)];
+            plan.extend(
+                tail.chunks(HYBRID_CHUNK)
+                    .map(|vs| chunk(vs.to_vec(), true, false)),
+            );
+            if let Some(last) = plan.last_mut() {
+                last.syncs = true;
+            }
+            plan
+        }
+    }
+}
+
 /// One batch pass over `vertices`: evaluate *all* of them against the
-/// frozen state, then apply every accepted move. A Batch sweep is
-/// [`BATCH_CHUNKS`] of these, one per [`batch_chunks`] list.
+/// frozen state, then apply every accepted move — a frozen [`Chunk`]'s
+/// sweep. A Batch sweep is [`BATCH_CHUNKS`] of these, a Hybrid sweep's
+/// tail one per [`HYBRID_CHUNK`] vertices.
 ///
 /// Evaluation fans out over the persistent pool (see `evaluate_frozen`),
 /// so the pass — and every trajectory built on it — is bit-identical to
@@ -247,7 +262,7 @@ pub fn batch_sweep(
         proposals: vertices.len(),
         ..Default::default()
     };
-    for m in evaluate_frozen(graph, bm, vertices, beta, seed, sweep_idx, true) {
+    for m in evaluate_frozen(graph, bm, vertices, beta, seed, sweep_idx) {
         bm.move_vertex(graph, m.v, m.to);
         out.moves.push(m);
     }
@@ -274,17 +289,30 @@ mod tests {
         )
     }
 
+    /// One sweep of `plan`, every chunk against the state the one before
+    /// left: what a sweep with nobody to sync with runs.
+    fn plan_sweep(
+        g: &Graph,
+        bm: &mut Blockmodel,
+        plan: &[Chunk],
+        seed: u64,
+        sweep: usize,
+    ) -> Vec<AcceptedMove> {
+        plan.iter()
+            .flat_map(|chunk| chunk.sweep(g, bm, 3.0, seed, sweep).moves)
+            .collect()
+    }
+
     #[test]
-    fn hybrid_sweep_is_deterministic_given_seed() {
+    fn hybrid_plan_sweeps_are_deterministic_given_seed() {
         let g = two_triangles();
         let vertices: Vec<u32> = (0..6).collect();
-        let cfg = HybridConfig::default();
+        let plan = sweep_plan(McmcStrategy::Hybrid, &g, &vertices);
         let run = || {
             let mut bm = Blockmodel::from_assignment(&g, vec![0, 1, 0, 1, 0, 1], 2);
             let mut all_moves = Vec::new();
             for sweep in 0..5 {
-                let out = hybrid_sweep(&g, &mut bm, &vertices, 3.0, &cfg, 77, sweep);
-                all_moves.extend(out.moves);
+                all_moves.extend(plan_sweep(&g, &mut bm, &plan, 77, sweep));
             }
             (bm.assignment().to_vec(), all_moves)
         };
@@ -292,42 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_sweep_keeps_invariants() {
+    fn hybrid_plan_sweeps_keep_invariants() {
         let g = two_triangles();
         let vertices: Vec<u32> = (0..6).collect();
+        let plan = sweep_plan(McmcStrategy::Hybrid, &g, &vertices);
         let mut bm = Blockmodel::from_assignment(&g, vec![0, 1, 0, 1, 0, 1], 2);
         for sweep in 0..10 {
-            hybrid_sweep(
-                &g,
-                &mut bm,
-                &vertices,
-                3.0,
-                &HybridConfig::default(),
-                5,
-                sweep,
-            );
+            plan_sweep(&g, &mut bm, &plan, 5, sweep);
             bm.validate(&g).unwrap();
         }
-    }
-
-    #[test]
-    fn sequential_fraction_one_is_pure_mh() {
-        // With fraction 1.0, every vertex goes through the sequential path;
-        // the sweep must behave like plain MH (state always fresh).
-        let g = two_triangles();
-        let vertices: Vec<u32> = (0..6).collect();
-        let cfg = HybridConfig {
-            sequential_fraction: 1.0,
-            chunk_size: 1,
-            parallel: false,
-        };
-        let mut bm = Blockmodel::from_assignment(&g, vec![0, 1, 0, 1, 0, 1], 2);
-        let before = bm.description_length();
-        for sweep in 0..20 {
-            hybrid_sweep(&g, &mut bm, &vertices, 3.0, &cfg, 9, sweep);
-        }
-        bm.validate(&g).unwrap();
-        assert!(bm.description_length() <= before);
     }
 
     #[test]
@@ -380,9 +381,18 @@ mod tests {
         let g = two_triangles();
         let mut bm = Blockmodel::from_assignment(&g, vec![0, 1, 0, 1, 0, 1], 2);
         let before = bm.assignment().to_vec();
-        hybrid_sweep(&g, &mut bm, &[0, 2], 3.0, &HybridConfig::default(), 21, 0);
-        for v in [1usize, 3, 4, 5] {
-            assert_eq!(bm.assignment()[v], before[v]);
+        for strategy in [
+            McmcStrategy::MetropolisHastings,
+            McmcStrategy::Hybrid,
+            McmcStrategy::Batch,
+        ] {
+            let plan = sweep_plan(strategy, &g, &[0, 2]);
+            for sweep in 0..5 {
+                plan_sweep(&g, &mut bm, &plan, 21, sweep);
+                for v in [1usize, 3, 4, 5] {
+                    assert_eq!(bm.assignment()[v], before[v], "{strategy:?}");
+                }
+            }
         }
     }
 }

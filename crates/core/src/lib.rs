@@ -28,8 +28,10 @@
 //!   union-find merge resolution (optimization d);
 //! * [`mcmc`] — the Metropolis–Hastings sweeps (Alg. 2) and the
 //!   sweep-loop convergence rule;
-//! * [`hybrid`] — the Hybrid-SBP shared-memory parallel MCMC (sequential
-//!   high-degree vertices + chunked asynchronous-Gibbs low-degree ones);
+//! * [`hybrid`] — the sweep schedules: the plan of chunks a search's
+//!   sweeps run (Metropolis–Hastings, Hybrid SBP's sequential high-degree
+//!   head + frozen low-degree chunks, Batch's synced residue chunks) and
+//!   the frozen-chunk sweep body;
 //! * [`golden`] — the golden-ratio search over the number of communities;
 //! * [`run`] — the unified backend API: the object-safe [`Solver`] trait,
 //!   the shared [`RunConfig`]/[`RunOutcome`] types, progress events, and
@@ -87,15 +89,14 @@ pub use delta::{
     delta_entropy, merge_delta, vertex_move_delta, with_scratch, DeltaScratch, LineDelta,
 };
 pub use golden::{GoldenBracket, NextStep};
-pub use hybrid::HybridConfig;
 pub use mcmc::{keyed_mh_sweep, mh_sweep, AcceptedMove};
 pub use merge::{apply_merges, merge_labels, propose_merges, MergeCandidate};
 pub use naive::{naive_sbp, naive_sbp_from, NaiveScratch};
 pub use propose::{hastings_correction, propose_for_block, propose_for_vertex};
 pub use registry::{RegistryError, SolverRegistry, SolverSpec};
 pub use run::{
-    Batch, CancelToken, CheckpointSpec, DegradedReason, Hybrid, NoProgress, ProgressEvent,
-    ProgressFn, ProgressSink, RunConfig, RunOutcome, Sequential, Solver, WarmStart,
+    CancelToken, CheckpointSpec, DegradedReason, NoProgress, ProgressEvent, ProgressFn,
+    ProgressSink, RunConfig, RunOutcome, SingleNode, Solver, WarmStart,
 };
 pub use sbp::{solve_sbp, IterationStat, McmcStrategy, SbpConfig, SbpResult};
 

@@ -9,8 +9,8 @@
 //! adds the distributed ones; the `edist` facade's `default_registry`
 //! combines both.
 
-use crate::hybrid::HybridConfig;
-use crate::run::{Batch, Hybrid, Sequential, Solver};
+use crate::run::{SingleNode, Solver};
+use crate::sbp::McmcStrategy;
 use std::collections::BTreeMap;
 
 /// Backend-construction parameters a registry factory may consume.
@@ -94,10 +94,14 @@ impl SolverRegistry {
     /// `sbp`), `hybrid`, and `batch`.
     pub fn with_core_backends() -> Self {
         let mut reg = Self::new();
-        reg.register("sequential", |_| Ok(Box::new(Sequential)));
-        reg.register("sbp", |_| Ok(Box::new(Sequential)));
-        reg.register("hybrid", |_| Ok(Box::new(Hybrid(HybridConfig::default()))));
-        reg.register("batch", |_| Ok(Box::new(Batch)));
+        for (name, strategy) in [
+            ("sequential", McmcStrategy::MetropolisHastings),
+            ("sbp", McmcStrategy::MetropolisHastings),
+            ("hybrid", McmcStrategy::Hybrid),
+            ("batch", McmcStrategy::Batch),
+        ] {
+            reg.register(name, move |_| Ok(Box::new(SingleNode(strategy))));
+        }
         reg
     }
 
@@ -149,6 +153,8 @@ mod tests {
         for name in ["sequential", "sbp", "hybrid", "batch"] {
             let solver = reg.build(name, &SolverSpec::default()).unwrap();
             assert!(solver.supports_warm_start(), "{name}");
+            let want = if name == "sbp" { "sequential" } else { name };
+            assert_eq!(solver.name(), want);
             let out = solver.solve(&g, &cfg, &mut NoProgress);
             assert_eq!(out.num_blocks, 2, "{name}");
         }

@@ -15,7 +15,6 @@
 //! builds the `Partitioner` builder on top of this module.
 
 use crate::checkpoint::CheckpointState;
-use crate::hybrid::HybridConfig;
 use crate::sbp::{solve_sbp, IterationStat, McmcStrategy, SbpConfig};
 use sbp_graph::{Graph, Vertex};
 use sbp_mpi::ClusterReport;
@@ -420,69 +419,31 @@ impl<S: Solver + ?Sized> Solver for Box<S> {
 
 // ------------------------------------------------- single-node backends
 
-fn solve_with_strategy(
-    graph: &Graph,
-    cfg: &RunConfig,
-    strategy: McmcStrategy,
-    progress: &mut dyn ProgressSink,
-) -> RunOutcome {
-    let mut cfg = cfg.clone();
-    cfg.sbp.strategy = strategy;
-    solve_sbp(graph, None, &cfg, progress)
-}
+/// The single-node backends: the golden search on the whole graph
+/// ([`solve_sbp`]) with every sweep under the given strategy, whatever
+/// `cfg.sbp.strategy` says. `SingleNode(McmcStrategy::MetropolisHastings)`
+/// is sequential SBP, the paper's single-node baseline (Alg. 2);
+/// `Hybrid` is Hybrid SBP (the paper's intra-rank shared-memory
+/// parallelization); `Batch` is the schedule whose trajectory is exactly
+/// invariant to EDiSt's rank count — see the backend-equivalence tests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SingleNode(pub McmcStrategy);
 
-/// Sequential SBP: the paper's single-node baseline (Metropolis–Hastings
-/// sweeps, Alg. 2).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Sequential;
-
-impl Solver for Sequential {
+impl Solver for SingleNode {
+    /// `sequential`, `hybrid` or `batch`: the registry's names.
     fn name(&self) -> String {
-        "sequential".into()
+        match self.0 {
+            McmcStrategy::MetropolisHastings => "sequential",
+            McmcStrategy::Hybrid => "hybrid",
+            McmcStrategy::Batch => "batch",
+        }
+        .into()
     }
 
     fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
-        solve_with_strategy(graph, cfg, McmcStrategy::MetropolisHastings, progress)
-    }
-
-    fn supports_warm_start(&self) -> bool {
-        true
-    }
-}
-
-/// Hybrid SBP: sequential high-degree head + chunked asynchronous-Gibbs
-/// tail (the paper's intra-rank shared-memory parallelization).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Hybrid(pub HybridConfig);
-
-impl Solver for Hybrid {
-    fn name(&self) -> String {
-        "hybrid".into()
-    }
-
-    fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
-        solve_with_strategy(graph, cfg, McmcStrategy::Hybrid(self.0), progress)
-    }
-
-    fn supports_warm_start(&self) -> bool {
-        true
-    }
-}
-
-/// Batch SBP: whole sweeps evaluated against frozen state
-/// (python-reference parallelism). The only strategy whose trajectory is
-/// exactly invariant to EDiSt's rank count — see the backend-equivalence
-/// tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Batch;
-
-impl Solver for Batch {
-    fn name(&self) -> String {
-        "batch".into()
-    }
-
-    fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
-        solve_with_strategy(graph, cfg, McmcStrategy::Batch, progress)
+        let mut cfg = cfg.clone();
+        cfg.sbp.strategy = self.0;
+        solve_sbp(graph, None, &cfg, progress)
     }
 
     fn supports_warm_start(&self) -> bool {
@@ -508,15 +469,13 @@ mod tests {
     fn backends_are_object_safe_and_solve() {
         let g = two_cliques(6);
         let cfg = RunConfig::seeded(3);
-        let backends: Vec<Box<dyn Solver>> = vec![
-            Box::new(Sequential),
-            Box::new(Hybrid(HybridConfig {
-                parallel: false,
-                ..HybridConfig::default()
-            })),
-            Box::new(Batch),
-        ];
-        for solver in &backends {
+        for solver in [
+            McmcStrategy::MetropolisHastings,
+            McmcStrategy::Hybrid,
+            McmcStrategy::Batch,
+        ]
+        .map(|strategy| Box::new(SingleNode(strategy)) as Box<dyn Solver>)
+        {
             let out = solver.solve(&g, &cfg, &mut NoProgress);
             assert_eq!(out.assignment.len(), 12, "{}", solver.name());
             assert_eq!(out.num_blocks, 2, "{}", solver.name());
@@ -539,7 +498,11 @@ mod tests {
                 other => format!("{other:?}"),
             });
         });
-        let out = Sequential.solve(&g, &RunConfig::seeded(1), &mut sink);
+        let out = SingleNode(McmcStrategy::MetropolisHastings).solve(
+            &g,
+            &RunConfig::seeded(1),
+            &mut sink,
+        );
         assert_eq!(events.first().map(String::as_str), Some("started"));
         assert_eq!(events.last().map(String::as_str), Some("finished"));
         let iterations = events.iter().filter(|e| *e == "iteration").count();
@@ -551,7 +514,7 @@ mod tests {
         let g = two_cliques(6);
         let cfg = RunConfig::seeded(2);
         cfg.cancel.cancel();
-        let out = Sequential.solve(&g, &cfg, &mut NoProgress);
+        let out = SingleNode(McmcStrategy::MetropolisHastings).solve(&g, &cfg, &mut NoProgress);
         assert!(out.cancelled);
         // Nothing ran: the seeded identity bracket entry comes back.
         assert_eq!(out.num_blocks, 12);

@@ -121,8 +121,8 @@
 use crate::blockmodel::{compact_labels, Blockmodel};
 use crate::checkpoint::{strategy_tag, CheckpointState};
 use crate::golden::{BracketEntry, GoldenBracket, NextStep};
-use crate::hybrid::{batch_chunks, batch_sweep, hybrid_sweep, HybridConfig};
-use crate::mcmc::{keyed_mh_sweep, AcceptedMove, ConvergenceCheck};
+use crate::hybrid::{sweep_plan, Chunk};
+use crate::mcmc::{AcceptedMove, ConvergenceCheck};
 use crate::merge::merge_labels;
 use crate::plane::{LocalPlane, Plane};
 use crate::run::{
@@ -302,23 +302,27 @@ impl ProgressSink for Reported<'_> {
     }
 }
 
-/// Which MCMC sweep implementation to use inside each phase.
-#[derive(Clone, Debug, PartialEq)]
+/// Which MCMC sweep schedule each phase runs: a name for one
+/// [`crate::hybrid::sweep_plan`], built once per search. Every schedule
+/// draws each vertex's randomness from its `(seed, sweep, vertex)`
+/// stream, so a sweep over any vertex subset draws the identical
+/// randomness for a given vertex regardless of which rank evaluates it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum McmcStrategy {
-    /// Sequential Metropolis–Hastings (paper Alg. 2). Proposal RNG
-    /// streams are derived per `(seed, sweep, vertex)` — the same scheme
-    /// as [`crate::hybrid::hybrid_sweep`] — so a sweep over any vertex
-    /// subset draws the identical randomness for a given vertex
-    /// regardless of which rank evaluates it.
+    /// Sequential Metropolis–Hastings (paper Alg. 2): one chunk, one sync
+    /// round per sweep.
     MetropolisHastings,
-    /// Hybrid SBP: sequential high-degree head + chunked asynchronous
-    /// Gibbs tail (the paper's intra-rank parallelization).
-    Hybrid(HybridConfig),
+    /// Hybrid SBP (the paper's intra-rank parallelization): the
+    /// [`crate::hybrid::HYBRID_HEAD_FRACTION`] highest-degree vertices
+    /// sequentially, the rest in frozen chunks of
+    /// [`crate::hybrid::HYBRID_CHUNK`] evaluated on the pool; one sync
+    /// round per sweep.
+    Hybrid,
     /// Batch evaluation in [`crate::hybrid::BATCH_CHUNKS`] synced chunks
     /// per sweep: each chunk of vertices is decided against the state
     /// synced after the previous one ([`crate::hybrid::batch_chunks`]).
     /// The schedule whose trajectory is bit-identical at every rank
-    /// count — the one the single-node `Batch` backend and EDiSt share.
+    /// count — the one the single-node `batch` backend and EDiSt share.
     Batch,
 }
 
@@ -449,8 +453,10 @@ pub fn solve_sbp(
 /// [`crate::run::WarmStart`]), else the identity partition.
 ///
 /// **Sync points.** Moves are exchanged every `sync_period` sweeps and
-/// after a phase's last one; 1 is the paper's schedule. A Batch sweep
-/// that ends in a sync point also syncs after each of its chunks.
+/// after a phase's last one; 1 is the paper's schedule. A sweep that
+/// ends in a sync point syncs after each chunk of its plan that syncs
+/// ([`crate::hybrid::sweep_plan`], built here once per search): three
+/// rounds per Batch sweep, one per MH or Hybrid sweep.
 ///
 /// **Cancellation** follows the contract on [`ProgressEvent::Cancelled`]
 /// and returns the best bracket entry so far.
@@ -482,16 +488,17 @@ pub fn golden_search<P: Plane>(
         .warm
         .as_ref()
         .filter(|_| start.is_none() && cfg.resume.is_none());
-    let chunks = match (&cfg.sbp.strategy, swept_vertices(plane, warm)) {
-        (McmcStrategy::Batch, vertices) => batch_chunks(&vertices),
-        (_, vertices) => vec![vertices],
-    };
+    let plan = sweep_plan(
+        cfg.sbp.strategy,
+        plane.sweep_graph(),
+        &swept_vertices(plane, warm),
+    );
     let mut search = Search {
         phase: Phase {
             plane,
             cfg,
             cancel: &cfg.cancel,
-            chunks: &chunks,
+            plan: &plan,
             sync_period: sync_period.max(1),
         },
         progress: Reported {
@@ -580,15 +587,15 @@ struct Search<'a, P: Plane> {
 }
 
 /// What a probe runs against: the plane, the run's config, the token its
-/// sync points read, the vertices it sweeps — in the chunks a sweep syncs
-/// between, one unless the strategy is Batch — and the sync period. The
-/// search's own probes run against its plane and the run's token; one run
-/// ahead, against a [`LocalPlane`] of the same graph.
+/// sync points read, the plan every sweep runs — the vertices it sweeps,
+/// chunk by chunk — and the sync period. The search's own probes run
+/// against its plane and the run's token; one run ahead, against a
+/// [`LocalPlane`] of the same graph.
 struct Phase<'a, P> {
     plane: &'a P,
     cfg: &'a RunConfig,
     cancel: &'a CancelToken,
-    chunks: &'a [Vec<Vertex>],
+    plan: &'a [Chunk],
     sync_period: usize,
 }
 
@@ -1095,7 +1102,7 @@ impl<P: Plane> Phase<'_, P> {
             plane: &local,
             cfg: self.cfg,
             cancel,
-            chunks: self.chunks,
+            plan: self.plan,
             sync_period: self.sync_period,
         };
         let caller = std::thread::current().id();
@@ -1128,10 +1135,11 @@ impl<P: Plane> Phase<'_, P> {
     }
 
     /// One MCMC phase (paper Alg. 2 / Alg. 5): sweep this plane's
-    /// vertices chunk by chunk, sync every `sync_period` sweeps (after
-    /// each of the sweep's chunks), and stop on the convergence rule —
-    /// the moving average of the last three per-sync ΔDL values falling
-    /// below `threshold × initial DL` — after
+    /// vertices chunk by chunk through the plan (the one sweep loop
+    /// besides `crate::naive`'s baseline), sync every `sync_period`
+    /// sweeps (after each chunk of the plan that syncs), and stop on the
+    /// convergence rule — the moving average of the last three per-sync
+    /// ΔDL values falling below `threshold × initial DL` — after
     /// `max_sweeps`, or on a cancel decision. One agreed value carries
     /// both the DL and that decision, so participants never disagree on
     /// either. Reports one `Sweep` per synced sweep to `sink`, its
@@ -1162,27 +1170,17 @@ impl<P: Plane> Phase<'_, P> {
             moves: 0,
         };
         while stat.sweeps < scfg.max_sweeps {
-            // A sweep syncs at every chunk boundary or at none: between
-            // the sync points of a longer period each participant sees
-            // only its own moves, chunk after chunk.
+            // A sweep syncs after every chunk that syncs or after none:
+            // between the sync points of a longer period each participant
+            // sees only its own moves, chunk after chunk.
             let syncs = (stat.sweeps + 1).is_multiple_of(self.sync_period)
                 || stat.sweeps + 1 == scfg.max_sweeps;
             let mut accepted = 0usize;
-            for vs in self.chunks {
-                let outcome = match &scfg.strategy {
-                    McmcStrategy::MetropolisHastings => {
-                        keyed_mh_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
-                    }
-                    McmcStrategy::Hybrid(hcfg) => {
-                        hybrid_sweep(graph, bm, vs, scfg.beta, hcfg, sweep_seed, stat.sweeps)
-                    }
-                    McmcStrategy::Batch => {
-                        batch_sweep(graph, bm, vs, scfg.beta, sweep_seed, stat.sweeps)
-                    }
-                };
+            for chunk in self.plan {
+                let outcome = chunk.sweep(graph, bm, scfg.beta, sweep_seed, stat.sweeps);
                 pending.extend(outcome.moves);
                 proposed += outcome.proposals;
-                if syncs {
+                if syncs && chunk.syncs {
                     accepted += plane.sync(bm, prev, &pending)?;
                     pending.clear();
                 }
@@ -1335,10 +1333,7 @@ mod tests {
     fn hybrid_strategy_also_recovers() {
         let (g, _) = planted_two_cliques(8);
         let cfg = SbpConfig {
-            strategy: McmcStrategy::Hybrid(HybridConfig {
-                parallel: false,
-                ..Default::default()
-            }),
+            strategy: McmcStrategy::Hybrid,
             seed: 4,
             ..Default::default()
         };
@@ -1786,29 +1781,107 @@ mod tests {
         }
     }
 
-    /// The chunks a Batch search sweeps partition what it sweeps — the
-    /// whole vertex set, or a warm start's dirty subset — by residue,
-    /// each in sweep order, and there are always `BATCH_CHUNKS` of them.
+    /// What a search sweeps — the whole vertex set, or a warm start's
+    /// dirty subset in sweep order — on a graph whose degrees vary.
+    fn swept_sets(g: &Graph) -> Vec<Vec<Vertex>> {
+        let plane = LocalPlane::new(g);
+        let n = g.num_vertices() as u32;
+        let dirty: Vec<Vertex> = (0..n)
+            .rev()
+            .filter(|v| v % 5 != 0)
+            .chain([n + 9, 4])
+            .collect();
+        let warm = WarmStart::new(vec![0; n as usize], 1).with_dirty(dirty);
+        let sets = vec![
+            swept_vertices(&plane, None),
+            swept_vertices(&plane, Some(&warm)),
+        ];
+        assert_eq!(sets[0], (0..n).collect::<Vec<_>>());
+        assert_eq!(sets[1], (0..n).filter(|v| v % 5 != 0).collect::<Vec<_>>());
+        sets
+    }
+
+    /// 700 vertices, out-degree 2, in-degree 0 up to 10.
+    fn uneven_graph() -> Graph {
+        let edges = (0..700u32).flat_map(|v| [(v, (v * 7 + 3) % 700, 1), (v, v / 3, 1)]);
+        Graph::from_edges(700, edges)
+    }
+
+    /// The plan of a Metropolis–Hastings search is one chunk, swept in
+    /// order and synced.
     #[test]
-    fn batch_chunks_partition_the_swept_set() {
-        use crate::hybrid::BATCH_CHUNKS;
-        use crate::run::WarmStart;
-        let (g, truth) = planted_two_cliques(8);
-        let plane = LocalPlane::new(&g);
-        let warm = WarmStart::new(truth, 2).with_dirty(vec![13, 2, 7, 2, 99, 4]);
-        for (warm, want) in [(None, (0..16).collect()), (Some(&warm), vec![2, 4, 7, 13])] {
-            let swept = swept_vertices(&plane, warm);
-            assert_eq!(swept, want);
-            let chunks = batch_chunks(&swept);
-            assert_eq!(chunks.len(), BATCH_CHUNKS);
-            for (c, chunk) in chunks.iter().enumerate() {
-                assert!(chunk.iter().all(|&v| v as usize % BATCH_CHUNKS == c));
-                assert!(chunk.windows(2).all(|p| p[0] < p[1]), "sweep order");
+    fn an_mh_plan_is_one_synced_chunk_of_the_swept_set() {
+        let g = uneven_graph();
+        for swept in swept_sets(&g).into_iter().chain([vec![]]) {
+            let plan = sweep_plan(McmcStrategy::MetropolisHastings, &g, &swept);
+            let want = Chunk {
+                vertices: swept,
+                frozen: false,
+                syncs: true,
+            };
+            assert_eq!(plan, [want]);
+        }
+    }
+
+    /// The plan of a Batch search is its `batch_chunks`, each frozen and
+    /// each synced: the swept set's residue lists, each in sweep order,
+    /// always `BATCH_CHUNKS` of them.
+    #[test]
+    fn a_batch_plan_is_the_batch_chunks_each_synced() {
+        use crate::hybrid::{batch_chunks, BATCH_CHUNKS};
+        let g = uneven_graph();
+        for swept in swept_sets(&g).into_iter().chain([vec![]]) {
+            let plan = sweep_plan(McmcStrategy::Batch, &g, &swept);
+            assert_eq!(plan.len(), BATCH_CHUNKS);
+            for (c, (chunk, want)) in plan.iter().zip(batch_chunks(&swept)).enumerate() {
+                assert!(chunk.frozen && chunk.syncs, "chunk {c}");
+                assert_eq!(chunk.vertices, want, "chunk {c}");
+                assert!(want.iter().all(|&v| v as usize % BATCH_CHUNKS == c));
+                assert!(want.windows(2).all(|p| p[0] < p[1]), "sweep order");
             }
-            let mut all = chunks.concat();
+            let mut all: Vec<Vertex> = plan.into_iter().flat_map(|c| c.vertices).collect();
             all.sort_unstable();
             assert_eq!(all, swept);
         }
+    }
+
+    /// The plan of a Hybrid search: the swept set in `(Reverse(degree),
+    /// v)` order, its ⌈10 %⌉ head one unfrozen chunk, the tail frozen
+    /// chunks of at most `HYBRID_CHUNK`, and only the last chunk syncs —
+    /// over an empty set too, which is then one empty synced chunk.
+    #[test]
+    fn a_hybrid_plan_is_a_degree_sorted_head_and_frozen_tail_chunks() {
+        use crate::hybrid::{HYBRID_CHUNK, HYBRID_HEAD_FRACTION};
+        let g = uneven_graph();
+        for swept in swept_sets(&g) {
+            let plan = sweep_plan(McmcStrategy::Hybrid, &g, &swept);
+            let mut order = swept.clone();
+            order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
+            let head = (swept.len() as f64 * HYBRID_HEAD_FRACTION).ceil() as usize;
+            assert_eq!(head, swept.len().div_ceil(10));
+            assert_eq!(plan[0].vertices, order[..head]);
+            assert!(!plan[0].frozen);
+            assert!(g.degree(order[0]) > g.degree(order[head]), "degrees vary");
+            let tail = &plan[1..];
+            assert_eq!(tail.len(), (swept.len() - head).div_ceil(HYBRID_CHUNK));
+            assert!(tail.len() >= 2, "the tail spans several chunks");
+            for chunk in tail {
+                assert!(chunk.frozen);
+                assert!(!chunk.vertices.is_empty() && chunk.vertices.len() <= HYBRID_CHUNK);
+            }
+            let syncs: Vec<bool> = plan.iter().map(|c| c.syncs).collect();
+            assert_eq!(syncs.iter().filter(|&&s| s).count(), 1);
+            assert_eq!(syncs.last(), Some(&true));
+            let all: Vec<Vertex> = plan.into_iter().flat_map(|c| c.vertices).collect();
+            assert_eq!(all, order);
+        }
+        let empty = sweep_plan(McmcStrategy::Hybrid, &g, &[]);
+        let want = Chunk {
+            vertices: vec![],
+            frozen: false,
+            syncs: true,
+        };
+        assert_eq!(empty, [want]);
     }
 
     #[test]
@@ -2120,13 +2193,10 @@ mod tests {
     #[test]
     fn pooled_sweep_strategies_run_no_probe_ahead() {
         let g = clique_chain(10, 5);
-        for strategy in [
-            McmcStrategy::Hybrid(HybridConfig::default()),
-            McmcStrategy::Batch,
-        ] {
+        for strategy in [McmcStrategy::Hybrid, McmcStrategy::Batch] {
             let cfg = || {
                 let mut cfg = RunConfig::seeded(1);
-                cfg.sbp.strategy = strategy.clone();
+                cfg.sbp.strategy = strategy;
                 cfg
             };
             let (_, _, overlaps) = one_worker_equals_two(&g, cfg, |_, _| {});

@@ -415,7 +415,7 @@ mod tests {
                 let run = |distributed: bool| {
                     let cfg = RunConfig::from_sbp(SbpConfig {
                         seed: 11,
-                        strategy: strategy.clone(),
+                        strategy,
                         ..SbpConfig::default()
                     });
                     let token = cfg.cancel.clone();

@@ -160,9 +160,12 @@ impl<S: Solver> Solver for Sampled<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbp_core::run::{NoProgress, Sequential};
+    use sbp_core::run::{NoProgress, SingleNode};
+    use sbp_core::McmcStrategy;
     use sbp_eval::nmi;
     use sbp_gen::{generate, SbmParams};
+
+    const SEQUENTIAL: SingleNode = SingleNode(McmcStrategy::MetropolisHastings);
 
     fn planted() -> (Graph, Vec<u32>) {
         let pg = generate(&SbmParams {
@@ -178,7 +181,7 @@ mod tests {
     #[test]
     fn sampled_sequential_recovers_planted_partition() {
         let (g, truth) = planted();
-        let solver = Sampled::new(Sequential);
+        let solver = Sampled::new(SEQUENTIAL);
         let out = solver.solve(&g, &RunConfig::seeded(3), &mut NoProgress);
         assert_eq!(out.assignment.len(), 400);
         assert_eq!(out.sampled_vertices, Some(200));
@@ -202,7 +205,7 @@ mod tests {
                 strategy,
                 fraction: 0.4,
                 finetune_sweeps: 1,
-                ..Sampled::new(Sequential)
+                ..Sampled::new(SEQUENTIAL)
             };
             let out = solver.solve(&g, &RunConfig::seeded(5), &mut NoProgress);
             assert_eq!(out.assignment.len(), 400, "{strategy:?}");
@@ -216,7 +219,7 @@ mod tests {
         let solver = Sampled {
             fraction: 1.0,
             finetune_sweeps: 0,
-            ..Sampled::new(Sequential)
+            ..Sampled::new(SEQUENTIAL)
         };
         let out = solver.solve(&g, &RunConfig::seeded(7), &mut NoProgress);
         assert!(nmi(&out.assignment, &truth) > 0.9);
@@ -224,14 +227,14 @@ mod tests {
 
     #[test]
     fn sampled_name_mentions_inner_backend() {
-        let solver = Sampled::new(Sequential);
+        let solver = Sampled::new(SEQUENTIAL);
         assert_eq!(solver.name(), "sampled(sequential, 50%)");
     }
 
     #[test]
     fn empty_graph_short_circuits() {
         let g = Graph::from_edges(0, Vec::new());
-        let out = Sampled::new(Sequential).solve(&g, &RunConfig::seeded(0), &mut NoProgress);
+        let out = Sampled::new(SEQUENTIAL).solve(&g, &RunConfig::seeded(0), &mut NoProgress);
         assert_eq!(out.num_blocks, 0);
         assert_eq!(out.sampled_vertices, Some(0));
     }
@@ -242,7 +245,7 @@ mod tests {
         let g = Graph::from_edges(2, vec![(0, 1, 1)]);
         let solver = Sampled {
             fraction: 0.0,
-            ..Sampled::new(Sequential)
+            ..Sampled::new(SEQUENTIAL)
         };
         solver.solve(&g, &RunConfig::seeded(0), &mut NoProgress);
     }

@@ -22,10 +22,10 @@
 //! distributed backends — the [`ClusterReport`].
 
 use sbp_core::run::{
-    Batch, CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, ProgressFn, ProgressSink,
-    RunConfig, RunOutcome, Sequential, Solver, WarmStart,
+    CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, ProgressFn, ProgressSink,
+    RunConfig, RunOutcome, SingleNode, Solver, WarmStart,
 };
-use sbp_core::{CheckpointState, HybridConfig, IterationStat, McmcStrategy, SbpConfig};
+use sbp_core::{CheckpointState, IterationStat, McmcStrategy, SbpConfig};
 use sbp_core::{SolverRegistry, SolverSpec};
 use sbp_dist::{run_sharded, DcSbp, Edist, FaultPlan, OwnershipStrategy, ShardedBackend};
 use sbp_eval::normalized_dl;
@@ -42,13 +42,13 @@ pub use sbp_dist::ShardIngestReport;
 type ProgressCallback<'a> = Box<dyn FnMut(&ProgressEvent) + 'a>;
 
 /// Which execution strategy runs the shared SBP inference engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// Single-node sequential Metropolis–Hastings (paper Alg. 2).
     Sequential,
-    /// Single-node Hybrid SBP (sequential head + asynchronous-Gibbs
-    /// tail, the paper's intra-rank parallelization).
-    Hybrid(HybridConfig),
+    /// Single-node Hybrid SBP (sequential high-degree head + frozen
+    /// low-degree chunks, the paper's intra-rank parallelization).
+    Hybrid,
     /// Single-node frozen-state batch evaluation (python-reference
     /// parallelism; the strategy under which EDiSt trajectories are
     /// bit-identical at every rank count).
@@ -69,7 +69,7 @@ impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Backend::Sequential => write!(f, "sequential"),
-            Backend::Hybrid(_) => write!(f, "hybrid"),
+            Backend::Hybrid => write!(f, "hybrid"),
             Backend::Batch => write!(f, "batch"),
             Backend::DcSbp { ranks } => write!(f, "dcsbp(ranks={ranks})"),
             Backend::Edist { ranks } => write!(f, "edist(ranks={ranks})"),
@@ -533,10 +533,10 @@ impl<'a> Partitioner<'a> {
     /// The backend an in-memory run will actually use: an unspecified
     /// backend follows the configured MCMC strategy.
     fn effective_backend(&self) -> Backend {
-        match (self.backend, &self.sbp.strategy) {
+        match (self.backend, self.sbp.strategy) {
             (Some(backend), _) => backend,
             (None, McmcStrategy::MetropolisHastings) => Backend::Sequential,
-            (None, McmcStrategy::Hybrid(hcfg)) => Backend::Hybrid(*hcfg),
+            (None, McmcStrategy::Hybrid) => Backend::Hybrid,
             (None, McmcStrategy::Batch) => Backend::Batch,
         }
     }
@@ -548,9 +548,9 @@ impl<'a> Partitioner<'a> {
     fn effective_strategy(&self) -> McmcStrategy {
         match self.effective_backend() {
             Backend::Sequential => McmcStrategy::MetropolisHastings,
-            Backend::Hybrid(hcfg) => McmcStrategy::Hybrid(hcfg),
+            Backend::Hybrid => McmcStrategy::Hybrid,
             Backend::Batch => McmcStrategy::Batch,
-            Backend::DcSbp { .. } | Backend::Edist { .. } => self.sbp.strategy.clone(),
+            Backend::DcSbp { .. } | Backend::Edist { .. } => self.sbp.strategy,
         }
     }
 
@@ -566,9 +566,9 @@ impl<'a> Partitioner<'a> {
             )));
         }
         let base: Box<dyn Solver> = match backend {
-            Backend::Sequential => Box::new(Sequential),
-            Backend::Hybrid(hcfg) => Box::new(sbp_core::run::Hybrid(hcfg)),
-            Backend::Batch => Box::new(Batch),
+            Backend::Sequential | Backend::Hybrid | Backend::Batch => {
+                Box::new(SingleNode(self.effective_strategy()))
+            }
             Backend::DcSbp { ranks } => {
                 if ranks == 0 {
                     return Err(PartitionError::ZeroRanks);
@@ -926,10 +926,7 @@ mod tests {
         let g = two_cliques(8);
         for backend in [
             Backend::Sequential,
-            Backend::Hybrid(HybridConfig {
-                parallel: false,
-                ..HybridConfig::default()
-            }),
+            Backend::Hybrid,
             Backend::Batch,
             Backend::DcSbp { ranks: 2 },
             Backend::Edist { ranks: 2 },

@@ -468,7 +468,7 @@ fn parse_backend(name: &str, ranks: usize) -> Result<Backend, String> {
     Ok(match name {
         // `sbp` is the registry's second name for the sequential backend.
         "sequential" | "sbp" => Backend::Sequential,
-        "hybrid" => Backend::Hybrid(HybridConfig::default()),
+        "hybrid" => Backend::Hybrid,
         "batch" => Backend::Batch,
         "dcsbp" => Backend::DcSbp { ranks },
         "edist" => Backend::Edist { ranks },
@@ -841,7 +841,7 @@ fn cmd_partition(args: &Args) -> Result<u8, String> {
             Some(parse_backend(name, header.shard_count)?)
         }
         (GraphSource::Mem(_), None, _) => Some(Backend::Sequential),
-        (GraphSource::Mem(_), Some(name), _) => Some(parse_backend(name, ranks.max(1))?),
+        (GraphSource::Mem(_), Some(name), _) => Some(parse_backend(name, ranks)?),
     };
     let sample = match args.get("sample") {
         Some(_) => Some(args.num("sample", 0.5f64)?),
@@ -1066,11 +1066,11 @@ fn cmd_islands(args: &Args) -> Result<(), String> {
     let ranks_spec = args.get("ranks").unwrap_or("1,2,4,8,16,32,64");
     println!("{:>8} {:>10} {:>10}", "ranks", "islands", "fraction");
     for tok in ranks_spec.split(',') {
-        let n: usize = tok
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad rank count '{tok}'"))?;
-        let rep = island_fraction_round_robin(&graph, n.max(1));
+        let n: usize = match tok.trim().parse() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("bad rank count '{tok}' (at least 1)")),
+        };
+        let rep = island_fraction_round_robin(&graph, n);
         println!("{:>8} {:>10} {:>10.4}", n, rep.islands, rep.fraction());
     }
     Ok(())
@@ -1642,6 +1642,38 @@ mod tests {
             run(&argv(&[&serve[..], &["--sync-period", "0"]].concat())),
             Err(want)
         );
+        let _ = std::fs::remove_file(&gpath);
+    }
+
+    /// `partition --ranks 0` is the facade's zero-ranks error for both
+    /// distributed backends, never a run at one rank.
+    #[test]
+    fn zero_ranks_partition_is_refused() {
+        let gpath = std::env::temp_dir().join("edist_cli_ranks0.txt");
+        std::fs::write(&gpath, "0 1\n1 2\n2 0\n").unwrap();
+        let g = gpath.to_str().unwrap();
+        let partition = ["partition", "--graph", g, "--ranks", "0", "--backend"];
+        for backend in ["edist", "dcsbp"] {
+            let args = [&partition[..], &[backend]].concat();
+            assert_eq!(
+                run(&argv(&args)),
+                Err(PartitionError::ZeroRanks.to_string()),
+                "{backend}"
+            );
+        }
+        let _ = std::fs::remove_file(&gpath);
+    }
+
+    /// `islands --ranks` refuses a zero rank count instead of printing a
+    /// row computed at one rank.
+    #[test]
+    fn zero_ranks_islands_is_refused() {
+        let gpath = std::env::temp_dir().join("edist_cli_islands0.txt");
+        std::fs::write(&gpath, "0 1\n1 2\n2 0\n").unwrap();
+        let g = gpath.to_str().unwrap();
+        let got = run(&argv(&["islands", "--graph", g, "--ranks", "0,2"]));
+        assert_eq!(got, Err("bad rank count '0' (at least 1)".to_string()));
+        assert!(run(&argv(&["islands", "--graph", g, "--ranks", "1,2"])).is_ok());
         let _ = std::fs::remove_file(&gpath);
     }
 

@@ -40,7 +40,7 @@
 //! in the call changes:
 //!
 //! * [`Backend::Sequential`](api::Backend) — single-node MH baseline;
-//! * `Backend::Hybrid(HybridConfig::default())` — shared-memory hybrid;
+//! * `Backend::Hybrid` — shared-memory hybrid;
 //! * `Backend::Batch` — frozen-state batch sweeps;
 //! * `Backend::DcSbp { ranks }` — divide-and-conquer on simulated MPI;
 //! * `Backend::Edist { ranks }` — exact distributed SBP.
@@ -150,9 +150,9 @@ pub mod prelude {
     };
     pub use sbp_core::{
         solve_sbp, Blockmodel, CancelToken, CheckpointError, CheckpointSpec, CheckpointState,
-        DegradedReason, GoldenBracket, HybridConfig, IterationStat, McmcStrategy, NoProgress,
-        ProgressEvent, ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, SbpResult,
-        Solver, SolverRegistry, SolverSpec, WarmStart,
+        DegradedReason, GoldenBracket, IterationStat, McmcStrategy, NoProgress, ProgressEvent,
+        ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, SbpResult, Solver,
+        SolverRegistry, SolverSpec, WarmStart,
     };
     pub use sbp_dist::{
         load_dist_graph, run_sharded, DcSbp, DistError, DistGraph, Edist, Fault, FaultComm,

@@ -287,13 +287,7 @@ fn single_rank_edist_is_the_single_node_run_event_for_event() {
     std::fs::create_dir_all(&dir).unwrap();
     for (tag, strategy) in [
         ("mh", McmcStrategy::MetropolisHastings),
-        (
-            "hybrid",
-            McmcStrategy::Hybrid(HybridConfig {
-                parallel: false,
-                ..HybridConfig::default()
-            }),
-        ),
+        ("hybrid", McmcStrategy::Hybrid),
         ("batch", McmcStrategy::Batch),
     ] {
         let cfg = SbpConfig {
@@ -370,14 +364,11 @@ fn unspecified_backend_follows_the_configured_strategy() {
     let g = two_cliques(8);
     for strategy in [
         McmcStrategy::MetropolisHastings,
-        McmcStrategy::Hybrid(HybridConfig {
-            parallel: false,
-            ..HybridConfig::default()
-        }),
+        McmcStrategy::Hybrid,
         McmcStrategy::Batch,
     ] {
         let cfg = SbpConfig {
-            strategy: strategy.clone(),
+            strategy,
             seed: 6,
             ..SbpConfig::default()
         };

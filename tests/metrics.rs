@@ -74,11 +74,7 @@ fn metrics_on_and_off_runs_are_bit_identical_single_node() {
             Backend::Sequential,
             McmcStrategy::MetropolisHastings,
         ),
-        (
-            "hybrid",
-            Backend::Hybrid(HybridConfig::default()),
-            McmcStrategy::Hybrid(HybridConfig::default()),
-        ),
+        ("hybrid", Backend::Hybrid, McmcStrategy::Hybrid),
         ("batch", Backend::Batch, McmcStrategy::Batch),
     ] {
         let cfg = SbpConfig {

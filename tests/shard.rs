@@ -286,7 +286,7 @@ fn sharded_edist_bit_identical_in_sparse_regime_matrix() {
                         strategy.code()
                     ));
                     shard_graph(&g, &sdir, ranks, strategy).unwrap();
-                    let cfg = sparse_regime_cfg(mcmc.clone(), 42);
+                    let cfg = sparse_regime_cfg(mcmc, 42);
                     let sharded = Partitioner::on_sharded(&sdir)
                         .backend(Backend::Edist { ranks })
                         .sync_period(sync_period)

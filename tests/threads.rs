@@ -8,7 +8,7 @@
 //!   (`rayon::with_threads`): full [`Run`]s — assignments, DL bits, and
 //!   per-iteration trajectories — compared between a forced-serial
 //!   execution and 4 pooled workers, for the `Sequential`, `Hybrid`
-//!   (parallel chunks on), and `Batch` backends, in both the dense
+//!   and `Batch` backends, in both the dense
 //!   regime (`two_cliques`, flat matrix end to end) and the sparse
 //!   regime (`clique_ring` capped trajectories, where the fixed-shape
 //!   chunked entropy reduction and the parallel line rebuilds actually
@@ -51,11 +51,7 @@ fn backends() -> Vec<(&'static str, Backend, McmcStrategy)> {
             Backend::Sequential,
             McmcStrategy::MetropolisHastings,
         ),
-        (
-            "hybrid",
-            Backend::Hybrid(HybridConfig::default()),
-            McmcStrategy::Hybrid(HybridConfig::default()),
-        ),
+        ("hybrid", Backend::Hybrid, McmcStrategy::Hybrid),
         ("batch", Backend::Batch, McmcStrategy::Batch),
     ]
 }
@@ -65,7 +61,7 @@ fn serial_and_pooled_runs_are_bit_identical_dense_regime() {
     let g = two_cliques(8);
     for (name, backend, strategy) in backends() {
         let cfg = SbpConfig {
-            strategy: strategy.clone(),
+            strategy,
             seed: 7,
             ..SbpConfig::default()
         };
@@ -88,7 +84,7 @@ fn serial_and_pooled_runs_are_bit_identical_sparse_regime() {
     for (name, strategy) in [
         ("mh", McmcStrategy::MetropolisHastings),
         ("batch", McmcStrategy::Batch),
-        ("hybrid", McmcStrategy::Hybrid(HybridConfig::default())),
+        ("hybrid", McmcStrategy::Hybrid),
     ] {
         let cfg = sparse_regime_cfg(strategy, 3);
         let serial =
@@ -104,14 +100,21 @@ fn serial_and_pooled_runs_are_bit_identical_sparse_regime() {
 fn thread_ranks_split_the_callers_width_without_changing_results() {
     // Co-resident thread ranks each get `width / ranks` of the caller's
     // pool (1, 2 and 3 workers per rank here) — and the split, like every
-    // other width, must not show in the result.
+    // other width, must not show in the result. Hybrid too: the figure
+    // harness runs it at width 1 to keep each rank's sweep on its clock.
     let g = clique_ring(SPARSE_RING);
-    let cfg = sparse_regime_cfg(McmcStrategy::Batch, 3);
     let backend = Backend::Edist { ranks: 2 };
-    let serial = run_with_threads(&g, cfg.clone(), backend, 1);
-    for width in [4, 6] {
-        let pooled = run_with_threads(&g, cfg.clone(), backend, width);
-        assert_bit_identical(&serial, &pooled, &format!("edist×2: 1 vs {width} threads"));
+    for (name, strategy) in [
+        ("batch", McmcStrategy::Batch),
+        ("hybrid", McmcStrategy::Hybrid),
+    ] {
+        let cfg = sparse_regime_cfg(strategy, 3);
+        let serial = run_with_threads(&g, cfg.clone(), backend, 1);
+        for width in [4, 6] {
+            let pooled = run_with_threads(&g, cfg.clone(), backend, width);
+            let label = format!("edist×2 {name}: 1 vs {width} threads");
+            assert_bit_identical(&serial, &pooled, &label);
+        }
     }
 }
 
