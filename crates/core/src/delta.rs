@@ -230,12 +230,6 @@ impl LineDelta {
             .map(|&(k, d)| (unpack(k), d))
     }
 
-    /// Number of cells with a nonzero delta.
-    #[inline]
-    pub fn num_cells(&self) -> usize {
-        self.cells.iter().filter(|&&(_, d)| d != 0).count()
-    }
-
     /// Rebuilds `cells` from an unsorted contribution stream by
     /// sort-and-fold — O(n log n) regardless of how many distinct cells a
     /// high-degree vertex touches (a sorted per-cell insert would be
@@ -1455,7 +1449,7 @@ mod tests {
         let bm = Blockmodel::from_assignment(&g, vec![0, 0, 0, 1, 1, 1], 2);
         let d = vertex_move_delta(&g, &bm, 0, 0);
         assert_eq!(delta_entropy(&bm, &d), 0.0);
-        assert_eq!(d.num_cells(), 0);
+        assert_eq!(d.cells().count(), 0);
     }
 
     #[test]

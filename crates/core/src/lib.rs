@@ -91,7 +91,7 @@ pub use delta::{
 pub use golden::{GoldenBracket, NextStep};
 pub use mcmc::{keyed_mh_sweep, mh_sweep, AcceptedMove};
 pub use merge::{apply_merges, merge_labels, propose_merges, MergeCandidate};
-pub use naive::{naive_sbp, naive_sbp_from, NaiveScratch};
+pub use naive::{naive_sbp, NaiveScratch};
 pub use propose::{hastings_correction, propose_for_block, propose_for_vertex};
 pub use registry::{RegistryError, SolverRegistry, SolverSpec};
 pub use run::{

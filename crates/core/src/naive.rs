@@ -459,35 +459,10 @@ impl NaiveScratch {
     }
 }
 
-/// Compacts arbitrary labels to the dense range `0..k`; returns `k`.
-fn compact_labels(assignment: &mut [u32]) -> usize {
-    let max = assignment
-        .iter()
-        .copied()
-        .max()
-        .map_or(0, |m| m as usize + 1);
-    let mut map = vec![u32::MAX; max];
-    let mut next = 0u32;
-    for a in assignment.iter_mut() {
-        if map[*a as usize] == u32::MAX {
-            map[*a as usize] = next;
-            next += 1;
-        }
-        *a = map[*a as usize];
-    }
-    next as usize
-}
-
 /// Naive (python-equivalent) SBP inference from the identity partition.
 pub fn naive_sbp(graph: &Graph, cfg: &SbpConfig) -> SbpResult {
-    let n = graph.num_vertices();
-    naive_sbp_from(graph, (0..n as u32).collect(), cfg)
-}
-
-/// Naive SBP from an arbitrary starting partition (labels are compacted
-/// internally) — the fine-tuning entry point of the naive DC-SBP baseline.
-pub fn naive_sbp_from(graph: &Graph, mut assignment: Vec<u32>, cfg: &SbpConfig) -> SbpResult {
-    if graph.num_vertices() == 0 {
+    let c0 = graph.num_vertices();
+    if c0 == 0 {
         return SbpResult {
             assignment: Vec::new(),
             num_blocks: 0,
@@ -495,9 +470,8 @@ pub fn naive_sbp_from(graph: &Graph, mut assignment: Vec<u32>, cfg: &SbpConfig) 
             iterations: Vec::new(),
         };
     }
-    let c0 = compact_labels(&mut assignment);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let start = DenseBlockmodel::from_assignment(graph, assignment, c0);
+    let start = DenseBlockmodel::from_assignment(graph, (0..c0 as u32).collect(), c0);
     let mut bracket = GoldenBracket::new(cfg.block_reduction_rate);
     bracket.seed(BracketEntry {
         assignment: start.assignment.clone(),
@@ -810,40 +784,5 @@ mod tests {
         let g = Graph::from_edges(0, Vec::new());
         let res = naive_sbp(&g, &SbpConfig::default());
         assert_eq!(res.num_blocks, 0);
-    }
-
-    #[test]
-    fn naive_sbp_from_finetunes_oversegmentation() {
-        let k = 8u32;
-        let mut edges = Vec::new();
-        for i in 0..k {
-            for j in 0..k {
-                if i != j {
-                    edges.push((i, j, 1));
-                    edges.push((k + i, k + j, 1));
-                }
-            }
-        }
-        edges.push((0, k, 1));
-        let g = Graph::from_edges(2 * k as usize, edges);
-        // 4-block over-segmentation with sparse labels (tests compaction).
-        let start: Vec<u32> = (0..16u32).map(|v| (v / 8) * 10 + v % 2).collect();
-        let res = naive_sbp_from(
-            &g,
-            start,
-            &SbpConfig {
-                seed: 3,
-                ..Default::default()
-            },
-        );
-        assert_eq!(res.num_blocks, 2);
-    }
-
-    #[test]
-    fn compact_labels_densifies() {
-        let mut a = vec![7u32, 7, 2, 9, 2];
-        let k = compact_labels(&mut a);
-        assert_eq!(k, 3);
-        assert_eq!(a, vec![0, 0, 1, 2, 1]);
     }
 }

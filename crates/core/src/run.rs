@@ -180,16 +180,6 @@ pub struct CheckpointSpec {
     pub every: usize,
 }
 
-impl CheckpointSpec {
-    /// Checkpoint to `path` at every sync boundary.
-    pub fn every_boundary(path: impl Into<PathBuf>) -> Self {
-        CheckpointSpec {
-            path: path.into(),
-            every: 1,
-        }
-    }
-}
-
 /// Seeds the golden search from an existing partition instead of the
 /// identity partition at `C = V` — the incremental re-partitioning entry
 /// point used by `sbp-serve` after edge-delta ingest.

@@ -58,16 +58,6 @@ impl ContingencyTable {
         }
     }
 
-    /// Number of distinct labels in partition `a`.
-    pub fn num_rows(&self) -> usize {
-        self.row_sums.len()
-    }
-
-    /// Number of distinct labels in partition `b`.
-    pub fn num_cols(&self) -> usize {
-        self.col_sums.len()
-    }
-
     /// Shannon entropy (nats) of the row marginal distribution.
     pub fn row_entropy(&self) -> f64 {
         marginal_entropy(&self.row_sums, self.n)
@@ -119,8 +109,8 @@ mod tests {
     fn identical_partitions_have_diagonal_table() {
         let a = vec![0, 0, 1, 1, 2];
         let t = ContingencyTable::new(&a, &a);
-        assert_eq!(t.num_rows(), 3);
-        assert_eq!(t.num_cols(), 3);
+        assert_eq!(t.row_sums.len(), 3);
+        assert_eq!(t.col_sums.len(), 3);
         assert_eq!(t.counts.len(), 3); // diagonal only
         assert!((t.mutual_information() - t.row_entropy()).abs() < 1e-12);
     }
@@ -139,8 +129,8 @@ mod tests {
         let a = vec![7, 7, 900, 900];
         let b = vec![3, 3, 5, 5];
         let t = ContingencyTable::new(&a, &b);
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.num_cols(), 2);
+        assert_eq!(t.row_sums.len(), 2);
+        assert_eq!(t.col_sums.len(), 2);
         assert!((t.mutual_information() - (2f64).ln().min(t.row_entropy())).abs() < 1e-12);
     }
 

@@ -42,16 +42,6 @@ impl DegreeConfig {
             duplicated: true,
         }
     }
-
-    /// Web-graph-like config: min degree 1, heavy tail up to `max`.
-    pub fn web_like(max_degree: i64) -> Self {
-        DegreeConfig {
-            gamma: 2.5,
-            min_degree: 1,
-            max_degree: max_degree.max(1),
-            duplicated: false,
-        }
-    }
 }
 
 /// Full generator parameterization.
@@ -347,7 +337,13 @@ mod tests {
     fn unduplicated_allows_degree_one_vertices() {
         let mut p = SbmParams::example();
         p.num_vertices = 3000;
-        p.degrees = DegreeConfig::web_like(300);
+        // Web-graph-like: min degree 1, heavy tail.
+        p.degrees = DegreeConfig {
+            gamma: 2.5,
+            min_degree: 1,
+            max_degree: 300,
+            duplicated: false,
+        };
         let g = generate(&p);
         let n_deg_le_1 = (0..3000u32)
             .filter(|&vtx| g.graph.out_degree(vtx) + g.graph.in_degree(vtx) <= 2)

@@ -184,15 +184,6 @@ impl Graph {
         Self::from_sorted_dedup_edges(num_vertices, merged)
     }
 
-    /// Builds a graph from unweighted arcs (each occurrence contributes
-    /// weight 1; repeats accumulate).
-    pub fn from_unweighted_edges<I>(num_vertices: usize, edges: I) -> Self
-    where
-        I: IntoIterator<Item = (Vertex, Vertex)>,
-    {
-        Self::from_edges(num_vertices, edges.into_iter().map(|(s, d)| (s, d, 1)))
-    }
-
     fn from_sorted_dedup_edges(num_vertices: usize, merged: Vec<(Vertex, Vertex, Weight)>) -> Self {
         let n = num_vertices;
         let mut out_counts = vec![0usize; n];
@@ -317,15 +308,6 @@ impl Graph {
     pub fn arcs(&self) -> impl Iterator<Item = (Vertex, Vertex, Weight)> + '_ {
         (0..self.num_vertices as Vertex)
             .flat_map(move |v| self.out_edges(v).map(move |(d, w)| (v, d, w)))
-    }
-
-    /// Vertices sorted by descending total degree (ties by ascending id).
-    /// Used by the sorted-degree load-balancing scheme (paper §III-B) and
-    /// the hybrid MCMC high/low-degree split.
-    pub fn vertices_by_degree_desc(&self) -> Vec<Vertex> {
-        let mut vs: Vec<Vertex> = (0..self.num_vertices as Vertex).collect();
-        vs.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
-        vs
     }
 
     /// Applies a batch of signed arc-weight deltas. Deltas on the same arc
@@ -563,12 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn unweighted_edges_accumulate() {
-        let g = Graph::from_unweighted_edges(2, vec![(0, 1), (0, 1), (0, 1)]);
-        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), [(1, 3)]);
-    }
-
-    #[test]
     fn self_loop_counts_twice_in_degree() {
         let g = Graph::from_edges(1, vec![(0, 0, 2)]);
         assert_eq!(g.out_degree(0), 2);
@@ -612,13 +588,6 @@ mod tests {
         let g = triangle();
         let arcs: Vec<_> = g.arcs().collect();
         assert_eq!(arcs, vec![(0, 1, 1), (1, 2, 2), (2, 0, 3)]);
-    }
-
-    #[test]
-    fn degree_sort_is_descending_with_stable_ties() {
-        let g = Graph::from_edges(4, vec![(0, 1, 1), (1, 0, 1), (2, 3, 5), (3, 2, 5)]);
-        // degrees: v0=2, v1=2, v2=10, v3=10
-        assert_eq!(g.vertices_by_degree_desc(), vec![2, 3, 0, 1]);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //!   semantics of the degree-corrected stochastic blockmodel. Each arc is
 //!   stored in 8 bytes, a `u32` neighbor and a `u32` weight, and read back
 //!   as a `(Vertex, Weight)` pair.
-//! * [`GraphBuilder`] — incremental construction from arbitrary edge streams.
 //! * [`io`] — plain edge-list and Matrix Market (SuiteSparse) readers and
 //!   writers, so the real SNAP/SuiteSparse graphs evaluated in the paper can
 //!   be dropped in when available.
@@ -61,7 +60,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod builder;
 pub mod fixtures;
 pub mod frame;
 pub mod graph;
@@ -72,7 +70,6 @@ pub mod shard;
 pub mod subgraph;
 pub mod varint;
 
-pub use builder::GraphBuilder;
 pub use frame::DecodeError;
 pub use graph::{add_edge_weight, EdgeDelta, Graph, GraphDeltaError, MAX_TOTAL_EDGE_WEIGHT};
 pub use islands::{island_count, island_fraction_round_robin, IslandReport};

@@ -537,65 +537,6 @@ pub fn shard_graph(
     ShardPlan::from_graph(graph, shard_count, strategy).write_graph(graph, dir)
 }
 
-/// Shards a raw edge stream under [`OwnershipStrategy::Modulo`] without
-/// ever building a [`Graph`]: one pass buckets edges by `src mod n`, each
-/// bucket is sorted and parallel arcs merged, then written.
-///
-/// `SortedBalanced` needs global degrees and therefore a materialized
-/// graph (or a prior counting pass) — use [`ShardPlan::from_graph`] for
-/// it. Returns the shard paths.
-pub fn shard_edge_stream<I>(
-    num_vertices: usize,
-    edges: I,
-    dir: &Path,
-    shard_count: usize,
-) -> Result<Vec<PathBuf>, ShardError>
-where
-    I: IntoIterator<Item = (Vertex, Vertex, Weight)>,
-{
-    assert!(shard_count > 0, "need at least one shard");
-    std::fs::create_dir_all(dir)?;
-    let mut buckets: Vec<Vec<(Vertex, Vertex, Weight)>> = vec![Vec::new(); shard_count];
-    for (s, d, w) in edges {
-        assert!(
-            (s as usize) < num_vertices && (d as usize) < num_vertices,
-            "edge ({s}, {d}) out of range for {num_vertices} vertices"
-        );
-        assert!(w > 0, "edge ({s}, {d}) has non-positive weight {w}");
-        buckets[s as usize % shard_count].push((s, d, w));
-    }
-    let owned = crate::ownership::modulo_ownership(num_vertices, shard_count);
-    let mut paths = Vec::with_capacity(shard_count);
-    for (i, mut bucket) in buckets.into_iter().enumerate() {
-        bucket.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        let mut writer = ShardWriter::new(
-            num_vertices,
-            i,
-            shard_count,
-            OwnershipStrategy::Modulo,
-            &owned[i],
-        );
-        let mut pending: Option<(Vertex, Vertex, Weight)> = None;
-        for (s, d, w) in bucket {
-            match pending {
-                Some((ps, pd, pw)) if ps == s && pd == d => pending = Some((ps, pd, pw + w)),
-                Some((ps, pd, pw)) => {
-                    writer.push_edge(ps, pd, pw);
-                    pending = Some((s, d, w));
-                }
-                None => pending = Some((s, d, w)),
-            }
-        }
-        if let Some((ps, pd, pw)) = pending {
-            writer.push_edge(ps, pd, pw);
-        }
-        let path = dir.join(shard_file_name(i, shard_count));
-        writer.write_to(&path)?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
 /// Lists a shard directory: all `.sbps` files sorted by name (the
 /// canonical names sort by shard index). A directory with no shards is
 /// [`ShardError::EmptyShardDir`], so callers (and CLI users) can tell a
@@ -614,33 +555,15 @@ pub fn shard_paths(dir: &Path) -> Result<Vec<PathBuf>, ShardError> {
     Ok(paths)
 }
 
-/// A validated shard directory: the coherent header plus every shard's
-/// path and decoded header, in shard order. Produced once by
-/// [`scan_shard_dir`] so a rank's startup path (validate → pick own
-/// shard → load) touches each header file exactly one time instead of
-/// re-opening the directory per step.
-#[derive(Clone, Debug)]
-pub struct ShardScan {
-    /// Shard 0's header — canonical for the whole directory (every
-    /// other header has been checked against it).
-    pub header: ShardHeader,
-    /// Shard file paths in shard order.
-    pub paths: Vec<PathBuf>,
-    /// Every shard's validated header, parallel to
-    /// [`ShardScan::paths`].
-    pub headers: Vec<ShardHeader>,
-}
-
 /// Reads **every** shard's header in `dir` and checks the directory is
 /// coherent: the expected count is present, shard `i` really is shard
 /// `i of n`, and all shards agree on the vertex count and ownership
 /// strategy. Header-only I/O — a few dozen bytes per shard, never an
 /// edge decode — so callers can validate before spawning a cluster at
 /// any shard size, and an incoherent directory fails here with a clear
-/// error instead of panicking a rank mid-load. The returned
-/// [`ShardScan`] carries every validated header, so downstream loading
-/// never re-reads them.
-pub fn scan_shard_dir(dir: &Path) -> Result<ShardScan, ShardError> {
+/// error instead of panicking a rank mid-load. Returns shard 0's
+/// header, canonical for the whole directory.
+pub fn validate_shard_dir(dir: &Path) -> Result<ShardHeader, ShardError> {
     let paths = shard_paths(dir)?;
     let first = ShardReader::read_header(&paths[0])?;
     if first.shard_index != 0 {
@@ -659,8 +582,6 @@ pub fn scan_shard_dir(dir: &Path) -> Result<ShardScan, ShardError> {
             first.shard_count
         )));
     }
-    let mut headers = Vec::with_capacity(paths.len());
-    headers.push(first.clone());
     for (i, path) in paths.iter().enumerate().skip(1) {
         let header = ShardReader::read_header(path)?;
         if header.shard_index != i || header.shard_count != first.shard_count {
@@ -679,18 +600,8 @@ pub fn scan_shard_dir(dir: &Path) -> Result<ShardScan, ShardError> {
                 path.display()
             )));
         }
-        headers.push(header);
     }
-    Ok(ShardScan {
-        header: first,
-        paths,
-        headers,
-    })
-}
-
-/// [`scan_shard_dir`] for callers that only need the canonical header.
-pub fn validate_shard_dir(dir: &Path) -> Result<ShardHeader, ShardError> {
-    scan_shard_dir(dir).map(|scan| scan.header)
+    Ok(first)
 }
 
 /// Reassembles a full [`Graph`] from every shard in `dir` — the
@@ -960,28 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_sharding_matches_graph_sharding() {
-        // Unsorted stream with a parallel arc (3, 2): the stream path must
-        // sort and merge exactly like Graph::from_edges does.
-        let edges = vec![
-            (0u32, 1u32, 2i64),
-            (3, 2, 1),
-            (6, 0, 4),
-            (1, 5, 1),
-            (3, 2, 2),
-        ];
-        let g = Graph::from_edges(7, edges.clone());
-        let dir_a = temp_dir("stream_a");
-        let dir_b = temp_dir("stream_b");
-        shard_graph(&g, &dir_a, 3, OwnershipStrategy::Modulo).unwrap();
-        shard_edge_stream(7, edges, &dir_b, 3).unwrap();
-        assert_eq!(unshard_graph(&dir_a).unwrap(), g);
-        assert_eq!(unshard_graph(&dir_b).unwrap(), g);
-        std::fs::remove_dir_all(&dir_a).unwrap();
-        std::fs::remove_dir_all(&dir_b).unwrap();
-    }
-
-    #[test]
     fn header_only_read_matches_full_decode() {
         let g = two_cliques(6);
         let dir = temp_dir("header");
@@ -1028,22 +917,13 @@ mod tests {
     }
 
     #[test]
-    fn scan_caches_every_header_in_shard_order() {
+    fn validation_returns_shard_zeros_header() {
         let g = two_cliques(8);
         let dir = temp_dir("scan");
         let paths = shard_graph(&g, &dir, 3, OwnershipStrategy::SortedBalanced).unwrap();
-        let scan = scan_shard_dir(&dir).unwrap();
-        assert_eq!(scan.paths, paths);
-        assert_eq!(scan.headers.len(), 3);
-        for (i, header) in scan.headers.iter().enumerate() {
-            assert_eq!(header.shard_index, i);
-            assert_eq!(header.shard_count, 3);
-            assert_eq!(header.num_vertices, scan.header.num_vertices);
-            assert_eq!(header.strategy, scan.header.strategy);
-        }
-        assert_eq!(scan.header, scan.headers[0]);
-        // The thin wrapper agrees.
-        assert_eq!(validate_shard_dir(&dir).unwrap(), scan.header);
+        let header = validate_shard_dir(&dir).unwrap();
+        assert_eq!(header, ShardReader::read_header(&paths[0]).unwrap());
+        assert_eq!(header.shard_count, 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,14 +18,6 @@ impl InducedSubgraph {
     pub fn to_global(&self, local: Vertex) -> Vertex {
         self.local_to_global[local as usize]
     }
-
-    /// Maps a global vertex id to the local id, if present.
-    pub fn to_local(&self, global: Vertex) -> Option<Vertex> {
-        self.local_to_global
-            .binary_search(&global)
-            .ok()
-            .map(|i| i as Vertex)
-    }
 }
 
 /// Builds the subgraph induced by `vertices` (need not be sorted; duplicates
@@ -90,8 +82,7 @@ mod tests {
         assert_eq!(sub.graph.arcs().collect::<Vec<_>>(), vec![(0, 1, 1)]);
         assert_eq!(sub.to_global(0), 1);
         assert_eq!(sub.to_global(1), 2);
-        assert_eq!(sub.to_local(2), Some(1));
-        assert_eq!(sub.to_local(3), None);
+        assert_eq!(sub.local_to_global, vec![1, 2]);
     }
 
     #[test]

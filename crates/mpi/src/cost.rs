@@ -22,15 +22,6 @@ impl CostModel {
         }
     }
 
-    /// Commodity 10 GbE class (the paper's infer cluster): ~50 µs latency,
-    /// ~1.25 GB/s.
-    pub fn ethernet() -> Self {
-        CostModel {
-            latency: 5e-5,
-            per_byte: 8e-10,
-        }
-    }
-
     /// Free communication — isolates algorithmic load imbalance in
     /// ablation studies.
     pub fn zero() -> Self {
@@ -69,13 +60,6 @@ mod tests {
     #[test]
     fn zero_model_is_zero() {
         assert_eq!(CostModel::zero().collective(64, 1 << 30), 0.0);
-    }
-
-    #[test]
-    fn ethernet_slower_than_ib() {
-        let e = CostModel::ethernet().collective(16, 1 << 20);
-        let i = CostModel::hdr100().collective(16, 1 << 20);
-        assert!(e > i);
     }
 
     #[test]

@@ -164,9 +164,7 @@ pub mod prelude {
         ParamStudySpec, PlantedGraph, RealWorldStandIn, SbmParams, ScalingGraph,
     };
     pub use sbp_graph::shard::{shard_graph, ShardPlan, ShardReader, ShardWriter};
-    pub use sbp_graph::{
-        induced_subgraph, island_fraction_round_robin, round_robin_parts, Graph, GraphBuilder,
-    };
+    pub use sbp_graph::{induced_subgraph, island_fraction_round_robin, round_robin_parts, Graph};
     pub use sbp_mpi::{ClusterReport, Communicator, CostModel, SelfComm, ThreadCluster};
     pub use sbp_sample::{extend_partition, sample_vertices, Sampled, SamplingStrategy};
     pub use sbp_serve::{Client, Listen, Request, Response, ServeError, Server, ServerOptions};
@@ -178,9 +176,7 @@ mod tests {
 
     #[test]
     fn prelude_is_usable() {
-        let mut b = GraphBuilder::with_vertices(4);
-        b.add_arc(0, 1).add_arc(1, 0);
-        let g = b.build();
+        let g = Graph::from_edges(4, vec![(0, 1, 1), (1, 0, 1)]);
         assert_eq!(g.num_vertices(), 4);
         // The builder types are all reachable through the prelude.
         let err = Partitioner::on(&g)

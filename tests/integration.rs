@@ -249,3 +249,28 @@ fn total_edge_weight_limit_at_the_mtx_door() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// README's CLI quick reference is `edist-cli help`'s output, byte for
+/// byte, so the flag lists cannot drift apart again.
+#[test]
+fn readme_cli_reference_is_the_help_output() {
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"))
+        .arg("help")
+        .output()
+        .expect("running edist-cli help");
+    assert!(help.status.success());
+    let help = String::from_utf8(help.stdout).unwrap();
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("reading README.md");
+    let start = "## CLI quick reference\n\n```text\n";
+    let block = readme
+        .split_once(start)
+        .and_then(|(_, rest)| rest.split_once("```\n"))
+        .map(|(block, _)| block)
+        .expect("README has a ```text block under `## CLI quick reference`");
+    assert_eq!(
+        block, help,
+        "README's CLI quick reference differs from `edist-cli help`; \
+         paste the help output into it"
+    );
+}

@@ -479,6 +479,33 @@ fn shard_dir_headers_drive_rank_selection() {
     std::fs::remove_dir_all(&sdir).unwrap();
 }
 
+/// Writes `arcs`, sorted by `(src, dst)` without parallel arcs, as a
+/// modulo-owned set of `shards` shards over `num_vertices` vertices —
+/// with no `Graph` in between, so a set no `Graph` could hold can be
+/// written.
+fn write_modulo_shards(dir: &Path, num_vertices: usize, shards: usize, arcs: &[(u32, u32, i64)]) {
+    use edist::graph::shard::shard_file_name;
+    std::fs::create_dir_all(dir).unwrap();
+    for shard in 0..shards {
+        let owned: Vec<u32> = (0..num_vertices as u32)
+            .filter(|v| *v as usize % shards == shard)
+            .collect();
+        let mut writer = ShardWriter::new(
+            num_vertices,
+            shard,
+            shards,
+            OwnershipStrategy::Modulo,
+            &owned,
+        );
+        for &(src, dst, weight) in arcs.iter().filter(|a| a.0 as usize % shards == shard) {
+            writer.push_edge(src, dst, weight);
+        }
+        writer
+            .write_to(&dir.join(shard_file_name(shard, shards)))
+            .unwrap();
+    }
+}
+
 /// A shard set heavier than `E ≤ 2³² − 1` is a typed ingest error, never
 /// a panic. Two 2³¹ arcs that stay on their owners' ranks: each rank's
 /// share is inside the limit, so every rank reaches the degree table and
@@ -489,11 +516,11 @@ fn shard_dir_headers_drive_rank_selection() {
 #[test]
 fn shard_sets_past_the_weight_limit_fail_typed_on_every_rank() {
     use edist::dist::DistError;
-    use edist::graph::shard::{shard_edge_stream, ShardError};
+    use edist::graph::shard::ShardError;
     let half = 1i64 << 31;
 
     let dir = temp_dir("weight_global");
-    shard_edge_stream(4, vec![(0, 2, half), (1, 3, half)], &dir, 2).unwrap();
+    write_modulo_shards(&dir, 4, 2, &[(0, 2, half), (1, 3, half)]);
     let out = ThreadCluster::run(2, CostModel::zero(), |comm| {
         match load_dist_graph(comm, &dir) {
             Err(DistError::Shard(ShardError::Malformed(reason))) => reason,
@@ -509,7 +536,7 @@ fn shard_sets_past_the_weight_limit_fail_typed_on_every_rank() {
     std::fs::remove_dir_all(&dir).unwrap();
 
     let dir = temp_dir("weight_local");
-    shard_edge_stream(3, vec![(0, 1, half), (1, 0, half), (2, 2, 1)], &dir, 3).unwrap();
+    write_modulo_shards(&dir, 3, 3, &[(0, 1, half), (1, 0, half), (2, 2, 1)]);
     let run = Partitioner::on_sharded(&dir).seed(1).run().unwrap();
     assert_eq!(run.degraded, Some(DegradedReason::ShardLoadFailure));
     std::fs::remove_dir_all(&dir).unwrap();
