@@ -58,7 +58,7 @@
 use crate::line::{add_to_cell, narrow, room, within_room, CanonicalLine, Cell};
 use crate::model_description_length;
 use rayon::prelude::*;
-use sbp_graph::{Graph, Vertex, Weight};
+use sbp_graph::{EdgeDelta, Graph, Vertex, Weight};
 
 /// Rows per chunk of the fixed-shape entropy reduction (see
 /// [`Blockmodel::entropy`]). The chunk layout is a function of the block
@@ -274,12 +274,10 @@ impl Storage {
         Storage::Dense { c, m, mt }
     }
 
-    /// Cuts every sparse line to its exact length.
-    fn shrink_to_fit(&mut self) {
+    /// Applies `f` to every sparse line, rows and columns.
+    fn each_line(&mut self, f: fn(&mut CanonicalLine)) {
         if let Storage::Sparse { rows, cols } = self {
-            rows.iter_mut()
-                .chain(cols)
-                .for_each(CanonicalLine::shrink_to_fit);
+            rows.iter_mut().chain(cols).for_each(f);
         }
     }
 
@@ -1068,7 +1066,57 @@ impl Blockmodel {
     /// For a model that is kept rather than swept — the golden search's
     /// resident bracket models.
     pub fn shrink_to_fit(&mut self) {
-        self.storage.shrink_to_fit();
+        self.storage.each_line(CanonicalLine::shrink_to_fit);
+    }
+
+    /// Gives every sparse line back the room [`Blockmodel::shrink_to_fit`]
+    /// took: for a kept model that is about to be swept again.
+    pub(crate) fn restore_room(&mut self) {
+        self.storage.each_line(CanonicalLine::restore_room);
+    }
+
+    /// Folds edge-weight deltas that the graph has just taken
+    /// ([`Graph::apply_edge_deltas`]) into this model in O(deltas), with no
+    /// graph walk. Each `(src, dst, δ)` moves cell `(b[src], b[dst])`,
+    /// `d_out[b[src]]`, `d_in[b[dst]]` and `E` by `δ`, and the `ln` caches
+    /// of the blocks whose degrees moved follow. The result is
+    /// [`Blockmodel::from_assignment`] on the changed graph in every
+    /// integer and every cache bit, with one exception. If the new `E`
+    /// moves `(C, E)` across [`auto_picks_dense`], a fold cannot change
+    /// the storage. It then returns `false` and leaves the model as it
+    /// was, for the caller to rebuild.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of range, or a cell goes negative:
+    /// deltas the graph would not have taken.
+    #[must_use]
+    pub fn fold_edge_deltas(&mut self, deltas: &[EdgeDelta]) -> bool {
+        let total = self.total_edge_weight + deltas.iter().map(|d| d.delta).sum::<Weight>();
+        let dense = matches!(self.storage, Storage::Dense { .. });
+        if Storage::pick_dense(StorageKind::Auto, self.num_blocks, total) != dense {
+            return false;
+        }
+        // Every addition before any removal: a batch the graph took nets
+        // each arc to at least zero, so no cell dips below zero on the way.
+        for sign in [1, -1] {
+            for d in deltas.iter().filter(|d| d.delta.signum() == sign) {
+                let (r, c) = (self.block_of(d.src), self.block_of(d.dst));
+                if sign > 0 {
+                    self.storage.add(r, c, d.delta);
+                } else {
+                    self.storage.sub(r, c, -d.delta);
+                }
+                self.d_out[r as usize] += d.delta;
+                self.d_in[c as usize] += d.delta;
+            }
+        }
+        for d in deltas {
+            let (r, c) = (self.block_of(d.src) as usize, self.block_of(d.dst) as usize);
+            self.ln_d_out[r] = ln_or_zero(self.d_out[r]);
+            self.ln_d_in[c] = ln_or_zero(self.d_in[c]);
+        }
+        self.total_edge_weight = total;
+        true
     }
 
     /// Whether `other` holds the very same state: assignment, every cell
@@ -1181,6 +1229,7 @@ impl Blockmodel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     /// Two triangles joined by one edge: a classic 2-community graph.
     fn two_triangles() -> Graph {
@@ -1730,8 +1779,6 @@ mod tests {
 
     #[test]
     fn apply_dist_sync_equals_move_vertex() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
         for_both_kinds(|kind| {
             // Vertex 2 crossing between the two triangles.
             assert_sync_equals_moves(
@@ -1767,5 +1814,91 @@ mod tests {
                 assert_sync_equals_moves(&g, &prev, &moves, blocks as usize, kind);
             }
         });
+    }
+
+    /// A random graph of `n` vertices and `arcs` unit arcs, self-loops
+    /// included, under a random `blocks`-block partition.
+    fn random_labelled(rng: &mut SmallRng, n: u32, arcs: usize, blocks: u32) -> (Graph, Vec<u32>) {
+        let edges: Vec<_> = (0..arcs)
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n), 1))
+            .collect();
+        let labels = (0..n).map(|_| rng.random_range(0..blocks)).collect();
+        (Graph::from_edges(n as usize, edges), labels)
+    }
+
+    /// Folding a batch the graph took equals rebuilding on the changed
+    /// graph, on either storage: re-weights, new arcs and self-loops,
+    /// arcs driven to weight 0, and removals that only net out after the
+    /// batch's additions.
+    #[test]
+    fn folded_deltas_equal_a_rebuild_on_both_storages() {
+        let mut rng = SmallRng::seed_from_u64(41);
+        for (n, arcs, blocks, kind) in [
+            (30, 90, 5, StorageKind::Dense),
+            (200, 300, 100, StorageKind::Sparse),
+        ] {
+            let mut checked = 0;
+            for round in 0..20 {
+                let (mut g, labels) = random_labelled(&mut rng, n, arcs, blocks);
+                let mut bm = Blockmodel::from_assignment(&g, labels.clone(), blocks as usize);
+                assert_eq!(bm.storage_kind(), kind);
+                let present: Vec<_> = g.arcs().collect();
+                let mut deltas: Vec<EdgeDelta> = Vec::new();
+                for _ in 0..8 {
+                    let (src, dst, w) = present[rng.random_range(0..present.len())];
+                    // In half the batches a removal past the arc's weight,
+                    // which the batch's own addition, listed first, nets out.
+                    let extra = i64::from(round % 2 == 0);
+                    if extra > 0 {
+                        deltas.insert(0, EdgeDelta { src, dst, delta: 1 });
+                    }
+                    deltas.push(EdgeDelta {
+                        src,
+                        dst,
+                        delta: -(w + extra),
+                    });
+                    let v = rng.random_range(0..n);
+                    let u = if rng.random_bool(0.3) {
+                        v
+                    } else {
+                        rng.random_range(0..n)
+                    };
+                    deltas.push(EdgeDelta {
+                        src: v,
+                        dst: u,
+                        delta: rng.random_range(1..=3),
+                    });
+                }
+                if g.apply_edge_deltas(&deltas).is_err() {
+                    continue; // an arc sampled twice, removed past its weight
+                }
+                assert!(bm.fold_edge_deltas(&deltas), "{kind:?} round {round}");
+                let rebuilt = Blockmodel::from_assignment(&g, labels, blocks as usize);
+                assert!(bm.same_state(&rebuilt), "{kind:?} round {round}");
+                bm.validate(&g).unwrap();
+                checked += 1;
+            }
+            assert!(checked >= 10, "{kind:?}: {checked} folds checked");
+        }
+    }
+
+    /// A fold that would move `(C, E)` over the storage pick declines and
+    /// leaves the model as it was.
+    #[test]
+    fn a_fold_across_the_storage_pick_declines() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let (g, labels) = random_labelled(&mut rng, 200, 300, 100);
+        let mut bm = Blockmodel::from_assignment(&g, labels, 100);
+        assert_eq!(bm.storage_kind(), StorageKind::Sparse);
+        let (src, dst, _) = g.arcs().next().unwrap();
+        let heavy = [EdgeDelta {
+            src,
+            dst,
+            delta: 2_500 - g.total_edge_weight(),
+        }];
+        assert!(auto_picks_dense(100, 2_500));
+        let before = bm.clone();
+        assert!(!bm.fold_edge_deltas(&heavy));
+        assert!(bm.same_state(&before));
     }
 }

@@ -95,6 +95,10 @@
 //! slower. Only [`CanonicalLine::shrink_to_fit`] cuts a line exact, for a
 //! model that is kept rather than swept (the search's resident bracket
 //! models); the first insert into such a line then grows it by a quarter.
+//! The model a search hands back is swept again (the daemon seeds its
+//! next warm round from it), so [`CanonicalLine::restore_room`] gives its
+//! lines `room(len)` back first; and a copy of a line keeps the room of
+//! the line it copies.
 
 use sbp_graph::Weight;
 
@@ -148,9 +152,20 @@ pub(crate) fn within_room(len: usize, capacity: usize) -> bool {
 /// sorted ascending by key. All weights are kept strictly positive —
 /// a cell that reaches zero is removed, so iteration never yields zeros
 /// and `len` counts exactly the nonzero cells.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct CanonicalLine {
     cells: Vec<Cell>,
+}
+
+/// A copy keeps the line's room, not just its cells: a copied model is
+/// swept like the one it copies, and a line cut to its length reallocates
+/// on its first insert.
+impl Clone for CanonicalLine {
+    fn clone(&self) -> Self {
+        let mut cells = Vec::with_capacity(self.cells.capacity());
+        cells.extend_from_slice(&self.cells);
+        CanonicalLine { cells }
+    }
 }
 
 impl CanonicalLine {
@@ -215,6 +230,15 @@ impl CanonicalLine {
     /// Drops the capacity inserts left beyond the line's length.
     pub fn shrink_to_fit(&mut self) {
         self.cells.shrink_to_fit();
+    }
+
+    /// Gives a line [`CanonicalLine::shrink_to_fit`] cut back the room a
+    /// fold leaves it, `room(len)`, for a kept model that is swept again.
+    pub fn restore_room(&mut self) {
+        let len = self.cells.len();
+        if self.cells.capacity() < room(len) {
+            self.cells.reserve_exact(room(len) - len);
+        }
     }
 
     /// Cells the line has room for without reallocating.
@@ -391,6 +415,21 @@ mod tests {
                 .iter()
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// A copy keeps the room of the line it copies; a cut line gets its
+    /// room back.
+    #[test]
+    fn a_copy_keeps_the_room_and_a_cut_line_gets_it_back() {
+        let mut line = CanonicalLine::from_unsorted(vec![(3, 1), (1, 1), (2, 1), (1, 2)]);
+        let room = line.capacity();
+        assert!(room > line.len());
+        assert_eq!(line.clone().capacity(), room);
+        line.shrink_to_fit();
+        assert_eq!(line.clone().capacity(), line.len());
+        line.restore_room();
+        assert_eq!(line.capacity(), super::room(line.len()));
+        assert_eq!(line.as_slice(), &[(1, 3), (2, 1), (3, 1)]);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! best-so-far bracket entry when cancelled. The `edist` facade crate
 //! builds the `Partitioner` builder on top of this module.
 
+use crate::blockmodel::Blockmodel;
 use crate::checkpoint::CheckpointState;
 use crate::sbp::{solve_sbp, IterationStat, McmcStrategy, SbpConfig};
 use sbp_graph::{Graph, Vertex};
@@ -192,9 +193,20 @@ pub struct CheckpointSpec {
 /// by which other vertices sweep). The description length is still
 /// computed over the full blockmodel, so bracket decisions stay exact.
 ///
+/// The seed's blockmodel is built from the graph, one walk over every
+/// arc, unless `model` carries it ([`WarmStart::from_model`]): the search
+/// then copies that model (a fold compacts it if a block is empty) and
+/// walks no arc. The daemon carries the model its last round returned
+/// ([`RunOutcome::model`]) with the round's deltas folded in
+/// ([`Blockmodel::fold_edge_deltas`]).
+///
 /// Contract: `assignment.len()` must equal the graph's vertex count and
 /// every label must be `< num_blocks` — the `Partitioner` facade and the
-/// server validate this before building a config.
+/// server validate this before building a config. A carried model must
+/// be the model of `(assignment, num_blocks)` over the graph being
+/// solved, equal to [`Blockmodel::from_assignment`] there: the search
+/// uses it only when its assignment is the seed's, and debug builds check
+/// it against that rebuild.
 #[derive(Clone, Debug)]
 pub struct WarmStart {
     /// Dense starting assignment (labels `0..num_blocks`).
@@ -205,6 +217,9 @@ pub struct WarmStart {
     /// (out-of-range ids are ignored; order and duplicates don't matter).
     /// `None` sweeps every vertex, as a cold run does.
     pub dirty: Option<Vec<Vertex>>,
+    /// The blockmodel of the starting partition, when the caller holds
+    /// it; `None` builds it from the graph.
+    pub model: Option<Arc<Blockmodel>>,
 }
 
 impl WarmStart {
@@ -214,6 +229,16 @@ impl WarmStart {
             assignment,
             num_blocks,
             dirty: None,
+            model: None,
+        }
+    }
+
+    /// A warm start from `model`'s partition that carries the model, so
+    /// the search walks no arc to build its seed.
+    pub fn from_model(model: Arc<Blockmodel>) -> Self {
+        WarmStart {
+            model: Some(Arc::clone(&model)),
+            ..WarmStart::new(model.assignment().to_vec(), model.num_blocks())
         }
     }
 
@@ -335,6 +360,13 @@ pub struct RunOutcome {
     /// [`DegradedReason::DecodeFailure`] while its peers observe the
     /// cascade as [`DegradedReason::RankFailure`].
     pub degraded: Option<DegradedReason>,
+    /// The blockmodel of the returned partition over the solved graph,
+    /// when the search still held it at the end — a warm search always
+    /// does. Its sparse lines keep the room a fold leaves them, so it can
+    /// seed the next warm start ([`WarmStart::from_model`]) as it is.
+    /// `None` where the backend keeps no model of the whole graph to the
+    /// end (DC-SBP), or the search let that model go.
+    pub model: Option<Blockmodel>,
 }
 
 impl RunOutcome {
@@ -350,6 +382,7 @@ impl RunOutcome {
             cluster: None,
             sampled_vertices: None,
             degraded: None,
+            model: None,
         }
     }
 }

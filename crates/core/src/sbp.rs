@@ -44,18 +44,26 @@
 //! out worse — which is what establishes the bracket, once per search.
 //! That record rebuilds it, unless the search ends there; from then on
 //! the search holds exactly what it held before it let go, so every probe
-//! run ahead starts where it would have. A warm search keeps its seed's:
-//! its first probe is usually the one that establishes the bracket, and
-//! the probe run beside its refine pass starts from it.
+//! run ahead starts where it would have. A warm search keeps every model
+//! the bracket can hand out, `hi`'s included before the bracket is
+//! established: its first probe is usually the one that establishes the
+//! bracket, the probe run beside its refine pass starts from the seed's,
+//! and a seed far above the optimum, whose first probes come out better,
+//! would otherwise leave it to rebuild that `hi`.
 //!
-//! `Plane::build` is thus left with the seed, the first iteration of a
-//! resumed search (a snapshot carries assignments, not models), the
-//! `mid` of a cold bracket that has just been established, and the one
-//! entry the search lets go while it can still be asked for: that
-//! bracket's `hi`. That a carried or rebuilt model *is* the rebuild is
-//! the crate invariant (`Blockmodel::validate`, equal in every integer
-//! and every `ln` bit); debug builds and the tests re-prove it on every
-//! iteration, from a whole graph, never through a collective.
+//! `Plane::build` is thus left with the seed (unless a warm start carries
+//! its model, [`WarmStart::model`], as the daemon's warm rounds do), the
+//! first iteration of a resumed search (a snapshot carries assignments,
+//! not models), and, in a cold search, the `mid` of a bracket that has
+//! just been established and the one entry the search lets go while it
+//! can still be asked for: that bracket's `hi`. The model of the entry
+//! the search returns goes back with it ([`RunOutcome::model`]) when the
+//! search holds it at the end, as a warm search always does.
+//!
+//! That a carried or rebuilt model *is* the rebuild is the crate
+//! invariant (`Blockmodel::validate`, equal in every integer and every
+//! `ln` bit); debug builds and the tests re-prove it on every iteration,
+//! from a whole graph, never through a collective.
 //!
 //! ## Overlapped probes
 //!
@@ -527,6 +535,14 @@ pub fn golden_search<P: Plane>(
         outcome.assignment = best.assignment.clone();
         outcome.num_blocks = best.num_blocks;
         outcome.description_length = best.dl;
+        // The model may seed the next warm start, which sweeps it: its
+        // lines get back the room `settle_resident` cut.
+        let held = search.resident.iter().position(|bm| is_model_of(bm, best));
+        outcome.model = held.map(|at| {
+            let mut bm = search.resident.swap_remove(at);
+            bm.restore_room();
+            bm
+        });
     }
     outcome.iterations = search.iterations;
     outcome.cancelled = search.cancelled;
@@ -563,17 +579,20 @@ struct Search<'a, P: Plane> {
     bracket: GoldenBracket,
     /// The models of the bracket entries [`GoldenBracket::next`] can hand
     /// out as an iteration's start — `mid`'s and, once the bracket is
-    /// established, `hi`'s — so an iteration top finds its start model
-    /// here instead of rebuilding it from the graph — except while a cold
+    /// established (in a warm search, from the start), `hi`'s — so an
+    /// iteration top finds its start model here instead of rebuilding it
+    /// from the graph — except while a cold
     /// search is still halving, which holds `mid`'s only between probes
     /// (module docs, "Resident models"). A cache beside the bracket, never
     /// part of it: entries keep their assignment vectors, a snapshot
     /// carries none of this, and a resumed search starts empty.
     resident: Vec<Blockmodel>,
     /// Whether the search started from a warm start. It then keeps its
-    /// start models through every probe: its first probe usually is the
-    /// one that establishes the bracket, and the probe run beside its
-    /// refine pass starts from the seed's.
+    /// start models through every probe, and `hi`'s before the bracket is
+    /// established: its first probe usually is the one that establishes
+    /// the bracket, the probe run beside its refine pass starts from the
+    /// seed's, and a warm round builds no model (module docs, "Resident
+    /// models").
     warm: bool,
     iterations: Vec<IterationStat>,
     cancelled: bool,
@@ -639,6 +658,43 @@ fn is_model_of(bm: &Blockmodel, entry: &BracketEntry) -> bool {
     bm.num_blocks() == entry.num_blocks && bm.assignment() == &entry.assignment[..]
 }
 
+/// Counts one walk of the graph to build a model
+/// (`sbp_solver_graph_builds_total`).
+fn count_graph_build() {
+    if sbp_metrics::enabled() {
+        solver_metrics().graph_builds.inc();
+    }
+}
+
+/// The model of `assignment` over the whole `graph`: [`Plane::build`] on
+/// the [`LocalPlane`], counted in `sbp_solver_graph_builds_total` like a
+/// search's own builds. For a caller that holds a partition but not its
+/// model: the daemon after a `--resume`, or after a solve that returned
+/// no [`RunOutcome::model`].
+pub fn build_model(graph: &Graph, assignment: Vec<u32>, num_blocks: usize) -> Blockmodel {
+    count_graph_build();
+    let Ok(bm) = LocalPlane::new(graph).build(assignment, num_blocks);
+    bm
+}
+
+/// The seed model a warm start's `carried` model gives for the compacted
+/// seed partition `(assignment, num_blocks)`: a copy of it, or its
+/// compaction (a fold) when its partition left a block empty. Either is
+/// the model [`Plane::build`] would give, with no graph walk. `None` when
+/// the model is not of that partition.
+fn carried_seed(
+    carried: Option<&Blockmodel>,
+    assignment: &[u32],
+    num_blocks: usize,
+) -> Option<Blockmodel> {
+    let model = carried?;
+    if model.num_blocks() == num_blocks {
+        (model.assignment() == assignment).then(|| model.clone())
+    } else {
+        Some(model.compacted()).filter(|seed| seed.assignment() == assignment)
+    }
+}
+
 /// Debug builds hold a model the search carried or folded against the one
 /// a rebuild gives, wherever the plane has a whole graph to rebuild from —
 /// never through a collective, so a debug and a release run issue the same
@@ -678,7 +734,14 @@ impl<'a, P: Plane> Search<'a, P> {
                 .or_else(|| warm.map(|w| (w.assignment.clone(), w.num_blocks)))
                 .unwrap_or_else(|| ((0..n as u32).collect(), n));
             let (assignment, num_blocks) = compact_labels(assignment, width);
-            let mut bm = self.build(assignment, num_blocks)?;
+            let carried = warm.and_then(|w| w.model.as_deref());
+            let mut bm = match carried_seed(carried, &assignment, num_blocks) {
+                Some(bm) => {
+                    debug_assert_equals_rebuild(plane, &bm, "carried");
+                    bm
+                }
+                None => self.build(assignment, num_blocks)?,
+            };
             self.progress.on_event(&ProgressEvent::Started {
                 num_vertices: n,
                 num_blocks,
@@ -800,8 +863,8 @@ impl<'a, P: Plane> Search<'a, P> {
     /// this run walk the graph?".
     fn build(&self, assignment: Vec<u32>, num_blocks: usize) -> Result<Blockmodel, P::Error> {
         let plane = self.phase.plane;
-        if plane.is_root() && sbp_metrics::enabled() {
-            solver_metrics().graph_builds.inc();
+        if plane.is_root() {
+            count_graph_build();
         }
         plane.build(assignment, num_blocks)
     }
@@ -980,7 +1043,7 @@ impl<'a, P: Plane> Search<'a, P> {
     fn settle_resident(&mut self, bm: Blockmodel, establishing: bool) -> Result<(), P::Error> {
         self.resident.push(bm);
         let (hi, mid, _) = self.bracket.parts();
-        let hi = hi.filter(|_| self.bracket.established());
+        let hi = hi.filter(|_| self.warm || self.bracket.established());
         self.resident
             .retain(|bm| [mid, hi].into_iter().flatten().any(|e| is_model_of(bm, e)));
         let rebuild = mid.filter(|mid| {
@@ -1597,8 +1660,8 @@ mod tests {
     /// search ends there; and at most one `hi` the search let go before the
     /// bracket was established. Resumed: nothing is resident, so the first
     /// iteration builds its start; then the same two. Warm: the seed
-    /// alone when the search stays at the warm block count, plus at most
-    /// the dropped `hi` from a split start — a warm search keeps its `mid`.
+    /// alone — a warm search keeps its `mid` and its `hi` — and nothing
+    /// when the warm start carries the seed's model.
     /// Every other iteration starts from a resident model, which
     /// `WatchedPlane` holds to a rebuild — as it does every folded one.
     #[test]
@@ -1704,27 +1767,41 @@ mod tests {
             );
 
             // Warm, from where the cold search ended (the daemon's steady
-            // state): the polish pass and every iteration run on the one
-            // model built for the seed. From that result split in two, the
-            // seed can become the dropped `hi` — no more.
-            let warm_cfg = RunConfig::seeded(seed)
-                .warm_start(WarmStart::new(cold.assignment.clone(), cold.num_blocks));
-            let (calls, warm) = watched(&g, &warm_cfg);
-            assert!(
-                warm.iterations.len() > 1,
-                "seed {seed}: warm run did not iterate"
-            );
-            assert_eq!(builds(&calls).len(), 1, "seed {seed}: warm built {calls:?}");
+            // state), and from that result split in two (a seed whose
+            // first probes come out better): the polish pass and every
+            // iteration run on the one model built for the seed — and on
+            // none built at all when the warm start carries it, for the
+            // same outcome, which hands back the model of its partition.
             let split: Vec<u32> = (0..n as u32)
                 .map(|v| cold.assignment[v as usize] * 2 + v % 2)
                 .collect();
-            let warm_cfg =
-                RunConfig::seeded(seed).warm_start(WarmStart::new(split, cold.num_blocks * 2));
-            let (calls, _) = watched(&g, &warm_cfg);
-            assert!(
-                builds(&calls).len() <= 2,
-                "seed {seed}: warm built {calls:?}"
-            );
+            for (assignment, c) in [
+                (cold.assignment.clone(), cold.num_blocks),
+                (split, cold.num_blocks * 2),
+            ] {
+                let warm_cfg = RunConfig::seeded(seed).warm_start(WarmStart::new(assignment, c));
+                let (calls, warm) = watched(&g, &warm_cfg);
+                assert!(warm.iterations.len() > 1, "seed {seed}, C = {c}");
+                assert_eq!(builds(&calls), [c], "seed {seed}, C = {c}");
+                let start = warm_cfg.warm.as_ref().expect("warm");
+                let model = Blockmodel::from_assignment(&g, start.assignment.clone(), c);
+                let carried_cfg = RunConfig::seeded(seed)
+                    .warm_start(WarmStart::from_model(std::sync::Arc::new(model)));
+                let (calls, carried) = watched(&g, &carried_cfg);
+                assert_eq!(builds(&calls), [], "seed {seed}, C = {c}");
+                assert_eq!(carried.assignment, warm.assignment, "seed {seed}, C = {c}");
+                let bits = |out: &RunOutcome| -> Vec<(usize, u64, usize)> {
+                    let stats = out.iterations.iter();
+                    stats
+                        .map(|s| (s.num_blocks, s.dl.to_bits(), s.moves))
+                        .collect()
+                };
+                assert_eq!(bits(&carried), bits(&warm), "seed {seed}, C = {c}");
+                let model = carried.model.expect("a warm search hands its model back");
+                let rebuilt =
+                    Blockmodel::from_assignment(&g, carried.assignment, carried.num_blocks);
+                assert!(model.same_state(&rebuilt), "seed {seed}, C = {c}");
+            }
         }
         assert!(
             missed_hi,

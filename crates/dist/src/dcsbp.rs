@@ -181,6 +181,7 @@ pub(crate) fn dcsbp_driver<C: Communicator, D: EdistData>(
             virtual_seconds: comm.virtual_time(),
             cluster: None,
             sampled_vertices: None,
+            model: None,
         })
     });
     result.unwrap_or_else(|err| abort_empty(comm, &err))

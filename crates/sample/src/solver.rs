@@ -145,6 +145,7 @@ impl<S: Solver> Solver for Sampled<S> {
             assignment: bm.assignment().to_vec(),
             num_blocks: bm.num_blocks(),
             description_length: bm.description_length(),
+            model: Some(bm),
             iterations: inner_out.iterations,
             cancelled,
             // Local pipeline CPU plus whatever the inner backend spent

@@ -25,11 +25,18 @@
 //! Incremental re-partitioning is the point: `Ingest` queues signed
 //! edge-weight deltas without touching the warm partition (membership
 //! queries keep answering), and a warm `Repartition` applies the batch,
-//! seeds the golden-ratio bracket from the current assignment and block
-//! count via [`sbp_core::WarmStart`], and confines MCMC sweeps to the
+//! folds it into the blockmodel the server keeps resident
+//! ([`sbp_core::Blockmodel::fold_edge_deltas`], O(deltas), no graph walk),
+//! seeds the golden-ratio bracket from that model via
+//! [`sbp_core::WarmStart::from_model`], and confines MCMC sweeps to the
 //! vertices within one hop of the changed edges ([`server::dirty_set`])
-//! while description length stays exact over the full blockmodel. A
-//! cold `Repartition` falls back to the full `C = V` search. Backends
+//! while description length stays exact over the full blockmodel. The
+//! search hands back the model of its result, which stays resident for
+//! the next round. The model is built from the graph only at start-up,
+//! on `--resume`, after a solve that hands none back, and in a warm round
+//! whose deltas move `(C, E)` across [`sbp_core::auto_picks_dense`] (see
+//! [`server`]). A cold `Repartition` falls back to the full `C = V`
+//! search. Backends
 //! resolve by name through [`sbp_core::SolverRegistry`], so downstream
 //! crates can serve their own solvers; warm mode is refused with a
 //! typed error for backends that do not support it.

@@ -1,13 +1,24 @@
 //! The resident partition daemon.
 //!
 //! A [`Server`] loads a graph once, solves it cold (or restores a
-//! `.sbpc` snapshot), and then holds the best partition warm while
-//! serving [`Request`]s over a unix or TCP socket. Edge deltas queue on
-//! ingest and apply at the next `Repartition`; membership and stats
-//! queries answer from the warm partition immediately, so ingest never
-//! blocks reads. A warm repartition seeds the golden search from the
-//! current partition and sweeps only vertices within one hop of the
-//! applied deltas ([`dirty_set`]); a cold one re-runs from `C = V`.
+//! `.sbpc` snapshot), and then holds the blockmodel of its best partition
+//! resident while serving [`Request`]s over a unix or TCP socket. Edge
+//! deltas queue on ingest and apply at the next `Repartition`; membership
+//! and stats queries answer from the resident partition immediately, so
+//! ingest never blocks reads. A warm repartition folds the applied deltas
+//! into the resident model ([`Blockmodel::fold_edge_deltas`], O(deltas)),
+//! seeds the golden search from it without walking the graph, and sweeps
+//! only vertices within one hop of the deltas ([`dirty_set`]); a cold one
+//! re-runs from `C = V`. The search hands back the model of the partition
+//! it settles on, which stays resident for the next round.
+//!
+//! The model is built from the graph once on each of these paths: at
+//! start-up (the cold solve's seed), on `--resume` (from the snapshot's
+//! partition), after a solve that hands no model back (DC-SBP, or a
+//! search that let it go), and in the warm round whose deltas move
+//! `(C, E)` across [`sbp_core::auto_picks_dense`] (the search builds its
+//! seed, as a cold one does). `sbp_solver_graph_builds_total` counts
+//! every one of them.
 //!
 //! A malformed frame gets a typed error reply and closes that
 //! connection; the daemon itself survives and keeps accepting.
@@ -19,11 +30,13 @@ use crate::protocol::{
 use sbp_core::checkpoint::CheckpointState;
 use sbp_core::golden::BracketEntry;
 use sbp_core::registry::{SolverRegistry, SolverSpec};
-use sbp_core::run::{NoProgress, RunConfig, Solver, WarmStart};
-use sbp_core::{IterationStat, SbpConfig};
+use sbp_core::run::{NoProgress, RunConfig, RunOutcome, Solver, WarmStart};
+use sbp_core::sbp::build_model;
+use sbp_core::{Blockmodel, IterationStat};
 use sbp_graph::{EdgeDelta, Graph, Vertex};
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Where the daemon listens.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,12 +152,16 @@ pub fn dirty_set(graph: &Graph, deltas: &[EdgeDelta]) -> Vec<Vertex> {
     dirty
 }
 
-/// The resident server: graph, warm partition, pending deltas, and the
-/// solver registry every `Repartition` resolves backends through.
+/// The resident server: graph, the blockmodel of the warm partition,
+/// pending deltas, and the solver registry every `Repartition` resolves
+/// backends through.
 pub struct Server {
     graph: Graph,
-    assignment: Vec<u32>,
-    num_blocks: usize,
+    /// The model of the current partition over `graph`, as of the last
+    /// repartition (pending deltas are not in it). A warm round folds its
+    /// deltas in and hands it to the search; between rounds nothing else
+    /// holds it.
+    model: Arc<Blockmodel>,
     dl: f64,
     trajectory: Vec<IterationStat>,
     pending: Vec<EdgeDelta>,
@@ -194,36 +211,28 @@ impl Server {
                 registry.names().join(", ")
             )));
         }
-        let mut server = Server {
+        let started = std::time::Instant::now();
+        let mut outcome = match &options.resume {
+            Some(path) => restore(&graph, path)?,
+            None => {
+                let solver = registry
+                    .build(&options.backend, &options.spec)
+                    .map_err(|e| ServeError::Config(e.to_string()))?;
+                solver.solve(&graph, &RunConfig::seeded(options.seed), &mut NoProgress)
+            }
+        };
+        Ok(Server {
+            model: model_of(&graph, &mut outcome),
             graph,
-            assignment: Vec::new(),
-            num_blocks: 0,
-            dl: 0.0,
-            trajectory: Vec::new(),
+            dl: outcome.description_length,
+            trajectory: outcome.iterations,
             pending: Vec::new(),
-            degraded: 0,
+            degraded: degraded_byte(outcome.degraded),
             options,
             registry,
-            started: std::time::Instant::now(),
+            started,
             ingests: 0,
             repartitions: 0,
-        };
-        if let Some(path) = server.options.resume.clone() {
-            server.restore(&path)?;
-        } else {
-            let solver = server
-                .solver(&server.options.backend.clone())
-                .map_err(ServeError::Config)?;
-            let outcome = solver.solve(&server.graph, &server.run_config(), &mut NoProgress);
-            server.adopt(outcome);
-        }
-        Ok(server)
-    }
-
-    fn run_config(&self) -> RunConfig {
-        RunConfig::from_sbp(SbpConfig {
-            seed: self.options.seed,
-            ..SbpConfig::default()
         })
     }
 
@@ -238,46 +247,11 @@ impl Server {
             .map_err(|e| e.to_string())
     }
 
-    fn adopt(&mut self, outcome: sbp_core::RunOutcome) {
-        self.assignment = outcome.assignment;
-        self.num_blocks = outcome.num_blocks;
+    fn adopt(&mut self, mut outcome: RunOutcome) {
+        self.model = model_of(&self.graph, &mut outcome);
         self.dl = outcome.description_length;
         self.trajectory.extend(outcome.iterations);
         self.degraded = degraded_byte(outcome.degraded);
-    }
-
-    fn restore(&mut self, path: &Path) -> Result<(), ServeError> {
-        let state = CheckpointState::read_from(path)
-            .map_err(|e| ServeError::CheckpointLoad(e.to_string()))?;
-        if state.num_vertices != self.graph.num_vertices() as u64
-            || state.total_edge_weight != self.graph.total_edge_weight().max(0) as u64
-        {
-            return Err(ServeError::CheckpointMismatch(format!(
-                "snapshot fingerprint (V={}, E={}) does not match the loaded graph \
-                 (V={}, E={}); the snapshot was written for a different graph state \
-                 (e.g. after edge deltas)",
-                state.num_vertices,
-                state.total_edge_weight,
-                self.graph.num_vertices(),
-                self.graph.total_edge_weight()
-            )));
-        }
-        let mid = state.mid.as_ref().ok_or_else(|| {
-            ServeError::CheckpointLoad("snapshot has no best partition entry".into())
-        })?;
-        if mid.assignment.len() != self.graph.num_vertices() {
-            return Err(ServeError::CheckpointMismatch(format!(
-                "snapshot assignment length {} != graph vertex count {}",
-                mid.assignment.len(),
-                self.graph.num_vertices()
-            )));
-        }
-        self.assignment = mid.assignment.clone();
-        self.num_blocks = mid.num_blocks;
-        self.dl = mid.dl;
-        self.trajectory = state.iterations.clone();
-        self.degraded = 0;
-        Ok(())
     }
 
     /// Packs the current server state into a `.sbpc` snapshot: the warm
@@ -285,8 +259,8 @@ impl Server {
     /// (post-delta) graph, and the accumulated trajectory.
     pub fn checkpoint_state(&self) -> CheckpointState {
         let entry = BracketEntry {
-            assignment: self.assignment.clone(),
-            num_blocks: self.num_blocks,
+            assignment: self.model.assignment().to_vec(),
+            num_blocks: self.model.num_blocks(),
             dl: self.dl,
         };
         CheckpointState {
@@ -304,12 +278,18 @@ impl Server {
 
     /// Current warm assignment (for tests and in-process embedding).
     pub fn assignment(&self) -> &[u32] {
-        &self.assignment
+        self.model.assignment()
     }
 
     /// Current block count.
     pub fn num_blocks(&self) -> usize {
-        self.num_blocks
+        self.model.num_blocks()
+    }
+
+    /// The resident blockmodel of the current partition, over the graph
+    /// as of the last repartition.
+    pub fn model(&self) -> &Blockmodel {
+        &self.model
     }
 
     /// Current description length.
@@ -415,7 +395,7 @@ impl Server {
                         false,
                     );
                 }
-                let labels = ids.iter().map(|&v| self.assignment[v as usize]).collect();
+                let labels = ids.iter().map(|&v| self.model.block_of(v)).collect();
                 (Response::Membership(labels), false)
             }
             Request::Stats => {
@@ -430,7 +410,7 @@ impl Server {
                 (
                     Response::Stats(StatsReply {
                         num_vertices: self.graph.num_vertices() as u64,
-                        num_blocks: self.num_blocks as u64,
+                        num_blocks: self.model.num_blocks() as u64,
                         dl: self.dl,
                         pending_deltas: self.pending.len() as u64,
                         degraded: self.degraded,
@@ -510,11 +490,18 @@ impl Server {
                 message: format!("{e}; {} pending deltas discarded", deltas.len()),
             };
         }
-        let mut cfg = self.run_config();
+        let mut cfg = RunConfig::seeded(self.options.seed);
         let swept_vertices;
         match mode {
             RepartitionMode::Warm => {
-                let mut warm = WarmStart::new(self.assignment.clone(), self.num_blocks.max(1));
+                // The batch folds into the resident model, the search's
+                // seed; where it moves the storage pick, the search
+                // builds the seed from the graph instead.
+                let mut warm = if Arc::make_mut(&mut self.model).fold_edge_deltas(&deltas) {
+                    WarmStart::from_model(Arc::clone(&self.model))
+                } else {
+                    WarmStart::new(self.model.assignment().to_vec(), self.model.num_blocks())
+                };
                 if deltas.is_empty() {
                     // Nothing changed: a full polish pass, not a no-op.
                     swept_vertices = self.graph.num_vertices() as u64;
@@ -537,12 +524,59 @@ impl Server {
             sbp_metrics::counter("sbp_daemon_repartitions_total").inc();
         }
         Response::RepartitionDone {
-            num_blocks: self.num_blocks as u64,
+            num_blocks: self.model.num_blocks() as u64,
             dl: self.dl,
             iterations,
             swept_vertices,
         }
     }
+}
+
+/// The model of a solve's partition: the one the search handed back,
+/// else built from `graph` (and counted).
+fn model_of(graph: &Graph, outcome: &mut RunOutcome) -> Arc<Blockmodel> {
+    let model = outcome
+        .model
+        .take()
+        .unwrap_or_else(|| build_model(graph, outcome.assignment.clone(), outcome.num_blocks));
+    Arc::new(model)
+}
+
+/// The partition a `.sbpc` snapshot holds, as the outcome of the solve
+/// that wrote it, once its fingerprint matches `graph`.
+fn restore(graph: &Graph, path: &Path) -> Result<RunOutcome, ServeError> {
+    let state =
+        CheckpointState::read_from(path).map_err(|e| ServeError::CheckpointLoad(e.to_string()))?;
+    if state.num_vertices != graph.num_vertices() as u64
+        || state.total_edge_weight != graph.total_edge_weight().max(0) as u64
+    {
+        return Err(ServeError::CheckpointMismatch(format!(
+            "snapshot fingerprint (V={}, E={}) does not match the loaded graph \
+             (V={}, E={}); the snapshot was written for a different graph state \
+             (e.g. after edge deltas)",
+            state.num_vertices,
+            state.total_edge_weight,
+            graph.num_vertices(),
+            graph.total_edge_weight()
+        )));
+    }
+    let mid = state
+        .mid
+        .ok_or_else(|| ServeError::CheckpointLoad("snapshot has no best partition entry".into()))?;
+    if mid.assignment.len() != graph.num_vertices() {
+        return Err(ServeError::CheckpointMismatch(format!(
+            "snapshot assignment length {} != graph vertex count {}",
+            mid.assignment.len(),
+            graph.num_vertices()
+        )));
+    }
+    Ok(RunOutcome {
+        assignment: mid.assignment,
+        num_blocks: mid.num_blocks,
+        description_length: mid.dl,
+        iterations: state.iterations,
+        ..RunOutcome::empty()
+    })
 }
 
 // -------------------------------------------------------- socket plumbing

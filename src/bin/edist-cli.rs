@@ -20,6 +20,15 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+/// `println!` to the one checked writer, [`stdout`]: a closed stdout
+/// (`edist-cli evaluate … | true`) returns from the subcommand as an
+/// error, where `println!` panics.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        crate::stdout(&format!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 // The crate root is `src/bin/edist-cli.rs`, so its modules, which live
 // in `src/bin/edist-cli/`, are named by path.
 #[path = "edist-cli/args.rs"]
@@ -121,8 +130,18 @@ fn run(argv: &[String]) -> Result<u8, String> {
     (command.run)(&args)
 }
 
+/// Writes `text` to stdout: every byte the CLI prints there goes through
+/// here, so a failed write is an error that names stdout, never a panic.
+fn stdout(text: &str) -> Result<(), String> {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("writing to stdout: {e}"))
+}
+
 fn cmd_help(_: &Args) -> Result<u8, String> {
-    print!("{}", help());
+    stdout(&help())?;
     Ok(0)
 }
 
@@ -132,7 +151,9 @@ fn help() -> String {
     let mut text = String::from(
         "edist-cli — exact distributed stochastic block partitioning\n\n\
          usage: edist-cli SUBCOMMAND [--flag VALUE]...\n\
-         Each flag may be given once; a switch (true|false) takes exactly true or false.\n",
+         Each flag may be given once; a switch (true|false) takes exactly true or false.\n\
+         A flag whose help starts `MODE, …: ` is taken only under those --cluster\n\
+         modes or --family values.\n",
     );
     let usages = COMMANDS
         .iter()
@@ -716,6 +737,65 @@ mod tests {
             assert_eq!(got, Err(format!("{flag} must be at least 1")));
         }
         let _ = std::fs::remove_file(&gpath);
+    }
+
+    /// A flag of one rank of a TCP cluster is refused, by name and mode,
+    /// where it would be ignored: on the in-process `--cluster thread`
+    /// (the default) and, for the three the launcher picks itself, on
+    /// `tcp-local`.
+    #[test]
+    fn partition_refuses_tcp_flags_outside_their_modes() {
+        let tcp_only = [("rank", "3"), ("coordinator", "x:1"), ("session", "7")];
+        let timeouts = [("tcp-timeout", "5"), ("handshake-timeout", "5")];
+        for cluster in [None, Some("thread"), Some("tcp-local")] {
+            let refused = match cluster {
+                Some("tcp-local") => tcp_only.to_vec(),
+                _ => [&tcp_only[..], &timeouts].concat(),
+            };
+            for (flag, value) in refused {
+                let name = format!("--{flag}");
+                let mut line = vec!["partition", "--graph", NO_GRAPH];
+                if let Some(mode) = cluster {
+                    line.extend(["--cluster", mode]);
+                }
+                line.extend([&name[..], value]);
+                let modes = if flag.ends_with("timeout") {
+                    "tcp, tcp-local"
+                } else {
+                    "tcp"
+                };
+                let mode = cluster.unwrap_or("thread");
+                assert_eq!(
+                    run(&argv(&line)),
+                    Err(format!(
+                        "--{flag} is for --cluster {modes}; --cluster {mode} does not take it"
+                    )),
+                );
+            }
+        }
+    }
+
+    /// `generate` refuses another family's flag instead of ignoring it
+    /// (`--family scaling --vertices 50` wrote V = 1 051).
+    #[test]
+    fn generate_refuses_another_familys_flags() {
+        let cases = [
+            ("scaling", "--vertices", "50", "challenge"),
+            ("param", "--difficulty", "easy", "challenge"),
+            ("challenge", "--scale", "0.5", "param, scaling, realworld"),
+            ("challenge", "--id", "1M", "param, scaling, realworld"),
+        ];
+        for (family, flag, value, modes) in cases {
+            let got = run(&argv(&[
+                "generate", "--family", family, flag, value, "--out", NO_GRAPH,
+            ]));
+            assert_eq!(
+                got,
+                Err(format!(
+                    "{flag} is for --family {modes}; --family {family} does not take it"
+                ))
+            );
+        }
     }
 
     /// `--strategy` only picks the sampler of `--sample`.

@@ -126,6 +126,29 @@ impl Args {
         self.positional.as_deref()
     }
 
+    /// Refuses a given flag of `block` that belongs to other modes than
+    /// `--{selector} {mode}`. A flag names its modes at the head of its
+    /// help (`tcp: …`, `param, scaling, realworld: …`); one that names
+    /// none belongs to every mode.
+    pub fn refuse_other_modes(
+        &self,
+        block: &'static str,
+        selector: &str,
+        mode: &str,
+    ) -> Result<(), String> {
+        for flag in flags(block).filter(|f| self.get(f.name).is_some()) {
+            if let Some((modes, _)) = flag.help.split_once(": ") {
+                if !modes.split(", ").any(|m| m == mode) {
+                    return Err(format!(
+                        "--{} is for --{selector} {modes}; --{selector} {mode} does not take it",
+                        flag.name
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Every flag given, as `(name, value)`, by name.
     pub fn given(&self) -> impl Iterator<Item = (&'static str, &str)> {
         self.map.iter().map(|(k, v)| (*k, v.as_str()))

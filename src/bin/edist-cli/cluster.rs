@@ -14,14 +14,15 @@ use edist::prelude::*;
 use std::path::Path;
 use std::time::Duration;
 
-/// The flags of one rank of a hand-launched cluster; `tcp-local` picks
-/// `--rank`, `--coordinator` and `--session` for its children itself.
+/// The flags of one rank of a hand-launched cluster, each headed by the
+/// `--cluster` modes that take it; `tcp-local` picks `--rank`,
+/// `--coordinator` and `--session` for its children itself.
 pub const TCP: &str = "\
 --rank I                  tcp: this process's rank, 0 binds the coordinator (required)
 --coordinator HOST:PORT   tcp: where the ranks rendezvous (required)
 --session N               tcp: id every rank of one cluster shares (default 0)
---tcp-timeout SECS        tcp: give up on a silent peer after SECS, at least 1 (default 120)
---handshake-timeout SECS  tcp: give up on the rendezvous after SECS, at least 1 (default 30)";
+--tcp-timeout SECS        tcp, tcp-local: give up on a silent peer after SECS, at least 1 (default 120)
+--handshake-timeout SECS  tcp, tcp-local: give up on the rendezvous after SECS, at least 1 (default 30)";
 
 /// The flags a cluster refuses instead of ignoring: the golden-loop
 /// snapshot, the metrics log and the progress stream are wired through
@@ -149,10 +150,7 @@ pub fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
         for (key, value) in args.given() {
             // The launcher sets these itself below; a child refuses a
             // flag given twice.
-            if matches!(
-                key,
-                "cluster" | "rank" | "ranks" | "coordinator" | "session"
-            ) {
+            if matches!(key, "cluster" | "ranks") {
                 continue;
             }
             if rank != 0 && matches!(key, "out" | "trajectory-out") {

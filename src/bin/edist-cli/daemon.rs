@@ -67,7 +67,9 @@ pub fn cmd_serve(args: &Args) -> Result<u8, String> {
             Listen::Unix(p) => format!("unix:{}", p.display()),
             Listen::Tcp(a) => format!("tcp:{a}"),
         };
-        println!("listening on {addr}");
+        // Scripts wait for this line; a daemon whose stdout is closed
+        // still serves.
+        let _ = crate::stdout(&format!("listening on {addr}\n"));
     })
     .map_err(|e| e.to_string())?;
     Ok(0)
@@ -162,7 +164,7 @@ pub fn cmd_connect(args: &Args) -> Result<u8, String> {
             .map_err(|e| format!("badframe probe: {e}"))?;
         return match reply {
             Response::Error { code, message } => {
-                println!("daemon survived the bad frame: error code {code}: {message}");
+                outln!("daemon survived the bad frame: error code {code}: {message}");
                 Ok(0)
             }
             other => Err(format!("expected an error frame, got {other:?}")),
@@ -179,7 +181,7 @@ pub fn cmd_connect(args: &Args) -> Result<u8, String> {
     match reply {
         Response::Error { code, message } => return Err(format!("daemon error {code}: {message}")),
         Response::IngestAck { pending_deltas } => {
-            println!("ingested: {pending_deltas} deltas pending");
+            outln!("ingested: {pending_deltas} deltas pending");
         }
         Response::RepartitionDone {
             num_blocks,
@@ -187,14 +189,14 @@ pub fn cmd_connect(args: &Args) -> Result<u8, String> {
             iterations,
             swept_vertices,
         } => {
-            println!(
+            outln!(
                 "repartitioned: {num_blocks} blocks  DL {dl:.2}  \
                  ({iterations} iterations, {swept_vertices} vertices swept)"
             );
         }
         Response::Membership(labels) => {
             for (v, label) in ids_echo.iter().zip(&labels) {
-                println!("{v} {label}");
+                outln!("{v} {label}");
             }
         }
         Response::Stats(stats) => {
@@ -211,7 +213,7 @@ pub fn cmd_connect(args: &Args) -> Result<u8, String> {
                         })
                         .collect(),
                 );
-                println!(
+                outln!(
                     "{}",
                     jobj(vec![
                         ("vertices", jnum(stats.num_vertices as f64)),
@@ -227,17 +229,17 @@ pub fn cmd_connect(args: &Args) -> Result<u8, String> {
                     ])
                 );
             } else {
-                println!("vertices:       {}", stats.num_vertices);
-                println!("blocks:         {}", stats.num_blocks);
-                println!("DL:             {:.2}", stats.dl);
-                println!("pending deltas: {}", stats.pending_deltas);
-                println!("degraded:       {}", stats.degraded);
-                println!("backend:        {}", stats.backend);
-                println!("uptime:         {:.1}s", stats.uptime_seconds);
-                println!("ingests:        {}", stats.ingests);
-                println!("repartitions:   {}", stats.repartitions);
+                outln!("vertices:       {}", stats.num_vertices);
+                outln!("blocks:         {}", stats.num_blocks);
+                outln!("DL:             {:.2}", stats.dl);
+                outln!("pending deltas: {}", stats.pending_deltas);
+                outln!("degraded:       {}", stats.degraded);
+                outln!("backend:        {}", stats.backend);
+                outln!("uptime:         {:.1}s", stats.uptime_seconds);
+                outln!("ingests:        {}", stats.ingests);
+                outln!("repartitions:   {}", stats.repartitions);
                 for p in &stats.trajectory_tail {
-                    println!("  trajectory: {} blocks  DL {:.2}", p.num_blocks, p.dl);
+                    outln!("  trajectory: {} blocks  DL {:.2}", p.num_blocks, p.dl);
                 }
             }
         }
@@ -246,16 +248,16 @@ pub fn cmd_connect(args: &Args) -> Result<u8, String> {
             prometheus,
         } => {
             if as_json {
-                println!("{snapshot_json}");
+                outln!("{snapshot_json}");
             } else {
-                print!("{prometheus}");
+                crate::stdout(&prometheus)?;
             }
         }
         Response::CheckpointDone { bytes } => {
-            println!("checkpoint written ({bytes} bytes)");
+            outln!("checkpoint written ({bytes} bytes)");
         }
         Response::ShutdownAck => {
-            println!("daemon shut down");
+            outln!("daemon shut down");
         }
     }
     Ok(0)

@@ -21,9 +21,12 @@ pub const GENERATE: &str = "\
 --truth FILE            also write the planted labels, one per line
 --vertices N            challenge: vertex count, at least 16 (default 2000)
 --difficulty easy|hard  challenge: block overlap and size variation (default hard)
---id ID                 the param (TTT33…), scaling (1M…) or realworld (Amazon…) graph
+--id ID                 param, scaling, realworld: which graph (default TTT33, 1M, Amazon)
 --scale F               param, scaling, realworld: size factor in (0, 1] (default 0.05)
 --seed N                generator seed (default 42)";
+
+/// The `--family` values of `generate`.
+const FAMILIES: [&str; 4] = ["challenge", "param", "scaling", "realworld"];
 
 pub const SHARD: &str = "\
 --ranks N                   shard count (default 4)
@@ -68,10 +71,7 @@ pub fn write_assignment(path: Option<&str>, assignment: &[u32]) -> Result<(), St
     let text: String = assignment.iter().map(|l| format!("{l}\n")).collect();
     match path {
         Some(p) => std::fs::write(p, text).map_err(|e| format!("writing {p}: {e}")),
-        None => {
-            print!("{text}");
-            Ok(())
-        }
+        None => crate::stdout(&text),
     }
 }
 
@@ -89,6 +89,10 @@ pub fn read_assignment(path: &str) -> Result<Vec<u32>, String> {
 
 pub fn cmd_generate(args: &Args) -> Result<u8, String> {
     let family = args.get("family").unwrap_or("challenge");
+    if !FAMILIES.contains(&family) {
+        return Err(format!("unknown family '{family}'"));
+    }
+    args.refuse_other_modes(GENERATE, "family", family)?;
     let seed: u64 = args.num("seed", 42u64)?;
     // The generators assert these ranges; refused here, they are an
     // error naming the flag instead of a panic.
@@ -133,7 +137,7 @@ pub fn cmd_generate(args: &Args) -> Result<u8, String> {
                 .ok_or_else(|| format!("unknown real-world stand-in '{id}'"))?;
             realworld(which, scale, seed)
         }
-        other => return Err(format!("unknown family '{other}'")),
+        other => unreachable!("family '{other}' is checked above"),
     };
     let out = args.require("out")?;
     edist::graph::io::save_graph(&planted.graph, Path::new(out))
@@ -192,12 +196,14 @@ pub fn cmd_evaluate(args: &Args) -> Result<u8, String> {
             truth.len()
         ));
     }
-    println!("NMI: {:.4}", nmi(&pred, &truth));
-    println!("ARI: {:.4}", adjusted_rand_index(&pred, &truth));
+    outln!("NMI: {:.4}", nmi(&pred, &truth));
+    outln!("ARI: {:.4}", adjusted_rand_index(&pred, &truth));
     let pr = edist::eval::pairwise::pairwise_scores(&pred, &truth);
-    println!(
+    outln!(
         "pairwise precision: {:.4}  recall: {:.4}  F1: {:.4}",
-        pr.precision, pr.recall, pr.f1
+        pr.precision,
+        pr.recall,
+        pr.f1
     );
     Ok(0)
 }
@@ -205,14 +211,14 @@ pub fn cmd_evaluate(args: &Args) -> Result<u8, String> {
 pub fn cmd_islands(args: &Args) -> Result<u8, String> {
     let graph = load(args)?;
     let ranks_spec = args.get("ranks").unwrap_or("1,2,4,8,16,32,64");
-    println!("{:>8} {:>10} {:>10}", "ranks", "islands", "fraction");
+    outln!("{:>8} {:>10} {:>10}", "ranks", "islands", "fraction");
     for tok in ranks_spec.split(',') {
         let n: usize = match tok.trim().parse() {
             Ok(n) if n > 0 => n,
             _ => return Err(format!("bad rank count '{tok}' (at least 1)")),
         };
         let rep = island_fraction_round_robin(&graph, n);
-        println!("{:>8} {:>10} {:>10.4}", n, rep.islands, rep.fraction());
+        outln!("{:>8} {:>10} {:>10.4}", n, rep.islands, rep.fraction());
     }
     Ok(0)
 }
@@ -229,21 +235,21 @@ pub fn cmd_stats(args: &Args) -> Result<u8, String> {
             degs[((degs.len() - 1) as f64 * q) as usize]
         }
     };
-    println!("vertices:        {n}");
-    println!("arcs:            {}", g.num_arcs());
-    println!("total weight:    {}", g.total_edge_weight());
-    println!(
+    outln!("vertices:        {n}");
+    outln!("arcs:            {}", g.num_arcs());
+    outln!("total weight:    {}", g.total_edge_weight());
+    outln!(
         "avg out-degree:  {:.2}",
         g.total_edge_weight() as f64 / n.max(1) as f64
     );
-    println!(
+    outln!(
         "degree p50/p90/p99/max: {}/{}/{}/{}",
         quantile(0.5),
         quantile(0.9),
         quantile(0.99),
         degs.last().copied().unwrap_or(0)
     );
-    println!(
+    outln!(
         "isolated:        {}",
         (0..n as u32).filter(|&v| g.degree(v) == 0).count()
     );

@@ -429,15 +429,17 @@ pub fn cmd_partition(args: &Args) -> Result<u8, String> {
     // simulator paths: `tcp` runs ONE rank of it in this process,
     // `tcp-local` is the launcher that spawns N such processes on
     // localhost and waits for them.
-    match args.get("cluster") {
-        None | Some("thread") => {}
-        Some("tcp") => return cluster::cmd_partition_tcp(args),
-        Some("tcp-local") => return cluster::cmd_partition_tcp_local(args),
-        Some(other) => {
-            return Err(format!(
-                "unknown --cluster mode '{other}' (thread, tcp, tcp-local)"
-            ));
-        }
+    let mode = args.get("cluster").unwrap_or("thread");
+    if !matches!(mode, "thread" | "tcp" | "tcp-local") {
+        return Err(format!(
+            "unknown --cluster mode '{mode}' (thread, tcp, tcp-local)"
+        ));
+    }
+    args.refuse_other_modes(cluster::TCP, "cluster", mode)?;
+    match mode {
+        "tcp" => return cluster::cmd_partition_tcp(args),
+        "tcp-local" => return cluster::cmd_partition_tcp_local(args),
+        _ => {}
     }
     let ranks: usize = args.num("ranks", 4usize)?;
     let name = args.get("backend");

@@ -274,3 +274,40 @@ fn readme_cli_reference_is_the_help_output() {
          paste the help output into it"
     );
 }
+
+/// A closed stdout ends the command with an error that names it, never a
+/// broken-pipe panic (`edist-cli partition --graph G | true` exited 101
+/// with a backtrace after the whole solve).
+#[test]
+fn a_closed_stdout_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("edist_closed_stdout_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.txt");
+    std::fs::write(&graph, "0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n").unwrap();
+    let labels = dir.join("labels.txt");
+    std::fs::write(&labels, "0\n0\n0\n1\n1\n1\n").unwrap();
+    let (graph, labels) = (graph.to_str().unwrap(), labels.to_str().unwrap());
+    for line in [
+        &["partition", "--graph", graph][..],
+        &["evaluate", "--pred", labels, "--truth", labels],
+        &["stats", "--graph", graph],
+        &["help"],
+    ] {
+        // A pipe whose read end is gone before the command writes.
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"))
+            .args(line)
+            .stdout(writer)
+            .output()
+            .expect("running edist-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{line:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{line:?}: {stderr}");
+        assert!(
+            stderr.contains("error: writing to stdout: Broken pipe"),
+            "{line:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -695,3 +695,291 @@ fn registry_resolution_matches_typed_backends() {
         Ok(_) => panic!("expected UnknownBackend, got a solver"),
     }
 }
+
+/// `count` cliques of `k` vertices each (all ordered pairs inside a
+/// clique), joined in a ring by one arc from each clique's first vertex
+/// to the next clique's.
+fn ring_of_cliques(count: u32, k: u32) -> Graph {
+    let mut edges = Vec::new();
+    for c in 0..count {
+        let base = c * k;
+        for i in 0..k {
+            for j in (0..k).filter(|&j| j != i) {
+                edges.push((base + i, base + j, 1));
+            }
+        }
+        edges.push((base, (base + k) % (count * k), 1));
+    }
+    Graph::from_edges((count * k) as usize, edges)
+}
+
+/// 130 five-cliques in a ring, and a `.sbpc` snapshot at `path` whose
+/// best entry is the planted partition: C = 130 blocks over E = 2 730,
+/// on sparse storage (`4·E < C²`). A daemon settles far below that C —
+/// a DL optimum of this graph is dense — so a session starts on sparse
+/// storage by restoring this snapshot.
+fn planted_clique_ring(path: &std::path::Path) -> Graph {
+    use edist::core::checkpoint::CheckpointState;
+    use edist::core::golden::BracketEntry;
+    let (count, k) = (130, 5);
+    let graph = ring_of_cliques(count, k);
+    let assignment: Vec<u32> = (0..count * k).map(|v| v / k).collect();
+    let dl = edist::core::Blockmodel::from_assignment(&graph, assignment.clone(), count as usize)
+        .description_length();
+    let entry = BracketEntry {
+        assignment,
+        num_blocks: count as usize,
+        dl,
+    };
+    CheckpointState {
+        seed: 3,
+        strategy_tag: 0,
+        num_vertices: graph.num_vertices() as u64,
+        total_edge_weight: graph.total_edge_weight() as u64,
+        next_iter: 0,
+        iterations: Vec::new(),
+        hi: Some(entry.clone()),
+        mid: Some(entry),
+        lo: None,
+    }
+    .write_to(path)
+    .expect("writing the planted snapshot");
+    graph
+}
+
+/// The resident model is the model `from_assignment` builds on the
+/// server's current graph, in every integer, storage kind and cache bit.
+fn assert_resident_model_is_rebuild(server: &Server, when: &str) {
+    let rebuilt = edist::core::Blockmodel::from_assignment(
+        server.graph(),
+        server.assignment().to_vec(),
+        server.num_blocks(),
+    );
+    assert!(
+        server.model().same_state(&rebuilt),
+        "{when}: the resident model differs from its rebuild"
+    );
+}
+
+/// Ingests `deltas` (when there are any) and repartitions.
+fn round(server: &mut Server, deltas: &[EdgeDelta], mode: RepartitionMode) {
+    if !deltas.is_empty() {
+        let (ack, _) = server.handle(Request::Ingest(deltas.to_vec()));
+        assert!(matches!(ack, Response::IngestAck { .. }), "{ack:?}");
+    }
+    let (done, _) = server.handle(Request::Repartition {
+        mode,
+        backend: String::new(),
+    });
+    assert!(matches!(done, Response::RepartitionDone { .. }), "{done:?}");
+}
+
+/// Whether the next warm round's seed, the resident partition over the
+/// graph with `pending` applied, is on dense storage.
+fn seed_is_dense(server: &Server, pending: &[EdgeDelta]) -> bool {
+    let e = server.graph().total_edge_weight() + pending.iter().map(|d| d.delta).sum::<i64>();
+    edist::core::auto_picks_dense(server.num_blocks(), e)
+}
+
+/// The rounds of a daemon session, each a batch and a mode, on `graph`:
+/// ±1 re-weights, an arc driven to weight 0, a new self-loop, a round
+/// with no deltas (the full polish pass), a cold round, and warm rounds
+/// after it.
+fn session_rounds(graph: &Graph) -> Vec<(&'static str, Vec<EdgeDelta>, RepartitionMode)> {
+    let (src, dst, w) = graph
+        .arcs()
+        .find(|&(s, d, _)| s != d)
+        .expect("a non-loop arc");
+    let delta = |src, dst, delta| EdgeDelta { src, dst, delta };
+    let warm = RepartitionMode::Warm;
+    vec![
+        ("re-weight", weight_deltas(graph, 8, 1), warm),
+        ("arc to weight 0", vec![delta(src, dst, -w)], warm),
+        ("self-loop", vec![delta(src, src, 2)], warm),
+        ("no deltas", Vec::new(), warm),
+        ("cold", vec![delta(src, dst, 1)], RepartitionMode::Cold),
+        ("re-weight after cold", weight_deltas(graph, 8, 2), warm),
+        ("self-loop removed", vec![delta(src, src, -2)], warm),
+    ]
+}
+
+/// A warm round folds its deltas into the resident blockmodel instead of
+/// rebuilding it from the graph. After start-up or a restore, after every
+/// round of a session, after a restore from the session's checkpoint and
+/// a warm round on it, the resident model must equal its rebuild on the
+/// current graph: on a graph whose first warm seed is dense, and on one
+/// whose first warm seed is sparse.
+#[test]
+fn the_resident_model_equals_its_rebuild_after_every_round() {
+    let dir = std::env::temp_dir().join(format!("edist_serve_resident_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let planted = dir.join("planted.sbpc");
+    let sparse = planted_clique_ring(&planted);
+    for (name, graph, resume, dense) in [
+        ("two 8-cliques", two_cliques(8), None, true),
+        ("130 five-cliques", sparse, Some(planted.clone()), false),
+    ] {
+        let options = ServerOptions {
+            seed: 3,
+            resume,
+            ..ServerOptions::default()
+        };
+        let mut server = Server::new(graph.clone(), options.clone(), default_registry())
+            .expect("start-up solve or restore");
+        assert_resident_model_is_rebuild(&server, &format!("{name}, start-up"));
+        let rounds = session_rounds(&graph);
+        assert_eq!(seed_is_dense(&server, &rounds[0].1), dense, "{name}");
+        for (what, deltas, mode) in rounds {
+            round(&mut server, &deltas, mode);
+            assert_resident_model_is_rebuild(&server, &format!("{name}, {what}"));
+        }
+
+        // A restore builds the model from the snapshot's partition; the
+        // warm round after it folds into that one.
+        let path = dir.join("session.sbpc");
+        let (reply, _) = server.handle(Request::Checkpoint(path.to_string_lossy().into()));
+        assert!(
+            matches!(reply, Response::CheckpointDone { .. }),
+            "{reply:?}"
+        );
+        let options = ServerOptions {
+            resume: Some(path),
+            ..options
+        };
+        let mut resumed =
+            Server::new(server.graph().clone(), options, default_registry()).expect("restore");
+        assert_eq!(resumed.assignment(), server.assignment());
+        assert_resident_model_is_rebuild(&resumed, &format!("{name}, restored"));
+        let deltas = weight_deltas(resumed.graph(), 8, 3);
+        round(&mut resumed, &deltas, RepartitionMode::Warm);
+        assert_resident_model_is_rebuild(&resumed, &format!("{name}, warm after restore"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A batch that moves the warm seed's `(C, E)` over the storage pick:
+/// the fold declines, the search builds its seed on the other storage,
+/// and the model it hands back is that rebuild's — as is the next
+/// round's, folded on the new storage.
+#[test]
+fn a_warm_round_whose_deltas_flip_the_storage_hands_back_the_rebuild() {
+    use edist::core::StorageKind;
+    let dir = std::env::temp_dir().join(format!("edist_serve_flip_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let planted = dir.join("planted.sbpc");
+    let graph = planted_clique_ring(&planted);
+    let options = ServerOptions {
+        seed: 3,
+        resume: Some(planted),
+        ..ServerOptions::default()
+    };
+    let mut server = Server::new(graph, options, default_registry()).expect("restore");
+    assert_eq!(server.model().storage_kind(), StorageKind::Sparse);
+    let c = server.num_blocks() as i64;
+    let (src, dst, _) = server.graph().arcs().next().expect("an arc");
+    let flip = EdgeDelta {
+        src,
+        dst,
+        delta: (c * c + 3) / 4 - server.graph().total_edge_weight(),
+    };
+    assert!(seed_is_dense(&server, &[flip]));
+    round(&mut server, &[flip], RepartitionMode::Warm);
+    assert_resident_model_is_rebuild(&server, "the flip round");
+    let deltas = weight_deltas(server.graph(), 8, 4);
+    round(&mut server, &deltas, RepartitionMode::Warm);
+    assert_resident_model_is_rebuild(&server, "the round after the flip");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `sbp_solver_graph_builds_total` from a daemon's metrics plane.
+fn graph_builds(client: &mut Client) -> u64 {
+    let reply = client.request(&Request::Metrics).expect("metrics");
+    let Response::Metrics { snapshot_json, .. } = reply else {
+        panic!("expected Metrics, got {reply:?}");
+    };
+    let value = edist::metrics::json::Value::parse(&snapshot_json).expect("snapshot JSON");
+    let snap = edist::metrics::Snapshot::from_json(&value).expect("a snapshot");
+    match snap.metrics.get("sbp_solver_graph_builds_total") {
+        Some(edist::metrics::MetricValue::Counter(n)) => *n,
+        other => panic!("sbp_solver_graph_builds_total: {other:?}"),
+    }
+}
+
+/// A spawned daemon, killed if the test fails before shutting it down.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A warm round walks no arc to build a model, read off the metrics
+/// plane of an `edist-cli serve` process (one of its own, so no other
+/// test's solve moves the process-wide counter): on a dense warm seed
+/// and, restored from the planted snapshot, a sparse one.
+#[test]
+fn a_warm_round_adds_no_graph_build() {
+    let dir = std::env::temp_dir().join(format!("edist_serve_builds_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let planted = dir.join("planted.sbpc");
+    let sparse = planted_clique_ring(&planted);
+    for (name, graph, resume) in [
+        ("two 8-cliques", two_cliques(8), None),
+        ("130 five-cliques", sparse, Some(&planted)),
+    ] {
+        let path = dir.join("g.mtx");
+        edist::graph::io::save_graph(&graph, &path).expect("writing the graph");
+        let sock = dir.join("d.sock");
+        let mut serve = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"));
+        serve.args(["serve", "--graph", path.to_str().unwrap(), "--seed", "3"]);
+        serve
+            .arg("--listen")
+            .arg(format!("unix:{}", sock.display()));
+        if let Some(snapshot) = resume {
+            serve.arg("--resume").arg(snapshot);
+        }
+        let mut daemon = Daemon(
+            serve
+                .env_remove("SBP_METRICS")
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::null())
+                .spawn()
+                .expect("spawning edist-cli serve"),
+        );
+        let listen = Listen::Unix(sock);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let mut client = loop {
+            match Client::connect(&listen) {
+                Ok(client) => break client,
+                Err(e) if std::time::Instant::now() > deadline => panic!("{name}: {e}"),
+                Err(_) => std::thread::sleep(std::time::Duration::from_millis(20)),
+            }
+        };
+        let rounds = session_rounds(&graph);
+        let warm = rounds
+            .iter()
+            .filter(|(_, _, mode)| *mode == RepartitionMode::Warm)
+            .take(4);
+        for (what, deltas, mode) in warm {
+            let before = graph_builds(&mut client);
+            if !deltas.is_empty() {
+                let ack = client.request(&Request::Ingest(deltas.clone())).unwrap();
+                assert!(matches!(ack, Response::IngestAck { .. }), "{ack:?}");
+            }
+            let done = client
+                .request(&Request::Repartition {
+                    mode: *mode,
+                    backend: String::new(),
+                })
+                .unwrap();
+            assert!(matches!(done, Response::RepartitionDone { .. }), "{done:?}");
+            assert_eq!(graph_builds(&mut client), before, "{name}, {what}");
+        }
+        let reply = client.request(&Request::Shutdown).unwrap();
+        assert_eq!(reply, Response::ShutdownAck);
+        assert!(daemon.0.wait().unwrap().success(), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
