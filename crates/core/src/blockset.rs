@@ -8,70 +8,98 @@
 //! drained with `trailing_zeros` orders them for free but costs a scan of
 //! `C/64` words per vertex — 15.6 k words at `C = 10⁶`. Summary levels fix
 //! that: bit `i` of level `l + 1` says word `i` of level `l` is nonzero, up
-//! to a single root word, so a drain descends only into words that hold
+//! to a single top word, so a drain descends only into words that hold
 //! something: O(k · levels), `levels = ⌈log₆₄ C⌉ ≤ 6`.
+//!
+//! The depth follows the block count the set was last
+//! [`fit`](BlockSet::fit) to, down as well as up, and the top word is not
+//! stored: a [`Gather`] holds it as a local, so a gather keeps it in a
+//! register and writes memory only for the levels below it — none at
+//! `C ≤ 64`, one at `C ≤ 4096`.
 
-/// See the module docs. Empty between uses: [`BlockSet::drain_into`]
-/// clears every word it visits.
+/// See the module docs. Every stored word is zero between gathers:
+/// [`Gather::drain_into`] clears every word it visits.
 #[derive(Debug, Default)]
 pub(crate) struct BlockSet {
-    /// `levels[0]` holds one bit per id; the last level is one word.
+    /// The levels below the top word, `levels[0]` holding one bit per id.
     levels: Vec<Vec<u64>>,
+    /// The id bound the levels are sized for.
+    bound: usize,
 }
 
 impl BlockSet {
-    /// Makes room for ids `< n`. Grows only, so a set sized at `C = V`
-    /// serves every later, smaller block count.
-    pub(crate) fn ensure(&mut self, n: usize) {
-        if self.levels.first().map_or(0, Vec::len) * 64 >= n.max(1) {
+    /// Sizes the set for ids `< n`: one stored level per word count above
+    /// one, so `⌈log₆₄ n⌉ − 1` of them. Levels that stay keep their
+    /// allocation.
+    pub(crate) fn fit(&mut self, n: usize) {
+        if n == self.bound {
             return;
         }
-        debug_assert!(self.is_empty(), "resized while holding ids");
-        self.levels.clear();
+        debug_assert!(
+            self.levels.iter().flatten().all(|&w| w == 0),
+            "resized while holding ids"
+        );
+        self.bound = n;
+        let mut depth = 0;
         let mut words = n.div_ceil(64);
-        loop {
-            self.levels.push(vec![0; words]);
-            if words == 1 {
-                break;
+        while words > 1 {
+            match self.levels.get_mut(depth) {
+                Some(level) => level.resize(words, 0),
+                None => self.levels.push(vec![0; words]),
             }
+            depth += 1;
             words = words.div_ceil(64);
         }
+        self.levels.truncate(depth);
     }
 
-    fn is_empty(&self) -> bool {
-        self.levels.last().is_none_or(|root| root[0] == 0)
+    /// Starts one fill-and-drain of the set.
+    pub(crate) fn gather(&mut self) -> Gather<'_> {
+        Gather {
+            levels: &mut self.levels,
+            top: 0,
+        }
     }
+}
 
+/// One fill-and-drain of a [`BlockSet`], holding its top word. Drain it:
+/// a gather dropped while holding ids leaves them in the set.
+pub(crate) struct Gather<'a> {
+    levels: &'a mut [Vec<u64>],
+    top: u64,
+}
+
+impl Gather<'_> {
     /// Adds `id` (idempotent). `id` must be below the last
-    /// [`ensure`](Self::ensure)d bound. Every level is written
+    /// [`fit`](BlockSet::fit)ted bound. Every level is written
     /// unconditionally: stopping at the first word that was already
     /// nonzero saves a store and costs a branch that mispredicts.
     #[inline]
     pub(crate) fn insert(&mut self, id: u32) {
         let mut i = id as usize;
-        for level in &mut self.levels {
+        for level in self.levels.iter_mut() {
             level[i >> 6] |= 1 << (i & 63);
             i >>= 6;
         }
+        debug_assert!(i < 64, "id {id} beyond the fitted bound");
+        self.top |= 1 << (i & 63);
     }
 
     /// Appends the ids to `out`, ascending, and leaves the set empty.
-    pub(crate) fn drain_into(&mut self, out: &mut Vec<u32>) {
-        if let Some(top) = self.levels.len().checked_sub(1) {
-            drain_word(&mut self.levels, top, 0, out);
-        }
+    pub(crate) fn drain_into(self, out: &mut Vec<u32>) {
+        drain(self.levels, self.top, 0, out);
     }
 }
 
-fn drain_word(levels: &mut [Vec<u64>], level: usize, word: usize, out: &mut Vec<u32>) {
-    let mut bits = std::mem::take(&mut levels[level][word]);
+/// Appends the ids under `bits`, word `word` of the level above `levels`,
+/// clearing every word of `levels` it descends into.
+fn drain(levels: &mut [Vec<u64>], mut bits: u64, word: usize, out: &mut Vec<u32>) {
     while bits != 0 {
         let i = word * 64 + bits.trailing_zeros() as usize;
         bits &= bits - 1;
-        if level == 0 {
-            out.push(i as u32);
-        } else {
-            drain_word(levels, level - 1, i, out);
+        match levels.split_last_mut() {
+            None => out.push(i as u32),
+            Some((below, rest)) => drain(rest, std::mem::take(&mut below[i]), i, out),
         }
     }
 }
@@ -80,33 +108,47 @@ fn drain_word(levels: &mut [Vec<u64>], level: usize, word: usize, out: &mut Vec<
 mod tests {
     use super::*;
 
-    fn drained(set: &mut BlockSet) -> Vec<u32> {
+    fn drained(set: &mut BlockSet, ids: &[u32]) -> Vec<u32> {
+        let mut gather = set.gather();
+        for &id in ids {
+            gather.insert(id);
+        }
         let mut out = Vec::new();
-        set.drain_into(&mut out);
+        gather.drain_into(&mut out);
         out
     }
 
     /// Ids on both sides of every level boundary come out ascending and
-    /// deduplicated, the set is empty afterwards, and a set sized for a
-    /// large bound still serves a small one.
+    /// deduplicated and the set is empty afterwards, at every depth, with
+    /// the depth following the bound down as well as up.
     #[test]
     fn drains_ascending_at_every_level_count() {
         let mut set = BlockSet::default();
-        assert!(drained(&mut set).is_empty(), "never sized");
-        for n in [1usize, 63, 64, 65, 4096, 4097, 262_144, 262_145, 300_000] {
-            set.ensure(n);
+        assert!(drained(&mut set, &[]).is_empty(), "never sized");
+        for (n, stored) in [
+            (1usize, 0),
+            (63, 0),
+            (64, 0),
+            (65, 1),
+            (4096, 1),
+            (4097, 2),
+            (262_144, 2),
+            (262_145, 3),
+            (300_000, 3),
+            (4097, 2),
+            (65, 1),
+            (2, 0),
+        ] {
+            set.fit(n);
+            assert_eq!(set.levels.len(), stored, "n = {n}");
             let last = n as u32 - 1;
             let mut ids = vec![last, 0, last / 2, last, 63.min(last), 64.min(last), 0];
-            for &id in &ids {
-                set.insert(id);
-            }
+            let got = drained(&mut set, &ids);
             ids.sort_unstable();
             ids.dedup();
-            assert_eq!(drained(&mut set), ids, "n = {n}");
-            assert!(set.is_empty() && drained(&mut set).is_empty(), "n = {n}");
+            assert_eq!(got, ids, "n = {n}");
+            assert!(set.levels.iter().flatten().all(|&w| w == 0), "n = {n}");
+            assert!(drained(&mut set, &[]).is_empty(), "n = {n}");
         }
-        set.ensure(2);
-        set.insert(1);
-        assert_eq!(drained(&mut set), [1]);
     }
 }

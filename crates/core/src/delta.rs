@@ -39,7 +39,9 @@
 //!    it), whose drain hands the blocks back ascending — everything
 //!    downstream runs ascending in `t` — without a comparison sort; the
 //!    self-loop weight falls out of the same pass (debug builds check it
-//!    against the graph's answer the proposal was drawn with):
+//!    against the graph's answer the proposal was drawn with). The bitset
+//!    is fitted to the current `C` and keeps its top word in a local, so
+//!    an insert writes `levels − 1` words of memory — none at `C ≤ 64`:
 //!    O(deg·levels), `levels = ⌈log₆₄ C⌉`;
 //! 2. **one fetch, one `t` loop** — `Blockmodel::cross_cells` returns
 //!    `M[r][t] M[s][t] M[t][r] M[t][s]` for every neighbour block and,
@@ -154,13 +156,14 @@
 //! kernels above are tested against.
 //!
 //! Degree logarithms come from the blockmodel's incrementally maintained
-//! cache ([`Blockmodel::ln_d_out`]/[`ln_d_in`](Blockmodel::ln_d_in)) and
-//! integer `ln M_ij` values from [`crate::lntab`].
+//! cache ([`Blockmodel::ln_d_out`]/[`ln_d_in`](Blockmodel::ln_d_in)), and
+//! the integer `ln M` and `M ln M` values from the compile-time tables of
+//! [`crate::lntab`].
 
 use crate::blockmodel::{Blockmodel, LineIter};
 use crate::blockset::BlockSet;
 use crate::line::{narrow, CanonicalLine, Cell};
-use crate::lntab::ln_int;
+use crate::lntab::{ln_int, xlnx_int};
 use sbp_graph::{Graph, Vertex, Weight};
 use std::cell::RefCell;
 
@@ -184,7 +187,7 @@ pub(crate) fn term(m: Weight, ln_deg_sum: f64) -> f64 {
 #[inline]
 fn xlnx(m: Weight) -> f64 {
     debug_assert!(m >= 0, "count went negative");
-    m as f64 * ln_int(m)
+    xlnx_int(m)
 }
 
 /// A sparse description of how a vertex move or block merge changes the
@@ -317,9 +320,10 @@ impl DeltaScratch {
         if self.acc.len() < bm.num_blocks() {
             self.acc.resize(bm.num_blocks(), (0, 0));
         }
-        self.order.ensure(bm.num_blocks());
+        self.order.fit(bm.num_blocks());
         self.self_w = 0;
-        let (acc, order) = (&mut self.acc, &mut self.order);
+        let acc = &mut self.acc;
+        let mut order = self.order.gather();
         let mut first_touches = 0usize;
         // Every edge inserts its block: the insert is idempotent, and a
         // "first touch?" test is a coin flip where a sweep is dearest (most
@@ -346,7 +350,7 @@ impl DeltaScratch {
                 add(u, 0, w);
             }
         }
-        self.order.drain_into(&mut self.touched);
+        order.drain_into(&mut self.touched);
         // Strictly ascending, one entry per first touch, each with weight:
         // exactly the sorted list of first-touched blocks.
         debug_assert!(self.touched.windows(2).all(|w| w[0] < w[1]));

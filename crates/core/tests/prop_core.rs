@@ -878,7 +878,9 @@ fn self_loop_weight_is_a_scan_of_the_out_edges() {
 /// sorting them: equal to the sorted, deduplicated blocks of the vertex's
 /// non-self neighbours at block counts on both sides of every level
 /// boundary of the ordering bitset (one word | two levels | three | four),
-/// through one scratch that first shrinks and then grows again.
+/// through one scratch that first shrinks and then grows again. The
+/// per-block `(w_out, w_in)` and the self-loop weight it gathered beside
+/// them equal a sum over the vertex's arcs.
 #[test]
 fn gathered_neighbour_blocks_are_sorted_and_deduplicated() {
     let n = 400usize;
@@ -910,15 +912,33 @@ fn gathered_neighbour_blocks_are_sorted_and_deduplicated() {
         let bm = Blockmodel::from_assignment_with(&g, assignment.clone(), c, StorageKind::Sparse);
         for v in 0..n as u32 {
             scratch.gather_vertex(&g, &bm, v);
-            let mut want: Vec<u32> = g
-                .out_edges(v)
-                .chain(g.in_edges(v))
-                .filter(|e| e.0 != v)
-                .map(|e| assignment[e.0 as usize])
-                .collect();
-            want.sort_unstable();
-            want.dedup();
+            // (w_out, w_in) per neighbour block and the self-loop weight,
+            // summed arc by arc.
+            let mut sums = std::collections::BTreeMap::<u32, (i64, i64)>::new();
+            let mut self_w = 0;
+            for (u, w) in g.out_edges(v) {
+                if u == v {
+                    self_w += w;
+                } else {
+                    sums.entry(assignment[u as usize]).or_default().0 += w;
+                }
+            }
+            for (u, w) in g.in_edges(v).filter(|e| e.0 != v) {
+                sums.entry(assignment[u as usize]).or_default().1 += w;
+            }
+            let want: Vec<u32> = sums.keys().copied().collect();
             assert_eq!(scratch.neighbour_blocks(), want, "C={c} v={v}");
+            let (weights, got_self) = scratch.neighbour_weights();
+            assert_eq!(got_self, self_w, "self-loop C={c} v={v}");
+            for (&t, &w) in &sums {
+                assert_eq!(weights[t as usize], w, "weights C={c} v={v} t={t}");
+            }
+            // Zero everywhere else; a whole-accumulator scan per vertex
+            // would dominate the test at C = 300 000, so every 25th.
+            if v % 25 == 0 {
+                let nonzero = weights.iter().filter(|&&w| w != (0, 0)).count();
+                assert_eq!(nonzero, sums.len(), "C={c} v={v}");
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Non-test Rust lines, per crate and in total: for every `.rs` file under
-# src/ and crates/*/src (crates/shims and the bench/ harness excluded),
+# src/ and crates/*/src, and each of those crates' build.rs (crates/shims
+# and the bench/ harness excluded),
 # the lines before its top-level test module — a column-0 `#[cfg(test)]`
 # directly followed by a `mod` line — or the whole file when it has none.
 # A `#[cfg(test)]` on an indented item or on a single hook function does
@@ -38,6 +39,7 @@ measure() {
         case "$name" in crates/shims/*) continue ;; esac
         [ "$name" = src ] && name="edist (src/)"
         mapfile -t files < <(find "$tree" -name '*.rs' | sort)
+        [ -f "${tree%/src}/build.rs" ] && files+=("${tree%/src}/build.rs")
         [ "${#files[@]}" -eq 0 ] && continue
         n=$(count "${files[@]}")
         printf '%s\t%d\n' "$name" "$n"

@@ -78,13 +78,13 @@ impl fmt::Display for Backend {
 }
 
 /// Why a [`Partitioner::run`] call was rejected before doing any work.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PartitionError {
     /// A distributed backend was configured with zero ranks.
     ZeroRanks,
-    /// The sampling fraction was outside `(0, 1]` (stored ×1000 so the
-    /// error stays `Eq`-comparable).
-    BadSampleFraction(i64),
+    /// The sampling fraction was outside `(0, 1]` (or not a number); it
+    /// carries the value as given.
+    BadSampleFraction(f64),
     /// `sync_period` must be at least 1.
     ZeroSyncPeriod,
     /// The `.sbps` shard directory could not be read or validated.
@@ -156,11 +156,9 @@ impl fmt::Display for PartitionError {
             PartitionError::ZeroRanks => {
                 write!(f, "distributed backends need at least one rank")
             }
-            PartitionError::BadSampleFraction(milli) => write!(
-                f,
-                "sampling fraction must be in (0, 1], got {}",
-                *milli as f64 / 1000.0
-            ),
+            PartitionError::BadSampleFraction(fraction) => {
+                write!(f, "sampling fraction must be in (0, 1], got {fraction}")
+            }
             PartitionError::ZeroSyncPeriod => {
                 write!(f, "sync_period must be at least 1")
             }
@@ -600,9 +598,7 @@ impl<'a> Partitioner<'a> {
             None => Ok(base),
             Some((strategy, fraction)) => {
                 if !(fraction > 0.0 && fraction <= 1.0) {
-                    return Err(PartitionError::BadSampleFraction(
-                        (fraction * 1000.0).round() as i64,
-                    ));
+                    return Err(PartitionError::BadSampleFraction(fraction));
                 }
                 Ok(Box::new(Sampled {
                     inner: base,
@@ -961,7 +957,7 @@ mod tests {
             .sample(SamplingStrategy::UniformNode, 1.5)
             .run()
             .unwrap_err();
-        assert_eq!(err, PartitionError::BadSampleFraction(1500));
+        assert_eq!(err, PartitionError::BadSampleFraction(1.5));
         assert!(err.to_string().contains("1.5"));
     }
 

@@ -608,6 +608,28 @@ mod tests {
         let _ = std::fs::remove_file(&gpath);
     }
 
+    /// A refused sampling fraction is named as given: the error once
+    /// carried thousandths, so `1.0004` read "got 1", `nan` "got 0" and
+    /// `inf` "got 9223372036854776".
+    #[test]
+    fn a_refused_sample_fraction_is_named_as_given() {
+        let gpath = tiny_graph("sample_fraction");
+        let g = gpath.to_str().unwrap();
+        for (given, shown) in [
+            ("1.0004", "1.0004"),
+            ("nan", "NaN"),
+            ("inf", "inf"),
+            ("0", "0"),
+        ] {
+            let want = format!("sampling fraction must be in (0, 1], got {shown}");
+            let got = run(&argv(&["partition", "--graph", g, "--sample", given]));
+            assert_eq!(got, Err(want.clone()), "partition --sample {given}");
+            let got = run(&argv(&["sample", "--graph", g, "--fraction", given]));
+            assert_eq!(got, Err(want), "sample --fraction {given}");
+        }
+        let _ = std::fs::remove_file(&gpath);
+    }
+
     #[cfg(unix)]
     #[test]
     fn sigint_watcher_cancels_token() {

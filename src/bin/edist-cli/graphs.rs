@@ -209,14 +209,18 @@ pub fn cmd_evaluate(args: &Args) -> Result<u8, String> {
 }
 
 pub fn cmd_islands(args: &Args) -> Result<u8, String> {
+    let ranks = args
+        .get("ranks")
+        .unwrap_or("1,2,4,8,16,32,64")
+        .split(',')
+        .map(|tok| match tok.trim().parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("bad rank count '{tok}' (at least 1)")),
+        })
+        .collect::<Result<Vec<usize>, _>>()?;
     let graph = load(args)?;
-    let ranks_spec = args.get("ranks").unwrap_or("1,2,4,8,16,32,64");
     outln!("{:>8} {:>10} {:>10}", "ranks", "islands", "fraction");
-    for tok in ranks_spec.split(',') {
-        let n: usize = match tok.trim().parse() {
-            Ok(n) if n > 0 => n,
-            _ => return Err(format!("bad rank count '{tok}' (at least 1)")),
-        };
+    for n in ranks {
         let rep = island_fraction_round_robin(&graph, n);
         outln!("{:>8} {:>10} {:>10.4}", n, rep.islands, rep.fraction());
     }

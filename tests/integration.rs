@@ -311,3 +311,35 @@ fn a_closed_stdout_is_an_error_not_a_panic() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `islands` checks its whole rank list before it prints: `--ranks 2,0`
+/// wrote the header and the two-rank row to stdout, then exited 1.
+#[test]
+fn islands_refuses_a_bad_rank_list_before_printing() {
+    let dir = std::env::temp_dir().join(format!("edist_islands_ranks_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.txt");
+    std::fs::write(&graph, "0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n").unwrap();
+    let graph = graph.to_str().unwrap();
+    for ranks in ["2,0", "2,x", "0"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"))
+            .args(["islands", "--graph", graph, "--ranks", ranks])
+            .output()
+            .expect("running edist-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{ranks}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{ranks}: stdout {:?}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(stderr.contains("bad rank count '"), "{ranks}: {stderr}");
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"))
+        .args(["islands", "--graph", graph, "--ranks", "1,2"])
+        .output()
+        .expect("running edist-cli");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 3);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
