@@ -24,13 +24,13 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sbp_bench::naive::DenseBlockmodel;
 use sbp_core::delta::{delta_entropy, merge_delta};
 use sbp_core::hybrid::{batch_sweep, sweep_plan};
 use sbp_core::line::{CanonicalLine, Cell};
 use sbp_core::lntab::ln_int;
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::{apply_merges, merge_labels, propose_merges};
-use sbp_core::naive::DenseBlockmodel;
 use sbp_core::propose::{pick_by_cells, pick_weighted, propose_for_block, propose_for_vertex};
 use sbp_core::sbp::{merge_phase, SbpConfig};
 use sbp_core::{Blockmodel, DeltaScratch, McmcStrategy, StorageKind};

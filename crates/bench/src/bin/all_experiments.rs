@@ -1,174 +1,37 @@
-//! Runs the complete evaluation — every table and figure of the paper — in
-//! one pass, sharing intermediate sweeps where possible, and prints a
-//! paper-vs-measured summary at the end.
+//! Regenerates the paper's tables and figures — all of them, or the ones
+//! named on the command line — and prints a paper-vs-measured headline.
+//!
+//! ```text
+//! cargo run --release -p sbp-bench --bin all_experiments [table6 table7 table8 fig2 … fig6]
+//! ```
 
-use sbp_bench::{
-    f2, fig2_points, fig3, fig4, fig5, fig6, param_sweep, pivot_sweep, secs, table6, table8,
-    write_csv, Algo, BenchConfig, Table,
-};
+use sbp_bench::{Artifacts, BenchConfig, ARTIFACTS};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = names
+        .iter()
+        .find(|name| !ARTIFACTS.iter().any(|(known, _)| known == name))
+    {
+        let known: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "all_experiments: unknown artifact '{unknown}' (known: {})",
+            known.join(", ")
+        );
+        return ExitCode::FAILURE;
+    }
     let cfg = BenchConfig::from_env();
     eprintln!(
         "all_experiments: scale={} max_ranks={} seed={}",
         cfg.scale, cfg.max_ranks, cfg.seed
     );
-
-    // ---- Table VI ----
-    let t6 = table6(&cfg);
-    let mut t = Table::new(
-        "Table VI — reference-equivalent (dense/batch) vs optimized SBP engine",
-        &[
-            "Graph",
-            "V",
-            "E",
-            "naive NMI",
-            "naive s",
-            "opt NMI",
-            "opt s",
-            "speedup",
-        ],
-    );
-    for r in &t6 {
-        t.row(vec![
-            r.graph_id.clone(),
-            r.vertices.to_string(),
-            r.edges.to_string(),
-            f2(r.naive_nmi),
-            secs(r.naive_time),
-            f2(r.opt_nmi),
-            secs(r.opt_time),
-            f2(r.naive_time / r.opt_time),
-        ]);
+    let mut artifacts = Artifacts::new(cfg);
+    for (name, emit) in ARTIFACTS {
+        if names.is_empty() || names.iter().any(|n| n == name) {
+            emit(&mut artifacts);
+        }
     }
-    t.emit("table6.csv");
-
-    // ---- Tables VII/VIII + Fig. 2 (sharing the DC-SBP sweep) ----
-    let t7 = param_sweep(&cfg, Algo::Dcsbp);
-    pivot_sweep(&cfg, &t7, "Table VII — NMI with DC-SBP", "table7.csv");
-    let t8 = table8(&cfg);
-    pivot_sweep(&cfg, &t8, "Table VIII — NMI with EDiSt", "table8.csv");
-
-    let pts = fig2_points(&t7);
-    let rows: Vec<Vec<String>> = pts
-        .iter()
-        .map(|(f, s)| vec![format!("{f:.4}"), format!("{s:.4}")])
-        .collect();
-    write_csv("fig2.csv", &["island_fraction", "nmi"], &rows);
-    let (lo, hi): (Vec<f64>, Vec<f64>) = (
-        pts.iter()
-            .filter(|(f, _)| *f <= 0.1)
-            .map(|&(_, s)| s)
-            .collect(),
-        pts.iter()
-            .filter(|(f, _)| *f > 0.3)
-            .map(|&(_, s)| s)
-            .collect(),
-    );
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    println!(
-        "\n=== Fig. 2 summary ===\nmean DC-SBP NMI at <=10% islands: {:.3} ({} pts)\nmean DC-SBP NMI at  >30% islands: {:.3} ({} pts)",
-        mean(&lo),
-        lo.len(),
-        mean(&hi),
-        hi.len()
-    );
-
-    // ---- Fig. 3 ----
-    let f3 = fig3(&cfg);
-    let mut t = Table::new(
-        "Fig. 3 — EDiSt MPI tasks per node",
-        &["tasks", "runtime (s)", "speedup"],
-    );
-    for r in &f3 {
-        t.row(vec![r.tasks.to_string(), secs(r.makespan), f2(r.speedup)]);
-    }
-    t.emit("fig3.csv");
-
-    // ---- Fig. 4 + Fig. 5 (sharing the EDiSt scaling runs) ----
-    let f4 = fig4(&cfg);
-    let mut t = Table::new(
-        "Fig. 4 — EDiSt strong scaling on synthetic graphs",
-        &["graph", "ranks", "runtime (s)", "speedup", "NMI"],
-    );
-    for r in &f4 {
-        t.row(vec![
-            r.graph_id.clone(),
-            r.n_ranks.to_string(),
-            secs(r.makespan),
-            f2(r.speedup),
-            f2(r.nmi),
-        ]);
-    }
-    t.emit("fig4.csv");
-
-    let f5 = fig5(&cfg, Some(&f4));
-    let mut t = Table::new(
-        "Fig. 5 — best DC-SBP vs EDiSt runtimes",
-        &[
-            "graph",
-            "shared-mem (s)",
-            "best DC (s)",
-            "DC ranks",
-            "EDiSt (s)",
-            "ED ranks",
-            "spd vs SM",
-            "spd vs DC",
-        ],
-    );
-    for r in &f5 {
-        t.row(vec![
-            r.graph_id.clone(),
-            secs(r.sm_time),
-            secs(r.dc_time),
-            r.dc_ranks.to_string(),
-            secs(r.edist_time),
-            r.edist_ranks.to_string(),
-            f2(r.speedup_vs_sm),
-            f2(r.speedup_vs_dc),
-        ]);
-    }
-    t.emit("fig5.csv");
-
-    // ---- Fig. 6 ----
-    let f6 = fig6(&cfg);
-    let mut t = Table::new(
-        "Fig. 6 — real-world graphs (runtime + DL_norm)",
-        &["graph", "algo", "ranks", "runtime (s)", "DL_norm"],
-    );
-    for r in &f6 {
-        t.row(vec![
-            r.graph_id.clone(),
-            match r.algo {
-                Algo::Dcsbp => "DC-SBP".to_string(),
-                Algo::Edist => "EDiSt".to_string(),
-            },
-            r.n_ranks.to_string(),
-            secs(r.makespan),
-            f2(r.dl_norm),
-        ]);
-    }
-    t.emit("fig6.csv");
-
-    // ---- Headline summary ----
-    println!("\n=== Headline comparison with the paper ===");
-    let best_sm = f5.iter().map(|r| r.speedup_vs_sm).fold(f64::NAN, f64::max);
-    let best_dc = f5.iter().map(|r| r.speedup_vs_dc).fold(f64::NAN, f64::max);
-    println!(
-        "max EDiSt speedup vs shared-memory SBP: {best_sm:.1}x (paper: up to 38.0x at 64 nodes)"
-    );
-    println!("max EDiSt speedup vs best DC-SBP:      {best_dc:.1}x (paper: up to 23.8x)");
-    // Retention = degradation vs each graph's own 1-rank baseline (some
-    // sparse graphs are unrecoverable at any rank count at this scale).
-    let mut worst_drop = 0.0f64;
-    for cell in t8.iter().filter(|c| c.n_ranks >= 16) {
-        let baseline = t8
-            .iter()
-            .find(|b| b.graph_id == cell.graph_id && b.n_ranks == 1)
-            .map_or(cell.nmi, |b| b.nmi);
-        worst_drop = worst_drop.max(baseline - cell.nmi);
-    }
-    println!(
-        "worst EDiSt NMI drop vs 1-rank baseline at >=16 ranks: {worst_drop:.3} (paper: EDiSt retains accuracy)"
-    );
+    artifacts.headline();
+    ExitCode::SUCCESS
 }

@@ -1,12 +1,15 @@
-//! The experiment implementations, one per paper artifact.
+//! The experiment implementations: the structured rows behind each paper
+//! artifact ([`crate::artifacts`] renders them).
 //!
 //! Graph sizes are laptop-scale by default; every size
 //! is multiplied by `BenchConfig::scale`, so the paper-scale experiments
 //! are `EDIST_SCALE≈10–20` away on a capable machine. Runtimes come from
-//! the simulated cluster's virtual clocks (BSP makespan, see `sbp-mpi`);
-//! NMI/DL_norm come from `sbp-eval`.
+//! the simulated cluster's virtual clocks (BSP makespan, see `sbp-mpi`),
+//! except Table VI's thread-CPU readings; NMI/DL_norm come from
+//! `sbp-eval`.
 
 use crate::harness::BenchConfig;
+use crate::naive::naive_sbp;
 use edist::{Backend, Partitioner, Run};
 use sbp_core::{McmcStrategy, SbpConfig};
 use sbp_eval::nmi;
@@ -30,10 +33,6 @@ pub fn experiment_sbp_config(seed: u64) -> SbpConfig {
     }
 }
 
-fn interconnect() -> CostModel {
-    CostModel::hdr100()
-}
-
 /// Every experiment drives inference through the unified `Partitioner`
 /// facade: the backend is the only thing that varies between cells. At
 /// pool width 1, so `virtual_seconds` is one-thread CPU time.
@@ -42,24 +41,17 @@ fn run_backend(graph: &Graph, backend: Backend, seed: u64) -> Run {
         Partitioner::on(graph)
             .backend(backend)
             .config(experiment_sbp_config(seed))
-            .cost_model(interconnect())
+            .cost_model(CostModel::hdr100())
             .run()
             .expect("experiment configurations are valid")
     })
 }
 
-fn edist_backend(ranks: usize) -> Backend {
-    Backend::Edist { ranks }
-}
-
-fn dcsbp_backend(ranks: usize) -> Backend {
-    Backend::DcSbp { ranks }
-}
-
 // ---------------------------------------------------------------- Table VI
 
-/// One Table VI row: naive (python-equivalent) vs optimized DC-SBP at 8
-/// ranks on a Graph-Challenge-style graph.
+/// One Table VI row: the naive (python-equivalent) engine vs the
+/// optimized single-node Hybrid engine at pool width 1, on a
+/// Graph-Challenge-style graph.
 #[derive(Clone, Debug)]
 pub struct Table6Row {
     /// Dataset label, e.g. `20k-easy (scaled)`.
@@ -70,11 +62,11 @@ pub struct Table6Row {
     pub edges: i64,
     /// NMI of the naive engine.
     pub naive_nmi: f64,
-    /// Simulated runtime of the naive engine (s).
+    /// Thread CPU time of the naive engine (s).
     pub naive_time: f64,
     /// NMI of the optimized engine.
     pub opt_nmi: f64,
-    /// Simulated runtime of the optimized engine (s).
+    /// Thread CPU time of the optimized engine (s).
     pub opt_time: f64,
 }
 
@@ -88,9 +80,10 @@ pub struct Table6Row {
 /// optimizations (sparse matrix + transpose, sparse deltas, pointer-based
 /// merges, hybrid MCMC) against the reference's dense matrix, dense
 /// rescans and batch MCMC — on full single-node inference, where the block
-/// count starts at `V` and the dense engine's O(C) kernels dominate.
+/// count starts at `V` and the dense engine's O(C) kernels dominate. Both
+/// sides run on the calling thread (the optimized one at pool width 1),
+/// so each is timed by that thread's CPU clock.
 pub fn table6(cfg: &BenchConfig) -> Vec<Table6Row> {
-    use sbp_core::naive::naive_sbp;
     let mut rows = Vec::new();
     for (base_v, label) in [(800usize, "20k"), (1300, "50k"), (2000, "200k")] {
         for difficulty in [Difficulty::Easy, Difficulty::Hard] {
@@ -155,10 +148,6 @@ pub struct SweepCell {
     /// Fraction of vertices islanded by the round-robin distribution at
     /// this rank count (Fig. 2's x-axis).
     pub island_fraction: f64,
-    /// Simulated runtime (s).
-    pub makespan: f64,
-    /// Inferred number of blocks.
-    pub num_blocks: usize,
 }
 
 /// Default scale of the parameter-study graphs relative to the paper's
@@ -175,8 +164,8 @@ pub fn param_sweep(cfg: &BenchConfig, algo: Algo) -> Vec<SweepCell> {
             eprintln!("[{algo:?}] {} n={n} ...", spec.id());
             let island = island_fraction_round_robin(&pg.graph, n).fraction();
             let backend = match algo {
-                Algo::Dcsbp => dcsbp_backend(n),
-                Algo::Edist => edist_backend(n),
+                Algo::Dcsbp => Backend::DcSbp { ranks: n },
+                Algo::Edist => Backend::Edist { ranks: n },
             };
             let run = run_backend(&pg.graph, backend, cfg.seed);
             cells.push(SweepCell {
@@ -184,22 +173,10 @@ pub fn param_sweep(cfg: &BenchConfig, algo: Algo) -> Vec<SweepCell> {
                 n_ranks: n,
                 nmi: nmi(&run.assignment, &pg.ground_truth),
                 island_fraction: island,
-                makespan: run.virtual_seconds,
-                num_blocks: run.num_blocks,
             });
         }
     }
     cells
-}
-
-/// Table VII: DC-SBP NMI across the sweep.
-pub fn table7(cfg: &BenchConfig) -> Vec<SweepCell> {
-    param_sweep(cfg, Algo::Dcsbp)
-}
-
-/// Table VIII: EDiSt NMI across the sweep.
-pub fn table8(cfg: &BenchConfig) -> Vec<SweepCell> {
-    param_sweep(cfg, Algo::Edist)
 }
 
 // ---------------------------------------------------------------- Fig. 2
@@ -246,7 +223,7 @@ pub fn fig3(cfg: &BenchConfig) -> Vec<Fig3Row> {
             break;
         }
         eprintln!("[fig3] tasks={tasks} ...");
-        let run = run_backend(&pg.graph, edist_backend(tasks), cfg.seed);
+        let run = run_backend(&pg.graph, Backend::Edist { ranks: tasks }, cfg.seed);
         if tasks == 1 {
             base = run.virtual_seconds;
         }
@@ -290,7 +267,7 @@ pub fn fig4(cfg: &BenchConfig) -> Vec<Fig4Row> {
                 which.id(),
                 pg.graph.num_vertices()
             );
-            let run = run_backend(&pg.graph, edist_backend(n), cfg.seed);
+            let run = run_backend(&pg.graph, Backend::Edist { ranks: n }, cfg.seed);
             if n == 1 {
                 base = run.virtual_seconds;
             }
@@ -331,17 +308,8 @@ pub struct Fig5Row {
     pub speedup_vs_dc: f64,
 }
 
-/// Regenerates Fig. 5 from fresh DC-SBP runs plus the Fig. 4 EDiSt rows
-/// (pass `None` to rerun EDiSt too).
-pub fn fig5(cfg: &BenchConfig, fig4_rows: Option<&[Fig4Row]>) -> Vec<Fig5Row> {
-    let owned_fig4;
-    let fig4_rows = match fig4_rows {
-        Some(rows) => rows,
-        None => {
-            owned_fig4 = fig4(cfg);
-            &owned_fig4
-        }
-    };
+/// Regenerates Fig. 5 from fresh DC-SBP runs plus the Fig. 4 EDiSt rows.
+pub fn fig5(cfg: &BenchConfig, fig4_rows: &[Fig4Row]) -> Vec<Fig5Row> {
     let scale = SCALING_DEFAULT_SCALE * cfg.scale;
     let mut out = Vec::new();
     for which in ScalingGraph::all() {
@@ -351,7 +319,7 @@ pub fn fig5(cfg: &BenchConfig, fig4_rows: Option<&[Fig4Row]>) -> Vec<Fig5Row> {
         let mut best: Option<(usize, f64)> = None;
         for &n in &cfg.rank_counts() {
             eprintln!("[fig5] DC-SBP {} n={n} ...", which.id());
-            let run = run_backend(&pg.graph, dcsbp_backend(n), cfg.seed);
+            let run = run_backend(&pg.graph, Backend::DcSbp { ranks: n }, cfg.seed);
             let score = nmi(&run.assignment, &pg.ground_truth);
             if n == 1 {
                 baseline_nmi = score;
@@ -427,8 +395,8 @@ pub fn fig6(cfg: &BenchConfig) -> Vec<Fig6Row> {
             }
             eprintln!("[fig6] {} (V={v}) n={n} ...", which.id());
             for (algo, backend) in [
-                (Algo::Dcsbp, dcsbp_backend(n)),
-                (Algo::Edist, edist_backend(n)),
+                (Algo::Dcsbp, Backend::DcSbp { ranks: n }),
+                (Algo::Edist, Backend::Edist { ranks: n }),
             ] {
                 let run = run_backend(&pg.graph, backend, cfg.seed);
                 rows.push(Fig6Row {
@@ -442,31 +410,6 @@ pub fn fig6(cfg: &BenchConfig) -> Vec<Fig6Row> {
         }
     }
     rows
-}
-
-/// Renders a parameter-search sweep in the paper's layout (rows = graphs,
-/// columns = rank counts, cells = NMI) and writes the CSV artifact.
-pub fn pivot_sweep(cfg: &BenchConfig, cells: &[SweepCell], title: &str, csv: &str) {
-    use crate::harness::{f2, Table};
-    let ranks = cfg.rank_counts();
-    let mut header: Vec<String> = vec!["Graph".to_string()];
-    header.extend(ranks.iter().map(|n| format!("n={n}")));
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new(title, &header_refs);
-    let mut ids: Vec<String> = cells.iter().map(|c| c.graph_id.clone()).collect();
-    ids.dedup();
-    for id in ids {
-        let mut row = vec![id.clone()];
-        for &n in &ranks {
-            let cell = cells
-                .iter()
-                .find(|c| c.graph_id == id && c.n_ranks == n)
-                .map_or(f64::NAN, |c| c.nmi);
-            row.push(f2(cell));
-        }
-        t.row(row);
-    }
-    t.emit(csv);
 }
 
 /// Convenience: builds the scaled graph set used in examples/tests.
@@ -503,16 +446,12 @@ mod tests {
                 n_ranks: 1,
                 nmi: 0.9,
                 island_fraction: 0.0,
-                makespan: 1.0,
-                num_blocks: 3,
             },
             SweepCell {
                 graph_id: "X".into(),
                 n_ranks: 4,
                 nmi: 0.5,
                 island_fraction: 0.3,
-                makespan: 0.5,
-                num_blocks: 2,
             },
         ];
         let pts = fig2_points(&cells);

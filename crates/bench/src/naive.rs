@@ -1,6 +1,8 @@
-//! A deliberately naive SBP implementation equivalent to the original
-//! python DC-SBP reference (Uppal et al., translated by the paper's
-//! authors to C++ — Table VI measures exactly this gap).
+//! A deliberately naive SBP engine equivalent to the original python
+//! DC-SBP reference (Uppal et al., translated by the paper's authors to
+//! C++ — Table VI measures exactly this gap). It lives beside the harness,
+//! its only caller, and shares the engine's objective, golden bracket,
+//! convergence rule and RNG keying through `sbp-core`'s public API.
 //!
 //! Differences from the optimized engine, mirroring §III-A:
 //! * dense `C×C` matrix instead of sparse rows + transpose (optimization
@@ -10,31 +12,29 @@
 //! * merges applied by rewriting the assignment and rebuilding the dense
 //!   matrix rather than union-find pointer tracking (optimization d
 //!   inverted);
-//! * batch-parallel MCMC (the python reference evaluated whole sweeps
-//!   against frozen state).
+//! * batch MCMC: each sweep evaluates every vertex against one frozen
+//!   state (the python reference's parallelism), with no chunk syncs;
+//! * merge partners drawn uniformly over the other blocks, where the
+//!   engine draws them with [`sbp_core::propose_for_block`].
 //!
-//! The *objective*, proposal distribution, and golden-ratio control are
-//! identical, so NMI parity with the optimized engine (Table VI's finding)
-//! is expected — only the runtime differs.
+//! The objective, the vertex-move proposal distribution and the
+//! golden-ratio control are the engine's, so NMI parity with the
+//! optimized engine (Table VI's finding) is expected — only the runtime
+//! differs.
 //!
-//! The batch sweep's frozen-state evaluation fans out over the
-//! persistent pool with the same `(seed, sweep, vertex)`-keyed RNG
-//! streams the optimized engine uses (the python reference's
-//! multiprocessing map likewise evaluated vertices independently), so
-//! the baseline's trajectories are deterministic at any thread count and
-//! the Table VI comparison isolates data-structure asymptotics, not
-//! scheduling noise. The merge phase keeps its single sequential stream.
+//! The engine is serial, so Table VI's thread-CPU clock holds all of its
+//! work. A sweep evaluates each vertex with the same `(seed, sweep,
+//! vertex)`-keyed RNG stream the optimized engine uses, a pure function
+//! of the frozen state, and collects the accepted moves in vertex order.
 
-use crate::golden::{BracketEntry, GoldenBracket, NextStep};
-use crate::hybrid::vertex_rng;
-use crate::mcmc::ConvergenceCheck;
-use crate::model_description_length;
-use crate::sbp::{mcmc_phase_seed, SbpConfig, SbpResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use sbp_core::golden::{BracketEntry, GoldenBracket, NextStep};
+use sbp_core::hybrid::vertex_rng;
+use sbp_core::mcmc::ConvergenceCheck;
+use sbp_core::model_description_length;
+use sbp_core::sbp::{mcmc_phase_seed, SbpConfig};
 use sbp_graph::{Graph, Vertex, Weight};
-use std::cell::RefCell;
 
 /// Dense blockmodel: row-major `C×C` edge-count matrix.
 pub struct DenseBlockmodel {
@@ -150,6 +150,26 @@ impl DenseBlockmodel {
         sum
     }
 
+    /// The change of [`Self::lines_entropy`] from the model as it stands
+    /// to the one given by `cell`, `d_out` and `d_in`.
+    fn lines_delta(
+        &self,
+        r: usize,
+        s: usize,
+        cell: impl Fn(usize, usize) -> Weight,
+        d_out: impl Fn(usize) -> Weight,
+        d_in: impl Fn(usize) -> Weight,
+    ) -> f64 {
+        let old = self.lines_entropy(
+            r,
+            s,
+            |x, y| self.get(x, y),
+            |x| self.d_out[x],
+            |y| self.d_in[y],
+        );
+        self.lines_entropy(r, s, cell, d_out, d_in) - old
+    }
+
     /// ΔS for moving vertex `v` to block `s`, via dense line rescans
     /// (allocating convenience wrapper over
     /// [`DenseBlockmodel::delta_entropy_move_with`]).
@@ -197,7 +217,8 @@ impl DenseBlockmodel {
             d_col_r[t] -= w;
             d_col_s[t] += w;
         }
-        let (ov, iv) = (graph.out_degree(v), graph.in_degree(v));
+        // Row deltas carry v's out-edges and column deltas its in-edges;
+        // a corner cell (r/s, r/s) takes both.
         let cell_new = |x: usize, y: usize| -> Weight {
             let mut m = self.get(x, y);
             if x == r {
@@ -206,53 +227,22 @@ impl DenseBlockmodel {
             if x == s {
                 m += d_row_s[y];
             }
-            // Column deltas only apply to rows other than r/s for cells we
-            // haven't already adjusted via row deltas... but the corner
-            // cells (r/s, r/s) receive both row and column contributions.
-            if y == r && x != r && x != s {
+            if y == r {
                 m += d_col_r[x];
             }
-            if y == s && x != r && x != s {
+            if y == s {
                 m += d_col_s[x];
-            }
-            // Corner cells: add the column-delta part that the row pass
-            // does not cover (in-edges touch columns r/s at rows r/s too).
-            if (x == r || x == s) && (y == r || y == s) {
-                if y == r {
-                    m += d_col_r[x];
-                } else {
-                    m += d_col_s[x];
-                }
             }
             m
         };
-        let d_out_new = |x: usize| {
-            if x == r {
-                self.d_out[x] - ov
-            } else if x == s {
-                self.d_out[x] + ov
-            } else {
-                self.d_out[x]
-            }
-        };
-        let d_in_new = |y: usize| {
-            if y == r {
-                self.d_in[y] - iv
-            } else if y == s {
-                self.d_in[y] + iv
-            } else {
-                self.d_in[y]
-            }
-        };
-        let old = self.lines_entropy(
+        let (ov, iv) = (graph.out_degree(v), graph.in_degree(v));
+        self.lines_delta(
             r,
             s,
-            |x, y| self.get(x, y),
-            |x| self.d_out[x],
-            |y| self.d_in[y],
-        );
-        let new = self.lines_entropy(r, s, cell_new, d_out_new, d_in_new);
-        new - old
+            cell_new,
+            shifted(&self.d_out, r, s, ov),
+            shifted(&self.d_in, r, s, iv),
+        )
     }
 
     /// ΔS for merging block `r` into block `s`, dense rescan.
@@ -272,33 +262,14 @@ impl DenseBlockmodel {
             }
             m
         };
-        let d_out_new = |x: usize| {
-            if x == r {
-                0
-            } else if x == s {
-                self.d_out[s] + self.d_out[r]
-            } else {
-                self.d_out[x]
-            }
-        };
-        let d_in_new = |y: usize| {
-            if y == r {
-                0
-            } else if y == s {
-                self.d_in[s] + self.d_in[r]
-            } else {
-                self.d_in[y]
-            }
-        };
-        let old = self.lines_entropy(
+        // Block r's whole degree moves to s.
+        self.lines_delta(
             r,
             s,
-            |x, y| self.get(x, y),
-            |x| self.d_out[x],
-            |y| self.d_in[y],
-        );
-        let new = self.lines_entropy(r, s, cell_new, d_out_new, d_in_new);
-        new - old
+            cell_new,
+            shifted(&self.d_out, r, s, self.d_out[r]),
+            shifted(&self.d_in, r, s, self.d_in[r]),
+        )
     }
 
     /// Proposal distribution — same semantics as the sparse engine but
@@ -431,10 +402,23 @@ impl DenseBlockmodel {
     }
 }
 
+/// `base` with `by` taken from block `r` and given to block `s`.
+fn shifted(base: &[Weight], r: usize, s: usize, by: Weight) -> impl Fn(usize) -> Weight + '_ {
+    move |x| {
+        if x == r {
+            base[x] - by
+        } else if x == s {
+            base[x] + by
+        } else {
+            base[x]
+        }
+    }
+}
+
 /// Reusable dense per-line delta buffers for the naive engine — the same
-/// role [`crate::delta::DeltaScratch`] plays for the sparse engine, so the
-/// naive baseline's *allocation* behavior no longer pollutes the Table VI
-/// comparison (which isolates the data-structure asymptotics).
+/// role [`sbp_core::DeltaScratch`] plays for the sparse engine, so
+/// allocation stays out of the Table VI comparison (which isolates the
+/// data-structure asymptotics).
 #[derive(Debug, Default)]
 pub struct NaiveScratch {
     d_row_r: Vec<Weight>,
@@ -459,64 +443,48 @@ impl NaiveScratch {
     }
 }
 
-/// Naive (python-equivalent) SBP inference from the identity partition.
-pub fn naive_sbp(graph: &Graph, cfg: &SbpConfig) -> SbpResult {
+/// Naive (python-equivalent) SBP inference from the identity partition:
+/// the best partition the golden search found, as the bracket holds it.
+pub fn naive_sbp(graph: &Graph, cfg: &SbpConfig) -> BracketEntry {
     let c0 = graph.num_vertices();
     if c0 == 0 {
-        return SbpResult {
+        return BracketEntry {
             assignment: Vec::new(),
             num_blocks: 0,
-            description_length: 0.0,
-            iterations: Vec::new(),
+            dl: 0.0,
         };
     }
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let start = DenseBlockmodel::from_assignment(graph, (0..c0 as u32).collect(), c0);
     let mut bracket = GoldenBracket::new(cfg.block_reduction_rate);
     bracket.seed(BracketEntry {
-        assignment: start.assignment.clone(),
-        num_blocks: c0,
         dl: start.description_length(),
+        assignment: start.assignment,
+        num_blocks: c0,
     });
-
     for iter_idx in 0..cfg.max_iterations {
-        match bracket.next() {
-            NextStep::Done(best) => {
-                return SbpResult {
-                    assignment: best.assignment,
-                    num_blocks: best.num_blocks,
-                    description_length: best.dl,
-                    iterations: Vec::new(),
-                };
-            }
-            NextStep::Continue {
-                start,
-                blocks_to_merge,
-            } => {
-                let mut bm =
-                    DenseBlockmodel::from_assignment(graph, start.assignment, start.num_blocks);
-                naive_merge_phase(graph, &mut bm, blocks_to_merge, cfg, &mut rng);
-                let threshold = if bracket.established() {
-                    cfg.threshold_post
-                } else {
-                    cfg.threshold_pre
-                };
-                naive_mcmc_phase(graph, &mut bm, cfg, threshold, iter_idx);
-                bracket.record(BracketEntry {
-                    assignment: bm.assignment.clone(),
-                    num_blocks: bm.c,
-                    dl: bm.description_length(),
-                });
-            }
-        }
+        let NextStep::Continue {
+            start,
+            blocks_to_merge,
+        } = bracket.next()
+        else {
+            break;
+        };
+        let mut bm = DenseBlockmodel::from_assignment(graph, start.assignment, start.num_blocks);
+        naive_merge_phase(graph, &mut bm, blocks_to_merge, cfg, &mut rng);
+        let threshold = if bracket.established() {
+            cfg.threshold_post
+        } else {
+            cfg.threshold_pre
+        };
+        naive_mcmc_phase(graph, &mut bm, cfg, threshold, iter_idx);
+        bracket.record(BracketEntry {
+            dl: bm.description_length(),
+            assignment: bm.assignment,
+            num_blocks: bm.c,
+        });
     }
-    let best = bracket.best().expect("seeded").clone();
-    SbpResult {
-        assignment: best.assignment,
-        num_blocks: best.num_blocks,
-        description_length: best.dl,
-        iterations: Vec::new(),
-    }
+    bracket.best().expect("seeded").clone()
 }
 
 fn naive_merge_phase(
@@ -596,18 +564,9 @@ fn naive_merge_phase(
     *bm = DenseBlockmodel::from_assignment(graph, assignment, next as usize);
 }
 
-thread_local! {
-    /// One [`NaiveScratch`] per (pool or caller) thread — with the
-    /// persistent pool this is allocated once per worker and reused
-    /// across every naive batch sweep, like the optimized engine's
-    /// `DeltaScratch`.
-    static TLS_NAIVE_SCRATCH: RefCell<NaiveScratch> = RefCell::new(NaiveScratch::default());
-}
-
 /// Evaluates one vertex of a naive batch sweep against the frozen dense
 /// model: propose, ΔS, Hastings, accept — a pure function of
-/// `(state, seed, sweep, v)`, so the parallel fan-out below cannot
-/// perturb trajectories.
+/// `(state, seed, sweep, v)`.
 fn evaluate_naive(
     graph: &Graph,
     bm: &DenseBlockmodel,
@@ -615,6 +574,7 @@ fn evaluate_naive(
     beta: f64,
     seed: u64,
     sweep: usize,
+    scratch: &mut NaiveScratch,
 ) -> Option<(Vertex, usize)> {
     if graph.degree(v) == 0 {
         return None;
@@ -625,13 +585,10 @@ fn evaluate_naive(
     if s == r {
         return None;
     }
-    TLS_NAIVE_SCRATCH.with(|cell| {
-        let scratch = &mut cell.borrow_mut();
-        let ds = bm.delta_entropy_move_with(graph, v, s, scratch);
-        let h = bm.hastings(graph, v, r, s, scratch);
-        let p = ((-beta * ds).exp() * h).min(1.0);
-        (rng.random::<f64>() < p).then_some((v, s))
-    })
+    let ds = bm.delta_entropy_move_with(graph, v, s, scratch);
+    let h = bm.hastings(graph, v, r, s, scratch);
+    let p = ((-beta * ds).exp() * h).min(1.0);
+    (rng.random::<f64>() < p).then_some((v, s))
 }
 
 fn naive_mcmc_phase(
@@ -644,25 +601,17 @@ fn naive_mcmc_phase(
     let initial = bm.description_length();
     let mut check = ConvergenceCheck::new(initial, threshold);
     let sweep_seed = mcmc_phase_seed(cfg.seed, iter_idx);
-    let vertices: Vec<Vertex> = (0..graph.num_vertices() as u32).collect();
+    let mut scratch = NaiveScratch::default();
     for sweep in 0..cfg.max_sweeps {
-        // Batch sweep: evaluate all vertices against frozen state, fanned
-        // out over the pool with per-vertex keyed streams; ordered
-        // collection keeps the accepted list identical to a serial scan.
+        // Batch sweep: every vertex against the frozen state, then apply
+        // and rebuild (the python reference updated rows densely; a
+        // rebuild has the same asymptotics at this scale).
         let frozen: &DenseBlockmodel = bm;
-        let accepted: Vec<(Vertex, usize)> = if vertices.len() >= 32 {
-            vertices
-                .par_iter()
-                .filter_map(|&v| evaluate_naive(graph, frozen, v, cfg.beta, sweep_seed, sweep))
-                .collect()
-        } else {
-            vertices
-                .iter()
-                .filter_map(|&v| evaluate_naive(graph, frozen, v, cfg.beta, sweep_seed, sweep))
-                .collect()
-        };
-        // Apply batch and rebuild (the python reference updated rows
-        // densely; a rebuild has the same asymptotics at this scale).
+        let accepted: Vec<(Vertex, usize)> = (0..graph.num_vertices() as Vertex)
+            .filter_map(|v| {
+                evaluate_naive(graph, frozen, v, cfg.beta, sweep_seed, sweep, &mut scratch)
+            })
+            .collect();
         if !accepted.is_empty() {
             let mut assignment = bm.assignment.clone();
             for (v, s) in accepted {
@@ -679,7 +628,7 @@ fn naive_mcmc_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blockmodel::Blockmodel;
+    use sbp_core::Blockmodel;
 
     fn two_triangles() -> Graph {
         Graph::from_edges(

@@ -26,7 +26,7 @@
 //!   evaluates the vertex — so Batch is the schedule whose trajectory is
 //!   the same bit for bit at every rank count: the exact one EDiSt's claim
 //!   rests on. A whole sweep against one frozen state (the python
-//!   reference's parallelism, kept in [`crate::naive`]) flips vertices
+//!   reference's parallelism, kept in `sbp_bench::naive`) flips vertices
 //!   back and forth and can stall far above the planted block count; the
 //!   chunk syncs are the price of converging.
 
@@ -46,7 +46,7 @@ use std::cmp::Reverse;
 /// rank or thread — is what makes sweep schedules deterministic under
 /// thread scheduling and invariant to how the distributed drivers
 /// partition the vertex set.
-pub(crate) fn vertex_rng(seed: u64, sweep: usize, v: Vertex) -> SmallRng {
+pub fn vertex_rng(seed: u64, sweep: usize, v: Vertex) -> SmallRng {
     // SplitMix-style mixing of the three stream coordinates.
     let mut z = seed
         ^ (sweep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)

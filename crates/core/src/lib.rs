@@ -40,9 +40,7 @@
 //!   one merge+MCMC loop, checkpoint writer and outcome assembly every
 //!   backend runs, written against a [`plane::Plane`];
 //! * [`plane`] — that trait and its single-node implementation
-//!   ([`solve_sbp`] is the search on it);
-//! * [`naive`] — a deliberately dense/batched baseline equivalent to the
-//!   original python reference implementation, used to regenerate Table VI.
+//!   ([`solve_sbp`] is the search on it).
 //!
 //! The sweep and proposal functions accept explicit vertex/block subsets,
 //! so a distributed plane restricts them to what it owns: EDiSt in
@@ -51,8 +49,8 @@
 //!
 //! ## Shared-memory parallelism and the determinism contract
 //!
-//! Merge-phase proposals, Hybrid chunk evaluation, Batch sweeps, the
-//! naive baseline's batch sweeps, sparse-matrix rebuilds, and the full
+//! Merge-phase proposals, Hybrid chunk evaluation, Batch sweeps,
+//! sparse-matrix rebuilds, and the full
 //! entropy/DL reductions all run on the persistent work-stealing pool
 //! behind the `rayon` shim (worker count from `SBP_THREADS`, read once
 //! per process; default: available parallelism). Workers persist, so
@@ -76,7 +74,6 @@ pub mod line;
 pub mod lntab;
 pub mod mcmc;
 pub mod merge;
-pub mod naive;
 pub mod plane;
 pub mod propose;
 pub mod registry;
@@ -91,14 +88,13 @@ pub use delta::{
 pub use golden::{GoldenBracket, NextStep};
 pub use mcmc::{keyed_mh_sweep, mh_sweep, AcceptedMove};
 pub use merge::{apply_merges, merge_labels, propose_merges, MergeCandidate};
-pub use naive::{naive_sbp, NaiveScratch};
-pub use propose::{hastings_correction, propose_for_block, propose_for_vertex};
+pub use propose::{propose_for_block, propose_for_vertex};
 pub use registry::{RegistryError, SolverRegistry, SolverSpec};
 pub use run::{
     CancelToken, CheckpointSpec, DegradedReason, NoProgress, ProgressEvent, ProgressFn,
     ProgressSink, RunConfig, RunOutcome, SingleNode, Solver, WarmStart,
 };
-pub use sbp::{solve_sbp, IterationStat, McmcStrategy, SbpConfig, SbpResult};
+pub use sbp::{solve_sbp, IterationStat, McmcStrategy, SbpConfig};
 
 /// The pool-width controls of the `rayon` shim behind every parallel
 /// region of this crate, for callers that run several solves side by side

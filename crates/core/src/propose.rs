@@ -22,7 +22,6 @@
 //! others are the ΔS kernels and the entropy sum).
 
 use crate::blockmodel::Blockmodel;
-use crate::delta::LineDelta;
 use rand::Rng;
 use sbp_graph::{Graph, Vertex, Weight};
 
@@ -205,26 +204,10 @@ fn uniform_excluding<R: Rng + ?Sized>(rng: &mut R, b: u32, excl: u32) -> u32 {
     }
 }
 
-/// The Metropolis–Hastings correction `p(s→r) / p(r→s)` for moving vertex
-/// `v` from `r = delta.from` to `s = delta.to` (Graph-Challenge reference
-/// formulation):
-///
-/// `p(r→s) ∝ Σ_t w_t · (M[t][s] + M[s][t] + 1) / (d_t + B)`
-///
-/// with `t` ranging over the blocks of `v`'s (non-self) neighbors, `w_t`
-/// the edge weight between `v` and block `t`, forward evaluated on the
-/// current matrix and backward on the post-move matrix implied by `delta`.
-///
-/// Thin wrapper over the reference kernel in [`crate::delta`]; sweep loops
-/// get the same value from [`crate::delta::DeltaScratch::evaluate_move`].
-pub fn hastings_correction(graph: &Graph, bm: &Blockmodel, v: Vertex, delta: &LineDelta) -> f64 {
-    crate::delta::hastings_for_delta(graph, bm, v, delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::vertex_move_delta;
+    use crate::delta::{hastings_for_delta, vertex_move_delta};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -321,17 +304,17 @@ mod tests {
     }
 
     #[test]
-    fn hastings_correction_is_reciprocal() {
+    fn hastings_for_delta_is_reciprocal() {
         // The correction for r→s evaluated pre-move must be the reciprocal
         // of the s→r correction evaluated post-move.
         let g = two_triangles();
         let mut bm = Blockmodel::from_assignment(&g, vec![0, 0, 0, 1, 1, 1], 2);
         let v = 2u32;
         let d_fwd = vertex_move_delta(&g, &bm, v, 1);
-        let h_fwd = hastings_correction(&g, &bm, v, &d_fwd);
+        let h_fwd = hastings_for_delta(&g, &bm, v, &d_fwd);
         bm.move_vertex(&g, v, 1);
         let d_bwd = vertex_move_delta(&g, &bm, v, 0);
-        let h_bwd = hastings_correction(&g, &bm, v, &d_bwd);
+        let h_bwd = hastings_for_delta(&g, &bm, v, &d_bwd);
         assert!(
             (h_fwd * h_bwd - 1.0).abs() < 1e-9,
             "h_fwd={h_fwd} h_bwd={h_bwd}"
@@ -339,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn hastings_correction_positive_and_finite() {
+    fn hastings_for_delta_is_positive_and_finite() {
         let g = two_triangles();
         let bm = Blockmodel::from_assignment(&g, vec![0, 0, 1, 1, 2, 2], 3);
         for v in 0..6u32 {
@@ -348,7 +331,7 @@ mod tests {
                     continue;
                 }
                 let d = vertex_move_delta(&g, &bm, v, to);
-                let h = hastings_correction(&g, &bm, v, &d);
+                let h = hastings_for_delta(&g, &bm, v, &d);
                 assert!(h.is_finite() && h > 0.0, "v={v} to={to}: h={h}");
             }
         }

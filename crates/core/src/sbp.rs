@@ -411,19 +411,6 @@ impl sbp_mpi::Wire for IterationStat {
     }
 }
 
-/// Result of the reference engine ([`crate::naive::naive_sbp`]).
-#[derive(Clone, Debug)]
-pub struct SbpResult {
-    /// Inferred block assignment (dense labels).
-    pub assignment: Vec<u32>,
-    /// Inferred number of blocks.
-    pub num_blocks: usize,
-    /// Description length of the returned partition.
-    pub description_length: f64,
-    /// Per-iteration history.
-    pub iterations: Vec<IterationStat>,
-}
-
 /// The per-iteration seed for the merge phase's per-block proposal
 /// streams. Shared with the distributed drivers so EDiSt's merge phase
 /// is bit-identical to the single-node one at every rank count.
@@ -1199,7 +1186,7 @@ impl<P: Plane> Phase<'_, P> {
 
     /// One MCMC phase (paper Alg. 2 / Alg. 5): sweep this plane's
     /// vertices chunk by chunk through the plan (the one sweep loop
-    /// besides `crate::naive`'s baseline), sync every `sync_period`
+    /// of the engine), sync every `sync_period`
     /// sweeps (after each chunk of the plan that syncs), and stop on the
     /// convergence rule — the moving average of the last three per-sync
     /// ΔDL values falling below `threshold × initial DL` — after

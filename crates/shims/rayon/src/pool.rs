@@ -24,8 +24,8 @@
 //!   one *chunk* (hundreds of proposals), so the lock is uncontended in
 //!   practice and the implementation stays `std`-only.
 //! * **Pool-pinned thread-local storage.** Because workers persist,
-//!   every `thread_local!` a kernel uses (the ΔS `DeltaScratch`, the
-//!   naive engine's line buffers) is allocated once per worker and
+//!   every `thread_local!` a kernel uses (the ΔS `DeltaScratch`) is
+//!   allocated once per worker and
 //!   reused across *all* subsequent parallel regions, instead of being
 //!   re-created by every scoped spawn.
 //! * **Cooperative waiting.** A thread waiting on its batch (or on

@@ -820,6 +820,59 @@ mod tests {
         }
     }
 
+    /// A single-node backend is its own sweep schedule: `--mcmc` there is
+    /// refused by name, never silently ignored — on `partition` with or
+    /// without `--backend`, and on `sample`.
+    #[test]
+    fn mcmc_is_refused_on_single_node_backends() {
+        let gpath = tiny_graph("mcmc");
+        let g = gpath.to_str().unwrap();
+        let partition = ["partition", "--graph", g, "--mcmc", "batch"];
+        for backend in [
+            &[][..],
+            &["--backend", "sequential"],
+            &["--backend", "hybrid"],
+        ] {
+            let err = run(&argv(&[&partition[..], backend].concat())).unwrap_err();
+            assert!(
+                err.contains("pick it with --backend batch|hybrid|sequential"),
+                "{backend:?}: {err}"
+            );
+        }
+        let err = run(&argv(&[
+            "partition",
+            "--graph",
+            g,
+            "--backend",
+            "batch",
+            "--mcmc",
+            "mh",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.starts_with("--mcmc mh sets the sweep schedule"),
+            "{err}"
+        );
+        let err = run(&argv(&["sample", "--graph", g, "--mcmc", "batch"])).unwrap_err();
+        assert!(err.contains("the sequential backend runs its own"), "{err}");
+        let out = std::env::temp_dir().join("edist_cli_mcmc_edist.txt");
+        run(&argv(&[
+            "partition",
+            "--graph",
+            g,
+            "--backend",
+            "edist",
+            "--ranks",
+            "1",
+            "--mcmc",
+            "batch",
+            "--out",
+            out.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let _ = std::fs::remove_file(out);
+    }
+
     /// `--strategy` only picks the sampler of `--sample`.
     #[test]
     fn partition_refuses_a_strategy_without_a_sample() {

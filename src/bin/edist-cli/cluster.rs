@@ -4,12 +4,11 @@
 //! thread simulator's at the same seed and rank count.
 
 use crate::args::{flags, Args};
-use crate::graphs::{graph_source, GraphSource};
+use crate::graphs::{graph_source, shard_header, GraphSource};
 use crate::partition::{
     fault_plan, parse_backend, report_run, sbp_config, sync_period, IN_PROCESS,
 };
 use crate::sigint;
-use edist::graph::shard::validate_shard_dir;
 use edist::prelude::*;
 use std::path::Path;
 use std::time::Duration;
@@ -80,8 +79,7 @@ pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
     };
     let source = graph_source(args)?;
     if let GraphSource::Shards(dir) = &source {
-        let header =
-            validate_shard_dir(Path::new(dir)).map_err(|e| format!("--sharded {dir}: {e}"))?;
+        let header = shard_header(dir)?;
         if header.shard_count != ranks {
             return Err(format!(
                 "--sharded {dir} holds {} shards but --ranks is {ranks}",

@@ -3,7 +3,7 @@
 
 use crate::args::Args;
 use edist::graph::io::load_graph;
-use edist::graph::shard::shard_graph;
+use edist::graph::shard::{shard_graph, validate_shard_dir, ShardHeader};
 use edist::prelude::*;
 use std::path::Path;
 
@@ -65,6 +65,12 @@ pub fn graph_source(args: &Args) -> Result<GraphSource, String> {
         Some(dir) => Ok(GraphSource::Shards(dir.to_string())),
         None => Ok(GraphSource::Mem(load(args)?)),
     }
+}
+
+/// The header of `--sharded DIR`, canonical for the whole directory once
+/// every shard's header has been checked against it.
+pub fn shard_header(dir: &str) -> Result<ShardHeader, String> {
+    validate_shard_dir(Path::new(dir)).map_err(|e| format!("--sharded {dir}: {e}"))
 }
 
 pub fn write_assignment(path: Option<&str>, assignment: &[u32]) -> Result<(), String> {

@@ -5,9 +5,8 @@
 
 use crate::args::Args;
 use crate::cluster;
-use crate::graphs::{graph_source, load, write_assignment, GraphSource};
+use crate::graphs::{graph_source, load, shard_header, write_assignment, GraphSource};
 use crate::sigint;
-use edist::graph::shard::validate_shard_dir;
 use edist::prelude::*;
 use std::path::Path;
 
@@ -193,6 +192,16 @@ fn run_partitioner(
     backend: Option<Backend>,
     sample: Option<f64>,
 ) -> Result<u8, String> {
+    // A single-node backend is its own sweep schedule and overrides the
+    // configured one, so `--mcmc` there would be silently ignored.
+    if let (Some(mcmc), Some(single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch))) =
+        (args.get("mcmc"), backend)
+    {
+        return Err(format!(
+            "--mcmc {mcmc} sets the sweep schedule of the dcsbp and edist backends; the \
+             {single} backend runs its own: pick it with --backend batch|hybrid|sequential"
+        ));
+    }
     let sbp = sbp_config(args)?;
     let seed = sbp.seed;
     let mut partitioner = match source {
@@ -238,7 +247,7 @@ fn run_partitioner(
         });
         let vertices = match source {
             GraphSource::Mem(graph) => graph.num_vertices(),
-            GraphSource::Shards(_) => 0, // not known before ingest
+            GraphSource::Shards(dir) => shard_header(dir)?.num_vertices,
         };
         m.borrow_mut().line(jobj(vec![
             ("type", jstr("meta")),
@@ -389,7 +398,8 @@ fn report_summary(source: &GraphSource, run: &Run, tcp: bool) {
     if let Some(report) = &run.cluster {
         if tcp {
             eprintln!(
-                "tcp cluster (rank-local view): {:.3}s wire time over {} collectives \
+                "tcp cluster (rank-local view): {:.3}s elapsed rank-local wall time over {} \
+                 collectives \
                  ({} bytes through this rank)",
                 report.makespan, report.collectives, report.total_bytes
             );
@@ -456,8 +466,7 @@ pub fn cmd_partition(args: &Args) -> Result<u8, String> {
         // front — the single case the CLI pre-reads the headers for
         // (the facade validates once more when it runs).
         (GraphSource::Shards(dir), Some(name), None) => {
-            let header =
-                validate_shard_dir(Path::new(dir)).map_err(|e| format!("--sharded {dir}: {e}"))?;
+            let header = shard_header(dir)?;
             Some(parse_backend(name, header.shard_count)?)
         }
         (GraphSource::Mem(_), None, _) => Some(Backend::Sequential),

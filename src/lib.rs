@@ -151,8 +151,8 @@ pub mod prelude {
     pub use sbp_core::{
         solve_sbp, Blockmodel, CancelToken, CheckpointError, CheckpointSpec, CheckpointState,
         DegradedReason, GoldenBracket, IterationStat, McmcStrategy, NoProgress, ProgressEvent,
-        ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, SbpResult, Solver,
-        SolverRegistry, SolverSpec, WarmStart,
+        ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, Solver, SolverRegistry,
+        SolverSpec, WarmStart,
     };
     pub use sbp_dist::{
         load_dist_graph, run_sharded, DcSbp, DistError, DistGraph, Edist, Fault, FaultComm,

@@ -207,6 +207,50 @@ fn cli(args: &[&str], envs: &[(&str, &str)]) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A `--sharded` run's meta line names the graph's vertex count, read
+/// from the shard headers before ingest.
+#[test]
+fn cli_sharded_metrics_meta_names_the_vertex_count() {
+    let dir = std::env::temp_dir().join(format!("sbp_metrics_meta_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (graph, shards, jsonl) = (path("g.mtx"), path("shards"), path("run.jsonl"));
+    cli(
+        &[
+            "generate",
+            "--family",
+            "challenge",
+            "--vertices",
+            "120",
+            "--out",
+            &graph,
+        ],
+        &[],
+    );
+    cli(
+        &["shard", "--graph", &graph, "--ranks", "2", "--out", &shards],
+        &[],
+    );
+    cli(
+        &[
+            "partition",
+            "--sharded",
+            &shards,
+            "--metrics-out",
+            &jsonl,
+            "--out",
+            &path("a.txt"),
+        ],
+        &[],
+    );
+    let text = std::fs::read_to_string(&jsonl).expect("metrics file written");
+    let meta = Value::parse(text.lines().next().expect("a meta line")).expect("meta parses");
+    assert_eq!(meta.get("type").and_then(Value::as_str), Some("meta"));
+    assert_eq!(meta.get("vertices").and_then(Value::as_f64), Some(120.0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `DL:`-prefixed token of the CLI summary line.
 fn dl_token(stderr: &str) -> String {
     stderr

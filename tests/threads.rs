@@ -119,25 +119,6 @@ fn thread_ranks_split_the_callers_width_without_changing_results() {
 }
 
 #[test]
-fn pooled_naive_engine_matches_serial() {
-    // The naive baseline's batch sweeps fan out over the pool too; its
-    // keyed streams must keep trajectories identical at any width.
-    let g = two_cliques(8);
-    let cfg = SbpConfig {
-        seed: 6,
-        ..SbpConfig::default()
-    };
-    let serial = rayon::with_threads(1, || edist::core::naive_sbp(&g, &cfg));
-    let pooled = rayon::with_threads(4, || edist::core::naive_sbp(&g, &cfg));
-    assert_eq!(serial.assignment, pooled.assignment);
-    assert_eq!(serial.num_blocks, pooled.num_blocks);
-    assert_eq!(
-        serial.description_length.to_bits(),
-        pooled.description_length.to_bits()
-    );
-}
-
-#[test]
 fn concurrent_submitters_share_the_pool() {
     // Four OS threads (standing in for simulated MPI ranks) hammer the
     // shared pool at once; every thread must get its own correct,
