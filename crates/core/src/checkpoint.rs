@@ -36,6 +36,14 @@
 //!                  header included)
 //! ```
 //!
+//! Only the fixed-width parts — magic, version, strategy tag, `le64` seed
+//! and trailer checksum — are written by hand. Everything between the
+//! seed and the checksum is a run of [`sbp_mpi::Wire`] values, whose
+//! varints and `le64` floats are the table's own: the fingerprint and
+//! `next_iter` as one `(u64, u64, u64)`, the trajectory as a
+//! `Vec<(usize, usize, usize, f64)>`, the mask as a `u8`, and each
+//! bracket entry as a `(usize, f64)` followed by its `Vec<u32>` labels.
+//!
 //! Decoding is strict and hostile-input safe: every declared count is
 //! checked against the bytes actually remaining *before* any allocation,
 //! labels must be dense (`< num_blocks`), assignment lengths must match
@@ -45,8 +53,8 @@
 
 use crate::golden::{BracketEntry, GoldenBracket};
 use crate::sbp::{IterationStat, McmcStrategy};
-use sbp_graph::frame::checksum_bytes;
-use sbp_graph::varint::{read_u64, write_u64};
+use sbp_graph::frame::{checksum_bytes, DecodeError};
+use sbp_mpi::wire::{self, Wire};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -86,6 +94,12 @@ impl std::error::Error for CheckpointError {}
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> Self {
+        CheckpointError::Malformed(e.to_string())
     }
 }
 
@@ -134,6 +148,25 @@ impl CheckpointState {
         GoldenBracket::from_parts(rate, self.hi.clone(), self.mid.clone(), self.lo.clone())
     }
 
+    /// Why this snapshot's graph fingerprint does not match a graph of
+    /// `num_vertices` vertices and `total_edge_weight`, or `None` when
+    /// it does.
+    pub fn graph_mismatch(&self, num_vertices: usize, total_edge_weight: u64) -> Option<String> {
+        if self.num_vertices != num_vertices as u64 {
+            Some(format!(
+                "snapshot has {} vertices, graph has {num_vertices}",
+                self.num_vertices
+            ))
+        } else if self.total_edge_weight != total_edge_weight {
+            Some(format!(
+                "snapshot total edge weight {} != graph's {total_edge_weight}",
+                self.total_edge_weight
+            ))
+        } else {
+            None
+        }
+    }
+
     /// Checks this snapshot against the run about to consume it.
     pub fn validate_against(
         &self,
@@ -155,17 +188,8 @@ impl CheckpointState {
                 strategy_tag(strategy)
             )));
         }
-        if self.num_vertices != num_vertices as u64 {
-            return Err(CheckpointError::Mismatch(format!(
-                "snapshot has {} vertices, graph has {num_vertices}",
-                self.num_vertices
-            )));
-        }
-        if self.total_edge_weight != total_edge_weight {
-            return Err(CheckpointError::Mismatch(format!(
-                "snapshot total edge weight {} != graph's {total_edge_weight}",
-                self.total_edge_weight
-            )));
+        if let Some(reason) = self.graph_mismatch(num_vertices, total_edge_weight) {
+            return Err(CheckpointError::Mismatch(reason));
         }
         if self.mid.is_none() {
             return Err(CheckpointError::Mismatch(
@@ -177,35 +201,25 @@ impl CheckpointState {
 
     /// Serializes to `.sbpc` bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64 + self.assignment_bytes_hint());
-        payload.extend_from_slice(&self.seed.to_le_bytes());
-        write_u64(&mut payload, self.num_vertices);
-        write_u64(&mut payload, self.total_edge_weight);
-        write_u64(&mut payload, self.next_iter);
-        write_u64(&mut payload, self.iterations.len() as u64);
-        for stat in &self.iterations {
-            write_u64(&mut payload, stat.num_blocks as u64);
-            write_u64(&mut payload, stat.sweeps as u64);
-            write_u64(&mut payload, stat.moves as u64);
-            payload.extend_from_slice(&stat.dl.to_bits().to_le_bytes());
-        }
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION);
+        buf.push(self.strategy_tag);
+        buf.extend_from_slice(&self.seed.to_le_bytes());
+        (self.num_vertices, self.total_edge_weight, self.next_iter).wire_write(&mut buf);
+        let trajectory: Vec<_> = self
+            .iterations
+            .iter()
+            .map(|s| (s.num_blocks, s.sweeps, s.moves, s.dl))
+            .collect();
+        trajectory.wire_write(&mut buf);
         let mask = u8::from(self.hi.is_some())
             | (u8::from(self.mid.is_some()) << 1)
             | (u8::from(self.lo.is_some()) << 2);
-        payload.push(mask);
+        buf.push(mask);
         for entry in [&self.hi, &self.mid, &self.lo].into_iter().flatten() {
-            write_u64(&mut payload, entry.num_blocks as u64);
-            payload.extend_from_slice(&entry.dl.to_bits().to_le_bytes());
-            write_u64(&mut payload, entry.assignment.len() as u64);
-            for &label in &entry.assignment {
-                write_u64(&mut payload, u64::from(label));
-            }
+            (entry.num_blocks, entry.dl).wire_write(&mut buf);
+            entry.assignment.wire_write(&mut buf);
         }
-        let mut buf = Vec::with_capacity(payload.len() + 14);
-        buf.extend_from_slice(MAGIC);
-        buf.push(VERSION);
-        buf.push(self.strategy_tag);
-        buf.extend_from_slice(&payload);
         // The checksum covers everything before it — header bytes
         // included, so a flipped strategy tag (still a "valid" tag) can
         // never masquerade as an intact snapshot.
@@ -217,7 +231,6 @@ impl CheckpointState {
     /// Parses `.sbpc` bytes (strict; see the module docs for the
     /// hostile-input guarantees).
     pub fn decode(buf: &[u8]) -> Result<Self, CheckpointError> {
-        let malformed = |m: &str| CheckpointError::Malformed(m.into());
         if buf.len() < MAGIC.len() + 2 + 8 {
             return Err(malformed("file shorter than the fixed header"));
         }
@@ -225,76 +238,46 @@ impl CheckpointState {
             return Err(malformed("bad magic (not an .sbpc file)"));
         }
         if buf[4] != VERSION {
-            return Err(CheckpointError::Malformed(format!(
-                "unsupported version {}",
-                buf[4]
-            )));
+            return Err(malformed(format!("unsupported version {}", buf[4])));
         }
         let strategy_tag = buf[5];
         if strategy_tag > 3 {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown strategy tag {strategy_tag}"
-            )));
+            return Err(malformed(format!("unknown strategy tag {strategy_tag}")));
         }
-        let payload = &buf[6..buf.len() - 8];
-        let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("8 bytes"));
-        if mix_bytes(&buf[..buf.len() - 8]) != stored {
+        let (body, trailer) = buf.split_at(buf.len() - 8);
+        if mix_bytes(body) != u64::from_le_bytes(trailer.try_into().expect("8 bytes")) {
             return Err(malformed("checksum mismatch"));
         }
+        let (seed, payload) = body[6..]
+            .split_first_chunk::<8>()
+            .ok_or_else(|| malformed("seed truncated"))?;
 
-        let mut pos = 0usize;
-        let seed = read_le64(payload, &mut pos).ok_or_else(|| malformed("seed truncated"))?;
-        let mut next = |what: &str| -> Result<u64, CheckpointError> {
-            read_u64(payload, &mut pos)
-                .ok_or_else(|| CheckpointError::Malformed(format!("{what} truncated")))
-        };
-        let num_vertices = next("num_vertices")?;
+        let pos = &mut 0usize;
+        let (num_vertices, total_edge_weight, next_iter) =
+            <(u64, u64, u64)>::wire_read(payload, pos)?;
         if num_vertices > MAX_VERTICES {
-            return Err(CheckpointError::Malformed(format!(
+            return Err(malformed(format!(
                 "vertex count {num_vertices} exceeds the u32 label space"
             )));
         }
-        let total_edge_weight = next("total_edge_weight")?;
-        let next_iter = next("next_iter")?;
-
-        let traj_len = next("trajectory length")? as usize;
         // Each entry occupies ≥ 11 bytes (three varints + le64 DL); a
-        // larger declared count cannot fit and is rejected before the
+        // larger declared count cannot fit and is refused before the
         // vector is sized.
-        let remaining = payload.len() - pos;
-        if traj_len > remaining / 11 {
-            return Err(CheckpointError::Malformed(format!(
-                "trajectory count {traj_len} exceeds what {remaining} bytes could hold"
-            )));
-        }
-        let mut iterations = Vec::with_capacity(traj_len);
-        for _ in 0..traj_len {
-            let num_blocks = read_u64(payload, &mut pos)
-                .ok_or_else(|| malformed("trajectory entry truncated"))?;
-            let sweeps = read_u64(payload, &mut pos)
-                .ok_or_else(|| malformed("trajectory entry truncated"))?;
-            let moves = read_u64(payload, &mut pos)
-                .ok_or_else(|| malformed("trajectory entry truncated"))?;
-            let dl = f64::from_bits(
-                read_le64(payload, &mut pos).ok_or_else(|| malformed("trajectory DL truncated"))?,
-            );
-            iterations.push(IterationStat {
-                num_blocks: usize::try_from(num_blocks)
-                    .map_err(|_| malformed("trajectory block count out of range"))?,
-                dl,
-                sweeps: usize::try_from(sweeps)
-                    .map_err(|_| malformed("trajectory sweep count out of range"))?,
-                moves: usize::try_from(moves)
-                    .map_err(|_| malformed("trajectory move count out of range"))?,
-            });
-        }
+        let cap = (payload.len() - *pos) / 11;
+        let iterations =
+            wire::read_vec::<(usize, usize, usize, f64)>(payload, pos, cap, "trajectory count")?
+                .into_iter()
+                .map(|(num_blocks, sweeps, moves, dl)| IterationStat {
+                    num_blocks,
+                    dl,
+                    sweeps,
+                    moves,
+                })
+                .collect();
 
-        let mask = *payload
-            .get(pos)
-            .ok_or_else(|| malformed("bracket mask truncated"))?;
-        pos += 1;
+        let mask = u8::wire_read(payload, pos)?;
         if mask > 0b111 {
-            return Err(CheckpointError::Malformed(format!(
+            return Err(malformed(format!(
                 "bracket mask {mask:#04x} has unknown bits set"
             )));
         }
@@ -303,55 +286,39 @@ impl CheckpointState {
             if mask & (1 << bit) == 0 {
                 continue;
             }
-            let num_blocks =
-                read_u64(payload, &mut pos).ok_or_else(|| malformed("bracket entry truncated"))?;
-            let dl = f64::from_bits(
-                read_le64(payload, &mut pos).ok_or_else(|| malformed("bracket DL truncated"))?,
-            );
-            let len = read_u64(payload, &mut pos)
-                .ok_or_else(|| malformed("assignment length truncated"))?
-                as usize;
-            if len as u64 != num_vertices {
-                return Err(CheckpointError::Malformed(format!(
-                    "assignment length {len} != vertex count {num_vertices}"
-                )));
-            }
-            // ≥ 1 byte per label: a count beyond the remaining bytes is
-            // rejected before the vector is sized.
-            let remaining = payload.len() - pos;
-            if len > remaining {
-                return Err(CheckpointError::Malformed(format!(
-                    "assignment length {len} exceeds the {remaining} bytes remaining"
-                )));
-            }
-            if num_blocks > num_vertices.max(1) {
-                return Err(CheckpointError::Malformed(format!(
+            let (num_blocks, dl) = <(usize, f64)>::wire_read(payload, pos)?;
+            if num_blocks as u64 > num_vertices.max(1) {
+                return Err(malformed(format!(
                     "block count {num_blocks} exceeds vertex count {num_vertices}"
                 )));
             }
-            let mut assignment = Vec::with_capacity(len);
-            for _ in 0..len {
-                let label =
-                    read_u64(payload, &mut pos).ok_or_else(|| malformed("label truncated"))?;
-                if label >= num_blocks {
-                    return Err(CheckpointError::Malformed(format!(
-                        "label {label} not below block count {num_blocks}"
-                    )));
-                }
-                assignment.push(label as u32);
+            // At most V labels, and no more than the bytes left could
+            // hold, both refused before the vector is sized.
+            let assignment: Vec<u32> =
+                wire::read_vec(payload, pos, num_vertices as usize, "assignment length")?;
+            if assignment.len() as u64 != num_vertices {
+                return Err(malformed(format!(
+                    "assignment length {} != vertex count {num_vertices}",
+                    assignment.len()
+                )));
+            }
+            if let Some(label) = assignment.iter().find(|&&l| l as usize >= num_blocks) {
+                return Err(malformed(format!(
+                    "label {label} not below block count {num_blocks}"
+                )));
             }
             *slot = Some(BracketEntry {
                 assignment,
-                num_blocks: num_blocks as usize,
+                num_blocks,
                 dl,
             });
         }
-        if pos != payload.len() {
+        if *pos != payload.len() {
             return Err(malformed("trailing bytes after bracket entries"));
         }
         let [hi, mid, lo] = entries;
         Ok(CheckpointState {
-            seed,
+            seed: u64::from_le_bytes(*seed),
             strategy_tag,
             num_vertices,
             total_edge_weight,
@@ -384,14 +351,10 @@ impl CheckpointState {
         let bytes = std::fs::read(path)?;
         Self::decode(&bytes)
     }
+}
 
-    fn assignment_bytes_hint(&self) -> usize {
-        [&self.hi, &self.mid, &self.lo]
-            .into_iter()
-            .flatten()
-            .map(|e| e.assignment.len() * 2 + 16)
-            .sum()
-    }
+fn malformed(reason: impl Into<String>) -> CheckpointError {
+    CheckpointError::Malformed(reason.into())
 }
 
 fn tmp_sibling(path: &Path) -> PathBuf {
@@ -401,12 +364,6 @@ fn tmp_sibling(path: &Path) -> PathBuf {
         .unwrap_or_else(|| "checkpoint.sbpc".into());
     name.push(format!(".tmp.{}", std::process::id()));
     path.with_file_name(name)
-}
-
-fn read_le64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let bytes = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
 }
 
 /// Seed of the `.sbpc` trailer checksum (the serve frames use the same
@@ -422,6 +379,7 @@ fn mix_bytes(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbp_graph::varint::write_u64;
 
     fn sample_state() -> CheckpointState {
         CheckpointState {

@@ -11,7 +11,8 @@
 //!   graphs this cuts the exchange to ~2–3 bytes/move from 8 raw.
 //! * **Cell deltas** `(row, col, ±weight)` — the sharded driver's
 //!   blockmodel synchronization. Sorted by `(row, col)` before encoding,
-//!   so the same delta scheme applies; weights are signed (zigzag).
+//!   so the keys are a pair run ([`sbp_graph::varint::write_pair`], the
+//!   `.sbps` edge list's own); weights are signed (zigzag).
 //! * **Cut arcs** `(src, dst, weight)` of moved vertices — the sharded
 //!   sync's cross-term inputs (see `sharded.rs`), reusing the
 //!   cell codec (sorted unique pairs, positive weights).
@@ -29,7 +30,9 @@
 
 use crate::error::DecodeError;
 use sbp_core::mcmc::AcceptedMove;
-use sbp_graph::varint::{read_i64, read_u64, write_i64, write_u64};
+use sbp_graph::varint::{
+    read_i64, read_pair, read_u64, write_i64, write_pair, write_u64, PairError,
+};
 use sbp_graph::{Vertex, Weight};
 use sbp_mpi::Communicator;
 use std::cmp::Reverse;
@@ -254,28 +257,18 @@ pub fn merge_cells(
     })
 }
 
-/// Encodes `(row, col, delta)` cells. Cells must be sorted by
-/// `(row, col)` with unique keys ([`CellFold::finish`] guarantees both).
+/// Encodes `(row, col, delta)` cells: a count, then the cells as a pair
+/// run ([`write_pair`]), each pair followed by its zigzag delta. Cells
+/// must be sorted by `(row, col)` with unique keys ([`CellFold::finish`]
+/// guarantees both).
 pub fn encode_cells(cells: &[(u32, u32, Weight)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(cells.len() * 4 + 4);
     write_u64(&mut buf, cells.len() as u64);
-    let (mut prev_r, mut prev_c) = (0u64, 0u64);
-    for (i, &(r, c, w)) in cells.iter().enumerate() {
-        let (r, c) = (u64::from(r), u64::from(c));
-        debug_assert!(i == 0 || (r, c) > (prev_r, prev_c), "cells not sorted");
-        if i == 0 {
-            write_u64(&mut buf, r);
-            write_u64(&mut buf, c);
-        } else {
-            write_u64(&mut buf, r - prev_r);
-            if r == prev_r {
-                write_u64(&mut buf, c - prev_c - 1);
-            } else {
-                write_u64(&mut buf, c);
-            }
-        }
+    let mut prev = None;
+    for &(r, c, w) in cells {
+        write_pair(&mut buf, prev, (r, c));
         write_i64(&mut buf, w);
-        (prev_r, prev_c) = (r, c);
+        prev = Some((r, c));
     }
     buf
 }
@@ -296,35 +289,20 @@ pub fn decode_cells(buf: &[u8]) -> Result<Vec<(u32, u32, Weight)>, DecodeError> 
             max: max as u64,
         });
     }
+    let out_of_range = |what| DecodeError::ValueOutOfRange { what };
     let mut cells = Vec::with_capacity(count);
-    let (mut prev_r, mut prev_c) = (0u64, 0u64);
-    for i in 0..count {
-        let dr = read_u64(buf, &mut pos).ok_or(truncated.clone())?;
-        let c_raw = read_u64(buf, &mut pos).ok_or(truncated.clone())?;
-        let out_of_range = |what| DecodeError::ValueOutOfRange { what };
-        let (r, c) = if i == 0 {
-            (dr, c_raw)
-        } else if dr == 0 {
-            (
-                prev_r,
-                prev_c
-                    .checked_add(c_raw)
-                    .and_then(|c| c.checked_add(1))
-                    .ok_or(out_of_range("cell col"))?,
-            )
-        } else {
-            (
-                prev_r.checked_add(dr).ok_or(out_of_range("cell row"))?,
-                c_raw,
-            )
-        };
+    let mut prev = None;
+    for _ in 0..count {
+        let (r, c) = read_pair(buf, &mut pos, prev).map_err(|e| match e {
+            PairError::Truncated => truncated.clone(),
+            PairError::RowOverflow => out_of_range("cell row"),
+            PairError::ColOverflow => out_of_range("cell col"),
+        })?;
         let w = read_i64(buf, &mut pos).ok_or(truncated.clone())?;
-        cells.push((
-            u32::try_from(r).map_err(|_| out_of_range("cell row"))?,
-            u32::try_from(c).map_err(|_| out_of_range("cell col"))?,
-            w,
-        ));
-        (prev_r, prev_c) = (r, c);
+        let r = u32::try_from(r).map_err(|_| out_of_range("cell row"))?;
+        let c = u32::try_from(c).map_err(|_| out_of_range("cell col"))?;
+        cells.push((r, c, w));
+        prev = Some((r, c));
     }
     if pos != buf.len() {
         return Err(DecodeError::TrailingBytes { what: WHAT });

@@ -22,7 +22,8 @@
 //! varint  shard_count
 //! ids     owned vertex list           count-prefixed ascending delta run
 //! varint  edge_count
-//! edges   sorted by (src, dst), deduped, delta-encoded:
+//! edges   sorted by (src, dst), deduped, delta-encoded — a pair run
+//!         (crate::varint::write_pair) with a weight after each pair:
 //!           varint src_delta          src − previous src (0 for same run)
 //!           varint dst or dst_delta   absolute when the src changed,
 //!                                     (dst − prev_dst − 1) inside a run
@@ -37,7 +38,9 @@
 //! checksum mismatches are all [`ShardError`]s, never silent corruption.
 
 use crate::ownership::OwnershipStrategy;
-use crate::varint::{read_ascending_ids, read_u64, write_ascending_ids, write_u64};
+use crate::varint::{
+    read_ascending_ids, read_pair, read_u64, write_ascending_ids, write_pair, write_u64, PairError,
+};
 use crate::{add_edge_weight, Graph, Vertex, Weight, MAX_TOTAL_EDGE_WEIGHT};
 use std::fmt;
 use std::io::Write as _;
@@ -204,24 +207,13 @@ impl ShardWriter {
             "src {src} not owned by shard"
         );
         assert!(weight >= 1, "edge ({src}, {dst}) has weight {weight} < 1");
-        match self.prev {
-            None => {
-                write_u64(&mut self.edges_buf, u64::from(src));
-                write_u64(&mut self.edges_buf, u64::from(dst));
-            }
-            Some((ps, pd)) => {
-                assert!(
-                    (src, dst) > (ps, pd),
-                    "edges must be sorted and deduped: ({src},{dst}) after ({ps},{pd})"
-                );
-                write_u64(&mut self.edges_buf, u64::from(src - ps));
-                if src == ps {
-                    write_u64(&mut self.edges_buf, u64::from(dst - pd - 1));
-                } else {
-                    write_u64(&mut self.edges_buf, u64::from(dst));
-                }
-            }
+        if let Some((ps, pd)) = self.prev {
+            assert!(
+                (src, dst) > (ps, pd),
+                "edges must be sorted and deduped: ({src},{dst}) after ({ps},{pd})"
+            );
         }
+        write_pair(&mut self.edges_buf, self.prev, (src, dst));
         write_u64(&mut self.edges_buf, (weight - 1) as u64);
         self.checksum = mix_edge(self.checksum, src, dst, weight);
         self.edge_count += 1;
@@ -369,27 +361,13 @@ impl ShardReader {
         // mask would let a 40-byte file allocate gigabytes.
         let mut last_owned: Option<Vertex> = None;
         for i in 0..edge_count {
-            let src_delta = next("truncated edge src", &mut pos)?;
-            let dst_raw = next("truncated edge dst", &mut pos)?;
-            let w_raw = next("truncated edge weight", &mut pos)?;
-            // Checked arithmetic: a crafted delta must surface as an
-            // error, never a debug-abort or a silent release-mode wrap.
-            let overflow = || malformed(format!("edge {i} delta overflow"));
-            let (src, dst) = match prev {
-                None => (src_delta, dst_raw),
-                Some((ps, pd)) => {
-                    let src = u64::from(ps).checked_add(src_delta).ok_or_else(overflow)?;
-                    let dst = if src_delta == 0 {
-                        u64::from(pd)
-                            .checked_add(dst_raw)
-                            .and_then(|d| d.checked_add(1))
-                            .ok_or_else(overflow)?
-                    } else {
-                        dst_raw
-                    };
-                    (src, dst)
+            let (src, dst) = read_pair(bytes, &mut pos, prev).map_err(|e| match e {
+                PairError::Truncated => malformed(format!("truncated edge {i}")),
+                PairError::RowOverflow | PairError::ColOverflow => {
+                    malformed(format!("edge {i} delta overflow"))
                 }
-            };
+            })?;
+            let w_raw = next("truncated edge weight", &mut pos)?;
             if src >= num_vertices as u64 || dst >= num_vertices as u64 {
                 return Err(malformed(format!("edge {i} endpoint out of range")));
             }

@@ -1,8 +1,8 @@
 //! Shared variable-length integer codec: zigzag, LEB128, and delta runs.
 //!
 //! Two subsystems share this module — the binary [`crate::shard`] format
-//! and EDiSt's move-exchange compression in `sbp-dist` — so the wire
-//! conventions live in one place:
+//! and EDiSt's sync payloads in `sbp-dist` — so the wire conventions live
+//! in one place:
 //!
 //! * **LEB128**: little-endian base-128 with a continuation bit; small
 //!   values cost one byte, `u64::MAX` costs ten.
@@ -11,6 +11,10 @@
 //!   length prefix.
 //! * **Delta runs**: sorted id sequences are stored as first value +
 //!   successive differences, which keeps almost every entry in one byte.
+//! * **Pair runs**: the same for strictly ascending `(row, col)` pairs
+//!   ([`write_pair`] / [`read_pair`]). The `.sbps` edge list and the sync
+//!   cell lists of `sbp-dist` (`encode_cells`) are both such runs, each
+//!   followed per pair by a third value of its own format.
 //!
 //! All decoders are strict: truncated or over-long input yields `None`
 //! (or an error in the higher-level readers), never garbage.
@@ -125,6 +129,70 @@ pub fn read_ascending_ids(buf: &[u8], pos: &mut usize) -> Option<Vec<u32>> {
     Some(out)
 }
 
+/// Why [`read_pair`] produced no pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PairError {
+    /// The buffer ended inside the pair.
+    Truncated,
+    /// The row delta carries the row past `u64::MAX`.
+    RowOverflow,
+    /// The column gap carries the column past `u64::MAX`.
+    ColOverflow,
+}
+
+/// Appends `pair` to a strictly ascending `(row, col)` run whose last
+/// pair is `prev` (`None` before the first): the first pair as itself,
+/// each later one as its row's delta, then its column — absolute when the
+/// row changed, its gap from the previous column less one inside a row.
+/// The two-dimensional [`write_ascending_ids`].
+///
+/// # Panics
+/// Panics in debug builds if `pair` is not above `prev`; a release build
+/// writes wrapped deltas that [`read_pair`] refuses or reads as other
+/// pairs, so a writer whose output must hold checks the order itself.
+#[inline]
+pub fn write_pair(buf: &mut Vec<u8>, prev: Option<(u32, u32)>, pair: (u32, u32)) {
+    let (row, col) = (u64::from(pair.0), u64::from(pair.1));
+    let Some(last) = prev else {
+        write_u64(buf, row);
+        write_u64(buf, col);
+        return;
+    };
+    debug_assert!(pair > last, "pair run not sorted: {pair:?} after {last:?}");
+    let (last_row, last_col) = (u64::from(last.0), u64::from(last.1));
+    write_u64(buf, row.wrapping_sub(last_row));
+    if row == last_row {
+        write_u64(buf, col.wrapping_sub(last_col + 1));
+    } else {
+        write_u64(buf, col);
+    }
+}
+
+/// Reads the pair [`write_pair`] wrote after `prev`, advancing `*pos`.
+/// The arithmetic is checked, so a crafted delta is an error, never a
+/// wrap; the pair comes back as `u64`s for the caller's own range check.
+#[inline]
+pub fn read_pair(
+    buf: &[u8],
+    pos: &mut usize,
+    prev: Option<(u32, u32)>,
+) -> Result<(u64, u64), PairError> {
+    let row = read_u64(buf, pos).ok_or(PairError::Truncated)?;
+    let col = read_u64(buf, pos).ok_or(PairError::Truncated)?;
+    let Some((last_row, last_col)) = prev else {
+        return Ok((row, col));
+    };
+    if row == 0 {
+        let col = u64::from(last_col)
+            .checked_add(col)
+            .and_then(|c| c.checked_add(1));
+        Ok((u64::from(last_row), col.ok_or(PairError::ColOverflow)?))
+    } else {
+        let row = u64::from(last_row).checked_add(row);
+        Ok((row.ok_or(PairError::RowOverflow)?, col))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +273,71 @@ mod tests {
             assert_eq!(read_ascending_ids(&buf, &mut pos), Some(ids));
             assert_eq!(pos, buf.len());
         }
+    }
+
+    fn pair_run(pairs: &[(u32, u32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut prev = None;
+        for &pair in pairs {
+            write_pair(&mut buf, prev, pair);
+            prev = Some(pair);
+        }
+        buf
+    }
+
+    fn read_pair_run(buf: &[u8], count: usize) -> Result<Vec<(u64, u64)>, PairError> {
+        let (mut pos, mut prev, mut out) = (0, None, Vec::new());
+        for _ in 0..count {
+            let (row, col) = read_pair(buf, &mut pos, prev)?;
+            out.push((row, col));
+            prev = Some((row as u32, col as u32));
+        }
+        assert_eq!(pos, buf.len());
+        Ok(out)
+    }
+
+    #[test]
+    fn pair_runs_keep_their_bytes_and_roundtrip() {
+        // A row change writes the row delta and the absolute column; a
+        // column right after the previous one inside a row is gap 0.
+        let pairs = [(3, 9), (3, 10), (5, 2), (5, u32::MAX), (u32::MAX, 0)];
+        let buf = pair_run(&pairs);
+        let mut want = Vec::new();
+        for v in [3, 9, 0, 0, 2, 2, 0, u64::from(u32::MAX) - 3] {
+            write_u64(&mut want, v);
+        }
+        write_u64(&mut want, u64::from(u32::MAX) - 5);
+        write_u64(&mut want, 0);
+        assert_eq!(buf, want);
+        let back: Vec<(u32, u32)> = read_pair_run(&buf, pairs.len())
+            .unwrap()
+            .into_iter()
+            .map(|(r, c)| (r as u32, c as u32))
+            .collect();
+        assert_eq!(back, pairs);
+        for cut in 0..buf.len() {
+            assert!(
+                read_pair_run(&buf[..cut], pairs.len()).is_err(),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_pair_deltas_are_typed() {
+        let prev = Some((u32::MAX, u32::MAX));
+        let mut buf = Vec::new();
+        write_u64(&mut buf, 0);
+        write_u64(&mut buf, u64::MAX);
+        assert_eq!(read_pair(&buf, &mut 0, prev), Err(PairError::ColOverflow));
+        let mut buf = Vec::new();
+        write_u64(&mut buf, u64::MAX);
+        write_u64(&mut buf, 0);
+        assert_eq!(read_pair(&buf, &mut 0, prev), Err(PairError::RowOverflow));
+        assert_eq!(
+            read_pair(&buf[..1], &mut 0, None),
+            Err(PairError::Truncated)
+        );
     }
 
     proptest! {

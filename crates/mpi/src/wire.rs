@@ -5,7 +5,10 @@
 //! all. A real transport needs actual bytes, so every type that travels
 //! through a [`Communicator`](crate::Communicator) collective implements
 //! [`Wire`]: a strict, canonical, self-delimiting encoding built on the
-//! workspace varint codec ([`sbp_graph::varint`]).
+//! workspace varint codec ([`sbp_graph::varint`]). The same values carry
+//! the daemon's messages and the payload of the `.sbpc` checkpoint file
+//! (`sbp_core::checkpoint`), so a snapshot on disk and a frame on a
+//! socket decode under one set of rules.
 //!
 //! The encoding is **canonical** (one byte string per value — wider
 //! integers are varints, a `u8` is its byte, floats are fixed-width

@@ -547,29 +547,13 @@ fn model_of(graph: &Graph, outcome: &mut RunOutcome) -> Arc<Blockmodel> {
 fn restore(graph: &Graph, path: &Path) -> Result<RunOutcome, ServeError> {
     let state =
         CheckpointState::read_from(path).map_err(|e| ServeError::CheckpointLoad(e.to_string()))?;
-    if state.num_vertices != graph.num_vertices() as u64
-        || state.total_edge_weight != graph.total_edge_weight().max(0) as u64
-    {
-        return Err(ServeError::CheckpointMismatch(format!(
-            "snapshot fingerprint (V={}, E={}) does not match the loaded graph \
-             (V={}, E={}); the snapshot was written for a different graph state \
-             (e.g. after edge deltas)",
-            state.num_vertices,
-            state.total_edge_weight,
-            graph.num_vertices(),
-            graph.total_edge_weight()
-        )));
+    let total_edge_weight = graph.total_edge_weight().max(0) as u64;
+    if let Some(reason) = state.graph_mismatch(graph.num_vertices(), total_edge_weight) {
+        return Err(ServeError::CheckpointMismatch(reason));
     }
     let mid = state
         .mid
         .ok_or_else(|| ServeError::CheckpointLoad("snapshot has no best partition entry".into()))?;
-    if mid.assignment.len() != graph.num_vertices() {
-        return Err(ServeError::CheckpointMismatch(format!(
-            "snapshot assignment length {} != graph vertex count {}",
-            mid.assignment.len(),
-            graph.num_vertices()
-        )));
-    }
     Ok(RunOutcome {
         assignment: mid.assignment,
         num_blocks: mid.num_blocks,

@@ -2,7 +2,7 @@
 # Byte-identity A/B of two edist-cli builds: the same inputs and seeds
 # through every backend, assignment and --trajectory-out files compared
 # with cmp, and a resident daemon's warm rounds, snapshot and stats
-# compared. A change that keeps "the same bits" must report 102/102.
+# compared. A change that keeps "the same bits" must report 106/106.
 #
 #   scripts/ab_trajectories.sh <parent-bin> <change-bin> [workdir]
 #
@@ -19,6 +19,9 @@
 # the BENCHMARK.json workloads, 2 ranks wherever ranks apply and nothing
 # else is said. Inputs are written once, by the parent binary; both
 # builds read the same files.
+# Shard cells, first: the change binary shards both graphs into 2 and 3
+# shards as well, and its .sbps files must equal the parent's byte for
+# byte — the one place the change's shard writer is compared.
 # Resume cells, after the `sequential` and `edist-thread-shards-batch`
 # cells (a single-node and a sharded search): the same run again with
 # `--checkpoint`, thinned by `--checkpoint-every` to the one snapshot just
@@ -102,6 +105,21 @@ resume_cell() {
 
 total=0
 same=0
+for g in challenge scaling; do
+    for dir in $g.shards $g.shards3; do
+        case $dir in *3) ranks=3 ;; *) ranks=2 ;; esac
+        total=$((total + 1))
+        rm -rf "change.$dir"
+        if ! "$change" shard --graph $g.mtx --ranks $ranks --out "change.$dir" >change.log 2>&1; then
+            echo "FAILED    $g shard-$ranks (change build, see $work/change.log)"
+        elif diff -rq "$dir" "change.$dir" >/dev/null; then
+            same=$((same + 1))
+            echo "identical $g shard-$ranks"
+        else
+            echo "DIFFERENT $g shard-$ranks"
+        fi
+    done
+done
 for g in challenge scaling; do
     for cell in "${cells[@]}"; do
         name=${cell%%|*}
@@ -216,5 +234,5 @@ for g in challenge scaling; do
         fi
     done
 done
-echo "$same/$total cells byte-identical (assignment + trajectory; resume; snapshot + stats; width 1)"
+echo "$same/$total cells byte-identical (shards; assignment + trajectory; resume; snapshot + stats; width 1)"
 [ "$same" -eq "$total" ]

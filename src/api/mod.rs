@@ -25,8 +25,7 @@ use sbp_core::run::{
     CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, ProgressFn, ProgressSink,
     RunConfig, RunOutcome, SingleNode, Solver, WarmStart,
 };
-use sbp_core::{CheckpointState, IterationStat, McmcStrategy, SbpConfig};
-use sbp_core::{SolverRegistry, SolverSpec};
+use sbp_core::{CheckpointState, IterationStat, McmcStrategy, SbpConfig, SolverRegistry};
 use sbp_dist::{run_sharded, DcSbp, Edist, FaultPlan, OwnershipStrategy, ShardedBackend};
 use sbp_eval::normalized_dl;
 use sbp_graph::Graph;
@@ -133,21 +132,6 @@ pub enum PartitionError {
     /// not match the graph, a label is out of range, or a dirty vertex
     /// id exceeds the vertex count.
     WarmStartInvalid(String),
-    /// A name-keyed backend lookup ([`solver_by_name`]) found no
-    /// registered factory; `known` lists what the registry holds.
-    UnknownBackend {
-        /// The name that failed to resolve.
-        name: String,
-        /// Registered backend names, sorted.
-        known: Vec<String>,
-    },
-    /// A registry factory rejected its [`SolverSpec`].
-    InvalidBackendSpec {
-        /// The backend that rejected the spec.
-        name: String,
-        /// The factory's reason.
-        reason: String,
-    },
 }
 
 impl fmt::Display for PartitionError {
@@ -189,12 +173,6 @@ impl fmt::Display for PartitionError {
             PartitionError::WarmStartUnsupported(what) => write!(f, "{what}"),
             PartitionError::WarmStartInvalid(reason) => {
                 write!(f, "warm start rejected: {reason}")
-            }
-            PartitionError::UnknownBackend { name, known } => {
-                write!(f, "unknown backend '{name}' (known: {})", known.join(", "))
-            }
-            PartitionError::InvalidBackendSpec { name, reason } => {
-                write!(f, "backend '{name}' rejected its configuration: {reason}")
             }
         }
     }
@@ -896,20 +874,6 @@ pub fn default_registry() -> SolverRegistry {
     let mut registry = SolverRegistry::with_core_backends();
     sbp_dist::register_solvers(&mut registry);
     registry
-}
-
-/// Builds a solver by registry name, mapping registry failures onto
-/// [`PartitionError`] so callers get one error shape for both
-/// [`Backend`]-typed and name-typed resolution.
-pub fn solver_by_name(name: &str, spec: &SolverSpec) -> Result<Box<dyn Solver>, PartitionError> {
-    default_registry().build(name, spec).map_err(|e| match e {
-        sbp_core::RegistryError::UnknownBackend { name, known } => {
-            PartitionError::UnknownBackend { name, known }
-        }
-        sbp_core::RegistryError::InvalidSpec { name, reason } => {
-            PartitionError::InvalidBackendSpec { name, reason }
-        }
-    })
 }
 
 #[cfg(test)]

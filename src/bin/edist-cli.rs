@@ -79,7 +79,7 @@ const COMMANDS: &[Command] = &[
         flags: &[partition::REPORT] },
     Command { name: "sample", positional: None, run: partition::cmd_sample,
         summary: "sampling-based inference: sample, infer, extend (partition --sample F)",
-        flags: &[GRAPH, partition::SAMPLE, STRATEGY, SEED, SYNC_PERIOD, RUN, IN_PROCESS] },
+        flags: &[GRAPH, partition::SAMPLE, STRATEGY, SEED, RUN, IN_PROCESS] },
     Command { name: "evaluate", positional: None, run: graphs::cmd_evaluate,
         summary: "score a predicted labeling against ground truth (NMI, ARI, pairwise F1)",
         flags: &[graphs::EVALUATE] },
@@ -869,6 +869,37 @@ mod tests {
             "--out",
             out.to_str().unwrap(),
         ]))
+        .unwrap();
+        let _ = std::fs::remove_file(out);
+    }
+
+    /// `--sync-period` paces the edist move exchange: a single-node
+    /// backend refuses it by name instead of running without it, and
+    /// `sample`, always sequential, does not take it.
+    #[test]
+    fn sync_period_is_refused_on_single_node_backends() {
+        let gpath = tiny_graph("sync_period");
+        let g = gpath.to_str().unwrap();
+        let partition = ["partition", "--graph", g, "--sync-period", "7"];
+        for backend in [
+            &[][..],
+            &["--backend", "sequential"],
+            &["--backend", "hybrid"],
+            &["--backend", "batch"],
+        ] {
+            let err = run(&argv(&[&partition[..], backend].concat())).unwrap_err();
+            assert!(
+                err.starts_with("--sync-period 7 sets how often the edist backend"),
+                "{backend:?}: {err}"
+            );
+        }
+        let err = run(&argv(&["sample", "--graph", g, "--sync-period", "7"])).unwrap_err();
+        assert!(err.contains("--sync-period"), "{err}");
+        let out = std::env::temp_dir().join("edist_cli_sync_period_edist.txt");
+        let edist = ["--backend", "edist", "--ranks", "1", "--out"];
+        run(&argv(
+            &[&partition[..], &edist, &[out.to_str().unwrap()]].concat(),
+        ))
         .unwrap();
         let _ = std::fs::remove_file(out);
     }

@@ -192,15 +192,21 @@ fn run_partitioner(
     backend: Option<Backend>,
     sample: Option<f64>,
 ) -> Result<u8, String> {
-    // A single-node backend is its own sweep schedule and overrides the
-    // configured one, so `--mcmc` there would be silently ignored.
-    if let (Some(mcmc), Some(single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch))) =
-        (args.get("mcmc"), backend)
-    {
-        return Err(format!(
-            "--mcmc {mcmc} sets the sweep schedule of the dcsbp and edist backends; the \
-             {single} backend runs its own: pick it with --backend batch|hybrid|sequential"
-        ));
+    // A single-node backend is its own sweep schedule and exchanges no
+    // moves, so `--mcmc` or `--sync-period` there would be silently ignored.
+    if let Some(single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch)) = backend {
+        if let Some(mcmc) = args.get("mcmc") {
+            return Err(format!(
+                "--mcmc {mcmc} sets the sweep schedule of the dcsbp and edist backends; the \
+                 {single} backend runs its own: pick it with --backend batch|hybrid|sequential"
+            ));
+        }
+        if let Some(period) = args.get("sync-period") {
+            return Err(format!(
+                "--sync-period {period} sets how often the edist backend exchanges moves; \
+                 the {single} backend exchanges none"
+            ));
+        }
     }
     let sbp = sbp_config(args)?;
     let seed = sbp.seed;

@@ -413,6 +413,34 @@ fn mutated_valid_encodings_never_panic_any_decoder() {
     }
 }
 
+/// FNV-1a: a fixed 64-bit fingerprint of an encoding, independent of
+/// every checksum routine the formats themselves use.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The corpora's bytes are pinned: a cell list, a `.sbps` shard and a
+/// `.sbpc` snapshot holding all three bracket entries each keep the
+/// length and fingerprint they have always encoded to, so a codec change
+/// that moves one byte fails here and not on a resumed run or a peer.
+#[test]
+fn corpus_bytes_are_pinned() {
+    for (name, bytes, len, hash) in [
+        ("cell list", cell_corpus(), 91, 0x75dd_e4b6_5ef5_4c08),
+        (".sbps shard", shard_corpus(), 200, 0x71fe_e411_10f5_925a),
+        (
+            ".sbpc snapshot",
+            checkpoint_corpus(),
+            127,
+            0x6711_ae4a_f88e_ae2b,
+        ),
+    ] {
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, hash), "{name}");
+    }
+}
+
 /// Pure byte soup — no valid structure at all.
 #[test]
 fn random_byte_soup_never_panics_any_decoder() {

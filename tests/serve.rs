@@ -10,6 +10,7 @@
 //! over a real unix socket, including a malformed-frame probe that the
 //! daemon must survive.
 
+use edist::core::RegistryError;
 use edist::graph::fixtures::{clique_ring, clique_ring_truth, two_cliques};
 use edist::graph::{EdgeDelta, Graph};
 use edist::prelude::*;
@@ -667,13 +668,15 @@ fn facade_rejects_invalid_warm_starts_with_typed_errors() {
 
 #[test]
 fn registry_resolution_matches_typed_backends() {
-    // `solver_by_name` and the typed Backend enum must produce solvers
-    // with identical results — the registry is a naming layer, not a
-    // fork of the configuration.
+    // The default registry and the typed Backend enum must produce
+    // solvers with identical results — the registry is a naming layer,
+    // not a fork of the configuration.
     let graph = two_cliques(6);
     let typed = Partitioner::on(&graph).seed(5).run().expect("typed run");
     let spec = SolverSpec::default();
-    let named = solver_by_name("sequential", &spec).expect("registry solver");
+    let named = default_registry()
+        .build("sequential", &spec)
+        .expect("registry solver");
     let cfg = RunConfig::from_sbp(SbpConfig {
         seed: 5,
         ..SbpConfig::default()
@@ -685,8 +688,8 @@ fn registry_resolution_matches_typed_backends() {
         typed.description_length.to_bits()
     );
     // Unknown names carry the full known-name list in the error.
-    match solver_by_name("quantum", &spec) {
-        Err(PartitionError::UnknownBackend { known, .. }) => {
+    match default_registry().build("quantum", &spec) {
+        Err(RegistryError::UnknownBackend { known, .. }) => {
             for name in ["sequential", "hybrid", "batch", "edist", "dcsbp"] {
                 assert!(known.contains(&name.to_string()), "missing {name}");
             }
