@@ -18,7 +18,6 @@ use sbp_gen::{
     PlantedGraph, RealWorldStandIn, ScalingGraph,
 };
 use sbp_graph::{island_fraction_round_robin, Graph};
-use sbp_mpi::CostModel;
 
 /// The SBP hyper-parameters used throughout the evaluation: the Hybrid-SBP
 /// MCMC (the paper's intra-rank algorithm). The experiments run it at pool
@@ -41,7 +40,6 @@ fn run_backend(graph: &Graph, backend: Backend, seed: u64) -> Run {
         Partitioner::on(graph)
             .backend(backend)
             .config(experiment_sbp_config(seed))
-            .cost_model(CostModel::hdr100())
             .run()
             .expect("experiment configurations are valid")
     })

@@ -47,8 +47,10 @@ pub struct TcpRun {
 /// real process cannot observe its peers' counters without adding a
 /// collective the simulator does not perform (which would break
 /// schedule equivalence). Concretely, `collectives` / `total_bytes` /
-/// `max_rank_bytes` cover this rank only, `makespan` is this rank's
-/// wire-time clock, and `wall_seconds` spans rendezvous through solve.
+/// `max_rank_bytes` cover this rank only, `makespan` is
+/// `TcpComm::virtual_time` (the wall time elapsed since this rank
+/// connected, not time spent on the wire), and `wall_seconds` spans
+/// rendezvous through solve.
 /// Tests therefore assert bit-identity of *results* across transports,
 /// never of report counters.
 ///

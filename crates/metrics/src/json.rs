@@ -30,6 +30,11 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs.
+    pub fn obj<'k>(entries: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+        Value::Obj(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// The value as `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -78,6 +83,12 @@ impl Value {
             return Err(ParseError::at(pos, "trailing bytes after document"));
         }
         Ok(value)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.into())
     }
 }
 

@@ -348,42 +348,30 @@ impl Snapshot {
     /// "value": n} | {"type": "gauge", ...} | {"type": "histogram",
     /// "bounds": [...], "counts": [...], "sum": s, "count": n}}`.
     pub fn to_json(&self) -> json::Value {
-        let mut obj = BTreeMap::new();
-        for (name, value) in &self.metrics {
-            let mut m = BTreeMap::new();
-            match value {
-                MetricValue::Counter(v) => {
-                    m.insert("type".into(), json::Value::Str("counter".into()));
-                    m.insert("value".into(), json::Value::Num(*v as f64));
-                }
-                MetricValue::Gauge(v) => {
-                    m.insert("type".into(), json::Value::Str("gauge".into()));
-                    m.insert("value".into(), json::Value::Num(*v));
-                }
-                MetricValue::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                } => {
-                    m.insert("type".into(), json::Value::Str("histogram".into()));
-                    m.insert(
-                        "bounds".into(),
-                        json::Value::Arr(bounds.iter().map(|&b| json::Value::Num(b)).collect()),
-                    );
-                    m.insert(
-                        "counts".into(),
-                        json::Value::Arr(
-                            counts.iter().map(|&c| json::Value::Num(c as f64)).collect(),
-                        ),
-                    );
-                    m.insert("sum".into(), json::Value::Num(*sum));
-                    m.insert("count".into(), json::Value::Num(*count as f64));
-                }
+        use json::Value;
+        let nums = |xs: Vec<f64>| Value::Arr(xs.into_iter().map(Value::Num).collect());
+        let metric = |value: &MetricValue| match value {
+            MetricValue::Counter(v) => {
+                Value::obj([("type", "counter".into()), ("value", Value::Num(*v as f64))])
             }
-            obj.insert(name.clone(), json::Value::Obj(m));
-        }
-        json::Value::Obj(obj)
+            MetricValue::Gauge(v) => {
+                Value::obj([("type", "gauge".into()), ("value", Value::Num(*v))])
+            }
+            MetricValue::Histogram {
+                bounds,
+                counts,
+                sum,
+                count,
+            } => Value::obj([
+                ("type", "histogram".into()),
+                ("bounds", nums(bounds.clone())),
+                ("counts", nums(counts.iter().map(|&c| c as f64).collect())),
+                ("sum", Value::Num(*sum)),
+                ("count", Value::Num(*count as f64)),
+            ]),
+        };
+        let metrics = self.metrics.iter();
+        Value::obj(metrics.map(|(name, value)| (name.as_str(), metric(value))))
     }
 
     /// Decodes a snapshot from its [`to_json`](Snapshot::to_json)

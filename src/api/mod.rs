@@ -37,8 +37,8 @@ use std::time::Instant;
 
 pub use sbp_dist::ShardIngestReport;
 
-/// Boxed progress callback stored by the builder.
-type ProgressCallback<'a> = Box<dyn FnMut(&ProgressEvent) + 'a>;
+/// Boxed progress callback stored by the builder, as a sink.
+type ProgressCallback<'a> = ProgressFn<Box<dyn FnMut(&ProgressEvent) + 'a>>;
 
 /// Which execution strategy runs the shared SBP inference engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,6 +64,42 @@ pub enum Backend {
     },
 }
 
+impl Backend {
+    /// The driver this backend runs as over shards, on a cluster of TCP
+    /// ranks or on simulated in-memory ones, and its rank count. With
+    /// `shards`, the rank count must equal it: one rank loads exactly one
+    /// shard. Refuses zero ranks, a zero EDiSt sync period and a
+    /// single-node backend.
+    pub fn distributed(
+        self,
+        sync_period: usize,
+        shards: Option<usize>,
+    ) -> Result<(ShardedBackend, usize), PartitionError> {
+        let (driver, ranks) = match self {
+            Backend::Edist { ranks } => (ShardedBackend::Edist { sync_period }, ranks),
+            Backend::DcSbp { ranks } => (ShardedBackend::DcSbp, ranks),
+            single => {
+                return Err(PartitionError::ShardedUnsupported(format!(
+                    "the {single} backend runs on one node (only Edist and DcSbp run over \
+                     shards or on a cluster)"
+                )))
+            }
+        };
+        if ranks == 0 {
+            return Err(PartitionError::ZeroRanks);
+        }
+        if sync_period == 0 && matches!(driver, ShardedBackend::Edist { .. }) {
+            return Err(PartitionError::ZeroSyncPeriod);
+        }
+        match shards {
+            Some(shards) if shards != ranks => {
+                Err(PartitionError::ShardCountMismatch { ranks, shards })
+            }
+            _ => Ok((driver, ranks)),
+        }
+    }
+}
+
 impl fmt::Display for Backend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -86,10 +122,13 @@ pub enum PartitionError {
     BadSampleFraction(f64),
     /// `sync_period` must be at least 1.
     ZeroSyncPeriod,
+    /// `checkpoint_every` must be at least 1.
+    ZeroCheckpointEvery,
     /// The `.sbps` shard directory could not be read or validated.
     ShardLoad(String),
     /// The requested feature/backend combination cannot run over a
-    /// sharded source; the message says what and what to do instead.
+    /// sharded source or on a cluster; the message says what and what to
+    /// do instead.
     ShardedUnsupported(String),
     /// An explicit [`Partitioner::ownership`] setting contradicts the
     /// scheme the shards were planned under.
@@ -145,6 +184,9 @@ impl fmt::Display for PartitionError {
             }
             PartitionError::ZeroSyncPeriod => {
                 write!(f, "sync_period must be at least 1")
+            }
+            PartitionError::ZeroCheckpointEvery => {
+                write!(f, "checkpoint_every must be at least 1")
             }
             PartitionError::ShardLoad(reason) => write!(f, "shard load failed: {reason}"),
             PartitionError::ShardedUnsupported(what) => write!(f, "{what}"),
@@ -279,7 +321,6 @@ pub struct Partitioner<'a> {
     source: Source<'a>,
     backend: Option<Backend>,
     sbp: SbpConfig,
-    cost: CostModel,
     /// `None` until [`Partitioner::ownership`] is called, so the sharded
     /// path can distinguish "default" from an explicit request it would
     /// have to silently override.
@@ -289,9 +330,9 @@ pub struct Partitioner<'a> {
     /// rationale as `ownership`).
     skip_finetune: Option<bool>,
     sample: Option<(SamplingStrategy, f64)>,
-    finetune_sweeps: usize,
     cancel: CancelToken,
-    progress: Option<ProgressCallback<'a>>,
+    /// The registered progress callback (a no-op without one).
+    progress: ProgressCallback<'a>,
     checkpoint_path: Option<PathBuf>,
     checkpoint_every: usize,
     resume_path: Option<PathBuf>,
@@ -328,14 +369,12 @@ impl<'a> Partitioner<'a> {
             source,
             backend: None,
             sbp: SbpConfig::default(),
-            cost: CostModel::hdr100(),
             ownership: None,
             sync_period: 1,
             skip_finetune: None,
             sample: None,
-            finetune_sweeps: 3,
             cancel: CancelToken::new(),
-            progress: None,
+            progress: ProgressFn(Box::new(|_| {})),
             checkpoint_path: None,
             checkpoint_every: 1,
             resume_path: None,
@@ -371,13 +410,6 @@ impl<'a> Partitioner<'a> {
         self
     }
 
-    /// Sets the interconnect cost model used by the distributed
-    /// backends' virtual clocks (default: HDR-100 InfiniBand).
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Sets EDiSt's vertex-ownership scheme (default: sorted-balanced).
     /// On a sharded source the ownership is baked into the shards, so an
     /// explicit setting that contradicts them is rejected at
@@ -410,12 +442,6 @@ impl<'a> Partitioner<'a> {
         self
     }
 
-    /// Full-graph fine-tuning sweeps after sample extension (default 3).
-    pub fn finetune_sweeps(mut self, sweeps: usize) -> Self {
-        self.finetune_sweeps = sweeps;
-        self
-    }
-
     /// Attaches a cancellation token; keep a clone and call
     /// [`CancelToken::cancel`] to stop the run at its next checkpoint.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
@@ -427,7 +453,7 @@ impl<'a> Partitioner<'a> {
     /// inline from the optimization loop; distributed backends relay
     /// rank 0's events to it live on the calling thread.
     pub fn progress(mut self, callback: impl FnMut(&ProgressEvent) + 'a) -> Self {
-        self.progress = Some(Box::new(callback));
+        self.progress = ProgressFn(Box::new(callback));
         self
     }
 
@@ -446,8 +472,8 @@ impl<'a> Partitioner<'a> {
     }
 
     /// Checkpoints every `every`-th sync boundary instead of every one
-    /// (values are clamped to ≥ 1). Only meaningful together with
-    /// [`checkpoint_to`](Partitioner::checkpoint_to).
+    /// (default 1; 0 is refused at [`run`](Partitioner::run)). Only
+    /// meaningful together with [`checkpoint_to`](Partitioner::checkpoint_to).
     pub fn checkpoint_every(mut self, every: usize) -> Self {
         self.checkpoint_every = every;
         self
@@ -530,47 +556,31 @@ impl<'a> Partitioner<'a> {
         }
     }
 
-    /// Builds the configured [`Solver`] without running it — useful for
-    /// harnesses that drive the trait directly.
-    pub fn solver(&self) -> Result<Box<dyn Solver>, PartitionError> {
-        let backend = self.effective_backend();
-        let distributed = matches!(backend, Backend::Edist { .. } | Backend::DcSbp { .. });
-        if !self.fault.is_empty() && !distributed {
-            return Err(PartitionError::FaultUnsupported(format!(
-                "the {backend} backend cannot inject faults (it has no cluster; \
-                 only the Edist and DcSbp backends carry a communicator to decorate)"
-            )));
-        }
-        let base: Box<dyn Solver> = match backend {
-            Backend::Sequential | Backend::Hybrid | Backend::Batch => {
+    /// Builds the configured [`Solver`] without running it.
+    fn solver(&self) -> Result<Box<dyn Solver>, PartitionError> {
+        let base: Box<dyn Solver> = match self.effective_backend() {
+            single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch) => {
+                if !self.fault.is_empty() {
+                    return Err(PartitionError::FaultUnsupported(format!(
+                        "the {single} backend cannot inject faults (it has no cluster; \
+                         only the Edist and DcSbp backends carry a communicator to decorate)"
+                    )));
+                }
                 Box::new(SingleNode(self.effective_strategy()))
             }
-            Backend::DcSbp { ranks } => {
-                if ranks == 0 {
-                    return Err(PartitionError::ZeroRanks);
-                }
-                Box::new(DcSbp {
-                    ranks,
-                    cost: self.cost,
+            backend => match backend.distributed(self.sync_period, None)? {
+                (ShardedBackend::DcSbp, ranks) => Box::new(DcSbp {
                     skip_finetune: self.skip_finetune.unwrap_or(false),
                     fault: self.fault.clone(),
-                })
-            }
-            Backend::Edist { ranks } => {
-                if ranks == 0 {
-                    return Err(PartitionError::ZeroRanks);
-                }
-                if self.sync_period == 0 {
-                    return Err(PartitionError::ZeroSyncPeriod);
-                }
-                Box::new(Edist {
-                    ranks,
-                    cost: self.cost,
+                    ..DcSbp::new(ranks)
+                }),
+                (ShardedBackend::Edist { sync_period }, ranks) => Box::new(Edist {
                     ownership: self.ownership.unwrap_or_default(),
-                    sync_period: self.sync_period,
+                    sync_period,
                     fault: self.fault.clone(),
-                })
-            }
+                    ..Edist::new(ranks)
+                }),
+            },
         };
         match self.sample {
             None => Ok(base),
@@ -579,10 +589,9 @@ impl<'a> Partitioner<'a> {
                     return Err(PartitionError::BadSampleFraction(fraction));
                 }
                 Ok(Box::new(Sampled {
-                    inner: base,
                     strategy,
                     fraction,
-                    finetune_sweeps: self.finetune_sweeps,
+                    ..Sampled::new(base)
                 }))
             }
         }
@@ -602,6 +611,9 @@ impl<'a> Partitioner<'a> {
         num_vertices: usize,
         total_edge_weight: Option<u64>,
     ) -> Result<(Option<CheckpointSpec>, Option<CheckpointState>), PartitionError> {
+        if self.checkpoint_every == 0 {
+            return Err(PartitionError::ZeroCheckpointEvery);
+        }
         if self.checkpoint_path.is_none() && self.resume_path.is_none() {
             return Ok((None, None));
         }
@@ -636,7 +648,7 @@ impl<'a> Partitioner<'a> {
                 }
                 Some(CheckpointSpec {
                     path: path.clone(),
-                    every: self.checkpoint_every.max(1),
+                    every: self.checkpoint_every,
                 })
             }
         };
@@ -716,16 +728,6 @@ impl<'a> Partitioner<'a> {
         Ok(Some(warm))
     }
 
-    /// The registered progress callback as a sink (a no-op without one).
-    fn sink<'s>(&'s mut self) -> impl ProgressSink + use<'s, 'a> {
-        let mut callback = self.progress.as_mut();
-        ProgressFn(move |event: &ProgressEvent| {
-            if let Some(callback) = callback.as_mut() {
-                callback(event);
-            }
-        })
-    }
-
     /// Runs inference and returns the unified [`Run`] result.
     pub fn run(mut self) -> Result<Run, PartitionError> {
         match &self.source {
@@ -744,7 +746,7 @@ impl<'a> Partitioner<'a> {
                     resume,
                     warm,
                 };
-                Ok(run_solver(solver.as_ref(), graph, &cfg, &mut self.sink()))
+                Ok(run_solver(solver.as_ref(), graph, &cfg, &mut self.progress))
             }
             Source::Shards(dir) => {
                 let dir = dir.clone();
@@ -785,49 +787,22 @@ impl<'a> Partitioner<'a> {
                 });
             }
         }
-        let (sharded, name) = match self.backend {
-            None | Some(Backend::Edist { .. }) => {
-                if let Some(Backend::Edist { ranks }) = self.backend {
-                    if ranks != shards {
-                        return Err(PartitionError::ShardCountMismatch { ranks, shards });
-                    }
-                }
-                if self.sync_period == 0 {
-                    return Err(PartitionError::ZeroSyncPeriod);
-                }
-                (
-                    ShardedBackend::Edist {
-                        sync_period: self.sync_period,
-                    },
-                    format!("edist-sharded(ranks={shards})"),
-                )
+        let backend = self.backend.unwrap_or(Backend::Edist { ranks: shards });
+        let (sharded, _) = backend.distributed(self.sync_period, Some(shards))?;
+        let name = match sharded {
+            ShardedBackend::Edist { .. } => "edist",
+            // Sharded DC-SBP cannot fine-tune (the root never holds the
+            // whole graph); an explicit request for fine-tuning must
+            // error, not be silently forced off.
+            ShardedBackend::DcSbp if self.skip_finetune == Some(false) => {
+                return Err(PartitionError::ShardedUnsupported(
+                    "DC-SBP fine-tuning is not available over sharded input \
+                     (it needs the whole graph on the root; run Edist over the \
+                     same shards to refine distributively)"
+                        .into(),
+                ));
             }
-            Some(Backend::DcSbp { ranks }) => {
-                if ranks != shards {
-                    return Err(PartitionError::ShardCountMismatch { ranks, shards });
-                }
-                // Sharded DC-SBP cannot fine-tune (the root never holds
-                // the whole graph); an explicit request for fine-tuning
-                // must error, not be silently forced off.
-                if self.skip_finetune == Some(false) {
-                    return Err(PartitionError::ShardedUnsupported(
-                        "DC-SBP fine-tuning is not available over sharded input \
-                         (it needs the whole graph on the root; run Edist over the \
-                         same shards to refine distributively)"
-                            .into(),
-                    ));
-                }
-                (
-                    ShardedBackend::DcSbp,
-                    format!("dcsbp-sharded(ranks={shards})"),
-                )
-            }
-            Some(other) => {
-                return Err(PartitionError::ShardedUnsupported(format!(
-                    "the {other} backend cannot run over sharded input \
-                     (only Edist and DcSbp can)"
-                )));
-            }
+            ShardedBackend::DcSbp => "dcsbp",
         };
         let (checkpoint, resume) = self.checkpoint_cfg(header.num_vertices, None)?;
         let cfg = RunConfig {
@@ -837,12 +812,19 @@ impl<'a> Partitioner<'a> {
             resume,
             warm: None,
         };
-        let (cost, fault) = (self.cost, self.fault.clone());
+        let (cost, fault) = (CostModel::hdr100(), self.fault.clone());
         let wall = Instant::now();
-        let (outcome, ingest) =
-            run_sharded(dir, &header, sharded, cost, &cfg, &fault, &mut self.sink());
+        let (outcome, ingest) = run_sharded(
+            dir,
+            &header,
+            sharded,
+            cost,
+            &cfg,
+            &fault,
+            &mut self.progress,
+        );
         Ok(Run::from_outcome(
-            name,
+            format!("{name}-sharded(ranks={shards})"),
             outcome,
             wall.elapsed().as_secs_f64(),
             Some(ingest),

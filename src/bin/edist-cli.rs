@@ -57,7 +57,7 @@ mod sigint {
 
 use args::{Args, Command};
 use graphs::{GRAPH, SHARDED};
-use partition::{IN_PROCESS, RUN, SEED, STRATEGY, SYNC_PERIOD};
+use partition::{IN_PROCESS, SEED, SYNC_PERIOD};
 use std::process::ExitCode;
 
 /// Every subcommand, in `help` order, with the one declaration of the
@@ -72,14 +72,10 @@ const COMMANDS: &[Command] = &[
         flags: &[GRAPH, graphs::SHARD] },
     Command { name: "partition", positional: None, run: partition::cmd_partition,
         summary: "infer communities in-process, over shards or on a real TCP cluster",
-        flags: &[GRAPH, SHARDED, partition::PARTITION, STRATEGY, SEED, SYNC_PERIOD, RUN, IN_PROCESS,
-            cluster::TCP] },
+        flags: &[GRAPH, SHARDED, partition::PARTITION, SEED, SYNC_PERIOD, IN_PROCESS, cluster::TCP] },
     Command { name: "report", positional: Some("RUN.jsonl"), run: partition::cmd_report,
         summary: "render a --metrics-out JSONL file as a self-contained HTML report",
         flags: &[partition::REPORT] },
-    Command { name: "sample", positional: None, run: partition::cmd_sample,
-        summary: "sampling-based inference: sample, infer, extend (partition --sample F)",
-        flags: &[GRAPH, partition::SAMPLE, STRATEGY, SEED, RUN, IN_PROCESS] },
     Command { name: "evaluate", positional: None, run: graphs::cmd_evaluate,
         summary: "score a predicted labeling against ground truth (NMI, ARI, pairwise F1)",
         flags: &[graphs::EVALUATE] },
@@ -173,8 +169,8 @@ fn help() -> String {
     let _ = write!(
         text,
         "\npartition --cluster tcp|tcp-local refuses the in-process flags\n  {}\n\
-         \nexit codes: 0 ok; 1 error; 3 a partition or sample run that degraded\n\
-         under --fail-on-degraded true\n",
+         \nexit codes: 0 ok; 1 error; 3 a partition run that degraded under\n\
+         --fail-on-degraded true\n",
         refused.join(" ")
     );
     text
@@ -577,20 +573,30 @@ mod tests {
     }
 
     /// `partition --ranks 0` is the facade's zero-ranks error for both
-    /// distributed backends, never a run at one rank.
+    /// distributed backends on every path, never a run at one rank.
     #[test]
     fn zero_ranks_partition_is_refused() {
         let gpath = std::env::temp_dir().join("edist_cli_ranks0.txt");
         std::fs::write(&gpath, "0 1\n1 2\n2 0\n").unwrap();
         let g = gpath.to_str().unwrap();
         let partition = ["partition", "--graph", g, "--ranks", "0", "--backend"];
-        for backend in ["edist", "dcsbp"] {
-            let args = [&partition[..], &[backend]].concat();
-            assert_eq!(
-                run(&argv(&args)),
-                Err(PartitionError::ZeroRanks.to_string()),
-                "{backend}"
-            );
+        let tcp = [
+            "--cluster",
+            "tcp",
+            "--rank",
+            "0",
+            "--coordinator",
+            "127.0.0.1:1",
+        ];
+        for extra in [&[][..], &tcp, &["--cluster", "tcp-local"]] {
+            for backend in ["edist", "dcsbp"] {
+                let args = [&partition[..], &[backend], extra].concat();
+                assert_eq!(
+                    run(&argv(&args)),
+                    Err(PartitionError::ZeroRanks.to_string()),
+                    "{backend} {extra:?}"
+                );
+            }
         }
         let _ = std::fs::remove_file(&gpath);
     }
@@ -623,9 +629,7 @@ mod tests {
         ] {
             let want = format!("sampling fraction must be in (0, 1], got {shown}");
             let got = run(&argv(&["partition", "--graph", g, "--sample", given]));
-            assert_eq!(got, Err(want.clone()), "partition --sample {given}");
-            let got = run(&argv(&["sample", "--graph", g, "--fraction", given]));
-            assert_eq!(got, Err(want), "sample --fraction {given}");
+            assert_eq!(got, Err(want), "partition --sample {given}");
         }
         let _ = std::fs::remove_file(&gpath);
     }
@@ -649,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_subcommand_works() {
+    fn partition_sample_works() {
         let dir = std::env::temp_dir();
         let gpath = dir.join("edist_cli_sample.mtx");
         run(&argv(&[
@@ -664,10 +668,10 @@ mod tests {
         .unwrap();
         let apath = dir.join("edist_cli_sample_assign.txt");
         run(&argv(&[
-            "sample",
+            "partition",
             "--graph",
             gpath.to_str().unwrap(),
-            "--fraction",
+            "--sample",
             "0.5",
             "--strategy",
             "uniform",
@@ -821,8 +825,8 @@ mod tests {
     }
 
     /// A single-node backend is its own sweep schedule: `--mcmc` there is
-    /// refused by name, never silently ignored — on `partition` with or
-    /// without `--backend`, and on `sample`.
+    /// refused by name, never silently ignored — with or without
+    /// `--backend`.
     #[test]
     fn mcmc_is_refused_on_single_node_backends() {
         let gpath = tiny_graph("mcmc");
@@ -853,8 +857,6 @@ mod tests {
             err.starts_with("--mcmc mh sets the sweep schedule"),
             "{err}"
         );
-        let err = run(&argv(&["sample", "--graph", g, "--mcmc", "batch"])).unwrap_err();
-        assert!(err.contains("the sequential backend runs its own"), "{err}");
         let out = std::env::temp_dir().join("edist_cli_mcmc_edist.txt");
         run(&argv(&[
             "partition",
@@ -874,8 +876,7 @@ mod tests {
     }
 
     /// `--sync-period` paces the edist move exchange: a single-node
-    /// backend refuses it by name instead of running without it, and
-    /// `sample`, always sequential, does not take it.
+    /// backend refuses it by name instead of running without it.
     #[test]
     fn sync_period_is_refused_on_single_node_backends() {
         let gpath = tiny_graph("sync_period");
@@ -893,8 +894,6 @@ mod tests {
                 "{backend:?}: {err}"
             );
         }
-        let err = run(&argv(&["sample", "--graph", g, "--sync-period", "7"])).unwrap_err();
-        assert!(err.contains("--sync-period"), "{err}");
         let out = std::env::temp_dir().join("edist_cli_sync_period_edist.txt");
         let edist = ["--backend", "edist", "--ranks", "1", "--out"];
         run(&argv(

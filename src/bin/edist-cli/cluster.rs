@@ -50,7 +50,7 @@ fn timeouts(args: &Args) -> Result<(Duration, Duration), String> {
 /// One rank of a real TCP cluster: rendezvous at `--coordinator`, run
 /// the same per-rank body the thread simulator runs, report.
 pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
-    use edist::dist::{run_tcp_rank, ShardedBackend, TcpSource};
+    use edist::dist::{run_tcp_rank, TcpSource};
     use edist::mpi::TcpConfig;
 
     refuse_in_process_flags(args)?;
@@ -65,28 +65,12 @@ pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
     tcp.read_timeout = Some(read);
 
     let name = args.get("backend").unwrap_or("edist");
-    let period = sync_period(args)?;
-    let backend = match parse_backend(name, ranks)? {
-        Backend::Edist { .. } => ShardedBackend::Edist {
-            sync_period: period,
-        },
-        Backend::DcSbp { .. } => ShardedBackend::DcSbp,
-        _ => {
-            return Err(format!(
-                "--cluster tcp supports --backend edist|dcsbp, got '{name}'"
-            ));
-        }
-    };
+    let shard_count = |dir| shard_header(dir).map(|header| header.shard_count);
+    let shards = args.get("sharded").map(shard_count).transpose()?;
+    let (backend, _) = parse_backend(name, ranks)?
+        .distributed(sync_period(args)?, shards)
+        .map_err(|e| e.to_string())?;
     let source = graph_source(args)?;
-    if let GraphSource::Shards(dir) = &source {
-        let header = shard_header(dir)?;
-        if header.shard_count != ranks {
-            return Err(format!(
-                "--sharded {dir} holds {} shards but --ranks is {ranks}",
-                header.shard_count
-            ));
-        }
-    }
     let cfg = RunConfig::from_sbp(sbp_config(args)?);
     let _ = sigint::install(cfg.cancel.clone());
 
@@ -113,12 +97,11 @@ pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
 pub fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
     refuse_in_process_flags(args)?;
     // Refused once here, not by every child.
-    sync_period(args)?;
-    timeouts(args)?;
     let ranks: usize = args.num("ranks", 4usize)?;
-    if ranks == 0 {
-        return Err("--ranks must be at least 1".into());
-    }
+    parse_backend(args.get("backend").unwrap_or("edist"), ranks)?
+        .distributed(sync_period(args)?, None)
+        .map_err(|e| e.to_string())?;
+    timeouts(args)?;
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0))
         .map_err(|e| format!("picking a coordinator port: {e}"))?;
     let coordinator = listener

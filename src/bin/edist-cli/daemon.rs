@@ -4,10 +4,11 @@
 
 use crate::args::{flags, Args, SWITCH};
 use crate::graphs::{graph_source, GraphSource};
-use crate::partition::{jnum, jobj, jstr, sync_period};
+use crate::partition::sync_period;
 use edist::prelude::*;
 use edist::serve::protocol::RepartitionMode;
 use edist::serve::Listen;
+use sbp_metrics::json::Value;
 use std::path::Path;
 
 pub const SERVE: &str = "\
@@ -201,33 +202,23 @@ pub fn cmd_connect(args: &Args) -> Result<u8, String> {
         }
         Response::Stats(stats) => {
             if as_json {
-                let trajectory = sbp_metrics::json::Value::Arr(
-                    stats
-                        .trajectory_tail
-                        .iter()
-                        .map(|p| {
-                            jobj(vec![
-                                ("blocks", jnum(p.num_blocks as f64)),
-                                ("dl", jnum(p.dl)),
-                            ])
-                        })
-                        .collect(),
-                );
-                outln!(
-                    "{}",
-                    jobj(vec![
-                        ("vertices", jnum(stats.num_vertices as f64)),
-                        ("blocks", jnum(stats.num_blocks as f64)),
-                        ("dl", jnum(stats.dl)),
-                        ("pending_deltas", jnum(stats.pending_deltas as f64)),
-                        ("degraded", jnum(f64::from(stats.degraded))),
-                        ("backend", jstr(&stats.backend)),
-                        ("uptime_seconds", jnum(stats.uptime_seconds)),
-                        ("ingests", jnum(stats.ingests as f64)),
-                        ("repartitions", jnum(stats.repartitions as f64)),
-                        ("trajectory_tail", trajectory),
-                    ])
-                );
+                let num = |n: u64| Value::Num(n as f64);
+                let tail = stats.trajectory_tail.iter();
+                let trajectory = tail
+                    .map(|p| Value::obj([("blocks", num(p.num_blocks)), ("dl", Value::Num(p.dl))]));
+                let stats = Value::obj([
+                    ("vertices", num(stats.num_vertices)),
+                    ("blocks", num(stats.num_blocks)),
+                    ("dl", Value::Num(stats.dl)),
+                    ("pending_deltas", num(stats.pending_deltas)),
+                    ("degraded", Value::Num(f64::from(stats.degraded))),
+                    ("backend", stats.backend.as_str().into()),
+                    ("uptime_seconds", Value::Num(stats.uptime_seconds)),
+                    ("ingests", num(stats.ingests)),
+                    ("repartitions", num(stats.repartitions)),
+                    ("trajectory_tail", Value::Arr(trajectory.collect())),
+                ]);
+                outln!("{stats}");
             } else {
                 outln!("vertices:       {}", stats.num_vertices);
                 outln!("blocks:         {}", stats.num_blocks);

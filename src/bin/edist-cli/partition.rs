@@ -1,13 +1,15 @@
-//! `partition`, `sample` and `report`: every in-process inference path
-//! runs through the unified [`Partitioner`] builder (`sample` is shorthand
-//! for `partition --sample F`), and every path — `--cluster tcp` too
-//! (see [`crate::cluster`]) — ends in one reporter.
+//! `partition` and `report`: every in-process inference path runs
+//! through the unified [`Partitioner`] builder, and every path —
+//! `--cluster tcp` too (see [`crate::cluster`]) — ends in one reporter.
 
 use crate::args::Args;
 use crate::cluster;
-use crate::graphs::{graph_source, load, shard_header, write_assignment, GraphSource};
+use crate::graphs::{graph_source, shard_header, write_assignment, GraphSource};
 use crate::sigint;
 use edist::prelude::*;
+use sbp_metrics::json::Value;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Exit code for a run that completed but degraded (a rank died, a
@@ -21,17 +23,6 @@ pub const SEED: &str = "--seed N  solver seed (default 0)";
 pub const SYNC_PERIOD: &str =
     "--sync-period N  EDiSt sweeps between move exchanges, at least 1 (default 1)";
 
-pub const STRATEGY: &str =
-    "--strategy NAME  uniform, degree, edge, fire or snowball sampler (default snowball)";
-
-/// What `partition` and `sample` share on every cluster.
-pub const RUN: &str = "\
---mcmc mh|batch                batch runs 3 synced chunks a sweep: one result at any rank count
---fault-plan SPEC              inject faults, e.g. seed:7,kill:1@3,mangle:0@2,delay:2@5:1.5
---fail-on-degraded true|false  exit 3, not 0, when a rank failed and the run degraded
---out FILE                     assignment to write, one label per line (default stdout)
---trajectory-out FILE          exact iteration trajectory, DL as f64 bits";
-
 /// Wired through the in-process [`Partitioner`] only: `--cluster
 /// tcp|tcp-local` refuses these by name, and `--sample`.
 pub const IN_PROCESS: &str = "\
@@ -42,32 +33,18 @@ pub const IN_PROCESS: &str = "\
 --progress true|false  print phases, sweeps and iterations on stderr";
 
 pub const PARTITION: &str = "\
---backend NAME  sequential (default), sbp, hybrid, batch, dcsbp or edist
---ranks N       ranks of dcsbp, edist or a cluster (default 4, or the shard count)
---cluster MODE  thread (in-process, the default), tcp (one rank) or tcp-local
---sample F      infer on a sampled fraction F of the vertices, then extend";
-
-pub const SAMPLE: &str = "--fraction F  sampled fraction of the vertices (default 0.5)";
+--backend NAME                 sequential (default), sbp, hybrid, batch, dcsbp or edist
+--ranks N                      ranks of dcsbp, edist or a cluster (default 4, or the shard count)
+--cluster MODE                 thread (in-process, the default), tcp (one rank) or tcp-local
+--sample F                     infer on a sampled fraction F of the vertices, then extend
+--strategy NAME                uniform, degree, edge, fire or snowball sampler (default snowball)
+--mcmc mh|batch                batch runs 3 synced chunks a sweep: one result at any rank count
+--fault-plan SPEC              inject faults, e.g. seed:7,kill:1@3,mangle:0@2,delay:2@5:1.5
+--fail-on-degraded true|false  exit 3, not 0, when a rank failed and the run degraded
+--out FILE                     assignment to write, one label per line (default stdout)
+--trajectory-out FILE          exact iteration trajectory, DL as f64 bits";
 
 pub const REPORT: &str = "--out FILE  report to write (default RUN.html)";
-
-/// A JSON object from `(key, value)` pairs, in order.
-pub fn jobj(entries: Vec<(&str, sbp_metrics::json::Value)>) -> sbp_metrics::json::Value {
-    sbp_metrics::json::Value::Obj(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-pub fn jnum(x: f64) -> sbp_metrics::json::Value {
-    sbp_metrics::json::Value::Num(x)
-}
-
-pub fn jstr(s: &str) -> sbp_metrics::json::Value {
-    sbp_metrics::json::Value::Str(s.to_string())
-}
 
 /// This process's peak resident set so far in KiB — `VmHWM` from
 /// `/proc/self/status` — or `None` where there is no procfs.
@@ -83,38 +60,135 @@ fn peak_rss_kib() -> Option<u64> {
         .ok()
 }
 
-/// Streaming JSONL sink behind `partition --metrics-out`. Lines are
-/// written as events arrive; the first failed write is kept and surfaced
-/// once at the end instead of aborting the run mid-solve.
-struct MetricsLog {
-    writer: std::io::BufWriter<std::fs::File>,
-    path: String,
+/// The run log behind both `--progress` (lines on stderr) and
+/// `--metrics-out` (a JSONL stream). Lines are written as events arrive;
+/// the first failed write is kept and surfaced once at the end instead of
+/// aborting the run mid-solve.
+struct RunLog {
+    progress: bool,
+    /// The `--metrics-out` writer and its path.
+    metrics: Option<(BufWriter<File>, String)>,
     written: std::io::Result<()>,
 }
 
-impl MetricsLog {
-    fn create(path: &str) -> Result<Self, String> {
-        let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        Ok(MetricsLog {
-            writer: std::io::BufWriter::new(file),
-            path: path.to_string(),
+impl RunLog {
+    /// Opens `--metrics-out`, if given, and writes its `meta` line.
+    fn open(args: &Args, source: &GraphSource, seed: u64) -> Result<Self, String> {
+        let mut log = RunLog {
+            progress: args.switch("progress"),
+            metrics: None,
             written: Ok(()),
-        })
+        };
+        let Some(path) = args.get("metrics-out") else {
+            return Ok(log);
+        };
+        // Zero the process-wide registry so the snapshot line at the end
+        // covers exactly this run.
+        sbp_metrics::reset();
+        let file = File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+        log.metrics = Some((BufWriter::new(file), path.to_string()));
+        let (backend, vertices) = match source {
+            GraphSource::Mem(graph) => ("sequential", graph.num_vertices()),
+            GraphSource::Shards(dir) => ("edist", shard_header(dir)?.num_vertices),
+        };
+        log.line([
+            ("type", "meta".into()),
+            ("schema", Value::Num(1.0)),
+            ("backend", args.get("backend").unwrap_or(backend).into()),
+            ("seed", Value::Num(seed as f64)),
+            ("vertices", Value::Num(vertices as f64)),
+        ]);
+        Ok(log)
     }
 
-    fn line(&mut self, value: sbp_metrics::json::Value) {
-        use std::io::Write;
-        if self.written.is_ok() {
-            self.written = writeln!(self.writer, "{value}");
+    /// One JSONL line, when there is a metrics stream.
+    fn line<'k>(&mut self, entries: impl IntoIterator<Item = (&'k str, Value)>) {
+        if let Some((writer, _)) = &mut self.metrics {
+            if self.written.is_ok() {
+                self.written = writeln!(writer, "{}", Value::obj(entries));
+            }
         }
     }
 
-    fn finish(&mut self) -> Result<(), String> {
-        use std::io::Write;
-        let written = std::mem::replace(&mut self.written, Ok(()));
-        written
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("writing {}: {e}", self.path))
+    /// Closes the metrics stream with the run's `summary` and the
+    /// registry's `snapshot`.
+    fn finish(mut self, run: &Run) -> Result<(), String> {
+        if self.metrics.is_none() {
+            return Ok(());
+        }
+        self.line([
+            ("type", "summary".into()),
+            ("dl", Value::Num(run.description_length)),
+            ("blocks", Value::Num(run.num_blocks as f64)),
+            ("wall_seconds", Value::Num(run.wall_seconds)),
+            ("virtual_seconds", Value::Num(run.virtual_seconds)),
+        ]);
+        let snapshot = sbp_metrics::snapshot().to_json();
+        self.line([("type", "snapshot".into()), ("metrics", snapshot)]);
+        let Some((mut writer, path)) = self.metrics else {
+            return Ok(());
+        };
+        self.written
+            .and_then(|()| writer.flush())
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("metrics written to {path}");
+        Ok(())
+    }
+}
+
+impl ProgressSink for RunLog {
+    fn on_event(&mut self, event: &ProgressEvent) {
+        let num = |n: usize| Value::Num(n as f64);
+        match event {
+            ProgressEvent::ClusterStarted { ranks } if self.progress => {
+                eprintln!("spawning {ranks} simulated ranks");
+            }
+            ProgressEvent::PhaseStarted { phase } if self.progress => {
+                eprintln!("phase: {phase}");
+            }
+            &ProgressEvent::Sweep {
+                iteration,
+                sweep,
+                dl,
+                proposed,
+                accepted,
+            } => {
+                if self.progress {
+                    eprintln!(
+                        "  iter {iteration:>3} sweep {sweep:>3}: DL {dl:.2}  \
+                         ({accepted}/{proposed} proposals accepted)"
+                    );
+                }
+                self.line([
+                    ("type", "sweep".into()),
+                    ("iteration", num(iteration)),
+                    ("sweep", num(sweep)),
+                    ("dl", Value::Num(dl)),
+                    ("proposed", num(proposed)),
+                    ("accepted", num(accepted)),
+                ]);
+            }
+            ProgressEvent::Iteration { iteration, stat } => {
+                if self.progress {
+                    eprintln!(
+                        "iter {iteration:>3}: {:>6} blocks  DL {:.2}  ({} sweeps, {} moves)",
+                        stat.num_blocks, stat.dl, stat.sweeps, stat.moves
+                    );
+                }
+                let peak = self.metrics.as_ref().and_then(|_| peak_rss_kib());
+                let line = [
+                    ("type", "iteration".into()),
+                    ("iteration", num(*iteration)),
+                    ("blocks", num(stat.num_blocks)),
+                    ("dl", Value::Num(stat.dl)),
+                ];
+                self.line(
+                    line.into_iter()
+                        .chain(peak.map(|kib| ("peak_rss_kib", Value::Num(kib as f64)))),
+                );
+            }
+            _ => {}
+        }
     }
 }
 
@@ -177,24 +251,17 @@ pub fn sync_period(args: &Args) -> Result<usize, String> {
 }
 
 pub fn fault_plan(args: &Args) -> Result<FaultPlan, String> {
-    match args.get("fault-plan") {
-        Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}")),
-        None => Ok(FaultPlan::none()),
-    }
+    let parse = |spec| FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"));
+    args.get("fault-plan").map_or(Ok(FaultPlan::none()), parse)
 }
 
-/// Shared by `partition` and `sample`: build the `Partitioner`, run it,
-/// report, write the assignment. Ctrl-C is wired to the run's
-/// `CancelToken` so a long search returns best-so-far instead of dying.
-fn run_partitioner(
-    args: &Args,
-    source: &GraphSource,
-    backend: Option<Backend>,
-    sample: Option<f64>,
-) -> Result<u8, String> {
+/// Builds the `Partitioner`, runs it, reports, writes the assignment.
+/// Ctrl-C is wired to the run's `CancelToken` so a long search returns
+/// best-so-far instead of dying.
+fn run_partitioner(args: &Args, source: &GraphSource, backend: Backend) -> Result<u8, String> {
     // A single-node backend is its own sweep schedule and exchanges no
     // moves, so `--mcmc` or `--sync-period` there would be silently ignored.
-    if let Some(single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch)) = backend {
+    if let single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch) = backend {
         if let Some(mcmc) = args.get("mcmc") {
             return Err(format!(
                 "--mcmc {mcmc} sets the sweep schedule of the dcsbp and edist backends; the \
@@ -214,16 +281,14 @@ fn run_partitioner(
         GraphSource::Mem(graph) => Partitioner::on(graph),
         GraphSource::Shards(dir) => Partitioner::on_sharded(dir),
     }
+    .backend(backend)
     .config(sbp)
     .sync_period(sync_period(args)?)
     .fault_plan(fault_plan(args)?)
     .checkpoint_every(args.positive("checkpoint-every", 1)? as usize);
-    if let Some(backend) = backend {
-        partitioner = partitioner.backend(backend);
-    }
-    if let Some(fraction) = sample {
+    if args.get("sample").is_some() {
         let strategy = parse_strategy(args.get("strategy").unwrap_or("snowball"))?;
-        partitioner = partitioner.sample(strategy, fraction);
+        partitioner = partitioner.sample(strategy, args.num("sample", 0.5f64)?);
     }
     if let Some(path) = args.get("checkpoint") {
         partitioner = partitioner.checkpoint_to(path);
@@ -235,114 +300,16 @@ fn run_partitioner(
     if sigint::install(token.clone()) {
         partitioner = partitioner.cancel_token(token);
     }
-    let show_progress = args.switch("progress");
-    let mlog = match args.get("metrics-out") {
-        Some(path) => {
-            // Zero the process-wide registry so the snapshot line at the
-            // end covers exactly this run.
-            sbp_metrics::reset();
-            let log = MetricsLog::create(path)?;
-            Some(std::rc::Rc::new(std::cell::RefCell::new(log)))
-        }
-        None => None,
-    };
-    if let Some(m) = &mlog {
-        let backend_name = args.get("backend").unwrap_or(match source {
-            GraphSource::Mem(_) => "sequential",
-            GraphSource::Shards(_) => "edist",
-        });
-        let vertices = match source {
-            GraphSource::Mem(graph) => graph.num_vertices(),
-            GraphSource::Shards(dir) => shard_header(dir)?.num_vertices,
-        };
-        m.borrow_mut().line(jobj(vec![
-            ("type", jstr("meta")),
-            ("schema", jnum(1.0)),
-            ("backend", jstr(backend_name)),
-            ("seed", jnum(seed as f64)),
-            ("vertices", jnum(vertices as f64)),
-        ]));
-    }
-    if show_progress || mlog.is_some() {
-        let mlog = mlog.clone();
-        partitioner = partitioner.progress(move |event| {
-            let log = |line| {
-                if let Some(m) = &mlog {
-                    m.borrow_mut().line(jobj(line));
-                }
-            };
-            match event {
-                ProgressEvent::ClusterStarted { ranks } if show_progress => {
-                    eprintln!("spawning {ranks} simulated ranks");
-                }
-                ProgressEvent::PhaseStarted { phase } if show_progress => {
-                    eprintln!("phase: {phase}");
-                }
-                ProgressEvent::Sweep {
-                    iteration,
-                    sweep,
-                    dl,
-                    proposed,
-                    accepted,
-                } => {
-                    if show_progress {
-                        eprintln!(
-                            "  iter {iteration:>3} sweep {sweep:>3}: DL {dl:.2}  \
-                             ({accepted}/{proposed} proposals accepted)"
-                        );
-                    }
-                    log(vec![
-                        ("type", jstr("sweep")),
-                        ("iteration", jnum(*iteration as f64)),
-                        ("sweep", jnum(*sweep as f64)),
-                        ("dl", jnum(*dl)),
-                        ("proposed", jnum(*proposed as f64)),
-                        ("accepted", jnum(*accepted as f64)),
-                    ]);
-                }
-                ProgressEvent::Iteration { iteration, stat } => {
-                    if show_progress {
-                        eprintln!(
-                            "iter {iteration:>3}: {:>6} blocks  DL {:.2}  ({} sweeps, {} moves)",
-                            stat.num_blocks, stat.dl, stat.sweeps, stat.moves
-                        );
-                    }
-                    let mut line = vec![
-                        ("type", jstr("iteration")),
-                        ("iteration", jnum(*iteration as f64)),
-                        ("blocks", jnum(stat.num_blocks as f64)),
-                        ("dl", jnum(stat.dl)),
-                    ];
-                    if let Some(kib) = mlog.as_ref().and_then(|_| peak_rss_kib()) {
-                        line.push(("peak_rss_kib", jnum(kib as f64)));
-                    }
-                    log(line);
-                }
-                _ => {}
-            }
-        });
-    }
-    let run = partitioner.run().map_err(|e| e.to_string())?;
-    if let Some(m) = &mlog {
-        let mut m = m.borrow_mut();
-        m.line(jobj(vec![
-            ("type", jstr("summary")),
-            ("dl", jnum(run.description_length)),
-            ("blocks", jnum(run.num_blocks as f64)),
-            ("wall_seconds", jnum(run.wall_seconds)),
-            ("virtual_seconds", jnum(run.virtual_seconds)),
-        ]));
-        m.line(jobj(vec![
-            ("type", jstr("snapshot")),
-            ("metrics", sbp_metrics::snapshot().to_json()),
-        ]));
-        m.finish()?;
-        eprintln!("metrics written to {}", m.path);
-    }
+    let mut log = RunLog::open(args, source, seed)?;
+    let run = partitioner
+        .progress(|event| log.on_event(event))
+        .run()
+        .map_err(|e| e.to_string())?;
+    log.finish(&run)?;
     report_run(args, source, &run, None)
 }
 
-/// The one reporter behind every `partition`/`sample` path: run notes
+/// The one reporter behind every `partition` path: run notes
 /// and the summary line on stderr, `--trajectory-out`, the assignment.
 /// `tcp_rank` is `Some` for one rank of a real cluster, whose view of
 /// the [`ClusterReport`] is rank-local; results are bit-identical across
@@ -457,32 +424,20 @@ pub fn cmd_partition(args: &Args) -> Result<u8, String> {
         "tcp-local" => return cluster::cmd_partition_tcp_local(args),
         _ => {}
     }
-    let ranks: usize = args.num("ranks", 4usize)?;
-    let name = args.get("backend");
     let source = graph_source(args)?;
-    let backend = match (&source, name, args.get("ranks")) {
-        // A sharded source defaults to EDiSt on one rank per shard; a
-        // file source keeps the historical sequential default.
-        (GraphSource::Shards(_), None, None) => None,
-        // An explicit --ranks travels into the backend so the facade's
-        // shard-count check rejects mismatches with its own message.
-        (GraphSource::Shards(_), None, Some(_)) => Some(Backend::Edist { ranks }),
-        (GraphSource::Shards(_), Some(name), Some(_)) => Some(parse_backend(name, ranks)?),
-        // Only a named backend WITHOUT --ranks needs the shard count up
-        // front — the single case the CLI pre-reads the headers for
-        // (the facade validates once more when it runs).
-        (GraphSource::Shards(dir), Some(name), None) => {
-            let header = shard_header(dir)?;
-            Some(parse_backend(name, header.shard_count)?)
-        }
-        (GraphSource::Mem(_), None, _) => Some(Backend::Sequential),
-        (GraphSource::Mem(_), Some(name), _) => Some(parse_backend(name, ranks)?),
+    // A sharded source runs EDiSt on one rank per shard unless --backend
+    // or --ranks says otherwise (the facade refuses a rank count that is
+    // not the shard count); a file source runs sequential by default.
+    let ranks = match (&source, args.get("ranks")) {
+        (GraphSource::Shards(dir), None) => shard_header(dir)?.shard_count,
+        _ => args.num("ranks", 4usize)?,
     };
-    let sample = match args.get("sample") {
-        Some(_) => Some(args.num("sample", 0.5f64)?),
-        None => None,
+    let backend = match (&source, args.get("backend")) {
+        (_, Some(name)) => parse_backend(name, ranks)?,
+        (GraphSource::Shards(_), None) => Backend::Edist { ranks },
+        (GraphSource::Mem(_), None) => Backend::Sequential,
     };
-    run_partitioner(args, &source, backend, sample)
+    run_partitioner(args, &source, backend)
 }
 
 /// Writes the run's iteration trajectory in an exact, diff-friendly
@@ -510,17 +465,6 @@ fn write_trajectory(
     }
     let _ = writeln!(text, "final {} {:016x}", blocks, dl.to_bits());
     std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
-}
-
-pub fn cmd_sample(args: &Args) -> Result<u8, String> {
-    let graph = load(args)?;
-    let fraction: f64 = args.num("fraction", 0.5f64)?;
-    run_partitioner(
-        args,
-        &GraphSource::Mem(graph),
-        Some(Backend::Sequential),
-        Some(fraction),
-    )
 }
 
 /// `edist-cli report run.jsonl [--out report.html]`: render a

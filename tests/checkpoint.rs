@@ -442,6 +442,23 @@ fn unwritable_checkpoint_path_is_rejected_up_front() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A zero cadence is refused at `run()`, as a zero sync period is, never
+/// clamped to every boundary.
+#[test]
+fn zero_checkpoint_every_is_refused() {
+    let dir = temp_dir("every0");
+    let path = dir.join("a.sbpc");
+    let err = Partitioner::on(&fixture())
+        .config(cfg())
+        .checkpoint_to(&path)
+        .checkpoint_every(0)
+        .run()
+        .expect_err("checkpoint_every(0) must be refused");
+    assert_eq!(err, PartitionError::ZeroCheckpointEvery);
+    assert!(!path.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn checkpointing_is_rejected_on_unsupported_pipelines() {
     let dir = temp_dir("unsupported");

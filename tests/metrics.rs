@@ -338,75 +338,12 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
 
     // Schema-check the last emitted JSONL stream.
     let jsonl_path = jsonl_path.expect("a metrics-enabled run happened");
-    let text = std::fs::read_to_string(&jsonl_path).expect("metrics file written");
-    let lines: Vec<Value> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| Value::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}")))
-        .collect();
-    assert!(!lines.is_empty(), "metrics stream is empty");
-
-    let kind = |v: &Value| v.get("type").and_then(Value::as_str).map(str::to_string);
-    assert_eq!(
-        kind(&lines[0]).as_deref(),
-        Some("meta"),
-        "stream must open with the meta header"
-    );
-    assert_eq!(lines[0].get("schema").and_then(Value::as_f64), Some(1.0));
-    assert!(lines[0].get("backend").and_then(Value::as_str).is_some());
-
-    let of_type = |t: &str| -> Vec<&Value> {
-        lines
-            .iter()
-            .filter(|v| kind(v).as_deref() == Some(t))
-            .collect()
-    };
-    let sweeps = of_type("sweep");
-    assert!(!sweeps.is_empty(), "no sweep lines in the stream");
-    for s in &sweeps {
-        for field in ["iteration", "sweep", "dl", "proposed", "accepted"] {
-            assert!(
-                s.get(field).and_then(Value::as_f64).is_some(),
-                "sweep line missing numeric {field:?}: {s}"
-            );
-        }
-    }
-    let iterations = of_type("iteration");
-    assert!(!iterations.is_empty(), "no iteration lines in the stream");
-    for it in &iterations {
-        for field in ["iteration", "blocks", "dl"] {
-            assert!(it.get(field).and_then(Value::as_f64).is_some());
-        }
-    }
-    // Where procfs exists, each iteration line carries the process's peak
-    // resident set so far, which can only grow.
-    if std::path::Path::new("/proc/self/status").exists() {
-        let peaks: Vec<f64> = iterations
-            .iter()
-            .map(|it| {
-                it.get("peak_rss_kib")
-                    .and_then(Value::as_f64)
-                    .expect("peak_rss_kib")
-            })
-            .collect();
-        assert!(
-            peaks[0] > 0.0 && peaks.windows(2).all(|p| p[0] <= p[1]),
-            "{peaks:?}"
-        );
-    }
-    let dls: Vec<f64> = iterations
+    let (lines, snap) = schema_checked(&jsonl_path);
+    let dls: Vec<f64> = lines
         .iter()
+        .filter(|v| v.get("type").and_then(Value::as_str) == Some("iteration"))
         .map(|it| it.get("dl").and_then(Value::as_f64).expect("dl"))
         .collect();
-    let summaries = of_type("summary");
-    assert_eq!(summaries.len(), 1, "exactly one summary line expected");
-    for field in ["dl", "blocks", "wall_seconds", "virtual_seconds"] {
-        assert!(summaries[0].get(field).and_then(Value::as_f64).is_some());
-    }
-    let snapshots = of_type("snapshot");
-    assert_eq!(snapshots.len(), 1, "exactly one snapshot line expected");
-    let snap = Snapshot::from_json(snapshots[0].get("metrics").expect("snapshot has metrics"))
-        .expect("snapshot decodes");
     assert!(
         matches!(
             snap.metrics.get("sbp_solver_sweeps_total"),
@@ -485,6 +422,133 @@ fn cli_metrics_out_is_bit_invariant_and_schema_valid() {
     let written = std::fs::read_to_string(&report_path).expect("report written");
     assert!(written.contains("<html"));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parses a `--metrics-out` stream and holds it to the schema: it opens
+/// with the `meta` header; `sweep` lines carry proposal tallies and
+/// `iteration` lines their block count and DL (and, where procfs exists,
+/// a peak resident set that only grows); exactly one `summary`, and one
+/// `snapshot` that decodes back into a [`Snapshot`].
+fn schema_checked(path: &std::path::Path) -> (Vec<Value>, Snapshot) {
+    let text = std::fs::read_to_string(path).expect("metrics file written");
+    let lines: Vec<Value> = text
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| Value::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}")))
+        .collect();
+    assert!(!lines.is_empty(), "metrics stream is empty");
+
+    let kind = |v: &Value| v.get("type").and_then(Value::as_str).map(str::to_string);
+    assert_eq!(
+        kind(&lines[0]).as_deref(),
+        Some("meta"),
+        "stream must open with the meta header"
+    );
+    assert_eq!(lines[0].get("schema").and_then(Value::as_f64), Some(1.0));
+    assert!(lines[0].get("backend").and_then(Value::as_str).is_some());
+
+    let of_type = |t: &str| -> Vec<&Value> {
+        lines
+            .iter()
+            .filter(|v| kind(v).as_deref() == Some(t))
+            .collect()
+    };
+    let sweeps = of_type("sweep");
+    assert!(!sweeps.is_empty(), "no sweep lines in the stream");
+    for s in &sweeps {
+        for field in ["iteration", "sweep", "dl", "proposed", "accepted"] {
+            assert!(
+                s.get(field).and_then(Value::as_f64).is_some(),
+                "sweep line missing numeric {field:?}: {s}"
+            );
+        }
+    }
+    let iterations = of_type("iteration");
+    assert!(!iterations.is_empty(), "no iteration lines in the stream");
+    for it in &iterations {
+        for field in ["iteration", "blocks", "dl"] {
+            assert!(it.get(field).and_then(Value::as_f64).is_some());
+        }
+    }
+    if std::path::Path::new("/proc/self/status").exists() {
+        let peaks: Vec<f64> = iterations
+            .iter()
+            .map(|it| {
+                it.get("peak_rss_kib")
+                    .and_then(Value::as_f64)
+                    .expect("peak_rss_kib")
+            })
+            .collect();
+        assert!(
+            peaks[0] > 0.0 && peaks.windows(2).all(|p| p[0] <= p[1]),
+            "{peaks:?}"
+        );
+    }
+    let summaries = of_type("summary");
+    assert_eq!(summaries.len(), 1, "exactly one summary line expected");
+    for field in ["dl", "blocks", "wall_seconds", "virtual_seconds"] {
+        assert!(summaries[0].get(field).and_then(Value::as_f64).is_some());
+    }
+    let snapshots = of_type("snapshot");
+    assert_eq!(snapshots.len(), 1, "exactly one snapshot line expected");
+    let snap = Snapshot::from_json(snapshots[0].get("metrics").expect("snapshot has metrics"))
+        .expect("snapshot decodes");
+    (lines, snap)
+}
+
+/// `--progress` prints the run on stderr — the cluster start, one line
+/// per sweep and one per iteration, and under `--sample` the sampling
+/// phase — while `--metrics-out` on the same run still writes a stream
+/// that holds to the schema.
+#[test]
+fn cli_progress_prints_the_run_beside_a_valid_metrics_stream() {
+    let dir = std::env::temp_dir().join(format!("sbp_progress_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let graph = path("g.mtx");
+    cli(
+        &[
+            "generate",
+            "--family",
+            "challenge",
+            "--vertices",
+            "120",
+            "--difficulty",
+            "easy",
+            "--out",
+            &graph,
+        ],
+        &[],
+    );
+    let edist = ["--backend", "edist", "--ranks", "2", "--progress", "true"];
+    for sample in [None, Some("0.5")] {
+        let (jsonl, out) = (path("run.jsonl"), path("a.txt"));
+        let mut args = vec!["partition", "--graph", &graph, "--seed", "5"];
+        args.extend(edist);
+        args.extend(["--metrics-out", &jsonl, "--out", &out]);
+        if let Some(fraction) = sample {
+            args.extend(["--sample", fraction]);
+        }
+        let stderr = cli(&args, &[]);
+        let has = |pred: &dyn Fn(&str) -> bool| stderr.lines().any(pred);
+        assert!(has(&|l| l == "spawning 2 simulated ranks"), "{stderr}");
+        assert!(
+            has(&|l| l.starts_with("  iter ") && l.contains(" sweep ") && l.contains(": DL ")),
+            "{stderr}"
+        );
+        assert!(
+            has(&|l| l.starts_with("iter ") && l.contains(" blocks  DL ")),
+            "{stderr}"
+        );
+        assert_eq!(
+            has(&|l| l == "phase: sample"),
+            sample.is_some(),
+            "{sample:?}: {stderr}"
+        );
+        schema_checked(std::path::Path::new(&jsonl));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
