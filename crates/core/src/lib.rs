@@ -76,7 +76,6 @@ pub mod mcmc;
 pub mod merge;
 pub mod plane;
 pub mod propose;
-pub mod registry;
 pub mod run;
 pub mod sbp;
 
@@ -89,7 +88,6 @@ pub use golden::{GoldenBracket, NextStep};
 pub use mcmc::{keyed_mh_sweep, mh_sweep, AcceptedMove};
 pub use merge::{apply_merges, merge_labels, propose_merges, MergeCandidate};
 pub use propose::{propose_for_block, propose_for_vertex};
-pub use registry::{RegistryError, SolverRegistry, SolverSpec};
 pub use run::{
     CancelToken, CheckpointSpec, DegradedReason, NoProgress, ProgressEvent, ProgressFn,
     ProgressSink, RunConfig, RunOutcome, SingleNode, Solver, WarmStart,

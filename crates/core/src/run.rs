@@ -453,7 +453,7 @@ impl<S: Solver + ?Sized> Solver for Box<S> {
 pub struct SingleNode(pub McmcStrategy);
 
 impl Solver for SingleNode {
-    /// `sequential`, `hybrid` or `batch`: the registry's names.
+    /// `sequential`, `hybrid` or `batch`: the names `--backend` takes.
     fn name(&self) -> String {
         match self.0 {
             McmcStrategy::MetropolisHastings => "sequential",

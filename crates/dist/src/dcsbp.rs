@@ -208,26 +208,23 @@ pub(crate) fn combine_parts(parts: Vec<Vec<(u32, u32)>>, num_vertices: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::DcSbp;
+    use crate::run::ShardedBackend;
+    use crate::solver::DistSolver;
     use sbp_core::run::Solver;
     use sbp_graph::fixtures::two_cliques;
     use sbp_graph::Graph;
-    use sbp_mpi::CostModel;
 
-    fn solve(graph: &Graph, solver: DcSbp) -> RunOutcome {
+    fn solve(graph: &Graph, solver: DistSolver) -> RunOutcome {
         solver.solve(graph, &RunConfig::default(), &mut NoProgress)
     }
 
-    fn zero_cost(ranks: usize) -> DcSbp {
-        DcSbp {
-            cost: CostModel::zero(),
-            ..DcSbp::new(ranks)
-        }
+    fn dcsbp(ranks: usize) -> DistSolver {
+        DistSolver::new(ShardedBackend::DcSbp, ranks)
     }
 
     #[test]
     fn single_rank_recovers_two_cliques() {
-        let res = solve(&two_cliques(8), zero_cost(1));
+        let res = solve(&two_cliques(8), dcsbp(1));
         assert_eq!(res.num_blocks, 2);
         assert_eq!(res.assignment.len(), 16);
         assert!(res.cluster.expect("cluster report").makespan >= 0.0);
@@ -235,9 +232,9 @@ mod tests {
 
     #[test]
     fn skip_finetune_still_returns_valid_partition() {
-        let solver = DcSbp {
+        let solver = DistSolver {
             skip_finetune: true,
-            ..zero_cost(2)
+            ..dcsbp(2)
         };
         let res = solve(&two_cliques(6), solver);
         assert_eq!(res.assignment.len(), 12);
@@ -250,7 +247,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_handled() {
-        let res = solve(&Graph::from_edges(0, Vec::new()), zero_cost(2));
+        let res = solve(&Graph::from_edges(0, Vec::new()), dcsbp(2));
         assert!(res.assignment.is_empty());
         assert_eq!(res.num_blocks, 0);
     }
@@ -268,7 +265,7 @@ mod tests {
 
     #[test]
     fn more_ranks_than_vertices() {
-        let res = solve(&two_cliques(2), zero_cost(6));
+        let res = solve(&two_cliques(2), dcsbp(6));
         assert_eq!(res.assignment.len(), 4);
     }
 }

@@ -393,7 +393,8 @@ impl<C: Communicator, D: EdistData> Plane for DistPlane<'_, C, D> {
 #[cfg(test)]
 mod tests {
     use super::{DistPlane, ReplicatedData};
-    use crate::solver::Edist;
+    use crate::run::ShardedBackend;
+    use crate::solver::DistSolver;
     use sbp_core::plane::LocalPlane;
     use sbp_core::run::{NoProgress, ProgressEvent, ProgressFn, RunConfig, RunOutcome, Solver};
     use sbp_core::sbp::golden_search;
@@ -505,20 +506,17 @@ mod tests {
         assert!(prev_kept, "prev was advanced");
     }
 
-    fn solve(graph: &Graph, solver: Edist) -> RunOutcome {
+    fn solve(graph: &Graph, solver: DistSolver) -> RunOutcome {
         solver.solve(graph, &RunConfig::default(), &mut NoProgress)
     }
 
-    fn zero_cost(ranks: usize) -> Edist {
-        Edist {
-            cost: CostModel::zero(),
-            ..Edist::new(ranks)
-        }
+    fn edist(ranks: usize) -> DistSolver {
+        DistSolver::new(ShardedBackend::Edist { sync_period: 1 }, ranks)
     }
 
     #[test]
     fn single_rank_recovers_two_cliques() {
-        let res = solve(&two_cliques(8), zero_cost(1));
+        let res = solve(&two_cliques(8), edist(1));
         assert_eq!(res.num_blocks, 2);
         assert_eq!(res.assignment[0], res.assignment[7]);
         assert_ne!(res.assignment[0], res.assignment[8]);
@@ -526,18 +524,15 @@ mod tests {
 
     #[test]
     fn sync_period_two_still_converges() {
-        let solver = Edist {
-            sync_period: 2,
-            ..zero_cost(3)
-        };
+        let solver = DistSolver::new(ShardedBackend::Edist { sync_period: 2 }, 3);
         assert_eq!(solve(&two_cliques(8), solver).num_blocks, 2);
     }
 
     #[test]
     fn modulo_ownership_works_too() {
-        let solver = Edist {
+        let solver = DistSolver {
             ownership: OwnershipStrategy::Modulo,
-            ..zero_cost(2)
+            ..edist(2)
         };
         let res = solve(&two_cliques(8), solver);
         assert_eq!(res.assignment.len(), 16);
@@ -546,7 +541,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_handled() {
-        let res = solve(&Graph::from_edges(0, Vec::new()), zero_cost(3));
+        let res = solve(&Graph::from_edges(0, Vec::new()), edist(3));
         assert!(res.assignment.is_empty());
         assert_eq!(res.num_blocks, 0);
     }

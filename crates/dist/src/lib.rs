@@ -10,8 +10,8 @@
 //! ```text
 //!  callers                   the run path (mod run)              sbp-core
 //!  ───────                   ──────────────────────              ────────
-//!  Edist::solve  ┐                                      EDiSt    golden_search ─► Plane
-//!  DcSbp::solve  ├► run_thread_cluster ─┐              ┌──────►   (the one loop)    │
+//!  DistSolver    ┐                                      EDiSt    golden_search ─► Plane
+//!                ├► run_thread_cluster ─┐              ┌──────►   (the one loop)    │
 //!  run_sharded   ┘   streams rank-0     ├► run_rank ───┤                            ├─ LocalPlane
 //!                    events, folds      │  one fault   │ DC-SBP                     │   (single node)
 //!  run_tcp_rank ────────────────────────┘  decoration, └──────► dcsbp::dcsbp_driver └─ edist::DistPlane
@@ -49,10 +49,10 @@
 //!   sums) into one [`sbp_core::RunOutcome`] with a [`ClusterReport`]. A
 //!   TCP process can only see itself and attaches a one-rank view.
 //!
-//! The entrypoints are the [`Solver`](sbp_core::Solver) backends
-//! [`DcSbp`] and [`Edist`] and [`run_sharded`] (usually reached through
-//! the `edist` facade's `Partitioner` builder), and [`run_tcp_rank`] for
-//! one rank of a real cluster.
+//! The entrypoints are [`DistSolver`], the one [`Solver`](sbp_core::Solver)
+//! for both algorithms over a replicated graph, and [`run_sharded`]
+//! (both usually reached through the `edist` facade's `Partitioner`
+//! builder), and [`run_tcp_rank`] for one rank of a real cluster.
 //!
 //! ## Coordinated unwind
 //!
@@ -94,7 +94,7 @@ pub use fault::{Fault, FaultComm, FaultPlan, RankDeath};
 pub use ownership::{balanced_ownership, modulo_ownership, owned_blocks, OwnershipStrategy};
 pub use run::{run_sharded, ShardedBackend};
 pub use sbp_mpi::ClusterReport;
-pub use solver::{register_solvers, DcSbp, Edist};
+pub use solver::DistSolver;
 pub use tcprun::{run_tcp_rank, TcpRun, TcpSource};
 
 /// SplitMix64-style mixing used to derive per-rank / per-phase RNG streams

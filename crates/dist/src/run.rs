@@ -5,7 +5,7 @@
 //!
 //! `run_rank` is the SPMD program of one rank, generic over the
 //! [`Communicator`]: the thread simulator (`run_thread_cluster`, behind
-//! the [`crate::Edist`] / [`crate::DcSbp`] solvers and [`run_sharded`])
+//! the [`crate::DistSolver`] solver and [`run_sharded`])
 //! and a real TCP process ([`crate::run_tcp_rank`]) execute it verbatim,
 //! so their collective schedules cannot drift apart — which is what
 //! EDiSt's exactness claim rests on.
@@ -51,6 +51,16 @@ pub enum ShardedBackend {
     /// DC-SBP. Over shards it always runs the "no fine-tune" variant: the
     /// root never holds the whole graph.
     DcSbp,
+}
+
+impl ShardedBackend {
+    /// `edist` or `dcsbp`, the driver's `--backend` name.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShardedBackend::Edist { .. } => "edist",
+            ShardedBackend::DcSbp => "dcsbp",
+        }
+    }
 }
 
 /// One distributed run as every rank sees it.

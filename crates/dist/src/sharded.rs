@@ -480,7 +480,7 @@ mod tests {
     use crate::exchange::{CellFold, ExchangeStats};
     use crate::fault::FaultPlan;
     use crate::run::{run_sharded, ShardedBackend};
-    use crate::solver::Edist;
+    use crate::solver::DistSolver;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use sbp_core::hybrid::BATCH_CHUNKS;
@@ -1085,12 +1085,9 @@ mod tests {
                 shard_graph(&g, &dir, ranks, strategy).unwrap();
                 let cfg = RunConfig::seeded(42);
                 let (sharded, _) = run(&dir, ShardedBackend::Edist { sync_period: 1 }, &cfg);
-                let mono = Edist {
-                    ranks,
-                    cost: CostModel::zero(),
+                let mono = DistSolver {
                     ownership: strategy,
-                    sync_period: 1,
-                    fault: crate::fault::FaultPlan::none(),
+                    ..DistSolver::new(ShardedBackend::Edist { sync_period: 1 }, ranks)
                 }
                 .solve(&g, &RunConfig::seeded(42), &mut NoProgress);
                 assert_eq!(sharded.assignment, mono.assignment, "{strategy:?}×{ranks}");

@@ -1,7 +1,7 @@
-//! [`Solver`] backends for the distributed algorithms on the in-process
-//! thread cluster — thin callers of the one run path in [`crate::run`],
-//! which streams rank 0's progress events to the caller's
-//! [`ProgressSink`] and folds the per-rank outcomes.
+//! The distributed algorithms as one [`Solver`] on the in-process thread
+//! cluster — a thin caller of the one run path in [`crate::run`], which
+//! streams rank 0's progress events to the caller's [`ProgressSink`] and
+//! folds the per-rank outcomes.
 
 use crate::fault::FaultPlan;
 use crate::ownership::OwnershipStrategy;
@@ -10,19 +10,22 @@ use sbp_core::run::{ProgressSink, RunConfig, RunOutcome, Solver};
 use sbp_graph::Graph;
 use sbp_mpi::CostModel;
 
-/// The EDiSt backend (paper Algs. 4–5): full replication, partitioned
-/// work, exact inference at any rank count.
+/// EDiSt (paper Algs. 4–5: full replication, partitioned work, exact
+/// inference at any rank count) or DC-SBP (Alg. 3: round-robin data
+/// distribution, independent per-rank inference, root-side combination
+/// and fine-tuning) on `ranks` simulated ranks, every one holding the
+/// whole graph. The virtual clocks run on the HDR-100 interconnect model.
 #[derive(Clone, Debug)]
-pub struct Edist {
+pub struct DistSolver {
+    /// Which driver runs, and EDiSt's sync period.
+    pub backend: ShardedBackend,
     /// Simulated MPI ranks.
     pub ranks: usize,
-    /// Interconnect cost model for the virtual clocks.
-    pub cost: CostModel,
-    /// Vertex-ownership scheme for the MCMC phase.
+    /// EDiSt's vertex-ownership scheme for the MCMC phase; DC-SBP always
+    /// distributes round-robin.
     pub ownership: OwnershipStrategy,
-    /// Sweeps between move exchanges (1 = the paper's every-sweep
-    /// allgather).
-    pub sync_period: usize,
+    /// Skip DC-SBP's root-side fine-tuning pass (ablation switch).
+    pub skip_finetune: bool,
     /// Deterministic fault injection ([`crate::fault`]); empty = none.
     /// An injected kill/mangle degrades the run coordinately (all
     /// survivors return best-so-far with `degraded` set) instead of
@@ -30,133 +33,55 @@ pub struct Edist {
     pub fault: FaultPlan,
 }
 
-impl Edist {
-    /// EDiSt on `ranks` simulated ranks with the default HDR-100
-    /// interconnect and ownership scheme.
-    pub fn new(ranks: usize) -> Self {
-        Edist {
+impl DistSolver {
+    /// `backend` on `ranks` simulated ranks with the default ownership
+    /// scheme, fine-tuning and no faults.
+    pub fn new(backend: ShardedBackend, ranks: usize) -> Self {
+        DistSolver {
+            backend,
             ranks,
-            cost: CostModel::hdr100(),
             ownership: OwnershipStrategy::default(),
-            sync_period: 1,
+            skip_finetune: false,
             fault: FaultPlan::none(),
         }
     }
 }
 
-impl Default for Edist {
-    fn default() -> Self {
-        Edist::new(4)
-    }
-}
-
-impl Solver for Edist {
+impl Solver for DistSolver {
+    /// `edist(ranks=N)` or `dcsbp(ranks=N)`.
     fn name(&self) -> String {
-        format!("edist(ranks={})", self.ranks.max(1))
+        format!("{}(ranks={})", self.backend.name(), self.ranks.max(1))
     }
 
     fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
         let job = RankJob {
             source: Source::Graph(graph),
-            backend: ShardedBackend::Edist {
-                sync_period: self.sync_period,
-            },
+            backend: self.backend,
             ownership: self.ownership,
-            skip_finetune: false,
-            cfg,
-            fault: &self.fault,
-        };
-        run_thread_cluster(self.ranks.max(1), self.cost, &job, progress).outcome
-    }
-}
-
-/// The DC-SBP backend (paper Alg. 3): round-robin data distribution,
-/// independent per-rank inference, root-side combination + fine-tuning.
-#[derive(Clone, Debug)]
-pub struct DcSbp {
-    /// Simulated MPI ranks.
-    pub ranks: usize,
-    /// Interconnect cost model for the virtual clocks.
-    pub cost: CostModel,
-    /// Skip the root-side fine-tuning pass (ablation switch).
-    pub skip_finetune: bool,
-    /// Deterministic fault injection, as on [`Edist::fault`].
-    pub fault: FaultPlan,
-}
-
-impl DcSbp {
-    /// DC-SBP on `ranks` simulated ranks with the default HDR-100
-    /// interconnect.
-    pub fn new(ranks: usize) -> Self {
-        DcSbp {
-            ranks,
-            cost: CostModel::hdr100(),
-            skip_finetune: false,
-            fault: FaultPlan::none(),
-        }
-    }
-}
-
-impl Default for DcSbp {
-    fn default() -> Self {
-        DcSbp::new(4)
-    }
-}
-
-impl Solver for DcSbp {
-    fn name(&self) -> String {
-        format!("dcsbp(ranks={})", self.ranks.max(1))
-    }
-
-    fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
-        let job = RankJob {
-            source: Source::Graph(graph),
-            backend: ShardedBackend::DcSbp,
-            ownership: OwnershipStrategy::default(),
             skip_finetune: self.skip_finetune,
             cfg,
             fault: &self.fault,
         };
-        run_thread_cluster(self.ranks.max(1), self.cost, &job, progress).outcome
+        run_thread_cluster(self.ranks.max(1), CostModel::hdr100(), &job, progress).outcome
     }
-}
-
-/// Registers the distributed backends (`edist`, `dcsbp`) into a
-/// name-keyed [`SolverRegistry`](sbp_core::registry::SolverRegistry), so
-/// the CLI and the `sbp-serve` daemon can resolve them by name alongside
-/// the single-node ones.
-pub fn register_solvers(reg: &mut sbp_core::registry::SolverRegistry) {
-    reg.register("edist", |spec| {
-        if spec.ranks == 0 {
-            return Err("ranks must be >= 1".into());
-        }
-        if spec.sync_period == 0 {
-            return Err("sync period must be >= 1".into());
-        }
-        let mut solver = Edist::new(spec.ranks);
-        solver.sync_period = spec.sync_period;
-        Ok(Box::new(solver))
-    });
-    reg.register("dcsbp", |spec| {
-        if spec.ranks == 0 {
-            return Err("ranks must be >= 1".into());
-        }
-        Ok(Box::new(DcSbp::new(spec.ranks)))
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbp_core::registry::{SolverRegistry, SolverSpec};
     use sbp_core::run::{CancelToken, NoProgress, ProgressEvent, ProgressFn};
     use sbp_core::McmcStrategy;
     use sbp_graph::fixtures::two_cliques;
 
+    const EDIST: ShardedBackend = ShardedBackend::Edist { sync_period: 1 };
+
     #[test]
     fn edist_solver_recovers_and_reports_cluster() {
         let g = two_cliques(8);
-        let out = Edist::new(3).solve(&g, &RunConfig::seeded(7), &mut NoProgress);
+        let solver = DistSolver::new(EDIST, 3);
+        assert_eq!(solver.name(), "edist(ranks=3)");
+        assert!(!solver.supports_warm_start());
+        let out = solver.solve(&g, &RunConfig::seeded(7), &mut NoProgress);
         assert_eq!(out.num_blocks, 2);
         assert!(!out.iterations.is_empty());
         let rep = out.cluster.expect("distributed backend reports cluster");
@@ -178,7 +103,9 @@ mod tests {
     #[test]
     fn dcsbp_solver_recovers_and_reports_cluster() {
         let g = two_cliques(8);
-        let out = DcSbp::new(2).solve(&g, &RunConfig::seeded(1), &mut NoProgress);
+        let solver = DistSolver::new(ShardedBackend::DcSbp, 2);
+        assert_eq!(solver.name(), "dcsbp(ranks=2)");
+        let out = solver.solve(&g, &RunConfig::seeded(1), &mut NoProgress);
         assert_eq!(out.assignment.len(), 16);
         assert_eq!(out.num_blocks, 2);
         assert_eq!(out.cluster.expect("cluster report").ranks, 2);
@@ -194,7 +121,7 @@ mod tests {
             ProgressEvent::ClusterStarted { ranks } => started = *ranks,
             _ => {}
         });
-        let out = Edist::new(2).solve(&g, &RunConfig::seeded(3), &mut sink);
+        let out = DistSolver::new(EDIST, 2).solve(&g, &RunConfig::seeded(3), &mut sink);
         let _ = sink;
         assert_eq!(started, 2);
         assert_eq!(iterations, out.iterations.len());
@@ -206,39 +133,11 @@ mod tests {
         let g = two_cliques(6);
         let cfg = RunConfig::seeded(2);
         cfg.cancel.cancel();
-        let out = Edist::new(3).solve(&g, &cfg, &mut NoProgress);
+        let out = DistSolver::new(EDIST, 3).solve(&g, &cfg, &mut NoProgress);
         assert!(out.cancelled);
         // Nothing ran: the seeded identity bracket entry comes back,
         // consistently on every rank (no collective mismatch / deadlock).
         assert_eq!(out.num_blocks, 12);
-    }
-
-    #[test]
-    fn registry_resolves_distributed_backends() {
-        let mut reg = SolverRegistry::with_core_backends();
-        register_solvers(&mut reg);
-        let spec = SolverSpec {
-            ranks: 3,
-            sync_period: 2,
-        };
-        let edist = reg.build("edist", &spec).unwrap();
-        assert_eq!(edist.name(), "edist(ranks=3)");
-        assert!(!edist.supports_warm_start());
-        let dcsbp = reg.build("dcsbp", &spec).unwrap();
-        assert_eq!(dcsbp.name(), "dcsbp(ranks=3)");
-        // Registry-built EDiSt actually solves.
-        let g = two_cliques(8);
-        let out = edist.solve(&g, &RunConfig::seeded(7), &mut NoProgress);
-        assert_eq!(out.num_blocks, 2);
-        assert!(reg
-            .build(
-                "edist",
-                &SolverSpec {
-                    ranks: 0,
-                    sync_period: 1
-                }
-            )
-            .is_err());
     }
 
     #[test]
@@ -261,7 +160,7 @@ mod tests {
                 token.cancel();
             }
         });
-        let out = Edist::new(2).solve(&g, &cfg, &mut sink);
+        let out = DistSolver::new(EDIST, 2).solve(&g, &cfg, &mut sink);
         // The run either finished just before the token landed or aborted
         // early; in both cases the partition must be coherent.
         assert_eq!(out.assignment.len(), 16);

@@ -69,7 +69,7 @@ pub fn run_tcp_rank(
     let job = RankJob {
         source,
         backend,
-        // The thread-backed `Edist` solver's default; keeping it fixed
+        // The thread-backed `DistSolver`'s default; keeping it fixed
         // preserves bit-identity with `partition --backend edist` at the
         // same rank count.
         ownership: OwnershipStrategy::default(),

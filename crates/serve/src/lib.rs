@@ -36,10 +36,10 @@
 //! on `--resume`, after a solve that hands none back, and in a warm round
 //! whose deltas move `(C, E)` across [`sbp_core::auto_picks_dense`] (see
 //! [`server`]). A cold `Repartition` falls back to the full `C = V`
-//! search. Backends
-//! resolve by name through [`sbp_core::SolverRegistry`], so downstream
-//! crates can serve their own solvers; warm mode is refused with a
-//! typed error for backends that do not support it.
+//! search. Backends resolve by name through the [`server::Resolver`]
+//! the server is built with (the `edist` facade's `default_registry`,
+//! which knows every `--backend` name); warm mode is refused with a typed
+//! error for backends that do not support it.
 
 #![forbid(unsafe_code)]
 
@@ -50,5 +50,5 @@ pub mod server;
 pub use client::{Client, ClientError};
 pub use protocol::{Request, Response};
 pub use server::{
-    dirty_set, serve, Listen, ServeError, Server, ServerOptions, CONNECTION_IO_TIMEOUT,
+    dirty_set, serve, Listen, Resolver, ServeError, Server, ServerOptions, CONNECTION_IO_TIMEOUT,
 };

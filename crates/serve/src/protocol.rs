@@ -169,8 +169,10 @@ pub enum Request {
     Repartition {
         /// Warm or cold restart.
         mode: RepartitionMode,
-        /// Backend name resolved through the server's solver registry;
+        /// Backend name resolved through the server's [`Resolver`];
         /// empty selects the server's configured default.
+        ///
+        /// [`Resolver`]: crate::server::Resolver
         backend: String,
     },
     /// Query block labels for a strictly ascending vertex-id list.

@@ -29,7 +29,6 @@ use crate::protocol::{
 };
 use sbp_core::checkpoint::CheckpointState;
 use sbp_core::golden::BracketEntry;
-use sbp_core::registry::{SolverRegistry, SolverSpec};
 use sbp_core::run::{NoProgress, RunConfig, RunOutcome, Solver, WarmStart};
 use sbp_core::sbp::build_model;
 use sbp_core::{Blockmodel, IterationStat};
@@ -101,13 +100,20 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
+/// Builds the solver a backend name stands for, on `ranks` ranks with
+/// `sync_period` sweeps between EDiSt's move exchanges; the error names
+/// what is wrong with the name or the two numbers.
+pub type Resolver = fn(&str, usize, usize) -> Result<Box<dyn Solver>, String>;
+
 /// Daemon configuration.
 #[derive(Clone, Debug)]
 pub struct ServerOptions {
-    /// Default backend name, resolved through the registry.
+    /// Default backend name, resolved through the server's [`Resolver`].
     pub backend: String,
-    /// Construction parameters for registry factories.
-    pub spec: SolverSpec,
+    /// Ranks of a distributed backend.
+    pub ranks: usize,
+    /// Sweeps between EDiSt's move exchanges.
+    pub sync_period: usize,
     /// Master seed for every solve the daemon runs.
     pub seed: u64,
     /// Restore state from this `.sbpc` snapshot instead of solving cold
@@ -121,7 +127,8 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             backend: "sequential".into(),
-            spec: SolverSpec::default(),
+            ranks: 1,
+            sync_period: 1,
             seed: 0,
             resume: None,
             checkpoint_on_shutdown: None,
@@ -153,7 +160,7 @@ pub fn dirty_set(graph: &Graph, deltas: &[EdgeDelta]) -> Vec<Vertex> {
 }
 
 /// The resident server: graph, the blockmodel of the warm partition,
-/// pending deltas, and the solver registry every `Repartition` resolves
+/// pending deltas, and the [`Resolver`] every `Repartition` resolves
 /// backends through.
 pub struct Server {
     graph: Graph,
@@ -167,7 +174,7 @@ pub struct Server {
     pending: Vec<EdgeDelta>,
     degraded: u8,
     options: ServerOptions,
-    registry: SolverRegistry,
+    resolve: Resolver,
     started: std::time::Instant,
     ingests: u64,
     repartitions: u64,
@@ -202,24 +209,14 @@ impl Server {
     pub fn new(
         graph: Graph,
         options: ServerOptions,
-        registry: SolverRegistry,
+        resolve: Resolver,
     ) -> Result<Self, ServeError> {
-        if !registry.contains(&options.backend) {
-            return Err(ServeError::Config(format!(
-                "unknown backend '{}' (known: {})",
-                options.backend,
-                registry.names().join(", ")
-            )));
-        }
+        let solver = resolve(&options.backend, options.ranks, options.sync_period)
+            .map_err(ServeError::Config)?;
         let started = std::time::Instant::now();
         let mut outcome = match &options.resume {
             Some(path) => restore(&graph, path)?,
-            None => {
-                let solver = registry
-                    .build(&options.backend, &options.spec)
-                    .map_err(|e| ServeError::Config(e.to_string()))?;
-                solver.solve(&graph, &RunConfig::seeded(options.seed), &mut NoProgress)
-            }
+            None => solver.solve(&graph, &RunConfig::seeded(options.seed), &mut NoProgress),
         };
         Ok(Server {
             model: model_of(&graph, &mut outcome),
@@ -229,7 +226,7 @@ impl Server {
             pending: Vec::new(),
             degraded: degraded_byte(outcome.degraded),
             options,
-            registry,
+            resolve,
             started,
             ingests: 0,
             repartitions: 0,
@@ -242,9 +239,7 @@ impl Server {
         } else {
             backend
         };
-        self.registry
-            .build(name, &self.options.spec)
-            .map_err(|e| e.to_string())
+        (self.resolve)(name, self.options.ranks, self.options.sync_period)
     }
 
     fn adopt(&mut self, mut outcome: RunOutcome) {
@@ -674,12 +669,24 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbp_core::run::SingleNode;
+    use sbp_core::McmcStrategy;
+    use sbp_dist::{DistSolver, ShardedBackend};
     use sbp_graph::fixtures::two_cliques;
 
-    fn default_registry() -> SolverRegistry {
-        let mut reg = SolverRegistry::with_core_backends();
-        sbp_dist::register_solvers(&mut reg);
-        reg
+    /// The two names these tests solve with; the facade's
+    /// `default_registry` knows every backend.
+    fn default_registry() -> Resolver {
+        |name, ranks, sync_period| -> Result<Box<dyn Solver>, String> {
+            match name {
+                "sequential" => Ok(Box::new(SingleNode(McmcStrategy::MetropolisHastings))),
+                "edist" => Ok(Box::new(DistSolver::new(
+                    ShardedBackend::Edist { sync_period },
+                    ranks,
+                ))),
+                other => Err(format!("unknown backend '{other}'")),
+            }
+        }
     }
 
     fn test_server(seed: u64) -> Server {
@@ -870,7 +877,7 @@ mod tests {
                 ..
             }
         ));
-        // Cold through the same registry-resolved backend works.
+        // Cold through the same resolved backend works.
         let (resp, _) = s.handle(Request::Repartition {
             mode: RepartitionMode::Cold,
             backend: "edist".into(),

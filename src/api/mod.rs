@@ -25,12 +25,13 @@ use sbp_core::run::{
     CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, ProgressFn, ProgressSink,
     RunConfig, RunOutcome, SingleNode, Solver, WarmStart,
 };
-use sbp_core::{CheckpointState, IterationStat, McmcStrategy, SbpConfig, SolverRegistry};
-use sbp_dist::{run_sharded, DcSbp, Edist, FaultPlan, OwnershipStrategy, ShardedBackend};
+use sbp_core::{CheckpointState, IterationStat, McmcStrategy, SbpConfig};
+use sbp_dist::{run_sharded, DistSolver, FaultPlan, OwnershipStrategy, ShardedBackend};
 use sbp_eval::normalized_dl;
 use sbp_graph::Graph;
 use sbp_mpi::{ClusterReport, CostModel};
 use sbp_sample::{Sampled, SamplingStrategy};
+use sbp_serve::Resolver;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -65,6 +66,28 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// Every name [`Backend::parse`] takes, sorted; `sbp` is a second
+    /// name for `sequential`.
+    pub const NAMES: [&'static str; 6] = ["batch", "dcsbp", "edist", "hybrid", "sbp", "sequential"];
+
+    /// The backend a `--backend` name stands for; `ranks` sizes the
+    /// distributed ones.
+    pub fn parse(name: &str, ranks: usize) -> Result<Backend, String> {
+        Ok(match name {
+            "sequential" | "sbp" => Backend::Sequential,
+            "hybrid" => Backend::Hybrid,
+            "batch" => Backend::Batch,
+            "dcsbp" => Backend::DcSbp { ranks },
+            "edist" => Backend::Edist { ranks },
+            other => {
+                return Err(format!(
+                    "unknown backend '{other}' (known: {})",
+                    Self::NAMES.join(", ")
+                ))
+            }
+        })
+    }
+
     /// The driver this backend runs as over shards, on a cluster of TCP
     /// ranks or on simulated in-memory ones, and its rank count. With
     /// `shards`, the rank count must equal it: one rank loads exactly one
@@ -568,19 +591,16 @@ impl<'a> Partitioner<'a> {
                 }
                 Box::new(SingleNode(self.effective_strategy()))
             }
-            backend => match backend.distributed(self.sync_period, None)? {
-                (ShardedBackend::DcSbp, ranks) => Box::new(DcSbp {
+            backend => {
+                let (driver, ranks) = backend.distributed(self.sync_period, None)?;
+                Box::new(DistSolver {
+                    backend: driver,
+                    ranks,
+                    ownership: self.ownership.unwrap_or_default(),
                     skip_finetune: self.skip_finetune.unwrap_or(false),
                     fault: self.fault.clone(),
-                    ..DcSbp::new(ranks)
-                }),
-                (ShardedBackend::Edist { sync_period }, ranks) => Box::new(Edist {
-                    ownership: self.ownership.unwrap_or_default(),
-                    sync_period,
-                    fault: self.fault.clone(),
-                    ..Edist::new(ranks)
-                }),
-            },
+                })
+            }
         };
         match self.sample {
             None => Ok(base),
@@ -789,21 +809,17 @@ impl<'a> Partitioner<'a> {
         }
         let backend = self.backend.unwrap_or(Backend::Edist { ranks: shards });
         let (sharded, _) = backend.distributed(self.sync_period, Some(shards))?;
-        let name = match sharded {
-            ShardedBackend::Edist { .. } => "edist",
-            // Sharded DC-SBP cannot fine-tune (the root never holds the
-            // whole graph); an explicit request for fine-tuning must
-            // error, not be silently forced off.
-            ShardedBackend::DcSbp if self.skip_finetune == Some(false) => {
-                return Err(PartitionError::ShardedUnsupported(
-                    "DC-SBP fine-tuning is not available over sharded input \
-                     (it needs the whole graph on the root; run Edist over the \
-                     same shards to refine distributively)"
-                        .into(),
-                ));
-            }
-            ShardedBackend::DcSbp => "dcsbp",
-        };
+        // Sharded DC-SBP cannot fine-tune (the root never holds the whole
+        // graph); an explicit request for fine-tuning must error, not be
+        // silently forced off.
+        if sharded == ShardedBackend::DcSbp && self.skip_finetune == Some(false) {
+            return Err(PartitionError::ShardedUnsupported(
+                "DC-SBP fine-tuning is not available over sharded input \
+                 (it needs the whole graph on the root; run Edist over the \
+                 same shards to refine distributively)"
+                    .into(),
+            ));
+        }
         let (checkpoint, resume) = self.checkpoint_cfg(header.num_vertices, None)?;
         let cfg = RunConfig {
             sbp: self.sbp.clone(),
@@ -824,7 +840,7 @@ impl<'a> Partitioner<'a> {
             &mut self.progress,
         );
         Ok(Run::from_outcome(
-            format!("{name}-sharded(ranks={shards})"),
+            format!("{}-sharded(ranks={shards})", sharded.name()),
             outcome,
             wall.elapsed().as_secs_f64(),
             Some(ingest),
@@ -846,16 +862,18 @@ pub fn run_solver<S: Solver + ?Sized>(
     Run::from_outcome(solver.name(), outcome, wall.elapsed().as_secs_f64(), None)
 }
 
-/// The full name-keyed solver registry this workspace ships: the four
-/// single-node core backends (`sequential`/`sbp`, `hybrid`, `batch`)
-/// plus the distributed ones (`edist`, `dcsbp`). The daemon
-/// (`edist-cli serve`) resolves `--backend` through this registry, and the
-/// CLI's typed `--backend` spellings are tested equal to its names;
-/// downstream crates extend a copy via [`SolverRegistry::register`].
-pub fn default_registry() -> SolverRegistry {
-    let mut registry = SolverRegistry::with_core_backends();
-    sbp_dist::register_solvers(&mut registry);
-    registry
+/// The daemon's [`Resolver`]: a name of [`Backend::NAMES`] on `ranks`
+/// ranks, checked as [`Backend::distributed`] checks it, becomes the
+/// solver [`Partitioner`] builds for that backend over a graph.
+pub fn default_registry() -> Resolver {
+    |name, ranks, sync_period| {
+        let backend = Backend::parse(name, ranks)?;
+        // The builder's solver reads nothing of the graph it runs over.
+        let none = Graph::from_edges(0, Vec::new());
+        let partitioner = Partitioner::on(&none).backend(backend);
+        let solver = partitioner.sync_period(sync_period).solver();
+        solver.map_err(|e| e.to_string())
+    }
 }
 
 #[cfg(test)]

@@ -182,7 +182,7 @@ mod tests {
     use args::SWITCH;
     use edist::prelude::*;
     use graphs::read_assignment;
-    use partition::{parse_backend, parse_strategy};
+    use partition::parse_strategy;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
@@ -331,13 +331,16 @@ mod tests {
         assert!(run(&argv(&["help"])).is_ok());
     }
 
+    /// An unknown `--backend` is refused with every known name, by
+    /// `partition` and by `serve`, before either reads the graph.
     #[test]
     fn unknown_backend_is_an_error() {
-        assert!(parse_backend("quantum", 2).is_err());
-        assert!(parse_backend("edist", 2).is_ok());
-        // The typed spellings and the registry's names are one list.
-        for name in default_registry().names() {
-            assert!(parse_backend(&name, 2).is_ok(), "registry name '{name}'");
+        let known = "batch, dcsbp, edist, hybrid, sbp, sequential";
+        let want = format!("unknown backend 'quantum' (known: {known})");
+        let serve = ["serve", "--listen", "unix:/no/such/d.sock"];
+        for command in [&["partition"][..], &serve] {
+            let line = [command, &["--graph", NO_GRAPH, "--backend", "quantum"]].concat();
+            assert_eq!(run(&argv(&line)), Err(want.clone()), "{command:?}");
         }
         assert!(parse_strategy("telepathy").is_err());
     }
@@ -901,6 +904,39 @@ mod tests {
         ))
         .unwrap();
         let _ = std::fs::remove_file(out);
+    }
+
+    /// DC-SBP exchanges no moves: `--sync-period` is refused by name on
+    /// every `partition` path and on `serve`, before any graph is read.
+    #[test]
+    fn sync_period_is_refused_on_dcsbp() {
+        let gpath = tiny_graph("sync_period_dcsbp");
+        let g = gpath.to_str().unwrap();
+        let dcsbp = ["--backend", "dcsbp", "--ranks", "2", "--sync-period", "3"];
+        let partition = [&["partition", "--graph", g][..], &dcsbp].concat();
+        let tcp = [
+            "--cluster",
+            "tcp",
+            "--rank",
+            "0",
+            "--coordinator",
+            "127.0.0.1:1",
+        ];
+        let want = "--sync-period 3 sets how often the edist backend exchanges moves; \
+                    the dcsbp backend exchanges none";
+        for extra in [&[][..], &tcp, &["--cluster", "tcp-local"]] {
+            let got = run(&argv(&[&partition[..], extra].concat()));
+            assert_eq!(got, Err(want.into()), "{extra:?}");
+        }
+        let serve = [
+            "serve",
+            "--graph",
+            NO_GRAPH,
+            "--listen",
+            "unix:/no/such/d.sock",
+        ];
+        assert_eq!(run(&argv(&[&serve[..], &dcsbp].concat())), Err(want.into()));
+        let _ = std::fs::remove_file(gpath);
     }
 
     /// `--strategy` only picks the sampler of `--sample`.

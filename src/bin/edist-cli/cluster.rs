@@ -5,9 +5,7 @@
 
 use crate::args::{flags, Args};
 use crate::graphs::{graph_source, shard_header, GraphSource};
-use crate::partition::{
-    fault_plan, parse_backend, report_run, sbp_config, sync_period, IN_PROCESS,
-};
+use crate::partition::{fault_plan, report_run, resolve_backend, sbp_config, IN_PROCESS};
 use crate::sigint;
 use edist::prelude::*;
 use std::path::Path;
@@ -64,11 +62,11 @@ pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
     // never hangs a survivor longer than this.
     tcp.read_timeout = Some(read);
 
-    let name = args.get("backend").unwrap_or("edist");
+    let (backend, sync_period) = resolve_backend(args, "edist", ranks)?;
     let shard_count = |dir| shard_header(dir).map(|header| header.shard_count);
     let shards = args.get("sharded").map(shard_count).transpose()?;
-    let (backend, _) = parse_backend(name, ranks)?
-        .distributed(sync_period(args)?, shards)
+    let (backend, _) = backend
+        .distributed(sync_period, shards)
         .map_err(|e| e.to_string())?;
     let source = graph_source(args)?;
     let cfg = RunConfig::from_sbp(sbp_config(args)?);
@@ -81,7 +79,7 @@ pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
     let tcp_run = run_tcp_rank(&tcp, tcp_source, backend, &cfg, &fault_plan(args)?)
         .map_err(|e| format!("tcp cluster (rank {rank}): {e}"))?;
     let wall = tcp_run.outcome.cluster.map_or(0.0, |r| r.wall_seconds);
-    let backend = format!("{name}(ranks={ranks})+tcp");
+    let backend = format!("{}(ranks={ranks})+tcp", backend.name());
     let run = Run::from_outcome(backend, tcp_run.outcome, wall, tcp_run.ingest);
     report_run(args, &source, &run, Some(rank))
 }
@@ -98,8 +96,9 @@ pub fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
     refuse_in_process_flags(args)?;
     // Refused once here, not by every child.
     let ranks: usize = args.num("ranks", 4usize)?;
-    parse_backend(args.get("backend").unwrap_or("edist"), ranks)?
-        .distributed(sync_period(args)?, None)
+    let (backend, sync_period) = resolve_backend(args, "edist", ranks)?;
+    backend
+        .distributed(sync_period, None)
         .map_err(|e| e.to_string())?;
     timeouts(args)?;
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0))

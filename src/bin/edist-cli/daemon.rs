@@ -4,7 +4,7 @@
 
 use crate::args::{flags, Args, SWITCH};
 use crate::graphs::{graph_source, GraphSource};
-use crate::partition::sync_period;
+use crate::partition::resolve_backend;
 use edist::prelude::*;
 use edist::serve::protocol::RepartitionMode;
 use edist::serve::Listen;
@@ -13,7 +13,7 @@ use std::path::Path;
 
 pub const SERVE: &str = "\
 --listen ADDR      unix:PATH or tcp:HOST:PORT (required)
---backend NAME     registry backend to solve with (default sequential)
+--backend NAME     backend to solve with, by partition's names (default sequential)
 --ranks N          ranks of a distributed backend (default 1)
 --resume FILE      boot from a snapshot of the same graph instead of solving
 --checkpoint FILE  snapshot to write on shutdown";
@@ -37,6 +37,8 @@ pub const CONNECT: &str = "\
 
 pub fn cmd_serve(args: &Args) -> Result<u8, String> {
     let listen = Listen::parse(args.require("listen")?).map_err(|e| e.to_string())?;
+    let ranks = args.num("ranks", 1usize)?;
+    let (_, sync_period) = resolve_backend(args, "sequential", ranks)?;
     let graph = match graph_source(args)? {
         GraphSource::Mem(graph) => graph,
         GraphSource::Shards(dir) => edist::graph::shard::unshard_graph(Path::new(&dir))
@@ -44,10 +46,8 @@ pub fn cmd_serve(args: &Args) -> Result<u8, String> {
     };
     let options = ServerOptions {
         backend: args.get("backend").unwrap_or("sequential").to_string(),
-        spec: SolverSpec {
-            ranks: args.num("ranks", 1usize)?,
-            sync_period: sync_period(args)?,
-        },
+        ranks,
+        sync_period,
         seed: args.num("seed", 0u64)?,
         resume: args.get("resume").map(std::path::PathBuf::from),
         checkpoint_on_shutdown: args.get("checkpoint").map(std::path::PathBuf::from),

@@ -192,23 +192,6 @@ impl ProgressSink for RunLog {
     }
 }
 
-pub fn parse_backend(name: &str, ranks: usize) -> Result<Backend, String> {
-    Ok(match name {
-        // `sbp` is the registry's second name for the sequential backend.
-        "sequential" | "sbp" => Backend::Sequential,
-        "hybrid" => Backend::Hybrid,
-        "batch" => Backend::Batch,
-        "dcsbp" => Backend::DcSbp { ranks },
-        "edist" => Backend::Edist { ranks },
-        other => {
-            return Err(format!(
-                "unknown backend '{other}' (known: {})",
-                default_registry().names().join(", ")
-            ))
-        }
-    })
-}
-
 pub fn parse_strategy(name: &str) -> Result<SamplingStrategy, String> {
     Ok(match name {
         "uniform" => SamplingStrategy::UniformNode,
@@ -240,14 +223,47 @@ pub fn sbp_config(args: &Args) -> Result<SbpConfig, String> {
     Ok(sbp)
 }
 
+/// `--backend NAME` (`default` without it) on `ranks` ranks, and
 /// `--sync-period N` (default 1), EDiSt's sweeps between move exchanges:
-/// read here once for the in-process, TCP-rank and daemon paths alike,
-/// so each honours it and each refuses 0 with the facade's own error.
-pub fn sync_period(args: &Args) -> Result<usize, String> {
-    match args.num("sync-period", 1usize)? {
-        0 => Err(PartitionError::ZeroSyncPeriod.to_string()),
-        period => Ok(period),
+/// the one check of these flags that every `partition` path (thread,
+/// `tcp`, `tcp-local`) and `serve` make. A period of 0 and zero ranks get
+/// the facade's own errors; a flag the backend would ignore — `--mcmc` on
+/// a single-node backend, `--sync-period` on any but edist — is refused
+/// by name.
+pub fn resolve_backend(
+    args: &Args,
+    default: &str,
+    ranks: usize,
+) -> Result<(Backend, usize), String> {
+    let name = args.get("backend").unwrap_or(default);
+    let backend = Backend::parse(name, ranks)?;
+    let sync_period = match args.num("sync-period", 1usize)? {
+        0 => return Err(PartitionError::ZeroSyncPeriod.to_string()),
+        period => period,
+    };
+    if let single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch) = backend {
+        if let Some(mcmc) = args.get("mcmc") {
+            return Err(format!(
+                "--mcmc {mcmc} sets the sweep schedule of the dcsbp and edist backends; the \
+                 {single} backend runs its own: pick it with --backend batch|hybrid|sequential"
+            ));
+        }
     }
+    match (args.get("sync-period"), backend) {
+        (_, Backend::Edist { .. }) | (None, _) => {}
+        (Some(period), _) => {
+            return Err(format!(
+                "--sync-period {period} sets how often the edist backend exchanges moves; \
+                 the {name} backend exchanges none"
+            ))
+        }
+    }
+    if let Backend::Edist { .. } | Backend::DcSbp { .. } = backend {
+        backend
+            .distributed(sync_period, None)
+            .map_err(|e| e.to_string())?;
+    }
+    Ok((backend, sync_period))
 }
 
 pub fn fault_plan(args: &Args) -> Result<FaultPlan, String> {
@@ -258,23 +274,12 @@ pub fn fault_plan(args: &Args) -> Result<FaultPlan, String> {
 /// Builds the `Partitioner`, runs it, reports, writes the assignment.
 /// Ctrl-C is wired to the run's `CancelToken` so a long search returns
 /// best-so-far instead of dying.
-fn run_partitioner(args: &Args, source: &GraphSource, backend: Backend) -> Result<u8, String> {
-    // A single-node backend is its own sweep schedule and exchanges no
-    // moves, so `--mcmc` or `--sync-period` there would be silently ignored.
-    if let single @ (Backend::Sequential | Backend::Hybrid | Backend::Batch) = backend {
-        if let Some(mcmc) = args.get("mcmc") {
-            return Err(format!(
-                "--mcmc {mcmc} sets the sweep schedule of the dcsbp and edist backends; the \
-                 {single} backend runs its own: pick it with --backend batch|hybrid|sequential"
-            ));
-        }
-        if let Some(period) = args.get("sync-period") {
-            return Err(format!(
-                "--sync-period {period} sets how often the edist backend exchanges moves; \
-                 the {single} backend exchanges none"
-            ));
-        }
-    }
+fn run_partitioner(
+    args: &Args,
+    source: &GraphSource,
+    backend: Backend,
+    sync_period: usize,
+) -> Result<u8, String> {
     let sbp = sbp_config(args)?;
     let seed = sbp.seed;
     let mut partitioner = match source {
@@ -283,7 +288,7 @@ fn run_partitioner(args: &Args, source: &GraphSource, backend: Backend) -> Resul
     }
     .backend(backend)
     .config(sbp)
-    .sync_period(sync_period(args)?)
+    .sync_period(sync_period)
     .fault_plan(fault_plan(args)?)
     .checkpoint_every(args.positive("checkpoint-every", 1)? as usize);
     if args.get("sample").is_some() {
@@ -424,20 +429,18 @@ pub fn cmd_partition(args: &Args) -> Result<u8, String> {
         "tcp-local" => return cluster::cmd_partition_tcp_local(args),
         _ => {}
     }
-    let source = graph_source(args)?;
     // A sharded source runs EDiSt on one rank per shard unless --backend
     // or --ranks says otherwise (the facade refuses a rank count that is
     // not the shard count); a file source runs sequential by default.
-    let ranks = match (&source, args.get("ranks")) {
-        (GraphSource::Shards(dir), None) => shard_header(dir)?.shard_count,
+    let sharded = args.get("sharded");
+    let ranks = match (sharded, args.get("ranks")) {
+        (Some(dir), None) => shard_header(dir)?.shard_count,
         _ => args.num("ranks", 4usize)?,
     };
-    let backend = match (&source, args.get("backend")) {
-        (_, Some(name)) => parse_backend(name, ranks)?,
-        (GraphSource::Shards(_), None) => Backend::Edist { ranks },
-        (GraphSource::Mem(_), None) => Backend::Sequential,
-    };
-    run_partitioner(args, &source, backend)
+    let default = sharded.map_or("sequential", |_| "edist");
+    let (backend, sync_period) = resolve_backend(args, default, ranks)?;
+    let source = graph_source(args)?;
+    run_partitioner(args, &source, backend, sync_period)
 }
 
 /// Writes the run's iteration trajectory in an exact, diff-friendly

@@ -149,11 +149,10 @@ pub mod prelude {
     pub use sbp_core::{
         solve_sbp, Blockmodel, CancelToken, CheckpointError, CheckpointSpec, CheckpointState,
         DegradedReason, GoldenBracket, IterationStat, McmcStrategy, NoProgress, ProgressEvent,
-        ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, Solver, SolverRegistry,
-        SolverSpec, WarmStart,
+        ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, Solver, WarmStart,
     };
     pub use sbp_dist::{
-        load_dist_graph, run_sharded, DcSbp, DistError, DistGraph, Edist, Fault, FaultComm,
+        load_dist_graph, run_sharded, DistError, DistGraph, DistSolver, Fault, FaultComm,
         FaultPlan, OwnershipStrategy, ShardIngestReport, ShardedBackend,
     };
     pub use sbp_eval::{adjusted_rand_index, nmi, normalized_dl};

@@ -343,3 +343,31 @@ fn islands_refuses_a_bad_rank_list_before_printing() {
     assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `serve` checks its backend before it loads the graph: zero ranks exit
+/// 1 with `partition`'s own error, and nothing is loaded or solved first.
+#[test]
+fn serve_refuses_zero_ranks_before_loading_the_graph() {
+    let dir = std::env::temp_dir().join(format!("edist_serve_ranks_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.txt");
+    std::fs::write(&graph, "0 1\n1 2\n2 0\n2 3\n3 4\n4 5\n5 3\n").unwrap();
+    let listen = format!("unix:{}", dir.join("d.sock").display());
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_edist-cli"))
+        .args([
+            "serve",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--listen",
+            &listen,
+        ])
+        .args(["--backend", "edist", "--ranks", "0"])
+        .output()
+        .expect("running edist-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let want = format!("error: {}", edist::PartitionError::ZeroRanks);
+    assert!(stderr.contains(&want), "{stderr}");
+    assert!(!stderr.contains("loaded graph"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

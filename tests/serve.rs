@@ -10,7 +10,6 @@
 //! over a real unix socket, including a malformed-frame probe that the
 //! daemon must survive.
 
-use edist::core::RegistryError;
 use edist::graph::fixtures::{clique_ring, clique_ring_truth, two_cliques};
 use edist::graph::{EdgeDelta, Graph};
 use edist::prelude::*;
@@ -668,35 +667,47 @@ fn facade_rejects_invalid_warm_starts_with_typed_errors() {
 
 #[test]
 fn registry_resolution_matches_typed_backends() {
-    // The default registry and the typed Backend enum must produce
-    // solvers with identical results — the registry is a naming layer,
+    // The daemon's resolver and the typed Backend enum must produce
+    // solvers with identical results — the resolver is a naming layer,
     // not a fork of the configuration.
-    let graph = two_cliques(6);
+    let resolve = default_registry();
+    let graph = two_cliques(8);
+    for name in Backend::NAMES {
+        let typed = Backend::parse(name, 2).expect("a listed name parses");
+        let solver = resolve(name, 2, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(solver.name(), typed.to_string(), "{name}");
+        let distributed = matches!(typed, Backend::Edist { .. } | Backend::DcSbp { .. });
+        assert_eq!(solver.supports_warm_start(), !distributed, "{name}");
+        let out = solver.solve(&graph, &RunConfig::seeded(1), &mut NoProgress);
+        assert_eq!(out.num_blocks, 2, "{name}");
+        assert_eq!(out.cluster.is_some(), distributed, "{name}");
+    }
     let typed = Partitioner::on(&graph).seed(5).run().expect("typed run");
-    let spec = SolverSpec::default();
-    let named = default_registry()
-        .build("sequential", &spec)
-        .expect("registry solver");
-    let cfg = RunConfig::from_sbp(SbpConfig {
-        seed: 5,
-        ..SbpConfig::default()
-    });
-    let run = run_solver(named.as_ref(), &graph, &cfg, &mut NoProgress);
+    let named = resolve("sequential", 1, 1).expect("resolved solver");
+    let run = run_solver(
+        named.as_ref(),
+        &graph,
+        &RunConfig::seeded(5),
+        &mut NoProgress,
+    );
     assert_eq!(run.assignment, typed.assignment);
     assert_eq!(
         run.description_length.to_bits(),
         typed.description_length.to_bits()
     );
+    // Bad ranks and sync periods get the facade's own errors.
+    let zero_ranks = PartitionError::ZeroRanks.to_string();
+    assert_eq!(resolve("edist", 0, 1).err(), Some(zero_ranks.clone()));
+    assert_eq!(resolve("dcsbp", 0, 1).err(), Some(zero_ranks));
+    let zero_period = PartitionError::ZeroSyncPeriod.to_string();
+    assert_eq!(resolve("edist", 2, 0).err(), Some(zero_period));
     // Unknown names carry the full known-name list in the error.
-    match default_registry().build("quantum", &spec) {
-        Err(RegistryError::UnknownBackend { known, .. }) => {
-            for name in ["sequential", "hybrid", "batch", "edist", "dcsbp"] {
-                assert!(known.contains(&name.to_string()), "missing {name}");
-            }
-        }
-        Err(other) => panic!("expected UnknownBackend, got {other}"),
-        Ok(_) => panic!("expected UnknownBackend, got a solver"),
-    }
+    let unknown = resolve("quantum", 1, 1).err().expect("an unknown name");
+    let known = Backend::NAMES.join(", ");
+    assert_eq!(
+        unknown,
+        format!("unknown backend 'quantum' (known: {known})")
+    );
 }
 
 /// `count` cliques of `k` vertices each (all ordered pairs inside a
