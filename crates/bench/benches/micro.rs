@@ -35,9 +35,8 @@ use sbp_core::propose::{pick_by_cells, pick_weighted, propose_for_block, propose
 use sbp_core::sbp::{merge_phase, SbpConfig};
 use sbp_core::{Blockmodel, DeltaScratch, McmcStrategy, StorageKind};
 use sbp_dist::exchange::CellFold;
-use sbp_dist::{balanced_ownership, modulo_ownership};
 use sbp_gen::{graph_challenge, param_study, Difficulty, ParamStudySpec};
-use sbp_graph::Graph;
+use sbp_graph::{balanced_ownership, modulo_ownership, Graph};
 use sbp_mpi::{Communicator, CostModel, ThreadCluster};
 use std::collections::BTreeMap;
 use std::hint::black_box;

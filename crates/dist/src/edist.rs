@@ -48,12 +48,11 @@
 
 use crate::error::{guard_collectives, DecodeError, DistError};
 use crate::exchange::{check_moves, decode_moves, encode_moves, ExchangeStats};
-use crate::ownership::{owned_blocks, OwnershipStrategy};
 use sbp_core::mcmc::AcceptedMove;
 use sbp_core::merge::{propose_merges, MergeCandidate};
 use sbp_core::plane::Plane;
 use sbp_core::Blockmodel;
-use sbp_graph::{Graph, Vertex};
+use sbp_graph::{Graph, OwnershipStrategy, Vertex};
 use sbp_mpi::{Communicator, Wire};
 use std::cell::RefCell;
 use std::time::Instant;
@@ -219,6 +218,14 @@ pub fn apply_moves(
         }
     }
     Ok(moves)
+}
+
+/// Block ownership for the distributed merge phase: block `b` is proposed
+/// by rank `b mod n` (paper Alg. 4 line 3).
+fn owned_blocks(num_blocks: usize, rank: usize, n_ranks: usize) -> Vec<u32> {
+    (0..num_blocks as u32)
+        .filter(|&b| (b as usize) % n_ranks == rank)
+        .collect()
 }
 
 /// Per-rank wire counters, recorded at the sync points (observe-only: no
@@ -392,70 +399,84 @@ impl<C: Communicator, D: EdistData> Plane for DistPlane<'_, C, D> {
 
 #[cfg(test)]
 mod tests {
-    use super::{DistPlane, ReplicatedData};
+    use super::{owned_blocks, DistPlane, ReplicatedData};
     use crate::run::ShardedBackend;
     use crate::solver::DistSolver;
-    use sbp_core::plane::LocalPlane;
+    use sbp_core::plane::{LocalPlane, Plane};
     use sbp_core::run::{NoProgress, ProgressEvent, ProgressFn, RunConfig, RunOutcome, Solver};
     use sbp_core::sbp::golden_search;
     use sbp_core::{McmcStrategy, SbpConfig};
     use sbp_graph::fixtures::two_cliques;
     use sbp_graph::{Graph, OwnershipStrategy};
-    use sbp_mpi::{CostModel, SelfComm};
+    use sbp_mpi::thread::ThreadComm;
+    use sbp_mpi::{CostModel, ThreadCluster};
+
+    #[test]
+    fn owned_blocks_partition_the_block_space() {
+        let mut all: Vec<u32> = (0..3).flat_map(|r| owned_blocks(10, r, 3)).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..10).collect::<Vec<_>>());
+    }
+
+    /// Runs a search on `plane` whose sink cancels on the `k`-th `Sweep`
+    /// event, checks where it stopped, and returns what the stop left.
+    fn cancel_on_kth_sweep<P: Plane>(
+        plane: &P,
+        strategy: McmcStrategy,
+        k: usize,
+    ) -> (usize, usize, Vec<u32>) {
+        let cfg = RunConfig::from_sbp(SbpConfig {
+            seed: 11,
+            strategy,
+            ..SbpConfig::default()
+        });
+        let token = cfg.cancel.clone();
+        let (mut sweeps, mut at_k, mut last, mut named) = (0usize, None, None, None);
+        let mut sink = ProgressFn(|e: &ProgressEvent| match e {
+            ProgressEvent::Sweep { iteration, .. } => {
+                sweeps += 1;
+                last = Some(*iteration);
+                if sweeps == k {
+                    at_k = last;
+                    token.cancel();
+                }
+            }
+            ProgressEvent::Cancelled { iteration } => named = Some(*iteration),
+            _ => {}
+        });
+        let out = golden_search(plane, None, &cfg, 1, &mut sink).0;
+        let _ = sink;
+        assert!(out.cancelled, "{strategy:?} k={k}: fixture converged first");
+        let (at_k, last, named) = (at_k.unwrap(), last.unwrap(), named.unwrap());
+        if sweeps == k {
+            // The k-th sweep closed its phase: the next
+            // iteration top observed the token.
+            assert_eq!(named, at_k + 1, "{strategy:?} k={k}");
+        } else {
+            // One more sweep ran, its sync observed the token,
+            // and the cut-short iteration was still recorded.
+            assert_eq!((sweeps, named), (k + 1, last), "{strategy:?} k={k}");
+        }
+        assert_eq!(out.iterations.len(), last + 1, "{strategy:?} k={k}");
+        (out.iterations.len(), named, out.assignment)
+    }
 
     /// The one cancellation contract (`ProgressEvent::Cancelled`): a sink
     /// that cancels on the k-th `Sweep` event stops the single-node plane
-    /// and the distributed plane at the same point — the sync after the
-    /// *next* sweep, or the next iteration top — with the interrupted
-    /// iteration recorded and named.
+    /// and the distributed plane (on a one-rank cluster) at the same point
+    /// — the sync after the *next* sweep, or the next iteration top — with
+    /// the interrupted iteration recorded and named.
     #[test]
     fn cancelling_on_the_kth_sweep_stops_both_planes_identically() {
         let g = two_cliques(8);
         for strategy in [McmcStrategy::MetropolisHastings, McmcStrategy::Batch] {
             for k in [1usize, 2, 5, 9] {
-                let run = |distributed: bool| {
-                    let cfg = RunConfig::from_sbp(SbpConfig {
-                        seed: 11,
-                        strategy,
-                        ..SbpConfig::default()
-                    });
-                    let token = cfg.cancel.clone();
-                    let (mut sweeps, mut at_k, mut last, mut named) = (0usize, None, None, None);
-                    let mut sink = ProgressFn(|e: &ProgressEvent| match e {
-                        ProgressEvent::Sweep { iteration, .. } => {
-                            sweeps += 1;
-                            last = Some(*iteration);
-                            if sweeps == k {
-                                at_k = last;
-                                token.cancel();
-                            }
-                        }
-                        ProgressEvent::Cancelled { iteration } => named = Some(*iteration),
-                        _ => {}
-                    });
-                    let out = if distributed {
-                        let comm = SelfComm::new();
-                        let data = ReplicatedData::new(&g, OwnershipStrategy::default(), &comm);
-                        golden_search(&DistPlane::new(&comm, &data), None, &cfg, 1, &mut sink).0
-                    } else {
-                        golden_search(&LocalPlane::new(&g), None, &cfg, 1, &mut sink).0
-                    };
-                    let _ = sink;
-                    assert!(out.cancelled, "{strategy:?} k={k}: fixture converged first");
-                    let (at_k, last, named) = (at_k.unwrap(), last.unwrap(), named.unwrap());
-                    if sweeps == k {
-                        // The k-th sweep closed its phase: the next
-                        // iteration top observed the token.
-                        assert_eq!(named, at_k + 1, "{strategy:?} k={k}");
-                    } else {
-                        // One more sweep ran, its sync observed the token,
-                        // and the cut-short iteration was still recorded.
-                        assert_eq!((sweeps, named), (k + 1, last), "{strategy:?} k={k}");
-                    }
-                    assert_eq!(out.iterations.len(), last + 1, "{strategy:?} k={k}");
-                    (out.iterations.len(), named, out.assignment)
-                };
-                assert_eq!(run(false), run(true), "{strategy:?} k={k}");
+                let local = cancel_on_kth_sweep(&LocalPlane::new(&g), strategy, k);
+                let mut dist = ThreadCluster::run(1, CostModel::zero(), |comm: &ThreadComm| {
+                    let data = ReplicatedData::new(&g, OwnershipStrategy::default(), comm);
+                    cancel_on_kth_sweep(&DistPlane::new(comm, &data), strategy, k)
+                });
+                assert_eq!(local, dist.ranks.remove(0).result, "{strategy:?} k={k}");
             }
         }
     }
@@ -473,8 +494,7 @@ mod tests {
         use crate::exchange::{encode_moves, ExchangeStats};
         use sbp_core::mcmc::AcceptedMove;
         use sbp_core::Blockmodel;
-        use sbp_mpi::thread::ThreadComm;
-        use sbp_mpi::{Communicator, ThreadCluster};
+        use sbp_mpi::Communicator;
         let g = two_cliques(6);
         let labels: Vec<u32> = (0..12).map(|v| v % 4).collect();
         let foreign = encode_moves(&[AcceptedMove { v: 0, to: 1 }]);

@@ -344,8 +344,18 @@ impl<C: Communicator> Communicator for FaultComm<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbp_mpi::{CostModel, SelfComm, ThreadCluster};
+    use sbp_mpi::thread::ThreadComm;
+    use sbp_mpi::{CostModel, ThreadCluster};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Runs `f` on the one rank of a cluster whose collectives cost
+    /// nothing, so its clock reads that rank's CPU plus what is charged.
+    fn on_one_rank<R: Send>(f: impl Fn(&ThreadComm) -> R + Send + Sync) -> R {
+        ThreadCluster::run(1, CostModel::zero(), f)
+            .ranks
+            .remove(0)
+            .result
+    }
 
     #[test]
     fn parse_roundtrips_the_documented_syntax() {
@@ -392,42 +402,45 @@ mod tests {
 
     #[test]
     fn empty_plan_is_transparent() {
-        let inner = SelfComm::new();
-        let fc = FaultComm::new(&inner, FaultPlan::none());
-        assert_eq!(fc.allgatherv(vec![1u8, 2]), vec![vec![1u8, 2]]);
-        assert_eq!(fc.broadcast(0, Some(9u32)), 9);
-        assert_eq!(fc.stats().collectives, 2);
-        // A charge reaches the wrapped clock.
-        let t0 = fc.virtual_time();
-        fc.charge(5.0);
-        assert!((5.0..5.1).contains(&(inner.virtual_time() - t0)));
+        on_one_rank(|inner| {
+            let fc = FaultComm::new(inner, FaultPlan::none());
+            assert_eq!(fc.allgatherv(vec![1u8, 2]), vec![vec![1u8, 2]]);
+            assert_eq!(fc.broadcast(0, Some(9u32)), 9);
+            assert_eq!(fc.stats().collectives, 2);
+            // A charge reaches the wrapped clock.
+            let t0 = fc.virtual_time();
+            fc.charge(5.0);
+            assert!((5.0..5.1).contains(&(inner.virtual_time() - t0)));
+        });
     }
 
     #[test]
     fn kill_raises_typed_rank_death_at_the_exact_sync_point() {
-        let inner = SelfComm::new();
-        let plan = FaultPlan::parse("kill:0@2").expect("parses");
-        let fc = FaultComm::new(&inner, plan);
-        fc.allgatherv::<u8>(vec![]); // sync 0
-        fc.allgatherv::<u8>(vec![]); // sync 1
-        let err =
-            catch_unwind(AssertUnwindSafe(|| fc.allgatherv::<u8>(vec![]))).expect_err("killed");
-        let death = err.downcast_ref::<RankDeath>().expect("typed payload");
-        assert_eq!(death.rank, 0);
-        assert_eq!(death.sync_point, 2);
+        on_one_rank(|inner| {
+            let plan = FaultPlan::parse("kill:0@2").expect("parses");
+            let fc = FaultComm::new(inner, plan);
+            fc.allgatherv::<u8>(vec![]); // sync 0
+            fc.allgatherv::<u8>(vec![]); // sync 1
+            let err =
+                catch_unwind(AssertUnwindSafe(|| fc.allgatherv::<u8>(vec![]))).expect_err("killed");
+            let death = err.downcast_ref::<RankDeath>().expect("typed payload");
+            assert_eq!(death.rank, 0);
+            assert_eq!(death.sync_point, 2);
+        });
     }
 
     #[test]
     fn delay_skews_only_the_reported_clock() {
-        let inner = SelfComm::new();
-        let plan = FaultPlan::parse("delay:0@1:2.5").expect("parses");
-        let fc = FaultComm::new(&inner, plan);
-        fc.allgatherv::<u8>(vec![]); // sync 0: before the fault
-        assert!(fc.virtual_time() < 1.0);
-        fc.allgatherv::<u8>(vec![]); // sync 1: fault fires
-        let skewed = fc.virtual_time();
-        assert!(skewed >= 2.5, "clock not skewed: {skewed}");
-        assert!(inner.virtual_time() < 1.0, "inner clock must be untouched");
+        on_one_rank(|inner| {
+            let plan = FaultPlan::parse("delay:0@1:2.5").expect("parses");
+            let fc = FaultComm::new(inner, plan);
+            fc.allgatherv::<u8>(vec![]); // sync 0: before the fault
+            assert!(fc.virtual_time() < 1.0);
+            fc.allgatherv::<u8>(vec![]); // sync 1: fault fires
+            let skewed = fc.virtual_time();
+            assert!(skewed >= 2.5, "clock not skewed: {skewed}");
+            assert!(inner.virtual_time() < 1.0, "inner clock must be untouched");
+        });
     }
 
     #[test]

@@ -8,16 +8,16 @@
 //! crate's plane.
 //!
 //! ```text
-//!  callers                   the run path (mod run)              sbp-core
-//!  ───────                   ──────────────────────              ────────
-//!  DistSolver    ┐                                      EDiSt    golden_search ─► Plane
-//!                ├► run_thread_cluster ─┐              ┌──────►   (the one loop)    │
-//!  run_sharded   ┘   streams rank-0     ├► run_rank ───┤                            ├─ LocalPlane
-//!                    events, folds      │  one fault   │ DC-SBP                     │   (single node)
-//!  run_tcp_rank ────────────────────────┘  decoration, └──────► dcsbp::dcsbp_driver └─ edist::DistPlane
-//!    one OS process = one rank             guarded               (Alg. 3; its local     over Communicator ×
-//!                                          ingest                solves and fine-tune   {ReplicatedData,
-//!                                                                are solve_sbp)          ShardedData}
+//! callers                      the run path (mod run)               sbp-core
+//! ───────                      ──────────────────────               ────────
+//! DistSolver::run ─► run_thread_cluster ─┐              EDiSt    golden_search ─► Plane
+//!   over a Graph      streams rank-0     │            ┌──────►   (the one loop)    │
+//!   or Shards;        events, folds      ├► run_rank ─┤                            ├─ LocalPlane
+//!   Solver::solve                        │  one fault │ DC-SBP                     │   (single node)
+//!   is a Graph run                       │  decoration└──────► dcsbp::dcsbp_driver └─ edist::DistPlane
+//! run_tcp_rank ──────────────────────────┘  guarded             (Alg. 3; its local     over Communicator ×
+//!   one OS process = one rank,              ingest              solves and fine-tune   {ReplicatedData,
+//!   the same DistSolver                                         are solve_sbp)          ShardedData}
 //! ```
 //!
 //! * **Source** ([`run::Source`]): a replicated [`sbp_graph::Graph`], or a
@@ -26,6 +26,9 @@
 //!   replicated blockmodel is (re)built and how peers' moves reach it —
 //!   and everything above it is generic over the data plane, so sharded
 //!   runs are bit-identical to replicated ones (see [`sharded`]).
+//! * **Run description** ([`DistSolver`]): backend, rank count, ownership,
+//!   fine-tune switch and fault plan — the one description of a run, on
+//!   either source and either transport.
 //! * **Rank body** (`run::run_rank`): generic over
 //!   [`sbp_mpi::Communicator`], so the thread simulator and a TCP process
 //!   execute the identical collective schedule. It is the one place a
@@ -49,10 +52,11 @@
 //!   sums) into one [`sbp_core::RunOutcome`] with a [`ClusterReport`]. A
 //!   TCP process can only see itself and attaches a one-rank view.
 //!
-//! The entrypoints are [`DistSolver`], the one [`Solver`](sbp_core::Solver)
-//! for both algorithms over a replicated graph, and [`run_sharded`]
-//! (both usually reached through the `edist` facade's `Partitioner`
-//! builder), and [`run_tcp_rank`] for one rank of a real cluster.
+//! The entrypoints are [`DistSolver::run`] over a graph or a shard
+//! directory — [`DistSolver`] is also the one
+//! [`Solver`](sbp_core::Solver) for both algorithms over a replicated
+//! graph, usually reached through the `edist` facade's `Partitioner`
+//! builder — and [`run_tcp_rank`] for one rank of a real cluster.
 //!
 //! ## Coordinated unwind
 //!
@@ -81,7 +85,6 @@ pub mod edist;
 pub mod error;
 pub mod exchange;
 pub mod fault;
-pub mod ownership;
 pub mod run;
 pub mod sharded;
 pub mod solver;
@@ -91,8 +94,8 @@ pub use distgraph::{load_dist_graph, DistGraph, ShardIngestReport};
 pub use error::{DecodeError, DistError};
 pub use exchange::ExchangeStats;
 pub use fault::{Fault, FaultComm, FaultPlan, RankDeath};
-pub use ownership::{balanced_ownership, modulo_ownership, owned_blocks, OwnershipStrategy};
-pub use run::{run_sharded, ShardedBackend};
+pub use run::ShardedBackend;
+pub use sbp_graph::OwnershipStrategy;
 pub use sbp_mpi::ClusterReport;
 pub use solver::DistSolver;
 pub use tcprun::{run_tcp_rank, TcpRun, TcpSource};

@@ -3,23 +3,24 @@
 //! (source → rank body → search / driver → fold; diagram in the crate
 //! docs).
 //!
-//! `run_rank` is the SPMD program of one rank, generic over the
-//! [`Communicator`]: the thread simulator (`run_thread_cluster`, behind
-//! the [`crate::DistSolver`] solver and [`run_sharded`])
-//! and a real TCP process ([`crate::run_tcp_rank`]) execute it verbatim,
-//! so their collective schedules cannot drift apart — which is what
-//! EDiSt's exactness claim rests on.
+//! A run is described once, by a [`DistSolver`], and launched over a
+//! [`Source`]. `run_rank` is the SPMD program of one rank, generic over
+//! the [`Communicator`]: the thread simulator (`run_thread_cluster`,
+//! behind [`DistSolver::run`]) and a real TCP process
+//! ([`crate::run_tcp_rank`]) execute it verbatim, so their collective
+//! schedules cannot drift apart — which is what EDiSt's exactness claim
+//! rests on.
 
 use crate::dcsbp::dcsbp_driver;
 use crate::distgraph::{load_dist_graph, ShardIngestReport};
 use crate::edist::{DistPlane, EdistData, ReplicatedData};
 use crate::error::{abort_empty, abort_schedule, guard_collectives};
 use crate::exchange::ExchangeStats;
-use crate::fault::{FaultComm, FaultPlan};
+use crate::fault::FaultComm;
 use crate::sharded::ShardedData;
+use crate::solver::DistSolver;
 use sbp_core::run::{NoProgress, ProgressEvent, ProgressSink, RunConfig, RunOutcome};
 use sbp_core::sbp::golden_search;
-use sbp_graph::shard::ShardHeader;
 use sbp_graph::{Graph, OwnershipStrategy};
 use sbp_mpi::thread::ThreadComm;
 use sbp_mpi::{ClusterOutcome, ClusterReport, Communicator, CostModel, ThreadCluster};
@@ -29,6 +30,7 @@ use std::sync::mpsc::Sender;
 use std::sync::Mutex;
 
 /// Where a rank reads its share of the graph from.
+#[derive(Clone, Copy)]
 pub enum Source<'a> {
     /// Every rank holds the same monolithic graph (the replicated
     /// deployment of paper Algs. 4–5): work is partitioned, data is not.
@@ -63,20 +65,6 @@ impl ShardedBackend {
     }
 }
 
-/// One distributed run as every rank sees it.
-pub(crate) struct RankJob<'a> {
-    pub source: Source<'a>,
-    pub backend: ShardedBackend,
-    /// EDiSt's MCMC vertex ownership over [`Source::Graph`]. Shards carry
-    /// their own, and DC-SBP always distributes round-robin (Alg. 3).
-    pub ownership: OwnershipStrategy,
-    /// Skip DC-SBP's root-side fine-tuning over [`Source::Graph`].
-    pub skip_finetune: bool,
-    pub cfg: &'a RunConfig,
-    /// Deterministic fault injection; empty = none.
-    pub fault: &'a FaultPlan,
-}
-
 /// What one rank (and, after the fold, the cluster) returns.
 pub(crate) struct RankResult {
     pub outcome: RunOutcome,
@@ -106,35 +94,44 @@ impl ProgressSink for EventRelay<'_> {
     }
 }
 
-/// One rank's whole run. This is the only place a communicator gets
-/// fault-decorated: an injected kill/mangle then degrades the run
-/// coordinately (every survivor returns best-so-far with `degraded` set)
-/// on any transport, source and backend.
+/// One rank's whole run of `solver` over `source`. This is the only
+/// place a communicator gets fault-decorated: an injected kill/mangle
+/// then degrades the run coordinately (every survivor returns
+/// best-so-far with `degraded` set) on any transport, source and backend.
+///
+/// Over [`Source::Shards`] the solver's `ownership` and `skip_finetune`
+/// have no effect: the shards carry their own ownership, and without the
+/// whole graph DC-SBP has nothing to fine-tune on.
 pub(crate) fn run_rank<C: Communicator>(
     comm: &C,
-    job: &RankJob<'_>,
+    solver: &DistSolver,
+    source: Source<'_>,
+    cfg: &RunConfig,
     progress: &mut dyn ProgressSink,
 ) -> RankResult {
-    if job.fault.is_empty() {
-        rank_body(comm, job, progress)
+    if solver.fault.is_empty() {
+        rank_body(comm, solver, source, cfg, progress)
     } else {
-        rank_body(&FaultComm::new(comm, job.fault.clone()), job, progress)
+        let comm = FaultComm::new(comm, solver.fault.clone());
+        rank_body(&comm, solver, source, cfg, progress)
     }
 }
 
 fn rank_body<C: Communicator>(
     comm: &C,
-    job: &RankJob<'_>,
+    solver: &DistSolver,
+    source: Source<'_>,
+    cfg: &RunConfig,
     progress: &mut dyn ProgressSink,
 ) -> RankResult {
-    match job.source {
+    match source {
         Source::Graph(graph) => {
-            let ownership = match job.backend {
-                ShardedBackend::Edist { .. } => job.ownership,
+            let ownership = match solver.backend {
+                ShardedBackend::Edist { .. } => solver.ownership,
                 ShardedBackend::DcSbp => OwnershipStrategy::Modulo,
             };
             let data = ReplicatedData::new(graph, ownership, comm);
-            drive(comm, &data, job, progress, None)
+            drive(comm, &data, solver, cfg, progress, None)
         }
         Source::Shards(dir) => {
             // The ingest itself runs guarded: a rank whose shard file
@@ -152,33 +149,34 @@ fn rank_body<C: Communicator>(
                 }
             };
             let data = ShardedData { dg: &dg };
-            drive(comm, &data, job, progress, Some(*dg.report()))
+            drive(comm, &data, solver, cfg, progress, Some(*dg.report()))
         }
     }
 }
 
-/// Runs the job's backend over `data`: EDiSt is the golden search on
+/// Runs the solver's backend over `data`: EDiSt is the golden search on
 /// this rank's [`DistPlane`], DC-SBP its own driver. A failed collective
 /// ends the search with best-so-far; this is where the rank then poisons
 /// its peers and marks the outcome degraded (coordinated unwind).
 fn drive<C: Communicator, D: EdistData>(
     comm: &C,
     data: &D,
-    job: &RankJob<'_>,
+    solver: &DistSolver,
+    cfg: &RunConfig,
     progress: &mut dyn ProgressSink,
     ingest: Option<ShardIngestReport>,
 ) -> RankResult {
-    let (outcome, xstats) = match job.backend {
+    let (outcome, xstats) = match solver.backend {
         ShardedBackend::Edist { sync_period } => {
             let plane = DistPlane::new(comm, data);
-            let (mut outcome, error) = golden_search(&plane, None, job.cfg, sync_period, progress);
+            let (mut outcome, error) = golden_search(&plane, None, cfg, sync_period, progress);
             if let Some(err) = error {
                 outcome.degraded = Some(abort_schedule(comm, &err));
             }
             (outcome, plane.xstats())
         }
         ShardedBackend::DcSbp => {
-            let outcome = dcsbp_driver(comm, data, job.cfg, job.skip_finetune, progress);
+            let outcome = dcsbp_driver(comm, data, cfg, solver.skip_finetune, progress);
             (outcome, ExchangeStats::default())
         }
     };
@@ -189,19 +187,21 @@ fn drive<C: Communicator, D: EdistData>(
     }
 }
 
-/// Runs `job` on `ranks` simulated ranks, each with `1 / ranks` of the
-/// calling thread's pool width. The cluster runs on its own
-/// scoped thread while the calling thread drains rank 0's events into
-/// `progress`, so callbacks fire live (not after the run). Cancellation
-/// flows the other way: rank 0 reads `job.cfg.cancel` and *broadcasts* it
-/// at every check point, so all ranks observe the same decision at the
-/// same collective and the schedule never desynchronizes.
+/// Runs `solver` over `source` on `solver.ranks` (at least one)
+/// simulated ranks, each with `1 / ranks` of the calling thread's pool
+/// width, their virtual clocks on the HDR-100 interconnect model. The
+/// cluster runs on its own scoped thread while the calling thread drains
+/// rank 0's events into `progress`, so callbacks fire live (not after the
+/// run). Cancellation flows the other way: rank 0 reads `cfg.cancel` and
+/// *broadcasts* it at every check point, so all ranks observe the same
+/// decision at the same collective and the schedule never desynchronizes.
 pub(crate) fn run_thread_cluster(
-    ranks: usize,
-    cost: CostModel,
-    job: &RankJob<'_>,
+    solver: &DistSolver,
+    source: Source<'_>,
+    cfg: &RunConfig,
     progress: &mut dyn ProgressSink,
 ) -> RankResult {
+    let ranks = solver.ranks.max(1);
     let (tx, rx) = std::sync::mpsc::channel::<ProgressEvent>();
     // Co-resident ranks share the caller's pool width instead of each
     // fanning out at full width (results are thread-count invariant).
@@ -209,13 +209,14 @@ pub(crate) fn run_thread_cluster(
     let out = std::thread::scope(|scope| {
         let handle = scope.spawn(move || {
             let relay_tx = Mutex::new(tx);
-            ThreadCluster::run(ranks, cost, |comm: &ThreadComm| {
+            ThreadCluster::run(ranks, CostModel::hdr100(), |comm: &ThreadComm| {
                 sbp_core::with_threads(width, || {
                     if comm.rank() == 0 {
                         let sender = &relay_tx;
-                        run_rank(comm, job, &mut EventRelay { sender, ranks })
+                        let relay = &mut EventRelay { sender, ranks };
+                        run_rank(comm, solver, source, cfg, relay)
                     } else {
-                        run_rank(comm, job, &mut NoProgress)
+                        run_rank(comm, solver, source, cfg, &mut NoProgress)
                     }
                 })
             })
@@ -261,56 +262,14 @@ fn fold_ranks(out: ClusterOutcome<RankResult>) -> RankResult {
     result
 }
 
-/// Runs a sharded-ingest cluster over the `.sbps` directory `dir`: one
-/// simulated rank per shard, each loading only its own shard (the ingest
-/// collectives are part of the run and show up in the returned
-/// [`ClusterReport`]). Rank 0's progress events stream to `progress`
-/// live; `cfg.cancel` is honoured at the same checkpoints as over a
-/// replicated graph.
-///
-/// `header` must come from [`sbp_graph::shard::validate_shard_dir`] on
-/// the same `dir` — callers always need it anyway (to pick rank counts
-/// and reject backend mismatches before spawning anything), so the
-/// directory is scanned exactly once per run instead of once per layer.
-/// A shard file that disappears or mutates *between* validation and the
-/// per-rank load degrades the run
-/// ([`sbp_core::run::DegradedReason::ShardLoadFailure`] on the detecting
-/// rank) via the coordinated unwind in [`crate::error`] — it never
-/// panics the cluster.
-///
-/// `fault` injects a deterministic fault plan (see [`crate::fault`]);
-/// pass [`FaultPlan::none`] for a clean run.
-///
-/// Returns the rank-identical outcome plus the ingest report.
-pub fn run_sharded(
-    dir: &Path,
-    header: &ShardHeader,
-    backend: ShardedBackend,
-    cost: CostModel,
-    cfg: &RunConfig,
-    fault: &FaultPlan,
-    progress: &mut dyn ProgressSink,
-) -> (RunOutcome, ShardIngestReport) {
-    let job = RankJob {
-        source: Source::Shards(dir),
-        backend,
-        ownership: header.strategy,
-        skip_finetune: true,
-        cfg,
-        fault,
-    };
-    let result = run_thread_cluster(header.shard_count, cost, &job, progress);
-    let ingest = result.ingest.expect("sharded ranks report their ingest");
-    (result.outcome, ingest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sbp_graph::fixtures::two_cliques;
 
     /// Every rank of the SPMD program returns the same result — the
-    /// thread runner keeps only rank 0's, so check them all here.
+    /// thread runner keeps only rank 0's, so check them all here, and
+    /// that [`DistSolver::run`] hands back that result.
     #[test]
     fn all_ranks_return_identical_results() {
         let graph = two_cliques(8);
@@ -319,16 +278,9 @@ mod tests {
             ShardedBackend::Edist { sync_period: 1 },
             ShardedBackend::DcSbp,
         ] {
-            let job = RankJob {
-                source: Source::Graph(&graph),
-                backend,
-                ownership: OwnershipStrategy::default(),
-                skip_finetune: false,
-                cfg: &cfg,
-                fault: &FaultPlan::none(),
-            };
+            let solver = DistSolver::new(backend, 4);
             let out = ThreadCluster::run(4, CostModel::zero(), |comm: &ThreadComm| {
-                run_rank(comm, &job, &mut NoProgress).outcome
+                run_rank(comm, &solver, Source::Graph(&graph), &cfg, &mut NoProgress).outcome
             });
             let first = &out.ranks[0].result;
             assert_eq!(first.assignment.len(), 16, "{backend:?}");
@@ -340,6 +292,9 @@ mod tests {
                     "{backend:?}"
                 );
             }
+            let (folded, ingest) = solver.run(Source::Graph(&graph), &cfg, &mut NoProgress);
+            assert_eq!(folded.assignment, first.assignment, "{backend:?}");
+            assert!(ingest.is_none(), "{backend:?}: a graph run reads no shards");
         }
     }
 }

@@ -478,8 +478,7 @@ mod tests {
     use crate::edist::DistPlane;
     use crate::error::DistError;
     use crate::exchange::{CellFold, ExchangeStats};
-    use crate::fault::FaultPlan;
-    use crate::run::{run_sharded, ShardedBackend};
+    use crate::run::{ShardedBackend, Source};
     use crate::solver::DistSolver;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1035,22 +1034,16 @@ mod tests {
         assert_eq!(trajectory(sharded), trajectory(mono));
     }
 
-    /// Validate-then-run, as every real caller does.
+    /// Validate-then-run, as every real caller does: one rank per shard.
     fn run(
         dir: &std::path::Path,
         backend: ShardedBackend,
         cfg: &RunConfig,
     ) -> (RunOutcome, ShardIngestReport) {
         let header = validate_shard_dir(dir).expect("coherent shard dir");
-        run_sharded(
-            dir,
-            &header,
-            backend,
-            CostModel::zero(),
-            cfg,
-            &FaultPlan::none(),
-            &mut NoProgress,
-        )
+        let solver = DistSolver::new(backend, header.shard_count);
+        let (outcome, ingest) = solver.run(Source::Shards(dir), cfg, &mut NoProgress);
+        (outcome, ingest.expect("sharded ranks report their ingest"))
     }
 
     #[test]
@@ -1127,10 +1120,30 @@ mod tests {
     #[test]
     fn bad_shard_dir_fails_validation_before_spawning() {
         // Callers must validate first; an empty directory never reaches
-        // run_sharded.
+        // `DistSolver::run`.
         let dir = temp_dir("bad");
         std::fs::create_dir_all(&dir).unwrap();
         assert!(validate_shard_dir(&dir).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rank_count_other_than_the_shard_count_degrades() {
+        let g = two_cliques(6);
+        let dir = temp_dir("rank_count");
+        shard_graph(&g, &dir, 2, OwnershipStrategy::SortedBalanced).unwrap();
+        for ranks in [1usize, 3] {
+            let solver = DistSolver::new(ShardedBackend::Edist { sync_period: 1 }, ranks);
+            let (out, ingest) =
+                solver.run(Source::Shards(&dir), &RunConfig::seeded(1), &mut NoProgress);
+            assert_eq!(
+                out.degraded,
+                Some(sbp_core::run::DegradedReason::ShardLoadFailure),
+                "{ranks} ranks over 2 shards"
+            );
+            assert!(out.assignment.is_empty());
+            assert!(ingest.is_some());
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,30 +1,33 @@
-//! The distributed algorithms as one [`Solver`] on the in-process thread
-//! cluster — a thin caller of the one run path in [`crate::run`], which
-//! streams rank 0's progress events to the caller's [`ProgressSink`] and
-//! folds the per-rank outcomes.
+//! The one description of a distributed run, [`DistSolver`], and its one
+//! launcher on the in-process thread cluster, [`DistSolver::run`] — a
+//! thin caller of the run path in [`crate::run`], which streams rank 0's
+//! progress events to the caller's [`ProgressSink`] and folds the
+//! per-rank outcomes. A TCP process ([`crate::run_tcp_rank`]) runs the
+//! same rank body from the same description.
 
+use crate::distgraph::ShardIngestReport;
 use crate::fault::FaultPlan;
-use crate::ownership::OwnershipStrategy;
-use crate::run::{run_thread_cluster, RankJob, ShardedBackend, Source};
+use crate::run::{run_thread_cluster, ShardedBackend, Source};
 use sbp_core::run::{ProgressSink, RunConfig, RunOutcome, Solver};
-use sbp_graph::Graph;
-use sbp_mpi::CostModel;
+use sbp_graph::{Graph, OwnershipStrategy};
 
 /// EDiSt (paper Algs. 4–5: full replication, partitioned work, exact
 /// inference at any rank count) or DC-SBP (Alg. 3: round-robin data
 /// distribution, independent per-rank inference, root-side combination
-/// and fine-tuning) on `ranks` simulated ranks, every one holding the
-/// whole graph. The virtual clocks run on the HDR-100 interconnect model.
+/// and fine-tuning) on `ranks` ranks. On the simulated cluster the
+/// virtual clocks run on the HDR-100 interconnect model.
 #[derive(Clone, Debug)]
 pub struct DistSolver {
     /// Which driver runs, and EDiSt's sync period.
     pub backend: ShardedBackend,
-    /// Simulated MPI ranks.
+    /// MPI ranks (one per shard over a shard directory).
     pub ranks: usize,
-    /// EDiSt's vertex-ownership scheme for the MCMC phase; DC-SBP always
-    /// distributes round-robin.
+    /// EDiSt's vertex-ownership scheme for the MCMC phase over a whole
+    /// graph; DC-SBP always distributes round-robin, and shards carry
+    /// their own.
     pub ownership: OwnershipStrategy,
-    /// Skip DC-SBP's root-side fine-tuning pass (ablation switch).
+    /// Skip DC-SBP's root-side fine-tuning pass (ablation switch); over
+    /// shards there is no whole graph to fine-tune on.
     pub skip_finetune: bool,
     /// Deterministic fault injection ([`crate::fault`]); empty = none.
     /// An injected kill/mangle degrades the run coordinately (all
@@ -45,6 +48,29 @@ impl DistSolver {
             fault: FaultPlan::none(),
         }
     }
+
+    /// Runs on the simulated thread cluster over `source`: rank 0's
+    /// progress events stream to `progress` live, `cfg.cancel` is honoured
+    /// at the same checkpoints on either source, and the per-rank outcomes
+    /// fold into one with the [`sbp_mpi::ClusterReport`] attached. The
+    /// ingest report is `Some` for [`Source::Shards`].
+    ///
+    /// A shard directory should come from
+    /// [`sbp_graph::shard::validate_shard_dir`] with `ranks` equal to its
+    /// shard count; another rank count, or a shard file that disappears or
+    /// mutates after that, degrades the run
+    /// ([`sbp_core::run::DegradedReason::ShardLoadFailure`] on the
+    /// detecting rank) via the coordinated unwind in [`crate::error`] — it
+    /// never panics the cluster.
+    pub fn run(
+        &self,
+        source: Source<'_>,
+        cfg: &RunConfig,
+        progress: &mut dyn ProgressSink,
+    ) -> (RunOutcome, Option<ShardIngestReport>) {
+        let result = run_thread_cluster(self, source, cfg, progress);
+        (result.outcome, result.ingest)
+    }
 }
 
 impl Solver for DistSolver {
@@ -54,15 +80,7 @@ impl Solver for DistSolver {
     }
 
     fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome {
-        let job = RankJob {
-            source: Source::Graph(graph),
-            backend: self.backend,
-            ownership: self.ownership,
-            skip_finetune: self.skip_finetune,
-            cfg,
-            fault: &self.fault,
-        };
-        run_thread_cluster(self.ranks.max(1), CostModel::hdr100(), &job, progress).outcome
+        self.run(Source::Graph(graph), cfg, progress).0
     }
 }
 

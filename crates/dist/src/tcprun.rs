@@ -3,13 +3,13 @@
 //!
 //! `run::run_rank` is already generic over [`Communicator`];
 //! this module is the thin harness a real OS process runs: connect this
-//! rank's [`TcpComm`], execute exactly the per-rank body the in-process
-//! thread cluster executes, and attach a one-rank view of the
-//! [`ClusterReport`]. Because EDiSt is exact, the *result* (assignment,
-//! DL, trajectory) is bit-identical to a [`sbp_mpi::ThreadCluster`] run
-//! with the same seed, backend, and rank count — only the
-//! timing/byte-accounting side of the report differs (see
-//! [`run_tcp_rank`] for the exact divergence).
+//! rank's [`TcpComm`], describe the run as the [`DistSolver`] the
+//! in-process thread cluster runs, execute exactly the same per-rank
+//! body, and attach a one-rank view of the [`ClusterReport`]. Because
+//! EDiSt is exact, the *result* (assignment, DL, trajectory) is
+//! bit-identical to a [`sbp_mpi::ThreadCluster`] run with the same seed,
+//! backend, and rank count — only the timing/byte-accounting side of the
+//! report differs (see [`run_tcp_rank`] for the exact divergence).
 //!
 //! Fault handling is inherited unchanged: a peer process that dies
 //! mid-run surfaces as a poisoned link inside a collective, the drivers'
@@ -19,9 +19,9 @@
 
 use crate::distgraph::ShardIngestReport;
 use crate::fault::FaultPlan;
-use crate::run::{run_rank, RankJob, RankResult, ShardedBackend};
+use crate::run::{run_rank, RankResult, ShardedBackend};
+use crate::solver::DistSolver;
 use sbp_core::run::{NoProgress, RunConfig, RunOutcome};
-use sbp_graph::OwnershipStrategy;
 use sbp_mpi::{ClusterReport, Communicator, TcpComm, TcpConfig, TcpError};
 use std::time::Instant;
 
@@ -66,22 +66,18 @@ pub fn run_tcp_rank(
 ) -> Result<TcpRun, TcpError> {
     let started = Instant::now();
     let comm = TcpComm::connect(tcp)?;
-    let job = RankJob {
-        source,
-        backend,
-        // The thread-backed `DistSolver`'s default; keeping it fixed
-        // preserves bit-identity with `partition --backend edist` at the
-        // same rank count.
-        ownership: OwnershipStrategy::default(),
-        skip_finetune: false,
-        cfg,
-        fault,
+    // `DistSolver::new`'s default ownership and fine-tuning: keeping
+    // them fixed preserves bit-identity with `partition --backend edist`
+    // at the same rank count.
+    let solver = DistSolver {
+        fault: fault.clone(),
+        ..DistSolver::new(backend, tcp.ranks)
     };
     let RankResult {
         mut outcome,
         xstats,
         ingest,
-    } = run_rank(&comm, &job, &mut NoProgress);
+    } = run_rank(&comm, &solver, source, cfg, &mut NoProgress);
     let stats = comm.stats();
     let report = ClusterReport {
         makespan: outcome.virtual_seconds.max(comm.virtual_time()),

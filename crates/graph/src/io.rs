@@ -411,56 +411,3 @@ mod tests {
         }
     }
 }
-
-/// Serializes the graph in Graphviz DOT format, optionally coloring
-/// vertices by a block assignment — used to visualize the per-stage
-/// snapshots of the paper's Fig. 1.
-pub fn write_dot(graph: &Graph, labels: Option<&[u32]>) -> String {
-    const PALETTE: [&str; 10] = [
-        "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
-        "#bcbd22", "#17becf",
-    ];
-    let mut out = String::with_capacity(graph.num_arcs() * 16 + 64);
-    out.push_str("digraph G {\n  node [style=filled, shape=circle];\n");
-    for v in 0..graph.num_vertices() as Vertex {
-        match labels {
-            Some(ls) => {
-                let color = PALETTE[ls[v as usize] as usize % PALETTE.len()];
-                out.push_str(&format!("  {v} [fillcolor=\"{color}\"];\n"));
-            }
-            None => out.push_str(&format!("  {v};\n")),
-        }
-    }
-    for (s, d, w) in graph.arcs() {
-        if w == 1 {
-            out.push_str(&format!("  {s} -> {d};\n"));
-        } else {
-            out.push_str(&format!("  {s} -> {d} [label=\"{w}\"];\n"));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-
-    #[test]
-    fn dot_contains_all_arcs_and_colors() {
-        let g = Graph::from_edges(3, vec![(0, 1, 1), (1, 2, 5)]);
-        let dot = write_dot(&g, Some(&[0, 0, 1]));
-        assert!(dot.starts_with("digraph G {"));
-        assert!(dot.contains("0 -> 1;"));
-        assert!(dot.contains("1 -> 2 [label=\"5\"];"));
-        assert!(dot.contains("fillcolor"));
-        assert!(dot.trim_end().ends_with('}'));
-    }
-
-    #[test]
-    fn dot_without_labels_has_no_colors() {
-        let g = Graph::from_edges(2, vec![(0, 1, 1)]);
-        let dot = write_dot(&g, None);
-        assert!(!dot.contains("fillcolor"));
-    }
-}

@@ -151,6 +151,17 @@ mod tests {
     }
 
     #[test]
+    fn strategies_partition_every_vertex() {
+        let g = Graph::from_edges(4, vec![(0, 1, 5), (2, 3, 1)]);
+        let parts = OwnershipStrategy::SortedBalanced.partition(&g, 2);
+        let mut all: Vec<u32> = parts.concat();
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2, 3]);
+        assert_eq!(modulo_ownership(4, 2), vec![vec![0, 2], vec![1, 3]]);
+        assert_eq!(balanced_ownership(&g, 2).len(), 2);
+    }
+
+    #[test]
     fn degree_table_variant_matches_graph_variant() {
         let g = star_plus_path();
         let by_table = balanced_ownership_by_degree(g.num_vertices(), |v| g.degree(v), 3);

@@ -16,9 +16,10 @@
 //!   [`CostModel`]. The resulting BSP makespan is the "runtime" reported by
 //!   the benchmark harness.
 //!
-//! [`SelfComm`] is the trivial single-rank communicator (shared-memory
-//! baseline); [`ThreadCluster`] spawns `n` rank threads and returns their
-//! results plus the makespan and communication statistics.
+//! [`ThreadCluster`] spawns `n` rank threads (one for the shared-memory
+//! baseline) and returns their results plus the makespan and
+//! communication statistics; [`TcpComm`] is one rank of a real
+//! multi-process cluster over TCP.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -30,7 +31,7 @@ pub mod tcp;
 pub mod thread;
 pub mod wire;
 
-pub use comm::{CommStats, Communicator, SelfComm};
+pub use comm::{CommStats, Communicator};
 pub use cost::CostModel;
 pub use cputime::thread_cpu_time;
 pub use report::ClusterReport;

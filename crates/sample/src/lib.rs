@@ -14,7 +14,7 @@
 //! 2. run SBP on the sampled subgraph (any engine from `sbp-core`);
 //! 3. [`extend`] — propagate the sample's block labels to the unsampled
 //!    vertices by weighted-majority label propagation in BFS order;
-//! 4. optionally fine-tune with a few full-graph MCMC sweeps.
+//! 4. fine-tune with [`solver::FINETUNE_SWEEPS`] full-graph MCMC sweeps.
 //!
 //! The [`Sampled`] solver decorator glues the stages together and
 //! composes with any backend (sequential, hybrid, batch, DC-SBP,

@@ -12,6 +12,9 @@ use sbp_core::run::{ProgressEvent, ProgressSink, RunConfig, RunOutcome, Solver};
 use sbp_core::{compact_labels, Blockmodel};
 use sbp_graph::{induced_subgraph, Graph, Vertex};
 
+/// Full-graph MH sweeps a [`Sampled`] run applies after extension.
+pub const FINETUNE_SWEEPS: usize = 3;
+
 /// Decorates an inner solver with sampling-based data reduction
 /// (paper §V-F; HPEC'19 pipeline):
 ///
@@ -19,7 +22,7 @@ use sbp_graph::{induced_subgraph, Graph, Vertex};
 /// 2. run the inner solver on the induced subgraph;
 /// 3. extend the sample's labels to the full graph by weighted-majority
 ///    BFS propagation;
-/// 4. repair propagation mistakes with `finetune_sweeps` full-graph
+/// 4. repair propagation mistakes with [`FINETUNE_SWEEPS`] full-graph
 ///    Metropolis–Hastings sweeps.
 ///
 /// The outcome's [`RunOutcome::sampled_vertices`] records the actual
@@ -33,19 +36,16 @@ pub struct Sampled<S> {
     pub strategy: SamplingStrategy,
     /// Fraction of vertices to sample, in `(0, 1]`.
     pub fraction: f64,
-    /// Full-graph MH sweeps applied after extension.
-    pub finetune_sweeps: usize,
 }
 
 impl<S> Sampled<S> {
     /// Wraps `inner` with the default pipeline (expansion snowball, 50%
-    /// sample, 3 fine-tune sweeps).
+    /// sample).
     pub fn new(inner: S) -> Self {
         Sampled {
             inner,
             strategy: SamplingStrategy::ExpansionSnowball,
             fraction: 0.5,
-            finetune_sweeps: 3,
         }
     }
 }
@@ -116,14 +116,14 @@ impl<S: Solver> Solver for Sampled<S> {
         let assignment = extend_partition(graph, &sampled, &inner_out.assignment);
 
         // Build the blockmodel on the full graph — once, from labels that
-        // are already compact — and optionally fine-tune.
+        // are already compact — and fine-tune it.
         let (assignment, num_blocks) = compact_labels(assignment, inner_out.num_blocks.max(1));
         let mut bm = Blockmodel::from_assignment(graph, assignment, num_blocks);
-        if self.finetune_sweeps > 0 && !cfg.cancel.is_cancelled() {
+        if !cfg.cancel.is_cancelled() {
             progress.on_event(&ProgressEvent::PhaseStarted { phase: "finetune" });
             let vertices: Vec<Vertex> = (0..n as Vertex).collect();
             let mut rng = SmallRng::seed_from_u64(cfg.sbp.seed ^ 0xF1E7);
-            for _ in 0..self.finetune_sweeps {
+            for _ in 0..FINETUNE_SWEEPS {
                 if cfg.cancel.is_cancelled() {
                     break;
                 }
@@ -205,7 +205,6 @@ mod tests {
             let solver = Sampled {
                 strategy,
                 fraction: 0.4,
-                finetune_sweeps: 1,
                 ..Sampled::new(SEQUENTIAL)
             };
             let out = solver.solve(&g, &RunConfig::seeded(5), &mut NoProgress);
@@ -219,7 +218,6 @@ mod tests {
         let (g, truth) = planted();
         let solver = Sampled {
             fraction: 1.0,
-            finetune_sweeps: 0,
             ..Sampled::new(SEQUENTIAL)
         };
         let out = solver.solve(&g, &RunConfig::seeded(7), &mut NoProgress);

@@ -6,7 +6,10 @@
 # directly followed by a `mod` line — or the whole file when it has none.
 # A `#[cfg(test)]` on an indented item or on a single hook function does
 # not end the count, so test-only helpers in the middle of a file do not
-# hide the production code after them. Print-only: always exits 0.
+# hide the production code after them. Code after the test module is not
+# counted either: for each column-0 item that follows it (other than a
+# further `#[cfg(test)]` module) a `not counted: FILE:LINE: ...` line goes
+# to stderr, for the working tree only. Print-only: always exits 0.
 #
 #   scripts/nontest_lines.sh                 (run from anywhere)
 #   scripts/nontest_lines.sh --against REV   before (REV), after (the
@@ -17,10 +20,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Sums the counted lines of "$@"; with REPORT=1 in the environment, also
+# names on stderr every column-0 item after a file's top-level test module.
 count() {
-    awk '
-        FNR == 1 { found = 0; prev = "" }
-        found { next }
+    awk -v report="${REPORT:-0}" '
+        FNR == 1 { found = 0; closed = 0; prev = "" }
+        found {
+            if (!closed) {
+                closed = /^}/
+            } else if (report && /^(pub(\([a-z]+\))? )?((unsafe|async|const|extern) )*(fn|struct|enum|union|impl|trait|type|mod|use|static|const|macro_rules!)([ <]|$)/ \
+                       && !(prev == "#[cfg(test)]" && /^(pub(\([a-z]+\))? )?mod /)) {
+                file = FILENAME
+                sub(/^\.\//, "", file)
+                printf "not counted: %s:%d: %s\n", file, FNR, $0 > "/dev/stderr"
+            }
+            prev = $0
+            next
+        }
         prev == "#[cfg(test)]" && /^(pub(\([a-z]+\))? )?mod / {
             found = 1; kept[FILENAME] = FNR - 2; next
         }
@@ -52,7 +68,7 @@ if [ "${1:-}" = --against ]; then
     trap 'rm -rf "$tmp"' EXIT
     git archive "$rev" | tar -x -C "$tmp"
     measure "$tmp" > "$tmp/.before"
-    measure . > "$tmp/.after"
+    REPORT=1 measure . > "$tmp/.after"
     printf '%-22s %7s %7s %7s\n' crate before after delta
     awk -F '\t' '
         !($1 in seen) { seen[$1] = 1; order[++n] = $1 }
@@ -74,5 +90,5 @@ total=0
 while IFS=$'\t' read -r name n; do
     printf '%-22s %6d\n' "$name" "$n"
     total=$((total + n))
-done < <(measure .)
+done < <(REPORT=1 measure .)
 printf '%-22s %6d\n' total "$total"

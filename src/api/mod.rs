@@ -26,10 +26,10 @@ use sbp_core::run::{
     RunConfig, RunOutcome, SingleNode, Solver, WarmStart,
 };
 use sbp_core::{CheckpointState, IterationStat, McmcStrategy, SbpConfig};
-use sbp_dist::{run_sharded, DistSolver, FaultPlan, OwnershipStrategy, ShardedBackend};
+use sbp_dist::{DistSolver, FaultPlan, OwnershipStrategy, ShardedBackend};
 use sbp_eval::normalized_dl;
 use sbp_graph::Graph;
-use sbp_mpi::{ClusterReport, CostModel};
+use sbp_mpi::ClusterReport;
 use sbp_sample::{Sampled, SamplingStrategy};
 use sbp_serve::Resolver;
 use std::fmt;
@@ -770,7 +770,7 @@ impl<'a> Partitioner<'a> {
             }
             Source::Shards(dir) => {
                 let dir = dir.clone();
-                self.run_sharded_source(&dir)
+                self.run_shards(&dir)
             }
         }
     }
@@ -778,7 +778,7 @@ impl<'a> Partitioner<'a> {
     /// The sharded-source run path: validate the directory, pick the
     /// sharded driver matching the backend, stream events, attach the
     /// ingest report.
-    fn run_sharded_source(&mut self, dir: &std::path::Path) -> Result<Run, PartitionError> {
+    fn run_shards(&mut self, dir: &std::path::Path) -> Result<Run, PartitionError> {
         if self.warm.is_some() {
             return Err(PartitionError::WarmStartUnsupported(
                 "sharded runs cannot warm-start (the monolithic assignment has no \
@@ -828,22 +828,18 @@ impl<'a> Partitioner<'a> {
             resume,
             warm: None,
         };
-        let (cost, fault) = (CostModel::hdr100(), self.fault.clone());
+        let solver = DistSolver {
+            fault: self.fault.clone(),
+            ..DistSolver::new(sharded, shards)
+        };
         let wall = Instant::now();
-        let (outcome, ingest) = run_sharded(
-            dir,
-            &header,
-            sharded,
-            cost,
-            &cfg,
-            &fault,
-            &mut self.progress,
-        );
+        let (outcome, ingest) =
+            solver.run(sbp_dist::run::Source::Shards(dir), &cfg, &mut self.progress);
         Ok(Run::from_outcome(
             format!("{}-sharded(ranks={shards})", sharded.name()),
             outcome,
             wall.elapsed().as_secs_f64(),
-            Some(ingest),
+            ingest,
         ))
     }
 }

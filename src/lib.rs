@@ -152,8 +152,8 @@ pub mod prelude {
         ProgressFn, ProgressSink, RunConfig, RunOutcome, SbpConfig, Solver, WarmStart,
     };
     pub use sbp_dist::{
-        load_dist_graph, run_sharded, DistError, DistGraph, DistSolver, Fault, FaultComm,
-        FaultPlan, OwnershipStrategy, ShardIngestReport, ShardedBackend,
+        load_dist_graph, DistError, DistGraph, DistSolver, Fault, FaultComm, FaultPlan,
+        OwnershipStrategy, ShardIngestReport, ShardedBackend,
     };
     pub use sbp_eval::{adjusted_rand_index, nmi, normalized_dl};
     pub use sbp_gen::{
@@ -162,7 +162,7 @@ pub mod prelude {
     };
     pub use sbp_graph::shard::{shard_graph, ShardPlan, ShardReader, ShardWriter};
     pub use sbp_graph::{induced_subgraph, island_fraction_round_robin, round_robin_parts, Graph};
-    pub use sbp_mpi::{ClusterReport, Communicator, CostModel, SelfComm, ThreadCluster};
+    pub use sbp_mpi::{ClusterReport, Communicator, CostModel, ThreadCluster};
     pub use sbp_sample::{extend_partition, sample_vertices, Sampled, SamplingStrategy};
     pub use sbp_serve::{Client, Listen, Request, Response, ServeError, Server, ServerOptions};
 }
