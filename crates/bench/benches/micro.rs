@@ -18,7 +18,6 @@
 //! * random add/sub churn over sparse lines, what their room policy costs
 //!   (PR 33);
 //! * the graph's build and one adjacency read per vertex (`graph/*`);
-//! * the entropy chunk-size study on a dense C = V/4 blockmodel (PR 10);
 //! * synthetic graph generation.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -32,7 +31,7 @@ use sbp_core::lntab::ln_int;
 use sbp_core::mcmc::mh_sweep;
 use sbp_core::merge::{apply_merges, merge_labels, propose_merges};
 use sbp_core::propose::{pick_by_cells, pick_weighted, propose_for_block, propose_for_vertex};
-use sbp_core::sbp::{merge_phase, SbpConfig};
+use sbp_core::sbp::{merge_phase, SbpConfig, MERGE_PROPOSALS_PER_BLOCK};
 use sbp_core::{Blockmodel, DeltaScratch, McmcStrategy, StorageKind};
 use sbp_dist::exchange::CellFold;
 use sbp_gen::{graph_challenge, param_study, Difficulty, ParamStudySpec};
@@ -253,7 +252,6 @@ fn build_challenge_trajectory() -> (Graph, [(&'static str, Blockmodel); 3]) {
 /// means the same thing on any machine.
 fn bench_merge_eval(c: &mut Criterion) {
     let (_, fixtures) = challenge_trajectory();
-    let cfg = SbpConfig::default();
     let mut group = quick(c);
     for (label, bm) in fixtures {
         let mut rng = SmallRng::seed_from_u64(15);
@@ -261,7 +259,7 @@ fn bench_merge_eval(c: &mut Criterion) {
         let pairs: Vec<(u32, Vec<u32>)> = (0..bm.num_blocks() as u32)
             .step_by(step)
             .map(|r| {
-                let draws = (0..cfg.merge_proposals_per_block)
+                let draws = (0..MERGE_PROPOSALS_PER_BLOCK)
                     .map(|_| propose_for_block(&mut rng, bm, r).expect("C > 1"))
                     .collect();
                 (r, draws)
@@ -948,30 +946,6 @@ fn bench_graph_layer(c: &mut Criterion) {
     group.finish();
 }
 
-/// The entropy chunk-size study on a dense blockmodel.
-fn bench_entropy_chunk(c: &mut Criterion) {
-    let (graph, _, _) = bench_graph();
-    let n = graph.num_vertices();
-    // Force dense storage at C = V/4 (~169): well above the C ≤ 64
-    // always-dense band, so every row walk crosses many zero slots.
-    let nb = (n / 4).max(4);
-    let assignment: Vec<u32> = (0..n as u32).map(|v| v % nb as u32).collect();
-    let bm = Blockmodel::from_assignment_with(&graph, assignment, nb, StorageKind::Dense);
-    let mut group = quick(c);
-    // Entropy chunk-size study (ROADMAP carry-over from PR 5): the chunk
-    // width re-associates the chunk partials, so these four are free to
-    // differ in bits and wall time while the default stays pinned at 64
-    // for fixture stability.
-    for chunk in [32usize, 64, 128, 256] {
-        group.bench_with_input(
-            BenchmarkId::new("blockmodel/entropy_chunk", chunk),
-            &chunk,
-            |b, &chunk| b.iter(|| black_box(bm.entropy_with_chunk(chunk))),
-        );
-    }
-    group.finish();
-}
-
 fn bench_generator(c: &mut Criterion) {
     let mut group = quick(c);
     group.bench_function("generator/param_study_small", |b| {
@@ -1008,7 +982,6 @@ criterion_group!(
     bench_apply_moves,
     bench_line_churn,
     bench_graph_layer,
-    bench_entropy_chunk,
     bench_generator
 );
 criterion_main!(benches);

@@ -33,7 +33,10 @@ use sbp_core::golden::{BracketEntry, GoldenBracket, NextStep};
 use sbp_core::hybrid::vertex_rng;
 use sbp_core::mcmc::ConvergenceCheck;
 use sbp_core::model_description_length;
-use sbp_core::sbp::{mcmc_phase_seed, SbpConfig};
+use sbp_core::sbp::{
+    mcmc_phase_seed, SbpConfig, MAX_SWEEPS, MERGE_PROPOSALS_PER_BLOCK, THRESHOLD_POST,
+    THRESHOLD_PRE,
+};
 use sbp_graph::{Graph, Vertex, Weight};
 
 /// Dense blockmodel: row-major `C×C` edge-count matrix.
@@ -456,7 +459,7 @@ pub fn naive_sbp(graph: &Graph, cfg: &SbpConfig) -> BracketEntry {
     }
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let start = DenseBlockmodel::from_assignment(graph, (0..c0 as u32).collect(), c0);
-    let mut bracket = GoldenBracket::new(cfg.block_reduction_rate);
+    let mut bracket = GoldenBracket::new();
     bracket.seed(BracketEntry {
         dl: start.description_length(),
         assignment: start.assignment,
@@ -471,11 +474,11 @@ pub fn naive_sbp(graph: &Graph, cfg: &SbpConfig) -> BracketEntry {
             break;
         };
         let mut bm = DenseBlockmodel::from_assignment(graph, start.assignment, start.num_blocks);
-        naive_merge_phase(graph, &mut bm, blocks_to_merge, cfg, &mut rng);
+        naive_merge_phase(graph, &mut bm, blocks_to_merge, &mut rng);
         let threshold = if bracket.established() {
-            cfg.threshold_post
+            THRESHOLD_POST
         } else {
-            cfg.threshold_pre
+            THRESHOLD_PRE
         };
         naive_mcmc_phase(graph, &mut bm, cfg, threshold, iter_idx);
         bracket.record(BracketEntry {
@@ -491,7 +494,6 @@ fn naive_merge_phase(
     graph: &Graph,
     bm: &mut DenseBlockmodel,
     blocks_to_merge: usize,
-    cfg: &SbpConfig,
     rng: &mut SmallRng,
 ) {
     let c = bm.c;
@@ -499,7 +501,7 @@ fn naive_merge_phase(
     let mut cands: Vec<(f64, usize, usize)> = Vec::with_capacity(c);
     for r in 0..c {
         let mut best: Option<(f64, usize)> = None;
-        for _ in 0..cfg.merge_proposals_per_block {
+        for _ in 0..MERGE_PROPOSALS_PER_BLOCK {
             if c <= 1 {
                 break;
             }
@@ -602,7 +604,7 @@ fn naive_mcmc_phase(
     let mut check = ConvergenceCheck::new(initial, threshold);
     let sweep_seed = mcmc_phase_seed(cfg.seed, iter_idx);
     let mut scratch = NaiveScratch::default();
-    for sweep in 0..cfg.max_sweeps {
+    for sweep in 0..MAX_SWEEPS {
         // Batch sweep: every vertex against the frozen state, then apply
         // and rebuild (the python reference updated rows densely; a
         // rebuild has the same asymptotics at this scale).

@@ -937,27 +937,17 @@ impl Blockmodel {
     /// blockmodels holding the same integer state — across storage
     /// representations, move histories, and `SBP_THREADS` settings alike.
     pub fn entropy(&self) -> f64 {
-        self.entropy_impl(ENTROPY_CHUNK_ROWS)
-    }
-
-    /// [`entropy`](Self::entropy) with an explicit chunk size — the
-    /// `ENTROPY_CHUNK_ROWS` retune study's bench hook. Changing the chunk
-    /// size re-associates the f64 chunk combination, so different chunk
-    /// sizes legitimately produce different bits.
-    #[doc(hidden)]
-    pub fn entropy_with_chunk(&self, chunk_rows: usize) -> f64 {
-        self.entropy_impl(chunk_rows)
-    }
-
-    fn entropy_impl(&self, chunk_rows: usize) -> f64 {
         let c = self.num_blocks;
-        if c <= chunk_rows {
+        if c <= ENTROPY_CHUNK_ROWS {
             return self.entropy_rows(0, c as u32);
         }
-        let bounds: Vec<u32> = (0..c).step_by(chunk_rows).map(|r| r as u32).collect();
+        let bounds: Vec<u32> = (0..c)
+            .step_by(ENTROPY_CHUNK_ROWS)
+            .map(|r| r as u32)
+            .collect();
         let partials: Vec<f64> = bounds
             .par_iter()
-            .map(|&lo| self.entropy_rows(lo, ((lo as usize + chunk_rows).min(c)) as u32))
+            .map(|&lo| self.entropy_rows(lo, ((lo as usize + ENTROPY_CHUNK_ROWS).min(c)) as u32))
             .collect();
         partials.into_iter().sum()
     }

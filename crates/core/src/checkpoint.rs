@@ -144,8 +144,8 @@ pub fn strategy_tag(strategy: &McmcStrategy) -> u8 {
 
 impl CheckpointState {
     /// Rebuilds the golden bracket this snapshot captured.
-    pub fn bracket(&self, rate: f64) -> GoldenBracket {
-        GoldenBracket::from_parts(rate, self.hi.clone(), self.mid.clone(), self.lo.clone())
+    pub fn bracket(&self) -> GoldenBracket {
+        GoldenBracket::from_parts(self.hi.clone(), self.mid.clone(), self.lo.clone())
     }
 
     /// Why this snapshot's graph fingerprint does not match a graph of

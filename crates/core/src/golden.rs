@@ -23,6 +23,8 @@
 //! whatever its DL (`GoldenBracket::next_if_seeded`), so it can run
 //! while a warm start's refine pass is still computing that DL.
 
+use crate::sbp::BLOCK_REDUCTION_RATE;
+
 /// A stored search point: partition + its block count and description
 /// length. The partition is the dense assignment vector — all a snapshot
 /// needs, since a `Blockmodel` can be rebuilt from it in O(E). The search
@@ -63,18 +65,13 @@ pub struct GoldenBracket {
     hi: Option<BracketEntry>,
     mid: Option<BracketEntry>,
     lo: Option<BracketEntry>,
-    rate: f64,
 }
 
 impl GoldenBracket {
-    /// Creates an empty bracket with the agglomeration rate used before the
-    /// bracket is established (the paper halves: rate = 0.5).
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate < 1.0, "reduction rate must be in (0,1)");
-        GoldenBracket {
-            rate,
-            ..Default::default()
-        }
+    /// Creates an empty bracket. Until it is established it agglomerates
+    /// at [`BLOCK_REDUCTION_RATE`] (the paper halves).
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Seeds the search with the starting partition (typically the identity
@@ -99,7 +96,7 @@ impl GoldenBracket {
     }
 
     /// The three bracket points `(hi, mid, lo)` — the complete search
-    /// state besides the rate. Exposed for checkpointing: together with
+    /// state. Exposed for checkpointing: together with
     /// [`GoldenBracket::from_parts`] this round-trips the bracket
     /// exactly, which is what makes a resumed golden search bit-identical
     /// to an uninterrupted one.
@@ -114,18 +111,12 @@ impl GoldenBracket {
     }
 
     /// Rebuilds a bracket from checkpointed parts.
-    ///
-    /// # Panics
-    /// Panics if `rate` is outside `(0, 1)` (same contract as
-    /// [`GoldenBracket::new`]).
     pub fn from_parts(
-        rate: f64,
         hi: Option<BracketEntry>,
         mid: Option<BracketEntry>,
         lo: Option<BracketEntry>,
     ) -> Self {
-        assert!(rate > 0.0 && rate < 1.0, "reduction rate must be in (0,1)");
-        GoldenBracket { hi, mid, lo, rate }
+        GoldenBracket { hi, mid, lo }
     }
 
     /// Records the outcome of an iteration.
@@ -181,7 +172,7 @@ impl GoldenBracket {
         if !self.established() {
             // Keep agglomerating from the best snapshot.
             let b = mid.num_blocks;
-            let to_merge = (((b as f64) * self.rate).round() as usize).clamp(1, b - 1);
+            let to_merge = (((b as f64) * BLOCK_REDUCTION_RATE).round() as usize).clamp(1, b - 1);
             return NextStep::Continue {
                 start: mid.clone(),
                 blocks_to_merge: to_merge,
@@ -273,7 +264,7 @@ mod tests {
 
     #[test]
     fn pre_bracket_agglomerates_at_rate() {
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(100, 1000.0));
         match g.next() {
             NextStep::Continue {
@@ -289,7 +280,7 @@ mod tests {
 
     #[test]
     fn improving_results_shift_mid_down() {
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(100, 1000.0));
         g.record(entry(50, 900.0));
         assert!(!g.established());
@@ -301,7 +292,7 @@ mod tests {
 
     #[test]
     fn worse_result_establishes_bracket() {
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(100, 1000.0));
         g.record(entry(50, 900.0));
         g.record(entry(25, 950.0)); // worse → lower bound
@@ -313,7 +304,7 @@ mod tests {
     fn worse_first_result_is_handled_via_seed() {
         // If merging immediately makes things worse, the seeded hi==mid
         // ensures the bracket establishes instead of looping.
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(10, 100.0));
         g.record(entry(5, 200.0));
         assert!(g.established());
@@ -332,7 +323,7 @@ mod tests {
 
     #[test]
     fn golden_probe_stays_strictly_inside() {
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(100, 1000.0));
         g.record(entry(50, 900.0));
         g.record(entry(25, 950.0));
@@ -351,7 +342,7 @@ mod tests {
 
     #[test]
     fn narrow_bracket_terminates() {
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(5, 100.0));
         g.record(entry(4, 90.0));
         g.record(entry(3, 95.0));
@@ -364,14 +355,14 @@ mod tests {
 
     #[test]
     fn single_block_terminates() {
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(1, 10.0));
         assert!(matches!(g.next(), NextStep::Done(_)));
     }
 
     #[test]
     fn bounds_only_tighten() {
-        let mut g = GoldenBracket::new(0.5);
+        let mut g = GoldenBracket::new();
         g.seed(entry(100, 1000.0));
         g.record(entry(50, 900.0)); // mid=50, hi=100
         g.record(entry(25, 950.0)); // lo=25
@@ -415,7 +406,7 @@ mod tests {
     /// Every bracket shape the tests above build, in order.
     fn shapes() -> Vec<GoldenBracket> {
         let seeded = |b, dl| {
-            let mut g = GoldenBracket::new(0.5);
+            let mut g = GoldenBracket::new();
             g.seed(entry(b, dl));
             g
         };
@@ -492,7 +483,7 @@ mod tests {
     #[test]
     fn seeded_step_is_next_after_seed_at_any_dl() {
         for blocks in [1, 2, 3, 18, 3_000] {
-            let fresh = GoldenBracket::new(0.5);
+            let fresh = GoldenBracket::new();
             let predicted = fresh.next_if_seeded(blocks);
             for dl in [-1.0, 0.0, 1e-300, 123.456, 1e12, f64::MAX] {
                 let mut seeded = fresh.clone();

@@ -405,7 +405,8 @@ pub trait Solver {
     fn solve(&self, graph: &Graph, cfg: &RunConfig, progress: &mut dyn ProgressSink) -> RunOutcome;
 
     /// Whether this backend honours [`RunConfig::warm_start`]. Defaults
-    /// to `false`; callers must reject a warm config for a backend that
+    /// to `false`. The resident daemon (`sbp_serve`), the one caller that
+    /// warm-starts, checks it and refuses a warm round on a backend that
     /// returns false rather than let it silently run cold.
     fn supports_warm_start(&self) -> bool {
         false

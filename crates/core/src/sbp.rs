@@ -334,27 +334,36 @@ pub enum McmcStrategy {
     Batch,
 }
 
-/// SBP hyper-parameters. Defaults follow the Graph-Challenge reference
-/// implementation the paper's C++ baseline was translated from.
+/// Merge proposals evaluated per block in each merge phase (the paper's
+/// `x` in Alg. 1).
+pub const MERGE_PROPOSALS_PER_BLOCK: usize = 10;
+
+/// Fraction of blocks merged per agglomerative iteration before the
+/// golden-ratio bracket is established (Alg. 1's "until the number of
+/// communities is halved").
+pub const BLOCK_REDUCTION_RATE: f64 = 0.5;
+
+/// Maximum MCMC sweeps per phase (the paper's `x` in Alg. 2).
+pub const MAX_SWEEPS: usize = 30;
+
+/// Convergence threshold before the golden-ratio bracket is established
+/// (`t` in Alg. 2).
+pub const THRESHOLD_PRE: f64 = 5e-4;
+
+/// The tighter convergence threshold `t` of Alg. 2 once the bracket is
+/// established.
+pub const THRESHOLD_POST: f64 = 1e-4;
+
+/// The settable SBP hyper-parameters. Defaults follow the Graph-Challenge
+/// reference implementation the paper's C++ baseline was translated from;
+/// the values every run shares are the constants
+/// [`MERGE_PROPOSALS_PER_BLOCK`], [`BLOCK_REDUCTION_RATE`],
+/// [`MAX_SWEEPS`], [`THRESHOLD_PRE`] and [`THRESHOLD_POST`].
 #[derive(Clone, Debug)]
 pub struct SbpConfig {
     /// Inverse temperature β in the acceptance probability
     /// `min(1, exp(−β·ΔS)·H)`.
     pub beta: f64,
-    /// Merge proposals evaluated per block in each merge phase (the
-    /// paper's `x`).
-    pub merge_proposals_per_block: usize,
-    /// Fraction of blocks merged per agglomerative iteration before the
-    /// bracket is established (0.5 = "until the number of communities is
-    /// halved").
-    pub block_reduction_rate: f64,
-    /// Maximum MCMC sweeps per phase (the paper's `x` in Alg. 2).
-    pub max_sweeps: usize,
-    /// Convergence threshold before the golden-ratio bracket is
-    /// established (`t` in Alg. 2).
-    pub threshold_pre: f64,
-    /// Tighter threshold once the bracket is established.
-    pub threshold_post: f64,
     /// Sweep implementation.
     pub strategy: McmcStrategy,
     /// Master RNG seed.
@@ -368,11 +377,6 @@ impl Default for SbpConfig {
     fn default() -> Self {
         SbpConfig {
             beta: 3.0,
-            merge_proposals_per_block: 10,
-            block_reduction_rate: 0.5,
-            max_sweeps: 30,
-            threshold_pre: 5e-4,
-            threshold_post: 1e-4,
             strategy: McmcStrategy::MetropolisHastings,
             seed: 0,
             max_iterations: 300,
@@ -501,7 +505,7 @@ pub fn golden_search<P: Plane>(
             root: plane.is_root(),
         },
         prev: Vec::new(),
-        bracket: GoldenBracket::new(cfg.sbp.block_reduction_rate),
+        bracket: GoldenBracket::new(),
         resident: Vec::new(),
         warm: warm.is_some(),
         iterations: Vec::new(),
@@ -709,7 +713,7 @@ impl<'a, P: Plane> Search<'a, P> {
 
         let first_iter = if let Some(state) = &cfg.resume {
             // Validated by the caller and identical on every participant.
-            self.bracket = state.bracket(scfg.block_reduction_rate);
+            self.bracket = state.bracket();
             self.iterations = state.iterations.clone();
             self.progress.on_event(&ProgressEvent::Started {
                 num_vertices: n,
@@ -746,7 +750,7 @@ impl<'a, P: Plane> Search<'a, P> {
                 // the unpolished model ([`Search::seed_ahead`]).
                 let ahead = self.seed_ahead(num_blocks);
                 let (phase, prev, progress) = (&self.phase, &mut self.prev, &mut self.progress);
-                let (threshold, refine_iter) = (scfg.threshold_pre, scfg.max_iterations);
+                let (threshold, refine_iter) = (THRESHOLD_PRE, scfg.max_iterations);
                 let (stat, _) = match ahead {
                     None => phase.mcmc(&mut bm, threshold, refine_iter, prev, progress),
                     Some((graph, step)) => {
@@ -801,9 +805,9 @@ impl<'a, P: Plane> Search<'a, P> {
                 blocks_to_merge,
                 iteration: iter_idx,
                 threshold: if self.bracket.established() {
-                    scfg.threshold_post
+                    THRESHOLD_POST
                 } else {
-                    scfg.threshold_pre
+                    THRESHOLD_PRE
                 },
             };
             let Probe {
@@ -952,7 +956,7 @@ impl<'a, P: Plane> Search<'a, P> {
         let step = Step {
             blocks_to_merge,
             iteration: iteration + 1,
-            threshold: self.phase.cfg.sbp.threshold_post,
+            threshold: THRESHOLD_POST,
         };
         Some((graph, at, step))
     }
@@ -969,7 +973,7 @@ impl<'a, P: Plane> Search<'a, P> {
         let step = Step {
             blocks_to_merge,
             iteration: 0,
-            threshold: self.phase.cfg.sbp.threshold_pre,
+            threshold: THRESHOLD_PRE,
         };
         Some((graph, step))
     }
@@ -1190,7 +1194,7 @@ impl<P: Plane> Phase<'_, P> {
     /// sweeps (after each chunk of the plan that syncs), and stop on the
     /// convergence rule — the moving average of the last three per-sync
     /// ΔDL values falling below `threshold × initial DL` — after
-    /// `max_sweeps`, or on a cancel decision. One agreed value carries
+    /// [`MAX_SWEEPS`], or on a cancel decision. One agreed value carries
     /// both the DL and that decision, so participants never disagree on
     /// either. Reports one `Sweep` per synced sweep to `sink`, its
     /// `accepted` summed over the sweep's sync points; returns the
@@ -1219,12 +1223,12 @@ impl<P: Plane> Phase<'_, P> {
             sweeps: 0,
             moves: 0,
         };
-        while stat.sweeps < scfg.max_sweeps {
+        while stat.sweeps < MAX_SWEEPS {
             // A sweep syncs after every chunk that syncs or after none:
             // between the sync points of a longer period each participant
             // sees only its own moves, chunk after chunk.
-            let syncs = (stat.sweeps + 1).is_multiple_of(self.sync_period)
-                || stat.sweeps + 1 == scfg.max_sweeps;
+            let syncs =
+                (stat.sweeps + 1).is_multiple_of(self.sync_period) || stat.sweeps + 1 == MAX_SWEEPS;
             let mut accepted = 0usize;
             for chunk in self.plan {
                 let outcome = chunk.sweep(graph, bm, scfg.beta, sweep_seed, stat.sweeps);
@@ -1277,8 +1281,8 @@ fn merge_step<P: Plane>(
     iter_idx: usize,
 ) -> Result<(Blockmodel, usize), P::Error> {
     let seed = merge_phase_seed(cfg.seed, iter_idx);
-    let cands = plane.merge_candidates(bm, cfg.merge_proposals_per_block, seed)?;
-    let evaluated = cands.len() * cfg.merge_proposals_per_block;
+    let cands = plane.merge_candidates(bm, MERGE_PROPOSALS_PER_BLOCK, seed)?;
+    let evaluated = cands.len() * MERGE_PROPOSALS_PER_BLOCK;
     let (label, num_blocks) = merge_labels(bm.num_blocks(), cands, blocks_to_merge);
     let merged = bm.merged(&label, num_blocks);
     debug_assert_equals_rebuild(plane, &merged, "merged");

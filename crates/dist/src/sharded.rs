@@ -487,7 +487,7 @@ mod tests {
     use sbp_core::merge::MergeCandidate;
     use sbp_core::plane::Plane;
     use sbp_core::run::{CancelToken, NoProgress, RunConfig, RunOutcome, Solver};
-    use sbp_core::sbp::golden_search;
+    use sbp_core::sbp::{golden_search, MAX_SWEEPS};
     use sbp_core::{Blockmodel, McmcStrategy, SbpConfig, StorageKind};
     use sbp_graph::fixtures::two_cliques;
     use sbp_graph::shard::{shard_graph, validate_shard_dir};
@@ -984,7 +984,6 @@ mod tests {
             strategy: McmcStrategy::Batch,
             ..SbpConfig::default()
         });
-        let max_sweeps = cfg.sbp.max_sweeps;
         let per_rank = on_each_rank("period2", &g, 3, |comm, dg| {
             let data = ShardedData { dg };
             let plane = WatchedPlane {
@@ -1017,7 +1016,7 @@ mod tests {
         assert_eq!(*syncs, BATCH_CHUNKS * synced.len(), "a sync per chunk");
         assert!(synced
             .iter()
-            .all(|&s| (s + 1) % 2 == 0 || s + 1 == max_sweeps));
+            .all(|&s| (s + 1) % 2 == 0 || s + 1 == MAX_SWEEPS));
         let sweeps: usize = sharded.iterations.iter().map(|it| it.sweeps).sum();
         assert!(sweeps > synced.len(), "no sweep ran without a sync");
         assert_eq!(sharded.assignment, mono.assignment);

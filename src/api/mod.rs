@@ -20,10 +20,14 @@
 //! through, and returns a [`Run`] carrying the partition, the
 //! per-iteration trajectory, wall/virtual timings, and — for the
 //! distributed backends — the [`ClusterReport`].
+//!
+//! A warm start is not a builder setting: its one caller, the resident
+//! daemon (`sbp_serve`), checks [`Solver::supports_warm_start`] and hands
+//! the solver a [`RunConfig::warm_start`] itself.
 
 use sbp_core::run::{
-    CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, ProgressFn, ProgressSink,
-    RunConfig, RunOutcome, SingleNode, Solver, WarmStart,
+    CancelToken, CheckpointSpec, DegradedReason, ProgressEvent, ProgressFn, RunConfig, RunOutcome,
+    SingleNode, Solver,
 };
 use sbp_core::{CheckpointState, IterationStat, McmcStrategy, SbpConfig};
 use sbp_dist::{DistSolver, FaultPlan, OwnershipStrategy, ShardedBackend};
@@ -185,15 +189,6 @@ pub enum PartitionError {
     /// A fault plan was configured for a single-node backend, which has
     /// no cluster to inject into.
     FaultUnsupported(String),
-    /// A [`Partitioner::warm_start`] was configured for a backend that
-    /// cannot honour it ([`Solver::supports_warm_start`] is false) or
-    /// for a source/feature combination with no warm entry point.
-    /// Silently running cold instead is never acceptable.
-    WarmStartUnsupported(String),
-    /// The warm-start seed itself is malformed: assignment length does
-    /// not match the graph, a label is out of range, or a dirty vertex
-    /// id exceeds the vertex count.
-    WarmStartInvalid(String),
 }
 
 impl fmt::Display for PartitionError {
@@ -235,10 +230,6 @@ impl fmt::Display for PartitionError {
                 write!(f, "checkpoint path is not writable: {reason}")
             }
             PartitionError::FaultUnsupported(what) => write!(f, "{what}"),
-            PartitionError::WarmStartUnsupported(what) => write!(f, "{what}"),
-            PartitionError::WarmStartInvalid(reason) => {
-                write!(f, "warm start rejected: {reason}")
-            }
         }
     }
 }
@@ -360,8 +351,6 @@ pub struct Partitioner<'a> {
     checkpoint_every: usize,
     resume_path: Option<PathBuf>,
     fault: FaultPlan,
-    warm: Option<(Vec<u32>, usize)>,
-    dirty: Option<Vec<u32>>,
 }
 
 impl<'a> Partitioner<'a> {
@@ -402,8 +391,6 @@ impl<'a> Partitioner<'a> {
             checkpoint_every: 1,
             resume_path: None,
             fault: FaultPlan::none(),
-            warm: None,
-            dirty: None,
         }
     }
 
@@ -513,34 +500,6 @@ impl<'a> Partitioner<'a> {
     /// count, and vice versa, as long as the MCMC strategy agrees.
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume_path = Some(path.into());
-        self
-    }
-
-    /// Seeds the golden-ratio search from an existing partition instead
-    /// of `C = V`: the bracket starts at `num_blocks` with `assignment`
-    /// (polished by one MCMC pass before any merge), so a solve over a
-    /// lightly-changed graph converges in far fewer iterations while
-    /// description length stays exact over the full blockmodel.
-    /// Validated at [`run`](Partitioner::run): the assignment length
-    /// must equal the vertex count, every label must be below
-    /// `num_blocks`, and the backend must support warm starts
-    /// ([`Solver::supports_warm_start`]) — warm requests are rejected
-    /// with a typed error, never silently run cold. Incompatible with
-    /// [`resume_from`](Partitioner::resume_from) (a resume snapshot
-    /// already carries its own bracket).
-    pub fn warm_start(mut self, assignment: Vec<u32>, num_blocks: usize) -> Self {
-        self.warm = Some((assignment, num_blocks));
-        self
-    }
-
-    /// Restricts a [`warm_start`](Partitioner::warm_start)'s MCMC
-    /// sweeps to these vertices (typically the endpoints of changed
-    /// edges plus their one-hop neighborhoods — see
-    /// `sbp_serve::dirty_set`). Ignored without a warm start. An empty
-    /// list is honoured: merges and DL re-evaluation still run, but no
-    /// vertex moves.
-    pub fn dirty_vertices(mut self, vertices: Vec<u32>) -> Self {
-        self.dirty = Some(vertices);
         self
     }
 
@@ -687,67 +646,6 @@ impl<'a> Partitioner<'a> {
         Ok((checkpoint, resume))
     }
 
-    /// Validates the builder's warm-start request against the solver
-    /// and graph, producing the [`WarmStart`] threaded into the run.
-    fn warm_cfg(
-        &self,
-        solver: &dyn Solver,
-        num_vertices: usize,
-    ) -> Result<Option<WarmStart>, PartitionError> {
-        let Some((assignment, num_blocks)) = &self.warm else {
-            return Ok(None);
-        };
-        if self.resume_path.is_some() {
-            return Err(PartitionError::WarmStartUnsupported(
-                "warm_start and resume_from are mutually exclusive (a resume snapshot \
-                 already carries its own bracket; drop one of the two)"
-                    .into(),
-            ));
-        }
-        if self.sample.is_some() {
-            return Err(PartitionError::WarmStartUnsupported(
-                "sampling pipelines cannot warm-start (the sample's golden loop runs \
-                 over a different vertex set than the seed partition)"
-                    .into(),
-            ));
-        }
-        if !solver.supports_warm_start() {
-            return Err(PartitionError::WarmStartUnsupported(format!(
-                "the {} backend does not support warm starts (refusing to silently \
-                 run cold; use a single-node backend)",
-                solver.name()
-            )));
-        }
-        if assignment.len() != num_vertices {
-            return Err(PartitionError::WarmStartInvalid(format!(
-                "assignment length {} != graph vertex count {num_vertices}",
-                assignment.len()
-            )));
-        }
-        if *num_blocks == 0 {
-            return Err(PartitionError::WarmStartInvalid(
-                "num_blocks must be at least 1".into(),
-            ));
-        }
-        if let Some(&bad) = assignment.iter().find(|&&b| (b as usize) >= *num_blocks) {
-            return Err(PartitionError::WarmStartInvalid(format!(
-                "label {bad} out of range for {num_blocks} blocks"
-            )));
-        }
-        if let Some(dirty) = &self.dirty {
-            if let Some(&bad) = dirty.iter().find(|&&v| (v as usize) >= num_vertices) {
-                return Err(PartitionError::WarmStartInvalid(format!(
-                    "dirty vertex {bad} out of range for {num_vertices} vertices"
-                )));
-            }
-        }
-        let mut warm = WarmStart::new(assignment.clone(), *num_blocks);
-        if let Some(dirty) = &self.dirty {
-            warm = warm.with_dirty(dirty.clone());
-        }
-        Ok(Some(warm))
-    }
-
     /// Runs inference and returns the unified [`Run`] result.
     pub fn run(mut self) -> Result<Run, PartitionError> {
         match &self.source {
@@ -758,15 +656,16 @@ impl<'a> Partitioner<'a> {
                     graph.num_vertices(),
                     Some(graph.total_edge_weight().max(0) as u64),
                 )?;
-                let warm = self.warm_cfg(solver.as_ref(), graph.num_vertices())?;
                 let cfg = RunConfig {
-                    sbp: self.sbp.clone(),
                     cancel: self.cancel.clone(),
                     checkpoint,
                     resume,
-                    warm,
+                    ..RunConfig::from_sbp(self.sbp.clone())
                 };
-                Ok(run_solver(solver.as_ref(), graph, &cfg, &mut self.progress))
+                let wall = Instant::now();
+                let outcome = solver.solve(graph, &cfg, &mut self.progress);
+                let wall = wall.elapsed().as_secs_f64();
+                Ok(Run::from_outcome(solver.name(), outcome, wall, None))
             }
             Source::Shards(dir) => {
                 let dir = dir.clone();
@@ -779,13 +678,6 @@ impl<'a> Partitioner<'a> {
     /// sharded driver matching the backend, stream events, attach the
     /// ingest report.
     fn run_shards(&mut self, dir: &std::path::Path) -> Result<Run, PartitionError> {
-        if self.warm.is_some() {
-            return Err(PartitionError::WarmStartUnsupported(
-                "sharded runs cannot warm-start (the monolithic assignment has no \
-                 owner; load the graph in memory, or re-shard and run cold)"
-                    .into(),
-            ));
-        }
         if self.sample.is_some() {
             return Err(PartitionError::ShardedUnsupported(
                 "sampling is not supported over sharded input (sample before sharding, \
@@ -822,11 +714,10 @@ impl<'a> Partitioner<'a> {
         }
         let (checkpoint, resume) = self.checkpoint_cfg(header.num_vertices, None)?;
         let cfg = RunConfig {
-            sbp: self.sbp.clone(),
             cancel: self.cancel.clone(),
             checkpoint,
             resume,
-            warm: None,
+            ..RunConfig::from_sbp(self.sbp.clone())
         };
         let solver = DistSolver {
             fault: self.fault.clone(),
@@ -842,20 +733,6 @@ impl<'a> Partitioner<'a> {
             ingest,
         ))
     }
-}
-
-/// Runs a solver built elsewhere (e.g. a custom [`Solver`]
-/// implementation) through the same timing/result plumbing the builder
-/// uses.
-pub fn run_solver<S: Solver + ?Sized>(
-    solver: &S,
-    graph: &Graph,
-    cfg: &RunConfig,
-    progress: &mut dyn ProgressSink,
-) -> Run {
-    let wall = Instant::now();
-    let outcome = solver.solve(graph, cfg, progress);
-    Run::from_outcome(solver.name(), outcome, wall.elapsed().as_secs_f64(), None)
 }
 
 /// The daemon's [`Resolver`]: a name of [`Backend::NAMES`] on `ranks`

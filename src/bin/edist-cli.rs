@@ -768,6 +768,25 @@ mod tests {
         let _ = std::fs::remove_file(&gpath);
     }
 
+    /// `--checkpoint-every` only thins `--checkpoint`'s snapshots: alone
+    /// it is refused by name, not ignored.
+    #[test]
+    fn checkpoint_every_without_checkpoint_is_refused() {
+        let gpath = tiny_graph("every_alone");
+        let g = gpath.to_str().unwrap();
+        let got = run(&argv(&[
+            "partition",
+            "--graph",
+            g,
+            "--checkpoint-every",
+            "5",
+        ]));
+        let refusal =
+            "--checkpoint-every thins the snapshots of --checkpoint; pass both or neither";
+        assert_eq!(got, Err(refusal.into()));
+        let _ = std::fs::remove_file(&gpath);
+    }
+
     /// A flag of one rank of a TCP cluster is refused, by name and mode,
     /// where it would be ignored: on the in-process `--cluster thread`
     /// (the default) and, for the three the launcher picks itself, on

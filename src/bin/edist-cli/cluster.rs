@@ -5,7 +5,9 @@
 
 use crate::args::{flags, Args};
 use crate::graphs::{graph_source, shard_header, GraphSource};
-use crate::partition::{fault_plan, report_run, resolve_backend, sbp_config, IN_PROCESS};
+use crate::partition::{
+    fault_plan, rank_count, report_run, resolve_backend, sbp_config, IN_PROCESS,
+};
 use crate::sigint;
 use edist::prelude::*;
 use std::path::Path;
@@ -45,6 +47,12 @@ fn timeouts(args: &Args) -> Result<(Duration, Duration), String> {
     Ok((Duration::from_secs(handshake), Duration::from_secs(read)))
 }
 
+/// The shard count of `--sharded`, when it is given.
+fn shard_count(args: &Args) -> Result<Option<usize>, String> {
+    let count = |dir| shard_header(dir).map(|header| header.shard_count);
+    args.get("sharded").map(count).transpose()
+}
+
 /// One rank of a real TCP cluster: rendezvous at `--coordinator`, run
 /// the same per-rank body the thread simulator runs, report.
 pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
@@ -63,10 +71,8 @@ pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
     tcp.read_timeout = Some(read);
 
     let (backend, sync_period) = resolve_backend(args, "edist", ranks)?;
-    let shard_count = |dir| shard_header(dir).map(|header| header.shard_count);
-    let shards = args.get("sharded").map(shard_count).transpose()?;
     let (backend, _) = backend
-        .distributed(sync_period, shards)
+        .distributed(sync_period, shard_count(args)?)
         .map_err(|e| e.to_string())?;
     let source = graph_source(args)?;
     let cfg = RunConfig::from_sbp(sbp_config(args)?);
@@ -95,10 +101,10 @@ pub fn cmd_partition_tcp(args: &Args) -> Result<u8, String> {
 pub fn cmd_partition_tcp_local(args: &Args) -> Result<u8, String> {
     refuse_in_process_flags(args)?;
     // Refused once here, not by every child.
-    let ranks: usize = args.num("ranks", 4usize)?;
+    let ranks = rank_count(args)?;
     let (backend, sync_period) = resolve_backend(args, "edist", ranks)?;
     backend
-        .distributed(sync_period, None)
+        .distributed(sync_period, shard_count(args)?)
         .map_err(|e| e.to_string())?;
     timeouts(args)?;
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0))

@@ -223,6 +223,15 @@ pub fn sbp_config(args: &Args) -> Result<SbpConfig, String> {
     Ok(sbp)
 }
 
+/// The rank count of a distributed run: `--ranks`, or over `--sharded`
+/// without it one rank per shard, else 4.
+pub fn rank_count(args: &Args) -> Result<usize, String> {
+    match (args.get("sharded"), args.get("ranks")) {
+        (Some(dir), None) => Ok(shard_header(dir)?.shard_count),
+        _ => args.num("ranks", 4usize),
+    }
+}
+
 /// `--backend NAME` (`default` without it) on `ranks` ranks, and
 /// `--sync-period N` (default 1), EDiSt's sweeps between move exchanges:
 /// the one check of these flags that every `partition` path (thread,
@@ -282,6 +291,12 @@ fn run_partitioner(
 ) -> Result<u8, String> {
     let sbp = sbp_config(args)?;
     let seed = sbp.seed;
+    let every = args.positive("checkpoint-every", 1)?;
+    if args.get("checkpoint-every").is_some() && args.get("checkpoint").is_none() {
+        return Err(
+            "--checkpoint-every thins the snapshots of --checkpoint; pass both or neither".into(),
+        );
+    }
     let mut partitioner = match source {
         GraphSource::Mem(graph) => Partitioner::on(graph),
         GraphSource::Shards(dir) => Partitioner::on_sharded(dir),
@@ -290,7 +305,7 @@ fn run_partitioner(
     .config(sbp)
     .sync_period(sync_period)
     .fault_plan(fault_plan(args)?)
-    .checkpoint_every(args.positive("checkpoint-every", 1)? as usize);
+    .checkpoint_every(every as usize);
     if args.get("sample").is_some() {
         let strategy = parse_strategy(args.get("strategy").unwrap_or("snowball"))?;
         partitioner = partitioner.sample(strategy, args.num("sample", 0.5f64)?);
@@ -429,16 +444,11 @@ pub fn cmd_partition(args: &Args) -> Result<u8, String> {
         "tcp-local" => return cluster::cmd_partition_tcp_local(args),
         _ => {}
     }
-    // A sharded source runs EDiSt on one rank per shard unless --backend
-    // or --ranks says otherwise (the facade refuses a rank count that is
-    // not the shard count); a file source runs sequential by default.
-    let sharded = args.get("sharded");
-    let ranks = match (sharded, args.get("ranks")) {
-        (Some(dir), None) => shard_header(dir)?.shard_count,
-        _ => args.num("ranks", 4usize)?,
-    };
-    let default = sharded.map_or("sequential", |_| "edist");
-    let (backend, sync_period) = resolve_backend(args, default, ranks)?;
+    // A sharded source runs EDiSt unless --backend says otherwise (the
+    // facade refuses a rank count that is not the shard count); a file
+    // source runs sequential by default.
+    let default = args.get("sharded").map_or("sequential", |_| "edist");
+    let (backend, sync_period) = resolve_backend(args, default, rank_count(args)?)?;
     let source = graph_source(args)?;
     run_partitioner(args, &source, backend, sync_period)
 }

@@ -145,7 +145,7 @@ pub use api::{Backend, PartitionError, Partitioner, Run};
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use crate::api::{default_registry, run_solver, Backend, PartitionError, Partitioner, Run};
+    pub use crate::api::{default_registry, Backend, PartitionError, Partitioner, Run};
     pub use sbp_core::{
         solve_sbp, Blockmodel, CancelToken, CheckpointError, CheckpointSpec, CheckpointState,
         DegradedReason, GoldenBracket, IterationStat, McmcStrategy, NoProgress, ProgressEvent,

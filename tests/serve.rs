@@ -10,6 +10,7 @@
 //! over a real unix socket, including a malformed-frame probe that the
 //! daemon must survive.
 
+use edist::core::run::SingleNode;
 use edist::graph::fixtures::{clique_ring, clique_ring_truth, two_cliques};
 use edist::graph::{EdgeDelta, Graph};
 use edist::prelude::*;
@@ -128,12 +129,12 @@ fn check_incremental_equivalence(graph: Graph, truth: &[u32], seed: u64, deltas:
     // Warm run: seeded from the pre-delta partition, sweeping only the
     // one-hop dirty neighborhood.
     let dirty = dirty_set(&mutated, &deltas);
-    let warm = Partitioner::on(&mutated)
-        .seed(seed)
-        .warm_start(base.assignment.clone(), base.num_blocks)
-        .dirty_vertices(dirty)
-        .run()
-        .expect("warm run on mutated graph");
+    let warm_start = WarmStart::new(base.assignment.clone(), base.num_blocks).with_dirty(dirty);
+    let warm = SingleNode(McmcStrategy::MetropolisHastings).solve(
+        &mutated,
+        &RunConfig::seeded(seed).warm_start(warm_start),
+        &mut NoProgress,
+    );
 
     assert!(
         warm.description_length <= cold.description_length + 1e-9,
@@ -626,46 +627,6 @@ fn half_frame_then_hang_is_dropped_after_the_io_timeout() {
 }
 
 #[test]
-fn facade_rejects_invalid_warm_starts_with_typed_errors() {
-    let graph = two_cliques(6);
-    // Wrong assignment length.
-    let err = Partitioner::on(&graph)
-        .warm_start(vec![0; 5], 2)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, PartitionError::WarmStartInvalid(_)), "{err}");
-    // Label out of range.
-    let err = Partitioner::on(&graph)
-        .warm_start(vec![5; 12], 2)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, PartitionError::WarmStartInvalid(_)), "{err}");
-    // Distributed backends must refuse, never silently run cold.
-    let err = Partitioner::on(&graph)
-        .backend(Backend::Edist { ranks: 2 })
-        .warm_start(vec![0; 12], 1)
-        .run()
-        .unwrap_err();
-    assert!(
-        matches!(err, PartitionError::WarmStartUnsupported(_)),
-        "{err}"
-    );
-    // Warm + resume is ambiguous and refused.
-    let err = Partitioner::on(&graph)
-        .warm_start(vec![0; 12], 1)
-        .resume_from("/no/such/snapshot.sbpc")
-        .run()
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            PartitionError::WarmStartUnsupported(_) | PartitionError::CheckpointLoad(_)
-        ),
-        "{err}"
-    );
-}
-
-#[test]
 fn registry_resolution_matches_typed_backends() {
     // The daemon's resolver and the typed Backend enum must produce
     // solvers with identical results — the resolver is a naming layer,
@@ -684,12 +645,7 @@ fn registry_resolution_matches_typed_backends() {
     }
     let typed = Partitioner::on(&graph).seed(5).run().expect("typed run");
     let named = resolve("sequential", 1, 1).expect("resolved solver");
-    let run = run_solver(
-        named.as_ref(),
-        &graph,
-        &RunConfig::seeded(5),
-        &mut NoProgress,
-    );
+    let run = named.solve(&graph, &RunConfig::seeded(5), &mut NoProgress);
     assert_eq!(run.assignment, typed.assignment);
     assert_eq!(
         run.description_length.to_bits(),

@@ -468,6 +468,44 @@ fn tcp_local_launcher_matches_thread_simulator() {
     }
 }
 
+/// Over shards `tcp-local` picks its rank count as the thread path does:
+/// without `--ranks`, one rank per shard and the thread run's files; a
+/// rank count other than the shard count is refused once, before any
+/// rank is spawned.
+#[test]
+fn tcp_local_over_shards_runs_one_rank_per_shard() {
+    let dir = temp("local_shards");
+    let graph = fixture(&dir, "120", "easy");
+    let shards = shard_fixture(&dir, &graph, 2);
+    let shards = shards.to_str().unwrap();
+    let (thread, local) = (dir.join("thread.txt"), dir.join("local.txt"));
+    for (cluster, out) in [("thread", &thread), ("tcp-local", &local)] {
+        let out = out.to_str().unwrap();
+        let line = [
+            "--sharded",
+            shards,
+            "--cluster",
+            cluster,
+            "--seed",
+            "5",
+            "--out",
+            out,
+        ];
+        cli_ok(&[&["partition"][..], &line].concat());
+    }
+    assert_same_file(&thread, &local, "2 shards: tcp-local vs thread");
+    let out = Command::new(exe())
+        .args(["partition", "--sharded", shards, "--cluster", "tcp-local"])
+        .args(["--ranks", "3", "--seed", "5"])
+        .output()
+        .expect("failed to run edist-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let refusal = "backend wants 3 ranks but the directory holds 2 shards";
+    assert_eq!(stderr.matches(refusal).count(), 1, "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ------------------------------------------------------ handshake failures
 
 /// A rank joining with the wrong session id is rejected with a typed
